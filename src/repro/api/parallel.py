@@ -32,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.api.spec import ExperimentSpec, GridSpec
+from repro.api.spec import LEGACY_FIELDS, ExperimentSpec, GridSpec
 from repro.errors import ApiError
 
 __all__ = [
@@ -56,6 +56,24 @@ def run_key(spec: ExperimentSpec | Mapping[str, Any]) -> str:
     """
     spec = ExperimentSpec.coerce(spec)
     return json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def _current_key(key: Any) -> Any:
+    """A recorded run key in today's canonical form.
+
+    Lines written before a spec field was retired may carry it inside
+    their key; re-keying through the spec layer drops it, so those cells
+    still match on resume. Anything else passes through untouched.
+    """
+    if not (
+        isinstance(key, str)
+        and any(f'"{name}"' in key for name in LEGACY_FIELDS)
+    ):
+        return key
+    try:
+        return run_key(json.loads(key))
+    except (json.JSONDecodeError, ApiError):
+        return key
 
 
 def group_key(spec: ExperimentSpec) -> tuple:
@@ -357,9 +375,10 @@ class SweepCheckpoint:
             except (UnicodeDecodeError, json.JSONDecodeError):
                 continue
             if isinstance(entry, dict) and isinstance(entry.get("index"), int):
-                out.append(
-                    (entry["index"], entry.get("key"), entry.get("summary"))
-                )
+                out.append((
+                    entry["index"], _current_key(entry.get("key")),
+                    entry.get("summary"),
+                ))
         return out
 
     def seal(self) -> None:

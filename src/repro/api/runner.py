@@ -321,7 +321,6 @@ def prepare_experiment(
             granularity=spec.granularity,
             snapshot_every=spec.snapshot_every,
             snapshot_path=spec.snapshot_path,
-            fuse_tasks=spec.fuse_tasks,
         )
     except (TypeError, ValueError) as exc:
         # OptimError (bad values) is already a ReproError; this catches

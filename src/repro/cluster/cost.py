@@ -31,12 +31,6 @@ __all__ = [
 class TaskCostModel(ABC):
     """Maps a task's advertised work volume to compute milliseconds."""
 
-    #: True when ``compute_ms`` never consumes ``measured_ms``, so a
-    #: task's virtual duration is unchanged if its host execution is
-    #: batched with other tasks (fused rounds). Models that charge real
-    #: wall time must leave this False or fused timing would diverge.
-    fusion_safe = False
-
     @abstractmethod
     def compute_ms(
         self,
@@ -64,8 +58,6 @@ class AnalyticCostModel(TaskCostModel):
     overhead_ms: float = 1.0
     ms_per_unit: float = 1e-3
     noise: float = 0.0
-
-    fusion_safe = True
 
     def __post_init__(self) -> None:
         if self.overhead_ms < 0 or self.ms_per_unit < 0:

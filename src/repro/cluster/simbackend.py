@@ -21,13 +21,7 @@ from __future__ import annotations
 import time as _time
 from typing import Any, Callable
 
-from repro.cluster.backend import (
-    Backend,
-    BackendTask,
-    FusedOutcome,
-    TaskBatch,
-    TaskMetrics,
-)
+from repro.cluster.backend import Backend, BackendTask, TaskMetrics
 from repro.cluster.clock import VirtualClock
 from repro.cluster.cost import AnalyticCostModel, TaskCostModel
 from repro.cluster.events import Event, EventQueue
@@ -144,38 +138,14 @@ class SimBackend(Backend):
         worker.task_seq += 1
         self._executed_tasks += 1
         seq = worker.task_seq
+        cost_rng = self.rngs.lazy("cost", task.task_id)
         reported_units = env.consume_cost_units()
         units = reported_units if reported_units > 0 else task.cost_units
-        fetch_bytes = env.consume_fetch_bytes()
-        self._model_and_schedule(
-            task, worker_id, submitted, metrics, value, error,
-            start=start, seq=seq, units=units,
-            fetch_bytes=fetch_bytes, measured_ms=measured_ms,
-        )
-
-    def _model_and_schedule(
-        self,
-        task: BackendTask,
-        worker_id: int,
-        submitted: float,
-        metrics: TaskMetrics,
-        value: Any,
-        error: BaseException | None,
-        *,
-        start: float,
-        seq: int,
-        units: float,
-        fetch_bytes: int,
-        measured_ms: float,
-    ) -> None:
-        """Shared virtual-timing math: model the task duration from its
-        observed work volume and schedule the result delivery."""
-        worker = self._workers[worker_id]
-        cost_rng = self.rngs.lazy("cost", task.task_id)
         base_ms = self.cost_model.compute_ms(
             units, measured_ms=measured_ms, rng=cost_rng
         )
         factor = self.delay_model.factor(worker_id, seq)
+        fetch_bytes = env.consume_fetch_bytes()
         fetch_ms = 0.0
         if fetch_bytes:
             fetch_rng = self.rngs.lazy("net-fetch", task.task_id)
@@ -204,106 +174,6 @@ class SimBackend(Backend):
             lambda: self._finish(task, worker_id, value, metrics, error),
         )
         self._live[worker_id][task.task_id] = (task, ev, submitted)
-
-    # -- fused submission ----------------------------------------------------
-    def submit_batch(self, batch: TaskBatch) -> None:
-        """Submit a round's tasks, executing the host work in one fused call.
-
-        The fused runner executes at submit time, in the exact order the
-        per-task closures would have executed (arrival order, with event-
-        queue tie-breaking = submission order). Virtual timing is then
-        replayed per task at its own arrival event from the captured
-        :class:`FusedOutcome`, so trajectories, STAT rows, and the metrics
-        log are bit-identical to per-task execution. ``kill_worker`` still
-        cancels the per-task arrival events, so a mid-round kill degrades
-        exactly as in the unfused path.
-        """
-        if batch.fused_fn is None or not getattr(
-            self.cost_model, "fusion_safe", False
-        ):
-            # Measured-time cost models price each task's own host
-            # execution; fused timing would diverge, so run per task.
-            super().submit_batch(batch)
-            return
-        submitted = self.clock.now()
-        arrivals: list[float] = []
-        for task, worker_id in zip(batch.tasks, batch.worker_ids):
-            if not 0 <= worker_id < self.num_workers:
-                raise ValueError(f"worker_id {worker_id} out of range")
-            rng = self.rngs.lazy("net-in", task.task_id)
-            arrivals.append(
-                submitted + self.network.transfer_ms(task.in_bytes, rng)
-            )
-        # Stable sort by arrival time: ties keep submission order, matching
-        # the event queue's push-counter tie-breaking.
-        order = sorted(range(len(batch.tasks)), key=arrivals.__getitem__)
-        ordered = [
-            (i, self.envs[batch.worker_ids[i]])
-            for i in order
-            if self._workers[batch.worker_ids[i]].alive
-        ]
-        outcomes: dict[int, FusedOutcome]
-        try:
-            outcomes = batch.fused_fn(ordered) if ordered else {}
-        except Exception:  # pragma: no cover - fused runners degrade per task
-            # Defensive: discard any half-recorded accounting, then fall
-            # back to plain per-task execution.
-            for _, env in ordered:
-                env.consume_cost_units()
-                env.consume_fetch_bytes()
-            super().submit_batch(batch)
-            return
-        for i, (task, worker_id) in enumerate(zip(batch.tasks, batch.worker_ids)):
-            self._pending += 1
-            ev = self.queue.push(
-                arrivals[i],
-                lambda t=task, w=worker_id, o=outcomes.get(i): (
-                    self._on_arrival_fused(t, w, submitted, o)
-                ),
-            )
-            self._live[worker_id][task.task_id] = (task, ev, submitted)
-
-    def _on_arrival_fused(
-        self,
-        task: BackendTask,
-        worker_id: int,
-        submitted: float,
-        outcome: FusedOutcome | None,
-    ) -> None:
-        worker = self._workers[worker_id]
-        now = self.clock.now()
-        metrics = TaskMetrics(
-            task_id=task.task_id,
-            worker_id=worker_id,
-            partition=task.metrics_partition,
-            submitted_ms=submitted,
-            in_bytes=task.in_bytes,
-        )
-        if not worker.alive or outcome is None:
-            # Dead before submit (no outcome was computed) or — defensively —
-            # dead at arrival; same loss path as the unfused branch.
-            self._live[worker_id].pop(task.task_id, None)
-            metrics.delivered_ms = now + self.network.latency_ms
-            self.queue.push(
-                metrics.delivered_ms,
-                lambda: self._finish(
-                    task, worker_id, None, metrics, WorkerLostError(worker_id)
-                ),
-            )
-            return
-
-        start = max(now, worker.free_at)
-        metrics.started_ms = start
-        worker.task_seq += 1
-        self._executed_tasks += 1
-        units = (
-            outcome.cost_units if outcome.cost_units > 0 else task.cost_units
-        )
-        self._model_and_schedule(
-            task, worker_id, submitted, metrics, outcome.value, outcome.error,
-            start=start, seq=worker.task_seq, units=units,
-            fetch_bytes=outcome.fetch_bytes, measured_ms=outcome.measured_ms,
-        )
 
     def _finish(
         self,

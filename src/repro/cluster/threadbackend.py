@@ -18,7 +18,7 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.cluster.backend import Backend, BackendTask, TaskBatch, TaskMetrics
+from repro.cluster.backend import Backend, BackendTask, TaskMetrics
 from repro.cluster.clock import WallClock
 from repro.cluster.stragglers import DelayModel, NoDelay
 from repro.errors import BackendError, WorkerLostError
@@ -79,16 +79,6 @@ class ThreadBackend(Backend):
         with self._cond:
             self._pending += 1
         self._queues[worker_id].put((task, self.clock.now()))
-
-    def submit_batch(self, batch: TaskBatch) -> None:
-        """Accept a :class:`TaskBatch` but keep real per-task execution.
-
-        Fused host execution only pays off (and only preserves timing
-        semantics) on the simulator; real threads execute each task's own
-        closure so wall-clock stragglers and concurrency stay genuine.
-        """
-        for task, worker_id in zip(batch.tasks, batch.worker_ids):
-            self.submit(task, worker_id)
 
     def pending_count(self) -> int:
         with self._cond:

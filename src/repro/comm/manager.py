@@ -109,13 +109,9 @@ class CommManager:
 
     # -- collect path (worker -> server) ---------------------------------------
     def encode_value(self, value: Any, env, partition: "int | None") -> Any:
-        """Worker-side encode of one reduced ``(acc, count)`` pair.
-
-        The single code path behind :meth:`wrap_task_fn` and the fused
-        round's per-task post hook, so fused and per-task execution run
-        byte-identical encodes (including error-feedback residual
-        updates and the codec's ``env.record_cost`` pricing).
-        """
+        """Worker-side encode of one reduced ``(acc, count)`` pair
+        (error-feedback residual update plus the codec's
+        ``env.record_cost`` pricing); see :meth:`wrap_task_fn`."""
         if not (isinstance(value, tuple) and len(value) == 2):
             return value
         payload, count = value

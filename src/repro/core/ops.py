@@ -5,25 +5,28 @@ two ways Section 5.1 describes: the reduction runs *on the worker, over
 its local partitions only* (one locally-combined result per worker — the
 capability Glint lacks), and the call returns immediately; results are
 consumed later through the ASYNCcontext.
+
+:class:`RoundPlan` is what the optimizers submit: their one fixed chain
+of these verbs, resolved once per run instead of rebuilt every round.
 """
 
 from __future__ import annotations
 
 import copy
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.cluster.backend import FusedOutcome, WorkerEnv
+from repro.cluster.backend import WorkerEnv
 from repro.core.barriers import BarrierPolicy, as_barrier
 from repro.core.stat import StatTable
-from repro.engine.rdd import RDD, MappedRDD
+from repro.engine.rdd import RDD
 from repro.engine.taskcontext import task_env
+from repro.utils.rng import spawn_generator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.context import ASYNCContext
 
-__all__ = ["BarrierRDD", "async_barrier", "async_reduce", "async_aggregate",
-           "find_barrier"]
+__all__ = ["BarrierRDD", "RoundPlan", "async_barrier", "async_reduce",
+           "async_aggregate", "find_barrier"]
 
 _EMPTY = object()
 
@@ -87,108 +90,76 @@ def _worker_reduce_factory(
 
         return fn
 
-    kernel = rdd.f if isinstance(rdd, MappedRDD) else None
-    if hasattr(kernel, "prepare") and hasattr(kernel, "batch"):
-        make_fn.fused = _fused_reduce_factory(rdd, f)
     return make_fn
 
 
-def _fused_reduce_factory(rdd: MappedRDD, f: Callable[[Any, Any], Any]):
-    """Fused-round runner for a mapped RDD whose kernel is a
-    :class:`~repro.engine.matrix.StackedKernel`.
+class RoundPlan:
+    """One optimizer round — ``source.async_barrier(policy)
+    .sample(fraction, seed).map(kernel).async_reduce(reduce)`` — resolved
+    once per run instead of rebuilt as three RDD nodes every round.
 
-    ``make_fused(entries)`` builds the ``TaskBatch.fused_fn``:
-    ``entries[i] = (worker_id, splits, post)`` describes batch slot ``i``
-    (``post`` is the per-task value hook, e.g. COMM encoding). The runner
-    preserves per-task semantics exactly:
-
-    1. *Arrival order*, per task: resolve the kernel's state and
-       materialize the task's blocks under its own worker env (cache
-       fills and history fetches land where per-task execution would put
-       them), capturing the recorded cost/fetch accounting per task.
-    2. Group tasks whose resolved state is the same object and run one
-       stacked kernel call per group; a failing batch call degrades to
-       per-block scalar kernel calls over the already-materialized
-       blocks.
-    3. Fold each task's element values with ``f`` exactly as the
-       per-task closure would, then apply ``post`` under the task's env.
+    Everything but ``(handle, seed)`` is fixed for a run, so
+    :meth:`submit` only rebinds those two and each task walks its
+    partitions inline: cached source block, mini-batch draw, row gather,
+    cost report, kernel, fold. The steps, their order and the callables
+    they go through (``RDD.iterator`` for the source block, so a lost
+    cached partition recomputes; ``spawn_generator``; ``MatrixBlock.
+    sample_indices``/``take_rows``) are those of the verb chain above,
+    which makes the two bit-identical — ``tests/test_round_plan.py``
+    pins it. ``fraction=None`` skips sampling (the kernel samples for
+    itself); ``kernel`` is called as ``kernel(block, handle, seed)``.
     """
-    kernel = rdd.f
-    source = rdd.deps[0]
 
-    def make_fused(entries: list[tuple[int, list[int], Any]]):
-        def fused_fn(
-            ordered: list[tuple[int, WorkerEnv]],
-        ) -> dict[int, FusedOutcome]:
-            outcomes: dict[int, FusedOutcome] = {}
-            prepped: list[tuple[int, WorkerEnv, Any, list]] = []
-            for i, env in ordered:
-                out = outcomes[i] = FusedOutcome()
-                t0 = perf_counter()
-                state: Any = None
-                blocks: list = []
-                try:
-                    with task_env(env):
-                        state = kernel.prepare(env)
-                        for split in entries[i][1]:
-                            blocks.extend(source.iterator(split, env))
-                except Exception as exc:  # noqa: BLE001 - forwarded
-                    out.error = exc
-                out.cost_units = env.consume_cost_units()
-                out.fetch_bytes = env.consume_fetch_bytes()
-                out.measured_ms = (perf_counter() - t0) * 1000.0
-                if out.error is None:
-                    prepped.append((i, env, state, blocks))
+    def __init__(
+        self,
+        source: RDD,
+        policy: BarrierPolicy,
+        fraction: float | None,
+        kernel: Callable[[Any, Any, int], Any],
+        reduce: Callable[[Any, Any], Any],
+        ac: "ASYNCContext",
+        granularity: str = "worker",
+    ) -> None:
+        self.source = source
+        self.policy = policy
+        self.fraction = fraction
+        self.kernel = kernel
+        self.reduce = reduce
+        self.ac = ac
+        self.granularity = granularity
 
-            groups: dict[int, list[tuple[int, WorkerEnv, Any, list]]] = {}
-            for item in prepped:
-                groups.setdefault(id(item[2]), []).append(item)
-            for group in groups.values():
-                state = group[0][2]
-                blocks = [b for _, _, _, bs in group for b in bs]
-                t0 = perf_counter()
-                values: list | None = None
-                if blocks:
-                    try:
-                        values = kernel.batch(state, blocks)
-                    except Exception:  # noqa: BLE001 - degrade per task
-                        values = None
-                share_ms = ((perf_counter() - t0) * 1000.0) / len(group)
-                pos = 0
-                for i, env, _, bs in group:
-                    out = outcomes[i]
-                    t1 = perf_counter()
-                    try:
-                        with task_env(env):
-                            elems = (
-                                values[pos : pos + len(bs)]
-                                if values is not None
-                                else [kernel(b) for b in bs]
-                            )
-                            acc: Any = _EMPTY
-                            count = 0
-                            for elem in elems:
-                                count += 1
-                                acc = elem if acc is _EMPTY else f(acc, elem)
-                            value = (None if acc is _EMPTY else acc, count)
-                            post = entries[i][2]
-                            if post is not None:
-                                value = post(env, value)
-                            out.value = value
-                    except Exception as exc:  # noqa: BLE001 - forwarded
-                        out.error = exc
-                        out.value = None
-                    pos += len(bs)
-                    out.cost_units += env.consume_cost_units()
-                    out.fetch_bytes += env.consume_fetch_bytes()
-                    out.measured_ms += (
-                        share_ms + (perf_counter() - t1) * 1000.0
-                    )
-            return outcomes
+    def submit(self, handle: Any, seed: int) -> list[int]:
+        """Submit one round; returns the workers that received tasks."""
+        source, fraction = self.source, self.fraction
+        kernel, reduce = self.kernel, self.reduce
 
-        return fused_fn
+        def make_fn(worker_id: int, splits: list[int]):
+            def fn(env: WorkerEnv) -> tuple[Any, int]:
+                with task_env(env):
+                    acc: Any = _EMPTY
+                    count = 0
+                    for split in splits:
+                        # Rebinding ``block`` (source block, then its
+                        # mini-batch) frees the previous partition's
+                        # gathered rows before the next gather allocates;
+                        # holding both doubles wall time on wide blocks.
+                        for block in source.iterator(split, env):
+                            if fraction is not None:
+                                rng = spawn_generator(seed, "mbatch", split)
+                                idx = block.sample_indices(fraction, rng)
+                                idx.sort()  # a fresh draw: sort in place
+                                block = block.take_rows(idx)
+                                env.record_cost(block.cost_units())
+                            elem = kernel(block, handle, seed)
+                            count += 1
+                            acc = elem if acc is _EMPTY else reduce(acc, elem)
+                    return (None if acc is _EMPTY else acc, count)
 
-    return make_fused
+            return fn
+
+        return self.ac.scheduler.submit_round(
+            source, make_fn, self.policy, self.granularity
+        )
 
 
 def _worker_aggregate_factory(

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.cluster.backend import TaskMetrics, WorkerEnv
-from repro.core.policies import SchedulingPolicy, Target, as_policy
+from repro.core.policies import SchedulingPolicy, Target
 from repro.errors import SchedulerError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,23 +49,18 @@ class AsyncScheduler:
         self.tasks_submitted = 0
         #: Subset of ``tasks_submitted`` that carried partition identity.
         self.partition_tasks_submitted = 0
-        #: When True (default), a round of >= 2 tasks whose kernel
-        #: supports stacked execution ships as one fused
-        #: :class:`~repro.cluster.backend.TaskBatch`. Bit-identical to
-        #: per-task dispatch; ``fuse_tasks=False`` is the pinned escape
-        #: hatch.
-        self.fuse_tasks = True
-        #: Rounds that went through the fused TaskBatch path.
-        self.fused_rounds = 0
         # The context's locality rule is static for the scheduler's
         # lifetime, so its partition -> worker map is computed once and
         # only the (usually tiny) placement overlay varies per round.
         self._base_owners: np.ndarray | None = None
         # (num_partitions, migrations, members_epoch, granularity) ->
-        # (assigned, candidates). Membership and placement changes are
-        # rare; most rounds reuse the previous round's candidate list
-        # instead of re-deriving it from the owner map.
-        self._candidate_cache: tuple[tuple, dict[int, list[int]], list[Target]] | None = None
+        # (assigned, candidates, set(candidates)). Membership and
+        # placement changes are rare; most rounds reuse the previous
+        # round's candidates instead of re-deriving them from the owner
+        # map.
+        self._candidate_cache: tuple[
+            tuple, dict[int, list[int]], list[Target], set[Target]
+        ] | None = None
 
     def _owners(self, num_partitions: int, default_owner) -> np.ndarray:
         """Current partition -> worker map as an int array (overlay applied)."""
@@ -108,6 +103,9 @@ class AsyncScheduler:
           the STAT table grows per-partition rows — the unit Hogwild-style
           and federated (local-update) methods schedule on.
 
+        ``policy`` is a normalized :class:`SchedulingPolicy` (callers
+        coerce user input once, via ``as_policy``, not per round).
+
         Returns the workers that received task(s) this round (possibly
         empty if the policy's filter excluded everyone).
         """
@@ -115,7 +113,6 @@ class AsyncScheduler:
             raise SchedulerError(
                 f"unknown submission granularity {granularity!r}"
             )
-        policy = as_policy(policy)
         ac = self.ac
         backend = ac.ctx.backend
         stat = ac.stat
@@ -174,7 +171,7 @@ class AsyncScheduler:
             )
             cached = self._candidate_cache
             if cached is not None and cached[0] == cache_key:
-                _, assigned, candidates = cached
+                _, assigned, candidates, allowed = cached
             else:
                 owners = self._owners(rdd.num_partitions, ac.ctx.owner_of)
                 assigned = {}
@@ -192,17 +189,18 @@ class AsyncScheduler:
                         for w in owner_workers
                         for p in assigned[w]
                     ]
-                self._candidate_cache = (cache_key, assigned, candidates)
+                allowed = set(candidates)
+                self._candidate_cache = (
+                    cache_key, assigned, candidates, allowed
+                )
 
             # 3. Selection and dispatch.
             chosen = policy.select(stat, candidates)
-            allowed = set(candidates)
             version = coordinator.version
             job_id = ac.ctx.dispatcher.new_job_id()
             targets: list[int] = []
             seen_workers: set[int] = set()
             seen_targets: set[Target] = set()
-            plan: list[tuple[int, list[int], int | None]] = []
             for t in chosen:
                 if t not in allowed:
                     raise SchedulerError(
@@ -219,30 +217,14 @@ class AsyncScheduler:
                     seen_workers.add(t.worker)
                     targets.append(t.worker)
                 if granularity == "worker":
-                    plan.append((t.worker, assigned[t.worker], None))
-                else:
-                    plan.append((t.worker, [t.id], t.id))
-
-            # Fused dispatch: ship the whole round as one TaskBatch when
-            # the kernel supports stacked execution and no earlier round
-            # is still in flight (per-worker execution order — and with it
-            # error-feedback/mirror state order — is then fully determined
-            # by this batch alone, keeping fused bit-identical to
-            # per-task execution).
-            fused_factory = getattr(make_fn, "fused", None)
-            if (
-                self.fuse_tasks
-                and fused_factory is not None
-                and len(plan) >= 2
-                and self.in_flight == 0
-            ):
-                self._dispatch_fused(plan, make_fn, fused_factory, version,
-                                     job_id)
-            else:
-                for worker, splits, partition in plan:
                     self._dispatch(
-                        worker, make_fn(worker, splits), version, job_id,
-                        partition=partition,
+                        t.worker, make_fn(t.worker, assigned[t.worker]),
+                        version, job_id,
+                    )
+                else:
+                    self._dispatch(
+                        t.worker, make_fn(t.worker, [t.id]), version, job_id,
+                        partition=t.id,
                     )
             if not chosen and self.in_flight == 0:
                 # Nothing dispatched and nothing in flight: the driver
@@ -255,15 +237,6 @@ class AsyncScheduler:
                 )
         self.rounds += 1
         return targets
-
-    def _note_submission(
-        self, worker_id: int, version: int, partition: int | None
-    ) -> None:
-        self.in_flight += 1
-        self.tasks_submitted += 1
-        if partition is not None:
-            self.partition_tasks_submitted += 1
-        self.ac.coordinator.on_assigned(worker_id, version, partition=partition)
 
     def _make_continuation(
         self, version: int, partition: int | None, comm
@@ -306,7 +279,11 @@ class AsyncScheduler:
         partition: int | None = None,
     ) -> None:
         ac = self.ac
-        self._note_submission(worker_id, version, partition)
+        self.in_flight += 1
+        self.tasks_submitted += 1
+        if partition is not None:
+            self.partition_tasks_submitted += 1
+        ac.coordinator.on_assigned(worker_id, version, partition=partition)
         comm = ac.comm
         if comm is not None:
             # Worker-side encode (error-feedback compression of the
@@ -320,55 +297,5 @@ class AsyncScheduler:
             job_id=job_id,
             in_bytes=ac.ctx.task_descriptor_bytes,
             partition=partition,
-            out_bytes_of=comm.out_bytes_of if comm is not None else None,
-        )
-
-    def _dispatch_fused(
-        self,
-        plan: list[tuple[int, list[int], int | None]],
-        make_fn: TaskFactory,
-        fused_factory: Callable,
-        version: int,
-        job_id: int,
-    ) -> None:
-        """Ship one round as a fused :class:`TaskBatch`.
-
-        Each task still carries its own (COMM-wrapped) closure — backends
-        without fused execution run the batch per task, unchanged. The
-        fused runner gets per-slot ``(worker, splits, post)`` entries; the
-        ``post`` hook applies the same worker-side COMM encode the
-        wrapped closure would, under the task's own env.
-        """
-        ac = self.ac
-        comm = ac.comm
-        compresses = comm is not None and comm.compresses
-        submissions: list[tuple[Callable, int, Callable, int | None]] = []
-        entries: list[tuple[int, list[int], Callable | None]] = []
-        for worker_id, splits, partition in plan:
-            self._note_submission(worker_id, version, partition)
-            fn = make_fn(worker_id, splits)
-            if comm is not None:
-                fn = comm.wrap_task_fn(fn, partition)
-            post = None
-            if compresses:
-                post = (
-                    lambda env, value, _p=partition:
-                    comm.encode_value(value, env, _p)
-                )
-            entries.append((worker_id, splits, post))
-            submissions.append(
-                (
-                    fn,
-                    worker_id,
-                    self._make_continuation(version, partition, comm),
-                    partition,
-                )
-            )
-        self.fused_rounds += 1
-        ac.ctx.dispatcher.submit_batch(
-            submissions,
-            fused_fn=fused_factory(entries),
-            job_id=job_id,
-            in_bytes=ac.ctx.task_descriptor_bytes,
             out_bytes_of=comm.out_bytes_of if comm is not None else None,
         )

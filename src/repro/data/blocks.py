@@ -120,16 +120,13 @@ class MatrixBlock:
 def stack_blocks(
     blocks: "list[MatrixBlock]",
 ) -> tuple[Matrix, np.ndarray, np.ndarray]:
-    """Concatenate blocks row-wise for fused kernel execution.
+    """Concatenate blocks row-wise: the inverse of :func:`split_matrix`.
 
     Returns ``(X, y, bounds)`` where rows ``bounds[i]:bounds[i+1]`` of the
     stacked matrix are exactly block ``i``'s rows (same values, same
-    within-row storage order), so a kernel that operates on per-segment
-    row slices of the stack is bit-identical to per-block execution —
-    the contract :meth:`repro.optim.problems.Problem.grad_sum_stacked`
-    relies on. Dense blocks stack with one ``np.concatenate``; CSR blocks
-    stack by concatenating ``data``/``indices`` and chaining the
-    (re-based) ``indptr`` segments, the inverse of :func:`split_matrix`.
+    within-row storage order). Dense blocks stack with one
+    ``np.concatenate``; CSR blocks stack by concatenating
+    ``data``/``indices`` and chaining the (re-based) ``indptr`` segments.
     Blocks must agree on density and column count.
     """
     if not blocks:

@@ -13,7 +13,7 @@ import itertools
 from collections import deque
 from typing import Any, Callable, Iterator
 
-from repro.cluster.backend import Backend, BackendTask, TaskBatch, TaskMetrics
+from repro.cluster.backend import Backend, BackendTask, TaskMetrics
 from repro.errors import ReproError
 from repro.utils.sizeof import sizeof_bytes
 
@@ -198,46 +198,6 @@ class Dispatcher:
         self._continuations[task_id] = (jid, on_complete)
         self.backend.submit(task, worker_id)
         return task_id
-
-    def submit_batch(
-        self,
-        submissions: list[tuple[Callable, int, Continuation, int | None]],
-        *,
-        fused_fn: Callable | None = None,
-        job_id: int | None = None,
-        cost_units: float = 0.0,
-        in_bytes: int = 256,
-        out_bytes_of: Callable[[Any], int] | None = None,
-    ) -> list[int]:
-        """Submit one round's tasks as a :class:`TaskBatch`.
-
-        ``submissions`` holds ``(fn, worker_id, on_complete, partition)``
-        per task; task ids are assigned in order, exactly as sequential
-        :meth:`submit` calls would. ``fused_fn`` (see
-        :class:`~repro.cluster.backend.TaskBatch`) lets fused backends
-        execute the whole round's host work in one call.
-        """
-        jid = self.new_job_id() if job_id is None else job_id
-        tasks: list[BackendTask] = []
-        worker_ids: list[int] = []
-        for fn, worker_id, on_complete, partition in submissions:
-            task_id = next(self._task_ids)
-            tasks.append(
-                BackendTask(
-                    task_id=task_id,
-                    fn=fn,
-                    cost_units=cost_units,
-                    in_bytes=in_bytes,
-                    partition=partition,
-                    out_bytes_of=out_bytes_of or sizeof_bytes,
-                )
-            )
-            worker_ids.append(worker_id)
-            self._continuations[task_id] = (jid, on_complete)
-        self.backend.submit_batch(
-            TaskBatch(tasks=tasks, worker_ids=worker_ids, fused_fn=fused_fn)
-        )
-        return [t.task_id for t in tasks]
 
     def _on_complete(
         self,

@@ -22,41 +22,7 @@ from repro.utils.rng import spawn_generator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import ClusterContext
 
-__all__ = ["MatrixRDD", "SampledMatrixRDD", "StackedKernel"]
-
-
-class StackedKernel:
-    """A map kernel that can execute a whole round's blocks in one call.
-
-    Calling the kernel (``kernel(block)``) is the scalar element path —
-    what unfused backends and the fused runner's per-task degradation
-    execute. The two extra hooks power fused rounds
-    (:meth:`~repro.cluster.backend.Backend.submit_batch`):
-
-    - ``prepare(env)`` resolves the per-task state the kernel closes over
-      (typically the broadcast model value) under the *task's own* worker
-      env, so history-fetch accounting lands on the right task. Tasks
-      whose prepared state is the same object (``id``) are fused into one
-      stacked call; per-worker state (e.g. delta-reconstructed models)
-      degrades gracefully to per-worker groups.
-    - ``batch(state, blocks)`` returns ``[kernel(block) for block in
-      blocks]``-equivalent values in one fused host call, bit-identically.
-    """
-
-    __slots__ = ("fn", "prepare", "batch")
-
-    def __init__(
-        self,
-        fn: Callable[[MatrixBlock], Any],
-        prepare: Callable[[WorkerEnv], Any],
-        batch: Callable[[Any, list[MatrixBlock]], list],
-    ) -> None:
-        self.fn = fn
-        self.prepare = prepare
-        self.batch = batch
-
-    def __call__(self, block: MatrixBlock) -> Any:
-        return self.fn(block)
+__all__ = ["MatrixRDD", "SampledMatrixRDD"]
 
 
 class MatrixRDD(RDD):

@@ -91,12 +91,6 @@ class OptimizerConfig:
     #: form is bit-identical to their one-at-a-time ``apply``. Off means
     #: every rule takes the sequential path.
     batch_apply: bool = True
-    #: Fused task execution: a round of K >= 2 same-kernel tasks ships as
-    #: one TaskBatch and runs one stacked host call (simulation backend,
-    #: analytic cost model, rules exposing a StackedKernel). Bit-identical
-    #: to per-task execution by contract; ``False`` is the pinned escape
-    #: hatch back to strictly per-task rounds.
-    fuse_tasks: bool = True
 
     def __post_init__(self) -> None:
         if not 0 < self.batch_fraction <= 1:

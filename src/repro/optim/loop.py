@@ -54,6 +54,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.core.context import ASYNCContext
+from repro.core.ops import RoundPlan
 from repro.core.policies import as_policy
 from repro.optim.trace import ConvergenceTrace
 
@@ -99,6 +100,11 @@ class UpdateRule:
     def bind(self, loop: "ServerLoop") -> None:
         self.loop = loop
         self.opt = loop.opt
+        #: What :meth:`dispatch` submits each round.
+        self.plan = RoundPlan(
+            self.opt.points, loop.policy, self.sample_fraction(),
+            self.kernel, self.reduce, loop.ac, self.effective_granularity(),
+        )
 
     @property
     def history(self) -> "HistoryStore":
@@ -132,18 +138,6 @@ class UpdateRule:
         """Worker-side computation for one data block."""
         raise NotImplementedError
 
-    def make_kernel(self, handle, seed: int):
-        """Build the per-block map kernel for one round.
-
-        The default wraps :meth:`kernel` in a plain closure. Rules whose
-        block mathematics has an exact stacked form return a
-        :class:`~repro.engine.matrix.StackedKernel` instead, which lets
-        the scheduler execute a multi-task round as one fused host call
-        (``AsyncScheduler.fuse_tasks``). The stacked path's contract is
-        strict bit-identity with the scalar one.
-        """
-        return lambda block: self.kernel(block, handle, seed)
-
     def reduce(self, a, b):
         """Combine two worker-local partial results."""
         raise NotImplementedError
@@ -153,15 +147,13 @@ class UpdateRule:
         return self.granularity or self.opt.config.granularity
 
     def dispatch(self, handle, seed: int) -> None:
-        """Submit one asynchronous round (policy -> sample -> map -> reduce)."""
-        opt = self.opt
-        gated = opt.points.async_barrier(self.loop.policy, self.loop.ac.stat)
-        frac = self.sample_fraction()
-        if frac is not None:
-            gated = gated.sample(frac, seed=seed)
-        gated.map(self.make_kernel(handle, seed)).async_reduce(
-            self.reduce, self.loop.ac, self.effective_granularity()
-        )
+        """Submit one asynchronous round (policy -> sample -> map -> reduce).
+
+        The chain is the same every round, so it is resolved once per
+        run into a :class:`~repro.core.ops.RoundPlan`; rules that need a
+        different lineage override this and use the RDD verbs directly.
+        """
+        self.plan.submit(handle, seed)
 
     # -- per-result hooks --------------------------------------------------------------
     def on_collect(self, record: "TaskResultRecord") -> None:
@@ -299,10 +291,6 @@ class ServerLoop:
         self.comm = getattr(opt, "comm", None)
         self.ac.comm = self.comm
         self.ac.broadcaster.comm = self.comm
-        #: Fused task execution (one stacked host call per multi-task
-        #: round, bit-identical by contract). ``fuse_tasks=False`` in the
-        #: config is the pinned escape hatch back to per-task execution.
-        self.ac.scheduler.fuse_tasks = bool(getattr(cfg, "fuse_tasks", True))
         # Unconditional: a reused ClusterContext must not keep a previous
         # run's ledger attached to its broadcast manager.
         opt.ctx.broadcast_manager.comm = self.comm
@@ -544,7 +532,6 @@ class ServerLoop:
             ),
             "granularity": rule.effective_granularity(),
             "partition_tasks": ac.scheduler.partition_tasks_submitted,
-            "fused_rounds": ac.scheduler.fused_rounds,
             "policy": self.policy.describe(),
             "migrations": ac.migrations,
         }

@@ -39,32 +39,6 @@ def _as_dense_rowmajor(X) -> np.ndarray | sparse.csr_matrix:
     return np.ascontiguousarray(X)
 
 
-def _row_segments(X, bounds: np.ndarray) -> list:
-    """Row-slice views of a stacked matrix, one per ``bounds`` segment.
-
-    Dense segments are plain row slices; CSR segments are rebuilt around
-    slices of the parent's ``data``/``indices``/``indptr`` (no nonzero
-    copied), so a matvec on a segment walks exactly the same values in
-    exactly the same order as a matvec on the original block.
-    """
-    pairs = list(zip(bounds[:-1], bounds[1:]))
-    if not sparse.issparse(X):
-        return [X[int(lo) : int(hi)] for lo, hi in pairs]
-    indptr, data, indices, dim = X.indptr, X.data, X.indices, X.shape[1]
-    segs = []
-    for lo, hi in pairs:
-        lo, hi = int(lo), int(hi)
-        s, e = int(indptr[lo]), int(indptr[hi])
-        segs.append(
-            sparse.csr_matrix(
-                (data[s:e], indices[s:e], indptr[lo : hi + 1] - indptr[lo]),
-                shape=(hi - lo, dim),
-                copy=False,
-            )
-        )
-    return segs
-
-
 class Problem(ABC):
     """A finite-sum objective over a fixed training set."""
 
@@ -98,26 +72,6 @@ class Problem(ABC):
     @abstractmethod
     def grad_sum(self, X, y: np.ndarray, w: np.ndarray) -> np.ndarray:
         """``sum_j grad f_j(w)`` over the block (without regularization)."""
-
-    def grad_sum_stacked(
-        self, X, y: np.ndarray, w: np.ndarray, bounds: np.ndarray
-    ) -> list[np.ndarray]:
-        """Per-block gradient sums over a stacked block (fused task path).
-
-        ``(X, y, bounds)`` come from :func:`repro.data.blocks.stack_blocks`;
-        the result is one ``grad_sum`` per segment. The contract is strict
-        bit-identity with per-block ``grad_sum`` calls. The default loops
-        over row-slice views; subclasses share the elementwise middle of
-        the kernel across segments while keeping the matvecs per segment —
-        a single stacked GEMV reassociates the row dot products and is
-        *not* bitwise equal to per-block GEMVs, but per-segment slices are.
-        """
-        return [
-            self.grad_sum(seg, y[int(lo) : int(hi)], w)
-            for seg, lo, hi in zip(
-                _row_segments(X, bounds), bounds[:-1], bounds[1:]
-            )
-        ]
 
     # -- full-objective helpers (driver-side evaluation) ---------------------------
     def objective(self, w: np.ndarray) -> float:
@@ -188,22 +142,6 @@ class LeastSquaresProblem(Problem):
             return np.asarray(2.0 * (X.T @ r)).ravel()
         return 2.0 * (X.T @ r)
 
-    def grad_sum_stacked(self, X, y, w, bounds):
-        segs = _row_segments(X, bounds)
-        xw = np.empty(int(bounds[-1]), dtype=np.result_type(X.dtype, w.dtype))
-        for seg, lo, hi in zip(segs, bounds[:-1], bounds[1:]):
-            xw[int(lo) : int(hi)] = seg @ w
-        r = xw - y
-        if sparse.issparse(X):
-            return [
-                np.asarray(2.0 * (seg.T @ r[int(lo) : int(hi)])).ravel()
-                for seg, lo, hi in zip(segs, bounds[:-1], bounds[1:])
-            ]
-        return [
-            2.0 * (seg.T @ r[int(lo) : int(hi)])
-            for seg, lo, hi in zip(segs, bounds[:-1], bounds[1:])
-        ]
-
     def solve_optimum(self) -> np.ndarray:
         # Normal equations: ((2/n) X^T X + lam I) w = (2/n) X^T y.
         d = self.dim
@@ -271,23 +209,6 @@ class LogisticRegressionProblem(Problem):
         if sparse.issparse(X):
             return np.asarray(X.T @ coef).ravel()
         return X.T @ coef
-
-    def grad_sum_stacked(self, X, y, w, bounds):
-        segs = _row_segments(X, bounds)
-        xw = np.empty(int(bounds[-1]), dtype=np.result_type(X.dtype, w.dtype))
-        for seg, lo, hi in zip(segs, bounds[:-1], bounds[1:]):
-            xw[int(lo) : int(hi)] = seg @ w
-        margins = -y * xw
-        coef = -y * self._sigmoid(margins)
-        if sparse.issparse(X):
-            return [
-                np.asarray(seg.T @ coef[int(lo) : int(hi)]).ravel()
-                for seg, lo, hi in zip(segs, bounds[:-1], bounds[1:])
-            ]
-        return [
-            seg.T @ coef[int(lo) : int(hi)]
-            for seg, lo, hi in zip(segs, bounds[:-1], bounds[1:])
-        ]
 
     def solve_optimum(self) -> np.ndarray:
         w0 = self.initial_point()

@@ -13,6 +13,7 @@ because the thread backend samples from several streams concurrently.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Iterable
 
@@ -34,13 +35,29 @@ def stable_hash(parts: Iterable[object]) -> int:
     return int.from_bytes(h.digest(), "little") & (2**63 - 1)
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
+def _key_hash(*key: object) -> int:
+    """Memoised :func:`stable_hash` of a stream key.
+
+    Hot keys are static — ``("mbatch", split)`` is hashed once per
+    partition per task while only the seed changes — so the blake2b +
+    ``repr`` pass is paid once per key. ``typed`` keeps ``1``, ``1.0``
+    and ``True`` (equal, but with different reprs) on separate entries.
+    """
+    return stable_hash(key)
+
+
 def spawn_generator(seed: int, *key: object) -> np.random.Generator:
     """Return an independent Generator for ``(seed, *key)``.
 
     The same ``(seed, key)`` always yields the same stream; distinct keys
     yield streams that are independent for all practical purposes.
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stable_hash(key),))
+    try:
+        hashed = _key_hash(*key)
+    except TypeError:  # an unhashable key part cannot be memoised
+        hashed = stable_hash(key)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(hashed,))
     return np.random.Generator(np.random.PCG64(ss))
 
 

@@ -28,6 +28,18 @@ def sizeof_bytes(obj: Any) -> int:
     the above. Unknown objects are charged a flat overhead — good enough for
     cost modelling, where model vectors and matrix blocks dominate.
     """
+    # Exact-type fast path for what every task result is made of —
+    # ``((gradient, rows), count)`` — ahead of the isinstance ladder.
+    kind = type(obj)
+    if kind is np.ndarray:
+        return _OBJ_OVERHEAD + obj.nbytes
+    if kind is int or kind is float:
+        return _OBJ_OVERHEAD
+    if kind is tuple:
+        total = _OBJ_OVERHEAD
+        for item in obj:
+            total += sizeof_bytes(item)
+        return total
     if obj is None or isinstance(obj, bool):
         return _OBJ_OVERHEAD
     if isinstance(obj, (int, float, complex, np.generic)):

@@ -38,6 +38,30 @@ def test_spec_rejects_unknown_fields():
         ExperimentSpec.from_dict({"algorithm": "asgd", "warp_speed": 9})
 
 
+def test_spec_drops_legacy_fuse_tasks_key():
+    """Recorded specs from before fused rounds were retired still load;
+    both values mean the one remaining task path and leave no trace in
+    the canonical form."""
+    plain = ExperimentSpec.from_dict({"algorithm": "asgd"})
+    for value in (True, False):
+        legacy = ExperimentSpec.from_dict(
+            {"algorithm": "asgd", "fuse_tasks": value}
+        )
+        assert legacy == plain
+        assert "fuse_tasks" not in legacy.to_dict()
+    with pytest.raises(ApiError, match="unknown ExperimentSpec field"):
+        ExperimentSpec.from_dict({"fuse_tasks": False, "warp_speed": 9})
+
+
+def test_spec_default_retention_omitted_from_canonical_json():
+    """The metrics_retention default stays out of to_dict so canonical
+    spec JSON (and checkpoint keys) is byte-stable."""
+    assert "metrics_retention" not in ExperimentSpec().to_dict()
+    tuned = ExperimentSpec(metrics_retention="aggregate").to_dict()
+    assert tuned["metrics_retention"] == "aggregate"
+    assert ExperimentSpec.from_dict(tuned).metrics_retention == "aggregate"
+
+
 def test_spec_coerce():
     spec = ExperimentSpec.coerce({"algorithm": "sgd"})
     assert spec.algorithm == "sgd"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.data.blocks import MatrixBlock, split_matrix
+from repro.data.blocks import MatrixBlock, split_matrix, stack_blocks
 from repro.errors import DataError
 
 
@@ -123,3 +123,41 @@ def test_split_matrix_validation():
         split_matrix(X, y, 5)
     with pytest.raises(DataError):
         split_matrix(X, np.zeros(3), 2)
+
+
+def test_stack_blocks_round_trips_dense_segments():
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((37, 5))
+    y = rng.standard_normal(37)
+    blocks = split_matrix(X, y, 4)
+    sx, sy, bounds = stack_blocks(blocks)
+    assert bounds[-1] == 37
+    assert np.array_equal(sx, X) and np.array_equal(sy, y)
+    for block, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
+        assert np.array_equal(sx[lo:hi], block.X)
+        assert np.array_equal(sy[lo:hi], block.y)
+
+
+def test_stack_blocks_round_trips_csr_segments():
+    X = sparse.random(41, 9, density=0.3, format="csr", random_state=1)
+    y = np.arange(41.0)
+    blocks = split_matrix(X, y, 5)
+    sx, sy, bounds = stack_blocks(blocks)
+    assert sparse.isspmatrix_csr(sx) and sx.shape == X.shape
+    # Same values in the same within-row storage order, not just equal
+    # as matrices.
+    assert np.array_equal(sx.data, X.data)
+    assert np.array_equal(sx.indices, X.indices)
+    assert np.array_equal(sx.indptr, X.indptr)
+    assert np.array_equal(sy, y)
+    for block, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
+        assert (sx[lo:hi] != block.X).nnz == 0
+
+
+def test_stack_blocks_validation():
+    with pytest.raises(DataError):
+        stack_blocks([])
+    dense = split_matrix(np.zeros((4, 3)), np.zeros(4), 1)
+    csr = split_matrix(sparse.eye(4, 3, format="csr"), np.zeros(4), 1)
+    with pytest.raises(DataError):
+        stack_blocks(dense + csr)

@@ -146,6 +146,40 @@ def test_resume_runs_only_unfinished_cells(tmp_path, monkeypatch):
     assert len(new_lines) == 6
 
 
+def test_resume_accepts_parent_written_fuse_tasks_lines(tmp_path, monkeypatch):
+    """A checkpoint written while ``fuse_tasks`` was still a spec field
+    carries it inside the run key (``false`` was non-default, so it was
+    emitted). Those cells must still count as done on resume."""
+    from repro.api import parallel
+
+    ck = tmp_path / "sweep.ckpt.jsonl"
+    full = run_grid(GRID, checkpoint=ck)
+    lines = []
+    for raw in ck.read_text().splitlines()[:3]:
+        entry = json.loads(raw)
+        key = {**json.loads(entry["key"]), "fuse_tasks": False}
+        entry["key"] = json.dumps(key, sort_keys=True, separators=(",", ":"))
+        entry["summary"]["spec"]["fuse_tasks"] = False
+        lines.append(json.dumps(entry, separators=(",", ":")))
+    ck.write_text("\n".join(lines) + "\n")
+
+    executed = []
+    orig = parallel._summary_cell
+    monkeypatch.setattr(
+        parallel, "_summary_cell",
+        lambda spec_dict: executed.append(spec_dict) or orig(spec_dict),
+    )
+    resumed = run_grid(GRID, checkpoint=ck, resume=True)
+    assert len(executed) == 3  # only the cells the old file lacked
+    assert resumed[3:] == full[3:]
+    # Restored summaries come back as recorded, legacy key included, and
+    # their spec still loads.
+    for old, new in zip(resumed[:3], full[:3]):
+        assert old["spec"].pop("fuse_tasks") is False
+        assert old == new
+        ExperimentSpec.from_dict({**old["spec"], "fuse_tasks": False})
+
+
 def test_resume_with_pool_appends_only_missing_cells(tmp_path):
     ck = tmp_path / "sweep.ckpt.jsonl"
     full = run_grid(GRID, checkpoint=ck, jobs=2)

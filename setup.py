@@ -1,8 +1,9 @@
-"""Setup shim.
+"""Package metadata (there is no ``pyproject.toml``).
 
-Kept alongside pyproject.toml so that ``pip install -e .`` works in
-offline environments whose pip/setuptools cannot build PEP 517 editable
-wheels (no ``wheel`` package available). Metadata lives in pyproject.toml.
+A plain ``setup.py`` so that ``pip install -e .`` works in offline
+environments whose pip/setuptools cannot build PEP 517 editable wheels
+(no ``wheel`` package available). CI installs the package this way, which
+makes ``install_requires`` below the single list of runtime dependencies.
 """
 
 from setuptools import find_packages, setup

@@ -23,6 +23,7 @@ re-injected the next round instead of lost.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from typing import Any, Mapping
@@ -57,8 +58,18 @@ _DTYPE_CODES = {
 _DTYPE_NAMES = {code: name for name, code in _DTYPE_CODES.items()}
 
 
+@functools.lru_cache(maxsize=64)
+def _dtype_name(dtype) -> str:
+    """Canonical numpy name of ``dtype`` (a dtype, scalar type or string).
+
+    Memoised: ``np.dtype.name`` is a Python-level property, and every
+    packet resolves it for the tensor and again for each payload array.
+    """
+    return str(np.dtype(dtype).name)
+
+
 def _dtype_code(dtype: np.dtype) -> int:
-    name = np.dtype(dtype).name
+    name = _dtype_name(dtype)
     if name not in _DTYPE_CODES:
         raise ReproError(f"packet cannot carry dtype {name!r}")
     return _DTYPE_CODES[name]
@@ -88,7 +99,7 @@ class Packet:
             raise ReproError(f"unknown packet scheme {scheme!r}")
         self.scheme = scheme
         self.shape = tuple(int(s) for s in shape)
-        self.dtype = str(np.dtype(dtype).name)
+        self.dtype = _dtype_name(dtype)
         self.arrays = tuple(np.ascontiguousarray(a) for a in arrays)
 
     @property
@@ -196,7 +207,7 @@ class NoneCompressor(Compressor):
 
     def compress(self, arr: np.ndarray, rng=None) -> Packet:
         arr = np.asarray(arr)
-        return Packet("none", arr.shape, arr.dtype.name, (arr.ravel(),))
+        return Packet("none", arr.shape, arr.dtype, (arr.ravel(),))
 
     def decompress(self, packet: Packet) -> np.ndarray:
         return _restore(packet, np.array(packet.arrays[0], copy=True))
@@ -224,7 +235,7 @@ class _SparseCompressor(Compressor):
         flat = arr.ravel()
         idx = np.sort(idx).astype(np.int64 if flat.size > 2**31 else np.int32)
         values = flat[idx].astype(np.float64, copy=False)
-        return Packet(self.name, arr.shape, arr.dtype.name, (idx, values))
+        return Packet(self.name, arr.shape, arr.dtype, (idx, values))
 
     def decompress(self, packet: Packet) -> np.ndarray:
         idx, values = packet.arrays
@@ -290,7 +301,7 @@ class Int8Compressor(Compressor):
         scale = peak / 127.0 if peak > 0.0 else 1.0
         q = np.clip(np.rint(flat / scale), -127, 127).astype(np.int8)
         return Packet(
-            "int8", arr.shape, arr.dtype.name,
+            "int8", arr.shape, arr.dtype,
             (q, np.array([scale], dtype=np.float64)),
         )
 
@@ -315,7 +326,7 @@ class OneBitCompressor(Compressor):
         scale = float(np.mean(np.abs(flat))) if flat.size else 0.0
         bits = np.packbits(flat >= 0.0)
         return Packet(
-            "onebit", arr.shape, arr.dtype.name,
+            "onebit", arr.shape, arr.dtype,
             (bits, np.array([scale], dtype=np.float64)),
         )
 

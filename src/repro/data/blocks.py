@@ -4,6 +4,20 @@ Per the HPC-Python guides, partitions carry contiguous matrix blocks (dense
 ``ndarray`` or CSR) rather than per-row Python objects, so gradient kernels
 are single vectorized BLAS/sparse calls. A block knows its global row
 offset, which lets SAGA's per-sample version table address rows globally.
+
+The sparse layout decision lives here, and it is made on size. Constructing
+a scipy matrix costs a fixed ~40 us (index validation, dtype negotiation,
+format check; a transpose per gradient costs it again) and its compiled
+products are then fast; an array-level product has no fixed cost but runs
+about twice as slow per nonzero. So a row subset of a CSR block that
+gathers at most :data:`ARRAY_ROWS_MAX_NNZ` nonzeros is a :class:`CsrRows`
+— the selected rows' three raw arrays, gathered in one vectorised pass and
+multiplied with ``np.bincount`` — and anything larger (big mini-batches,
+source blocks, a problem's training set) is a scipy CSR matrix using
+scipy's operators. :func:`matvec` and :func:`rmatvec` multiply whichever
+of the three payloads a block holds; the two sparse forms accumulate in
+the same order and agree bit for bit, so where the boundary sits changes
+speed only.
 """
 
 from __future__ import annotations
@@ -16,9 +30,154 @@ from scipy import sparse
 
 from repro.errors import DataError
 
-__all__ = ["MatrixBlock", "split_matrix", "stack_blocks"]
+__all__ = [
+    "ARRAY_ROWS_MAX_NNZ",
+    "CsrRows",
+    "MatrixBlock",
+    "matvec",
+    "rmatvec",
+    "split_matrix",
+    "stack_blocks",
+]
 
-Matrix = Union[np.ndarray, sparse.csr_matrix]
+_INT32_MAX = np.iinfo(np.int32).max
+
+#: Largest gathered row subset kept as :class:`CsrRows`. Measured on the
+#: benchmark host (one thread; gather + one ``grad_sum``, against
+#: ``X[idx]`` + scipy's operators) over 5..75 nonzeros per row and
+#: 200..47236 columns: the array path wins 1.3-7x up to ~4k gathered
+#: nonzeros, the two tie between 6k and 8k, and scipy wins beyond (1.7x at
+#: 16k, 3x at 150k). The products alone cross at ~4k, and SAGA forms
+#: several per gather, hence the low side of the tie.
+ARRAY_ROWS_MAX_NNZ = 4096
+
+
+class CsrRows:
+    """Rows gathered from a CSR matrix: ``data``/``indices``/``indptr``.
+
+    What ``X[idx]`` is for a sparse block, without the scipy object: same
+    values in the same within-row order, same index dtype (so
+    ``sizeof_bytes`` prices it identically), plus ``row_of_nnz`` — the
+    row each stored entry belongs to, which both products need. ``X @ w``
+    and ``X.T @ r`` work on it as they do on the scipy matrix a larger
+    subset comes back as, so kernels written against either keep working;
+    :meth:`tocsr` gives the scipy matrix for anything else.
+    """
+
+    __slots__ = ("data", "indices", "indptr", "shape", "row_of_nnz")
+    format = "csr"  # scipy's spelling; what ``_sparse_rows`` checks
+
+    def __init__(self, data, indices, indptr, shape, row_of_nnz) -> None:
+        self.data = data
+        self.indices = indices
+        self.indptr = indptr
+        self.shape = shape
+        self.row_of_nnz = row_of_nnz
+
+    @property
+    def nnz(self) -> int:
+        return len(self.data)
+
+    def tocsr(self) -> sparse.csr_matrix:
+        return sparse.csr_matrix(
+            (self.data, self.indices, self.indptr), shape=self.shape
+        )
+
+    def __matmul__(self, w):
+        if np.ndim(w) != 1:
+            return self.tocsr() @ w
+        return matvec(self, w)
+
+    @property
+    def T(self) -> "_CsrRowsT":
+        return _CsrRowsT(self)
+
+
+class _CsrRowsT:
+    """``CsrRows.T``: only there to be multiplied."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: CsrRows) -> None:
+        self.rows = rows
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows.shape[::-1]
+
+    def __matmul__(self, r):
+        if np.ndim(r) != 1:
+            return self.rows.tocsr().T @ r
+        return rmatvec(self.rows, r)
+
+
+def _sparse_rows(
+    X: "sparse.spmatrix | CsrRows", idx: np.ndarray
+) -> "CsrRows | sparse.csr_matrix":
+    """Rows ``idx`` of sparse storage ``X``, in ``idx`` order.
+
+    ``idx`` may be unsorted, repeated or empty. Row extents come from
+    ``indptr`` (through two shifted views, so negative indices count from
+    the end as they do for a dense block). A subset above
+    :data:`ARRAY_ROWS_MAX_NNZ` is scipy's ``X[idx]``; a smaller one is
+    gathered here in one pass over the raw arrays, the source position of
+    every output entry being ``repeat(start - out_start, len) + arange``.
+    """
+    if X.format != "csr":
+        X = X.tocsr()
+    starts = X.indptr[:-1][idx]
+    lens = X.indptr[1:][idx] - starts
+    m = len(idx)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.add.accumulate(lens, out=indptr[1:])
+    nnz = int(indptr[m])
+    if nnz > ARRAY_ROWS_MAX_NNZ and type(X) is not CsrRows:
+        return X[idx]
+    row_of_nnz = np.arange(m).repeat(lens)
+    pos = (starts - indptr[:m])[row_of_nnz]
+    pos += np.arange(nnz)
+    # scipy narrows a fancy-indexed result's indices to int32 whenever
+    # the shape and nnz allow, whatever the source held.
+    dim = X.shape[1]
+    idx_dtype = np.int32 if max(m, dim, nnz) <= _INT32_MAX else np.int64
+    return CsrRows(
+        X.data[pos],
+        X.indices[pos].astype(idx_dtype, copy=False),
+        indptr.astype(idx_dtype, copy=False),
+        (m, dim),
+        row_of_nnz,
+    )
+
+
+def matvec(X: "Matrix", w: np.ndarray) -> np.ndarray:
+    """``X @ w`` for any block payload.
+
+    On :class:`CsrRows`: per-row sums in storage order, the loop order of
+    scipy's ``csr_matvec``.
+    """
+    if type(X) is CsrRows:
+        return np.bincount(
+            X.row_of_nnz, weights=X.data * w[X.indices], minlength=X.shape[0]
+        )
+    return X @ w
+
+
+def rmatvec(X: "Matrix", r: np.ndarray) -> np.ndarray:
+    """``X.T @ r`` for any block payload, as a flat array.
+
+    On :class:`CsrRows`: per-column sums in storage order, the loop order
+    of scipy's ``csc_matvec`` on the transpose.
+    """
+    if type(X) is CsrRows:
+        return np.bincount(
+            X.indices, weights=X.data * r[X.row_of_nnz], minlength=X.shape[1]
+        )
+    if isinstance(X, np.ndarray):
+        return X.T @ r
+    return np.asarray(X.T @ r).ravel()
+
+
+Matrix = Union[np.ndarray, sparse.csr_matrix, CsrRows]
 
 
 @dataclass
@@ -27,7 +186,8 @@ class MatrixBlock:
 
     Attributes
     ----------
-    X: dense ``(rows, d)`` array or CSR matrix.
+    X: dense ``(rows, d)`` array, CSR matrix, or — for a small row
+        subset of a CSR block — :class:`CsrRows`.
     y: targets, shape ``(rows,)``.
     offset: global index of the first row in this block.
     """
@@ -58,7 +218,7 @@ class MatrixBlock:
 
     @property
     def is_sparse(self) -> bool:
-        return sparse.issparse(self.X)
+        return type(self.X) is CsrRows or sparse.issparse(self.X)
 
     @property
     def nnz(self) -> int:
@@ -85,12 +245,17 @@ class MatrixBlock:
         """Return a sub-block with the given local row indices.
 
         The sub-block remembers which rows of the *source* block it holds
-        (``ids``), composing through repeated selection.
+        (``ids``), composing through repeated selection. Rows of a sparse
+        block come back as :class:`CsrRows` up to
+        :data:`ARRAY_ROWS_MAX_NNZ` gathered nonzeros and as a scipy CSR
+        matrix above it.
         """
         idx = np.asarray(idx, dtype=np.intp)
         source_ids = idx if self.ids is None else self.ids[idx]
+        X = self.X
         return MatrixBlock(
-            X=self.X[idx], y=self.y[idx], offset=self.offset,
+            X=X[idx] if isinstance(X, np.ndarray) else _sparse_rows(X, idx),
+            y=self.y[idx], offset=self.offset,
             block_id=self.block_id, ids=source_ids,
         )
 

@@ -135,9 +135,9 @@ class LocalSGDRule(UpdateRule):
         rng = spawn_generator(seed, "localsgd", block.block_id)
         for _ in range(steps):
             idx = rng.choice(n, size=min(batch, n), replace=False)
-            Xb, yb = block.X[idx], block.y[idx]
+            sub = block.take_rows(idx)
             g = (
-                problem.grad_sum(Xb, yb, w_local)
+                problem.grad_sum(sub.X, sub.y, w_local)
                 + problem.reg_grad(w_local, len(idx))
             ) / len(idx)
             w_local -= alpha * g

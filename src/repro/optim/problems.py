@@ -7,7 +7,10 @@ All objectives have the finite-sum form of the paper's Eq. (1)/(2):
 with per-sample losses f_j. The distributed algorithms only ever call the
 vectorized block kernel ``grad_sum(X, y, w)`` (sum of per-sample gradients
 over a block), which is a single BLAS / sparse matvec pair per task — no
-per-row Python, per the HPC guides.
+per-row Python, per the HPC guides. ``X`` is whatever a block holds (dense
+array, scipy CSR matrix, or a small row subset's
+:class:`~repro.data.blocks.CsrRows`); :mod:`repro.data.blocks` owns how
+each of them multiplies.
 
 Exact optima (via normal equations or high-precision batch optimization)
 give the error curves ``F(w) - F*`` that every figure of the paper plots.
@@ -23,6 +26,7 @@ from scipy import sparse
 from scipy import optimize as sp_optimize
 
 from repro.api.registry import register_problem
+from repro.data.blocks import matvec, rmatvec
 from repro.errors import OptimError
 
 __all__ = [
@@ -133,14 +137,12 @@ class LeastSquaresProblem(Problem):
     """
 
     def loss_sum(self, X, y, w):
-        r = X @ w - y
+        r = matvec(X, w) - y
         return float(r @ r)
 
     def grad_sum(self, X, y, w):
-        r = X @ w - y
-        if sparse.issparse(X):
-            return np.asarray(2.0 * (X.T @ r)).ravel()
-        return 2.0 * (X.T @ r)
+        r = matvec(X, w) - y
+        return 2.0 * rmatvec(X, r)
 
     def solve_optimum(self) -> np.ndarray:
         # Normal equations: ((2/n) X^T X + lam I) w = (2/n) X^T y.
@@ -190,7 +192,7 @@ class LogisticRegressionProblem(Problem):
         return out
 
     def loss_sum(self, X, y, w):
-        margins = -y * (X @ w)
+        margins = -y * matvec(X, w)
         return float(np.sum(self._log1pexp(margins)))
 
     @staticmethod
@@ -204,11 +206,9 @@ class LogisticRegressionProblem(Problem):
         return out
 
     def grad_sum(self, X, y, w):
-        margins = -y * (X @ w)
+        margins = -y * matvec(X, w)
         coef = -y * self._sigmoid(margins)
-        if sparse.issparse(X):
-            return np.asarray(X.T @ coef).ravel()
-        return X.T @ coef
+        return rmatvec(X, coef)
 
     def solve_optimum(self) -> np.ndarray:
         w0 = self.initial_point()

@@ -232,12 +232,14 @@ def saga_partition_kernel(
     w_cur = handle.current()
     g_new = problem.grad_sum(sub.X, sub.y, w_cur)
 
+    # Historical gradients, one per distinct stored version, each over
+    # its rows of the batch gathered above.
     g_old = np.zeros(problem.dim)
     row_versions = versions[idx]
     for v in np.unique(row_versions):
-        rows = idx[row_versions == v]
+        part = sub.take_rows(np.flatnonzero(row_versions == v))
         w_v = handle.at(int(v))
-        g_old = g_old + problem.grad_sum(block.X[rows], block.y[rows], w_v)
+        g_old = g_old + problem.grad_sum(part.X, part.y, w_v)
 
     versions[idx] = handle.version
     # This block will never again reference a version below its stored

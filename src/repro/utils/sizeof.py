@@ -48,7 +48,9 @@ def sizeof_bytes(obj: Any) -> int:
         return _OBJ_OVERHEAD + len(obj)
     if isinstance(obj, np.ndarray):
         return _OBJ_OVERHEAD + int(obj.nbytes)
-    if sparse.issparse(obj):
+    # ``format == "csr"``: a block's array-level row subset (CsrRows)
+    # carries the same three arrays as the scipy matrix and is priced alike.
+    if sparse.issparse(obj) or getattr(obj, "format", None) == "csr":
         csr = obj
         if isinstance(obj, sparse.coo_matrix) or isinstance(
             obj, getattr(sparse, "coo_array", ())

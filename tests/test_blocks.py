@@ -2,10 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
-from repro.data.blocks import MatrixBlock, split_matrix, stack_blocks
+from repro.data.blocks import (
+    ARRAY_ROWS_MAX_NNZ,
+    CsrRows,
+    MatrixBlock,
+    split_matrix,
+    stack_blocks,
+)
 from repro.errors import DataError
+from repro.utils.sizeof import sizeof_bytes
 
 
 def make_block(n=20, d=4, offset=0, seed=0):
@@ -161,3 +171,155 @@ def test_stack_blocks_validation():
     csr = split_matrix(sparse.eye(4, 3, format="csr"), np.zeros(4), 1)
     with pytest.raises(DataError):
         stack_blocks(dense + csr)
+
+
+# -- CSR mini-batches: the array-level gather against scipy's ``X[idx]`` ------
+
+SOURCES = ("direct", "split", "stack", "int64", "reversed_rows")
+
+
+@st.composite
+def csr_block_and_idx(draw):
+    """A CSR block (with empty rows) in one of the storages the repo
+    produces, and row indices: unsorted, repeated, negative, empty or all."""
+    n = draw(st.integers(0, 10))
+    d = draw(st.integers(1, 7))
+    mask = draw(hnp.arrays(np.bool_, (n, d)))
+    vals = draw(hnp.arrays(
+        np.float64, (n, d), elements=st.floats(-1e3, 1e3, width=32),
+    ))
+    X = sparse.csr_matrix(np.where(mask, vals, 0.0))
+    y = draw(hnp.arrays(np.float64, (n,), elements=st.sampled_from([-1.0, 1.0])))
+    source = draw(st.sampled_from(SOURCES))
+    if source == "split" and n >= 2:
+        # rebased int32 ``indptr`` over slices of the parent's arrays
+        block = split_matrix(X, y, 2)[draw(st.integers(0, 1))]
+    elif source == "stack" and n >= 2:
+        # ``indptr`` rebuilt in int64, then narrowed by the constructor
+        sx, sy, _ = stack_blocks(split_matrix(X, y, 2))
+        block = MatrixBlock(X=sx, y=sy)
+    else:
+        if source == "int64":  # what scipy keeps for > 2**31 entries
+            X.indices = X.indices.astype(np.int64)
+            X.indptr = X.indptr.astype(np.int64)
+        elif source == "reversed_rows":  # unsorted within-row storage
+            for lo, hi in zip(X.indptr[:-1], X.indptr[1:]):
+                X.data[lo:hi] = X.data[lo:hi][::-1].copy()
+                X.indices[lo:hi] = X.indices[lo:hi][::-1].copy()
+            X.has_sorted_indices = False
+        block = MatrixBlock(X=X, y=y)
+    rows = block.rows
+    idx = draw(st.lists(st.integers(-rows, rows - 1), max_size=12)
+               if rows else st.just([]))
+    shape = draw(st.sampled_from(("as_drawn", "sorted", "all_rows")))
+    if shape == "sorted":
+        idx = sorted(idx)
+    elif shape == "all_rows":
+        idx = list(range(rows))
+    return block, np.asarray(idx, dtype=np.intp)
+
+
+def assert_same_csr(rows: CsrRows, ref: sparse.csr_matrix):
+    assert rows.shape == ref.shape and rows.nnz == ref.nnz
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(rows, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(csr_block_and_idx())
+def test_sparse_take_rows_equals_scipy_fancy_indexing(case):
+    block, idx = case
+    sub = block.take_rows(idx)
+    ref = MatrixBlock(X=block.X[idx], y=block.y[idx], ids=idx)
+    assert type(sub.X) is CsrRows and sub.is_sparse
+    assert_same_csr(sub.X, ref.X)
+    assert np.array_equal(sub.y, ref.y) and np.array_equal(sub.ids, idx)
+    assert (sub.rows, sub.dim, sub.nnz) == (ref.rows, ref.dim, ref.nnz)
+    assert sub.cost_units() == ref.cost_units()
+    assert sub.cost_units(3) == ref.cost_units(3)
+    assert sizeof_bytes(sub.X) == sizeof_bytes(ref.X)
+    assert sizeof_bytes(sub) == sizeof_bytes(ref)
+
+
+@settings(max_examples=100, deadline=None)
+@given(csr_block_and_idx(), st.data())
+def test_sparse_take_rows_composes(case, data):
+    block, idx = case
+    sub = block.take_rows(idx)
+    again = np.asarray(data.draw(
+        st.lists(st.integers(0, sub.rows - 1), max_size=8)
+        if sub.rows else st.just([])
+    ), dtype=np.intp)
+    subsub = sub.take_rows(again)
+    assert np.array_equal(subsub.ids, idx[again])
+    assert_same_csr(subsub.X, block.X[idx][again])
+    assert np.array_equal(subsub.y, block.y[idx][again])
+
+
+def test_sparse_take_rows_on_a_shared_memory_attachment():
+    """``data/shm.py`` hands out CSR matrices over read-only mapped buffers."""
+    from repro.data import shm
+
+    pub = shm.publish_dataset("tiny_sparse", 0)
+    if pub is None:
+        pytest.skip("shared memory unavailable on this host")
+    try:
+        X, y, _ = shm.attach_dataset(pub.manifest)
+        block = split_matrix(X, y, 4)[2]
+        idx = np.array([5, 0, 5, block.rows - 1, -2], dtype=np.intp)
+        sub = block.take_rows(idx)
+        assert_same_csr(sub.X, block.X[idx])
+        assert sub.X.data.flags.writeable  # a gather, not a view of the map
+        del X, y, block
+    finally:
+        shm.detach_all()
+        shm.set_active_manifests(None)
+        pub.unlink()
+
+
+def test_take_rows_converts_non_csr_sparse_storage():
+    X = sparse.random(12, 5, density=0.4, format="csc", random_state=2)
+    block = MatrixBlock(X=X, y=np.arange(12.0))
+    idx = np.array([7, 7, 1])
+    assert_same_csr(block.take_rows(idx).X, X.tocsr()[idx])
+
+
+def test_large_sparse_subsets_stay_with_scipy():
+    """Above ``ARRAY_ROWS_MAX_NNZ`` gathered nonzeros scipy's compiled
+    gather and products win; the subset is ``X[idx]`` as before."""
+    X = sparse.random(400, 60, density=0.5, format="csr", random_state=0)
+    block = MatrixBlock(X=X, y=np.arange(400.0))
+    # The first ``k`` rows hold at most the limit; one more row exceeds it.
+    k = int(np.searchsorted(X.indptr, ARRAY_ROWS_MAX_NNZ, side="right")) - 1
+    assert X.indptr[k] <= ARRAY_ROWS_MAX_NNZ < X.indptr[k + 1]
+    assert type(block.take_rows(np.arange(k)).X) is CsrRows
+    big = block.take_rows(np.arange(k + 1))
+    assert sparse.isspmatrix_csr(big.X) and big.is_sparse
+    assert (big.X != X[: k + 1]).nnz == 0
+    # A subset of the scipy subset picks its form by its own size, and
+    # ``ids`` still compose.
+    again = big.take_rows(np.array([7, 3, 7]))
+    assert_same_csr(again.X, X[[7, 3, 7]])
+    assert np.array_equal(again.ids, [7, 3, 7])
+
+
+@settings(max_examples=100, deadline=None)
+@given(csr_block_and_idx(), st.integers(0, 2**32 - 1))
+def test_csr_rows_supports_the_operators_kernels_use(case, seed):
+    """A map kernel or registered Problem written against scipy blocks
+    (``X @ w``, ``X.T @ r``) gets the same bits from a ``CsrRows``."""
+    block, idx = case
+    rng = np.random.default_rng(seed)
+    w, r = rng.standard_normal(block.dim), rng.standard_normal(len(idx))
+    rows, ref = block.take_rows(idx).X, block.X[idx]
+    assert type(rows) is CsrRows
+    assert np.array_equal(rows @ w, ref @ w)
+    assert rows.T.shape == ref.T.shape
+    assert np.array_equal(rows.T @ r, ref.T @ r)
+    assert_same_csr(rows, rows.tocsr())
+    W = rng.standard_normal((block.dim, 2))
+    assert np.array_equal(rows @ W, ref @ W)
+    assert np.array_equal(rows.T @ np.outer(r, [1.0, 2.0]),
+                          ref.T @ np.outer(r, [1.0, 2.0]))

@@ -10,7 +10,8 @@ per iteration. "As a result of the overhead, machine learning libraries
 
 from benchmarks.conftest import *  # noqa: F401,F403
 from repro.bench import figures
-from repro.bench.harness import ExperimentSpec, run_experiment
+from repro.bench.figures import PAPER_CELL
+from repro.bench.harness import run_api_experiment
 
 
 def test_broadcast_volume_and_time(benchmark, run_once):
@@ -35,11 +36,11 @@ def test_naive_volume_grows_superlinearly(benchmark, run_once):
     """
 
     def fetch_bytes(mode, updates):
-        res = run_experiment(
-            ExperimentSpec(
+        res = run_api_experiment(
+            PAPER_CELL.with_overrides(
                 dataset="tiny_dense", algorithm="saga", num_workers=4,
-                num_partitions=8, max_updates=updates, seed=0,
-                saga_mode=mode,
+                num_partitions=8, max_updates=updates,
+                params={"mode": mode},
             )
         )
         return res.total_fetch_bytes

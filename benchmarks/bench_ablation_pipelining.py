@@ -9,7 +9,8 @@ supports without touching the algorithms.
 """
 
 from benchmarks.conftest import *  # noqa: F401,F403
-from repro.bench.harness import ExperimentSpec, run_experiment
+from repro.bench.figures import PAPER_CELL
+from repro.bench.harness import run_api_experiment
 
 DEPTHS = (1, 2, 4)
 
@@ -18,10 +19,9 @@ def test_pipeline_depth_tradeoff(benchmark, run_once):
     def sweep():
         out = {}
         for depth in DEPTHS:
-            out[depth] = run_experiment(ExperimentSpec(
-                dataset="mnist8m_like", algorithm="asgd", delay="cds:1.0",
-                num_workers=8, num_partitions=32, max_updates=400,
-                seed=0, pipeline_depth=depth,
+            out[depth] = run_api_experiment(PAPER_CELL.with_overrides(
+                algorithm="asgd", delay="cds:1.0", max_updates=400,
+                pipeline_depth=depth,
             ))
         return out
 

@@ -43,7 +43,7 @@ def sweep_grid(cells: int, max_updates: int) -> dict:
             "eval_every": 40,
             "seed": 0,
         },
-        "grid": {"barrier": barriers, "seed": seeds},
+        "grid": {"policy": barriers, "seed": seeds},
     }
 
 

@@ -6,15 +6,16 @@ beta-fraction rule from Algorithm 2, a completion-time barrier in the
 spirit of [69], and a fully custom predicate written exactly the way the
 paper's API intends (a function of the STAT table). The custom policy is
 *registered* under a name, after which the whole comparison is one
-GridSpec sweep — barriers are data, not wiring. All run ASGD under a
+GridSpec sweep over the spec's ``policy`` field — barriers are data, not
+wiring. All run ASGD under a
 100%-delay straggler; the table shows the asynchrony/staleness trade-off.
 
 Run:  python examples/custom_barriers.py
 """
 
 from repro import GridSpec
-from repro.api import register_barrier, run_grid
-from repro.core.barriers import LambdaBarrier
+from repro.api import register_policy, run_grid
+from repro.core.policies import LambdaPolicy
 from repro.utils.tables import format_table
 
 
@@ -22,9 +23,9 @@ from repro.utils.tables import format_table
 # dispatch only while nobody's in-flight work is more than 4 updates
 # stale AND at least two workers are free. Registering it makes it
 # addressable from specs (and from `python -m repro run` JSON files).
-@register_barrier("staleness4_free2")
+@register_policy("staleness4_free2")
 def _custom_barrier():
-    return LambdaBarrier(
+    return LambdaPolicy(
         lambda stat: stat.max_staleness <= 4 and stat.num_available >= 2,
         name="custom(staleness<=4 & free>=2)",
     )
@@ -44,7 +45,7 @@ SWEEP = GridSpec.coerce({
         "seed": 0,
     },
     "grid": {
-        "barrier": [
+        "policy": [
             "asp",
             "ssp:8",
             "frac:0.5",
@@ -60,7 +61,7 @@ def main():
     rows = []
     for summary in run_grid(SWEEP):
         rows.append([
-            summary["spec"]["barrier"],
+            summary["spec"]["policy"],
             summary["elapsed_ms"],
             summary["final_error"],
             summary["extras"]["max_staleness_seen"],

@@ -16,7 +16,7 @@ Python or the ``python -m repro`` CLI::
         "dataset": "mnist8m_like",
         "num_workers": 8,
         "delay": "cds:1.0",            # one worker at half speed
-        "barrier": "ssp:4",            # stale-synchronous, s=4
+        "policy": "ssp:4",             # stale-synchronous, s=4
         "max_updates": 200,
     })
     print(result.updates, result.extras["max_staleness_seen"])
@@ -40,7 +40,7 @@ hand-wired::
             sc, points, problem,
             InvSqrtDecay(0.5).scaled_for_async(8),
             OptimizerConfig(batch_fraction=0.1, max_updates=200),
-            barrier=SSP(4),
+            policy=SSP(4),
         ).run()
         print(result.final_error(problem))
 
@@ -52,19 +52,16 @@ literal here.
 """
 
 from repro.api.spec import ExperimentSpec, GridSpec
-from repro.core.barriers import (
-    ASP,
-    BSP,
-    SSP,
-    BarrierPolicy,
-    CompletionTimeBarrier,
-    MinAvailableFraction,
-)
 from repro.core.context import ASYNCContext
 from repro.core.history import HistoryChannel, HistoryStore, RetentionPolicy
 from repro.core.policies import (
+    ASP,
+    BSP,
+    SSP,
     ClientSampling,
+    CompletionTimeBarrier,
     MigrateSlow,
+    MinAvailableFraction,
     PartitionCompletionFilter,
     PartitionSSP,
     SchedulingPolicy,
@@ -118,7 +115,6 @@ __all__ = [
     "HistoryStore",
     "HistoryChannel",
     "RetentionPolicy",
-    "BarrierPolicy",
     "SchedulingPolicy",
     "ASP",
     "BSP",

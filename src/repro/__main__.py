@@ -140,7 +140,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(
         f"running {spec.algorithm} on {spec.dataset} "
         f"(P={spec.num_workers}, delay={spec.delay!r}, "
-        f"policy={spec.effective_policy!r}, seed={spec.seed})"
+        f"policy={spec.policy!r}, seed={spec.seed})"
     )
     if spec.restore_from:
         print(f"restoring from snapshot {spec.restore_from}")
@@ -305,20 +305,16 @@ def _cmd_sweep_status(args: argparse.Namespace) -> int:
 def _cmd_list(args: argparse.Namespace) -> int:
     import repro.api.runner  # noqa: F401  (populates every registry)
     from repro.api import (
-        BARRIERS, COMPRESSORS, DELAY_MODELS, OPTIMIZERS, PROBLEMS, STEPS,
+        COMPRESSORS, DELAY_MODELS, OPTIMIZERS, POLICIES, PROBLEMS, STEPS,
     )
-    from repro.core.policies import policy_hooks
+    from repro.core.policies import SchedulingPolicy, policy_hooks
     from repro.data.registry import REGISTRY, list_datasets
 
-    for registry in (
-        OPTIMIZERS, PROBLEMS, BARRIERS, STEPS, DELAY_MODELS, COMPRESSORS,
-    ):
+    for registry in (OPTIMIZERS, PROBLEMS, STEPS, DELAY_MODELS, COMPRESSORS):
         print(f"{registry.kind}s: {', '.join(registry.names())}")
-    from repro.core.policies import SchedulingPolicy
-
     print("scheduling policies (protocol hooks each overrides):")
-    for name in BARRIERS.names():
-        factory = BARRIERS.get(name)
+    for name in POLICIES.names():
+        factory = POLICIES.get(name)
         if isinstance(factory, type) and issubclass(factory, SchedulingPolicy):
             hooks = policy_hooks(factory)
             detail = ", ".join(hooks) if hooks else "defaults (ASP-like)"

@@ -3,7 +3,7 @@
 Three layers turn experiments into data:
 
 - **Registries** (:mod:`repro.api.registry`) — string-keyed factories for
-  optimizers, problems, barriers, step schedules and delay models,
+  optimizers, problems, scheduling policies, step schedules and delay models,
   populated by ``@register_*`` decorators at class-definition sites.
 - **Specs** (:mod:`repro.api.spec`) — :class:`ExperimentSpec` (one run,
   JSON round-trippable) and :class:`GridSpec` (a parameter sweep).
@@ -38,7 +38,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.api.registry import (
-    BARRIERS,
     COMPRESSORS,
     DELAY_MODELS,
     OPTIMIZERS,
@@ -46,7 +45,6 @@ from repro.api.registry import (
     PROBLEMS,
     STEPS,
     Registry,
-    register_barrier,
     register_compressor,
     register_delay_model,
     register_optimizer,
@@ -70,14 +68,12 @@ __all__ = [
     "Registry",
     "OPTIMIZERS",
     "PROBLEMS",
-    "BARRIERS",
     "POLICIES",
     "STEPS",
     "DELAY_MODELS",
     "COMPRESSORS",
     "register_optimizer",
     "register_problem",
-    "register_barrier",
     "register_policy",
     "register_step",
     "register_delay_model",

@@ -11,11 +11,11 @@ the figure drivers in :mod:`repro.bench.figures`):
   process materializes a dataset and solves its reference optimum once
   per group (via :func:`prepare_shared`'s per-process one-slot cache)
   instead of once per cell.
-- ``run_grid_cells`` adds JSONL checkpointing on top: each summary is
+- ``run_sweep_cells`` adds JSONL checkpointing on top: each result is
   appended to the checkpoint file the moment its cell finishes, so an
   interrupted sweep keeps its partial results and ``resume=True`` re-runs
   only the unfinished cells.
-- ``run_grid_cells(fabric=...)`` swaps the process pool for the
+- ``run_sweep_cells(fabric=...)`` swaps the process pool for the
   distributed sweep fabric (:mod:`repro.fabric`): a socket coordinator
   leases the same grouped cells to local or remote ``sweep-worker``
   processes, with work stealing and at-most-once checkpoint accounting.
@@ -32,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.api.spec import LEGACY_FIELDS, ExperimentSpec, GridSpec
+from repro.api.spec import LEGACY_FIELDS, ExperimentSpec
 from repro.errors import ApiError
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
     "clear_shared_cache",
     "resolve_jobs",
     "run_cells",
-    "run_grid_cells",
+    "run_sweep_cells",
     "SweepCheckpoint",
 ]
 
@@ -58,22 +58,28 @@ def run_key(spec: ExperimentSpec | Mapping[str, Any]) -> str:
     return json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _current_key(key: Any) -> Any:
-    """A recorded run key in today's canonical form.
+def _current_line(key: Any, wire: Any) -> tuple[Any, Any]:
+    """A recorded ``(key, result)`` line in today's canonical form.
 
-    Lines written before a spec field was retired may carry it inside
-    their key; re-keying through the spec layer drops it, so those cells
-    still match on resume. Anything else passes through untouched.
+    Lines written before a spec field was retired or renamed carry it
+    inside their key and inside the result's ``"spec"``; passing both
+    through the spec layer normalises it away, so those cells still
+    match on resume and a restored result has the shape of a fresh one.
+    Anything else passes through untouched.
     """
     if not (
         isinstance(key, str)
         and any(f'"{name}"' in key for name in LEGACY_FIELDS)
     ):
-        return key
+        return key, wire
     try:
-        return run_key(json.loads(key))
+        key = run_key(json.loads(key))
+        if isinstance(wire, dict) and isinstance(wire.get("spec"), dict):
+            spec = ExperimentSpec.from_dict(wire["spec"])
+            wire = {**wire, "spec": spec.to_dict()}
     except (json.JSONDecodeError, ApiError):
-        return key
+        pass
+    return key, wire
 
 
 def group_key(spec: ExperimentSpec) -> tuple:
@@ -169,19 +175,31 @@ def _summary_cell(spec_dict: Mapping[str, Any]) -> dict:
     return summarize(prep, prep.execute())
 
 
-def resolve_runner(name: str) -> Callable[[Mapping[str, Any]], Any]:
+def _bench_cell(spec_dict: Mapping[str, Any]) -> dict:
+    """The figure-driver cell body: an ``ExperimentResult`` in wire form.
+
+    Every cell — in-process, pool, fabric or restored — takes this form,
+    so figure ``cells`` expose scalar ``extras`` only (no ``history`` /
+    ``run_state`` objects); call ``run_api_experiment`` for the rest.
+    """
+    from repro.bench.harness import run_api_experiment
+
+    return run_api_experiment(spec_dict).to_dict()
+
+
+def resolve_runner(name: str) -> Callable[[Mapping[str, Any]], dict]:
     """Map a runner name to its cell function.
 
     Runners are addressed by name (not passed as callables) so the pool
     never pickles closures and workers resolve them after their own
-    imports — safe under any multiprocessing start method.
+    imports — safe under any multiprocessing start method. Every cell
+    function returns a JSON-safe dict: the form that crosses process and
+    host boundaries and lands in the checkpoint.
     """
     if name == "summary":
         return _summary_cell
     if name == "bench":
-        from repro.bench.harness import run_api_experiment
-
-        return run_api_experiment
+        return _bench_cell
     raise ApiError(
         f"unknown cell runner {name!r}; available: ['bench', 'summary']"
     )
@@ -327,8 +345,8 @@ class SweepCheckpoint:
     One line per finished cell: ``{"index": ..., "key": ..., "summary":
     ...}`` where ``key`` is the cell's :func:`run_key`. Lines are written
     the moment a cell completes, so a killed sweep keeps everything it
-    finished; on resume, a line only counts if its key still matches the
-    cell at that index (an edited grid invalidates stale entries).
+    finished; on resume, a line counts for every requested cell with the
+    same key (an edited cell's key changes, so its stale line is ignored).
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -351,10 +369,8 @@ class SweepCheckpoint:
         A final chunk with no trailing newline is a *torn* line — the
         writer (a killed worker or coordinator) died mid-``write`` — and
         is skipped, as is any malformed interior line, so resume never
-        raises on a partial checkpoint. Callers choose the matching
-        discipline: ``load`` keys by index (grid resume), the bench
-        runner keys by canonical spec key (batches re-slice cells in
-        different orders).
+        raises on a partial checkpoint. Keys and recorded specs come
+        back in today's canonical form whatever version wrote them.
         """
         out: list[tuple[int, str | None, Any]] = []
         try:
@@ -375,10 +391,9 @@ class SweepCheckpoint:
             except (UnicodeDecodeError, json.JSONDecodeError):
                 continue
             if isinstance(entry, dict) and isinstance(entry.get("index"), int):
-                out.append((
-                    entry["index"], _current_key(entry.get("key")),
-                    entry.get("summary"),
-                ))
+                out.append((entry["index"], *_current_line(
+                    entry.get("key"), entry.get("summary")
+                )))
         return out
 
     def seal(self) -> None:
@@ -439,34 +454,48 @@ class SweepCheckpoint:
             ) from exc
 
 
-def run_grid_cells(
-    grid: GridSpec | ExperimentSpec | Mapping[str, Any],
-    progress: Callable[[int, int, dict], None] | None = None,
+def run_sweep_cells(
+    specs: Sequence[ExperimentSpec | Mapping[str, Any]],
+    progress: Callable[[int, int, Any], None] | None = None,
     *,
+    runner: str = "summary",
+    decode: Callable[[dict], Any] | None = None,
     jobs: int = 1,
+    executor: ProcessPoolExecutor | None = None,
     checkpoint: str | os.PathLike | None = None,
     resume: bool = False,
     fabric: Any = None,
-) -> list[dict]:
-    """Run every cell of a sweep; one summary dict per cell, in grid order.
+) -> list[Any]:
+    """Run sweep cells with JSONL checkpoint/resume; results in input order.
 
-    ``progress(k, total, summary)`` is called once per cell in completion
+    The one checkpointed driver behind ``run_grid`` (``runner="summary"``,
+    results are the ``summarize()`` dicts) and the figure drivers
+    (``runner="bench"``, ``decode=ExperimentResult.from_dict``). A cell
+    function returns a JSON-safe dict; that dict is what the checkpoint
+    records and ``decode`` (identity when ``None``) turns into the value
+    the caller and ``progress`` see.
+
+    ``progress(k, total, result)`` is called once per cell in completion
     order (``k`` counts completions; resumed cells are reported first).
-    With ``checkpoint``, each summary is appended to the JSONL file as it
-    lands; with ``resume``, cells whose checkpoint entry still matches
-    their spec are returned from the file instead of re-running.
+    With ``checkpoint``, each result is appended to the JSONL file as it
+    lands — one ``{"index", "key", "summary"}`` line per cell, ``key``
+    being its :func:`run_key`; without ``resume`` the file is truncated
+    first. With ``resume``, a line restores every requested cell with the
+    same canonical key instead of re-running it — whatever index or
+    batch shape it was recorded under, so an edited grid keeps its
+    unchanged cells and figure batches that re-slice the same cells
+    reuse finished work.
 
     ``fabric`` (see :func:`repro.fabric.parse_fabric`) executes the
     pending cells through the distributed sweep fabric instead of the
     local pool: a coordinator serves cell leases on a socket and any
     number of ``sweep-worker`` processes — spawned locally via
     ``fabric="local:N"`` or joined from other hosts — pull, execute, and
-    stream summaries back. ``jobs`` is ignored in fabric mode. Results,
-    checkpoint lines, and resume semantics are identical to the serial
-    path.
+    stream results back. ``jobs``/``executor`` are ignored in fabric
+    mode. Results, checkpoint lines, and resume semantics are identical
+    to the serial path.
     """
-    grid = GridSpec.coerce(grid)
-    specs = grid.expand()
+    specs = [ExperimentSpec.coerce(s) for s in specs]
     keys = [run_key(spec) for spec in specs]
     ckpt = SweepCheckpoint(checkpoint) if checkpoint is not None else None
     if resume and ckpt is None:
@@ -474,42 +503,39 @@ def run_grid_cells(
 
     total = len(specs)
     results: list[Any] = [None] * total
-    done: dict[int, Any] = {}
-    if resume:
-        ckpt.seal()  # a crashed writer's torn tail must not eat appends
-        for index, (key, summary) in ckpt.load().items():
-            if 0 <= index < total and key == keys[index]:
-                done[index] = summary
-    elif ckpt is not None:
-        ckpt.reset()
     completed = 0
-    for index in sorted(done):
-        results[index] = done[index]
+
+    def record(index: int, wire: dict, *, fresh: bool = True) -> None:
+        nonlocal completed
+        results[index] = wire if decode is None else decode(wire)
+        if fresh and ckpt is not None:
+            ckpt.append(index, keys[index], wire)
         if progress is not None:
             progress(completed, total, results[index])
         completed += 1
 
-    pending = [i for i in range(total) if i not in done]
-    if not pending:
-        return results
+    recorded: dict[str, dict] = {}
+    if resume:
+        ckpt.seal()  # a crashed writer's torn tail must not eat appends
+        recorded = {
+            key: wire for _index, key, wire in ckpt.entries()
+            if key is not None and wire is not None
+        }
+        for index, key in enumerate(keys):
+            if key in recorded:
+                record(index, recorded[key], fresh=False)
+    elif ckpt is not None:
+        ckpt.reset()
 
-    if fabric is not None:
+    pending = [i for i in range(total) if keys[i] not in recorded]
+    if pending and fabric is not None:
         from repro.fabric import run_fabric_cells, status_path_for
-
-        def on_fabric_result(index: int, key: str, summary: Any) -> None:
-            nonlocal completed
-            results[index] = summary
-            if ckpt is not None:
-                ckpt.append(index, key, summary)
-            if progress is not None:
-                progress(completed, total, summary)
-            completed += 1
 
         run_fabric_cells(
             [(i, keys[i], specs[i].to_dict()) for i in pending],
             fabric=fabric,
-            runner="summary",
-            on_result=on_fabric_result,
+            runner=runner,
+            on_result=lambda index, _key, wire: record(index, wire),
             status_path=(
                 status_path_for(ckpt.path) if ckpt is not None else None
             ),
@@ -522,22 +548,12 @@ def run_grid_cells(
                 ckpt.path if (resume and ckpt is not None) else None
             ),
         )
-        return results
-
-    def on_result(pending_i: int, summary: dict) -> None:
-        nonlocal completed
-        index = pending[pending_i]
-        results[index] = summary
-        if ckpt is not None:
-            ckpt.append(index, keys[index], summary)
-        if progress is not None:
-            progress(completed, total, summary)
-        completed += 1
-
-    run_cells(
-        [specs[i] for i in pending],
-        runner="summary",
-        jobs=jobs,
-        on_result=on_result,
-    )
+    elif pending:
+        run_cells(
+            [specs[i] for i in pending],
+            runner=runner,
+            jobs=jobs,
+            executor=executor,
+            on_result=lambda pending_i, wire: record(pending[pending_i], wire),
+        )
     return results

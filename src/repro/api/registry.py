@@ -1,7 +1,7 @@
 """String-keyed component registries for the declarative experiment API.
 
-Every pluggable piece of an experiment — optimizer, problem, barrier,
-step schedule, delay model — registers itself under a short name so that
+Every pluggable piece of an experiment — optimizer, problem, scheduling
+policy, step schedule, delay model — registers itself under a short name so that
 specs can refer to components as *data* (``"asgd"``, ``"ssp:4"``,
 ``{"name": "cds", "intensity": 0.6}``) instead of Python objects.
 
@@ -10,14 +10,14 @@ Registration happens at class-definition sites via decorators::
     @register_optimizer("asgd")
     class AsyncSGD(DistributedOptimizer): ...
 
-    @register_barrier("ssp")
-    class SSP(BarrierPolicy): ...
+    @register_policy("ssp")
+    class SSP(SchedulingPolicy): ...
 
 and specs are resolved through :meth:`Registry.create`, which accepts
 three spellings:
 
 - ``"name"`` — zero-argument construction,
-- ``"name:value"`` — the bench harness' mini-language; the value binds to
+- ``"name:value"`` — the token mini-language; the value binds to
   the factory's first parameter (coerced to int/float when possible),
 - ``{"name": ..., **params}`` — full keyword construction.
 
@@ -40,7 +40,6 @@ __all__ = [
     "Registry",
     "OPTIMIZERS",
     "PROBLEMS",
-    "BARRIERS",
     "POLICIES",
     "STEPS",
     "DELAY_MODELS",
@@ -48,7 +47,6 @@ __all__ = [
     "COMPRESSORS",
     "register_optimizer",
     "register_problem",
-    "register_barrier",
     "register_policy",
     "register_step",
     "register_delay_model",
@@ -188,11 +186,9 @@ class Registry:
 
 OPTIMIZERS = Registry("optimizer")
 PROBLEMS = Registry("problem")
-BARRIERS = Registry("barrier")
-#: Scheduling policies and barriers share one namespace: every barrier is
-#: a (ready/select-only) scheduling policy, and specs address both
-#: through the same ``barrier``/``policy`` field.
-POLICIES = BARRIERS
+#: Scheduling policies — the classic barriers (ASP/BSP/SSP/...) are the
+#: ready/select-only ones — addressed by a spec's ``policy`` field.
+POLICIES = Registry("policy")
 STEPS = Registry("step schedule")
 DELAY_MODELS = Registry("delay model")
 FAULT_PLANS = Registry("fault plan")
@@ -200,7 +196,6 @@ COMPRESSORS = Registry("compressor")
 
 register_optimizer = OPTIMIZERS.register
 register_problem = PROBLEMS.register
-register_barrier = BARRIERS.register
 register_policy = POLICIES.register
 register_step = STEPS.register
 register_delay_model = DELAY_MODELS.register

@@ -8,7 +8,7 @@ what the hand-wired object API produces for the same configuration.
 
 ``prepare_experiment`` exposes the intermediate
 :class:`PreparedExperiment` for callers that need to own the cluster
-context (the bench harness reads dispatcher byte counters before the
+context (the bench reducer reads dispatcher byte counters before the
 context closes).
 """
 
@@ -144,17 +144,12 @@ class PreparedExperiment:
             metrics_retention=self.spec.metrics_retention,
         )
 
-    @property
-    def barrier(self) -> SchedulingPolicy | None:
-        """Legacy alias for :attr:`policy`."""
-        return self.policy
-
     def make_optimizer(self, ctx: ClusterContext, points) -> DistributedOptimizer:
         """Instantiate the registered optimizer on an open context."""
         cls = OPTIMIZERS.get(self.spec.algorithm)
         kwargs = dict(self.spec.params or {})
-        if self.policy is not None or getattr(cls, "is_async", False):
-            kwargs["barrier"] = self.policy
+        if self.policy is not None:
+            kwargs["policy"] = self.policy
         try:
             opt = cls(
                 ctx, points, self.problem, self.step, self.config, **kwargs
@@ -233,55 +228,31 @@ def prepare_experiment(
             spec.algorithm, alpha0, spec.num_workers, spec.staleness_adaptive
         )
 
-    if spec.policy is not None and spec.barrier is not None:
-        raise ApiError(
-            "'policy' is the new spelling of 'barrier'; set only one "
-            f"(got policy={spec.policy!r} and barrier={spec.barrier!r})"
-        )
-    policy_spec = spec.effective_policy
-    if policy_spec is None:
-        policy = None
-    else:
-        if not getattr(OPTIMIZERS.get(spec.algorithm), "is_async", False):
-            raise ApiError(
-                f"barrier {policy_spec!r} has no effect on the synchronous "
-                f"optimizer {spec.algorithm!r}; drop it or use an "
-                "asynchronous variant"
-            )
-        policy = resolve_policy(
-            policy_spec,
-            defaults={"seed": spec.seed, "num_workers": spec.num_workers},
-        )
-    if spec.granularity != "worker" and not getattr(
-        OPTIMIZERS.get(spec.algorithm), "is_async", False
-    ):
-        raise ApiError(
-            f"granularity {spec.granularity!r} has no effect on the "
-            f"synchronous optimizer {spec.algorithm!r}; drop it or use an "
-            "asynchronous variant"
-        )
     is_async = getattr(OPTIMIZERS.get(spec.algorithm), "is_async", False)
-    crash_fields = [
-        name for name, value in (
-            ("snapshot_every", spec.snapshot_every or None),
-            ("snapshot_path", spec.snapshot_path),
-            ("restore_from", spec.restore_from),
-            ("fault_plan", spec.fault_plan),
-        ) if value is not None
+    async_only = [
+        name for name, is_set in (
+            ("policy", spec.policy is not None),
+            ("granularity", spec.granularity != "worker"),
+            ("snapshot_every", bool(spec.snapshot_every)),
+            ("snapshot_path", spec.snapshot_path is not None),
+            ("restore_from", spec.restore_from is not None),
+            ("fault_plan", spec.fault_plan is not None),
+            ("compressor", spec.compressor is not None),
+        ) if is_set
     ]
-    if crash_fields and not is_async:
+    if async_only and not is_async:
         raise ApiError(
-            f"{crash_fields} only apply to the asynchronous server loop; "
-            f"optimizer {spec.algorithm!r} is synchronous"
+            f"{' / '.join(async_only)} has no effect on the synchronous "
+            f"optimizer {spec.algorithm!r} (asynchronous server loop "
+            "only); drop it or use an asynchronous variant"
         )
+    policy = None if spec.policy is None else resolve_policy(
+        spec.policy,
+        defaults={"seed": spec.seed, "num_workers": spec.num_workers},
+    )
     fault_plan = resolve_fault_plan(
         spec.fault_plan, num_workers=spec.num_workers, seed=spec.seed
     )
-    if spec.compressor is not None and not is_async:
-        raise ApiError(
-            f"'compressor' only applies to the asynchronous server loop; "
-            f"optimizer {spec.algorithm!r} is synchronous"
-        )
     comm = CommManager.coerce(spec.compressor, seed=spec.seed)
     num_partitions = spec.num_partitions or 2 * spec.num_workers
     if comm is not None:
@@ -490,9 +461,9 @@ def run_grid(
     ``progress``, if given, is called as ``progress(k, total, summary)``
     as each cell completes (the CLI uses it to print one line per run).
     """
-    from repro.api.parallel import run_grid_cells
+    from repro.api.parallel import run_sweep_cells
 
-    return run_grid_cells(
-        grid, progress=progress, jobs=jobs, checkpoint=checkpoint,
-        resume=resume, fabric=fabric,
+    return run_sweep_cells(
+        GridSpec.coerce(grid).expand(), progress=progress, jobs=jobs,
+        checkpoint=checkpoint, resume=resume, fabric=fabric,
     )

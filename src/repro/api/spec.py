@@ -3,14 +3,14 @@
 An :class:`ExperimentSpec` is the declarative description of one run —
 every field is a plain string/number/dict, so specs round-trip through
 JSON, diff cleanly, and can be generated programmatically. Component
-fields (``barrier``, ``step``, ``delay``, ``problem``) use the registry
+fields (``policy``, ``step``, ``delay``, ``problem``) use the registry
 spellings from :mod:`repro.api.registry`.
 
 A :class:`GridSpec` is a base spec plus axes to sweep; ``expand()``
 produces the cartesian product as concrete specs. Axis keys are
 dotted paths into the spec dict (``"params.mode"``, ``"step.a"``), so
 sweeps can reach nested component parameters. To sweep inside a
-*component* field (``step``, ``barrier``, ``delay``, ``problem``), the
+*component* field (``step``, ``policy``, ``delay``, ``problem``), the
 base spec must spell that field as a dict — the swept cells inherit its
 ``"name"`` key: base ``step={"name": "constant", "a": 0.1}`` makes
 ``"step.a"`` a valid axis, while a base that leaves ``step`` unset has
@@ -29,13 +29,15 @@ from repro.errors import ApiError
 
 __all__ = ["ExperimentSpec", "GridSpec"]
 
-#: Keys earlier versions wrote into spec JSON that no longer select
-#: anything: recorded specs and sweep checkpoints carrying them still
-#: load, and the key is dropped. The one entry chose between fused and
-#: per-task rounds — there is one task path now, so either value means
-#: the same run. (Spelled in two pieces so that a grep of ``src/`` for
-#: the retired knob comes back empty.)
-LEGACY_FIELDS = frozenset({"fuse" "_tasks"})
+#: Keys earlier versions wrote into spec JSON that are no longer fields:
+#: recorded specs, grid axes and sweep checkpoints carrying them still
+#: load, and ``to_dict`` never writes them back. The first chose between
+#: fused and per-task rounds — there is one task path now, so either
+#: value means the same run and the key is dropped (spelled in two pieces
+#: so that a grep of ``src/`` for the retired knob comes back empty).
+#: ``barrier`` was the first spelling of ``policy``; its value moves to
+#: that field.
+LEGACY_FIELDS = frozenset({"fuse" "_tasks", "barrier"})
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class ExperimentSpec:
     Component fields accept the registry spellings: a bare name
     (``"asp"``), a mini-language token (``"ssp:4"``), or a dict
     (``{"name": "cds", "intensity": 0.6}``). ``None`` means "use the
-    library default" — the per-algorithm barrier, the dataset's tuned
+    library default" — ASP scheduling, the dataset's tuned
     hyperparameters, the backend's cost/network models.
     """
 
@@ -58,15 +60,10 @@ class ExperimentSpec:
     #: ``None`` -> two partitions per worker.
     num_partitions: int | None = None
     delay: Any = "none"
-    #: ``None`` -> the optimizer's own default (ASP for async methods).
-    #: Legacy spelling of ``policy`` — both fields address the same
-    #: registry; set at most one.
-    barrier: Any = None
-    #: Scheduling policy: a registered name (``"asp"``), a mini-language
-    #: token (``"ssp_partition:4"``, ``"sample:0.3"``), an ``&``/``|``
+    #: Scheduling policy (async only): a registered name (``"asp"``), a
+    #: mini-language token (``"ssp:4"``, ``"sample:0.3"``), an ``&``/``|``
     #: composition (``"ssp:4 & fedasync:poly"``), or a dict
-    #: (``{"name": "migrate", "threshold": "p95"}``). ``None`` -> use
-    #: ``barrier``, else the optimizer's default.
+    #: (``{"name": "migrate", "threshold": "p95"}``). ``None`` -> ASP.
     policy: Any = None
     #: ``None`` -> built from the dataset's tuned ``alpha0`` (see below).
     step: Any = None
@@ -122,27 +119,21 @@ class ExperimentSpec:
     def to_dict(self) -> dict:
         """Plain-JSON dict (no infinities, no library objects).
 
-        An unset ``policy`` is omitted entirely (not emitted as null):
-        the canonical spec JSON of a policy-less spec — and with it every
-        checkpoint key written before the field existed — stays stable.
+        Fields added after the first recorded specs (``policy``, the
+        crash-safety fields, ``compressor``, ``metrics_retention``) are
+        omitted entirely while unset, not emitted as null: the canonical
+        JSON — and with it the checkpoint run key — of a spec that does
+        not use them is unchanged by their existence.
         """
         out = asdict(self)
         if out["max_time_ms"] is not None and math.isinf(out["max_time_ms"]):
             out["max_time_ms"] = None
-        if out["policy"] is None:
-            del out["policy"]
-        # Crash-safety fields follow the ``policy`` precedent: unset
-        # values are omitted entirely so canonical spec JSON — and every
-        # checkpoint run key minted before these fields existed — stays
-        # byte-stable.
-        if not out["snapshot_every"]:
-            del out["snapshot_every"]
-        for key in ("snapshot_path", "restore_from", "fault_plan", "compressor"):
+        for key in ("policy", "snapshot_path", "restore_from", "fault_plan",
+                    "compressor"):
             if out[key] is None:
                 del out[key]
-        # Default retention is omitted so the canonical JSON (and
-        # checkpoint run keys) of every pre-existing spec stays
-        # byte-stable.
+        if not out["snapshot_every"]:
+            del out["snapshot_every"]
         if out["metrics_retention"] == "all":
             del out["metrics_retention"]
         return out
@@ -151,6 +142,15 @@ class ExperimentSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
         known = {f.name for f in fields(cls)}
         clean = {k: v for k, v in data.items() if k not in LEGACY_FIELDS}
+        legacy_policy = data.get("barrier")
+        if legacy_policy is not None:
+            if clean.get("policy") is not None:
+                raise ApiError(
+                    "'barrier' is the old spelling of 'policy'; set only "
+                    f"one (got policy={clean['policy']!r} and "
+                    f"barrier={legacy_policy!r})"
+                )
+            clean["policy"] = legacy_policy
         unknown = set(clean) - known
         if unknown:
             raise ApiError(
@@ -176,24 +176,13 @@ class ExperimentSpec:
             return spec
         if isinstance(spec, Mapping):
             return cls.from_dict(spec)
-        converter = getattr(spec, "to_api_spec", None)
-        if callable(converter):
-            # A bench-layer repro.bench.harness.ExperimentSpec: convert.
-            return cls.coerce(converter())
         raise ApiError(
-            f"cannot interpret {type(spec).__name__} as an "
-            "api ExperimentSpec (expected a dict or repro.api.ExperimentSpec)"
+            f"cannot interpret {type(spec).__name__} as an ExperimentSpec "
+            "(expected a dict or repro.api.ExperimentSpec)"
         )
 
     def with_overrides(self, **overrides: Any) -> "ExperimentSpec":
         return replace(self, **overrides)
-
-    @property
-    def effective_policy(self) -> Any:
-        """The scheduling-policy spelling in effect (``policy`` wins over
-        the legacy ``barrier`` alias; both set is rejected at prepare
-        time)."""
-        return self.policy if self.policy is not None else self.barrier
 
 
 def _set_path(data: dict, path: str, value: Any) -> None:
@@ -219,7 +208,7 @@ class GridSpec:
 
     base: ExperimentSpec = field(default_factory=ExperimentSpec)
     #: Dotted spec path -> list of values, e.g.
-    #: ``{"num_workers": [4, 8], "barrier": ["asp", "ssp:4"]}``.
+    #: ``{"num_workers": [4, 8], "policy": ["asp", "ssp:4"]}``.
     grid: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -271,10 +260,21 @@ class GridSpec:
                 f"unknown GridSpec field(s) {sorted(unknown)}; "
                 "valid fields: ['base', 'grid']"
             )
-        return cls(
-            base=ExperimentSpec.coerce(data.get("base") or {}),
-            grid=dict(data.get("grid") or {}),  # JSON null -> no axes
-        )
+        axes = data.get("grid") or {}  # JSON null -> no axes
+        # Recorded grids sweep ``policy`` under its old name ``barrier``
+        # (dotted paths under it included); like the spec key, the axis
+        # is renamed on read and never written back.
+        grid = {
+            "policy" + axis[len("barrier"):]
+            if axis.split(".")[0] == "barrier" else axis: values
+            for axis, values in axes.items()
+        }
+        if len(grid) != len(axes):
+            raise ApiError(
+                "'barrier' is the old spelling of 'policy'; sweep only "
+                "one of the two axes"
+            )
+        return cls(base=ExperimentSpec.coerce(data.get("base") or {}), grid=grid)
 
     @classmethod
     def coerce(cls, spec: "GridSpec | ExperimentSpec | Mapping[str, Any]") -> "GridSpec":

@@ -4,17 +4,17 @@ Each ``fig*``/``table*`` function runs the experiment cells behind one
 paper figure, returns a structured dict (headers + rows + raw cells) and
 can pretty-print the table.
 
-Drivers are spec-routed: every figure's cells are expressed as api
-:class:`~repro.api.GridSpec` sweeps (or explicit spec lists where an
-axis carries a dependent parameter, e.g. the per-dataset PCS batch
-fraction) and execute through the shared sweep engine in
-:mod:`repro.api.parallel` — call :func:`set_jobs` to fan cells across a
-*persistent* process pool (one executor stays warm across driver
-batches; :func:`shutdown_pool` releases it). Results are memoized in a
-per-process cache keyed on each
-cell's canonical spec JSON (:func:`repro.api.parallel.run_key`), so
-figure pairs sharing runs (Fig 3 & 4; Fig 5 & 6; Fig 7/8 & Table 3) pay
-for them once and the cache identity survives process boundaries.
+Drivers are spec-routed: a figure's cells are :data:`PAPER_CELL` with
+overrides, expressed as :class:`~repro.api.GridSpec` sweeps (or explicit
+spec lists where an axis carries a dependent parameter, e.g. the
+per-dataset PCS batch fraction), and execute through the shared sweep
+engine in :mod:`repro.api.parallel` — call :func:`set_jobs` to fan cells
+across a *persistent* process pool (one executor stays warm across
+driver batches; :func:`shutdown_pool` releases it). Results are memoized
+in a per-process cache keyed on each cell's canonical spec JSON
+(:func:`repro.api.parallel.run_key`), so figure pairs sharing runs
+(Fig 3 & 4; Fig 5 & 6; Fig 7/8 & Table 3) pay for them once and the
+cache identity survives process boundaries.
 
 Budgets are parameterized (``sync_updates``/``async_updates``) with fast
 defaults tuned for the pytest-benchmark harness; pass larger budgets for
@@ -27,10 +27,12 @@ import atexit
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
-from repro.api.parallel import run_key
-from repro.api.spec import GridSpec
-from repro.bench.harness import ExperimentResult, ExperimentSpec, run_bench_cells
+from repro.api.parallel import run_key, run_sweep_cells
+from repro.api.registry import OPTIMIZERS
+from repro.api.spec import ExperimentSpec, GridSpec
+from repro.bench.harness import ExperimentResult
 from repro.data.registry import REGISTRY
 from repro.optim.reference import reference_sgd
 from repro.utils.tables import format_table
@@ -52,12 +54,27 @@ __all__ = [
     "ablation_granularity",
     "ablation_history_depth",
     "ablation_policies",
+    "PAPER_CELL",
     "set_jobs",
     "set_fabric",
     "set_checkpoint",
     "shutdown_pool",
     "clear_cache",
 ]
+
+#: The evaluation's cell shape (Section 6.1): 8 workers x 32 partitions
+#: on the mnist8m analog, a snapshot every other update, a cost model
+#: under which a mini-batch task costs a few ms (like the paper's
+#: per-iteration times) and a 10 GbE interconnect. The paper's figures
+#: and the ablations of its design claims are this spec with overrides,
+#: asynchronous cells naming their policy (the two later ablations —
+#: compression, L-BFGS history depth — state their own smaller cell).
+PAPER_CELL = ExperimentSpec(
+    algorithm="sgd", dataset="mnist8m_like", num_workers=8,
+    num_partitions=32, eval_every=2,
+    cost={"overhead_ms": 1.0, "ms_per_unit": 0.01},
+    network={"latency_ms": 0.25, "bandwidth_bytes_per_ms": 1.25e6},
+)
 
 CDS_DELAYS = (0.0, 0.3, 0.6, 1.0)
 CDS_DATASETS = ("mnist8m_like", "epsilon_like", "rcv1_like")
@@ -163,20 +180,21 @@ def _cache_put(key: str, result: ExperimentResult) -> None:
     _RESULTS[key] = result
 
 
-def _run_specs(api_specs) -> list[ExperimentResult]:
-    """Run api specs through the sweep engine, memoized on spec JSON."""
+def _run_specs(specs) -> list[ExperimentResult]:
+    """Run specs through the sweep engine, memoized on spec JSON."""
     global _RESUME
-    keys = [run_key(spec) for spec in api_specs]
+    keys = [run_key(spec) for spec in specs]
     # Snapshot hits first: eviction while caching the fresh batch must
     # not drop entries this call is about to return.
     have = {key: _RESULTS[key] for key in keys if key in _RESULTS}
-    todo: dict[str, object] = {}
-    for spec, key in zip(api_specs, keys):
+    todo: dict[str, ExperimentSpec] = {}
+    for spec, key in zip(specs, keys):
         if key not in have and key not in todo:
             todo[key] = spec
     if todo:
-        results = run_bench_cells(
-            list(todo.values()), jobs=_JOBS, executor=_pool(),
+        results = run_sweep_cells(
+            list(todo.values()), runner="bench",
+            decode=ExperimentResult.from_dict, jobs=_JOBS, executor=_pool(),
             checkpoint=_CHECKPOINT, resume=_RESUME and _CHECKPOINT is not None,
             fabric=_FABRIC,
         )
@@ -193,53 +211,20 @@ def _run_specs(api_specs) -> list[ExperimentResult]:
 def _sweep(base: ExperimentSpec, axes: dict) -> dict[tuple, ExperimentResult]:
     """Run ``base`` x ``axes`` as a GridSpec sweep; results keyed by the
     axis-value combinations (row-major, matching ``GridSpec.expand``)."""
-    grid = GridSpec(base=base.to_api_spec(), grid=axes)
-    results = _run_specs(grid.expand())
-    combos = itertools.product(*axes.values())
-    return dict(zip(combos, results))
+    results = _run_specs(GridSpec(base=base, grid=axes).expand())
+    return dict(zip(itertools.product(*axes.values()), results))
 
 
-def _delay_tokens(delays) -> list[str]:
-    return [f"cds:{delay}" if delay else "none" for delay in delays]
-
-
-def _cds_pairs(
-    datasets,
-    delays,
-    algo_sync: str,
-    algo_async: str,
-    sync_updates: int,
-    async_updates: int,
-    seed: int,
-) -> dict[tuple, tuple[ExperimentResult, ExperimentResult]]:
-    """The (sync, async) runs behind Figs 3-6: dataset x delay sweeps.
-
-    Both sweeps go to the engine as ONE batch so the pool overlaps sync
-    and async cells instead of serializing two pool spins.
-    """
-    tokens = _delay_tokens(delays)
-    axes = {"dataset": list(datasets), "delay": tokens}
-    grids = [
-        GridSpec(
-            base=ExperimentSpec(
-                algorithm=algorithm, num_workers=8, num_partitions=32,
-                max_updates=updates, seed=seed,
-            ).to_api_spec(),
-            grid=axes,
-        )
-        for algorithm, updates in
-        ((algo_sync, sync_updates), (algo_async, async_updates))
-    ]
-    cells = [grid.expand() for grid in grids]
-    results = _run_specs(cells[0] + cells[1])
-    combos = list(itertools.product(datasets, tokens))
-    sync = dict(zip(combos, results[:len(cells[0])]))
-    asyn = dict(zip(combos, results[len(cells[0]):]))
-    return {
-        (ds, delay): (sync[(ds, token)], asyn[(ds, token)])
-        for ds in datasets
-        for delay, token in zip(delays, tokens)
-    }
+def _table(title: str, headers: list, rows: list, verbose: bool,
+           cells=None) -> dict:
+    """What every driver returns: headers + rows (+ raw cells), printed
+    as a table when ``verbose``."""
+    out = {"headers": headers, "rows": rows}
+    if cells is not None:
+        out["cells"] = cells
+    if verbose:
+        print(format_table(headers, rows, title=title))
+    return out
 
 
 def _target_for(dataset: str, sync: ExperimentResult,
@@ -262,6 +247,28 @@ def _speedup(sync: ExperimentResult, asyn: ExperimentResult,
     return ts / max(ta, 1e-9)
 
 
+def _pair_cell(dataset: str, sync: ExperimentResult,
+               asyn: ExperimentResult) -> dict:
+    """One (sync, async) comparison: common target and time-to-target
+    speedup."""
+    target = _target_for(dataset, sync, asyn)
+    return {"sync": sync, "async": asyn, "target": target,
+            "speedup": _speedup(sync, asyn, target)}
+
+
+def _pair_row(cell: dict) -> list:
+    sync, asyn, target = cell["sync"], cell["async"], cell["target"]
+    return [sync.time_to_error(target), asyn.time_to_error(target),
+            cell["speedup"], sync.final_error, asyn.final_error]
+
+
+def _time_to_target(dataset: str, res: ExperimentResult) -> float:
+    """One run's time to the registry target (loosened like
+    :func:`_target_for` when a short run didn't get that far)."""
+    target = res.initial_error * REGISTRY[dataset].target_rel
+    return res.time_to_error(max(target, res.final_error * 1.05))
+
+
 # ---------------------------------------------------------------------------
 # Figure 2 — sync SGD in the engine matches the MLlib-style reference.
 # ---------------------------------------------------------------------------
@@ -281,9 +288,8 @@ def fig2_sync_sgd_vs_reference(
     from repro.optim.problems import LeastSquaresProblem
 
     engine_cells = _sweep(
-        ExperimentSpec(
-            algorithm="sgd", delay="none", max_updates=iterations,
-            seed=seed, eval_every=iterations,
+        PAPER_CELL.with_overrides(
+            max_updates=iterations, seed=seed, eval_every=iterations,
         ),
         {"dataset": list(datasets)},
     )
@@ -307,23 +313,57 @@ def fig2_sync_sgd_vs_reference(
         rows.append([ds, engine.final_error, ref_err, ratio])
         cells[ds] = {"engine": engine.final_error, "reference": ref_err,
                      "ratio": ratio}
-    out = {
-        "headers": ["dataset", "ASYNC sync SGD err", "MLlib-style err",
-                    "ratio"],
-        "rows": rows,
-        "cells": cells,
-    }
-    if verbose:
-        print(format_table(out["headers"], rows,
-                           title="Figure 2 - sync SGD vs MLlib-style reference"))
-    return out
+    return _table(
+        "Figure 2 - sync SGD vs MLlib-style reference",
+        ["dataset", "ASYNC sync SGD err", "MLlib-style err", "ratio"],
+        rows, verbose, cells,
+    )
 
 
 # ---------------------------------------------------------------------------
-# Figures 3 & 4 — SGD vs ASGD under the Controlled Delay Straggler.
+# Figures 3-6 — a sync method vs its async variant under the Controlled
+# Delay Straggler: time-to-target speedups (3: SGD, 5: SAGA) and average
+# wait per iteration over the same runs (4, 6).
 # ---------------------------------------------------------------------------
 
-def fig3_cds_sgd(
+def _delay_tokens(delays) -> list[str]:
+    return [f"cds:{delay}" if delay else "none" for delay in delays]
+
+
+def _cds_pairs(
+    algo_sync: str, algo_async: str, datasets, delays,
+    sync_updates: int, async_updates: int, seed: int,
+) -> dict[tuple, tuple[ExperimentResult, ExperimentResult]]:
+    """The (sync, async) runs behind Figs 3-6, keyed ``(dataset, delay)``:
+    two dataset x delay sweeps.
+
+    Both sweeps go to the engine as ONE batch so the pool overlaps sync
+    and async cells instead of serializing two pool spins.
+    """
+    tokens = _delay_tokens(delays)
+    axes = {"dataset": list(datasets), "delay": tokens}
+    sync_cells = GridSpec(
+        base=PAPER_CELL.with_overrides(
+            algorithm=algo_sync, max_updates=sync_updates, seed=seed),
+        grid=axes,
+    ).expand()
+    async_cells = GridSpec(
+        base=PAPER_CELL.with_overrides(
+            algorithm=algo_async, policy="asp", max_updates=async_updates,
+            seed=seed),
+        grid=axes,
+    ).expand()
+    results = _run_specs(sync_cells + async_cells)
+    combos = list(itertools.product(datasets, delays))
+    return dict(zip(
+        combos, zip(results[:len(combos)], results[len(combos):])
+    ))
+
+
+def _cds_speedups(
+    algo_sync: str,
+    algo_async: str,
+    title: str,
     datasets: tuple[str, ...] = CDS_DATASETS,
     delays: tuple[float, ...] = CDS_DELAYS,
     sync_updates: int = 60,
@@ -331,237 +371,136 @@ def fig3_cds_sgd(
     seed: int = 0,
     verbose: bool = True,
 ) -> dict:
-    """Time-to-target speedups of ASGD over SGD per delay intensity."""
-    pairs = _cds_pairs(datasets, delays, "sgd", "asgd",
+    pairs = _cds_pairs(algo_sync, algo_async, datasets, delays,
+                       sync_updates, async_updates, seed)
+    cells = {(ds, delay): _pair_cell(ds, sync, asyn)
+             for (ds, delay), (sync, asyn) in pairs.items()}
+    rows = [[ds, f"{delay:.0%}", *_pair_row(cell)]
+            for (ds, delay), cell in cells.items()]
+    return _table(
+        title,
+        ["dataset", "delay", "t_sync(ms)", "t_async(ms)", "speedup",
+         "err_sync", "err_async"],
+        rows, verbose, cells,
+    )
+
+
+def _cds_waits(
+    algo_sync: str,
+    algo_async: str,
+    title: str,
+    datasets: tuple[str, ...] = CDS_DATASETS,
+    delays: tuple[float, ...] = CDS_DELAYS,
+    sync_updates: int = 60,
+    async_updates: int = 480,
+    seed: int = 0,
+    verbose: bool = True,
+) -> dict:
+    pairs = _cds_pairs(algo_sync, algo_async, datasets, delays,
                        sync_updates, async_updates, seed)
     rows = []
     cells = {}
-    for ds in datasets:
-        for delay in delays:
-            sync, asyn = pairs[(ds, delay)]
-            target = _target_for(ds, sync, asyn)
-            sp = _speedup(sync, asyn, target)
-            rows.append([
-                ds, f"{delay:.0%}",
-                sync.time_to_error(target), asyn.time_to_error(target),
-                sp, sync.final_error, asyn.final_error,
-            ])
-            cells[(ds, delay)] = {
-                "sync": sync, "async": asyn, "target": target, "speedup": sp,
-            }
-    out = {
-        "headers": ["dataset", "delay", "t_sync(ms)", "t_async(ms)",
-                    "speedup", "err_sync", "err_async"],
-        "rows": rows,
-        "cells": cells,
-    }
-    if verbose:
-        print(format_table(out["headers"], rows,
-                           title="Figure 3 - ASGD vs SGD under CDS"))
-    return out
-
-
-def fig4_wait_sgd(
-    datasets: tuple[str, ...] = CDS_DATASETS,
-    delays: tuple[float, ...] = CDS_DELAYS,
-    sync_updates: int = 60,
-    async_updates: int = 480,
-    seed: int = 0,
-    verbose: bool = True,
-) -> dict:
-    """Average wait time per iteration, SGD vs ASGD (reuses Fig 3 runs)."""
-    fig3 = fig3_cds_sgd(
-        datasets, delays, sync_updates, async_updates, seed, verbose=False
+    for (ds, delay), (sync, asyn) in pairs.items():
+        waits = sync.avg_wait_ms, asyn.avg_wait_ms
+        rows.append([ds, f"{delay:.0%}", *waits])
+        cells[(ds, delay)] = dict(zip(("sync_wait_ms", "async_wait_ms"), waits))
+    return _table(
+        title,
+        ["dataset", "delay", f"{algo_sync.upper()} wait (ms)",
+         f"{algo_async.upper()} wait (ms)"],
+        rows, verbose, cells,
     )
-    rows = []
-    cells = {}
-    for (ds, delay), cell in fig3["cells"].items():
-        rows.append([
-            ds, f"{delay:.0%}",
-            cell["sync"].avg_wait_ms, cell["async"].avg_wait_ms,
-        ])
-        cells[(ds, delay)] = {
-            "sync_wait_ms": cell["sync"].avg_wait_ms,
-            "async_wait_ms": cell["async"].avg_wait_ms,
-        }
-    out = {
-        "headers": ["dataset", "delay", "SGD wait (ms)", "ASGD wait (ms)"],
-        "rows": rows,
-        "cells": cells,
-    }
-    if verbose:
-        print(format_table(out["headers"], rows,
-                           title="Figure 4 - average wait time per iteration (SGD)"))
-    return out
 
 
-# ---------------------------------------------------------------------------
-# Figures 5 & 6 — SAGA vs ASAGA under CDS.
-# ---------------------------------------------------------------------------
-
-def fig5_cds_saga(
-    datasets: tuple[str, ...] = CDS_DATASETS,
-    delays: tuple[float, ...] = CDS_DELAYS,
-    sync_updates: int = 60,
-    async_updates: int = 480,
-    seed: int = 0,
-    verbose: bool = True,
-) -> dict:
-    """Time-to-target speedups of ASAGA over SAGA per delay intensity."""
-    pairs = _cds_pairs(datasets, delays, "saga", "asaga",
-                       sync_updates, async_updates, seed)
-    rows = []
-    cells = {}
-    for ds in datasets:
-        for delay in delays:
-            sync, asyn = pairs[(ds, delay)]
-            target = _target_for(ds, sync, asyn)
-            sp = _speedup(sync, asyn, target)
-            rows.append([
-                ds, f"{delay:.0%}",
-                sync.time_to_error(target), asyn.time_to_error(target),
-                sp, sync.final_error, asyn.final_error,
-            ])
-            cells[(ds, delay)] = {
-                "sync": sync, "async": asyn, "target": target, "speedup": sp,
-            }
-    out = {
-        "headers": ["dataset", "delay", "t_sync(ms)", "t_async(ms)",
-                    "speedup", "err_sync", "err_async"],
-        "rows": rows,
-        "cells": cells,
-    }
-    if verbose:
-        print(format_table(out["headers"], rows,
-                           title="Figure 5 - ASAGA vs SAGA under CDS"))
-    return out
+def _driver(impl, name: str, doc: str, *bound):
+    """A public figure driver: ``impl`` with its algorithm pair and title
+    bound, keeping the remaining (budget) parameters and their defaults."""
+    driver = partial(impl, *bound)
+    driver.__name__, driver.__doc__ = name, doc
+    return driver
 
 
-def fig6_wait_saga(
-    datasets: tuple[str, ...] = CDS_DATASETS,
-    delays: tuple[float, ...] = CDS_DELAYS,
-    sync_updates: int = 60,
-    async_updates: int = 480,
-    seed: int = 0,
-    verbose: bool = True,
-) -> dict:
-    """Average wait time per iteration, SAGA vs ASAGA (reuses Fig 5)."""
-    fig5 = fig5_cds_saga(
-        datasets, delays, sync_updates, async_updates, seed, verbose=False
-    )
-    rows = []
-    cells = {}
-    for (ds, delay), cell in fig5["cells"].items():
-        rows.append([
-            ds, f"{delay:.0%}",
-            cell["sync"].avg_wait_ms, cell["async"].avg_wait_ms,
-        ])
-        cells[(ds, delay)] = {
-            "sync_wait_ms": cell["sync"].avg_wait_ms,
-            "async_wait_ms": cell["async"].avg_wait_ms,
-        }
-    out = {
-        "headers": ["dataset", "delay", "SAGA wait (ms)", "ASAGA wait (ms)"],
-        "rows": rows,
-        "cells": cells,
-    }
-    if verbose:
-        print(format_table(out["headers"], rows,
-                           title="Figure 6 - average wait time per iteration (SAGA)"))
-    return out
+fig3_cds_sgd = _driver(
+    _cds_speedups, "fig3_cds_sgd",
+    "Time-to-target speedups of ASGD over SGD per delay intensity.",
+    "sgd", "asgd", "Figure 3 - ASGD vs SGD under CDS",
+)
+fig4_wait_sgd = _driver(
+    _cds_waits, "fig4_wait_sgd",
+    "Average wait time per iteration, SGD vs ASGD (reuses Fig 3 runs).",
+    "sgd", "asgd", "Figure 4 - average wait time per iteration (SGD)",
+)
+fig5_cds_saga = _driver(
+    _cds_speedups, "fig5_cds_saga",
+    "Time-to-target speedups of ASAGA over SAGA per delay intensity.",
+    "saga", "asaga", "Figure 5 - ASAGA vs SAGA under CDS",
+)
+fig6_wait_saga = _driver(
+    _cds_waits, "fig6_wait_saga",
+    "Average wait time per iteration, SAGA vs ASAGA (reuses Fig 5).",
+    "saga", "asaga", "Figure 6 - average wait time per iteration (SAGA)",
+)
 
 
 # ---------------------------------------------------------------------------
 # Figures 7 & 8 + Table 3 — Production Cluster Stragglers, 32 workers.
 # ---------------------------------------------------------------------------
 
-def _pcs_pairs(datasets, algo_sync: str, algo_async: str,
+def _pcs_pairs(algo_sync: str, algo_async: str, datasets,
                sync_updates: int, async_updates: int, seed: int,
                ) -> dict[str, tuple[ExperimentResult, ExperimentResult]]:
-    """PCS cells per dataset. The batch fraction rides the dataset axis
-    (each dataset has its own tuned ``b_pcs``), so this is an explicit
-    spec list rather than a pure-product GridSpec."""
+    """PCS (sync, async) runs per dataset. The batch fraction rides the
+    dataset axis (each dataset has its own tuned ``b_pcs``), so this is
+    an explicit spec list rather than a pure-product GridSpec."""
     specs = []
     for ds in datasets:
-        common = dict(
-            dataset=ds, delay="pcs", num_workers=32, num_partitions=32,
-            seed=seed, batch_fraction=REGISTRY[ds].b_pcs,
+        common = PAPER_CELL.with_overrides(
+            dataset=ds, delay="pcs", num_workers=32, seed=seed,
+            batch_fraction=REGISTRY[ds].b_pcs,
         )
-        specs.append(ExperimentSpec(
-            algorithm=algo_sync, max_updates=sync_updates, **common))
-        specs.append(ExperimentSpec(
-            algorithm=algo_async, max_updates=async_updates, **common))
-    results = _run_specs([spec.to_api_spec() for spec in specs])
+        specs.append(common.with_overrides(
+            algorithm=algo_sync, max_updates=sync_updates))
+        specs.append(common.with_overrides(
+            algorithm=algo_async, policy="asp", max_updates=async_updates))
+    results = _run_specs(specs)
     return {
         ds: (results[2 * i], results[2 * i + 1])
         for i, ds in enumerate(datasets)
     }
 
 
-def fig7_pcs_sgd(
+def _pcs_speedups(
+    algo_sync: str,
+    algo_async: str,
+    title: str,
     datasets: tuple[str, ...] = PCS_DATASETS,
     sync_updates: int = 50,
     async_updates: int = 1200,
     seed: int = 0,
     verbose: bool = True,
 ) -> dict:
-    """ASGD vs SGD with production straggler patterns on 32 workers."""
-    pairs = _pcs_pairs(datasets, "sgd", "asgd", sync_updates,
+    pairs = _pcs_pairs(algo_sync, algo_async, datasets, sync_updates,
                        async_updates, seed)
-    rows = []
-    cells = {}
-    for ds in datasets:
-        sync, asyn = pairs[ds]
-        target = _target_for(ds, sync, asyn)
-        sp = _speedup(sync, asyn, target)
-        rows.append([ds, sync.time_to_error(target),
-                     asyn.time_to_error(target), sp,
-                     sync.final_error, asyn.final_error])
-        cells[ds] = {"sync": sync, "async": asyn, "target": target,
-                     "speedup": sp}
-    out = {
-        "headers": ["dataset", "t_sync(ms)", "t_async(ms)", "speedup",
-                    "err_sync", "err_async"],
-        "rows": rows,
-        "cells": cells,
-    }
-    if verbose:
-        print(format_table(out["headers"], rows,
-                           title="Figure 7 - ASGD vs SGD, PCS, 32 workers"))
-    return out
+    cells = {ds: _pair_cell(ds, *pair) for ds, pair in pairs.items()}
+    rows = [[ds, *_pair_row(cell)] for ds, cell in cells.items()]
+    return _table(
+        title,
+        ["dataset", "t_sync(ms)", "t_async(ms)", "speedup", "err_sync",
+         "err_async"],
+        rows, verbose, cells,
+    )
 
 
-def fig8_pcs_saga(
-    datasets: tuple[str, ...] = PCS_DATASETS,
-    sync_updates: int = 50,
-    async_updates: int = 1200,
-    seed: int = 0,
-    verbose: bool = True,
-) -> dict:
-    """ASAGA vs SAGA with production straggler patterns on 32 workers."""
-    pairs = _pcs_pairs(datasets, "saga", "asaga", sync_updates,
-                       async_updates, seed)
-    rows = []
-    cells = {}
-    for ds in datasets:
-        sync, asyn = pairs[ds]
-        target = _target_for(ds, sync, asyn)
-        sp = _speedup(sync, asyn, target)
-        rows.append([ds, sync.time_to_error(target),
-                     asyn.time_to_error(target), sp,
-                     sync.final_error, asyn.final_error])
-        cells[ds] = {"sync": sync, "async": asyn, "target": target,
-                     "speedup": sp}
-    out = {
-        "headers": ["dataset", "t_sync(ms)", "t_async(ms)", "speedup",
-                    "err_sync", "err_async"],
-        "rows": rows,
-        "cells": cells,
-    }
-    if verbose:
-        print(format_table(out["headers"], rows,
-                           title="Figure 8 - ASAGA vs SAGA, PCS, 32 workers"))
-    return out
+fig7_pcs_sgd = _driver(
+    _pcs_speedups, "fig7_pcs_sgd",
+    "ASGD vs SGD with production straggler patterns on 32 workers.",
+    "sgd", "asgd", "Figure 7 - ASGD vs SGD, PCS, 32 workers",
+)
+fig8_pcs_saga = _driver(
+    _pcs_speedups, "fig8_pcs_saga",
+    "ASAGA vs SAGA with production straggler patterns on 32 workers.",
+    "saga", "asaga", "Figure 8 - ASAGA vs SAGA, PCS, 32 workers",
+)
 
 
 def table3_wait_pcs(
@@ -572,34 +511,21 @@ def table3_wait_pcs(
     verbose: bool = True,
 ) -> dict:
     """Average wait times on 32 workers under PCS (reuses Fig 7/8 runs)."""
-    fig7 = fig7_pcs_sgd(datasets, sync_updates, async_updates, seed,
-                        verbose=False)
-    fig8 = fig8_pcs_saga(datasets, sync_updates, async_updates, seed,
-                         verbose=False)
+    budgets = (datasets, sync_updates, async_updates, seed)
+    sgd = _pcs_pairs("sgd", "asgd", *budgets)
+    saga = _pcs_pairs("saga", "asaga", *budgets)
+    labels = ("SAGA", "ASAGA", "SGD", "ASGD")
     rows = []
     cells = {}
     for ds in datasets:
-        row = [
-            ds,
-            fig8["cells"][ds]["sync"].avg_wait_ms,
-            fig8["cells"][ds]["async"].avg_wait_ms,
-            fig7["cells"][ds]["sync"].avg_wait_ms,
-            fig7["cells"][ds]["async"].avg_wait_ms,
-        ]
-        rows.append(row)
-        cells[ds] = {
-            "SAGA": row[1], "ASAGA": row[2], "SGD": row[3], "ASGD": row[4],
-        }
-    out = {
-        "headers": ["dataset", "SAGA wait", "ASAGA wait", "SGD wait",
-                    "ASGD wait"],
-        "rows": rows,
-        "cells": cells,
-    }
-    if verbose:
-        print(format_table(out["headers"], rows,
-                           title="Table 3 - average wait time per iteration (ms), 32 workers PCS"))
-    return out
+        waits = [res.avg_wait_ms for res in (*saga[ds], *sgd[ds])]
+        rows.append([ds, *waits])
+        cells[ds] = dict(zip(labels, waits))
+    return _table(
+        "Table 3 - average wait time per iteration (ms), 32 workers PCS",
+        ["dataset", *(f"{label} wait" for label in labels)],
+        rows, verbose, cells,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -616,15 +542,11 @@ def table2_datasets(verbose: bool = True) -> dict:
             "sparse" if spec.sparse else "dense",
             f"{spec.size_bytes / 1e6:.1f} MB",
         ])
-    out = {
-        "headers": ["analog", "paper dataset", "rows", "cols", "kind",
-                    "size"],
-        "rows": rows,
-    }
-    if verbose:
-        print(format_table(out["headers"], rows,
-                           title="Table 2 - dataset analogs"))
-    return out
+    return _table(
+        "Table 2 - dataset analogs",
+        ["analog", "paper dataset", "rows", "cols", "kind", "size"],
+        rows, verbose,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +571,11 @@ def ablation_broadcast(
     """
     modes = ("history", "naive")
     swept = _sweep(
-        ExperimentSpec(
-            dataset=dataset, algorithm="saga", delay="none",
-            max_updates=updates, seed=seed,
-            net_bandwidth_bytes_per_ms=bandwidth_bytes_per_ms,
+        PAPER_CELL.with_overrides(
+            dataset=dataset, algorithm="saga", max_updates=updates,
+            seed=seed,
+            network={**PAPER_CELL.network,
+                     "bandwidth_bytes_per_ms": bandwidth_bytes_per_ms},
         ),
         {"params.mode": list(modes)},
     )
@@ -666,15 +589,11 @@ def ablation_broadcast(
         ["naive/history", naive.elapsed_ms / max(hist.elapsed_ms, 1e-9),
          naive_bytes / max(hist_bytes, 1), ""],
     ]
-    out = {
-        "headers": ["mode", "time (ms)", "broadcast+fetch bytes", "err"],
-        "rows": rows,
-        "cells": results,
-    }
-    if verbose:
-        print(format_table(out["headers"], rows,
-                           title="Ablation - ASYNCbroadcast vs naive table broadcast (SAGA)"))
-    return out
+    return _table(
+        "Ablation - ASYNCbroadcast vs naive table broadcast (SAGA)",
+        ["mode", "time (ms)", "broadcast+fetch bytes", "err"],
+        rows, verbose, results,
+    )
 
 
 def ablation_barriers(
@@ -687,33 +606,27 @@ def ablation_barriers(
 ) -> dict:
     """Barrier-control strategies under a straggler (Listing 2)."""
     swept = _sweep(
-        ExperimentSpec(
+        PAPER_CELL.with_overrides(
             dataset=dataset, algorithm="asgd", delay=delay,
             max_updates=updates, seed=seed,
         ),
-        {"barrier": list(barriers)},
+        {"policy": list(barriers)},
     )
     rows = []
     cells = {}
     for barrier in barriers:
         res = swept[(barrier,)]
-        target = res.initial_error * REGISTRY[dataset].target_rel
         rows.append([
             barrier, res.elapsed_ms, res.updates,
-            res.time_to_error(max(target, res.final_error * 1.05)),
-            res.final_error, res.avg_wait_ms,
+            _time_to_target(dataset, res), res.final_error, res.avg_wait_ms,
         ])
         cells[barrier] = res
-    out = {
-        "headers": ["barrier", "time (ms)", "updates", "t_target(ms)",
-                    "err", "wait (ms)"],
-        "rows": rows,
-        "cells": cells,
-    }
-    if verbose:
-        print(format_table(out["headers"], rows,
-                           title=f"Ablation - barrier control under {delay}"))
-    return out
+    return _table(
+        f"Ablation - barrier control under {delay}",
+        ["barrier", "time (ms)", "updates", "t_target(ms)", "err",
+         "wait (ms)"],
+        rows, verbose, cells,
+    )
 
 
 def ablation_granularity(
@@ -736,11 +649,11 @@ def ablation_granularity(
     local updates per partition, slot average on collect) — the two
     workloads only expressible once the pipeline speaks in partitions.
     """
-    base = ExperimentSpec(
-        dataset=dataset, algorithm="asgd", delay=delay,
+    base = PAPER_CELL.with_overrides(
+        dataset=dataset, algorithm="asgd", policy="asp", delay=delay,
         num_workers=num_workers, num_partitions=num_partitions,
         max_updates=updates, seed=seed,
-    ).to_api_spec()
+    )
     cells_spec = {
         "asgd/worker": base,
         "asgd/partition": base.with_overrides(granularity="partition"),
@@ -753,26 +666,20 @@ def ablation_granularity(
     rows = []
     cells = {}
     for label, res in zip(cells_spec, results):
-        target = res.initial_error * REGISTRY[dataset].target_rel
         rows.append([
             label, res.elapsed_ms, res.updates,
             res.extras.get("collected", res.updates),
-            res.time_to_error(max(target, res.final_error * 1.05)),
-            res.final_error,
+            _time_to_target(dataset, res), res.final_error,
             res.extras.get("max_partition_staleness_seen",
                            res.extras.get("max_staleness_seen", "")),
         ])
         cells[label] = res
-    out = {
-        "headers": ["granularity", "time (ms)", "updates", "collected",
-                    "t_target(ms)", "err", "max staleness"],
-        "rows": rows,
-        "cells": cells,
-    }
-    if verbose:
-        print(format_table(out["headers"], rows,
-                           title=f"Ablation - dispatch granularity under {delay}"))
-    return out
+    return _table(
+        f"Ablation - dispatch granularity under {delay}",
+        ["granularity", "time (ms)", "updates", "collected", "t_target(ms)",
+         "err", "max staleness"],
+        rows, verbose, cells,
+    )
 
 
 def ablation_policies(
@@ -806,38 +713,35 @@ def ablation_policies(
     ``&`` composition — and every cell is a plain JSON spec, so the whole
     ablation is reproducible from the CLI.
     """
-    base = ExperimentSpec(
+    base = PAPER_CELL.with_overrides(
         dataset=dataset, algorithm=algorithm, delay=delay,
         num_workers=num_workers, num_partitions=num_partitions,
-        max_updates=updates, seed=seed, local_steps=local_steps,
-    ).to_api_spec()
-    cells_spec = {p: base.with_overrides(barrier=None, policy=p)
-                  for p in policies}
+        max_updates=updates, seed=seed,
+        params=(
+            {"local_steps": local_steps}
+            if OPTIMIZERS.canonical(algorithm) == "fedavg" else {}
+        ),
+    )
+    cells_spec = {p: base.with_overrides(policy=p) for p in policies}
     results = _run_specs(list(cells_spec.values()))
     rows = []
     cells = {}
     for label, res in zip(cells_spec, results):
-        target = res.initial_error * REGISTRY[dataset].target_rel
         rows.append([
             label, res.elapsed_ms, res.updates,
             res.extras.get("collected", res.updates),
-            res.time_to_error(max(target, res.final_error * 1.05)),
-            res.final_error,
+            _time_to_target(dataset, res), res.final_error,
             res.extras.get("max_partition_staleness_seen",
                            res.extras.get("max_staleness_seen", "")),
             res.extras.get("migrations", 0),
         ])
         cells[label] = res
-    out = {
-        "headers": ["policy", "time (ms)", "updates", "collected",
-                    "t_target(ms)", "err", "max staleness", "migrations"],
-        "rows": rows,
-        "cells": cells,
-    }
-    if verbose:
-        print(format_table(out["headers"], rows,
-                           title=f"Ablation - scheduling policies ({algorithm} under {delay})"))
-    return out
+    return _table(
+        f"Ablation - scheduling policies ({algorithm} under {delay})",
+        ["policy", "time (ms)", "updates", "collected", "t_target(ms)",
+         "err", "max staleness", "migrations"],
+        rows, verbose, cells,
+    )
 
 
 def ablation_staleness_lr(
@@ -848,10 +752,9 @@ def ablation_staleness_lr(
 ) -> dict:
     """Staleness-dependent learning rate (Listing 1) under PCS."""
     swept = _sweep(
-        ExperimentSpec(
-            dataset=dataset, algorithm="asgd", delay="pcs",
-            num_workers=32, num_partitions=32,
-            max_updates=updates, seed=seed,
+        PAPER_CELL.with_overrides(
+            dataset=dataset, algorithm="asgd", policy="asp", delay="pcs",
+            num_workers=32, max_updates=updates, seed=seed,
             batch_fraction=REGISTRY[dataset].b_pcs,
         ),
         {"staleness_adaptive": [False, True]},
@@ -864,15 +767,11 @@ def ablation_staleness_lr(
         rows.append([label, res.final_error, res.elapsed_ms,
                      res.extras.get("max_staleness_seen", "")])
         cells[label] = res
-    out = {
-        "headers": ["step rule", "final err", "time (ms)", "max staleness"],
-        "rows": rows,
-        "cells": cells,
-    }
-    if verbose:
-        print(format_table(out["headers"], rows,
-                           title="Ablation - staleness-dependent learning rate (PCS)"))
-    return out
+    return _table(
+        "Ablation - staleness-dependent learning rate (PCS)",
+        ["step rule", "final err", "time (ms)", "max staleness"],
+        rows, verbose, cells,
+    )
 
 
 def ablation_compression(
@@ -895,9 +794,7 @@ def ablation_compression(
     wire savings visible in simulated wall-clock, not just in the byte
     counts.
     """
-    from repro.api.spec import ExperimentSpec as ApiSpec
-
-    base = ApiSpec(
+    base = ExperimentSpec(
         algorithm="asgd", dataset={"name": "synth_logistic", "d": d},
         problem="logistic", num_workers=num_workers,
         max_updates=updates, eval_every=max(updates // 10, 1), seed=seed,
@@ -929,18 +826,12 @@ def ablation_compression(
             raw, wire, ratio,
         ])
         cells[label] = res
-    out = {
-        "headers": ["compressor", "final err", "err vs none", "time (ms)",
-                    "collect raw B", "collect wire B", "ratio"],
-        "rows": rows,
-        "cells": cells,
-    }
-    if verbose:
-        print(format_table(
-            out["headers"], rows,
-            title=f"Ablation - gradient compression (asgd, d={d})",
-        ))
-    return out
+    return _table(
+        f"Ablation - gradient compression (asgd, d={d})",
+        ["compressor", "final err", "err vs none", "time (ms)",
+         "collect raw B", "collect wire B", "ratio"],
+        rows, verbose, cells,
+    )
 
 
 def ablation_history_depth(
@@ -962,13 +853,11 @@ def ablation_history_depth(
     bounded curvature history buys; per-cell ``history_bytes`` shows
     what it costs.
     """
-    from repro.api.spec import ExperimentSpec as ApiSpec
-
     problem = (
         "logistic" if REGISTRY[dataset].task == "classification"
         else "least_squares"
     )
-    base = ApiSpec(
+    base = ExperimentSpec(
         algorithm="async_lbfgs", dataset=dataset, problem=problem,
         num_workers=num_workers, num_partitions=num_partitions,
         delay=delay, max_updates=updates,
@@ -990,15 +879,9 @@ def ablation_history_depth(
             res.extras.get("history_bytes", 0),
         ])
         cells[label] = res
-    out = {
-        "headers": ["cell", "final err", "time (ms)", "pairs", "damped",
-                    "stale-rejected", "history bytes"],
-        "rows": rows,
-        "cells": cells,
-    }
-    if verbose:
-        print(format_table(
-            out["headers"], rows,
-            title=f"Ablation - L-BFGS history depth ({dataset} under {delay})",
-        ))
-    return out
+    return _table(
+        f"Ablation - L-BFGS history depth ({dataset} under {delay})",
+        ["cell", "final err", "time (ms)", "pairs", "damped",
+         "stale-rejected", "history bytes"],
+        rows, verbose, cells,
+    )

@@ -1,177 +1,29 @@
-"""Benchmark harness: frozen, hashable specs -> figure-ready summaries.
+"""Bench reducer: one run -> a figure-ready summary.
 
-A :class:`ExperimentSpec` here names everything an evaluation cell needs
-— dataset, algorithm, cluster size, straggler model, barrier, budgets —
-with every field a printable/hashable scalar (the specs key the result
-cache in :mod:`repro.bench.figures`). Execution routes through the
-declarative layer in :mod:`repro.api`: each bench spec converts to an
-:class:`repro.api.ExperimentSpec` (``to_api_spec``), is resolved by the
-shared registries, and runs via :func:`repro.api.runner.prepare_experiment`
-— the harness only adds the figure-oriented :class:`ExperimentResult`
-summary (error series, wait time, byte counters).
-
-String mini-languages (shared with the api registries):
-
-- delay: ``"none"``, ``"cds:<intensity>"``, ``"pcs"``
-- barrier: ``"asp"``, ``"bsp"``, ``"ssp:<s>"``, ``"frac:<beta>"``,
-  ``"ct:<ratio>"``
+An evaluation cell is a plain :class:`repro.api.ExperimentSpec` (the
+figure drivers derive theirs from :data:`repro.bench.figures.PAPER_CELL`);
+this module only adds what the figures need on top of a run —
+:class:`ExperimentResult`: the error series, wait time and byte counters,
+in a form that round-trips through the sweep checkpoint.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.api.registry import BARRIERS, DELAY_MODELS
-from repro.api.spec import ExperimentSpec as ApiSpec
-from repro.api.runner import prepare_experiment
-from repro.cluster.stragglers import DelayModel
-from repro.core.barriers import BarrierPolicy
+from repro.api.spec import ExperimentSpec
 from repro.errors import ReproError
 from repro.metrics.wait_time import average_wait_ms
 
-__all__ = ["ExperimentSpec", "ExperimentResult", "run_experiment",
-           "run_api_experiment", "run_bench_cells", "parse_delay",
-           "parse_barrier"]
-
-_SAGA_ALGOS = {"saga", "asaga"}
-
-
-def parse_delay(token: str, num_workers: int, seed: int) -> DelayModel:
-    """Parse the delay mini-language via the registry."""
-    return DELAY_MODELS.create(
-        token, defaults={"num_workers": num_workers, "seed": seed}
-    )
-
-
-def parse_barrier(token: str) -> BarrierPolicy:
-    """Parse the barrier mini-language via the registry."""
-    return BARRIERS.create(token)
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One evaluation cell."""
-
-    dataset: str = "mnist8m_like"
-    algorithm: str = "sgd"  # sgd | asgd | saga | asaga | svrg | asvrg
-    num_workers: int = 8
-    num_partitions: int = 32
-    delay: str = "none"
-    barrier: str = "asp"
-    #: Scheduling-policy spelling (new surface, supersedes ``barrier``
-    #: when set): any registry token including ``&``/``|`` composition,
-    #: e.g. ``"ssp_partition:4"`` or ``"asp & fedasync:poly"``.
-    policy: str | None = None
-    batch_fraction: float | None = None
-    alpha0: float | None = None
-    max_updates: int = 100
-    max_time_ms: float = math.inf
-    eval_every: int = 2
-    seed: int = 0
-    saga_mode: str = "history"
-    svrg_inner: int = 10
-    staleness_adaptive: bool = False
-    pipeline_depth: int = 1
-    #: Submission unit for async rounds: "worker" or "partition".
-    granularity: str = "worker"
-    #: Local SGD steps per partition for the federated cells.
-    local_steps: int = 4
-    #: Analytic cost model knobs (ms); chosen so a mini-batch task costs a
-    #: few ms, like the paper's per-iteration times.
-    cost_overhead_ms: float = 1.0
-    cost_ms_per_unit: float = 0.01
-    #: Interconnect model; defaults approximate 10 GbE.
-    net_latency_ms: float = 0.25
-    net_bandwidth_bytes_per_ms: float = 1.25e6
-
-    def is_async(self) -> bool:
-        from repro.api.registry import OPTIMIZERS
-
-        return self.algorithm in OPTIMIZERS and getattr(
-            OPTIMIZERS.get(self.algorithm), "is_async", False
-        )
-
-    def with_updates(self, max_updates: int, **kw) -> "ExperimentSpec":
-        return replace(self, max_updates=max_updates, **kw)
-
-    def to_api_spec(self) -> ApiSpec:
-        """The equivalent :class:`repro.api.ExperimentSpec`."""
-        if self.policy is not None:
-            # A bad token is a mis-keyed spec regardless of algorithm —
-            # fail fast (same invariant as the barrier check below).
-            from repro.core.policies import resolve_policy
-
-            resolve_policy(self.policy)
-            if not self.is_async():
-                # Unlike `barrier` (which defaults to "asp" on every
-                # cell and must be dropped for sync algorithms), a set
-                # `policy` is always intentional — mirror the api
-                # layer's rejection instead of silently running a
-                # baseline cell labeled as if the policy applied.
-                raise ReproError(
-                    f"policy {self.policy!r} has no effect on the "
-                    f"synchronous optimizer {self.algorithm!r}; drop it "
-                    "or use an asynchronous variant"
-                )
-        if not self.is_async():
-            # Sync cells never consult the barrier, but a bad token is a
-            # mis-keyed spec — fail fast like the pre-registry harness did.
-            parse_barrier(self.barrier)
-        use_policy = self.policy if self.is_async() else None
-        params: dict = {}
-        if self.algorithm in _SAGA_ALGOS:
-            params["mode"] = self.saga_mode
-        if self.algorithm in ("svrg", "asvrg"):
-            params["inner_iterations"] = self.svrg_inner
-        if self.algorithm in ("fedavg", "localsgd"):
-            params["local_steps"] = self.local_steps
-        return ApiSpec(
-            algorithm=self.algorithm,
-            dataset=self.dataset,
-            num_workers=self.num_workers,
-            num_partitions=self.num_partitions,
-            delay=self.delay,
-            # The bench layer carries a barrier field for every cell;
-            # synchronous algorithms never consult it (validated above),
-            # and the api layer rejects the meaningless combination. A
-            # set ``policy`` supersedes the ``barrier`` token.
-            barrier=(
-                self.barrier
-                if self.is_async() and use_policy is None else None
-            ),
-            policy=use_policy,
-            alpha0=self.alpha0,
-            staleness_adaptive=self.staleness_adaptive,
-            batch_fraction=self.batch_fraction,
-            max_updates=self.max_updates,
-            max_time_ms=None if math.isinf(self.max_time_ms) else self.max_time_ms,
-            eval_every=self.eval_every,
-            seed=self.seed,
-            pipeline_depth=self.pipeline_depth,
-            granularity=self.granularity,
-            params=params,
-            cost={
-                "overhead_ms": self.cost_overhead_ms,
-                "ms_per_unit": self.cost_ms_per_unit,
-            },
-            network={
-                "latency_ms": self.net_latency_ms,
-                "bandwidth_bytes_per_ms": self.net_bandwidth_bytes_per_ms,
-            },
-        )
+__all__ = ["ExperimentResult", "run_api_experiment"]
 
 
 @dataclass
 class ExperimentResult:
-    """Lightweight, figure-ready summary of one run.
+    """Lightweight, figure-ready summary of one run."""
 
-    ``spec`` is whichever spec flavor drove the cell: a bench
-    :class:`ExperimentSpec` (``run_experiment``) or an api
-    :class:`repro.api.ExperimentSpec` (``run_api_experiment``).
-    """
-
-    spec: object
+    spec: ExperimentSpec
     final_error: float
     initial_error: float
     elapsed_ms: float
@@ -196,15 +48,11 @@ class ExperimentResult:
 
     # -- checkpoint serialization ------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-safe form for the sweep checkpoint stream.
-
-        The spec is normalized to its api-dict form (bench specs convert
-        via ``to_api_spec``), so the row is host- and process-agnostic —
-        the same contract :class:`repro.api.parallel.SweepCheckpoint`
-        lines already follow.
-        """
+        """JSON-safe form: what crosses process and host boundaries and
+        what the sweep checkpoint records (non-scalar extras stay
+        behind)."""
         return {
-            "spec": ApiSpec.coerce(self.spec).to_dict(),
+            "spec": self.spec.to_dict(),
             "final_error": float(self.final_error),
             "initial_error": float(self.initial_error),
             "elapsed_ms": float(self.elapsed_ms),
@@ -222,7 +70,7 @@ class ExperimentResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentResult":
-        """Rebuild a checkpointed row (spec comes back as an api spec).
+        """Rebuild a result from its wire / checkpoint form.
 
         ``error_series`` is required: ``run_grid`` summary checkpoints
         share the same file format and spec keys but carry
@@ -236,7 +84,7 @@ class ExperimentResult:
                 "interchangeable with bench checkpoints"
             )
         return cls(
-            spec=ApiSpec.from_dict(data["spec"]),
+            spec=ExperimentSpec.from_dict(data["spec"]),
             final_error=data["final_error"],
             initial_error=data["initial_error"],
             elapsed_ms=data["elapsed_ms"],
@@ -250,8 +98,16 @@ class ExperimentResult:
         )
 
 
-def _result_from_prep(prep, spec) -> ExperimentResult:
-    """Run a prepared experiment and package the figure-ready summary."""
+def run_api_experiment(spec) -> ExperimentResult:
+    """Run one cell (a spec or its dict form) on a fresh simulated cluster.
+
+    Prepares through the per-process shared-component cache, so the
+    sweep engine's ``runner="bench"`` cells reuse one dataset and one
+    solved optimum per group.
+    """
+    from repro.api.parallel import prepare_shared
+
+    prep = prepare_shared(spec)
     problem = prep.problem
     with prep.make_context() as ctx:
         result = prep.run_in(ctx)
@@ -259,7 +115,7 @@ def _result_from_prep(prep, spec) -> ExperimentResult:
         errors = result.trace.errors(problem)
         series = list(zip(result.trace.times_ms, errors.tolist()))
         return ExperimentResult(
-            spec=spec,
+            spec=prep.spec,
             final_error=float(problem.error(result.w)),
             initial_error=float(problem.initial_error()),
             elapsed_ms=result.elapsed_ms,
@@ -273,129 +129,3 @@ def _result_from_prep(prep, spec) -> ExperimentResult:
             total_fetch_bytes=ctx.dispatcher.total_fetch_bytes,
             extras=dict(result.extras),
         )
-
-
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Execute one cell on a fresh simulated cluster via the spec layer."""
-    if not isinstance(spec, ExperimentSpec):
-        raise ReproError(
-            "bench run_experiment expects a repro.bench.harness."
-            f"ExperimentSpec, got {type(spec).__name__}; for api specs or "
-            "dicts use repro.api.run_experiment"
-        )
-    return _result_from_prep(prepare_experiment(spec.to_api_spec()), spec)
-
-
-def run_api_experiment(spec) -> ExperimentResult:
-    """Cell runner for the parallel sweep engine (``runner="bench"``).
-
-    Takes an api :class:`~repro.api.ExperimentSpec` (or its dict form),
-    prepares it through the per-process shared-component cache, and
-    returns the picklable figure-ready :class:`ExperimentResult`.
-    """
-    from repro.api.parallel import prepare_shared
-
-    prep = prepare_shared(spec)
-    return _result_from_prep(prep, prep.spec)
-
-
-def run_bench_cells(
-    api_specs,
-    *,
-    jobs: int = 1,
-    executor=None,
-    checkpoint=None,
-    resume: bool = False,
-    progress=None,
-    fabric=None,
-) -> list[ExperimentResult]:
-    """Run bench cells with JSONL checkpoint/resume; results in input order.
-
-    The checkpoint stream is the same host-agnostic format
-    :class:`repro.api.parallel.SweepCheckpoint` writes for ``run_grid``:
-    one ``{"index", "key", "summary"}`` line per finished cell, where
-    ``key`` is the cell's canonical spec JSON (:func:`~repro.api.
-    parallel.run_key`) and ``summary`` is ``ExperimentResult.to_dict()``.
-    Because figure batches re-slice the same cells in different orders,
-    ``resume`` matches rows by *key* (not index): a line restores any
-    requested cell with the same canonical spec, so interrupted figure
-    sweeps and re-parameterized batches both reuse finished work.
-
-    ``progress(k, total, result)`` fires per completed cell (restored
-    rows first), like ``run_grid``'s hook.
-
-    ``fabric`` (any :func:`repro.fabric.parse_fabric` spelling) executes
-    pending cells on the distributed sweep fabric with ``runner="bench"``
-    — workers ship ``ExperimentResult.to_dict()`` payloads back over the
-    wire, so figure sweeps ride coordinator/worker execution unchanged.
-    ``jobs``/``executor`` are ignored in fabric mode.
-    """
-    from repro.api.parallel import SweepCheckpoint, run_cells, run_key
-    from repro.api.spec import ExperimentSpec as _ApiSpec
-
-    specs = [_ApiSpec.coerce(s) for s in api_specs]
-    keys = [run_key(s) for s in specs]
-    ckpt = SweepCheckpoint(checkpoint) if checkpoint is not None else None
-    if resume and ckpt is None:
-        raise ReproError("resume requires a checkpoint path")
-
-    total = len(specs)
-    results: list[ExperimentResult | None] = [None] * total
-    completed = 0
-    if resume:
-        ckpt.seal()  # a crashed writer's torn tail must not eat appends
-        by_key = {
-            key: summary
-            for _index, key, summary in ckpt.entries()
-            if key is not None and summary is not None
-        }
-        for i, key in enumerate(keys):
-            if key in by_key:
-                results[i] = ExperimentResult.from_dict(by_key[key])
-                if progress is not None:
-                    progress(completed, total, results[i])
-                completed += 1
-    elif ckpt is not None:
-        ckpt.reset()
-
-    pending = [i for i in range(total) if results[i] is None]
-    if pending and fabric is not None:
-        from repro.fabric import run_fabric_cells, status_path_for
-
-        def on_fabric_result(index: int, key: str, wire: dict) -> None:
-            nonlocal completed
-            results[index] = ExperimentResult.from_dict(wire)
-            if ckpt is not None:
-                ckpt.append(index, key, wire)
-            if progress is not None:
-                progress(completed, total, results[index])
-            completed += 1
-
-        run_fabric_cells(
-            [(i, keys[i], specs[i].to_dict()) for i in pending],
-            fabric=fabric,
-            runner="bench",
-            on_result=on_fabric_result,
-            status_path=(
-                status_path_for(ckpt.path) if ckpt is not None else None
-            ),
-        )
-    elif pending:
-        def on_result(pending_i: int, result: ExperimentResult) -> None:
-            nonlocal completed
-            index = pending[pending_i]
-            results[index] = result
-            if ckpt is not None:
-                ckpt.append(index, keys[index], result.to_dict())
-            if progress is not None:
-                progress(completed, total, result)
-            completed += 1
-
-        run_cells(
-            [specs[i] for i in pending],
-            runner="bench",
-            jobs=jobs,
-            executor=executor,
-            on_result=on_result,
-        )
-    return results

@@ -18,17 +18,6 @@ them together, with the API of Table 1: ``async_reduce``,
 ``has_next``, ``async_broadcast`` and ``STAT``.
 """
 
-from repro.core.barriers import (
-    ASP,
-    BSP,
-    SSP,
-    AndBarrier,
-    BarrierPolicy,
-    CompletionTimeBarrier,
-    LambdaBarrier,
-    MinAvailableFraction,
-    OrBarrier,
-)
 from repro.core.broadcaster import AsyncBroadcaster, HistoryBroadcast
 from repro.core.context import ASYNCContext
 from repro.core.coordinator import Coordinator
@@ -38,10 +27,15 @@ from repro.core.history import (
     RetentionPolicy,
 )
 from repro.core.policies import (
+    ASP,
+    BSP,
+    SSP,
     AndPolicy,
     ClientSampling,
+    CompletionTimeBarrier,
     LambdaPolicy,
     MigrateSlow,
+    MinAvailableFraction,
     OrPolicy,
     PartitionCompletionFilter,
     PartitionSSP,
@@ -82,13 +76,9 @@ __all__ = [
     "TaskResultRecord",
     "WorkerStatus",
     "PartitionStatus",
-    "BarrierPolicy",
     "ASP",
     "BSP",
     "SSP",
     "MinAvailableFraction",
     "CompletionTimeBarrier",
-    "LambdaBarrier",
-    "AndBarrier",
-    "OrBarrier",
 ]

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.core.barriers import BarrierPolicy, as_barrier  # noqa: F401
-from repro.core.policies import SchedulingPolicy, as_policy
 from repro.core.broadcaster import AsyncBroadcaster, HistoryBroadcast
 from repro.core.coordinator import Coordinator
 from repro.core.history import HistoryStore
+from repro.core.policies import SchedulingPolicy, as_policy
 from repro.core.records import TaskResultRecord
 from repro.core.scheduler import AsyncScheduler
 from repro.core.stat import StatTable
@@ -51,7 +50,7 @@ class ASYNCContext:
     def __init__(
         self,
         ctx: ClusterContext,
-        default_barrier: SchedulingPolicy | Callable[[StatTable], bool] | None = None,
+        policy: SchedulingPolicy | Callable[[StatTable], bool] | None = None,
         pipeline_depth: int = 1,
     ) -> None:
         self.ctx = ctx
@@ -64,16 +63,13 @@ class ASYNCContext:
         # HIST store: broadcast channels and server-side history share
         # one namespace, one accounting, one checkpoint surface.
         self.broadcaster = AsyncBroadcaster(ctx, store=self.history)
-        self.default_barrier = as_policy(default_barrier)
+        #: The scheduling policy used when a round names none (ASP
+        #: unless ``policy`` says otherwise).
+        self.default_policy = as_policy(policy)
         #: The run's :class:`~repro.comm.manager.CommManager` (collect
         #: compression + byte ledger); the server loop installs it here
         #: and on the broadcaster. ``None`` = pre-COMM byte paths.
         self.comm: Any = None
-
-    @property
-    def default_policy(self) -> SchedulingPolicy:
-        """The scheduling policy used when a round names none (new spelling)."""
-        return self.default_barrier
 
     # -- server-side history -----------------------------------------------------
     @property

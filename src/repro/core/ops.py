@@ -16,7 +16,7 @@ import copy
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.cluster.backend import WorkerEnv
-from repro.core.barriers import BarrierPolicy, as_barrier
+from repro.core.policies import SchedulingPolicy, as_policy
 from repro.core.stat import StatTable
 from repro.engine.rdd import RDD
 from repro.engine.taskcontext import task_env
@@ -40,7 +40,7 @@ class BarrierRDD(RDD):
     compute, policy discovered by the scheduler via lineage.
     """
 
-    def __init__(self, parent: RDD, policy: BarrierPolicy, stat: StatTable):
+    def __init__(self, parent: RDD, policy: SchedulingPolicy, stat: StatTable):
         super().__init__(parent.ctx, deps=[parent])
         self.policy = policy
         self.stat = stat
@@ -52,14 +52,14 @@ class BarrierRDD(RDD):
 
 def async_barrier(
     rdd: RDD,
-    policy: BarrierPolicy | Callable[[StatTable], bool],
+    policy: SchedulingPolicy | Callable[[StatTable], bool],
     stat: StatTable,
 ) -> BarrierRDD:
     """Attach a barrier policy (accepts a policy object or a predicate)."""
-    return BarrierRDD(rdd, as_barrier(policy), stat)
+    return BarrierRDD(rdd, as_policy(policy), stat)
 
 
-def find_barrier(rdd: RDD) -> BarrierPolicy | None:
+def find_barrier(rdd: RDD) -> SchedulingPolicy | None:
     """Nearest barrier annotation in the lineage, if any."""
     stack = [rdd]
     seen: set[int] = set()
@@ -113,7 +113,7 @@ class RoundPlan:
     def __init__(
         self,
         source: RDD,
-        policy: BarrierPolicy,
+        policy: SchedulingPolicy,
         fraction: float | None,
         kernel: Callable[[Any, Any, int], Any],
         reduce: Callable[[Any, Any], Any],
@@ -204,7 +204,7 @@ def async_reduce(
     partition id — the stream partition-granular update rules (Hogwild,
     federated averaging) consume.
     """
-    policy = find_barrier(rdd) or ac.default_barrier
+    policy = find_barrier(rdd) or ac.default_policy
     return ac.scheduler.submit_round(
         rdd, _worker_reduce_factory(rdd, f), policy, granularity
     )
@@ -219,7 +219,7 @@ def async_aggregate(
     granularity: str = "worker",
 ) -> list[int]:
     """Worker-local aggregate with a neutral zero value (Table 1)."""
-    policy = find_barrier(rdd) or ac.default_barrier
+    policy = find_barrier(rdd) or ac.default_policy
     return ac.scheduler.submit_round(
         rdd, _worker_aggregate_factory(rdd, zero, seq_op, comb_op), policy,
         granularity,

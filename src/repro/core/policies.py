@@ -5,8 +5,8 @@ questions — "may a round proceed?" and "to which workers?". The STAT
 table now carries richer signals (per-partition staleness and completion
 times), and the interesting scheduling disciplines in the asynchronous
 optimization literature are *policies over staleness and participation*,
-not just barriers. :class:`SchedulingPolicy` generalizes the old
-two-method ``BarrierPolicy`` into four orthogonal hooks:
+not just barriers. :class:`SchedulingPolicy` generalizes the two-method
+barrier (``ready``/``eligible``) into four orthogonal hooks:
 
 ===================  ========================================================
 hook                 role
@@ -25,8 +25,20 @@ hook                 role
 Every hook has a neutral default (`ready` = "anyone free", `select` =
 "everything admitted by :meth:`eligible`", ``weight`` = 1.0, ``place`` =
 no moves), so a policy overrides only the axes it cares about and the
-classic barriers (ASP/BSP/SSP/...) remain thin adapters: they implement
-``ready``/``eligible`` exactly as before and inherit the rest.
+classic barriers (Section 3 / Listing 2) are thin adapters: they
+implement ``ready``/``eligible`` and inherit the rest.
+
+- **ASP** (asynchronous parallel): proceed as soon as any worker can take
+  a task. The paper writes this as ``STAT.foreach(true)``; on a driver
+  that spins, submitting to zero workers is a no-op, so requiring one
+  available worker is the same semantics without busy-waiting.
+- **BSP** (bulk synchronous): wait for *all* alive workers.
+- **SSP(s)** (stale synchronous): proceed only while the maximum in-flight
+  staleness is below the threshold ``s``.
+
+:class:`MinAvailableFraction` is the ⌊β·P⌋ available-fraction rule of
+Algorithm 2, and :class:`CompletionTimeBarrier` withholds tasks from
+abnormally slow workers in the spirit of [69].
 
 Policies compose with ``&`` (both must be ready; selections chain left
 to right — the intersection, for pure filters; weights multiply;
@@ -38,12 +50,14 @@ max). The same grammar works in string form — ``"ssp:4 & sample:0.3"``
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from repro.api.registry import BARRIERS, register_policy
+from repro.api.registry import POLICIES, register_policy
 from repro.core.stat import StatTable
+from repro.errors import ApiError
 from repro.utils.rng import spawn_generator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,6 +69,11 @@ __all__ = [
     "LambdaPolicy",
     "AndPolicy",
     "OrPolicy",
+    "ASP",
+    "BSP",
+    "SSP",
+    "MinAvailableFraction",
+    "CompletionTimeBarrier",
     "PartitionSSP",
     "PartitionCompletionFilter",
     "ClientSampling",
@@ -91,10 +110,9 @@ class SchedulingPolicy:
     """Decides when, where, with what weight, and on which worker work runs.
 
     Subclasses override any combination of the four hooks. The default
-    :meth:`select` routes through the legacy :meth:`eligible` worker
-    filter, so policies written against the old two-method barrier API
-    participate unchanged — including user ``eligible`` orders, which
-    still decide dispatch order exactly as before.
+    :meth:`select` routes through the :meth:`eligible` worker filter, so
+    two-method barriers participate unchanged — including user
+    ``eligible`` orders, which decide dispatch order.
     """
 
     # -- the four protocol hooks -------------------------------------------------
@@ -110,8 +128,7 @@ class SchedulingPolicy:
 
         The default admits every candidate whose worker passes
         :meth:`eligible`, ordered by that worker filter (ties — multiple
-        partitions on one worker — keep their candidate order). This is
-        bit-compatible with the old ``eligible``-only dispatch.
+        partitions on one worker — keep their candidate order).
         """
         order = {w: i for i, w in enumerate(self.eligible(stat))}
         picked = [t for t in candidates if t.worker in order]
@@ -136,13 +153,12 @@ class SchedulingPolicy:
         """
         return {}
 
-    # -- legacy surface ---------------------------------------------------------
+    # -- the barrier-level worker filter ----------------------------------------
     def eligible(self, stat: StatTable) -> list[int]:
         """Workers to dispatch to; defaults to every available worker.
 
-        Retained from the old ``BarrierPolicy`` API: the default
-        :meth:`select` is defined in terms of it, so two-method barrier
-        subclasses keep their exact semantics.
+        The default :meth:`select` is defined in terms of it, so
+        two-method barrier subclasses only state a worker filter.
         """
         return stat.available_workers()
 
@@ -203,7 +219,7 @@ class LambdaPolicy(SchedulingPolicy):
         self,
         ready_fn: Callable[[StatTable], bool] | None = None,
         eligible_fn: Callable[[StatTable], list[int]] | None = None,
-        name: str = "LambdaBarrier",
+        name: str = "LambdaPolicy",
         *,
         select_fn: Callable[[StatTable, list[Target]], list[Target]] | None = None,
         weight_fn: Callable[["TaskResultRecord", StatTable], float] | None = None,
@@ -345,7 +361,110 @@ def _load_compose_state(
 
 
 # ---------------------------------------------------------------------------
-# Concrete policies exercising the new hooks.
+# The classic barriers: admission-only policies.
+# ---------------------------------------------------------------------------
+
+@register_policy("asp")
+class ASP(SchedulingPolicy):
+    """Fully asynchronous: dispatch whenever anyone is free."""
+
+    def ready(self, stat: StatTable) -> bool:
+        return stat.num_available >= 1
+
+
+@register_policy("bsp")
+class BSP(SchedulingPolicy):
+    """Bulk synchronous: dispatch only when every alive worker is free."""
+
+    def ready(self, stat: StatTable) -> bool:
+        return stat.num_alive > 0 and stat.num_available == stat.num_alive
+
+
+@register_policy("ssp")
+class SSP(SchedulingPolicy):
+    """Stale synchronous parallel with staleness threshold ``s``.
+
+    Workers proceed while no in-flight computation is more than ``s``
+    model updates behind; otherwise dispatch stalls until stragglers
+    deliver.
+    """
+
+    def __init__(self, threshold: int) -> None:
+        if threshold < 1:
+            raise ValueError("SSP threshold must be >= 1")
+        self.threshold = threshold
+
+    def ready(self, stat: StatTable) -> bool:
+        return stat.num_available >= 1 and stat.max_staleness < self.threshold
+
+    def describe(self) -> str:
+        return f"SSP(s={self.threshold})"
+
+
+@register_policy("frac", aliases=("min_available_fraction",))
+class MinAvailableFraction(SchedulingPolicy):
+    """Algorithm 2's bounded-availability rule: need ⌊β·P⌋ free workers."""
+
+    def __init__(self, beta: float) -> None:
+        if not 0.0 < beta <= 1.0:
+            raise ValueError("beta must be in (0, 1]")
+        self.beta = beta
+
+    def ready(self, stat: StatTable) -> bool:
+        need = max(1, math.floor(self.beta * len(stat)))
+        return stat.num_available >= need
+
+    def describe(self) -> str:
+        return f"MinAvailableFraction(beta={self.beta})"
+
+
+@register_policy("ct", aliases=("completion_time",))
+class CompletionTimeBarrier(SchedulingPolicy):
+    """Performance-based barrier in the spirit of [69].
+
+    Ready when any acceptable worker is free; workers whose average task
+    completion time exceeds ``ratio`` x the cluster median are filtered
+    out of dispatch (they finish their in-flight work but receive no new
+    tasks), keeping chronically slow machines from accumulating stale
+    work.
+
+    Workers with no completed tasks yet are always acceptable *and* are
+    excluded from the threshold: the median is taken only over workers
+    with completion history (``StatTable.median_completion_ms``), so
+    zero-sample rows early in a run can neither drag the threshold to
+    zero nor get themselves filtered before producing a single result.
+    """
+
+    def __init__(self, ratio: float = 2.0) -> None:
+        if ratio <= 0:
+            raise ValueError("ratio must be positive")
+        self.ratio = ratio
+
+    def _acceptable_workers(self, stat: StatTable) -> list[int]:
+        """Available workers passing the filter (threshold computed once)."""
+        available = stat.available_workers()
+        median = stat.median_completion_ms()
+        if median <= 0:  # nobody has history yet: everyone is acceptable
+            return available
+        cutoff = self.ratio * median
+        return [
+            w for w in available
+            if stat[w].tasks_completed == 0
+            or stat[w].avg_completion_ms <= cutoff
+        ]
+
+    def ready(self, stat: StatTable) -> bool:
+        return bool(self._acceptable_workers(stat))
+
+    def eligible(self, stat: StatTable) -> list[int]:
+        return self._acceptable_workers(stat)
+
+    def describe(self) -> str:
+        return f"CompletionTimeBarrier(ratio={self.ratio})"
+
+
+# ---------------------------------------------------------------------------
+# Policies exercising the select / weight / place hooks.
 # ---------------------------------------------------------------------------
 
 @register_policy("ssp_partition", aliases=("pssp",))
@@ -647,8 +766,6 @@ def as_policy(
     policy: SchedulingPolicy | Callable[[StatTable], bool] | None,
 ) -> SchedulingPolicy:
     """Coerce user input (policy object, plain predicate, None) to a policy."""
-    from repro.core.barriers import ASP  # circular-safe: barriers imports us
-
     if policy is None:
         return ASP()
     if isinstance(policy, SchedulingPolicy):
@@ -665,15 +782,13 @@ def parse_policy(
 
     Terms are registry spellings (``"name"`` / ``"name:arg"``); ``&``
     binds tighter than ``|``; there are no parentheses (compose in Python
-    for anything deeper). A single term is exactly ``BARRIERS.create``.
+    for anything deeper). A single term is exactly ``POLICIES.create``.
     """
     def term(token: str) -> SchedulingPolicy:
         token = token.strip()
         if not token:
-            from repro.errors import ApiError
-
             raise ApiError(f"empty term in policy expression {text!r}")
-        return BARRIERS.create(
+        return POLICIES.create(
             token, defaults=defaults, expect=SchedulingPolicy
         )
 
@@ -706,7 +821,7 @@ def resolve_policy(
     if isinstance(spec, str) and ("&" in spec or "|" in spec):
         return parse_policy(spec, defaults=defaults)
     if isinstance(spec, (str, Mapping)):
-        return BARRIERS.create(
+        return POLICIES.create(
             spec, defaults=defaults, expect=SchedulingPolicy
         )
     return as_policy(spec)

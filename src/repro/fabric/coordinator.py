@@ -29,6 +29,7 @@ from __future__ import annotations
 import os
 import json
 import socket
+import subprocess
 import threading
 import time
 from pathlib import Path
@@ -652,7 +653,7 @@ def run_fabric_cells(
         for proc in workers:
             try:
                 proc.wait(timeout=5.0)
-            except Exception:
+            except subprocess.TimeoutExpired:
                 proc.kill()
         for pub in publications:
             pub.unlink()

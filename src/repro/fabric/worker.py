@@ -34,7 +34,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Callable, Mapping
 
 from repro.comm.frames import encode_frame
 from repro.errors import FabricError, ProtocolError, ReproError
@@ -167,13 +167,11 @@ class SweepWorker:
             "key": cell["key"],
         }
         try:
-            result = resolve_runner(runner)(cell["spec"])
+            summary = resolve_runner(runner)(cell["spec"])
         except ReproError as exc:
             return {**base, "error": f"{type(exc).__name__}: {exc}"}
         except Exception as exc:  # noqa: BLE001 - report, don't die
             return {**base, "error": f"{type(exc).__name__}: {exc}"}
-        to_dict = getattr(result, "to_dict", None)
-        summary: Any = to_dict() if callable(to_dict) else result
         return {**base, "summary": encode_frame(summary)}
 
     def _run_lease(self, conn: socket.socket, lease: dict) -> bool:

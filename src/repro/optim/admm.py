@@ -30,7 +30,6 @@ from scipy import linalg as sp_linalg
 from scipy import sparse
 
 from repro.api.registry import register_optimizer
-from repro.core.barriers import ASP
 from repro.core.ops import find_barrier
 from repro.data.blocks import MatrixBlock
 from repro.engine.taskcontext import current_env, record_cost
@@ -188,13 +187,13 @@ class ADMMRule(UpdateRule):
         return self.opt.ctx.broadcast(np.array(z, copy=True))
 
     def dispatch(self, handle, seed):
-        opt, ac = self.opt, self.loop.ac
-        gated = opt.points.async_barrier(opt.barrier, ac.stat)
+        opt, ac, policy = self.opt, self.loop.ac, self.loop.policy
+        gated = opt.points.async_barrier(policy, ac.stat)
         # Dispatch one locally-reducing ADMM task per eligible worker.
         ac.scheduler.submit_round(
             gated,
             lambda w, splits, _z=handle: opt._worker_update_fn(_z, w, splits),
-            find_barrier(gated) or opt.barrier,
+            find_barrier(gated) or policy,
         )
 
     def apply(self, z, record, alpha):
@@ -225,11 +224,6 @@ class AsyncADMM(_ADMMBase):
 
     name = "aadmm"
     is_async = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if self.barrier is None:
-            self.barrier = ASP()
 
     def run(self) -> RunResult:
         return ServerLoop(self, ADMMRule()).run()

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_optimizer
-from repro.core.barriers import ASP
 from repro.optim.base import DistributedOptimizer, RunResult
 from repro.optim.loop import ServerLoop, UpdateRule
 from repro.optim.reducers import add_triples
@@ -109,8 +108,6 @@ class AsyncSAGA(DistributedOptimizer):
     def __init__(self, *args, mode: BroadcastMode = "history", **kwargs):
         super().__init__(*args, **kwargs)
         self.mode = mode
-        if self.barrier is None:
-            self.barrier = ASP()
 
     def run(self) -> RunResult:
         return ServerLoop(self, ASAGARule(self.mode)).run()

@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_optimizer
-from repro.core.barriers import ASP
 # Unused here: kept importable by name because the frozen benchmark's
 # test_asyncbench.py::test_wrappers_record_nesting_and_are_removed
 # asserts the tracer patches this module's reference too.
@@ -88,11 +87,6 @@ class AsyncSGD(DistributedOptimizer):
 
     name = "asgd"
     is_async = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if self.barrier is None:
-            self.barrier = ASP()
 
     def run(self) -> RunResult:
         return ServerLoop(self, ASGDRule()).run()

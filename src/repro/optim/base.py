@@ -152,7 +152,7 @@ class DistributedOptimizer:
 
     name = "base"
     #: Whether ``run()`` drives the asynchronous server loop. The spec
-    #: layer uses this to decide default barriers and step scaling.
+    #: layer uses this to decide step scaling and which fields apply.
     is_async = False
 
     def __init__(
@@ -162,24 +162,21 @@ class DistributedOptimizer:
         problem: Problem,
         step: StepSchedule,
         config: OptimizerConfig | None = None,
-        barrier: SchedulingPolicy | None = None,
         policy: SchedulingPolicy | None = None,
     ) -> None:
         if points.dim != problem.dim:
             raise OptimError(
                 f"data dim {points.dim} != problem dim {problem.dim}"
             )
-        if barrier is not None and policy is not None:
-            raise OptimError(
-                "'policy' is the new spelling of 'barrier'; pass only one"
-            )
         self.ctx = ctx
         self.points = points
         self.problem = problem
         self.step = step
         self.config = config or OptimizerConfig()
-        #: The run's scheduling policy (``barrier=`` is the legacy alias).
-        self.policy = policy if policy is not None else barrier
+        #: The run's scheduling policy; ``None`` means ASP (the server
+        #: loop coerces it once, so every asynchronous method shares the
+        #: default).
+        self.policy = policy
         self.n_total = points.n_rows
         #: A run snapshot (or bare server-state dict) to resume from;
         #: the spec layer sets it from ``restore_from`` and the server
@@ -192,15 +189,6 @@ class DistributedOptimizer:
         #: compression, delta broadcasting, byte ledger); ``None`` keeps
         #: every pre-COMM byte path bit-exact.
         self.comm: Any = None
-
-    @property
-    def barrier(self) -> SchedulingPolicy | None:
-        """Legacy alias for :attr:`policy` (the old two-hook name)."""
-        return self.policy
-
-    @barrier.setter
-    def barrier(self, value: SchedulingPolicy | None) -> None:
-        self.policy = value
 
     # -- helpers shared by subclasses -------------------------------------------------
     def _round_seed(self, round_idx: int) -> int:

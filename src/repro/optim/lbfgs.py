@@ -36,7 +36,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_optimizer
-from repro.core.barriers import ASP
 from repro.errors import OptimError
 from repro.optim.base import DistributedOptimizer, RunResult, bc_value
 from repro.optim.loop import ServerLoop, UpdateRule
@@ -247,8 +246,6 @@ class AsyncLBFGS(DistributedOptimizer):
         self.damping = damping
         self.pair_every = pair_every
         self.direction_clip = direction_clip
-        if self.barrier is None:
-            self.barrier = ASP()
 
     def run(self) -> RunResult:
         return ServerLoop(

@@ -19,13 +19,16 @@ an :class:`UpdateRule` — the mathematics that distinguishes it:
 hook                    role
 ======================  ========================================================
 ``publish(w)``          ship the model; returns the handle tasks will read
+``sample_fraction()``   mini-batch rate the round draws; ``None`` = kernel samples
 ``kernel(block, h, s)`` worker-side computation over one data block
 ``reduce(a, b)``        combine two worker-local partials
 ``apply(w, rec, a)``    server-side update; ``None`` skips (e.g. empty batch)
-``on_collect(rec)``     observe every collected record as it streams in
+``apply_batch(...)``    vectorized ``apply`` over a drain, gated by
+                        ``batch_ready()`` (per run) / ``batch_accepts(rec)``
 ``setup(w)``            once, before the metrics window opens (e.g. SAGA init)
 ``begin_epoch(w)``      epoch boundary work for ``epoch_length`` rules (SVRG)
 ``dispatch(h, seed)``   override the whole submission round (ADMM)
+``algorithm_label()``   name reported in RunResult / snapshots
 ``extras()``            algorithm-specific entries merged into RunResult.extras
 ======================  ========================================================
 
@@ -113,9 +116,6 @@ class UpdateRule:
         return self.loop.ac.history
 
     # -- once-per-run hooks ------------------------------------------------------------
-    def initial_point(self):
-        return self.opt.problem.initial_point()
-
     def setup(self, w) -> None:
         """Pre-loop work, excluded from the run's metrics window."""
 
@@ -123,9 +123,6 @@ class UpdateRule:
         """Epoch-boundary work for rules with ``epoch_length`` set."""
 
     # -- per-round hooks ---------------------------------------------------------------
-    def round_seed(self, rounds: int) -> int:
-        return self.opt._round_seed(rounds + self.seed_offset)
-
     def publish(self, w) -> Any:
         """Broadcast the model; the return value is the kernel's handle."""
         raise NotImplementedError
@@ -156,15 +153,6 @@ class UpdateRule:
         self.plan.submit(handle, seed)
 
     # -- per-result hooks --------------------------------------------------------------
-    def on_collect(self, record: "TaskResultRecord") -> None:
-        """Observe a collected result the moment it streams in.
-
-        Called for *every* record the loop pops — including late results
-        rejected by the update budget — before ``apply`` is consulted.
-        Partition-granular rules use it to maintain per-partition server
-        state (``record.partition`` identifies the source partition).
-        """
-
     def apply(self, w, record: "TaskResultRecord", alpha: float | None):
         """One server-side model update; return the new ``w``.
 
@@ -280,7 +268,7 @@ class ServerLoop:
         self.policy = as_policy(opt.policy)
         self.ac = ASYNCContext(
             opt.ctx,
-            default_barrier=self.policy,
+            policy=self.policy,
             pipeline_depth=opt.config.pipeline_depth,
         )
         #: The run's COMM subsystem (``opt.comm``; spec ``compressor``):
@@ -363,7 +351,7 @@ class ServerLoop:
         restore = self.restore_state
         full = restore if is_run_snapshot(restore) else None
 
-        w = rule.initial_point()
+        w = opt.problem.initial_point()
         trace = ConvergenceTrace()
         updates = 0
         rounds = 0
@@ -431,7 +419,6 @@ class ServerLoop:
             # The policy's contribution weight rides on the record: step
             # rules scale alpha by it, averaging rules blend slots by it.
             record.weight = float(self.policy.weight(record, ac.stat))
-            rule.on_collect(record)
             if updates >= cfg.max_updates:
                 return  # budget exhausted; drop late results
             t = updates + 1
@@ -484,7 +471,7 @@ class ServerLoop:
             if rule.epoch_length is not None and epoch_rounds_left == 0:
                 rule.begin_epoch(w)
                 epoch_rounds_left = rule.epoch_length
-            seed = rule.round_seed(rounds)
+            seed = opt._round_seed(rounds + rule.seed_offset)
             # Version-keyed broadcast payload cache: a round that
             # republishes an unchanged model version reuses the previous
             # handle (no new broadcast registration, no worker re-fetch

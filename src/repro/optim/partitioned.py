@@ -29,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_optimizer
-from repro.core.barriers import ASP
 from repro.data.blocks import MatrixBlock
 from repro.engine.taskcontext import record_cost
 from repro.errors import OptimError
@@ -59,11 +58,6 @@ class HogwildSGD(DistributedOptimizer):
 
     name = "hogwild"
     is_async = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if self.barrier is None:
-            self.barrier = ASP()
 
     def run(self) -> RunResult:
         return ServerLoop(self, HogwildRule()).run()
@@ -221,8 +215,6 @@ class FederatedAveraging(DistributedOptimizer):
         super().__init__(*args, **kwargs)
         self.local_steps = local_steps
         self.local_alpha = local_alpha
-        if self.barrier is None:
-            self.barrier = ASP()
 
     def run(self) -> RunResult:
         return ServerLoop(

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_optimizer
-from repro.core.barriers import ASP
 from repro.data.blocks import MatrixBlock
 from repro.engine.taskcontext import record_cost
 from repro.errors import OptimError
@@ -212,11 +211,6 @@ class AsyncSVRG(_SVRGBase):
     name = "asvrg"
     is_async = True
     uses_history = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if self.barrier is None:
-            self.barrier = ASP()
 
     def run(self) -> RunResult:
         return ServerLoop(self, ASVRGRule(self.inner_iterations)).run()

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.api.registry import (
-    BARRIERS,
     DELAY_MODELS,
     OPTIMIZERS,
+    POLICIES,
     PROBLEMS,
     STEPS,
     Registry,
 )
 from repro.cluster.stragglers import ControlledDelay, NoDelay, ProductionCluster
-from repro.core.barriers import (
+from repro.core.policies import (
     ASP,
     BSP,
     SSP,
@@ -28,17 +28,17 @@ def test_builtin_components_registered():
 
     assert {"sgd", "asgd", "saga", "asaga", "svrg", "asvrg", "admm",
             "aadmm"} <= set(OPTIMIZERS.names())
-    assert {"asp", "bsp", "ssp", "frac", "ct"} <= set(BARRIERS.names())
+    assert {"asp", "bsp", "ssp", "frac", "ct"} <= set(POLICIES.names())
     assert {"constant", "inv_sqrt", "poly"} <= set(STEPS.names())
     assert {"none", "cds", "pcs"} <= set(DELAY_MODELS.names())
     assert {"least_squares", "ridge", "logistic"} <= set(PROBLEMS.names())
 
 
 def test_unknown_name_lists_available():
-    with pytest.raises(ApiError, match="unknown barrier 'nope'"):
-        BARRIERS.get("nope")
+    with pytest.raises(ApiError, match="unknown policy 'nope'"):
+        POLICIES.get("nope")
     with pytest.raises(ApiError, match="asp"):
-        BARRIERS.get("nope")  # error message names the alternatives
+        POLICIES.get("nope")  # error message names the alternatives
 
 
 def test_api_error_is_repro_error():
@@ -55,21 +55,21 @@ def test_duplicate_registration_rejected():
 
 
 def test_alias_resolves_to_canonical():
-    assert BARRIERS.get("min_available_fraction") is BARRIERS.get("frac")
-    assert BARRIERS.get("completion_time") is BARRIERS.get("ct")
+    assert POLICIES.get("min_available_fraction") is POLICIES.get("frac")
+    assert POLICIES.get("completion_time") is POLICIES.get("ct")
 
 
 def test_create_from_bare_name():
-    assert isinstance(BARRIERS.create("asp"), ASP)
-    assert isinstance(BARRIERS.create("bsp"), BSP)
+    assert isinstance(POLICIES.create("asp"), ASP)
+    assert isinstance(POLICIES.create("bsp"), BSP)
 
 
 def test_create_from_token_coerces_first_param():
-    ssp = BARRIERS.create("ssp:5")
+    ssp = POLICIES.create("ssp:5")
     assert isinstance(ssp, SSP) and ssp.threshold == 5
-    frac = BARRIERS.create("frac:0.5")
+    frac = POLICIES.create("frac:0.5")
     assert isinstance(frac, MinAvailableFraction) and frac.beta == 0.5
-    ct = BARRIERS.create("ct:2.5")
+    ct = POLICIES.create("ct:2.5")
     assert isinstance(ct, CompletionTimeBarrier) and ct.ratio == 2.5
 
 
@@ -83,22 +83,22 @@ def test_create_from_dict():
 
 def test_create_dict_requires_name():
     with pytest.raises(ApiError, match="needs a 'name' key"):
-        BARRIERS.create({"threshold": 4})
+        POLICIES.create({"threshold": 4})
 
 
 def test_create_rejects_bad_params():
-    with pytest.raises(ApiError, match="bad parameters for barrier 'ssp'"):
-        BARRIERS.create({"name": "ssp", "bogus": 1})
+    with pytest.raises(ApiError, match="bad parameters for policy 'ssp'"):
+        POLICIES.create({"name": "ssp", "bogus": 1})
 
 
 def test_create_rejects_non_spec():
     with pytest.raises(ApiError, match="cannot interpret"):
-        BARRIERS.create(42)
+        POLICIES.create(42)
 
 
 def test_create_passes_instances_through():
     asp = ASP()
-    assert BARRIERS.create(asp, expect=ASP) is asp
+    assert POLICIES.create(asp, expect=ASP) is asp
 
 
 def test_defaults_injected_only_when_accepted_and_missing():

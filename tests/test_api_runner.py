@@ -117,22 +117,6 @@ def test_custom_registered_optimizer_runs_without_explicit_step():
     assert result.algorithm == "asgd_custom_test"
 
 
-def test_cross_layer_spec_interop():
-    """api run_experiment accepts bench specs; bench rejects api specs
-    with a pointer to the right entry point."""
-    from repro.bench import harness
-
-    bench_spec = harness.ExperimentSpec(
-        dataset="tiny_dense", algorithm="asgd", num_workers=4,
-        num_partitions=8, max_updates=6, seed=0,
-    )
-    result = run_experiment(bench_spec)  # auto-converted via to_api_spec
-    assert result.updates == 6
-    with pytest.raises(ReproError, match="repro.api.run_experiment"):
-        harness.run_experiment({"algorithm": "asgd",
-                                "dataset": "tiny_dense"})
-
-
 def test_null_params_treated_as_empty():
     result = run_experiment({"algorithm": "asgd", "dataset": "tiny_dense",
                              "max_updates": 4, "params": None})
@@ -170,10 +154,10 @@ def test_wrong_typed_config_field_becomes_api_error():
 
 def test_bad_component_values_become_api_errors():
     """ValueErrors from component constructors surface as ApiError."""
-    with pytest.raises(ApiError, match="bad parameters for barrier 'ssp'"):
+    with pytest.raises(ApiError, match="bad parameters for policy 'ssp'"):
         run_experiment({"algorithm": "asgd", "dataset": "tiny_dense",
                         "barrier": "ssp:0", "max_updates": 4})
-    with pytest.raises(ApiError, match="bad parameters for barrier 'frac'"):
+    with pytest.raises(ApiError, match="bad parameters for policy 'frac'"):
         run_experiment({"algorithm": "asgd", "dataset": "tiny_dense",
                         "barrier": "frac:2.0", "max_updates": 4})
 
@@ -251,7 +235,7 @@ def test_grid_sweep_runs_every_cell():
     )
     assert len(summaries) == 4
     assert calls == [(0, 4), (1, 4), (2, 4), (3, 4)]
-    assert [s["spec"]["barrier"] for s in summaries] == [
+    assert [s["spec"]["policy"] for s in summaries] == [
         "asp", "asp", "bsp", "bsp"]
     assert all(s["updates"] == 12 for s in summaries)
     assert all(s["final_error"] < s["initial_error"] for s in summaries)

@@ -101,3 +101,38 @@ def test_version_string():
     import repro
 
     assert repro.__version__ == "1.1.0"
+
+
+def test_design_scoreboard_only_goes_down():
+    """ROADMAP's quality-of-design numbers, as a ratchet: lower a bound
+    when a PR shrinks the surface, never raise one."""
+    import importlib
+    import pkgutil
+    from dataclasses import fields
+
+    import repro
+    from repro.optim.loop import UpdateRule
+
+    assert len(fields(repro.ExperimentSpec)) <= 27
+    assert len(fields(OptimizerConfig)) <= 11
+    public = {
+        name: attr for name, attr in vars(UpdateRule).items()
+        if not name.startswith("_")
+    }
+    methods = [
+        name for name, attr in public.items()
+        if callable(attr) or isinstance(attr, property)
+    ]
+    flags = sorted(set(public) - set(methods))
+    assert len(methods) <= 16, methods
+    assert len(flags) <= 6, flags
+    # One spec type: every ``ExperimentSpec`` importable under ``repro``
+    # is the same class.
+    specs = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":
+            continue
+        found = getattr(importlib.import_module(info.name), "ExperimentSpec", None)
+        if isinstance(found, type):
+            specs.add(found)
+    assert specs == {repro.ExperimentSpec}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import ASP, BSP, SSP, ASYNCContext
-from repro.core.barriers import LambdaBarrier
+from repro.core.policies import LambdaPolicy
 from repro.errors import AsyncContextError, SchedulerError, TaskError
 
 
@@ -83,7 +83,7 @@ def test_staleness_increases_with_updates(ctx):
 
 
 def test_bsp_barrier_waits_for_all(ctx):
-    ac = ASYNCContext(ctx, default_barrier=BSP())
+    ac = ASYNCContext(ctx, policy=BSP())
     rdd = ctx.parallelize(range(8), 4)
     submit_square_round(ac, rdd)
     # Second round with BSP: barrier drains all 4 in-flight tasks first.
@@ -94,7 +94,7 @@ def test_bsp_barrier_waits_for_all(ctx):
 
 
 def test_ssp_barrier_blocks_dispatch_until_fresh(ctx):
-    ac = ASYNCContext(ctx, default_barrier=SSP(2))
+    ac = ASYNCContext(ctx, policy=SSP(2))
     rdd = ctx.parallelize(range(8), 4)
     submit_square_round(ac, rdd)
     # Apply many updates: in-flight work is now >=2 stale, SSP must wait
@@ -107,7 +107,7 @@ def test_ssp_barrier_blocks_dispatch_until_fresh(ctx):
 def test_barrier_from_lineage_used(ctx):
     ac = ASYNCContext(ctx)
     rdd = ctx.parallelize(range(8), 4)
-    only_even = LambdaBarrier(
+    only_even = LambdaPolicy(
         lambda s: True,
         eligible_fn=lambda s: [w for w in s.available_workers() if w % 2 == 0],
     )
@@ -119,7 +119,7 @@ def test_barrier_from_lineage_used(ctx):
 
 def test_unsatisfiable_barrier_raises(ctx):
     ac = ASYNCContext(
-        ctx, default_barrier=LambdaBarrier(lambda s: False, name="never")
+        ctx, policy=LambdaPolicy(lambda s: False, name="never")
     )
     rdd = ctx.parallelize(range(8), 4)
     with pytest.raises(SchedulerError, match="never"):

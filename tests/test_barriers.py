@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.core.barriers import (
+from repro.core.policies import (
     ASP,
     BSP,
     SSP,
     CompletionTimeBarrier,
-    LambdaBarrier,
+    LambdaPolicy,
     MinAvailableFraction,
-    as_barrier,
+    as_policy,
 )
 from repro.core.stat import StatTable
 
@@ -87,14 +87,14 @@ def test_completion_time_accepts_fresh_workers():
 
 
 def test_lambda_barrier_wraps_predicate():
-    b = LambdaBarrier(lambda stat: stat.num_available >= 2, name="mine")
+    b = LambdaPolicy(lambda stat: stat.num_available >= 2, name="mine")
     assert b.ready(make_stat(busy=(0,)))
     assert not b.ready(make_stat(busy=(0, 1, 2)))
     assert b.describe() == "mine"
 
 
 def test_lambda_barrier_custom_eligibility():
-    b = LambdaBarrier(
+    b = LambdaPolicy(
         lambda stat: True,
         eligible_fn=lambda stat: [w for w in stat.available_workers()
                                   if w % 2 == 0],
@@ -117,29 +117,29 @@ def test_or_combinator():
 
 
 def test_and_eligibility_intersection():
-    a = LambdaBarrier(lambda s: True, eligible_fn=lambda s: [0, 1, 2])
-    b = LambdaBarrier(lambda s: True, eligible_fn=lambda s: [1, 2, 3])
+    a = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [0, 1, 2])
+    b = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [1, 2, 3])
     assert (a & b).eligible(make_stat()) == [1, 2]
 
 
 def test_or_eligibility_union_stable():
-    a = LambdaBarrier(lambda s: True, eligible_fn=lambda s: [2, 0])
-    b = LambdaBarrier(lambda s: True, eligible_fn=lambda s: [1, 0])
+    a = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [2, 0])
+    b = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [1, 0])
     assert (a | b).eligible(make_stat()) == [2, 0, 1]
 
 
 def test_as_barrier_coercions():
-    assert isinstance(as_barrier(None), ASP)
-    assert isinstance(as_barrier(BSP()), BSP)
-    wrapped = as_barrier(lambda stat: True)
+    assert isinstance(as_policy(None), ASP)
+    assert isinstance(as_policy(BSP()), BSP)
+    wrapped = as_policy(lambda stat: True)
     assert wrapped.ready(make_stat())
     with pytest.raises(TypeError):
-        as_barrier(42)
+        as_policy(42)
 
 
 def test_paper_listing2_asp_spelling():
     """Listing 2: `STAT.foreach(true)` == a predicate that's always true."""
-    b = as_barrier(lambda stat: all(True for _ in stat))
+    b = as_policy(lambda stat: all(True for _ in stat))
     stat = make_stat(busy=(0, 1, 2, 3))
     # With everyone busy the policy is formally ready but has nobody to
     # dispatch to; eligibility is empty.

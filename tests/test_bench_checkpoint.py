@@ -4,39 +4,36 @@ import json
 
 import pytest
 
-from repro.api.parallel import run_key
-from repro.api.spec import ExperimentSpec as ApiSpec
-from repro.bench.harness import (
-    ExperimentResult,
-    ExperimentSpec,
-    run_bench_cells,
-    run_experiment,
-)
+from repro.api.parallel import run_key, run_sweep_cells
+from repro.api.spec import ExperimentSpec
+from repro.bench.figures import PAPER_CELL
+from repro.bench.harness import ExperimentResult, run_api_experiment
 from repro.errors import ReproError
 
+CELL = PAPER_CELL.with_overrides(
+    dataset="tiny_dense", algorithm="asgd", policy="asp", num_workers=2,
+    num_partitions=4, max_updates=6,
+)
 
-def _specs(n=2, **overrides):
-    base = dict(
-        dataset="tiny_dense", algorithm="asgd", num_workers=2,
-        num_partitions=4, max_updates=6, eval_every=2,
+
+def _specs(n=2):
+    return [CELL.with_overrides(seed=seed) for seed in range(n)]
+
+
+def run_bench_cells(specs, **kwargs):
+    """The figure drivers' call into the one checkpointed sweep driver."""
+    return run_sweep_cells(
+        specs, runner="bench", decode=ExperimentResult.from_dict, **kwargs
     )
-    base.update(overrides)
-    return [
-        ExperimentSpec(**base, seed=seed).to_api_spec() for seed in range(n)
-    ]
 
 
 # -- serialization round trip --------------------------------------------------------
 def test_experiment_result_round_trips_through_json():
-    spec = ExperimentSpec(
-        dataset="tiny_dense", algorithm="asgd", num_workers=2,
-        num_partitions=4, max_updates=6, eval_every=2,
-    )
-    result = run_experiment(spec)
+    result = run_api_experiment(CELL)
     wire = json.loads(json.dumps(result.to_dict()))  # full JSON round trip
     back = ExperimentResult.from_dict(wire)
-    assert isinstance(back.spec, ApiSpec)
-    assert back.spec == spec.to_api_spec()
+    assert isinstance(back.spec, ExperimentSpec)
+    assert back.spec == CELL
     assert back.final_error == result.final_error
     assert back.initial_error == result.initial_error
     assert back.elapsed_ms == result.elapsed_ms
@@ -50,11 +47,7 @@ def test_experiment_result_round_trips_through_json():
 
 
 def test_to_dict_keeps_only_scalar_extras():
-    spec = ExperimentSpec(
-        dataset="tiny_dense", algorithm="asgd", num_workers=2,
-        num_partitions=4, max_updates=6, eval_every=2,
-    )
-    result = run_experiment(spec)
+    result = run_api_experiment(CELL)
     result.extras["unpicklable"] = object()
     wire = result.to_dict()
     assert "unpicklable" not in wire["extras"]
@@ -124,12 +117,47 @@ def test_bench_resume_matches_by_key_across_batch_shapes(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel_mod, "run_cells", counting)
     # reversed order + one unseen cell: only the unseen cell runs.
     out = run_bench_cells(list(reversed(specs)), checkpoint=ckpt, resume=True)
-    assert [ApiSpec.coerce(s) for s in executed] == [specs[2]]
+    assert [ExperimentSpec.coerce(s) for s in executed] == [specs[2]]
     assert [r.spec for r in out] == list(reversed(specs))
     # and the fresh cell was appended, so a further resume runs nothing.
     executed.clear()
     run_bench_cells(specs, checkpoint=ckpt, resume=True)
     assert executed == []
+
+
+def test_bench_resume_decodes_rows_recorded_with_barrier_key(tmp_path, monkeypatch):
+    """Figure checkpoints written while async cells carried
+    ``barrier="asp"`` restore as today's specs, with nothing re-run."""
+    def recorded_with_barrier(spec_dict):
+        old = dict(spec_dict)
+        old["barrier"] = old.pop("policy")
+        return old
+
+    ckpt = tmp_path / "bench.ckpt.jsonl"
+    specs = _specs(2)
+    first = run_bench_cells(specs, checkpoint=ckpt)
+    lines = []
+    for raw in ckpt.read_text().splitlines():
+        entry = json.loads(raw)
+        entry["key"] = json.dumps(
+            recorded_with_barrier(json.loads(entry["key"])),
+            sort_keys=True, separators=(",", ":"),
+        )
+        assert '"barrier":"asp"' in entry["key"]
+        assert '"policy"' not in entry["key"]
+        entry["summary"]["spec"] = recorded_with_barrier(entry["summary"]["spec"])
+        lines.append(json.dumps(entry, separators=(",", ":")))
+    ckpt.write_text("\n".join(lines) + "\n")
+
+    from repro.api import parallel as parallel_mod
+
+    monkeypatch.setattr(
+        parallel_mod, "run_cells",
+        lambda *a, **kw: pytest.fail("a recorded cell was re-run"),
+    )
+    second = run_bench_cells(specs, checkpoint=ckpt, resume=True)
+    assert [r.spec for r in second] == specs
+    assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
 
 
 def test_bench_resume_requires_checkpoint_path():

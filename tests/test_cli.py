@@ -52,7 +52,7 @@ def test_sweep_writes_one_summary_per_cell(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "2 cell(s)" in printed
     results = json.loads(out.read_text())
-    assert [r["spec"]["barrier"] for r in results] == ["asp", "ssp:2"]
+    assert [r["spec"]["policy"] for r in results] == ["asp", "ssp:2"]
 
 
 def _write_grid(path, max_updates=10):
@@ -97,6 +97,33 @@ def test_sweep_streams_default_checkpoint_and_resumes(tmp_path, capsys):
     assert "resume" in capsys.readouterr().out
     assert json.loads(out.read_text()) == full
     assert len(ckpt.read_text().splitlines()) == 3
+
+
+def test_sweep_resumes_checkpoint_recorded_with_barrier_key(tmp_path, capsys):
+    """The compatibility fixture's checkpoint as the previous version
+    wrote it — ``barrier`` in every key and recorded spec, no ``policy``
+    — resumes through the CLI: nothing re-run, and the progress lines
+    and ``--out`` have today's shape."""
+    spec = tmp_path / "grid.json"
+    spec.write_text((SPECS / "asgd_barrier_sweep.json").read_text())
+    out = tmp_path / "results.json"
+    assert main(["sweep", str(spec), "--out", str(out)]) == 0
+    full = json.loads(out.read_text())
+    ckpt = tmp_path / "grid.ckpt.jsonl"
+    lines = []
+    for raw in ckpt.read_text().splitlines():
+        entry = json.loads(raw)
+        old = entry["summary"]["spec"]
+        old["barrier"] = old.pop("policy")
+        entry["key"] = json.dumps(old, sort_keys=True, separators=(",", ":"))
+        lines.append(json.dumps(entry, separators=(",", ":")))
+    ckpt.write_text("\n".join(lines) + "\n")
+    out.unlink()
+    capsys.readouterr()
+    assert main(["sweep", str(spec), "--resume", "--out", str(out)]) == 0
+    assert "policy=frac:0.5" in capsys.readouterr().out
+    assert json.loads(out.read_text()) == full
+    assert ckpt.read_text().splitlines() == lines  # no cell re-run
 
 
 def test_sweep_no_checkpoint_conflicts_are_clean_errors(tmp_path, capsys):
@@ -166,7 +193,7 @@ def test_bad_component_value_is_a_clean_error(tmp_path, capsys):
                                 "barrier": "ssp:0", "max_updates": 4}))
     assert main(["run", str(spec)]) == 2
     err = capsys.readouterr().err
-    assert "bad parameters for barrier 'ssp'" in err
+    assert "bad parameters for policy 'ssp'" in err
 
 
 def test_wrong_typed_field_is_a_clean_error(tmp_path, capsys):

@@ -84,7 +84,7 @@ def test_fedavg_blend_path_batching_parity():
 
 def test_thread_backend_batching_parity():
     """Same parity on real threads (single worker: deterministic)."""
-    from repro.api.registry import BARRIERS
+    from repro.api.registry import POLICIES
     from repro.cluster.threadbackend import ThreadBackend
     from repro.data.synthetic import make_dense_regression
     from repro.engine.context import ClusterContext
@@ -107,7 +107,7 @@ def test_thread_backend_batching_parity():
                 InvSqrtDecay(0.5).scaled_for_async(1),
                 OptimizerConfig(batch_fraction=0.25, max_updates=12, seed=0,
                                 batch_apply=batch_apply),
-                barrier=BARRIERS.create("asp"),
+                policy=POLICIES.create("asp"),
             ).run()
 
     a, b = run(True), run(False)

@@ -1,18 +1,34 @@
-"""Experiment harness: spec parsing, end-to-end cells, caching."""
+"""Bench reducer: token parsing, end-to-end cells, caching."""
 
 import math
 
 import pytest
 
-from repro.bench.harness import (
-    ExperimentSpec,
-    parse_barrier,
-    parse_delay,
-    run_experiment,
-)
+from repro.api.registry import DELAY_MODELS, OPTIMIZERS
+from repro.bench.figures import PAPER_CELL
+from repro.bench.harness import run_api_experiment
 from repro.cluster.stragglers import ControlledDelay, NoDelay, ProductionCluster
-from repro.core.barriers import ASP, BSP, SSP, CompletionTimeBarrier, MinAvailableFraction
+from repro.core.policies import (
+    ASP,
+    BSP,
+    SSP,
+    CompletionTimeBarrier,
+    MinAvailableFraction,
+    resolve_policy,
+)
 from repro.errors import ReproError
+
+#: The tiny cell these tests vary: PAPER_CELL's cost/network models on
+#: the smallest dataset.
+TINY_CELL = PAPER_CELL.with_overrides(
+    dataset="tiny_dense", num_workers=4, num_partitions=8,
+)
+
+
+def parse_delay(token, num_workers, seed):
+    return DELAY_MODELS.create(
+        token, defaults={"num_workers": num_workers, "seed": seed}
+    )
 
 
 def test_parse_delay_tokens():
@@ -29,23 +45,16 @@ def test_parse_delay_tokens():
 
 
 def test_parse_barrier_tokens():
-    assert isinstance(parse_barrier("asp"), ASP)
-    assert isinstance(parse_barrier("bsp"), BSP)
-    ssp = parse_barrier("ssp:5")
+    assert isinstance(resolve_policy("asp"), ASP)
+    assert isinstance(resolve_policy("bsp"), BSP)
+    ssp = resolve_policy("ssp:5")
     assert isinstance(ssp, SSP) and ssp.threshold == 5
-    frac = parse_barrier("frac:0.5")
+    frac = resolve_policy("frac:0.5")
     assert isinstance(frac, MinAvailableFraction) and frac.beta == 0.5
-    ct = parse_barrier("ct:2.5")
+    ct = resolve_policy("ct:2.5")
     assert isinstance(ct, CompletionTimeBarrier) and ct.ratio == 2.5
     with pytest.raises(ReproError):
-        parse_barrier("nope")
-
-
-def test_spec_is_hashable_and_frozen():
-    spec = ExperimentSpec()
-    assert hash(spec) == hash(ExperimentSpec())
-    with pytest.raises(Exception):
-        spec.dataset = "other"  # type: ignore[misc]
+        resolve_policy("nope")
 
 
 @pytest.mark.parametrize("algorithm,is_async", [
@@ -53,74 +62,56 @@ def test_spec_is_hashable_and_frozen():
     ("svrg", False), ("asvrg", True),
 ])
 def test_every_algorithm_runs(algorithm, is_async):
-    spec = ExperimentSpec(
-        dataset="tiny_dense", algorithm=algorithm, num_workers=4,
-        num_partitions=8, max_updates=12, eval_every=4, seed=0,
+    spec = TINY_CELL.with_overrides(
+        algorithm=algorithm, max_updates=12, eval_every=4,
     )
-    assert spec.is_async() == is_async
-    res = run_experiment(spec)
+    assert OPTIMIZERS.get(algorithm).is_async == is_async
+    res = run_api_experiment(spec)
+    assert res.spec == spec
     assert res.updates == 12
     assert res.final_error < res.initial_error
     assert res.elapsed_ms > 0
     assert len(res.error_series) >= 2
 
 
-def test_bad_barrier_token_fails_fast_even_for_sync_cells():
-    spec = ExperimentSpec(dataset="tiny_dense", algorithm="sgd",
-                          num_workers=4, num_partitions=8, max_updates=4,
-                          barrier="sspp:4")
-    with pytest.raises(ReproError, match="unknown barrier"):
-        run_experiment(spec)
-
-
 def test_aadmm_is_async_and_honors_barrier():
-    """is_async derives from the registry, so aadmm's barrier is applied."""
-    spec = ExperimentSpec(
-        dataset="tiny_dense", algorithm="aadmm", num_workers=4,
-        num_partitions=8, max_updates=8, seed=0, barrier="bsp",
+    """is_async derives from the registry, so aadmm's policy is applied."""
+    spec = TINY_CELL.with_overrides(
+        algorithm="aadmm", max_updates=8, policy="bsp",
     )
-    assert spec.is_async()
-    res = run_experiment(spec)
+    res = run_api_experiment(spec)
     assert res.updates == 8
+    assert res.extras["policy"] == "BSP"
     assert "max_staleness_seen" in res.extras
 
 
 def test_result_time_to_error():
-    spec = ExperimentSpec(
-        dataset="tiny_dense", algorithm="sgd", num_workers=4,
-        num_partitions=8, max_updates=30, eval_every=2, seed=0,
-    )
-    res = run_experiment(spec)
+    res = run_api_experiment(TINY_CELL.with_overrides(max_updates=30))
     t = res.time_to_error(res.relative_target(0.5))
     assert 0 < t <= res.elapsed_ms
     assert math.isinf(res.time_to_error(1e-300))
 
 
 def test_straggler_slows_sync_run():
-    base = ExperimentSpec(
-        dataset="tiny_dense", algorithm="sgd", num_workers=4,
-        num_partitions=8, max_updates=20, seed=0,
+    base = TINY_CELL.with_overrides(max_updates=20)
+    slow = base.with_overrides(delay="cds:1.0")
+    assert (
+        run_api_experiment(slow).elapsed_ms
+        > run_api_experiment(base).elapsed_ms
     )
-    slow = ExperimentSpec(
-        dataset="tiny_dense", algorithm="sgd", num_workers=4,
-        num_partitions=8, max_updates=20, seed=0, delay="cds:1.0",
-    )
-    assert run_experiment(slow).elapsed_ms > run_experiment(base).elapsed_ms
 
 
 def test_saga_naive_mode_tracked():
-    spec = ExperimentSpec(
-        dataset="tiny_dense", algorithm="saga", num_workers=4,
-        num_partitions=8, max_updates=10, seed=0, saga_mode="naive",
+    spec = TINY_CELL.with_overrides(
+        algorithm="saga", max_updates=10, params={"mode": "naive"},
     )
-    res = run_experiment(spec)
+    res = run_api_experiment(spec)
     assert res.extras["naive_broadcast_bytes"] > 0
 
 
 def test_unknown_algorithm_rejected():
     with pytest.raises(ReproError):
-        run_experiment(ExperimentSpec(dataset="tiny_dense",
-                                      algorithm="quantum"))
+        run_api_experiment(TINY_CELL.with_overrides(algorithm="quantum"))
 
 
 def test_figures_cache_is_bounded(monkeypatch):
@@ -147,13 +138,13 @@ def test_figures_cache_reuses_runs(monkeypatch):
     from repro.bench import figures
 
     executed = []
-    real_run_cells = figures.run_bench_cells
+    real_run_cells = figures.run_sweep_cells
 
     def counting_run_cells(specs, **kwargs):
         executed.extend(specs)
         return real_run_cells(specs, **kwargs)
 
-    monkeypatch.setattr(figures, "run_bench_cells", counting_run_cells)
+    monkeypatch.setattr(figures, "run_sweep_cells", counting_run_cells)
     figures.clear_cache()
     try:
         kwargs = dict(

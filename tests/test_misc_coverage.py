@@ -101,13 +101,3 @@ def test_glom_on_matrix(ctx, small_data):
     groups = pts.glom().collect()
     assert len(groups) == 4
     assert all(len(g) == 1 for g in groups)
-
-
-def test_experiment_spec_with_updates_helper():
-    from repro.bench.harness import ExperimentSpec
-
-    base = ExperimentSpec(max_updates=10)
-    more = base.with_updates(50, seed=4)
-    assert more.max_updates == 50
-    assert more.seed == 4
-    assert base.max_updates == 10  # frozen original untouched

@@ -72,7 +72,7 @@ def test_worker_error_propagates():
         "base": dict(GRID["base"]),
         "grid": {"barrier": ["asp", "ssp:0"]},  # ssp:0 is invalid
     }
-    with pytest.raises(ApiError, match="bad parameters for barrier 'ssp'"):
+    with pytest.raises(ApiError, match="bad parameters for policy 'ssp'"):
         run_grid(bad, jobs=2)
 
 
@@ -85,7 +85,7 @@ def test_failed_sweep_keeps_completed_cells_in_checkpoint(tmp_path, jobs):
         "grid": {"barrier": ["asp", "ssp:0"]},
     }
     ck = tmp_path / "sweep.ckpt.jsonl"
-    with pytest.raises(ApiError, match="bad parameters for barrier 'ssp'"):
+    with pytest.raises(ApiError, match="bad parameters for policy 'ssp'"):
         run_grid(bad, jobs=jobs, checkpoint=ck)
     entries = [json.loads(line) for line in ck.read_text().splitlines()]
     assert [e["index"] for e in entries] == [0]  # the asp cell survived
@@ -93,8 +93,13 @@ def test_failed_sweep_keeps_completed_cells_in_checkpoint(tmp_path, jobs):
 
 def test_run_cells_bench_runner_returns_results_in_order():
     specs = GridSpec.coerce(GRID).expand()[:2]
-    results = run_cells(specs, runner="bench", jobs=2)
-    assert [r.spec.barrier for r in results] == ["asp", "asp"]
+    from repro.bench.harness import ExperimentResult
+
+    results = [
+        ExperimentResult.from_dict(wire)
+        for wire in run_cells(specs, runner="bench", jobs=2)
+    ]
+    assert [r.spec.policy for r in results] == ["asp", "asp"]
     assert all(r.final_error < r.initial_error for r in results)
 
 
@@ -133,7 +138,7 @@ def test_resume_runs_only_unfinished_cells(tmp_path, monkeypatch):
     orig = parallel._summary_cell
 
     def counting_cell(spec_dict):
-        executed.append(spec_dict["barrier"])
+        executed.append(spec_dict["policy"])
         return orig(spec_dict)
 
     monkeypatch.setattr(parallel, "_summary_cell", counting_cell)
@@ -171,13 +176,91 @@ def test_resume_accepts_parent_written_fuse_tasks_lines(tmp_path, monkeypatch):
     )
     resumed = run_grid(GRID, checkpoint=ck, resume=True)
     assert len(executed) == 3  # only the cells the old file lacked
-    assert resumed[3:] == full[3:]
-    # Restored summaries come back as recorded, legacy key included, and
-    # their spec still loads.
-    for old, new in zip(resumed[:3], full[:3]):
-        assert old["spec"].pop("fuse_tasks") is False
-        assert old == new
-        ExperimentSpec.from_dict({**old["spec"], "fuse_tasks": False})
+    # Restored summaries have the shape of fresh ones: the retired key is
+    # normalised out of the recorded spec as it is out of the run key.
+    assert resumed == full
+
+
+def _parent_spec_dict(spec, spelled):
+    """``spec.to_dict()`` as the commit before ``barrier`` was folded
+    into ``policy`` wrote it: ``barrier`` always present — carrying the
+    value when the user spelled it that way, null next to ``policy``
+    otherwise. (Checked byte for byte against that commit's ``run_key``
+    when this test was written.)"""
+    data = spec.to_dict()
+    data["barrier"] = data.pop("policy", None) if spelled == "barrier" else None
+    return data
+
+
+@pytest.mark.parametrize("spelled", ["barrier", "policy"])
+@pytest.mark.parametrize("runner", ["summary", "bench"])
+def test_resume_accepts_checkpoints_keyed_with_barrier(
+    tmp_path, monkeypatch, runner, spelled
+):
+    """Every key minted at the parent commit contains ``"barrier":``;
+    such a stream resumes with zero cells re-run, for both runners, and
+    every reader of its keys sees today's canonical form."""
+    from repro.api import parallel
+    from repro.fabric import read_status
+
+    specs = GridSpec.coerce(GRID).expand()[:4]
+    ck = tmp_path / "parent.ckpt.jsonl"
+    fresh = parallel.run_sweep_cells(specs, runner=runner, checkpoint=ck)
+    lines = []
+    for raw in ck.read_text().splitlines():
+        entry = json.loads(raw)
+        old = _parent_spec_dict(specs[entry["index"]], spelled)
+        entry["key"] = json.dumps(old, sort_keys=True, separators=(",", ":"))
+        assert '"barrier":' in entry["key"] and entry["key"] != run_key(old)
+        entry["summary"]["spec"] = old
+        lines.append(json.dumps(entry, separators=(",", ":")))
+    ck.write_text("\n".join(lines) + "\n")
+
+    monkeypatch.setattr(
+        parallel, "run_cells",
+        lambda *a, **kw: pytest.fail("a recorded cell was re-run"),
+    )
+    resumed = parallel.run_sweep_cells(
+        specs, runner=runner, checkpoint=ck, resume=True
+    )
+    assert resumed == fresh  # recorded specs included: no ``barrier`` comes back
+    assert ck.read_text().splitlines() == lines  # nothing re-appended
+    entries = SweepCheckpoint(ck).entries()
+    assert sorted(key for _i, key, _s in entries) == sorted(map(run_key, specs))
+    assert not any("barrier" in wire["spec"] for _i, _key, wire in entries)
+    assert read_status(ck)["recorded"] == len(specs)
+
+
+@pytest.mark.parametrize("runner", ["summary", "bench"])
+def test_relaunched_fabric_sweep_hands_the_checkpoint_to_the_coordinator(
+    tmp_path, monkeypatch, runner
+):
+    """The fabric branch passes ``resume_from`` whichever runner drives
+    it: a relaunched coordinator must seal and re-read the stream its
+    killed predecessor (and that predecessor's workers) wrote."""
+    import repro.fabric as fabric
+    from repro.api import parallel
+
+    specs = GridSpec.coerce(GRID).expand()[:2]
+    ck = tmp_path / "sweep.ckpt.jsonl"
+    parallel.run_sweep_cells(specs[:1], runner=runner, checkpoint=ck)
+    seen = []
+
+    def fake_fabric(cells, *, on_result, **kwargs):
+        seen.append({**kwargs, "indices": [index for index, _k, _s in cells]})
+        for index, key, spec_dict in cells:
+            on_result(index, key, parallel.resolve_runner(runner)(spec_dict))
+
+    monkeypatch.setattr(fabric, "run_fabric_cells", fake_fabric)
+    parallel.run_sweep_cells(
+        specs, runner=runner, checkpoint=ck, resume=True, fabric="local:1"
+    )
+    assert [(call["runner"], call["resume_from"], call["indices"])
+            for call in seen] == [(runner, ck, [1])]
+    parallel.run_sweep_cells(specs, runner=runner, checkpoint=ck,
+                             fabric="local:1")
+    assert seen[-1]["resume_from"] is None  # a fresh sweep has no past
+    assert seen[-1]["indices"] == [0, 1]
 
 
 def test_resume_with_pool_appends_only_missing_cells(tmp_path):
@@ -304,7 +387,7 @@ def test_run_key_is_canonical_and_order_insensitive():
 
 
 def test_component_key_stable_across_instances():
-    from repro.core.barriers import SSP
+    from repro.core.policies import SSP
 
     assert component_key("ssp:4") == "ssp:4"
     assert (component_key({"name": "ssp", "threshold": 4})

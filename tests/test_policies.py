@@ -2,19 +2,16 @@
 
 import pytest
 
-from repro.core.barriers import (
+from repro.core.policies import (
     ASP,
     BSP,
     SSP,
-    AndBarrier,
-    CompletionTimeBarrier,
-    LambdaBarrier,
-    OrBarrier,
-)
-from repro.core.policies import (
+    AndPolicy,
     ClientSampling,
+    CompletionTimeBarrier,
     LambdaPolicy,
     MigrateSlow,
+    OrPolicy,
     PartitionCompletionFilter,
     PartitionSSP,
     SchedulingPolicy,
@@ -107,7 +104,7 @@ def test_and_select_is_intersection_under_partition_granularity():
     a = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [0, 1])
     b = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [1, 2])
     both = a & b
-    assert isinstance(both, AndBarrier)
+    assert isinstance(both, AndPolicy)
     # eligible(): legacy worker-level intersection...
     assert both.eligible(stat) == [1]
     # ...and select(): the partition targets of that intersection only.
@@ -120,7 +117,7 @@ def test_or_select_is_stable_union_under_partition_granularity():
     a = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [2])
     b = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [0, 2])
     union = a | b
-    assert isinstance(union, OrBarrier)
+    assert isinstance(union, OrPolicy)
     assert union.eligible(stat) == [2, 0]
     # a's selection first, then b's additions — no duplicates.
     assert union.select(stat, cands) == partition_targets([(2, 2), (0, 0)])
@@ -365,8 +362,8 @@ def test_migrate_percentile_threshold_and_validation():
 def test_parse_policy_precedence_and_tokens():
     pol = parse_policy("ssp:4 & sample:0.5 | bsp")
     # '&' binds tighter: (ssp & sample) | bsp.
-    assert isinstance(pol, OrBarrier)
-    assert isinstance(pol.a, AndBarrier)
+    assert isinstance(pol, OrPolicy)
+    assert isinstance(pol.a, AndPolicy)
     assert isinstance(pol.a.a, SSP) and pol.a.a.threshold == 4
     assert isinstance(pol.a.b, ClientSampling)
     assert isinstance(pol.b, BSP)
@@ -375,7 +372,7 @@ def test_parse_policy_precedence_and_tokens():
 def test_parse_policy_rejects_bad_terms():
     with pytest.raises(ApiError, match="empty term"):
         parse_policy("asp & ")
-    with pytest.raises(ApiError, match="unknown barrier"):
+    with pytest.raises(ApiError, match="unknown policy"):
         parse_policy("asp & nope")
 
 
@@ -384,11 +381,11 @@ def test_resolve_policy_spellings():
     assert resolve_policy(ssp) is ssp
     assert isinstance(resolve_policy("asp"), ASP)
     composed = resolve_policy("asp & fedasync:poly")
-    assert isinstance(composed, AndBarrier)
+    assert isinstance(composed, AndPolicy)
     made = resolve_policy({"name": "migrate", "threshold": "p90"})
     assert isinstance(made, MigrateSlow) and made.percentile == 90.0
     wrapped = resolve_policy(lambda stat: True)
-    assert isinstance(wrapped, LambdaBarrier)
+    assert isinstance(wrapped, LambdaPolicy)
     # defaults inject context params the factory accepts.
     sampled = resolve_policy("sample:0.5", defaults={"seed": 9, "num_workers": 4})
     assert isinstance(sampled, ClientSampling) and sampled.seed == 9

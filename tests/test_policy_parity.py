@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.api import run_experiment
-from repro.api.registry import BARRIERS
+from repro.api.registry import POLICIES
 from repro.cluster.threadbackend import ThreadBackend
 from repro.data.synthetic import make_dense_regression
 from repro.engine.context import ClusterContext
@@ -77,11 +77,11 @@ def test_string_spec_matches_instance(barrier):
                 ctx, points, problem,
                 InvSqrtDecay(0.5).scaled_for_async(4),
                 OptimizerConfig(batch_fraction=0.25, max_updates=30, seed=0),
-                barrier=pol,
+                policy=pol,
             ).run()
 
     _assert_same_trajectory(
-        run(BARRIERS.create(barrier)), run(BARRIERS.create(barrier))
+        run(POLICIES.create(barrier)), run(POLICIES.create(barrier))
     )
 
 
@@ -133,7 +133,7 @@ def test_thread_backend_parity(barrier):
                 InvSqrtDecay(0.5).scaled_for_async(1),
                 OptimizerConfig(batch_fraction=0.25, max_updates=12, seed=0,
                                 granularity=granularity),
-                barrier=BARRIERS.create(barrier),
+                policy=POLICIES.create(barrier),
             ).run()
 
     a, b = run("worker"), run("partition")
@@ -321,20 +321,25 @@ def test_policy_less_spec_json_is_unchanged_by_the_new_field():
 
 
 def test_bench_spec_fails_fast_on_mis_keyed_policy():
-    from repro.bench.harness import ExperimentSpec as BenchSpec
+    from repro.bench.figures import PAPER_CELL
+    from repro.bench.harness import run_api_experiment
 
-    bad = BenchSpec(algorithm="sgd", policy="ssp_partiton:4")  # typo
-    with pytest.raises(ApiError, match="unknown barrier"):
-        bad.to_api_spec()
+    bad = PAPER_CELL.with_overrides(
+        dataset="tiny_dense", algorithm="asgd", policy="ssp_partiton:4",  # typo
+    )
+    with pytest.raises(ApiError, match="unknown policy"):
+        run_api_experiment(bad)
 
 
 def test_bench_spec_rejects_policy_on_sync_algorithm():
-    from repro.bench.harness import ExperimentSpec as BenchSpec
-    from repro.errors import ReproError
+    from repro.bench.figures import PAPER_CELL
+    from repro.bench.harness import run_api_experiment
 
-    sync = BenchSpec(algorithm="svrg", policy="fedasync:poly")
-    with pytest.raises(ReproError, match="no effect on the synchronous"):
-        sync.to_api_spec()
+    sync = PAPER_CELL.with_overrides(
+        dataset="tiny_dense", algorithm="svrg", policy="fedasync:poly",
+    )
+    with pytest.raises(ApiError, match="no effect on the synchronous"):
+        run_api_experiment(sync)
 
 
 def test_sampling_policy_seed_comes_from_spec():

@@ -87,11 +87,12 @@ def test_to_json_fallback_repr():
 
 def test_export_real_experiment(tmp_path):
     """End-to-end: run a tiny cell and export everything."""
-    from repro.bench.harness import ExperimentSpec, run_experiment
+    from repro.bench.figures import PAPER_CELL
+    from repro.bench.harness import run_api_experiment
 
-    res = run_experiment(ExperimentSpec(
-        dataset="tiny_dense", algorithm="sgd", num_workers=2,
-        num_partitions=4, max_updates=6, seed=0,
+    res = run_api_experiment(PAPER_CELL.with_overrides(
+        dataset="tiny_dense", num_workers=2, num_partitions=4,
+        max_updates=6,
     ))
     error_series_to_csv({"sgd": res.error_series}, tmp_path / "s.csv")
     to_json({"final_error": res.final_error, "spec": res.spec},

@@ -21,7 +21,7 @@ import pytest
 
 from repro.api.runner import prepare_experiment
 from repro.cluster.threadbackend import ThreadBackend
-from repro.core.barriers import ASP
+from repro.core.policies import ASP
 from repro.core.context import ASYNCContext
 from repro.core.ops import RoundPlan
 from repro.data.registry import get_dataset
@@ -151,7 +151,7 @@ def thread_run(granularity, num_partitions):
             granularity=granularity,
         )
         return AsyncSGD(
-            ctx, points, problem, InvSqrtDecay(0.5), config, barrier=ASP()
+            ctx, points, problem, InvSqrtDecay(0.5), config, policy=ASP()
         ).run()
 
 

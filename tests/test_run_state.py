@@ -26,7 +26,7 @@ from repro.core.stat import StatTable
 
 # -- policy state ----------------------------------------------------------------------
 def test_stateless_policies_have_empty_state():
-    from repro.core.barriers import ASP, SSP
+    from repro.core.policies import ASP, SSP
 
     for policy in (ASP(), SSP(4), SchedulingPolicy()):
         assert policy.state_dict() == {}

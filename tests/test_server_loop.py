@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import run_experiment
-from repro.core.barriers import BSP
+from repro.core.policies import BSP
 from repro.optim import (
     AsyncSAGA,
     AsyncSGD,
@@ -115,7 +115,7 @@ def test_custom_rule_respects_barriers(ctx, small_data):
     res = _SignSGD(
         ctx, points, problem, InvSqrtDecay(0.05),
         OptimizerConfig(batch_fraction=0.25, max_updates=12, seed=0),
-        barrier=BSP(),
+        policy=BSP(),
     ).run()
     assert res.updates == 12
     assert res.extras["max_staleness_seen"] <= ctx.num_workers

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.stragglers import ControlledDelay
-from repro.core.barriers import BSP, MinAvailableFraction
+from repro.core.policies import BSP, MinAvailableFraction
 from repro.engine.context import ClusterContext
 from repro.optim import (
     AsyncSGD,
@@ -107,7 +107,7 @@ def test_asgd_with_bsp_barrier_serializes_rounds(ctx, small_data):
     res = AsyncSGD(
         ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(4),
         OptimizerConfig(batch_fraction=0.25, max_updates=40, seed=0),
-        barrier=BSP(),
+        policy=BSP(),
     ).run()
     # BSP never lets staleness exceed the round in flight.
     assert res.extras["max_staleness_seen"] <= ctx.num_workers
@@ -119,7 +119,7 @@ def test_asgd_fraction_barrier(ctx, small_data):
     res = AsyncSGD(
         ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(4),
         OptimizerConfig(batch_fraction=0.25, max_updates=40, seed=0),
-        barrier=MinAvailableFraction(0.5),
+        policy=MinAvailableFraction(0.5),
     ).run()
     assert res.updates == 40
 

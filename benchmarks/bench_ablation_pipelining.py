@@ -29,10 +29,11 @@ def test_pipeline_depth_tradeoff(benchmark, run_once):
     # Deeper pipelines complete the same update budget in less time...
     assert out[2].elapsed_ms <= out[1].elapsed_ms
     assert out[4].elapsed_ms <= out[1].elapsed_ms * 1.02
-    # ...while staleness stays bounded by depth * P.
+    # ...while staleness stays bounded: per straggler task (cds:1.0 =
+    # 2x as long) every other worker lands 2 results per pipeline slot.
     for depth in DEPTHS:
         assert out[depth].updates == 400
-        assert out[depth].extras["max_staleness_seen"] <= depth * 8
+        assert out[depth].extras["max_staleness_seen"] <= depth * 2 * 8
         assert out[depth].final_error < out[depth].initial_error
     benchmark.extra_info["elapsed_ms"] = {
         d: round(out[d].elapsed_ms, 1) for d in DEPTHS

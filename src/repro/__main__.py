@@ -151,8 +151,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     if args.profile is not None or args.profile_json is not None:
         # Profile only the engine (prepare/summarize stay outside): the
-        # stats then answer "where does a run spend its time", which is
-        # what the BENCH_engine numbers track.
+        # stats then answer "where does a run spend its time".
         import cProfile
         import pstats
 

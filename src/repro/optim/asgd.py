@@ -18,8 +18,6 @@ little an asynchronous algorithm needs to specify.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.api.registry import register_optimizer
 # Unused here: kept importable by name because the frozen benchmark's
 # test_asyncbench.py::test_wrappers_record_nesting_and_are_removed
@@ -27,17 +25,13 @@ from repro.api.registry import register_optimizer
 from repro.data.blocks import stack_blocks  # noqa: F401
 from repro.optim.base import DistributedOptimizer, RunResult, bc_value
 from repro.optim.loop import ServerLoop, UpdateRule
-from repro.optim.reducers import add_pairs, fold_steps, stack_pairs
+from repro.optim.reducers import add_pairs
 
 __all__ = ["AsyncSGD", "ASGDRule"]
 
 
 class ASGDRule(UpdateRule):
     """ASGD mathematics: gradient partials in, one SGD step per result."""
-
-    # publish is ctx.broadcast(w) — pure in the version, so the loop may
-    # reuse the handle when a round republishes an unchanged model.
-    publish_cacheable = True
 
     def publish(self, w):
         return self.opt.ctx.broadcast(w)
@@ -61,24 +55,6 @@ class ASGDRule(UpdateRule):
         problem = self.opt.problem
         g = (g_sum + problem.reg_grad(w, count)) / count
         return w - alpha * g
-
-    def batch_ready(self):
-        # The ridge term couples each step to the current iterate
-        # (reg_grad depends on w), so the batched form is only exact
-        # when lam == 0 and reg_grad is exactly the zero vector.
-        return not self.opt.problem.lam
-
-    def batch_accepts(self, record):
-        return record.value[1] > 0
-
-    def apply_batch(self, w, records, alphas):
-        G, counts = stack_pairs(records)
-        # `+ 0.0` replays the sequential path's `g_sum + zeros` add
-        # (it normalizes -0.0 entries to +0.0 exactly like adding the
-        # zero regularizer gradient does), and dividing by the float64
-        # counts matches dividing by the Python int counts bitwise.
-        steps = np.asarray(alphas)[:, None] * ((G + 0.0) / counts)
-        return fold_steps(w, steps)
 
 
 @register_optimizer("asgd")

@@ -85,12 +85,6 @@ class OptimizerConfig:
     #: must be set together.
     snapshot_every: int = 0
     snapshot_path: str | None = None
-    #: Let the server loop vectorize update application across a drain's
-    #: worth of collected results, for rules that implement
-    #: ``apply_batch`` and vouch (via ``batch_ready``) that the batched
-    #: form is bit-identical to their one-at-a-time ``apply``. Off means
-    #: every rule takes the sequential path.
-    batch_apply: bool = True
 
     def __post_init__(self) -> None:
         if not 0 < self.batch_fraction <= 1:
@@ -125,8 +119,12 @@ class RunResult:
     - ``lost_tasks`` — tasks dropped to worker failure,
     - ``collected`` — results the server consumed (>= ``updates``; late
       results past the budget are collected but not applied),
-    - ``max_staleness_seen`` — worst model-version lag among applied
-      results.
+    - ``max_staleness_seen`` — worst model-version lag
+      (``record.staleness``) among the results the server *applied*
+      (since the resume, on a restored run); results dropped past the
+      budget or rejected by the rule do not count. Partition-granular
+      runs add ``max_partition_staleness_seen``, the same maximum over
+      results that carried a partition identity.
 
     Algorithms append their own keys (``mode``, ``naive_broadcast_bytes``
     and ``avg_hist_norm`` for SAGA variants, ``epochs`` for SVRG, ``rho``

@@ -23,8 +23,6 @@ hook                    role
 ``kernel(block, h, s)`` worker-side computation over one data block
 ``reduce(a, b)``        combine two worker-local partials
 ``apply(w, rec, a)``    server-side update; ``None`` skips (e.g. empty batch)
-``apply_batch(...)``    vectorized ``apply`` over a drain, gated by
-                        ``batch_ready()`` (per run) / ``batch_accepts(rec)``
 ``setup(w)``            once, before the metrics window opens (e.g. SAGA init)
 ``begin_epoch(w)``      epoch boundary work for ``epoch_length`` rules (SVRG)
 ``dispatch(h, seed)``   override the whole submission round (ADMM)
@@ -56,15 +54,25 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.cluster.faultplan import FaultPlanDriver
 from repro.core.context import ASYNCContext
 from repro.core.ops import RoundPlan
 from repro.core.policies import as_policy
+from repro.core.snapshots import (
+    SNAPSHOT_FORMAT,
+    SnapshotWriter,
+    decode_value,
+    encode_value,
+    is_run_snapshot,
+)
+from repro.errors import SnapshotError
+from repro.optim.base import RunResult
 from repro.optim.trace import ConvergenceTrace
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.history import HistoryStore
     from repro.core.records import TaskResultRecord
-    from repro.optim.base import DistributedOptimizer, RunResult
+    from repro.optim.base import DistributedOptimizer
 
 __all__ = ["UpdateRule", "ServerLoop"]
 
@@ -93,12 +101,6 @@ class UpdateRule:
     #: decides where the discount belongs, and scaling alpha too would
     #: double-damp every discounted result.
     weight_aware = False
-    #: Whether :meth:`publish` is a pure function of the model version —
-    #: no per-round side effects — so the loop may reuse the previous
-    #: handle when a round republishes an unchanged version (the
-    #: version-keyed broadcast payload cache). Rules whose publish does
-    #: per-round work (history appends, channel pruning) keep this False.
-    publish_cacheable = False
 
     def bind(self, loop: "ServerLoop") -> None:
         self.loop = loop
@@ -161,40 +163,6 @@ class UpdateRule:
         """
         raise NotImplementedError
 
-    # -- batched application (optional fast path) --------------------------------------
-    def batch_ready(self) -> bool:
-        """Whether batched application is *exact* for this bound run.
-
-        Consulted once, after :meth:`bind`: a rule whose batched form is
-        only bit-identical under some configurations (e.g. ASGD needs a
-        zero ridge term so the regularizer gradient is exactly zero)
-        rejects batching here and keeps the sequential path.
-        """
-        return True
-
-    def batch_accepts(self, record: "TaskResultRecord") -> bool:
-        """Whether ``record`` may join a deferred batch.
-
-        Contract: ``True`` implies :meth:`apply` would return a non-None
-        model for this record regardless of the current iterate — the
-        loop counts the update (and advances the model version) before
-        the numeric work happens at the next flush point. Records it
-        declines (e.g. empty mini-batches) take the sequential path.
-        """
-        return False
-
-    def apply_batch(self, w, records: list, alphas: list):
-        """Apply several accepted records in one vectorized step.
-
-        Must be bit-identical to folding :meth:`apply` over the records
-        left to right (``alphas`` aligns with ``records``; entries are
-        ``None`` when ``needs_alpha`` is False). The loop only calls this
-        with records that passed :meth:`batch_accepts`, and only between
-        observation points (trace snapshots, mid-run snapshots, round
-        boundaries), so intermediate iterates are never observable.
-        """
-        raise NotImplementedError
-
     # -- reporting ---------------------------------------------------------------------
     def algorithm_label(self) -> str:
         return self.opt.name
@@ -207,19 +175,25 @@ class UpdateRule:
 class ServerLoop:
     """Owns the asynchronous driver; delegates mathematics to the rule.
 
-    ``restore_state`` accepts either a previous run's
+    Everything a run is configured by lives on the host optimizer:
+    ``opt.config`` (budget, pipelining, mid-run snapshot cadence and
+    path), ``opt.policy``, ``opt.fault_plan`` and ``opt.comm``. With
+    ``config.snapshot_every`` set, the loop atomically rewrites
+    ``config.snapshot_path`` every N applied updates — the
+    crash-recovery side of the ``restore_state`` contract.
+
+    ``restore_state`` (default: ``opt.restore_state``, the spec layer's
+    ``restore_from`` plumbing) accepts either a previous run's
     :meth:`state_dict` — reinstating the checkpointable server state
     (policy RNG/counters, placement overlay, bounded HIST channels)
     before the first dispatch — or a full mid-run snapshot (see
     :mod:`repro.core.snapshots`), which additionally restores the model
     iterate and the update/round counters so a SIGKILLed run continues
-    from the exact update its latest snapshot captured. When omitted it
-    falls back to the host optimizer's ``restore_state`` attribute (the
-    spec layer's ``restore_from`` plumbing).
+    from the exact update its latest snapshot captured.
 
-    With ``snapshot_every``/``snapshot_path`` set (explicitly or via
-    the config), the loop atomically rewrites the snapshot file every N
-    applied updates — the crash-recovery side of the same contract.
+    :meth:`run` is ``_start`` -> ``_round`` until the budget is spent ->
+    ``_finish``; every collected result goes through ``_apply``, the one
+    place a model update happens.
     """
 
     def __init__(
@@ -227,41 +201,16 @@ class ServerLoop:
         opt: "DistributedOptimizer",
         rule: UpdateRule,
         restore_state: dict | None = None,
-        *,
-        snapshot_every: int | None = None,
-        snapshot_path: str | None = None,
-        fault_plan: Any = None,
-        batch_apply: bool | None = None,
     ) -> None:
-        from repro.core.snapshots import SnapshotWriter
-        from repro.errors import SnapshotError
-
         self.opt = opt
         self.rule = rule
-        if restore_state is None:
-            restore_state = getattr(opt, "restore_state", None)
-        self.restore_state = restore_state
+        self.restore_state = (
+            opt.restore_state if restore_state is None else restore_state
+        )
         cfg = opt.config
-        every = (
-            snapshot_every if snapshot_every is not None
-            else getattr(cfg, "snapshot_every", 0)
-        )
-        path = (
-            snapshot_path if snapshot_path is not None
-            else getattr(cfg, "snapshot_path", None)
-        )
-        if bool(every) != (path is not None):
-            raise SnapshotError(
-                "mid-run snapshots need both snapshot_every >= 1 "
-                "and snapshot_path"
-            )
-        self.snapshots = SnapshotWriter(path, every) if every else None
-        if fault_plan is None:
-            fault_plan = getattr(opt, "fault_plan", None)
-        self.fault_plan = fault_plan
-        self.batch_apply = (
-            batch_apply if batch_apply is not None
-            else getattr(cfg, "batch_apply", True)
+        self.snapshots = (
+            SnapshotWriter(cfg.snapshot_path, cfg.snapshot_every)
+            if cfg.snapshot_every else None
         )
         #: The run's scheduling policy, normalized once so the dispatch
         #: path and the per-result ``weight`` hook see one instance.
@@ -269,14 +218,14 @@ class ServerLoop:
         self.ac = ASYNCContext(
             opt.ctx,
             policy=self.policy,
-            pipeline_depth=opt.config.pipeline_depth,
+            pipeline_depth=cfg.pipeline_depth,
         )
         #: The run's COMM subsystem (``opt.comm``; spec ``compressor``):
         #: installed on the scheduler path (collect-side codec), the
         #: history broadcaster (delta fetches + watermark pruning) and
         #: the plain broadcast manager (ledger), so every byte this run
         #: puts on the wire lands in one ledger.
-        self.comm = getattr(opt, "comm", None)
+        self.comm = opt.comm
         self.ac.comm = self.comm
         self.ac.broadcaster.comm = self.comm
         # Unconditional: a reused ClusterContext must not keep a previous
@@ -306,8 +255,6 @@ class ServerLoop:
         K applies must be byte-identical to the final snapshot of the
         same spec run with ``max_updates=K``.
         """
-        from repro.core.snapshots import SNAPSHOT_FORMAT, encode_value
-
         return {
             "format": SNAPSHOT_FORMAT,
             "run": {
@@ -324,8 +271,6 @@ class ServerLoop:
         }
 
     def _check_snapshot(self, snap: dict) -> None:
-        from repro.errors import SnapshotError
-
         run = snap.get("run", {})
         checks = (
             ("algorithm", run.get("algorithm"), self.rule.algorithm_label()),
@@ -340,171 +285,131 @@ class ServerLoop:
                     "would silently diverge from the original trajectory"
                 )
 
-    def run(self) -> "RunResult":
-        from repro.core.snapshots import decode_value, is_run_snapshot
-        from repro.optim.base import RunResult
+    def run(self) -> RunResult:
+        self._start()
+        while not self.opt._should_stop(self.updates):
+            self._round()
+        return self._finish()
 
-        opt, rule, ac = self.opt, self.rule, self.ac
-        cfg = opt.config
+    def _start(self) -> None:
+        """Bind the rule, set up or restore, open the metrics window."""
+        opt, rule = self.opt, self.rule
         rule.bind(self)
+        self.w = opt.problem.initial_point()
+        self.trace = ConvergenceTrace()
+        self.updates = self.rounds = self.epoch_rounds_left = 0
+        self.max_staleness = self.max_partition_stale = 0
 
         restore = self.restore_state
-        full = restore if is_run_snapshot(restore) else None
-
-        w = opt.problem.initial_point()
-        trace = ConvergenceTrace()
-        updates = 0
-        rounds = 0
-        epoch_rounds_left = 0
+        #: The full run snapshot this run resumes from, if any.
+        self.resumed = full = restore if is_run_snapshot(restore) else None
         if full is None:
-            trace.record(opt.ctx.now(), 0, w)
-            rule.setup(w)
-            if restore is not None:
-                # Restored state wins over setup defaults (and must land
-                # before the first dispatch so the policy's decision
-                # sequence continues rather than restarts).
-                self._restore(restore)
+            self.trace.record(opt.ctx.now(), 0, self.w)
         else:
-            # Crash-recovery resume: rebuild setup defaults, then
-            # overwrite them with the snapshot's server state, model
-            # iterate and counters, so the loop continues from the
-            # exact applied update the snapshot captured.
             self._check_snapshot(full)
-            rule.setup(w)
+        rule.setup(self.w)
+        if full is not None:
+            # Crash-recovery resume: overwrite the setup defaults with
+            # the snapshot's server state, model iterate and counters,
+            # so the loop continues from the exact applied update the
+            # snapshot captured.
             self._restore(full.get("server", {}))
-            w = decode_value(full["w"])
-            updates = int(full["updates"])
-            rounds = int(full["rounds"])
-            epoch_rounds_left = int(full["epoch_rounds_left"])
-            ac.stat.current_version = int(full.get("version", updates))
-            trace.record(opt.ctx.now(), updates, w)
+            self.w = decode_value(full["w"])
+            self.updates = int(full["updates"])
+            self.rounds = int(full["rounds"])
+            self.epoch_rounds_left = int(full["epoch_rounds_left"])
+            self.ac.stat.current_version = int(
+                full.get("version", self.updates)
+            )
+            self.trace.record(opt.ctx.now(), self.updates, self.w)
+        elif restore is not None:
+            # Restored state wins over setup defaults (and must land
+            # before the first dispatch so the policy's decision
+            # sequence continues rather than restarts).
+            self._restore(restore)
         # The paper's wait-time metric is per *iteration*: the window opens
         # after any setup pass (e.g. SAGA's synchronous initialization).
-        metrics_start = len(opt.ctx.dispatcher.metrics_log)
+        self.metrics_start = len(opt.ctx.dispatcher.metrics_log)
 
-        faults = None
-        if self.fault_plan is not None and not self.fault_plan.empty:
-            from repro.cluster.faultplan import FaultPlanDriver
+        self.faults = None
+        if opt.fault_plan is not None and not opt.fault_plan.empty:
+            self.faults = FaultPlanDriver(opt.fault_plan, opt.ctx)
 
-            faults = FaultPlanDriver(self.fault_plan, opt.ctx)
+    def _round(self) -> None:
+        """Publish, dispatch one round, apply everything that arrived."""
+        opt, rule, ac = self.opt, self.rule, self.ac
+        if self.faults is not None and self.faults.poll() > 0:
+            # Liveness changed under the scheduler: re-sync STAT so
+            # killed workers stop being candidates and revived ones
+            # are re-admitted.
+            ac.refresh_workers()
+        if rule.epoch_length is not None and self.epoch_rounds_left == 0:
+            rule.begin_epoch(self.w)
+            self.epoch_rounds_left = rule.epoch_length
+        seed = opt._round_seed(self.rounds + rule.seed_offset)
+        rule.dispatch(rule.publish(self.w), seed)
+        self.rounds += 1
+        self.epoch_rounds_left -= 1
 
-        # Batched application: when the rule vouches that its vectorized
-        # form is exact, accepted records are *deferred* — the loop still
-        # counts the update and advances the model version immediately
-        # (so staleness restamps, policy weights and step indices are
-        # identical to the sequential path), but the numeric work happens
-        # at the next observation point in one ``apply_batch`` call.
-        batching = (
-            self.batch_apply
-            and type(rule).apply_batch is not UpdateRule.apply_batch
-            and rule.batch_ready()
+        # Apply at least one result (advancing cluster time), then
+        # drain whatever else arrived (Algorithm 2 lines 5-8).
+        if ac.has_next(block=True):
+            self._apply(ac.collect_all(block=True))
+        while ac.has_next(block=False):
+            self._apply(ac.collect_all(block=False))
+
+    def _apply(self, record: "TaskResultRecord") -> None:
+        """One collected result -> at most one model update."""
+        opt, rule = self.opt, self.rule
+        cfg = opt.config
+        # The policy's contribution weight rides on the record: step
+        # rules scale alpha by it, averaging rules blend slots by it.
+        record.weight = float(self.policy.weight(record, self.ac.stat))
+        if self.updates >= cfg.max_updates:
+            return  # budget exhausted; drop late results
+        t = self.updates + 1
+        alpha = (
+            opt.step.alpha(opt._step_index(t), record.staleness)
+            if rule.needs_alpha else None
         )
-        pending: list = []
-        pending_alphas: list = []
-        published: "tuple[int, Any] | None" = None
-
-        def flush() -> None:
-            nonlocal w
-            if not pending:
-                return
-            if len(pending) == 1:
-                w = rule.apply(w, pending[0], pending_alphas[0])
-            else:
-                w = rule.apply_batch(w, pending, pending_alphas)
-            pending.clear()
-            pending_alphas.clear()
-
-        def apply_one(record) -> None:
-            nonlocal w, updates
-            # The policy's contribution weight rides on the record: step
-            # rules scale alpha by it, averaging rules blend slots by it.
-            record.weight = float(self.policy.weight(record, ac.stat))
-            if updates >= cfg.max_updates:
-                return  # budget exhausted; drop late results
-            t = updates + 1
-            alpha = (
-                opt.step.alpha(opt._step_index(t), record.staleness)
-                if rule.needs_alpha else None
-            )
-            # Generic fallback for rules that don't interpret the weight
-            # themselves: a discounted result takes a shorter step.
-            if (
-                alpha is not None
-                and record.weight != 1.0
-                and not rule.weight_aware
-            ):
-                alpha *= record.weight
-            if batching and rule.batch_accepts(record):
-                pending.append(record)
-                pending_alphas.append(alpha)
-                updates = t
-                ac.model_updated()
-            else:
-                flush()  # apply sees the up-to-date iterate
-                w_new = rule.apply(w, record, alpha)
-                if w_new is None:
-                    return  # rejected (e.g. empty mini-batch)
-                w = w_new
-                updates = t
-                ac.model_updated()
-            if updates % cfg.eval_every == 0:
-                flush()
-                trace.record(opt.ctx.now(), updates, w)
-            if self.snapshots is not None and self.snapshots.due(updates):
-                # Written at the instant update N applies, before any
-                # further collect mutates rule state — which is what
-                # makes a mid-run snapshot byte-identical to the final
-                # snapshot of a max_updates=N run of the same spec.
-                flush()
-                self.snapshots.write(
-                    self.snapshot_state(
-                        w, updates, rounds, epoch_rounds_left
-                    )
+        # Generic fallback for rules that don't interpret the weight
+        # themselves: a discounted result takes a shorter step.
+        if (
+            alpha is not None
+            and record.weight != 1.0
+            and not rule.weight_aware
+        ):
+            alpha *= record.weight
+        w = rule.apply(self.w, record, alpha)
+        if w is None:
+            return  # rejected (e.g. empty mini-batch)
+        self.w = w
+        self.updates = t
+        self.ac.model_updated()
+        stale = record.staleness
+        if stale > self.max_staleness:
+            self.max_staleness = stale
+        if record.partition is not None and stale > self.max_partition_stale:
+            self.max_partition_stale = stale
+        if t % cfg.eval_every == 0:
+            self.trace.record(opt.ctx.now(), t, w)
+        if self.snapshots is not None and self.snapshots.due(t):
+            # Written at the instant update N applies, before any
+            # further collect mutates rule state — which is what
+            # makes a mid-run snapshot byte-identical to the final
+            # snapshot of a max_updates=N run of the same spec.
+            self.snapshots.write(
+                self.snapshot_state(
+                    w, t, self.rounds, self.epoch_rounds_left
                 )
+            )
 
-        while not opt._should_stop(updates):
-            if faults is not None and faults.poll() > 0:
-                # Liveness changed under the scheduler: re-sync STAT so
-                # killed workers stop being candidates and revived ones
-                # are re-admitted.
-                ac.refresh_workers()
-            if rule.epoch_length is not None and epoch_rounds_left == 0:
-                rule.begin_epoch(w)
-                epoch_rounds_left = rule.epoch_length
-            seed = opt._round_seed(rounds + rule.seed_offset)
-            # Version-keyed broadcast payload cache: a round that
-            # republishes an unchanged model version reuses the previous
-            # handle (no new broadcast registration, no worker re-fetch
-            # of a value it already holds). Only for rules whose publish
-            # is a pure function of the version.
-            version = ac.stat.current_version
-            if (
-                rule.publish_cacheable
-                and published is not None
-                and published[0] == version
-            ):
-                handle = published[1]
-            else:
-                handle = rule.publish(w)
-                published = (version, handle)
-            rule.dispatch(handle, seed)
-            rounds += 1
-            epoch_rounds_left -= 1
-
-            # Apply at least one result (advancing cluster time), then
-            # drain whatever else arrived (Algorithm 2 lines 5-8).
-            if ac.has_next(block=True):
-                apply_one(ac.collect_all(block=True))
-            while ac.has_next(block=False):
-                apply_one(ac.collect_all(block=False))
-            # The drain is over: materialize deferred updates before the
-            # next round observes (publishes) the iterate.
-            flush()
-
-        flush()
+    def _finish(self) -> RunResult:
+        """Close the trace, let stragglers land, assemble the result."""
+        opt, rule, ac = self.opt, self.rule, self.ac
         end_ms = opt.ctx.now()
-        if trace.updates[-1] != updates:
-            trace.record(end_ms, updates, w)
+        if self.trace.updates[-1] != self.updates:
+            self.trace.record(end_ms, self.updates, self.w)
 
         # Stragglers may still hold tasks; let them land (their updates
         # are not applied — the run is over) so the context ends clean.
@@ -514,9 +419,7 @@ class ServerLoop:
         extras: dict[str, Any] = {
             "lost_tasks": ac.lost_tasks,
             "collected": ac.collected,
-            "max_staleness_seen": max(
-                (ws.last_staleness for ws in ac.stat), default=0
-            ),
+            "max_staleness_seen": self.max_staleness,
             "granularity": rule.effective_granularity(),
             "partition_tasks": ac.scheduler.partition_tasks_submitted,
             "policy": self.policy.describe(),
@@ -526,25 +429,22 @@ class ServerLoop:
             # The partition-grain analogs, for every rule that ran at
             # partition granularity (not just the partition-only ones).
             extras["partitions_tracked"] = len(ac.stat.partitions)
-            extras["max_partition_staleness_seen"] = max(
-                (row.last_staleness for row in ac.stat.partitions.values()),
-                default=0,
-            )
+            extras["max_partition_staleness_seen"] = self.max_partition_stale
         if len(ac.history):
             # Per-channel HIST byte accounting (Section 4.3's second
             # pillar): what server-side history this run kept, and what
             # it cost.
             extras["history"] = ac.history.accounting()
             extras["history_bytes"] = ac.history.total_stored_bytes
-        if faults is not None:
-            extras["fault_plan"] = self.fault_plan.describe()
-            extras["fault_events"] = faults.fired
-            extras["fault_events_suppressed"] = faults.suppressed
-            extras["faults"] = faults.log
+        if self.faults is not None:
+            extras["fault_plan"] = opt.fault_plan.describe()
+            extras["fault_events"] = self.faults.fired
+            extras["fault_events_suppressed"] = self.faults.suppressed
+            extras["faults"] = self.faults.log
         if self.snapshots is not None:
             extras["snapshots_written"] = self.snapshots.written
-        if full is not None:
-            extras["resumed_from_update"] = int(full["updates"])
+        if self.resumed is not None:
+            extras["resumed_from_update"] = int(self.resumed["updates"])
         # Checkpointable server state (policy RNG/counters, placement
         # overlay, bounded HIST channels) — rides the sweep checkpoint
         # path so a resumed cell can continue deterministically. Omitted
@@ -562,12 +462,12 @@ class ServerLoop:
             extras.update(self.comm.extras())
 
         return RunResult(
-            w=w,
-            trace=trace,
-            updates=updates,
+            w=self.w,
+            trace=self.trace,
+            updates=self.updates,
             elapsed_ms=end_ms,
-            rounds=rounds,
+            rounds=self.rounds,
             algorithm=rule.algorithm_label(),
-            metrics=opt._metrics_window(metrics_start),
+            metrics=opt._metrics_window(self.metrics_start),
             extras=extras,
         )

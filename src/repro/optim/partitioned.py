@@ -167,27 +167,6 @@ class LocalSGDRule(UpdateRule):
             )
         return (self.row_weights[:, None] * self.slots).sum(axis=0) / self.total_rows
 
-    def batch_accepts(self, record):
-        return record.value[1] > 0 and record.partition is not None
-
-    def apply_batch(self, w, records, alphas):
-        # Replay each record's slot overwrite/blend in arrival order —
-        # identical operations to `apply` — then take the weighted
-        # average once. The intermediate averages a sequential fold
-        # would compute are pure functions of the slots and are never
-        # observed between flush points, so the final iterate is
-        # bit-identical.
-        for record in records:
-            w_local = record.value[0]
-            wgt = min(record.weight, 1.0)
-            if wgt >= 1.0:
-                self.slots[record.partition] = w_local
-            else:
-                self.slots[record.partition] = (
-                    (1.0 - wgt) * self.slots[record.partition] + wgt * w_local
-                )
-        return (self.row_weights[:, None] * self.slots).sum(axis=0) / self.total_rows
-
     def algorithm_label(self):
         return f"{self.opt.name}[k={self.local_steps}]"
 

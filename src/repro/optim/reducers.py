@@ -9,10 +9,7 @@ closures stay small and picklable.
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["add_pairs", "add_triples", "add_vr_pairs", "stack_pairs",
-           "fold_steps"]
+__all__ = ["add_pairs", "add_triples", "add_vr_pairs"]
 
 
 def add_pairs(a: tuple, b: tuple) -> tuple:
@@ -28,27 +25,3 @@ def add_triples(a: tuple, b: tuple) -> tuple:
 def add_vr_pairs(a: tuple, b: tuple) -> tuple:
     """Sum variance-reduction partials ``((grad_w, grad_tilde), count)``."""
     return (add_pairs(a[0], b[0]), a[1] + b[1])
-
-
-def stack_pairs(records: list) -> tuple[np.ndarray, np.ndarray]:
-    """Stack ``(grad_sum, count)`` record payloads into batch arrays.
-
-    Returns ``(G, counts)`` with ``G[i]`` the i-th record's gradient sum
-    and ``counts`` a float64 column vector, ready for one vectorized
-    update over the whole batch.
-    """
-    G = np.stack([r.value[0] for r in records])
-    counts = np.array([r.value[1] for r in records], dtype=np.float64)
-    return G, counts[:, None]
-
-
-def fold_steps(w: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """``w - steps[0] - steps[1] - ...`` in one strict left fold.
-
-    ``np.subtract.reduce`` over a non-associative ufunc is a sequential
-    left-to-right reduction (numpy does not re-associate it), so the
-    result is bit-identical to applying the steps one at a time.
-    """
-    return np.subtract.reduce(
-        np.concatenate([w[None, :], steps], axis=0), axis=0
-    )

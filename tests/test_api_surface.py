@@ -111,10 +111,10 @@ def test_design_scoreboard_only_goes_down():
     from dataclasses import fields
 
     import repro
-    from repro.optim.loop import UpdateRule
+    from repro.optim.loop import ServerLoop, UpdateRule
 
     assert len(fields(repro.ExperimentSpec)) <= 27
-    assert len(fields(OptimizerConfig)) <= 11
+    assert len(fields(OptimizerConfig)) <= 10
     public = {
         name: attr for name, attr in vars(UpdateRule).items()
         if not name.startswith("_")
@@ -124,8 +124,13 @@ def test_design_scoreboard_only_goes_down():
         if callable(attr) or isinstance(attr, property)
     ]
     flags = sorted(set(public) - set(methods))
-    assert len(methods) <= 16, methods
-    assert len(flags) <= 6, flags
+    assert len(methods) <= 13, methods
+    assert len(flags) <= 5, flags
+    # One construction path: everything else a run is configured by is
+    # read off the host optimizer.
+    params = inspect.signature(ServerLoop.__init__).parameters
+    assert list(params) == ["self", "opt", "rule", "restore_state"]
+    assert params["restore_state"].default is None
     # One spec type: every ``ExperimentSpec`` importable under ``repro``
     # is the same class.
     specs = set()

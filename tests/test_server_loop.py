@@ -1,5 +1,7 @@
 """ServerLoop/UpdateRule: the composable async driver contract."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -118,7 +120,9 @@ def test_custom_rule_respects_barriers(ctx, small_data):
         policy=BSP(),
     ).run()
     assert res.updates == 12
-    assert res.extras["max_staleness_seen"] <= ctx.num_workers
+    # The previous round may still be on the wire when BSP dispatches
+    # the next (workers are free once they finish computing).
+    assert res.extras["max_staleness_seen"] <= 2 * ctx.num_workers - 1
 
 
 # -- wrappers still behave like the paper's algorithms ------------------------------
@@ -132,3 +136,138 @@ def test_asgd_wrapper_unchanged_behavior(ctx, small_data):
     assert res.rounds >= 1
     start = problem.error(problem.initial_point())
     assert problem.error(res.w) < 0.2 * start
+
+
+# -- what the loop means: hook order, budget, rejection, trace points ---------------
+class _ScriptedRule(_SignSGDRule):
+    """Logs every hook call; ``reject`` lists the (1-based) ``apply``
+    calls that return ``None``."""
+
+    epoch_length = 3
+
+    def __init__(self, reject=()):
+        self.reject = set(reject)
+        self.log = []
+        #: ``(ac.collected, ac.version, record.staleness)`` at each apply.
+        self.seen = []
+
+    def setup(self, w):
+        self.log.append("setup")
+
+    def begin_epoch(self, w):
+        self.log.append("begin_epoch")
+
+    def publish(self, w):
+        self.log.append("publish")
+        return super().publish(w)
+
+    def dispatch(self, handle, seed):
+        self.log.append("dispatch")
+        super().dispatch(handle, seed)
+
+    def apply(self, w, record, alpha):
+        self.log.append("apply")
+        ac = self.loop.ac
+        self.seen.append((ac.collected, ac.version, record.staleness))
+        if len(self.seen) in self.reject:
+            return None
+        return super().apply(w, record, alpha)
+
+
+def scripted_run(ctx, small_data, rule, policy=None, **config):
+    points, problem = build(ctx, small_data)
+    opt = _SignSGD(
+        ctx, points, problem, InvSqrtDecay(0.05),
+        OptimizerConfig(batch_fraction=0.25, seed=0, **config),
+        policy=policy,
+    )
+    loop = ServerLoop(opt, rule)
+    return loop, loop.run()
+
+
+def test_hook_order_per_round(ctx, small_data):
+    rule = _ScriptedRule()
+    _, res = scripted_run(ctx, small_data, rule, max_updates=20)
+    letters = {"setup": "S", "begin_epoch": "E", "publish": "P",
+               "dispatch": "D", "apply": "a"}
+    text = "".join(letters[hook] for hook in rule.log)
+    assert text[0] == "S" and text.count("S") == 1
+    rounds = re.findall(r"E?PDa*", text[1:])
+    assert "".join(rounds) == text[1:]
+    assert len(rounds) == res.rounds
+    assert [r[0] == "E" for r in rounds] == [
+        i % rule.epoch_length == 0 for i in range(res.rounds)
+    ]
+    # One apply per collected result: the collect counter moves by
+    # exactly one between consecutive applies.
+    assert [c for c, _, _ in rule.seen] == list(range(1, len(rule.seen) + 1))
+    assert len(rule.seen) == res.updates == 20
+
+
+def test_rejected_result_counts_no_update_and_keeps_the_version(ctx, small_data):
+    rule = _ScriptedRule(reject={2, 5})
+    loop, res = scripted_run(ctx, small_data, rule, max_updates=12)
+    assert res.updates == 12
+    assert len(rule.seen) == 12 + 2
+    versions = [v for _, v, _ in rule.seen]
+    # The apply after a rejected one sees the version the rejected one saw.
+    assert versions[2] == versions[1] and versions[5] == versions[4]
+    accepted = [v for i, v in enumerate(versions, 1) if i not in rule.reject]
+    assert accepted == list(range(12))
+    assert loop.ac.version == 12
+
+
+def test_results_past_the_budget_are_collected_but_not_applied(ctx, small_data):
+    rule = _ScriptedRule()
+    loop, res = scripted_run(
+        ctx, small_data, rule, policy=BSP(), max_updates=6
+    )
+    assert res.updates == 6
+    assert len(rule.seen) == 6
+    assert res.extras["collected"] > 6
+    assert loop.ac.version == 6
+    assert res.trace.updates[-1] == 6
+
+
+@pytest.mark.parametrize("max_updates, expected", [
+    (23, [0, 5, 10, 15, 20, 23]),
+    (10, [0, 5, 10]),
+])
+def test_trace_points(ctx, small_data, max_updates, expected):
+    _, res = scripted_run(
+        ctx, small_data, _ScriptedRule(), max_updates=max_updates, eval_every=5
+    )
+    assert res.trace.updates == expected
+    assert np.array_equal(res.trace.snapshots[-1], res.w)
+    assert res.trace.times_ms[-1] == res.elapsed_ms
+
+
+def test_server_loop_has_one_construction_path(ctx, small_data):
+    points, problem = build(ctx, small_data)
+    opt = _SignSGD(ctx, points, problem, InvSqrtDecay(0.05))
+    with pytest.raises(TypeError):
+        ServerLoop(opt, _SignSGDRule(), snapshot_every=1)
+
+
+# -- extras["max_staleness_seen"]: the worst lag among *applied* results ------------
+@pytest.mark.parametrize("granularity", ["worker", "partition"])
+def test_max_staleness_seen_is_the_max_over_applied_results(granularity):
+    """Regression: it used to be read off STAT after the end-of-run
+    drain — each worker's *latest collected* staleness, late unapplied
+    results included — which under-reported (8 for a true 29 here)."""
+    from repro.api.runner import prepare_experiment
+
+    prep = prepare_experiment({
+        "algorithm": "asgd", "dataset": "tiny_dense", "num_workers": 8,
+        "delay": "cds:1.0", "pipeline_depth": 2, "max_updates": 300,
+        "seed": 2, "granularity": granularity,
+    })
+    rule = _ScriptedRule()
+    with prep.make_context() as ctx:
+        points = ctx.matrix(prep.X, prep.y, prep.num_partitions).cache()
+        res = ServerLoop(prep.make_optimizer(ctx, points), rule).run()
+    assert res.updates == 300
+    worst = max(staleness for _, _, staleness in rule.seen)
+    assert res.extras["max_staleness_seen"] == worst
+    if granularity == "partition":
+        assert res.extras["max_partition_staleness_seen"] == worst

@@ -109,8 +109,11 @@ def test_asgd_with_bsp_barrier_serializes_rounds(ctx, small_data):
         OptimizerConfig(batch_fraction=0.25, max_updates=40, seed=0),
         policy=BSP(),
     ).run()
-    # BSP never lets staleness exceed the round in flight.
-    assert res.extras["max_staleness_seen"] <= ctx.num_workers
+    # BSP gates dispatch on workers being free, not on their results
+    # being applied: a round can still be on the wire when the next one
+    # is dispatched, so an applied result lags by at most that round
+    # plus the rest of its own.
+    assert res.extras["max_staleness_seen"] <= 2 * ctx.num_workers - 1
     assert res.updates == 40
 
 

@@ -1,5 +1,8 @@
 """STAT table invariants and aggregates."""
 
+import statistics
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,3 +105,52 @@ def test_property_max_staleness_bound(versions, current):
         default=0,
     )
     assert stat.max_staleness == expected
+
+
+# -- columnar STAT reductions match the scalar references ----------------------------
+def test_worker_aggregates_match_statistics_module():
+    rng = np.random.default_rng(5)
+    stat = StatTable(6)
+    means = []
+    for w in range(6):
+        values = rng.uniform(1.0, 50.0, size=int(rng.integers(1, 6)))
+        for v in values:
+            stat[w].note_completion(0, 0.0, float(v))
+        mean = 0.0  # replicate the online-mean update sequence exactly
+        for n, v in enumerate(map(float, values), start=1):
+            mean += (v - mean) / n
+        means.append(mean)
+        assert stat[w].avg_completion_ms == mean
+    assert stat.mean_completion_ms() == statistics.fmean(means)
+    assert stat.median_completion_ms() == statistics.median(means)
+
+
+def test_partition_median_matches_statistics_module():
+    rng = np.random.default_rng(9)
+    stat = StatTable(4)
+    avgs = []
+    for p in range(7):
+        row = stat.partition_row(p, owner=p % 4)
+        if p == 3:
+            continue  # one partition with no history must be excluded
+        values = rng.uniform(1.0, 100.0, size=int(rng.integers(1, 4)))
+        for v in values:
+            row.note_completion(0, 0.0, float(v))
+        avgs.append(row.avg_completion_ms)
+    assert stat.median_partition_completion_ms() == statistics.median(avgs)
+
+
+def test_max_staleness_matches_row_loop():
+    stat = StatTable(5)
+    stat.current_version = 100
+    busy = {1: 40, 3: 90, 4: 10}
+    for w, version in busy.items():
+        stat[w].available = False
+        stat[w].note_assigned(version)
+    expected = 0
+    for row in stat:
+        if row.alive and not row.available and row.computing_version is not None:
+            expected = max(expected, stat.current_version - row.computing_version)
+    assert stat.max_staleness == expected == 90
+    assert stat.available_workers() == [0, 2]
+    assert stat.busy_workers() == [1, 3, 4]

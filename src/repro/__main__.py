@@ -432,9 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_sweep.add_argument(
         "--local-workers", type=int, default=0, metavar="N",
-        help="spawn N local fabric worker subprocesses for this sweep "
-             "(usable alone — an ephemeral loopback coordinator — or "
-             "with --serve)",
+        help="fork N local fabric workers from this process for the "
+             "sweep (usable alone — an ephemeral loopback coordinator — "
+             "or with --serve)",
     )
     p_sweep.add_argument(
         "--lease-ttl", type=float, default=None, metavar="SECONDS",
@@ -445,8 +445,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p_worker = sub.add_parser(
         "sweep-worker",
-        help="join a fabric sweep: pull cell leases from a coordinator, "
-             "execute, stream summaries back",
+        help="join a fabric sweep from any host: pull cell leases from a "
+             "coordinator, execute, stream summaries back (same-host "
+             "workers are simpler as sweep --local-workers N)",
     )
     p_worker.add_argument(
         "endpoint", help="the coordinator's host:port (from sweep --serve)"

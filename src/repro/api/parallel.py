@@ -489,8 +489,8 @@ def run_sweep_cells(
     ``fabric`` (see :func:`repro.fabric.parse_fabric`) executes the
     pending cells through the distributed sweep fabric instead of the
     local pool: a coordinator serves cell leases on a socket and any
-    number of ``sweep-worker`` processes — spawned locally via
-    ``fabric="local:N"`` or joined from other hosts — pull, execute, and
+    number of workers — forked locally via ``fabric="local:N"`` or
+    ``sweep-worker`` processes joined from other hosts — pull, execute, and
     stream results back. ``jobs``/``executor`` are ignored in fabric
     mode. Results, checkpoint lines, and resume semantics are identical
     to the serial path.

@@ -148,7 +148,7 @@ def set_fabric(fabric) -> None:
     """Route subsequent figure cells through the distributed sweep fabric.
 
     Any :func:`repro.fabric.parse_fabric` spelling works —
-    ``"local:4"`` spawns four local worker subprocesses per batch, a
+    ``"local:4"`` forks four local worker processes per batch, a
     ``"host:port"`` endpoint serves cells to externally-joined
     ``python -m repro sweep-worker`` processes. Figure drivers are
     unchanged: cells stream back as ``ExperimentResult`` rows exactly as

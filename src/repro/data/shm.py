@@ -19,9 +19,9 @@ Attachment (inside a worker, via :func:`repro.api.parallel.prepare_shared`)::
     manifest = active_manifest_for(dataset_shm_key(spec.dataset, seed))
     X, y, dspec = attach_dataset(manifest)           # zero-copy views
 
-Manifests reach pool workers as a per-task argument
-(:func:`set_active_manifests`) and fabric ``sweep-worker`` subprocesses
-through the ``REPRO_SHM_MANIFESTS`` environment variable. Dense datasets
+Manifests reach workers as an argument (:func:`set_active_manifests`):
+per task under the process pool, once at start-up for the fabric's
+forked local workers. Dense datasets
 publish ``X``/``y``; CSR datasets publish the ``data``/``indices``/
 ``indptr`` triplet plus ``y``, and attachment rebuilds the matrix around
 the mapped buffers without copying. Attached arrays are marked read-only
@@ -34,6 +34,10 @@ when the sweep ends. Attachments are cached per process and refcounted;
 a worker that dies (even SIGKILLed) just drops its mapping — cleanup
 needs nothing from it, and Python's resource tracker unlinks the
 segments if the publisher itself dies before its own cleanup runs.
+Every reader is a ``multiprocessing`` child of the publisher and so
+shares the publisher's resource tracker, under every start method: an
+attach re-registers a name the tracker already holds and a reader's
+exit unlinks nothing.
 Unlinking while workers still hold mappings is safe: their pages stay
 valid until they exit. A segment name is never reused — names embed the
 publisher pid and a counter — so a stale cached attachment can only
@@ -47,7 +51,7 @@ import itertools
 import json
 import os
 from dataclasses import asdict
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from typing import Any, Mapping
 
 import numpy as np
@@ -64,12 +68,7 @@ __all__ = [
     "detach_all",
     "set_active_manifests",
     "active_manifest_for",
-    "MANIFEST_ENV",
 ]
-
-#: Environment variable carrying a JSON list of manifests to same-host
-#: worker subprocesses (the fabric's ``spawn_local_workers`` sets it).
-MANIFEST_ENV = "REPRO_SHM_MANIFESTS"
 
 _segment_counter = itertools.count()
 
@@ -86,40 +85,6 @@ def dataset_shm_key(dataset_spec: Any, seed: int) -> str:
     return json.dumps(
         [component_key(dataset_spec), int(seed)], separators=(",", ":")
     )
-
-
-#: Whether this process inherited an already-running resource tracker
-#: (memoized at first attach, *before* the attach starts one lazily).
-_TRACKER_PREEXISTS: bool | None = None
-
-
-def _tracker_preexists() -> bool:
-    global _TRACKER_PREEXISTS
-    if _TRACKER_PREEXISTS is None:
-        tracker = getattr(resource_tracker, "_resource_tracker", None)
-        _TRACKER_PREEXISTS = getattr(tracker, "_fd", None) is not None
-    return _TRACKER_PREEXISTS
-
-
-def _untrack(seg: shared_memory.SharedMemory) -> None:
-    """Keep a reader's attach from hijacking segment ownership.
-
-    Attaching registers the segment exactly like creating it does (until
-    3.13's ``track=`` flag). For a reader with its *own* resource
-    tracker — an exec'd fabric ``sweep-worker`` — that registration must
-    be dropped, or the worker's exit would unlink the publisher's live
-    segment (and warn about a leak). A *forked* pool worker instead
-    shares the publisher's tracker, where the name is the publisher's
-    own registration (its crash-cleanup net): there the attach-register
-    was a set no-op and unregistering would strip the publisher's entry,
-    so leave it alone.
-    """
-    if _tracker_preexists():
-        return
-    try:
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
 
 
 class DatasetPublication:
@@ -205,7 +170,7 @@ def publish_arrays(key: str, X, y, dspec) -> DatasetPublication | None:
         for seg in segments:
             try:
                 seg.unlink()
-            except Exception:  # pragma: no cover - best-effort rollback
+            except OSError:  # pragma: no cover - best-effort rollback
                 pass
         return None
     manifest = {
@@ -232,10 +197,9 @@ def publish_dataset(
 
 #: key -> [refcount, segments, (X, y, dspec)]
 _ATTACHED: dict[str, list] = {}
-#: Manifests installed for the current task batch (pool workers).
+#: Manifests installed for this process's cells (pool: per task batch;
+#: fabric local workers: once at start-up).
 _ACTIVE: dict[str, dict] = {}
-#: Manifests parsed once from MANIFEST_ENV (fabric local workers).
-_AMBIENT: dict[str, dict] | None = None
 
 
 def set_active_manifests(manifests: list[Mapping[str, Any]] | None) -> None:
@@ -245,23 +209,9 @@ def set_active_manifests(manifests: list[Mapping[str, Any]] | None) -> None:
         _ACTIVE[manifest["key"]] = dict(manifest)
 
 
-def _ambient() -> dict[str, dict]:
-    global _AMBIENT
-    if _AMBIENT is None:
-        _AMBIENT = {}
-        raw = os.environ.get(MANIFEST_ENV)
-        if raw:
-            try:
-                for manifest in json.loads(raw):
-                    _AMBIENT[manifest["key"]] = manifest
-            except (ValueError, TypeError, KeyError):
-                _AMBIENT = {}
-    return _AMBIENT
-
-
 def active_manifest_for(key: str) -> dict | None:
     """The manifest published for ``key``, if any is visible here."""
-    return _ACTIVE.get(key) or _ambient().get(key)
+    return _ACTIVE.get(key)
 
 
 def attach_dataset(manifest: Mapping[str, Any]):
@@ -278,15 +228,11 @@ def attach_dataset(manifest: Mapping[str, Any]):
     if entry is not None:
         entry[0] += 1
         return entry[2]
-    # Snapshot tracker state *before* SharedMemory() lazily starts one,
-    # or an exec'd worker would look like it inherited its tracker.
-    _tracker_preexists()
     segments: list[shared_memory.SharedMemory] = []
     views: dict[str, np.ndarray] = {}
     try:
         for tag, desc in manifest["arrays"].items():
             seg = shared_memory.SharedMemory(name=desc["segment"])
-            _untrack(seg)
             segments.append(seg)
             arr = np.ndarray(
                 tuple(desc["shape"]),
@@ -299,7 +245,7 @@ def attach_dataset(manifest: Mapping[str, Any]):
         for seg in segments:
             try:
                 seg.close()
-            except Exception:  # pragma: no cover - best-effort rollback
+            except (OSError, BufferError):  # pragma: no cover - rollback
                 pass
         raise DataError(
             f"cannot attach shared-memory dataset {key!r}: {exc}"

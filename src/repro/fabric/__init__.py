@@ -2,10 +2,10 @@
 
 The sweep engine's third execution tier. ``run_grid(jobs=N)`` fans cells
 over a local process pool; ``run_grid(fabric=...)`` serves the same
-cells over a socket so *any* number of workers — local subprocesses,
-other hosts — can pull leases, execute through the identical per-cell
-path, and stream summaries back into the same
-:class:`~repro.api.parallel.SweepCheckpoint` JSONL. Leases carry
+cells over a socket so *any* number of workers — forked locally, or
+``sweep-worker`` processes on other hosts — can pull leases, execute
+through the identical per-cell path, and stream summaries back into the
+same :class:`~repro.api.parallel.SweepCheckpoint` JSONL. Leases carry
 deadlines (dead or straggling workers are stolen from), results are
 deduped on canonical spec keys (at-most-once accounting), and workers
 may join or leave mid-sweep (elastic membership).

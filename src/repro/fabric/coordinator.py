@@ -29,7 +29,6 @@ from __future__ import annotations
 import os
 import json
 import socket
-import subprocess
 import threading
 import time
 from pathlib import Path
@@ -72,6 +71,7 @@ class SweepCoordinator:
         on_result: Callable[[int, str, Any], None] | None = None,
         status_path: "str | os.PathLike | None" = None,
         resume_from: "str | os.PathLike | None" = None,
+        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         from repro.api.parallel import group_key
         from repro.api.spec import ExperimentSpec
@@ -91,6 +91,10 @@ class SweepCoordinator:
         )
         self.on_result = on_result
         self.status_path = Path(status_path) if status_path else None
+        #: The one time source behind lease deadlines, heartbeats and the
+        #: status sidecar's ages (tests advance a fake instead of
+        #: sleeping past a TTL).
+        self._clock = clock
         self.results: dict[int, Any] = {}
         #: Result-plane byte accounting: every frame that arrives is
         #: counted, including the ones the lease table then drops as
@@ -168,12 +172,18 @@ class SweepCoordinator:
     def endpoint(self) -> str:
         """``host:port`` actually bound (resolves ``port=0`` ephemerals)."""
         if self._server is None:
-            raise FabricError("coordinator not started")
+            raise FabricError("coordinator not bound")
         return format_endpoint(self._host, self._server.getsockname()[1])
 
-    def start(self) -> "SweepCoordinator":
+    def bind(self) -> "SweepCoordinator":
+        """Bind and listen without serving yet.
+
+        :attr:`endpoint` is valid from here on and the listen backlog
+        holds early connects, so a driver can fork its local workers
+        while it still has no coordinator thread, then :meth:`start`.
+        """
         if self._server is not None:
-            raise FabricError("coordinator already started")
+            raise FabricError("coordinator already bound")
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -187,7 +197,14 @@ class SweepCoordinator:
         server.listen(64)
         server.settimeout(_TICK_S)
         self._server = server
-        self._started_at = time.monotonic()
+        return self
+
+    def start(self) -> "SweepCoordinator":
+        if self._accept_thread is not None:
+            raise FabricError("coordinator already started")
+        if self._server is None:
+            self.bind()
+        self._started_at = self._clock()
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="fabric-coordinator", daemon=True
         )
@@ -198,6 +215,14 @@ class SweepCoordinator:
         """Stop serving; idempotent. Waiters see whatever state stands."""
         self._stopping.set()
         if self._accept_thread is not None:
+            # A throwaway connect wakes accept() now; without it (or if
+            # it fails) the loop notices at its next tick.
+            try:
+                socket.create_connection(
+                    self._server.getsockname(), timeout=1.0
+                ).close()
+            except OSError:
+                pass
             self._accept_thread.join(timeout=5.0)
             self._accept_thread = None
         if self._server is not None:
@@ -260,6 +285,9 @@ class SweepCoordinator:
                 continue
             except OSError:
                 break  # listening socket closed under us
+            if self._stopping.is_set():
+                conn.close()  # close()'s wake-up connect or a late arrival
+                break
             conn.settimeout(60.0)
             with self._lock:
                 self._conns.add(conn)
@@ -271,7 +299,7 @@ class SweepCoordinator:
             thread.start()
 
     def _tick(self) -> None:
-        now = time.monotonic()
+        now = self._clock()
         with self._lock:
             self.table.expire(now)
             if (
@@ -321,7 +349,7 @@ class SweepCoordinator:
     def _dispatch(self, message: dict) -> dict:
         mtype = message["type"]
         worker = str(message.get("worker", "anonymous"))
-        now = time.monotonic()
+        now = self._clock()
         if mtype == "hello":
             with self._lock:
                 self.table.touch(worker, now)
@@ -417,7 +445,7 @@ class SweepCoordinator:
     def _write_status(self, final: bool = False) -> None:
         if self.status_path is None:
             return
-        now = time.monotonic()
+        now = self._clock()
         with self._lock:
             snap = self.table.snapshot(now)
             comm = dict(self.comm_stats)
@@ -482,8 +510,8 @@ def parse_fabric(fabric) -> FabricOptions:
     - ``2859`` / ``"host:2859"`` — serve on that endpoint and wait for
       external ``sweep-worker`` processes (bare ports bind loopback;
       bind ``"0.0.0.0:port"`` to accept remote workers),
-    - ``"local:N"`` — serve on an ephemeral loopback port and spawn
-      ``N`` local worker subprocesses for the sweep's duration,
+    - ``"local:N"`` — serve on an ephemeral loopback port and fork
+      ``N`` local worker processes for the sweep's duration,
     - a dict — ``{"serve": port-or-endpoint, "local_workers": N,
       "lease_ttl": s, "lease_size": n, "max_attempts": n}``, any subset.
     """
@@ -579,7 +607,7 @@ def run_fabric_cells(
     """Serve ``cells`` over the fabric until every one is recorded.
 
     The blocking driver half of a fabric sweep: starts a coordinator,
-    optionally spawns local worker subprocesses (``fabric="local:N"``),
+    optionally forks local worker processes (``fabric="local:N"``),
     and returns ``{index: summary-dict}``. ``on_result(index, key,
     summary)`` fires in completion order as results are *first* recorded
     — duplicates never reach it. ``resume_from`` replays a previous
@@ -605,7 +633,11 @@ def run_fabric_cells(
         status_path=status_path,
         resume_from=resume_from,
     )
-    coordinator.start()
+    # Bind now, serve later: the endpoint exists for ``announce`` and the
+    # workers, but the accept loop starts only after they are forked, so
+    # the fork happens in a process with no coordinator thread (the
+    # listen backlog holds the workers' connects until then).
+    coordinator.bind()
     workers = []
     prev_handler = None
     sigterm_installed = False
@@ -622,38 +654,29 @@ def run_fabric_cells(
         if announce is not None:
             announce(coordinator.endpoint)
         if options.local_workers:
-            extra_env = None
             # Same-host workers can map one shared-memory copy of each
-            # distinct dataset group instead of materializing their own;
-            # the manifests travel in the child environment. Remote
-            # workers joining the endpoint are unaffected — they never
-            # see the manifests and materialize locally as always.
+            # distinct dataset group instead of materializing their own.
+            # Remote workers joining the endpoint are unaffected — they
+            # never see the manifests and materialize locally as always.
             publications, manifests = _publish_cell_datasets(cells)
-            if manifests:
-                from repro.data.shm import MANIFEST_ENV
-
-                extra_env = {
-                    MANIFEST_ENV: json.dumps(
-                        manifests, separators=(",", ":")
-                    )
-                }
             workers = spawn_local_workers(
                 coordinator.endpoint,
                 options.local_workers,
-                extra_env=extra_env,
+                manifests=manifests,
+                listener=coordinator._server,
             )
+        coordinator.start()
         return coordinator.wait(timeout)
     finally:
         if sigterm_installed:
             signal.signal(signal.SIGTERM, prev_handler)
         coordinator.close()
         for proc in workers:
-            if proc.poll() is None:
+            if proc.is_alive():
                 proc.terminate()
         for proc in workers:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
+            proc.join(5.0)
+            if proc.is_alive():
                 proc.kill()
         for pub in publications:
             pub.unlink()

@@ -1,7 +1,8 @@
 """The sweep worker: pull cell leases, execute, stream results back.
 
-``python -m repro sweep-worker <host:port>`` runs one of these. A worker
-is stateless from the fabric's point of view — it joins whenever it
+``python -m repro sweep-worker <host:port>`` runs one of these on any
+host; :func:`spawn_local_workers` forks them from the sweep driver. A
+worker is stateless from the fabric's point of view — it joins whenever it
 starts, leaves whenever it dies, and the coordinator's lease deadlines
 cover both cases. Cells execute through exactly the same path as a
 process-pool worker: :func:`repro.api.parallel.resolve_runner` for the
@@ -26,15 +27,15 @@ reconnect budget (``max_connect_attempts``) running dry.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
+import signal
 import socket
-import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.comm.frames import encode_frame
 from repro.errors import FabricError, ProtocolError, ReproError
@@ -300,39 +301,60 @@ class SweepWorker:
         return {"cells": self.cells_done, "leases": self.leases_taken}
 
 
+def _local_worker_main(
+    endpoint: str,
+    manifests: list[Mapping[str, Any]] | None,
+    quiet: bool,
+    listener: socket.socket | None,
+) -> None:
+    """Body of one local worker process, started by ``multiprocessing``."""
+    # A forked child carries the driver's signal handlers (its graceful
+    # SIGTERM handler would call ``coordinator.drain()`` in here instead
+    # of dying) and a copy of the listening socket (which would keep the
+    # port open after the coordinator closes). Neither is a worker's.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    if listener is not None:
+        listener.close()
+    if quiet:
+        sink = open(os.devnull, "w")
+        os.dup2(sink.fileno(), 1)
+        os.dup2(sink.fileno(), 2)
+        sys.stdout = sys.stderr = sink
+    from repro.data.shm import set_active_manifests
+
+    set_active_manifests(manifests)
+    SweepWorker(endpoint).run()
+
+
 def spawn_local_workers(
     endpoint: str,
     count: int,
     *,
     quiet: bool = True,
-    extra_env: Mapping[str, str] | None = None,
-) -> list[subprocess.Popen]:
-    """Start ``count`` ``sweep-worker`` subprocesses against ``endpoint``.
+    manifests: list[Mapping[str, Any]] | None = None,
+    listener: socket.socket | None = None,
+) -> list[multiprocessing.Process]:
+    """Start ``count`` worker processes against ``endpoint``.
 
-    The child environment gets this package's source root prepended to
-    ``PYTHONPATH`` so the workers import the same ``repro`` the caller
-    is running, however the caller arranged its path. ``extra_env`` adds
-    variables on top (e.g. ``REPRO_SHM_MANIFESTS`` pointing workers at
-    the coordinator's published shared-memory datasets).
+    Workers are forked from the calling process where the platform can
+    fork (the platform's default start method elsewhere), so they start
+    from the driver's already-imported ``repro`` — components registered
+    in the driver are visible to them, as under the process pool — and
+    leave through ``os._exit`` without finalizing an interpreter. Fork
+    from a single-threaded driver: hand over the coordinator's bound
+    ``listener`` (each child closes its copy) and start the accept loop
+    afterwards. ``manifests`` points the workers at the driver's
+    published shared-memory datasets.
     """
-    import repro
-
-    src_root = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    if src_root not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = (
-            src_root + (os.pathsep + existing if existing else "")
-        )
-    if extra_env:
-        env.update(extra_env)
-    sink = subprocess.DEVNULL if quiet else None
-    return [
-        subprocess.Popen(
-            [sys.executable, "-m", "repro", "sweep-worker", endpoint],
-            env=env,
-            stdout=sink,
-            stderr=sink,
-        )
+    forking = "fork" in multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if forking else None)
+    # Only a forked child inherits the listening descriptor.
+    args = (endpoint, manifests, quiet, listener if forking else None)
+    workers = [
+        ctx.Process(target=_local_worker_main, args=args, daemon=True)
         for _ in range(count)
     ]
+    for proc in workers:
+        proc.start()
+    return workers

@@ -26,7 +26,6 @@ result with a running partial consensus (Zhang & Kwok [70] style): stale
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sp_linalg
 from scipy import sparse
 
 from repro.api.registry import register_optimizer
@@ -50,6 +49,9 @@ def _solve_local(block: MatrixBlock, rho: float, rhs: np.ndarray,
     worker's block store; subsequent iterations only do triangular
     solves. ``rhs`` is ``z - u_i``.
     """
+    # Only ADMM factorises: scipy.linalg stays out of ``import repro``.
+    from scipy import linalg as sp_linalg
+
     env = current_env()
     cached = env.get(cache_key) if env is not None else None
     if cached is None:

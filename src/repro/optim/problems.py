@@ -23,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy import optimize as sp_optimize
 
 from repro.api.registry import register_problem
 from repro.data.blocks import matvec, rmatvec
@@ -211,6 +210,10 @@ class LogisticRegressionProblem(Problem):
         return rmatvec(X, coef)
 
     def solve_optimum(self) -> np.ndarray:
+        # The one user of scipy.optimize: imported here so ``import
+        # repro`` (every exec'd worker and CLI start) does not pay for it.
+        from scipy import optimize as sp_optimize
+
         w0 = self.initial_point()
         res = sp_optimize.minimize(
             fun=lambda w: self.objective(w),

@@ -15,6 +15,10 @@ AC.hasNext()           AC.has_next()
 """
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -141,3 +145,57 @@ def test_design_scoreboard_only_goes_down():
         if isinstance(found, type):
             specs.add(found)
     assert specs == {repro.ExperimentSpec}
+
+
+# ---------------------------------------------------------------------------
+# Import diet: what every exec'd worker and CLI start pays before work
+# ---------------------------------------------------------------------------
+
+def _fresh_interpreter(code):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120.0,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+_SET_UP_ONLY = ("scipy.optimize", "scipy.linalg.interpolative", "networkx")
+
+
+def test_import_repro_leaves_set_up_only_libraries_unloaded():
+    """Module names, never wall-clock: ``scipy.optimize`` serves one
+    reference-optimum solve, ``networkx`` one DAG view."""
+    _fresh_interpreter(f"""
+import sys
+import repro
+loaded = [m for m in {_SET_UP_ONLY!r} if m in sys.modules]
+assert not loaded, ("import repro", loaded)
+import repro.fabric.worker
+loaded = [m for m in {_SET_UP_ONLY!r} if m in sys.modules]
+assert not loaded, ("import repro.fabric.worker", loaded)
+""")
+
+
+def test_lazy_scipy_imports_fire_where_they_are_used():
+    _fresh_interpreter("""
+import sys
+import numpy as np
+import repro
+from repro.data.synthetic import make_classification
+
+assert "scipy.linalg" not in sys.modules
+result = repro.run_experiment({
+    "algorithm": "aadmm", "dataset": "tiny_dense", "num_workers": 2,
+    "num_partitions": 4, "max_updates": 8, "seed": 0,
+})
+assert result.updates == 8 and np.isfinite(result.w).all()
+assert "scipy.linalg" in sys.modules
+
+X, y, _ = make_classification(64, 4, seed=0)
+problem = repro.LogisticRegressionProblem(X, y)
+assert "scipy.optimize" not in sys.modules
+assert np.isfinite(problem.w_star).all()
+assert "scipy.optimize" in sys.modules
+""")

@@ -7,9 +7,14 @@ the checkpoint gains exactly one entry per cell and the summaries are
 bit-identical to ``run_grid`` run serially on the same grid.
 """
 
+import contextlib
 import hashlib
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -26,6 +31,7 @@ from repro.errors import FabricError
 from repro.fabric import (
     SweepCoordinator,
     SweepWorker,
+    parse_endpoint,
     read_status,
     recv_msg,
     send_msg,
@@ -61,6 +67,17 @@ def _checkpointing(ckpt):
         ckpt.append(index, key, summary)
 
     return on_result
+
+
+class _FakeClock:
+    """The coordinator's injected time source; tests advance it instead
+    of sleeping past a lease TTL."""
+
+    def __init__(self):
+        self.now = 1000.0
+
+    def __call__(self):
+        return self.now
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +159,19 @@ def test_duplicate_results_yield_one_checkpoint_entry(tmp_path):
         for cell in _grid_cells(GRID)
     }
     ckpt = SweepCheckpoint(tmp_path / "sweep.jsonl")
+    clock = _FakeClock()
     coordinator = SweepCoordinator(
         _grid_cells(GRID),
-        lease_ttl=0.6,  # expire w1 fast; w2 steals on its first request
+        lease_ttl=30.0,
         lease_size=len(serial),
         on_result=_checkpointing(ckpt),
+        clock=clock,
     )
     with coordinator:
         w1 = _RawWorker(coordinator.endpoint, "w1")
         lease = w1.request()
         assert lease["type"] == "lease"
-        time.sleep(1.2)  # past the TTL; no heartbeats from w1
+        clock.now += 60.0  # past the TTL; no heartbeats from w1
 
         w2 = _RawWorker(coordinator.endpoint, "w2")
         stolen = w2.request()
@@ -235,13 +254,15 @@ def test_duplicate_thread_backend_payloads_dedupe_bitwise(tmp_path):
 
     ckpt = SweepCheckpoint(tmp_path / "sweep.jsonl")
     cells = _grid_cells(GRID)[:1]
+    clock = _FakeClock()
     coordinator = SweepCoordinator(
-        cells, lease_ttl=0.5, lease_size=1, on_result=_checkpointing(ckpt)
+        cells, lease_ttl=30.0, lease_size=1,
+        on_result=_checkpointing(ckpt), clock=clock,
     )
     with coordinator:
         w1 = _RawWorker(coordinator.endpoint, "w1")
         lease = w1.request()
-        time.sleep(1.0)
+        clock.now += 60.0  # w1's lease expires; w2 steals the cell
         w2 = _RawWorker(coordinator.endpoint, "w2")
         w2.request()
         assert w2.send_result(lease["cells"][0], payloads[1])["status"] \
@@ -268,6 +289,24 @@ KILL_GRID = {
 }
 
 
+_ENV = dict(
+    os.environ,
+    PYTHONPATH=str(__import__("pathlib").Path(__file__).resolve().parents[1]
+                   / "src"),
+)
+
+
+def _spawn_worker(endpoint, *, name):
+    """A real ``python -m repro sweep-worker`` process — the path remote
+    workers take (local fabric workers are forked, not exec'd)."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "sweep-worker", endpoint,
+         "--name", name],
+        env=_ENV, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True,
+    )
+
+
 def test_kill_worker_mid_sweep_cells_are_stolen(tmp_path):
     serial = run_grid(KILL_GRID)
     ckpt = SweepCheckpoint(tmp_path / "sweep.jsonl")
@@ -280,24 +319,23 @@ def test_kill_worker_mid_sweep_cells_are_stolen(tmp_path):
     )
     procs = []
     with coordinator:
-        procs = spawn_local_workers(coordinator.endpoint, 1)
-        deadline = time.monotonic() + 60.0
-        while not ckpt.path.exists() or not ckpt.entries():
-            assert time.monotonic() < deadline, "first cell never landed"
-            time.sleep(0.02)
-        # The victim holds a 4-cell lease with at most one cell done:
-        # kill it and let replacements steal the remainder on TTL expiry.
-        procs[0].kill()
-        procs[0].wait(timeout=10.0)
-        procs += spawn_local_workers(coordinator.endpoint, 2)
+        procs = [_spawn_worker(coordinator.endpoint, name="victim")]
         try:
+            deadline = time.monotonic() + 60.0
+            while not ckpt.path.exists() or not ckpt.entries():
+                assert time.monotonic() < deadline, "first cell never landed"
+                time.sleep(0.02)
+            # The victim holds a 4-cell lease with at most one cell done:
+            # kill it and let replacements steal the rest on TTL expiry.
+            procs[0].kill()
+            procs[0].wait(timeout=10.0)
+            procs += [
+                _spawn_worker(coordinator.endpoint, name=f"thief{i}")
+                for i in range(2)
+            ]
             results = coordinator.wait(timeout=120.0)
         finally:
-            for proc in procs:
-                if proc.poll() is None:
-                    proc.terminate()
-            for proc in procs:
-                proc.wait(timeout=10.0)
+            _cleanup(procs)
 
     assert coordinator.table.counters.reissued >= 1
     entries = ckpt.entries()
@@ -340,6 +378,128 @@ def test_run_grid_fabric_resumes_partial_torn_checkpoint(tmp_path):
     # The sidecar rides next to the checkpoint for `repro sweep-status`.
     status = read_status(path)
     assert status["finished"] and status["done"] == 2  # this run's cells
+
+
+# ---------------------------------------------------------------------------
+# Forked local workers: what the child must not keep from the driver
+# ---------------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _forked_worker_mid_cell(tmp_path, monkeypatch):
+    """One forked local worker, parked inside a cell body.
+
+    The fork happens the way ``run_fabric_cells`` does it under
+    ``graceful_sigterm``: socket bound, a Python SIGTERM handler
+    installed, accept loop not yet started. Forked children inherit the
+    patched ``resolve_runner`` along with the rest of the driver.
+    """
+    marker = tmp_path / "cell-started"
+
+    def stuck_cell(spec_dict):
+        marker.write_text("started")
+        time.sleep(120.0)
+
+    monkeypatch.setattr(
+        "repro.api.parallel.resolve_runner", lambda name: stuck_cell
+    )
+    coordinator = SweepCoordinator(_grid_cells(GRID)[:1], lease_ttl=30.0)
+    coordinator.bind()
+    drained = []
+    prev = signal.signal(
+        signal.SIGTERM, lambda signum, frame: drained.append(signum)
+    )
+    procs = []
+    try:
+        procs = spawn_local_workers(
+            coordinator.endpoint, 1, listener=coordinator._server
+        )
+        coordinator.start()
+        deadline = time.monotonic() + 30.0
+        while not marker.exists():
+            assert time.monotonic() < deadline, "cell never started"
+            assert procs[0].is_alive()
+            time.sleep(0.01)
+        yield coordinator, procs[0], drained
+    finally:
+        signal.signal(signal.SIGTERM, prev)
+        coordinator.close()
+        for proc in procs:
+            proc.kill()
+            proc.join(10.0)
+
+
+def test_forked_worker_mid_cell_dies_on_terminate(tmp_path, monkeypatch):
+    """The driver's drain handler must not survive into the child: there
+    it would swallow SIGTERM and the cleanup's ``terminate()``."""
+    with _forked_worker_mid_cell(tmp_path, monkeypatch) as (_c, proc, drained):
+        proc.terminate()
+        proc.join(5.0)
+        assert not proc.is_alive()
+        assert proc.exitcode == -signal.SIGTERM
+        assert drained == []  # and the driver's own handler never ran
+
+
+def test_forked_worker_keeps_no_listening_socket(tmp_path, monkeypatch):
+    """Closing the coordinator frees the port even while a worker it
+    forked is still alive."""
+    with _forked_worker_mid_cell(tmp_path, monkeypatch) as (coord, proc, _d):
+        host, port = parse_endpoint(coord.endpoint)
+        coord.close()
+        assert proc.is_alive()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((host, port), timeout=5.0)
+
+
+def test_run_fabric_cells_forks_before_any_coordinator_thread(monkeypatch):
+    """fork() in a threaded process can deadlock the child (and warns on
+    3.12+): local workers start before the accept loop does."""
+    import repro.fabric.worker as fabric_worker
+
+    threads_at_fork = []
+    real_spawn = fabric_worker.spawn_local_workers
+
+    def spying_spawn(*args, **kwargs):
+        threads_at_fork.append([t.name for t in threading.enumerate()])
+        return real_spawn(*args, **kwargs)
+
+    monkeypatch.setattr(fabric_worker, "spawn_local_workers", spying_spawn)
+    summaries = run_grid(
+        GRID, fabric={"local_workers": 2, "lease_size": 1, "lease_ttl": 20.0}
+    )
+    assert len(summaries) == 4
+    assert len(threads_at_fork) == 1
+    assert not [n for n in threads_at_fork[0] if n.startswith("fabric-")]
+
+
+_NOISY_CELL_DRIVER = """\
+import os, sys
+import numpy as np
+import repro.api.parallel as parallel
+from repro.fabric import run_fabric_cells
+
+def noisy_cell(spec_dict):
+    print("cell on stdout")
+    print("cell on stderr", file=sys.stderr)
+    os.write(1, b"cell on fd 1\\n")
+    os.write(2, b"cell on fd 2\\n")
+    np.log(np.zeros(1))  # RuntimeWarning: divide by zero
+    return {"ok": True}
+
+parallel.resolve_runner = lambda name: noisy_cell
+spec = {"algorithm": "asgd", "dataset": "tiny_dense", "max_updates": 1}
+out = run_fabric_cells([(0, "k", spec)], fabric={"local_workers": 1})
+print("driver:", out)
+"""
+
+
+def test_quiet_forked_worker_writes_nothing_to_driver_streams():
+    proc = subprocess.run(
+        [sys.executable, "-c", _NOISY_CELL_DRIVER],
+        env=_ENV, capture_output=True, text=True, timeout=120.0,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "driver: {0: {'ok': True}}\n"
+    assert proc.stderr == ""
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +552,6 @@ def test_sweep_status_cli_renders_finished_run(tmp_path, capsys):
 # Coordinator crash recovery: SIGKILL / SIGTERM the *service*, relaunch
 # ---------------------------------------------------------------------------
 
-import os
-import signal
-import subprocess
-import sys
-
-_ENV = dict(
-    os.environ,
-    PYTHONPATH=str(__import__("pathlib").Path(__file__).resolve().parents[1]
-                   / "src"),
-)
-
 RELAUNCH_GRID = {
     "base": {
         "algorithm": "asgd", "dataset": "mnist8m_like", "num_workers": 8,
@@ -428,15 +577,6 @@ def _serve(spec_file, ckpt, port, *, resume=False):
         cmd.append("--resume")
     return subprocess.Popen(
         cmd, env=_ENV, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True,
-    )
-
-
-def _spawn_worker(port, *, name):
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "sweep-worker",
-         f"127.0.0.1:{port}", "--name", name],
-        env=_ENV, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True,
     )
 
@@ -474,7 +614,7 @@ def test_sigkill_coordinator_relaunch_resume_completes_with_parity(tmp_path):
     port = _free_port()
 
     coord = _serve(spec_file, ckpt.path, port)
-    worker = _spawn_worker(port, name="survivor")
+    worker = _spawn_worker(f"127.0.0.1:{port}", name="survivor")
     try:
         _wait_for_entries(ckpt, 2, coord)
         coord.send_signal(signal.SIGKILL)
@@ -514,7 +654,7 @@ def test_sigterm_drains_exits_143_and_resume_finishes(tmp_path):
     port = _free_port()
 
     coord = _serve(spec_file, ckpt.path, port)
-    worker = _spawn_worker(port, name="drained")
+    worker = _spawn_worker(f"127.0.0.1:{port}", name="drained")
     try:
         _wait_for_entries(ckpt, 1, coord)
         coord.send_signal(signal.SIGTERM)
@@ -533,7 +673,7 @@ def test_sigterm_drains_exits_143_and_resume_finishes(tmp_path):
         assert 1 <= drained_count < total
 
         coord2 = _serve(spec_file, ckpt.path, port, resume=True)
-        worker2 = _spawn_worker(port, name="finisher")
+        worker2 = _spawn_worker(f"127.0.0.1:{port}", name="finisher")
         out2, _ = coord2.communicate(timeout=180.0)
         assert coord2.returncode == 0, out2
         worker2.communicate(timeout=60.0)

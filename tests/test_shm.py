@@ -4,27 +4,26 @@ The lifecycle contract under test: the sweep driver publishes each
 dataset group once, attachers map (never copy) the segments read-only,
 and only the publisher unlinks — which must succeed even after an
 attacher is SIGKILLed mid-map, and must leave nothing named behind.
+Attachers are multiprocessing children of the publisher (pool workers,
+the fabric's local workers): no other process is handed a manifest.
 """
 
 import json
+import multiprocessing
 import os
 import signal
-import subprocess
-import sys
+import time
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-import repro
 from repro.api.parallel import _load_dataset, run_cells
 from repro.api.spec import ExperimentSpec
 from repro.data import shm
 from repro.data.registry import get_dataset
 from repro.errors import DataError
-
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 @pytest.fixture(autouse=True)
@@ -130,46 +129,46 @@ def test_run_cells_share_data_parity():
     )
 
 
-_ATTACH_AND_WAIT = """\
-import json, sys, time
-from repro.data import shm
-manifest = json.loads(sys.stdin.readline())
-X, y, dspec = shm.attach_dataset(manifest)
-print("ready", flush=True)
-time.sleep(60)
-"""
+def _attach_and_report(manifest, conn, linger):
+    """Child body: attach, say whether the resource tracker was already
+    the publisher's, then exit cleanly (or wait to be SIGKILLed)."""
+    from multiprocessing import resource_tracker
 
-_ATTACH_AND_EXIT = """\
-import json, sys
-from repro.data import shm
-manifest = json.loads(sys.stdin.readline())
-X, y, dspec = shm.attach_dataset(manifest)
-assert float(X.sum()) == float(X.sum())
-shm.detach_all()
-"""
+    inherited = resource_tracker._resource_tracker._fd is not None
+    X, _, _ = shm.attach_dataset(manifest)
+    conn.send((inherited, float(X.sum())))
+    if linger:
+        time.sleep(60)
+    shm.detach_all()
 
 
-def _child(code):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(
-        [sys.executable, "-c", code],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, env=env, text=True,
+def _attacher(method, manifest, *, linger=False):
+    ctx = multiprocessing.get_context(method)
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(
+        target=_attach_and_report, args=(manifest, send, linger)
     )
+    proc.start()
+    send.close()
+    return proc, recv
 
 
 def test_attacher_normal_exit_leaves_no_tracker_noise():
-    """An exec'd attacher that exits cleanly must not unlink the
-    publisher's segments or emit resource_tracker warnings."""
+    """Every reader the library hands a manifest to is a multiprocessing
+    child of the publisher. Under each start method such a child shares
+    the publisher's resource tracker, so its attach registers nothing
+    new and its clean exit must not unlink the publisher's segments."""
     pub = _publish("tiny_dense")
     try:
-        proc = _child(_ATTACH_AND_EXIT)
-        _, err = proc.communicate(
-            json.dumps(pub.manifest) + "\n", timeout=60
-        )
-        assert proc.returncode == 0, err
-        assert "resource_tracker" not in err, err
+        X0, _, _ = get_dataset("tiny_dense", seed=0)
+        for method in multiprocessing.get_all_start_methods():
+            proc, recv = _attacher(method, pub.manifest)
+            assert recv.poll(60), method
+            inherited, total = recv.recv()
+            proc.join(60)
+            assert proc.exitcode == 0, method
+            assert inherited, f"{method} child started its own tracker"
+            assert total == float(X0.sum())
         # segments still alive for the publisher and later attachers
         X, _, _ = shm.attach_dataset(pub.manifest)
         assert X.size
@@ -181,17 +180,16 @@ def test_sigkilled_attacher_cleanup():
     """SIGKILL an attacher mid-map: the publisher's unlink must still
     succeed, and the segment names must be gone from the host."""
     pub = _publish("tiny_dense")
-    proc = _child(_ATTACH_AND_WAIT)
+    proc, recv = _attacher(None, pub.manifest, linger=True)
     try:
-        proc.stdin.write(json.dumps(pub.manifest) + "\n")
-        proc.stdin.flush()
-        assert proc.stdout.readline().strip() == "ready"
+        assert recv.poll(60)
         os.kill(proc.pid, signal.SIGKILL)
-        proc.wait(timeout=60)
+        proc.join(60)
+        assert proc.exitcode == -signal.SIGKILL
     finally:
-        if proc.poll() is None:
+        if proc.is_alive():
             proc.kill()
-            proc.wait(timeout=60)
+            proc.join(60)
     pub.unlink()
     for part in pub.manifest["arrays"].values():
         with pytest.raises(FileNotFoundError):

@@ -92,19 +92,14 @@ from repro.optim.loop import ServerLoop, UpdateRule
 from repro.optim.svrg import AsyncSVRG, SyncSVRG
 
 
-def run_experiment(spec):
-    """Run a declarative experiment spec; see :func:`repro.api.run_experiment`."""
-    from repro.api.runner import run_experiment as _run
+def __getattr__(name: str):
+    # The spec runner pulls in the whole library; it loads on first use
+    # and is exported as is, so there is one signature to keep.
+    if name in ("run_experiment", "run_grid"):
+        from repro.api import runner
 
-    return _run(spec)
-
-
-def run_grid(grid, progress=None, *, jobs=1, checkpoint=None, resume=False):
-    """Run a parameter sweep; see :func:`repro.api.run_grid`."""
-    from repro.api.runner import run_grid as _run
-
-    return _run(grid, progress=progress, jobs=jobs, checkpoint=checkpoint,
-                resume=resume)
+        return getattr(runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __version__ = "1.1.0"

@@ -12,16 +12,16 @@
 
 ``run`` executes a single :class:`~repro.api.ExperimentSpec`; ``sweep``
 expands a :class:`~repro.api.GridSpec` (a plain spec counts as a 1-cell
-grid) and runs every cell — ``--jobs N`` fans cells across a process
-pool with identical results, and each summary streams to a checkpoint
-JSONL as it lands so ``--resume`` re-runs only unfinished cells after an
-interrupt. ``--serve``/``--local-workers`` swap the pool for the
-distributed sweep fabric (:mod:`repro.fabric`): the sweep command
-becomes a coordinator serving cell leases over a socket, and any number
-of ``sweep-worker`` processes — on this host or others — pull, execute,
-and stream summaries back into the same checkpoint with work stealing
-and at-most-once accounting. ``sweep-status`` renders a running (or
-finished) fabric sweep's progress from the checkpoint's status sidecar.
+grid) and runs every cell, each summary streaming to a checkpoint JSONL
+as it lands so ``--resume`` re-runs only unfinished cells after an
+interrupt. ``--jobs N`` forks ``N`` workers from the sweep process: it
+becomes a coordinator of the sweep fabric (:mod:`repro.fabric`) leasing
+cells over a loopback socket, and the workers pull, execute, and stream
+summaries back into the same checkpoint — identical results, with work
+stealing and at-most-once accounting. ``--serve`` puts that coordinator
+on an endpoint ``sweep-worker`` processes on other hosts can join too.
+``sweep-status`` renders a running (or finished) ``--jobs``/``--serve``
+sweep's progress from the checkpoint's status sidecar.
 Both run/sweep print human-readable summaries and can write the
 machine-readable form with ``--out``.
 """
@@ -186,12 +186,14 @@ def _default_checkpoint(spec_path: str) -> str | None:
     return str(Path(spec_path).with_suffix(".ckpt.jsonl"))
 
 
-def _fabric_from_args(args: argparse.Namespace):
-    """``--serve``/``--local-workers`` -> a ``run_grid(fabric=...)`` value
-    (``None`` when neither flag asks for the fabric)."""
-    if not args.serve and not args.local_workers:
+def _fabric_from_args(args: argparse.Namespace, jobs: int):
+    """``--serve``/``--lease-ttl`` -> a ``run_grid(fabric=...)`` value;
+    ``None`` when ``--jobs`` alone says everything there is to say."""
+    if not args.serve and (jobs <= 1 or args.lease_ttl is None):
         return None
-    fabric: dict = {}
+    # A served sweep forks no one unless asked: its workers may all be
+    # on other hosts.
+    fabric: dict = {"local_workers": 0 if args.jobs is None else jobs}
     if args.serve:
         endpoint = args.serve
         if ":" not in endpoint:
@@ -203,8 +205,6 @@ def _fabric_from_args(args: argparse.Namespace):
         # `kill`: drain on SIGTERM (exit 143, checkpoint flushed) so the
         # sweep is resumable instead of torn mid-lease.
         fabric["graceful_sigterm"] = True
-    if args.local_workers:
-        fabric["local_workers"] = args.local_workers
     if args.lease_ttl is not None:
         fabric["lease_ttl"] = args.lease_ttl
     return fabric
@@ -230,15 +230,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "--resume needs a checkpoint file; pass --checkpoint when the "
             "spec comes from stdin"
         )
-    fabric = _fabric_from_args(args)
-    if fabric is not None and args.jobs != 1:
-        raise ReproError(
-            "--jobs runs the local pool; it conflicts with the fabric "
-            "flags (--serve / --local-workers)"
-        )
+    jobs = 1 if args.jobs is None else resolve_jobs(args.jobs)
+    fabric = _fabric_from_args(args, jobs)
     grid = GridSpec.coerce(_load_json(args.spec))
     axes = list(grid.grid)
-    jobs = resolve_jobs(args.jobs)
     mode = (
         f"fabric={fabric}" if fabric is not None else f"jobs={jobs}"
     )
@@ -406,9 +401,10 @@ def main(argv: list[str] | None = None) -> int:
     p_sweep.add_argument("spec", help="path to a GridSpec JSON ('-' for stdin)")
     p_sweep.add_argument("--out", help="write the list of JSON summaries here")
     p_sweep.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for cells (1 = serial, 0 = all cores); "
-             "summaries are identical to a serial run",
+        "--jobs", type=int, default=None, metavar="N",
+        help="worker processes forked for cells (0 = one per core; default "
+             "1 = this process, or none beside --serve); summaries equal a "
+             "serial run's, and sweep-status reads the sweep's checkpoint",
     )
     p_sweep.add_argument(
         "--checkpoint", metavar="PATH",
@@ -426,15 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_sweep.add_argument(
         "--serve", metavar="[HOST:]PORT",
-        help="run as a fabric coordinator: serve cell leases on this "
-             "endpoint and wait for sweep-worker processes (a bare port "
-             "binds every interface)",
-    )
-    p_sweep.add_argument(
-        "--local-workers", type=int, default=0, metavar="N",
-        help="fork N local fabric workers from this process for the "
-             "sweep (usable alone — an ephemeral loopback coordinator — "
-             "or with --serve)",
+        help="serve the sweep's cell leases on this endpoint so "
+             "sweep-worker processes on other hosts can join the --jobs "
+             "workers (a bare port binds every interface)",
     )
     p_sweep.add_argument(
         "--lease-ttl", type=float, default=None, metavar="SECONDS",
@@ -447,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
         "sweep-worker",
         help="join a fabric sweep from any host: pull cell leases from a "
              "coordinator, execute, stream summaries back (same-host "
-             "workers are simpler as sweep --local-workers N)",
+             "workers are simpler as sweep --jobs N)",
     )
     p_worker.add_argument(
         "endpoint", help="the coordinator's host:port (from sweep --serve)"
@@ -472,8 +462,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_status = sub.add_parser(
         "sweep-status",
-        help="show a fabric sweep's progress (done / in-flight / "
-             "re-issued, per-worker throughput, ETA) from its checkpoint",
+        help="show a --jobs / --serve sweep's progress (done / in-flight "
+             "/ re-issued, per-worker throughput, ETA) from its checkpoint",
     )
     p_status.add_argument(
         "checkpoint", help="the sweep's checkpoint JSONL path"

@@ -11,9 +11,9 @@ Three layers turn experiments into data:
   resolves a spec through the registries and executes it; ``run_grid``
   sweeps; both power the ``python -m repro`` CLI.
 - **Sweep engine** (:mod:`repro.api.parallel`) — ``run_grid(jobs=N)``
-  fans independent grid cells across a process pool with bit-identical
-  summaries, streaming each result to a JSONL checkpoint so interrupted
-  sweeps resume where they stopped.
+  fans independent grid cells across ``N`` forked :mod:`repro.fabric`
+  workers with bit-identical summaries, streaming each result to a JSONL
+  checkpoint so interrupted sweeps resume where they stopped.
 
 Quickstart::
 

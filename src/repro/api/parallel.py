@@ -1,26 +1,17 @@
-"""Parallel sweep execution: independent grid cells across a process pool.
+"""Sweep execution: independent grid cells, in-process or on forked workers.
 
 Every cell of a :class:`~repro.api.spec.GridSpec` is an independent
 deterministic simulation, so a sweep is embarrassingly parallel work.
 This module is the engine behind :func:`repro.api.runner.run_grid` (and
-the figure drivers in :mod:`repro.bench.figures`):
-
-- ``run_cells`` maps specs over a ``ProcessPoolExecutor``. Results come
-  back in *input* order regardless of completion order, and cells are
-  submitted grouped by ``(dataset, seed, problem)`` so each worker
-  process materializes a dataset and solves its reference optimum once
-  per group (via :func:`prepare_shared`'s per-process one-slot cache)
-  instead of once per cell.
-- ``run_sweep_cells`` adds JSONL checkpointing on top: each result is
-  appended to the checkpoint file the moment its cell finishes, so an
-  interrupted sweep keeps its partial results and ``resume=True`` re-runs
-  only the unfinished cells.
-- ``run_sweep_cells(fabric=...)`` swaps the process pool for the
-  distributed sweep fabric (:mod:`repro.fabric`): a socket coordinator
-  leases the same grouped cells to local or remote ``sweep-worker``
-  processes, with work stealing and at-most-once checkpoint accounting.
-
-Serial (``jobs=1``) and parallel paths execute the exact same per-cell
+the figure drivers in :mod:`repro.bench.figures`). ``run_sweep_cells``
+runs the cells one of two ways — in this process, grouped by
+``(dataset, seed, problem)`` so :func:`prepare_shared`'s one-slot cache
+builds each dataset and solves each reference optimum once per group; or
+through the sweep fabric (:mod:`repro.fabric`), ``jobs=N`` forked
+workers pulling leases of the same grouped cells — and appends each
+result to a JSONL checkpoint the moment its cell finishes, so an
+interrupted sweep keeps its partial results and ``resume=True`` re-runs
+only the unfinished cells. Both ways execute the exact same per-cell
 code, so their summaries are bit-identical.
 """
 
@@ -28,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -118,9 +108,9 @@ def clear_shared_cache() -> None:
 def _load_dataset(spec: ExperimentSpec):
     """Materialize a cell's dataset, attaching shared memory when offered.
 
-    If the sweep driver published this dataset group (``run_cells`` with
-    ``share_data``, or a fabric coordinator exporting manifests to its
-    local workers), attach the one host-wide copy zero-copy; otherwise —
+    If the sweep driver published this dataset group (a fabric
+    coordinator exporting manifests to the workers it forked), attach
+    the one host-wide copy zero-copy; otherwise —
     or if the segments are already unlinked — build it locally exactly
     as before. Either way the result is bit-identical: publication
     copies out of the same deterministic materialization.
@@ -143,9 +133,9 @@ def _load_dataset(spec: ExperimentSpec):
 def prepare_shared(spec: ExperimentSpec | Mapping[str, Any]):
     """``prepare_experiment`` with the per-process shared-component cache.
 
-    Both the serial sweep loop and every pool worker route cells through
-    here, so consecutive same-group cells — the submission order
-    guarantees grouping — reuse one dataset and one solved optimum.
+    Both the in-process sweep loop and every fabric worker route cells
+    through here, so consecutive same-group cells — execution and lease
+    order guarantee grouping — reuse one dataset and one solved optimum.
     """
     from repro.api.runner import component_key, prepare_experiment
 
@@ -178,7 +168,7 @@ def _summary_cell(spec_dict: Mapping[str, Any]) -> dict:
 def _bench_cell(spec_dict: Mapping[str, Any]) -> dict:
     """The figure-driver cell body: an ``ExperimentResult`` in wire form.
 
-    Every cell — in-process, pool, fabric or restored — takes this form,
+    Every cell — in-process, fabric or restored — takes this form,
     so figure ``cells`` expose scalar ``extras`` only (no ``history`` /
     ``run_state`` objects); call ``run_api_experiment`` for the rest.
     """
@@ -190,11 +180,11 @@ def _bench_cell(spec_dict: Mapping[str, Any]) -> dict:
 def resolve_runner(name: str) -> Callable[[Mapping[str, Any]], dict]:
     """Map a runner name to its cell function.
 
-    Runners are addressed by name (not passed as callables) so the pool
-    never pickles closures and workers resolve them after their own
-    imports — safe under any multiprocessing start method. Every cell
-    function returns a JSON-safe dict: the form that crosses process and
-    host boundaries and lands in the checkpoint.
+    Runners are addressed by name (not passed as callables): the name
+    is what a lease carries to a worker on another host, which resolves
+    it after its own imports. Every cell function returns a JSON-safe
+    dict: the form that crosses process and host boundaries and lands
+    in the checkpoint.
     """
     if name == "summary":
         return _summary_cell
@@ -203,19 +193,6 @@ def resolve_runner(name: str) -> Callable[[Mapping[str, Any]], dict]:
     raise ApiError(
         f"unknown cell runner {name!r}; available: ['bench', 'summary']"
     )
-
-
-def _execute_cell(
-    runner: str,
-    index: int,
-    spec_dict: Mapping[str, Any],
-    manifests: list[dict] | None = None,
-):
-    if manifests:
-        from repro.data import shm as data_shm
-
-        data_shm.set_active_manifests(manifests)
-    return index, resolve_runner(runner)(spec_dict)
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -233,110 +210,10 @@ def run_cells(
     *,
     runner: str = "summary",
     jobs: int = 1,
-    on_result: Callable[[int, Any], None] | None = None,
-    executor: ProcessPoolExecutor | None = None,
-    share_data: bool = True,
 ) -> list[Any]:
-    """Execute independent experiment cells; results in *input* order.
-
-    ``jobs=1`` runs in-process (no pool); ``jobs<=0`` uses every core.
-    ``on_result(index, result)`` fires in completion order as each cell
-    lands — the checkpoint/stream hook. A failing cell propagates its
-    exception after cancelling unstarted work; cells already reported
-    through ``on_result`` are not lost.
-
-    ``executor`` lends an already-running ``ProcessPoolExecutor`` (its
-    worker count overrides ``jobs``); the caller keeps ownership — the
-    pool is *not* shut down here, so batch after batch reuses the same
-    warm workers (and their per-process dataset/problem caches).
-
-    ``share_data`` (pool paths only) publishes each distinct dataset
-    group into shared memory once before submitting, so the N pool
-    workers map one physical copy per group instead of materializing N.
-    Segments are unlinked when the batch finishes; hosts without working
-    shared memory silently fall back to per-worker materialization.
-    """
-    specs = [ExperimentSpec.coerce(s) for s in specs]
-    jobs = executor._max_workers if executor is not None else resolve_jobs(jobs)
-    results: list[Any] = [None] * len(specs)
-    # Execute/submit same-group cells adjacently: the one-slot
-    # prepare_shared cache then pays for each dataset and reference
-    # optimum once per contiguous group instead of once per cell — in
-    # the serial loop directly, and in the pool because workers pulling
-    # from one shared queue each see a contiguous run of one group.
-    order = sorted(range(len(specs)), key=lambda i: (group_key(specs[i]), i))
-    if executor is None and (jobs <= 1 or len(specs) <= 1):
-        cell = resolve_runner(runner)
-        try:
-            for i in order:
-                results[i] = cell(specs[i].to_dict())
-                if on_result is not None:
-                    on_result(i, results[i])
-        finally:
-            # Don't pin the last dataset/problem in a long-lived main
-            # process; workers keep their slots (their memory dies with
-            # the pool below).
-            clear_shared_cache()
-        return results
-
-    # Publish each distinct dataset group once so pool workers attach one
-    # host-wide copy instead of materializing their own (run_grid over a
-    # shared dataset then costs ~one dataset of RSS per host, not per job).
-    publications: list[Any] = []
-    manifests: list[dict] = []
-    if share_data:
-        from repro.data import shm as data_shm
-
-        seen: set[str] = set()
-        for i in order:
-            key = data_shm.dataset_shm_key(specs[i].dataset, specs[i].seed)
-            if key in seen:
-                continue
-            seen.add(key)
-            pub = data_shm.publish_dataset(specs[i].dataset, specs[i].seed)
-            if pub is not None:
-                publications.append(pub)
-                manifests.append(pub.manifest)
-
-    def drain(pool: ProcessPoolExecutor) -> None:
-        futures = [
-            pool.submit(
-                _execute_cell, runner, i, specs[i].to_dict(),
-                manifests or None,
-            )
-            for i in order
-        ]
-        failure: BaseException | None = None
-        for future in as_completed(futures):
-            # On the first failure, cancel unstarted work but keep
-            # draining: in-flight cells finish anyway (pool shutdown
-            # waits for them), and reporting their results means a
-            # checkpointed sweep doesn't re-pay for completed work.
-            try:
-                i, result = future.result()
-                results[i] = result
-                if on_result is not None:
-                    on_result(i, result)
-            except BaseException as exc:
-                if failure is None:
-                    failure = exc
-                    for other in futures:
-                        other.cancel()
-        if failure is not None:
-            raise failure
-
-    try:
-        if executor is not None:
-            drain(executor)
-        else:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(specs))
-            ) as pool:
-                drain(pool)
-    finally:
-        for pub in publications:
-            pub.unlink()
-    return results
+    """Execute independent experiment cells; the cell functions' dicts in
+    *input* order (:func:`run_sweep_cells` with nothing to checkpoint)."""
+    return run_sweep_cells(specs, runner=runner, jobs=jobs)
 
 
 class SweepCheckpoint:
@@ -461,7 +338,6 @@ def run_sweep_cells(
     runner: str = "summary",
     decode: Callable[[dict], Any] | None = None,
     jobs: int = 1,
-    executor: ProcessPoolExecutor | None = None,
     checkpoint: str | os.PathLike | None = None,
     resume: bool = False,
     fabric: Any = None,
@@ -486,14 +362,18 @@ def run_sweep_cells(
     unchanged cells and figure batches that re-slice the same cells
     reuse finished work.
 
-    ``fabric`` (see :func:`repro.fabric.parse_fabric`) executes the
-    pending cells through the distributed sweep fabric instead of the
-    local pool: a coordinator serves cell leases on a socket and any
-    number of workers — forked locally via ``fabric="local:N"`` or
-    ``sweep-worker`` processes joined from other hosts — pull, execute, and
-    stream results back. ``jobs``/``executor`` are ignored in fabric
-    mode. Results, checkpoint lines, and resume semantics are identical
-    to the serial path.
+    Pending cells run in this process when ``jobs`` is 1 (or one cell
+    is left) and through the sweep fabric otherwise: ``jobs=N`` forks
+    ``N`` lease-pulling workers for the sweep (``<= 0``: one per core),
+    and ``fabric`` (see :func:`repro.fabric.parse_fabric`; it wins over
+    ``jobs``) names the worker count with lease options or serves the
+    cells on an endpoint for ``sweep-worker`` processes on other hosts.
+    A fabric sweep with a checkpoint also keeps the
+    ``<checkpoint>.status.json`` sidecar ``sweep-status`` reads.
+    Results, checkpoint lines and resume semantics are identical either
+    way; a failing cell raises its own exception in-process and a
+    :class:`~repro.errors.FabricError` quoting it (after the fabric's
+    retries) from workers, and whatever ``progress`` raises propagates.
     """
     specs = [ExperimentSpec.coerce(s) for s in specs]
     keys = [run_key(spec) for spec in specs]
@@ -528,32 +408,35 @@ def run_sweep_cells(
         ckpt.reset()
 
     pending = [i for i in range(total) if keys[i] not in recorded]
-    if pending and fabric is not None:
-        from repro.fabric import run_fabric_cells, status_path_for
+    if not pending:
+        return results
+    cell = resolve_runner(runner)  # a typo fails here, not on N workers
+    jobs = min(resolve_jobs(jobs), len(pending))
+    if fabric is None and jobs <= 1:
+        try:
+            # Same-group cells run adjacently, so prepare_shared's
+            # one-slot cache pays for each dataset and reference optimum
+            # once per contiguous group instead of once per cell.
+            for i in sorted(pending, key=lambda i: (group_key(specs[i]), i)):
+                record(i, cell(specs[i].to_dict()))
+        finally:
+            # Don't pin the last dataset/problem in a long-lived process.
+            clear_shared_cache()
+        return results
+    from repro import fabric as sweep_fabric
 
-        run_fabric_cells(
-            [(i, keys[i], specs[i].to_dict()) for i in pending],
-            fabric=fabric,
-            runner=runner,
-            on_result=lambda index, _key, wire: record(index, wire),
-            status_path=(
-                status_path_for(ckpt.path) if ckpt is not None else None
-            ),
-            # On a relaunch the coordinator re-reads (and seals) the
-            # checkpoint itself: any torn tail a killed predecessor left
-            # is isolated before new lines are appended, and late
-            # results from that predecessor's still-running workers are
-            # recognized instead of rejected.
-            resume_from=(
-                ckpt.path if (resume and ckpt is not None) else None
-            ),
-        )
-    elif pending:
-        run_cells(
-            [specs[i] for i in pending],
-            runner=runner,
-            jobs=jobs,
-            executor=executor,
-            on_result=lambda pending_i, wire: record(pending[pending_i], wire),
-        )
+    sweep_fabric.run_fabric_cells(
+        [(i, keys[i], specs[i].to_dict()) for i in pending],
+        fabric=fabric if fabric is not None else {"local_workers": jobs},
+        runner=runner,
+        on_result=lambda index, _key, wire: record(index, wire),
+        status_path=(
+            sweep_fabric.status_path_for(ckpt.path) if ckpt else None
+        ),
+        # On a relaunch the coordinator re-reads (and seals) the
+        # checkpoint itself: a killed predecessor's torn tail is isolated
+        # before new lines are appended, and late results from its
+        # still-running workers are recognized instead of rejected.
+        resume_from=ckpt.path if resume else None,
+    )
     return results

@@ -447,16 +447,18 @@ def run_grid(
     Delegates to the sweep engine in :mod:`repro.api.parallel`:
 
     - ``jobs`` — worker processes (``1`` = in-process serial, ``<= 0`` =
-      every core). Serial and parallel runs produce identical summary
-      lists in grid-expansion order.
+      one per core): ``N`` workers of the sweep fabric
+      (:mod:`repro.fabric`), forked from this process. Serial and
+      parallel runs produce identical summary lists in grid-expansion
+      order; a failing cell raises its own error in-process and a
+      :class:`~repro.errors.FabricError` quoting it from workers.
     - ``checkpoint`` — JSONL path appended to as each cell finishes, so
       an interrupted sweep keeps its partial results.
     - ``resume`` — skip cells already recorded in the checkpoint.
-    - ``fabric`` — run pending cells through the distributed sweep
-      fabric (:mod:`repro.fabric`) instead of the local pool: a
-      coordinator leases cells over a socket to local or remote
-      ``sweep-worker`` processes (``"local:4"``, a port to serve on, or
-      an options dict). Summaries stay bit-identical to a serial run.
+    - ``fabric`` — the fabric's options spelled out, in place of
+      ``jobs``: ``"local:4"``, a port or ``"host:port"`` to serve on so
+      ``sweep-worker`` processes on other hosts can join, or an options
+      dict (``local_workers``, ``lease_ttl``, ...).
 
     ``progress``, if given, is called as ``progress(k, total, summary)``
     as each cell completes (the CLI uses it to print one line per run).

@@ -8,9 +8,9 @@ Drivers are spec-routed: a figure's cells are :data:`PAPER_CELL` with
 overrides, expressed as :class:`~repro.api.GridSpec` sweeps (or explicit
 spec lists where an axis carries a dependent parameter, e.g. the
 per-dataset PCS batch fraction), and execute through the shared sweep
-engine in :mod:`repro.api.parallel` — call :func:`set_jobs` to fan cells
-across a *persistent* process pool (one executor stays warm across
-driver batches; :func:`shutdown_pool` releases it). Results are memoized
+engine in :mod:`repro.api.parallel` — call :func:`set_jobs` to fan each
+driver batch's cells across that many forked workers (``set_fabric`` to
+serve them to other hosts as well). Results are memoized
 in a per-process cache keyed on each cell's canonical spec JSON
 (:func:`repro.api.parallel.run_key`), so figure pairs sharing runs
 (Fig 3 & 4; Fig 5 & 6; Fig 7/8 & Table 3) pay for them once and the
@@ -23,10 +23,8 @@ paper-scale curves.
 
 from __future__ import annotations
 
-import atexit
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from repro.api.parallel import run_key, run_sweep_cells
@@ -58,7 +56,6 @@ __all__ = [
     "set_jobs",
     "set_fabric",
     "set_checkpoint",
-    "shutdown_pool",
     "clear_cache",
 ]
 
@@ -87,45 +84,24 @@ _RESULTS: dict[str, ExperimentResult] = {}
 _CACHE_MAX = 256
 #: Worker processes for cell execution (1 = in-process, <= 0 = all cores).
 _JOBS = 1
-#: The persistent pool shared by every driver batch (lazily created on
-#: first parallel batch, kept warm until ``set_jobs`` changes the size or
-#: ``shutdown_pool`` / interpreter exit).
-_POOL: ProcessPoolExecutor | None = None
 #: JSONL checkpoint stream for figure cells (``set_checkpoint``); rows
 #: restore by canonical spec key, so any driver batch reuses them.
 _CHECKPOINT: str | None = None
 _RESUME = True
-#: Distributed sweep fabric routing (``set_fabric``); ``None`` keeps the
-#: in-process / pool path.
+#: Sweep fabric options (``set_fabric``); ``None`` leaves the worker
+#: count to ``set_jobs``.
 _FABRIC = None
 
 
 def set_jobs(jobs: int) -> None:
     """Fan subsequent figure cells across ``jobs`` worker processes.
 
-    One ``ProcessPoolExecutor`` stays alive across driver batches (so
-    consecutive figures reuse warm workers and their per-process
-    dataset/problem caches) until the size changes or
-    :func:`shutdown_pool` is called. ``jobs=1`` returns to in-process
-    execution and releases any pool.
+    Each driver batch forks its workers from this process (a few
+    milliseconds) and reaps them when its last cell lands, so nothing
+    outlives a batch. ``jobs=1`` returns to in-process execution.
     """
     global _JOBS
-    from repro.api.parallel import resolve_jobs
-
-    jobs = resolve_jobs(jobs)
-    if jobs != _JOBS:
-        shutdown_pool()
     _JOBS = jobs
-
-
-def _pool() -> ProcessPoolExecutor | None:
-    """The shared executor for the current ``set_jobs`` setting."""
-    global _POOL
-    if _JOBS <= 1:
-        return None
-    if _POOL is None:
-        _POOL = ProcessPoolExecutor(max_workers=_JOBS)
-    return _POOL
 
 
 def set_checkpoint(path: str | None, resume: bool = True) -> None:
@@ -152,22 +128,11 @@ def set_fabric(fabric) -> None:
     ``"host:port"`` endpoint serves cells to externally-joined
     ``python -m repro sweep-worker`` processes. Figure drivers are
     unchanged: cells stream back as ``ExperimentResult`` rows exactly as
-    from the pool, and compose with ``set_checkpoint`` resume. ``None``
-    returns to the ``set_jobs`` pool path.
+    under ``set_jobs``, and compose with ``set_checkpoint`` resume.
+    ``None`` returns the worker count to ``set_jobs``.
     """
     global _FABRIC
     _FABRIC = fabric
-
-
-def shutdown_pool() -> None:
-    """Release the persistent worker pool (no-op when none is running)."""
-    global _POOL
-    if _POOL is not None:
-        _POOL.shutdown(wait=True)
-        _POOL = None
-
-
-atexit.register(shutdown_pool)
 
 
 def clear_cache() -> None:
@@ -194,7 +159,7 @@ def _run_specs(specs) -> list[ExperimentResult]:
     if todo:
         results = run_sweep_cells(
             list(todo.values()), runner="bench",
-            decode=ExperimentResult.from_dict, jobs=_JOBS, executor=_pool(),
+            decode=ExperimentResult.from_dict, jobs=_JOBS,
             checkpoint=_CHECKPOINT, resume=_RESUME and _CHECKPOINT is not None,
             fabric=_FABRIC,
         )
@@ -337,8 +302,8 @@ def _cds_pairs(
     """The (sync, async) runs behind Figs 3-6, keyed ``(dataset, delay)``:
     two dataset x delay sweeps.
 
-    Both sweeps go to the engine as ONE batch so the pool overlaps sync
-    and async cells instead of serializing two pool spins.
+    Both sweeps go to the engine as ONE batch so the workers overlap
+    sync and async cells instead of running two sweeps back to back.
     """
     tokens = _delay_tokens(delays)
     axes = {"dataset": list(datasets), "delay": tokens}

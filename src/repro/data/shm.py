@@ -1,7 +1,7 @@
 """Zero-copy shared-memory datasets for same-host sweep workers.
 
 A sweep over one dataset group used to materialize that dataset once per
-*process*: every pool worker (and every same-host fabric worker) re-ran
+*process*: every same-host sweep worker re-ran
 the generator or re-read the file, so a 32-job sweep held 32 copies of
 the data in RAM. This module publishes the materialized arrays into
 POSIX shared memory once per host and hands workers a JSON *manifest*
@@ -19,9 +19,8 @@ Attachment (inside a worker, via :func:`repro.api.parallel.prepare_shared`)::
     manifest = active_manifest_for(dataset_shm_key(spec.dataset, seed))
     X, y, dspec = attach_dataset(manifest)           # zero-copy views
 
-Manifests reach workers as an argument (:func:`set_active_manifests`):
-per task under the process pool, once at start-up for the fabric's
-forked local workers. Dense datasets
+Manifests reach the fabric's forked local workers as an argument, once
+at start-up (:func:`set_active_manifests`). Dense datasets
 publish ``X``/``y``; CSR datasets publish the ``data``/``indices``/
 ``indptr`` triplet plus ``y``, and attachment rebuilds the matrix around
 the mapped buffers without copying. Attached arrays are marked read-only
@@ -197,8 +196,8 @@ def publish_dataset(
 
 #: key -> [refcount, segments, (X, y, dspec)]
 _ATTACHED: dict[str, list] = {}
-#: Manifests installed for this process's cells (pool: per task batch;
-#: fabric local workers: once at start-up).
+#: Manifests installed for this process's cells (a forked fabric worker
+#: gets them once, at start-up).
 _ACTIVE: dict[str, dict] = {}
 
 

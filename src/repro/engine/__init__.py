@@ -12,7 +12,6 @@ from repro.engine.context import ClusterContext
 from repro.engine.dispatch import Dispatcher
 from repro.engine.matrix import MatrixRDD
 from repro.engine.rdd import RDD
-import repro.engine.pairs  # noqa: F401  (installs pair-RDD verbs on RDD)
 
 __all__ = [
     "ClusterContext",

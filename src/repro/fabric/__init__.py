@@ -1,22 +1,25 @@
 """Distributed sweep fabric: a coordinator/worker service for grid cells.
 
-The sweep engine's third execution tier. ``run_grid(jobs=N)`` fans cells
-over a local process pool; ``run_grid(fabric=...)`` serves the same
-cells over a socket so *any* number of workers — forked locally, or
-``sweep-worker`` processes on other hosts — can pull leases, execute
-through the identical per-cell path, and stream summaries back into the
-same :class:`~repro.api.parallel.SweepCheckpoint` JSONL. Leases carry
-deadlines (dead or straggling workers are stolen from), results are
-deduped on canonical spec keys (at-most-once accounting), and workers
-may join or leave mid-sweep (elastic membership).
+How a sweep runs on more than one process: a coordinator serves the
+sweep's cells over a socket; workers pull leases, execute through the
+per-cell path the in-process loop uses, and stream summaries back into
+the same :class:`~repro.api.parallel.SweepCheckpoint` JSONL.
+``run_grid(jobs=N)`` forks ``N`` workers from the driver for the sweep;
+``run_grid(fabric=...)`` adds lease options, or an endpoint
+``sweep-worker`` processes on other hosts can join. Leases carry
+deadlines (dead or straggling workers are stolen from) and are sized by
+the worker's share of its dataset group, results are deduped on
+canonical spec keys (at-most-once accounting), and workers may join or
+leave mid-sweep (elastic membership).
 
 Entry points::
 
+    python -m repro sweep grid.json --jobs 4          # four forked workers
     python -m repro sweep grid.json --serve 2859      # coordinator
     python -m repro sweep-worker otherhost:2859       # on each worker
     python -m repro sweep-status grid.ckpt.jsonl      # live progress
 
-or in code: ``run_grid(grid, fabric="local:4")``.
+or in code: ``run_grid(grid, jobs=4)``.
 """
 
 from repro.fabric.chaos import ChaosConfig, ChaosLink

@@ -16,9 +16,12 @@ Design notes:
   negligible next to cell execution time.
 - **Failure policy.** A cell error is retried on re-issue (a different
   worker may succeed — transient env trouble); when the cell's attempt
-  budget is exhausted the sweep aborts: waiting raises, workers get
-  ``abort`` on their next request. Completed cells are already in the
-  checkpoint either way — nothing finished is re-paid.
+  budget is exhausted the sweep aborts: no more leases go out, cells
+  already executing are recorded before their workers are told
+  ``abort``, then waiting raises. An exception out of ``on_result``, or
+  every forked worker dying with nobody else joined, fails the sweep at
+  once. Completed cells are already in the checkpoint either way —
+  nothing finished is re-paid.
 - **Status sidecar.** With ``status_path`` set, the live lease-table
   snapshot is written atomically every tick; ``python -m repro
   sweep-status`` renders it during *and after* the run.
@@ -35,8 +38,8 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.comm.frames import decode_frame, frame_bytes
-from repro.errors import FabricDrained, FabricError, ProtocolError, ReproError
-from repro.fabric.leases import DONE, LeaseTable
+from repro.errors import FabricDrained, FabricError, ProtocolError
+from repro.fabric.leases import DONE, FAILED, LeaseTable
 from repro.fabric.protocol import (
     clamp_retry_s,
     format_endpoint,
@@ -110,13 +113,16 @@ class SweepCoordinator:
         self._lock = threading.Lock()
         self._finished = threading.Event()
         self._stopping = threading.Event()
-        self._error: ReproError | None = None
+        self._error: Exception | None = None
         self._started_at: float | None = None
         self._server: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._conn_threads: list[threading.Thread] = []
         self._conns: set[socket.socket] = set()
         self._draining = False
+        #: The worker processes the driver forked for this sweep, by the
+        #: name each joins under (``run_fabric_cells`` fills it in).
+        self._local: dict[str, Any] = {}
         #: Cells marked done from a previous incarnation's checkpoint.
         self.recovered = 0
         if resume_from is not None:
@@ -254,7 +260,8 @@ class SweepCoordinator:
     def wait(self, timeout: float | None = None) -> dict[int, Any]:
         """Block until every cell is recorded; ``{index: summary}``.
 
-        Raises the sweep's failure (a cell out of retry budget) or
+        Raises the sweep's failure (a cell out of retry budget, whatever
+        ``on_result`` raised, every forked worker gone) or
         :class:`FabricError` on timeout — partial results remain
         available on :attr:`results` and in the checkpoint either way.
         """
@@ -302,23 +309,42 @@ class SweepCoordinator:
         now = self._clock()
         with self._lock:
             self.table.expire(now)
-            if (
-                self._draining
-                and not self._finished.is_set()
-                and not self.table.leases
-            ):
-                # Every issued lease has completed or expired; nothing
-                # more can arrive. Finish — as a drain unless the last
-                # results happened to complete the sweep.
-                if not self.table.done and self._error is None:
-                    counts = self.table.status_counts()
-                    self._error = FabricDrained(
-                        f"sweep drained on SIGTERM: {counts[DONE]}/"
-                        f"{len(self.table.cells)} cell(s) recorded; "
-                        "relaunch with --resume to finish"
-                    )
-                self._finished.set()
+            self._settle()
         self._write_status()
+
+    def _settle(self) -> None:
+        """Finish a sweep nothing more can arrive for (lock held): a
+        draining or failed one once no lease is out, and one whose only
+        workers are those the driver forked once they have all exited —
+        a worker told the sweep is over leaves after it has finished, so
+        these died, and nobody else was told where to join."""
+        if self._finished.is_set():
+            return
+        abandoned = (
+            bool(self._local)
+            and self.table.workers.keys() <= self._local.keys()
+            and not any(proc.is_alive() for proc in self._local.values())
+        )
+        stopping = self._draining or self._error is not None
+        if not (abandoned or (stopping and not self.table.leases)):
+            return
+        if self._error is None and not self.table.done:
+            left = sorted(
+                i for i, cell in self.table.cells.items()
+                if cell.status != DONE
+            )
+            total = len(self.table.cells)
+            if self._draining:
+                self._error = FabricDrained(
+                    f"sweep drained on SIGTERM: {total - len(left)}/{total}"
+                    " cell(s) recorded; relaunch with --resume to finish"
+                )
+            else:
+                self._error = FabricError(
+                    f"all {len(self._local)} forked worker(s) exited with "
+                    f"{len(left)} cell(s) unrecorded: {left}"
+                )
+        self._finished.set()
 
     def _serve_conn(self, conn: socket.socket) -> None:
         try:
@@ -407,14 +433,13 @@ class SweepCoordinator:
                 verdict = self.table.fail(
                     index, worker, str(message["error"]), now
                 )
-                if verdict == "fatal":
+                if verdict == "fatal" and self._error is None:
                     cell = self.table.cells[index]
                     self._error = FabricError(
                         f"cell {index} failed {cell.attempts} time(s), "
                         f"last on worker {worker!r}: {cell.error}"
                     )
-                    self._finished.set()
-            return {"type": "ok", "status": verdict}
+                return self._ack(worker, verdict)
         key = message.get("key")
         if not isinstance(key, str):
             raise FabricError("result message missing string 'key'")
@@ -434,12 +459,33 @@ class SweepCoordinator:
                 stats["retransmits"] += 1
                 stats["retransmit_wire_bytes"] += wire_b
             if verdict == "recorded":
+                try:
+                    if self.on_result is not None:
+                        self.on_result(index, key, summary)
+                except Exception as exc:  # noqa: BLE001 - re-raised by wait()
+                    # The hook (checkpoint append, progress callback) is
+                    # where results are kept: the cell is not recorded
+                    # and nothing after it would be.
+                    cell = self.table.cells[index]
+                    cell.status = FAILED
+                    cell.error = f"on_result raised {type(exc).__name__}: {exc}"
+                    if self._error is None:
+                        self._error = exc
+                    self._finished.set()
+                    return {"type": "abort", "message": cell.error}
                 self.results[index] = summary
-                if self.on_result is not None:
-                    self.on_result(index, key, summary)
                 if self.table.done:
                     self._finished.set()
-        return {"type": "ok", "status": verdict}
+            return self._ack(worker, verdict)
+
+    def _ack(self, worker: str, verdict: str) -> dict:
+        """Reply to a result (lock held); in a failed sweep, the worker
+        stops at the cell it just reported and its lease is dropped."""
+        if self._error is None:
+            return {"type": "ok", "status": verdict}
+        self.table.release(worker)
+        self._settle()
+        return {"type": "abort", "message": str(self._error)}
 
     # -- status sidecar ----------------------------------------------------------------
     def _write_status(self, final: bool = False) -> None:
@@ -601,8 +647,6 @@ def run_fabric_cells(
     on_result: Callable[[int, str, Any], None] | None = None,
     status_path: "str | os.PathLike | None" = None,
     resume_from: "str | os.PathLike | None" = None,
-    timeout: float | None = None,
-    announce: Callable[[str], None] | None = None,
 ) -> dict[int, Any]:
     """Serve ``cells`` over the fabric until every one is recorded.
 
@@ -618,7 +662,7 @@ def run_fabric_cells(
     """
     import signal
 
-    from repro.fabric.worker import spawn_local_workers
+    from repro.fabric.worker import default_worker_name, spawn_local_workers
 
     options = parse_fabric(fabric)
     coordinator = SweepCoordinator(
@@ -633,10 +677,10 @@ def run_fabric_cells(
         status_path=status_path,
         resume_from=resume_from,
     )
-    # Bind now, serve later: the endpoint exists for ``announce`` and the
-    # workers, but the accept loop starts only after they are forked, so
-    # the fork happens in a process with no coordinator thread (the
-    # listen backlog holds the workers' connects until then).
+    # Bind now, serve later: the endpoint exists for the workers, but
+    # the accept loop starts only after they are forked, so the fork
+    # happens in a process with no coordinator thread (the listen
+    # backlog holds the workers' connects until then).
     coordinator.bind()
     workers = []
     prev_handler = None
@@ -651,8 +695,6 @@ def run_fabric_cells(
             pass  # not the main thread; drain() is still callable directly
     publications: list[Any] = []
     try:
-        if announce is not None:
-            announce(coordinator.endpoint)
         if options.local_workers:
             # Same-host workers can map one shared-memory copy of each
             # distinct dataset group instead of materializing their own.
@@ -665,8 +707,12 @@ def run_fabric_cells(
                 manifests=manifests,
                 listener=coordinator._server,
             )
+            coordinator._local = {
+                default_worker_name(proc.pid): proc for proc in workers
+            }
+            coordinator.table.min_workers = len(workers)
         coordinator.start()
-        return coordinator.wait(timeout)
+        return coordinator.wait()
     finally:
         if sigterm_installed:
             signal.signal(signal.SIGTERM, prev_handler)

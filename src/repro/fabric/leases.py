@@ -19,10 +19,12 @@ deterministic. It owns the three invariants the fabric promises:
   the cell pool simply redistributes.
 
 Leases hand out cells grouped by :func:`repro.api.parallel.group_key`
-(``(dataset, seed, problem)``) in the same order the process-pool engine
+(``(dataset, seed, problem)``) in the same order the in-process loop
 uses, so a worker executing its lease front-to-back pays for each
 dataset build and reference optimum once per lease (via
-``prepare_shared``'s one-slot cache), exactly like a pool worker.
+``prepare_shared``'s one-slot cache). A lease is at most the requesting
+worker's share of its group's pending cells, so one early worker cannot
+walk off with a whole group while the others idle.
 """
 
 from __future__ import annotations
@@ -115,14 +117,17 @@ class LeaseTable:
             if index in self.cells:
                 raise FabricError(f"duplicate cell index {index}")
             self.cells[index] = FabricCell(index, key, spec, group)
-        #: Pending issue order: grouped like the process-pool engine so
-        #: each lease is one contiguous run of a single group.
+        #: Pending issue order: grouped like the in-process loop so each
+        #: lease is one contiguous run of a single group.
         self._issue_order = sorted(
             self.cells, key=lambda i: (self.cells[i].group, i)
         )
         self._lease_ids = itertools.count(1)
         self.leases: dict[int, Lease] = {}
         self.workers: dict[str, WorkerInfo] = {}
+        #: Workers a lease is shared between even before they have all
+        #: said hello: the driver sets it to the number it forked.
+        self.min_workers = 1
         self.counters = _Counters()
 
     # -- membership --------------------------------------------------------------------
@@ -148,17 +153,10 @@ class LeaseTable:
         expired = [
             lease for lease in self.leases.values() if lease.deadline < now
         ]
-        for lease in expired:
-            del self.leases[lease.lease_id]
-            for index in lease.indices:
-                cell = self.cells[index]
-                if cell.status == LEASED:
-                    cell.status = PENDING
-                    cell.worker = None
-                    self.counters.reissued += 1
+        self._repool(expired)
         return expired
 
-    def _reclaim(self, worker: str) -> None:
+    def release(self, worker: str) -> None:
         """Re-pool every lease still booked to ``worker``.
 
         The protocol is one-lease-at-a-time: a worker only requests
@@ -166,13 +164,15 @@ class LeaseTable:
         from a worker that still holds one is therefore a confession —
         the old lease belongs to a torn or duplicated session — and
         waiting out its TTL would stall the sweep (the worker's own
-        polling keeps touching the deadline forward).
+        polling keeps touching the deadline forward). The coordinator
+        also calls this for a worker it tells to abort mid-lease.
         """
-        stale = [
-            lease for lease in self.leases.values()
-            if lease.worker == worker
-        ]
-        for lease in stale:
+        self._repool(
+            [lease for lease in self.leases.values() if lease.worker == worker]
+        )
+
+    def _repool(self, leases: list[Lease]) -> None:
+        for lease in leases:
             del self.leases[lease.lease_id]
             for index in lease.indices:
                 cell = self.cells[index]
@@ -187,27 +187,33 @@ class LeaseTable:
 
         Returns ``None`` when nothing is pending (everything is done,
         failed, or leased out — callers distinguish via :meth:`done`).
-        A batch never spans groups: it is the longest prefix of one
-        group's pending cells up to ``lease_size``.
+        A batch never spans groups: it is a prefix of one group's
+        pending cells, as long as this worker's share of them —
+        ``ceil(pending / workers)``, workers being those heard from
+        within one ``lease_ttl`` (never fewer than ``min_workers``) —
+        and at most ``lease_size``. Shares shrink as the group drains
+        (4, 2, 1, 1 for eight cells on two workers), so its tail is
+        spread across workers instead of riding on one.
         """
         self.expire(now)
         self.touch(worker, now)
-        self._reclaim(worker)
-        batch: list[int] = []
-        batch_group: tuple | None = None
+        self.release(worker)
+        pending: list[int] = []
         for index in self._issue_order:
             cell = self.cells[index]
             if cell.status != PENDING:
                 continue
-            if batch_group is None:
-                batch_group = cell.group
-            elif cell.group != batch_group:
+            if pending and cell.group != self.cells[pending[0]].group:
                 break
-            batch.append(index)
-            if len(batch) >= self.lease_size:
-                break
-        if not batch:
+            pending.append(index)
+        if not pending:
             return None
+        live = sum(
+            now - info.last_seen <= self.lease_ttl
+            for info in self.workers.values()
+        )
+        share = -(-len(pending) // max(live, self.min_workers))
+        batch = pending[:min(share, self.lease_size)]
         lease = Lease(
             next(self._lease_ids), worker, batch, now + self.lease_ttl
         )
@@ -319,10 +325,6 @@ class LeaseTable:
     def done(self) -> bool:
         """Every cell recorded (failed cells keep the sweep unfinished)."""
         return all(cell.status == DONE for cell in self.cells.values())
-
-    @property
-    def failed_cells(self) -> list[FabricCell]:
-        return [c for c in self.cells.values() if c.status == FAILED]
 
     def snapshot(self, now: float) -> dict[str, Any]:
         """JSON-safe live view — the ``sweep-status`` sidecar payload."""

@@ -7,7 +7,7 @@ socket means the view works from any shell on the host, keeps working
 after the coordinator exits (post-mortem of a finished or crashed
 sweep), and can never perturb the sweep itself.
 
-When only the checkpoint exists (serial or pool sweeps write no
+When only the checkpoint exists (in-process sweeps write no
 sidecar), the view degrades to what the checkpoint alone proves: how
 many cells have landed.
 """

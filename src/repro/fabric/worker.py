@@ -4,8 +4,8 @@
 host; :func:`spawn_local_workers` forks them from the sweep driver. A
 worker is stateless from the fabric's point of view — it joins whenever it
 starts, leaves whenever it dies, and the coordinator's lease deadlines
-cover both cases. Cells execute through exactly the same path as a
-process-pool worker: :func:`repro.api.parallel.resolve_runner` for the
+cover both cases. Cells execute through exactly the same path as the
+in-process sweep loop: :func:`repro.api.parallel.resolve_runner` for the
 cell body and :func:`~repro.api.parallel.prepare_shared`'s one-slot
 cache for dataset/optimum reuse (leases are single-group batches, so the
 cache hits on every cell after a lease's first).
@@ -38,7 +38,7 @@ import time
 from typing import Any, Callable, Mapping
 
 from repro.comm.frames import encode_frame
-from repro.errors import FabricError, ProtocolError, ReproError
+from repro.errors import FabricError, ProtocolError
 from repro.fabric.chaos import ChaosConfig, ChaosLink
 from repro.fabric.protocol import (
     clamp_retry_s,
@@ -48,6 +48,11 @@ from repro.fabric.protocol import (
 )
 
 __all__ = ["SweepWorker", "spawn_local_workers"]
+
+
+def default_worker_name(pid: int) -> str:
+    """What process ``pid`` joins as (how a driver knows its forks)."""
+    return f"{socket.gethostname()}-{pid}"
 
 
 class SweepWorker:
@@ -67,7 +72,7 @@ class SweepWorker:
         connect_retry_s: float | None = None,
     ) -> None:
         self.host, self.port = parse_endpoint(endpoint)
-        self.name = name or f"{socket.gethostname()}-{os.getpid()}"
+        self.name = name or default_worker_name(os.getpid())
         # Legacy spellings from the fixed-sleep era map onto the backoff
         # knobs: retries -> attempt budget, retry_s -> backoff base.
         if connect_retries is not None:
@@ -157,7 +162,7 @@ class SweepWorker:
                 return  # coordinator gone; the main loop will notice
 
     # -- cell execution ----------------------------------------------------------------
-    def _execute_cell(self, runner: str, cell: dict) -> dict:
+    def _run_cell(self, runner: str, cell: dict) -> dict:
         """Run one cell; returns the ``result`` message to send."""
         from repro.api.parallel import resolve_runner
 
@@ -169,8 +174,6 @@ class SweepWorker:
         }
         try:
             summary = resolve_runner(runner)(cell["spec"])
-        except ReproError as exc:
-            return {**base, "error": f"{type(exc).__name__}: {exc}"}
         except Exception as exc:  # noqa: BLE001 - report, don't die
             return {**base, "error": f"{type(exc).__name__}: {exc}"}
         return {**base, "summary": encode_frame(summary)}
@@ -190,7 +193,7 @@ class SweepWorker:
         beat.start()
         try:
             for cell in lease["cells"]:
-                message = self._execute_cell(runner, cell)
+                message = self._run_cell(runner, cell)
                 sent_key = (int(cell["index"]), str(cell["key"]))
                 if sent_key in self._sent_cells:
                     message["resend"] = True
@@ -340,12 +343,11 @@ def spawn_local_workers(
     Workers are forked from the calling process where the platform can
     fork (the platform's default start method elsewhere), so they start
     from the driver's already-imported ``repro`` — components registered
-    in the driver are visible to them, as under the process pool — and
-    leave through ``os._exit`` without finalizing an interpreter. Fork
-    from a single-threaded driver: hand over the coordinator's bound
-    ``listener`` (each child closes its copy) and start the accept loop
-    afterwards. ``manifests`` points the workers at the driver's
-    published shared-memory datasets.
+    in the driver are visible to them — and leave through ``os._exit``
+    without finalizing an interpreter. Fork from a single-threaded
+    driver: hand over the coordinator's bound ``listener`` (each child
+    closes its copy) and start the accept loop afterwards. ``manifests``
+    points the workers at the driver's published shared-memory datasets.
     """
     forking = "fork" in multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if forking else None)

@@ -101,6 +101,19 @@ def test_top_level_exports_constructible(ctx):
     OptimizerConfig()
 
 
+def test_top_level_run_grid_is_the_api_function():
+    """``repro.run_grid`` used to re-declare the signature and had fallen
+    behind it (no ``fabric=``)."""
+    import repro
+    import repro.api
+
+    assert inspect.signature(repro.run_grid) == inspect.signature(
+        repro.api.run_grid
+    )
+    assert "fabric" in inspect.signature(repro.run_grid).parameters
+    assert repro.run_experiment is repro.api.run_experiment
+
+
 def test_version_string():
     import repro
 
@@ -135,6 +148,19 @@ def test_design_scoreboard_only_goes_down():
     params = inspect.signature(ServerLoop.__init__).parameters
     assert list(params) == ["self", "opt", "rule", "restore_state"]
     assert params["restore_state"].default is None
+    # One parallel sweep path: nothing to lend a pool to or switch
+    # shared memory off for, and no pool to shut down.
+    from repro.api import parallel
+    from repro.bench import figures
+
+    assert list(inspect.signature(parallel.run_cells).parameters) == [
+        "specs", "runner", "jobs",
+    ]
+    assert list(inspect.signature(parallel.run_sweep_cells).parameters) == [
+        "specs", "progress", "runner", "decode", "jobs", "checkpoint",
+        "resume", "fabric",
+    ]
+    assert "shutdown_pool" not in figures.__all__
     # One spec type: every ``ExperimentSpec`` importable under ``repro``
     # is the same class.
     specs = set()
@@ -175,6 +201,9 @@ assert not loaded, ("import repro", loaded)
 import repro.fabric.worker
 loaded = [m for m in {_SET_UP_ONLY!r} if m in sys.modules]
 assert not loaded, ("import repro.fabric.worker", loaded)
+import repro.api.parallel
+import repro.bench.figures
+assert "concurrent.futures.process" not in sys.modules  # no pool tier
 """)
 
 

@@ -20,6 +20,22 @@ def _specs(n=2):
     return [CELL.with_overrides(seed=seed) for seed in range(n)]
 
 
+@pytest.fixture
+def executed(monkeypatch):
+    """Spec of every cell body that actually runs (in-process sweeps)."""
+    from repro.api import parallel
+
+    seen = []
+    real_cell = parallel._bench_cell
+
+    def counting(spec_dict):
+        seen.append(ExperimentSpec.coerce(spec_dict))
+        return real_cell(spec_dict)
+
+    monkeypatch.setattr(parallel, "_bench_cell", counting)
+    return seen
+
+
 def run_bench_cells(specs, **kwargs):
     """The figure drivers' call into the one checkpointed sweep driver."""
     return run_sweep_cells(
@@ -78,46 +94,29 @@ def test_bench_checkpoint_writes_one_line_per_cell(tmp_path):
         assert by_key[run_key(spec)] == result.to_dict()
 
 
-def test_bench_resume_restores_without_rerunning(tmp_path, monkeypatch):
+def test_bench_resume_restores_without_rerunning(tmp_path, executed):
     ckpt = tmp_path / "bench.ckpt.jsonl"
     specs = _specs(2)
     first = run_bench_cells(specs, checkpoint=ckpt)
+    assert executed == specs
 
-    executed = []
-    from repro.api import parallel as parallel_mod
-
-    real_run_cells = parallel_mod.run_cells
-
-    def counting(specs_, **kwargs):
-        executed.extend(specs_)
-        return real_run_cells(specs_, **kwargs)
-
-    monkeypatch.setattr(parallel_mod, "run_cells", counting)
+    executed.clear()
     second = run_bench_cells(specs, checkpoint=ckpt, resume=True)
     assert executed == []  # everything restored from the stream
     assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
 
 
-def test_bench_resume_matches_by_key_across_batch_shapes(tmp_path, monkeypatch):
+def test_bench_resume_matches_by_key_across_batch_shapes(tmp_path, executed):
     """A row restores any requested cell with the same canonical spec,
     even when the new batch slices/orders the cells differently."""
     ckpt = tmp_path / "bench.ckpt.jsonl"
     specs = _specs(3)
     run_bench_cells(specs[:2], checkpoint=ckpt)
 
-    executed = []
-    from repro.api import parallel as parallel_mod
-
-    real_run_cells = parallel_mod.run_cells
-
-    def counting(specs_, **kwargs):
-        executed.extend(specs_)
-        return real_run_cells(specs_, **kwargs)
-
-    monkeypatch.setattr(parallel_mod, "run_cells", counting)
+    executed.clear()
     # reversed order + one unseen cell: only the unseen cell runs.
     out = run_bench_cells(list(reversed(specs)), checkpoint=ckpt, resume=True)
-    assert [ExperimentSpec.coerce(s) for s in executed] == [specs[2]]
+    assert executed == [specs[2]]
     assert [r.spec for r in out] == list(reversed(specs))
     # and the fresh cell was appended, so a further resume runs nothing.
     executed.clear()
@@ -152,8 +151,8 @@ def test_bench_resume_decodes_rows_recorded_with_barrier_key(tmp_path, monkeypat
     from repro.api import parallel as parallel_mod
 
     monkeypatch.setattr(
-        parallel_mod, "run_cells",
-        lambda *a, **kw: pytest.fail("a recorded cell was re-run"),
+        parallel_mod, "resolve_runner",
+        lambda name: pytest.fail("a recorded cell was re-run"),
     )
     second = run_bench_cells(specs, checkpoint=ckpt, resume=True)
     assert [r.spec for r in second] == specs
@@ -187,20 +186,10 @@ def test_bench_progress_hook_counts_restored_cells(tmp_path):
 
 
 # -- figure-driver wiring ------------------------------------------------------------
-def test_figures_checkpoint_survives_cache_clear(tmp_path, monkeypatch):
+def test_figures_checkpoint_survives_cache_clear(tmp_path, executed):
     from repro.bench import figures
 
     ckpt = tmp_path / "figures.ckpt.jsonl"
-    executed = []
-    from repro.api import parallel as parallel_mod
-
-    real_run_cells = parallel_mod.run_cells
-
-    def counting(specs_, **kwargs):
-        executed.extend(specs_)
-        return real_run_cells(specs_, **kwargs)
-
-    monkeypatch.setattr(parallel_mod, "run_cells", counting)
     figures.clear_cache()
     figures.set_checkpoint(str(ckpt))
     try:

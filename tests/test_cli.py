@@ -78,6 +78,45 @@ def test_sweep_jobs_matches_serial(tmp_path):
             == json.loads(parallel_out.read_text()))
 
 
+def test_sweep_jobs_leaves_a_status_sidecar(tmp_path, capsys):
+    """``--jobs N`` is a fabric sweep, so ``sweep-status`` reads it."""
+    spec = tmp_path / "grid.json"
+    _write_grid(spec)
+    assert main(["sweep", str(spec), "--jobs", "2"]) == 0
+    capsys.readouterr()
+    assert main(["sweep-status", str(tmp_path / "grid.ckpt.jsonl")]) == 0
+    out = capsys.readouterr().out
+    assert "finished" in out and "3/3 done" in out
+
+
+def test_sweep_flags_name_one_worker_count(tmp_path, monkeypatch):
+    """``--jobs N`` is the forked-worker count with or without
+    ``--serve``; the ``--local-workers`` twin is gone."""
+    spec = tmp_path / "grid.json"
+    _write_grid(spec)
+    calls = []
+    monkeypatch.setattr(
+        "repro.api.runner.run_grid",
+        lambda grid, **kw: calls.append((kw["jobs"], kw["fabric"])) or [],
+    )
+    served = {"graceful_sigterm": True}
+    for flags, expected in [
+        ([], (1, None)),
+        (["--jobs", "3"], (3, None)),
+        (["--jobs", "1", "--lease-ttl", "5"], (1, None)),
+        (["--jobs", "3", "--lease-ttl", "5"],
+         (3, {"local_workers": 3, "lease_ttl": 5.0})),
+        (["--serve", "127.0.0.1:2859"],
+         (1, {"local_workers": 0, "serve": "127.0.0.1:2859", **served})),
+        (["--serve", "2859", "--jobs", "2"],
+         (2, {"local_workers": 2, "serve": "0.0.0.0:2859", **served})),
+    ]:
+        assert main(["sweep", str(spec), "--no-checkpoint", *flags]) == 0
+        assert calls.pop() == expected, flags
+    with pytest.raises(SystemExit):
+        main(["sweep", str(spec), "--local-workers", "2"])
+
+
 def test_sweep_streams_default_checkpoint_and_resumes(tmp_path, capsys):
     spec = tmp_path / "grid.json"
     _write_grid(spec)

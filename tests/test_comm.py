@@ -375,7 +375,7 @@ def test_worker_ships_framed_summaries(monkeypatch):
         "repro.api.parallel.resolve_runner",
         lambda runner: (lambda spec: {"final_error": 0.125, "spec": spec}),
     )
-    message = worker._execute_cell("summary", {
+    message = worker._run_cell("summary", {
         "index": 0, "key": "k", "spec": {"seed": 1},
     })
     assert is_frame(message["summary"])

@@ -1,6 +1,7 @@
 """Fabric units: wire protocol, lease table, fabric spec parsing, and
 the torn-write-hardened checkpoint the fabric streams into."""
 
+import itertools
 import json
 import socket
 
@@ -136,6 +137,70 @@ def test_lease_size_caps_the_batch():
     lease = table.acquire("w1", now=0.0)
     assert len(lease.indices) == 2
     assert all(table.cells[i].status == "leased" for i in lease.indices)
+
+
+def _lease_lengths(table, workers, now=0.0):
+    """Lease lengths as ``workers`` take turns, each finishing its lease
+    before the next request, until nothing is pending."""
+    lengths = []
+    for worker in itertools.cycle(workers):
+        lease = table.acquire(worker, now)
+        if lease is None:
+            return lengths
+        lengths.append(len(lease.indices))
+        for index in list(lease.indices):
+            table.complete(index, table.cells[index].key, worker, now)
+
+
+def test_lease_is_the_requesting_workers_share_of_its_group():
+    """Eight one-group cells, two known workers: nobody walks off with
+    the group (at the parent the first request took all eight); shares
+    halve as it drains so its tail is spread, not owned."""
+    table = LeaseTable(_cells(8, groups=1), lease_size=8)
+    table.touch("w1", now=0.0)
+    table.touch("w2", now=0.0)
+    first = table.acquire("w1", now=0.0)
+    second = table.acquire("w2", now=0.0)
+    assert (len(first.indices), len(second.indices)) == (4, 2)
+    assert first.indices + second.indices == [0, 1, 2, 3, 4, 5]
+    table = LeaseTable(_cells(8, groups=1), lease_size=8)
+    table.touch("w2", now=0.0)
+    assert _lease_lengths(table, ["w1", "w2"]) == [4, 2, 1, 1]
+
+
+def test_forked_worker_count_sizes_the_first_lease():
+    """The first forked worker to ask must not be taken for the only
+    one: the driver tells the table how many it started."""
+    table = LeaseTable(_cells(8, groups=1), lease_size=8)
+    table.min_workers = 2
+    assert len(table.acquire("w1", now=0.0).indices) == 4
+
+
+def test_lease_size_still_caps_a_share():
+    table = LeaseTable(_cells(8, groups=1), lease_size=2)
+    table.touch("w2", now=0.0)
+    assert _lease_lengths(table, ["w1", "w2"]) == [2, 2, 2, 1, 1]
+    table = LeaseTable(_cells(8, groups=1), lease_size=1)
+    table.touch("w2", now=0.0)
+    assert _lease_lengths(table, ["w1", "w2"]) == [1] * 8
+
+
+def test_a_share_never_spans_groups():
+    table = LeaseTable(_cells(6, groups=2), lease_size=8)
+    table.touch("w2", now=0.0)
+    lease = table.acquire("w1", now=0.0)
+    assert [table.cells[i].group for i in lease.indices] == [
+        table.cells[0].group
+    ] * 2  # ceil(3 / 2) of the first group, none of the second
+
+
+def test_a_single_known_worker_gets_the_whole_group():
+    table = LeaseTable(_cells(8, groups=1), lease_ttl=10.0, lease_size=8)
+    assert len(table.acquire("w1", now=0.0).indices) == 8
+    # ... and a worker not heard from for a TTL no longer counts.
+    table = LeaseTable(_cells(8, groups=1), lease_ttl=10.0, lease_size=8)
+    table.touch("gone", now=0.0)
+    assert len(table.acquire("w1", now=10.5).indices) == 8
 
 
 def test_expired_lease_is_stolen():
@@ -536,9 +601,11 @@ def test_request_reclaims_workers_stale_lease():
     assert sorted(second.indices) == sorted(first.indices)
     assert table.counters.reissued == 2
     assert len(table.leases) == 1  # the orphan is gone, not deadlocked
-    # Another worker drains the rest; the sweep completes.
-    third = table.acquire("w2", now=0.2)
-    for index in list(second.indices) + list(third.indices):
-        table.complete(index, cells[index][1], table.cells[index].worker,
-                       now=1.0)
+    # Another worker drains the rest (its share of what is pending, one
+    # lease after another); the sweep completes.
+    for index in list(second.indices):
+        table.complete(index, cells[index][1], "w1", now=1.0)
+    while (lease := table.acquire("w2", now=1.0)) is not None:
+        for index in list(lease.indices):
+            table.complete(index, cells[index][1], "w2", now=1.0)
     assert table.done

@@ -527,6 +527,57 @@ def test_fatal_cell_aborts_sweep_and_raises():
     assert coordinator.table.cells[0].status == "failed"
 
 
+def test_failed_sweep_records_cells_in_flight_before_it_raises():
+    """A cell out of retries stops the leasing, not the cells already
+    executing: each reports once more (and is recorded) before its
+    worker is told to abort, and the last one finishes the sweep."""
+    recorded = []
+    coordinator = SweepCoordinator(
+        _grid_cells(GRID), lease_size=2, max_attempts=1,
+        on_result=lambda index, key, summary: recorded.append(index),
+    )
+    with coordinator:
+        w1 = _RawWorker(coordinator.endpoint, "w1")
+        w2 = _RawWorker(coordinator.endpoint, "w2")
+        good, bad = w1.request(), w2.request()
+        assert [len(lease["cells"]) for lease in (good, bad)] == [2, 1]
+        send_msg(w2.conn, {
+            "type": "result", "worker": "w2",
+            "index": bad["cells"][0]["index"], "error": "boom",
+        })
+        assert recv_msg(w2.conn)["type"] == "abort"
+        assert w2.request()["type"] == "abort"
+        assert not coordinator._finished.is_set()  # w1 is mid-lease
+        ack = w1.send_result(good["cells"][0], {"ok": True})
+        assert ack["type"] == "abort"  # recorded, and told to stop there
+        with pytest.raises(FabricError, match="failed 1 time.*boom"):
+            coordinator.wait(timeout=10.0)
+        w1.close(), w2.close()
+    assert recorded == [good["cells"][0]["index"]]
+    assert coordinator.results == {recorded[0]: {"ok": True}}
+    assert not coordinator.table.leases
+
+
+def test_raising_on_result_fails_the_sweep_and_unrecords_the_cell():
+    """The hook is where results are kept; one that raises used to kill
+    the connection thread with the cell marked done and nothing set."""
+    def on_result(index, key, summary):
+        raise OSError(28, "No space left on device")
+
+    coordinator = SweepCoordinator(_grid_cells(GRID), on_result=on_result)
+    with coordinator:
+        w1 = _RawWorker(coordinator.endpoint, "w1")
+        cell = w1.request()["cells"][0]
+        assert w1.send_result(cell, {"ok": True})["type"] == "abort"
+        with pytest.raises(OSError, match="No space left"):
+            coordinator.wait(timeout=10.0)
+        assert w1.request()["type"] == "abort"
+        w1.close()
+    assert coordinator.results == {}
+    failed = coordinator.table.cells[cell["index"]]
+    assert failed.status == "failed" and "No space left" in failed.error
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------

@@ -91,23 +91,31 @@ def test_ablation_granularity_structure():
         assert out["cells"][label].extras["granularity"] == "partition"
 
 
-def test_set_jobs_keeps_one_pool_across_batches():
-    """The persistent pool survives driver batches until set_jobs(1)."""
+def test_set_jobs_batches_match_serial_and_leave_no_child_behind():
+    """Two driver batches under ``set_jobs(2)`` return the rows
+    ``set_jobs(1)`` returns; each batch forks its own workers and reaps
+    them, so nothing outlives it (there is no pool to shut down)."""
+    import multiprocessing
+
+    def batches():
+        figures.clear_cache()
+        bars = figures.ablation_barriers(
+            dataset="tiny_dense", barriers=("asp", "bsp"), updates=12,
+            delay="cds:1.0", verbose=False,
+        )
+        lr = figures.ablation_staleness_lr(
+            dataset="tiny_dense", updates=16, verbose=False,
+        )
+        return bars["rows"], lr["rows"]
+
+    serial = batches()
     figures.set_jobs(2)
     try:
-        first = figures._pool()
-        assert first is not None
-        figures.fig2_sync_sgd_vs_reference(
-            datasets=("tiny_dense",), iterations=4, verbose=False,
-        )
-        figures.clear_cache()
-        figures.table2_datasets(verbose=False)
-        assert figures._pool() is first  # same executor, still warm
-        figures.set_jobs(2)  # same size -> keeps the pool
-        assert figures._pool() is first
+        assert batches() == serial
+        assert multiprocessing.active_children() == []
     finally:
         figures.set_jobs(1)
-    assert figures._POOL is None
+        figures.clear_cache()
 
 
 def test_verbose_prints_table(capsys):

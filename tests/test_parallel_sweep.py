@@ -1,6 +1,9 @@
 """The parallel sweep engine: parity, ordering, checkpoint/resume."""
 
+import contextlib
 import json
+import os
+import signal
 
 import pytest
 
@@ -14,7 +17,7 @@ from repro.api.parallel import (
 )
 from repro.api.runner import component_key
 from repro.api.spec import ExperimentSpec, GridSpec
-from repro.errors import ApiError
+from repro.errors import ApiError, FabricError, ReproError
 
 GRID = {
     "base": {
@@ -68,27 +71,116 @@ def test_jobs_zero_means_all_cores():
 
 
 def test_worker_error_propagates():
+    """A cell that fails on forked workers fails the sweep with the
+    cell's own error text: a ``FabricError`` (the fabric retried it
+    first) where in-process it is the ``ApiError`` itself — both
+    ``ReproError``, which is what the CLI turns into exit code 2."""
     bad = {
         "base": dict(GRID["base"]),
         "grid": {"barrier": ["asp", "ssp:0"]},  # ssp:0 is invalid
     }
-    with pytest.raises(ApiError, match="bad parameters for policy 'ssp'"):
+    message = "ApiError: bad parameters for policy 'ssp'"
+    with pytest.raises(ReproError, match=message) as caught:
         run_grid(bad, jobs=2)
+    assert isinstance(caught.value, FabricError)
+    with pytest.raises(ApiError, match="bad parameters for policy 'ssp'"):
+        run_grid(bad, jobs=1)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failed_sweep_keeps_completed_cells_in_checkpoint(tmp_path, jobs):
     """A failing cell must not discard finished work: completed cells are
-    already in the checkpoint, so --resume pays only for the rest."""
+    already in the checkpoint, so --resume pays only for the rest. (On
+    two workers the bad cell is out of retries long before the good one
+    finishes: the sweep waits for cells in flight before it raises.)"""
     bad = {
-        "base": dict(GRID["base"]),
+        "base": {**GRID["base"], "max_updates": 200},
         "grid": {"barrier": ["asp", "ssp:0"]},
     }
     ck = tmp_path / "sweep.ckpt.jsonl"
-    with pytest.raises(ApiError, match="bad parameters for policy 'ssp'"):
+    with pytest.raises(
+        ReproError, match="bad parameters for policy 'ssp'"
+    ) as caught:
         run_grid(bad, jobs=jobs, checkpoint=ck)
+    assert isinstance(caught.value, ApiError if jobs == 1 else FabricError)
     entries = [json.loads(line) for line in ck.read_text().splitlines()]
     assert [e["index"] for e in entries] == [0]  # the asp cell survived
+
+
+# ---------------------------------------------------------------------------
+# What the fabric does for ``jobs=N`` that the process pool used to
+# ---------------------------------------------------------------------------
+
+ONE_GROUP = {
+    "base": {**GRID["base"], "max_updates": 150},
+    "grid": {
+        "barrier": ["asp", "ssp:2", "ssp:4", "bsp"], "num_workers": [2, 4],
+    },
+}
+
+
+def test_one_group_sweep_is_shared_between_the_forked_workers(tmp_path):
+    """Eight cells that share a dataset used to be leased whole to the
+    first worker that asked (slower than serial on two cores)."""
+    from repro.fabric import read_status
+
+    ck = tmp_path / "sweep.ckpt.jsonl"
+    assert run_grid(ONE_GROUP, jobs=2, checkpoint=ck) == run_grid(ONE_GROUP)
+    status = read_status(ck)
+    assert status["finished"] and status["done"] == 8
+    done = [w["cells_done"] for w in status["workers"].values()]
+    assert len(done) == 2 and min(done) >= 1 and sum(done) == 8
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail, rather than hang the suite, if the body is still running
+    after ``seconds`` (an alarm, not a thread: the body forks)."""
+    def on_alarm(signum, frame):
+        raise AssertionError(f"still running after {seconds}s")
+
+    prev = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, prev)
+
+
+@pytest.mark.parametrize(
+    "how", [{"jobs": 1}, {"jobs": 2}, {"fabric": "local:2"}], ids=str
+)
+def test_raising_progress_callback_fails_the_sweep(how):
+    """On forked workers the callback runs on a coordinator thread; its
+    exception used to kill that thread and leave ``run_grid`` waiting."""
+    class Boom(Exception):
+        pass
+
+    def progress(k, total, summary):
+        raise Boom(f"cell {k}")
+
+    with _within(30), pytest.raises(Boom):
+        run_grid(GRID, progress=progress, **how)
+
+
+def test_sweep_whose_forked_workers_all_die_raises(tmp_path, monkeypatch):
+    """SIGKILL both workers mid-cell: nobody is left to lease to and
+    nobody else was told the endpoint, so the sweep fails (it used to
+    wait for ever) naming what is unrecorded."""
+    from repro.api import parallel
+
+    def dying_cell(spec_dict):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    # Forked workers inherit the patch; the driver never runs a cell.
+    monkeypatch.setattr(parallel, "_summary_cell", dying_cell)
+    ck = tmp_path / "sweep.ckpt.jsonl"
+    with _within(30), pytest.raises(
+        FabricError, match=r"6 cell\(s\) unrecorded: \[0, 1, 2, 3, 4, 5\]"
+    ):
+        run_grid(GRID, jobs=2, checkpoint=ck)
+    assert ck.read_text() == ""
 
 
 def test_run_cells_bench_runner_returns_results_in_order():
@@ -217,8 +309,8 @@ def test_resume_accepts_checkpoints_keyed_with_barrier(
     ck.write_text("\n".join(lines) + "\n")
 
     monkeypatch.setattr(
-        parallel, "run_cells",
-        lambda *a, **kw: pytest.fail("a recorded cell was re-run"),
+        parallel, "resolve_runner",
+        lambda name: pytest.fail("a recorded cell was re-run"),
     )
     resumed = parallel.run_sweep_cells(
         specs, runner=runner, checkpoint=ck, resume=True

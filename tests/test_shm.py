@@ -114,16 +114,27 @@ def test_load_dataset_falls_back_when_segments_are_gone():
     assert dspec == dspec0
 
 
-def test_run_cells_share_data_parity():
-    """Pool cells attached to one shared copy summarize bit-identically
-    to cells that each materialized their own dataset."""
+def test_run_cells_share_data_parity(monkeypatch):
+    """Cells on forked workers, attached to the one copy the sweep
+    driver published, summarize bit-identically to cells run in-process
+    on a dataset materialized there."""
     specs = [
         {"algorithm": "asgd", "dataset": "tiny_dense", "num_workers": w,
          "num_partitions": 8, "max_updates": 10, "eval_every": 5, "seed": 0}
         for w in (2, 3, 4, 5)
     ]
-    shared = run_cells(specs, jobs=2, share_data=True)
-    private = run_cells(specs, jobs=2, share_data=False)
+    published = []
+    real_publish = shm.publish_dataset
+
+    def spying_publish(dataset, seed):
+        published.append((dataset, seed))
+        return real_publish(dataset, seed)
+
+    monkeypatch.setattr(shm, "publish_dataset", spying_publish)
+    shared = run_cells(specs, jobs=2)
+    assert published == [("tiny_dense", 0)]  # once per group, not per cell
+    private = run_cells(specs, jobs=1)
+    assert published == [("tiny_dense", 0)]  # in-process publishes nothing
     assert json.dumps(shared, sort_keys=True) == json.dumps(
         private, sort_keys=True
     )

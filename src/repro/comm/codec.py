@@ -12,8 +12,12 @@ Error feedback (the Bagua ``onebit_adam`` shape): per worker/partition,
 the residual ``x - decompress(compress(x))`` of each leaf is stored in
 the :class:`~repro.cluster.backend.WorkerEnv` and added back into the
 next round's payload before compressing, so compression error is
-re-injected rather than lost. A killed worker loses its residuals with
-the rest of its local state — exactly what a real crash would do.
+re-injected rather than lost. The residual comes from
+:meth:`Compressor.residual <repro.comm.compressors.Compressor.residual>`:
+the sparse codecs subtract their kept values from ``x`` in place instead
+of building the dense reconstruction, with bit-identical results. A
+killed worker loses its residuals with the rest of its local state —
+exactly what a real crash would do.
 """
 
 from __future__ import annotations
@@ -55,12 +59,16 @@ class EncodedPayload:
         return self.raw_bytes / max(self.wire_bytes, 1)
 
 
-def _tree_wire_bytes(node: Any) -> int:
-    if isinstance(node, Packet):
-        return node.wire_bytes
-    if isinstance(node, tuple):
-        return 64 + sum(_tree_wire_bytes(child) for child in node)
-    return sizeof_bytes(node)
+class _Feedback:
+    """One scope's error-feedback state, kept in the worker's env."""
+
+    __slots__ = ("draws", "residuals")
+
+    def __init__(self) -> None:
+        #: Encodes so far (seeds ``randk``'s per-encode rng stream).
+        self.draws = 0
+        #: Leaf index -> residual carried into the next encode.
+        self.residuals: dict[int, np.ndarray] = {}
 
 
 def _is_compressible(leaf: Any) -> bool:
@@ -82,19 +90,28 @@ class PayloadCodec:
     def encode(self, payload: Any, env, partition: "int | None") -> EncodedPayload:
         """Compress ``payload``'s float leaves; residuals live in ``env``."""
         scope = _WORKER_SCOPE if partition is None else int(partition)
-        ef_key = ("comm_ef", scope)
-        residuals: dict[int, np.ndarray] = env.get(ef_key) or {}
-        rng_key = ("comm_rng", scope)
-        draw = int(env.get(rng_key) or 0)
-        env.put(rng_key, draw + 1)
+        key = ("comm_ef", scope)
+        state = env.get(key)
+        if state is None:
+            state = _Feedback()
+            env.put(key, state)
+        draw = state.draws
+        state.draws += 1
+        residuals = state.residuals
+        compressor = self.compressor
 
         leaf_index = 0
+        # The encoded tree's wire measure, summed as it is built: packets
+        # at their exact size, tuples at 64 + children, the rest raw.
+        wire = 0
 
         def walk(node: Any) -> Any:
-            nonlocal leaf_index
+            nonlocal leaf_index, wire
             if isinstance(node, tuple):
+                wire += 64
                 return tuple(walk(child) for child in node)
             if not _is_compressible(node):
+                wire += sizeof_bytes(node)
                 return node
             index = leaf_index
             leaf_index += 1
@@ -103,21 +120,17 @@ class PayloadCodec:
             if residual is not None and residual.shape == x.shape:
                 x += residual
             rng = None
-            if self.compressor.needs_rng:
+            if compressor.needs_rng:
                 rng = np.random.default_rng(
                     [self.seed, env.worker_id, scope & 0x7FFFFFFF, draw, index]
                 )
-            packet = self.compressor.compress(x, rng=rng)
-            residuals[index] = x - self.compressor.decompress(packet).astype(
-                np.float64, copy=False
-            )
+            packet = compressor.compress(x, rng=rng)
+            residuals[index] = compressor.residual(x, packet)
+            wire += packet.wire_bytes
             return packet
 
         tree = walk(payload)
-        env.put(ef_key, residuals)
-        return EncodedPayload(
-            tree, payload_nbytes(payload), _tree_wire_bytes(tree)
-        )
+        return EncodedPayload(tree, payload_nbytes(payload), wire)
 
     # -- driver side -----------------------------------------------------------
     def decode(self, encoded: EncodedPayload) -> Any:

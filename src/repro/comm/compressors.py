@@ -68,6 +68,13 @@ def _dtype_name(dtype) -> str:
     return str(np.dtype(dtype).name)
 
 
+def _code_name(names: dict[int, str], code: int, what: str) -> str:
+    try:
+        return names[code]
+    except KeyError:
+        raise ReproError(f"unknown packet {what} code {code}") from None
+
+
 def _dtype_code(dtype: np.dtype) -> int:
     name = _dtype_name(dtype)
     if name not in _DTYPE_CODES:
@@ -98,9 +105,11 @@ class Packet:
         if scheme not in _SCHEME_CODES:
             raise ReproError(f"unknown packet scheme {scheme!r}")
         self.scheme = scheme
-        self.shape = tuple(int(s) for s in shape)
+        self.shape = tuple(shape)
         self.dtype = _dtype_name(dtype)
-        self.arrays = tuple(np.ascontiguousarray(a) for a in arrays)
+        # ndarrays in any layout: ``to_bytes`` writes C order, and
+        # ``wire_bytes`` counts ``nbytes``, which no layout changes.
+        self.arrays = tuple(arrays)
 
     @property
     def header_bytes(self) -> int:
@@ -136,36 +145,54 @@ class Packet:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Packet":
+        """Parse :meth:`to_bytes` output; any malformed blob (truncated,
+        unknown scheme or dtype code, trailing bytes) raises
+        :class:`~repro.errors.ReproError` saying what is wrong."""
         if blob[:2] != _MAGIC:
             raise ReproError("not a comm packet (bad magic)")
-        version, scheme_code, dtype_code, ndim = struct.unpack_from(
-            "<BBBB", blob, 2
-        )
-        if version != _FORMAT_VERSION:
-            raise ReproError(f"unsupported packet format version {version}")
-        offset = 6
-        shape = struct.unpack_from(f"<{ndim}q", blob, offset)
-        offset += 8 * ndim
-        (narrays,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        descriptors = []
-        for _ in range(narrays):
-            code, size = struct.unpack_from("<BI", blob, offset)
-            offset += 5
-            descriptors.append((np.dtype(_DTYPE_NAMES[code]), size))
+        try:
+            version, scheme_code, dtype_code, ndim = struct.unpack_from(
+                "<BBBB", blob, 2
+            )
+            if version != _FORMAT_VERSION:
+                raise ReproError(
+                    f"unsupported packet format version {version}"
+                )
+            scheme = _code_name(_SCHEME_NAMES, scheme_code, "scheme")
+            dtype = _code_name(_DTYPE_NAMES, dtype_code, "dtype")
+            offset = 6
+            shape = struct.unpack_from(f"<{ndim}q", blob, offset)
+            offset += 8 * ndim
+            (narrays,) = struct.unpack_from("<B", blob, offset)
+            offset += 1
+            descriptors = []
+            for _ in range(narrays):
+                code, size = struct.unpack_from("<BI", blob, offset)
+                offset += 5
+                descriptors.append(
+                    (np.dtype(_code_name(_DTYPE_NAMES, code, "array dtype")),
+                     size)
+                )
+        except struct.error:
+            raise ReproError(
+                f"truncated comm packet header ({len(blob)} bytes)"
+            ) from None
         arrays = []
-        for dtype, size in descriptors:
-            nbytes = dtype.itemsize * size
+        for array_dtype, size in descriptors:
+            nbytes = array_dtype.itemsize * size
+            if offset + nbytes > len(blob):
+                raise ReproError(
+                    f"truncated comm packet payload: array {len(arrays)} "
+                    f"needs {nbytes} bytes at offset {offset}, the packet "
+                    f"has {len(blob)}"
+                )
             arrays.append(
-                np.frombuffer(blob[offset:offset + nbytes], dtype=dtype)
+                np.frombuffer(blob[offset:offset + nbytes], dtype=array_dtype)
             )
             offset += nbytes
         if offset != len(blob):
             raise ReproError("trailing bytes after comm packet payload")
-        return cls(
-            _SCHEME_NAMES[scheme_code], tuple(shape),
-            _DTYPE_NAMES[dtype_code], tuple(arrays),
-        )
+        return cls(scheme, shape, dtype, tuple(arrays))
 
 
 class Compressor:
@@ -182,6 +209,14 @@ class Compressor:
 
     def decompress(self, packet: Packet) -> np.ndarray:
         raise NotImplementedError
+
+    def residual(self, x: np.ndarray, packet: Packet) -> np.ndarray:
+        """The error-feedback remainder ``x - decompress(packet)``.
+
+        ``packet`` is ``compress(x)`` and ``x`` is the codec's own fresh
+        float64 array, which an override may overwrite and return.
+        """
+        return x - self.decompress(packet).astype(np.float64, copy=False)
 
     def spec(self) -> str:
         """Canonical grammar spelling (round-trips via parse_compressor)."""
@@ -239,12 +274,19 @@ class _SparseCompressor(Compressor):
 
     def decompress(self, packet: Packet) -> np.ndarray:
         idx, values = packet.arrays
-        flat = np.zeros(
-            int(np.prod(packet.shape)) if packet.shape else 1,
-            dtype=np.float64,
-        )
+        flat = np.zeros(math.prod(packet.shape), dtype=np.float64)
         flat[idx] = values
         return _restore(packet, flat)
+
+    def residual(self, x: np.ndarray, packet: Packet) -> np.ndarray:
+        # Bit-identical to the dense ``x - decompress(packet)``: entries
+        # the packet dropped see ``x - (+0.0) == x`` there (for -0.0,
+        # inf, subnormals and every NaN arithmetic produces), kept ones
+        # the same subtraction, and a packet never repeats an index.
+        idx, values = packet.arrays
+        flat = x.ravel()  # a view unless x is not C-contiguous
+        flat[idx] -= values
+        return flat.reshape(x.shape)
 
 
 @register_compressor("topk")
@@ -332,7 +374,7 @@ class OneBitCompressor(Compressor):
 
     def decompress(self, packet: Packet) -> np.ndarray:
         bits, scale = packet.arrays
-        n = int(np.prod(packet.shape)) if packet.shape else 1
+        n = math.prod(packet.shape)
         signs = np.unpackbits(bits, count=n).astype(np.float64) * 2.0 - 1.0
         return _restore(packet, signs * float(scale[0]))
 

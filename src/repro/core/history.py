@@ -39,7 +39,9 @@ a HIST channel).
 
 from __future__ import annotations
 
+import base64
 import itertools
+import math
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -305,7 +307,7 @@ class HistoryChannel:
             # an unbounded channel stays O(1) regardless of run length.
             snap["versions"] = self.versions()
             snap["values"] = {
-                int(v): _to_jsonable(self._values[v]) for v in self.versions()
+                int(v): to_jsonable(self._values[v]) for v in self.versions()
             }
             snap["timestamps_ms"] = {
                 int(v): self._stamped_ms[v] for v in self.versions()
@@ -333,7 +335,7 @@ class HistoryChannel:
                 f"{self.keep.describe()!r}"
             )
         self._values = {
-            int(v): freeze_value(_from_jsonable(val))
+            int(v): freeze_value(from_jsonable(val))
             for v, val in snap["values"].items()
         }
         self._stamped_ms = {
@@ -359,17 +361,35 @@ class HistoryChannel:
         )
 
 
+#: ndarray kinds the checkpoint codec carries: bool, signed/unsigned
+#: int, float, complex — everything ``src/`` stores in HIST or snapshots.
+_ARRAY_KINDS = "biufc"
+
+
 def to_jsonable(value: Any) -> Any:
     """Encode a stored value for JSON checkpoints (arrays -> typed dicts).
 
-    The inverse of :func:`from_jsonable`; float64 arrays survive the
-    JSON round-trip bit-exact, which is what lets snapshot/restore be
-    byte-for-byte deterministic. Shared with ``core.snapshots``.
+    An ndarray becomes ``{"__ndarray__": <base64 of its raw bytes, C
+    order, little-endian>, "dtype": <explicit little-endian dtype str,
+    e.g. "<f8">, "shape": [...]}``, so every bit survives — NaN payloads
+    and -0.0 included — and the JSON stays strict (no bare ``NaN``).
+    Arrays of any other kind (object, string, datetime, void) raise
+    :class:`~repro.errors.HistoryError`. The inverse of
+    :func:`from_jsonable`; shared with ``core.snapshots``.
     """
     if isinstance(value, np.ndarray):
+        dtype = value.dtype
+        if dtype.kind not in _ARRAY_KINDS:
+            raise HistoryError(
+                f"cannot checkpoint an ndarray of dtype {dtype} "
+                f"(supported kinds: {_ARRAY_KINDS})"
+            )
+        dtype = dtype.newbyteorder("<")
         return {
-            "__ndarray__": value.tolist(),
-            "dtype": str(value.dtype),
+            "__ndarray__": base64.b64encode(
+                value.astype(dtype, copy=False).tobytes()
+            ).decode("ascii"),
+            "dtype": dtype.str,
             "shape": list(value.shape),
         }
     if isinstance(value, (tuple, list)):
@@ -382,11 +402,22 @@ def to_jsonable(value: Any) -> Any:
 
 
 def from_jsonable(value: Any) -> Any:
-    """Decode :func:`to_jsonable` output (lists come back as tuples)."""
+    """Decode :func:`to_jsonable` output (lists come back as tuples).
+
+    Arrays come back writable and in native byte order. The list form
+    earlier versions wrote (``"__ndarray__": [...]`` with a numpy dtype
+    name) is still read, so their snapshots, HIST channel snapshots and
+    sweep-checkpoint ``run_state`` keep loading; nothing writes it. A
+    malformed array record raises :class:`~repro.errors.HistoryError`.
+    """
     if isinstance(value, dict) and "__ndarray__" in value:
-        return np.array(
-            value["__ndarray__"], dtype=value.get("dtype", "float64")
-        ).reshape(value.get("shape", -1))
+        # KeyError: a missing "dtype"/"shape"; TypeError: an unparseable
+        # dtype or shape; ValueError: bad base64, a wrong byte count, a
+        # list-form length mismatch.
+        try:
+            return _decode_array(value)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise HistoryError(f"malformed array record: {exc}") from exc
     if isinstance(value, list):
         return tuple(from_jsonable(v) for v in value)
     if isinstance(value, dict):
@@ -394,9 +425,28 @@ def from_jsonable(value: Any) -> Any:
     return value
 
 
-# Channel code predates the public spelling; keep the private aliases.
-_to_jsonable = to_jsonable
-_from_jsonable = from_jsonable
+def _decode_array(record: dict) -> np.ndarray:
+    data = record["__ndarray__"]
+    if not isinstance(data, str):  # legacy list form
+        return np.array(data, dtype=record.get("dtype", "float64")).reshape(
+            record.get("shape", -1)
+        )
+    dtype = np.dtype(record["dtype"])
+    if dtype.kind not in _ARRAY_KINDS:
+        raise ValueError(f"unsupported dtype {dtype}")
+    shape = tuple(int(s) for s in record["shape"])
+    if any(s < 0 for s in shape):
+        raise ValueError(f"negative shape {list(shape)}")
+    raw = base64.b64decode(data, validate=True)
+    want = math.prod(shape) * dtype.itemsize
+    if len(raw) != want:
+        raise ValueError(
+            f"{len(raw)} bytes for shape {list(shape)} of {dtype.str} "
+            f"(expected {want})"
+        )
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(
+        dtype.newbyteorder("="), copy=True
+    )
 
 
 class HistoryStore:

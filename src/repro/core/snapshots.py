@@ -12,10 +12,20 @@ snapshot a run writes the instant update ``K`` applies is **byte
 identical** to the final snapshot of the same spec run with
 ``max_updates=K``. Tests and the recovery bench lean on that.
 
+The file is one JSON object (sorted keys, no whitespace) whose arrays
+are :func:`~repro.core.history.to_jsonable` records: the array's raw
+little-endian bytes in base64 plus an explicit dtype and shape, so the
+encode is a byte copy rather than a float-to-text conversion, every bit
+survives (NaN payloads, -0.0) and the JSON stays strict. Files from
+earlier versions, whose arrays are JSON lists, still load.
+
 Writes are atomic (temp file in the same directory, ``fsync``, then
 ``os.replace``): a writer SIGKILLed mid-write can never corrupt the
 previous snapshot, so "restore from the latest snapshot" is always
-well defined.
+well defined. :func:`read_snapshot` checks the counters and decodes
+every array before a run sees the state, so a malformed file fails as a
+:class:`~repro.errors.SnapshotError` naming the path, not as a numpy
+error halfway through a restore.
 """
 
 from __future__ import annotations
@@ -25,8 +35,10 @@ import os
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from repro.core.history import from_jsonable, to_jsonable
-from repro.errors import SnapshotError
+from repro.errors import HistoryError, SnapshotError
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -42,8 +54,11 @@ __all__ = [
 #: files without it (e.g. a sweep checkpoint passed by mistake).
 SNAPSHOT_FORMAT = "repro/run-snapshot@1"
 
-# One codec for all run state: the HIST JSON codec round-trips float64
-# ndarrays bit-exact, which is what makes resume trajectories identical.
+#: Integer counters every run snapshot carries beside the model ``w``.
+_COUNTERS = ("updates", "rounds", "epoch_rounds_left")
+
+# One codec for all run state: the HIST JSON codec round-trips ndarrays
+# bit-exact, which is what makes resume trajectories identical.
 encode_value = to_jsonable
 decode_value = from_jsonable
 
@@ -55,7 +70,7 @@ def is_run_snapshot(state: Any) -> bool:
 
 
 def write_snapshot(path: str | os.PathLike, state: dict) -> None:
-    """Atomically replace ``path`` with ``state`` as canonical JSON."""
+    """Atomically replace ``path`` with ``state`` as sorted, compact JSON."""
     target = Path(path)
     payload = json.dumps(
         state, sort_keys=True, separators=(",", ":")
@@ -78,11 +93,16 @@ def write_snapshot(path: str | os.PathLike, state: dict) -> None:
 
 
 def read_snapshot(path: str | os.PathLike) -> dict:
-    """Load and validate a run snapshot written by :func:`write_snapshot`."""
+    """Load and validate a run snapshot written by :func:`write_snapshot`.
+
+    Returns the state as stored (arrays still encoded, as
+    ``ServerLoop`` expects), after checking that the counters are
+    integers and that ``w`` and every other array record decode.
+    """
     target = Path(path)
     try:
         text = target.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SnapshotError(
             f"cannot read snapshot {str(target)!r}: {exc}"
         ) from exc
@@ -96,6 +116,21 @@ def read_snapshot(path: str | os.PathLike) -> dict:
         raise SnapshotError(
             f"{str(target)!r} is not a {SNAPSHOT_FORMAT} file"
         )
+    for key in (*_COUNTERS, "w"):
+        if key not in state:
+            raise SnapshotError(f"{str(target)!r}: missing {key!r}")
+    for key in _COUNTERS:
+        if type(state[key]) is not int:
+            raise SnapshotError(
+                f"{str(target)!r}: {key!r} must be an integer, "
+                f"got {state[key]!r}"
+            )
+    try:
+        decoded = from_jsonable(state)
+    except HistoryError as exc:
+        raise SnapshotError(f"{str(target)!r}: {exc}") from exc
+    if not isinstance(decoded["w"], np.ndarray):
+        raise SnapshotError(f"{str(target)!r}: 'w' is not an array record")
     return state
 
 

@@ -21,6 +21,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import COMPRESSORS, run_experiment
 from repro.cluster.threadbackend import ThreadBackend
@@ -120,6 +122,72 @@ def test_packet_rejects_bad_magic_and_trailing_bytes():
         Packet.from_bytes(b"XX" + blob[2:])
     with pytest.raises(ReproError, match="trailing"):
         Packet.from_bytes(blob + b"\x00")
+
+
+def _parse(blob):
+    """``Packet.from_bytes`` or ``None`` on ReproError (the only error a
+    malformed blob may raise)."""
+    try:
+        return Packet.from_bytes(blob)
+    except ReproError:
+        return None
+
+
+def _header_len(blob: bytes) -> int:
+    narrays_at = 6 + 8 * blob[5]
+    return narrays_at + 1 + 5 * blob[narrays_at]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    token=st.sampled_from(ALL_TOKENS),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_packet_from_bytes_survives_hostile_input(token, n, seed, data):
+    """Truncated at every offset, any header byte (scheme, dtype, ndim,
+    array dtype and count bytes) overwritten, or with bytes appended, a
+    packet blob either raises ReproError or parses into a packet that
+    serializes back to exactly those bytes — never struct/numpy/KeyError."""
+    comp = parse_compressor(token)
+    packet = comp.compress(
+        np.random.default_rng(seed).standard_normal(n),
+        rng=np.random.default_rng(seed),
+    )
+    blob = packet.to_bytes()
+    back = _parse(blob)
+    assert back is not None and back.to_bytes() == blob
+    assert (back.scheme, back.shape, back.dtype) == (
+        packet.scheme, packet.shape, packet.dtype
+    )
+
+    for cut in range(len(blob)):
+        assert _parse(blob[:cut]) is None, cut
+    assert _parse(blob + data.draw(st.binary(min_size=1, max_size=16))) is None
+
+    for _ in range(8):
+        at = data.draw(st.integers(3, _header_len(blob) - 1), label="byte")
+        mutated = bytearray(blob)
+        mutated[at] = data.draw(st.integers(0, 255), label="value")
+        mutated = bytes(mutated)
+        got = _parse(mutated)
+        assert got is None or got.to_bytes() == mutated
+
+
+@pytest.mark.parametrize("blob,match", [
+    (b"RC\x01", "truncated comm packet header"),
+    (b"RC\x01\x63\x00\x00\x00", "unknown packet scheme code 99"),
+    (b"RC\x01\x09\x00\x00\x00", "unknown packet scheme code 9"),
+    (b"RC\x01\x01\x63\x00\x00", "unknown packet dtype code 99"),
+    (b"RC\x01\x01\x00\x00\x01\x0b\x01\x00\x00\x00",
+     "unknown packet array dtype code 11"),
+    (b"RC\x01\x01\x00\x00\x01\x00\x02\x00\x00\x00" + bytes(9),
+     "truncated comm packet payload"),
+])
+def test_packet_from_bytes_names_what_is_wrong(blob, match):
+    with pytest.raises(ReproError, match=match):
+        Packet.from_bytes(blob)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +305,84 @@ def test_thread_backend_lossy_ef_converges():
             res.extras["comm_collect_wire_bytes"]
             < res_none.extras["comm_collect_wire_bytes"]
         )
+
+
+# ---------------------------------------------------------------------------
+# The residual shortcut and the delta mirror stay bit-identical
+# ---------------------------------------------------------------------------
+
+def _f64(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+#: Values a dense ``x - decompress(...)`` must agree with bit for bit.
+#: Quiet NaNs only: arithmetic never produces a signalling NaN, and
+#: ``x - 0.0`` would quiet one where the in-place path leaves it be.
+_SPECIAL_FLOATS = [
+    0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072e-310,
+    np.nan, _f64(0xFFF8000000000000), _f64(0x7FF8000000000123),
+    _f64(0xFFF80000DEADBEEF),
+]
+
+_vectors = st.lists(
+    st.one_of(
+        st.floats(allow_nan=False, allow_subnormal=True),
+        st.sampled_from(_SPECIAL_FLOATS),
+    ),
+    min_size=8, max_size=64,
+).map(lambda xs: np.array(xs, dtype=np.float64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    token=st.sampled_from(["topk:0.25", "randk:0.25", "int8", "onebit"]),
+    x=_vectors,
+    partition=st.sampled_from([None, 3]),
+)
+def test_stored_residual_is_x_minus_decompress_bit_for_bit(token, x, partition):
+    from repro.cluster.backend import WorkerEnv
+    from repro.comm.codec import PayloadCodec
+
+    comp = parse_compressor(token)
+    env = WorkerEnv(2)
+    with np.errstate(all="ignore"):
+        enc = PayloadCodec(comp, seed=5).encode((x,), env, partition)
+        packet = enc.tree[0]
+        want = x - comp.decompress(packet)
+    state = env.get(("comm_ef", -1 if partition is None else partition))
+    got = state.residuals[0]
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # The encoded tree's wire measure is the packet plus the tuple.
+    assert enc.wire_bytes == 64 + packet.wire_bytes
+
+
+def test_delta_fetch_does_not_keep_a_mirrors_negative_zero():
+    """``recon = mirror + decompress(packet)`` turns a mirror's -0.0 into
+    +0.0 where the packet carries nothing; an in-place scatter-add into
+    the mirror would keep -0.0 and drift from every pinned trajectory."""
+    from repro.cluster.backend import WorkerEnv
+    from repro.core.history import HistoryChannel
+
+    comm = CommManager.coerce({"name": "topk", "fraction": 0.25, "delta": True})
+    channel = HistoryChannel(0, "model")
+    v0 = np.zeros(16)
+    v0[::2] = -0.0
+    v1 = v0.copy()
+    v1[[1, 5, 9, 13]] = [4.0, -3.0, 2.0, -1.0]
+    channel.append(v0)
+    channel.append(v1)
+    env = WorkerEnv(0)
+
+    first, _ = comm.fetch_channel_value(channel, 0, env)
+    assert np.array_equal(first.view(np.uint64), v0.view(np.uint64))
+    recon, wire = comm.fetch_channel_value(channel, 1, env)
+
+    comp = comm.compressor
+    want = v0 + comp.decompress(comp.compress(v1 - v0))
+    assert np.array_equal(recon.view(np.uint64), want.view(np.uint64))
+    assert not np.signbit(recon[::2]).any()  # every -0.0 became +0.0
+    assert wire < channel.nbytes(1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The HIST subsystem: retention, byte accounting, immutability, store."""
 
+import base64
 import json
 
 import numpy as np
@@ -158,6 +159,40 @@ def test_store_snapshot_restore_roundtrip():
     assert got.append((np.ones(3), np.ones(3), 1.0)) == 2
     # The metadata-only channel was skipped, not half-restored.
     assert "model" not in fresh
+
+
+def _pairs_channel_snapshot():
+    ch = HistoryChannel(0, "pairs", keep="last:2")
+    s = np.array([-0.0, np.inf, 5e-324])
+    y = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)
+    ch.append((s, y, 0.5))
+    ch.append((s * 2, y, 0.25))
+    return json.loads(json.dumps(ch.snapshot())), (s, y)
+
+
+def test_channel_snapshot_carries_array_bits():
+    snap, (s, y) = _pairs_channel_snapshot()
+    got = HistoryChannel(1, "pairs", keep="last:2")
+    got.restore(snap)
+    s0, y0, rho = got.get(0)
+    assert s0.tobytes() == s.tobytes() and y0.tobytes() == y.tobytes()
+    assert rho == 0.5 and not s0.flags.writeable  # frozen again
+    assert got.accounting() == snap["accounting"]
+
+
+def test_channel_restores_list_form_snapshot():
+    """Channel snapshots written with ``tolist()`` arrays (earlier
+    versions) restore to the same values."""
+    snap, (s, y) = _pairs_channel_snapshot()
+    for value in snap["values"].values():
+        for leaf in value[:2]:
+            arr = np.frombuffer(base64.b64decode(leaf["__ndarray__"]), "<f8")
+            leaf.update(__ndarray__=arr.tolist(), dtype="float64")
+    got = HistoryChannel(1, "pairs", keep="last:2")
+    got.restore(snap)
+    s1, y1, rho = got.get(1)
+    assert s1.tobytes() == (s * 2).tobytes() and y1.tobytes() == y.tobytes()
+    assert rho == 0.25
 
 
 def test_restore_rejects_conflicting_retention():

@@ -42,6 +42,13 @@ SPEC = {
     "num_workers": 4, "max_updates": 60, "seed": 3, "delay": "cds:0.6",
 }
 
+#: A run whose snapshots carry a bounded HIST channel (SAGA's average).
+ASAGA_SPEC = {
+    "algorithm": "asaga", "dataset": "tiny_dense", "num_workers": 4,
+    "num_partitions": 8, "delay": "cds:0.6", "max_updates": 60,
+    "eval_every": 20, "seed": 3, "params": {"mode": "history"},
+}
+
 ENV = dict(
     os.environ,
     PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
@@ -65,10 +72,207 @@ def test_codec_roundtrips_ndarrays_bit_exact():
     assert np.array_equal(back2["w"], w)
 
 
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("value", [
+    np.array([1.0, -0.0, np.inf, 5e-324, np.pi]),
+    np.arange(6, dtype=np.float32).reshape(2, 3),
+    np.array([-(2**62), 7], dtype=np.int64),
+    np.array([0, 255], dtype=np.uint8),
+    np.array([True, False, True]),
+    np.array([1 + 2j, -0.0 - 1j], dtype=np.complex128),
+    np.arange(5, dtype=">f8"),                    # big-endian input
+    np.array(2.5),                                # 0-d
+    np.zeros((0, 3)),                             # empty
+    np.arange(24.0).reshape(4, 6)[::2, 1::2],     # non-contiguous
+    np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+], ids=["f8", "f4", "i8", "u1", "bool", "c16", "f8-big-endian", "0-d",
+        "empty", "strided", "fortran"])
+def test_array_codec_roundtrips_bit_exact(value):
+    record = json.loads(json.dumps(encode_value(value)))
+    assert set(record) == {"__ndarray__", "dtype", "shape"}
+    assert record["dtype"][0] in "<|"          # explicit little-endian
+    back = decode_value(record)
+    assert back.shape == value.shape
+    assert back.dtype == value.dtype.newbyteorder("=")
+    assert back.dtype.isnative and back.flags.writeable
+    assert _bits(back) == _bits(value.astype(back.dtype))
+
+
+def test_array_codec_keeps_nan_payloads_and_negative_zero():
+    bits = np.array(
+        [0x7FF8000000000123, 0xFFF80000DEADBEEF, 0x7FF0000000000001,
+         0x8000000000000000], dtype=np.uint64,
+    )
+    back = decode_value(json.loads(json.dumps(encode_value(bits.view(np.float64)))))
+    assert np.array_equal(back.view(np.uint64), bits)
+
+
+def test_array_codec_refuses_arrays_it_cannot_carry():
+    from repro.errors import HistoryError
+
+    for value in (np.array(["a"]), np.array([object()]),
+                  np.array(["2020-01-01"], dtype="datetime64[D]")):
+        with pytest.raises(HistoryError, match="cannot checkpoint"):
+            encode_value(value)
+
+
+def _no_constants(name):
+    raise AssertionError(f"snapshot JSON contains bare {name}")
+
+
+def test_snapshot_file_is_strict_json(tmp_path):
+    snap_file = tmp_path / "snap.json"
+    run_experiment({**ASAGA_SPEC, "snapshot_every": 20,
+                    "snapshot_path": str(snap_file)})
+    state = json.loads(snap_file.read_text(), parse_constant=_no_constants)
+    assert isinstance(state["w"]["__ndarray__"], str)
+    # The bounded HIST channel travels in the same encoding.
+    channels = state["server"]["history"]
+    assert any(
+        isinstance(value["__ndarray__"], str)
+        for ch in channels.values() for value in ch.get("values", {}).values()
+    )
+
+
+def _to_list_form(node):
+    """Rewrite every array record the way earlier versions wrote it:
+    ``tolist()`` values and a numpy dtype name."""
+    if isinstance(node, dict) and "__ndarray__" in node:
+        arr = decode_value(node)
+        return {"__ndarray__": arr.tolist(), "dtype": str(arr.dtype),
+                "shape": list(arr.shape)}
+    if isinstance(node, dict):
+        return {k: _to_list_form(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_to_list_form(v) for v in node]
+    return node
+
+
+def test_list_form_snapshot_restores_like_the_new_form(tmp_path):
+    """``_to_list_form`` of a snapshot is, byte for byte, the file the
+    list-form writer produced for the same run; restoring it lands on
+    the same ``w`` as restoring the new form."""
+    snap_file = tmp_path / "snap.json"
+    run_experiment({**ASAGA_SPEC, "max_updates": 40, "snapshot_every": 40,
+                    "snapshot_path": str(snap_file)})
+    legacy_file = tmp_path / "legacy.json"
+    legacy = _to_list_form(json.loads(snap_file.read_text()))
+    assert isinstance(legacy["w"]["__ndarray__"], list)
+    legacy_file.write_text(
+        json.dumps(legacy, sort_keys=True, separators=(",", ":")) + "\n"
+    )
+
+    from_new = run_experiment({**ASAGA_SPEC, "restore_from": str(snap_file)})
+    from_legacy = run_experiment(
+        {**ASAGA_SPEC, "restore_from": str(legacy_file)}
+    )
+    assert from_legacy.extras["resumed_from_update"] == 40
+    assert from_legacy.updates == 60
+    assert _bits(from_legacy.w) == _bits(from_new.w)
+
+
+def test_sweep_checkpoint_with_list_form_run_state_resumes(
+    tmp_path, monkeypatch
+):
+    from repro.api import parallel
+    from repro.api.runner import run_grid
+
+    grid = {"base": {**ASAGA_SPEC, "max_updates": 20},
+            "grid": {"seed": [1, 2]}}
+    ck = tmp_path / "sweep.ckpt.jsonl"
+    first = run_grid(grid, checkpoint=str(ck))
+    entries = [json.loads(line) for line in ck.read_text().splitlines()]
+    for entry in entries:
+        entry["summary"] = _to_list_form(entry["summary"])
+    ck.write_text("".join(json.dumps(e) + "\n" for e in entries))
+
+    monkeypatch.setattr(
+        parallel, "_summary_cell",
+        lambda spec: pytest.fail("a recorded cell was re-run"),
+    )
+    resumed = run_grid(grid, checkpoint=str(ck), resume=True)
+    (avg,) = resumed[0]["run_state"]["history"]["saga/avg_hist"]["values"].values()
+    assert isinstance(avg["__ndarray__"], list)
+    # (via JSON: a fresh summary's HIST version keys are ints)
+    assert resumed == json.loads(json.dumps(_to_list_form(first)))
+
+
+def _write_state(path, state):
+    path.write_text(json.dumps(state))
+    return path
+
+
+def _valid_state(tmp_path):
+    snap_file = tmp_path / "snap.json"
+    run_experiment({**SPEC, "max_updates": 20, "snapshot_every": 20,
+                    "snapshot_path": str(snap_file)})
+    return json.loads(snap_file.read_text())
+
+
+@pytest.mark.parametrize("key", ["updates", "rounds", "w"])
+def test_snapshot_missing_a_required_key_is_a_snapshot_error(tmp_path, key):
+    state = _valid_state(tmp_path)
+    del state[key]
+    bad = _write_state(tmp_path / "bad.json", state)
+    with pytest.raises(SnapshotError, match=f"bad.json.*missing '{key}'"):
+        read_snapshot(bad)
+    with pytest.raises(SnapshotError, match=f"missing '{key}'"):
+        run_experiment({**SPEC, "restore_from": str(bad)})
+
+
+def test_snapshot_list_of_the_wrong_length_is_a_snapshot_error(tmp_path):
+    state = _valid_state(tmp_path)
+    state["w"] = {"__ndarray__": [1.0, 2.0], "dtype": "float64", "shape": [3]}
+    bad = _write_state(tmp_path / "bad.json", state)
+    with pytest.raises(SnapshotError, match="bad.json.*malformed array"):
+        read_snapshot(bad)
+    with pytest.raises(SnapshotError, match="malformed array"):
+        run_experiment({**SPEC, "restore_from": str(bad)})
+
+
+def test_snapshot_with_bad_base64_is_a_snapshot_error(tmp_path):
+    state = _valid_state(tmp_path)
+    state["w"]["__ndarray__"] = "not*base64!"
+    bad = _write_state(tmp_path / "bad.json", state)
+    with pytest.raises(SnapshotError, match="bad.json.*malformed array"):
+        read_snapshot(bad)
+
+
+def test_snapshot_with_a_wrong_byte_count_is_a_snapshot_error(tmp_path):
+    state = _valid_state(tmp_path)
+    state["w"]["shape"] = [state["w"]["shape"][0] + 1]
+    bad = _write_state(tmp_path / "bad.json", state)
+    with pytest.raises(SnapshotError, match="bytes for shape"):
+        read_snapshot(bad)
+
+
+def test_snapshot_with_an_unknown_dtype_is_a_snapshot_error(tmp_path):
+    state = _valid_state(tmp_path)
+    for dtype in ("<q9", "|O", "<U4"):
+        state["w"]["dtype"] = dtype
+        bad = _write_state(tmp_path / "bad.json", state)
+        with pytest.raises(SnapshotError, match="malformed array"):
+            read_snapshot(bad)
+
+
+def test_snapshot_with_a_malformed_hist_array_is_a_snapshot_error(tmp_path):
+    state = _valid_state(tmp_path)
+    state["server"]["history"] = {"x/avg": {
+        "name": "x/avg", "keep": "last:1", "next_version": 1,
+        "values": {"0": {"__ndarray__": "AAAA", "dtype": "<f8", "shape": [1]}},
+    }}
+    bad = _write_state(tmp_path / "bad.json", state)
+    with pytest.raises(SnapshotError, match="bytes for shape"):
+        read_snapshot(bad)
+
+
 def test_write_snapshot_is_atomic_and_tagged(tmp_path):
     path = tmp_path / "snap.json"
-    state = {"format": SNAPSHOT_FORMAT, "updates": 3, "w": encode_value(
-        np.arange(4.0))}
+    state = {"format": SNAPSHOT_FORMAT, "updates": 3, "rounds": 3,
+             "epoch_rounds_left": 0, "w": encode_value(np.arange(4.0))}
     write_snapshot(path, state)
     assert read_snapshot(path)["updates"] == 3
     assert is_run_snapshot(read_snapshot(path))

@@ -11,12 +11,11 @@ Run:  python examples/admm_consensus.py
 """
 
 from repro import (
-    AsyncADMM,
     ClusterContext,
     ConstantStep,
     LeastSquaresProblem,
     OptimizerConfig,
-    SyncADMM,
+    build_optimizer,
 )
 from repro.cluster import ControlledDelay
 from repro.data import make_dense_regression
@@ -26,13 +25,13 @@ WORKERS = 8
 DELAY = ControlledDelay(1.0, workers=(0,))
 
 
-def run(cls, updates, eval_every):
+def run(algorithm, updates, eval_every):
     X, y, _ = make_dense_regression(8192, 48, seed=0)
     problem = LeastSquaresProblem(X, y)
     with ClusterContext(WORKERS, seed=0, delay_model=DELAY) as sc:
         points = sc.matrix(X, y, 32).cache()
-        res = cls(
-            sc, points, problem, ConstantStep(1.0),
+        res = build_optimizer(
+            algorithm, sc, points, problem, ConstantStep(1.0),
             OptimizerConfig(batch_fraction=1.0, max_updates=updates,
                             eval_every=eval_every, seed=0),
             rho=1.0,
@@ -41,13 +40,13 @@ def run(cls, updates, eval_every):
 
 
 def main():
-    problem, sync = run(SyncADMM, updates=25, eval_every=1)
-    problem, asyn = run(AsyncADMM, updates=200, eval_every=8)
+    problem, sync = run("admm", updates=25, eval_every=1)
+    problem, asyn = run("aadmm", updates=200, eval_every=8)
 
     print(ascii_lineplot(
         {
             "ADMM (sync)": sync.trace.error_series(problem),
-            "AsyncADMM": asyn.trace.error_series(problem),
+            "ADMM (async)": asyn.trace.error_series(problem),
         },
         title="consensus ADMM under a half-speed straggler",
         width=60, height=12,

@@ -13,12 +13,11 @@ Run:  python examples/asaga_history_broadcast.py
 """
 
 from repro import (
-    AsyncSAGA,
     ClusterContext,
     ConstantStep,
     LeastSquaresProblem,
     OptimizerConfig,
-    SyncSAGA,
+    build_optimizer,
 )
 from repro.cluster import ControlledDelay
 from repro.data import make_dense_regression
@@ -36,8 +35,8 @@ def act1_broadcast_cost():
     for mode in ("naive", "history"):
         with ClusterContext(8, seed=0) as sc:
             points, problem = build(sc)
-            res = SyncSAGA(
-                sc, points, problem, ConstantStep(0.02),
+            res = build_optimizer(
+                "saga", sc, points, problem, ConstantStep(0.02),
                 OptimizerConfig(batch_fraction=0.05, max_updates=40, seed=0),
                 mode=mode,
             ).run()
@@ -57,15 +56,15 @@ def act2_asaga_vs_saga():
     delay = ControlledDelay(1.0, workers=(0,))
     with ClusterContext(8, seed=0, delay_model=delay) as sc:
         points, problem = build(sc)
-        saga = SyncSAGA(
-            sc, points, problem, ConstantStep(0.02),
+        saga = build_optimizer(
+            "saga", sc, points, problem, ConstantStep(0.02),
             OptimizerConfig(batch_fraction=0.05, max_updates=60, seed=0,
                             eval_every=4),
         ).run()
     with ClusterContext(8, seed=0, delay_model=delay) as sc:
         points, problem = build(sc)
-        asaga = AsyncSAGA(
-            sc, points, problem, ConstantStep(0.02 / 8),
+        asaga = build_optimizer(
+            "asaga", sc, points, problem, ConstantStep(0.02 / 8),
             OptimizerConfig(batch_fraction=0.05, max_updates=480, seed=0,
                             eval_every=32),
         ).run()
@@ -80,8 +79,8 @@ def act2_asaga_vs_saga():
 def act3_peek_at_version_cache():
     with ClusterContext(4, seed=0) as sc:
         points, problem = build(sc, n=1024, d=8)
-        AsyncSAGA(
-            sc, points, problem, ConstantStep(0.02 / 4),
+        build_optimizer(
+            "asaga", sc, points, problem, ConstantStep(0.02 / 4),
             OptimizerConfig(batch_fraction=0.25, max_updates=40, seed=0),
         ).run()
         env = sc.backend.worker_env(0)

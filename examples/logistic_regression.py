@@ -2,7 +2,7 @@
 
 The paper evaluates on least squares, but ASYNC's API is problem-agnostic
 (Section 2's general empirical-risk setting). This example trains an
-L2-regularized logistic classifier with SyncSGD / AsyncSGD / AsyncSVRG on
+L2-regularized logistic classifier with sgd / asgd / asvrg on
 a simulated cluster with production stragglers and reports suboptimality
 and test accuracy.
 
@@ -12,14 +12,12 @@ Run:  python examples/logistic_regression.py
 import numpy as np
 
 from repro import (
-    AsyncSGD,
-    AsyncSVRG,
     ClusterContext,
     ConstantStep,
     InvSqrtDecay,
     LogisticRegressionProblem,
     OptimizerConfig,
-    SyncSGD,
+    build_optimizer,
 )
 from repro.cluster import ProductionCluster
 from repro.data import make_classification
@@ -42,18 +40,17 @@ def main():
     delay = ProductionCluster(num_workers=P, seed=0)
 
     runs = [
-        ("SyncSGD", SyncSGD, InvSqrtDecay(2.0), 60),
-        ("AsyncSGD", AsyncSGD, InvSqrtDecay(2.0).scaled_for_async(P), 480),
-        ("AsyncSVRG", AsyncSVRG, ConstantStep(1.0 / P), 480),
+        ("sgd", InvSqrtDecay(2.0), 60, {}),
+        ("asgd", InvSqrtDecay(2.0).scaled_for_async(P), 480, {}),
+        ("asvrg", ConstantStep(1.0 / P), 480, {"inner_iterations": 10}),
     ]
     print(f"L2 logistic regression, {P} workers, production stragglers")
     print(f"  optimum F* = {problem.f_star:.6f}")
-    for name, cls, step, updates in runs:
+    for name, step, updates, kwargs in runs:
         with ClusterContext(P, seed=0, delay_model=delay) as sc:
             points = sc.matrix(X, y, 32).cache()
-            kwargs = {"inner_iterations": 10} if cls is AsyncSVRG else {}
-            res = cls(
-                sc, points, problem, step,
+            res = build_optimizer(
+                name, sc, points, problem, step,
                 OptimizerConfig(batch_fraction=0.1, max_updates=updates,
                                 seed=2),
                 **kwargs,

@@ -9,12 +9,11 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
-    AsyncSGD,
     ClusterContext,
     InvSqrtDecay,
     LeastSquaresProblem,
     OptimizerConfig,
-    SyncSGD,
+    build_optimizer,
 )
 from repro.cluster import ControlledDelay
 from repro.data import make_dense_regression
@@ -31,8 +30,8 @@ def run(algorithm, step, max_updates):
         X, y, _ = make_dense_regression(8192, 32, seed=0)
         points = sc.matrix(X, y, NUM_PARTITIONS).cache()
         problem = LeastSquaresProblem(X, y)
-        result = algorithm(
-            sc, points, problem, step,
+        result = build_optimizer(
+            algorithm, sc, points, problem, step,
             OptimizerConfig(batch_fraction=0.1, max_updates=max_updates,
                             seed=1, eval_every=4),
         ).run()
@@ -40,9 +39,9 @@ def run(algorithm, step, max_updates):
 
 
 def main():
-    problem, sync = run(SyncSGD, InvSqrtDecay(0.5), max_updates=80)
+    problem, sync = run("sgd", InvSqrtDecay(0.5), max_updates=80)
     problem, asyn = run(
-        AsyncSGD, InvSqrtDecay(0.5).scaled_for_async(NUM_WORKERS),
+        "asgd", InvSqrtDecay(0.5).scaled_for_async(NUM_WORKERS),
         max_updates=640,
     )
 

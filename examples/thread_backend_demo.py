@@ -12,12 +12,11 @@ Run:  python examples/thread_backend_demo.py
 import time
 
 from repro import (
-    AsyncSGD,
     ClusterContext,
     InvSqrtDecay,
     LeastSquaresProblem,
     OptimizerConfig,
-    SyncSGD,
+    build_optimizer,
 )
 from repro.cluster import ControlledDelay, ThreadBackend
 from repro.data import make_dense_regression
@@ -37,8 +36,8 @@ def run(algorithm, step, max_updates):
     t0 = time.perf_counter()
     with ClusterContext(backend=backend) as sc:
         points = sc.matrix(X, y, 8).cache()
-        result = algorithm(
-            sc, points, problem, step,
+        result = build_optimizer(
+            algorithm, sc, points, problem, step,
             OptimizerConfig(batch_fraction=0.1, max_updates=max_updates,
                             seed=0),
         ).run()
@@ -47,9 +46,9 @@ def run(algorithm, step, max_updates):
 
 
 def main():
-    problem, sync, sync_s = run(SyncSGD, InvSqrtDecay(0.5), 30)
+    problem, sync, sync_s = run("sgd", InvSqrtDecay(0.5), 30)
     problem, asyn, async_s = run(
-        AsyncSGD, InvSqrtDecay(0.5).scaled_for_async(WORKERS), 120
+        "asgd", InvSqrtDecay(0.5).scaled_for_async(WORKERS), 120
     )
     print(f"{WORKERS} worker threads, worker 0 sleeping 3x per task")
     print(f"  sync  SGD : 30 updates,  err={problem.error(sync.w):.4g}, "

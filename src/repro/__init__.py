@@ -25,8 +25,8 @@ The object API underneath remains fully available — the same run,
 hand-wired::
 
     from repro import (
-        ClusterContext, AsyncSGD, LeastSquaresProblem,
-        OptimizerConfig, InvSqrtDecay, SSP,
+        ClusterContext, LeastSquaresProblem, OptimizerConfig,
+        InvSqrtDecay, SSP, build_optimizer,
     )
     from repro.cluster import ControlledDelay
     from repro.data import make_dense_regression
@@ -36,8 +36,8 @@ hand-wired::
                         delay_model=ControlledDelay(1.0, workers=(0,))) as sc:
         points = sc.matrix(X, y, 32).cache()
         problem = LeastSquaresProblem(X, y)
-        result = AsyncSGD(
-            sc, points, problem,
+        result = build_optimizer(
+            "asgd", sc, points, problem,
             InvSqrtDecay(0.5).scaled_for_async(8),
             OptimizerConfig(batch_fraction=0.1, max_updates=200),
             policy=SSP(4),
@@ -46,9 +46,9 @@ hand-wired::
 
 Every asynchronous optimizer shares one driver,
 :class:`repro.optim.loop.ServerLoop`; an algorithm is just an
-:class:`repro.optim.loop.UpdateRule` (publish / kernel / reduce / apply),
-which is what makes the paper's "sync -> async in a few extra lines"
-literal here.
+:class:`repro.optim.loop.UpdateRule` (publish / kernel / reduce / apply)
+registered under its name, which is what makes the paper's "sync ->
+async in a few extra lines" literal here.
 """
 
 from repro.api.spec import ExperimentSpec, GridSpec
@@ -69,11 +69,16 @@ from repro.core.policies import (
     parse_policy,
 )
 from repro.engine.context import ClusterContext
-from repro.optim.admm import AsyncADMM, SyncADMM
-from repro.optim.asaga import AsyncSAGA
-from repro.optim.asgd import AsyncSGD
-from repro.optim.base import OptimizerConfig, RunResult
-from repro.optim.lbfgs import AsyncLBFGS
+from repro.optim.admm import ADMMRule, SyncADMM
+from repro.optim.asaga import ASAGARule
+from repro.optim.asgd import ASGDRule
+from repro.optim.base import (
+    DistributedOptimizer,
+    OptimizerConfig,
+    RunResult,
+    build_optimizer,
+)
+from repro.optim.lbfgs import AsyncLBFGSRule
 from repro.optim.problems import (
     LeastSquaresProblem,
     LogisticRegressionProblem,
@@ -89,7 +94,7 @@ from repro.optim.stepsize import (
     StalenessScaled,
 )
 from repro.optim.loop import ServerLoop, UpdateRule
-from repro.optim.svrg import AsyncSVRG, SyncSVRG
+from repro.optim.svrg import ASVRGRule, SyncSVRG
 
 
 def __getattr__(name: str):
@@ -132,15 +137,17 @@ __all__ = [
     "StalenessScaled",
     "OptimizerConfig",
     "RunResult",
+    "DistributedOptimizer",
+    "build_optimizer",
     "SyncSGD",
-    "AsyncSGD",
+    "ASGDRule",
     "SyncSAGA",
-    "AsyncSAGA",
+    "ASAGARule",
     "SyncSVRG",
-    "AsyncSVRG",
+    "ASVRGRule",
     "SyncADMM",
-    "AsyncADMM",
-    "AsyncLBFGS",
+    "ADMMRule",
+    "AsyncLBFGSRule",
     "ServerLoop",
     "UpdateRule",
     "ExperimentSpec",

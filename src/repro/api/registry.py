@@ -8,10 +8,15 @@ specs can refer to components as *data* (``"asgd"``, ``"ssp:4"``,
 Registration happens at class-definition sites via decorators::
 
     @register_optimizer("asgd")
-    class AsyncSGD(DistributedOptimizer): ...
+    class ASGDRule(UpdateRule): ...
 
     @register_policy("ssp")
     class SSP(SchedulingPolicy): ...
+
+An optimizer is registered either as an asynchronous ``UpdateRule``
+(constructed from the spec's ``params``; see
+:func:`repro.optim.base.build_optimizer`) or, for the synchronous
+methods, as a ``DistributedOptimizer`` subclass.
 
 and specs are resolved through :meth:`Registry.create`, which accepts
 three spellings:

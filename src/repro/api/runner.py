@@ -39,7 +39,13 @@ from repro.data.registry import get_dataset
 from repro.engine.context import ClusterContext
 from repro.errors import ApiError
 from repro.metrics.wait_time import average_wait_ms
-from repro.optim.base import DistributedOptimizer, OptimizerConfig, RunResult
+from repro.optim.base import (
+    DistributedOptimizer,
+    OptimizerConfig,
+    RunResult,
+    build_optimizer,
+)
+from repro.optim.loop import is_update_rule
 from repro.optim.problems import Problem
 from repro.optim.stepsize import StepSchedule
 
@@ -87,7 +93,7 @@ def default_step(
     """
     from repro.optim.stepsize import ConstantStep, InvSqrtDecay, StalenessScaled
 
-    cls = OPTIMIZERS.get(algorithm)  # raises ApiError for unknown names
+    factory = OPTIMIZERS.get(algorithm)  # raises ApiError for unknown names
     algorithm = OPTIMIZERS.canonical(algorithm)  # family sets hold canon names
     if algorithm in _CONSTANT_FAMILY:
         step: StepSchedule = ConstantStep(alpha0)
@@ -102,7 +108,7 @@ def default_step(
                 "step method"
             )
         return step  # client-local steps; server updates are averages
-    if getattr(cls, "is_async", False):
+    if is_update_rule(factory):
         if staleness_adaptive:
             step = StalenessScaled(step)
         else:
@@ -146,18 +152,10 @@ class PreparedExperiment:
 
     def make_optimizer(self, ctx: ClusterContext, points) -> DistributedOptimizer:
         """Instantiate the registered optimizer on an open context."""
-        cls = OPTIMIZERS.get(self.spec.algorithm)
-        kwargs = dict(self.spec.params or {})
-        if self.policy is not None:
-            kwargs["policy"] = self.policy
-        try:
-            opt = cls(
-                ctx, points, self.problem, self.step, self.config, **kwargs
-            )
-        except TypeError as exc:
-            raise ApiError(
-                f"bad params for optimizer {self.spec.algorithm!r}: {exc}"
-            ) from exc
+        opt = build_optimizer(
+            self.spec.algorithm, ctx, points, self.problem, self.step,
+            self.config, policy=self.policy, **(self.spec.params or {}),
+        )
         # The server loop picks these up from its host optimizer, so
         # crash recovery and fault injection ride any construction path.
         if self.fault_plan is not None:
@@ -228,7 +226,6 @@ def prepare_experiment(
             spec.algorithm, alpha0, spec.num_workers, spec.staleness_adaptive
         )
 
-    is_async = getattr(OPTIMIZERS.get(spec.algorithm), "is_async", False)
     async_only = [
         name for name, is_set in (
             ("policy", spec.policy is not None),
@@ -240,7 +237,7 @@ def prepare_experiment(
             ("compressor", spec.compressor is not None),
         ) if is_set
     ]
-    if async_only and not is_async:
+    if async_only and not is_update_rule(OPTIMIZERS.get(spec.algorithm)):
         raise ApiError(
             f"{' / '.join(async_only)} has no effect on the synchronous "
             f"optimizer {spec.algorithm!r} (asynchronous server loop "

@@ -32,6 +32,7 @@ survivor.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -68,9 +69,9 @@ class FaultEvent:
                 f"unknown fault action {self.action!r}; "
                 f"expected one of {ACTIONS}"
             )
-        if self.time_ms < 0:
+        if not (math.isfinite(self.time_ms) and self.time_ms >= 0):
             raise FaultPlanError(
-                f"fault time must be >= 0, got {self.time_ms}"
+                f"fault time must be finite and >= 0, got {self.time_ms}"
             )
         if self.worker < 0:
             raise FaultPlanError(
@@ -129,13 +130,20 @@ def _parse_time_ms(text: str) -> float:
         raise FaultPlanError(
             f"bad fault time {text!r}; expected e.g. '500ms' or '1.5s'"
         ) from None
-    if value < 0:
-        raise FaultPlanError(f"fault time must be >= 0, got {text!r}")
-    return value * scale
+    value *= scale
+    if not (math.isfinite(value) and value >= 0):
+        raise FaultPlanError(
+            f"fault time must be finite and >= 0, got {text!r}"
+        )
+    return value
 
 
-def parse_fault_plan(text: str) -> FaultPlan:
-    """Parse the ``"kill:w2@500ms,revive:w2@900ms"`` script grammar."""
+def parse_fault_plan(text: str, num_workers: int | None = None) -> FaultPlan:
+    """Parse the ``"kill:w2@500ms,revive:w2@900ms"`` script grammar.
+
+    With ``num_workers``, an event naming a worker the cluster does not
+    have is an error, not a silently suppressed no-op.
+    """
     events: list[FaultEvent] = []
     for token in text.split(","):
         token = token.strip()
@@ -153,14 +161,22 @@ def parse_fault_plan(text: str) -> FaultPlan:
             )
         action = action.strip().lower()
         target = target.strip().lower()
-        if not target.startswith("w") or not target[1:].isdigit():
+        digits = target[1:]
+        if (
+            not target.startswith("w")
+            or not (digits.isascii() and digits.isdigit())
+        ):
             raise FaultPlanError(
                 f"bad fault target {target!r} in {token!r}; "
                 "workers are spelled 'w<id>' (e.g. 'w2')"
             )
-        events.append(
-            FaultEvent(_parse_time_ms(at), action, int(target[1:]))
-        )
+        worker = int(digits)
+        if num_workers is not None and worker >= num_workers:
+            raise FaultPlanError(
+                f"fault target {target!r} in {token!r} names no worker "
+                f"of this {num_workers}-worker cluster"
+            )
+        events.append(FaultEvent(_parse_time_ms(at), action, worker))
     if not events:
         raise FaultPlanError(
             f"fault plan {text!r} contains no events"
@@ -186,7 +202,7 @@ def resolve_fault_plan(
     if isinstance(spec, FaultPlan):
         return spec
     if isinstance(spec, str) and "@" in spec:
-        return parse_fault_plan(spec)
+        return parse_fault_plan(spec, num_workers)
     plan = FAULT_PLANS.create(
         spec, defaults={"num_workers": num_workers, "seed": seed}
     )
@@ -285,8 +301,8 @@ def no_faults() -> FaultPlan:
 
 
 @register_fault_plan("script")
-def scripted(plan: str = "") -> FaultPlan:
-    return parse_fault_plan(plan)
+def scripted(plan: str = "", num_workers: int | None = None) -> FaultPlan:
+    return parse_fault_plan(plan, num_workers)
 
 
 @register_fault_plan("random_kill", aliases=("chaos_kill",))
@@ -305,10 +321,12 @@ def random_kill(
         raise FaultPlanError(
             "random_kill needs num_workers (injected from the spec)"
         )
-    if horizon_ms <= 0:
+    if not 0 < horizon_ms < math.inf:
         raise FaultPlanError(
-            f"horizon_ms must be positive, got {horizon_ms}"
+            f"horizon_ms must be positive and finite, got {horizon_ms}"
         )
+    if isinstance(kills, float) and not math.isfinite(kills):
+        raise FaultPlanError(f"kills must be finite, got {kills}")
     kills = min(int(kills), num_workers - 1)
     rng = random.Random(f"fault-plan:{seed}")
     victims = rng.sample(range(num_workers), kills) if kills > 0 else []

@@ -19,6 +19,7 @@ Delay factors multiply *compute* time only; communication is unaffected
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -60,8 +61,8 @@ class ControlledDelay(DelayModel):
     workers: Sequence[int] = (0,)
 
     def __post_init__(self) -> None:
-        if self.intensity < 0:
-            raise ValueError("intensity must be >= 0")
+        if not 0 <= self.intensity < math.inf:
+            raise ValueError("intensity must be finite and >= 0")
         self._workers = frozenset(int(w) for w in self.workers)
 
     def factor(self, worker_id: int, task_seq: int) -> float:
@@ -101,8 +102,8 @@ class ProductionCluster(DelayModel):
     long_tail_workers: frozenset[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.num_workers <= 0:
-            raise ValueError("num_workers must be positive")
+        if not 0 < self.num_workers < math.inf:
+            raise ValueError("num_workers must be positive and finite")
         if not 0 <= self.straggler_fraction <= 1:
             raise ValueError("straggler_fraction must be in [0, 1]")
         if not 0 <= self.long_tail_fraction <= 1:

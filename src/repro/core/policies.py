@@ -390,8 +390,8 @@ class SSP(SchedulingPolicy):
     """
 
     def __init__(self, threshold: int) -> None:
-        if threshold < 1:
-            raise ValueError("SSP threshold must be >= 1")
+        if not 1 <= threshold < math.inf:
+            raise ValueError("SSP threshold must be finite and >= 1")
         self.threshold = threshold
 
     def ready(self, stat: StatTable) -> bool:
@@ -436,8 +436,8 @@ class CompletionTimeBarrier(SchedulingPolicy):
     """
 
     def __init__(self, ratio: float = 2.0) -> None:
-        if ratio <= 0:
-            raise ValueError("ratio must be positive")
+        if not 0 < ratio < math.inf:
+            raise ValueError("ratio must be positive and finite")
         self.ratio = ratio
 
     def _acceptable_workers(self, stat: StatTable) -> list[int]:
@@ -480,8 +480,8 @@ class PartitionSSP(SchedulingPolicy):
     """
 
     def __init__(self, threshold: int) -> None:
-        if threshold < 1:
-            raise ValueError("PartitionSSP threshold must be >= 1")
+        if not 1 <= threshold < math.inf:
+            raise ValueError("PartitionSSP threshold must be finite and >= 1")
         self.threshold = threshold
 
     def ready(self, stat: StatTable) -> bool:
@@ -511,8 +511,8 @@ class PartitionCompletionFilter(SchedulingPolicy):
     """
 
     def __init__(self, ratio: float = 2.0) -> None:
-        if ratio < 1:
-            raise ValueError("ratio must be >= 1")
+        if not 1 <= ratio < math.inf:
+            raise ValueError("ratio must be finite and >= 1")
         self.ratio = ratio
 
     def select(self, stat: StatTable, candidates: list[Target]) -> list[Target]:
@@ -632,8 +632,8 @@ class StalenessWeighting(SchedulingPolicy):
     ) -> None:
         if strategy not in ("const", "poly", "hinge"):
             raise ValueError("strategy must be 'const', 'poly' or 'hinge'")
-        if a < 0 or b < 0:
-            raise ValueError("a and b must be non-negative")
+        if not (0 <= a < math.inf and 0 <= b < math.inf):
+            raise ValueError("a and b must be finite and non-negative")
         if not 0.0 < mixing <= 1.0:
             raise ValueError("mixing must be in (0, 1]")
         self.strategy = strategy
@@ -688,8 +688,8 @@ class MigrateSlow(SchedulingPolicy):
             self.percentile = float(threshold[1:])
             if not 0.0 < self.percentile < 100.0:
                 raise ValueError("percentile must be in (0, 100)")
-        elif threshold <= 1.0:
-            raise ValueError("ratio threshold must be > 1")
+        elif not 1.0 < threshold < math.inf:
+            raise ValueError("ratio threshold must be finite and > 1")
         self.threshold = threshold
         if min_history < 1:
             raise ValueError("min_history must be >= 1")

@@ -26,8 +26,8 @@ __all__ = [
     "EWMA_ALPHA",
 ]
 
-#: Smoothing factor for the per-row completion-time EWMA column (matches
-#: :class:`repro.utils.stats.ExponentialMovingAverage`'s default).
+#: Smoothing factor for the per-row completion-time EWMA column: the
+#: first sample seeds it, then ``ewma += EWMA_ALPHA * (x - ewma)``.
 EWMA_ALPHA = 0.2
 
 
@@ -70,13 +70,12 @@ class TaskResultRecord:
 
 
 class CompletionView:
-    """An :class:`~repro.utils.stats.OnlineMean`-compatible handle over one
-    row's completion columns.
+    """A running-mean handle over one row's completion columns.
 
-    ``add`` replays the running-mean update with the exact operation
-    order of ``OnlineMean.add`` (``count += 1; mean += (x - mean)/count``
-    in float64), so columnar rows produce bit-identical averages, and
-    additionally maintains the row's completion-time EWMA column.
+    ``add`` updates the mean in a fixed operation order (``count += 1;
+    mean += (x - mean)/count`` in float64), so columnar rows produce
+    bit-identical averages, and also maintains the row's completion-time
+    EWMA column.
     """
 
     __slots__ = ("_cols", "_i")

@@ -23,7 +23,8 @@ row and its partition row, and the per-partition counters aggregate back
 to the per-worker values.
 
 Floating-point parity with the previous object-per-row table is exact:
-the completion mean replays ``OnlineMean``'s update order in float64,
+the completion mean is the running mean ``count += 1; mean += (x -
+mean) / count`` in float64 (see :class:`repro.core.records.CompletionView`),
 ``mean_completion_ms`` uses :func:`math.fsum` (what ``statistics.fmean``
 computes), and ``numpy``'s median of float64 values matches
 ``statistics.median`` bitwise (both average the two middle elements).

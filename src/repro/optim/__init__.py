@@ -13,24 +13,25 @@ the partition-granular extensions (Hogwild-style immediate updates and
 federated averaging in :mod:`repro.optim.partitioned`).
 
 Asynchronous variants share one driver — :class:`repro.optim.loop.ServerLoop`
-— and contribute only an :class:`repro.optim.loop.UpdateRule` with their
-mathematics; the optimizer classes are thin wrappers kept for the object
-API. All components self-register with :mod:`repro.api.registry`, so each
-algorithm is also reachable by name through ``repro.api.run_experiment``.
+— and each is only an :class:`repro.optim.loop.UpdateRule` with its
+mathematics, registered under its algorithm name. All components
+self-register with :mod:`repro.api.registry`; :func:`build_optimizer`
+turns a name into a runnable optimizer (sync or async) for the object
+API, and ``repro.api.run_experiment`` does the same from a spec.
 """
 
-from repro.optim.admm import AsyncADMM, SyncADMM
-from repro.optim.asaga import AsyncSAGA
-from repro.optim.asgd import AsyncSGD
-from repro.optim.base import OptimizerConfig, RunResult
-from repro.optim.lbfgs import AsyncLBFGS, AsyncLBFGSRule
-from repro.optim.loop import ServerLoop, UpdateRule
-from repro.optim.partitioned import (
-    FederatedAveraging,
-    HogwildRule,
-    HogwildSGD,
-    LocalSGDRule,
+from repro.optim.admm import ADMMRule, SyncADMM
+from repro.optim.asaga import ASAGARule
+from repro.optim.asgd import ASGDRule
+from repro.optim.base import (
+    DistributedOptimizer,
+    OptimizerConfig,
+    RunResult,
+    build_optimizer,
 )
+from repro.optim.lbfgs import AsyncLBFGSRule
+from repro.optim.loop import ServerLoop, UpdateRule
+from repro.optim.partitioned import HogwildRule, LocalSGDRule
 from repro.optim.problems import (
     LeastSquaresProblem,
     LogisticRegressionProblem,
@@ -47,7 +48,7 @@ from repro.optim.stepsize import (
     StalenessScaled,
     StepSchedule,
 )
-from repro.optim.svrg import AsyncSVRG, SyncSVRG
+from repro.optim.svrg import ASVRGRule, SyncSVRG
 from repro.optim.trace import ConvergenceTrace
 
 __all__ = [
@@ -63,21 +64,20 @@ __all__ = [
     "OptimizerConfig",
     "RunResult",
     "ConvergenceTrace",
+    "DistributedOptimizer",
+    "build_optimizer",
     "ServerLoop",
     "UpdateRule",
     "SyncSGD",
-    "AsyncSGD",
+    "ASGDRule",
     "SyncSAGA",
-    "AsyncSAGA",
+    "ASAGARule",
     "SyncSVRG",
-    "AsyncSVRG",
+    "ASVRGRule",
     "SyncADMM",
-    "AsyncADMM",
-    "AsyncLBFGS",
+    "ADMMRule",
     "AsyncLBFGSRule",
-    "HogwildSGD",
     "HogwildRule",
-    "FederatedAveraging",
     "LocalSGDRule",
     "reference_sgd",
     "reference_saga",

@@ -34,11 +34,11 @@ from repro.data.blocks import MatrixBlock
 from repro.engine.taskcontext import current_env, record_cost
 from repro.errors import OptimError
 from repro.optim.base import DistributedOptimizer, RunResult, bc_value
-from repro.optim.loop import ServerLoop, UpdateRule
+from repro.optim.loop import UpdateRule
 from repro.optim.problems import LeastSquaresProblem
 from repro.optim.trace import ConvergenceTrace
 
-__all__ = ["SyncADMM", "AsyncADMM", "ADMMRule"]
+__all__ = ["SyncADMM", "ADMMRule"]
 
 
 def _solve_local(block: MatrixBlock, rho: float, rhs: np.ndarray,
@@ -73,66 +73,60 @@ def _solve_local(block: MatrixBlock, rho: float, rhs: np.ndarray,
     return sp_linalg.cho_solve(chol, atb + rho * rhs)
 
 
-class _ADMMBase(DistributedOptimizer):
-    """Shared state and update helpers."""
+def _checked_rho(rho: float) -> float:
+    if rho <= 0:
+        raise OptimError("rho must be positive")
+    return rho
 
-    def __init__(self, *args, rho: float = 1.0, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if rho <= 0:
-            raise OptimError("rho must be positive")
-        if not isinstance(self.problem, LeastSquaresProblem):
-            raise OptimError(
-                "ADMM's closed-form local solver supports least squares; "
-                f"got {type(self.problem).__name__}"
-            )
-        self.rho = rho
-        # Worker-env key tag for the local duals. Process-stable (not
-        # id()/counter-based): each run's backend owns fresh worker
-        # envs, so a fixed tag cannot collide across runs, and a
-        # restored run in a new process derives the same keys.
-        self._run_tag = "admm"
 
-    def _worker_update_fn(self, z_br, worker_id: int, splits: list[int]):
-        """One worker's x- and u-updates over its local partitions.
+def _require_least_squares(problem) -> None:
+    if not isinstance(problem, LeastSquaresProblem):
+        raise OptimError(
+            "ADMM's closed-form local solver supports least squares; "
+            f"got {type(problem).__name__}"
+        )
 
-        Local duals u_i live in the worker's store; the task returns the
-        sum of ``x_i + u_i`` contributions plus their count.
-        """
-        points = self.points
-        rho = self.rho
-        tag = self._run_tag
 
-        def fn(env):
-            z = bc_value(z_br)
-            total = np.zeros_like(z)
-            count = 0
-            for split in splits:
-                block = points.iterator(split, env)[0]
-                u_key = ("admm_u", tag, split)
-                u = env.get(u_key)
-                if u is None:
-                    u = np.zeros_like(z)
-                x = _solve_local(
-                    block, rho, z - u, ("admm_chol", tag, split)
-                )
-                u = u + x - z
-                env.put(u_key, u)
-                total += x + u
-                count += 1
-            return total, count
+def _worker_update_fn(points, rho: float, z_br, splits: list[int]):
+    """One worker's x- and u-updates over its local partitions.
 
-        return fn
+    Local duals u_i live in the worker's store; the task returns the
+    sum of ``x_i + u_i`` contributions plus their count. Worker-env keys
+    carry a fixed ``"admm"`` tag, not an id()/counter: each run's
+    backend owns fresh worker envs, so it cannot collide across runs,
+    and a restored run in a new process derives the same keys.
+    """
 
-    def _objective_snapshot(self, trace, updates: int, z: np.ndarray):
-        if updates % self.config.eval_every == 0:
-            trace.record(self.ctx.now(), updates, z)
+    def fn(env):
+        z = bc_value(z_br)
+        total = np.zeros_like(z)
+        count = 0
+        for split in splits:
+            block = points.iterator(split, env)[0]
+            u_key = ("admm_u", "admm", split)
+            u = env.get(u_key)
+            if u is None:
+                u = np.zeros_like(z)
+            x = _solve_local(block, rho, z - u, ("admm_chol", "admm", split))
+            u = u + x - z
+            env.put(u_key, u)
+            total += x + u
+            count += 1
+        return total, count
+
+    return fn
 
 
 @register_optimizer("admm")
-class SyncADMM(_ADMMBase):
+class SyncADMM(DistributedOptimizer):
     """Bulk-synchronous consensus ADMM (one z-update per round)."""
 
     name = "admm"
+
+    def __init__(self, *args, rho: float = 1.0, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.rho = _checked_rho(rho)
+        _require_least_squares(self.problem)
 
     def run(self) -> RunResult:
         problem = self.problem
@@ -147,7 +141,7 @@ class SyncADMM(_ADMMBase):
             z_br = self.ctx.broadcast(np.array(z, copy=True))
 
             def task(split: int, data: list, _z=z_br):
-                fn = self._worker_update_fn(_z, -1, [split])
+                fn = _worker_update_fn(self.points, self.rho, _z, [split])
                 return fn(current_env())
 
             parts = self.ctx.run_job(self.points, task)
@@ -156,7 +150,8 @@ class SyncADMM(_ADMMBase):
             assert count == num_parts
             z = total / count
             updates += 1
-            self._objective_snapshot(trace, updates, z)
+            if updates % self.config.eval_every == 0:
+                trace.record(self.ctx.now(), updates, z)
 
         if trace.updates[-1] != updates:
             trace.record(self.ctx.now(), updates, z)
@@ -168,9 +163,13 @@ class SyncADMM(_ADMMBase):
         )
 
 
+@register_optimizer("aadmm")
 class ADMMRule(UpdateRule):
-    """Consensus ADMM on the async driver: slot updates, no step schedule.
+    """Asynchronous consensus ADMM: per-worker slot updates, no step schedule.
 
+    The server keeps one slot per partition holding its latest
+    ``x_i + u_i``; each received result overwrites its slots and refreshes
+    ``z`` as the slot mean — stale contributions fade as workers resubmit.
     ADMM dispatches *worker-level* tasks (each worker solves its local
     subproblems and returns one summed contribution), so the rule replaces
     the default block-level ``dispatch`` with a direct scheduler round.
@@ -178,7 +177,11 @@ class ADMMRule(UpdateRule):
 
     needs_alpha = False  # the z-update is a mean, not a gradient step
 
+    def __init__(self, rho: float = 1.0) -> None:
+        self.rho = _checked_rho(rho)
+
     def bind(self, loop):
+        _require_least_squares(loop.opt.problem)
         super().bind(loop)
         opt = self.opt
         self.num_parts = opt.points.num_partitions
@@ -194,7 +197,9 @@ class ADMMRule(UpdateRule):
         # Dispatch one locally-reducing ADMM task per eligible worker.
         ac.scheduler.submit_round(
             gated,
-            lambda w, splits, _z=handle: opt._worker_update_fn(_z, w, splits),
+            lambda w, splits, _z=handle: _worker_update_fn(
+                opt.points, self.rho, _z, splits
+            ),
             find_barrier(gated) or policy,
         )
 
@@ -212,20 +217,5 @@ class ADMMRule(UpdateRule):
         return self.slots.mean(axis=0)
 
     def extras(self):
-        return {"rho": self.opt.rho}
+        return {"rho": self.rho}
 
-
-@register_optimizer("aadmm")
-class AsyncADMM(_ADMMBase):
-    """Asynchronous consensus ADMM with per-worker slot updates.
-
-    The server keeps one slot per partition holding its latest
-    ``x_i + u_i``; each received result overwrites its slots and refreshes
-    ``z`` as the slot mean — stale contributions fade as workers resubmit.
-    """
-
-    name = "aadmm"
-    is_async = True
-
-    def run(self) -> RunResult:
-        return ServerLoop(self, ADMMRule()).run()

@@ -8,7 +8,8 @@ update per collected result. ``averageHistory`` is maintained server-side
 exactly as in the paper's Algorithm 4 line 8.
 
 The async driver is the shared :class:`repro.optim.loop.ServerLoop`;
-:class:`ASAGARule` contributes SAGA's history bookkeeping.
+:class:`ASAGARule`, registered as ``"asaga"``, contributes SAGA's
+history bookkeeping.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_optimizer
-from repro.optim.base import DistributedOptimizer, RunResult
-from repro.optim.loop import ServerLoop, UpdateRule
+from repro.optim.loop import UpdateRule
 from repro.optim.reducers import add_triples
 from repro.optim.saga import (
     BroadcastMode,
@@ -26,9 +26,10 @@ from repro.optim.saga import (
     saga_partition_kernel,
 )
 
-__all__ = ["AsyncSAGA", "ASAGARule"]
+__all__ = ["ASAGARule"]
 
 
+@register_optimizer("asaga")
 class ASAGARule(UpdateRule):
     """SAGA mathematics on the async driver: history handles + avg table.
 
@@ -43,6 +44,7 @@ class ASAGARule(UpdateRule):
     #: Historical convention: ASAGA's first sampling round used seed index 1.
     seed_offset = 1
     weight_aware = True
+    uses_history = True
 
     def __init__(self, mode: BroadcastMode = "history") -> None:
         self.mode = mode
@@ -96,18 +98,3 @@ class ASAGARule(UpdateRule):
             "avg_hist_norm": float(np.linalg.norm(self.state.avg_hist)),
         }
 
-
-@register_optimizer("asaga")
-class AsyncSAGA(DistributedOptimizer):
-    """Asynchronous SAGA with history broadcast."""
-
-    name = "asaga"
-    is_async = True
-    uses_history = True
-
-    def __init__(self, *args, mode: BroadcastMode = "history", **kwargs):
-        super().__init__(*args, **kwargs)
-        self.mode = mode
-
-    def run(self) -> RunResult:
-        return ServerLoop(self, ASAGARule(self.mode)).run()

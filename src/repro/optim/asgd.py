@@ -12,8 +12,9 @@ Matching the paper's tuning heuristic, callers usually pass
 alone rather than as part of a P-way average.
 
 The driver itself lives in :class:`repro.optim.loop.ServerLoop`; this
-module contributes only :class:`ASGDRule` — the canonical example of how
-little an asynchronous algorithm needs to specify.
+module contributes only :class:`ASGDRule`, registered as ``"asgd"`` — the
+canonical example of how little an asynchronous algorithm needs to
+specify.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from repro.api.registry import register_optimizer
 # test_asyncbench.py::test_wrappers_record_nesting_and_are_removed
 # asserts the tracer patches this module's reference too.
 from repro.data.blocks import stack_blocks  # noqa: F401
-from repro.optim.base import DistributedOptimizer, RunResult, bc_value
-from repro.optim.loop import ServerLoop, UpdateRule
+from repro.optim.base import bc_value
+from repro.optim.loop import UpdateRule
 from repro.optim.reducers import add_pairs
 
-__all__ = ["AsyncSGD", "ASGDRule"]
+__all__ = ["ASGDRule"]
 
 
+@register_optimizer("asgd")
 class ASGDRule(UpdateRule):
     """ASGD mathematics: gradient partials in, one SGD step per result."""
 
@@ -56,13 +58,3 @@ class ASGDRule(UpdateRule):
         g = (g_sum + problem.reg_grad(w, count)) / count
         return w - alpha * g
 
-
-@register_optimizer("asgd")
-class AsyncSGD(DistributedOptimizer):
-    """ASGD: one model update per collected worker result."""
-
-    name = "asgd"
-    is_async = True
-
-    def run(self) -> RunResult:
-        return ServerLoop(self, ASGDRule()).run()

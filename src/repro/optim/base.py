@@ -1,4 +1,4 @@
-"""Shared optimizer scaffolding: configs, results, broadcast helpers.
+"""Shared optimizer scaffolding: configs, results, the host, construction.
 
 Every distributed optimizer follows the same driver shape:
 
@@ -9,23 +9,28 @@ Every distributed optimizer follows the same driver shape:
 3. record snapshots into a :class:`~repro.optim.trace.ConvergenceTrace`,
 4. stop on ``max_updates`` or ``max_time_ms``.
 
-The class hierarchy keeps that loop in one place so the per-algorithm
-files contain only the mathematics that distinguishes them — mirroring
-the paper's claim that sync -> async is "a few extra lines".
+An asynchronous algorithm is one registered
+:class:`~repro.optim.loop.UpdateRule`; :class:`DistributedOptimizer`
+hosts it and its ``run`` is the shared server loop. The synchronous
+methods are still subclasses that override ``run``.
+:func:`build_optimizer` turns a registered name into a host either way —
+mirroring the paper's claim that sync -> async is "a few extra lines".
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.api.registry import OPTIMIZERS
 from repro.core.policies import SchedulingPolicy
 from repro.engine.context import ClusterContext
 from repro.engine.matrix import MatrixRDD
 from repro.engine.taskcontext import current_env
-from repro.errors import OptimError
+from repro.errors import ApiError, OptimError
 from repro.optim.problems import Problem
 from repro.optim.stepsize import StepSchedule
 from repro.optim.trace import ConvergenceTrace
@@ -33,8 +38,15 @@ from repro.utils.rng import stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.backend import TaskMetrics
+    from repro.optim.loop import UpdateRule
 
-__all__ = ["OptimizerConfig", "RunResult", "DistributedOptimizer", "bc_value"]
+__all__ = [
+    "OptimizerConfig",
+    "RunResult",
+    "DistributedOptimizer",
+    "bc_value",
+    "build_optimizer",
+]
 
 
 def bc_value(bc: Any) -> Any:
@@ -146,12 +158,16 @@ class RunResult:
 
 
 class DistributedOptimizer:
-    """Base driver: owns the context, data RDD, problem and schedule."""
+    """The host: owns the context, data RDD, problem and schedule.
+
+    Given an asynchronous ``rule``, :meth:`run` drives it through the
+    shared :class:`~repro.optim.loop.ServerLoop`; ``name`` is the
+    registered algorithm name, which salts every round's sampling seed
+    and labels the result. Synchronous methods subclass the host and
+    override :meth:`run`.
+    """
 
     name = "base"
-    #: Whether ``run()`` drives the asynchronous server loop. The spec
-    #: layer uses this to decide step scaling and which fields apply.
-    is_async = False
 
     def __init__(
         self,
@@ -161,6 +177,9 @@ class DistributedOptimizer:
         step: StepSchedule,
         config: OptimizerConfig | None = None,
         policy: SchedulingPolicy | None = None,
+        *,
+        rule: "UpdateRule | None" = None,
+        name: str | None = None,
     ) -> None:
         if points.dim != problem.dim:
             raise OptimError(
@@ -175,6 +194,11 @@ class DistributedOptimizer:
         #: loop coerces it once, so every asynchronous method shares the
         #: default).
         self.policy = policy
+        #: The asynchronous algorithm, as constructed from its params;
+        #: each :meth:`run` binds a fresh copy of it.
+        self.rule = rule
+        if name is not None:
+            self.name = name
         self.n_total = points.n_rows
         #: A run snapshot (or bare server-state dict) to resume from;
         #: the spec layer sets it from ``restore_from`` and the server
@@ -208,5 +232,48 @@ class DistributedOptimizer:
             or self.ctx.now() >= self.config.max_time_ms
         )
 
-    def run(self) -> RunResult:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def run(self) -> RunResult:
+        """Run the rule through the server loop.
+
+        The rule is copied first, so rule state (counters, slots, values
+        derived at bind) never leaks from one run into the next.
+        """
+        from repro.optim.loop import ServerLoop  # loop imports this module
+
+        if self.rule is None:
+            raise OptimError(
+                f"{type(self).__name__} has no update rule to run"
+            )
+        return ServerLoop(self, copy.deepcopy(self.rule)).run()
+
+
+def build_optimizer(
+    name: str,
+    ctx: ClusterContext,
+    points: MatrixRDD,
+    problem: Problem,
+    step: StepSchedule,
+    config: OptimizerConfig | None = None,
+    *,
+    policy: SchedulingPolicy | None = None,
+    **params: Any,
+) -> DistributedOptimizer:
+    """Construct the optimizer registered as ``name`` (sync or async).
+
+    A registered :class:`~repro.optim.loop.UpdateRule` is built from
+    ``params`` and hosted by a plain :class:`DistributedOptimizer` under
+    its canonical name; any other registered factory (the synchronous
+    classes) receives the host arguments plus ``params`` directly.
+    """
+    from repro.optim.loop import is_update_rule  # loop imports this module
+
+    factory = OPTIMIZERS.get(name)
+    try:
+        if is_update_rule(factory):
+            return DistributedOptimizer(
+                ctx, points, problem, step, config, policy,
+                rule=factory(**params), name=OPTIMIZERS.canonical(name),
+            )
+        return factory(ctx, points, problem, step, config, policy, **params)
+    except TypeError as exc:
+        raise ApiError(f"bad params for optimizer {name!r}: {exc}") from exc

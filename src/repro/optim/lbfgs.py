@@ -37,15 +37,18 @@ import numpy as np
 
 from repro.api.registry import register_optimizer
 from repro.errors import OptimError
-from repro.optim.base import DistributedOptimizer, RunResult, bc_value
-from repro.optim.loop import ServerLoop, UpdateRule
+from repro.optim.base import bc_value
+from repro.optim.loop import UpdateRule
 from repro.optim.reducers import add_pairs
 
-__all__ = ["AsyncLBFGS", "AsyncLBFGSRule"]
+__all__ = ["AsyncLBFGSRule"]
 
 
+@register_optimizer("async_lbfgs", aliases=("albfgs",))
 class AsyncLBFGSRule(UpdateRule):
     """L-BFGS mathematics on the async driver: two-loop over HIST pairs."""
+
+    uses_history = True
 
     def __init__(
         self,
@@ -221,40 +224,3 @@ class AsyncLBFGSRule(UpdateRule):
             "pairs_retained": len(self.pairs) if self.pairs is not None else 0,
         }
 
-
-@register_optimizer("async_lbfgs", aliases=("albfgs",))
-class AsyncLBFGS(DistributedOptimizer):
-    """Asynchronous L-BFGS over a bounded HIST deque of curvature pairs."""
-
-    name = "async_lbfgs"
-    is_async = True
-    uses_history = True
-
-    def __init__(
-        self,
-        *args,
-        history_depth: int = 10,
-        max_pair_staleness: int | None = None,
-        damping: float = 0.2,
-        pair_every: int | None = None,
-        direction_clip: float = 25.0,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self.history_depth = history_depth
-        self.max_pair_staleness = max_pair_staleness
-        self.damping = damping
-        self.pair_every = pair_every
-        self.direction_clip = direction_clip
-
-    def run(self) -> RunResult:
-        return ServerLoop(
-            self,
-            AsyncLBFGSRule(
-                self.history_depth,
-                self.max_pair_staleness,
-                self.damping,
-                self.pair_every,
-                self.direction_clip,
-            ),
-        ).run()

@@ -45,9 +45,10 @@ partition-granular rules (Hogwild-style immediate application, federated
 local-update averaging) key their server state on.
 
 This factoring is what makes "sync -> async in a few extra lines" literal:
-a new asynchronous method is one UpdateRule, not a re-implementation of
-the driver. See :class:`repro.optim.asgd.ASGDRule` for the canonical
-~30-line example.
+a new asynchronous method is one UpdateRule registered with
+``@register_optimizer`` (its constructor takes the spec's ``params``),
+not a re-implementation of the driver. See
+:class:`repro.optim.asgd.ASGDRule` for the canonical ~30-line example.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.records import TaskResultRecord
     from repro.optim.base import DistributedOptimizer
 
-__all__ = ["UpdateRule", "ServerLoop"]
+__all__ = ["UpdateRule", "ServerLoop", "is_update_rule"]
 
 
 class UpdateRule:
@@ -82,6 +83,8 @@ class UpdateRule:
 
     A rule is bound to its host optimizer (for the problem, step schedule,
     config and engine handles) via :meth:`bind` before the loop starts.
+    Registered with ``@register_optimizer``, a rule is an algorithm of
+    its own: its constructor arguments are the spec's ``params``.
     """
 
     #: Offset added to the round counter when deriving the per-round seed
@@ -170,6 +173,11 @@ class UpdateRule:
     def extras(self) -> dict:
         """Algorithm-specific entries merged into ``RunResult.extras``."""
         return {}
+
+
+def is_update_rule(factory: Any) -> bool:
+    """Whether a registered optimizer factory is an asynchronous rule."""
+    return isinstance(factory, type) and issubclass(factory, UpdateRule)
 
 
 class ServerLoop:

@@ -20,8 +20,8 @@ tagged with its identity.
   client arrival).
 
 Both plug into the shared :class:`repro.optim.loop.ServerLoop` and are
-registered with the declarative API (``"hogwild"``, ``"fedavg"`` /
-``"localsgd"``), so they are reachable from JSON specs and the CLI.
+registered as rules with the declarative API (``"hogwild"``, ``"fedavg"``
+/ ``"localsgd"``), so they are reachable from JSON specs and the CLI.
 """
 
 from __future__ import annotations
@@ -33,13 +33,14 @@ from repro.data.blocks import MatrixBlock
 from repro.engine.taskcontext import record_cost
 from repro.errors import OptimError
 from repro.optim.asgd import ASGDRule
-from repro.optim.base import DistributedOptimizer, RunResult, bc_value
-from repro.optim.loop import ServerLoop, UpdateRule
+from repro.optim.base import bc_value
+from repro.optim.loop import UpdateRule
 from repro.utils.rng import spawn_generator
 
-__all__ = ["HogwildSGD", "HogwildRule", "FederatedAveraging", "LocalSGDRule"]
+__all__ = ["HogwildRule", "LocalSGDRule"]
 
 
+@register_optimizer("hogwild")
 class HogwildRule(ASGDRule):
     """ASGD mathematics at partition granularity.
 
@@ -52,17 +53,7 @@ class HogwildRule(ASGDRule):
     granularity = "partition"
 
 
-@register_optimizer("hogwild")
-class HogwildSGD(DistributedOptimizer):
-    """Hogwild-style SGD: one immediate update per partition gradient."""
-
-    name = "hogwild"
-    is_async = True
-
-    def run(self) -> RunResult:
-        return ServerLoop(self, HogwildRule()).run()
-
-
+@register_optimizer("fedavg", aliases=("localsgd",))
 class LocalSGDRule(UpdateRule):
     """Federated averaging: ``local_steps`` of SGD per partition, slot
     average on collect.
@@ -176,26 +167,3 @@ class LocalSGDRule(UpdateRule):
             "local_alpha": float(self._alpha_local),
         }
 
-
-@register_optimizer("fedavg", aliases=("localsgd",))
-class FederatedAveraging(DistributedOptimizer):
-    """Local SGD / federated averaging over partitions-as-clients."""
-
-    name = "fedavg"
-    is_async = True
-
-    def __init__(
-        self,
-        *args,
-        local_steps: int = 4,
-        local_alpha: float | None = None,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self.local_steps = local_steps
-        self.local_alpha = local_alpha
-
-    def run(self) -> RunResult:
-        return ServerLoop(
-            self, LocalSGDRule(self.local_steps, self.local_alpha)
-        ).run()

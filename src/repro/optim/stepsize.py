@@ -51,8 +51,8 @@ class ConstantStep(StepSchedule):
     """Fixed step (the paper's SAGA tuning)."""
 
     def __init__(self, a: float) -> None:
-        if a <= 0:
-            raise OptimError("step size must be positive")
+        if not 0 < a < math.inf:
+            raise OptimError("step size must be positive and finite")
         self.a = a
 
     def alpha(self, t: int, staleness: int = 0) -> float:
@@ -67,8 +67,8 @@ class InvSqrtDecay(StepSchedule):
     """MLlib's ``a / sqrt(t)`` decay (the paper's SGD tuning)."""
 
     def __init__(self, a: float) -> None:
-        if a <= 0:
-            raise OptimError("step size must be positive")
+        if not 0 < a < math.inf:
+            raise OptimError("step size must be positive and finite")
         self.a = a
 
     def alpha(self, t: int, staleness: int = 0) -> float:
@@ -85,7 +85,10 @@ class PolyDecay(StepSchedule):
     """``a / (b + c t)`` — the classical Robbins-Monro family (Section 2)."""
 
     def __init__(self, a: float, b: float = 1.0, c: float = 1.0) -> None:
-        if a <= 0 or b < 0 or c < 0 or (b == 0 and c == 0):
+        if (
+            not (0 < a < math.inf and 0 <= b < math.inf and 0 <= c < math.inf)
+            or (b == 0 and c == 0)
+        ):
             raise OptimError("invalid PolyDecay parameters")
         self.a, self.b, self.c = a, b, c
 

@@ -6,12 +6,14 @@ mini-batch iterations with the variance-reduced direction
 
     g = (1/|S|) sum_s [grad f_s(w) - grad f_s(w_tilde)] + mu
 
-— synchronously (SyncSVRG) or through the ASYNC layer (AsyncSVRG), where
-asynchronous updates happen *between* the epoch barriers. This is the
-class of algorithms [29, 56, 71] the paper says ASYNC supports by mixing
-its async primitives with Spark's synchronous reductions. The async
+— synchronously (SyncSVRG) or through the ASYNC layer (ASVRGRule,
+registered as ``"asvrg"``), where asynchronous updates happen *between*
+the epoch barriers. This is the class of algorithms [29, 56, 71] the
+paper says ASYNC supports by mixing its async primitives with Spark's
+synchronous reductions. The async
 variant demonstrates :class:`repro.optim.loop.ServerLoop`'s epoch hooks:
-``begin_epoch`` drains in-flight work and takes the synchronous pass.
+``begin_epoch`` drains in-flight work and takes the synchronous pass;
+both variants share :func:`_full_gradient` and :func:`_vr_direction`.
 """
 
 from __future__ import annotations
@@ -23,59 +25,66 @@ from repro.data.blocks import MatrixBlock
 from repro.engine.taskcontext import record_cost
 from repro.errors import OptimError
 from repro.optim.base import DistributedOptimizer, RunResult, bc_value
-from repro.optim.loop import ServerLoop, UpdateRule
+from repro.optim.loop import UpdateRule
+from repro.optim.problems import Problem
 from repro.optim.reducers import add_vr_pairs
 from repro.optim.trace import ConvergenceTrace
 
-__all__ = ["SyncSVRG", "AsyncSVRG", "ASVRGRule"]
+__all__ = ["SyncSVRG", "ASVRGRule"]
 
 
-class _SVRGBase(DistributedOptimizer):
-    """Shared epoch machinery."""
+def _checked_inner_iterations(inner_iterations: int) -> int:
+    if inner_iterations <= 0:
+        raise OptimError("inner_iterations must be positive")
+    return inner_iterations
 
-    def __init__(self, *args, inner_iterations: int = 10, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if inner_iterations <= 0:
-            raise OptimError("inner_iterations must be positive")
-        self.inner_iterations = inner_iterations
 
-    def _full_gradient(self, w: np.ndarray) -> np.ndarray:
-        problem = self.problem
-        w_br = self.ctx.broadcast(np.array(w, copy=True))
+def _full_gradient(opt: DistributedOptimizer, w: np.ndarray) -> np.ndarray:
+    """The epoch anchor's full gradient ``mu``: one synchronous pass."""
+    problem = opt.problem
+    w_br = opt.ctx.broadcast(np.array(w, copy=True))
 
-        def task(split: int, data: list):
-            block: MatrixBlock = data[0]
-            record_cost(block.cost_units())
-            return problem.grad_sum(block.X, block.y, bc_value(w_br))
+    def task(split: int, data: list):
+        block: MatrixBlock = data[0]
+        record_cost(block.cost_units())
+        return problem.grad_sum(block.X, block.y, bc_value(w_br))
 
-        parts = self.ctx.run_job(self.points, task)
-        mu = sum(parts) / self.n_total
-        if problem.lam:
-            mu = mu + problem.lam * w
-        return mu
+    parts = opt.ctx.run_job(opt.points, task)
+    mu = sum(parts) / opt.n_total
+    if problem.lam:
+        mu = mu + problem.lam * w
+    return mu
 
-    def _vr_direction(self, g_new, g_old, count, mu, w, weight: float = 1.0):
-        problem = self.problem
-        innovation = (g_new - g_old) / count
-        if weight != 1.0:
-            # Weight-aware variance reduction: a discounted (stale)
-            # result contributes less innovation; as weight -> 0 the
-            # direction falls back to the trusted anchor gradient mu.
-            innovation = weight * innovation
-        g = innovation + mu
-        # mu already contains the regularizer gradient at w_tilde; correct
-        # it to the current iterate (deterministic, never discounted).
-        if problem.lam:
-            g = g + problem.lam * (w - self._w_tilde)
-        return g
+
+def _vr_direction(
+    problem: Problem, g_new, g_old, count, mu, w, w_tilde,
+    weight: float = 1.0,
+):
+    """The variance-reduced direction around the anchor ``w_tilde``."""
+    innovation = (g_new - g_old) / count
+    if weight != 1.0:
+        # Weight-aware variance reduction: a discounted (stale)
+        # result contributes less innovation; as weight -> 0 the
+        # direction falls back to the trusted anchor gradient mu.
+        innovation = weight * innovation
+    g = innovation + mu
+    # mu already contains the regularizer gradient at w_tilde; correct
+    # it to the current iterate (deterministic, never discounted).
+    if problem.lam:
+        g = g + problem.lam * (w - w_tilde)
+    return g
 
 
 @register_optimizer("svrg")
-class SyncSVRG(_SVRGBase):
+class SyncSVRG(DistributedOptimizer):
     """Synchronous SVRG (Johnson & Zhang) on the BSP path."""
 
     name = "svrg"
     uses_history = True
+
+    def __init__(self, *args, inner_iterations: int = 10, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.inner_iterations = _checked_inner_iterations(inner_iterations)
 
     def run(self) -> RunResult:
         cfg = self.config
@@ -88,9 +97,9 @@ class SyncSVRG(_SVRGBase):
         updates = 0
         epoch = 0
         while not self._should_stop(updates):
-            self._w_tilde = np.array(w, copy=True)
-            mu = self._full_gradient(self._w_tilde)
-            wt_br = self.ctx.broadcast(self._w_tilde)
+            w_tilde = np.array(w, copy=True)
+            mu = _full_gradient(self, w_tilde)
+            wt_br = self.ctx.broadcast(w_tilde)
             epoch += 1
             for _ in range(self.inner_iterations):
                 if self._should_stop(updates):
@@ -118,7 +127,7 @@ class SyncSVRG(_SVRGBase):
                 g_old = sum(p[0][1] for p in parts if p[0][1] is not None)
                 count = sum(p[1] for p in parts)
                 updates += 1
-                g = self._vr_direction(g_new, g_old, count, mu, w)
+                g = _vr_direction(problem, g_new, g_old, count, mu, w, w_tilde)
                 w = w - self.step.alpha(updates) * g
                 if updates % cfg.eval_every == 0:
                     trace.record(self.ctx.now(), updates, w)
@@ -134,6 +143,7 @@ class SyncSVRG(_SVRGBase):
         )
 
 
+@register_optimizer("asvrg")
 class ASVRGRule(UpdateRule):
     """SVRG's inner loop as an update rule; epochs via ``begin_epoch``.
 
@@ -147,9 +157,10 @@ class ASVRGRule(UpdateRule):
 
     seed_offset = 1
     weight_aware = True
+    uses_history = True
 
-    def __init__(self, inner_iterations: int) -> None:
-        self.epoch_length = inner_iterations
+    def __init__(self, inner_iterations: int = 10) -> None:
+        self.epoch_length = _checked_inner_iterations(inner_iterations)
         self.epochs = 0
 
     def bind(self, loop):
@@ -164,9 +175,9 @@ class ASVRGRule(UpdateRule):
         ac.wait_all()
         ac.drain()
         self.anchor_channel.append(np.array(w, copy=True))
-        opt._w_tilde = self.anchor_channel.latest()
-        self.mu_channel.append(opt._full_gradient(opt._w_tilde))
-        self.wt_br = opt.ctx.broadcast(opt._w_tilde)
+        self.w_tilde = self.anchor_channel.latest()
+        self.mu_channel.append(_full_gradient(opt, self.w_tilde))
+        self.wt_br = opt.ctx.broadcast(self.w_tilde)
         self.epochs += 1
 
     def publish(self, w):
@@ -194,23 +205,12 @@ class ASVRGRule(UpdateRule):
         (g_sum, h_sum), count = record.value
         if count == 0:
             return None
-        g = self.opt._vr_direction(
-            g_sum, h_sum, count, self.mu_channel.latest(), w,
-            weight=record.weight,
+        g = _vr_direction(
+            self.opt.problem, g_sum, h_sum, count, self.mu_channel.latest(),
+            w, self.w_tilde, weight=record.weight,
         )
         return w - alpha * g
 
     def extras(self):
         return {"epochs": self.epochs}
 
-
-@register_optimizer("asvrg")
-class AsyncSVRG(_SVRGBase):
-    """SVRG with an asynchronous inner loop (Listing 3)."""
-
-    name = "asvrg"
-    is_async = True
-    uses_history = True
-
-    def run(self) -> RunResult:
-        return ServerLoop(self, ASVRGRule(self.inner_iterations)).run()

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.optim import ConstantStep, LeastSquaresProblem, OptimizerConfig
-from repro.optim.admm import AsyncADMM, SyncADMM
+from repro.optim import (
+    ConstantStep,
+    LeastSquaresProblem,
+    OptimizerConfig,
+    build_optimizer,
+)
 from repro.errors import OptimError
 
 
@@ -23,8 +27,8 @@ def cfg(updates, eval_every=5):
 
 def test_sync_admm_converges_to_optimum(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = SyncADMM(
-        ctx, points, problem, ConstantStep(1.0), cfg(40), rho=1.0,
+    res = build_optimizer(
+        "admm", ctx, points, problem, ConstantStep(1.0), cfg(40), rho=1.0,
     ).run()
     assert problem.error(res.w) < 1e-4
     errs = res.trace.errors(problem)
@@ -33,8 +37,8 @@ def test_sync_admm_converges_to_optimum(ctx, small_data):
 
 def test_sync_admm_monotone_progress(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = SyncADMM(
-        ctx, points, problem, ConstantStep(1.0), cfg(30, eval_every=10),
+    res = build_optimizer(
+        "admm", ctx, points, problem, ConstantStep(1.0), cfg(30, eval_every=10),
         rho=2.0,
     ).run()
     errs = res.trace.errors(problem)
@@ -43,7 +47,7 @@ def test_sync_admm_monotone_progress(ctx, small_data):
 
 def test_factorizations_cached_per_partition(ctx, small_data):
     points, problem = build(ctx, small_data, parts=4)
-    SyncADMM(ctx, points, problem, ConstantStep(1.0), cfg(10), rho=1.0).run()
+    build_optimizer("admm", ctx, points, problem, ConstantStep(1.0), cfg(10), rho=1.0).run()
     cached = 0
     for w in range(ctx.num_workers):
         env = ctx.backend.worker_env(w)
@@ -56,7 +60,7 @@ def test_factorizations_cached_per_partition(ctx, small_data):
 
 def test_dual_state_lives_on_workers(ctx, small_data):
     points, problem = build(ctx, small_data, parts=4)
-    SyncADMM(ctx, points, problem, ConstantStep(1.0), cfg(5), rho=1.0).run()
+    build_optimizer("admm", ctx, points, problem, ConstantStep(1.0), cfg(5), rho=1.0).run()
     u_keys = [
         k for w in range(ctx.num_workers)
         for k in ctx.backend.worker_env(w).keys()
@@ -67,8 +71,8 @@ def test_dual_state_lives_on_workers(ctx, small_data):
 
 def test_async_admm_converges(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = AsyncADMM(
-        ctx, points, problem, ConstantStep(1.0), cfg(160, eval_every=20),
+    res = build_optimizer(
+        "aadmm", ctx, points, problem, ConstantStep(1.0), cfg(160, eval_every=20),
         rho=1.0,
     ).run()
     assert problem.error(res.w) < 1e-2
@@ -85,8 +89,8 @@ def test_async_admm_with_straggler(small_data):
         4, seed=0, delay_model=ControlledDelay(1.0, workers=(0,))
     ) as c:
         points = c.matrix(X, y, 8).cache()
-        res = AsyncADMM(
-            c, points, problem, ConstantStep(1.0), cfg(120, eval_every=20),
+        res = build_optimizer(
+            "aadmm", c, points, problem, ConstantStep(1.0), cfg(120, eval_every=20),
             rho=1.0,
         ).run()
     assert problem.error(res.w) < 0.05
@@ -95,7 +99,7 @@ def test_async_admm_with_straggler(small_data):
 def test_rho_validated(ctx, small_data):
     points, problem = build(ctx, small_data)
     with pytest.raises(OptimError):
-        SyncADMM(ctx, points, problem, ConstantStep(1.0), cfg(5), rho=0.0)
+        build_optimizer("admm", ctx, points, problem, ConstantStep(1.0), cfg(5), rho=0.0)
 
 
 def test_non_least_squares_rejected(ctx):
@@ -106,17 +110,17 @@ def test_non_least_squares_rejected(ctx):
     problem = LogisticRegressionProblem(X, y)
     points = ctx.matrix(X, y, 4)
     with pytest.raises(OptimError):
-        SyncADMM(ctx, points, problem, ConstantStep(1.0), cfg(5))
+        build_optimizer("admm", ctx, points, problem, ConstantStep(1.0), cfg(5))
 
 
 def test_sync_async_agree_on_fixed_point(ctx, small_data):
     """Both variants drive z to the same least-squares optimum."""
     points, problem = build(ctx, small_data)
-    sync = SyncADMM(
-        ctx, points, problem, ConstantStep(1.0), cfg(40), rho=1.0,
+    sync = build_optimizer(
+        "admm", ctx, points, problem, ConstantStep(1.0), cfg(40), rho=1.0,
     ).run()
-    asyn = AsyncADMM(
-        ctx, points, problem, ConstantStep(1.0), cfg(320, eval_every=40),
+    asyn = build_optimizer(
+        "aadmm", ctx, points, problem, ConstantStep(1.0), cfg(320, eval_every=40),
         rho=1.0,
     ).run()
     assert np.allclose(sync.w, problem.w_star, atol=1e-2)

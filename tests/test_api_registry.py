@@ -116,6 +116,17 @@ def test_cds_zero_intensity_degenerates_to_nodelay():
     assert isinstance(DELAY_MODELS.create("cds:0.6"), ControlledDelay)
 
 
+@pytest.mark.parametrize("spec", [
+    "cds:nan", "cds:inf", "cds:-inf",
+    {"name": "pcs", "num_workers": float("nan")},
+])
+def test_non_finite_delay_parameters_rejected(spec):
+    """``cds:inf`` used to end a run after one update with
+    ``elapsed_ms = inf``; ``cds:nan`` ran silently."""
+    with pytest.raises(ApiError, match="finite"):
+        DELAY_MODELS.create(spec)
+
+
 def test_nested_step_specs_compose():
     step = STEPS.create(
         {"name": "scaled_for_async",

@@ -10,22 +10,22 @@ from repro.data.registry import get_dataset
 from repro.engine.context import ClusterContext
 from repro.errors import ApiError, ReproError
 from repro.optim import (
-    AsyncSAGA,
-    AsyncSGD,
     ConstantStep,
     InvSqrtDecay,
     LeastSquaresProblem,
     OptimizerConfig,
+    UpdateRule,
+    build_optimizer,
 )
 
 
-def _legacy_run(cls, step, *, max_updates, batch_fraction=0.25, seed=0, **kw):
+def _legacy_run(algorithm, step, *, max_updates, batch_fraction=0.25, seed=0, **kw):
     X, y, _ = get_dataset("tiny_dense", seed=seed)
     problem = LeastSquaresProblem(X, y)
     with ClusterContext(4, seed=seed) as ctx:
         points = ctx.matrix(X, y, 8).cache()
-        return cls(
-            ctx, points, problem, step,
+        return build_optimizer(
+            algorithm, ctx, points, problem, step,
             OptimizerConfig(batch_fraction=batch_fraction,
                             max_updates=max_updates, seed=seed),
             **kw,
@@ -35,7 +35,7 @@ def _legacy_run(cls, step, *, max_updates, batch_fraction=0.25, seed=0, **kw):
 def test_spec_path_matches_handwired_asgd_exactly():
     """The acceptance criterion: same seed/config -> identical w."""
     legacy = _legacy_run(
-        AsyncSGD, InvSqrtDecay(0.5).scaled_for_async(4), max_updates=40,
+        "asgd", InvSqrtDecay(0.5).scaled_for_async(4), max_updates=40,
     )
     via_spec = run_experiment({
         "algorithm": "asgd", "dataset": "tiny_dense", "num_workers": 4,
@@ -49,7 +49,7 @@ def test_spec_path_matches_handwired_asgd_exactly():
 
 def test_spec_path_matches_handwired_asaga_exactly():
     legacy = _legacy_run(
-        AsyncSAGA, ConstantStep(0.05).scaled_for_async(4), max_updates=24,
+        "asaga", ConstantStep(0.05).scaled_for_async(4), max_updates=24,
         mode="history",
     )
     via_spec = run_experiment({
@@ -83,7 +83,7 @@ def test_every_registered_algorithm_runs_from_a_spec(algorithm):
     })
     assert result.updates == 10
     assert result.elapsed_ms > 0
-    if OPTIMIZERS.get(algorithm).is_async:
+    if issubclass(OPTIMIZERS.get(algorithm), UpdateRule):
         for key in ("lost_tasks", "collected", "max_staleness_seen"):
             assert key in result.extras, (algorithm, key)
         assert result.extras["collected"] >= result.updates
@@ -98,16 +98,24 @@ def test_unknown_algorithm_and_dataset_rejected():
     with pytest.raises(ApiError, match="bad params for optimizer"):
         run_experiment({"algorithm": "sgd", "dataset": "tiny_dense",
                         "max_updates": 4, "params": {"bogus": 1}})
+    # cds:inf used to stop after one update with elapsed_ms = inf.
+    for spelling in ("cds:inf", "cds:nan"):
+        with pytest.raises(ApiError, match="finite"):
+            run_experiment({"algorithm": "sgd", "dataset": "tiny_dense",
+                            "max_updates": 10, "delay": spelling})
+    with pytest.raises(ApiError, match="finite"):
+        run_experiment({"algorithm": "asgd", "dataset": "tiny_dense",
+                        "max_updates": 10, "policy": "migrate:nan"})
 
 
 def test_custom_registered_optimizer_runs_without_explicit_step():
     """A user extension is spec-addressable with the default step path."""
     from repro.api import register_optimizer
-    from repro.optim.asgd import AsyncSGD as _ASGD
+    from repro.optim.asgd import ASGDRule
 
     @register_optimizer("asgd_custom_test")
-    class _CustomASGD(_ASGD):
-        name = "asgd_custom_test"
+    class _CustomASGD(ASGDRule):
+        pass
 
     result = run_experiment({
         "algorithm": "asgd_custom_test", "dataset": "tiny_dense",

@@ -26,11 +26,12 @@ from repro import (
     ASP,
     BSP,
     SSP,
+    ASAGARule,
+    ASGDRule,
+    ASVRGRule,
     ASYNCContext,
-    AsyncSAGA,
-    AsyncSGD,
-    AsyncSVRG,
     ClusterContext,
+    DistributedOptimizer,
     ConstantStep,
     InvSqrtDecay,
     LeastSquaresProblem,
@@ -43,6 +44,7 @@ from repro import (
     SyncSAGA,
     SyncSGD,
     SyncSVRG,
+    UpdateRule,
 )
 from repro.engine.rdd import RDD
 
@@ -96,8 +98,10 @@ def test_top_level_exports_constructible(ctx):
     for b in (ASP(), BSP(), SSP(2), MinAvailableFraction(0.5)):
         assert hasattr(b, "ready")
     assert issubclass(ClusterContext, object)
-    for opt in (SyncSGD, AsyncSGD, SyncSAGA, AsyncSAGA, SyncSVRG, AsyncSVRG):
+    for opt in (SyncSGD, SyncSAGA, SyncSVRG, DistributedOptimizer):
         assert hasattr(opt, "run")
+    for rule in (ASGDRule, ASAGARule, ASVRGRule):
+        assert issubclass(rule, UpdateRule)
     OptimizerConfig()
 
 
@@ -128,7 +132,8 @@ def test_design_scoreboard_only_goes_down():
     from dataclasses import fields
 
     import repro
-    from repro.optim.loop import ServerLoop, UpdateRule
+    from repro.api import OPTIMIZERS
+    from repro.optim.loop import ServerLoop
 
     assert len(fields(repro.ExperimentSpec)) <= 27
     assert len(fields(OptimizerConfig)) <= 10
@@ -148,6 +153,14 @@ def test_design_scoreboard_only_goes_down():
     params = inspect.signature(ServerLoop.__init__).parameters
     assert list(params) == ["self", "opt", "rule", "restore_state"]
     assert params["restore_state"].default is None
+    # One optimizer host: an asynchronous algorithm is its registered
+    # UpdateRule, not a flag on a wrapper class.
+    assert not hasattr(DistributedOptimizer, "is_async")
+    for name in ("asgd", "asaga", "asvrg", "aadmm", "async_lbfgs",
+                 "albfgs", "hogwild", "fedavg", "localsgd"):
+        assert issubclass(OPTIMIZERS.get(name), UpdateRule), name
+    # Only the four synchronous methods still subclass the host.
+    assert len(DistributedOptimizer.__subclasses__()) <= 4
     # One parallel sweep path: nothing to lend a pool to or switch
     # shared memory off for, and no pool to shut down.
     from repro.api import parallel

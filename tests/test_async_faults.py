@@ -11,12 +11,11 @@ import pytest
 from repro.engine.context import ClusterContext
 from repro.engine.faults import FaultInjector
 from repro.optim import (
-    AsyncSAGA,
-    AsyncSGD,
     ConstantStep,
     InvSqrtDecay,
     LeastSquaresProblem,
     OptimizerConfig,
+    build_optimizer,
 )
 
 
@@ -27,8 +26,8 @@ def test_asgd_survives_mid_run_worker_loss(small_data):
         pts = ctx.matrix(X, y, 8).cache()
         fi = FaultInjector(ctx)
         fi.kill_at(15.0, 3)
-        res = AsyncSGD(
-            ctx, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
+        res = build_optimizer(
+            "asgd", ctx, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
             OptimizerConfig(batch_fraction=0.25, max_updates=120, seed=0),
         ).run()
     assert res.updates == 120
@@ -44,8 +43,8 @@ def test_asgd_continues_on_surviving_workers(small_data):
         pts = ctx.matrix(X, y, 8).cache()
         fi = FaultInjector(ctx)
         fi.kill_at(10.0, 0)
-        res = AsyncSGD(
-            ctx, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
+        res = build_optimizer(
+            "asgd", ctx, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
             OptimizerConfig(batch_fraction=0.25, max_updates=80, seed=0),
         ).run()
         late = [m for m in res.metrics if m.submitted_ms > 12.0
@@ -63,8 +62,8 @@ def test_asaga_survives_worker_loss(small_data):
         pts = ctx.matrix(X, y, 8).cache()
         fi = FaultInjector(ctx)
         fi.kill_at(40.0, 2)
-        res = AsyncSAGA(
-            ctx, pts, problem, ConstantStep(0.02 / 4),
+        res = build_optimizer(
+            "asaga", ctx, pts, problem, ConstantStep(0.02 / 4),
             OptimizerConfig(batch_fraction=0.2, max_updates=150, seed=0),
         ).run()
     assert res.updates == 150
@@ -79,8 +78,8 @@ def test_all_but_one_worker_dies(small_data):
         fi = FaultInjector(ctx)
         for w, t in ((1, 5.0), (2, 8.0), (3, 11.0)):
             fi.kill_at(t, w)
-        res = AsyncSGD(
-            ctx, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
+        res = build_optimizer(
+            "asgd", ctx, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
             OptimizerConfig(batch_fraction=0.25, max_updates=60, seed=0),
         ).run()
     # Worker 0 alone finishes the budget (it owns partitions 0 and 4).
@@ -99,8 +98,8 @@ def test_deterministic_under_faults(small_data):
         with ClusterContext(4, seed=3) as ctx:
             pts = ctx.matrix(X, y, 8).cache()
             FaultInjector(ctx).kill_at(12.0, 1)
-            res = AsyncSGD(
-                ctx, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
+            res = build_optimizer(
+                "asgd", ctx, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
                 OptimizerConfig(batch_fraction=0.25, max_updates=60, seed=3),
             ).run()
             return res.w, res.elapsed_ms

@@ -41,10 +41,10 @@ from repro.data.synthetic import make_classification
 from repro.engine.context import ClusterContext
 from repro.errors import ApiError, ProtocolError, ReproError
 from repro.optim import (
-    AsyncSGD,
     ConstantStep,
     LogisticRegressionProblem,
     OptimizerConfig,
+    build_optimizer,
 )
 from repro.utils.sizeof import sizeof_bytes
 
@@ -284,8 +284,8 @@ def _thread_logistic_run(compressor):
     backend = ThreadBackend(num_workers=1)
     with ClusterContext(1, backend=backend, seed=0) as ctx:
         points = ctx.matrix(X, y, 2).cache()
-        opt = AsyncSGD(
-            ctx, points, problem, ConstantStep(0.05),
+        opt = build_optimizer(
+            "asgd", ctx, points, problem, ConstantStep(0.05),
             OptimizerConfig(batch_fraction=0.5, max_updates=16, seed=0),
         )
         if compressor is not None:

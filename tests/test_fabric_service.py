@@ -39,10 +39,10 @@ from repro.fabric import (
     status_path_for,
 )
 from repro.optim import (
-    AsyncSAGA,
     ConstantStep,
     LeastSquaresProblem,
     OptimizerConfig,
+    build_optimizer,
 )
 
 # One group (same dataset/seed/problem) so in-process worker *threads*
@@ -229,8 +229,8 @@ def _thread_asaga():
     problem = LeastSquaresProblem(X, y)
     with ClusterContext(1, backend=ThreadBackend(num_workers=1), seed=0) as ctx:
         points = ctx.matrix(X, y, 2).cache()
-        return AsyncSAGA(
-            ctx, points, problem, ConstantStep(0.02),
+        return build_optimizer(
+            "asaga", ctx, points, problem, ConstantStep(0.02),
             OptimizerConfig(batch_fraction=0.25, max_updates=12, seed=0),
         ).run()
 

@@ -10,6 +10,8 @@ exactly reproducible.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import run_experiment
 from repro.api.registry import FAULT_PLANS
@@ -19,7 +21,7 @@ from repro.cluster.faultplan import (
     parse_fault_plan,
     resolve_fault_plan,
 )
-from repro.errors import ApiError, FaultPlanError
+from repro.errors import ApiError, FaultPlanError, ReproError
 
 SPEC = {
     "dataset": "tiny_dense", "algorithm": "asgd", "policy": "sample:0.75",
@@ -63,6 +65,46 @@ def test_grammar_rejects_malformed_terms():
         FaultEvent(-1.0, "kill", 0)
     with pytest.raises(FaultPlanError):
         FaultEvent(1.0, "kill", -2)
+
+
+@pytest.mark.parametrize("bad", [
+    "kill:w2@nanms", "kill:w2@infms", "kill:w2@-infs", "kill:w2@1e306s",
+    "kill:w\u00b2@1ms", "random_kill:inf", "random_kill:nan",
+])
+def test_grammar_rejects_non_finite_times_and_odd_digits(bad):
+    """These used to leak ValueError / OverflowError from the parser."""
+    with pytest.raises(FaultPlanError):
+        resolve_fault_plan(bad, num_workers=4)
+    with pytest.raises(FaultPlanError):
+        FaultEvent(float("nan"), "kill", 0)
+
+
+def test_script_rejects_workers_the_cluster_does_not_have():
+    """``kill:w9`` on a 4-worker run used to be accepted and silently
+    counted as a suppressed event."""
+    with pytest.raises(FaultPlanError, match="w9"):
+        resolve_fault_plan("kill:w9@1ms", num_workers=4)
+    with pytest.raises(FaultPlanError, match="w4"):
+        resolve_fault_plan({"name": "script", "plan": "kill:w4@1ms"},
+                           num_workers=4)
+    assert len(resolve_fault_plan("kill:w3@1ms", num_workers=4)) == 1
+    # Without a cluster size the grammar cannot know; the driver still
+    # suppresses an unknown worker at run time.
+    assert len(parse_fault_plan("kill:w9@1ms")) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.text(),
+    st.text(alphabet="killrevw:@,.0123456789msnaifx-+e _", max_size=40),
+))
+def test_any_text_is_a_plan_or_a_typed_error(text):
+    try:
+        plan = resolve_fault_plan(text, num_workers=4, seed=0)
+    except ReproError:
+        return
+    assert isinstance(plan, FaultPlan)
+    assert all(0 <= e.worker < 4 for e in plan)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +181,23 @@ def test_last_alive_worker_kill_is_suppressed():
 def test_unknown_worker_and_double_kill_are_suppressed():
     result = run_experiment({
         **SPEC, "max_updates": 60,
-        "fault_plan": "kill:w9@5ms,kill:w1@6ms,kill:w1@7ms,revive:w0@8ms",
+        "fault_plan": "kill:w1@6ms,kill:w1@7ms,revive:w0@8ms",
     })
-    # w9 doesn't exist, w1 is already dead the second time, w0 is
-    # already alive: one real kill, three no-ops.
+    # w1 is already dead the second time, w0 is already alive: one
+    # real kill, two no-ops.
     assert result.extras["fault_events"] == 1
-    assert result.extras["fault_events_suppressed"] == 3
+    assert result.extras["fault_events_suppressed"] == 2
+    # A worker the cluster does not have is a spec error up front.
+    with pytest.raises(FaultPlanError, match="w9"):
+        run_experiment({**SPEC, "max_updates": 60,
+                        "fault_plan": "kill:w9@5ms,kill:w1@6ms"})
+    # Handed a pre-built plan, the driver still suppresses it.
+    result = run_experiment({
+        **SPEC, "max_updates": 60,
+        "fault_plan": FaultPlan([FaultEvent(5.0, "kill", 9)]),
+    })
+    assert result.extras["fault_events"] == 0
+    assert result.extras["fault_events_suppressed"] == 1
 
 
 def test_sync_algorithm_rejects_fault_plan():
@@ -159,21 +212,24 @@ def test_fault_plan_thread_backend():
     """Fault injection also drives the real-thread backend's STAT
     liveness (1 worker config would self-suppress, so use 2 and kill
     one; the survivor finishes the budget)."""
-    import repro.api.runner  # populate registries
-    from repro.api.registry import OPTIMIZERS
     from repro.cluster.faultplan import resolve_fault_plan
     from repro.cluster.threadbackend import ThreadBackend
     from repro.data.synthetic import make_dense_regression
     from repro.engine.context import ClusterContext
-    from repro.optim import ConstantStep, LeastSquaresProblem, OptimizerConfig
+    from repro.optim import (
+        ConstantStep,
+        LeastSquaresProblem,
+        OptimizerConfig,
+        build_optimizer,
+    )
 
     X, y, _ = make_dense_regression(64, 4, cond=4.0, seed=5)
     problem = LeastSquaresProblem(X, y)
     with ClusterContext(2, backend=ThreadBackend(num_workers=2),
                         seed=0) as ctx:
         points = ctx.matrix(X, y, 4).cache()
-        opt = OPTIMIZERS.get("asgd")(
-            ctx, points, problem, ConstantStep(0.02),
+        opt = build_optimizer(
+            "asgd", ctx, points, problem, ConstantStep(0.02),
             OptimizerConfig(batch_fraction=0.25, max_updates=40, seed=0),
         )
         opt.fault_plan = resolve_fault_plan("kill:w1@1ms")

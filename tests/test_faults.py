@@ -69,7 +69,7 @@ def test_alive_workers_listing(ctx):
 
 def test_end_to_end_sgd_survives_mid_run_failure(ctx, small_data):
     """SyncSGD keeps converging if a worker dies mid-run (retry + lineage)."""
-    from repro.optim import InvSqrtDecay, OptimizerConfig, SyncSGD
+    from repro.optim import InvSqrtDecay, OptimizerConfig, build_optimizer
     from repro.optim.problems import LeastSquaresProblem
 
     X, y, _ = small_data
@@ -77,8 +77,8 @@ def test_end_to_end_sgd_survives_mid_run_failure(ctx, small_data):
     points = ctx.matrix(X, y, 8).cache()
     fi = FaultInjector(ctx)
     fi.kill_at(20.0, 1)
-    result = SyncSGD(
-        ctx, points, problem, InvSqrtDecay(0.5),
+    result = build_optimizer(
+        "sgd", ctx, points, problem, InvSqrtDecay(0.5),
         OptimizerConfig(batch_fraction=0.25, max_updates=30, seed=0),
     ).run()
     assert result.updates == 30

@@ -10,14 +10,12 @@ from repro.data.synthetic import make_classification, make_dense_regression
 from repro.engine.context import ClusterContext
 from repro.errors import OptimError
 from repro.optim import (
-    AsyncSGD,
-    FederatedAveraging,
-    HogwildSGD,
     InvSqrtDecay,
     LeastSquaresProblem,
     LogisticRegressionProblem,
     OptimizerConfig,
     ConstantStep,
+    build_optimizer,
 )
 from repro.optim.base import bc_value
 
@@ -28,8 +26,8 @@ def _run_asgd_sim(granularity: str, parts: int, workers: int = 4,
     problem = LeastSquaresProblem(X, y)
     with ClusterContext(workers, seed=0) as ctx:
         points = ctx.matrix(X, y, parts).cache()
-        res = AsyncSGD(
-            ctx, points, problem,
+        res = build_optimizer(
+            "asgd", ctx, points, problem,
             InvSqrtDecay(0.5).scaled_for_async(workers),
             OptimizerConfig(batch_fraction=0.25, max_updates=updates,
                             seed=0, granularity=granularity),
@@ -68,8 +66,8 @@ def _run_asgd_thread(granularity: str, workers: int = 1, parts: int = 1,
     backend = ThreadBackend(num_workers=workers)
     with ClusterContext(workers, backend=backend, seed=0) as ctx:
         points = ctx.matrix(X, y, parts).cache()
-        res = AsyncSGD(
-            ctx, points, problem,
+        res = build_optimizer(
+            "asgd", ctx, points, problem,
             InvSqrtDecay(0.5).scaled_for_async(workers),
             OptimizerConfig(batch_fraction=0.25, max_updates=updates,
                             seed=0, granularity=granularity),
@@ -100,8 +98,8 @@ def test_partition_granularity_threadbackend_multiworker_converges():
     backend = ThreadBackend(num_workers=3)
     with ClusterContext(3, backend=backend, seed=0) as ctx:
         points = ctx.matrix(X, y, 6).cache()
-        res = AsyncSGD(
-            ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(3),
+        res = build_optimizer(
+            "asgd", ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(3),
             OptimizerConfig(batch_fraction=0.25, max_updates=30, seed=0,
                             granularity="partition"),
         ).run()
@@ -259,8 +257,8 @@ def test_fedavg_object_api_and_weighted_slots():
     with ClusterContext(3, seed=0) as ctx:
         # 300 rows over 4 partitions -> uneven split exercises weighting
         points = ctx.matrix(X, y, 4).cache()
-        res = FederatedAveraging(
-            ctx, points, problem, ConstantStep(0.1),
+        res = build_optimizer(
+            "fedavg", ctx, points, problem, ConstantStep(0.1),
             OptimizerConfig(batch_fraction=0.25, max_updates=40, seed=0),
             local_steps=3,
         ).run()
@@ -273,8 +271,8 @@ def test_fedavg_rejects_bad_local_steps(ctx, small_data):
     problem = LeastSquaresProblem(X, y)
     points = ctx.matrix(X, y, 8).cache()
     with pytest.raises(OptimError):
-        FederatedAveraging(
-            ctx, points, problem, ConstantStep(0.1),
+        build_optimizer(
+            "fedavg", ctx, points, problem, ConstantStep(0.1),
             OptimizerConfig(max_updates=4), local_steps=0,
         ).run()
 
@@ -285,11 +283,12 @@ def test_hogwild_one_partition_per_worker_matches_asgd():
     X, y, _ = make_dense_regression(256, 8, cond=4.0, seed=7)
     problem = LeastSquaresProblem(X, y)
 
-    def run(cls):
+    def run(algorithm):
         with ClusterContext(4, seed=0) as ctx:
             points = ctx.matrix(X, y, 4).cache()
-            opt = cls(
-                ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(4),
+            opt = build_optimizer(
+                algorithm, ctx, points, problem,
+                InvSqrtDecay(0.5).scaled_for_async(4),
                 OptimizerConfig(batch_fraction=0.25, max_updates=24, seed=0),
             )
             # Round seeds hash the optimizer name; align them so the two
@@ -297,7 +296,7 @@ def test_hogwild_one_partition_per_worker_matches_asgd():
             opt.name = "asgd"
             return opt.run()
 
-    a, h = run(AsyncSGD), run(HogwildSGD)
+    a, h = run("asgd"), run("hogwild")
     assert np.array_equal(a.w, h.w)
 
 

@@ -17,6 +17,7 @@ from repro.core.policies import (
     resolve_policy,
 )
 from repro.errors import ReproError
+from repro.optim.loop import UpdateRule
 
 #: The tiny cell these tests vary: PAPER_CELL's cost/network models on
 #: the smallest dataset.
@@ -57,15 +58,15 @@ def test_parse_barrier_tokens():
         resolve_policy("nope")
 
 
-@pytest.mark.parametrize("algorithm,is_async", [
+@pytest.mark.parametrize("algorithm,is_rule", [
     ("sgd", False), ("asgd", True), ("saga", False), ("asaga", True),
     ("svrg", False), ("asvrg", True),
 ])
-def test_every_algorithm_runs(algorithm, is_async):
+def test_every_algorithm_runs(algorithm, is_rule):
     spec = TINY_CELL.with_overrides(
         algorithm=algorithm, max_updates=12, eval_every=4,
     )
-    assert OPTIMIZERS.get(algorithm).is_async == is_async
+    assert issubclass(OPTIMIZERS.get(algorithm), UpdateRule) == is_rule
     res = run_api_experiment(spec)
     assert res.spec == spec
     assert res.updates == 12
@@ -75,7 +76,7 @@ def test_every_algorithm_runs(algorithm, is_async):
 
 
 def test_aadmm_is_async_and_honors_barrier():
-    """is_async derives from the registry, so aadmm's policy is applied."""
+    """aadmm is registered as an UpdateRule, so its policy is applied."""
     spec = TINY_CELL.with_overrides(
         algorithm="aadmm", max_updates=8, policy="bsp",
     )

@@ -22,11 +22,10 @@ from repro.cluster.threadbackend import ThreadBackend
 from repro.data.synthetic import make_dense_regression
 from repro.engine.context import ClusterContext
 from repro.optim import (
-    AsyncSAGA,
-    AsyncSVRG,
     ConstantStep,
     LeastSquaresProblem,
     OptimizerConfig,
+    build_optimizer,
 )
 
 # Captured on main @ 7de99d9 (pre-HIST), PYTHONPATH=src, numpy in CI's
@@ -100,26 +99,26 @@ def test_sim_backend_trajectory_pinned(name):
     assert _full_digest(run_experiment(SIM_SPECS[name])) == PINNED_SIM[name]
 
 
-def _thread_run(cls, **kwargs):
+def _thread_run(algorithm, **kwargs):
     X, y, _ = make_dense_regression(128, 6, cond=4.0, seed=3)
     problem = LeastSquaresProblem(X, y)
     backend = ThreadBackend(num_workers=1)
     with ClusterContext(1, backend=backend, seed=0) as ctx:
         points = ctx.matrix(X, y, 2).cache()
-        return cls(
-            ctx, points, problem, ConstantStep(0.02),
+        return build_optimizer(
+            algorithm, ctx, points, problem, ConstantStep(0.02),
             OptimizerConfig(batch_fraction=0.25, max_updates=12, seed=0),
             **kwargs,
         ).run()
 
 
 def test_thread_backend_asaga_pinned():
-    res = _thread_run(AsyncSAGA)
+    res = _thread_run("asaga")
     assert _model_digest(res) == PINNED_THREAD["asaga_thread"]
 
 
 def test_thread_backend_asvrg_pinned():
-    res = _thread_run(AsyncSVRG, inner_iterations=4)
+    res = _thread_run("asvrg", inner_iterations=4)
     assert _model_digest(res) == PINNED_THREAD["asvrg_thread"]
 
 

@@ -8,13 +8,11 @@ from repro.cluster.threadbackend import ThreadBackend
 from repro.engine.context import ClusterContext
 from repro.metrics.wait_time import average_wait_ms
 from repro.optim import (
-    AsyncSAGA,
-    AsyncSGD,
     ConstantStep,
     InvSqrtDecay,
     LeastSquaresProblem,
     OptimizerConfig,
-    SyncSGD,
+    build_optimizer,
 )
 
 
@@ -27,8 +25,9 @@ def test_full_asgd_run_is_deterministic(small_data):
         with ClusterContext(4, seed=11,
                             delay_model=ControlledDelay(1.0)) as ctx:
             pts = ctx.matrix(X, y, 8).cache()
-            res = AsyncSGD(
-                ctx, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
+            res = build_optimizer(
+                "asgd", ctx, pts, problem,
+                InvSqrtDecay(0.5).scaled_for_async(4),
                 OptimizerConfig(batch_fraction=0.25, max_updates=80, seed=5),
             ).run()
             return res.w, res.elapsed_ms, tuple(res.trace.times_ms)
@@ -47,8 +46,9 @@ def test_seed_changes_trajectory(small_data):
     def run(seed):
         with ClusterContext(4, seed=seed) as ctx:
             pts = ctx.matrix(X, y, 8).cache()
-            res = AsyncSGD(
-                ctx, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
+            res = build_optimizer(
+                "asgd", ctx, pts, problem,
+                InvSqrtDecay(0.5).scaled_for_async(4),
                 OptimizerConfig(batch_fraction=0.25, max_updates=40,
                                 seed=seed),
             ).run()
@@ -64,8 +64,8 @@ def test_sync_sgd_on_thread_backend(small_data):
     backend = ThreadBackend(num_workers=4)
     with ClusterContext(backend=backend) as ctx:
         pts = ctx.matrix(X, y, 8).cache()
-        res = SyncSGD(
-            ctx, pts, problem, InvSqrtDecay(0.5),
+        res = build_optimizer(
+            "sgd", ctx, pts, problem, InvSqrtDecay(0.5),
             OptimizerConfig(batch_fraction=0.25, max_updates=25, seed=0),
         ).run()
     assert res.updates == 25
@@ -78,8 +78,9 @@ def test_async_sgd_on_thread_backend(small_data):
     backend = ThreadBackend(num_workers=4)
     with ClusterContext(backend=backend) as ctx:
         pts = ctx.matrix(X, y, 8).cache()
-        res = AsyncSGD(
-            ctx, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
+        res = build_optimizer(
+            "asgd", ctx, pts, problem,
+            InvSqrtDecay(0.5).scaled_for_async(4),
             OptimizerConfig(batch_fraction=0.25, max_updates=100, seed=0),
         ).run()
     assert res.updates == 100
@@ -98,8 +99,8 @@ def test_asaga_on_thread_backend_with_straggler(small_data):
     )
     with ClusterContext(backend=backend) as ctx:
         pts = ctx.matrix(X, y, 8).cache()
-        res = AsyncSAGA(
-            ctx, pts, problem, ConstantStep(0.02 / 4),
+        res = build_optimizer(
+            "asaga", ctx, pts, problem, ConstantStep(0.02 / 4),
             OptimizerConfig(batch_fraction=0.2, max_updates=120, seed=0),
         ).run()
     assert res.updates == 120
@@ -112,22 +113,22 @@ def test_wait_time_shape_sync_vs_async(small_data):
     X, y, _ = small_data
     problem = LeastSquaresProblem(X, y)
 
-    def wait_for(algo_cls, step, intensity, updates):
+    def wait_for(algorithm, step, intensity, updates):
         with ClusterContext(
             4, seed=0, delay_model=ControlledDelay(intensity, workers=(0,))
         ) as ctx:
             pts = ctx.matrix(X, y, 8).cache()
-            res = algo_cls(
-                ctx, pts, problem, step,
+            res = build_optimizer(
+                algorithm, ctx, pts, problem, step,
                 OptimizerConfig(batch_fraction=0.25, max_updates=updates,
                                 seed=0),
             ).run()
             return average_wait_ms(res.metrics)
 
-    sync_0 = wait_for(SyncSGD, InvSqrtDecay(0.5), 0.0, 20)
-    sync_1 = wait_for(SyncSGD, InvSqrtDecay(0.5), 1.0, 20)
-    async_0 = wait_for(AsyncSGD, InvSqrtDecay(0.125), 0.0, 80)
-    async_1 = wait_for(AsyncSGD, InvSqrtDecay(0.125), 1.0, 80)
+    sync_0 = wait_for("sgd", InvSqrtDecay(0.5), 0.0, 20)
+    sync_1 = wait_for("sgd", InvSqrtDecay(0.5), 1.0, 20)
+    async_0 = wait_for("asgd", InvSqrtDecay(0.125), 0.0, 80)
+    async_1 = wait_for("asgd", InvSqrtDecay(0.125), 1.0, 80)
 
     assert sync_1 > sync_0 * 1.5          # sync wait grows with delay
     assert async_1 < async_0 * 1.5 + 0.5  # async wait roughly flat

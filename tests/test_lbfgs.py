@@ -9,7 +9,7 @@ from repro.api.runner import prepare_experiment
 from repro.cluster.threadbackend import ThreadBackend
 from repro.engine.context import ClusterContext
 from repro.errors import OptimError
-from repro.optim import AsyncLBFGS, ConstantStep, OptimizerConfig
+from repro.optim import ConstantStep, OptimizerConfig, build_optimizer
 from repro.optim.problems import LogisticRegressionProblem
 
 LOGISTIC_SPEC = {
@@ -122,8 +122,8 @@ def test_runs_on_thread_backend():
     backend = ThreadBackend(num_workers=2)
     with ClusterContext(2, backend=backend, seed=0) as ctx:
         points = ctx.matrix(X, y, 2).cache()
-        res = AsyncLBFGS(
-            ctx, points, problem, ConstantStep(0.25),
+        res = build_optimizer(
+            "async_lbfgs", ctx, points, problem, ConstantStep(0.25),
             OptimizerConfig(batch_fraction=0.5, max_updates=40, seed=0),
         ).run()
     assert res.updates == 40

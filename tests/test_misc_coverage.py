@@ -14,6 +14,7 @@ from repro.optim import (
     SyncSAGA,
     SyncSGD,
     SyncSVRG,
+    build_optimizer,
 )
 from repro.optim.admm import SyncADMM
 
@@ -31,8 +32,8 @@ def test_every_sync_algorithm_deterministic(cls, step, kwargs, small_data):
     def run():
         with ClusterContext(4, seed=9) as ctx:
             pts = ctx.matrix(X, y, 8).cache()
-            res = cls(
-                ctx, pts, problem, step,
+            res = build_optimizer(
+                cls.name, ctx, pts, problem, step,
                 OptimizerConfig(batch_fraction=0.25, max_updates=12, seed=9),
                 **kwargs,
             ).run()
@@ -66,8 +67,8 @@ def test_network_jitter_changes_timeline_not_results(small_data):
             4, seed=0, network=NetworkModel(jitter=jitter)
         ) as ctx:
             pts = ctx.matrix(X, y, 8).cache()
-            res = SyncSGD(
-                ctx, pts, problem, InvSqrtDecay(0.5),
+            res = build_optimizer(
+                "sgd", ctx, pts, problem, InvSqrtDecay(0.5),
                 OptimizerConfig(batch_fraction=0.25, max_updates=10, seed=0),
             ).run()
             return res.w, res.elapsed_ms

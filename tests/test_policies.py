@@ -376,6 +376,17 @@ def test_parse_policy_rejects_bad_terms():
         parse_policy("asp & nope")
 
 
+@pytest.mark.parametrize("term", [
+    "migrate:nan", "migrate:inf", "ssp:nan", "ssp:inf", "ct:nan", "ct:inf",
+    "ssp_partition:nan", "ssp_partition:inf", "ct_partition:nan",
+    "ct_partition:inf",
+])
+def test_parse_policy_rejects_non_finite_parameters(term):
+    """NaN passed the old ``< 0`` / ``<= 1`` checks and ran silently."""
+    with pytest.raises(ApiError, match="finite"):
+        parse_policy(term)
+
+
 def test_resolve_policy_spellings():
     ssp = SSP(3)
     assert resolve_policy(ssp) is ssp

@@ -15,10 +15,10 @@ from repro.data.synthetic import make_dense_regression
 from repro.engine.context import ClusterContext
 from repro.errors import ApiError
 from repro.optim import (
-    AsyncSGD,
     InvSqrtDecay,
     LeastSquaresProblem,
     OptimizerConfig,
+    build_optimizer,
 )
 
 CLASSIC_BARRIERS = ["asp", "bsp", "ssp:2", "frac:0.5", "ct:1.5"]
@@ -73,8 +73,8 @@ def test_string_spec_matches_instance(barrier):
     def run(pol):
         with ClusterContext(4, seed=0) as ctx:
             points = ctx.matrix(X, y, 8).cache()
-            return AsyncSGD(
-                ctx, points, problem,
+            return build_optimizer(
+                "asgd", ctx, points, problem,
                 InvSqrtDecay(0.5).scaled_for_async(4),
                 OptimizerConfig(batch_fraction=0.25, max_updates=30, seed=0),
                 policy=pol,
@@ -128,8 +128,8 @@ def test_thread_backend_parity(barrier):
         backend = ThreadBackend(num_workers=1)
         with ClusterContext(1, backend=backend, seed=0) as ctx:
             points = ctx.matrix(X, y, 1).cache()
-            return AsyncSGD(
-                ctx, points, problem,
+            return build_optimizer(
+                "asgd", ctx, points, problem,
                 InvSqrtDecay(0.5).scaled_for_async(1),
                 OptimizerConfig(batch_fraction=0.25, max_updates=12, seed=0,
                                 granularity=granularity),
@@ -296,8 +296,8 @@ def test_duplicate_targets_from_a_policy_are_rejected():
     with ClusterContext(2, seed=0) as ctx:
         points = ctx.matrix(X, y, 4).cache()
         with pytest.raises(SchedulerError, match="twice"):
-            AsyncSGD(
-                ctx, points, problem,
+            build_optimizer(
+                "asgd", ctx, points, problem,
                 InvSqrtDecay(0.5).scaled_for_async(2),
                 OptimizerConfig(batch_fraction=0.25, max_updates=8, seed=0),
                 policy=dup,

@@ -27,7 +27,7 @@ from repro.core.ops import RoundPlan
 from repro.data.registry import get_dataset
 from repro.engine.context import ClusterContext
 from repro.errors import TaskError
-from repro.optim import AsyncSGD
+from repro.optim import build_optimizer
 from repro.optim.asgd import ASGDRule
 from repro.optim.base import OptimizerConfig
 from repro.optim.loop import ServerLoop
@@ -150,8 +150,8 @@ def thread_run(granularity, num_partitions):
             batch_fraction=0.1, max_updates=40, eval_every=10, seed=0,
             granularity=granularity,
         )
-        return AsyncSGD(
-            ctx, points, problem, InvSqrtDecay(0.5), config, policy=ASP()
+        return build_optimizer(
+            "asgd", ctx, points, problem, InvSqrtDecay(0.5), config, policy=ASP()
         ).run()
 
 
@@ -188,8 +188,8 @@ def test_kernel_error_reaches_the_driver_as_task_error(backend):
     chosen = ThreadBackend(num_workers=2) if backend == "thread" else None
     with ClusterContext(2, backend=chosen) as ctx:
         points = ctx.matrix(X, y, 4).cache()
-        opt = AsyncSGD(
-            ctx, points, problem, InvSqrtDecay(0.5),
+        opt = build_optimizer(
+            "asgd", ctx, points, problem, InvSqrtDecay(0.5),
             OptimizerConfig(max_updates=10, seed=0),
         )
         with pytest.raises(TaskError) as raised:

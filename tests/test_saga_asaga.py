@@ -5,11 +5,10 @@ import pytest
 
 from repro.engine.context import ClusterContext
 from repro.optim import (
-    AsyncSAGA,
     ConstantStep,
     LeastSquaresProblem,
     OptimizerConfig,
-    SyncSAGA,
+    build_optimizer,
 )
 from repro.optim.reference import reference_saga
 
@@ -23,8 +22,8 @@ def build(ctx, small_data, parts=8):
 
 def test_sync_saga_converges_linearly(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = SyncSAGA(
-        ctx, points, problem, ConstantStep(0.02),
+    res = build_optimizer(
+        "saga", ctx, points, problem, ConstantStep(0.02),
         OptimizerConfig(batch_fraction=0.1, max_updates=220, seed=0,
                         eval_every=20),
     ).run()
@@ -38,8 +37,8 @@ def test_sync_saga_converges_linearly(ctx, small_data):
 def test_sync_saga_matches_reference_trajectory(ctx, small_data):
     """Distributed SAGA must track the classic gradient-table SAGA."""
     points, problem = build(ctx, small_data)
-    res = SyncSAGA(
-        ctx, points, problem, ConstantStep(0.02),
+    res = build_optimizer(
+        "saga", ctx, points, problem, ConstantStep(0.02),
         OptimizerConfig(batch_fraction=0.1, max_updates=120, seed=0,
                         eval_every=120),
     ).run()
@@ -58,8 +57,8 @@ def test_saga_avg_hist_matches_table_invariant(ctx, small_data):
     X, y, _ = small_data
     problem = LeastSquaresProblem(X, y)
     points = ctx.matrix(X, y, 4).cache()
-    opt = SyncSAGA(
-        ctx, points, problem, ConstantStep(0.02),
+    opt = build_optimizer(
+        "saga", ctx, points, problem, ConstantStep(0.02),
         OptimizerConfig(batch_fraction=0.2, max_updates=20, seed=0),
     )
     res = opt.run()
@@ -98,8 +97,8 @@ def test_saga_avg_hist_matches_table_invariant(ctx, small_data):
 
 def test_naive_mode_ships_growing_table(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res_naive = SyncSAGA(
-        ctx, points, problem, ConstantStep(0.02),
+    res_naive = build_optimizer(
+        "saga", ctx, points, problem, ConstantStep(0.02),
         OptimizerConfig(batch_fraction=0.2, max_updates=30, seed=0),
         mode="naive",
     ).run()
@@ -117,8 +116,8 @@ def test_naive_and_history_same_math(small_data):
     for mode in ("history", "naive"):
         with ClusterContext(4, seed=0) as c:
             pts = c.matrix(X, y, 8).cache()
-            res = SyncSAGA(
-                c, pts, problem, ConstantStep(0.02),
+            res = build_optimizer(
+                "saga", c, pts, problem, ConstantStep(0.02),
                 OptimizerConfig(batch_fraction=0.2, max_updates=40, seed=0),
                 mode=mode,
             ).run()
@@ -129,16 +128,16 @@ def test_naive_and_history_same_math(small_data):
 def test_bad_mode_rejected(ctx, small_data):
     points, problem = build(ctx, small_data)
     with pytest.raises(Exception):
-        SyncSAGA(
-            ctx, points, problem, ConstantStep(0.02),
+        build_optimizer(
+            "saga", ctx, points, problem, ConstantStep(0.02),
             OptimizerConfig(max_updates=2), mode="bogus",
         ).run()
 
 
 def test_asaga_converges(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = AsyncSAGA(
-        ctx, points, problem, ConstantStep(0.02 / 4),
+    res = build_optimizer(
+        "asaga", ctx, points, problem, ConstantStep(0.02 / 4),
         OptimizerConfig(batch_fraction=0.1, max_updates=400, seed=0,
                         eval_every=50),
     ).run()
@@ -150,8 +149,8 @@ def test_asaga_converges(ctx, small_data):
 def test_asaga_history_cache_hits_dominate(ctx, small_data):
     """ASAGA's whole point: version reads are mostly worker-local."""
     points, problem = build(ctx, small_data)
-    AsyncSAGA(
-        ctx, points, problem, ConstantStep(0.02 / 4),
+    build_optimizer(
+        "asaga", ctx, points, problem, ConstantStep(0.02 / 4),
         OptimizerConfig(batch_fraction=0.1, max_updates=200, seed=0),
     ).run()
     d_bytes = problem.dim * 8
@@ -167,13 +166,13 @@ def test_asaga_single_worker_matches_sync(small_data):
     X, y, _ = small_data
     problem = LeastSquaresProblem(X, y)
     errs = {}
-    for cls in (SyncSAGA, AsyncSAGA):
+    for algorithm in ("saga", "asaga"):
         with ClusterContext(1, seed=0) as c:
             pts = c.matrix(X, y, 1).cache()
-            res = cls(
-                c, pts, problem, ConstantStep(0.02),
+            res = build_optimizer(
+                algorithm, c, pts, problem, ConstantStep(0.02),
                 OptimizerConfig(batch_fraction=0.2, max_updates=60, seed=0),
             ).run()
-            errs[cls.__name__] = problem.error(res.w)
-    a, b = errs["SyncSAGA"], errs["AsyncSAGA"]
+            errs[algorithm] = problem.error(res.w)
+    a, b = errs["saga"], errs["asaga"]
     assert abs(np.log10(a) - np.log10(b)) < 0.5

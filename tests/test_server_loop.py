@@ -5,19 +5,18 @@ import re
 import numpy as np
 import pytest
 
-from repro.api import run_experiment
+from repro.api import register_optimizer, run_experiment
 from repro.core.policies import BSP
 from repro.optim import (
-    AsyncSAGA,
-    AsyncSGD,
     ConstantStep,
     InvSqrtDecay,
     LeastSquaresProblem,
     OptimizerConfig,
     ServerLoop,
     UpdateRule,
+    build_optimizer,
 )
-from repro.optim.base import DistributedOptimizer, bc_value
+from repro.optim.base import bc_value
 from repro.optim.reducers import add_pairs, add_triples, add_vr_pairs
 
 
@@ -49,10 +48,11 @@ def test_async_extras_common_schema(algorithm):
 
 
 def test_asaga_reports_collected(ctx, small_data):
-    """Regression: AsyncSAGA used to omit the 'collected' count."""
+    """Regression: asaga used to omit the 'collected' count."""
     points, problem = build(ctx, small_data)
-    res = AsyncSAGA(
-        ctx, points, problem, ConstantStep(0.05).scaled_for_async(4),
+    res = build_optimizer(
+        "asaga", ctx, points, problem,
+        ConstantStep(0.05).scaled_for_async(4),
         OptimizerConfig(batch_fraction=0.25, max_updates=16, seed=0),
     ).run()
     assert res.extras["collected"] >= res.updates
@@ -61,7 +61,8 @@ def test_asaga_reports_collected(ctx, small_data):
     assert "avg_hist_norm" in res.extras
 
 
-# -- a custom algorithm is just an UpdateRule ---------------------------------------
+# -- a custom algorithm is just a registered UpdateRule -----------------------------
+@register_optimizer("signsgd-test")
 class _SignSGDRule(UpdateRule):
     """A deliberately exotic rule: step along the gradient's sign."""
 
@@ -90,18 +91,10 @@ class _SignSGDRule(UpdateRule):
         return {"flavor": "sign"}
 
 
-class _SignSGD(DistributedOptimizer):
-    name = "signsgd-test"
-    is_async = True
-
-    def run(self):
-        return ServerLoop(self, _SignSGDRule()).run()
-
-
 def test_custom_update_rule_runs_through_server_loop(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = _SignSGD(
-        ctx, points, problem, InvSqrtDecay(0.05),
+    res = build_optimizer(
+        "signsgd-test", ctx, points, problem, InvSqrtDecay(0.05),
         OptimizerConfig(batch_fraction=0.25, max_updates=30, seed=0),
     ).run()
     assert res.updates == 30
@@ -112,10 +105,49 @@ def test_custom_update_rule_runs_through_server_loop(ctx, small_data):
     assert problem.error(res.w) < start
 
 
+def test_custom_rule_is_reachable_from_a_spec():
+    """Registering the rule is all a spec needs: the spec path and the
+    object path build the same run."""
+    from repro.api.runner import prepare_experiment
+
+    spec = {
+        "algorithm": "signsgd-test", "dataset": "tiny_dense",
+        "num_workers": 4, "num_partitions": 8, "max_updates": 20, "seed": 0,
+    }
+    via_spec = run_experiment(spec)
+    assert via_spec.updates == 20
+    assert via_spec.algorithm == "signsgd-test"
+    assert via_spec.extras["flavor"] == "sign"
+    prep = prepare_experiment(spec)
+    with prep.make_context() as ctx:
+        points = ctx.matrix(prep.X, prep.y, prep.num_partitions).cache()
+        by_object = build_optimizer(
+            "signsgd-test", ctx, points, prep.problem, prep.step, prep.config,
+        ).run()
+    assert np.array_equal(via_spec.w, by_object.w)
+
+
+def test_second_run_on_one_host_starts_from_fresh_rule_state(ctx, small_data):
+    """Each run binds a fresh copy of the host's rule: counters and
+    values derived at bind time do not carry over."""
+    points, problem = build(ctx, small_data)
+    opt = build_optimizer(
+        "async_lbfgs", ctx, points, problem, ConstantStep(0.01),
+        OptimizerConfig(batch_fraction=0.25, max_updates=40, seed=0),
+    )
+    first, second = opt.run(), opt.run()
+    assert first.extras["pairs_admitted"] > 0
+    assert np.array_equal(first.w, second.w)
+    for key in ("pairs_admitted", "pairs_damped", "pairs_retained",
+                "max_pair_staleness", "pair_every"):
+        assert first.extras[key] == second.extras[key], key
+    assert opt.rule.pairs_admitted == 0
+
+
 def test_custom_rule_respects_barriers(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = _SignSGD(
-        ctx, points, problem, InvSqrtDecay(0.05),
+    res = build_optimizer(
+        "signsgd-test", ctx, points, problem, InvSqrtDecay(0.05),
         OptimizerConfig(batch_fraction=0.25, max_updates=12, seed=0),
         policy=BSP(),
     ).run()
@@ -125,11 +157,12 @@ def test_custom_rule_respects_barriers(ctx, small_data):
     assert res.extras["max_staleness_seen"] <= 2 * ctx.num_workers - 1
 
 
-# -- wrappers still behave like the paper's algorithms ------------------------------
+# -- registered rules still behave like the paper's algorithms ----------------------
 def test_asgd_wrapper_unchanged_behavior(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = AsyncSGD(
-        ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(4),
+    res = build_optimizer(
+        "asgd", ctx, points, problem,
+        InvSqrtDecay(0.5).scaled_for_async(4),
         OptimizerConfig(batch_fraction=0.25, max_updates=60, seed=0),
     ).run()
     assert res.updates == 60
@@ -176,8 +209,8 @@ class _ScriptedRule(_SignSGDRule):
 
 def scripted_run(ctx, small_data, rule, policy=None, **config):
     points, problem = build(ctx, small_data)
-    opt = _SignSGD(
-        ctx, points, problem, InvSqrtDecay(0.05),
+    opt = build_optimizer(
+        "signsgd-test", ctx, points, problem, InvSqrtDecay(0.05),
         OptimizerConfig(batch_fraction=0.25, seed=0, **config),
         policy=policy,
     )
@@ -244,7 +277,9 @@ def test_trace_points(ctx, small_data, max_updates, expected):
 
 def test_server_loop_has_one_construction_path(ctx, small_data):
     points, problem = build(ctx, small_data)
-    opt = _SignSGD(ctx, points, problem, InvSqrtDecay(0.05))
+    opt = build_optimizer(
+        "signsgd-test", ctx, points, problem, InvSqrtDecay(0.05)
+    )
     with pytest.raises(TypeError):
         ServerLoop(opt, _SignSGDRule(), snapshot_every=1)
 

@@ -7,12 +7,11 @@ from repro.cluster.stragglers import ControlledDelay
 from repro.core.policies import BSP, MinAvailableFraction
 from repro.engine.context import ClusterContext
 from repro.optim import (
-    AsyncSGD,
     InvSqrtDecay,
     LeastSquaresProblem,
     OptimizerConfig,
     StalenessScaled,
-    SyncSGD,
+    build_optimizer,
 )
 from repro.optim.base import OptimizerConfig as OC
 
@@ -26,8 +25,8 @@ def build(ctx, small_data, parts=8):
 
 def test_sync_sgd_converges(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = SyncSGD(
-        ctx, points, problem, InvSqrtDecay(0.5),
+    res = build_optimizer(
+        "sgd", ctx, points, problem, InvSqrtDecay(0.5),
         OptimizerConfig(batch_fraction=0.25, max_updates=60, seed=0),
     ).run()
     assert res.updates == 60
@@ -37,8 +36,8 @@ def test_sync_sgd_converges(ctx, small_data):
 
 def test_sync_sgd_error_decreases_along_trace(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = SyncSGD(
-        ctx, points, problem, InvSqrtDecay(0.5),
+    res = build_optimizer(
+        "sgd", ctx, points, problem, InvSqrtDecay(0.5),
         OptimizerConfig(batch_fraction=0.25, max_updates=40, seed=0,
                         eval_every=10),
     ).run()
@@ -48,8 +47,8 @@ def test_sync_sgd_error_decreases_along_trace(ctx, small_data):
 
 def test_sync_sgd_respects_time_budget(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = SyncSGD(
-        ctx, points, problem, InvSqrtDecay(0.5),
+    res = build_optimizer(
+        "sgd", ctx, points, problem, InvSqrtDecay(0.5),
         OptimizerConfig(batch_fraction=0.25, max_updates=10_000,
                         max_time_ms=30.0, seed=0),
     ).run()
@@ -59,8 +58,8 @@ def test_sync_sgd_respects_time_budget(ctx, small_data):
 
 def test_async_sgd_converges(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = AsyncSGD(
-        ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(4),
+    res = build_optimizer(
+        "asgd", ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(4),
         OptimizerConfig(batch_fraction=0.25, max_updates=240, seed=0),
     ).run()
     start = problem.error(problem.initial_point())
@@ -70,8 +69,8 @@ def test_async_sgd_converges(ctx, small_data):
 
 def test_async_sgd_staleness_bounded_by_workers(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = AsyncSGD(
-        ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(4),
+    res = build_optimizer(
+        "asgd", ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(4),
         OptimizerConfig(batch_fraction=0.25, max_updates=100, seed=0),
     ).run()
     # With one in-flight task per worker, staleness < P in steady state.
@@ -86,14 +85,14 @@ def test_async_faster_than_sync_with_straggler(small_data):
 
     with ClusterContext(4, seed=0, delay_model=delay) as c1:
         pts = c1.matrix(X, y, 8).cache()
-        sync = SyncSGD(
-            c1, pts, problem, InvSqrtDecay(0.5),
+        sync = build_optimizer(
+            "sgd", c1, pts, problem, InvSqrtDecay(0.5),
             OptimizerConfig(batch_fraction=0.25, max_updates=40, seed=0),
         ).run()
     with ClusterContext(4, seed=0, delay_model=delay) as c2:
         pts = c2.matrix(X, y, 8).cache()
-        asyn = AsyncSGD(
-            c2, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
+        asyn = build_optimizer(
+            "asgd", c2, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
             OptimizerConfig(batch_fraction=0.25, max_updates=160, seed=0),
         ).run()
     target = max(problem.error(sync.w), problem.error(asyn.w)) * 1.1
@@ -104,8 +103,8 @@ def test_async_faster_than_sync_with_straggler(small_data):
 
 def test_asgd_with_bsp_barrier_serializes_rounds(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = AsyncSGD(
-        ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(4),
+    res = build_optimizer(
+        "asgd", ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(4),
         OptimizerConfig(batch_fraction=0.25, max_updates=40, seed=0),
         policy=BSP(),
     ).run()
@@ -119,8 +118,8 @@ def test_asgd_with_bsp_barrier_serializes_rounds(ctx, small_data):
 
 def test_asgd_fraction_barrier(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = AsyncSGD(
-        ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(4),
+    res = build_optimizer(
+        "asgd", ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(4),
         OptimizerConfig(batch_fraction=0.25, max_updates=40, seed=0),
         policy=MinAvailableFraction(0.5),
     ).run()
@@ -130,8 +129,8 @@ def test_asgd_fraction_barrier(ctx, small_data):
 def test_asgd_staleness_adaptive_step_runs(ctx, small_data):
     points, problem = build(ctx, small_data)
     step = StalenessScaled(InvSqrtDecay(0.5).scaled_for_async(4))
-    res = AsyncSGD(
-        ctx, points, problem, step,
+    res = build_optimizer(
+        "asgd", ctx, points, problem, step,
         OptimizerConfig(batch_fraction=0.25, max_updates=60, seed=0),
     ).run()
     start = problem.error(problem.initial_point())
@@ -144,15 +143,15 @@ def test_single_worker_async_equals_serial_shape(small_data):
     X, y, _ = small_data
     problem = LeastSquaresProblem(X, y)
     results = {}
-    for cls, scale in ((SyncSGD, 1), (AsyncSGD, 1)):
+    for algorithm in ("sgd", "asgd"):
         with ClusterContext(1, seed=0) as c:
             pts = c.matrix(X, y, 1).cache()
-            res = cls(
-                c, pts, problem, InvSqrtDecay(0.5),
+            res = build_optimizer(
+                algorithm, c, pts, problem, InvSqrtDecay(0.5),
                 OptimizerConfig(batch_fraction=0.5, max_updates=50, seed=0),
             ).run()
-            results[cls.__name__] = problem.error(res.w)
-    a, b = results["SyncSGD"], results["AsyncSGD"]
+            results[algorithm] = problem.error(res.w)
+    a, b = results["sgd"], results["asgd"]
     assert abs(np.log10(a) - np.log10(b)) < 0.5
 
 
@@ -169,12 +168,12 @@ def test_config_validation():
 
 def test_metrics_window_only_this_run(ctx, small_data):
     points, problem = build(ctx, small_data)
-    r1 = SyncSGD(
-        ctx, points, problem, InvSqrtDecay(0.5),
+    r1 = build_optimizer(
+        "sgd", ctx, points, problem, InvSqrtDecay(0.5),
         OptimizerConfig(batch_fraction=0.25, max_updates=5, seed=0),
     ).run()
-    r2 = SyncSGD(
-        ctx, points, problem, InvSqrtDecay(0.5),
+    r2 = build_optimizer(
+        "sgd", ctx, points, problem, InvSqrtDecay(0.5),
         OptimizerConfig(batch_fraction=0.25, max_updates=5, seed=0),
     ).run()
     ids1 = {m.task_id for m in r1.metrics}

@@ -452,13 +452,16 @@ def test_sigkill_sim_backend_resumes_bit_identically(tmp_path, min_updates):
 
 _THREAD_SCRIPT = textwrap.dedent("""
     import json, sys
-    import repro.api.runner  # populate registries
-    from repro.api.registry import OPTIMIZERS
     from repro.cluster.threadbackend import ThreadBackend
     from repro.core.snapshots import read_snapshot
     from repro.data.synthetic import make_dense_regression
     from repro.engine.context import ClusterContext
-    from repro.optim import ConstantStep, LeastSquaresProblem, OptimizerConfig
+    from repro.optim import (
+        ConstantStep,
+        LeastSquaresProblem,
+        OptimizerConfig,
+        build_optimizer,
+    )
 
     def run(max_updates, snapshot_every, snapshot_path, restore=None):
         X, y, _ = make_dense_regression(64, 4, cond=4.0, seed=5)
@@ -466,8 +469,8 @@ _THREAD_SCRIPT = textwrap.dedent("""
         backend = ThreadBackend(num_workers=1)
         with ClusterContext(1, backend=backend, seed=0) as ctx:
             points = ctx.matrix(X, y, 2).cache()
-            opt = OPTIMIZERS.get("asgd")(
-                ctx, points, problem, ConstantStep(0.02),
+            opt = build_optimizer(
+                "asgd", ctx, points, problem, ConstantStep(0.02),
                 OptimizerConfig(
                     batch_fraction=0.25, max_updates=max_updates, seed=0,
                     snapshot_every=snapshot_every,

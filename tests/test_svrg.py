@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.optim import (
-    AsyncSVRG,
     ConstantStep,
     LeastSquaresProblem,
     OptimizerConfig,
-    SyncSVRG,
+    build_optimizer,
 )
 from repro.errors import OptimError
 
@@ -22,8 +21,8 @@ def build(ctx, small_data, parts=8):
 
 def test_sync_svrg_converges(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = SyncSVRG(
-        ctx, points, problem, ConstantStep(0.15),
+    res = build_optimizer(
+        "svrg", ctx, points, problem, ConstantStep(0.15),
         OptimizerConfig(batch_fraction=0.2, max_updates=60, seed=0,
                         eval_every=10),
         inner_iterations=10,
@@ -35,16 +34,14 @@ def test_sync_svrg_converges(ctx, small_data):
 
 def test_svrg_beats_constant_step_sgd(ctx, small_data):
     """Variance reduction: same constant step, SVRG descends further."""
-    from repro.optim import SyncSGD
-
     points, problem = build(ctx, small_data)
-    svrg = SyncSVRG(
-        ctx, points, problem, ConstantStep(0.05),
+    svrg = build_optimizer(
+        "svrg", ctx, points, problem, ConstantStep(0.05),
         OptimizerConfig(batch_fraction=0.2, max_updates=50, seed=0),
         inner_iterations=10,
     ).run()
-    sgd = SyncSGD(
-        ctx, points, problem, ConstantStep(0.05),
+    sgd = build_optimizer(
+        "sgd", ctx, points, problem, ConstantStep(0.05),
         OptimizerConfig(batch_fraction=0.2, max_updates=50, seed=0),
     ).run()
     assert problem.error(svrg.w) < problem.error(sgd.w)
@@ -54,8 +51,8 @@ def test_epoch_pays_full_pass(ctx, small_data):
     """Each epoch includes a full-gradient job over every partition."""
     points, problem = build(ctx, small_data)
     before = len(ctx.dispatcher.metrics_log)
-    SyncSVRG(
-        ctx, points, problem, ConstantStep(0.05),
+    build_optimizer(
+        "svrg", ctx, points, problem, ConstantStep(0.05),
         OptimizerConfig(batch_fraction=0.2, max_updates=20, seed=0),
         inner_iterations=10,
     ).run()
@@ -66,8 +63,8 @@ def test_epoch_pays_full_pass(ctx, small_data):
 
 def test_async_svrg_converges(ctx, small_data):
     points, problem = build(ctx, small_data)
-    res = AsyncSVRG(
-        ctx, points, problem, ConstantStep(0.15 / 4),
+    res = build_optimizer(
+        "asvrg", ctx, points, problem, ConstantStep(0.15 / 4),
         OptimizerConfig(batch_fraction=0.2, max_updates=240, seed=0,
                         eval_every=40),
         inner_iterations=10,
@@ -81,8 +78,8 @@ def test_async_svrg_epoch_barrier_drains_inflight(ctx, small_data):
     """Between epochs everything in flight must land (Listing 3's
     synchronous reduction)."""
     points, problem = build(ctx, small_data)
-    res = AsyncSVRG(
-        ctx, points, problem, ConstantStep(0.05 / 4),
+    res = build_optimizer(
+        "asvrg", ctx, points, problem, ConstantStep(0.05 / 4),
         OptimizerConfig(batch_fraction=0.2, max_updates=80, seed=0),
         inner_iterations=5,
     ).run()
@@ -94,8 +91,8 @@ def test_async_svrg_epoch_barrier_drains_inflight(ctx, small_data):
 def test_inner_iterations_validated(ctx, small_data):
     points, problem = build(ctx, small_data)
     with pytest.raises(OptimError):
-        SyncSVRG(
-            ctx, points, problem, ConstantStep(0.05),
+        build_optimizer(
+            "svrg", ctx, points, problem, ConstantStep(0.05),
             OptimizerConfig(max_updates=2), inner_iterations=0,
         )
 
@@ -104,8 +101,8 @@ def test_svrg_direction_unbiased_at_tilde(ctx, small_data):
     """At w == w_tilde the VR direction equals the full gradient in
     expectation; with batch == full data it's exact."""
     points, problem = build(ctx, small_data, parts=4)
-    opt = SyncSVRG(
-        ctx, points, problem, ConstantStep(0.05),
+    opt = build_optimizer(
+        "svrg", ctx, points, problem, ConstantStep(0.05),
         OptimizerConfig(batch_fraction=1.0, max_updates=1, seed=0),
         inner_iterations=1,
     )

@@ -162,7 +162,7 @@ class Registry:
                     params[key] = value
         try:
             return factory(**params)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ApiError(
                 f"bad parameters for {self.kind} {name!r}: {exc}"
             ) from exc

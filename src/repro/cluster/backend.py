@@ -10,7 +10,9 @@ Synchronization contract
 ------------------------
 Callbacks are delivered while holding ``backend.state_lock``; driver-side
 code that mutates shared bookkeeping from callbacks is therefore safe on
-both backends (the lock is a no-op for the single-threaded simulation).
+both backends. The lock and each worker env's counter lock are built from
+the backend's ``lock_type``: a no-op for the single-threaded simulation,
+an ``RLock`` for the thread backend.
 ``run_until(predicate)`` advances the backend until the predicate holds —
 by popping virtual-time events in the simulation, or by waiting on a
 condition variable with real threads.
@@ -101,35 +103,35 @@ class WorkerEnv:
     The ASYNCbroadcaster records bytes it had to fetch from the server
     (history misses) via :meth:`record_fetch`; the simulation backend folds
     those bytes into the task's modeled duration.
+
+    Each store operation is a single dict operation, atomic on its own.
+    The read-modify-write task counters are guarded by ``lock``: the
+    owning backend passes an instance of its lock type (a no-op for the
+    single-threaded simulation); a standalone env gets an ``RLock``.
     """
 
-    def __init__(self, worker_id: int) -> None:
+    def __init__(self, worker_id: int, lock: Any = None) -> None:
         self.worker_id = worker_id
         self.alive = True
         self._kv: dict[Any, Any] = {}
-        self._lock = threading.RLock()
+        self._lock = threading.RLock() if lock is None else lock
         self._pending_fetch_bytes = 0
         self._pending_cost_units = 0.0
 
     def get(self, key: Any, default: Any = None) -> Any:
-        with self._lock:
-            return self._kv.get(key, default)
+        return self._kv.get(key, default)
 
     def put(self, key: Any, value: Any) -> None:
-        with self._lock:
-            self._kv[key] = value
+        self._kv[key] = value
 
     def delete(self, key: Any) -> None:
-        with self._lock:
-            self._kv.pop(key, None)
+        self._kv.pop(key, None)
 
     def __contains__(self, key: Any) -> bool:
-        with self._lock:
-            return key in self._kv
+        return key in self._kv
 
     def keys(self) -> list[Any]:
-        with self._lock:
-            return list(self._kv.keys())
+        return list(self._kv.keys())
 
     def clear(self) -> None:
         """Drop all local state (used when a worker is killed)."""
@@ -185,14 +187,18 @@ class _NullLock:
 class Backend(ABC):
     """Executor abstraction: submit tasks, advance time, observe results."""
 
+    #: Builds ``state_lock`` and every worker env's counter lock: a no-op
+    #: unless the backend runs tasks on threads of its own.
+    lock_type: Callable[[], Any] = _NullLock
+
     def __init__(self, num_workers: int, clock: Clock) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
         self.num_workers = num_workers
         self.clock = clock
-        self.envs = [WorkerEnv(w) for w in range(num_workers)]
+        self.envs = [WorkerEnv(w, self.lock_type()) for w in range(num_workers)]
         self._callback: CompletionCallback | None = None
-        self.state_lock: Any = _NullLock()
+        self.state_lock: Any = self.lock_type()
         #: Bumped on every kill/revive; schedulers key caches of
         #: membership-derived structures (candidate lists) on it.
         self.members_epoch = 0

@@ -31,6 +31,10 @@ __all__ = [
 class TaskCostModel(ABC):
     """Maps a task's advertised work volume to compute milliseconds."""
 
+    #: Whether :meth:`compute_ms` may draw from its ``rng``. A model that
+    #: never draws is handed ``None`` and the backend seeds no stream.
+    draws_rng = True
+
     @abstractmethod
     def compute_ms(
         self,
@@ -65,6 +69,10 @@ class AnalyticCostModel(TaskCostModel):
         if self.noise < 0:
             raise ValueError("noise must be >= 0")
 
+    @property
+    def draws_rng(self) -> bool:
+        return bool(self.noise)
+
     def compute_ms(
         self,
         cost_units: float,
@@ -90,6 +98,7 @@ class MeasuredCostModel(TaskCostModel):
 
     scale: float = 1.0
     floor_ms: float = 0.05
+    draws_rng = False
 
     def compute_ms(
         self,

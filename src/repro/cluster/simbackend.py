@@ -14,6 +14,15 @@ tracking *when* everything happens on a virtual clock:
 Completion callbacks fire in virtual-time order with deterministic
 tie-breaking, which makes whole asynchronous optimization runs
 bit-reproducible under a fixed seed.
+
+One task is two events — arrival at its worker, then delivery of its
+result — each scheduled as a bound method plus arguments, so a hop
+allocates no closure. Arrival stays its own event rather than being
+folded into ``submit``: between a task's submit and its arrival other
+tasks can finish, workers can be killed, and HIST can be pruned, and the
+task must observe all of that. Per-task random streams (network jitter,
+cost noise) are keyed by ``(name, task_id)`` and only seeded for a model
+that draws from them; deterministic models are handed ``None``.
 """
 
 from __future__ import annotations
@@ -91,10 +100,11 @@ class SimBackend(Backend):
             raise ValueError(f"worker_id {worker_id} out of range")
         self._pending += 1
         submitted = self.clock.now()
-        rng = self.rngs.lazy("net-in", task.task_id)
-        arrival = submitted + self.network.transfer_ms(task.in_bytes, rng)
+        network = self.network
+        rng = self.rngs.lazy("net-in", task.task_id) if network.jitter else None
         ev = self.queue.push(
-            arrival, lambda: self._on_arrival(task, worker_id, submitted)
+            submitted + network.transfer_ms(task.in_bytes, rng),
+            self._on_arrival, task, worker_id, submitted,
         )
         self._live[worker_id][task.task_id] = (task, ev, submitted)
 
@@ -103,6 +113,7 @@ class SimBackend(Backend):
     ) -> None:
         worker = self._workers[worker_id]
         env = self.envs[worker_id]
+        network = self.network
         now = self.clock.now()
         metrics = TaskMetrics(
             task_id=task.task_id,
@@ -113,16 +124,15 @@ class SimBackend(Backend):
         )
         if not worker.alive:
             self._live[worker_id].pop(task.task_id, None)
-            metrics.delivered_ms = now + self.network.latency_ms
+            metrics.delivered_ms = now + network.latency_ms
             self.queue.push(
-                metrics.delivered_ms,
-                lambda: self._finish(
-                    task, worker_id, None, metrics, WorkerLostError(worker_id)
-                ),
+                metrics.delivered_ms, self._finish,
+                task, worker_id, None, metrics, WorkerLostError(worker_id),
             )
             return
 
-        start = max(now, worker.free_at)
+        free_at = worker.free_at
+        start = free_at if free_at > now else now
         metrics.started_ms = start
 
         # Execute the closure for real; the virtual duration is modeled.
@@ -138,21 +148,28 @@ class SimBackend(Backend):
         worker.task_seq += 1
         self._executed_tasks += 1
         seq = worker.task_seq
-        cost_rng = self.rngs.lazy("cost", task.task_id)
+        cost_model = self.cost_model
+        cost_rng = (
+            self.rngs.lazy("cost", task.task_id) if cost_model.draws_rng
+            else None
+        )
         reported_units = env.consume_cost_units()
         units = reported_units if reported_units > 0 else task.cost_units
-        base_ms = self.cost_model.compute_ms(
+        base_ms = cost_model.compute_ms(
             units, measured_ms=measured_ms, rng=cost_rng
         )
         factor = self.delay_model.factor(worker_id, seq)
         fetch_bytes = env.consume_fetch_bytes()
         fetch_ms = 0.0
         if fetch_bytes:
-            fetch_rng = self.rngs.lazy("net-fetch", task.task_id)
+            fetch_rng = (
+                self.rngs.lazy("net-fetch", task.task_id) if network.jitter
+                else None
+            )
             # A miss costs a round-trip: request out, payload back.
             fetch_ms = (
-                self.network.transfer_ms(fetch_bytes, fetch_rng)
-                + self.network.latency_ms
+                network.transfer_ms(fetch_bytes, fetch_rng)
+                + network.latency_ms
             )
         compute_ms = base_ms * factor + fetch_ms
 
@@ -165,13 +182,15 @@ class SimBackend(Backend):
 
         out_bytes = 0 if error is not None else task.out_bytes_of(value)
         metrics.out_bytes = out_bytes
-        out_rng = self.rngs.lazy("net-out", task.task_id)
-        metrics.delivered_ms = metrics.finished_ms + self.network.transfer_ms(
+        out_rng = (
+            self.rngs.lazy("net-out", task.task_id) if network.jitter else None
+        )
+        metrics.delivered_ms = metrics.finished_ms + network.transfer_ms(
             out_bytes, out_rng
         )
         ev = self.queue.push(
-            metrics.delivered_ms,
-            lambda: self._finish(task, worker_id, value, metrics, error),
+            metrics.delivered_ms, self._finish,
+            task, worker_id, value, metrics, error,
         )
         self._live[worker_id][task.task_id] = (task, ev, submitted)
 
@@ -194,7 +213,7 @@ class SimBackend(Backend):
         if ev is None:
             return False
         self.clock.advance_to(ev.time)
-        ev.callback()
+        ev.callback(*ev.args)
         return True
 
     def run_until(
@@ -229,23 +248,16 @@ class SimBackend(Backend):
                 delivered_ms=now + self.network.latency_ms,
             )
             self.queue.push(
-                metrics.delivered_ms,
-                self._make_loss_delivery(task, worker_id, metrics),
+                metrics.delivered_ms, self._finish,
+                task, worker_id, None, metrics, WorkerLostError(worker_id),
             )
-
-    def _make_loss_delivery(
-        self, task: BackendTask, worker_id: int, metrics: TaskMetrics
-    ) -> Callable[[], None]:
-        def deliver() -> None:
-            self._pending -= 1
-            self._deliver(
-                task, worker_id, None, metrics, WorkerLostError(worker_id)
-            )
-
-        return deliver
 
     def revive_worker(self, worker_id: int) -> None:
+        """Bring a dead worker back with an empty slot; a no-op on a live
+        one (its queued tasks keep their slot times)."""
         worker = self._workers[worker_id]
+        if worker.alive:
+            return
         worker.alive = True
         worker.free_at = self.clock.now()
         self.members_epoch += 1

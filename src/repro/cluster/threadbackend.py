@@ -44,6 +44,8 @@ class ThreadBackend(Backend):
         where the sleep dominates.
     """
 
+    lock_type = threading.RLock
+
     def __init__(
         self,
         num_workers: int,
@@ -54,7 +56,6 @@ class ThreadBackend(Backend):
         super().__init__(num_workers, WallClock())
         self.delay_model = delay_model or NoDelay()
         self.min_task_s = float(min_task_s)
-        self.state_lock = threading.RLock()
         self._cond = threading.Condition(self.state_lock)
         self._queues: list[queue.Queue] = [queue.Queue() for _ in range(num_workers)]
         self._task_seq = [0] * num_workers
@@ -162,7 +163,11 @@ class ThreadBackend(Backend):
             self.members_epoch += 1
 
     def revive_worker(self, worker_id: int) -> None:
-        self.envs[worker_id].alive = True
+        """Bring a dead worker back; a no-op on a live one."""
+        env = self.envs[worker_id]
+        if env.alive:
+            return
+        env.alive = True
         with self._cond:
             self.members_epoch += 1
 

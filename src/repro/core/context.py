@@ -107,27 +107,27 @@ class ASYNCContext:
         """True if a task result is waiting.
 
         With ``block=True``, advances the cluster until a result arrives or
-        no in-flight task remains (then returns False).
+        no in-flight task remains (then returns False). A failed task's
+        error is raised instead, ahead of any queued result.
         """
-        backend = self.ctx.backend
-        with backend.state_lock:
-            self.coordinator.raise_pending_error()
-            if self.coordinator.has_result():
-                return True
-            if not block:
-                return False
-
-        def arrived() -> bool:
-            return (
-                self.coordinator.has_result()
-                or self.coordinator.pending_errors() > 0
-                or self.scheduler.in_flight == 0
+        # Reading the two queues needs no lock: each check is one atomic
+        # deque operation, and only the server consumes from them.
+        coordinator = self.coordinator
+        if block and not (coordinator.results or coordinator.errors):
+            self.ctx.backend.run_until(
+                self._arrived, host_timeout_s=self.ctx.job_timeout_s
             )
+        if coordinator.errors:
+            coordinator.raise_pending_error()
+        return bool(coordinator.results)
 
-        backend.run_until(arrived, host_timeout_s=self.ctx.job_timeout_s)
-        with backend.state_lock:
-            self.coordinator.raise_pending_error()
-            return self.coordinator.has_result()
+    def _arrived(self) -> bool:
+        """A blocking :meth:`has_next` may stop advancing the cluster."""
+        coordinator = self.coordinator
+        return bool(
+            coordinator.results or coordinator.errors
+            or self.scheduler.in_flight == 0
+        )
 
     def collect_all(self, block: bool = True) -> TaskResultRecord:
         """FIFO-pop one result with its worker attributes (Table 1)."""

@@ -53,7 +53,8 @@ class Coordinator:
         self.results: deque[TaskResultRecord] = deque()
         self.lost_tasks = 0
         self.collected = 0
-        self._errors: deque[TaskError] = deque()
+        #: Task failures not yet raised to the server, oldest first.
+        self.errors: deque[TaskError] = deque()
         #: Partition placement overlay: entries override the context's
         #: locality rule (``partition -> worker``) for every subsequent
         #: dispatch. Populated by accepted ``place`` hook moves.
@@ -177,7 +178,7 @@ class Coordinator:
                 w.available = False
                 self.lost_tasks += 1
             else:
-                self._errors.append(
+                self.errors.append(
                     TaskError(
                         f"async task {task_id} failed on worker "
                         f"{worker_id}: {error!r}",
@@ -234,8 +235,8 @@ class Coordinator:
         return record
 
     def raise_pending_error(self) -> None:
-        if self._errors:
-            raise self._errors.popleft()
+        if self.errors:
+            raise self.errors.popleft()
 
     def pending_errors(self) -> int:
-        return len(self._errors)
+        return len(self.errors)

@@ -364,6 +364,20 @@ def _load_compose_state(
 # The classic barriers: admission-only policies.
 # ---------------------------------------------------------------------------
 
+def _staleness_bound(threshold: Any, policy: str) -> Any:
+    """Validate an SSP bound: a whole number of model updates, >= 1.
+
+    A staleness is a count of updates, so ``1.5`` would silently act as
+    ``2``; it is rejected like a non-finite bound.
+    """
+    if not 1 <= threshold < math.inf or threshold != int(threshold):
+        raise ValueError(
+            f"{policy} threshold must be a finite whole number >= 1, "
+            f"got {threshold!r}"
+        )
+    return threshold
+
+
 @register_policy("asp")
 class ASP(SchedulingPolicy):
     """Fully asynchronous: dispatch whenever anyone is free."""
@@ -390,9 +404,7 @@ class SSP(SchedulingPolicy):
     """
 
     def __init__(self, threshold: int) -> None:
-        if not 1 <= threshold < math.inf:
-            raise ValueError("SSP threshold must be finite and >= 1")
-        self.threshold = threshold
+        self.threshold = _staleness_bound(threshold, "SSP")
 
     def ready(self, stat: StatTable) -> bool:
         return stat.num_available >= 1 and stat.max_staleness < self.threshold
@@ -480,9 +492,7 @@ class PartitionSSP(SchedulingPolicy):
     """
 
     def __init__(self, threshold: int) -> None:
-        if not 1 <= threshold < math.inf:
-            raise ValueError("PartitionSSP threshold must be finite and >= 1")
-        self.threshold = threshold
+        self.threshold = _staleness_bound(threshold, "PartitionSSP")
 
     def ready(self, stat: StatTable) -> bool:
         return (

@@ -49,6 +49,9 @@ class AsyncScheduler:
         self.tasks_submitted = 0
         #: Subset of ``tasks_submitted`` that carried partition identity.
         self.partition_tasks_submitted = 0
+        # task_id -> (model version, partition, comm manager) of every
+        # task in flight, read back by the shared continuation.
+        self._tasks: dict[int, tuple[int, int | None, Any]] = {}
         # The context's locality rule is static for the scheduler's
         # lifetime, so its partition -> worker map is computed once and
         # only the (usually tiny) placement overlay varies per round.
@@ -117,7 +120,7 @@ class AsyncScheduler:
         backend = ac.ctx.backend
         stat = ac.stat
 
-        satisfied = backend.run_until(
+        satisfied = policy.ready(stat) or backend.run_until(
             lambda: policy.ready(stat),
             host_timeout_s=ac.ctx.job_timeout_s,
         )
@@ -238,37 +241,34 @@ class AsyncScheduler:
         self.rounds += 1
         return targets
 
-    def _make_continuation(
-        self, version: int, partition: int | None, comm
-    ) -> Callable:
-        ac = self.ac
-
-        def cont(
-            task_id: int,
-            wid: int,
-            value: Any,
-            metrics: TaskMetrics,
-            error: BaseException | None,
-        ) -> None:
-            self.in_flight -= 1
-            if error is None:
-                payload, count = value
-                if comm is not None:
-                    # Server-side decode + one "collect" ledger row.
-                    payload = comm.note_collect(payload, metrics.out_bytes)
-                ac.coordinator.on_result(
-                    task_id, wid, payload, metrics, None,
-                    version=version, batch_size=count,
-                    partition=partition,
-                )
-            else:
-                ac.coordinator.on_result(
-                    task_id, wid, None, metrics, error,
-                    version=version, batch_size=0,
-                    partition=partition,
-                )
-
-        return cont
+    def _on_complete(
+        self,
+        task_id: int,
+        wid: int,
+        value: Any,
+        metrics: TaskMetrics,
+        error: BaseException | None,
+    ) -> None:
+        """The one continuation of every dispatched task."""
+        version, partition, comm = self._tasks[task_id]
+        del self._tasks[task_id]
+        self.in_flight -= 1
+        if error is None:
+            payload, count = value
+            if comm is not None:
+                # Server-side decode + one "collect" ledger row.
+                payload = comm.note_collect(payload, metrics.out_bytes)
+            self.ac.coordinator.on_result(
+                task_id, wid, payload, metrics, None,
+                version=version, batch_size=count,
+                partition=partition,
+            )
+        else:
+            self.ac.coordinator.on_result(
+                task_id, wid, None, metrics, error,
+                version=version, batch_size=0,
+                partition=partition,
+            )
 
     def _dispatch(
         self,
@@ -290,12 +290,15 @@ class AsyncScheduler:
             # reduced payload; identity for "none") and the matching
             # wire-byte measure for the backend's network pricing.
             fn = comm.wrap_task_fn(fn, partition)
-        ac.ctx.dispatcher.submit(
+        task_id = ac.ctx.dispatcher.submit(
             fn,
             worker_id,
-            on_complete=self._make_continuation(version, partition, comm),
+            on_complete=self._on_complete,
             job_id=job_id,
             in_bytes=ac.ctx.task_descriptor_bytes,
             partition=partition,
             out_bytes_of=comm.out_bytes_of if comm is not None else None,
         )
+        # Recorded after submit returns: dispatch runs under
+        # ``state_lock``, which every delivery also holds.
+        self._tasks[task_id] = (version, partition, comm)

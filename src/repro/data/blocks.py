@@ -233,11 +233,12 @@ class MatrixBlock:
         sparse block advertises ``rows * (avg nnz per row) / dim`` units —
         matching the FLOP count of the matvec.
         """
-        rows = self.rows if n_rows is None else n_rows
-        if self.rows == 0:
+        own_rows = self.rows
+        rows = own_rows if n_rows is None else n_rows
+        if own_rows == 0:
             return 0.0
         if self.is_sparse:
-            avg_nnz = self.nnz / self.rows
+            avg_nnz = self.nnz / own_rows
             return rows * avg_nnz / max(self.dim, 1)
         return float(rows)
 
@@ -271,12 +272,13 @@ class MatrixBlock:
         """
         if not 0.0 < fraction <= 1.0:
             raise DataError(f"fraction must be in (0, 1], got {fraction}")
-        if self.rows == 0:
+        rows = self.rows
+        if rows == 0:
             return np.empty(0, dtype=np.intp)
-        size = max(1, int(round(fraction * self.rows)))
+        size = max(1, int(round(fraction * rows)))
         if with_replacement:
-            return rng.integers(0, self.rows, size=size, dtype=np.intp)
-        return rng.choice(self.rows, size=min(size, self.rows), replace=False)
+            return rng.integers(0, rows, size=size, dtype=np.intp)
+        return rng.choice(rows, size=min(size, rows), replace=False)
 
     def global_ids(self, local_idx: np.ndarray) -> np.ndarray:
         return local_idx + self.offset

@@ -55,7 +55,7 @@ class FaultInjector:
             raise BackendError("kill_at requires the simulation backend")
         if time_ms < backend.now():
             raise BackendError("cannot schedule a failure in the past")
-        backend.queue.push(time_ms, lambda: self.kill(worker_id))
+        backend.queue.push(time_ms, self.kill, worker_id)
 
     def alive_workers(self) -> list[int]:
         return [

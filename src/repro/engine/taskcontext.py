@@ -11,9 +11,7 @@ identically under the single-threaded simulation and the thread backend
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
-from typing import Iterator
 
 from repro.cluster.backend import WorkerEnv
 
@@ -24,14 +22,24 @@ _current_env: contextvars.ContextVar[WorkerEnv | None] = contextvars.ContextVar(
 )
 
 
-@contextlib.contextmanager
-def task_env(env: WorkerEnv | None) -> Iterator[None]:
-    """Bind ``env`` as the ambient worker environment for a task body."""
-    token = _current_env.set(env)
-    try:
-        yield
-    finally:
-        _current_env.reset(token)
+class task_env:
+    """``with task_env(env):`` binds ``env`` as the ambient worker
+    environment for a task body and restores the previous one on exit.
+
+    A plain class rather than ``@contextlib.contextmanager``: every task
+    enters one, and a generator-based manager costs several extra calls.
+    """
+
+    __slots__ = ("_env", "_token")
+
+    def __init__(self, env: WorkerEnv | None) -> None:
+        self._env = env
+
+    def __enter__(self) -> None:
+        self._token = _current_env.set(self._env)
+
+    def __exit__(self, *exc: object) -> None:
+        _current_env.reset(self._token)
 
 
 def current_env() -> WorkerEnv | None:

@@ -34,7 +34,7 @@ from repro.errors import ApiError, OptimError
 from repro.optim.problems import Problem
 from repro.optim.stepsize import StepSchedule
 from repro.optim.trace import ConvergenceTrace
-from repro.utils.rng import stable_hash
+from repro.utils.rng import stable_hash_append
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.backend import TaskMetrics
@@ -214,7 +214,9 @@ class DistributedOptimizer:
 
     # -- helpers shared by subclasses -------------------------------------------------
     def _round_seed(self, round_idx: int) -> int:
-        return stable_hash((self.config.seed, self.name, round_idx))
+        """``stable_hash((config.seed, name, round_idx))``; the constant
+        ``(seed, name)`` prefix is hashed once, not every round."""
+        return stable_hash_append((self.config.seed, self.name), round_idx)
 
     def _step_index(self, updates: int) -> int:
         """Schedule index for async methods per ``config.step_time``."""

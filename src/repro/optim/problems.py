@@ -196,13 +196,18 @@ class LogisticRegressionProblem(Problem):
 
     @staticmethod
     def _sigmoid(z: np.ndarray) -> np.ndarray:
-        """Numerically stable logistic function (piecewise, no overflow)."""
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        """Numerically stable logistic function, in one pass.
+
+        ``e = exp(-|z|)`` never overflows; ``z >= 0`` takes
+        ``1 / (1 + e)``, the rest ``e / (1 + e)``. Every element goes
+        through the IEEE operations of the piecewise form
+        (``1 / (1 + exp(-z))`` / ``exp(z) / (1 + exp(z))``), so results
+        are bit-equal to it. ``minimum(z, -z)`` spells ``-|z|`` because
+        it passes a NaN through with its own sign and payload.
+        """
+        e = np.exp(np.minimum(z, -z))
+        d = 1.0 + e
+        return np.where(z >= 0, 1.0 / d, e / d)
 
     def grad_sum(self, X, y, w):
         margins = -y * matvec(X, w)

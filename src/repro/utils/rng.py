@@ -19,7 +19,10 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["LazyRng", "RngFactory", "spawn_generator", "stable_hash"]
+__all__ = [
+    "LazyRng", "RngFactory", "spawn_generator", "stable_hash",
+    "stable_hash_append",
+]
 
 
 def stable_hash(parts: Iterable[object]) -> int:
@@ -28,10 +31,38 @@ def stable_hash(parts: Iterable[object]) -> int:
     ``hash()`` is salted per-process for strings, so we hash the repr with
     blake2b instead. Used to key RNG streams by structured names.
     """
+    return int.from_bytes(_hash_state(parts).digest(), "little") & (2**63 - 1)
+
+
+def _hash_state(parts: Iterable[object]) -> "hashlib.blake2b":
+    """The blake2b state after absorbing each part's ``repr`` + NUL."""
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
         h.update(repr(part).encode("utf8"))
         h.update(b"\x00")
+    return h
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _prefix_state(*prefix: object) -> "hashlib.blake2b":
+    """The blake2b state :func:`stable_hash` reaches after ``prefix``
+    (shared: copy it before updating)."""
+    return _hash_state(prefix)
+
+
+def stable_hash_append(prefix: tuple, part: object) -> int:
+    """``stable_hash((*prefix, part))`` with the prefix hashed only once.
+
+    For keys whose leading parts are constant over a run (a round seed's
+    ``(seed, name)``): the prefix's hash state is memoised (``typed``,
+    because ``1`` and ``np.int64(1)`` are equal but ``repr`` apart) and
+    each call copies it and absorbs ``part`` alone.
+    """
+    try:
+        h = _prefix_state(*prefix).copy()
+    except TypeError:  # an unhashable prefix part cannot be memoised
+        return stable_hash((*prefix, part))
+    h.update(repr(part).encode("utf8") + b"\x00")
     return int.from_bytes(h.digest(), "little") & (2**63 - 1)
 
 

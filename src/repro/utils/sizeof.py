@@ -38,7 +38,14 @@ def sizeof_bytes(obj: Any) -> int:
     if kind is tuple:
         total = _OBJ_OVERHEAD
         for item in obj:
-            total += sizeof_bytes(item)
+            # The same two exact-type cases, inline: no call per leaf.
+            item_kind = type(item)
+            if item_kind is np.ndarray:
+                total += _OBJ_OVERHEAD + item.nbytes
+            elif item_kind is int or item_kind is float:
+                total += _OBJ_OVERHEAD
+            else:
+                total += sizeof_bytes(item)
         return total
     if obj is None or isinstance(obj, bool):
         return _OBJ_OVERHEAD

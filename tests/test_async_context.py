@@ -1,10 +1,14 @@
 """ASYNCContext + AsyncScheduler: rounds, barriers, collection semantics."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.cluster.threadbackend import ThreadBackend
 from repro.core import ASP, BSP, SSP, ASYNCContext
 from repro.core.policies import LambdaPolicy
+from repro.engine.context import ClusterContext
 from repro.errors import AsyncContextError, SchedulerError, TaskError
 
 
@@ -204,6 +208,35 @@ def test_matrix_round_with_broadcast(ctx, small_data):
         assert g.shape == w.shape
         total_rows += rows
     assert total_rows == 128  # half of 256
+
+
+def test_thread_backend_collects_every_task_exactly_once():
+    """Stress: eight worker threads (more than cores), a tiny switch
+    interval, and the server collecting while workers deliver. The shared
+    per-task table and the lock-free ``has_next`` reads must lose and
+    duplicate nothing."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ClusterContext(8, backend=ThreadBackend(num_workers=8)) as tctx:
+            ac = ASYNCContext(tctx)
+            rdd = tctx.parallelize(range(64), 16)  # 8 elements per task
+            counts = []
+            for _ in range(40):
+                rdd.async_aggregate(
+                    0, lambda n, x: n + 1, lambda a, b: a + b, ac
+                )
+                while ac.has_next(block=False):
+                    counts.append(ac.collect(block=False))
+            while ac.has_next(block=True):
+                counts.append(ac.collect(block=True))
+            submitted = ac.scheduler.tasks_submitted
+            assert ac.in_flight == 0 and not ac.scheduler._tasks
+    finally:
+        sys.setswitchinterval(old)
+    assert submitted >= 40
+    assert len(counts) == ac.collected == submitted
+    assert sum(counts) == 8 * submitted
 
 
 def test_version_property(ctx):

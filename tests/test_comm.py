@@ -84,6 +84,33 @@ def test_unknown_compressor_rejected():
         parse_compressor("gzip")
 
 
+def test_overflowing_fraction_is_a_typed_error():
+    """A 400-digit integer used to escape as a bare OverflowError."""
+    with pytest.raises(ApiError):
+        parse_compressor("topk:" + "9" * 400)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.text(),
+    st.tuples(
+        st.sampled_from(COMPRESSORS.names()),
+        st.one_of(
+            st.integers().map(str),
+            st.floats().map(repr),
+            st.text(alphabet="0123456789.e-+_naif", max_size=12),
+            st.text(max_size=8),
+        ),
+    ).map(lambda t: f"{t[0]}:{t[1]}"),
+))
+def test_any_text_is_a_compressor_or_a_typed_error(text):
+    try:
+        comp = parse_compressor(text)
+    except ReproError:
+        return
+    assert isinstance(comp, COMPRESSORS.get(comp.name))
+
+
 # ---------------------------------------------------------------------------
 # Packets: exact byte counts, round-trips, malformed input
 # ---------------------------------------------------------------------------

@@ -71,6 +71,44 @@ def test_pop_empty_returns_none():
     assert EventQueue().peek_time() is None
 
 
+def test_callbacks_receive_their_args():
+    q = EventQueue()
+    fired = []
+    q.push(2.0, fired.append, "b")
+    q.push(1.0, lambda *args: fired.append(args), 1, "x", None)
+    ev = q.pop()
+    ev.callback(*ev.args)
+    ev = q.pop()
+    ev.callback(*ev.args)
+    assert fired == [(1, "x", None), "b"]
+
+
+@given(
+    events=st.lists(
+        st.tuples(st.sampled_from([0.0, 1.0, 1.5, 2.0, 1e6]), st.booleans()),
+        max_size=60,
+    ),
+)
+def test_property_pops_in_time_then_push_order_skipping_cancelled(events):
+    """Many events share a timestamp: pops follow ``(time, seq)`` — time,
+    then push order — and a cancelled event is never returned."""
+    q = EventQueue()
+    fired = []
+    for seq, (time, cancel) in enumerate(events):
+        ev = q.push(time, fired.append, seq)
+        if cancel:
+            q.cancel(ev)
+    assert len(q) == sum(not cancel for _, cancel in events)
+    while q:
+        ev = q.pop()
+        ev.callback(*ev.args)
+    expected = sorted(
+        (time, seq) for seq, (time, cancel) in enumerate(events) if not cancel
+    )
+    assert fired == [seq for _, seq in expected]
+    assert q.pop() is None and q.peek_time() is None
+
+
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1,
                 max_size=100))
 def test_property_pops_sorted(times):

@@ -50,6 +50,15 @@ def test_kill_at_schedules_future_failure(ctx):
     assert not ctx.backend.worker_env(2).alive
 
 
+def test_kill_at_fires_at_its_scheduled_time(ctx):
+    fi = FaultInjector(ctx)
+    fi.kill_at(12.5, 3)
+    rdd = ctx.parallelize(range(8), 4)
+    while not fi.killed:
+        ctx.run_job(rdd, lambda s, d: sum(d))
+    assert fi.injected == [("kill", 3, 12.5)]
+
+
 def test_kill_at_past_rejected(ctx):
     rdd = ctx.parallelize(range(8), 4)
     ctx.run_job(rdd, lambda s, d: None)  # advance time

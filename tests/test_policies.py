@@ -1,7 +1,10 @@
 """The SchedulingPolicy protocol: hooks, composition, grammar, policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api.registry import POLICIES
 from repro.core.policies import (
     ASP,
     BSP,
@@ -24,7 +27,7 @@ from repro.core.policies import (
 )
 from repro.core.records import TaskResultRecord
 from repro.core.stat import StatTable
-from repro.errors import ApiError
+from repro.errors import ApiError, ReproError
 
 
 def make_stat(P=4, busy=(), versions=None, current=0):
@@ -385,6 +388,49 @@ def test_parse_policy_rejects_non_finite_parameters(term):
     """NaN passed the old ``< 0`` / ``<= 1`` checks and ran silently."""
     with pytest.raises(ApiError, match="finite"):
         parse_policy(term)
+
+
+@pytest.mark.parametrize("term", ["ssp:1.5", "ssp_partition:1.5"])
+def test_parse_policy_rejects_fractional_staleness_bounds(term):
+    """A staleness bound counts updates; ``1.5`` used to build a policy
+    that silently behaved as ``2``."""
+    with pytest.raises(ApiError, match="whole number"):
+        resolve_policy(term)
+
+
+def test_whole_valued_staleness_bounds_are_accepted():
+    assert resolve_policy("ssp:3").threshold == 3
+    assert resolve_policy({"name": "ssp_partition", "threshold": 2.0}).threshold == 2
+
+
+#: One policy term: a registered name, optionally with a ``:arg`` drawn
+#: from numbers, number-like junk and free text.
+_POLICY_TERM = st.tuples(
+    st.sampled_from(POLICIES.names()),
+    st.one_of(
+        st.just(""),
+        st.integers().map(str),
+        st.floats().map(repr),
+        st.text(alphabet="0123456789.e-+_naifp", max_size=12),
+        st.text(max_size=8),
+    ),
+).map(lambda t: f"{t[0]}:{t[1]}" if t[1] else t[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.text(),
+    st.lists(
+        st.tuples(_POLICY_TERM, st.sampled_from(["&", "|", " & ", ""])),
+        min_size=1, max_size=3,
+    ).map(lambda parts: "".join(term + op for term, op in parts)),
+))
+def test_any_text_is_a_policy_or_a_typed_error(text):
+    try:
+        policy = resolve_policy(text)
+    except ReproError:
+        return
+    assert isinstance(policy, SchedulingPolicy)
 
 
 def test_resolve_policy_spellings():

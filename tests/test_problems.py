@@ -135,6 +135,41 @@ def test_logistic_loss_stable_for_large_margins():
     assert np.all(np.isfinite(g))
 
 
+def piecewise_sigmoid(z):
+    """The two-branch form ``LogisticRegressionProblem._sigmoid`` replaced."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+_SIGMOID_SPECIALS = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+    2.2250738585072014e-308, -1e-310, 709.8, -745.2, 800.0, -800.0,
+    *np.array([0x7FF8000000000001, 0xFFF4000000000123], dtype=np.uint64)
+    .view(np.float64).tolist(),  # NaNs with a payload, quiet and signalling
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.sampled_from(_SIGMOID_SPECIALS),
+    ),
+    min_size=0, max_size=300,
+))
+def test_sigmoid_is_bit_equal_to_the_piecewise_form(values):
+    z = np.array(values, dtype=np.float64)
+    got = LogisticRegressionProblem._sigmoid(z)
+    assert got.dtype == z.dtype and got.shape == z.shape
+    assert np.array_equal(
+        got.view(np.uint64), piecewise_sigmoid(z).view(np.uint64)
+    )
+
+
 def test_dim_mismatch_rejected(rng):
     with pytest.raises(OptimError):
         LeastSquaresProblem(rng.standard_normal((5, 2)), np.zeros(4))

@@ -18,6 +18,7 @@ from repro.optim import (
 )
 from repro.optim.base import bc_value
 from repro.optim.reducers import add_pairs, add_triples, add_vr_pairs
+from repro.utils.rng import stable_hash
 
 
 def build(ctx, small_data, parts=8):
@@ -25,6 +26,24 @@ def build(ctx, small_data, parts=8):
     problem = LeastSquaresProblem(X, y)
     points = ctx.matrix(X, y, parts).cache()
     return points, problem
+
+
+def test_round_seed_is_the_stable_hash_of_seed_name_and_round(ctx, small_data):
+    points, problem = build(ctx, small_data)
+    opt = build_optimizer(
+        "asgd", ctx, points, problem, ConstantStep(0.1),
+        OptimizerConfig(seed=7),
+    )
+    rounds = [*range(300), 10**6, 2**62]
+    assert [opt._round_seed(i) for i in rounds] == [
+        stable_hash((7, "asgd", i)) for i in rounds
+    ]
+    # The hashed (seed, name) prefix follows both attributes.
+    opt.name = "renamed"
+    opt.config.seed = 8
+    assert [opt._round_seed(i) for i in rounds] == [
+        stable_hash((8, "renamed", i)) for i in rounds
+    ]
 
 
 # -- shared reducers ----------------------------------------------------------------

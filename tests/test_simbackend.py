@@ -209,6 +209,23 @@ def test_revive_worker_accepts_tasks_again():
     assert done[-1][4] is None
 
 
+def test_revive_of_a_live_worker_is_a_no_op():
+    """Reviving a live worker used to reset its slot to "free now", so the
+    next task overlapped the one still running there."""
+    b = SimBackend(2, seed=0)  # 0.25 ms latency, 1 ms + 1 us per unit
+    done = collect_results(b)
+    b.submit(BackendTask(task_id=0, fn=lambda env: None, cost_units=5000.0), 0)
+    b.step()  # the task arrives at 0.25 ms and runs to 6.25 ms
+    epoch = b.members_epoch
+    b.revive_worker(0)
+    assert b.members_epoch == epoch
+    b.submit(BackendTask(task_id=1, fn=lambda env: None), 0)
+    b.drain()
+    first, second = (m for _, _, _, m, _ in sorted(done, key=lambda d: d[0]))
+    assert (first.started_ms, first.finished_ms) == (0.25, 6.25)
+    assert second.started_ms == first.finished_ms
+
+
 def test_submit_out_of_range_worker():
     b = make_backend(workers=2)
     with pytest.raises(ValueError):

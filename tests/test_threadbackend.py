@@ -1,5 +1,6 @@
 """Real-thread backend: same contract as the simulation, wall-clock time."""
 
+import sys
 import threading
 import time
 
@@ -95,6 +96,42 @@ def test_kill_worker_fails_new_tasks(backend):
     backend.submit(BackendTask(task_id=1, fn=lambda env: "ok"), 1)
     backend.run_until(lambda: len(done) == 2, host_timeout_s=5)
     assert done[1][2] == "ok"
+
+
+def test_revive_of_a_live_worker_is_a_no_op(backend):
+    epoch = backend.members_epoch
+    backend.revive_worker(0)
+    assert backend.members_epoch == epoch
+    backend.kill_worker(0)
+    backend.revive_worker(0)
+    assert backend.members_epoch == epoch + 2
+    assert backend.worker_env(0).alive
+
+
+def test_env_counters_lose_no_update_across_threads(backend):
+    """The counters' read-modify-write holds the env lock, an ``RLock``
+    on this backend: eight threads (more than cores) with a tiny switch
+    interval lose no increment."""
+    env = backend.worker_env(0)
+
+    def hammer():
+        for _ in range(2000):
+            env.record_cost(1.0)
+            env.record_fetch(1)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert env.consume_cost_units() == 16000.0
+    assert env.consume_fetch_bytes() == 16000
 
 
 def test_run_until_timeout_returns_predicate(backend):

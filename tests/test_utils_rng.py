@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.rng import RngFactory, spawn_generator, stable_hash
+from repro.utils.rng import (
+    RngFactory,
+    spawn_generator,
+    stable_hash,
+    stable_hash_append,
+)
 
 
 def test_same_key_same_stream():
@@ -64,6 +69,24 @@ def test_stable_hash_distinguishes_string_from_int():
 def test_stable_hash_range(seed, k):
     h = stable_hash((seed, k))
     assert 0 <= h < 2**63
+
+
+@given(
+    st.integers(0, 2**63), st.text(max_size=12),
+    st.one_of(st.integers(), st.text(max_size=6), st.floats()),
+)
+def test_stable_hash_append_is_the_stable_hash_of_the_whole_key(seed, name, part):
+    assert stable_hash_append((seed, name), part) == stable_hash((seed, name, part))
+
+
+def test_stable_hash_append_keeps_equal_prefixes_of_other_types_apart():
+    """``1 == np.int64(1) == 1.0``, but their reprs — and so their hashes —
+    differ; the memoised prefix must not mix them up."""
+    for prefix in [(1, "x"), (np.int64(1), "x"), (1.0, "x"), (True, "x")]:
+        for i in range(3):
+            assert stable_hash_append(prefix, i) == stable_hash((*prefix, i))
+    # An unhashable prefix part cannot be memoised but still hashes.
+    assert stable_hash_append(([1], "x"), 5) == stable_hash(([1], "x", 5))
 
 
 @given(

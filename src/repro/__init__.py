@@ -44,11 +44,12 @@ hand-wired::
         ).run()
         print(result.final_error(problem))
 
-Every asynchronous optimizer shares one driver,
+Every optimizer, synchronous or asynchronous, shares one driver,
 :class:`repro.optim.loop.ServerLoop`; an algorithm is just an
 :class:`repro.optim.loop.UpdateRule` (publish / kernel / reduce / apply)
-registered under its name, which is what makes the paper's "sync ->
-async in a few extra lines" literal here.
+registered under its name, and its synchronous variant is the same rule
+with :class:`repro.optim.loop.BulkSynchronous` mixed in — which is what
+makes the paper's "sync -> async in a few extra lines" literal here.
 """
 
 from repro.api.spec import ExperimentSpec, GridSpec
@@ -69,7 +70,7 @@ from repro.core.policies import (
     parse_policy,
 )
 from repro.engine.context import ClusterContext
-from repro.optim.admm import ADMMRule, SyncADMM
+from repro.optim.admm import ADMMRule
 from repro.optim.asaga import ASAGARule
 from repro.optim.asgd import ASGDRule
 from repro.optim.base import (
@@ -85,16 +86,14 @@ from repro.optim.problems import (
     Problem,
     RidgeProblem,
 )
-from repro.optim.saga import SyncSAGA
-from repro.optim.sgd import SyncSGD
 from repro.optim.stepsize import (
     ConstantStep,
     InvSqrtDecay,
     PolyDecay,
     StalenessScaled,
 )
-from repro.optim.loop import ServerLoop, UpdateRule
-from repro.optim.svrg import ASVRGRule, SyncSVRG
+from repro.optim.loop import BulkSynchronous, ServerLoop, UpdateRule
+from repro.optim.svrg import ASVRGRule
 
 
 def __getattr__(name: str):
@@ -139,17 +138,14 @@ __all__ = [
     "RunResult",
     "DistributedOptimizer",
     "build_optimizer",
-    "SyncSGD",
     "ASGDRule",
-    "SyncSAGA",
     "ASAGARule",
-    "SyncSVRG",
     "ASVRGRule",
-    "SyncADMM",
     "ADMMRule",
     "AsyncLBFGSRule",
     "ServerLoop",
     "UpdateRule",
+    "BulkSynchronous",
     "ExperimentSpec",
     "GridSpec",
     "run_experiment",

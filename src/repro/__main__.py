@@ -371,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument(
         "--snapshot", metavar="PATH",
         help="atomically rewrite this file with the full run state every "
-             "--snapshot-every updates (async algorithms only)",
+             "--snapshot-every updates",
     )
     p_run.add_argument(
         "--snapshot-every", type=int, default=None, metavar="N",

@@ -45,7 +45,7 @@ from repro.optim.base import (
     RunResult,
     build_optimizer,
 )
-from repro.optim.loop import is_update_rule
+from repro.optim.loop import BulkSynchronous
 from repro.optim.problems import Problem
 from repro.optim.stepsize import StepSchedule
 
@@ -93,7 +93,8 @@ def default_step(
     """
     from repro.optim.stepsize import ConstantStep, InvSqrtDecay, StalenessScaled
 
-    factory = OPTIMIZERS.get(algorithm)  # raises ApiError for unknown names
+    # OPTIMIZERS.get raises ApiError for unknown names.
+    synchronous = issubclass(OPTIMIZERS.get(algorithm), BulkSynchronous)
     algorithm = OPTIMIZERS.canonical(algorithm)  # family sets hold canon names
     if algorithm in _CONSTANT_FAMILY:
         step: StepSchedule = ConstantStep(alpha0)
@@ -108,7 +109,7 @@ def default_step(
                 "step method"
             )
         return step  # client-local steps; server updates are averages
-    if is_update_rule(factory):
+    if not synchronous:
         if staleness_adaptive:
             step = StalenessScaled(step)
         else:
@@ -230,18 +231,17 @@ def prepare_experiment(
         name for name, is_set in (
             ("policy", spec.policy is not None),
             ("granularity", spec.granularity != "worker"),
-            ("snapshot_every", bool(spec.snapshot_every)),
-            ("snapshot_path", spec.snapshot_path is not None),
-            ("restore_from", spec.restore_from is not None),
-            ("fault_plan", spec.fault_plan is not None),
             ("compressor", spec.compressor is not None),
         ) if is_set
     ]
-    if async_only and not is_update_rule(OPTIMIZERS.get(spec.algorithm)):
+    if async_only and issubclass(
+        OPTIMIZERS.get(spec.algorithm), BulkSynchronous
+    ):
         raise ApiError(
             f"{' / '.join(async_only)} has no effect on the synchronous "
-            f"optimizer {spec.algorithm!r} (asynchronous server loop "
-            "only); drop it or use an asynchronous variant"
+            f"optimizer {spec.algorithm!r} (each round dispatches every "
+            "partition and waits for all of them); drop it or use an "
+            "asynchronous variant"
         )
     policy = None if spec.policy is None else resolve_policy(
         spec.policy,
@@ -329,10 +329,11 @@ def run_experiment(spec: ExperimentSpec | Mapping[str, Any]) -> RunResult:
 def summarize(prep: PreparedExperiment, result: RunResult) -> dict:
     """A JSON-safe summary of one run (what the CLI prints and saves).
 
-    Asynchronous runs additionally carry ``run_state`` — the server
-    loop's checkpointable state (policy RNG/counters, placement overlay,
-    bounded HIST channels) — so sweep checkpoint lines hold everything a
-    deterministic restart needs (``ServerLoop(..., restore_state=...)``).
+    Runs with restartable server state additionally carry ``run_state``
+    — the server loop's checkpointable state (policy RNG/counters,
+    placement overlay, bounded HIST channels) — so sweep checkpoint
+    lines hold everything a deterministic restart needs
+    (``ServerLoop(..., restore_state=...)``).
     """
     problem = prep.problem
     out = {

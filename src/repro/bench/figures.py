@@ -244,7 +244,7 @@ def fig2_sync_sgd_vs_reference(
     seed: int = 0,
     verbose: bool = True,
 ) -> dict:
-    """Engine SyncSGD vs single-process MLlib-style SGD, per iteration.
+    """Engine sync SGD vs single-process MLlib-style SGD, per iteration.
 
     The paper's Figure 2 shows the two trajectories coincide; we compare
     final errors after the same number of identical-step iterations.

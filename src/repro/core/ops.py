@@ -21,6 +21,7 @@ from repro.core.stat import StatTable
 from repro.engine.rdd import RDD
 from repro.engine.taskcontext import task_env
 from repro.utils.rng import spawn_generator
+from repro.utils.sizeof import sizeof_bytes
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.context import ASYNCContext
@@ -108,6 +109,10 @@ class RoundPlan:
     which makes the two bit-identical — ``tests/test_round_plan.py``
     pins it. ``fraction=None`` skips sampling (the kernel samples for
     itself); ``kernel`` is called as ``kernel(block, handle, seed)``.
+
+    ``submit(..., sync=True)`` runs them as a bulk-synchronous round
+    (``AsyncScheduler.run_sync_round``), each priced on the wire by its
+    kernel value alone — what ``run_job`` ships per partition.
     """
 
     def __init__(
@@ -128,8 +133,11 @@ class RoundPlan:
         self.ac = ac
         self.granularity = granularity
 
-    def submit(self, handle: Any, seed: int) -> list[int]:
-        """Submit one round; returns the workers that received tasks."""
+    def submit(
+        self, handle: Any, seed: int, sync: bool = False
+    ) -> list[int] | None:
+        """Submit one round; returns the workers that received tasks
+        (nothing for a ``sync`` round, which returns once it is done)."""
         source, fraction = self.source, self.fraction
         kernel, reduce = self.kernel, self.reduce
 
@@ -157,6 +165,11 @@ class RoundPlan:
 
             return fn
 
+        if sync:
+            return self.ac.scheduler.run_sync_round(
+                source.num_partitions, make_fn,
+                lambda value: sizeof_bytes(value[0]),
+            )
         return self.ac.scheduler.submit_round(
             source, make_fn, self.policy, self.granularity
         )

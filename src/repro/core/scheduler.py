@@ -17,6 +17,7 @@ then:
 This is the mechanism behind ASP / BSP / SSP, the user-defined filters
 of Listing 2, and the richer disciplines (client sampling, per-partition
 completion filtering, partition migration) the protocol enables.
+``run_sync_round`` is the synchronous algorithms' round instead.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from repro.cluster.backend import TaskMetrics, WorkerEnv
 from repro.core.policies import SchedulingPolicy, Target
-from repro.errors import SchedulerError
+from repro.errors import SchedulerError, TaskError, WorkerLostError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.context import ASYNCContext
@@ -45,13 +46,12 @@ class AsyncScheduler:
     def __init__(self, ac: "ASYNCContext") -> None:
         self.ac = ac
         self.in_flight = 0
-        self.rounds = 0
         self.tasks_submitted = 0
         #: Subset of ``tasks_submitted`` that carried partition identity.
         self.partition_tasks_submitted = 0
-        # task_id -> (model version, partition, comm manager) of every
-        # task in flight, read back by the shared continuation.
-        self._tasks: dict[int, tuple[int, int | None, Any]] = {}
+        # task_id -> (model version, partition, comm manager, sync retry
+        # state) of every task in flight, read by the one continuation.
+        self._tasks: dict[int, tuple[int, int | None, Any, Any]] = {}
         # The context's locality rule is static for the scheduler's
         # lifetime, so its partition -> worker map is computed once and
         # only the (usually tiny) placement overlay varies per round.
@@ -238,8 +238,44 @@ class AsyncScheduler:
                     "no tasks in flight; a selection policy must admit at "
                     "least one target when the cluster is idle"
                 )
-        self.rounds += 1
         return targets
+
+    def run_sync_round(
+        self,
+        num_partitions: int,
+        make_fn: TaskFactory,
+        out_bytes_of: Callable[[Any], int] | None = None,
+    ) -> None:
+        """One bulk-synchronous round: every partition, then a barrier.
+
+        No policy: partition ``p`` is the task ``make_fn(worker, [p])``,
+        tagged ``p`` and sent in partition order to the worker
+        ``JobScheduler.pick_worker`` picks, as ``run_job`` places it. A
+        task lost with its worker goes at once to the next alive one, at
+        most ``max_retries`` times (then a :class:`~repro.errors.TaskError`
+        is queued), so every partition counts once per round. Returns when
+        nothing is in flight; the results wait in the coordinator's queue.
+        """
+        ctx = self.ac.ctx
+        job = (make_fn, ctx.dispatcher.new_job_id(), out_bytes_of)
+        version = self.ac.coordinator.version
+        with ctx.backend.state_lock:
+            for split in range(num_partitions):
+                self._dispatch_partition(split, 0, version, job)
+        ctx.backend.run_until(
+            lambda: self.in_flight == 0, host_timeout_s=ctx.job_timeout_s
+        )
+
+    def _dispatch_partition(
+        self, split: int, attempt: int, version: int, job: tuple
+    ) -> None:
+        """Send attempt ``attempt`` of a sync round's partition ``split``."""
+        make_fn, job_id, out_bytes_of = job
+        worker = self.ac.ctx.scheduler.pick_worker(split, attempt)
+        self._dispatch(
+            worker, make_fn(worker, [split]), version, job_id,
+            partition=split, out_bytes_of=out_bytes_of, retry=(attempt, job),
+        )
 
     def _on_complete(
         self,
@@ -250,7 +286,7 @@ class AsyncScheduler:
         error: BaseException | None,
     ) -> None:
         """The one continuation of every dispatched task."""
-        version, partition, comm = self._tasks[task_id]
+        version, partition, comm, retry = self._tasks[task_id]
         del self._tasks[task_id]
         self.in_flight -= 1
         if error is None:
@@ -264,11 +300,23 @@ class AsyncScheduler:
                 partition=partition,
             )
         else:
-            self.ac.coordinator.on_result(
+            coordinator = self.ac.coordinator
+            coordinator.on_result(
                 task_id, wid, None, metrics, error,
                 version=version, batch_size=0,
                 partition=partition,
             )
+            if retry is None or not isinstance(error, WorkerLostError):
+                return  # a task error is queued; collect raises it
+            attempt, job = retry
+            if attempt < self.ac.ctx.scheduler.max_retries:
+                self._dispatch_partition(partition, attempt + 1, version, job)
+                return
+            coordinator.errors.append(TaskError(
+                f"partition {partition} failed after {attempt + 1} "
+                f"attempt(s): {error!r}",
+                task_id=task_id, worker_id=wid, cause=error,
+            ))
 
     def _dispatch(
         self,
@@ -277,6 +325,8 @@ class AsyncScheduler:
         version: int,
         job_id: int,
         partition: int | None = None,
+        out_bytes_of: Callable[[Any], int] | None = None,
+        retry: tuple | None = None,
     ) -> None:
         ac = self.ac
         self.in_flight += 1
@@ -290,6 +340,7 @@ class AsyncScheduler:
             # reduced payload; identity for "none") and the matching
             # wire-byte measure for the backend's network pricing.
             fn = comm.wrap_task_fn(fn, partition)
+            out_bytes_of = comm.out_bytes_of
         task_id = ac.ctx.dispatcher.submit(
             fn,
             worker_id,
@@ -297,8 +348,8 @@ class AsyncScheduler:
             job_id=job_id,
             in_bytes=ac.ctx.task_descriptor_bytes,
             partition=partition,
-            out_bytes_of=comm.out_bytes_of if comm is not None else None,
+            out_bytes_of=out_bytes_of,
         )
         # Recorded after submit returns: dispatch runs under
         # ``state_lock``, which every delivery also holds.
-        self._tasks[task_id] = (version, partition, comm)
+        self._tasks[task_id] = (version, partition, comm, retry)

@@ -6,9 +6,9 @@ locality rule), blocks until every task has delivered, and returns results
 in partition order. A worker lost mid-job triggers transparent retry on
 another worker, recomputing the partition from lineage.
 
-This path is what makes synchronous algorithms synchronous: the driver
-cannot observe any result until the barrier at the end of the job — the
-exact property the paper's ASYNC layer removes for asynchronous ones.
+It runs RDD actions and the optimizers' one-off full passes; the
+synchronous optimizers' rounds place and retry partitions by the same
+:meth:`JobScheduler.pick_worker` rule under the server loop.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class JobScheduler:
         outstanding = {"n": 0}
 
         def submit(split: int, attempt: int) -> None:
-            worker = self._pick_worker(split, attempt)
+            worker = self.pick_worker(split, attempt)
 
             def fn(env: WorkerEnv, _split: int = split) -> Any:
                 with task_env(env):
@@ -118,8 +118,10 @@ class JobScheduler:
         self.jobs_run += 1
         return [results[s] for s in splits]
 
-    def _pick_worker(self, split: int, attempt: int) -> int:
-        """Preferred locality with linear probing over alive workers."""
+    def pick_worker(self, split: int, attempt: int) -> int:
+        """Preferred locality with linear probing over alive workers:
+        the first alive worker of ``(split + attempt + k) % P``, k = 0,
+        1, ... (the server loop's synchronous rounds use it too)."""
         backend = self.ctx.backend
         n = backend.num_workers
         for probe in range(n):

@@ -443,12 +443,11 @@ class SweepCoordinator:
         key = message.get("key")
         if not isinstance(key, str):
             raise FabricError("result message missing string 'key'")
+        # A malformed frame raises ProtocolError, a FabricError: the
+        # connection answers it with an error reply and stays open.
         framed = message.get("summary")
         raw_b, wire_b = frame_bytes(framed)
-        try:
-            summary = decode_frame(framed)
-        except ProtocolError as exc:
-            raise FabricError(str(exc)) from exc
+        summary = decode_frame(framed)
         with self._lock:
             stats = self.comm_stats
             stats["frames"] += 1

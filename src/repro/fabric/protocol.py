@@ -33,6 +33,7 @@ import json
 import socket
 import struct
 
+from repro.comm.frames import MAX_MESSAGE_BYTES
 from repro.errors import ProtocolError
 
 __all__ = [
@@ -62,11 +63,6 @@ def clamp_retry_s(value) -> float:
     if retry != retry:  # NaN compares false everywhere
         return RETRY_MIN_S
     return min(max(retry, RETRY_MIN_S), RETRY_MAX_S)
-
-#: Upper bound on one frame. A cell summary is a few KB; even a dense
-#: trace-heavy bench result stays far below this. Anything larger is a
-#: corrupt or hostile frame, not sweep traffic.
-MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
 

@@ -12,16 +12,18 @@ reference implementations used for the MLlib comparison (Figure 2), and
 the partition-granular extensions (Hogwild-style immediate updates and
 federated averaging in :mod:`repro.optim.partitioned`).
 
-Asynchronous variants share one driver — :class:`repro.optim.loop.ServerLoop`
-— and each is only an :class:`repro.optim.loop.UpdateRule` with its
-mathematics, registered under its algorithm name. All components
+Every variant, synchronous or asynchronous, shares one driver —
+:class:`repro.optim.loop.ServerLoop` — and each is only an
+:class:`repro.optim.loop.UpdateRule` with its mathematics, registered
+under its algorithm name; a synchronous variant is its asynchronous rule
+with :class:`repro.optim.loop.BulkSynchronous` mixed in. All components
 self-register with :mod:`repro.api.registry`; :func:`build_optimizer`
 turns a name into a runnable optimizer (sync or async) for the object
 API, and ``repro.api.run_experiment`` does the same from a spec.
 """
 
-from repro.optim.admm import ADMMRule, SyncADMM
-from repro.optim.asaga import ASAGARule
+from repro.optim.admm import ADMMRule, BulkADMMRule
+from repro.optim.asaga import ASAGARule, SAGARule
 from repro.optim.asgd import ASGDRule
 from repro.optim.base import (
     DistributedOptimizer,
@@ -30,7 +32,7 @@ from repro.optim.base import (
     build_optimizer,
 )
 from repro.optim.lbfgs import AsyncLBFGSRule
-from repro.optim.loop import ServerLoop, UpdateRule
+from repro.optim.loop import BulkSynchronous, ServerLoop, UpdateRule
 from repro.optim.partitioned import HogwildRule, LocalSGDRule
 from repro.optim.problems import (
     LeastSquaresProblem,
@@ -39,8 +41,7 @@ from repro.optim.problems import (
     RidgeProblem,
 )
 from repro.optim.reference import reference_saga, reference_sgd
-from repro.optim.saga import SyncSAGA
-from repro.optim.sgd import SyncSGD
+from repro.optim.sgd import SGDRule
 from repro.optim.stepsize import (
     ConstantStep,
     InvSqrtDecay,
@@ -48,7 +49,7 @@ from repro.optim.stepsize import (
     StalenessScaled,
     StepSchedule,
 )
-from repro.optim.svrg import ASVRGRule, SyncSVRG
+from repro.optim.svrg import ASVRGRule, SVRGRule
 from repro.optim.trace import ConvergenceTrace
 
 __all__ = [
@@ -68,13 +69,14 @@ __all__ = [
     "build_optimizer",
     "ServerLoop",
     "UpdateRule",
-    "SyncSGD",
+    "BulkSynchronous",
+    "SGDRule",
     "ASGDRule",
-    "SyncSAGA",
+    "SAGARule",
     "ASAGARule",
-    "SyncSVRG",
+    "SVRGRule",
     "ASVRGRule",
-    "SyncADMM",
+    "BulkADMMRule",
     "ADMMRule",
     "AsyncLBFGSRule",
     "HogwildRule",

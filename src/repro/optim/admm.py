@@ -18,9 +18,11 @@ For least squares, each worker's x-update is a linear solve whose matrix
 pattern the ASYNC design makes natural (same mechanism as SAGA's version
 tables).
 
-The asynchronous variant applies the server update per received worker
-result with a running partial consensus (Zhang & Kwok [70] style): stale
-``x_i + u_i`` contributions simply overwrite that worker's slot.
+The asynchronous variant (``aadmm``) applies the server update per
+received worker result with a running partial consensus (Zhang & Kwok
+[70] style): stale ``x_i + u_i`` contributions simply overwrite that
+worker's slot. The synchronous one (``admm``) solves every partition
+each round and sets ``z`` to the mean of all of them.
 """
 
 from __future__ import annotations
@@ -31,14 +33,13 @@ from scipy import sparse
 from repro.api.registry import register_optimizer
 from repro.core.ops import find_barrier
 from repro.data.blocks import MatrixBlock
-from repro.engine.taskcontext import current_env, record_cost
+from repro.engine.taskcontext import current_env, record_cost, task_env
 from repro.errors import OptimError
-from repro.optim.base import DistributedOptimizer, RunResult, bc_value
-from repro.optim.loop import UpdateRule
+from repro.optim.base import bc_value
+from repro.optim.loop import BulkSynchronous, UpdateRule
 from repro.optim.problems import LeastSquaresProblem
-from repro.optim.trace import ConvergenceTrace
 
-__all__ = ["SyncADMM", "ADMMRule"]
+__all__ = ["ADMMRule", "BulkADMMRule"]
 
 
 def _solve_local(block: MatrixBlock, rho: float, rhs: np.ndarray,
@@ -53,7 +54,7 @@ def _solve_local(block: MatrixBlock, rho: float, rhs: np.ndarray,
     from scipy import linalg as sp_linalg
 
     env = current_env()
-    cached = env.get(cache_key) if env is not None else None
+    cached = env.get(cache_key)
     if cached is None:
         A, b = block.X, block.y
         if sparse.issparse(A):
@@ -64,8 +65,7 @@ def _solve_local(block: MatrixBlock, rho: float, rhs: np.ndarray,
         chol = sp_linalg.cho_factor(gram)
         atb = 2.0 * np.asarray(A.T @ b).ravel()
         cached = (chol, atb)
-        if env is not None:
-            env.put(cache_key, cached)
+        env.put(cache_key, cached)
         # Factorization is a d^3 event; charge it once.
         record_cost(block.dim * 2.0)
     chol, atb = cached
@@ -73,94 +73,42 @@ def _solve_local(block: MatrixBlock, rho: float, rhs: np.ndarray,
     return sp_linalg.cho_solve(chol, atb + rho * rhs)
 
 
-def _checked_rho(rho: float) -> float:
-    if rho <= 0:
-        raise OptimError("rho must be positive")
-    return rho
-
-
-def _require_least_squares(problem) -> None:
-    if not isinstance(problem, LeastSquaresProblem):
-        raise OptimError(
-            "ADMM's closed-form local solver supports least squares; "
-            f"got {type(problem).__name__}"
-        )
-
-
-def _worker_update_fn(points, rho: float, z_br, splits: list[int]):
-    """One worker's x- and u-updates over its local partitions.
+def _admm_tasks(points, rho: float, z_br):
+    """Task factory: one worker's x- and u-updates over ``splits``.
 
     Local duals u_i live in the worker's store; the task returns the
-    sum of ``x_i + u_i`` contributions plus their count. Worker-env keys
-    carry a fixed ``"admm"`` tag, not an id()/counter: each run's
-    backend owns fresh worker envs, so it cannot collide across runs,
-    and a restored run in a new process derives the same keys.
+    sum of ``x_i + u_i`` contributions plus their count. It runs under
+    ``task_env(env)``, so the local solver caches its factorization in
+    that store and reports its cost. Worker-env keys carry a fixed
+    ``"admm"`` tag, not an id()/counter: each run's backend owns fresh
+    worker envs, so it cannot collide across runs, and a restored run in
+    a new process derives the same keys.
     """
 
-    def fn(env):
-        z = bc_value(z_br)
-        total = np.zeros_like(z)
-        count = 0
-        for split in splits:
-            block = points.iterator(split, env)[0]
-            u_key = ("admm_u", "admm", split)
-            u = env.get(u_key)
-            if u is None:
-                u = np.zeros_like(z)
-            x = _solve_local(block, rho, z - u, ("admm_chol", "admm", split))
-            u = u + x - z
-            env.put(u_key, u)
-            total += x + u
-            count += 1
-        return total, count
+    def make_fn(worker_id: int, splits: list[int]):
+        def fn(env):
+            with task_env(env):
+                z = bc_value(z_br)
+                total = np.zeros_like(z)
+                count = 0
+                for split in splits:
+                    block = points.iterator(split, env)[0]
+                    u_key = ("admm_u", "admm", split)
+                    u = env.get(u_key)
+                    if u is None:
+                        u = np.zeros_like(z)
+                    x = _solve_local(
+                        block, rho, z - u, ("admm_chol", "admm", split)
+                    )
+                    u = u + x - z
+                    env.put(u_key, u)
+                    total += x + u
+                    count += 1
+                return total, count
 
-    return fn
+        return fn
 
-
-@register_optimizer("admm")
-class SyncADMM(DistributedOptimizer):
-    """Bulk-synchronous consensus ADMM (one z-update per round)."""
-
-    name = "admm"
-
-    def __init__(self, *args, rho: float = 1.0, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.rho = _checked_rho(rho)
-        _require_least_squares(self.problem)
-
-    def run(self) -> RunResult:
-        problem = self.problem
-        z = problem.initial_point()
-        trace = ConvergenceTrace()
-        trace.record(self.ctx.now(), 0, z)
-        metrics_start = len(self.ctx.dispatcher.metrics_log)
-        num_parts = self.points.num_partitions
-
-        updates = 0
-        while not self._should_stop(updates):
-            z_br = self.ctx.broadcast(np.array(z, copy=True))
-
-            def task(split: int, data: list, _z=z_br):
-                fn = _worker_update_fn(self.points, self.rho, _z, [split])
-                return fn(current_env())
-
-            parts = self.ctx.run_job(self.points, task)
-            total = sum(p[0] for p in parts)
-            count = sum(p[1] for p in parts)
-            assert count == num_parts
-            z = total / count
-            updates += 1
-            if updates % self.config.eval_every == 0:
-                trace.record(self.ctx.now(), updates, z)
-
-        if trace.updates[-1] != updates:
-            trace.record(self.ctx.now(), updates, z)
-        return RunResult(
-            w=z, trace=trace, updates=updates, elapsed_ms=self.ctx.now(),
-            rounds=updates, algorithm=self.name,
-            metrics=self._metrics_window(metrics_start),
-            extras={"rho": self.rho},
-        )
+    return make_fn
 
 
 @register_optimizer("aadmm")
@@ -178,10 +126,17 @@ class ADMMRule(UpdateRule):
     needs_alpha = False  # the z-update is a mean, not a gradient step
 
     def __init__(self, rho: float = 1.0) -> None:
-        self.rho = _checked_rho(rho)
+        if rho <= 0:
+            raise OptimError("rho must be positive")
+        self.rho = rho
 
     def bind(self, loop):
-        _require_least_squares(loop.opt.problem)
+        problem = loop.opt.problem
+        if not isinstance(problem, LeastSquaresProblem):
+            raise OptimError(
+                "ADMM's closed-form local solver supports least squares; "
+                f"got {type(problem).__name__}"
+            )
         super().bind(loop)
         opt = self.opt
         self.num_parts = opt.points.num_partitions
@@ -196,10 +151,7 @@ class ADMMRule(UpdateRule):
         gated = opt.points.async_barrier(policy, ac.stat)
         # Dispatch one locally-reducing ADMM task per eligible worker.
         ac.scheduler.submit_round(
-            gated,
-            lambda w, splits, _z=handle: _worker_update_fn(
-                opt.points, self.rho, _z, splits
-            ),
+            gated, _admm_tasks(opt.points, self.rho, handle),
             find_barrier(gated) or policy,
         )
 
@@ -219,3 +171,16 @@ class ADMMRule(UpdateRule):
     def extras(self):
         return {"rho": self.rho}
 
+
+@register_optimizer("admm")
+class BulkADMMRule(BulkSynchronous, ADMMRule):
+    """Bulk-synchronous consensus ADMM: every partition solves each
+    round, then ``z`` is the mean of all ``x_i + u_i``."""
+
+    def dispatch(self, handle, seed):
+        self.loop.ac.scheduler.run_sync_round(
+            self.num_parts, _admm_tasks(self.opt.points, self.rho, handle)
+        )
+
+    def apply_round(self, z, record):
+        return record.value / record.batch_size

@@ -1,15 +1,16 @@
-"""ASAGA (Algorithm 4): asynchronous SAGA via ASYNCbroadcast.
+"""SAGA's two rules: ASAGA (Algorithm 4) and synchronous SAGA (Algorithm 3).
 
-Identical mathematics to :mod:`repro.optim.saga`, different execution:
-each available worker independently samples its local partitions,
-recomputes historical gradients from its *local* version cache (the
+Both run the machinery of :mod:`repro.optim.saga`. In ASAGA each
+available worker independently samples its local partitions, recomputes
+historical gradients from its *local* version cache (the
 ASYNCbroadcaster means only ids travel), and the server applies one SAGA
 update per collected result. ``averageHistory`` is maintained server-side
 exactly as in the paper's Algorithm 4 line 8.
 
-The async driver is the shared :class:`repro.optim.loop.ServerLoop`;
+The driver is the shared :class:`repro.optim.loop.ServerLoop`:
 :class:`ASAGARule`, registered as ``"asaga"``, contributes SAGA's
-history bookkeeping.
+history bookkeeping, and :class:`SAGARule` (``"saga"``) runs the same
+rule in bulk-synchronous rounds — every partition, then one update.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_optimizer
-from repro.optim.loop import UpdateRule
+from repro.optim.loop import BulkSynchronous, UpdateRule
 from repro.optim.reducers import add_triples
 from repro.optim.saga import (
     BroadcastMode,
@@ -26,7 +27,7 @@ from repro.optim.saga import (
     saga_partition_kernel,
 )
 
-__all__ = ["ASAGARule"]
+__all__ = ["ASAGARule", "SAGARule"]
 
 
 @register_optimizer("asaga")
@@ -51,10 +52,8 @@ class ASAGARule(UpdateRule):
 
     def bind(self, loop):
         super().bind(loop)
-        # Share the coordinator-owned HIST store: SAGA's channels appear
-        # in the run's history accounting and checkpoint surface. The
-        # COMM manager rides along so SAGA's private broadcaster prices
-        # its model channel and prunes it at the watermark floor.
+        # SAGA's channels live in the run's HIST store (accounting and
+        # checkpoints); COMM prices and prunes its model channel.
         self.state = SagaState(
             self.opt.ctx, self.opt.problem, self.mode,
             store=self.history, comm=loop.comm,
@@ -98,3 +97,7 @@ class ASAGARule(UpdateRule):
             "avg_hist_norm": float(np.linalg.norm(self.state.avg_hist)),
         }
 
+
+@register_optimizer("saga")
+class SAGARule(BulkSynchronous, ASAGARule):
+    """Bulk-synchronous SAGA with pluggable broadcast strategy."""

@@ -3,18 +3,19 @@
 Every distributed optimizer follows the same driver shape:
 
 1. build/receive a :class:`~repro.engine.matrix.MatrixRDD` of the data,
-2. loop rounds: broadcast the model, launch gradient tasks (BSP job for
-   synchronous methods, ASYNC round for asynchronous ones), apply
-   update(s),
+2. loop rounds: broadcast the model, launch gradient tasks (every
+   partition, then a barrier, for synchronous methods; a policy-gated
+   round for asynchronous ones), apply update(s),
 3. record snapshots into a :class:`~repro.optim.trace.ConvergenceTrace`,
 4. stop on ``max_updates`` or ``max_time_ms``.
 
-An asynchronous algorithm is one registered
-:class:`~repro.optim.loop.UpdateRule`; :class:`DistributedOptimizer`
-hosts it and its ``run`` is the shared server loop. The synchronous
-methods are still subclasses that override ``run``.
-:func:`build_optimizer` turns a registered name into a host either way —
-mirroring the paper's claim that sync -> async is "a few extra lines".
+That driver is :class:`~repro.optim.loop.ServerLoop`, and an algorithm
+is one registered :class:`~repro.optim.loop.UpdateRule` — a synchronous
+one is its asynchronous rule with
+:class:`~repro.optim.loop.BulkSynchronous` mixed in.
+:class:`DistributedOptimizer` hosts the rule and :func:`build_optimizer`
+turns a registered name into a host — mirroring the paper's claim that
+sync -> async is "a few extra lines".
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class OptimizerConfig:
     #: averaging) override this.
     granularity: str = "worker"
     #: Mid-run crash-recovery snapshots: every ``snapshot_every`` applied
-    #: updates the async server loop atomically replaces
+    #: updates the server loop atomically replaces
     #: ``snapshot_path`` with its full run snapshot (model iterate,
     #: counters, policy/placement/HIST state). 0 disables; both fields
     #: must be set together.
@@ -125,8 +126,8 @@ class RunResult:
     """Everything a benchmark needs from one optimization run.
 
     ``extras`` carries per-algorithm diagnostics under a common schema.
-    Every *asynchronous* optimizer (the :class:`~repro.optim.loop.ServerLoop`
-    guarantees this) reports at least:
+    Every optimizer (the :class:`~repro.optim.loop.ServerLoop` guarantees
+    this) reports at least:
 
     - ``lost_tasks`` — tasks dropped to worker failure,
     - ``collected`` — results the server consumed (>= ``updates``; late
@@ -160,14 +161,11 @@ class RunResult:
 class DistributedOptimizer:
     """The host: owns the context, data RDD, problem and schedule.
 
-    Given an asynchronous ``rule``, :meth:`run` drives it through the
-    shared :class:`~repro.optim.loop.ServerLoop`; ``name`` is the
-    registered algorithm name, which salts every round's sampling seed
-    and labels the result. Synchronous methods subclass the host and
-    override :meth:`run`.
+    :meth:`run` drives the ``rule`` through the shared
+    :class:`~repro.optim.loop.ServerLoop`; ``name`` is the registered
+    algorithm name, which salts every round's sampling seed and labels
+    the result.
     """
-
-    name = "base"
 
     def __init__(
         self,
@@ -178,8 +176,8 @@ class DistributedOptimizer:
         config: OptimizerConfig | None = None,
         policy: SchedulingPolicy | None = None,
         *,
-        rule: "UpdateRule | None" = None,
-        name: str | None = None,
+        rule: "UpdateRule",
+        name: str,
     ) -> None:
         if points.dim != problem.dim:
             raise OptimError(
@@ -192,13 +190,12 @@ class DistributedOptimizer:
         self.config = config or OptimizerConfig()
         #: The run's scheduling policy; ``None`` means ASP (the server
         #: loop coerces it once, so every asynchronous method shares the
-        #: default).
+        #: default). Synchronous rounds dispatch without one.
         self.policy = policy
-        #: The asynchronous algorithm, as constructed from its params;
-        #: each :meth:`run` binds a fresh copy of it.
+        #: The algorithm's rule, as constructed from its params; each
+        #: :meth:`run` binds a fresh copy of it.
         self.rule = rule
-        if name is not None:
-            self.name = name
+        self.name = name
         self.n_total = points.n_rows
         #: A run snapshot (or bare server-state dict) to resume from;
         #: the spec layer sets it from ``restore_from`` and the server
@@ -212,7 +209,7 @@ class DistributedOptimizer:
         #: every pre-COMM byte path bit-exact.
         self.comm: Any = None
 
-    # -- helpers shared by subclasses -------------------------------------------------
+    # -- helpers the server loop and rules read ---------------------------------------
     def _round_seed(self, round_idx: int) -> int:
         """``stable_hash((config.seed, name, round_idx))``; the constant
         ``(seed, name)`` prefix is hashed once, not every round."""
@@ -224,9 +221,6 @@ class DistributedOptimizer:
             return max(updates, 1)
         per_pass = max(self.ctx.num_workers, 1)
         return max(1, -(-updates // per_pass))  # ceil division
-
-    def _metrics_window(self, start_len: int) -> list:
-        return self.ctx.dispatcher.metrics_log[start_len:]
 
     def _should_stop(self, updates: int) -> bool:
         return (
@@ -242,10 +236,6 @@ class DistributedOptimizer:
         """
         from repro.optim.loop import ServerLoop  # loop imports this module
 
-        if self.rule is None:
-            raise OptimError(
-                f"{type(self).__name__} has no update rule to run"
-            )
         return ServerLoop(self, copy.deepcopy(self.rule)).run()
 
 
@@ -262,20 +252,16 @@ def build_optimizer(
 ) -> DistributedOptimizer:
     """Construct the optimizer registered as ``name`` (sync or async).
 
-    A registered :class:`~repro.optim.loop.UpdateRule` is built from
-    ``params`` and hosted by a plain :class:`DistributedOptimizer` under
-    its canonical name; any other registered factory (the synchronous
-    classes) receives the host arguments plus ``params`` directly.
+    The registered :class:`~repro.optim.loop.UpdateRule` is built from
+    ``params`` and hosted by a :class:`DistributedOptimizer` under its
+    canonical name.
     """
-    from repro.optim.loop import is_update_rule  # loop imports this module
-
     factory = OPTIMIZERS.get(name)
     try:
-        if is_update_rule(factory):
-            return DistributedOptimizer(
-                ctx, points, problem, step, config, policy,
-                rule=factory(**params), name=OPTIMIZERS.canonical(name),
-            )
-        return factory(ctx, points, problem, step, config, policy, **params)
+        rule = factory(**params)
     except TypeError as exc:
         raise ApiError(f"bad params for optimizer {name!r}: {exc}") from exc
+    return DistributedOptimizer(
+        ctx, points, problem, step, config, policy,
+        rule=rule, name=OPTIMIZERS.canonical(name),
+    )

@@ -1,6 +1,7 @@
-"""The composable asynchronous server loop (the paper's Algorithm 2 shape).
+"""The composable server loop (the paper's Algorithm 2 shape).
 
-Every asynchronous optimizer in this library runs the same driver:
+Every optimizer in this library, synchronous or asynchronous, runs the
+same driver:
 
 1. publish the current model (broadcast),
 2. let the scheduling policy decide when and to which targets to
@@ -49,6 +50,10 @@ a new asynchronous method is one UpdateRule registered with
 ``@register_optimizer`` (its constructor takes the spec's ``params``),
 not a re-implementation of the driver. See
 :class:`repro.optim.asgd.ASGDRule` for the canonical ~30-line example.
+Its synchronous variant is the same rule with :class:`BulkSynchronous`
+mixed in ahead of it — each round dispatches every partition and waits
+for all of them, then applies one update — which is how ``sgd``,
+``saga``, ``svrg`` and ``admm`` are defined.
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.records import TaskResultRecord
     from repro.optim.base import DistributedOptimizer
 
-__all__ = ["UpdateRule", "ServerLoop", "is_update_rule"]
+__all__ = ["UpdateRule", "BulkSynchronous", "ServerLoop"]
 
 
 class UpdateRule:
@@ -175,13 +180,60 @@ class UpdateRule:
         return {}
 
 
-def is_update_rule(factory: Any) -> bool:
-    """Whether a registered optimizer factory is an asynchronous rule."""
-    return isinstance(factory, type) and issubclass(factory, UpdateRule)
+class BulkSynchronous(UpdateRule):
+    """A rule's synchronous variant: one bulk-synchronous round per update.
+
+    Mixed in ahead of an asynchronous rule (``class SGDRule(
+    BulkSynchronous, ASGDRule)``). Each round sends every partition to
+    its owner and blocks until all have delivered — the Spark/MLlib
+    iteration, which costs the slowest worker's time. :meth:`apply`
+    holds results until the round is complete (returning ``None``, so
+    the loop counts one update per round), sums them in partition order
+    and hands the sum to :meth:`apply_round`. An algorithm is
+    synchronous exactly when its registered rule is a subclass.
+    """
+
+    granularity = "partition"
+    needs_alpha = False  # apply_round takes the undivided schedule
+
+    def bind(self, loop: "ServerLoop") -> None:
+        super().bind(loop)
+        self.num_partitions = self.opt.points.num_partitions
+        self.held: dict[int, "TaskResultRecord"] = {}
+
+    def dispatch(self, handle, seed: int) -> None:
+        self.plan.submit(handle, seed, sync=True)
+
+    def apply(self, w, record: "TaskResultRecord", alpha: float | None):
+        held = self.held
+        held[record.partition] = record
+        if len(held) < self.num_partitions:
+            return None
+        records = [held.pop(p) for p in range(self.num_partitions)]
+        record.value = _sum_in_order([r.value for r in records])
+        record.batch_size = sum(r.batch_size for r in records)
+        return self.apply_round(w, record)
+
+    def apply_round(self, w, record: "TaskResultRecord"):
+        """The update for one round's summed ``record``: by default the
+        asynchronous rule's ``apply`` at the undivided ``step.alpha(t)``."""
+        t = self.loop.updates + 1
+        return super().apply(w, record, self.opt.step.alpha(t))
+
+    def extras(self) -> dict:
+        # No policy gates these rounds; say so instead of "ASP".
+        return {**super().extras(), "policy": "bulk-synchronous"}
+
+
+def _sum_in_order(values: list) -> Any:
+    """``sum`` over each leaf of equally shaped tuples, in list order."""
+    if isinstance(values[0], tuple):
+        return tuple(_sum_in_order(list(leaf)) for leaf in zip(*values))
+    return sum(values)
 
 
 class ServerLoop:
-    """Owns the asynchronous driver; delegates mathematics to the rule.
+    """Owns the driver, sync or async; delegates mathematics to the rule.
 
     Everything a run is configured by lives on the host optimizer:
     ``opt.config`` (budget, pipelining, mid-run snapshot cadence and
@@ -476,6 +528,6 @@ class ServerLoop:
             elapsed_ms=end_ms,
             rounds=self.rounds,
             algorithm=rule.algorithm_label(),
-            metrics=opt._metrics_window(self.metrics_start),
+            metrics=opt.ctx.dispatcher.metrics_log[self.metrics_start:],
             extras=extras,
         )

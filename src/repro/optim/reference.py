@@ -4,9 +4,11 @@ Figure 2 of the paper establishes that ASYNC's synchronous SGD matches
 MLlib's. We cannot run Spark/MLlib here, so the comparison target is an
 independent, straight-line NumPy implementation of the *identical*
 algorithm (MLlib's ``GradientDescent``: mini-batch fraction sampling,
-``a / sqrt(t)`` decay, average-of-batch gradient). If the engine-based
-SyncSGD and this reference produce matching trajectories, the engine adds
-no algorithmic distortion — which is the claim Figure 2 makes.
+``a / sqrt(t)`` decay, average-of-batch gradient). If the engine's
+``sgd`` — ASGD's rule run in bulk-synchronous rounds under the same
+server loop every asynchronous method uses — and this reference produce
+matching trajectories, the engine adds no algorithmic distortion, which
+is the claim Figure 2 makes.
 
 ``reference_saga`` plays the same role for the SAGA family.
 """

@@ -1,4 +1,4 @@
-"""SAGA (Algorithm 3) — synchronous, with two broadcast strategies.
+"""SAGA machinery shared by ``saga`` and ``asaga``: two broadcast strategies.
 
 The paper's SAGA variant stores, for every sample, the *model parameter
 version* at which its gradient was last evaluated; workers recompute
@@ -22,7 +22,9 @@ Update rule (standard SAGA, which the paper's loose pseudocode intends):
     A     <- A + (1/n) sum_{s in S} (grad f_s(w) - grad f_s(phi_s))
 
 where ``A`` is the running average of stored per-sample gradients and
-``phi_s`` the stored parameter version for sample ``s``.
+``phi_s`` the stored parameter version for sample ``s``. The two rules,
+``ASAGARule`` and its bulk-synchronous ``SAGARule``, live in
+:mod:`repro.optim.asaga`.
 """
 
 from __future__ import annotations
@@ -31,20 +33,17 @@ from typing import Any, Literal
 
 import numpy as np
 
-from repro.api.registry import register_optimizer
 from repro.core.broadcaster import AsyncBroadcaster
 from repro.core.history import HistoryStore
 from repro.data.blocks import MatrixBlock
 from repro.engine.taskcontext import current_env, record_cost
 from repro.errors import OptimError
-from repro.optim.base import DistributedOptimizer, RunResult
+from repro.optim.base import DistributedOptimizer
 from repro.optim.problems import Problem
-from repro.optim.trace import ConvergenceTrace
 from repro.utils.rng import spawn_generator
 from repro.utils.sizeof import sizeof_bytes
 
 __all__ = [
-    "SyncSAGA",
     "SagaState",
     "saga_partition_kernel",
     "initialize_history",
@@ -99,10 +98,8 @@ class _NaiveHandle:
 class SagaState:
     """Driver-side SAGA bookkeeping shared by the sync and async variants.
 
-    All server-side history lives in HIST channels of one
-    :class:`~repro.core.history.HistoryStore` (the async variant shares
-    the run's coordinator-owned store, the sync variant owns a private
-    one):
+    All server-side history lives in HIST channels of the run's
+    coordinator-owned :class:`~repro.core.history.HistoryStore`:
 
     - ``saga`` — the broadcast model versions (``keep="all"``:
       workers re-reference any ``phi_s`` version by id),
@@ -110,12 +107,12 @@ class SagaState:
       (``keep="last:1"``: only the current running average matters),
     - ``saga/table`` — naive mode's ever-growing parameter table.
 
-    Channel names are *process-stable*: derived from the (fixed) default
-    or the caller's ``channel``, never from a per-process counter, so a
-    checkpointed ``run_state`` restores into a fresh process — e.g. a
-    fabric worker resuming another host's run — with channels that match
-    by name. Per-run isolation comes from each run owning its store (and
-    its backend's worker envs), not from unique tags.
+    Channel names are *process-stable*: fixed, never derived from a
+    per-process counter, so a checkpointed ``run_state`` restores into a
+    fresh process — e.g. a fabric worker resuming another host's run —
+    with channels that match by name. Per-run isolation comes from each
+    run owning its store (and its backend's worker envs), not from
+    unique tags.
     """
 
     def __init__(
@@ -123,8 +120,7 @@ class SagaState:
         ctx,
         problem: Problem,
         mode: BroadcastMode,
-        channel: str | None = None,
-        store: HistoryStore | None = None,
+        store: HistoryStore,
         comm=None,
     ) -> None:
         if mode not in ("history", "naive"):
@@ -132,8 +128,8 @@ class SagaState:
         self.ctx = ctx
         self.problem = problem
         self.mode = mode
-        self.store = store if store is not None else HistoryStore(clock=ctx.now)
-        self.channel = channel or "saga"
+        self.store = store
+        self.channel = "saga"
         self._avg = self.store.channel(f"{self.channel}/avg_hist", keep="last:1")
         self._avg.append(np.zeros(problem.dim))
         self.broadcaster = AsyncBroadcaster(ctx, store=self.store)
@@ -284,72 +280,3 @@ def initialize_history(
 
     parts = opt.ctx.run_job(opt.points, full_grad)
     state.avg_hist = sum(parts) / opt.n_total
-
-
-@register_optimizer("saga")
-class SyncSAGA(DistributedOptimizer):
-    """Bulk-synchronous SAGA with pluggable broadcast strategy."""
-
-    name = "saga"
-    uses_history = True
-
-    def __init__(self, *args, mode: BroadcastMode = "history", **kwargs):
-        super().__init__(*args, **kwargs)
-        self.mode = mode
-
-    def run(self) -> RunResult:
-        cfg = self.config
-        problem = self.problem
-        state = SagaState(self.ctx, problem, self.mode)
-        w = problem.initial_point()
-        trace = ConvergenceTrace()
-        trace.record(self.ctx.now(), 0, w)
-
-        initialize_history(self, state, w)
-        # Wait-time accounting starts after the setup pass: the paper's
-        # metric is "average wait time per iteration".
-        metrics_start = len(self.ctx.dispatcher.metrics_log)
-        updates = 0
-        while not self._should_stop(updates):
-            handle = state.publish(w)
-            seed = self._round_seed(updates + 1)
-
-            def saga_task(split: int, data: list, _handle=handle, _seed=seed):
-                return saga_partition_kernel(
-                    problem,
-                    data[0],
-                    _handle,
-                    state.versions_key(data[0].block_id),
-                    cfg.batch_fraction,
-                    _seed,
-                )
-
-            parts = self.ctx.run_job(self.points, saga_task)
-            g_new = sum(p[0] for p in parts)
-            g_old = sum(p[1] for p in parts)
-            count = sum(p[2] for p in parts)
-
-            updates += 1
-            alpha = self.step.alpha(updates)
-            w = state.apply_update(w, alpha, g_new, g_old, count, self.n_total)
-            if updates % cfg.eval_every == 0:
-                trace.record(self.ctx.now(), updates, w)
-
-        if trace.updates[-1] != updates:
-            trace.record(self.ctx.now(), updates, w)
-        return RunResult(
-            w=w,
-            trace=trace,
-            updates=updates,
-            elapsed_ms=self.ctx.now(),
-            rounds=updates,
-            algorithm=f"{self.name}[{self.mode}]",
-            metrics=self._metrics_window(metrics_start),
-            extras={
-                "mode": self.mode,
-                "naive_broadcast_bytes": state.naive_broadcast_bytes,
-                "avg_hist_norm": float(np.linalg.norm(state.avg_hist)),
-                "history": state.store.accounting(),
-                "history_bytes": state.store.total_stored_bytes,
-            },
-        )

@@ -1,75 +1,24 @@
-"""Synchronous mini-batch SGD (Algorithm 1) on the BSP engine path.
+"""Synchronous mini-batch SGD (Algorithm 1): ASGD's rule in BSP rounds.
 
-Each iteration: broadcast ``w``, run one gradient task per partition
-(sample a ``b`` fraction of the partition's rows, return the gradient sum
-and count), block at the job barrier, average, take one step. This is the
-Spark/MLlib execution model: the iteration time is the *slowest* worker's
-time, which is exactly why stragglers hurt (Figures 3-8, "Sync" lines).
+Each round: broadcast ``w``, run one gradient task per partition (sample
+a ``b`` fraction of the partition's rows, return the gradient sum and
+count), wait for all of them, sum in partition order, take one step.
+This is the Spark/MLlib execution model: the iteration time is the
+*slowest* worker's time, which is exactly why stragglers hurt (Figures
+3-8, "Sync" lines). The mathematics is :class:`~repro.optim.asgd.
+ASGDRule`'s; :class:`~repro.optim.loop.BulkSynchronous` supplies the
+rounds.
 """
 
 from __future__ import annotations
 
 from repro.api.registry import register_optimizer
-from repro.data.blocks import MatrixBlock
-from repro.optim.base import DistributedOptimizer, RunResult, bc_value
-from repro.optim.trace import ConvergenceTrace
+from repro.optim.asgd import ASGDRule
+from repro.optim.loop import BulkSynchronous
 
-__all__ = ["SyncSGD"]
+__all__ = ["SGDRule"]
 
 
 @register_optimizer("sgd")
-class SyncSGD(DistributedOptimizer):
+class SGDRule(BulkSynchronous, ASGDRule):
     """Bulk-synchronous distributed mini-batch SGD."""
-
-    name = "sgd"
-
-    def run(self) -> RunResult:
-        cfg = self.config
-        problem = self.problem
-        w = problem.initial_point()
-        trace = ConvergenceTrace()
-        trace.record(self.ctx.now(), 0, w)
-        metrics_start = len(self.ctx.dispatcher.metrics_log)
-
-        updates = 0
-        while not self._should_stop(updates):
-            w_br = self.ctx.broadcast(w)
-            batch = self.points.sample(
-                cfg.batch_fraction, seed=self._round_seed(updates)
-            )
-
-            def grad_task(split: int, data: list, _w_br=w_br):
-                w_local = bc_value(_w_br)
-                g_sum = None
-                count = 0
-                for block in data:
-                    assert isinstance(block, MatrixBlock)
-                    g = problem.grad_sum(block.X, block.y, w_local)
-                    g_sum = g if g_sum is None else g_sum + g
-                    count += block.rows
-                return g_sum, count
-
-            parts = self.ctx.run_job(batch, grad_task)
-            g_total = sum(p[0] for p in parts if p[0] is not None)
-            count = sum(p[1] for p in parts)
-            if count == 0:
-                raise RuntimeError("empty mini-batch")
-            g = (g_total + problem.reg_grad(w, count)) / count
-
-            updates += 1
-            w = w - self.step.alpha(updates) * g
-            if updates % cfg.eval_every == 0:
-                trace.record(self.ctx.now(), updates, w)
-            w_br.destroy()
-
-        if trace.updates[-1] != updates:
-            trace.record(self.ctx.now(), updates, w)
-        return RunResult(
-            w=w,
-            trace=trace,
-            updates=updates,
-            elapsed_ms=self.ctx.now(),
-            rounds=updates,
-            algorithm=self.name,
-            metrics=self._metrics_window(metrics_start),
-        )

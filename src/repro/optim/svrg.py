@@ -6,14 +6,16 @@ mini-batch iterations with the variance-reduced direction
 
     g = (1/|S|) sum_s [grad f_s(w) - grad f_s(w_tilde)] + mu
 
-— synchronously (SyncSVRG) or through the ASYNC layer (ASVRGRule,
-registered as ``"asvrg"``), where asynchronous updates happen *between*
-the epoch barriers. This is the class of algorithms [29, 56, 71] the
-paper says ASYNC supports by mixing its async primitives with Spark's
-synchronous reductions. The async
-variant demonstrates :class:`repro.optim.loop.ServerLoop`'s epoch hooks:
-``begin_epoch`` drains in-flight work and takes the synchronous pass;
-both variants share :func:`_full_gradient` and :func:`_vr_direction`.
+— through the ASYNC layer (ASVRGRule, registered as ``"asvrg"``), where
+asynchronous updates happen *between* the epoch barriers, or in
+bulk-synchronous rounds (SVRGRule, ``"svrg"``: the same rule with
+:class:`~repro.optim.loop.BulkSynchronous` mixed in). This is the class
+of algorithms [29, 56, 71] the paper says ASYNC supports by mixing its
+async primitives with Spark's synchronous reductions. The rule
+demonstrates :class:`repro.optim.loop.ServerLoop`'s epoch hooks:
+``begin_epoch`` drains in-flight work and takes the synchronous pass
+(:func:`_full_gradient`). ``RunResult.rounds`` counts inner rounds;
+``extras["epochs"]`` counts epochs.
 """
 
 from __future__ import annotations
@@ -24,19 +26,11 @@ from repro.api.registry import register_optimizer
 from repro.data.blocks import MatrixBlock
 from repro.engine.taskcontext import record_cost
 from repro.errors import OptimError
-from repro.optim.base import DistributedOptimizer, RunResult, bc_value
-from repro.optim.loop import UpdateRule
-from repro.optim.problems import Problem
+from repro.optim.base import DistributedOptimizer, bc_value
+from repro.optim.loop import BulkSynchronous, UpdateRule
 from repro.optim.reducers import add_vr_pairs
-from repro.optim.trace import ConvergenceTrace
 
-__all__ = ["SyncSVRG", "ASVRGRule"]
-
-
-def _checked_inner_iterations(inner_iterations: int) -> int:
-    if inner_iterations <= 0:
-        raise OptimError("inner_iterations must be positive")
-    return inner_iterations
+__all__ = ["ASVRGRule", "SVRGRule"]
 
 
 def _full_gradient(opt: DistributedOptimizer, w: np.ndarray) -> np.ndarray:
@@ -56,93 +50,6 @@ def _full_gradient(opt: DistributedOptimizer, w: np.ndarray) -> np.ndarray:
     return mu
 
 
-def _vr_direction(
-    problem: Problem, g_new, g_old, count, mu, w, w_tilde,
-    weight: float = 1.0,
-):
-    """The variance-reduced direction around the anchor ``w_tilde``."""
-    innovation = (g_new - g_old) / count
-    if weight != 1.0:
-        # Weight-aware variance reduction: a discounted (stale)
-        # result contributes less innovation; as weight -> 0 the
-        # direction falls back to the trusted anchor gradient mu.
-        innovation = weight * innovation
-    g = innovation + mu
-    # mu already contains the regularizer gradient at w_tilde; correct
-    # it to the current iterate (deterministic, never discounted).
-    if problem.lam:
-        g = g + problem.lam * (w - w_tilde)
-    return g
-
-
-@register_optimizer("svrg")
-class SyncSVRG(DistributedOptimizer):
-    """Synchronous SVRG (Johnson & Zhang) on the BSP path."""
-
-    name = "svrg"
-    uses_history = True
-
-    def __init__(self, *args, inner_iterations: int = 10, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.inner_iterations = _checked_inner_iterations(inner_iterations)
-
-    def run(self) -> RunResult:
-        cfg = self.config
-        problem = self.problem
-        w = problem.initial_point()
-        trace = ConvergenceTrace()
-        trace.record(self.ctx.now(), 0, w)
-        metrics_start = len(self.ctx.dispatcher.metrics_log)
-
-        updates = 0
-        epoch = 0
-        while not self._should_stop(updates):
-            w_tilde = np.array(w, copy=True)
-            mu = _full_gradient(self, w_tilde)
-            wt_br = self.ctx.broadcast(w_tilde)
-            epoch += 1
-            for _ in range(self.inner_iterations):
-                if self._should_stop(updates):
-                    break
-                w_br = self.ctx.broadcast(w)
-                batch = self.points.sample(
-                    cfg.batch_fraction, seed=self._round_seed(updates + 1)
-                )
-
-                def task(split: int, data: list, _w=w_br, _wt=wt_br):
-                    g_sum = None
-                    h_sum = None
-                    count = 0
-                    for block in data:
-                        g = problem.grad_sum(block.X, block.y, bc_value(_w))
-                        h = problem.grad_sum(block.X, block.y, bc_value(_wt))
-                        record_cost(block.cost_units())
-                        g_sum = g if g_sum is None else g_sum + g
-                        h_sum = h if h_sum is None else h_sum + h
-                        count += block.rows
-                    return (g_sum, h_sum), count
-
-                parts = self.ctx.run_job(batch, task)
-                g_new = sum(p[0][0] for p in parts if p[0][0] is not None)
-                g_old = sum(p[0][1] for p in parts if p[0][1] is not None)
-                count = sum(p[1] for p in parts)
-                updates += 1
-                g = _vr_direction(problem, g_new, g_old, count, mu, w, w_tilde)
-                w = w - self.step.alpha(updates) * g
-                if updates % cfg.eval_every == 0:
-                    trace.record(self.ctx.now(), updates, w)
-                w_br.destroy()
-
-        if trace.updates[-1] != updates:
-            trace.record(self.ctx.now(), updates, w)
-        return RunResult(
-            w=w, trace=trace, updates=updates, elapsed_ms=self.ctx.now(),
-            rounds=epoch, algorithm=self.name,
-            metrics=self._metrics_window(metrics_start),
-            extras={"epochs": epoch},
-        )
-
-
 @register_optimizer("asvrg")
 class ASVRGRule(UpdateRule):
     """SVRG's inner loop as an update rule; epochs via ``begin_epoch``.
@@ -160,7 +67,9 @@ class ASVRGRule(UpdateRule):
     uses_history = True
 
     def __init__(self, inner_iterations: int = 10) -> None:
-        self.epoch_length = _checked_inner_iterations(inner_iterations)
+        if inner_iterations <= 0:
+            raise OptimError("inner_iterations must be positive")
+        self.epoch_length = inner_iterations
         self.epochs = 0
 
     def bind(self, loop):
@@ -205,12 +114,24 @@ class ASVRGRule(UpdateRule):
         (g_sum, h_sum), count = record.value
         if count == 0:
             return None
-        g = _vr_direction(
-            self.opt.problem, g_sum, h_sum, count, self.mu_channel.latest(),
-            w, self.w_tilde, weight=record.weight,
-        )
+        # The variance-reduced direction around the anchor. A discounted
+        # (stale) result contributes less innovation: as weight -> 0 the
+        # direction falls back to the trusted anchor gradient mu.
+        innovation = (g_sum - h_sum) / count
+        if record.weight != 1.0:
+            innovation = record.weight * innovation
+        g = innovation + self.mu_channel.latest()
+        problem = self.opt.problem
+        if problem.lam:
+            # mu holds the regularizer gradient at w_tilde; correct it
+            # to the current iterate (deterministic, never discounted).
+            g = g + problem.lam * (w - self.w_tilde)
         return w - alpha * g
 
     def extras(self):
         return {"epochs": self.epochs}
 
+
+@register_optimizer("svrg")
+class SVRGRule(BulkSynchronous, ASVRGRule):
+    """Synchronous SVRG (Johnson & Zhang): BSP inner rounds."""

@@ -109,8 +109,10 @@ def test_non_least_squares_rejected(ctx):
     X, y, _ = make_classification(64, 4, seed=0)
     problem = LogisticRegressionProblem(X, y)
     points = ctx.matrix(X, y, 4)
-    with pytest.raises(OptimError):
-        build_optimizer("admm", ctx, points, problem, ConstantStep(1.0), cfg(5))
+    with pytest.raises(OptimError, match="least squares"):
+        build_optimizer(
+            "admm", ctx, points, problem, ConstantStep(1.0), cfg(5)
+        ).run()
 
 
 def test_sync_async_agree_on_fixed_point(ctx, small_data):
@@ -125,3 +127,31 @@ def test_sync_async_agree_on_fixed_point(ctx, small_data):
     ).run()
     assert np.allclose(sync.w, problem.w_star, atol=1e-2)
     assert np.allclose(asyn.w, problem.w_star, atol=5e-2)
+
+
+def test_async_admm_tasks_run_in_their_worker_env(monkeypatch):
+    """aadmm tasks bind ``task_env``: each (worker, partition) factorizes
+    once, and a task is priced for its solves and its fetch of ``z``,
+    not at the per-task overhead alone."""
+    from scipy import linalg
+
+    from repro.api import run_experiment
+
+    factorizations = []
+    cho_factor = linalg.cho_factor
+
+    def counting_cho_factor(*args, **kwargs):
+        factorizations.append(1)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "cho_factor", counting_cho_factor)
+    res = run_experiment({
+        "algorithm": "aadmm", "dataset": "tiny_dense", "num_workers": 4,
+        "num_partitions": 8, "max_updates": 20, "seed": 0,
+        "cost": {"overhead_ms": 1.0, "ms_per_unit": 0.01},
+    })
+    assert res.updates == 20
+    assert len(factorizations) == 8  # one per partition, each on its owner
+    assert len(res.metrics) > 8  # so most tasks reused a cached factor
+    assert min(m.compute_ms for m in res.metrics) > 1.0
+    assert all(m.fetch_bytes > 0 for m in res.metrics)

@@ -30,6 +30,7 @@ from repro import (
     ASGDRule,
     ASVRGRule,
     ASYNCContext,
+    BulkSynchronous,
     ClusterContext,
     DistributedOptimizer,
     ConstantStep,
@@ -41,9 +42,6 @@ from repro import (
     PolyDecay,
     RidgeProblem,
     StalenessScaled,
-    SyncSAGA,
-    SyncSGD,
-    SyncSVRG,
     UpdateRule,
 )
 from repro.engine.rdd import RDD
@@ -98,9 +96,8 @@ def test_top_level_exports_constructible(ctx):
     for b in (ASP(), BSP(), SSP(2), MinAvailableFraction(0.5)):
         assert hasattr(b, "ready")
     assert issubclass(ClusterContext, object)
-    for opt in (SyncSGD, SyncSAGA, SyncSVRG, DistributedOptimizer):
-        assert hasattr(opt, "run")
-    for rule in (ASGDRule, ASAGARule, ASVRGRule):
+    assert hasattr(DistributedOptimizer, "run")
+    for rule in (ASGDRule, ASAGARule, ASVRGRule, BulkSynchronous):
         assert issubclass(rule, UpdateRule)
     OptimizerConfig()
 
@@ -153,14 +150,21 @@ def test_design_scoreboard_only_goes_down():
     params = inspect.signature(ServerLoop.__init__).parameters
     assert list(params) == ["self", "opt", "rule", "restore_state"]
     assert params["restore_state"].default is None
-    # One optimizer host: an asynchronous algorithm is its registered
-    # UpdateRule, not a flag on a wrapper class.
+    # One optimizer host and one loop: every algorithm, sync or async,
+    # is its registered UpdateRule, not a flag on a wrapper class or a
+    # host subclass with its own run().
     assert not hasattr(DistributedOptimizer, "is_async")
-    for name in ("asgd", "asaga", "asvrg", "aadmm", "async_lbfgs",
-                 "albfgs", "hogwild", "fedavg", "localsgd"):
+    assert DistributedOptimizer.__subclasses__() == []
+    names = OPTIMIZERS.names()
+    aliases = sorted(OPTIMIZERS._aliases)
+    assert {"albfgs", "localsgd"} <= set(aliases)
+    for name in (*names, *aliases):
         assert issubclass(OPTIMIZERS.get(name), UpdateRule), name
-    # Only the four synchronous methods still subclass the host.
-    assert len(DistributedOptimizer.__subclasses__()) <= 4
+    synchronous = {
+        name for name in names
+        if issubclass(OPTIMIZERS.get(name), BulkSynchronous)
+    }
+    assert {"sgd", "saga", "svrg", "admm"} <= synchronous
     # One parallel sweep path: nothing to lend a pool to or switch
     # shared memory off for, and no pool to shut down.
     from repro.api import parallel

@@ -17,7 +17,9 @@ The load-bearing guarantees, in test order:
   counted (and priced) as retransmits by the coordinator.
 """
 
+import base64
 import hashlib
+import zlib
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from repro.comm import (
     payload_nbytes,
 )
 from repro.comm.compressors import NoneCompressor, TopKCompressor
+from repro.comm.frames import FRAME_KEY
 from repro.data.synthetic import make_classification
 from repro.engine.context import ClusterContext
 from repro.errors import ApiError, ProtocolError, ReproError
@@ -494,6 +497,59 @@ def test_malformed_frame_raises_protocol_error():
     frame["data"] = "!!!not-base64!!!"
     with pytest.raises(ProtocolError, match="malformed"):
         decode_frame(frame)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_armored = st.binary(max_size=48).map(lambda b: base64.b64encode(b).decode())
+_deflated = st.binary(max_size=48).map(
+    lambda b: base64.b64encode(zlib.compress(b)).decode()
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    payload=_json,
+    overrides=st.dictionaries(
+        st.sampled_from([FRAME_KEY, "data", "raw_bytes", "wire_bytes"]),
+        _json | _armored | _deflated, max_size=4,
+    ),
+    dropped=st.sets(st.sampled_from(["data", "raw_bytes", "wire_bytes"])),
+)
+def test_any_frame_keyed_dict_decodes_or_raises_protocol_error(
+    payload, overrides, dropped
+):
+    """Result frames come off the network: whatever sits under the frame
+    key, both readers return a value or a ProtocolError, never a bare
+    TypeError/ValueError out of the coordinator's connection thread."""
+    frame = {**encode_frame(payload), **overrides}
+    for key in dropped:
+        del frame[key]
+    for read in (frame_bytes, decode_frame):
+        try:
+            out = read(frame)
+        except ProtocolError:
+            continue
+        if read is frame_bytes:
+            assert all(type(n) is int and n >= 0 for n in out)
+        elif not {FRAME_KEY, "data"} & (overrides.keys() | dropped):
+            assert out == payload
+
+
+def test_frame_inflation_is_capped(monkeypatch):
+    """A frame inflating past the message cap is refused, not expanded
+    (spaces deflate ~1000x: 52 kB of frame was 40 MB of JSON)."""
+    monkeypatch.setattr("repro.comm.frames.MAX_MESSAGE_BYTES", 1 << 16)
+    bomb = encode_frame({"pad": " " * (1 << 17)})
+    assert len(bomb["data"]) < 1 << 10
+    with pytest.raises(ProtocolError, match="inflates past"):
+        decode_frame(bomb)
+    assert decode_frame(encode_frame({"pad": " " * 1000}))["pad"] == " " * 1000
 
 
 def _mini_coordinator():

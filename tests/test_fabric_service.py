@@ -508,8 +508,8 @@ def test_quiet_forked_worker_writes_nothing_to_driver_streams():
 
 def test_fatal_cell_aborts_sweep_and_raises():
     bad = {
-        # ADMM's closed-form solver rejects logistic problems at
-        # construction — a deterministic cell failure on every attempt.
+        # ADMM's closed-form solver rejects logistic problems when the
+        # run starts — a deterministic cell failure on every attempt.
         "algorithm": "admm", "problem": "logistic", "dataset": "tiny_dense",
         "num_workers": 2, "num_partitions": 4, "max_updates": 4, "seed": 0,
     }
@@ -576,6 +576,39 @@ def test_raising_on_result_fails_the_sweep_and_unrecords_the_cell():
     assert coordinator.results == {}
     failed = coordinator.table.cells[cell["index"]]
     assert failed.status == "failed" and "No space left" in failed.error
+
+
+def test_hostile_result_frames_get_error_replies(monkeypatch):
+    """A malformed result frame is a typed ``error`` reply on a live
+    connection; it used to kill the connection thread with a bare
+    TypeError/ValueError (and an uncapped inflate could take ~1000x its
+    size in memory)."""
+    from repro.comm.frames import encode_frame
+
+    monkeypatch.setattr("repro.comm.frames.MAX_MESSAGE_BYTES", 1 << 16)
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    hostile = [
+        {"__comm_frame__": "zjson", "data": 5},
+        {**encode_frame({"ok": True}), "raw_bytes": "x"},
+        {**encode_frame({"ok": True}), "data": "!!!not-base64!!!"},
+        encode_frame({"pad": " " * (1 << 17)}),  # inflates past the cap
+    ]
+    coordinator = SweepCoordinator(_grid_cells(GRID), lease_size=1)
+    with coordinator:
+        w1 = _RawWorker(coordinator.endpoint, "w1")
+        cell = w1.request()["cells"][0]
+        for summary in hostile:
+            reply = w1.send_result(cell, summary)
+            assert reply["type"] == "error", reply
+            assert "comm frame" in reply["message"]
+        # The same connection still works, and the cell still records.
+        ack = w1.send_result(cell, encode_frame({"ok": True}))
+        assert ack["status"] == "recorded"
+        w1.close()
+    assert escaped == []
+    assert coordinator.comm_stats["frames"] == 1
+    assert coordinator.results == {cell["index"]: {"ok": True}}
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.cluster.faultplan import (
     parse_fault_plan,
     resolve_fault_plan,
 )
-from repro.errors import ApiError, FaultPlanError, ReproError
+from repro.errors import FaultPlanError, ReproError
 
 SPEC = {
     "dataset": "tiny_dense", "algorithm": "asgd", "policy": "sample:0.75",
@@ -200,12 +200,20 @@ def test_unknown_worker_and_double_kill_are_suppressed():
     assert result.extras["fault_events_suppressed"] == 1
 
 
-def test_sync_algorithm_rejects_fault_plan():
-    with pytest.raises(ApiError, match="synchronous"):
-        run_experiment({
-            "algorithm": "sgd", "dataset": "tiny_dense", "num_workers": 2,
-            "max_updates": 4, "fault_plan": "kill:w0@5ms",
-        })
+def test_fault_plan_on_sync_algorithm_completes_budget():
+    """A synchronous round sends a dead worker's partitions to the next
+    alive one (the engine's probe rule), so a kill/revive plan costs
+    time, not updates."""
+    spec = {
+        "algorithm": "sgd", "dataset": "tiny_dense", "num_workers": 2,
+        "max_updates": 20, "seed": 0,
+    }
+    clean = run_experiment(spec)
+    res = run_experiment({**spec, "fault_plan": "kill:w1@5ms,revive:w1@25ms"})
+    assert res.updates == 20
+    assert res.extras["fault_events"] == 2
+    assert res.extras["policy"] == "bulk-synchronous"
+    assert res.elapsed_ms > clean.elapsed_ms
 
 
 def test_fault_plan_thread_backend():

@@ -17,7 +17,7 @@ from repro.core.policies import (
     resolve_policy,
 )
 from repro.errors import ReproError
-from repro.optim.loop import UpdateRule
+from repro.optim.loop import BulkSynchronous, UpdateRule
 
 #: The tiny cell these tests vary: PAPER_CELL's cost/network models on
 #: the smallest dataset.
@@ -58,15 +58,17 @@ def test_parse_barrier_tokens():
         resolve_policy("nope")
 
 
-@pytest.mark.parametrize("algorithm,is_rule", [
+@pytest.mark.parametrize("algorithm,asynchronous", [
     ("sgd", False), ("asgd", True), ("saga", False), ("asaga", True),
     ("svrg", False), ("asvrg", True),
 ])
-def test_every_algorithm_runs(algorithm, is_rule):
+def test_every_algorithm_runs(algorithm, asynchronous):
     spec = TINY_CELL.with_overrides(
         algorithm=algorithm, max_updates=12, eval_every=4,
     )
-    assert issubclass(OPTIMIZERS.get(algorithm), UpdateRule) == is_rule
+    rule = OPTIMIZERS.get(algorithm)
+    assert issubclass(rule, UpdateRule)
+    assert issubclass(rule, BulkSynchronous) != asynchronous
     res = run_api_experiment(spec)
     assert res.spec == spec
     assert res.updates == 12

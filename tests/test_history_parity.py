@@ -36,7 +36,11 @@ PINNED_SIM = {
     "saga_naive": "348ce9dd4df592afb9b3660fc75e7a57",
     "asaga": "548603ca8321db67479eb4df515bd58c",
     "asaga_partition": "626360377aecb1e61b722524613accb9",
-    "svrg": "37deda3a7282c8fbe6ba84df34992ab8",
+    # Re-recorded when svrg moved onto the server loop: RunResult.rounds
+    # now counts inner rounds (24), not epochs (4). w, snapshots and
+    # times did not move: the previous loop's run hashed with rounds=24
+    # gives this digest.
+    "svrg": "069c5d3b5fa054ac1921b3355e2e81d9",
     "asvrg": "e05eee11ff930e8c04fb7f80dfc54aa3",
 }
 PINNED_THREAD = {

@@ -11,21 +11,17 @@ from repro.optim import (
     InvSqrtDecay,
     LeastSquaresProblem,
     OptimizerConfig,
-    SyncSAGA,
-    SyncSGD,
-    SyncSVRG,
     build_optimizer,
 )
-from repro.optim.admm import SyncADMM
 
 
-@pytest.mark.parametrize("cls,step,kwargs", [
-    (SyncSGD, InvSqrtDecay(0.5), {}),
-    (SyncSAGA, ConstantStep(0.02), {}),
-    (SyncSVRG, ConstantStep(0.1), {"inner_iterations": 5}),
-    (SyncADMM, ConstantStep(1.0), {"rho": 1.0}),
+@pytest.mark.parametrize("name,step,kwargs", [
+    ("sgd", InvSqrtDecay(0.5), {}),
+    ("saga", ConstantStep(0.02), {}),
+    ("svrg", ConstantStep(0.1), {"inner_iterations": 5}),
+    ("admm", ConstantStep(1.0), {"rho": 1.0}),
 ])
-def test_every_sync_algorithm_deterministic(cls, step, kwargs, small_data):
+def test_every_sync_algorithm_deterministic(name, step, kwargs, small_data):
     X, y, _ = small_data
     problem = LeastSquaresProblem(X, y)
 
@@ -33,7 +29,7 @@ def test_every_sync_algorithm_deterministic(cls, step, kwargs, small_data):
         with ClusterContext(4, seed=9) as ctx:
             pts = ctx.matrix(X, y, 8).cache()
             res = build_optimizer(
-                cls.name, ctx, pts, problem, step,
+                name, ctx, pts, problem, step,
                 OptimizerConfig(batch_fraction=0.25, max_updates=12, seed=9),
                 **kwargs,
             ).run()

@@ -139,7 +139,7 @@ def test_asgd_staleness_adaptive_step_runs(ctx, small_data):
 
 def test_single_worker_async_equals_serial_shape(small_data):
     """P=1 ASGD is serial SGD; trajectories should be statistically
-    indistinguishable from SyncSGD at the same step."""
+    indistinguishable from synchronous ``sgd`` at the same step."""
     X, y, _ = small_data
     problem = LeastSquaresProblem(X, y)
     results = {}

@@ -35,7 +35,7 @@ from repro.core.snapshots import (
     read_snapshot,
     write_snapshot,
 )
-from repro.errors import ApiError, OptimError, SnapshotError
+from repro.errors import OptimError, SnapshotError
 
 SPEC = {
     "dataset": "tiny_dense", "algorithm": "asgd", "policy": "sample:0.75",
@@ -315,13 +315,27 @@ def test_config_validates_snapshot_fields(tmp_path):
         run_experiment({**SPEC, "snapshot_path": str(tmp_path / "s.json")})
 
 
-def test_sync_algorithms_reject_crash_fields(tmp_path):
-    with pytest.raises(ApiError, match="synchronous"):
-        run_experiment({
-            "algorithm": "sgd", "dataset": "tiny_dense",
-            "num_workers": 2, "max_updates": 4,
-            "snapshot_every": 2, "snapshot_path": str(tmp_path / "s.json"),
-        })
+def test_sync_saga_snapshot_is_prefix_invariant_and_restores(tmp_path):
+    """Synchronous algorithms run in the same server loop: saga's file at
+    update 20 of a budget-30 run is byte-identical to a budget-20 run's
+    final file, and a restore from it finishes the budget."""
+    spec = {**ASAGA_SPEC, "algorithm": "saga", "max_updates": 30}
+    long_file = tmp_path / "long.json"
+    short_file = tmp_path / "short.json"
+    run_experiment({**spec, "snapshot_every": 20,
+                    "snapshot_path": str(long_file)})
+    run_experiment({**spec, "max_updates": 20, "snapshot_every": 20,
+                    "snapshot_path": str(short_file)})
+    assert long_file.read_bytes() == short_file.read_bytes()
+    snap = read_snapshot(long_file)
+    assert snap["updates"] == snap["rounds"] == 20
+    assert snap["run"]["algorithm"] == "saga[history]"
+
+    resumed = run_experiment({**spec, "restore_from": str(long_file)})
+    again = run_experiment({**spec, "restore_from": str(long_file)})
+    assert resumed.extras["resumed_from_update"] == 20
+    assert resumed.updates == 30
+    assert _bits(resumed.w) == _bits(again.w)
 
 
 def test_unset_crash_fields_keep_spec_keys_stable():

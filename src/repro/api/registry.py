@@ -13,13 +13,11 @@ Registration happens at class-definition sites via decorators::
     @register_policy("ssp")
     class SSP(SchedulingPolicy): ...
 
-An optimizer is registered either as an asynchronous ``UpdateRule``
-(constructed from the spec's ``params``; see
-:func:`repro.optim.base.build_optimizer`) or, for the synchronous
-methods, as a ``DistributedOptimizer`` subclass.
-
-and specs are resolved through :meth:`Registry.create`, which accepts
-three spellings:
+Every optimizer, synchronous or asynchronous, is registered as its
+``UpdateRule`` (a synchronous one mixes in ``BulkSynchronous``) and
+constructed from the spec's ``params``; see
+:func:`repro.optim.base.build_optimizer`. Every other component spec is
+resolved through :meth:`Registry.create`, which accepts three spellings:
 
 - ``"name"`` — zero-argument construction,
 - ``"name:value"`` — the token mini-language; the value binds to

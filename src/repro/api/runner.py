@@ -22,17 +22,12 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.api.registry import (
-    DELAY_MODELS,
-    OPTIMIZERS,
-    PROBLEMS,
-    STEPS,
-)
+from repro.api.registry import OPTIMIZERS, PROBLEMS, STEPS
 from repro.api.spec import ExperimentSpec, GridSpec
 from repro.cluster.cost import AnalyticCostModel
 from repro.cluster.faultplan import FaultPlan, resolve_fault_plan
 from repro.cluster.network import NetworkModel
-from repro.cluster.stragglers import DelayModel
+from repro.cluster.stragglers import DelayModel, resolve_delay_model
 from repro.comm.manager import CommManager
 from repro.core.policies import SchedulingPolicy, resolve_policy
 from repro.data.registry import get_dataset
@@ -148,7 +143,6 @@ class PreparedExperiment:
             cost_model=self.cost_model,
             network=self.network,
             delay_model=self.delay_model,
-            metrics_retention=self.spec.metrics_retention,
         )
 
     def make_optimizer(self, ctx: ClusterContext, points) -> DistributedOptimizer:
@@ -270,21 +264,15 @@ def prepare_experiment(
         from repro.core.snapshots import read_snapshot
 
         restore_state = read_snapshot(spec.restore_from)
-    delay = DELAY_MODELS.create(
-        spec.delay,
-        defaults={"num_workers": spec.num_workers, "seed": spec.seed},
-        expect=DelayModel,
+    delay = resolve_delay_model(
+        spec.delay, num_workers=spec.num_workers, seed=spec.seed
     )
     try:
         config = OptimizerConfig(
             batch_fraction=b,
             max_updates=spec.max_updates,
-            max_time_ms=(
-                float("inf") if spec.max_time_ms is None else spec.max_time_ms
-            ),
             eval_every=spec.eval_every,
             seed=spec.seed,
-            step_time=spec.step_time,
             pipeline_depth=spec.pipeline_depth,
             granularity=spec.granularity,
             snapshot_every=spec.snapshot_every,

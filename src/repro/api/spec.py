@@ -29,6 +29,17 @@ from repro.errors import ApiError
 
 __all__ = ["ExperimentSpec", "GridSpec"]
 
+#: Retired fields, each with the values that spell the one behaviour
+#: left (the async step schedule ticks once per pass, no cluster-time
+#: budget, every task's metrics row is kept). Those are dropped on read;
+#: any other value described a different run and is an ``ApiError``
+#: naming the key.
+RETIRED_DEFAULTS = {
+    "step_time": ("pass",),
+    "max_time_ms": (None, math.inf),
+    "metrics_retention": ("all",),
+}
+
 #: Keys earlier versions wrote into spec JSON that are no longer fields:
 #: recorded specs, grid axes and sweep checkpoints carrying them still
 #: load, and ``to_dict`` never writes them back. The first chose between
@@ -37,7 +48,7 @@ __all__ = ["ExperimentSpec", "GridSpec"]
 #: so that a grep of ``src/`` for the retired knob comes back empty).
 #: ``barrier`` was the first spelling of ``policy``; its value moves to
 #: that field.
-LEGACY_FIELDS = frozenset({"fuse" "_tasks", "barrier"})
+LEGACY_FIELDS = frozenset({"fuse" "_tasks", "barrier", *RETIRED_DEFAULTS})
 
 
 @dataclass(frozen=True)
@@ -74,11 +85,8 @@ class ExperimentSpec:
     #: ``None`` -> the dataset's tuned sampling rate.
     batch_fraction: float | None = None
     max_updates: int = 100
-    #: ``None`` -> unbounded (stored as +inf in OptimizerConfig).
-    max_time_ms: float | None = None
     eval_every: int = 1
     seed: int = 0
-    step_time: str = "pass"
     pipeline_depth: int = 1
     #: Schedulable unit for asynchronous rounds: "worker" (default, the
     #: paper's model) or "partition" (one task per partition, results
@@ -110,37 +118,36 @@ class ExperimentSpec:
     #: ``delta`` key turns on delta broadcasting against HIST
     #: watermarks). ``None`` -> no comm subsystem (pre-COMM byte paths).
     compressor: Any = None
-    #: Task-metrics retention on the dispatcher: "all" (default),
-    #: "window:n" (most recent n rows), or "aggregate" (running totals
-    #: only — O(1) metrics state for million-update runs).
-    metrics_retention: str = "all"
 
     # -- serialization -----------------------------------------------------------------
     def to_dict(self) -> dict:
-        """Plain-JSON dict (no infinities, no library objects).
+        """Plain-JSON dict (no library objects).
 
         Fields added after the first recorded specs (``policy``, the
-        crash-safety fields, ``compressor``, ``metrics_retention``) are
-        omitted entirely while unset, not emitted as null: the canonical
-        JSON — and with it the checkpoint run key — of a spec that does
-        not use them is unchanged by their existence.
+        crash-safety fields, ``compressor``) are omitted entirely while
+        unset, not emitted as null: the canonical JSON — and with it the
+        checkpoint run key — of a spec that does not use them is
+        unchanged by their existence.
         """
         out = asdict(self)
-        if out["max_time_ms"] is not None and math.isinf(out["max_time_ms"]):
-            out["max_time_ms"] = None
         for key in ("policy", "snapshot_path", "restore_from", "fault_plan",
                     "compressor"):
             if out[key] is None:
                 del out[key]
         if not out["snapshot_every"]:
             del out["snapshot_every"]
-        if out["metrics_retention"] == "all":
-            del out["metrics_retention"]
         return out
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
         known = {f.name for f in fields(cls)}
+        for key, defaults in RETIRED_DEFAULTS.items():
+            if key in data and data[key] not in defaults:
+                raise ApiError(
+                    f"{key!r} is no longer a spec field; only its old "
+                    f"default {json.dumps(defaults[0])} still loads (got "
+                    f"{data[key]!r}) — drop the key"
+                )
         clean = {k: v for k, v in data.items() if k not in LEGACY_FIELDS}
         legacy_policy = data.get("barrier")
         if legacy_policy is not None:

@@ -20,14 +20,22 @@ Delay factors multiply *compute* time only; communication is unaffected
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.api.registry import register_delay_model
+from repro.api.registry import DELAY_MODELS, register_delay_model
+from repro.errors import ApiError
 from repro.utils.rng import RngFactory
 
-__all__ = ["DelayModel", "NoDelay", "ControlledDelay", "ProductionCluster"]
+__all__ = [
+    "DelayModel",
+    "NoDelay",
+    "ControlledDelay",
+    "ProductionCluster",
+    "resolve_delay_model",
+]
 
 
 class DelayModel(ABC):
@@ -63,6 +71,12 @@ class ControlledDelay(DelayModel):
     def __post_init__(self) -> None:
         if not 0 <= self.intensity < math.inf:
             raise ValueError("intensity must be finite and >= 0")
+        if not all(
+            isinstance(w, numbers.Integral) and w >= 0 for w in self.workers
+        ):
+            raise ValueError(
+                f"CDS workers must be whole numbers >= 0, got {self.workers!r}"
+            )
         self._workers = frozenset(int(w) for w in self.workers)
 
     def factor(self, worker_id: int, task_seq: int) -> float:
@@ -108,6 +122,8 @@ class ProductionCluster(DelayModel):
             raise ValueError("straggler_fraction must be in [0, 1]")
         if not 0 <= self.long_tail_fraction <= 1:
             raise ValueError("long_tail_fraction must be in [0, 1]")
+        self.uniform_band = _band("uniform_band", self.uniform_band)
+        self.long_tail_band = _band("long_tail_band", self.long_tail_band)
         self._rngs = RngFactory(self.seed)
         assign_rng = self._rngs.get("pcs-assign")
         n_stragglers = int(round(self.straggler_fraction * self.num_workers))
@@ -136,12 +152,53 @@ class ProductionCluster(DelayModel):
         )
 
 
+def _band(name: str, band: object) -> tuple[float, float]:
+    """A PCS ``(lo, hi)`` delay band: two finite numbers, 1 <= lo <= hi."""
+    try:
+        lo, hi = band  # type: ignore[misc]
+        if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)):
+            raise TypeError
+        lo, hi = float(lo), float(hi)
+    except (TypeError, ValueError, OverflowError):
+        lo = hi = math.nan
+    if not 1.0 <= lo <= hi < math.inf:
+        raise ValueError(
+            f"{name} must be two finite numbers with 1 <= lo <= hi, "
+            f"got {band!r}"
+        )
+    return lo, hi
+
+
 @register_delay_model("cds")
 def _make_cds(intensity: float = 1.0, workers: Sequence[int] = (0,)) -> DelayModel:
-    """Spec-layer CDS factory; zero intensity degenerates to ``NoDelay``."""
-    if intensity == 0:
-        return NoDelay()
-    return ControlledDelay(intensity, workers=tuple(workers))
+    """Spec-layer CDS factory; zero intensity degenerates to ``NoDelay``
+    (after the worker list is checked like any other)."""
+    model = ControlledDelay(intensity, workers=tuple(workers))
+    return NoDelay() if intensity == 0 else model
+
+
+def resolve_delay_model(
+    spec: object, *, num_workers: int, seed: int = 0
+) -> DelayModel:
+    """Resolve a spec's ``delay`` for a ``num_workers`` cluster.
+
+    Names, ``name:arg`` tokens and dicts go through the ``DELAY_MODELS``
+    registry with ``num_workers``/``seed`` injected where the model
+    takes them; a CDS model may only slow workers the cluster has.
+    """
+    model = DELAY_MODELS.create(
+        spec,
+        defaults={"num_workers": num_workers, "seed": seed},
+        expect=DelayModel,
+    )
+    if isinstance(model, ControlledDelay):
+        missing = sorted(w for w in model._workers if w >= num_workers)
+        if missing:
+            raise ApiError(
+                f"delay model slows worker(s) {missing}, which a "
+                f"{num_workers}-worker cluster does not have"
+            )
+    return model
 
 
 def delays_from_mapping(mapping: Mapping[int, float]) -> DelayModel:

@@ -44,7 +44,6 @@ class ClusterContext:
         delay_model: DelayModel | None = None,
         default_parallelism: int | None = None,
         job_timeout_s: float | None = 120.0,
-        metrics_retention: str = "all",
     ) -> None:
         if backend is None:
             backend = SimBackend(
@@ -57,9 +56,7 @@ class ClusterContext:
         self.backend = backend
         self.seed = seed
         self.rngs = RngFactory(seed)
-        self.dispatcher = Dispatcher(
-            backend, metrics_retention=metrics_retention
-        )
+        self.dispatcher = Dispatcher(backend)
         self.scheduler = JobScheduler(self)
         self.broadcast_manager = BroadcastManager(self)
         self.default_parallelism = default_parallelism or backend.num_workers

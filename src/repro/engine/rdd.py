@@ -3,9 +3,14 @@
 The transformation/action split mirrors Spark: transformations build new
 RDD nodes lazily; actions walk the lineage inside worker tasks via
 :meth:`RDD.iterator`. Every transformation here is *narrow* (no shuffle):
-partition ``i`` of a child depends only on partition ``i`` of its parents,
+partition ``i`` of a child depends only on partition ``i`` of its parent,
 which is all the paper's workloads need and keeps recovery simple — a lost
 partition is recomputed by re-running its lineage on another worker.
+
+The surface is what the optimizers and the paper's Table 1 reach: ``map``
+and ``sample`` (plus ``cache``) as transformations, the three ASYNC verbs,
+and ``collect``/``count``/``sum``/``aggregate`` — the bulk-synchronous
+actions through which lineage recompute is exercised.
 
 Caching stores computed partitions in the owning worker's block store
 (:class:`~repro.cluster.backend.WorkerEnv`); a cache miss after worker loss
@@ -16,7 +21,7 @@ tolerance story (exercised in ``tests/test_faults.py``).
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.cluster.backend import WorkerEnv
 from repro.errors import EngineError
@@ -89,35 +94,10 @@ class RDD:
 
     persist = cache
 
-    def unpersist(self) -> "RDD":
-        """Drop cached partitions from every worker."""
-        self.cached = False
-        for env in self.ctx.backend.envs:
-            for split in self.partitions():
-                env.delete(("rdd", self.rdd_id, split))
-        return self
-
     # -- transformations ------------------------------------------------------------
     def map(self, f: Callable[[Any], Any]) -> "RDD":
         """Element-wise transformation."""
         return MappedRDD(self, f)
-
-    def filter(self, f: Callable[[Any], bool]) -> "RDD":
-        """Keep elements satisfying the predicate."""
-        return FilteredRDD(self, f)
-
-    def flat_map(self, f: Callable[[Any], Iterable[Any]]) -> "RDD":
-        """Map each element to zero or more elements."""
-        return FlatMappedRDD(self, f)
-
-    def map_partitions(self, f: Callable[[list], list]) -> "RDD":
-        """Transform whole partitions at once (vectorization hook)."""
-        return MapPartitionsRDD(self, lambda i, data: f(data))
-
-    def map_partitions_with_index(
-        self, f: Callable[[int, list], list]
-    ) -> "RDD":
-        return MapPartitionsRDD(self, f)
 
     def sample(
         self, fraction: float, seed: int = 0, with_replacement: bool = False
@@ -133,31 +113,6 @@ class RDD:
             return SampledMatrixRDD(self, fraction, seed, with_replacement)
         return SampledRDD(self, fraction, seed, with_replacement)
 
-    def union(self, other: "RDD") -> "RDD":
-        """Concatenate partition lists of two RDDs."""
-        return UnionRDD(self, other)
-
-    def glom(self) -> "RDD":
-        """Wrap each partition's contents into a single list element."""
-        return MapPartitionsRDD(self, lambda i, data: [list(data)])
-
-    def zip_with_index(self) -> "RDD":
-        """Pair each element with its global index.
-
-        Like Spark, this triggers an eager job to count partition sizes so
-        offsets are exact.
-        """
-        counts = self.ctx.run_job(self, lambda split, data: len(data))
-        offsets = [0]
-        for c in counts[:-1]:
-            offsets.append(offsets[-1] + c)
-
-        def attach(i: int, data: list) -> list:
-            base = offsets[i]
-            return [(x, base + j) for j, x in enumerate(data)]
-
-        return MapPartitionsRDD(self, attach)
-
     # -- actions ------------------------------------------------------------------
     def collect(self) -> list:
         """Materialize the whole dataset on the driver, in partition order."""
@@ -166,25 +121,6 @@ class RDD:
         for p in parts:
             out.extend(p)
         return out
-
-    def reduce(self, f: Callable[[Any, Any], Any]) -> Any:
-        """Associative reduction; raises on an empty RDD (Spark parity)."""
-        def part_reduce(split: int, data: list) -> tuple[bool, Any]:
-            if not data:
-                return (False, None)
-            return (True, functools.reduce(f, data))
-
-        parts = self.ctx.run_job(self, part_reduce)
-        values = [v for ok, v in parts if ok]
-        if not values:
-            raise EngineError("reduce() of empty RDD")
-        return functools.reduce(f, values)
-
-    def fold(self, zero: Any, f: Callable[[Any, Any], Any]) -> Any:
-        parts = self.ctx.run_job(
-            self, lambda split, data: functools.reduce(f, data, zero)
-        )
-        return functools.reduce(f, parts, zero)
 
     def aggregate(
         self,
@@ -204,33 +140,6 @@ class RDD:
     def sum(self) -> Any:
         parts = self.ctx.run_job(self, lambda split, data: sum(data))
         return sum(parts)
-
-    def take(self, n: int) -> list:
-        """First ``n`` elements in partition order.
-
-        Evaluates one partition at a time, so ``take`` on a huge RDD only
-        computes the prefix it needs.
-        """
-        if n <= 0:
-            return []
-        out: list = []
-        for split in self.partitions():
-            part = self.ctx.run_job(
-                self, lambda s, data: list(data), partitions=[split]
-            )[0]
-            out.extend(part)
-            if len(out) >= n:
-                break
-        return out[:n]
-
-    def first(self) -> Any:
-        got = self.take(1)
-        if not got:
-            raise EngineError("first() of empty RDD")
-        return got[0]
-
-    def foreach_partition(self, f: Callable[[list], None]) -> None:
-        self.ctx.run_job(self, lambda split, data: f(data))
 
     # -- ASYNC verbs (Table 1 of the paper) ------------------------------------------
     def async_barrier(
@@ -307,36 +216,6 @@ class MappedRDD(RDD):
         return [self.f(x) for x in self.deps[0].iterator(split, env)]
 
 
-class FilteredRDD(RDD):
-    def __init__(self, parent: RDD, f: Callable[[Any], bool]):
-        super().__init__(parent.ctx, deps=[parent])
-        self.f = f
-
-    def compute(self, split: int, env: WorkerEnv | None) -> list:
-        return [x for x in self.deps[0].iterator(split, env) if self.f(x)]
-
-
-class FlatMappedRDD(RDD):
-    def __init__(self, parent: RDD, f: Callable[[Any], Iterable[Any]]):
-        super().__init__(parent.ctx, deps=[parent])
-        self.f = f
-
-    def compute(self, split: int, env: WorkerEnv | None) -> list:
-        out: list = []
-        for x in self.deps[0].iterator(split, env):
-            out.extend(self.f(x))
-        return out
-
-
-class MapPartitionsRDD(RDD):
-    def __init__(self, parent: RDD, f: Callable[[int, list], list]):
-        super().__init__(parent.ctx, deps=[parent])
-        self.f = f
-
-    def compute(self, split: int, env: WorkerEnv | None) -> list:
-        return list(self.f(split, self.deps[0].iterator(split, env)))
-
-
 class SampledRDD(RDD):
     """Per-partition uniform sampling with a deterministic stream.
 
@@ -368,20 +247,3 @@ class SampledRDD(RDD):
         else:
             idx = rng.choice(len(data), size=min(size, len(data)), replace=False)
         return [data[int(i)] for i in idx]
-
-
-class UnionRDD(RDD):
-    """Concatenation: partitions of ``left`` followed by ``right``."""
-
-    def __init__(self, left: RDD, right: RDD):
-        super().__init__(
-            left.ctx,
-            num_partitions=left.num_partitions + right.num_partitions,
-            deps=[left, right],
-        )
-
-    def compute(self, split: int, env: WorkerEnv | None) -> list:
-        left = self.deps[0]
-        if split < left.num_partitions:
-            return left.iterator(split, env)
-        return self.deps[1].iterator(split - left.num_partitions, env)

@@ -68,17 +68,9 @@ class SweepWorker:
         connect_backoff_cap_s: float = 3.0,
         chaos: "ChaosConfig | str | dict | None" = None,
         log: Callable[[str], None] | None = None,
-        connect_retries: int | None = None,
-        connect_retry_s: float | None = None,
     ) -> None:
         self.host, self.port = parse_endpoint(endpoint)
         self.name = name or default_worker_name(os.getpid())
-        # Legacy spellings from the fixed-sleep era map onto the backoff
-        # knobs: retries -> attempt budget, retry_s -> backoff base.
-        if connect_retries is not None:
-            max_connect_attempts = connect_retries
-        if connect_retry_s is not None:
-            connect_backoff_s = connect_retry_s
         if max_connect_attempts < 1:
             raise FabricError(
                 f"max_connect_attempts must be >= 1, got {max_connect_attempts}"

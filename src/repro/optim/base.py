@@ -7,7 +7,7 @@ Every distributed optimizer follows the same driver shape:
    partition, then a barrier, for synchronous methods; a policy-gated
    round for asynchronous ones), apply update(s),
 3. record snapshots into a :class:`~repro.optim.trace.ConvergenceTrace`,
-4. stop on ``max_updates`` or ``max_time_ms``.
+4. stop after ``max_updates`` model updates.
 
 That driver is :class:`~repro.optim.loop.ServerLoop`, and an algorithm
 is one registered :class:`~repro.optim.loop.UpdateRule` — a synchronous
@@ -65,22 +65,14 @@ class OptimizerConfig:
 
     ``batch_fraction`` is the paper's sampling rate ``b``; ``max_updates``
     counts *model updates* (one per iteration for sync methods, one per
-    collected result for async ones); ``max_time_ms`` bounds cluster time;
-    ``eval_every`` controls snapshot density.
+    collected result for async ones); ``eval_every`` controls snapshot
+    density.
     """
 
     batch_fraction: float = 0.1
     max_updates: int = 100
-    max_time_ms: float = float("inf")
     eval_every: int = 1
     seed: int = 0
-    #: What the step schedule's ``t`` counts for *asynchronous* methods.
-    #: "pass" (default): t = ceil(updates / P) — one tick per cluster-wide
-    #: equivalent of a synchronous iteration, so the async decay cadence
-    #: matches the sync variant's (the paper's tuning rule divides the
-    #: initial step by P but keeps the same decay). "update": t advances
-    #: on every applied result (P times faster decay on P workers).
-    step_time: str = "pass"
     #: Maximum in-flight tasks per worker for asynchronous methods.
     #: 1 (the paper's model) = a worker is available iff idle; larger
     #: values pipeline submissions across the dispatch round-trip.
@@ -106,8 +98,6 @@ class OptimizerConfig:
             raise OptimError("max_updates must be positive")
         if self.eval_every <= 0:
             raise OptimError("eval_every must be positive")
-        if self.step_time not in ("pass", "update"):
-            raise OptimError("step_time must be 'pass' or 'update'")
         if self.pipeline_depth < 1:
             raise OptimError("pipeline_depth must be >= 1")
         if self.granularity not in ("worker", "partition"):
@@ -216,17 +206,12 @@ class DistributedOptimizer:
         return stable_hash_append((self.config.seed, self.name), round_idx)
 
     def _step_index(self, updates: int) -> int:
-        """Schedule index for async methods per ``config.step_time``."""
-        if self.config.step_time == "update":
-            return max(updates, 1)
+        """Schedule index ``t = ceil(updates / P)`` for async methods: one
+        tick per cluster-wide equivalent of a synchronous iteration, so
+        the async decay keeps the sync variant's cadence (the paper's
+        tuning rule divides the initial step by P but keeps the decay)."""
         per_pass = max(self.ctx.num_workers, 1)
         return max(1, -(-updates // per_pass))  # ceil division
-
-    def _should_stop(self, updates: int) -> bool:
-        return (
-            updates >= self.config.max_updates
-            or self.ctx.now() >= self.config.max_time_ms
-        )
 
     def run(self) -> RunResult:
         """Run the rule through the server loop.

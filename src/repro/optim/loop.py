@@ -347,7 +347,8 @@ class ServerLoop:
 
     def run(self) -> RunResult:
         self._start()
-        while not self.opt._should_stop(self.updates):
+        budget = self.opt.config.max_updates
+        while self.updates < budget:
             self._round()
         return self._finish()
 

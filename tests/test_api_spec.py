@@ -23,20 +23,6 @@ def test_spec_dict_round_trip():
     assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
 
-def test_spec_json_round_trip_handles_infinity():
-    spec = ExperimentSpec(max_time_ms=None)
-    text = spec.to_json()
-    assert "Infinity" not in text
-    again = ExperimentSpec.from_json(text)
-    assert again == spec
-    # explicit float budgets survive too
-    bounded = ExperimentSpec(max_time_ms=125.0)
-    assert ExperimentSpec.from_json(bounded.to_json()).max_time_ms == 125.0
-    # a spec built with +inf serializes to null rather than bare Infinity
-    inf_spec = ExperimentSpec(max_time_ms=math.inf)
-    assert json.loads(inf_spec.to_json())["max_time_ms"] is None
-
-
 def test_spec_rejects_unknown_fields():
     with pytest.raises(ApiError, match="unknown ExperimentSpec field"):
         ExperimentSpec.from_dict({"algorithm": "asgd", "warp_speed": 9})
@@ -79,6 +65,61 @@ def test_spec_reads_legacy_barrier_key_as_policy():
         ExperimentSpec.from_dict({"barrier": "asp", "policy": "bsp"})
 
 
+def test_spec_json_round_trip_handles_infinity():
+    """The retired ``max_time_ms`` was unbounded as null in JSON and as
+    +inf in Python; a spec carrying either reads back as the plain spec
+    and never writes bare ``Infinity``."""
+    for budget in (None, math.inf):
+        spec = ExperimentSpec.from_dict({"max_time_ms": budget})
+        text = spec.to_json()
+        assert "Infinity" not in text and "max_time_ms" not in text
+        assert ExperimentSpec.from_json(text) == spec == ExperimentSpec()
+
+
+def test_spec_default_retention_omitted_from_canonical_json():
+    """A recorded ``"metrics_retention": "all"`` (keep every row, the
+    one behaviour left) leaves canonical spec JSON — and checkpoint
+    keys — byte-identical to a spec that never carried it."""
+    from repro.api.parallel import run_key
+
+    legacy = {"algorithm": "asgd", "metrics_retention": "all"}
+    assert "metrics_retention" not in ExperimentSpec.from_dict(legacy).to_dict()
+    assert run_key(legacy) == run_key({"algorithm": "asgd"})
+
+
+_RETIRED_DEFAULTS = [
+    ("step_time", "pass"), ("max_time_ms", None), ("metrics_retention", "all"),
+]
+_RETIRED_OTHERS = [
+    ("step_time", "update"), ("max_time_ms", 125.0),
+    ("metrics_retention", "window:16"), ("metrics_retention", "aggregate"),
+]
+
+
+@pytest.mark.parametrize("key,value", _RETIRED_DEFAULTS)
+def test_spec_drops_retired_keys_holding_their_old_default(key, value):
+    """Every spec the parent wrote carries ``"step_time": "pass"`` and
+    ``"max_time_ms": null``: the fixed behaviour today, so they load as
+    a plain spec — from a dict or as a grid axis — and never come back."""
+    assert key not in {f.name for f in fields(ExperimentSpec)}
+    legacy = ExperimentSpec.from_dict({"algorithm": "asgd", key: value})
+    assert legacy == ExperimentSpec(algorithm="asgd")
+    assert key not in legacy.to_dict()
+    grid = GridSpec.coerce({"base": {"algorithm": "asgd"}, "grid": {key: [value]}})
+    assert grid.expand() == [ExperimentSpec(algorithm="asgd")]
+
+
+@pytest.mark.parametrize("key,value", _RETIRED_OTHERS)
+def test_spec_rejects_retired_keys_holding_another_value(key, value):
+    """Any other value described a different run than the one the spec
+    now gives: a clean error naming the key, however it arrives."""
+    with pytest.raises(ApiError, match=key):
+        ExperimentSpec.from_dict({"algorithm": "asgd", key: value})
+    grid = GridSpec.coerce({"base": {"algorithm": "asgd"}, "grid": {key: [value]}})
+    with pytest.raises(ApiError, match=key):
+        grid.expand()
+
+
 _TERMS = st.sampled_from([
     "asp", "bsp", "ssp:4", "frac:0.5", "ct:1.5", "ssp_partition:2",
     "sample:0.3", "fedasync:poly", "migrate:1.5",
@@ -117,15 +158,6 @@ def test_policy_spellings_round_trip(policy, legacy_key):
     assert ExperimentSpec.from_dict(wire) == spec
     if policy is not None:
         resolve_policy(policy)  # every generated spelling is a real policy
-
-
-def test_spec_default_retention_omitted_from_canonical_json():
-    """The metrics_retention default stays out of to_dict so canonical
-    spec JSON (and checkpoint keys) is byte-stable."""
-    assert "metrics_retention" not in ExperimentSpec().to_dict()
-    tuned = ExperimentSpec(metrics_retention="aggregate").to_dict()
-    assert tuned["metrics_retention"] == "aggregate"
-    assert ExperimentSpec.from_dict(tuned).metrics_retention == "aggregate"
 
 
 def test_spec_coerce():

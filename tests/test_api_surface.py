@@ -44,6 +44,7 @@ from repro import (
     StalenessScaled,
     UpdateRule,
 )
+from repro.engine.dispatch import Dispatcher
 from repro.engine.rdd import RDD
 
 
@@ -125,6 +126,7 @@ def test_design_scoreboard_only_goes_down():
     """ROADMAP's quality-of-design numbers, as a ratchet: lower a bound
     when a PR shrinks the surface, never raise one."""
     import importlib
+    import importlib.util
     import pkgutil
     from dataclasses import fields
 
@@ -132,8 +134,22 @@ def test_design_scoreboard_only_goes_down():
     from repro.api import OPTIMIZERS
     from repro.optim.loop import ServerLoop
 
-    assert len(fields(repro.ExperimentSpec)) <= 27
-    assert len(fields(OptimizerConfig)) <= 10
+    assert len(fields(repro.ExperimentSpec)) <= 24
+    assert len(fields(OptimizerConfig)) <= 8
+    # The metrics log is a list: nothing sizes or windows it.
+    for cls in (ClusterContext, Dispatcher):
+        assert "metrics_retention" not in inspect.signature(cls).parameters
+    # The engine reaches as far as the optimizers and Table 1 use it.
+    retired = {
+        "filter", "flat_map", "map_partitions", "map_partitions_with_index",
+        "union", "glom", "zip_with_index", "reduce", "fold", "take", "first",
+        "foreach_partition", "unpersist",
+    }
+    assert not retired & set(dir(RDD))
+    assert importlib.util.find_spec("repro.engine.dag") is None
+    setup_py = Path(__file__).resolve().parents[1] / "setup.py"
+    assert "networkx" not in setup_py.read_text()
+    assert "networkx" not in _SET_UP_ONLY
     public = {
         name: attr for name, attr in vars(UpdateRule).items()
         if not name.startswith("_")
@@ -204,12 +220,12 @@ def _fresh_interpreter(code):
     assert proc.returncode == 0, proc.stderr
 
 
-_SET_UP_ONLY = ("scipy.optimize", "scipy.linalg.interpolative", "networkx")
+_SET_UP_ONLY = ("scipy.optimize", "scipy.linalg.interpolative")
 
 
 def test_import_repro_leaves_set_up_only_libraries_unloaded():
     """Module names, never wall-clock: ``scipy.optimize`` serves one
-    reference-optimum solve, ``networkx`` one DAG view."""
+    reference-optimum solve."""
     _fresh_interpreter(f"""
 import sys
 import repro

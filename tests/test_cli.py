@@ -235,6 +235,23 @@ def test_bad_component_value_is_a_clean_error(tmp_path, capsys):
     assert "bad parameters for policy 'ssp'" in err
 
 
+def test_retired_spec_keys_load_only_at_their_old_default(capsys, monkeypatch):
+    """What every parent-written spec carries still runs from stdin; a
+    retired key set to anything else exits 2 naming it."""
+    import io
+
+    spec = {"algorithm": "asgd", "dataset": "tiny_dense", "max_updates": 4,
+            "step_time": "pass", "max_time_ms": None,
+            "metrics_retention": "all"}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    assert main(["run", "-"]) == 0
+    capsys.readouterr()
+    spec["step_time"] = "update"
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    assert main(["run", "-"]) == 2
+    assert "'step_time' is no longer a spec field" in capsys.readouterr().err
+
+
 def test_wrong_typed_field_is_a_clean_error(tmp_path, capsys):
     spec = tmp_path / "strint.json"
     spec.write_text(json.dumps({"algorithm": "asgd", "dataset": "tiny_dense",

@@ -1,19 +1,18 @@
-"""Dispatcher routing, metrics retention and the task-local context channel."""
+"""Dispatcher routing, the metrics log and the task-local context channel."""
 
 import numpy as np
 import pytest
 
 from repro.api.runner import run_experiment
-from repro.cluster.backend import TaskMetrics
 from repro.cluster.simbackend import SimBackend
-from repro.engine.dispatch import Dispatcher, MetricsLog
+from repro.engine.dispatch import Dispatcher
 from repro.engine.taskcontext import (
     current_env,
     record_cost,
     record_fetch,
     task_env,
 )
-from repro.errors import ReproError
+from repro.errors import ApiError
 
 
 @pytest.fixture
@@ -111,62 +110,23 @@ def test_task_env_restored_on_exception(setup):
     assert current_env() is None
 
 
-# -- metrics retention ---------------------------------------------------------
-
-def test_metrics_log_window_keeps_global_indexing():
-    log = MetricsLog("window:3")
-    rows = [TaskMetrics(task_id=i, worker_id=0) for i in range(8)]
-    for row in rows:
-        log.append(row)
-    assert len(log) == 8
-    assert log.dropped == 5
-    assert list(log) == rows[5:]
-    # Global-index slices omit dropped rows; the tail window optimizers
-    # take (metrics_log[start:]) stays correct.
-    assert log[6:] == rows[6:]
-    assert log[0:] == rows[5:]
-    assert log[7].task_id == 7
-    with pytest.raises(IndexError):
-        log[2]
-
-
-def test_metrics_log_aggregate_mode_keeps_totals_only():
-    log = MetricsLog("aggregate")
-    for i in range(5):
-        m = TaskMetrics(task_id=i, worker_id=0)
-        m.compute_ms = 2.0
-        m.in_bytes = 10
-        log.append(m)
-    assert len(log) == 5
-    assert list(log) == []
-    assert log[0:] == []
-    summary = log.summary()
-    assert summary["count"] == 5
-    assert summary["dropped"] == 5
-    assert summary["total_compute_ms"] == 10.0
-    assert summary["mean_in_bytes"] == 10.0
-
-
-def test_metrics_log_rejects_bad_retention():
-    with pytest.raises(ReproError):
-        MetricsLog("window:0")
-    with pytest.raises(ReproError):
-        MetricsLog("bogus")
-
+# -- metrics log ---------------------------------------------------------------
 
 def test_metrics_retention_spec_plumbing():
-    """A windowed run bounds the metrics footprint without disturbing
-    the trajectory (metrics are observational)."""
+    """The dispatcher keeps every task's row — the one retention a
+    recorded spec may still name. ``"all"`` runs the same trajectory,
+    and the run's metrics window (what the wait-time figures read) holds
+    a row per task; a bounded retention is refused before anything runs."""
     spec = {
         "algorithm": "asgd", "dataset": "synth_logistic",
         "problem": "logistic", "num_workers": 8, "num_partitions": 8,
         "max_updates": 120, "eval_every": 100, "seed": 0,
     }
-    res_all = run_experiment(spec)
-    res_win = run_experiment({**spec, "metrics_retention": "window:16"})
-    assert np.array_equal(res_all.w, res_win.w)
-    # measured_ms is wall-clock, so compare identity by task id.
-    win_ids = [m.task_id for m in res_win.metrics]
-    all_ids = [m.task_id for m in res_all.metrics]
-    assert win_ids == all_ids[-len(win_ids):]
-    assert 0 < len(list(res_win.metrics)) <= 16 < len(all_ids)
+    res = run_experiment(spec)
+    res_all = run_experiment({**spec, "metrics_retention": "all"})
+    assert np.array_equal(res.w, res_all.w)
+    ids = [m.task_id for m in res_all.metrics]
+    assert ids == [m.task_id for m in res.metrics]
+    assert len(set(ids)) == len(ids) >= res_all.extras["collected"] >= 120
+    with pytest.raises(ApiError, match="metrics_retention"):
+        run_experiment({**spec, "metrics_retention": "window:16"})

@@ -539,11 +539,11 @@ def test_worker_backoff_is_capped_exponential_with_jitter(monkeypatch):
     assert sleeps2 == sleeps
 
 
-def test_worker_legacy_kwargs_map_to_backoff_knobs():
+def test_worker_connect_knobs_are_set_and_checked():
     from repro.fabric import SweepWorker
 
     worker = SweepWorker(
-        "127.0.0.1:9", connect_retries=3, connect_retry_s=0.5
+        "127.0.0.1:9", max_connect_attempts=3, connect_backoff_s=0.5
     )
     assert worker.max_connect_attempts == 3
     assert worker.connect_backoff_s == 0.5

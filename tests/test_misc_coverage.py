@@ -73,28 +73,3 @@ def test_network_jitter_changes_timeline_not_results(small_data):
     w_b, t_b = run(0.3)
     assert np.array_equal(w_a, w_b)  # math unchanged
     assert t_a != t_b                # timeline jittered
-
-
-def test_foreach_partition_side_effects(ctx):
-    seen = []
-    ctx.parallelize(range(10), 5).foreach_partition(
-        lambda part: seen.append(list(part))
-    )
-    assert sorted(x for p in seen for x in p) == list(range(10))
-
-
-def test_union_of_matrix_rdds(ctx, small_data):
-    X, y, _ = small_data
-    a = ctx.matrix(X[:128], y[:128], 4)
-    b = ctx.matrix(X[128:], y[128:], 4)
-    u = a.union(b)
-    blocks = u.collect()
-    assert sum(blk.rows for blk in blocks) == 256
-
-
-def test_glom_on_matrix(ctx, small_data):
-    X, y, _ = small_data
-    pts = ctx.matrix(X, y, 4)
-    groups = pts.glom().collect()
-    assert len(groups) == 4
-    assert all(len(g) == 1 for g in groups)

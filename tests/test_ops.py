@@ -32,7 +32,7 @@ def test_find_barrier_walks_lineage(ctx):
     chain = (
         async_barrier(rdd, policy, ac.stat)
         .map(lambda x: x)
-        .filter(lambda x: True)
+        .map(lambda x: x)
     )
     assert find_barrier(chain) is policy
     assert find_barrier(rdd) is None

@@ -273,6 +273,68 @@ def test_resume_accepts_parent_written_fuse_tasks_lines(tmp_path, monkeypatch):
     assert resumed == full
 
 
+def _rekeyed_checkpoint(ck, **retired):
+    """Rewrite every line of ``ck`` as if its spec carried ``retired``
+    keys, in the run key and in the recorded summary's ``spec``."""
+    lines = []
+    for raw in ck.read_text().splitlines():
+        entry = json.loads(raw)
+        old = {**entry["summary"]["spec"], **retired}
+        entry["key"] = json.dumps(old, sort_keys=True, separators=(",", ":"))
+        entry["summary"]["spec"] = old
+        lines.append(json.dumps(entry, separators=(",", ":")))
+    ck.write_text("\n".join(lines) + "\n")
+    return lines
+
+
+@pytest.mark.parametrize("fabric", [None, "local:1"])
+def test_resume_accepts_parent_written_retired_key_lines(
+    tmp_path, monkeypatch, fabric
+):
+    """The parent's ``to_dict`` wrote ``"max_time_ms": null`` and
+    ``"step_time": "pass"`` into every spec, so every key it minted
+    carries both. Such a checkpoint resumes with zero cells re-run, in
+    process and on the fabric, and a relaunched coordinator's own
+    recovery counts every line as done."""
+    from repro.api import parallel
+    from repro.fabric import SweepCoordinator
+
+    specs = GridSpec.coerce(GRID).expand()[:4]
+    ck = tmp_path / "parent.ckpt.jsonl"
+    fresh = parallel.run_sweep_cells(specs, checkpoint=ck)
+    lines = _rekeyed_checkpoint(ck, max_time_ms=None, step_time="pass")
+    monkeypatch.setattr(
+        parallel, "resolve_runner",
+        lambda name: pytest.fail("a recorded cell was re-run"),
+    )
+    resumed = parallel.run_sweep_cells(
+        specs, checkpoint=ck, resume=True, fabric=fabric
+    )
+    assert resumed == fresh  # recorded specs come back without the keys
+    assert ck.read_text().splitlines() == lines  # nothing re-appended
+    cells = [(i, run_key(s), s.to_dict()) for i, s in enumerate(specs)]
+    coordinator = SweepCoordinator(cells, resume_from=ck)
+    assert coordinator.recovered == len(specs)
+    assert coordinator.results == dict(enumerate(fresh))
+
+
+def test_resume_reruns_cells_recorded_with_a_retired_non_default(tmp_path):
+    """A line recording ``"step_time": "update"`` described another run:
+    it matches no cell, so its cell re-runs — quietly, with no
+    traceback from the checkpoint reader."""
+    from repro.api import parallel
+
+    specs = GridSpec.coerce(GRID).expand()[:2]
+    ck = tmp_path / "parent.ckpt.jsonl"
+    fresh = parallel.run_sweep_cells(specs, checkpoint=ck)
+    _rekeyed_checkpoint(ck, step_time="update")
+    assert all(key != run_key(s) for (_i, key, _w), s in
+               zip(SweepCheckpoint(ck).entries(), specs))
+    resumed = parallel.run_sweep_cells(specs, checkpoint=ck, resume=True)
+    assert resumed == fresh
+    assert len(ck.read_text().splitlines()) == 2 * len(specs)
+
+
 def _parent_spec_dict(spec, spelled):
     """``spec.to_dict()`` as the commit before ``barrier`` was folded
     into ``policy`` wrote it: ``barrier`` always present — carrying the

@@ -24,29 +24,6 @@ def test_map(ctx):
     ]
 
 
-def test_filter(ctx):
-    out = ctx.range(20, 4).filter(lambda x: x % 3 == 0).collect()
-    assert out == [0, 3, 6, 9, 12, 15, 18]
-
-
-def test_flat_map(ctx):
-    out = ctx.parallelize([1, 2], 2).flat_map(lambda x: [x] * x).collect()
-    assert out == [1, 2, 2]
-
-
-def test_map_partitions_sees_whole_partition(ctx):
-    rdd = ctx.parallelize(range(12), 3)
-    out = rdd.map_partitions(lambda part: [sum(part)]).collect()
-    assert sum(out) == sum(range(12))
-    assert len(out) == 3
-
-
-def test_map_partitions_with_index(ctx):
-    rdd = ctx.parallelize(range(6), 3)
-    out = rdd.map_partitions_with_index(lambda i, part: [i]).collect()
-    assert out == [0, 1, 2]
-
-
 def test_chained_transformations_lazy(ctx):
     calls = []
 
@@ -60,24 +37,9 @@ def test_chained_transformations_lazy(ctx):
     assert calls == [1, 2, 3]
 
 
-def test_reduce(ctx):
-    assert ctx.range(101, 5).reduce(lambda a, b: a + b) == 5050
-
-
-def test_reduce_skips_empty_partitions(ctx):
-    rdd = ctx.parallelize([5], 4)  # 3 empty partitions
-    assert rdd.reduce(lambda a, b: a + b) == 5
-
-
-def test_reduce_empty_raises(ctx):
-    with pytest.raises(EngineError):
-        ctx.parallelize([], 2).reduce(lambda a, b: a + b)
-
-
-def test_fold_and_aggregate(ctx):
+def test_aggregate_with_distinct_partial_type(ctx):
     rdd = ctx.parallelize(range(10), 3)
-    assert rdd.fold(0, lambda a, b: a + b) == 45
-    # aggregate: (sum, count)
+    # aggregate: int elements fold into (sum, count) partials
     total, count = rdd.aggregate(
         (0, 0),
         lambda acc, x: (acc[0] + x, acc[1] + 1),
@@ -90,38 +52,6 @@ def test_count_sum(ctx):
     rdd = ctx.range(17, 4)
     assert rdd.count() == 17
     assert rdd.sum() == sum(range(17))
-
-
-def test_take_and_first(ctx):
-    rdd = ctx.range(100, 10)
-    assert rdd.take(5) == [0, 1, 2, 3, 4]
-    assert rdd.take(0) == []
-    assert rdd.first() == 0
-
-
-def test_first_empty_raises(ctx):
-    with pytest.raises(EngineError):
-        ctx.parallelize([], 2).first()
-
-
-def test_glom_wraps_partitions(ctx):
-    out = ctx.parallelize(range(6), 3).glom().collect()
-    assert out == [[0, 1], [2, 3], [4, 5]]
-
-
-def test_union_concatenates(ctx):
-    a = ctx.parallelize([1, 2], 2)
-    b = ctx.parallelize([3], 1)
-    u = a.union(b)
-    assert u.num_partitions == 3
-    assert u.collect() == [1, 2, 3]
-
-
-def test_zip_with_index_global_offsets(ctx):
-    rdd = ctx.parallelize(list("abcdef"), 3).zip_with_index()
-    assert rdd.collect() == [
-        ("a", 0), ("b", 1), ("c", 2), ("d", 3), ("e", 4), ("f", 5),
-    ]
 
 
 def test_sample_without_replacement_subset(ctx):
@@ -158,21 +88,6 @@ def test_cache_computes_once(ctx):
     rdd.collect()
     rdd.collect()
     assert len(calls) == 8  # second collect served from worker cache
-
-
-def test_unpersist_recomputes(ctx):
-    calls = []
-
-    def probe(x):
-        calls.append(x)
-        return x
-
-    rdd = ctx.parallelize(range(4), 2).map(probe).cache()
-    rdd.collect()
-    rdd.unpersist()
-    rdd.cache()
-    rdd.collect()
-    assert len(calls) == 8
 
 
 def test_root_rdd_requires_partitions(ctx):

@@ -42,45 +42,14 @@ def test_map_matches_builtin(mctx, data, parts):
 
 @common_settings
 @given(data=ints, parts=small_parts)
-def test_filter_matches_builtin(mctx, data, parts):
-    got = mctx.parallelize(data, parts).filter(lambda x: x % 2 == 0).collect()
-    assert got == [x for x in data if x % 2 == 0]
-
-
-@common_settings
-@given(data=st.lists(st.integers(-100, 100), min_size=1, max_size=60),
-       parts=small_parts)
-def test_reduce_sum_matches(mctx, data, parts):
-    assert mctx.parallelize(data, parts).reduce(
-        lambda a, b: a + b
-    ) == sum(data)
+def test_sum_matches(mctx, data, parts):
+    assert mctx.parallelize(data, parts).sum() == sum(data)
 
 
 @common_settings
 @given(data=ints, parts=small_parts)
 def test_count_matches(mctx, data, parts):
     assert mctx.parallelize(data, parts).count() == len(data)
-
-
-@common_settings
-@given(data=ints, parts=small_parts)
-def test_flatmap_matches(mctx, data, parts):
-    got = mctx.parallelize(data, parts).flat_map(lambda x: [x, -x]).collect()
-    expected = [v for x in data for v in (x, -x)]
-    assert got == expected
-
-
-@common_settings
-@given(data=ints, parts=small_parts, n=st.integers(0, 70))
-def test_take_matches_prefix(mctx, data, parts, n):
-    assert mctx.parallelize(data, parts).take(n) == data[:n]
-
-
-@common_settings
-@given(data=ints, parts=small_parts)
-def test_zip_with_index_matches_enumerate(mctx, data, parts):
-    got = mctx.parallelize(data, parts).zip_with_index().collect()
-    assert got == [(x, i) for i, x in enumerate(data)]
 
 
 @common_settings
@@ -111,12 +80,3 @@ def test_aggregate_mean_matches(mctx, data, parts):
     )
     assert total == sum(data)
     assert count == len(data)
-
-
-@common_settings
-@given(data=st.lists(st.integers(-50, 50), min_size=1, max_size=40),
-       parts=small_parts)
-def test_union_matches_concat(mctx, data, parts):
-    a = mctx.parallelize(data, parts)
-    b = mctx.parallelize(data[::-1], parts)
-    assert a.union(b).collect() == data + data[::-1]

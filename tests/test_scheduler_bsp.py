@@ -89,9 +89,3 @@ def test_jobs_run_counter(ctx):
     ctx.run_job(rdd, lambda s, d: None)
     ctx.run_job(rdd, lambda s, d: None)
     assert ctx.scheduler.jobs_run == before + 2
-
-
-def test_nested_job_from_transformation(ctx):
-    # zip_with_index launches an internal counting job; must compose.
-    rdd = ctx.parallelize(list("xyz"), 2).zip_with_index()
-    assert rdd.collect() == [("x", 0), ("y", 1), ("z", 2)]

@@ -45,17 +45,6 @@ def test_sync_sgd_error_decreases_along_trace(ctx, small_data):
     assert errs[-1] < errs[0]
 
 
-def test_sync_sgd_respects_time_budget(ctx, small_data):
-    points, problem = build(ctx, small_data)
-    res = build_optimizer(
-        "sgd", ctx, points, problem, InvSqrtDecay(0.5),
-        OptimizerConfig(batch_fraction=0.25, max_updates=10_000,
-                        max_time_ms=30.0, seed=0),
-    ).run()
-    assert res.updates < 10_000
-    assert res.elapsed_ms >= 30.0
-
-
 def test_async_sgd_converges(ctx, small_data):
     points, problem = build(ctx, small_data)
     res = build_optimizer(
@@ -162,8 +151,6 @@ def test_config_validation():
         OC(max_updates=0)
     with pytest.raises(Exception):
         OC(eval_every=0)
-    with pytest.raises(Exception):
-        OC(step_time="bogus")
 
 
 def test_metrics_window_only_this_run(ctx, small_data):

@@ -27,7 +27,6 @@ from typing import Any
 import numpy as np
 
 from repro.comm.compressors import Compressor, Packet
-from repro.comm.measure import payload_nbytes
 from repro.utils.sizeof import sizeof_bytes
 
 __all__ = ["EncodedPayload", "PayloadCodec"]
@@ -71,12 +70,24 @@ class _Feedback:
         self.residuals: dict[int, np.ndarray] = {}
 
 
-def _is_compressible(leaf: Any) -> bool:
-    return (
-        isinstance(leaf, np.ndarray)
-        and leaf.dtype.kind == "f"
-        and leaf.size >= _MIN_COMPRESS_SIZE
-    )
+class _Encoding:
+    """One encode's running state: leaf numbering and both byte sums.
+
+    ``raw`` and ``wire`` follow :func:`~repro.comm.measure.payload_nbytes`
+    (``sizeof_bytes``: 64 per tuple or array plus an array's ``nbytes``),
+    except that ``wire`` counts each packet at its exact size.
+    """
+
+    __slots__ = ("env", "scope", "draw", "residuals", "leaves", "raw", "wire")
+
+    def __init__(self, env, scope: int, draw: int, residuals: dict) -> None:
+        self.env = env
+        self.scope = scope
+        self.draw = draw
+        self.residuals = residuals
+        self.leaves = 0
+        self.raw = 0
+        self.wire = 0
 
 
 class PayloadCodec:
@@ -88,60 +99,70 @@ class PayloadCodec:
 
     # -- worker side -----------------------------------------------------------
     def encode(self, payload: Any, env, partition: "int | None") -> EncodedPayload:
-        """Compress ``payload``'s float leaves; residuals live in ``env``."""
+        """Compress ``payload``'s float leaves; residuals live in ``env``.
+
+        One walk builds the encoded tree and sums both byte measures.
+        """
         scope = _WORKER_SCOPE if partition is None else int(partition)
         key = ("comm_ef", scope)
         state = env.get(key)
         if state is None:
             state = _Feedback()
             env.put(key, state)
-        draw = state.draws
+        job = _Encoding(env, scope, state.draws, state.residuals)
         state.draws += 1
-        residuals = state.residuals
+        tree = self._encode(payload, job)
+        return EncodedPayload(tree, job.raw, job.wire)
+
+    def _encode(self, node: Any, job: _Encoding) -> Any:
+        if isinstance(node, tuple):
+            job.raw += 64
+            job.wire += 64
+            out = []
+            for child in node:
+                out.append(self._encode(child, job))
+            return tuple(out)
+        if not (
+            isinstance(node, np.ndarray)
+            and node.dtype.kind == "f"
+            and node.size >= _MIN_COMPRESS_SIZE
+        ):
+            nbytes = sizeof_bytes(node)
+            job.raw += nbytes
+            job.wire += nbytes
+            return node
+        job.raw += 64 + node.nbytes
+        index = job.leaves
+        job.leaves += 1
+        x = node.astype(np.float64, copy=True)
+        residual = job.residuals.get(index)
+        if residual is not None and residual.shape == x.shape:
+            x += residual
         compressor = self.compressor
-
-        leaf_index = 0
-        # The encoded tree's wire measure, summed as it is built: packets
-        # at their exact size, tuples at 64 + children, the rest raw.
-        wire = 0
-
-        def walk(node: Any) -> Any:
-            nonlocal leaf_index, wire
-            if isinstance(node, tuple):
-                wire += 64
-                return tuple(walk(child) for child in node)
-            if not _is_compressible(node):
-                wire += sizeof_bytes(node)
-                return node
-            index = leaf_index
-            leaf_index += 1
-            x = node.astype(np.float64, copy=True)
-            residual = residuals.get(index)
-            if residual is not None and residual.shape == x.shape:
-                x += residual
-            rng = None
-            if compressor.needs_rng:
-                rng = np.random.default_rng(
-                    [self.seed, env.worker_id, scope & 0x7FFFFFFF, draw, index]
-                )
-            packet = compressor.compress(x, rng=rng)
-            residuals[index] = compressor.residual(x, packet)
-            wire += packet.wire_bytes
-            return packet
-
-        tree = walk(payload)
-        return EncodedPayload(tree, payload_nbytes(payload), wire)
+        rng = None
+        if compressor.needs_rng:
+            rng = np.random.default_rng([
+                self.seed, job.env.worker_id, job.scope & 0x7FFFFFFF,
+                job.draw, index,
+            ])
+        packet = compressor.compress(x, rng=rng)
+        job.residuals[index] = compressor.residual(x, packet)
+        job.wire += packet.wire_bytes
+        return packet
 
     # -- driver side -----------------------------------------------------------
     def decode(self, encoded: EncodedPayload) -> Any:
-        def walk(node: Any) -> Any:
-            if isinstance(node, Packet):
-                return self.compressor.decompress(node)
-            if isinstance(node, tuple):
-                return tuple(walk(child) for child in node)
-            return node
+        return self._decode(encoded.tree)
 
-        return walk(encoded.tree)
+    def _decode(self, node: Any) -> Any:
+        if isinstance(node, Packet):
+            return self.compressor.decompress(node)
+        if isinstance(node, tuple):
+            out = []
+            for child in node:
+                out.append(self._decode(child))
+            return tuple(out)
+        return node
 
     @staticmethod
     def out_bytes_of(value: Any) -> int:

@@ -120,7 +120,10 @@ class Packet:
     @property
     def wire_bytes(self) -> int:
         """Exact serialized size: ``len(self.to_bytes())``."""
-        return self.header_bytes + sum(int(a.nbytes) for a in self.arrays)
+        total = self.header_bytes
+        for a in self.arrays:
+            total += a.nbytes
+        return total
 
     def to_bytes(self) -> bytes:
         parts = [
@@ -267,8 +270,11 @@ class _SparseCompressor(Compressor):
         return f"{self.name}:{self.fraction:g}"
 
     def _pack(self, arr: np.ndarray, idx: np.ndarray) -> Packet:
+        """Packet of ``arr`` at ``idx``, a fresh array the caller gives up
+        (narrowed, then sorted in place)."""
         flat = arr.ravel()
-        idx = np.sort(idx).astype(np.int64 if flat.size > 2**31 else np.int32)
+        idx = idx.astype(np.int64 if flat.size > 2**31 else np.int32, copy=False)
+        idx.sort()
         values = flat[idx].astype(np.float64, copy=False)
         return Packet(self.name, arr.shape, arr.dtype, (idx, values))
 
@@ -302,7 +308,7 @@ class TopKCompressor(_SparseCompressor):
         if k >= flat.size:
             idx = np.arange(flat.size)
         else:
-            idx = np.argpartition(np.abs(flat), flat.size - k)[flat.size - k:]
+            idx = np.abs(flat).argpartition(flat.size - k)[flat.size - k:]
         return self._pack(arr, idx)
 
 

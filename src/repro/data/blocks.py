@@ -17,7 +17,9 @@ source blocks, a problem's training set) is a scipy CSR matrix using
 scipy's operators. :func:`matvec` and :func:`rmatvec` multiply whichever
 of the three payloads a block holds; the two sparse forms accumulate in
 the same order and agree bit for bit, so where the boundary sits changes
-speed only.
+speed only. :func:`grouped_products` multiplies each row against its own
+group's vector (SAGA's historical gradients, one group per stored model
+version) and leans on that identity to treat both sparse forms as one.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "ARRAY_ROWS_MAX_NNZ",
     "CsrRows",
     "MatrixBlock",
+    "grouped_products",
     "matvec",
     "rmatvec",
     "split_matrix",
@@ -175,6 +178,49 @@ def rmatvec(X: "Matrix", r: np.ndarray) -> np.ndarray:
     if isinstance(X, np.ndarray):
         return X.T @ r
     return np.asarray(X.T @ r).ravel()
+
+
+def grouped_products(
+    X: "Matrix", y: np.ndarray, ws: "list[np.ndarray]", group: np.ndarray,
+    link,
+) -> np.ndarray:
+    """``X_g.T @ link(X_g @ ws[g], y_g)`` for every group, as ``(len(ws), d)``.
+
+    ``group[i]`` is row ``i``'s index into ``ws``; ``X_g``/``y_g`` are
+    the rows of group ``g`` in row order and ``link`` is elementwise.
+    Each output row is bit-equal to :func:`rmatvec` / :func:`matvec` on
+    ``MatrixBlock.take_rows`` of group ``g``'s rows.
+
+    Sparse payloads take one pass for all groups: the row products read
+    each stored entry's own group's vector, and the column sums are one
+    ``np.bincount`` keyed by ``(group, column)``, which adds every key's
+    entries in storage order, as the per-group products do. A scipy
+    matrix goes through its raw arrays (its rows' entries are
+    ``repeat``-ed row ids). Dense payloads keep a gather and two BLAS
+    calls per group: BLAS's bits depend on the matrix it is handed.
+    """
+    k, dim = len(ws), X.shape[1]
+    if isinstance(X, np.ndarray):
+        out = np.empty((k, dim))
+        for g, w in enumerate(ws):
+            rows = np.flatnonzero(group == g)
+            Xg = X[rows]
+            out[g] = Xg.T @ link(Xg @ w, y[rows])
+        return out
+    if type(X) is CsrRows:
+        data, indices, row_of_nnz = X.data, X.indices, X.row_of_nnz
+    else:
+        X = X.tocsr()
+        lo, hi = X.indptr[0], X.indptr[-1]
+        data, indices = X.data[lo:hi], X.indices[lo:hi]
+        row_of_nnz = np.arange(X.shape[0]).repeat(np.diff(X.indptr))
+    key = group[row_of_nnz] * dim + indices
+    W = np.concatenate(ws) if k else np.empty(0)
+    m = np.bincount(row_of_nnz, weights=data * W[key], minlength=X.shape[0])
+    r = link(m, y)
+    return np.bincount(
+        key, weights=data * r[row_of_nnz], minlength=k * dim
+    ).reshape(k, dim)
 
 
 Matrix = Union[np.ndarray, sparse.csr_matrix, CsrRows]

@@ -258,12 +258,19 @@ class LeaseTable:
 
     def fail(self, index: int, worker: str, error: str, now: float) -> str:
         """Record a cell failure; ``"retry"`` re-pools it, ``"fatal"``
-        marks it permanently failed (attempt budget exhausted)."""
+        marks it permanently failed (attempt budget exhausted).
+
+        ``"duplicate"`` — the report is stale and changes nothing: the
+        cell is already done, or its lease expired and it now runs on
+        another worker, whose own attempt decides its fate.
+        """
         self.touch(worker, now)
         cell = self.cells.get(index)
         if cell is None:
             raise FabricError(f"failure for unknown cell index {index}")
-        if cell.status == DONE:
+        if cell.status == DONE or (
+            cell.status == LEASED and cell.worker != worker
+        ):
             self.counters.duplicates += 1
             return "duplicate"
         cell.error = error

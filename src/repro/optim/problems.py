@@ -7,7 +7,9 @@ All objectives have the finite-sum form of the paper's Eq. (1)/(2):
 with per-sample losses f_j. The distributed algorithms only ever call the
 vectorized block kernel ``grad_sum(X, y, w)`` (sum of per-sample gradients
 over a block), which is a single BLAS / sparse matvec pair per task — no
-per-row Python, per the HPC guides. ``X`` is whatever a block holds (dense
+per-row Python, per the HPC guides — and SAGA's ``grad_sum_grouped``,
+the same sum with every row at its own stored model version, one
+grouped product pair for a sparse batch. ``X`` is whatever a block holds (dense
 array, scipy CSR matrix, or a small row subset's
 :class:`~repro.data.blocks.CsrRows`); :mod:`repro.data.blocks` owns how
 each of them multiplies.
@@ -25,7 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.api.registry import register_problem
-from repro.data.blocks import matvec, rmatvec
+from repro.data.blocks import MatrixBlock, grouped_products, matvec, rmatvec
 from repro.errors import OptimError
 
 __all__ = [
@@ -40,6 +42,14 @@ def _as_dense_rowmajor(X) -> np.ndarray | sparse.csr_matrix:
     if sparse.issparse(X):
         return X.tocsr()
     return np.ascontiguousarray(X)
+
+
+def _sum_groups(G: np.ndarray) -> np.ndarray:
+    """Rows of ``G`` added into ``zeros`` in order (never pairwise)."""
+    g = np.zeros(G.shape[1])
+    for row in G:
+        g += row
+    return g
 
 
 class Problem(ABC):
@@ -75,6 +85,24 @@ class Problem(ABC):
     @abstractmethod
     def grad_sum(self, X, y: np.ndarray, w: np.ndarray) -> np.ndarray:
         """``sum_j grad f_j(w)`` over the block (without regularization)."""
+
+    def grad_sum_grouped(
+        self, X, y: np.ndarray, ws: "list[np.ndarray]", group: np.ndarray
+    ) -> np.ndarray:
+        """``sum_j grad f_j(ws[group[j]])``: every row at its own model.
+
+        What SAGA's historical gradients need, one group per stored
+        version. Defined as :meth:`grad_sum` of each group's rows at its
+        model, added into ``zeros(dim)`` in group order; this loop is
+        that definition, and a problem with a single grouped product
+        overrides it bit for bit.
+        """
+        batch = MatrixBlock(X, y)
+        g = np.zeros(X.shape[1])
+        for k, w in enumerate(ws):
+            part = batch.take_rows(np.flatnonzero(group == k))
+            g = g + self.grad_sum(part.X, part.y, w)
+        return g
 
     # -- full-objective helpers (driver-side evaluation) ---------------------------
     def objective(self, w: np.ndarray) -> float:
@@ -142,6 +170,9 @@ class LeastSquaresProblem(Problem):
     def grad_sum(self, X, y, w):
         r = matvec(X, w) - y
         return 2.0 * rmatvec(X, r)
+
+    def grad_sum_grouped(self, X, y, ws, group):
+        return _sum_groups(2.0 * grouped_products(X, y, ws, group, np.subtract))
 
     def solve_optimum(self) -> np.ndarray:
         # Normal equations: ((2/n) X^T X + lam I) w = (2/n) X^T y.
@@ -213,6 +244,14 @@ class LogisticRegressionProblem(Problem):
         margins = -y * matvec(X, w)
         coef = -y * self._sigmoid(margins)
         return rmatvec(X, coef)
+
+    @classmethod
+    def _coef(cls, m: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """:meth:`grad_sum`'s ``coef`` from the row products ``m``."""
+        return -y * cls._sigmoid(-y * m)
+
+    def grad_sum_grouped(self, X, y, ws, group):
+        return _sum_groups(grouped_products(X, y, ws, group, self._coef))
 
     def solve_optimum(self) -> np.ndarray:
         # The one user of scipy.optimize: imported here so ``import

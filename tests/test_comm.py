@@ -430,6 +430,48 @@ def test_payload_nbytes_matches_hist_units():
         assert payload_nbytes(value) == sizeof_bytes(value)
 
 
+_payload_leaves = st.one_of(
+    st.integers(8, 40).map(lambda n: np.linspace(-1.0, 2.0, n)),
+    st.integers(8, 40).map(lambda n: np.linspace(-1.0, 2.0, n, dtype=np.float32)),
+    st.integers(0, 7).map(lambda n: np.ones(n)),  # too small to compress
+    st.integers(0, 20).map(lambda n: np.arange(n)),
+    st.integers(-5, 5),
+    st.none(),
+)
+_payload_trees = st.recursive(
+    _payload_leaves, lambda kids: st.lists(kids, max_size=4).map(tuple),
+    max_leaves=10,
+)
+
+
+def _expected_wire(node) -> int:
+    if isinstance(node, tuple):
+        return 64 + sum(_expected_wire(child) for child in node)
+    if isinstance(node, Packet):
+        return len(node.to_bytes())
+    return sizeof_bytes(node)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    token=st.sampled_from(["topk:0.25", "randk:0.25", "int8", "onebit"]),
+    payload=_payload_trees,
+)
+def test_encode_keeps_ledger_units_on_mixed_trees(token, payload):
+    """One walk sums both measures: raw is ``payload_nbytes`` of the
+    payload, wire is every packet's serialized size plus the passthrough
+    leaves and tuples at their raw size."""
+    from repro.cluster.backend import WorkerEnv
+    from repro.comm.codec import PayloadCodec
+
+    codec = PayloadCodec(parse_compressor(token), seed=1)
+    env = WorkerEnv(1)
+    for _ in range(2):  # the second encode carries residuals
+        enc = codec.encode(payload, env, 4)
+        assert enc.raw_bytes == payload_nbytes(payload)
+        assert enc.wire_bytes == _expected_wire(enc.tree)
+
+
 # ---------------------------------------------------------------------------
 # Watermarks: pruning SAGA's keep="all" model channel, delta broadcast
 # ---------------------------------------------------------------------------

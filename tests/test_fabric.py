@@ -259,6 +259,50 @@ def test_failed_cell_retries_then_goes_fatal():
     assert not table.done
 
 
+@pytest.mark.parametrize("max_attempts", [2, 3])
+def test_late_failure_from_expired_lease_is_stale(max_attempts):
+    """A failure report for a cell now leased to someone else changes
+    nothing: no FAILED verdict, no re-pool under the live lease."""
+    table = LeaseTable(
+        _cells(1, groups=1), max_attempts=max_attempts, lease_ttl=10.0,
+        lease_size=1,
+    )
+    index = table.acquire("A", now=0.0).indices[0]
+    table.expire(20.0)
+    lease_b = table.acquire("B", now=20.0)
+    assert lease_b.indices == [index]
+    assert table.fail(index, "A", "late boom", now=21.0) == "duplicate"
+    cell = table.cells[index]
+    assert (cell.status, cell.worker, cell.error) == ("leased", "B", None)
+    assert table.leases[lease_b.lease_id].indices == [index]
+    assert (table.counters.duplicates, table.counters.retried) == (1, 0)
+    # B's own attempt still decides the cell.
+    assert table.complete(index, cell.key, "B", now=22.0) == "recorded"
+    assert table.done
+
+
+def test_coordinator_keeps_sweep_alive_on_stale_failure():
+    from repro.fabric import SweepCoordinator
+
+    now = [0.0]
+    coordinator = SweepCoordinator(
+        [cell[:3] for cell in _cells(1, groups=1)], lease_ttl=10.0,
+        lease_size=1, max_attempts=2, clock=lambda: now[0],
+    )
+    dispatch = coordinator._dispatch
+    lease = dispatch({"type": "request", "worker": "A"})
+    index = lease["cells"][0]["index"]
+    now[0] = 20.0
+    assert dispatch({"type": "request", "worker": "B"})["type"] == "lease"
+    now[0] = 21.0
+    reply = dispatch(
+        {"type": "result", "worker": "A", "index": index, "error": "boom"}
+    )
+    assert reply == {"type": "ok", "status": "duplicate"}
+    assert coordinator._error is None
+    assert dispatch({"type": "request", "worker": "C"})["type"] == "wait"
+
+
 def test_membership_is_elastic():
     table = LeaseTable(_cells(4, groups=2), lease_ttl=5.0, lease_size=2)
     table.acquire("w1", now=0.0)

@@ -1,11 +1,12 @@
-"""Regenerate the paper's evaluation and export it for external plotting.
+"""Regenerate the paper's figures and tables and export them for plotting.
 
-Runs the figure drivers at a configurable budget and writes:
+Runs the claims behind Figures 2-8 and Tables 2-3 at the paper's budgets
+(``repro.bench.claims``) and writes:
 
-- ``results/figN_*.csv`` — each figure's summary table,
+- ``results/<claim>.csv`` — each claim's measured table,
 - ``results/fig3_series_*.csv`` — raw error-vs-time series per CDS cell
   (ready for matplotlib/gnuplot),
-- ``results/summary.json`` — everything, machine-readable.
+- ``results/summary.json`` — every table and verdict, machine-readable.
 
 Run:  python examples/export_results.py [outdir]
 """
@@ -13,54 +14,45 @@ Run:  python examples/export_results.py [outdir]
 import sys
 from pathlib import Path
 
-from repro.bench import figures
+from repro.bench.claims import CDS_DATASETS, CDS_DELAYS, run_claims
 from repro.metrics import error_series_to_csv, figure_to_csv, to_json
+
+FIGURES = (
+    "fig2_mllib", "fig3_cds_sgd", "fig4_wait_sgd", "fig5_cds_saga",
+    "fig6_wait_saga", "fig7_pcs_sgd", "fig8_pcs_saga", "table2_datasets",
+    "table3_wait_pcs",
+)
 
 
 def main(outdir: str = "results"):
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
+    verdicts = {v.claim.name: v for v in run_claims(FIGURES)}
 
-    fig2 = figures.fig2_sync_sgd_vs_reference(iterations=50, verbose=False)
-    fig3 = figures.fig3_cds_sgd(sync_updates=50, async_updates=400,
-                                verbose=False)
-    fig4 = figures.fig4_wait_sgd(sync_updates=50, async_updates=400,
-                                 verbose=False)
-    fig5 = figures.fig5_cds_saga(sync_updates=50, async_updates=400,
-                                 verbose=False)
-    fig6 = figures.fig6_wait_saga(sync_updates=50, async_updates=400,
-                                  verbose=False)
-    fig7 = figures.fig7_pcs_sgd(sync_updates=40, async_updates=900,
-                                verbose=False)
-    fig8 = figures.fig8_pcs_saga(sync_updates=40, async_updates=900,
-                                 verbose=False)
-    table3 = figures.table3_wait_pcs(sync_updates=40, async_updates=900,
-                                     verbose=False)
-
-    tables = {
-        "fig2_mllib": fig2, "fig3_cds_sgd": fig3, "fig4_wait_sgd": fig4,
-        "fig5_cds_saga": fig5, "fig6_wait_saga": fig6,
-        "fig7_pcs_sgd": fig7, "fig8_pcs_saga": fig8,
-        "table3_wait_pcs": table3,
-    }
-    for name, fig in tables.items():
-        figure_to_csv(fig, out / f"{name}.csv")
+    for name, verdict in verdicts.items():
+        columns = list(dict.fromkeys(
+            c for row in verdict.table.values() for c in row))
+        figure_to_csv({
+            "headers": ["row", *columns],
+            "rows": [[label, *(row.get(c, "") for c in columns)]
+                     for label, row in verdict.table.items()],
+        }, out / f"{name}.csv")
 
     # Raw error-vs-time curves for the CDS SGD figure (one file per
     # dataset, one series per delay x variant — the actual plot lines).
-    for ds in figures.CDS_DATASETS:
+    results = verdicts["fig3_cds_sgd"].results
+    for ds in CDS_DATASETS:
         series = {}
-        for delay in figures.CDS_DELAYS:
-            cell = fig3["cells"][(ds, delay)]
-            series[f"sync-{delay:.0%}"] = cell["sync"].error_series
-            series[f"async-{delay:.0%}"] = cell["async"].error_series
+        for delay in CDS_DELAYS:
+            for algo, kind in (("sgd", "sync"), ("asgd", "async")):
+                cell = results[f"{ds} {delay:.0%} {algo}"]
+                series[f"{kind}-{delay:.0%}"] = cell.error_series
         error_series_to_csv(series, out / f"fig3_series_{ds}.csv")
 
-    summary = {
-        name: {"headers": fig["headers"], "rows": fig["rows"]}
-        for name, fig in tables.items()
-    }
-    to_json(summary, out / "summary.json")
+    to_json({
+        name: {"claim": v.claim.sentence, "passed": v.passed, "table": v.table}
+        for name, v in verdicts.items()
+    }, out / "summary.json")
 
     written = sorted(p.name for p in out.iterdir())
     print(f"wrote {len(written)} files to {out}/:")

@@ -8,6 +8,7 @@
     python -m repro sweep grid.json --serve 2859          # fabric coordinator
     python -m repro sweep-worker otherhost:2859           # fabric worker
     python -m repro sweep-status grid.ckpt.jsonl          # live progress
+    python -m repro figures --jobs 2                      # the paper's claims
     python -m repro list
 
 ``run`` executes a single :class:`~repro.api.ExperimentSpec`; ``sweep``
@@ -21,7 +22,9 @@ summaries back into the same checkpoint — identical results, with work
 stealing and at-most-once accounting. ``--serve`` puts that coordinator
 on an endpoint ``sweep-worker`` processes on other hosts can join too.
 ``sweep-status`` renders a running (or finished) ``--jobs``/``--serve``
-sweep's progress from the checkpoint's status sidecar.
+sweep's progress from the checkpoint's status sidecar. ``figures`` runs
+the registry of the paper's claims (:mod:`repro.bench.claims`), prints
+each verdict, writes ``REPRODUCTION.md`` and exits 1 if a claim fails.
 Both run/sweep print human-readable summaries and can write the
 machine-readable form with ``--out``.
 """
@@ -296,6 +299,80 @@ def _cmd_sweep_status(args: argparse.Namespace) -> int:
     return 0
 
 
+def _claim_table(table: dict, title: str | None = None) -> str:
+    """A claim's measured ``{label: {column: value}}`` as an ASCII table."""
+    from repro.utils.tables import format_table
+
+    columns = list(dict.fromkeys(c for row in table.values() for c in row))
+    rows = [[label, *(row.get(c, "") for c in columns)]
+            for label, row in table.items()]
+    return format_table(["", *columns], rows, title=title)
+
+
+def _reproduction_md(verdicts: list) -> str:
+    """Per claim: its sentence, what ``holds`` checks, PASS/FAIL, the
+    measured table and the cells behind it."""
+    from repro.bench.claims import PAPER_CELL
+    from repro.utils.tables import format_table
+
+    base = PAPER_CELL.to_dict()
+    passed = sum(v.passed for v in verdicts)
+    lines = [
+        "# Reproduction of the paper's claims", "",
+        "Regenerate with `PYTHONPATH=src python -m repro figures`; the rows "
+        f"are `repro.bench.claims.CLAIMS`. {passed} of {len(verdicts)} "
+        "claims hold.", "",
+    ]
+    for v in verdicts:
+        claim = v.claim
+        terms = " ".join((claim.holds.__doc__ or "").split())
+        lines += [
+            f"## {claim.name}: {'PASS' if v.passed else 'FAIL'}", "",
+            f"> {claim.sentence}", "", f"Holds when: {terms}", "",
+            "```text", _claim_table(v.table), "```", "",
+        ]
+        overrides = [
+            [label, " ".join(
+                f"{key}={json.dumps(value, separators=(',', ':'))}"
+                for key, value in spec.to_dict().items()
+                if base.get(key) != value
+            )]
+            for label, spec in claim.cells.items()
+        ]
+        if overrides:
+            lines += [
+                f"Cells ({len(overrides)}; the fields that differ from "
+                "`PAPER_CELL`):", "", "```text",
+                format_table(["cell", "overrides"], overrides), "```", "",
+            ]
+    return "\n".join(lines)
+
+
+def _cmd_figures(args: argparse.Namespace) -> int:
+    from repro.bench.claims import run_claims
+
+    verdicts = run_claims(
+        args.names or None, jobs=args.jobs, checkpoint=args.checkpoint
+    )
+    for v in verdicts:
+        status = "PASS" if v.passed else "FAIL"
+        print(_claim_table(v.table, title=f"{v.claim.name}: {status}") + "\n")
+    failed = [v.claim.name for v in verdicts if not v.passed]
+    passed = len(verdicts) - len(failed)
+    print(
+        f"{passed} of {len(verdicts)} claims hold"
+        + (f"; FAIL: {', '.join(failed)}" if failed else "")
+    )
+    out = args.out or (None if args.names else "REPRODUCTION.md")
+    if out:
+        try:
+            Path(out).write_text(_reproduction_md(verdicts))
+        except OSError as exc:
+            raise ReproError(f"cannot write {out!r}: {exc}") from exc
+        print(f"wrote {out}")
+    return 1 if failed else 0
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     import repro.api.runner  # noqa: F401  (populates every registry)
     from repro.api import (
@@ -472,6 +549,32 @@ def main(argv: list[str] | None = None) -> int:
         "--json", action="store_true", help="machine-readable output"
     )
     p_status.set_defaults(fn=_cmd_sweep_status)
+
+    p_figures = sub.add_parser(
+        "figures",
+        help="run the paper's claims (figures, tables, design claims), "
+             "print each verdict and write REPRODUCTION.md; exit 1 if a "
+             "claim fails",
+    )
+    p_figures.add_argument(
+        "names", nargs="*", metavar="NAME",
+        help="claims to run (default: all of repro.bench.claims.CLAIMS)",
+    )
+    p_figures.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="worker processes forked for the cells (0 = one per core)",
+    )
+    p_figures.add_argument(
+        "--checkpoint", metavar="PATH",
+        help="JSONL file each finished cell is appended to; cells already "
+             "in it are restored instead of re-run",
+    )
+    p_figures.add_argument(
+        "--out",
+        help="write the markdown report here (default REPRODUCTION.md "
+             "when every claim runs, none for a NAME subset)",
+    )
+    p_figures.set_defaults(fn=_cmd_figures)
 
     p_list = sub.add_parser("list", help="list registered components and datasets")
     p_list.set_defaults(fn=_cmd_list)

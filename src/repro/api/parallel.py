@@ -3,7 +3,7 @@
 Every cell of a :class:`~repro.api.spec.GridSpec` is an independent
 deterministic simulation, so a sweep is embarrassingly parallel work.
 This module is the engine behind :func:`repro.api.runner.run_grid` (and
-the figure drivers in :mod:`repro.bench.figures`). ``run_sweep_cells``
+the paper's claims in :mod:`repro.bench.claims`). ``run_sweep_cells``
 runs the cells one of two ways — in this process, grouped by
 ``(dataset, seed, problem)`` so :func:`prepare_shared`'s one-slot cache
 builds each dataset and solves each reference optimum once per group; or
@@ -166,10 +166,10 @@ def _summary_cell(spec_dict: Mapping[str, Any]) -> dict:
 
 
 def _bench_cell(spec_dict: Mapping[str, Any]) -> dict:
-    """The figure-driver cell body: an ``ExperimentResult`` in wire form.
+    """The claims' cell body: an ``ExperimentResult`` in wire form.
 
     Every cell — in-process, fabric or restored — takes this form,
-    so figure ``cells`` expose scalar ``extras`` only (no ``history`` /
+    so claim results expose scalar ``extras`` only (no ``history`` /
     ``run_state`` objects); call ``run_api_experiment`` for the rest.
     """
     from repro.bench.harness import run_api_experiment
@@ -345,7 +345,7 @@ def run_sweep_cells(
     """Run sweep cells with JSONL checkpoint/resume; results in input order.
 
     The one checkpointed driver behind ``run_grid`` (``runner="summary"``,
-    results are the ``summarize()`` dicts) and the figure drivers
+    results are the ``summarize()`` dicts) and the claims registry
     (``runner="bench"``, ``decode=ExperimentResult.from_dict``). A cell
     function returns a JSON-safe dict; that dict is what the checkpoint
     records and ``decode`` (identity when ``None``) turns into the value

@@ -1,6 +1,6 @@
-"""Benchmark harness: one driver per table/figure of the paper."""
+"""Benchmark layer: the paper's claims (:mod:`repro.bench.claims`, run by
+``python -m repro figures``) over one-run summaries (:mod:`repro.bench.harness`)."""
 
 from repro.bench.harness import ExperimentResult, run_api_experiment
-from repro.bench import figures
 
-__all__ = ["ExperimentResult", "run_api_experiment", "figures"]
+__all__ = ["ExperimentResult", "run_api_experiment"]

@@ -1,10 +1,8 @@
-"""Bench reducer: one run -> a figure-ready summary.
+"""One run -> :class:`ExperimentResult`, what the paper's claims read.
 
-An evaluation cell is a plain :class:`repro.api.ExperimentSpec` (the
-figure drivers derive theirs from :data:`repro.bench.figures.PAPER_CELL`);
-this module only adds what the figures need on top of a run —
-:class:`ExperimentResult`: the error series, wait time and byte counters,
-in a form that round-trips through the sweep checkpoint.
+A cell is a plain :class:`repro.api.ExperimentSpec`; the result keeps its
+error series, wait time and byte counters in a form that round-trips
+through the sweep checkpoint (``runner="bench"``).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ __all__ = ["ExperimentResult", "run_api_experiment"]
 
 @dataclass
 class ExperimentResult:
-    """Lightweight, figure-ready summary of one run."""
+    """Summary of one run: what a claim's ``measure`` reads."""
 
     spec: ExperimentSpec
     final_error: float
@@ -48,9 +46,8 @@ class ExperimentResult:
 
     # -- checkpoint serialization ------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-safe form: what crosses process and host boundaries and
-        what the sweep checkpoint records (non-scalar extras stay
-        behind)."""
+        """JSON-safe form for processes, hosts and the sweep checkpoint
+        (non-scalar extras stay behind)."""
         return {
             "spec": self.spec.to_dict(),
             "final_error": float(self.final_error),
@@ -72,10 +69,9 @@ class ExperimentResult:
     def from_dict(cls, data: dict) -> "ExperimentResult":
         """Rebuild a result from its wire / checkpoint form.
 
-        ``error_series`` is required: ``run_grid`` summary checkpoints
-        share the same file format and spec keys but carry
-        ``summarize()`` dicts without a series — restoring one here must
-        fail loudly, not render empty convergence curves.
+        ``error_series`` is required: a ``run_grid`` summary checkpoint
+        has the same format and keys but no series, and restoring one
+        must fail loudly, not yield empty convergence curves.
         """
         if "error_series" not in data:
             raise ReproError(
@@ -99,12 +95,8 @@ class ExperimentResult:
 
 
 def run_api_experiment(spec) -> ExperimentResult:
-    """Run one cell (a spec or its dict form) on a fresh simulated cluster.
-
-    Prepares through the per-process shared-component cache, so the
-    sweep engine's ``runner="bench"`` cells reuse one dataset and one
-    solved optimum per group.
-    """
+    """Run one cell (a spec or its dict form) on a fresh simulated
+    cluster, through the per-process cache of datasets and optima."""
     from repro.api.parallel import prepare_shared
 
     prep = prepare_shared(spec)

@@ -1,7 +1,7 @@
 """Experiment result export: CSV / JSON for downstream plotting.
 
-The figure drivers return structured dicts; this module serializes them
-(and raw task metrics) so users can regenerate the paper's plots with
+Claim tables (:mod:`repro.bench.claims`), error series and raw task
+metrics serialize here, so users can regenerate the paper's plots with
 their tool of choice. Pure stdlib — no pandas dependency.
 """
 
@@ -48,7 +48,7 @@ def error_series_to_csv(
 
 
 def figure_to_csv(figure: dict, target: PathOrFile) -> None:
-    """Write a figure driver's headers+rows table as CSV."""
+    """Write a ``{"headers": [...], "rows": [[...], ...]}`` table as CSV."""
     if "headers" not in figure or "rows" not in figure:
         raise ValueError("figure dict needs 'headers' and 'rows'")
     fh, close = _open_w(target)

@@ -26,9 +26,12 @@ semi-stochastic treatment of Zhang et al. (2016):
   over the retained pairs (oldest to newest) turns each collected
   gradient into a quasi-Newton step.
 
-With ``history_depth=0`` the method degrades exactly to ASGD (no pairs,
-identity metric) — which is what the ``ablation_history_depth`` figure
-driver sweeps.
+With ``history_depth=0`` no pair is kept and the metric stays the
+identity: the curvature-free, constant-step control of the
+``history_depth`` claim (:mod:`repro.bench.claims`). It is *not* ASGD:
+``async_lbfgs`` takes a constant step where ``asgd`` decays as
+``1/sqrt(t)``, and every round seed is salted with the algorithm name,
+so that claim holds the best depth against depth 0, like for like.
 """
 
 from __future__ import annotations

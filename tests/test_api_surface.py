@@ -184,7 +184,6 @@ def test_design_scoreboard_only_goes_down():
     # One parallel sweep path: nothing to lend a pool to or switch
     # shared memory off for, and no pool to shut down.
     from repro.api import parallel
-    from repro.bench import figures
 
     assert list(inspect.signature(parallel.run_cells).parameters) == [
         "specs", "runner", "jobs",
@@ -193,7 +192,21 @@ def test_design_scoreboard_only_goes_down():
         "specs", "progress", "runner", "decode", "jobs", "checkpoint",
         "resume", "fabric",
     ]
-    assert "shutdown_pool" not in figures.__all__
+    # The paper's claims are one registry run by one function: no figure
+    # drivers, no module-global setters, no per-claim pytest scripts.
+    import repro.bench
+    from repro.bench.claims import run_claims
+
+    assert importlib.util.find_spec("repro.bench.figures") is None
+    assert not [name for name in dir(repro.bench) if name.startswith("set_")]
+    assert list(inspect.signature(run_claims).parameters) == [
+        "names", "jobs", "checkpoint",
+    ]
+    benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+    assert not [
+        path.name for pattern in ("fig", "table", "ablation")
+        for path in benchmarks.glob(f"bench_{pattern}*.py")
+    ]
     # One spec type: every ``ExperimentSpec`` importable under ``repro``
     # is the same class.
     specs = set()
@@ -235,7 +248,7 @@ import repro.fabric.worker
 loaded = [m for m in {_SET_UP_ONLY!r} if m in sys.modules]
 assert not loaded, ("import repro.fabric.worker", loaded)
 import repro.api.parallel
-import repro.bench.figures
+import repro.bench.claims
 assert "concurrent.futures.process" not in sys.modules  # no pool tier
 """)
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.api.parallel import run_key, run_sweep_cells
 from repro.api.spec import ExperimentSpec
-from repro.bench.figures import PAPER_CELL
+from repro.bench.claims import PAPER_CELL
 from repro.bench.harness import ExperimentResult, run_api_experiment
 from repro.errors import ReproError
 
@@ -37,7 +37,7 @@ def executed(monkeypatch):
 
 
 def run_bench_cells(specs, **kwargs):
-    """The figure drivers' call into the one checkpointed sweep driver."""
+    """The claims registry's call into the one checkpointed sweep driver."""
     return run_sweep_cells(
         specs, runner="bench", decode=ExperimentResult.from_dict, **kwargs
     )
@@ -185,27 +185,25 @@ def test_bench_progress_hook_counts_restored_cells(tmp_path):
     assert seen == [(0, 2), (1, 2)]
 
 
-# -- figure-driver wiring ------------------------------------------------------------
-def test_figures_checkpoint_survives_cache_clear(tmp_path, executed):
-    from repro.bench import figures
+# -- claims-registry wiring ----------------------------------------------------------
+def test_figures_checkpoint_survives_cache_clear(
+    tmp_path, executed, monkeypatch
+):
+    """``python -m repro figures --checkpoint`` keeps no in-memory cache:
+    a second run (a fresh process) replays every cell from the stream."""
+    from dataclasses import replace
 
+    from repro.bench import claims
+
+    row = claims.CLAIMS["barriers"]
+    monkeypatch.setitem(claims.CLAIMS, row.name, replace(row, cells={
+        policy: CELL.with_overrides(policy=policy, delay="cds:1.0")
+        for policy in ("asp", "bsp")
+    }))
     ckpt = tmp_path / "figures.ckpt.jsonl"
-    figures.clear_cache()
-    figures.set_checkpoint(str(ckpt))
-    try:
-        kwargs = dict(
-            dataset="tiny_dense", barriers=("asp", "bsp"), updates=8,
-            delay="cds:1.0", verbose=False,
-        )
-        figures.ablation_barriers(**kwargs)
-        ran = len(executed)
-        assert ran == 2
-        # a fresh process (simulated: drop the in-memory cache) replays
-        # the cells from the checkpoint stream instead of re-running.
-        figures.clear_cache()
-        out = figures.ablation_barriers(**kwargs)
-        assert len(executed) == ran
-        assert set(out["cells"]) == {"asp", "bsp"}
-    finally:
-        figures.set_checkpoint(None)
-        figures.clear_cache()
+    first = claims.run_claims([row.name], checkpoint=ckpt)
+    assert len(executed) == 2
+    (second,) = claims.run_claims([row.name], checkpoint=ckpt)
+    assert len(executed) == 2
+    assert set(second.results) == {"asp", "bsp"}
+    assert second.table == first[0].table

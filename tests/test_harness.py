@@ -1,11 +1,11 @@
-"""Bench reducer: token parsing, end-to-end cells, caching."""
+"""Bench reducer: token parsing, end-to-end cells."""
 
 import math
 
 import pytest
 
 from repro.api.registry import DELAY_MODELS, OPTIMIZERS
-from repro.bench.figures import PAPER_CELL
+from repro.bench.claims import PAPER_CELL
 from repro.bench.harness import run_api_experiment
 from repro.cluster.stragglers import ControlledDelay, NoDelay, ProductionCluster
 from repro.core.policies import (
@@ -116,49 +116,3 @@ def test_unknown_algorithm_rejected():
     with pytest.raises(ReproError):
         run_api_experiment(TINY_CELL.with_overrides(algorithm="quantum"))
 
-
-def test_figures_cache_is_bounded(monkeypatch):
-    """The spec-JSON cache evicts past _CACHE_MAX (the lru_cache it
-    replaced was bounded too) without dropping the current batch."""
-    from repro.bench import figures
-
-    figures.clear_cache()
-    monkeypatch.setattr(figures, "_CACHE_MAX", 2)
-    try:
-        out = figures.ablation_barriers(
-            dataset="tiny_dense", barriers=("asp", "bsp", "ssp:2"),
-            updates=8, delay="cds:1.0", verbose=False,
-        )
-        assert set(out["cells"]) == {"asp", "bsp", "ssp:2"}  # batch intact
-        assert len(figures._RESULTS) <= 2
-    finally:
-        figures.clear_cache()
-
-
-def test_figures_cache_reuses_runs(monkeypatch):
-    """Figure pairs share cells through the spec-JSON-keyed result cache:
-    repeating a driver (or its wait-time twin) executes nothing new."""
-    from repro.bench import figures
-
-    executed = []
-    real_run_cells = figures.run_sweep_cells
-
-    def counting_run_cells(specs, **kwargs):
-        executed.extend(specs)
-        return real_run_cells(specs, **kwargs)
-
-    monkeypatch.setattr(figures, "run_sweep_cells", counting_run_cells)
-    figures.clear_cache()
-    try:
-        kwargs = dict(
-            datasets=("tiny_dense",), delays=(0.0,), sync_updates=8,
-            async_updates=16, verbose=False,
-        )
-        figures.fig3_cds_sgd(**kwargs)
-        mid = len(executed)
-        assert mid > 0
-        figures.fig4_wait_sgd(**kwargs)  # same cells -> no new runs
-        assert len(executed) == mid
-        assert len(figures._RESULTS) == mid  # keyed on canonical spec JSON
-    finally:
-        figures.clear_cache()

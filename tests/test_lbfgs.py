@@ -144,18 +144,3 @@ def test_direction_clip_bounds_the_step():
     err, res = _final_error(spec)
     assert np.isfinite(err)
     assert err < prepare_experiment(spec).problem.initial_error()
-
-
-def test_ablation_history_depth_driver_smoke():
-    from repro.bench import figures
-
-    figures.clear_cache()
-    try:
-        out = figures.ablation_history_depth(
-            depths=(0, 4), updates=40, verbose=False,
-        )
-        assert set(out["cells"]) == {"asgd", "m=0", "m=4"}
-        assert [row[0] for row in out["rows"]] == ["asgd", "m=0", "m=4"]
-        assert out["cells"]["m=4"].extras["history_bytes"] > 0
-    finally:
-        figures.clear_cache()

@@ -63,7 +63,7 @@ def test_pipelined_round_reaches_deeper(ctx):
 
 
 def test_pipelining_reduces_elapsed_time():
-    from repro.bench.figures import PAPER_CELL
+    from repro.bench.claims import PAPER_CELL
     from repro.bench.harness import run_api_experiment
 
     def elapsed(depth):

@@ -252,22 +252,6 @@ def test_policy_axis_sweeps_through_grid():
     assert all(s["updates"] == 20 for s in summaries)
 
 
-def test_ablation_policies_driver_smoke():
-    from repro.bench import figures
-
-    figures.clear_cache()
-    try:
-        out = figures.ablation_policies(
-            dataset="tiny_dense", updates=16, num_workers=4,
-            num_partitions=8, verbose=False,
-            policies=("asp", "sample:0.5", "asp & fedasync:poly"),
-        )
-        assert set(out["cells"]) == {"asp", "sample:0.5", "asp & fedasync:poly"}
-        assert [row[0] for row in out["rows"]] == list(out["cells"])
-    finally:
-        figures.clear_cache()
-
-
 def test_filter_and_sample_composition_never_stalls():
     """Regression: `ct_partition & sample` used to intersect independent
     draws, occasionally selecting nothing on an idle cluster and dying
@@ -321,7 +305,7 @@ def test_policy_less_spec_json_is_unchanged_by_the_new_field():
 
 
 def test_bench_spec_fails_fast_on_mis_keyed_policy():
-    from repro.bench.figures import PAPER_CELL
+    from repro.bench.claims import PAPER_CELL
     from repro.bench.harness import run_api_experiment
 
     bad = PAPER_CELL.with_overrides(
@@ -332,7 +316,7 @@ def test_bench_spec_fails_fast_on_mis_keyed_policy():
 
 
 def test_bench_spec_rejects_policy_on_sync_algorithm():
-    from repro.bench.figures import PAPER_CELL
+    from repro.bench.claims import PAPER_CELL
     from repro.bench.harness import run_api_experiment
 
     sync = PAPER_CELL.with_overrides(

@@ -87,7 +87,7 @@ def test_to_json_fallback_repr():
 
 def test_export_real_experiment(tmp_path):
     """End-to-end: run a tiny cell and export everything."""
-    from repro.bench.figures import PAPER_CELL
+    from repro.bench.claims import PAPER_CELL
     from repro.bench.harness import run_api_experiment
 
     res = run_api_experiment(PAPER_CELL.with_overrides(

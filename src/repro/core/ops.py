@@ -111,8 +111,9 @@ class RoundPlan:
     itself); ``kernel`` is called as ``kernel(block, handle, seed)``.
 
     ``submit(..., sync=True)`` runs them as a bulk-synchronous round
-    (``AsyncScheduler.run_sync_round``), each priced on the wire by its
-    kernel value alone — what ``run_job`` ships per partition.
+    (``AsyncScheduler.run_sync_round``, the engine's one partition job
+    with retry that ``run_job`` also runs), each priced on the wire by
+    its kernel value alone — what ``run_job`` ships per partition.
     """
 
     def __init__(

@@ -17,7 +17,10 @@ then:
 This is the mechanism behind ASP / BSP / SSP, the user-defined filters
 of Listing 2, and the richer disciplines (client sampling, per-partition
 completion filtering, partition migration) the protocol enables.
-``run_sync_round`` is the synchronous algorithms' round instead.
+``run_sync_round`` is the synchronous algorithms' round instead: no
+policy, the engine's one partition job
+(:func:`~repro.engine.scheduler.run_partitions`) places, retries and
+waits, and every attempt still goes through this scheduler's dispatch.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import numpy as np
 
 from repro.cluster.backend import TaskMetrics, WorkerEnv
 from repro.core.policies import SchedulingPolicy, Target
-from repro.errors import SchedulerError, TaskError, WorkerLostError
+from repro.engine.dispatch import Continuation
+from repro.engine.scheduler import run_partitions
+from repro.errors import SchedulerError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.context import ASYNCContext
@@ -49,9 +54,12 @@ class AsyncScheduler:
         self.tasks_submitted = 0
         #: Subset of ``tasks_submitted`` that carried partition identity.
         self.partition_tasks_submitted = 0
-        # task_id -> (model version, partition, comm manager, sync retry
-        # state) of every task in flight, read by the one continuation.
-        self._tasks: dict[int, tuple[int, int | None, Any, Any]] = {}
+        # task_id -> (model version, partition, comm manager, sync-round
+        # continuation) of every task in flight, read by the one
+        # continuation.
+        self._tasks: dict[
+            int, tuple[int, int | None, Any, Continuation | None]
+        ] = {}
         # The context's locality rule is static for the scheduler's
         # lifetime, so its partition -> worker map is computed once and
         # only the (usually tiny) placement overlay varies per round.
@@ -248,34 +256,26 @@ class AsyncScheduler:
     ) -> None:
         """One bulk-synchronous round: every partition, then a barrier.
 
-        No policy: partition ``p`` is the task ``make_fn(worker, [p])``,
-        tagged ``p`` and sent in partition order to the worker
-        ``JobScheduler.pick_worker`` picks, as ``run_job`` places it. A
-        task lost with its worker goes at once to the next alive one, at
-        most ``max_retries`` times (then a :class:`~repro.errors.TaskError`
-        is queued), so every partition counts once per round. Returns when
-        nothing is in flight; the results wait in the coordinator's queue.
+        No policy: the engine's partition job places, retries and waits
+        exactly as for ``run_job``. Each attempt at partition ``p`` is the
+        task ``make_fn(worker, [p])``, tagged ``p`` and dispatched against
+        the model version the round opened with. Every attempt reaches the
+        coordinator (a lost one counts in ``lost_tasks``), and each
+        partition's result waits once in its queue. A partition out of
+        retries raises :class:`~repro.errors.TaskError`, a stalled round
+        :class:`~repro.errors.SchedulerError`.
         """
-        ctx = self.ac.ctx
-        job = (make_fn, ctx.dispatcher.new_job_id(), out_bytes_of)
         version = self.ac.coordinator.version
-        with ctx.backend.state_lock:
-            for split in range(num_partitions):
-                self._dispatch_partition(split, 0, version, job)
-        ctx.backend.run_until(
-            lambda: self.in_flight == 0, host_timeout_s=ctx.job_timeout_s
-        )
 
-    def _dispatch_partition(
-        self, split: int, attempt: int, version: int, job: tuple
-    ) -> None:
-        """Send attempt ``attempt`` of a sync round's partition ``split``."""
-        make_fn, job_id, out_bytes_of = job
-        worker = self.ac.ctx.scheduler.pick_worker(split, attempt)
-        self._dispatch(
-            worker, make_fn(worker, [split]), version, job_id,
-            partition=split, out_bytes_of=out_bytes_of, retry=(attempt, job),
-        )
+        def send(
+            split: int, worker: int, job_id: int, then: Continuation
+        ) -> None:
+            self._dispatch(
+                worker, make_fn(worker, [split]), version, job_id,
+                partition=split, out_bytes_of=out_bytes_of, then=then,
+            )
+
+        run_partitions(self.ac.ctx, num_partitions, send)
 
     def _on_complete(
         self,
@@ -285,8 +285,9 @@ class AsyncScheduler:
         metrics: TaskMetrics,
         error: BaseException | None,
     ) -> None:
-        """The one continuation of every dispatched task."""
-        version, partition, comm, retry = self._tasks[task_id]
+        """The one continuation of every dispatched task: the coordinator
+        sees every attempt, then a sync round's job sees it too."""
+        version, partition, comm, then = self._tasks[task_id]
         del self._tasks[task_id]
         self.in_flight -= 1
         if error is None:
@@ -300,23 +301,13 @@ class AsyncScheduler:
                 partition=partition,
             )
         else:
-            coordinator = self.ac.coordinator
-            coordinator.on_result(
+            self.ac.coordinator.on_result(
                 task_id, wid, None, metrics, error,
                 version=version, batch_size=0,
                 partition=partition,
             )
-            if retry is None or not isinstance(error, WorkerLostError):
-                return  # a task error is queued; collect raises it
-            attempt, job = retry
-            if attempt < self.ac.ctx.scheduler.max_retries:
-                self._dispatch_partition(partition, attempt + 1, version, job)
-                return
-            coordinator.errors.append(TaskError(
-                f"partition {partition} failed after {attempt + 1} "
-                f"attempt(s): {error!r}",
-                task_id=task_id, worker_id=wid, cause=error,
-            ))
+        if then is not None:
+            then(task_id, wid, None, metrics, error)
 
     def _dispatch(
         self,
@@ -326,7 +317,7 @@ class AsyncScheduler:
         job_id: int,
         partition: int | None = None,
         out_bytes_of: Callable[[Any], int] | None = None,
-        retry: tuple | None = None,
+        then: Continuation | None = None,
     ) -> None:
         ac = self.ac
         self.in_flight += 1
@@ -352,4 +343,4 @@ class AsyncScheduler:
         )
         # Recorded after submit returns: dispatch runs under
         # ``state_lock``, which every delivery also holds.
-        self._tasks[task_id] = (version, partition, comm, retry)
+        self._tasks[task_id] = (version, partition, comm, then)

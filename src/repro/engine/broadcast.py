@@ -1,11 +1,12 @@
 """Broadcast variables with per-worker caching and byte accounting.
 
-Mirrors Spark's broadcast semantics: the driver registers a value under a
-unique id; the first task on each worker that reads the value pays the
-transfer (recorded via ``WorkerEnv.record_fetch`` so the simulation charges
-it as network time), after which it is served from the worker's local
-store. NumPy values are exposed as read-only views to catch accidental
-mutation on workers — broadcast data is immutable by contract.
+Mirrors Spark's broadcast semantics: ``ClusterContext.broadcast`` gives a
+value a unique id; the first task on each worker that reads the value
+pays the transfer (recorded via ``WorkerEnv.record_fetch`` so the
+simulation charges it as network time), after which it is served from the
+worker's local store. NumPy values are exposed as read-only views to
+catch accidental mutation on workers — broadcast data is immutable by
+contract.
 
 ``ASYNCbroadcast`` (:mod:`repro.core.broadcaster`) builds on this to keep a
 *history* of versions addressable by id, which is the paper's mechanism
@@ -14,19 +15,17 @@ for variance-reduced methods.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.cluster.backend import WorkerEnv
-from repro.errors import BroadcastError
 from repro.utils.sizeof import sizeof_bytes
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import ClusterContext
 
-__all__ = ["Broadcast", "BroadcastManager"]
+__all__ = ["Broadcast"]
 
 _MISSING = object()
 
@@ -43,12 +42,11 @@ def _freeze(value: Any) -> Any:
 class Broadcast:
     """Handle to an immutable value replicated on demand to workers."""
 
-    def __init__(self, manager: "BroadcastManager", bc_id: int, value: Any):
-        self._manager = manager
+    def __init__(self, ctx: "ClusterContext", bc_id: int, value: Any):
+        self._ctx = ctx
         self.bc_id = bc_id
         self._value = _freeze(value)
         self.nbytes = sizeof_bytes(value)
-        self._destroyed = False
 
     def value(self, env: WorkerEnv | None = None) -> Any:
         """Read the broadcast value.
@@ -57,8 +55,6 @@ class Broadcast:
         worker, the first read records a fetch of ``nbytes`` (charged as
         network time by the simulation) and caches the value locally.
         """
-        if self._destroyed:
-            raise BroadcastError(f"broadcast {self.bc_id} was destroyed")
         if env is None:
             return self._value
         key = ("bc", self.bc_id)
@@ -66,7 +62,7 @@ class Broadcast:
         if cached is not _MISSING:
             return cached
         env.record_fetch(self.nbytes)
-        comm = self._manager.comm
+        comm = self._ctx.comm
         if comm is not None:
             # Plain broadcasts always ship in full; the COMM ledger
             # still counts them (raw == wire) so a run's broadcast
@@ -75,39 +71,5 @@ class Broadcast:
         env.put(key, self._value)
         return self._value
 
-    def destroy(self) -> None:
-        """Remove the value from the driver and all worker caches."""
-        if self._destroyed:
-            return
-        self._destroyed = True
-        self._manager._destroy(self)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Broadcast(id={self.bc_id}, nbytes={self.nbytes})"
-
-
-class BroadcastManager:
-    """Driver-side registry of broadcast variables."""
-
-    def __init__(self, ctx: "ClusterContext") -> None:
-        self.ctx = ctx
-        self._ids = itertools.count()
-        self._live: dict[int, Broadcast] = {}
-        self.total_broadcast_bytes = 0
-        #: The run's :class:`~repro.comm.manager.CommManager` ledger hook
-        #: (installed by the async server loop; ``None`` = no ledger).
-        self.comm: Any = None
-
-    def new(self, value: Any) -> Broadcast:
-        bc = Broadcast(self, next(self._ids), value)
-        self._live[bc.bc_id] = bc
-        self.total_broadcast_bytes += bc.nbytes
-        return bc
-
-    def _destroy(self, bc: Broadcast) -> None:
-        self._live.pop(bc.bc_id, None)
-        for env in self.ctx.backend.envs:
-            env.delete(("bc", bc.bc_id))
-
-    def live_count(self) -> int:
-        return len(self._live)

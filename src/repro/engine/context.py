@@ -1,8 +1,10 @@
 """ClusterContext: the engine's driver entry point (Spark's ``sc``).
 
-Wires together a backend (simulated or threaded), the dispatcher, the BSP
-job scheduler and the broadcast manager, and provides factory methods for
-RDDs. A context is also a context manager::
+Wires a backend (simulated or threaded) to the dispatcher, runs
+synchronous jobs through the engine's one partition job
+(:func:`~repro.engine.scheduler.run_partitions`), hands out broadcast
+variables and provides factory methods for RDDs. A context is also a
+context manager::
 
     with ClusterContext(num_workers=8, seed=0) as sc:
         rdd = sc.parallelize(range(100), 8)
@@ -15,16 +17,17 @@ import itertools
 import weakref
 from typing import Any, Callable, Sequence
 
-from repro.cluster.backend import Backend
+from repro.cluster.backend import Backend, WorkerEnv
 from repro.cluster.cost import TaskCostModel
 from repro.cluster.network import NetworkModel
 from repro.cluster.simbackend import SimBackend
 from repro.cluster.stragglers import DelayModel
-from repro.engine.broadcast import Broadcast, BroadcastManager
-from repro.engine.dispatch import Dispatcher
+from repro.engine.broadcast import Broadcast
+from repro.engine.dispatch import Continuation, Dispatcher
 from repro.engine.matrix import MatrixRDD
 from repro.engine.rdd import RDD, ParallelCollectionRDD
-from repro.engine.scheduler import JobScheduler
+from repro.engine.scheduler import run_partitions
+from repro.engine.taskcontext import task_env
 from repro.utils.rng import RngFactory
 
 __all__ = ["ClusterContext"]
@@ -57,8 +60,11 @@ class ClusterContext:
         self.seed = seed
         self.rngs = RngFactory(seed)
         self.dispatcher = Dispatcher(backend)
-        self.scheduler = JobScheduler(self)
-        self.broadcast_manager = BroadcastManager(self)
+        self._broadcast_ids = itertools.count()
+        #: The run's :class:`~repro.comm.manager.CommManager` ledger hook
+        #: for plain broadcasts (installed by the server loop; ``None`` =
+        #: no ledger).
+        self.comm: Any = None
         self.default_parallelism = default_parallelism or backend.num_workers
         self.job_timeout_s = job_timeout_s
         self.task_descriptor_bytes = 256
@@ -102,16 +108,26 @@ class ClusterContext:
     # -- cluster services ---------------------------------------------------------------
     def broadcast(self, value: Any) -> Broadcast:
         """Register an immutable value for on-demand worker replication."""
-        return self.broadcast_manager.new(value)
+        return Broadcast(self, next(self._broadcast_ids), value)
 
-    def run_job(
-        self,
-        rdd: RDD,
-        func: Callable[[int, list], Any],
-        partitions: Sequence[int] | None = None,
-    ) -> list:
-        """Synchronously run ``func`` over partitions (BSP semantics)."""
-        return self.scheduler.run_job(rdd, func, partitions)
+    def run_job(self, rdd: RDD, func: Callable[[int, list], Any]) -> list:
+        """Synchronously run ``func(split, data)`` over every partition
+        (BSP semantics); results in partition order."""
+        dispatcher, in_bytes = self.dispatcher, self.task_descriptor_bytes
+
+        def send(
+            split: int, worker: int, job_id: int, on_complete: Continuation
+        ) -> None:
+            def fn(env: WorkerEnv) -> Any:
+                with task_env(env):
+                    return func(split, rdd.iterator(split, env))
+
+            dispatcher.submit(
+                fn, worker, on_complete=on_complete, job_id=job_id,
+                in_bytes=in_bytes,
+            )
+
+        return run_partitions(self, rdd.num_partitions, send)
 
     def owner_of(self, split: int) -> int:
         """Locality rule: partition ``i`` prefers worker ``i mod P``."""

@@ -1,8 +1,8 @@
 """Task dispatch: the single funnel between schedulers and the backend.
 
-Both the BSP job scheduler and the ASYNCscheduler submit work through the
-dispatcher, which owns the backend's completion callback and routes each
-result to the submitting scheduler's continuation. It also keeps the
+The engine's partition job (``run_job``) and the ASYNCscheduler submit
+work through the dispatcher, which owns the backend's completion callback
+and routes each result to the submitter's continuation. It also keeps the
 metrics log — every task's :class:`~repro.cluster.backend.TaskMetrics`
 row, in completion order — that the wait-time analysis (Figures 4/6,
 Table 3) is computed from.
@@ -46,7 +46,6 @@ class Dispatcher:
         *,
         on_complete: Continuation,
         job_id: int | None = None,
-        cost_units: float = 0.0,
         in_bytes: int = 256,
         partition: int | None = None,
         out_bytes_of: Callable[[Any], int] | None = None,
@@ -62,7 +61,6 @@ class Dispatcher:
         task = BackendTask(
             task_id=task_id,
             fn=fn,
-            cost_units=cost_units,
             in_bytes=in_bytes,
             partition=partition,
             out_bytes_of=out_bytes_of or sizeof_bytes,

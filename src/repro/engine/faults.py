@@ -2,8 +2,9 @@
 
 Failure semantics: killing a worker clears its block store (cached RDD
 partitions, broadcast replicas, history caches) and errors its in-flight
-tasks with :class:`~repro.errors.WorkerLostError`. The BSP scheduler
-retries elsewhere; cached data is recomputed from lineage; broadcast reads
+tasks with :class:`~repro.errors.WorkerLostError`. The engine's one
+partition job (:func:`~repro.engine.scheduler.run_partitions`) resends
+them elsewhere; cached data is recomputed from lineage; broadcast reads
 re-fetch from the driver. These are exactly Spark's guarantees, which the
 paper's layer inherits ("preserving the in-memory and fault tolerant
 features of Spark").

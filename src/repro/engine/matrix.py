@@ -2,7 +2,7 @@
 
 A :class:`MatrixRDD` has exactly one :class:`~repro.data.blocks.MatrixBlock`
 per partition, so ``map``/``map_blocks`` closures receive whole blocks and
-run vectorized kernels. ``sample`` is overridden to subsample *rows inside
+run vectorized kernels. ``sample`` on a matrix RDD subsamples *rows inside
 each block* (what ``points.sample(b)`` means in the paper's algorithms)
 rather than sampling block objects.
 """
@@ -61,12 +61,6 @@ class MatrixRDD(RDD):
         return [self._blocks[split]]
 
     # -- ML verbs -------------------------------------------------------------
-    def sample(
-        self, fraction: float, seed: int = 0, with_replacement: bool = False
-    ) -> "SampledMatrixRDD":
-        """Row-subsample every block (the paper's mini-batch sampling)."""
-        return SampledMatrixRDD(self, fraction, seed, with_replacement)
-
     def map_blocks(self, f: Callable[[MatrixBlock], Any]) -> RDD:
         """Apply a block-level kernel; alias of ``map`` for matrix RDDs."""
         return self.map(f)
@@ -116,11 +110,3 @@ class SampledMatrixRDD(RDD):
                 env.record_cost(sub.cost_units())
             out.append(sub)
         return out
-
-    def sample(
-        self, fraction: float, seed: int = 0, with_replacement: bool = False
-    ) -> "SampledMatrixRDD":
-        return SampledMatrixRDD(self, fraction, seed, with_replacement)
-
-    def map_blocks(self, f: Callable[[MatrixBlock], Any]) -> RDD:
-        return self.map(f)

@@ -67,9 +67,6 @@ class RDD:
     def num_partitions(self) -> int:
         return self._num_partitions
 
-    def partitions(self) -> range:
-        return range(self._num_partitions)
-
     def compute(self, split: int, env: WorkerEnv | None) -> list:
         """Materialize partition ``split``. Subclasses implement this."""
         raise NotImplementedError
@@ -88,11 +85,9 @@ class RDD:
 
     # -- persistence --------------------------------------------------------------
     def cache(self) -> "RDD":
-        """Keep computed partitions in worker memory (like ``persist()``)."""
+        """Keep computed partitions in worker memory (Spark's ``persist``)."""
         self.cached = True
         return self
-
-    persist = cache
 
     # -- transformations ------------------------------------------------------------
     def map(self, f: Callable[[Any], Any]) -> "RDD":

@@ -1,131 +1,95 @@
-"""BSP job scheduler: Spark's synchronous action execution path.
+"""The engine's one partition job: Spark's synchronous stage with retry.
 
-``run_job`` launches one task per requested partition on its preferred
-worker (partition ``i`` lives on worker ``i mod P`` — the engine's
-locality rule), blocks until every task has delivered, and returns results
-in partition order. A worker lost mid-job triggers transparent retry on
-another worker, recomputing the partition from lineage.
+:func:`run_partitions` sends one task per partition ``0..n-1``, in
+order, to the worker :func:`pick_worker` chooses (partition ``i`` lives
+on worker ``i mod P`` — the engine's locality rule), blocks until every
+partition has delivered, and returns the values in partition order. A
+task lost with its worker goes at once to the next alive worker, at most
+:data:`MAX_RETRIES` times, recomputing the partition from lineage.
 
-It runs RDD actions and the optimizers' one-off full passes; the
-synchronous optimizers' rounds place and retry partitions by the same
-:meth:`JobScheduler.pick_worker` rule under the server loop.
+Both synchronous paths run through it and differ only in the ``send``
+that submits one attempt: ``ClusterContext.run_job`` (RDD actions and the
+optimizers' full-gradient passes) and ``AsyncScheduler.run_sync_round``
+(every round of ``sgd``, ``saga``, ``svrg`` and ``admm``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
-from repro.cluster.backend import TaskMetrics, WorkerEnv
-from repro.engine.taskcontext import task_env
+from repro.cluster.backend import TaskMetrics
+from repro.engine.dispatch import Continuation
 from repro.errors import SchedulerError, TaskError, WorkerLostError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import ClusterContext
-    from repro.engine.rdd import RDD
 
-__all__ = ["JobScheduler"]
+__all__ = ["MAX_RETRIES", "pick_worker", "run_partitions"]
 
-# func(split_index, partition_data) -> per-partition result
-PartitionFunc = Callable[[int, list], Any]
+#: Resends of a task lost with its worker before its partition fails.
+MAX_RETRIES = 2
+
+# send(split, worker_id, job_id, on_complete): submit one attempt
+Send = Callable[[int, int, int, Continuation], None]
 
 
-class JobScheduler:
-    """Synchronous (bulk-synchronous) job execution with retry."""
+def pick_worker(ctx: "ClusterContext", split: int, attempt: int) -> int:
+    """Preferred locality with linear probing over alive workers: the
+    first alive worker of ``(split + attempt + k) % P``, k = 0, 1, ..."""
+    backend = ctx.backend
+    n = backend.num_workers
+    for probe in range(n):
+        w = (split + attempt + probe) % n
+        if backend.worker_env(w).alive:
+            return w
+    raise SchedulerError("no alive workers in the cluster")
 
-    def __init__(self, ctx: "ClusterContext", max_retries: int = 2) -> None:
-        self.ctx = ctx
-        self.max_retries = max_retries
-        self.jobs_run = 0
 
-    def run_job(
-        self,
-        rdd: "RDD",
-        func: PartitionFunc,
-        partitions: Sequence[int] | None = None,
-    ) -> list:
-        """Execute ``func`` over each partition; block until all deliver."""
-        splits = list(partitions) if partitions is not None else list(
-            rdd.partitions()
+def run_partitions(
+    ctx: "ClusterContext", num_partitions: int, send: Send
+) -> list:
+    """Run one task per partition to completion; values in partition order."""
+    job_id = ctx.dispatcher.new_job_id()
+    results: list = [None] * num_partitions
+    fatal: list[TaskError] = []
+    # A partition has at most one attempt in flight, so the job is done
+    # exactly when every partition has delivered.
+    left = num_partitions
+
+    def submit(split: int, attempt: int) -> None:
+        def cont(
+            task_id: int,
+            worker_id: int,
+            value: Any,
+            metrics: TaskMetrics,
+            error: BaseException | None,
+        ) -> None:
+            nonlocal left
+            if error is None:
+                results[split] = value
+                left -= 1
+            elif isinstance(error, WorkerLostError) and attempt < MAX_RETRIES:
+                submit(split, attempt + 1)
+            else:
+                fatal.append(TaskError(
+                    f"partition {split} failed after {attempt + 1} "
+                    f"attempt(s): {error!r}",
+                    task_id=task_id, worker_id=worker_id, cause=error,
+                ))
+
+        send(split, pick_worker(ctx, split, attempt), job_id, cont)
+
+    with ctx.backend.state_lock:
+        for split in range(num_partitions):
+            submit(split, 0)
+    ctx.backend.run_until(
+        lambda: not left or bool(fatal), host_timeout_s=ctx.job_timeout_s
+    )
+    if fatal:
+        raise fatal[0]
+    if left:
+        raise SchedulerError(
+            f"job {job_id} stalled: {num_partitions - left}/"
+            f"{num_partitions} partitions finished"
         )
-        for s in splits:
-            if not 0 <= s < rdd.num_partitions:
-                raise SchedulerError(f"partition {s} out of range")
-        dispatcher = self.ctx.dispatcher
-        job_id = dispatcher.new_job_id()
-        results: dict[int, Any] = {}
-        fatal: list[BaseException] = []
-        outstanding = {"n": 0}
-
-        def submit(split: int, attempt: int) -> None:
-            worker = self.pick_worker(split, attempt)
-
-            def fn(env: WorkerEnv, _split: int = split) -> Any:
-                with task_env(env):
-                    data = rdd.iterator(_split, env)
-                    return func(_split, data)
-
-            def cont(
-                task_id: int,
-                worker_id: int,
-                value: Any,
-                metrics: TaskMetrics,
-                error: BaseException | None,
-                _split: int = split,
-                _attempt: int = attempt,
-            ) -> None:
-                outstanding["n"] -= 1
-                if error is None:
-                    results[_split] = value
-                elif isinstance(error, WorkerLostError) and _attempt < self.max_retries:
-                    submit(_split, _attempt + 1)
-                else:
-                    fatal.append(
-                        TaskError(
-                            f"partition {_split} failed after "
-                            f"{_attempt + 1} attempt(s): {error!r}",
-                            task_id=task_id,
-                            worker_id=worker_id,
-                            cause=error,
-                        )
-                    )
-
-            outstanding["n"] += 1
-            dispatcher.submit(
-                fn,
-                worker,
-                on_complete=cont,
-                job_id=job_id,
-                in_bytes=self.ctx.task_descriptor_bytes,
-            )
-
-        with self.ctx.backend.state_lock:
-            for split in splits:
-                submit(split, 0)
-
-        def done() -> bool:
-            return bool(fatal) or (
-                len(results) == len(splits) and outstanding["n"] == 0
-            )
-
-        self.ctx.backend.run_until(done, host_timeout_s=self.ctx.job_timeout_s)
-        if fatal:
-            raise fatal[0]
-        if len(results) != len(splits):
-            raise SchedulerError(
-                f"job {job_id} stalled: {len(results)}/{len(splits)} "
-                "partitions finished"
-            )
-        self.jobs_run += 1
-        return [results[s] for s in splits]
-
-    def pick_worker(self, split: int, attempt: int) -> int:
-        """Preferred locality with linear probing over alive workers:
-        the first alive worker of ``(split + attempt + k) % P``, k = 0,
-        1, ... (the server loop's synchronous rounds use it too)."""
-        backend = self.ctx.backend
-        n = backend.num_workers
-        for probe in range(n):
-            w = (split + attempt + probe) % n
-            if backend.worker_env(w).alive:
-                return w
-        raise SchedulerError("no alive workers in the cluster")
+    return results

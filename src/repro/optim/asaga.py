@@ -52,11 +52,11 @@ class ASAGARule(UpdateRule):
 
     def bind(self, loop):
         super().bind(loop)
-        # SAGA's channels live in the run's HIST store (accounting and
-        # checkpoints); COMM prices and prunes its model channel.
+        # SAGA publishes through the run's broadcaster: its channels live
+        # in the run's HIST store (accounting and checkpoints), and COMM
+        # prices and prunes its model channel.
         self.state = SagaState(
-            self.opt.ctx, self.opt.problem, self.mode,
-            store=self.history, comm=loop.comm,
+            self.opt.ctx, self.opt.problem, self.mode, loop.ac.broadcaster
         )
 
     def setup(self, w):

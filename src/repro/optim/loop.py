@@ -283,14 +283,14 @@ class ServerLoop:
         #: The run's COMM subsystem (``opt.comm``; spec ``compressor``):
         #: installed on the scheduler path (collect-side codec), the
         #: history broadcaster (delta fetches + watermark pruning) and
-        #: the plain broadcast manager (ledger), so every byte this run
-        #: puts on the wire lands in one ledger.
+        #: the engine context's plain broadcasts (ledger), so every byte
+        #: this run puts on the wire lands in one ledger.
         self.comm = opt.comm
         self.ac.comm = self.comm
         self.ac.broadcaster.comm = self.comm
         # Unconditional: a reused ClusterContext must not keep a previous
-        # run's ledger attached to its broadcast manager.
-        opt.ctx.broadcast_manager.comm = self.comm
+        # run's ledger attached to its plain broadcasts.
+        opt.ctx.comm = self.comm
 
     def state_dict(self) -> dict:
         """JSON-safe checkpoint of the run's restartable server state."""

@@ -34,7 +34,6 @@ from typing import Any, Literal
 import numpy as np
 
 from repro.core.broadcaster import AsyncBroadcaster
-from repro.core.history import HistoryStore
 from repro.data.blocks import MatrixBlock
 from repro.engine.taskcontext import current_env, record_cost
 from repro.errors import OptimError
@@ -120,24 +119,20 @@ class SagaState:
         ctx,
         problem: Problem,
         mode: BroadcastMode,
-        store: HistoryStore,
-        comm=None,
+        broadcaster: AsyncBroadcaster,
     ) -> None:
         if mode not in ("history", "naive"):
             raise OptimError(f"unknown SAGA broadcast mode {mode!r}")
         self.ctx = ctx
         self.problem = problem
         self.mode = mode
-        self.store = store
+        #: The run's broadcaster and the HIST store it serves; its COMM
+        #: manager prices, delta-encodes and prunes the model channel.
+        self.broadcaster = broadcaster
+        self.store = broadcaster.store
         self.channel = "saga"
         self._avg = self.store.channel(f"{self.channel}/avg_hist", keep="last:1")
         self._avg.append(np.zeros(problem.dim))
-        self.broadcaster = AsyncBroadcaster(ctx, store=self.store)
-        #: The run's CommManager: SAGA owns a private broadcaster (not
-        #: the ASYNCContext's), so the ledger / delta / watermark-prune
-        #: hooks must be threaded through explicitly.
-        self.comm = comm
-        self.broadcaster.comm = comm
         self._naive = (
             self.store.channel(f"{self.channel}/table", keep="all")
             if mode == "naive" else None
@@ -258,6 +253,7 @@ def initialize_history(
     gradients is the full gradient at w_0. Shared by SAGA and ASAGA.
     """
     problem = opt.problem
+    comm = state.broadcaster.comm
     handle = state.publish(w)
     if handle.version != 0:
         raise OptimError("history must start at version 0")
@@ -270,12 +266,12 @@ def initialize_history(
                 state.versions_key(block.block_id),
                 np.zeros(block.rows, dtype=np.int64),
             )
-        if state.comm is not None:
+        if comm is not None:
             # Declare every block as a reader scope at version 0 before
             # any watermark advances: the prune floor is a min over
             # *registered* scopes, so an unregistered block could have
             # its phi-versions pruned out from under it.
-            state.comm.register_scope(state.channel, block.block_id, 0)
+            comm.register_scope(state.channel, block.block_id, 0)
         record_cost(block.cost_units())
         return problem.grad_sum(block.X, block.y, handle.current())
 

@@ -143,7 +143,7 @@ def test_design_scoreboard_only_goes_down():
     retired = {
         "filter", "flat_map", "map_partitions", "map_partitions_with_index",
         "union", "glom", "zip_with_index", "reduce", "fold", "take", "first",
-        "foreach_partition", "unpersist",
+        "foreach_partition", "unpersist", "persist", "partitions",
     }
     assert not retired & set(dir(RDD))
     assert importlib.util.find_spec("repro.engine.dag") is None
@@ -217,6 +217,25 @@ def test_design_scoreboard_only_goes_down():
         if isinstance(found, type):
             specs.add(found)
     assert specs == {repro.ExperimentSpec}
+    # One partition job with retry: no scheduler class, no job knobs on
+    # the context, no broadcast registry.
+    import repro.engine.scheduler as engine_scheduler
+    from repro.core.scheduler import AsyncScheduler
+    from repro.engine.broadcast import Broadcast
+
+    assert not [
+        name for name, attr in vars(engine_scheduler).items()
+        if isinstance(attr, type)
+        and attr.__module__ == engine_scheduler.__name__
+    ]
+    with ClusterContext(num_workers=2) as ctx:
+        assert not hasattr(ctx, "scheduler")
+        assert not hasattr(ctx, "broadcast_manager")
+    assert list(inspect.signature(ClusterContext.run_job).parameters) == [
+        "self", "rdd", "func",
+    ]
+    assert not hasattr(Broadcast, "destroy")
+    assert not hasattr(AsyncScheduler, "_dispatch_partition")
 
 
 # ---------------------------------------------------------------------------

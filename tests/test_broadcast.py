@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.errors import BroadcastError
-
 
 def test_driver_read_free(ctx):
     bc = ctx.broadcast(np.arange(10.0))
@@ -41,26 +39,6 @@ def test_caller_array_unaffected_by_freeze(ctx):
     ctx.broadcast(arr)
     arr[0] = 5.0  # the caller's own array stays writable
     assert arr[0] == 5.0
-
-
-def test_destroy_clears_everywhere(ctx):
-    bc = ctx.broadcast(np.zeros(10))
-    env = ctx.backend.worker_env(1)
-    bc.value(env)
-    bc.destroy()
-    with pytest.raises(BroadcastError):
-        bc.value()
-    assert ("bc", bc.bc_id) not in env
-
-
-def test_manager_counts(ctx):
-    mgr = ctx.broadcast_manager
-    before = mgr.live_count()
-    bc = ctx.broadcast([1, 2, 3])
-    assert mgr.live_count() == before + 1
-    bc.destroy()
-    assert mgr.live_count() == before
-    assert mgr.total_broadcast_bytes > 0
 
 
 def test_broadcast_in_task_charges_network_time(ctx):

@@ -145,9 +145,32 @@ def test_sync_round_raises_when_every_worker_is_dead(ctx, small_data):
         opt.run()
 
 
-def test_sync_round_fails_a_partition_out_of_retries(ctx, small_data):
-    ctx.scheduler.max_retries = 0  # run_job's budget, shared by the loop
+def test_sync_round_fails_a_partition_out_of_retries(
+    ctx, small_data, monkeypatch
+):
+    from repro.engine import scheduler
+
+    # run_job's budget, shared by the loop
+    monkeypatch.setattr(scheduler, "MAX_RETRIES", 0)
     _, opt = _sync_sgd(ctx, small_data)
     FaultInjector(ctx).kill_at(20.0, 1)
     with pytest.raises(TaskError, match=r"partition 1 failed after 1 attempt"):
+        opt.run()
+
+
+def test_sync_round_that_stalls_raises(ctx, small_data, monkeypatch):
+    """A round whose wait times out fails loudly instead of returning with
+    tasks in flight: the backend reports one timeout, then delegates."""
+    run_until = ctx.backend.run_until
+    stalls = [True]
+
+    def timing_out_once(predicate, host_timeout_s=None):
+        if stalls:
+            stalls.pop()
+            return False
+        return run_until(predicate, host_timeout_s=host_timeout_s)
+
+    monkeypatch.setattr(ctx.backend, "run_until", timing_out_once)
+    _, opt = _sync_sgd(ctx, small_data)
+    with pytest.raises(SchedulerError, match="stalled"):
         opt.run()

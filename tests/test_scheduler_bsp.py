@@ -1,4 +1,5 @@
-"""BSP job scheduler: locality, barriers, retry on worker loss."""
+"""The engine's partition job (``run_job``): locality, barriers, retry
+on worker loss."""
 
 import pytest
 
@@ -9,18 +10,6 @@ def test_results_in_partition_order(ctx):
     rdd = ctx.parallelize(range(40), 8)
     out = ctx.run_job(rdd, lambda split, data: (split, sum(data)))
     assert [s for s, _ in out] == list(range(8))
-
-
-def test_partition_subset(ctx):
-    rdd = ctx.parallelize(range(40), 8)
-    out = ctx.run_job(rdd, lambda split, data: split, partitions=[2, 5])
-    assert out == [2, 5]
-
-
-def test_partition_out_of_range(ctx):
-    rdd = ctx.parallelize(range(4), 2)
-    with pytest.raises(SchedulerError):
-        ctx.run_job(rdd, lambda s, d: None, partitions=[9])
 
 
 def test_locality_placement(ctx):
@@ -84,8 +73,11 @@ def test_all_workers_dead_raises(ctx):
 
 
 def test_jobs_run_counter(ctx):
+    """Each run_job is one job: its tasks share one fresh job id."""
     rdd = ctx.parallelize(range(4), 2)
-    before = ctx.scheduler.jobs_run
+    before = len(ctx.dispatcher.metrics_log)
     ctx.run_job(rdd, lambda s, d: None)
     ctx.run_job(rdd, lambda s, d: None)
-    assert ctx.scheduler.jobs_run == before + 2
+    job_ids = [m.job_id for m in ctx.dispatcher.metrics_log[before:]]
+    assert len(job_ids) == 4
+    assert job_ids[0] == job_ids[1] < job_ids[2] == job_ids[3]

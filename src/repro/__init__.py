@@ -59,18 +59,12 @@ from repro.core.policies import (
     ASP,
     BSP,
     SSP,
-    ClientSampling,
     CompletionTimeBarrier,
-    MigrateSlow,
     MinAvailableFraction,
-    PartitionCompletionFilter,
-    PartitionSSP,
     SchedulingPolicy,
-    StalenessWeighting,
     parse_policy,
 )
 from repro.engine.context import ClusterContext
-from repro.optim.admm import ADMMRule
 from repro.optim.asaga import ASAGARule
 from repro.optim.asgd import ASGDRule
 from repro.optim.base import (
@@ -120,11 +114,6 @@ __all__ = [
     "SSP",
     "MinAvailableFraction",
     "CompletionTimeBarrier",
-    "PartitionSSP",
-    "PartitionCompletionFilter",
-    "ClientSampling",
-    "StalenessWeighting",
-    "MigrateSlow",
     "parse_policy",
     "Problem",
     "LeastSquaresProblem",
@@ -141,7 +130,6 @@ __all__ = [
     "ASGDRule",
     "ASAGARule",
     "ASVRGRule",
-    "ADMMRule",
     "AsyncLBFGSRule",
     "ServerLoop",
     "UpdateRule",

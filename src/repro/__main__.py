@@ -394,8 +394,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
         print(f"  {name}: {detail}")
     print(
         "policies compose in string form: 'a & b' (both ready, selections "
-        "intersect, weights multiply), 'a | b' (either; union; max); "
-        "'&' binds tighter"
+        "intersect), 'a | b' (either; union); '&' binds tighter"
     )
     history_users = [
         name for name in OPTIMIZERS.names()
@@ -424,8 +423,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     print("compressors (spec field 'compressor', async optimizers only):")
     print("  none: identity (bit-identical to no compressor at all)")
     print("  topk:f: keep the ceil(f*n) largest-magnitude entries")
-    print("  randk:f: keep ceil(f*n) seeded uniformly sampled entries")
-    print("  int8: 8-bit linear quantization, one float scale per tensor")
     print("  onebit: sign bitmap + mean-magnitude scale (1 bit per entry)")
     print(
         "  lossy compressors run with per-worker error feedback; dict "

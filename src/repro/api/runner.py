@@ -56,15 +56,11 @@ __all__ = [
 
 _SAGA_FAMILY = {"saga", "asaga"}
 _CONSTANT_FAMILY = {
-    "saga", "asaga", "svrg", "asvrg", "admm", "aadmm", "fedavg",
+    "saga", "asaga", "svrg", "asvrg",
     # L-BFGS directions are gamma-scaled (the two-loop's H0), so the
     # schedule stays constant; decay would fight the metric.
     "async_lbfgs",
 }
-#: Methods whose step schedule drives *client-local* updates (federated
-#: local SGD): each result is an averaged local model, not an additive
-#: gradient step, so the paper's divide-by-P async scaling does not apply.
-_LOCAL_UPDATE_FAMILY = {"fedavg"}
 
 
 def default_step(
@@ -75,8 +71,8 @@ def default_step(
 ) -> StepSchedule:
     """The paper's per-algorithm tuning (Section 6.1) as a factory.
 
-    SGD variants decay by ``1/sqrt(t)``; variance-reduced and ADMM
-    methods use a constant step. A registered optimizer outside those
+    SGD variants decay by ``1/sqrt(t)``; variance-reduced methods (and
+    async L-BFGS) use a constant step. A registered optimizer outside those
     families (a user extension) falls back to the ``1/sqrt(t)`` decay —
     pass an explicit ``step`` spec to override. Asynchronous methods
     either divide the synchronous step by the worker count (the paper's
@@ -95,15 +91,6 @@ def default_step(
         step: StepSchedule = ConstantStep(alpha0)
     else:
         step = InvSqrtDecay(alpha0)
-    if algorithm in _LOCAL_UPDATE_FAMILY:
-        if staleness_adaptive:
-            raise ApiError(
-                f"staleness_adaptive has no effect on {algorithm!r}: its "
-                "step schedule drives client-local updates and the server "
-                "update is an average; drop the flag or pick a gradient-"
-                "step method"
-            )
-        return step  # client-local steps; server updates are averages
     if not synchronous:
         if staleness_adaptive:
             step = StalenessScaled(step)
@@ -237,28 +224,12 @@ def prepare_experiment(
             "partition and waits for all of them); drop it or use an "
             "asynchronous variant"
         )
-    policy = None if spec.policy is None else resolve_policy(
-        spec.policy,
-        defaults={"seed": spec.seed, "num_workers": spec.num_workers},
-    )
+    policy = None if spec.policy is None else resolve_policy(spec.policy)
     fault_plan = resolve_fault_plan(
         spec.fault_plan, num_workers=spec.num_workers, seed=spec.seed
     )
-    comm = CommManager.coerce(spec.compressor, seed=spec.seed)
+    comm = CommManager.coerce(spec.compressor)
     num_partitions = spec.num_partitions or 2 * spec.num_workers
-    if comm is not None:
-        # Placement moves re-ship one partition's block; price it at the
-        # dataset's even-split footprint (raw — blocks are not model
-        # vectors, the compressor does not apply).
-        nbytes = getattr(X, "nbytes", None)
-        if nbytes is None:  # scipy sparse: raw triplet footprint
-            nbytes = sum(
-                getattr(getattr(X, attr, None), "nbytes", 0)
-                for attr in ("data", "indices", "indptr")
-            )
-        total = int(nbytes) + int(np.asarray(y).nbytes)
-        per_partition = max(1, total // max(num_partitions, 1))
-        comm.migration_bytes_fn = lambda partition: per_partition
     restore_state = None
     if spec.restore_from is not None:
         from repro.core.snapshots import read_snapshot
@@ -318,8 +289,8 @@ def summarize(prep: PreparedExperiment, result: RunResult) -> dict:
     """A JSON-safe summary of one run (what the CLI prints and saves).
 
     Runs with restartable server state additionally carry ``run_state``
-    — the server loop's checkpointable state (policy RNG/counters,
-    placement overlay, bounded HIST channels) — so sweep checkpoint
+    — the server loop's checkpointable state (its bounded HIST
+    channels) — so sweep checkpoint
     lines hold everything a deterministic restart needs
     (``ServerLoop(..., restore_state=...)``).
     """

@@ -72,9 +72,9 @@ class ExperimentSpec:
     num_partitions: int | None = None
     delay: Any = "none"
     #: Scheduling policy (async only): a registered name (``"asp"``), a
-    #: mini-language token (``"ssp:4"``, ``"sample:0.3"``), an ``&``/``|``
-    #: composition (``"ssp:4 & fedasync:poly"``), or a dict
-    #: (``{"name": "migrate", "threshold": "p95"}``). ``None`` -> ASP.
+    #: mini-language token (``"ssp:4"``, ``"frac:0.5"``), an ``&``/``|``
+    #: composition (``"ssp:4 & ct:1.5"``), or a dict
+    #: (``{"name": "ct", "ratio": 1.5}``). ``None`` -> ASP.
     policy: Any = None
     #: ``None`` -> built from the dataset's tuned ``alpha0`` (see below).
     step: Any = None
@@ -90,11 +90,10 @@ class ExperimentSpec:
     pipeline_depth: int = 1
     #: Schedulable unit for asynchronous rounds: "worker" (default, the
     #: paper's model) or "partition" (one task per partition, results
-    #: tagged with partition identity). Partition-only algorithms
-    #: (hogwild, fedavg) pin their granularity regardless.
+    #: tagged with partition identity).
     granularity: str = "worker"
     #: Extra optimizer-constructor kwargs (``mode``, ``inner_iterations``,
-    #: ``rho``, ...).
+    #: ...).
     params: dict = field(default_factory=dict)
     #: ``AnalyticCostModel`` kwargs, or ``None`` for the backend default.
     cost: dict | None = None
@@ -113,7 +112,7 @@ class ExperimentSpec:
     #: (``"kill:w2@500ms,revive:w2@900ms"``), or a dict with ``name``.
     fault_plan: Any = None
     #: COMM subsystem (async only): a registered compressor name
-    #: (``"none"``, ``"topk:0.1"``, ``"int8"``, ``"onebit"``) or a dict
+    #: (``"none"``, ``"topk:0.1"``, ``"onebit"``) or a dict
     #: (``{"name": "topk", "fraction": 0.1, "delta": true}`` — the
     #: ``delta`` key turns on delta broadcasting against HIST
     #: watermarks). ``None`` -> no comm subsystem (pre-COMM byte paths).

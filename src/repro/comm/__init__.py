@@ -3,7 +3,7 @@
 Three pillars, all spec-addressable through the ``compressor`` field:
 
 - :mod:`repro.comm.compressors` — the ``Compressor`` component family
-  (``none`` / ``topk:f`` / ``randk:f`` / ``int8`` / ``onebit``) with
+  (``none`` / ``topk:f`` / ``onebit``) with
   exact-byte-count packets and a registry + string grammar,
 - :mod:`repro.comm.codec` + :mod:`repro.comm.manager` — worker-side
   error-feedback encoding of collect payloads, delta broadcasting
@@ -17,11 +17,9 @@ Three pillars, all spec-addressable through the ``compressor`` field:
 from repro.comm.codec import EncodedPayload, PayloadCodec
 from repro.comm.compressors import (
     Compressor,
-    Int8Compressor,
     NoneCompressor,
     OneBitCompressor,
     Packet,
-    RandKCompressor,
     TopKCompressor,
     parse_compressor,
 )
@@ -34,8 +32,6 @@ __all__ = [
     "Compressor",
     "NoneCompressor",
     "TopKCompressor",
-    "RandKCompressor",
-    "Int8Compressor",
     "OneBitCompressor",
     "Packet",
     "parse_compressor",

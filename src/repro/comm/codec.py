@@ -58,18 +58,6 @@ class EncodedPayload:
         return self.raw_bytes / max(self.wire_bytes, 1)
 
 
-class _Feedback:
-    """One scope's error-feedback state, kept in the worker's env."""
-
-    __slots__ = ("draws", "residuals")
-
-    def __init__(self) -> None:
-        #: Encodes so far (seeds ``randk``'s per-encode rng stream).
-        self.draws = 0
-        #: Leaf index -> residual carried into the next encode.
-        self.residuals: dict[int, np.ndarray] = {}
-
-
 class _Encoding:
     """One encode's running state: leaf numbering and both byte sums.
 
@@ -78,12 +66,11 @@ class _Encoding:
     except that ``wire`` counts each packet at its exact size.
     """
 
-    __slots__ = ("env", "scope", "draw", "residuals", "leaves", "raw", "wire")
+    __slots__ = ("residuals", "leaves", "raw", "wire")
 
-    def __init__(self, env, scope: int, draw: int, residuals: dict) -> None:
-        self.env = env
-        self.scope = scope
-        self.draw = draw
+    def __init__(self, residuals: dict) -> None:
+        #: Leaf index -> residual carried into the next encode (the
+        #: scope's error-feedback state, kept in the worker's env).
         self.residuals = residuals
         self.leaves = 0
         self.raw = 0
@@ -93,9 +80,8 @@ class _Encoding:
 class PayloadCodec:
     """Encode/decode payload trees with per-scope error feedback."""
 
-    def __init__(self, compressor: Compressor, seed: int = 0) -> None:
+    def __init__(self, compressor: Compressor) -> None:
         self.compressor = compressor
-        self.seed = int(seed)
 
     # -- worker side -----------------------------------------------------------
     def encode(self, payload: Any, env, partition: "int | None") -> EncodedPayload:
@@ -105,12 +91,11 @@ class PayloadCodec:
         """
         scope = _WORKER_SCOPE if partition is None else int(partition)
         key = ("comm_ef", scope)
-        state = env.get(key)
-        if state is None:
-            state = _Feedback()
-            env.put(key, state)
-        job = _Encoding(env, scope, state.draws, state.residuals)
-        state.draws += 1
+        residuals = env.get(key)
+        if residuals is None:
+            residuals = {}
+            env.put(key, residuals)
+        job = _Encoding(residuals)
         tree = self._encode(payload, job)
         return EncodedPayload(tree, job.raw, job.wire)
 
@@ -139,13 +124,7 @@ class PayloadCodec:
         if residual is not None and residual.shape == x.shape:
             x += residual
         compressor = self.compressor
-        rng = None
-        if compressor.needs_rng:
-            rng = np.random.default_rng([
-                self.seed, job.env.worker_id, job.scope & 0x7FFFFFFF,
-                job.draw, index,
-            ])
-        packet = compressor.compress(x, rng=rng)
+        packet = compressor.compress(x)
         job.residuals[index] = compressor.residual(x, packet)
         job.wire += packet.wire_bytes
         return packet

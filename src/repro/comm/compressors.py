@@ -11,8 +11,6 @@ Spellings follow the policy/barrier grammar (registry + string tokens):
 
 - ``none`` — identity (the parity-pinned default),
 - ``topk:f`` — keep the ``ceil(f*n)`` largest-magnitude entries,
-- ``randk:f`` — keep ``ceil(f*n)`` uniformly sampled entries (seeded),
-- ``int8`` — linear 8-bit quantization with a per-tensor scale,
 - ``onebit`` — sign bitmap + mean-magnitude scale (the 1-bit Adam
   shape: 1 bit per entry plus one float).
 
@@ -38,8 +36,6 @@ __all__ = [
     "Compressor",
     "NoneCompressor",
     "TopKCompressor",
-    "RandKCompressor",
-    "Int8Compressor",
     "OneBitCompressor",
     "parse_compressor",
 ]
@@ -47,7 +43,8 @@ __all__ = [
 _MAGIC = b"RC"
 _FORMAT_VERSION = 1
 
-_SCHEME_CODES = {"none": 0, "topk": 1, "randk": 2, "int8": 3, "onebit": 4}
+#: Wire codes; 2 and 3 are unassigned (retired schemes) and fail decode.
+_SCHEME_CODES = {"none": 0, "topk": 1, "onebit": 4}
 _SCHEME_NAMES = {code: name for name, code in _SCHEME_CODES.items()}
 
 _DTYPE_CODES = {
@@ -204,10 +201,8 @@ class Compressor:
     name = "?"
     #: Lossy compressors run under error feedback in the codec layer.
     lossy = True
-    #: True when :meth:`compress` consumes the seeded rng (``randk``).
-    needs_rng = False
 
-    def compress(self, arr: np.ndarray, rng=None) -> Packet:
+    def compress(self, arr: np.ndarray) -> Packet:
         raise NotImplementedError
 
     def decompress(self, packet: Packet) -> np.ndarray:
@@ -225,8 +220,8 @@ class Compressor:
         """Canonical grammar spelling (round-trips via parse_compressor)."""
         return self.name
 
-    def roundtrip(self, arr: np.ndarray, rng=None) -> np.ndarray:
-        return self.decompress(self.compress(arr, rng=rng))
+    def roundtrip(self, arr: np.ndarray) -> np.ndarray:
+        return self.decompress(self.compress(arr))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.spec()!r})"
@@ -243,7 +238,7 @@ class NoneCompressor(Compressor):
     name = "none"
     lossy = False
 
-    def compress(self, arr: np.ndarray, rng=None) -> Packet:
+    def compress(self, arr: np.ndarray) -> Packet:
         arr = np.asarray(arr)
         return Packet("none", arr.shape, arr.dtype, (arr.ravel(),))
 
@@ -255,8 +250,12 @@ def _fraction_k(fraction: float, n: int) -> int:
     return max(1, min(n, int(math.ceil(fraction * n))))
 
 
-class _SparseCompressor(Compressor):
-    """Shared index/value packet shape for top-k and rand-k."""
+@register_compressor("topk")
+class TopKCompressor(Compressor):
+    """Keep the ``ceil(f*n)`` largest-magnitude entries (an index/value
+    packet)."""
+
+    name = "topk"
 
     def __init__(self, fraction: float = 0.1) -> None:
         fraction = float(fraction)
@@ -269,10 +268,15 @@ class _SparseCompressor(Compressor):
     def spec(self) -> str:
         return f"{self.name}:{self.fraction:g}"
 
-    def _pack(self, arr: np.ndarray, idx: np.ndarray) -> Packet:
-        """Packet of ``arr`` at ``idx``, a fresh array the caller gives up
-        (narrowed, then sorted in place)."""
+    def compress(self, arr: np.ndarray) -> Packet:
+        arr = np.asarray(arr)
         flat = arr.ravel()
+        k = _fraction_k(self.fraction, flat.size)
+        if k >= flat.size:
+            idx = np.arange(flat.size)
+        else:
+            idx = np.abs(flat).argpartition(flat.size - k)[flat.size - k:]
+        # ``idx`` is fresh: narrow it, then sort it in place.
         idx = idx.astype(np.int64 if flat.size > 2**31 else np.int32, copy=False)
         idx.sort()
         values = flat[idx].astype(np.float64, copy=False)
@@ -295,69 +299,6 @@ class _SparseCompressor(Compressor):
         return flat.reshape(x.shape)
 
 
-@register_compressor("topk")
-class TopKCompressor(_SparseCompressor):
-    """Keep the ``ceil(f*n)`` largest-magnitude entries."""
-
-    name = "topk"
-
-    def compress(self, arr: np.ndarray, rng=None) -> Packet:
-        arr = np.asarray(arr)
-        flat = arr.ravel()
-        k = _fraction_k(self.fraction, flat.size)
-        if k >= flat.size:
-            idx = np.arange(flat.size)
-        else:
-            idx = np.abs(flat).argpartition(flat.size - k)[flat.size - k:]
-        return self._pack(arr, idx)
-
-
-@register_compressor("randk")
-class RandKCompressor(_SparseCompressor):
-    """Keep ``ceil(f*n)`` uniformly sampled entries (seeded).
-
-    Unscaled (no ``n/k`` inflation): the error-feedback residual carries
-    what the sample missed, which keeps per-round step magnitudes tame.
-    """
-
-    name = "randk"
-    needs_rng = True
-
-    def compress(self, arr: np.ndarray, rng=None) -> Packet:
-        arr = np.asarray(arr)
-        flat = arr.ravel()
-        k = _fraction_k(self.fraction, flat.size)
-        if rng is None:
-            rng = np.random.default_rng(0)
-        idx = (
-            np.arange(flat.size) if k >= flat.size
-            else rng.choice(flat.size, size=k, replace=False)
-        )
-        return self._pack(arr, idx)
-
-
-@register_compressor("int8")
-class Int8Compressor(Compressor):
-    """Linear 8-bit quantization with one float64 scale per tensor."""
-
-    name = "int8"
-
-    def compress(self, arr: np.ndarray, rng=None) -> Packet:
-        arr = np.asarray(arr)
-        flat = arr.ravel().astype(np.float64, copy=False)
-        peak = float(np.max(np.abs(flat))) if flat.size else 0.0
-        scale = peak / 127.0 if peak > 0.0 else 1.0
-        q = np.clip(np.rint(flat / scale), -127, 127).astype(np.int8)
-        return Packet(
-            "int8", arr.shape, arr.dtype,
-            (q, np.array([scale], dtype=np.float64)),
-        )
-
-    def decompress(self, packet: Packet) -> np.ndarray:
-        q, scale = packet.arrays
-        return _restore(packet, q.astype(np.float64) * float(scale[0]))
-
-
 @register_compressor("onebit")
 class OneBitCompressor(Compressor):
     """Sign bitmap plus mean-magnitude scale (1-bit Adam shape).
@@ -368,7 +309,7 @@ class OneBitCompressor(Compressor):
 
     name = "onebit"
 
-    def compress(self, arr: np.ndarray, rng=None) -> Packet:
+    def compress(self, arr: np.ndarray) -> Packet:
         arr = np.asarray(arr)
         flat = arr.ravel().astype(np.float64, copy=False)
         scale = float(np.mean(np.abs(flat))) if flat.size else 0.0
@@ -389,7 +330,7 @@ def parse_compressor(value: "str | Mapping[str, Any] | Compressor | None") -> Co
     """Resolve a compressor spelling to an instance.
 
     Accepts an instance (returned as-is), a registry token
-    (``"topk:0.1"``), or a dict (``{"name": "randk", "fraction": 0.25}``).
+    (``"topk:0.1"``), or a dict (``{"name": "topk", "fraction": 0.25}``).
     ``None`` resolves to :class:`NoneCompressor`.
     """
     if value is None:

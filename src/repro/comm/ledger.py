@@ -2,8 +2,8 @@
 
 One :class:`CommLedger` rides each run and lands in
 ``RunResult.extras["comm"]`` — broadcast (server -> worker model
-traffic), collect (worker -> server update payloads), and migration
-(partition moves) are accounted separately, each as raw bytes (what the
+traffic) and collect (worker -> server update payloads) are accounted
+separately, each as raw bytes (what the
 payload measures uncompressed), wire bytes (what actually crossed the
 modeled link), and an event count. Thread-safe: Thread-backend workers
 and fabric connections record concurrently.
@@ -15,7 +15,7 @@ import threading
 
 __all__ = ["CommLedger", "DIRECTIONS"]
 
-DIRECTIONS = ("broadcast", "collect", "migration")
+DIRECTIONS = ("broadcast", "collect")
 
 
 class CommLedger:

@@ -47,28 +47,23 @@ class CommManager:
         compressor: "str | Mapping[str, Any] | Compressor | None" = None,
         *,
         delta: bool = False,
-        seed: int = 0,
         codec_cost: CodecCostModel | None = None,
-        migration_bytes_fn: Callable[[int], int] | None = None,
     ) -> None:
         self.compressor = parse_compressor(compressor)
         self.delta = bool(delta)
-        self.seed = int(seed)
-        self.codec = PayloadCodec(self.compressor, seed=self.seed)
+        self.codec = PayloadCodec(self.compressor)
         self.codec_cost = codec_cost or CodecCostModel()
         self.ledger = CommLedger(self.compressor.spec())
-        #: Bytes one partition's data block costs to migrate (placement
-        #: moves); installed by the runner from the dataset's footprint.
-        self.migration_bytes_fn = migration_bytes_fn
         self._lock = threading.Lock()
         #: channel name -> {scope: lowest model version it may still read}.
         self._watermarks: dict[str, dict[Any, int]] = {}
         #: (channel name, worker id) -> last value that worker reconstructed.
         self._mirrors: dict[tuple[str, int], np.ndarray] = {}
         # Delta-packet reuse: two workers whose mirrors followed the same
-        # reconstruction chain hold bitwise-equal mirrors, so the same
-        # version's delta compresses to the identical packet — encode it
-        # once and share the reconstruction. Chains are interned to small
+        # reconstruction chain hold bitwise-equal mirrors, and every
+        # compressor is deterministic, so the same version's delta
+        # compresses to the identical packet — encode it once and share
+        # the reconstruction. Chains are interned to small
         # ids: (previous chain id, version) -> chain id.
         self._path_ids: dict[tuple[int, int], int] = {}
         #: (channel name, worker id) -> interned reconstruction-chain id.
@@ -80,7 +75,7 @@ class CommManager:
 
     # -- construction ----------------------------------------------------------
     @classmethod
-    def coerce(cls, value: Any, *, seed: int = 0) -> "CommManager | None":
+    def coerce(cls, value: Any) -> "CommManager | None":
         """Resolve a spec's ``compressor`` field; ``None`` stays ``None``.
 
         Accepts a token (``"topk:0.1"``), an options dict whose extra
@@ -100,7 +95,7 @@ class CommManager:
                     "compressor dict needs a 'name' key, e.g. "
                     '{"name": "topk", "fraction": 0.1, "delta": true}'
                 )
-        return cls(value, delta=delta, seed=seed)
+        return cls(value, delta=delta)
 
     @property
     def compresses(self) -> bool:
@@ -181,35 +176,24 @@ class CommManager:
                 self.ledger.record("broadcast", raw, raw)
                 return exact, raw
             path = self._mirror_paths.get(key, 0)
-            # Per-worker rng streams (randk) make packets worker-specific;
-            # deterministic compressors share them across equal chains.
-            shareable = not self.compressor.needs_rng
             cache_key = (channel.name, int(version), path)
-            hit = self._delta_shared.get(cache_key) if shareable else None
+            hit = self._delta_shared.get(cache_key)
             if hit is not None:
                 recon, wire = hit
             else:
                 delta = value.astype(np.float64, copy=False) - mirror
-                rng = None
-                if self.compressor.needs_rng:
-                    rng = np.random.default_rng(
-                        [self.seed, env.worker_id, int(version) & 0x7FFFFFFF]
-                    )
-                packet = self.compressor.compress(delta, rng=rng)
+                packet = self.compressor.compress(delta)
                 recon = mirror + self.compressor.decompress(packet).astype(
                     np.float64, copy=False
                 )
                 wire = packet.wire_bytes
-                if shareable:
-                    if self._delta_shared_version.get(channel.name) != int(
-                        version
-                    ):
-                        self._delta_shared = {
-                            k: v for k, v in self._delta_shared.items()
-                            if k[0] != channel.name
-                        }
-                        self._delta_shared_version[channel.name] = int(version)
-                    self._delta_shared[cache_key] = (recon, wire)
+                if self._delta_shared_version.get(channel.name) != int(version):
+                    self._delta_shared = {
+                        k: v for k, v in self._delta_shared.items()
+                        if k[0] != channel.name
+                    }
+                    self._delta_shared_version[channel.name] = int(version)
+                self._delta_shared[cache_key] = (recon, wire)
             self._mirrors[key] = recon
             self._mirror_paths[key] = self._intern_path(path, int(version))
         self.ledger.record("broadcast", raw, wire)
@@ -253,14 +237,6 @@ class CommManager:
     def watermark_scopes(self, channel: str) -> int:
         with self._lock:
             return len(self._watermarks.get(channel, {}))
-
-    # -- migrations -------------------------------------------------------------
-    def record_migration(self, partition: int) -> None:
-        nbytes = (
-            int(self.migration_bytes_fn(partition))
-            if self.migration_bytes_fn is not None else 0
-        )
-        self.ledger.record("migration", nbytes, nbytes)
 
     # -- result surface ----------------------------------------------------------
     def extras(self) -> dict:

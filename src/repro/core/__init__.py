@@ -31,16 +31,11 @@ from repro.core.policies import (
     BSP,
     SSP,
     AndPolicy,
-    ClientSampling,
     CompletionTimeBarrier,
     LambdaPolicy,
-    MigrateSlow,
     MinAvailableFraction,
     OrPolicy,
-    PartitionCompletionFilter,
-    PartitionSSP,
     SchedulingPolicy,
-    StalenessWeighting,
     Target,
     as_policy,
     parse_policy,
@@ -56,11 +51,6 @@ __all__ = [
     "AndPolicy",
     "OrPolicy",
     "LambdaPolicy",
-    "PartitionSSP",
-    "PartitionCompletionFilter",
-    "ClientSampling",
-    "StalenessWeighting",
-    "MigrateSlow",
     "as_policy",
     "parse_policy",
     "resolve_policy",

@@ -77,17 +77,6 @@ class ASYNCContext:
         """The run's HIST table (``AC.HIST``), owned by the coordinator."""
         return self.coordinator.history
 
-    # -- partition placement ----------------------------------------------------
-    @property
-    def placement(self) -> dict[int, int]:
-        """Live partition -> worker overlay maintained by ``place`` hooks."""
-        return self.coordinator.placement
-
-    @property
-    def migrations(self) -> int:
-        """Accepted partition moves so far."""
-        return self.coordinator.migrations
-
     # -- versioning --------------------------------------------------------------
     @property
     def version(self) -> int:

@@ -3,17 +3,14 @@
 Collects bookkeeping structures and coordinates the other components:
 annotates every incoming task result with worker attributes (staleness,
 batch size, timings), maintains the STAT table (availability, average
-task-completion time), queues annotated records for ``ASYNCcollect`` /
-``ASYNCcollectAll``, and owns the partition *placement* overlay —
-scheduling policies propose ``partition -> worker`` moves through their
-``place`` hook and the coordinator records the accepted assignment so
-later rounds dispatch accordingly.
+task-completion time) and queues annotated records for
+``ASYNCcollect`` / ``ASYNCcollectAll``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Mapping
+from typing import Any
 
 from repro.cluster.backend import TaskMetrics
 from repro.core.history import HistoryStore
@@ -55,14 +52,6 @@ class Coordinator:
         self.collected = 0
         #: Task failures not yet raised to the server, oldest first.
         self.errors: deque[TaskError] = deque()
-        #: Partition placement overlay: entries override the context's
-        #: locality rule (``partition -> worker``) for every subsequent
-        #: dispatch. Populated by accepted ``place`` hook moves.
-        self.placement: dict[int, int] = {}
-        #: Count of accepted migrations (placement changes).
-        self.migrations = 0
-        #: ``(partition, old_worker, new_worker)`` per accepted move.
-        self.migration_log: list[tuple[int, int, int]] = []
 
     # -- model version --------------------------------------------------------
     @property
@@ -75,63 +64,6 @@ class Coordinator:
         if count < 0:
             raise ValueError("count must be >= 0")
         self.stat.current_version += count
-
-    # -- partition placement ---------------------------------------------------
-    def owner_of(self, partition: int, default_owner: Callable[[int], int]) -> int:
-        """Current worker for ``partition``: overlay, else locality rule."""
-        return self.placement.get(partition, default_owner(partition))
-
-    def apply_placement(
-        self,
-        moves: Mapping[int, int],
-        default_owner: Callable[[int], int],
-        *,
-        acceptable: Callable[[int], bool] = lambda w: True,
-    ) -> int:
-        """Record a policy's ``place`` moves; returns how many took effect.
-
-        No-op moves (already-current owner) and moves to workers rejected
-        by ``acceptable`` (dead, out of range) are dropped silently — a
-        policy proposes, the scheduler's view of the cluster disposes.
-        """
-        applied = 0
-        for partition, worker in moves.items():
-            current = self.owner_of(partition, default_owner)
-            if worker == current or not acceptable(worker):
-                continue
-            self.placement[partition] = worker
-            self.migrations += 1
-            self.migration_log.append((partition, current, worker))
-            applied += 1
-        return applied
-
-    # -- checkpoint state --------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-safe placement/migration state (the checkpointable part).
-
-        Queued results and worker liveness are execution state that a
-        resumed run rebuilds from its own dispatch; the placement overlay
-        is *decision* state — losing it would silently undo accepted
-        migrations on resume. Empty when no migration ever happened, so
-        callers can cheaply skip serializing a no-op.
-        """
-        if not self.placement and not self.migrations:
-            return {}
-        return {
-            "placement": {str(p): w for p, w in self.placement.items()},
-            "migrations": self.migrations,
-            "migration_log": [list(move) for move in self.migration_log],
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Reinstate a :meth:`state_dict` (e.g. from a sweep checkpoint)."""
-        self.placement = {
-            int(p): int(w) for p, w in state.get("placement", {}).items()
-        }
-        self.migrations = int(state.get("migrations", 0))
-        self.migration_log = [
-            tuple(move) for move in state.get("migration_log", [])
-        ]
 
     # -- task lifecycle ----------------------------------------------------------
     def on_assigned(

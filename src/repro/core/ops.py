@@ -215,8 +215,7 @@ def async_reduce(
     of workers that received tasks; results arrive via ``ac.collect()``.
     ``granularity="partition"`` makes each partition its own task: no
     worker-local combine, one result per partition, each tagged with its
-    partition id — the stream partition-granular update rules (Hogwild,
-    federated averaging) consume.
+    partition id.
     """
     policy = find_barrier(rdd) or ac.default_policy
     return ac.scheduler.submit_round(

@@ -45,9 +45,6 @@ class TaskResultRecord:
     submitted_ms / delivered_ms / compute_ms: timing attributes.
     partition: the data partition the task covered when it was submitted
         at partition granularity (``None`` for worker-granular tasks).
-    weight: the scheduling policy's contribution weight for this result
-        (1.0 unless a ``weight`` hook discounts it), stamped by the
-        server loop at collection time.
     """
 
     value: Any
@@ -61,7 +58,6 @@ class TaskResultRecord:
     compute_ms: float
     job_id: int = -1
     partition: int | None = None
-    weight: float = 1.0
 
     @property
     def turnaround_ms(self) -> float:
@@ -275,7 +271,7 @@ class PartitionStatus(TaskTrackingStatus):
     Maintained only for tasks submitted at partition granularity: each
     partition-granular task updates both its worker's row and its
     partition's row, so staleness and completion statistics exist at the
-    finer grain Hogwild-style and federated update rules schedule on.
+    finer grain too.
     ``owner`` is the worker the partition's tasks ran on most recently.
     """
 

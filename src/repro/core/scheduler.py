@@ -5,18 +5,16 @@ SchedulingPolicy` over the live STAT table. ``submit_round`` blocks
 (advancing backend time) until the policy's ``ready`` predicate holds,
 then:
 
-1. consults the policy's ``place`` hook and records accepted
-   partition -> worker moves in the coordinator's placement overlay,
-2. builds the round's candidate :class:`~repro.core.policies.Target`
-   list — one worker-target per data-owning alive worker at
-   ``granularity="worker"``, one partition-target per resident partition
-   (worker-major order) at ``granularity="partition"``,
-3. hands the candidates to the policy's ``select`` hook and ships one
+1. builds the round's candidate :class:`~repro.core.policies.Target`
+   list from the context's locality rule — one worker-target per
+   data-owning alive worker at ``granularity="worker"``, one
+   partition-target per resident partition (worker-major order) at
+   ``granularity="partition"``,
+2. hands the candidates to the policy's ``select`` hook and ships one
    task per chosen target.
 
-This is the mechanism behind ASP / BSP / SSP, the user-defined filters
-of Listing 2, and the richer disciplines (client sampling, per-partition
-completion filtering, partition migration) the protocol enables.
+This is the mechanism behind ASP / BSP / SSP / ``frac`` / ``ct`` and the
+user-defined filters of Listing 2.
 ``run_sync_round`` is the synchronous algorithms' round instead: no
 policy, the engine's one partition job
 (:func:`~repro.engine.scheduler.run_partitions`) places, retries and
@@ -60,40 +58,13 @@ class AsyncScheduler:
         self._tasks: dict[
             int, tuple[int, int | None, Any, Continuation | None]
         ] = {}
-        # The context's locality rule is static for the scheduler's
-        # lifetime, so its partition -> worker map is computed once and
-        # only the (usually tiny) placement overlay varies per round.
-        self._base_owners: np.ndarray | None = None
-        # (num_partitions, migrations, members_epoch, granularity) ->
-        # (assigned, candidates, set(candidates)). Membership and
-        # placement changes are rare; most rounds reuse the previous
-        # round's candidates instead of re-deriving them from the owner
-        # map.
+        # (num_partitions, members_epoch, granularity) -> (assigned,
+        # candidates, set(candidates)). The locality rule is static and
+        # membership changes are rare, so most rounds reuse the previous
+        # round's candidates instead of re-deriving them.
         self._candidate_cache: tuple[
             tuple, dict[int, list[int]], list[Target], set[Target]
         ] | None = None
-
-    def _owners(self, num_partitions: int, default_owner) -> np.ndarray:
-        """Current partition -> worker map as an int array (overlay applied)."""
-        if self._base_owners is None or len(self._base_owners) != num_partitions:
-            self._base_owners = np.fromiter(
-                (default_owner(p) for p in range(num_partitions)),
-                dtype=np.int64,
-                count=num_partitions,
-            )
-        placement = self.ac.coordinator.placement
-        if not placement:
-            return self._base_owners
-        owners = self._base_owners.copy()
-        for p, w in placement.items():
-            if 0 <= p < num_partitions:
-                owners[p] = w
-        return owners
-
-    @property
-    def migrations(self) -> int:
-        """Accepted partition moves (kept on the coordinator's overlay)."""
-        return self.ac.coordinator.migrations
 
     def submit_round(
         self,
@@ -111,8 +82,7 @@ class AsyncScheduler:
           submission — the capability the paper notes Glint lacks.
         - ``"partition"``: one task per partition; every partition ships
           its own result to the server tagged with its partition id, and
-          the STAT table grows per-partition rows — the unit Hogwild-style
-          and federated (local-update) methods schedule on.
+          the STAT table grows per-partition rows.
 
         ``policy`` is a normalized :class:`SchedulingPolicy` (callers
         coerce user input once, via ``as_policy``, not per round).
@@ -140,51 +110,22 @@ class AsyncScheduler:
             )
 
         with backend.state_lock:
-            coordinator = ac.coordinator
-            # 1. Placement: let the policy reassign partitions before the
-            # round's candidates are built, so moves take effect now.
-            moves = policy.place(stat)
-            if moves:
-                num_partitions = rdd.num_partitions
-
-                def alive(w: int) -> bool:
-                    return (
-                        0 <= w < len(stat)
-                        and stat[w].alive
-                        and backend.worker_env(w).alive
-                    )
-
-                before = len(coordinator.migration_log)
-                coordinator.apply_placement(
-                    {
-                        p: w for p, w in moves.items()
-                        if 0 <= p < num_partitions
-                    },
-                    ac.ctx.owner_of,
-                    acceptable=alive,
-                )
-                if ac.comm is not None:
-                    # Each accepted move re-ships one partition's block;
-                    # the COMM ledger prices it under "migration".
-                    for moved, _old, _new in coordinator.migration_log[before:]:
-                        ac.comm.record_migration(moved)
-
-            # 2. Candidates: alive workers holding data (under the current
-            # placement), in worker-id order; availability filtering is
-            # the policy's job (the default select admits available ones).
-            # Membership (kill/revive) and placement moves both bump a
-            # counter, so the derived structures are cached across rounds.
-            cache_key = (
-                rdd.num_partitions,
-                coordinator.migrations,
-                backend.members_epoch,
-                granularity,
-            )
+            # 1. Candidates: alive workers holding data, in worker-id
+            # order; availability filtering is the policy's job (the
+            # default select admits available ones). Membership
+            # (kill/revive) bumps a counter, so the derived structures
+            # are cached across rounds.
+            num_partitions = rdd.num_partitions
+            cache_key = (num_partitions, backend.members_epoch, granularity)
             cached = self._candidate_cache
             if cached is not None and cached[0] == cache_key:
                 _, assigned, candidates, allowed = cached
             else:
-                owners = self._owners(rdd.num_partitions, ac.ctx.owner_of)
+                owners = np.fromiter(
+                    (ac.ctx.owner_of(p) for p in range(num_partitions)),
+                    dtype=np.int64,
+                    count=num_partitions,
+                )
                 assigned = {}
                 for w in np.unique(owners).tolist():
                     if backend.worker_env(w).alive:
@@ -205,9 +146,9 @@ class AsyncScheduler:
                     cache_key, assigned, candidates, allowed
                 )
 
-            # 3. Selection and dispatch.
+            # 2. Selection and dispatch.
             chosen = policy.select(stat, candidates)
-            version = coordinator.version
+            version = ac.coordinator.version
             job_id = ac.ctx.dispatcher.new_job_id()
             targets: list[int] = []
             seen_workers: set[int] = set()

@@ -3,8 +3,8 @@
 A *run snapshot* is everything :class:`~repro.optim.loop.ServerLoop`
 needs to continue a killed run from the moment update ``K`` applied:
 the model iterate, the update/round counters, the model version, and
-the loop's checkpointable server state (policy RNG/counters, placement
-overlay, bounded HIST channels). It deliberately excludes anything a
+the loop's checkpointable server state (its bounded HIST channels). It
+deliberately excludes anything a
 resumed process re-derives (dataset, problem, step schedule) and
 anything that varies between an interrupted run and a shorter reference
 run of the same spec (``max_updates``, wall timestamps) — so the

@@ -16,8 +16,8 @@ columns; the coordinator's per-task ``note_*`` hooks are unchanged.
 
 When tasks are submitted at partition granularity, the table additionally
 keeps one partition row per partition (created lazily on first dispatch),
-so staleness and completion statistics exist at the grain Hogwild-style
-and federated update rules operate on. Partition rows are a refinement,
+so staleness and completion statistics exist at the partition grain
+too. Partition rows are a refinement,
 not a replacement: every partition-granular task updates both its worker
 row and its partition row, and the per-partition counters aggregate back
 to the per-worker values.
@@ -33,13 +33,13 @@ computes), and ``numpy``'s median of float64 values matches
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
 from repro.core.records import PartitionStatus, WorkerStatus
 
-__all__ = ["StatTable", "WorkerArrays", "PartitionArrays"]
+__all__ = ["StatTable"]
 
 
 class _WorkerColumns:
@@ -109,28 +109,6 @@ class _PartitionColumns:
         return idx
 
 
-class WorkerArrays(NamedTuple):
-    """Read-only column slices for vectorized policy predicates."""
-
-    alive: np.ndarray
-    available: np.ndarray
-    in_flight: np.ndarray
-    tasks_completed: np.ndarray
-    avg_completion_ms: np.ndarray
-    ewma_completion_ms: np.ndarray
-
-
-class PartitionArrays(NamedTuple):
-    """Read-only column slices (appearance order) for vectorized policies."""
-
-    ids: np.ndarray
-    owner: np.ndarray
-    in_flight: np.ndarray
-    tasks_completed: np.ndarray
-    avg_completion_ms: np.ndarray
-    ewma_completion_ms: np.ndarray
-
-
 class StatTable:
     """Live view of every worker's state, maintained by the coordinator."""
 
@@ -196,23 +174,6 @@ class StatTable:
             return 0
         return self.current_version - int(c.computing_version[worker_id])
 
-    def worker_arrays(self) -> WorkerArrays:
-        """Column slices for vectorized policies (treat as read-only).
-
-        ``avg_completion_ms`` mirrors the row property: 0.0 for workers
-        with no completion history, the running mean otherwise.
-        """
-        c = self._wcols
-        has = c.comp_count > 0
-        return WorkerArrays(
-            alive=c.alive,
-            available=c.available,
-            in_flight=c.in_flight,
-            tasks_completed=c.tasks_completed,
-            avg_completion_ms=np.where(has, c.comp_mean, 0.0),
-            ewma_completion_ms=np.where(has, c.comp_ewma, 0.0),
-        )
-
     # -- partition rows (partition-granular dispatch) -----------------------------
     def partition_row(
         self, partition_id: int, owner: int | None = None
@@ -220,7 +181,7 @@ class StatTable:
         """The partition's row, created on first access.
 
         ``owner`` (when given) refreshes the row's most-recent worker —
-        partitions can migrate across workers after faults.
+        a partition's task moves to another worker after a fault.
         """
         row = self.partitions.get(partition_id)
         if row is None:
@@ -237,24 +198,6 @@ class StatTable:
         if worker_id is None:
             return rows
         return [row for row in rows if row.owner == worker_id]
-
-    def partition_arrays(self) -> PartitionArrays:
-        """Column slices over the live partition rows (treat as read-only).
-
-        Rows appear in creation (first-dispatch) order, not sorted by
-        partition id; use ``ids`` to key the values.
-        """
-        c = self._pcols
-        n = c.size
-        has = c.comp_count[:n] > 0
-        return PartitionArrays(
-            ids=c.ids[:n],
-            owner=c.owner[:n],
-            in_flight=c.in_flight[:n],
-            tasks_completed=c.tasks_completed[:n],
-            avg_completion_ms=np.where(has, c.comp_mean[:n], 0.0),
-            ewma_completion_ms=np.where(has, c.comp_ewma[:n], 0.0),
-        )
 
     @property
     def max_partition_staleness(self) -> int:
@@ -282,8 +225,7 @@ class StatTable:
 
         Mirrors :meth:`median_completion_ms` at the partition grain:
         rows with no completed tasks are excluded so empty rows cannot
-        skew the threshold per-partition completion filters compare
-        against.
+        skew it.
         """
         c = self._pcols
         n = c.size

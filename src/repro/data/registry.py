@@ -162,7 +162,7 @@ for _small in [
         alpha_sgd=1.0, alpha_saga=0.2, target_rel=0.5,
     ),
     # Binary classification from a logistic ground truth: the dataset the
-    # logistic-regression problem and the federated/hogwild examples use.
+    # logistic-regression problem and its examples use.
     DatasetSpec(
         name="synth_logistic", paper_name="(synthetic logistic)",
         n=1024, d=16, sparse=False, density=1.0,

@@ -10,7 +10,7 @@ task lost with its worker goes at once to the next alive worker, at most
 Both synchronous paths run through it and differ only in the ``send``
 that submits one attempt: ``ClusterContext.run_job`` (RDD actions and the
 optimizers' full-gradient passes) and ``AsyncScheduler.run_sync_round``
-(every round of ``sgd``, ``saga``, ``svrg`` and ``admm``).
+(every round of ``sgd``, ``saga`` and ``svrg``).
 """
 
 from __future__ import annotations

@@ -7,10 +7,9 @@ Synchronous (Spark-style BSP) and asynchronous (ASYNC) variants of:
   paper criticizes and the history broadcast it contributes,
 - SVRG-style epoch-based variance reduction (Listing 3),
 
-plus staleness-adaptive step sizes (Listing 1), single-process
-reference implementations used for the MLlib comparison (Figure 2), and
-the partition-granular extensions (Hogwild-style immediate updates and
-federated averaging in :mod:`repro.optim.partitioned`).
+plus asynchronous L-BFGS, staleness-adaptive step sizes (Listing 1) and
+single-process reference implementations used for the MLlib comparison
+(Figure 2).
 
 Every variant, synchronous or asynchronous, shares one driver —
 :class:`repro.optim.loop.ServerLoop` — and each is only an
@@ -22,7 +21,6 @@ turns a name into a runnable optimizer (sync or async) for the object
 API, and ``repro.api.run_experiment`` does the same from a spec.
 """
 
-from repro.optim.admm import ADMMRule, BulkADMMRule
 from repro.optim.asaga import ASAGARule, SAGARule
 from repro.optim.asgd import ASGDRule
 from repro.optim.base import (
@@ -33,7 +31,6 @@ from repro.optim.base import (
 )
 from repro.optim.lbfgs import AsyncLBFGSRule
 from repro.optim.loop import BulkSynchronous, ServerLoop, UpdateRule
-from repro.optim.partitioned import HogwildRule, LocalSGDRule
 from repro.optim.problems import (
     LeastSquaresProblem,
     LogisticRegressionProblem,
@@ -76,11 +73,7 @@ __all__ = [
     "ASAGARule",
     "SVRGRule",
     "ASVRGRule",
-    "BulkADMMRule",
-    "ADMMRule",
     "AsyncLBFGSRule",
-    "HogwildRule",
-    "LocalSGDRule",
     "reference_sgd",
     "reference_saga",
 ]

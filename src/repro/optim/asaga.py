@@ -35,16 +35,11 @@ class ASAGARule(UpdateRule):
     """SAGA mathematics on the async driver: history handles + avg table.
 
     All server state lives in the run's HIST store (the model-version
-    channel the broadcaster serves, and the ``averageHistory`` channel),
-    and the rule is *weight-aware*: a scheduling policy's ``weight`` hook
-    damps the stale innovation inside both the step direction and the
-    history update — see :meth:`SagaState.apply_update` — instead of the
-    loop's generic alpha scaling.
+    channel the broadcaster serves, and the ``averageHistory`` channel).
     """
 
     #: Historical convention: ASAGA's first sampling round used seed index 1.
     seed_offset = 1
-    weight_aware = True
     uses_history = True
 
     def __init__(self, mode: BroadcastMode = "history") -> None:
@@ -83,8 +78,7 @@ class ASAGARule(UpdateRule):
         if count == 0:
             return None
         return self.state.apply_update(
-            w, alpha, g_new, g_old, count, self.opt.n_total,
-            weight=record.weight,
+            w, alpha, g_new, g_old, count, self.opt.n_total
         )
 
     def algorithm_label(self):

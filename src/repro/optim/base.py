@@ -80,13 +80,12 @@ class OptimizerConfig:
     #: Schedulable unit for asynchronous rounds: "worker" (the paper's
     #: model — one locally-reduced task per worker) or "partition" (one
     #: task per data partition, results tagged with partition identity).
-    #: Rules that only make sense at one granularity (Hogwild, federated
-    #: averaging) override this.
+    #: Synchronous rules always dispatch per partition.
     granularity: str = "worker"
     #: Mid-run crash-recovery snapshots: every ``snapshot_every`` applied
     #: updates the server loop atomically replaces
     #: ``snapshot_path`` with its full run snapshot (model iterate,
-    #: counters, policy/placement/HIST state). 0 disables; both fields
+    #: counters, bounded HIST channels). 0 disables; both fields
     #: must be set together.
     snapshot_every: int = 0
     snapshot_path: str | None = None
@@ -130,8 +129,7 @@ class RunResult:
       results that carried a partition identity.
 
     Algorithms append their own keys (``mode``, ``naive_broadcast_bytes``
-    and ``avg_hist_norm`` for SAGA variants, ``epochs`` for SVRG, ``rho``
-    for ADMM).
+    and ``avg_hist_norm`` for SAGA variants, ``epochs`` for SVRG).
     """
 
     w: np.ndarray

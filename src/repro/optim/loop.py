@@ -5,12 +5,10 @@ same driver:
 
 1. publish the current model (broadcast),
 2. let the scheduling policy decide when and to which targets to
-   dispatch (its ``ready``/``select``/``place`` hooks), submit one round,
+   dispatch (its ``ready``/``select`` hooks), submit one round,
 3. collect at least one result (advancing cluster time), drain the rest,
 4. apply one model update per collected result — budget-gated, with a
-   staleness-aware step size scaled by the policy's ``weight`` hook
-   (stamped on ``record.weight`` for rules that average instead of
-   step) — and snapshot the trace,
+   staleness-aware step size — and snapshot the trace,
 5. on exit, let straggling tasks land so the context ends clean.
 
 :class:`ServerLoop` owns that skeleton once; an algorithm contributes only
@@ -26,7 +24,7 @@ hook                    role
 ``apply(w, rec, a)``    server-side update; ``None`` skips (e.g. empty batch)
 ``setup(w)``            once, before the metrics window opens (e.g. SAGA init)
 ``begin_epoch(w)``      epoch boundary work for ``epoch_length`` rules (SVRG)
-``dispatch(h, seed)``   override the whole submission round (ADMM)
+``dispatch(h, seed)``   override the whole submission round
 ``algorithm_label()``   name reported in RunResult / snapshots
 ``extras()``            algorithm-specific entries merged into RunResult.extras
 ======================  ========================================================
@@ -34,16 +32,13 @@ hook                    role
 Rules also get ``self.history`` — the run's HIST store of named, bounded
 server-side history channels (Section 4.3's second pillar; SAGA's
 ``averageHistory``, SVRG's epoch anchors and async L-BFGS's curvature
-pairs all live there) — and may set ``weight_aware = True`` to consume
-``record.weight`` inside their own mathematics instead of the loop's
-generic alpha scaling.
+pairs all live there).
 
 The schedulable unit of a round is selectable: a rule (or the config's
 ``granularity``) can dispatch one locally-reduced task per *worker* (the
 paper's model, the default) or one task per *partition* — each result
-then carries its partition identity (``record.partition``), which is what
-partition-granular rules (Hogwild-style immediate application, federated
-local-update averaging) key their server state on.
+then carries its partition identity (``record.partition``), which is how
+a synchronous round reassembles its partitions in order.
 
 This factoring is what makes "sync -> async in a few extra lines" literal:
 a new asynchronous method is one UpdateRule registered with
@@ -53,7 +48,7 @@ not a re-implementation of the driver. See
 Its synchronous variant is the same rule with :class:`BulkSynchronous`
 mixed in ahead of it — each round dispatches every partition and waits
 for all of them, then applies one update — which is how ``sgd``,
-``saga``, ``svrg`` and ``admm`` are defined.
+``saga`` and ``svrg`` are defined.
 """
 
 from __future__ import annotations
@@ -103,12 +98,6 @@ class UpdateRule:
     #: follow the run's ``OptimizerConfig.granularity``. Rules whose
     #: mathematics only exists at one granularity pin it here.
     granularity: str | None = None
-    #: Whether the rule consumes ``record.weight`` itself (in its history
-    #: update or averaging mathematics). When True, the loop does *not*
-    #: apply the generic alpha-scaling fallback — a weight-aware rule
-    #: decides where the discount belongs, and scaling alpha too would
-    #: double-damp every discounted result.
-    weight_aware = False
 
     def bind(self, loop: "ServerLoop") -> None:
         self.loop = loop
@@ -245,8 +234,8 @@ class ServerLoop:
     ``restore_state`` (default: ``opt.restore_state``, the spec layer's
     ``restore_from`` plumbing) accepts either a previous run's
     :meth:`state_dict` — reinstating the checkpointable server state
-    (policy RNG/counters, placement overlay, bounded HIST channels)
-    before the first dispatch — or a full mid-run snapshot (see
+    (the bounded HIST channels) before the first dispatch — or a full
+    mid-run snapshot (see
     :mod:`repro.core.snapshots`), which additionally restores the model
     iterate and the update/round counters so a SIGKILLed run continues
     from the exact update its latest snapshot captured.
@@ -272,8 +261,7 @@ class ServerLoop:
             SnapshotWriter(cfg.snapshot_path, cfg.snapshot_every)
             if cfg.snapshot_every else None
         )
-        #: The run's scheduling policy, normalized once so the dispatch
-        #: path and the per-result ``weight`` hook see one instance.
+        #: The run's scheduling policy, normalized once for the run.
         self.policy = as_policy(opt.policy)
         self.ac = ASYNCContext(
             opt.ctx,
@@ -293,16 +281,20 @@ class ServerLoop:
         opt.ctx.comm = self.comm
 
     def state_dict(self) -> dict:
-        """JSON-safe checkpoint of the run's restartable server state."""
-        return {
-            "policy": self.policy.state_dict(),
-            "coordinator": self.ac.coordinator.state_dict(),
-            "history": self.ac.history.snapshot(bounded_only=True),
-        }
+        """JSON-safe checkpoint of the run's restartable server state:
+        the bounded HIST channels."""
+        return {"history": self.ac.history.snapshot(bounded_only=True)}
 
     def _restore(self, state: dict) -> None:
-        self.policy.load_state(state.get("policy", {}))
-        self.ac.coordinator.load_state(state.get("coordinator", {}))
+        retired = sorted(
+            name for name in ("policy", "coordinator") if state.get(name)
+        )
+        if retired:
+            raise SnapshotError(
+                f"run state carries {' and '.join(retired)} state, which "
+                "no scheduling policy produces any more; it cannot be "
+                "restored"
+            )
         self.ac.history.restore(state.get("history", {}))
 
     def snapshot_state(
@@ -385,8 +377,7 @@ class ServerLoop:
             self.trace.record(opt.ctx.now(), self.updates, self.w)
         elif restore is not None:
             # Restored state wins over setup defaults (and must land
-            # before the first dispatch so the policy's decision
-            # sequence continues rather than restarts).
+            # before the first dispatch).
             self._restore(restore)
         # The paper's wait-time metric is per *iteration*: the window opens
         # after any setup pass (e.g. SAGA's synchronous initialization).
@@ -423,9 +414,6 @@ class ServerLoop:
         """One collected result -> at most one model update."""
         opt, rule = self.opt, self.rule
         cfg = opt.config
-        # The policy's contribution weight rides on the record: step
-        # rules scale alpha by it, averaging rules blend slots by it.
-        record.weight = float(self.policy.weight(record, self.ac.stat))
         if self.updates >= cfg.max_updates:
             return  # budget exhausted; drop late results
         t = self.updates + 1
@@ -433,14 +421,6 @@ class ServerLoop:
             opt.step.alpha(opt._step_index(t), record.staleness)
             if rule.needs_alpha else None
         )
-        # Generic fallback for rules that don't interpret the weight
-        # themselves: a discounted result takes a shorter step.
-        if (
-            alpha is not None
-            and record.weight != 1.0
-            and not rule.weight_aware
-        ):
-            alpha *= record.weight
         w = rule.apply(self.w, record, alpha)
         if w is None:
             return  # rejected (e.g. empty mini-batch)
@@ -484,7 +464,6 @@ class ServerLoop:
             "granularity": rule.effective_granularity(),
             "partition_tasks": ac.scheduler.partition_tasks_submitted,
             "policy": self.policy.describe(),
-            "migrations": ac.migrations,
         }
         if extras["granularity"] == "partition":
             # The partition-grain analogs, for every rule that ran at
@@ -506,14 +485,13 @@ class ServerLoop:
             extras["snapshots_written"] = self.snapshots.written
         if self.resumed is not None:
             extras["resumed_from_update"] = int(self.resumed["updates"])
-        # Checkpointable server state (policy RNG/counters, placement
-        # overlay, bounded HIST channels) — rides the sweep checkpoint
-        # path so a resumed cell can continue deterministically. Omitted
-        # entirely when there is nothing to restore (stateless policy,
-        # no migrations, no bounded history), keeping e.g. plain-ASGD
-        # checkpoint lines free of a no-op blob.
+        # Checkpointable server state (the bounded HIST channels) —
+        # rides the sweep checkpoint path so a resumed cell can continue
+        # deterministically. Omitted entirely when there is nothing to
+        # restore, keeping e.g. plain-ASGD checkpoint lines free of a
+        # no-op blob.
         state = self.state_dict()
-        if any(state.values()):
+        if state["history"]:
             extras["run_state"] = state
         extras.update(rule.extras())
         if self.comm is not None:

@@ -164,25 +164,15 @@ class SagaState:
 
     def apply_update(
         self, w: np.ndarray, alpha: float, g_new: np.ndarray,
-        g_old: np.ndarray, count: int, n_total: int, weight: float = 1.0,
+        g_old: np.ndarray, count: int, n_total: int,
     ) -> np.ndarray:
-        """One SAGA step; advances ``avg_hist`` and returns the new ``w``.
-
-        ``weight`` (a scheduling policy's per-result contribution weight)
-        damps the *innovation* — the fresh-minus-stored gradient
-        difference — in both the step direction and the running-average
-        update, while the historical average itself stays fully trusted.
-        ``weight=1.0`` is bit-identical to unweighted SAGA.
-        """
+        """One SAGA step; advances ``avg_hist`` and returns the new ``w``."""
         if count <= 0:
             return w
         lam = self.problem.lam
         diff = g_new - g_old
         innovation = diff / count
         delta = diff / n_total
-        if weight != 1.0:
-            innovation = weight * innovation
-            delta = weight * delta
         avg = self.avg_hist
         direction = innovation + avg
         if lam:

@@ -58,12 +58,9 @@ class ASVRGRule(UpdateRule):
     bounded HIST channels (``svrg/anchor``, ``svrg/mu``; ``keep=
     "last:1"`` — only the current epoch's anchor is ever read), so epoch
     state shares the run's history accounting and checkpoint surface.
-    The rule is weight-aware: a policy ``weight`` hook damps the
-    variance-reduction innovation, not the whole step.
     """
 
     seed_offset = 1
-    weight_aware = True
     uses_history = True
 
     def __init__(self, inner_iterations: int = 10) -> None:
@@ -114,17 +111,12 @@ class ASVRGRule(UpdateRule):
         (g_sum, h_sum), count = record.value
         if count == 0:
             return None
-        # The variance-reduced direction around the anchor. A discounted
-        # (stale) result contributes less innovation: as weight -> 0 the
-        # direction falls back to the trusted anchor gradient mu.
-        innovation = (g_sum - h_sum) / count
-        if record.weight != 1.0:
-            innovation = record.weight * innovation
-        g = innovation + self.mu_channel.latest()
+        # The variance-reduced direction around the anchor.
+        g = (g_sum - h_sum) / count + self.mu_channel.latest()
         problem = self.opt.problem
         if problem.lam:
             # mu holds the regularizer gradient at w_tilde; correct it
-            # to the current iterate (deterministic, never discounted).
+            # to the current iterate.
             g = g + problem.lam * (w - self.w_tilde)
         return w - alpha * g
 

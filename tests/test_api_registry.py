@@ -26,8 +26,8 @@ def test_builtin_components_registered():
     # Importing repro pulls in every module with @register_* decorators.
     import repro  # noqa: F401
 
-    assert {"sgd", "asgd", "saga", "asaga", "svrg", "asvrg", "admm",
-            "aadmm"} <= set(OPTIMIZERS.names())
+    assert {"sgd", "asgd", "saga", "asaga", "svrg", "asvrg",
+            "async_lbfgs"} <= set(OPTIMIZERS.names())
     assert {"asp", "bsp", "ssp", "frac", "ct"} <= set(POLICIES.names())
     assert {"constant", "inv_sqrt", "poly"} <= set(STEPS.names())
     assert {"none", "cds", "pcs"} <= set(DELAY_MODELS.names())

@@ -74,7 +74,7 @@ def test_explicit_step_spec_matches_default_construction():
 
 
 @pytest.mark.parametrize("algorithm", [
-    "sgd", "asgd", "saga", "asaga", "svrg", "asvrg", "admm", "aadmm",
+    "sgd", "asgd", "saga", "asaga", "svrg", "asvrg", "async_lbfgs",
 ])
 def test_every_registered_algorithm_runs_from_a_spec(algorithm):
     result = run_experiment({
@@ -105,7 +105,7 @@ def test_unknown_algorithm_and_dataset_rejected():
                             "max_updates": 10, "delay": spelling})
     with pytest.raises(ApiError, match="finite"):
         run_experiment({"algorithm": "asgd", "dataset": "tiny_dense",
-                        "max_updates": 10, "policy": "migrate:nan"})
+                        "max_updates": 10, "policy": "ct:nan"})
 
 
 def test_custom_registered_optimizer_runs_without_explicit_step():

@@ -121,8 +121,7 @@ def test_spec_rejects_retired_keys_holding_another_value(key, value):
 
 
 _TERMS = st.sampled_from([
-    "asp", "bsp", "ssp:4", "frac:0.5", "ct:1.5", "ssp_partition:2",
-    "sample:0.3", "fedasync:poly", "migrate:1.5",
+    "asp", "bsp", "ssp:4", "frac:0.5", "ct:1.5", "ct:2",
 ])
 _POLICY_SPECS = st.one_of(
     st.none(),
@@ -132,13 +131,10 @@ _POLICY_SPECS = st.one_of(
         min_size=1, max_size=3,
     ).map(" | ".join),
     st.fixed_dictionaries(
-        {"name": st.sampled_from(["ssp", "ssp_partition"]),
-         "threshold": st.integers(1, 16)}
+        {"name": st.just("ssp"), "threshold": st.integers(1, 16)}
     ),
     st.fixed_dictionaries(
-        {"name": st.just("migrate"),
-         "threshold": st.sampled_from([1.5, "p90"]),
-         "cooldown": st.integers(0, 8)}
+        {"name": st.just("ct"), "ratio": st.sampled_from([1.5, 3.0])}
     ),
 )
 

@@ -195,27 +195,28 @@ def test_list_enumerates_policies_with_hook_signatures(capsys):
     assert main(["list"]) == 0
     printed = capsys.readouterr().out
     assert "scheduling policies" in printed
-    for line in ("asp: ready", "ct: ready, select", "sample: select",
-                 "fedasync: weight", "migrate: place",
-                 "ssp_partition: ready"):
+    for line in ("asp: ready", "bsp: ready", "ssp: ready", "frac: ready",
+                 "ct: ready, select"):
         assert f"  {line}" in printed
     assert "'a & b'" in printed  # the composition grammar is documented
+    assert "weight" not in printed and "place" not in printed
 
 
 def test_run_policy_spec_end_to_end(tmp_path, capsys):
     out = tmp_path / "summary.json"
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
-        "algorithm": "hogwild", "dataset": "tiny_dense", "num_workers": 4,
-        "num_partitions": 8, "policy": "ssp_partition:4 & sample:0.5",
-        "max_updates": 12, "eval_every": 4, "seed": 0,
+        "algorithm": "asgd", "dataset": "tiny_dense", "num_workers": 4,
+        "num_partitions": 8, "granularity": "partition",
+        "policy": "ssp:4 & ct:1.5", "max_updates": 12, "eval_every": 4,
+        "seed": 0,
     }))
     assert main(["run", str(spec), "--out", str(out)]) == 0
     printed = capsys.readouterr().out
-    assert "policy='ssp_partition:4 & sample:0.5'" in printed
+    assert "policy='ssp:4 & ct:1.5'" in printed
     summary = json.loads(out.read_text())
     assert summary["updates"] == 12
-    assert "ClientSampling" in summary["extras"]["policy"]
+    assert "CompletionTimeBarrier" in summary["extras"]["policy"]
 
 
 def test_bad_spec_is_a_clean_error(tmp_path, capsys):
@@ -224,6 +225,45 @@ def test_bad_spec_is_a_clean_error(tmp_path, capsys):
                                 "dataset": "tiny_dense"}))
     assert main(["run", str(spec)]) == 2
     assert "unknown" in capsys.readouterr().err
+
+
+#: Components deleted for want of a claim row: ``(spec field, value,
+#: the name the error must quote)``.
+RETIRED_INPUTS = [
+    *[("algorithm", name, name)
+      for name in ("hogwild", "fedavg", "localsgd", "admm", "aadmm")],
+    ("policy", "sample:0.3", "sample"),
+    ("policy", "fedasync:poly", "fedasync"),
+    ("policy", "migrate:p95", "migrate"),
+    ("policy", "ssp_partition:4", "ssp_partition"),
+    ("policy", "pssp:4", "pssp"),
+    ("policy", "ct_partition:1.5", "ct_partition"),
+    ("policy", "ssp:4 & sample:0.3", "sample"),
+    ("compressor", "randk:0.1", "randk"),
+    ("compressor", "int8", "int8"),
+]
+
+
+@pytest.mark.parametrize(("field", "value", "name"), RETIRED_INPUTS)
+def test_retired_component_is_a_typed_error(field, value, name, tmp_path,
+                                             capsys):
+    """A spec, a grid axis or a CLI run naming a deleted component fails
+    with the registry's ``ApiError`` quoting the name — never a
+    traceback."""
+    from repro.api import ExperimentSpec, run_experiment, run_grid
+    from repro.errors import ApiError
+
+    base = {"algorithm": "asgd", "dataset": "tiny_dense", "max_updates": 4}
+    spec = {**base, field: value}
+    with pytest.raises(ApiError, match=f"'{name}'"):
+        run_experiment(ExperimentSpec.from_dict(spec))
+    with pytest.raises(ApiError, match=f"'{name}'"):
+        run_grid({"base": base, "grid": {field: [value]}})
+    path = tmp_path / "retired.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path)]) != 0
+    err = capsys.readouterr().err
+    assert f"'{name}'" in err and "Traceback" not in err
 
 
 def test_bad_component_value_is_a_clean_error(tmp_path, capsys):

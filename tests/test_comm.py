@@ -51,7 +51,7 @@ from repro.optim import (
 )
 from repro.utils.sizeof import sizeof_bytes
 
-ALL_TOKENS = ("none", "topk:0.1", "randk:0.1", "int8", "onebit")
+ALL_TOKENS = ("none", "topk:0.1", "onebit")
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +59,7 @@ ALL_TOKENS = ("none", "topk:0.1", "randk:0.1", "int8", "onebit")
 # ---------------------------------------------------------------------------
 
 def test_registry_lists_every_compressor():
-    assert {"none", "topk", "randk", "int8", "onebit"} <= set(
-        COMPRESSORS.names()
-    )
+    assert set(COMPRESSORS.names()) == {"none", "topk", "onebit"}
 
 
 def test_parse_compressor_spellings():
@@ -69,14 +67,14 @@ def test_parse_compressor_spellings():
     assert isinstance(parse_compressor("none"), NoneCompressor)
     topk = parse_compressor("topk:0.25")
     assert isinstance(topk, TopKCompressor) and topk.fraction == 0.25
-    randk = parse_compressor({"name": "randk", "fraction": 0.5})
-    assert randk.name == "randk" and randk.fraction == 0.5
+    by_dict = parse_compressor({"name": "topk", "fraction": 0.5})
+    assert by_dict.name == "topk" and by_dict.fraction == 0.5
     # An instance passes through; spec() round-trips the grammar.
     assert parse_compressor(topk) is topk
     assert parse_compressor(topk.spec()).fraction == topk.fraction
 
 
-@pytest.mark.parametrize("bad", ["topk:0", "topk:1.5", "randk:-0.1"])
+@pytest.mark.parametrize("bad", ["topk:0", "topk:1.5", "topk:-0.1"])
 def test_bad_fractions_rejected(bad):
     with pytest.raises(ReproError, match="fraction"):
         parse_compressor(bad)
@@ -123,7 +121,7 @@ def test_packet_roundtrip_exact_bytes(token):
     rng = np.random.default_rng(0)
     grad = rng.standard_normal(257)
     comp = parse_compressor(token)
-    packet = comp.compress(grad, rng=np.random.default_rng(1))
+    packet = comp.compress(grad)
     blob = packet.to_bytes()
     assert len(blob) == packet.wire_bytes
     back = Packet.from_bytes(blob)
@@ -139,9 +137,9 @@ def test_packet_roundtrip_exact_bytes(token):
 def test_lossy_packets_actually_shrink():
     grad = np.random.default_rng(2).standard_normal(1024)
     raw = grad.nbytes
-    for token in ("topk:0.1", "randk:0.1", "int8", "onebit"):
+    for token in ("topk:0.1", "onebit"):
         comp = parse_compressor(token)
-        packet = comp.compress(grad, rng=np.random.default_rng(3))
+        packet = comp.compress(grad)
         assert packet.wire_bytes < raw / 2, token
 
 
@@ -181,10 +179,7 @@ def test_packet_from_bytes_survives_hostile_input(token, n, seed, data):
     packet blob either raises ReproError or parses into a packet that
     serializes back to exactly those bytes — never struct/numpy/KeyError."""
     comp = parse_compressor(token)
-    packet = comp.compress(
-        np.random.default_rng(seed).standard_normal(n),
-        rng=np.random.default_rng(seed),
-    )
+    packet = comp.compress(np.random.default_rng(seed).standard_normal(n))
     blob = packet.to_bytes()
     back = _parse(blob)
     assert back is not None and back.to_bytes() == blob
@@ -208,6 +203,9 @@ def test_packet_from_bytes_survives_hostile_input(token, n, seed, data):
 @pytest.mark.parametrize("blob,match", [
     (b"RC\x01", "truncated comm packet header"),
     (b"RC\x01\x63\x00\x00\x00", "unknown packet scheme code 99"),
+    # Codes of retired schemes stay unassigned.
+    (b"RC\x01\x02\x00\x00\x00", "unknown packet scheme code 2"),
+    (b"RC\x01\x03\x00\x00\x00", "unknown packet scheme code 3"),
     (b"RC\x01\x09\x00\x00\x00", "unknown packet scheme code 9"),
     (b"RC\x01\x01\x63\x00\x00", "unknown packet dtype code 99"),
     (b"RC\x01\x01\x00\x00\x01\x0b\x01\x00\x00\x00",
@@ -319,7 +317,7 @@ def _thread_logistic_run(compressor):
             OptimizerConfig(batch_fraction=0.5, max_updates=16, seed=0),
         )
         if compressor is not None:
-            opt.comm = CommManager.coerce(compressor, seed=0)
+            opt.comm = CommManager.coerce(compressor)
         res = opt.run()
     return problem.error(res.w), res
 
@@ -365,7 +363,7 @@ _vectors = st.lists(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    token=st.sampled_from(["topk:0.25", "randk:0.25", "int8", "onebit"]),
+    token=st.sampled_from(["topk:0.25", "onebit"]),
     x=_vectors,
     partition=st.sampled_from([None, 3]),
 )
@@ -376,11 +374,11 @@ def test_stored_residual_is_x_minus_decompress_bit_for_bit(token, x, partition):
     comp = parse_compressor(token)
     env = WorkerEnv(2)
     with np.errstate(all="ignore"):
-        enc = PayloadCodec(comp, seed=5).encode((x,), env, partition)
+        enc = PayloadCodec(comp).encode((x,), env, partition)
         packet = enc.tree[0]
         want = x - comp.decompress(packet)
-    state = env.get(("comm_ef", -1 if partition is None else partition))
-    got = state.residuals[0]
+    residuals = env.get(("comm_ef", -1 if partition is None else partition))
+    got = residuals[0]
     assert got.shape == x.shape and got.dtype == np.float64
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     # The encoded tree's wire measure is the packet plus the tuple.
@@ -454,7 +452,7 @@ def _expected_wire(node) -> int:
 
 @settings(max_examples=100, deadline=None)
 @given(
-    token=st.sampled_from(["topk:0.25", "randk:0.25", "int8", "onebit"]),
+    token=st.sampled_from(["topk:0.25", "onebit"]),
     payload=_payload_trees,
 )
 def test_encode_keeps_ledger_units_on_mixed_trees(token, payload):
@@ -464,7 +462,7 @@ def test_encode_keeps_ledger_units_on_mixed_trees(token, payload):
     from repro.cluster.backend import WorkerEnv
     from repro.comm.codec import PayloadCodec
 
-    codec = PayloadCodec(parse_compressor(token), seed=1)
+    codec = PayloadCodec(parse_compressor(token))
     env = WorkerEnv(1)
     for _ in range(2):  # the second encode carries residuals
         enc = codec.encode(payload, env, 4)
@@ -663,6 +661,7 @@ def test_cli_list_enumerates_compressors(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "compressors: " in out
-    for name in ("topk", "randk", "int8", "onebit"):
-        assert name in out
+    assert "compressors: none, onebit, topk" in out
+    for name in ("randk", "int8"):
+        assert name not in out
     assert "error feedback" in out

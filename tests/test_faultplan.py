@@ -24,7 +24,7 @@ from repro.cluster.faultplan import (
 from repro.errors import FaultPlanError, ReproError
 
 SPEC = {
-    "dataset": "tiny_dense", "algorithm": "asgd", "policy": "sample:0.75",
+    "dataset": "tiny_dense", "algorithm": "asgd", "policy": "ct:1.5",
     "num_workers": 4, "max_updates": 200, "seed": 3, "delay": "cds:0.6",
 }
 

@@ -174,3 +174,19 @@ def test_sync_round_that_stalls_raises(ctx, small_data, monkeypatch):
     _, opt = _sync_sgd(ctx, small_data)
     with pytest.raises(SchedulerError, match="stalled"):
         opt.run()
+
+
+@pytest.mark.parametrize("policy", ["bsp", "frac:1.0", "frac:0.5"])
+def test_quorum_policies_survive_killed_workers(policy):
+    """Three of four workers die early: ``frac:β`` sizes its quorum from
+    the alive workers, as ``bsp`` does, so the lone survivor finishes
+    the run instead of waiting forever for the dead."""
+    from repro.api import run_experiment
+
+    res = run_experiment({
+        "algorithm": "asgd", "dataset": "tiny_dense", "num_workers": 4,
+        "policy": policy, "max_updates": 60, "seed": 0,
+        "fault_plan": "kill:w1@5ms,kill:w2@5ms,kill:w3@5ms",
+    })
+    assert res.updates == 60
+    assert res.extras["fault_events"] == 3

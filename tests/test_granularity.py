@@ -1,4 +1,4 @@
-"""Partition-granular dispatch: parity, STAT rows, and the new rules."""
+"""Partition-granular dispatch: parity, STAT rows, validation."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,13 @@ import pytest
 from repro.api import run_experiment
 from repro.cluster.threadbackend import ThreadBackend
 from repro.core import ASYNCContext
-from repro.data.synthetic import make_classification, make_dense_regression
+from repro.data.synthetic import make_dense_regression
 from repro.engine.context import ClusterContext
 from repro.errors import OptimError
 from repro.optim import (
     InvSqrtDecay,
     LeastSquaresProblem,
-    LogisticRegressionProblem,
     OptimizerConfig,
-    ConstantStep,
     build_optimizer,
 )
 from repro.optim.base import bc_value
@@ -160,8 +158,9 @@ def test_partition_stat_rows_aggregate_to_worker_rows(backend_kind):
 
 def test_partition_staleness_tracked_per_partition():
     res = run_experiment({
-        "algorithm": "hogwild", "dataset": "tiny_dense", "num_workers": 4,
-        "num_partitions": 8, "max_updates": 40, "seed": 0,
+        "algorithm": "asgd", "dataset": "tiny_dense", "num_workers": 4,
+        "num_partitions": 8, "granularity": "partition", "max_updates": 40,
+        "seed": 0,
     })
     assert res.extras["partitions_tracked"] == 8
     assert res.extras["max_partition_staleness_seen"] >= 0
@@ -190,114 +189,6 @@ def test_partition_metrics_tagged():
         assert sorted(r.partition for r in records) == [0, 1, 2, 3]
         tagged = [m for m in ctx.dispatcher.metrics_log if m.partition >= 0]
         assert sorted(m.partition for m in tagged) == [0, 1, 2, 3]
-
-
-# -- the partition-only rules -------------------------------------------------------
-def test_hogwild_converges_on_logistic():
-    res = run_experiment({
-        "algorithm": "hogwild", "dataset": "synth_logistic",
-        "problem": "logistic", "num_workers": 4, "num_partitions": 8,
-        "max_updates": 120, "eval_every": 10, "seed": 0,
-    })
-    X, y, _ = make_classification(1024, 16, cond=5.0, seed=0)
-    problem = LogisticRegressionProblem(X, y)
-    assert problem.error(res.w) < 0.6 * problem.initial_error()
-    assert res.extras["granularity"] == "partition"
-
-
-def test_fedavg_converges_on_logistic():
-    res = run_experiment({
-        "algorithm": "fedavg", "dataset": "synth_logistic",
-        "problem": "logistic", "num_workers": 4, "num_partitions": 8,
-        "alpha0": 0.3, "max_updates": 100, "eval_every": 10, "seed": 0,
-        "params": {"local_steps": 5},
-    })
-    X, y, _ = make_classification(1024, 16, cond=5.0, seed=0)
-    problem = LogisticRegressionProblem(X, y)
-    assert problem.error(res.w) < 0.5 * problem.initial_error()
-    assert res.extras["local_steps"] == 5
-    assert res.extras["partitions_tracked"] == 8
-
-
-def test_localsgd_alias_resolves_to_fedavg():
-    res = run_experiment({
-        "algorithm": "localsgd", "dataset": "tiny_dense",
-        "num_workers": 2, "num_partitions": 4, "max_updates": 8, "seed": 0,
-    })
-    assert res.algorithm.startswith("fedavg")
-
-
-def test_localsgd_alias_is_bit_identical_to_fedavg():
-    """Regression: the alias used to miss the step-schedule family sets
-    (keyed on canonical names), silently getting a different client lr."""
-    spec = {
-        "algorithm": "fedavg", "dataset": "tiny_dense", "num_workers": 2,
-        "num_partitions": 4, "alpha0": 0.3, "max_updates": 12, "seed": 0,
-    }
-    a = run_experiment(spec)
-    b = run_experiment({**spec, "algorithm": "localsgd"})
-    assert np.array_equal(a.w, b.w)
-    assert a.extras["local_alpha"] == b.extras["local_alpha"] == 0.3
-
-
-def test_fedavg_rejects_staleness_adaptive():
-    """Regression: the flag was silently ignored for local-update methods."""
-    from repro.errors import ApiError
-
-    with pytest.raises(ApiError, match="staleness_adaptive"):
-        run_experiment({
-            "algorithm": "fedavg", "dataset": "tiny_dense",
-            "staleness_adaptive": True, "max_updates": 4,
-        })
-
-
-def test_fedavg_object_api_and_weighted_slots():
-    X, y, _ = make_dense_regression(300, 8, cond=4.0, seed=5)
-    problem = LeastSquaresProblem(X, y)
-    with ClusterContext(3, seed=0) as ctx:
-        # 300 rows over 4 partitions -> uneven split exercises weighting
-        points = ctx.matrix(X, y, 4).cache()
-        res = build_optimizer(
-            "fedavg", ctx, points, problem, ConstantStep(0.1),
-            OptimizerConfig(batch_fraction=0.25, max_updates=40, seed=0),
-            local_steps=3,
-        ).run()
-    assert problem.error(res.w) < problem.initial_error()
-    assert res.extras["local_steps"] == 3
-
-
-def test_fedavg_rejects_bad_local_steps(ctx, small_data):
-    X, y, _ = small_data
-    problem = LeastSquaresProblem(X, y)
-    points = ctx.matrix(X, y, 8).cache()
-    with pytest.raises(OptimError):
-        build_optimizer(
-            "fedavg", ctx, points, problem, ConstantStep(0.1),
-            OptimizerConfig(max_updates=4), local_steps=0,
-        ).run()
-
-
-def test_hogwild_one_partition_per_worker_matches_asgd():
-    """Hogwild with P partitions == P workers IS asgd (same mathematics,
-    same schedule) — the degenerate case that anchors the semantics."""
-    X, y, _ = make_dense_regression(256, 8, cond=4.0, seed=7)
-    problem = LeastSquaresProblem(X, y)
-
-    def run(algorithm):
-        with ClusterContext(4, seed=0) as ctx:
-            points = ctx.matrix(X, y, 4).cache()
-            opt = build_optimizer(
-                algorithm, ctx, points, problem,
-                InvSqrtDecay(0.5).scaled_for_async(4),
-                OptimizerConfig(batch_fraction=0.25, max_updates=24, seed=0),
-            )
-            # Round seeds hash the optimizer name; align them so the two
-            # runs sample identical mini-batches.
-            opt.name = "asgd"
-            return opt.run()
-
-    a, h = run("asgd"), run("hogwild")
-    assert np.array_equal(a.w, h.w)
 
 
 # -- config / spec validation -------------------------------------------------------

@@ -77,17 +77,6 @@ def test_every_algorithm_runs(algorithm, asynchronous):
     assert len(res.error_series) >= 2
 
 
-def test_aadmm_is_async_and_honors_barrier():
-    """aadmm is registered as an UpdateRule, so its policy is applied."""
-    spec = TINY_CELL.with_overrides(
-        algorithm="aadmm", max_updates=8, policy="bsp",
-    )
-    res = run_api_experiment(spec)
-    assert res.updates == 8
-    assert res.extras["policy"] == "BSP"
-    assert "max_staleness_seen" in res.extras
-
-
 def test_result_time_to_error():
     res = run_api_experiment(TINY_CELL.with_overrides(max_updates=30))
     t = res.time_to_error(res.relative_target(0.5))

@@ -6,10 +6,6 @@ HIST subsystem: **bit-identical trajectories**. The digests below were
 captured on main immediately before the refactor (same specs, same
 seeds, Sim and Thread backends) — any numerical or scheduling drift in
 the refactored path changes a digest and fails loudly.
-
-The weight-aware tests pin the *new* behavior: ASAGA/ASVRG consume
-``record.weight`` inside their variance-reduction mathematics (damping
-the stale innovation) instead of the loop's generic alpha scaling.
 """
 
 import hashlib
@@ -169,57 +165,3 @@ def test_naive_mode_table_is_a_hist_channel():
     table = next(row for name, row in hist.items() if name.endswith("/table"))
     assert table["versions"] == res.updates + 1
     assert res.extras["naive_broadcast_bytes"] > table["stored_bytes"]
-
-
-# -- weight-aware variance reduction (the PR-4 follow-up) ------------------------------
-def _asaga_weighted_spec(policy=None, updates=40):
-    spec = {
-        "algorithm": "asaga", "dataset": "tiny_dense", "num_workers": 4,
-        "num_partitions": 8, "delay": "cds:1.0", "max_updates": updates,
-        "eval_every": 8, "seed": 3,
-    }
-    if policy is not None:
-        spec["policy"] = policy
-    return spec
-
-
-def test_fedasync_and_asaga_regression():
-    """ASAGA under a staleness-discount policy: weight lands in the
-    history update (damped innovation), not in generic alpha scaling."""
-    plain = run_experiment(_asaga_weighted_spec())
-    neutral = run_experiment(_asaga_weighted_spec("asp & fedasync:const"))
-    damped = run_experiment(_asaga_weighted_spec("asp & fedasync:poly"))
-
-    # A neutral weight hook changes nothing, bit for bit.
-    assert np.array_equal(plain.w, neutral.w)
-    # A real discount changes the trajectory...
-    assert not np.array_equal(plain.w, damped.w)
-    # ...and the averageHistory itself (the table update is damped too —
-    # under generic alpha scaling avg_hist would be identical to plain).
-    assert damped.extras["avg_hist_norm"] != pytest.approx(
-        plain.extras["avg_hist_norm"], rel=1e-12
-    )
-    # Still a working SAGA: the full update budget lands.
-    assert damped.updates == plain.updates
-
-
-def test_fedasync_and_asvrg_damps_innovation():
-    spec = {
-        "algorithm": "asvrg", "dataset": "tiny_dense", "num_workers": 4,
-        "num_partitions": 8, "delay": "cds:1.0", "max_updates": 24,
-        "eval_every": 8, "seed": 3, "params": {"inner_iterations": 6},
-    }
-    plain = run_experiment(spec)
-    neutral = run_experiment({**spec, "policy": "asp & fedasync:const"})
-    damped = run_experiment({**spec, "policy": "asp & fedasync:poly"})
-    assert np.array_equal(plain.w, neutral.w)
-    assert not np.array_equal(plain.w, damped.w)
-
-
-def test_weighted_asaga_converges():
-    from repro.api.runner import prepare_experiment
-
-    spec = _asaga_weighted_spec("asp & fedasync:poly", updates=120)
-    res = run_experiment(spec)
-    problem = prepare_experiment(spec).problem
-    assert problem.error(res.w) < 0.5 * problem.initial_error()

@@ -19,7 +19,6 @@ from repro.optim import (
     ("sgd", InvSqrtDecay(0.5), {}),
     ("saga", ConstantStep(0.02), {}),
     ("svrg", ConstantStep(0.1), {"inner_iterations": 5}),
-    ("admm", ConstantStep(1.0), {"rho": 1.0}),
 ])
 def test_every_sync_algorithm_deterministic(name, step, kwargs, small_data):
     X, y, _ = small_data

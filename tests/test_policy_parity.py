@@ -2,7 +2,7 @@
 
 The acceptance bar for the protocol redesign: every pre-existing barrier
 spec routes through the new ``select``-based dispatch with bit-identical
-trajectories, and the four new policies are spec-addressable end to end.
+trajectories, and composed policies are spec-addressable end to end.
 """
 
 import numpy as np
@@ -94,15 +94,6 @@ def test_idempotent_composition_is_bit_identical(barrier):
     )
 
 
-@pytest.mark.parametrize("barrier", ["asp", "ssp:2", "ct:1.5"])
-def test_neutral_weight_composition_is_bit_identical(barrier):
-    """A weight hook that returns 1.0 (fedasync:const) changes nothing."""
-    _assert_same_trajectory(
-        _run_spec(barrier=barrier),
-        _run_spec(policy=f"{barrier} & fedasync:const"),
-    )
-
-
 @pytest.mark.parametrize("barrier", CLASSIC_BARRIERS)
 def test_partition_granularity_parity_per_barrier(barrier):
     """With one partition per worker, partition-granular dispatch under
@@ -153,116 +144,55 @@ def test_policy_on_sync_optimizer_is_an_error():
     with pytest.raises(ApiError, match="no effect on the synchronous"):
         run_experiment({
             "algorithm": "sgd", "dataset": "tiny_dense",
-            "policy": "sample:0.5", "max_updates": 4,
+            "policy": "ssp:2", "max_updates": 4,
         })
 
 
-# -- the four new policies, spec-addressable end to end ------------------------------
-def _fed_spec(policy, updates=60):
-    return {
-        "algorithm": "fedavg", "dataset": "tiny_dense", "num_workers": 4,
-        "num_partitions": 8, "delay": "cds:0.6", "policy": policy,
-        "max_updates": updates, "eval_every": 8, "seed": 0,
-        "params": {"local_steps": 3},
-    }
-
-
-def test_partition_ssp_end_to_end():
-    res = run_experiment(_fed_spec("ssp_partition:4"))
-    assert res.updates == 60
-    assert res.extras["policy"] == "PartitionSSP(s=4)"
-    assert res.extras["partition_tasks"] > 0
-
-
-def test_partition_completion_filter_end_to_end():
-    res = run_experiment(_fed_spec("ct_partition:1.5"))
-    assert res.updates == 60
-    assert res.extras["policy"] == "PartitionCompletionFilter(ratio=1.5)"
-
-
-def test_client_sampling_end_to_end():
-    full = run_experiment(_fed_spec("asp"))
-    sampled = run_experiment(_fed_spec("sample:0.5"))
-    assert sampled.updates == 60
-    assert "ClientSampling" in sampled.extras["policy"]
-    # sampling halves each round's dispatch, so it takes more rounds to
-    # produce the same number of collected results.
-    assert sampled.rounds > full.rounds
-
-
-def test_staleness_weighting_end_to_end():
-    plain = run_experiment(_fed_spec("asp"))
-    damped = run_experiment(_fed_spec("asp & fedasync:poly"))
-    assert damped.updates == 60
-    assert "StalenessWeighting" in damped.extras["policy"]
-    # the discount changes the trajectory (stale slots blend, not overwrite)
-    assert not np.array_equal(plain.w, damped.w)
-
-
-def test_migration_end_to_end_moves_partitions():
-    res = run_experiment({
-        "algorithm": "hogwild", "dataset": "tiny_dense", "num_workers": 4,
-        "num_partitions": 8, "delay": "cds:1.0",
-        "policy": {"name": "migrate", "threshold": 1.5, "min_history": 3},
-        "max_updates": 160, "eval_every": 16, "seed": 0,
-    })
-    assert res.extras["migrations"] >= 1
-    assert res.updates == 160
-
-
-def test_migration_updates_partition_owners():
-    from repro.api.runner import prepare_experiment
-
-    prep = prepare_experiment({
-        "algorithm": "hogwild", "dataset": "tiny_dense", "num_workers": 4,
-        "num_partitions": 8, "delay": "cds:1.0", "policy": "migrate:1.5",
-        "max_updates": 160, "eval_every": 16, "seed": 0,
-    })
-    with prep.make_context() as ctx:
-        points = ctx.matrix(prep.X, prep.y, prep.num_partitions).cache()
-        opt = prep.make_optimizer(ctx, points)
-        from repro.optim.partitioned import HogwildRule
-        from repro.optim.loop import ServerLoop
-
-        loop = ServerLoop(opt, HogwildRule())
-        res = loop.run()
-        moves = loop.ac.coordinator.migration_log
-        assert moves and res.extras["migrations"] == len(moves)
-        # every accepted move left the overlay pointing at some worker
-        for partition, old, new in moves:
-            assert new != old
-            assert partition in loop.ac.placement
-        # and the STAT rows track the most recent dispatch worker
-        snapshot = {row["partition_id"]: row["owner"]
-                    for row in loop.ac.stat.partition_snapshot()}
-        for partition, worker in loop.ac.placement.items():
-            assert snapshot[partition] == worker
-
-
+# -- composed policies end to end -----------------------------------------------------
 def test_policy_axis_sweeps_through_grid():
     from repro.api import run_grid
 
+    policies = ["asp", "ssp:4 & ct:1.5", "ct:1.5 | bsp"]
     summaries = run_grid({
-        "base": _fed_spec("asp", updates=20),
-        "grid": {"policy": ["asp", "sample:0.5", "asp & fedasync:poly"]},
+        "base": {
+            "algorithm": "asgd", "dataset": "tiny_dense", "num_workers": 4,
+            "num_partitions": 8, "delay": "cds:0.6",
+            "granularity": "partition", "max_updates": 20, "seed": 0,
+        },
+        "grid": {"policy": policies},
     })
-    assert [s["spec"]["policy"] for s in summaries] == [
-        "asp", "sample:0.5", "asp & fedasync:poly",
-    ]
+    assert [s["spec"]["policy"] for s in summaries] == policies
     assert all(s["updates"] == 20 for s in summaries)
 
 
 def test_filter_and_sample_composition_never_stalls():
-    """Regression: `ct_partition & sample` used to intersect independent
+    """Regression: `filter & sampler` used to intersect independent
     draws, occasionally selecting nothing on an idle cluster and dying
     with a SchedulerError mid-run."""
+    from repro.cluster import ControlledDelay
+    from repro.core.policies import CompletionTimeBarrier, LambdaPolicy
+
+    X, y, _ = make_dense_regression(128, 6, cond=4.0, seed=3)
+    problem = LeastSquaresProblem(X, y)
     for seed in range(8):
-        res = run_experiment({
-            "algorithm": "hogwild", "dataset": "tiny_dense",
-            "num_workers": 4, "num_partitions": 4, "delay": "cds:1.0",
-            "policy": "ct_partition:1.2 & sample:0.25",
-            "max_updates": 30, "eval_every": 10, "seed": seed,
-        })
+        rng = np.random.default_rng(seed)
+        sampler = LambdaPolicy(select_fn=lambda s, cs, rng=rng: [
+            cs[i] for i in sorted(rng.choice(
+                len(cs), size=max(1, len(cs) // 4), replace=False,
+            ))
+        ])
+        # Worker 0 at half speed: the filter has someone to withhold.
+        with ClusterContext(
+            4, seed=seed, delay_model=ControlledDelay(1.0, workers=(0,)),
+        ) as ctx:
+            points = ctx.matrix(X, y, 4).cache()
+            res = build_optimizer(
+                "asgd", ctx, points, problem,
+                InvSqrtDecay(0.5).scaled_for_async(4),
+                OptimizerConfig(batch_fraction=0.25, max_updates=30,
+                                seed=seed, granularity="partition"),
+                policy=CompletionTimeBarrier(1.2) & sampler,
+            ).run()
         assert res.updates == 30
 
 
@@ -309,7 +239,7 @@ def test_bench_spec_fails_fast_on_mis_keyed_policy():
     from repro.bench.harness import run_api_experiment
 
     bad = PAPER_CELL.with_overrides(
-        dataset="tiny_dense", algorithm="asgd", policy="ssp_partiton:4",  # typo
+        dataset="tiny_dense", algorithm="asgd", policy="sps:4",  # typo
     )
     with pytest.raises(ApiError, match="unknown policy"):
         run_api_experiment(bad)
@@ -320,16 +250,7 @@ def test_bench_spec_rejects_policy_on_sync_algorithm():
     from repro.bench.harness import run_api_experiment
 
     sync = PAPER_CELL.with_overrides(
-        dataset="tiny_dense", algorithm="svrg", policy="fedasync:poly",
+        dataset="tiny_dense", algorithm="svrg", policy="ssp:2",
     )
     with pytest.raises(ApiError, match="no effect on the synchronous"):
         run_api_experiment(sync)
-
-
-def test_sampling_policy_seed_comes_from_spec():
-    """The spec's seed parameterizes sampling draws via registry defaults."""
-    a = run_experiment({**_fed_spec("sample:0.5"), "seed": 1})
-    b = run_experiment({**_fed_spec("sample:0.5"), "seed": 1})
-    c = run_experiment({**_fed_spec("sample:0.5"), "seed": 2})
-    assert np.array_equal(a.w, b.w)
-    assert not np.array_equal(a.w, c.w)

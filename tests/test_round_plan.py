@@ -103,8 +103,8 @@ SIM_CASES = {
         "compressor": {"name": "topk", "fraction": 0.1},
         "granularity": "partition", "num_partitions": 16,
     },
-    "migrate": {
-        "policy": "migrate:1.5", "granularity": "partition",
+    "ct-partition": {
+        "policy": "ct:1.5", "granularity": "partition",
         "num_workers": 4, "delay": "cds:1.0",
     },
     "kill-revive": {
@@ -121,8 +121,6 @@ def test_plan_matches_verb_chain_sim(case, monkeypatch):
     monkeypatch.setattr(ASGDRule, "dispatch", verb_chain_dispatch)
     _, chained = run_spec(spec)
     assert fingerprint(planned) == fingerprint(chained)
-    if case == "migrate":
-        assert planned.extras["migrations"] > 0
     if case == "kill-revive":
         # The kill dropped w2's cached blocks mid-run and lost in-flight
         # work; after the revive its partitions recompute from lineage.

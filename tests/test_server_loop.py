@@ -54,7 +54,9 @@ def test_reducers():
 
 
 # -- extras schema (satellite: consistent keys across async optimizers) -------------
-@pytest.mark.parametrize("algorithm", ["asgd", "asaga", "asvrg", "aadmm"])
+@pytest.mark.parametrize(
+    "algorithm", ["asgd", "asaga", "asvrg", "async_lbfgs"]
+)
 def test_async_extras_common_schema(algorithm):
     res = run_experiment({
         "algorithm": algorithm, "dataset": "tiny_dense", "num_workers": 4,

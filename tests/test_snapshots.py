@@ -38,7 +38,7 @@ from repro.core.snapshots import (
 from repro.errors import OptimError, SnapshotError
 
 SPEC = {
-    "dataset": "tiny_dense", "algorithm": "asgd", "policy": "sample:0.75",
+    "dataset": "tiny_dense", "algorithm": "asgd", "policy": "ct:1.5",
     "num_workers": 4, "max_updates": 60, "seed": 3, "delay": "cds:0.6",
 }
 
@@ -172,6 +172,45 @@ def test_list_form_snapshot_restores_like_the_new_form(tmp_path):
     assert from_legacy.extras["resumed_from_update"] == 40
     assert from_legacy.updates == 60
     assert _bits(from_legacy.w) == _bits(from_new.w)
+
+
+def _asaga_snapshot_at_40(tmp_path):
+    snap_file = tmp_path / "snap.json"
+    run_experiment({**ASAGA_SPEC, "max_updates": 40, "snapshot_every": 40,
+                    "snapshot_path": str(snap_file)})
+    return snap_file, json.loads(snap_file.read_text())
+
+
+def test_snapshot_with_empty_policy_and_coordinator_restores_bit_identically(
+    tmp_path,
+):
+    """Snapshots written while policies and the coordinator had run
+    state carry both sections, empty for every kept policy; they resume
+    exactly like today's HIST-only server state."""
+    snap_file, state = _asaga_snapshot_at_40(tmp_path)
+    assert set(state["server"]) == {"history"}
+    state["server"].update(policy={}, coordinator={})
+    older = _write_state(tmp_path / "older.json", state)
+    from_new = run_experiment({**ASAGA_SPEC, "restore_from": str(snap_file)})
+    from_older = run_experiment({**ASAGA_SPEC, "restore_from": str(older)})
+    assert from_older.extras["resumed_from_update"] == 40
+    assert _bits(from_older.w) == _bits(from_new.w)
+
+
+@pytest.mark.parametrize("section,value", [
+    ("policy", {"rng": {"bit_generator": "PCG64"}}),
+    ("coordinator", {"placement": {"3": 0}, "migrations": 1}),
+])
+def test_snapshot_with_policy_or_coordinator_state_is_refused(
+    tmp_path, section, value,
+):
+    """Policy RNGs and placement overlays no longer exist: a snapshot
+    carrying either is a ``SnapshotError``, not silently dropped."""
+    _, state = _asaga_snapshot_at_40(tmp_path)
+    state["server"][section] = value
+    bad = _write_state(tmp_path / "bad.json", state)
+    with pytest.raises(SnapshotError, match=section):
+        run_experiment({**ASAGA_SPEC, "restore_from": str(bad)})
 
 
 def test_sweep_checkpoint_with_list_form_run_state_resumes(

@@ -43,13 +43,6 @@ ALGOS = {
         "algorithm": "asvrg", "params": {"inner_iterations": 6},
         "max_updates": 36,
     },
-    "fedavg": {
-        "algorithm": "fedavg", "granularity": "partition",
-        "params": {"local_steps": 3}, "max_updates": 24,
-    },
-    "hogwild": {
-        "algorithm": "hogwild", "granularity": "partition", "max_updates": 60,
-    },
     "async_lbfgs": {"algorithm": "async_lbfgs", "max_updates": 24},
 }
 
@@ -79,14 +72,6 @@ PINNED = {
     "asvrg/tiny_sparse/logistic": "7754fe7c20649947",
     "asvrg/rcv1_like/least_squares": "96e481d4b18ce642",
     "asvrg/rcv1_like/logistic": "ca92e403648122b0",
-    "fedavg/tiny_sparse/least_squares": "60af8f6bdf2d073d",
-    "fedavg/tiny_sparse/logistic": "923280228658496e",
-    "fedavg/rcv1_like/least_squares": "614b1898665c7e9c",
-    "fedavg/rcv1_like/logistic": "cca842811775fef8",
-    "hogwild/tiny_sparse/least_squares": "2a72176b1826cb22",
-    "hogwild/tiny_sparse/logistic": "1285b0dbfc490812",
-    "hogwild/rcv1_like/least_squares": "30ac2ffa2bb21f1f",
-    "hogwild/rcv1_like/logistic": "aa8f1ed0a3ebd5a5",
     "async_lbfgs/tiny_sparse/least_squares": "a3c3ddabd3d76a2a",
     "async_lbfgs/tiny_sparse/logistic": "e81d5d186d7d8b17",
     "async_lbfgs/rcv1_like/least_squares": "0c918d95a715fde3",
@@ -120,7 +105,7 @@ def test_sparse_trajectory_pinned(key, datasets):
     assert run_digest(algo, dataset, problem, datasets) == PINNED[key]
 
 
-@pytest.mark.parametrize("algo", ["asgd", "asaga", "saga", "fedavg"])
+@pytest.mark.parametrize("algo", ["asgd", "asaga", "saga"])
 def test_size_boundary_moves_speed_not_bits(algo, datasets, monkeypatch):
     """Every row subset through scipy (boundary 0, the parent's behaviour)
     lands on the same pins as every subset through the array path."""

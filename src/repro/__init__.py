@@ -62,7 +62,6 @@ from repro.core.policies import (
     CompletionTimeBarrier,
     MinAvailableFraction,
     SchedulingPolicy,
-    parse_policy,
 )
 from repro.engine.context import ClusterContext
 from repro.optim.asaga import ASAGARule
@@ -114,7 +113,6 @@ __all__ = [
     "SSP",
     "MinAvailableFraction",
     "CompletionTimeBarrier",
-    "parse_policy",
     "Problem",
     "LeastSquaresProblem",
     "RidgeProblem",

@@ -392,10 +392,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
         else:
             detail = "custom factory"
         print(f"  {name}: {detail}")
-    print(
-        "policies compose in string form: 'a & b' (both ready, selections "
-        "intersect), 'a | b' (either; union); '&' binds tighter"
-    )
     history_users = [
         name for name in OPTIMIZERS.names()
         if getattr(OPTIMIZERS.get(name), "uses_history", False)
@@ -406,7 +402,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
     )
     print(
         "  retention policies: all (broadcast history), last:k (bounded "
-        "deques), window:ms (sliding windows)"
+        "deques)"
     )
     print(f"datasets: {', '.join(list_datasets())}")
     for name in list_datasets():

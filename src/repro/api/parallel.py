@@ -170,7 +170,7 @@ def _bench_cell(spec_dict: Mapping[str, Any]) -> dict:
 
     Every cell — in-process, fabric or restored — takes this form,
     so claim results expose scalar ``extras`` only (no ``history`` /
-    ``run_state`` objects); call ``run_api_experiment`` for the rest.
+    ``comm`` objects); call ``run_api_experiment`` for the rest.
     """
     from repro.bench.harness import run_api_experiment
 

@@ -189,8 +189,8 @@ class Registry:
 
 OPTIMIZERS = Registry("optimizer")
 PROBLEMS = Registry("problem")
-#: Scheduling policies — the classic barriers (ASP/BSP/SSP/...) are the
-#: ready/select-only ones — addressed by a spec's ``policy`` field.
+#: Scheduling policies (the classic barriers ASP/BSP/SSP/...) addressed
+#: by a spec's ``policy`` field.
 POLICIES = Registry("policy")
 STEPS = Registry("step schedule")
 DELAY_MODELS = Registry("delay model")

@@ -286,16 +286,10 @@ def run_experiment(spec: ExperimentSpec | Mapping[str, Any]) -> RunResult:
 
 
 def summarize(prep: PreparedExperiment, result: RunResult) -> dict:
-    """A JSON-safe summary of one run (what the CLI prints and saves).
-
-    Runs with restartable server state additionally carry ``run_state``
-    — the server loop's checkpointable state (its bounded HIST
-    channels) — so sweep checkpoint
-    lines hold everything a deterministic restart needs
-    (``ServerLoop(..., restore_state=...)``).
-    """
+    """A JSON-safe summary of one run (what the CLI prints and saves):
+    the spec, errors, counters and the scalar ``extras``."""
     problem = prep.problem
-    out = {
+    return {
         "spec": prep.spec.to_dict(),
         "algorithm": result.algorithm,
         "final_error": float(problem.error(result.w)),
@@ -310,10 +304,6 @@ def summarize(prep: PreparedExperiment, result: RunResult) -> dict:
             if isinstance(v, (bool, int, float, str))
         },
     }
-    run_state = result.extras.get("run_state")
-    if run_state is not None:
-        out["run_state"] = run_state
-    return out
 
 
 def _array_digest(value: Any) -> str:

@@ -72,8 +72,7 @@ class ExperimentSpec:
     num_partitions: int | None = None
     delay: Any = "none"
     #: Scheduling policy (async only): a registered name (``"asp"``), a
-    #: mini-language token (``"ssp:4"``, ``"frac:0.5"``), an ``&``/``|``
-    #: composition (``"ssp:4 & ct:1.5"``), or a dict
+    #: mini-language token (``"ssp:4"``, ``"frac:0.5"``) or a dict
     #: (``{"name": "ct", "ratio": 1.5}``). ``None`` -> ASP.
     policy: Any = None
     #: ``None`` -> built from the dataset's tuned ``alpha0`` (see below).

@@ -30,15 +30,11 @@ from repro.core.policies import (
     ASP,
     BSP,
     SSP,
-    AndPolicy,
     CompletionTimeBarrier,
     LambdaPolicy,
     MinAvailableFraction,
-    OrPolicy,
     SchedulingPolicy,
-    Target,
     as_policy,
-    parse_policy,
     resolve_policy,
 )
 from repro.core.records import PartitionStatus, TaskResultRecord, WorkerStatus
@@ -47,12 +43,8 @@ from repro.core.stat import StatTable
 
 __all__ = [
     "SchedulingPolicy",
-    "Target",
-    "AndPolicy",
-    "OrPolicy",
     "LambdaPolicy",
     "as_policy",
-    "parse_policy",
     "resolve_policy",
     "ASYNCContext",
     "AsyncBroadcaster",

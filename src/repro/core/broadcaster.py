@@ -106,7 +106,7 @@ class AsyncBroadcaster:
         self.ctx = ctx
         #: The backing HIST store (own one unless the caller shares its
         #: coordinator's, which the ASYNCContext does).
-        self.store = store if store is not None else HistoryStore(clock=ctx.now)
+        self.store = store if store is not None else HistoryStore()
         #: The run's :class:`~repro.comm.manager.CommManager` (set by the
         #: server loop); ``None`` = plain transport, no ledger, no delta.
         self.comm: Any = None

@@ -55,9 +55,7 @@ class ASYNCContext:
     ) -> None:
         self.ctx = ctx
         self.stat = StatTable(ctx.num_workers)
-        self.coordinator = Coordinator(
-            self.stat, pipeline_depth, history=HistoryStore(clock=ctx.now)
-        )
+        self.coordinator = Coordinator(self.stat, pipeline_depth)
         self.scheduler = AsyncScheduler(self)
         # The broadcaster is the transport view over the coordinator's
         # HIST store: broadcast channels and server-side history share

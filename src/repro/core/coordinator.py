@@ -35,17 +35,12 @@ class Coordinator:
     curvature pairs) registers its channels with.
     """
 
-    def __init__(
-        self,
-        stat: StatTable,
-        pipeline_depth: int = 1,
-        history: HistoryStore | None = None,
-    ) -> None:
+    def __init__(self, stat: StatTable, pipeline_depth: int = 1) -> None:
         if pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
         self.stat = stat
         #: The HIST table (Section 4.3's second pillar).
-        self.history = history if history is not None else HistoryStore()
+        self.history = HistoryStore()
         self.pipeline_depth = pipeline_depth
         self.results: deque[TaskResultRecord] = deque()
         self.lost_tasks = 0
@@ -145,9 +140,6 @@ class Coordinator:
         )
 
     # -- consumption ------------------------------------------------------------
-    def has_result(self) -> bool:
-        return bool(self.results)
-
     def pop_result(self) -> TaskResultRecord:
         """FIFO pop; re-stamps staleness at collection time.
 
@@ -169,6 +161,3 @@ class Coordinator:
     def raise_pending_error(self) -> None:
         if self.errors:
             raise self.errors.popleft()
-
-    def pending_errors(self) -> int:
-        return len(self.errors)

@@ -24,10 +24,9 @@ spelling        meaning
 ==============  =============================================================
 ``"all"``       keep every version (the broadcast-history default: workers
                 may re-reference any past version by id)
-``"last:k"``    keep only the ``k`` most recent versions (bounded deques:
-                L-BFGS curvature pairs, SAGA's running average)
-``"window:ms"`` keep versions appended within the last ``ms`` of cluster
-                time (sliding windows over recent iterates)
+``"last:k"``    keep only the ``k`` most recent versions, ``k`` a whole
+                number >= 1 (bounded deques: L-BFGS curvature pairs,
+                SAGA's running average)
 ==============  =============================================================
 
 Eviction happens on append and never removes the newest version. Reads
@@ -42,7 +41,7 @@ from __future__ import annotations
 import base64
 import itertools
 import math
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -80,21 +79,17 @@ def freeze_value(value: Any) -> Any:
 
 
 class RetentionPolicy:
-    """How many versions a channel keeps (``all`` / ``last:k`` / ``window:ms``)."""
+    """How many versions a channel keeps (``all`` / ``last:k``)."""
 
-    def __init__(self, kind: str, bound: float | None = None) -> None:
-        if kind not in ("all", "last", "window"):
+    def __init__(self, kind: str, bound: int | None = None) -> None:
+        if kind not in ("all", "last"):
             raise HistoryError(f"unknown retention kind {kind!r}")
-        if kind == "last" and (bound is None or int(bound) < 1):
-            raise HistoryError("last:k retention needs k >= 1")
-        if kind == "window" and (bound is None or bound <= 0):
-            raise HistoryError("window:ms retention needs a positive window")
         self.kind = kind
-        self.bound = None if kind == "all" else float(bound)
+        self.bound = None if kind == "all" else _last_bound(bound)
 
     @classmethod
     def parse(cls, spec: "RetentionPolicy | str | None") -> "RetentionPolicy":
-        """Coerce a spelling (``"all"``, ``"last:4"``, ``"window:250"``)."""
+        """Coerce a spelling (``"all"``, ``"last:4"``)."""
         if spec is None:
             return cls("all")
         if isinstance(spec, cls):
@@ -102,14 +97,14 @@ class RetentionPolicy:
         if not isinstance(spec, str):
             raise HistoryError(
                 f"cannot interpret {spec!r} as a retention policy "
-                "(expected 'all', 'last:k' or 'window:ms')"
+                "(expected 'all' or 'last:k')"
             )
         name, _, arg = spec.partition(":")
         if name == "all":
             if arg:
                 raise HistoryError("retention 'all' takes no argument")
             return cls("all")
-        if name in ("last", "window"):
+        if name == "last":
             try:
                 bound = float(arg)
             except ValueError:
@@ -118,8 +113,7 @@ class RetentionPolicy:
                 ) from None
             return cls(name, bound)
         raise HistoryError(
-            f"unknown retention policy {spec!r}; "
-            "expected 'all', 'last:k' or 'window:ms'"
+            f"unknown retention policy {spec!r}; expected 'all' or 'last:k'"
         )
 
     @property
@@ -128,11 +122,7 @@ class RetentionPolicy:
         return self.kind != "all"
 
     def describe(self) -> str:
-        if self.kind == "all":
-            return "all"
-        if self.kind == "last":
-            return f"last:{int(self.bound)}"
-        return f"window:{self.bound:g}"
+        return "all" if self.kind == "all" else f"last:{self.bound}"
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -144,14 +134,32 @@ class RetentionPolicy:
         return f"RetentionPolicy({self.describe()!r})"
 
 
+def _last_bound(k: Any) -> int:
+    """Validate a ``last:k`` bound: a finite whole number of versions >= 1.
+
+    ``k`` counts versions, so ``2.5`` or NaN is no bound at all; both
+    are rejected like a non-finite one (the rule SSP's staleness bound
+    follows).
+    """
+    try:
+        whole = 1 <= k < math.inf and k == int(k)
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise HistoryError(
+            f"last:k retention needs a finite whole k >= 1, got {k!r}"
+        )
+    return int(k)
+
+
 class HistoryChannel:
     """One named, versioned sequence of server-side history.
 
-    Every append freezes the value, assigns the next version id, stamps
-    the store's clock and charges the byte accountants; retention then
-    evicts from the oldest end. ``prune_below`` remains available for
-    callers that manage lifetimes themselves (e.g. SAGA once every
-    worker's table has advanced past a version).
+    Every append freezes the value, assigns the next version id and
+    charges the byte accountants; retention then evicts from the oldest
+    end. ``prune_below`` remains available for callers that manage
+    lifetimes themselves (e.g. SAGA once every worker's table has
+    advanced past a version).
     """
 
     def __init__(
@@ -159,19 +167,13 @@ class HistoryChannel:
         channel_id: int,
         name: str,
         keep: RetentionPolicy | str | None = None,
-        clock: Callable[[], float] | None = None,
     ) -> None:
         self.channel_id = channel_id
         self.name = name
         self.keep = RetentionPolicy.parse(keep)
-        #: None = no clock: appends stamp 0.0 unless the caller passes
-        #: explicit timestamps, and implicit stamping under ``window:ms``
-        #: retention raises (a constant clock would never evict).
-        self._clock = clock
         self._next_version = 0
         self._values: dict[int, Any] = {}
         self._nbytes: dict[int, int] = {}
-        self._stamped_ms: dict[int, float] = {}
         #: Current footprint of retained versions, in bytes.
         self.total_stored_bytes = 0
         #: Lifetime bytes ever appended (monotone non-decreasing).
@@ -182,16 +184,8 @@ class HistoryChannel:
         self.evicted_versions = 0
 
     # -- writes ------------------------------------------------------------------
-    def append(self, value: Any, timestamp_ms: float | None = None) -> int:
+    def append(self, value: Any) -> int:
         """Store a new version; returns its id. Retention runs after."""
-        if timestamp_ms is None:
-            if self._clock is None and self.keep.kind == "window":
-                raise HistoryError(
-                    f"channel '{self.name}' has window retention but no "
-                    "clock; pass timestamp_ms explicitly or open the "
-                    "channel on a clocked store (e.g. ac.history)"
-                )
-            timestamp_ms = 0.0 if self._clock is None else float(self._clock())
         version = self._next_version
         self._next_version += 1
         self._values[version] = freeze_value(value)
@@ -200,7 +194,6 @@ class HistoryChannel:
         # directly comparable in RunResult.extras.
         nbytes = payload_nbytes(value)
         self._nbytes[version] = nbytes
-        self._stamped_ms[version] = float(timestamp_ms)
         self.total_stored_bytes += nbytes
         self.appended_bytes += nbytes
         self._evict(version)
@@ -208,21 +201,14 @@ class HistoryChannel:
 
     def _evict(self, newest: int) -> None:
         if self.keep.kind == "last":
-            floor = newest - int(self.keep.bound) + 1
+            floor = newest - self.keep.bound + 1
             if floor > 0:
                 self._drop(v for v in list(self._values) if v < floor)
-        elif self.keep.kind == "window":
-            horizon = self._stamped_ms[newest] - self.keep.bound
-            self._drop(
-                v for v in list(self._values)
-                if v != newest and self._stamped_ms[v] < horizon
-            )
 
     def _drop(self, versions) -> int:
         freed = 0
         for v in versions:
             del self._values[v]
-            self._stamped_ms.pop(v, None)
             freed += self._nbytes.pop(v, 0)
             self.evicted_versions += 1
         self.total_stored_bytes -= freed
@@ -259,10 +245,6 @@ class HistoryChannel:
     def nbytes(self, version: int) -> int:
         return self._nbytes.get(version, 0)
 
-    def timestamp_ms(self, version: int) -> float | None:
-        """Cluster time at which ``version`` was appended (None if gone)."""
-        return self._stamped_ms.get(version)
-
     def __contains__(self, version: int) -> bool:
         return version in self._values
 
@@ -288,44 +270,33 @@ class HistoryChannel:
             "evicted_bytes": self.evicted_bytes,
         }
 
-    def snapshot(self, include_values: bool = True) -> dict:
-        """Checkpointable state; ``restore`` rebuilds it exactly.
-
-        ``include_values=False`` captures accounting and version ids only
-        (for unbounded channels whose payload would dominate a
-        checkpoint).
-        """
-        snap = {
+    def snapshot(self) -> dict:
+        """Checkpointable state; ``restore`` rebuilds it exactly."""
+        versions = self.versions()
+        return {
             "name": self.name,
             "keep": self.keep.describe(),
             "next_version": self._next_version,
             "accounting": self.accounting(),
+            "versions": versions,
+            "values": {
+                int(v): to_jsonable(self._values[v]) for v in versions
+            },
         }
-        if include_values:
-            # The retained-version id list is only needed (and only
-            # bounded) when values travel with it; a metadata capture of
-            # an unbounded channel stays O(1) regardless of run length.
-            snap["versions"] = self.versions()
-            snap["values"] = {
-                int(v): to_jsonable(self._values[v]) for v in self.versions()
-            }
-            snap["timestamps_ms"] = {
-                int(v): self._stamped_ms[v] for v in self.versions()
-            }
-        return snap
 
     def restore(self, snap: dict) -> None:
-        """Reinstate a :meth:`snapshot` (with values) onto this channel.
+        """Reinstate a :meth:`snapshot` onto this channel.
 
         The channel's own retention policy is authoritative: restoring a
         snapshot captured under a *different* policy is a contract error
         (silently adopting the snapshot's would let a resumed run keep
-        more — or less — history than it was configured for).
+        more — or less — history than it was configured for). Older
+        snapshots' ``timestamps_ms`` maps are ignored.
         """
         if "values" not in snap:
             raise HistoryError(
                 f"snapshot of channel '{snap.get('name')}' carries no "
-                "values (captured with include_values=False)"
+                "values (a metadata-only entry)"
             )
         snap_keep = RetentionPolicy.parse(snap["keep"])
         if snap_keep != self.keep:
@@ -337,9 +308,6 @@ class HistoryChannel:
         self._values = {
             int(v): freeze_value(from_jsonable(val))
             for v, val in snap["values"].items()
-        }
-        self._stamped_ms = {
-            int(v): float(t) for v, t in snap.get("timestamps_ms", {}).items()
         }
         self._nbytes = {
             v: payload_nbytes(val) for v, val in self._values.items()
@@ -406,8 +374,8 @@ def from_jsonable(value: Any) -> Any:
 
     Arrays come back writable and in native byte order. The list form
     earlier versions wrote (``"__ndarray__": [...]`` with a numpy dtype
-    name) is still read, so their snapshots, HIST channel snapshots and
-    sweep-checkpoint ``run_state`` keep loading; nothing writes it. A
+    name) is still read, so their snapshots and HIST channel snapshots
+    keep loading; nothing writes it. A
     malformed array record raises :class:`~repro.errors.HistoryError`.
     """
     if isinstance(value, dict) and "__ndarray__" in value:
@@ -461,11 +429,7 @@ class HistoryStore:
     consumer shares channel ids, accounting, and checkpointing.
     """
 
-    def __init__(self, clock: Callable[[], float] | None = None) -> None:
-        #: None = unclocked store: fine for version-count retention
-        #: (``all`` / ``last:k``), rejected at append time by ``window``
-        #: channels unless timestamps are passed explicitly.
-        self.clock = clock
+    def __init__(self) -> None:
         self._channel_ids = itertools.count()
         self._channels: dict[str, HistoryChannel] = {}
 
@@ -481,9 +445,7 @@ class HistoryStore:
         """
         ch = self._channels.get(name)
         if ch is None:
-            ch = HistoryChannel(
-                next(self._channel_ids), name, keep=keep, clock=self.clock
-            )
+            ch = HistoryChannel(next(self._channel_ids), name, keep=keep)
             self._channels[name] = ch
         elif keep is not None and RetentionPolicy.parse(keep) != ch.keep:
             raise HistoryError(
@@ -516,21 +478,18 @@ class HistoryStore:
         }
 
     # -- checkpointing -------------------------------------------------------------
-    def snapshot(self, bounded_only: bool = False) -> dict:
-        """JSON-safe snapshot of every channel.
+    def snapshot(self) -> dict:
+        """JSON-safe snapshot of the bounded (``last:k``) channels.
 
-        ``bounded_only=True`` captures values only for channels whose
-        retention is bounded (``last:k`` / ``window:ms``) — the
-        restartable server state (curvature pairs, running averages,
-        epoch anchors) — and accounting metadata for unbounded ones,
-        whose payload grows with the run and is reconstructible from the
-        optimizer's own setup pass.
+        Those are the restartable server state (curvature pairs, running
+        averages, epoch anchors). An unbounded channel's payload grows
+        with the run and is rebuilt by the optimizer's own setup pass,
+        so it is left out.
         """
         return {
-            name: ch.snapshot(
-                include_values=ch.keep.bounded or not bounded_only
-            )
+            name: ch.snapshot()
             for name, ch in self._channels.items()
+            if ch.keep.bounded
         }
 
     def restore(self, snap: dict) -> None:
@@ -540,9 +499,9 @@ class HistoryStore:
         channel that already exists keeps its configured policy, and a
         snapshot captured under a different one raises (resuming a run
         whose bounds changed must fail loudly, not silently widen them).
-        Entries captured without values (unbounded channels under
-        ``bounded_only=True``) are skipped — their owners rebuild them
-        through their own setup path.
+        Entries without values (the metadata-only entries older
+        snapshots wrote for unbounded channels) are skipped — their
+        owners rebuild them through their own setup path.
         """
         for name, ch_snap in snap.items():
             if "values" not in ch_snap:

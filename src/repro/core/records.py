@@ -23,12 +23,7 @@ __all__ = [
     "TaskResultRecord",
     "WorkerStatus",
     "PartitionStatus",
-    "EWMA_ALPHA",
 ]
-
-#: Smoothing factor for the per-row completion-time EWMA column: the
-#: first sample seeds it, then ``ewma += EWMA_ALPHA * (x - ewma)``.
-EWMA_ALPHA = 0.2
 
 
 @dataclass
@@ -58,56 +53,6 @@ class TaskResultRecord:
     compute_ms: float
     job_id: int = -1
     partition: int | None = None
-
-    @property
-    def turnaround_ms(self) -> float:
-        """Assignment-to-delivery latency of the task."""
-        return self.delivered_ms - self.submitted_ms
-
-
-class CompletionView:
-    """A running-mean handle over one row's completion columns.
-
-    ``add`` updates the mean in a fixed operation order (``count += 1;
-    mean += (x - mean)/count`` in float64), so columnar rows produce
-    bit-identical averages, and also maintains the row's completion-time
-    EWMA column.
-    """
-
-    __slots__ = ("_cols", "_i")
-
-    def __init__(self, cols, index: int) -> None:
-        self._cols = cols
-        self._i = index
-
-    @property
-    def count(self) -> int:
-        return int(self._cols.comp_count[self._i])
-
-    @property
-    def mean(self) -> float:
-        return float(self._cols.comp_mean[self._i])
-
-    @property
-    def value(self) -> float:
-        """The mean so far (0.0 before any observation)."""
-        return self.mean if self.count else 0.0
-
-    def add(self, x: float) -> None:
-        cols, i = self._cols, self._i
-        x = float(x)
-        n = int(cols.comp_count[i]) + 1
-        cols.comp_count[i] = n
-        m = float(cols.comp_mean[i])
-        cols.comp_mean[i] = m + (x - m) / n
-        if n == 1:
-            cols.comp_ewma[i] = x
-        else:
-            e = float(cols.comp_ewma[i])
-            cols.comp_ewma[i] = e + EWMA_ALPHA * (x - e)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"CompletionView(count={self.count}, mean={self.mean})"
 
 
 class TaskTrackingStatus:
@@ -175,22 +120,11 @@ class TaskTrackingStatus:
         self._cols.last_delivered_ms[self._i] = value
 
     @property
-    def completion(self) -> CompletionView:
-        return CompletionView(self._cols, self._i)
-
-    @property
     def avg_completion_ms(self) -> float:
         """Average task turnaround (assignment to result submission)."""
         if not self._cols.comp_count[self._i]:
             return 0.0
         return float(self._cols.comp_mean[self._i])
-
-    @property
-    def ewma_completion_ms(self) -> float:
-        """Exponentially-weighted completion time (0.0 before history)."""
-        if not self._cols.comp_count[self._i]:
-            return 0.0
-        return float(self._cols.comp_ewma[self._i])
 
     # -- coordinator hooks -------------------------------------------------------
     def note_assigned(self, version: int) -> None:
@@ -210,12 +144,22 @@ class TaskTrackingStatus:
 
     def note_completion(self, staleness: int, submitted_ms: float,
                         delivered_ms: float) -> None:
-        """Record a successful result's staleness and timing."""
+        """Record a successful result's staleness and timing.
+
+        The completion mean is a running mean in a fixed operation order
+        (``count += 1; mean += (x - mean) / count`` in float64), so the
+        columnar rows reproduce the object-per-row table's averages bit
+        for bit.
+        """
         cols, i = self._cols, self._i
         cols.last_staleness[i] = staleness
         cols.tasks_completed[i] += 1
         cols.last_delivered_ms[i] = delivered_ms
-        self.completion.add(delivered_ms - submitted_ms)
+        x = float(delivered_ms - submitted_ms)
+        n = int(cols.comp_count[i]) + 1
+        cols.comp_count[i] = n
+        m = float(cols.comp_mean[i])
+        cols.comp_mean[i] = m + (x - m) / n
 
     def _tracking_snapshot(self) -> dict:
         return {

@@ -1,17 +1,12 @@
 """ASYNCscheduler (Section 4.4).
 
-Dispatches tasks to targets chosen by a :class:`~repro.core.policies.
-SchedulingPolicy` over the live STAT table. ``submit_round`` blocks
-(advancing backend time) until the policy's ``ready`` predicate holds,
-then:
-
-1. builds the round's candidate :class:`~repro.core.policies.Target`
-   list from the context's locality rule — one worker-target per
-   data-owning alive worker at ``granularity="worker"``, one
-   partition-target per resident partition (worker-major order) at
-   ``granularity="partition"``,
-2. hands the candidates to the policy's ``select`` hook and ships one
-   task per chosen target.
+Dispatches tasks to the workers a :class:`~repro.core.policies.
+SchedulingPolicy` admits over the live STAT table. ``submit_round``
+blocks (advancing backend time) until the policy's ``ready`` predicate
+holds, then walks the policy's ``eligible`` workers in order and ships,
+to each one that holds data, one locally reduced task at
+``granularity="worker"`` or one task per resident partition (ascending)
+at ``granularity="partition"``.
 
 This is the mechanism behind ASP / BSP / SSP / ``frac`` / ``ct`` and the
 user-defined filters of Listing 2.
@@ -28,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.cluster.backend import TaskMetrics, WorkerEnv
-from repro.core.policies import SchedulingPolicy, Target
+from repro.core.policies import SchedulingPolicy
 from repro.engine.dispatch import Continuation
 from repro.engine.scheduler import run_partitions
 from repro.errors import SchedulerError
@@ -58,13 +53,11 @@ class AsyncScheduler:
         self._tasks: dict[
             int, tuple[int, int | None, Any, Continuation | None]
         ] = {}
-        # (num_partitions, members_epoch, granularity) -> (assigned,
-        # candidates, set(candidates)). The locality rule is static and
-        # membership changes are rare, so most rounds reuse the previous
-        # round's candidates instead of re-deriving them.
-        self._candidate_cache: tuple[
-            tuple, dict[int, list[int]], list[Target], set[Target]
-        ] | None = None
+        # ((num_partitions, members_epoch), assigned): each alive
+        # data-holding worker's partitions. The locality rule is static
+        # and membership changes are rare, so most rounds reuse the
+        # previous round's map instead of re-deriving it.
+        self._assigned_cache: tuple[tuple, dict[int, list[int]]] | None = None
 
     def submit_round(
         self,
@@ -73,7 +66,7 @@ class AsyncScheduler:
         policy: SchedulingPolicy,
         granularity: str = "worker",
     ) -> list[int]:
-        """Wait for the policy, then dispatch to the targets it selects.
+        """Wait for the policy, then dispatch to the workers it admits.
 
         ``granularity`` selects the submission unit:
 
@@ -85,7 +78,10 @@ class AsyncScheduler:
           the STAT table grows per-partition rows.
 
         ``policy`` is a normalized :class:`SchedulingPolicy` (callers
-        coerce user input once, via ``as_policy``, not per round).
+        coerce user input once, via ``as_policy``, not per round). Its
+        ``eligible`` workers are served in the order listed; one that
+        holds no data is skipped, one listed twice is a
+        :class:`~repro.errors.SchedulerError`.
 
         Returns the workers that received task(s) this round (possibly
         empty if the policy's filter excluded everyone).
@@ -110,16 +106,14 @@ class AsyncScheduler:
             )
 
         with backend.state_lock:
-            # 1. Candidates: alive workers holding data, in worker-id
-            # order; availability filtering is the policy's job (the
-            # default select admits available ones). Membership
-            # (kill/revive) bumps a counter, so the derived structures
-            # are cached across rounds.
+            # Alive workers holding data, with their partitions in
+            # ascending order. Membership (kill/revive) bumps a counter,
+            # so the map is cached across rounds.
             num_partitions = rdd.num_partitions
-            cache_key = (num_partitions, backend.members_epoch, granularity)
-            cached = self._candidate_cache
+            cache_key = (num_partitions, backend.members_epoch)
+            cached = self._assigned_cache
             if cached is not None and cached[0] == cache_key:
-                _, assigned, candidates, allowed = cached
+                assigned = cached[1]
             else:
                 owners = np.fromiter(
                     (ac.ctx.owner_of(p) for p in range(num_partitions)),
@@ -130,62 +124,38 @@ class AsyncScheduler:
                 for w in np.unique(owners).tolist():
                     if backend.worker_env(w).alive:
                         assigned[w] = np.flatnonzero(owners == w).tolist()
-                owner_workers = list(assigned)  # np.unique is sorted
-                if granularity == "worker":
-                    candidates = [
-                        Target("worker", w, w) for w in owner_workers
-                    ]
-                else:
-                    candidates = [
-                        Target("partition", p, w)
-                        for w in owner_workers
-                        for p in assigned[w]
-                    ]
-                allowed = set(candidates)
-                self._candidate_cache = (
-                    cache_key, assigned, candidates, allowed
-                )
+                self._assigned_cache = (cache_key, assigned)
 
-            # 2. Selection and dispatch.
-            chosen = policy.select(stat, candidates)
             version = ac.coordinator.version
             job_id = ac.ctx.dispatcher.new_job_id()
             targets: list[int] = []
-            seen_workers: set[int] = set()
-            seen_targets: set[Target] = set()
-            for t in chosen:
-                if t not in allowed:
+            dataless: list[int] = []
+            for w in policy.eligible(stat):
+                if w in targets or w in dataless:
                     raise SchedulerError(
-                        f"policy {policy.describe()} selected {t!r}, which "
-                        "was not among this round's candidates"
+                        f"policy {policy.describe()} listed worker {w} "
+                        "twice; eligible workers must be distinct"
                     )
-                if t in seen_targets:
-                    raise SchedulerError(
-                        f"policy {policy.describe()} selected {t!r} twice; "
-                        "a selection must not duplicate targets"
-                    )
-                seen_targets.add(t)
-                if t.worker not in seen_workers:
-                    seen_workers.add(t.worker)
-                    targets.append(t.worker)
+                splits = assigned.get(w)
+                if splits is None:
+                    dataless.append(w)
+                    continue
+                targets.append(w)
                 if granularity == "worker":
-                    self._dispatch(
-                        t.worker, make_fn(t.worker, assigned[t.worker]),
-                        version, job_id,
-                    )
+                    self._dispatch(w, make_fn(w, splits), version, job_id)
                 else:
-                    self._dispatch(
-                        t.worker, make_fn(t.worker, [t.id]), version, job_id,
-                        partition=t.id,
-                    )
-            if not chosen and self.in_flight == 0:
+                    for p in splits:
+                        self._dispatch(
+                            w, make_fn(w, [p]), version, job_id, partition=p,
+                        )
+            if not targets and self.in_flight == 0:
                 # Nothing dispatched and nothing in flight: the driver
                 # would spin forever waiting for a result that can never
                 # arrive. Fail loudly instead.
                 raise SchedulerError(
-                    f"policy {policy.describe()} selected no targets with "
-                    "no tasks in flight; a selection policy must admit at "
-                    "least one target when the cluster is idle"
+                    f"policy {policy.describe()} admitted no data-holding "
+                    "worker with no tasks in flight; a policy must admit "
+                    "at least one when the cluster is idle"
                 )
         return targets
 

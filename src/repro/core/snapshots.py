@@ -64,8 +64,7 @@ decode_value = from_jsonable
 
 
 def is_run_snapshot(state: Any) -> bool:
-    """True when ``state`` is a full run snapshot (vs. a bare
-    ``ServerLoop.state_dict()`` server-state mapping)."""
+    """True when ``state`` carries the run-snapshot format tag."""
     return isinstance(state, dict) and state.get("format") == SNAPSHOT_FORMAT
 
 

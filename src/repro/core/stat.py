@@ -8,7 +8,7 @@ functions of this table; Listing 2's predicates all read it.
 The table keeps its state in parallel numpy arrays (one column per
 field, one position per row), so the hot-path aggregates —
 ``max_staleness``, ``num_available``, ``available_workers``,
-``median_partition_completion_ms`` — are single array reductions rather
+``median_completion_ms`` — are single array reductions rather
 than Python loops over row objects. :class:`~repro.core.records.WorkerStatus`
 and :class:`~repro.core.records.PartitionStatus` remain the public row
 types, but as thin views whose attribute access lands directly in the
@@ -24,15 +24,14 @@ to the per-worker values.
 
 Floating-point parity with the previous object-per-row table is exact:
 the completion mean is the running mean ``count += 1; mean += (x -
-mean) / count`` in float64 (see :class:`repro.core.records.CompletionView`),
-``mean_completion_ms`` uses :func:`math.fsum` (what ``statistics.fmean``
-computes), and ``numpy``'s median of float64 values matches
-``statistics.median`` bitwise (both average the two middle elements).
+mean) / count`` in float64 (see
+:meth:`repro.core.records.TaskTrackingStatus.note_completion`), and
+``numpy``'s median of float64 values matches ``statistics.median``
+bitwise (both average the two middle elements).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
@@ -48,7 +47,7 @@ class _WorkerColumns:
     __slots__ = (
         "alive", "available", "in_flight", "computing_version",
         "last_staleness", "tasks_completed", "last_delivered_ms",
-        "comp_count", "comp_mean", "comp_ewma",
+        "comp_count", "comp_mean",
     )
 
     def __init__(self, num_workers: int) -> None:
@@ -61,7 +60,6 @@ class _WorkerColumns:
         self.last_delivered_ms = np.zeros(num_workers, dtype=np.float64)
         self.comp_count = np.zeros(num_workers, dtype=np.int64)
         self.comp_mean = np.zeros(num_workers, dtype=np.float64)
-        self.comp_ewma = np.zeros(num_workers, dtype=np.float64)
 
 
 class _PartitionColumns:
@@ -75,7 +73,7 @@ class _PartitionColumns:
     __slots__ = (
         "size", "ids", "owner", "in_flight", "computing_version",
         "last_staleness", "tasks_completed", "last_delivered_ms",
-        "comp_count", "comp_mean", "comp_ewma",
+        "comp_count", "comp_mean",
     )
 
     def __init__(self, capacity: int = 16) -> None:
@@ -89,7 +87,6 @@ class _PartitionColumns:
         self.last_delivered_ms = np.zeros(capacity, dtype=np.float64)
         self.comp_count = np.zeros(capacity, dtype=np.int64)
         self.comp_mean = np.zeros(capacity, dtype=np.float64)
-        self.comp_ewma = np.zeros(capacity, dtype=np.float64)
 
     def append(self, partition_id: int) -> int:
         if self.size == len(self.ids):
@@ -150,10 +147,6 @@ class StatTable:
         c = self._wcols
         return np.flatnonzero(c.alive & c.available).tolist()
 
-    def busy_workers(self) -> list[int]:
-        c = self._wcols
-        return np.flatnonzero(c.alive & ~c.available).tolist()
-
     @property
     def max_staleness(self) -> int:
         """Maximum staleness of any in-flight computation.
@@ -167,12 +160,15 @@ class StatTable:
         stale = self.current_version - c.computing_version[mask]
         return int(stale.max(initial=0))
 
-    def staleness_of(self, worker_id: int) -> int:
-        """Current staleness of a worker's in-flight task (0 if idle)."""
+    def median_completion_ms(self) -> float:
+        """Median avg-completion over alive workers with history (the
+        threshold ``ct`` filters against); 0.0 before any completion."""
         c = self._wcols
-        if c.available[worker_id] or c.computing_version[worker_id] < 0:
-            return 0
-        return self.current_version - int(c.computing_version[worker_id])
+        mask = c.alive & (c.tasks_completed > 0)
+        if not mask.any():
+            return 0.0
+        vals = np.where(c.comp_count > 0, c.comp_mean, 0.0)[mask]
+        return float(np.median(vals))
 
     # -- partition rows (partition-granular dispatch) -----------------------------
     def partition_row(
@@ -191,66 +187,6 @@ class StatTable:
         if owner is not None:
             row.owner = owner
         return row
-
-    def partition_rows(self, worker_id: int | None = None) -> list[PartitionStatus]:
-        """All partition rows (or only those owned by ``worker_id``)."""
-        rows = [self.partitions[p] for p in sorted(self.partitions)]
-        if worker_id is None:
-            return rows
-        return [row for row in rows if row.owner == worker_id]
-
-    @property
-    def max_partition_staleness(self) -> int:
-        """Maximum staleness of any in-flight partition-granular task."""
-        c = self._pcols
-        n = c.size
-        cv = c.computing_version[:n]
-        mask = (c.in_flight[:n] > 0) & (cv >= 0)
-        stale = self.current_version - cv[mask]
-        return int(stale.max(initial=0))
-
-    def partition_staleness_of(self, partition_id: int) -> int:
-        """Current staleness of a partition's in-flight task (0 if idle)."""
-        row = self.partitions.get(partition_id)
-        if row is None or row.in_flight == 0 or row.computing_version is None:
-            return 0
-        return self.current_version - row.computing_version
-
-    def partition_snapshot(self) -> list[dict]:
-        """Plain-data view of the partition rows (AC.STAT's finer grain)."""
-        return [row.snapshot() for row in self.partition_rows()]
-
-    def median_partition_completion_ms(self) -> float:
-        """Median avg-completion over partitions with history.
-
-        Mirrors :meth:`median_completion_ms` at the partition grain:
-        rows with no completed tasks are excluded so empty rows cannot
-        skew it.
-        """
-        c = self._pcols
-        n = c.size
-        mask = c.tasks_completed[:n] > 0
-        if not mask.any():
-            return 0.0
-        vals = np.where(c.comp_count[:n] > 0, c.comp_mean[:n], 0.0)[mask]
-        return float(np.median(vals))
-
-    def mean_completion_ms(self) -> float:
-        c = self._wcols
-        mask = c.alive & (c.tasks_completed > 0)
-        if not mask.any():
-            return 0.0
-        vals = np.where(c.comp_count > 0, c.comp_mean, 0.0)[mask]
-        # math.fsum(...)/n is exactly what statistics.fmean computes.
-        return math.fsum(vals.tolist()) / len(vals)
-
-    def median_completion_ms(self) -> float:
-        c = self._wcols
-        mask = c.alive & (c.tasks_completed > 0)
-        if not mask.any():
-            return 0.0
-        vals = np.where(c.comp_count > 0, c.comp_mean, 0.0)[mask]
-        return float(np.median(vals))
 
     def snapshot(self) -> list[dict]:
         """Plain-data view of the whole table (the user-facing AC.STAT)."""

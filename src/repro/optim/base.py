@@ -185,9 +185,8 @@ class DistributedOptimizer:
         self.rule = rule
         self.name = name
         self.n_total = points.n_rows
-        #: A run snapshot (or bare server-state dict) to resume from;
-        #: the spec layer sets it from ``restore_from`` and the server
-        #: loop picks it up when constructed without an explicit one.
+        #: A run snapshot to resume from; the spec layer sets it from
+        #: ``restore_from`` and the server loop picks it up.
         self.restore_state: dict | None = None
         #: A resolved :class:`~repro.cluster.faultplan.FaultPlan` driven
         #: against the backend while the server loop runs.

@@ -36,6 +36,8 @@ so that claim holds the best depth against depth 0, like for like.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.api.registry import register_optimizer
@@ -62,8 +64,14 @@ class AsyncLBFGSRule(UpdateRule):
         direction_clip: float = 25.0,
         gamma_max: float = 1e6,
     ) -> None:
-        if history_depth < 0:
-            raise OptimError("history_depth must be >= 0")
+        if not 0 <= history_depth < math.inf or history_depth != int(
+            history_depth
+        ):
+            # The depth is a pair count and the ``last:k`` bound.
+            raise OptimError(
+                "history_depth must be a finite whole number >= 0, "
+                f"got {history_depth!r}"
+            )
         if max_pair_staleness is not None and max_pair_staleness < 0:
             raise OptimError("max_pair_staleness must be >= 0")
         if not 0.0 < damping < 1.0:
@@ -72,7 +80,7 @@ class AsyncLBFGSRule(UpdateRule):
             raise OptimError("pair_every must be >= 1")
         if direction_clip <= 0:
             raise OptimError("direction_clip must be positive")
-        self.history_depth = history_depth
+        self.history_depth = int(history_depth)
         self.max_pair_staleness = max_pair_staleness
         self.damping = damping
         self.pair_every = pair_every

@@ -4,8 +4,8 @@ Every optimizer in this library, synchronous or asynchronous, runs the
 same driver:
 
 1. publish the current model (broadcast),
-2. let the scheduling policy decide when and to which targets to
-   dispatch (its ``ready``/``select`` hooks), submit one round,
+2. let the scheduling policy decide when and to which workers to
+   dispatch (its ``ready``/``eligible`` hooks), submit one round,
 3. collect at least one result (advancing cluster time), drain the rest,
 4. apply one model update per collected result — budget-gated, with a
    staleness-aware step size — and snapshot the trace,
@@ -226,36 +226,25 @@ class ServerLoop:
 
     Everything a run is configured by lives on the host optimizer:
     ``opt.config`` (budget, pipelining, mid-run snapshot cadence and
-    path), ``opt.policy``, ``opt.fault_plan`` and ``opt.comm``. With
-    ``config.snapshot_every`` set, the loop atomically rewrites
-    ``config.snapshot_path`` every N applied updates — the
-    crash-recovery side of the ``restore_state`` contract.
+    path), ``opt.policy``, ``opt.fault_plan``, ``opt.comm`` and
+    ``opt.restore_state``. With ``config.snapshot_every`` set, the loop
+    atomically rewrites ``config.snapshot_path`` every N applied updates.
 
-    ``restore_state`` (default: ``opt.restore_state``, the spec layer's
-    ``restore_from`` plumbing) accepts either a previous run's
-    :meth:`state_dict` — reinstating the checkpointable server state
-    (the bounded HIST channels) before the first dispatch — or a full
-    mid-run snapshot (see
-    :mod:`repro.core.snapshots`), which additionally restores the model
-    iterate and the update/round counters so a SIGKILLed run continues
-    from the exact update its latest snapshot captured.
+    ``opt.restore_state`` (set from the spec's ``restore_from``) is a
+    loaded run snapshot (see :mod:`repro.core.snapshots`). The loop
+    reinstates its server state (the bounded HIST channels), model
+    iterate and update/round counters, so a SIGKILLed run continues from
+    the exact update its latest snapshot captured. Anything else raises
+    :class:`~repro.errors.SnapshotError`.
 
     :meth:`run` is ``_start`` -> ``_round`` until the budget is spent ->
     ``_finish``; every collected result goes through ``_apply``, the one
     place a model update happens.
     """
 
-    def __init__(
-        self,
-        opt: "DistributedOptimizer",
-        rule: UpdateRule,
-        restore_state: dict | None = None,
-    ) -> None:
+    def __init__(self, opt: "DistributedOptimizer", rule: UpdateRule) -> None:
         self.opt = opt
         self.rule = rule
-        self.restore_state = (
-            opt.restore_state if restore_state is None else restore_state
-        )
         cfg = opt.config
         self.snapshots = (
             SnapshotWriter(cfg.snapshot_path, cfg.snapshot_every)
@@ -281,9 +270,9 @@ class ServerLoop:
         opt.ctx.comm = self.comm
 
     def state_dict(self) -> dict:
-        """JSON-safe checkpoint of the run's restartable server state:
-        the bounded HIST channels."""
-        return {"history": self.ac.history.snapshot(bounded_only=True)}
+        """JSON-safe checkpoint of the run's restartable server state
+        (a run snapshot's ``server`` section): the bounded HIST channels."""
+        return {"history": self.ac.history.snapshot()}
 
     def _restore(self, state: dict) -> None:
         retired = sorted(
@@ -353,11 +342,14 @@ class ServerLoop:
         self.updates = self.rounds = self.epoch_rounds_left = 0
         self.max_staleness = self.max_partition_stale = 0
 
-        restore = self.restore_state
-        #: The full run snapshot this run resumes from, if any.
-        self.resumed = full = restore if is_run_snapshot(restore) else None
+        #: The run snapshot this run resumes from, if any.
+        self.resumed = full = opt.restore_state
         if full is None:
             self.trace.record(opt.ctx.now(), 0, self.w)
+        elif not is_run_snapshot(full):
+            raise SnapshotError(
+                f"restore state is not a {SNAPSHOT_FORMAT} run snapshot"
+            )
         else:
             self._check_snapshot(full)
         rule.setup(self.w)
@@ -375,10 +367,6 @@ class ServerLoop:
                 full.get("version", self.updates)
             )
             self.trace.record(opt.ctx.now(), self.updates, self.w)
-        elif restore is not None:
-            # Restored state wins over setup defaults (and must land
-            # before the first dispatch).
-            self._restore(restore)
         # The paper's wait-time metric is per *iteration*: the window opens
         # after any setup pass (e.g. SAGA's synchronous initialization).
         self.metrics_start = len(opt.ctx.dispatcher.metrics_log)
@@ -485,14 +473,6 @@ class ServerLoop:
             extras["snapshots_written"] = self.snapshots.written
         if self.resumed is not None:
             extras["resumed_from_update"] = int(self.resumed["updates"])
-        # Checkpointable server state (the bounded HIST channels) —
-        # rides the sweep checkpoint path so a resumed cell can continue
-        # deterministically. Omitted entirely when there is nothing to
-        # restore, keeping e.g. plain-ASGD checkpoint lines free of a
-        # no-op blob.
-        state = self.state_dict()
-        if state["history"]:
-            extras["run_state"] = state
         extras.update(rule.extras())
         if self.comm is not None:
             # The communication ledger: nested detail under "comm" plus

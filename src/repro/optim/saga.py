@@ -107,7 +107,7 @@ class SagaState:
     - ``saga/table`` — naive mode's ever-growing parameter table.
 
     Channel names are *process-stable*: fixed, never derived from a
-    per-process counter, so a checkpointed ``run_state`` restores into a
+    per-process counter, so a run snapshot's HIST channels restore into a
     fresh process — e.g. a fabric worker resuming another host's run —
     with channels that match by name. Per-run isolation comes from each
     run owning its store (and its backend's worker envs), not from

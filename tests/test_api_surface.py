@@ -161,15 +161,25 @@ def test_design_scoreboard_only_goes_down():
     flags = sorted(set(public) - set(methods))
     assert len(methods) <= 13, methods
     assert len(flags) <= 4, flags
-    # Two policy hooks: when a round may go, and to which targets.
-    from repro.core.policies import POLICY_HOOKS
+    # Two policy hooks: when a round may go, and to which workers; no
+    # target selection and no composition.
+    import repro.core
+    from repro.core.history import HistoryStore
+    from repro.core.policies import POLICY_HOOKS, SchedulingPolicy
 
-    assert POLICY_HOOKS == ("ready", "select")
-    # One construction path: everything else a run is configured by is
-    # read off the host optimizer.
+    assert POLICY_HOOKS == ("ready", "eligible")
+    for gone in ("select", "__and__", "__or__"):
+        assert gone not in vars(SchedulingPolicy), gone
+    for gone in ("Target", "AndPolicy", "OrPolicy", "parse_policy"):
+        assert not hasattr(repro.core, gone), gone
+    # One construction path: everything a run is configured by — its
+    # restore state included — is read off the host optimizer.
     params = inspect.signature(ServerLoop.__init__).parameters
-    assert list(params) == ["self", "opt", "rule", "restore_state"]
-    assert params["restore_state"].default is None
+    assert list(params) == ["self", "opt", "rule"]
+    # HIST snapshots one way: the bounded channels, with their values.
+    assert list(inspect.signature(HistoryStore.snapshot).parameters) == [
+        "self",
+    ]
     # One optimizer host and one loop: every algorithm, sync or async,
     # is its registered UpdateRule, not a flag on a wrapper class or a
     # host subclass with its own run().

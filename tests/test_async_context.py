@@ -105,7 +105,7 @@ def test_ssp_barrier_blocks_dispatch_until_fresh(ctx):
     # for deliveries before the next round.
     ac.model_updated(5)
     submit_square_round(ac, rdd)
-    assert ac.stat.max_staleness < 2 or ac.coordinator.has_result()
+    assert ac.stat.max_staleness < 2 or ac.coordinator.results
 
 
 def test_barrier_from_lineage_used(ctx):

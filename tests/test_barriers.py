@@ -74,8 +74,7 @@ def test_fraction_validates_beta():
 def test_completion_time_filters_slow_workers():
     stat = make_stat()
     for w, t in enumerate([10.0, 10.0, 10.0, 100.0]):
-        stat[w].completion.add(t)
-        stat[w].tasks_completed = 1
+        stat[w].note_completion(0, 0.0, t)
     barrier = CompletionTimeBarrier(ratio=2.0)
     assert barrier.ready(stat)
     assert barrier.eligible(stat) == [0, 1, 2]
@@ -100,32 +99,6 @@ def test_lambda_barrier_custom_eligibility():
                                   if w % 2 == 0],
     )
     assert b.eligible(make_stat()) == [0, 2]
-
-
-def test_and_combinator():
-    both = ASP() & MinAvailableFraction(0.75)
-    assert both.ready(make_stat(busy=(0,)))      # 3/4 available
-    assert not both.ready(make_stat(busy=(0, 1)))
-    assert "&" in both.describe()
-
-
-def test_or_combinator():
-    either = BSP() | MinAvailableFraction(0.25)
-    assert either.ready(make_stat(busy=(0, 1, 2)))
-    assert not either.ready(make_stat(busy=(0, 1, 2, 3)))
-    assert "|" in either.describe()
-
-
-def test_and_eligibility_intersection():
-    a = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [0, 1, 2])
-    b = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [1, 2, 3])
-    assert (a & b).eligible(make_stat()) == [1, 2]
-
-
-def test_or_eligibility_union_stable():
-    a = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [2, 0])
-    b = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [1, 0])
-    assert (a | b).eligible(make_stat()) == [2, 0, 1]
 
 
 def test_as_barrier_coercions():

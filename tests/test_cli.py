@@ -196,10 +196,10 @@ def test_list_enumerates_policies_with_hook_signatures(capsys):
     printed = capsys.readouterr().out
     assert "scheduling policies" in printed
     for line in ("asp: ready", "bsp: ready", "ssp: ready", "frac: ready",
-                 "ct: ready, select"):
+                 "ct: ready, eligible"):
         assert f"  {line}" in printed
-    assert "'a & b'" in printed  # the composition grammar is documented
-    assert "weight" not in printed and "place" not in printed
+    for gone in ("select", "weight", "place", "&", "|", "compose", "window:"):
+        assert gone not in printed
 
 
 def test_run_policy_spec_end_to_end(tmp_path, capsys):
@@ -208,12 +208,12 @@ def test_run_policy_spec_end_to_end(tmp_path, capsys):
     spec.write_text(json.dumps({
         "algorithm": "asgd", "dataset": "tiny_dense", "num_workers": 4,
         "num_partitions": 8, "granularity": "partition",
-        "policy": "ssp:4 & ct:1.5", "max_updates": 12, "eval_every": 4,
+        "policy": "ct:1.5", "max_updates": 12, "eval_every": 4,
         "seed": 0,
     }))
     assert main(["run", str(spec), "--out", str(out)]) == 0
     printed = capsys.readouterr().out
-    assert "policy='ssp:4 & ct:1.5'" in printed
+    assert "policy='ct:1.5'" in printed
     summary = json.loads(out.read_text())
     assert summary["updates"] == 12
     assert "CompletionTimeBarrier" in summary["extras"]["policy"]
@@ -264,6 +264,29 @@ def test_retired_component_is_a_typed_error(field, value, name, tmp_path,
     assert main(["run", str(path)]) != 0
     err = capsys.readouterr().err
     assert f"'{name}'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr", ["ssp:4 & ct:1.5", "bsp | asp", "asp&bsp"])
+def test_composed_policy_is_a_typed_error(expr, tmp_path, capsys):
+    """Policies no longer compose: a spec, a grid sweep or a CLI run
+    naming a composition fails with an ``ApiError`` quoting it — never a
+    traceback."""
+    from repro.api import GridSpec, prepare_experiment, run_grid
+    from repro.errors import ApiError
+
+    base = {"algorithm": "asgd", "dataset": "tiny_dense", "max_updates": 4}
+    with pytest.raises(ApiError) as direct:
+        prepare_experiment({**base, "policy": expr})
+    assert expr in str(direct.value)
+    grid = GridSpec.from_dict({"base": base, "grid": {"policy": [expr]}})
+    with pytest.raises(ApiError) as swept:
+        run_grid(grid)
+    assert expr in str(swept.value)
+    path = tmp_path / "composed.json"
+    path.write_text(json.dumps({**base, "policy": expr}))
+    assert main(["run", str(path)]) != 0
+    err = capsys.readouterr().err
+    assert expr in err and "Traceback" not in err
 
 
 def test_bad_component_value_is_a_clean_error(tmp_path, capsys):

@@ -83,18 +83,18 @@ def test_worker_lost_marks_dead_not_raises(coord):
                     version=0, batch_size=0)
     assert coord.lost_tasks == 1
     assert not coord.stat[1].alive
-    assert not coord.has_result()
+    assert not coord.results
 
 
 def test_task_error_raised_on_next_pop(coord):
     coord.on_assigned(0, version=0)
     coord.on_result(0, 0, None, metrics(), ValueError("boom"),
                     version=0, batch_size=0)
-    assert coord.pending_errors() == 1
+    assert len(coord.errors) == 1
     with pytest.raises(TaskError) as ei:
         coord.pop_result()
     assert isinstance(ei.value.cause, ValueError)
-    assert coord.pending_errors() == 0
+    assert not coord.errors
 
 
 def test_in_flight_gating_of_availability(coord):

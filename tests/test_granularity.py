@@ -142,16 +142,16 @@ def test_partition_stat_rows_aggregate_to_worker_rows(backend_kind):
 
         stat = ac.stat
         assert len(stat.partitions) == parts
+        rows = [stat.partitions[p] for p in sorted(stat.partitions)]
         for wid in range(workers):
-            prow_total = sum(
-                row.tasks_completed for row in stat.partition_rows(wid)
-            )
+            owned = [row for row in rows if row.owner == wid]
+            prow_total = sum(row.tasks_completed for row in owned)
             assert prow_total == stat[wid].tasks_completed
-            assert all(row.in_flight == 0 for row in stat.partition_rows(wid))
+            assert all(row.in_flight == 0 for row in owned)
         # owners follow the locality rule
         for pid, row in stat.partitions.items():
             assert row.owner == ctx.owner_of(pid)
-        snap = stat.partition_snapshot()
+        snap = [row.snapshot() for row in rows]
         assert [row["partition_id"] for row in snap] == list(range(parts))
         assert all(row["tasks_completed"] > 0 for row in snap)
 

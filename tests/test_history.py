@@ -18,9 +18,8 @@ def test_retention_parse_spellings():
     assert RetentionPolicy.parse(None).kind == "all"
     assert RetentionPolicy.parse("all").describe() == "all"
     last = RetentionPolicy.parse("last:4")
-    assert (last.kind, last.bound) == ("last", 4.0)
-    win = RetentionPolicy.parse("window:250")
-    assert (win.kind, win.bound) == ("window", 250.0)
+    assert (last.kind, last.bound) == ("last", 4)
+    assert RetentionPolicy.parse("last:4.0") == last
     assert RetentionPolicy.parse(last) is last  # pass-through
     assert not RetentionPolicy.parse("all").bounded
     assert RetentionPolicy.parse("last:1").bounded
@@ -32,6 +31,27 @@ def test_retention_parse_spellings():
 def test_retention_parse_rejects(bad):
     with pytest.raises(HistoryError):
         RetentionPolicy.parse(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    "last:2.5", "last:nan", "last:inf", "last:1e400", "last:-1",
+])
+def test_last_k_needs_a_finite_whole_bound(bad):
+    """``last:2.5`` used to keep 2 versions and then refuse to restore
+    its own snapshot; ``last:nan``/``last:inf`` escaped as bare
+    ``ValueError``/``OverflowError``."""
+    with pytest.raises(HistoryError, match="finite whole"):
+        RetentionPolicy.parse(bad)
+    with pytest.raises(HistoryError, match="finite whole"):
+        HistoryStore().channel("c", keep=bad)
+    with pytest.raises(HistoryError, match="finite whole"):
+        RetentionPolicy("last", float(bad.partition(":")[2]))
+
+
+def test_window_retention_is_not_a_spelling():
+    """Only ``all`` and ``last:k`` exist; a time window is a typed error."""
+    with pytest.raises(HistoryError, match="'window:250'"):
+        HistoryStore().channel("c", keep="window:250")
 
 
 # -- eviction --------------------------------------------------------------------------
@@ -47,29 +67,6 @@ def test_last_k_evicts_oldest():
     # Evicted versions never come back; ids keep counting.
     assert ch.append(np.zeros(4)) == 6
     assert ch.versions() == [4, 5, 6]
-
-
-def test_window_ms_evicts_by_clock():
-    t = {"now": 0.0}
-    ch = HistoryChannel(0, "m", keep="window:100", clock=lambda: t["now"])
-    ch.append(np.zeros(2))          # t=0
-    t["now"] = 50.0
-    ch.append(np.ones(2))           # t=50
-    t["now"] = 120.0
-    ch.append(np.full(2, 2.0))      # t=120: v0 (t=0 < 20) evicted
-    assert ch.versions() == [1, 2]
-    t["now"] = 500.0
-    ch.append(np.full(2, 3.0))      # everything but the newest too old
-    assert ch.versions() == [3]
-
-
-def test_window_never_evicts_newest():
-    ch = HistoryChannel(0, "m", keep="window:1")
-    # Zero clock: every version is instantly "old", yet the newest stays.
-    ch.append(np.zeros(2), timestamp_ms=0.0)
-    ch.append(np.ones(2), timestamp_ms=1000.0)
-    assert ch.versions() == [1]
-    assert np.array_equal(ch.latest(), np.ones(2))
 
 
 # -- byte accounting -------------------------------------------------------------------
@@ -141,12 +138,15 @@ def test_store_snapshot_restore_roundtrip():
     unbounded = store.channel("model")
     unbounded.append(np.arange(4.0))
 
-    snap = store.snapshot(bounded_only=True)
-    # JSON-safe end to end (this is what rides the sweep checkpoint).
-    snap = json.loads(json.dumps(snap))
+    # JSON-safe end to end (this is a run snapshot's server section).
+    snap = json.loads(json.dumps(store.snapshot()))
     assert "values" in snap["pairs"]
-    assert "values" not in snap["model"]  # unbounded: metadata only
-    assert snap["model"]["accounting"]["versions"] == 1
+    assert "model" not in snap  # unbounded: its owner rebuilds it
+    # Older snapshots carry a metadata-only entry per unbounded channel.
+    snap["model"] = {
+        "name": "model", "keep": "all", "next_version": 1,
+        "accounting": unbounded.accounting(),
+    }
 
     fresh = HistoryStore()
     fresh.restore(snap)
@@ -214,17 +214,6 @@ def test_restore_rejects_conflicting_retention():
         HistoryChannel(0, "pairs", keep="last:2").restore(snap["pairs"])
 
 
-def test_window_channel_without_clock_rejects_implicit_stamps():
-    ch = HistoryChannel(0, "m", keep="window:100")
-    with pytest.raises(HistoryError, match="no.*clock|clock"):
-        ch.append(np.zeros(2))
-    # Explicit timestamps remain a valid clockless usage (and the
-    # rejected append consumed no version id).
-    assert ch.append(np.zeros(2), timestamp_ms=5.0) == 0
-    # Count-based retention never needs a clock.
-    HistoryChannel(1, "n", keep="last:2").append(np.zeros(2))
-
-
 def test_freeze_leaves_lists_untouched():
     """The broadcaster's historical contract: list payloads round-trip
     as the same object (only ndarrays and tuples freeze)."""
@@ -238,7 +227,8 @@ def test_freeze_leaves_lists_untouched():
 def test_restore_of_valueless_channel_snapshot_raises():
     ch = HistoryChannel(0, "m")
     ch.append(np.zeros(2))
-    snap = ch.snapshot(include_values=False)
+    snap = ch.snapshot()
+    del snap["versions"], snap["values"]  # an older metadata-only entry
     with pytest.raises(HistoryError, match="no.*values|carries no"):
         HistoryChannel(1, "m2").restore(snap)
 
@@ -277,14 +267,6 @@ def test_frozen_values_thread_backend():
     backend = ThreadBackend(num_workers=2)
     with ClusterContext(2, backend=backend, seed=0) as tctx:
         _frozen_read_through(tctx)
-
-
-def test_window_retention_uses_cluster_clock(ctx):
-    """The ASYNCContext store stamps appends with simulated time."""
-    ac = ASYNCContext(ctx)
-    ch = ac.history.channel("w", keep="window:1e9")
-    v = ch.append(np.zeros(2))
-    assert ch.timestamp_ms(v) == ctx.now()
 
 
 # -- the broadcaster is a view over the store ------------------------------------------

@@ -156,7 +156,7 @@ def test_paper_workflow_listing_style(ctx8, small_data):
                               blk.rows))
             .async_reduce(lambda a, b: (a[0] + b[0], a[1] + b[1]), AC))
         while AC.has_next(block=AC.in_flight > 0 and not
-                          AC.coordinator.has_result()):
+                          AC.coordinator.results):
             g_sum, rows = AC.collect()
             w = w - (0.05 / np.sqrt(i + 1)) * g_sum / rows
             AC.model_updated()

@@ -108,6 +108,26 @@ def test_bad_params_rejected():
         AsyncLBFGSRule(pair_every=0)
 
 
+@pytest.mark.parametrize("depth", [2.5, float("nan"), float("inf")])
+def test_history_depth_must_be_a_finite_whole_number(depth):
+    """``2.5`` used to run silently as ``last:2``, NaN with no pairs
+    channel at all, and ``inf`` escaped as a bare ``OverflowError``."""
+    with pytest.raises(OptimError, match="finite whole number"):
+        run_experiment({
+            "algorithm": "async_lbfgs", "dataset": "tiny_dense",
+            "params": {"history_depth": depth}, "max_updates": 4,
+        })
+
+
+def test_whole_valued_history_depth_is_accepted():
+    res = run_experiment({
+        "algorithm": "async_lbfgs", "dataset": "tiny_dense",
+        "params": {"history_depth": 2.0}, "max_updates": 4,
+    })
+    assert res.extras["history_depth"] == 2
+    assert res.extras["history"]["lbfgs/pairs"]["keep"] == "last:2"
+
+
 def test_registered_and_aliased():
     assert "async_lbfgs" in OPTIMIZERS
     assert OPTIMIZERS.canonical("albfgs") == "async_lbfgs"

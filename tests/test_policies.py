@@ -1,28 +1,25 @@
-"""The SchedulingPolicy protocol: hooks, composition, grammar, policies."""
+"""The SchedulingPolicy protocol: hooks, dispatch order, spellings, policies."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.registry import POLICIES
+from repro.core import ASYNCContext
 from repro.core.policies import (
     ASP,
     BSP,
     SSP,
-    AndPolicy,
     CompletionTimeBarrier,
     LambdaPolicy,
     MinAvailableFraction,
-    OrPolicy,
     SchedulingPolicy,
-    Target,
     as_policy,
-    parse_policy,
     policy_hooks,
     resolve_policy,
 )
 from repro.core.stat import StatTable
-from repro.errors import ApiError, ReproError
+from repro.errors import ApiError, ReproError, SchedulerError
 
 
 def make_stat(P=4, busy=(), versions=None, current=0):
@@ -34,105 +31,77 @@ def make_stat(P=4, busy=(), versions=None, current=0):
     return stat
 
 
-def worker_targets(workers):
-    return [Target("worker", w, w) for w in workers]
-
-
-def partition_targets(assignment):
-    """``assignment``: list of (partition, worker) in dispatch order."""
-    return [Target("partition", p, w) for p, w in assignment]
-
-
 # -- protocol defaults ---------------------------------------------------------------
-def test_default_select_admits_available_workers_in_order():
-    stat = make_stat(busy=(1,))
-    cands = worker_targets([0, 1, 2, 3])
-    assert ASP().select(stat, cands) == worker_targets([0, 2, 3])
-
-
-def test_default_select_partition_targets_follow_worker_filter():
-    stat = make_stat(busy=(1,))
-    cands = partition_targets([(0, 0), (4, 0), (1, 1), (2, 2)])
-    # worker 1 is busy -> its partition drops; order stays worker-major.
-    assert ASP().select(stat, cands) == partition_targets(
-        [(0, 0), (4, 0), (2, 2)]
-    )
-
-
-def test_default_select_respects_custom_eligible_order():
-    pol = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [2, 0])
-    stat = make_stat()
-    cands = partition_targets([(0, 0), (4, 0), (2, 2), (6, 2)])
-    # eligible order (2 first) decides dispatch order; partitions of one
-    # worker keep their candidate order.
-    assert pol.select(stat, cands) == partition_targets(
-        [(2, 2), (6, 2), (0, 0), (4, 0)]
-    )
-
-
 def test_default_hooks_are_neutral():
     pol = SchedulingPolicy()
-    stat = make_stat(busy=(1,))
+    stat = make_stat(busy=(1, 3))
     assert pol.ready(stat)
-    assert pol.select(stat, worker_targets([0, 1, 2])) == worker_targets([0, 2])
-    # Two hooks: there is no per-result weight and no placement step.
-    assert not hasattr(pol, "weight") and not hasattr(pol, "place")
+    assert pol.eligible(stat) == [0, 2]
+    # Two hooks: no target selection, no per-result weight, no placement
+    # step, and policies do not compose.
+    for gone in ("select", "weight", "place", "__and__", "__or__"):
+        assert not hasattr(pol, gone)
 
 
-# -- composition (satellite: partition-granular And/Or semantics) -------------------
-def test_and_select_is_intersection_under_partition_granularity():
-    stat = make_stat()
-    cands = partition_targets([(0, 0), (4, 0), (1, 1), (5, 1), (2, 2)])
-    a = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [0, 1])
-    b = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [1, 2])
-    both = a & b
-    assert isinstance(both, AndPolicy)
-    # eligible(): legacy worker-level intersection...
-    assert both.eligible(stat) == [1]
-    # ...and select(): the partition targets of that intersection only.
-    assert both.select(stat, cands) == partition_targets([(1, 1), (5, 1)])
+# -- dispatch: the scheduler serves `eligible` in order ----------------------------
+# A round's selection is the data-holding workers `eligible` lists, in
+# that order; at partition granularity each one's partitions ascend.
+def _dispatched(ctx, policy, granularity, busy=()):
+    """``(worker, partitions)`` of every task one round ships, in order
+    (8 partitions on 4 workers: worker ``w`` owns ``w`` and ``w + 4``)."""
+    ac = ASYNCContext(ctx)
+    for w in busy:
+        ac.stat[w].available = False
+    sent = []
 
+    def make_fn(worker, splits):
+        sent.append((worker, list(splits)))
+        return lambda env: (None, 0)
 
-def test_or_select_is_stable_union_under_partition_granularity():
-    stat = make_stat()
-    cands = partition_targets([(0, 0), (1, 1), (2, 2)])
-    a = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [2])
-    b = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [0, 2])
-    union = a | b
-    assert isinstance(union, OrPolicy)
-    assert union.eligible(stat) == [2, 0]
-    # a's selection first, then b's additions — no duplicates.
-    assert union.select(stat, cands) == partition_targets([(2, 2), (0, 0)])
-
-
-def test_and_select_chains_so_samplers_draw_from_filtered_set():
-    """`filter & sampler` must sample *within* the filter's selection —
-    two independent draws intersected can come up empty and stall an
-    idle cluster (regression: this crashed mid-run as a SchedulerError)."""
-    import numpy as np
-
-    stat = make_stat()
-    cands = partition_targets([(p, p % 4) for p in range(8)])
-    keep_even = LambdaPolicy(
-        lambda s: True,
-        select_fn=lambda s, cs: [t for t in cs if t.id % 2 == 0],
+    ac.scheduler.submit_round(
+        ctx.parallelize(range(8), 8), make_fn, policy, granularity
     )
-    rng = np.random.default_rng(0)
-    sampler = LambdaPolicy(
-        lambda s: True,
-        select_fn=lambda s, cs: [cs[int(rng.integers(len(cs)))]],
-    )
-    composed = keep_even & sampler
-    for _ in range(50):
-        picked = composed.select(stat, cands)
-        assert picked, "chained selection must never be empty here"
-        assert all(t.id % 2 == 0 for t in picked)
+    return sent
 
 
-def test_composition_ready_semantics_unchanged():
-    stat = make_stat(busy=(0, 1, 2))
-    assert not (ASP() & BSP()).ready(stat)
-    assert (ASP() | BSP()).ready(stat)
+def test_default_select_admits_available_workers_in_order(ctx):
+    assert _dispatched(ctx, ASP(), "worker", busy=(1,)) == [
+        (0, [0, 4]), (2, [2, 6]), (3, [3, 7]),
+    ]
+
+
+def test_default_select_partition_targets_follow_worker_filter(ctx):
+    # worker 1 is busy -> its partitions drop; order stays worker-major,
+    # ascending within a worker.
+    assert _dispatched(ctx, ASP(), "partition", busy=(1,)) == [
+        (0, [0]), (0, [4]), (2, [2]), (2, [6]), (3, [3]), (3, [7]),
+    ]
+
+
+def test_default_select_respects_custom_eligible_order(ctx):
+    pol = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [2, 0])
+    # eligible order (2 first) decides dispatch order.
+    assert _dispatched(ctx, pol, "partition") == [
+        (2, [2]), (2, [6]), (0, [0]), (0, [4]),
+    ]
+
+
+def test_dispatch_skips_workers_without_data(ctx):
+    pol = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [9, 1])
+    assert _dispatched(ctx, pol, "worker") == [(1, [1, 5])]
+
+
+@pytest.mark.parametrize("listed", [[0, 1, 0], [9, 9]])
+def test_dispatch_rejects_a_worker_listed_twice(ctx, listed):
+    pol = LambdaPolicy(lambda s: True, eligible_fn=lambda s: listed)
+    with pytest.raises(SchedulerError, match="twice"):
+        _dispatched(ctx, pol, "worker")
+
+
+def test_dispatch_to_nobody_on_an_idle_cluster_stalls_loudly(ctx):
+    pol = LambdaPolicy(lambda s: True, eligible_fn=lambda s: [], name="none")
+    with pytest.raises(SchedulerError, match="none admitted no"):
+        _dispatched(ctx, pol, "worker")
 
 
 def _completion_history(stat, worker, times):
@@ -144,28 +113,20 @@ def _completion_history(stat, worker, times):
 
 
 # -- grammar / coercion -------------------------------------------------------------
-def test_parse_policy_precedence_and_tokens():
-    pol = parse_policy("ssp:4 & ct:1.5 | bsp")
-    # '&' binds tighter: (ssp & ct) | bsp.
-    assert isinstance(pol, OrPolicy)
-    assert isinstance(pol.a, AndPolicy)
-    assert isinstance(pol.a.a, SSP) and pol.a.a.threshold == 4
-    assert isinstance(pol.a.b, CompletionTimeBarrier) and pol.a.b.ratio == 1.5
-    assert isinstance(pol.b, BSP)
-
-
 def test_parse_policy_rejects_bad_terms():
-    with pytest.raises(ApiError, match="empty term"):
-        parse_policy("asp & ")
+    with pytest.raises(ApiError, match="do not compose"):
+        resolve_policy("asp & ")
+    with pytest.raises(ApiError, match="'nope'"):
+        resolve_policy("asp & nope")
     with pytest.raises(ApiError, match="unknown policy"):
-        parse_policy("asp & nope")
+        resolve_policy("nope")
 
 
 @pytest.mark.parametrize("term", ["ssp:nan", "ssp:inf", "ct:nan", "ct:inf"])
 def test_parse_policy_rejects_non_finite_parameters(term):
     """NaN passed the old ``< 0`` / ``<= 1`` checks and ran silently."""
     with pytest.raises(ApiError, match="finite"):
-        parse_policy(term)
+        resolve_policy(term)
 
 
 @pytest.mark.parametrize("term", ["ssp:1.5"])
@@ -215,8 +176,6 @@ def test_resolve_policy_spellings():
     ssp = SSP(3)
     assert resolve_policy(ssp) is ssp
     assert isinstance(resolve_policy("asp"), ASP)
-    composed = resolve_policy("asp & ct:1.5")
-    assert isinstance(composed, AndPolicy)
     made = resolve_policy({"name": "frac", "beta": 0.5})
     assert isinstance(made, MinAvailableFraction) and made.beta == 0.5
     wrapped = resolve_policy(lambda stat: True)
@@ -233,10 +192,10 @@ def test_as_policy_coercions():
 
 def test_policy_hooks_introspection():
     assert policy_hooks(ASP) == ["ready"]
-    assert policy_hooks(CompletionTimeBarrier) == ["ready", "select"]
+    assert policy_hooks(CompletionTimeBarrier) == ["ready", "eligible"]
     assert policy_hooks(lambda: ASP()) == []
     for name in POLICIES.names():
-        assert set(policy_hooks(POLICIES.get(name))) <= {"ready", "select"}
+        assert set(policy_hooks(POLICIES.get(name))) <= {"ready", "eligible"}
 
 
 # -- CompletionTimeBarrier regression (satellite) -----------------------------------

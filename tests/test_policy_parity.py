@@ -1,8 +1,8 @@
 """SchedulingPolicy adapters: parity with the barrier era + end-to-end.
 
-The acceptance bar for the protocol redesign: every pre-existing barrier
-spec routes through the new ``select``-based dispatch with bit-identical
-trajectories, and composed policies are spec-addressable end to end.
+Every barrier spec, under either spelling and at either granularity,
+runs bit-identical trajectories, and a policy is spec-addressable end to
+end.
 """
 
 import numpy as np
@@ -86,15 +86,6 @@ def test_string_spec_matches_instance(barrier):
 
 
 @pytest.mark.parametrize("barrier", CLASSIC_BARRIERS)
-def test_idempotent_composition_is_bit_identical(barrier):
-    """`b & b` admits exactly what `b` admits: same trajectories, so the
-    select/intersection path adds nothing to the classic filters."""
-    _assert_same_trajectory(
-        _run_spec(barrier=barrier), _run_spec(policy=f"{barrier} & {barrier}")
-    )
-
-
-@pytest.mark.parametrize("barrier", CLASSIC_BARRIERS)
 def test_partition_granularity_parity_per_barrier(barrier):
     """With one partition per worker, partition-granular dispatch under
     every classic policy reproduces the worker-granular trajectory."""
@@ -148,11 +139,11 @@ def test_policy_on_sync_optimizer_is_an_error():
         })
 
 
-# -- composed policies end to end -----------------------------------------------------
+# -- policies end to end -------------------------------------------------------------
 def test_policy_axis_sweeps_through_grid():
     from repro.api import run_grid
 
-    policies = ["asp", "ssp:4 & ct:1.5", "ct:1.5 | bsp"]
+    policies = ["asp", "ssp:4", "ct:1.5"]
     summaries = run_grid({
         "base": {
             "algorithm": "asgd", "dataset": "tiny_dense", "num_workers": 4,
@@ -165,42 +156,12 @@ def test_policy_axis_sweeps_through_grid():
     assert all(s["updates"] == 20 for s in summaries)
 
 
-def test_filter_and_sample_composition_never_stalls():
-    """Regression: `filter & sampler` used to intersect independent
-    draws, occasionally selecting nothing on an idle cluster and dying
-    with a SchedulerError mid-run."""
-    from repro.cluster import ControlledDelay
-    from repro.core.policies import CompletionTimeBarrier, LambdaPolicy
-
-    X, y, _ = make_dense_regression(128, 6, cond=4.0, seed=3)
-    problem = LeastSquaresProblem(X, y)
-    for seed in range(8):
-        rng = np.random.default_rng(seed)
-        sampler = LambdaPolicy(select_fn=lambda s, cs, rng=rng: [
-            cs[i] for i in sorted(rng.choice(
-                len(cs), size=max(1, len(cs) // 4), replace=False,
-            ))
-        ])
-        # Worker 0 at half speed: the filter has someone to withhold.
-        with ClusterContext(
-            4, seed=seed, delay_model=ControlledDelay(1.0, workers=(0,)),
-        ) as ctx:
-            points = ctx.matrix(X, y, 4).cache()
-            res = build_optimizer(
-                "asgd", ctx, points, problem,
-                InvSqrtDecay(0.5).scaled_for_async(4),
-                OptimizerConfig(batch_fraction=0.25, max_updates=30,
-                                seed=seed, granularity="partition"),
-                policy=CompletionTimeBarrier(1.2) & sampler,
-            ).run()
-        assert res.updates == 30
-
-
 def test_duplicate_targets_from_a_policy_are_rejected():
     from repro.core.policies import LambdaPolicy
 
     dup = LambdaPolicy(
-        lambda s: True, select_fn=lambda s, cs: list(cs) + list(cs[:1]),
+        lambda s: True,
+        eligible_fn=lambda s: s.available_workers() + s.available_workers()[:1],
         name="dup",
     )
     X, y, _ = make_dense_regression(128, 6, cond=4.0, seed=3)

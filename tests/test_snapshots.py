@@ -197,6 +197,33 @@ def test_snapshot_with_empty_policy_and_coordinator_restores_bit_identically(
     assert _bits(from_older.w) == _bits(from_new.w)
 
 
+def test_snapshot_with_timestamps_and_metadata_entries_restores_bit_identically(
+    tmp_path,
+):
+    """Earlier snapshots stamped every bounded HIST version with its
+    cluster time and kept a values-free entry per unbounded channel
+    (ASAGA's ``saga`` broadcast history); both are ignored on restore."""
+    snap_file, state = _asaga_snapshot_at_40(tmp_path)
+    channels = state["server"]["history"]
+    assert set(channels) == {"saga/avg_hist"}
+    for ch in channels.values():
+        assert "timestamps_ms" not in ch
+        ch["timestamps_ms"] = {v: 26.5 for v in ch["values"]}
+    channels["saga"] = {
+        "name": "saga", "keep": "all", "next_version": 41,
+        "accounting": {
+            "keep": "all", "versions": 41, "stored_bytes": 7872,
+            "appended_bytes": 7872, "evicted_versions": 0,
+            "evicted_bytes": 0,
+        },
+    }
+    older = _write_state(tmp_path / "older.json", state)
+    from_new = run_experiment({**ASAGA_SPEC, "restore_from": str(snap_file)})
+    from_older = run_experiment({**ASAGA_SPEC, "restore_from": str(older)})
+    assert from_older.extras["resumed_from_update"] == 40
+    assert _bits(from_older.w) == _bits(from_new.w)
+
+
 @pytest.mark.parametrize("section,value", [
     ("policy", {"rng": {"bit_generator": "PCG64"}}),
     ("coordinator", {"placement": {"3": 0}, "migrations": 1}),
@@ -223,8 +250,14 @@ def test_sweep_checkpoint_with_list_form_run_state_resumes(
             "grid": {"seed": [1, 2]}}
     ck = tmp_path / "sweep.ckpt.jsonl"
     first = run_grid(grid, checkpoint=str(ck))
+    # Earlier summaries carried the bounded HIST as a list-form
+    # ``run_state``; graft one onto every recorded line.
+    _, state = _asaga_snapshot_at_40(tmp_path)
+    for summary in first:
+        summary["run_state"] = state["server"]
     entries = [json.loads(line) for line in ck.read_text().splitlines()]
     for entry in entries:
+        entry["summary"]["run_state"] = state["server"]
         entry["summary"] = _to_list_form(entry["summary"])
     ck.write_text("".join(json.dumps(e) + "\n" for e in entries))
 

@@ -15,7 +15,6 @@ def test_initial_state_all_available():
     assert stat.num_alive == 4
     assert stat.max_staleness == 0
     assert stat.available_workers() == [0, 1, 2, 3]
-    assert stat.busy_workers() == []
 
 
 def test_requires_positive_workers():
@@ -28,7 +27,7 @@ def test_busy_worker_not_available():
     stat[1].available = False
     stat[1].computing_version = 0
     assert stat.num_available == 2
-    assert stat.busy_workers() == [1]
+    assert stat.available_workers() == [0, 2]
 
 
 def test_dead_worker_excluded_everywhere():
@@ -48,34 +47,30 @@ def test_max_staleness_counts_inflight_only():
     stat[1].available = False
     stat[1].computing_version = 9   # 1 stale
     assert stat.max_staleness == 6
-    assert stat.staleness_of(0) == 6
-    assert stat.staleness_of(1) == 1
-    assert stat.staleness_of(2) == 0  # idle
+    stat[0].available = True  # idle rows do not count
+    assert stat.max_staleness == 1
 
 
 def test_idle_worker_staleness_zero_even_with_history():
     stat = StatTable(2)
     stat.current_version = 5
     stat[0].last_staleness = 3
-    assert stat.staleness_of(0) == 0
+    stat[0].computing_version = 1  # stale version left on an idle row
     assert stat.max_staleness == 0
 
 
 def test_completion_time_stats():
     stat = StatTable(2)
-    stat[0].completion.add(10.0)
-    stat[0].tasks_completed = 1
-    stat[1].completion.add(30.0)
-    stat[1].tasks_completed = 1
-    assert stat.mean_completion_ms() == 20.0
+    stat[0].note_completion(0, 5.0, 15.0)
+    stat[1].note_completion(0, 5.0, 35.0)
+    assert stat[0].avg_completion_ms == 10.0
     assert stat.median_completion_ms() == 20.0
 
 
 def test_completion_stats_ignore_fresh_workers():
     stat = StatTable(3)
-    stat[0].completion.add(10.0)
-    stat[0].tasks_completed = 1
-    assert stat.mean_completion_ms() == 10.0
+    stat[0].note_completion(0, 0.0, 10.0)
+    assert stat.median_completion_ms() == 10.0
 
 
 def test_snapshot_is_plain_data():
@@ -121,23 +116,7 @@ def test_worker_aggregates_match_statistics_module():
             mean += (v - mean) / n
         means.append(mean)
         assert stat[w].avg_completion_ms == mean
-    assert stat.mean_completion_ms() == statistics.fmean(means)
     assert stat.median_completion_ms() == statistics.median(means)
-
-
-def test_partition_median_matches_statistics_module():
-    rng = np.random.default_rng(9)
-    stat = StatTable(4)
-    avgs = []
-    for p in range(7):
-        row = stat.partition_row(p, owner=p % 4)
-        if p == 3:
-            continue  # one partition with no history must be excluded
-        values = rng.uniform(1.0, 100.0, size=int(rng.integers(1, 4)))
-        for v in values:
-            row.note_completion(0, 0.0, float(v))
-        avgs.append(row.avg_completion_ms)
-    assert stat.median_partition_completion_ms() == statistics.median(avgs)
 
 
 def test_max_staleness_matches_row_loop():
@@ -153,4 +132,3 @@ def test_max_staleness_matches_row_loop():
             expected = max(expected, stat.current_version - row.computing_version)
     assert stat.max_staleness == expected == 90
     assert stat.available_workers() == [0, 2]
-    assert stat.busy_workers() == [1, 3, 4]

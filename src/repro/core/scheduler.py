@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
-
 from repro.cluster.backend import TaskMetrics, WorkerEnv
 from repro.core.policies import SchedulingPolicy
 from repro.engine.dispatch import Continuation
@@ -115,15 +113,13 @@ class AsyncScheduler:
             if cached is not None and cached[0] == cache_key:
                 assigned = cached[1]
             else:
-                owners = np.fromiter(
-                    (ac.ctx.owner_of(p) for p in range(num_partitions)),
-                    dtype=np.int64,
-                    count=num_partitions,
-                )
-                assigned = {}
-                for w in np.unique(owners).tolist():
-                    if backend.worker_env(w).alive:
-                        assigned[w] = np.flatnonzero(owners == w).tolist()
+                by_owner: dict[int, list[int]] = {}
+                for p in range(num_partitions):
+                    by_owner.setdefault(ac.ctx.owner_of(p), []).append(p)
+                assigned = {
+                    w: by_owner[w] for w in sorted(by_owner)
+                    if backend.worker_env(w).alive
+                }
                 self._assigned_cache = (cache_key, assigned)
 
             version = ac.coordinator.version

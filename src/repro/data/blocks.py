@@ -24,21 +24,26 @@ version) and leans on that identity to treat both sparse forms as one.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import DataError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "ARRAY_ROWS_MAX_NNZ",
     "CsrRows",
     "MatrixBlock",
     "grouped_products",
+    "issparse",
     "matvec",
     "rmatvec",
+    "scipy_sparse",
     "split_matrix",
     "stack_blocks",
 ]
@@ -53,6 +58,21 @@ _INT32_MAX = np.iinfo(np.int32).max
 #: 16k, 3x at 150k). The products alone cross at ~4k, and SAGA forms
 #: several per gather, hence the low side of the tie.
 ARRAY_ROWS_MAX_NNZ = 4096
+
+
+def issparse(x) -> bool:
+    """``scipy.sparse.issparse``, never importing scipy: nothing can be a
+    scipy matrix before ``scipy.sparse`` is loaded."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(x)
+
+
+def scipy_sparse():
+    """``scipy.sparse``, imported by the first sparse object built."""
+    sp = sys.modules.get("scipy.sparse")
+    if sp is None:
+        from scipy import sparse as sp
+    return sp
 
 
 class CsrRows:
@@ -82,7 +102,7 @@ class CsrRows:
         return len(self.data)
 
     def tocsr(self) -> sparse.csr_matrix:
-        return sparse.csr_matrix(
+        return scipy_sparse().csr_matrix(
             (self.data, self.indices, self.indptr), shape=self.shape
         )
 
@@ -223,7 +243,7 @@ def grouped_products(
     ).reshape(k, dim)
 
 
-Matrix = Union[np.ndarray, sparse.csr_matrix, CsrRows]
+Matrix = Union[np.ndarray, "sparse.csr_matrix", CsrRows]
 
 
 @dataclass
@@ -264,7 +284,10 @@ class MatrixBlock:
 
     @property
     def is_sparse(self) -> bool:
-        return type(self.X) is CsrRows or sparse.issparse(self.X)
+        X = self.X  # of the three payloads, only dense is an ndarray
+        return type(X) is not np.ndarray and (
+            type(X) is CsrRows or not isinstance(X, np.ndarray)
+        )
 
     @property
     def nnz(self) -> int:
@@ -368,7 +391,7 @@ def stack_blocks(
         bp = b.X.indptr
         indptr[lo : lo + b.rows + 1] = bp.astype(np.int64) - int(bp[0]) + nnz
         nnz += int(bp[-1]) - int(bp[0])
-    X = sparse.csr_matrix(
+    X = scipy_sparse().csr_matrix(
         (data, indices, indptr),
         shape=(int(bounds[-1]), blocks[0].dim),
         copy=False,
@@ -397,16 +420,17 @@ def split_matrix(
         raise DataError(f"X has {n} rows but y has {y.shape[0]}")
     if num_blocks > n:
         raise DataError(f"cannot split {n} rows into {num_blocks} blocks")
-    if sparse.issparse(X) and not sparse.isspmatrix_csr(X):
+    csr = type(X) is not np.ndarray and issparse(X)
+    if csr and X.format != "csr":
         X = X.tocsr()
     bounds = np.linspace(0, n, num_blocks + 1).astype(np.intp)
     blocks = []
     for i in range(num_blocks):
         lo, hi = int(bounds[i]), int(bounds[i + 1])
-        if sparse.issparse(X):
+        if csr:
             indptr = X.indptr
             s, e = int(indptr[lo]), int(indptr[hi])
-            Xb = sparse.csr_matrix(
+            Xb = scipy_sparse().csr_matrix(
                 (X.data[s:e], X.indices[s:e], indptr[lo : hi + 1] - indptr[lo]),
                 shape=(hi - lo, X.shape[1]),
                 copy=False,

@@ -10,13 +10,17 @@ synthetic generators in :mod:`repro.data.synthetic`.
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, TYPE_CHECKING, Union
 
 import numpy as np
-from scipy import sparse
 
+from repro.data.blocks import issparse, scipy_sparse
 from repro.errors import DataError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["load_libsvm", "dump_libsvm"]
 
@@ -27,6 +31,14 @@ def _open_for_read(source: PathOrFile) -> tuple[IO[str], bool]:
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf8"), True
     return source, False
+
+
+def _finite(text: str, line_no: int, what: str) -> float:
+    """``float(text)``; NaN and infinities (``1e999`` too) are errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise DataError(f"line {line_no}: {what} {text!r} is not finite")
+    return value
 
 
 def load_libsvm(
@@ -58,7 +70,7 @@ def load_libsvm(
                 continue
             parts = line.split()
             try:
-                labels.append(float(parts[0]))
+                labels.append(_finite(parts[0], line_no, "label"))
             except ValueError as exc:
                 raise DataError(
                     f"line {line_no}: bad label {parts[0]!r}"
@@ -68,7 +80,7 @@ def load_libsvm(
                 try:
                     idx_s, val_s = token.split(":", 1)
                     idx = int(idx_s) - offset
-                    val = float(val_s)
+                    val = _finite(val_s, line_no, "feature value")
                 except ValueError as exc:
                     raise DataError(
                         f"line {line_no}: bad feature token {token!r}"
@@ -98,7 +110,7 @@ def load_libsvm(
         raise DataError(
             f"n_features={d} but data references feature {inferred - 1}"
         )
-    X = sparse.csr_matrix(
+    X = scipy_sparse().csr_matrix(
         (np.asarray(data, dtype=dtype), indices, indptr),
         shape=(len(labels), d),
     )
@@ -112,7 +124,7 @@ def dump_libsvm(
     if X.shape[0] != len(y):
         raise DataError(f"X has {X.shape[0]} rows but y has {len(y)}")
     offset = 0 if zero_based else 1
-    csr = X.tocsr() if sparse.issparse(X) else None
+    csr = X.tocsr() if issparse(X) else None
 
     def write_to(fh: IO[str]) -> None:
         for i in range(X.shape[0]):

@@ -205,23 +205,18 @@ def _libsvm_dataset(params: dict):
             f"unknown libsvm dataset key(s) {sorted(unknown)}; "
             f"valid overrides: {sorted(known)}"
         )
-    from scipy import sparse as sp
-
     from repro.data.libsvm import load_libsvm
 
     X, y = load_libsvm(path)
     base: dict[str, Any] = dict(_LIBSVM_DEFAULTS)
     base.update(params)
-    base.setdefault(
-        "density",
-        X.nnz / max(X.shape[0] * X.shape[1], 1) if sp.issparse(X) else 1.0,
-    )
+    base.setdefault("density", X.nnz / max(X.shape[0] * X.shape[1], 1))
     dspec = DatasetSpec(
         name=f"libsvm:{path}",
         paper_name="(libsvm file)",
         n=X.shape[0],
         d=X.shape[1],
-        sparse=sp.issparse(X),
+        sparse=True,
         path=path,
         **base,
     )

@@ -54,8 +54,8 @@ from multiprocessing import shared_memory
 from typing import Any, Mapping
 
 import numpy as np
-from scipy import sparse
 
+from repro.data.blocks import issparse, scipy_sparse
 from repro.errors import DataError
 
 __all__ = [
@@ -146,7 +146,7 @@ def publish_arrays(key: str, X, y, dspec) -> DatasetPublication | None:
     (callers then simply skip sharing — every worker materializes its
     own copy, exactly the pre-shm behavior).
     """
-    if sparse.issparse(X):
+    if issparse(X):
         X = X.tocsr()
         kind = "csr"
         parts = {
@@ -251,7 +251,7 @@ def attach_dataset(manifest: Mapping[str, Any]):
         ) from exc
     shape = tuple(manifest["shape"])
     if manifest["kind"] == "csr":
-        X: Any = sparse.csr_matrix(
+        X: Any = scipy_sparse().csr_matrix(
             (views["data"], views["indices"], views["indptr"]),
             shape=shape,
             copy=False,

@@ -8,11 +8,16 @@ byte-for-byte.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import sparse
+from typing import TYPE_CHECKING
 
+import numpy as np
+
+from repro.data.blocks import scipy_sparse
 from repro.errors import DataError
 from repro.utils.rng import spawn_generator
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "make_dense_regression",
@@ -84,7 +89,7 @@ def make_sparse_regression(
         )
         norms[norms == 0] = 1.0
         vals = vals / np.repeat(norms, nnz_per_row)
-    X = sparse.csr_matrix((vals, cols, indptr), shape=(n, d))
+    X = scipy_sparse().csr_matrix((vals, cols, indptr), shape=(n, d))
     w_true = rng.standard_normal(d)
     y = X @ w_true + noise * rng.standard_normal(n)
     return X, y, w_true

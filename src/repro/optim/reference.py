@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data.blocks import issparse
 from repro.errors import OptimError
 from repro.optim.problems import Problem
 from repro.utils.rng import spawn_generator
@@ -104,8 +105,6 @@ def reference_saga(
 
 def _per_sample_grads(problem: Problem, Xb, yb, w) -> np.ndarray:
     """Per-sample gradient rows for a block (dense output)."""
-    from scipy import sparse
-
     from repro.optim.problems import (
         LeastSquaresProblem,
         LogisticRegressionProblem,
@@ -121,6 +120,6 @@ def _per_sample_grads(problem: Problem, Xb, yb, w) -> np.ndarray:
         raise OptimError(
             f"no per-sample gradient rule for {type(problem).__name__}"
         )
-    if sparse.issparse(Xb):
+    if issparse(Xb):
         return np.asarray(Xb.multiply(coef[:, None]).todense())
     return Xb * coef[:, None]

@@ -218,7 +218,9 @@ def saga_partition_kernel(
     # Historical gradients: every row at its own stored version, fetched
     # in ascending version order, in one grouped pass over the batch.
     row_versions = versions[idx]
-    distinct = np.unique(row_versions)
+    # ``np.unique``, spelled without its lazy ``numpy.ma`` import.
+    ordered = np.sort(row_versions)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     ws = [handle.at(int(v)) for v in distinct]
     group = distinct.searchsorted(row_versions)  # return_inverse, 2x cheaper
     g_old = problem.grad_sum_grouped(sub.X, sub.y, ws, group)

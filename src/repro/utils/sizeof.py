@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-from scipy import sparse
+
+from repro.data.blocks import issparse
 
 __all__ = ["sizeof_bytes"]
 
@@ -57,11 +58,9 @@ def sizeof_bytes(obj: Any) -> int:
         return _OBJ_OVERHEAD + int(obj.nbytes)
     # ``format == "csr"``: a block's array-level row subset (CsrRows)
     # carries the same three arrays as the scipy matrix and is priced alike.
-    if sparse.issparse(obj) or getattr(obj, "format", None) == "csr":
+    if getattr(obj, "format", None) == "csr" or issparse(obj):
         csr = obj
-        if isinstance(obj, sparse.coo_matrix) or isinstance(
-            obj, getattr(sparse, "coo_array", ())
-        ):
+        if obj.format == "coo":
             # COO: row + col + data
             return _OBJ_OVERHEAD + int(
                 obj.data.nbytes + obj.row.nbytes + obj.col.nbytes

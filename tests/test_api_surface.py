@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro import (
     ASP,
@@ -318,20 +319,28 @@ def _fresh_interpreter(code):
     assert proc.returncode == 0, proc.stderr
 
 
-_SET_UP_ONLY = ("scipy.optimize", "scipy.linalg.interpolative")
+#: What ``import repro`` and a dense run never load: scipy serves sparse
+#: and LIBSVM data only (``scipy.sparse``, imported by the first sparse
+#: matrix built), and no run solves anything with ``scipy.optimize``.
+_SET_UP_ONLY = ("scipy",)
+
+_LOADED = f"""
+def loaded():
+    return sorted(
+        m for m in sys.modules if m.partition(".")[0] in {_SET_UP_ONLY!r}
+    )
+"""
 
 
 def test_import_repro_leaves_set_up_only_libraries_unloaded():
-    """Module names, never wall-clock: ``scipy.optimize`` serves one
-    reference-optimum solve."""
+    """Module names, never wall-clock."""
     _fresh_interpreter(f"""
 import sys
+{_LOADED}
 import repro
-loaded = [m for m in {_SET_UP_ONLY!r} if m in sys.modules]
-assert not loaded, ("import repro", loaded)
+assert not loaded(), ("import repro", loaded())
 import repro.fabric.worker
-loaded = [m for m in {_SET_UP_ONLY!r} if m in sys.modules]
-assert not loaded, ("import repro.fabric.worker", loaded)
+assert not loaded(), ("import repro.fabric.worker", loaded())
 import repro.api.parallel
 import repro.bench.claims
 assert "concurrent.futures.process" not in sys.modules  # no pool tier
@@ -339,15 +348,47 @@ assert "concurrent.futures.process" not in sys.modules  # no pool tier
 
 
 def test_lazy_scipy_imports_fire_where_they_are_used():
-    _fresh_interpreter("""
+    """A dense logistic spec end to end (its reference optimum is a NumPy
+    Newton solve) loads no scipy; sparse data loads ``scipy.sparse``."""
+    _fresh_interpreter(f"""
 import sys
-import numpy as np
-import repro
-from repro.data.synthetic import make_classification
+{_LOADED}
+from repro.api.runner import prepare_experiment, summarize
 
-X, y, _ = make_classification(64, 4, seed=0)
-problem = repro.LogisticRegressionProblem(X, y)
+def run(dataset, **spec):
+    prep = prepare_experiment(dict(
+        algorithm="asgd", dataset=dataset, max_updates=40, eval_every=20,
+        seed=0, **spec,
+    ))
+    summary = summarize(prep, prep.execute())  # F(w) - F*: solves F*
+    assert summary["final_error"] < summary["initial_error"]
+
+run("synth_logistic", problem="logistic")
+assert not loaded(), loaded()
+run("rcv1_like")
+assert "scipy.sparse" in sys.modules
 assert "scipy.optimize" not in sys.modules
-assert np.isfinite(problem.w_star).all()
-assert "scipy.optimize" in sys.modules
+""")
+
+
+@pytest.mark.parametrize("spec", [
+    # Fused BSP rounds on dense least squares, as in asgd_bsp_wide.
+    {"algorithm": "asgd", "dataset": "tiny_dense", "policy": "bsp"},
+    {"algorithm": "saga", "dataset": "tiny_dense"},
+    {"algorithm": "asaga", "dataset": "rcv1_like", "policy": "ssp:2"},
+], ids=["asgd-dense", "saga-dense", "asaga-sparse"])
+def test_a_run_imports_nothing(spec):
+    """Every module a run needs is loaded by ``prepare_experiment``: an
+    import inside ``run_in`` would land in the benchmark's counted pass
+    (numpy 2's first ``np.unique`` imports ``numpy.ma``)."""
+    spec = dict(spec, num_workers=4, max_updates=24, eval_every=12, seed=0)
+    _fresh_interpreter(f"""
+import sys
+from repro.api.runner import prepare_experiment
+
+prep = prepare_experiment({spec!r})
+with prep.make_context() as ctx:
+    before = set(sys.modules)
+    prep.run_in(ctx)
+assert set(sys.modules) == before, sorted(set(sys.modules) - before)
 """)

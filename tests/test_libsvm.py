@@ -58,6 +58,21 @@ def test_bad_token_raises():
         loads_libsvm("1 nonsense\n")
 
 
+@pytest.mark.parametrize("text, where", [
+    ("1 1:nan\n", "line 1: feature value 'nan'"),
+    ("-1 1:1\n1 2:-inf\n", "line 2: feature value '-inf'"),
+    ("1 1:1e999\n", "line 1: feature value '1e999'"),
+    ("1 1:1\ninf 1:1\n", "line 2: label 'inf'"),
+    ("NaN 1:1\n", "line 1: label 'NaN'"),
+    ("-1e400 1:1\n", "line 1: label '-1e400'"),
+])
+def test_non_finite_label_or_value_raises(text, where):
+    """``float`` parses these; a NaN or infinite entry would turn the
+    reference optimum and every error into NaN without an error."""
+    with pytest.raises(DataError, match=where):
+        loads_libsvm(text)
+
+
 def test_nonincreasing_indices_raise():
     with pytest.raises(DataError):
         loads_libsvm("1 2:1.0 2:2.0\n")

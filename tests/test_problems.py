@@ -1,5 +1,7 @@
 """Objectives: gradient correctness (finite differences), exact optima."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,10 @@ from scipy import sparse
 from test_blocks import csr_block_and_idx
 
 from repro.data.blocks import CsrRows, MatrixBlock
+from repro.data.registry import get_dataset
 from repro.data.synthetic import make_classification, make_dense_regression
 from repro.errors import OptimError
+from repro.optim import problems
 from repro.optim.problems import (
     LeastSquaresProblem,
     LogisticRegressionProblem,
@@ -123,6 +127,86 @@ def test_logistic_optimum_beats_zero():
     p = LogisticRegressionProblem(X, y, lam=0.01)
     assert p.f_star < p.objective(p.initial_point())
     assert np.linalg.norm(p.full_gradient(p.w_star)) < 1e-5
+
+
+def _lbfgs_reference(problem):
+    """What the optimum used to be: scipy's L-BFGS-B, here only as the
+    yardstick for the NumPy Newton–CG solve."""
+    from scipy import optimize
+
+    res = optimize.minimize(
+        problem.objective, problem.initial_point(),
+        jac=problem.full_gradient, method="L-BFGS-B",
+        options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-12},
+    )
+    assert res.status in (0, 2), res.message
+    return problem.objective(res.x)
+
+
+def _sparsified_classification(n, d, seed):
+    X, y, _ = make_classification(n, d, seed=seed)
+    keep = np.random.default_rng(seed).random(X.shape) < 0.2
+    return sparse.csr_matrix(X * keep), y
+
+
+OPTIMUM_CASES = {
+    **{
+        f"synth_logistic-seed{seed}": (
+            lambda seed=seed: get_dataset("synth_logistic", seed=seed)[:2], 0.0
+        )
+        for seed in range(5)
+    },
+    **{
+        f"classification-{n}x{d}": (
+            lambda n=n, d=d: make_classification(n, d, seed=1)[:2], 0.0
+        )
+        for n, d in [(64, 4), (300, 20), (2000, 50)]
+    },
+    "classification-lam": (
+        lambda: make_classification(300, 20, seed=2)[:2], 0.01
+    ),
+    "csr": (lambda: _sparsified_classification(1500, 40, seed=3), 0.0),
+    "csr-lam": (lambda: _sparsified_classification(1500, 40, seed=4), 1e-3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPTIMUM_CASES))
+def test_logistic_optimum_matches_lbfgs(case):
+    make, lam = OPTIMUM_CASES[case]
+    X, y = make()
+    problem = LogisticRegressionProblem(X, y, lam=lam)
+    f_star = problem.f_star
+    reference = _lbfgs_reference(problem)
+    assert abs(f_star - reference) <= 1e-10 * max(1.0, abs(f_star))
+    assert np.abs(problem.full_gradient(problem.w_star)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("sparse_X", [False, True])
+def test_logistic_optimum_on_separable_data_is_finite(sparse_X):
+    """No minimiser exists (``F -> 0`` as ``||w|| -> inf``): the solve
+    stops on its gradient tolerance with a finite ``w`` and no warning."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((200, 5))
+    y = np.where(X @ np.arange(1.0, 6.0) > 0, 1.0, -1.0)
+    problem = LogisticRegressionProblem(
+        sparse.csr_matrix(X) if sparse_X else X, y
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = problem.w_star
+    assert np.isfinite(w).all()
+    assert problem.f_star <= 1e-8
+
+
+def test_logistic_optimum_fails_loudly(monkeypatch):
+    X, y, _ = make_classification(64, 4, seed=0)
+    X[3, 1] = np.nan
+    with pytest.raises(OptimError, match="non-finite"):
+        LogisticRegressionProblem(X, y).solve_optimum()
+    X[3, 1] = 0.0
+    monkeypatch.setattr(problems, "_NEWTON_MAX_ITER", 2)
+    with pytest.raises(OptimError, match="no convergence in 2 Newton steps"):
+        LogisticRegressionProblem(X, y).solve_optimum()
 
 
 def test_logistic_loss_stable_for_large_margins():

@@ -26,7 +26,6 @@ from repro.comm.compressors import (
 from repro.comm.frames import decode_frame, encode_frame, frame_bytes, is_frame
 from repro.comm.ledger import CommLedger
 from repro.comm.manager import CommManager
-from repro.comm.measure import payload_nbytes
 
 __all__ = [
     "Compressor",
@@ -39,7 +38,6 @@ __all__ = [
     "PayloadCodec",
     "CommLedger",
     "CommManager",
-    "payload_nbytes",
     "encode_frame",
     "decode_frame",
     "frame_bytes",

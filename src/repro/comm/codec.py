@@ -61,8 +61,8 @@ class EncodedPayload:
 class _Encoding:
     """One encode's running state: leaf numbering and both byte sums.
 
-    ``raw`` and ``wire`` follow :func:`~repro.comm.measure.payload_nbytes`
-    (``sizeof_bytes``: 64 per tuple or array plus an array's ``nbytes``),
+    ``raw`` and ``wire`` follow :func:`~repro.utils.sizeof.sizeof_bytes`
+    (64 per tuple or array plus an array's ``nbytes``),
     except that ``wire`` counts each packet at its exact size.
     """
 

@@ -37,7 +37,7 @@ from repro.core.policies import (
     as_policy,
     resolve_policy,
 )
-from repro.core.records import PartitionStatus, TaskResultRecord, WorkerStatus
+from repro.core.records import TaskResultRecord, WorkerStatus
 from repro.core.scheduler import AsyncScheduler
 from repro.core.stat import StatTable
 
@@ -57,7 +57,6 @@ __all__ = [
     "StatTable",
     "TaskResultRecord",
     "WorkerStatus",
-    "PartitionStatus",
     "ASP",
     "BSP",
     "SSP",

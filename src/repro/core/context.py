@@ -157,9 +157,9 @@ class ASYNCContext:
         ``granularity="worker"`` (default, the paper's model) locally
         reduces each worker's partitions into a single result;
         ``granularity="partition"`` submits one task per partition —
-        every result is tagged with its partition id, the STAT table
-        grows per-partition rows, and staleness is tracked per
-        partition. Returns the workers that received tasks.
+        every result record carries its partition id
+        (``record.partition``); STAT stays one row per worker. Returns
+        the workers that received tasks.
         """
         from repro.core.ops import async_reduce
 

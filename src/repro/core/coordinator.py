@@ -61,22 +61,11 @@ class Coordinator:
         self.stat.current_version += count
 
     # -- task lifecycle ----------------------------------------------------------
-    def on_assigned(
-        self, worker_id: int, version: int, partition: int | None = None
-    ) -> None:
-        """A task was dispatched to a worker computing at ``version``.
-
-        ``partition`` identifies the single data partition a
-        partition-granular task covers; its STAT row is then maintained
-        alongside the worker's.
-        """
+    def on_assigned(self, worker_id: int, version: int) -> None:
+        """A task was dispatched to a worker computing at ``version``."""
         w = self.stat[worker_id]
         w.note_assigned(version)
         w.available = w.alive and w.in_flight < self.pipeline_depth
-        if partition is not None:
-            self.stat.partition_row(partition, owner=worker_id).note_assigned(
-                version
-            )
 
     def on_result(
         self,
@@ -94,10 +83,6 @@ class Coordinator:
         w = self.stat[worker_id]
         w.note_done()
         w.available = w.alive and w.in_flight < self.pipeline_depth
-        prow = None
-        if partition is not None:
-            prow = self.stat.partition_row(partition)
-            prow.note_done()
 
         if error is not None:
             if isinstance(error, WorkerLostError):
@@ -118,10 +103,6 @@ class Coordinator:
 
         staleness = self.version - version
         w.note_completion(staleness, metrics.submitted_ms, metrics.delivered_ms)
-        if prow is not None:
-            prow.note_completion(
-                staleness, metrics.submitted_ms, metrics.delivered_ms
-            )
 
         self.results.append(
             TaskResultRecord(
@@ -151,10 +132,6 @@ class Coordinator:
         record = self.results.popleft()
         record.staleness = self.version - record.version
         self.stat[record.worker_id].last_staleness = record.staleness
-        if record.partition is not None:
-            self.stat.partition_row(record.partition).last_staleness = (
-                record.staleness
-            )
         self.collected += 1
         return record
 

@@ -45,8 +45,8 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.comm.measure import payload_nbytes
 from repro.errors import BroadcastError, HistoryError
+from repro.utils.sizeof import sizeof_bytes
 
 __all__ = [
     "RetentionPolicy",
@@ -192,7 +192,7 @@ class HistoryChannel:
         # HIST and the COMM ledger quote the same wire measure, so
         # "history bytes stored" and "broadcast bytes shipped" are
         # directly comparable in RunResult.extras.
-        nbytes = payload_nbytes(value)
+        nbytes = sizeof_bytes(value)
         self._nbytes[version] = nbytes
         self.total_stored_bytes += nbytes
         self.appended_bytes += nbytes
@@ -310,7 +310,7 @@ class HistoryChannel:
             for v, val in snap["values"].items()
         }
         self._nbytes = {
-            v: payload_nbytes(val) for v, val in self._values.items()
+            v: sizeof_bytes(val) for v, val in self._values.items()
         }
         self.total_stored_bytes = sum(self._nbytes.values())
         acct = snap.get("accounting", {})

@@ -72,8 +72,8 @@ class AsyncScheduler:
           covering all of its local partitions, locally reduced before
           submission — the capability the paper notes Glint lacks.
         - ``"partition"``: one task per partition; every partition ships
-          its own result to the server tagged with its partition id, and
-          the STAT table grows per-partition rows.
+          its own result to the server, where its record carries the
+          partition id (``record.partition``).
 
         ``policy`` is a normalized :class:`SchedulingPolicy` (callers
         coerce user input once, via ``as_policy``, not per round). Its
@@ -231,7 +231,7 @@ class AsyncScheduler:
         self.tasks_submitted += 1
         if partition is not None:
             self.partition_tasks_submitted += 1
-        ac.coordinator.on_assigned(worker_id, version, partition=partition)
+        ac.coordinator.on_assigned(worker_id, version)
         comm = ac.comm
         if comm is not None:
             # Worker-side encode (error-feedback compression of the

@@ -454,9 +454,8 @@ class ServerLoop:
             "policy": self.policy.describe(),
         }
         if extras["granularity"] == "partition":
-            # The partition-grain analogs, for every rule that ran at
+            # The partition-grain analog, for every rule that ran at
             # partition granularity (not just the partition-only ones).
-            extras["partitions_tracked"] = len(ac.stat.partitions)
             extras["max_partition_staleness_seen"] = self.max_partition_stale
         if len(ac.history):
             # Per-channel HIST byte accounting (Section 4.3's second

@@ -10,7 +10,7 @@ The load-bearing guarantees, in test order:
   at an equal update budget — on the Sim backend and on real threads —
   while saving at least 5x on collect-direction wire bytes.
 - HIST byte accounting and the comm ledger speak the same units
-  (``payload_nbytes`` delegates to ``sizeof_bytes``).
+  (both measure with ``sizeof_bytes``).
 - The watermark table lets ASAGA's ``keep="all"`` model channel be
   pruned without changing the trajectory.
 - Fabric result frames round-trip and duplicate/resent results are
@@ -36,7 +36,6 @@ from repro.comm import (
     frame_bytes,
     is_frame,
     parse_compressor,
-    payload_nbytes,
 )
 from repro.comm.compressors import NoneCompressor, TopKCompressor
 from repro.comm.frames import FRAME_KEY
@@ -418,6 +417,11 @@ def test_delta_fetch_does_not_keep_a_mirrors_negative_zero():
 # ---------------------------------------------------------------------------
 
 def test_payload_nbytes_matches_hist_units():
+    """A HIST channel charges each version ``sizeof_bytes`` of the value,
+    the measure the COMM ledger's raw bytes use."""
+    from repro.core.history import HistoryChannel
+
+    channel = HistoryChannel(0, "units")
     samples = [
         np.zeros(17),
         (np.ones(8), 42),
@@ -425,7 +429,8 @@ def test_payload_nbytes_matches_hist_units():
         None,
     ]
     for value in samples:
-        assert payload_nbytes(value) == sizeof_bytes(value)
+        version = channel.append(value)
+        assert channel.nbytes(version) == sizeof_bytes(value)
 
 
 _payload_leaves = st.one_of(
@@ -456,7 +461,7 @@ def _expected_wire(node) -> int:
     payload=_payload_trees,
 )
 def test_encode_keeps_ledger_units_on_mixed_trees(token, payload):
-    """One walk sums both measures: raw is ``payload_nbytes`` of the
+    """One walk sums both measures: raw is ``sizeof_bytes`` of the
     payload, wire is every packet's serialized size plus the passthrough
     leaves and tuples at their raw size."""
     from repro.cluster.backend import WorkerEnv
@@ -466,7 +471,7 @@ def test_encode_keeps_ledger_units_on_mixed_trees(token, payload):
     env = WorkerEnv(1)
     for _ in range(2):  # the second encode carries residuals
         enc = codec.encode(payload, env, 4)
-        assert enc.raw_bytes == payload_nbytes(payload)
+        assert enc.raw_bytes == sizeof_bytes(payload)
         assert enc.wire_bytes == _expected_wire(enc.tree)
 
 

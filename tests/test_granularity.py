@@ -1,4 +1,4 @@
-"""Partition-granular dispatch: parity, STAT rows, validation."""
+"""Partition-granular dispatch: parity, partition tags, validation."""
 
 import numpy as np
 import pytest
@@ -107,62 +107,12 @@ def test_partition_granularity_threadbackend_multiworker_converges():
     assert res.extras["partition_tasks"] >= res.extras["collected"]
 
 
-# -- STAT partition rows ------------------------------------------------------------
-@pytest.mark.parametrize("backend_kind", ["sim", "thread"])
-def test_partition_stat_rows_aggregate_to_worker_rows(backend_kind):
-    """Per-partition STAT rows sum back to the per-worker values."""
-    X, y, _ = make_dense_regression(256, 8, cond=4.0, seed=7)
-    problem = LeastSquaresProblem(X, y)
-    workers, parts = 4, 8
-    backend = (
-        ThreadBackend(num_workers=workers) if backend_kind == "thread"
-        else None
-    )
-    with ClusterContext(workers, backend=backend, seed=0) as ctx:
-        points = ctx.matrix(X, y, parts).cache()
-        ac = ASYNCContext(ctx)
-        w = problem.initial_point()
-        for r in range(6):
-            w_br = ctx.broadcast(w)
-            mapped = points.map(
-                lambda blk, _w=w_br: (
-                    problem.grad_sum(blk.X, blk.y, bc_value(_w)), blk.rows,
-                )
-            )
-            ac.async_reduce(
-                mapped, lambda a, b: (a[0] + b[0], a[1] + b[1]),
-                granularity="partition",
-            )
-            while ac.has_next(block=True):
-                g_sum, rows = ac.collect()
-                w = w - (0.1 / rows) * g_sum
-                ac.model_updated()
-        ac.wait_all()
-        ac.drain()
-
-        stat = ac.stat
-        assert len(stat.partitions) == parts
-        rows = [stat.partitions[p] for p in sorted(stat.partitions)]
-        for wid in range(workers):
-            owned = [row for row in rows if row.owner == wid]
-            prow_total = sum(row.tasks_completed for row in owned)
-            assert prow_total == stat[wid].tasks_completed
-            assert all(row.in_flight == 0 for row in owned)
-        # owners follow the locality rule
-        for pid, row in stat.partitions.items():
-            assert row.owner == ctx.owner_of(pid)
-        snap = [row.snapshot() for row in rows]
-        assert [row["partition_id"] for row in snap] == list(range(parts))
-        assert all(row["tasks_completed"] > 0 for row in snap)
-
-
 def test_partition_staleness_tracked_per_partition():
     res = run_experiment({
         "algorithm": "asgd", "dataset": "tiny_dense", "num_workers": 4,
         "num_partitions": 8, "granularity": "partition", "max_updates": 40,
         "seed": 0,
     })
-    assert res.extras["partitions_tracked"] == 8
     assert res.extras["max_partition_staleness_seen"] >= 0
     assert res.extras["partition_tasks"] > 0
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ASYNCContext
+from repro.core import SSP, ASYNCContext
 from repro.core.coordinator import Coordinator
 from repro.core.stat import StatTable
 
@@ -33,6 +33,17 @@ def test_oldest_version_drives_staleness():
     c.model_updated(5)
     # Pessimistic: staleness measured against the oldest in-flight task.
     assert c.stat.max_staleness == 5
+
+
+def test_available_worker_holding_a_task_counts_for_ssp():
+    """At depth 2 a worker holding one task is still available; its task
+    is stale all the same, so SSP must hold the round."""
+    c = Coordinator(StatTable(1), pipeline_depth=2)
+    c.on_assigned(0, version=0)
+    c.model_updated(5)
+    assert c.stat[0].available
+    assert c.stat.max_staleness == 5
+    assert not SSP(1).ready(c.stat)
 
 
 def test_pipelined_round_reaches_deeper(ctx):

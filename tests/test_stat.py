@@ -102,7 +102,7 @@ def test_property_max_staleness_bound(versions, current):
     assert stat.max_staleness == expected
 
 
-# -- columnar STAT reductions match the scalar references ----------------------------
+# -- STAT aggregates match the scalar references -------------------------------------
 def test_worker_aggregates_match_statistics_module():
     rng = np.random.default_rng(5)
     stat = StatTable(6)

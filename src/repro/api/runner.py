@@ -30,6 +30,7 @@ from repro.cluster.network import NetworkModel
 from repro.cluster.stragglers import DelayModel, resolve_delay_model
 from repro.comm.manager import CommManager
 from repro.core.policies import SchedulingPolicy, resolve_policy
+from repro.data.blocks import Csr
 from repro.data.registry import get_dataset
 from repro.engine.context import ClusterContext
 from repro.errors import ApiError
@@ -307,14 +308,13 @@ def summarize(prep: PreparedExperiment, result: RunResult) -> dict:
 
 
 def _array_digest(value: Any) -> str:
-    """Content fingerprint of an array/sparse matrix (shape alone would
+    """Content fingerprint of an array/CSR matrix (shape alone would
     alias e.g. two same-sized problems with different labels)."""
     digest = hashlib.sha1()
     if hasattr(value, "tobytes"):
         parts = [value]
-    elif hasattr(value, "tocsr"):  # scipy sparse: hash the raw triplet
-        csr = value.tocsr()
-        parts = [csr.data, csr.indices, csr.indptr]
+    elif hasattr(value, "indptr"):  # CSR: hash the raw triplet
+        parts = [value.data, value.indices, value.indptr]
     else:
         return "?"
     for part in parts:
@@ -328,10 +328,9 @@ def _stable_value(value: Any) -> Any:
         return value
     shape = getattr(value, "shape", None)
     if shape is not None:
-        return (
-            f"<{type(value).__name__} shape={tuple(shape)} "
-            f"sha1={_array_digest(value)}>"
-        )
+        # A Csr keys as the scipy matrix it replaced: keys stay resumable.
+        name = "csr_matrix" if type(value) is Csr else type(value).__name__
+        return f"<{name} shape={tuple(shape)} sha1={_array_digest(value)}>"
     if isinstance(value, (list, tuple)):
         return [_stable_value(v) for v in value]
     if isinstance(value, Mapping):

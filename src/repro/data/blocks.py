@@ -5,180 +5,158 @@ Per the HPC-Python guides, partitions carry contiguous matrix blocks (dense
 are single vectorized BLAS/sparse calls. A block knows its global row
 offset, which lets SAGA's per-sample version table address rows globally.
 
-The sparse layout decision lives here, and it is made on size. Constructing
-a scipy matrix costs a fixed ~40 us (index validation, dtype negotiation,
-format check; a transpose per gradient costs it again) and its compiled
-products are then fast; an array-level product has no fixed cost but runs
-about twice as slow per nonzero. So a row subset of a CSR block that
-gathers at most :data:`ARRAY_ROWS_MAX_NNZ` nonzeros is a :class:`CsrRows`
-— the selected rows' three raw arrays, gathered in one vectorised pass and
-multiplied with ``np.bincount`` — and anything larger (big mini-batches,
-source blocks, a problem's training set) is a scipy CSR matrix using
-scipy's operators. :func:`matvec` and :func:`rmatvec` multiply whichever
-of the three payloads a block holds; the two sparse forms accumulate in
-the same order and agree bit for bit, so where the boundary sits changes
-speed only. :func:`grouped_products` multiplies each row against its own
-group's vector (SAGA's historical gradients, one group per stored model
-version) and leans on that identity to treat both sparse forms as one.
+Sparse data has one form, :class:`Csr`: the ``data``/``indices``/
+``indptr`` arrays of scipy's CSR layout, held by NumPy alone. Every
+source builds it directly (the generators, the LIBSVM loader, shared
+memory, :func:`split_matrix`, :func:`stack_blocks`), and
+:func:`as_matrix` adopts a user's scipy CSR matrix by its triplet,
+without a copy and without importing scipy. A row subset is gathered in
+one vectorised pass over the raw arrays. Every product is an
+``np.bincount`` over the stored entries in storage order — the loop
+order of scipy's ``csr_matvec``/``csc_matvec``/``csr_matmat`` — so a
+product has scipy's bits, whatever the matrix's size.
+:func:`grouped_products` multiplies each row against its own group's
+vector (SAGA's historical gradients, one group per stored model version)
+in one such pass.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Union
+from functools import cached_property
+from typing import Union
 
 import numpy as np
 
 from repro.errors import DataError
 
-if TYPE_CHECKING:
-    from scipy import sparse
-
 __all__ = [
-    "ARRAY_ROWS_MAX_NNZ",
-    "CsrRows",
+    "Csr",
     "MatrixBlock",
+    "as_matrix",
+    "gram",
     "grouped_products",
-    "issparse",
+    "index_dtype",
     "matvec",
     "rmatvec",
-    "scipy_sparse",
     "split_matrix",
     "stack_blocks",
 ]
 
 _INT32_MAX = np.iinfo(np.int32).max
 
-#: Largest gathered row subset kept as :class:`CsrRows`. Measured on the
-#: benchmark host (one thread; gather + one ``grad_sum``, against
-#: ``X[idx]`` + scipy's operators) over 5..75 nonzeros per row and
-#: 200..47236 columns: the array path wins 1.3-7x up to ~4k gathered
-#: nonzeros, the two tie between 6k and 8k, and scipy wins beyond (1.7x at
-#: 16k, 3x at 150k). The products alone cross at ~4k, and SAGA forms
-#: several per gather, hence the low side of the tie.
-ARRAY_ROWS_MAX_NNZ = 4096
+
+def index_dtype(*extents: int) -> type:
+    """scipy's CSR index dtype: int32 when the shape and nnz fit in it."""
+    return np.int32 if max(extents) <= _INT32_MAX else np.int64
 
 
-def issparse(x) -> bool:
-    """``scipy.sparse.issparse``, never importing scipy: nothing can be a
-    scipy matrix before ``scipy.sparse`` is loaded."""
-    sp = sys.modules.get("scipy.sparse")
-    return sp is not None and sp.issparse(x)
+class Csr:
+    """A CSR matrix as NumPy arrays: ``data``/``indices``/``indptr``.
 
-
-def scipy_sparse():
-    """``scipy.sparse``, imported by the first sparse object built."""
-    sp = sys.modules.get("scipy.sparse")
-    if sp is None:
-        from scipy import sparse as sp
-    return sp
-
-
-class CsrRows:
-    """Rows gathered from a CSR matrix: ``data``/``indices``/``indptr``.
-
-    What ``X[idx]`` is for a sparse block, without the scipy object: same
-    values in the same within-row order, same index dtype (so
-    ``sizeof_bytes`` prices it identically), plus ``row_of_nnz`` — the
-    row each stored entry belongs to, which both products need. ``X @ w``
-    and ``X.T @ r`` work on it as they do on the scipy matrix a larger
-    subset comes back as, so kernels written against either keep working;
-    :meth:`tocsr` gives the scipy matrix for anything else.
+    scipy's layout (``indptr[0] == 0``) and its index dtype rule
+    (:func:`index_dtype`, applied on construction), so ``sizeof_bytes``
+    and digests see the bytes a scipy matrix would hold. ``row_of_nnz``,
+    the row each stored entry belongs to, is what the products need: a
+    gather passes it in, and any other matrix computes it on first use.
+    ``X @ w`` and ``X.T @ r`` multiply vectors, so a kernel written
+    against scipy blocks keeps working.
     """
 
-    __slots__ = ("data", "indices", "indptr", "shape", "row_of_nnz")
-    format = "csr"  # scipy's spelling; what ``_sparse_rows`` checks
+    format = "csr"  # scipy's spelling, which :func:`as_matrix` reads
 
-    def __init__(self, data, indices, indptr, shape, row_of_nnz) -> None:
+    def __init__(self, data, indices, indptr, shape, row_of_nnz=None) -> None:
+        idx = index_dtype(shape[0], shape[1], len(data))
         self.data = data
-        self.indices = indices
-        self.indptr = indptr
+        self.indices = indices.astype(idx, copy=False)
+        self.indptr = indptr.astype(idx, copy=False)
         self.shape = shape
-        self.row_of_nnz = row_of_nnz
+        if row_of_nnz is not None:
+            self.row_of_nnz = row_of_nnz
+
+    @cached_property
+    def row_of_nnz(self) -> np.ndarray:
+        return np.arange(self.shape[0]).repeat(np.diff(self.indptr))
 
     @property
     def nnz(self) -> int:
         return len(self.data)
 
-    def tocsr(self) -> sparse.csr_matrix:
-        return scipy_sparse().csr_matrix(
-            (self.data, self.indices, self.indptr), shape=self.shape
-        )
-
     def __matmul__(self, w):
-        if np.ndim(w) != 1:
-            return self.tocsr() @ w
-        return matvec(self, w)
+        return matvec(self, _vector(w))
 
     @property
-    def T(self) -> "_CsrRowsT":
-        return _CsrRowsT(self)
+    def T(self) -> "_CsrT":
+        return _CsrT(self)
 
 
-class _CsrRowsT:
-    """``CsrRows.T``: only there to be multiplied."""
+class _CsrT:
+    """``Csr.T``: only there to be multiplied."""
 
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: CsrRows) -> None:
-        self.rows = rows
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.rows.shape[::-1]
+    def __init__(self, X: Csr) -> None:
+        self.X = X
+        self.shape = X.shape[::-1]
 
     def __matmul__(self, r):
-        if np.ndim(r) != 1:
-            return self.rows.tocsr().T @ r
-        return rmatvec(self.rows, r)
+        return rmatvec(self.X, _vector(r))
 
 
-def _sparse_rows(
-    X: "sparse.spmatrix | CsrRows", idx: np.ndarray
-) -> "CsrRows | sparse.csr_matrix":
-    """Rows ``idx`` of sparse storage ``X``, in ``idx`` order.
+def _vector(v):
+    if np.ndim(v) != 1:
+        raise DataError("a Csr matrix multiplies vectors only")
+    return v
+
+
+def as_matrix(X) -> "Matrix":
+    """``X`` as a block payload.
+
+    An ndarray or :class:`Csr` is returned as is. Anything else with
+    ``format == "csr"`` and the ``data``/``indices``/``indptr`` triplet
+    (scipy's ``csr_matrix``/``csr_array``) is adopted as a :class:`Csr`
+    over the same arrays; another sparse format is a :class:`DataError`.
+    """
+    if type(X) is np.ndarray or type(X) is Csr:
+        return X
+    fmt = getattr(X, "format", None)
+    if fmt == "csr":
+        return Csr(X.data, X.indices, X.indptr, X.shape)
+    if fmt is not None:
+        raise DataError(
+            f"sparse format {fmt!r} is not supported: convert it with "
+            ".tocsr() first"
+        )
+    return X
+
+
+def _sparse_rows(X: Csr, idx: np.ndarray) -> Csr:
+    """Rows ``idx`` of ``X``, in ``idx`` order: scipy's ``X[idx]``.
 
     ``idx`` may be unsorted, repeated or empty. Row extents come from
     ``indptr`` (through two shifted views, so negative indices count from
-    the end as they do for a dense block). A subset above
-    :data:`ARRAY_ROWS_MAX_NNZ` is scipy's ``X[idx]``; a smaller one is
-    gathered here in one pass over the raw arrays, the source position of
-    every output entry being ``repeat(start - out_start, len) + arange``.
+    the end as they do for a dense block); the rows are gathered in one
+    pass over the raw arrays, the source position of every output entry
+    being ``repeat(start - out_start, len) + arange``.
     """
-    if X.format != "csr":
-        X = X.tocsr()
     starts = X.indptr[:-1][idx]
     lens = X.indptr[1:][idx] - starts
     m = len(idx)
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.add.accumulate(lens, out=indptr[1:])
-    nnz = int(indptr[m])
-    if nnz > ARRAY_ROWS_MAX_NNZ and type(X) is not CsrRows:
-        return X[idx]
     row_of_nnz = np.arange(m).repeat(lens)
     pos = (starts - indptr[:m])[row_of_nnz]
-    pos += np.arange(nnz)
-    # scipy narrows a fancy-indexed result's indices to int32 whenever
-    # the shape and nnz allow, whatever the source held.
-    dim = X.shape[1]
-    idx_dtype = np.int32 if max(m, dim, nnz) <= _INT32_MAX else np.int64
-    return CsrRows(
-        X.data[pos],
-        X.indices[pos].astype(idx_dtype, copy=False),
-        indptr.astype(idx_dtype, copy=False),
-        (m, dim),
-        row_of_nnz,
+    pos += np.arange(int(indptr[m]))
+    return Csr(
+        X.data[pos], X.indices[pos], indptr, (m, X.shape[1]), row_of_nnz
     )
 
 
 def matvec(X: "Matrix", w: np.ndarray) -> np.ndarray:
     """``X @ w`` for any block payload.
 
-    On :class:`CsrRows`: per-row sums in storage order, the loop order of
+    On :class:`Csr`: per-row sums in storage order, the loop order of
     scipy's ``csr_matvec``.
     """
-    if type(X) is CsrRows:
+    if type(X) is Csr:
         return np.bincount(
             X.row_of_nnz, weights=X.data * w[X.indices], minlength=X.shape[0]
         )
@@ -186,18 +164,39 @@ def matvec(X: "Matrix", w: np.ndarray) -> np.ndarray:
 
 
 def rmatvec(X: "Matrix", r: np.ndarray) -> np.ndarray:
-    """``X.T @ r`` for any block payload, as a flat array.
+    """``X.T @ r`` for any block payload.
 
-    On :class:`CsrRows`: per-column sums in storage order, the loop order
-    of scipy's ``csc_matvec`` on the transpose.
+    On :class:`Csr`: per-column sums in storage order, the loop order of
+    scipy's ``csc_matvec`` on the transpose.
     """
-    if type(X) is CsrRows:
+    if type(X) is Csr:
         return np.bincount(
             X.indices, weights=X.data * r[X.row_of_nnz], minlength=X.shape[1]
         )
-    if isinstance(X, np.ndarray):
-        return X.T @ r
-    return np.asarray(X.T @ r).ravel()
+    return X.T @ r
+
+
+def gram(X: "Matrix") -> np.ndarray:
+    """``X.T @ X`` as a dense ``(d, d)`` array.
+
+    On :class:`Csr`: one ``np.bincount`` keyed by ``(a, b)`` over every
+    pair of entries that share a row, rows in ascending order. Each sum
+    then adds its products row by row, as scipy's ``csr_matmat`` does
+    for ``(X.T @ X).toarray()``.
+    """
+    if type(X) is not Csr:
+        return X.T @ X
+    d, rows = X.shape[1], X.row_of_nnz
+    indptr = X.indptr.astype(np.intp)
+    reps = np.diff(indptr)[rows]  # entry e pairs with every entry of its row
+    a = np.arange(X.nnz).repeat(reps)
+    # pair j of entry e's run of pairs is entry indptr[row] + j
+    run_start = np.cumsum(reps) - reps
+    b = np.arange(len(a)) - (run_start - indptr[rows]).repeat(reps)
+    key = X.indices[a].astype(np.intp) * d + X.indices[b]
+    return np.bincount(
+        key, weights=X.data[a] * X.data[b], minlength=d * d
+    ).reshape(d, d)
 
 
 def grouped_products(
@@ -211,29 +210,22 @@ def grouped_products(
     Each output row is bit-equal to :func:`rmatvec` / :func:`matvec` on
     ``MatrixBlock.take_rows`` of group ``g``'s rows.
 
-    Sparse payloads take one pass for all groups: the row products read
+    A :class:`Csr` takes one pass for all groups: the row products read
     each stored entry's own group's vector, and the column sums are one
     ``np.bincount`` keyed by ``(group, column)``, which adds every key's
-    entries in storage order, as the per-group products do. A scipy
-    matrix goes through its raw arrays (its rows' entries are
-    ``repeat``-ed row ids). Dense payloads keep a gather and two BLAS
-    calls per group: BLAS's bits depend on the matrix it is handed.
+    entries in storage order, as the per-group products do. Dense
+    payloads keep a gather and two BLAS calls per group: BLAS's bits
+    depend on the matrix it is handed.
     """
     k, dim = len(ws), X.shape[1]
-    if isinstance(X, np.ndarray):
+    if type(X) is not Csr:
         out = np.empty((k, dim))
         for g, w in enumerate(ws):
             rows = np.flatnonzero(group == g)
             Xg = X[rows]
             out[g] = Xg.T @ link(Xg @ w, y[rows])
         return out
-    if type(X) is CsrRows:
-        data, indices, row_of_nnz = X.data, X.indices, X.row_of_nnz
-    else:
-        X = X.tocsr()
-        lo, hi = X.indptr[0], X.indptr[-1]
-        data, indices = X.data[lo:hi], X.indices[lo:hi]
-        row_of_nnz = np.arange(X.shape[0]).repeat(np.diff(X.indptr))
+    data, indices, row_of_nnz = X.data, X.indices, X.row_of_nnz
     key = group[row_of_nnz] * dim + indices
     W = np.concatenate(ws) if k else np.empty(0)
     m = np.bincount(row_of_nnz, weights=data * W[key], minlength=X.shape[0])
@@ -243,7 +235,7 @@ def grouped_products(
     ).reshape(k, dim)
 
 
-Matrix = Union[np.ndarray, "sparse.csr_matrix", CsrRows]
+Matrix = Union[np.ndarray, Csr]
 
 
 @dataclass
@@ -252,8 +244,8 @@ class MatrixBlock:
 
     Attributes
     ----------
-    X: dense ``(rows, d)`` array, CSR matrix, or — for a small row
-        subset of a CSR block — :class:`CsrRows`.
+    X: dense ``(rows, d)`` array or :class:`Csr` (a scipy CSR matrix
+        is adopted, :func:`as_matrix`).
     y: targets, shape ``(rows,)``.
     offset: global index of the first row in this block.
     """
@@ -267,6 +259,9 @@ class MatrixBlock:
     ids: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        # Guarded inline: every task's take_rows builds a block.
+        if type(self.X) is not np.ndarray and type(self.X) is not Csr:
+            self.X = as_matrix(self.X)
         if self.X.shape[0] != self.y.shape[0]:
             raise DataError(
                 f"X has {self.X.shape[0]} rows but y has {self.y.shape[0]}"
@@ -284,10 +279,7 @@ class MatrixBlock:
 
     @property
     def is_sparse(self) -> bool:
-        X = self.X  # of the three payloads, only dense is an ndarray
-        return type(X) is not np.ndarray and (
-            type(X) is CsrRows or not isinstance(X, np.ndarray)
-        )
+        return type(self.X) is Csr
 
     @property
     def nnz(self) -> int:
@@ -316,15 +308,13 @@ class MatrixBlock:
 
         The sub-block remembers which rows of the *source* block it holds
         (``ids``), composing through repeated selection. Rows of a sparse
-        block come back as :class:`CsrRows` up to
-        :data:`ARRAY_ROWS_MAX_NNZ` gathered nonzeros and as a scipy CSR
-        matrix above it.
+        block are a :class:`Csr` gathered from its raw arrays.
         """
         idx = np.asarray(idx, dtype=np.intp)
         source_ids = idx if self.ids is None else self.ids[idx]
         X = self.X
         return MatrixBlock(
-            X=X[idx] if isinstance(X, np.ndarray) else _sparse_rows(X, idx),
+            X=_sparse_rows(X, idx) if type(X) is Csr else X[idx],
             y=self.y[idx], offset=self.offset,
             block_id=self.block_id, ids=source_ids,
         )
@@ -391,11 +381,7 @@ def stack_blocks(
         bp = b.X.indptr
         indptr[lo : lo + b.rows + 1] = bp.astype(np.int64) - int(bp[0]) + nnz
         nnz += int(bp[-1]) - int(bp[0])
-    X = scipy_sparse().csr_matrix(
-        (data, indices, indptr),
-        shape=(int(bounds[-1]), blocks[0].dim),
-        copy=False,
-    )
+    X = Csr(data, indices, indptr, (int(bounds[-1]), blocks[0].dim))
     return X, y, bounds
 
 
@@ -405,10 +391,11 @@ def split_matrix(
     """Split ``(X, y)`` row-wise into ``num_blocks`` contiguous blocks.
 
     Blocks sizes differ by at most one row (numpy ``array_split``
-    convention). CSR inputs stay CSR; anything sparse is converted to CSR.
+    convention). A sparse ``X`` is a :class:`Csr` or adopted as one
+    (:func:`as_matrix`).
 
     Blocks are *views* of the parent storage, never copies: dense slices
-    alias ``X`` directly, and CSR blocks are rebuilt around slices of the
+    alias ``X`` directly, and CSR blocks are built around slices of the
     parent's ``data``/``indices``/``indptr`` (fancy indexing ``X[lo:hi]``
     would copy every nonzero). This is what keeps shared-memory datasets
     (:mod:`repro.data.shm`) one physical copy per host after splitting.
@@ -420,9 +407,8 @@ def split_matrix(
         raise DataError(f"X has {n} rows but y has {y.shape[0]}")
     if num_blocks > n:
         raise DataError(f"cannot split {n} rows into {num_blocks} blocks")
-    csr = type(X) is not np.ndarray and issparse(X)
-    if csr and X.format != "csr":
-        X = X.tocsr()
+    X = as_matrix(X)
+    csr = type(X) is Csr
     bounds = np.linspace(0, n, num_blocks + 1).astype(np.intp)
     blocks = []
     for i in range(num_blocks):
@@ -430,10 +416,9 @@ def split_matrix(
         if csr:
             indptr = X.indptr
             s, e = int(indptr[lo]), int(indptr[hi])
-            Xb = scipy_sparse().csr_matrix(
-                (X.data[s:e], X.indices[s:e], indptr[lo : hi + 1] - indptr[lo]),
-                shape=(hi - lo, X.shape[1]),
-                copy=False,
+            Xb = Csr(
+                X.data[s:e], X.indices[s:e], indptr[lo : hi + 1] - indptr[lo],
+                (hi - lo, X.shape[1]),
             )
         else:
             Xb = X[lo:hi]

@@ -12,15 +12,12 @@ from __future__ import annotations
 import io
 import math
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Union
+from typing import IO, Union
 
 import numpy as np
 
-from repro.data.blocks import issparse, scipy_sparse
+from repro.data.blocks import Csr, as_matrix
 from repro.errors import DataError
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = ["load_libsvm", "dump_libsvm"]
 
@@ -47,8 +44,8 @@ def load_libsvm(
     *,
     zero_based: bool = False,
     dtype=np.float64,
-) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Parse LIBSVM text into ``(X_csr, y)``.
+) -> tuple[Csr, np.ndarray]:
+    """Parse LIBSVM text into ``(X, y)``, ``X`` a :class:`Csr`.
 
     Parameters
     ----------
@@ -110,9 +107,9 @@ def load_libsvm(
         raise DataError(
             f"n_features={d} but data references feature {inferred - 1}"
         )
-    X = scipy_sparse().csr_matrix(
-        (np.asarray(data, dtype=dtype), indices, indptr),
-        shape=(len(labels), d),
+    X = Csr(
+        np.asarray(data, dtype=dtype), np.asarray(indices, dtype=np.intp),
+        np.asarray(indptr, dtype=np.intp), (len(labels), d),
     )
     return X, np.asarray(labels, dtype=np.float64)
 
@@ -120,11 +117,14 @@ def load_libsvm(
 def dump_libsvm(
     X, y: np.ndarray, target: PathOrFile, *, zero_based: bool = False
 ) -> None:
-    """Write ``(X, y)`` in LIBSVM format (sorted, sparse-aware)."""
+    """Write ``(X, y)`` in LIBSVM format (sorted, sparse-aware).
+
+    ``X`` is dense, a :class:`Csr` or a scipy CSR matrix (adopted).
+    """
+    X = as_matrix(X)
     if X.shape[0] != len(y):
         raise DataError(f"X has {X.shape[0]} rows but y has {len(y)}")
     offset = 0 if zero_based else 1
-    csr = X.tocsr() if issparse(X) else None
 
     def write_to(fh: IO[str]) -> None:
         for i in range(X.shape[0]):
@@ -132,9 +132,9 @@ def dump_libsvm(
             label_s = (
                 str(int(label)) if float(label).is_integer() else repr(float(label))
             )
-            if csr is not None:
-                row = csr.getrow(i)
-                pairs = zip(row.indices, row.data)
+            if type(X) is Csr:
+                lo, hi = X.indptr[i], X.indptr[i + 1]
+                pairs = zip(X.indices[lo:hi], X.data[lo:hi])
             else:
                 row = np.asarray(X[i]).ravel()
                 nz = np.nonzero(row)[0]
@@ -150,6 +150,6 @@ def dump_libsvm(
         write_to(target)
 
 
-def loads_libsvm(text: str, **kwargs) -> tuple[sparse.csr_matrix, np.ndarray]:
+def loads_libsvm(text: str, **kwargs) -> tuple[Csr, np.ndarray]:
     """Parse LIBSVM content from a string."""
     return load_libsvm(io.StringIO(text), **kwargs)

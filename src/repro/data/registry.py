@@ -29,6 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
+import numpy as np
+
+from repro.data.blocks import index_dtype
 from repro.data.synthetic import (
     make_classification,
     make_dense_regression,
@@ -95,9 +98,10 @@ class DatasetSpec:
 
     @property
     def size_bytes(self) -> int:
-        if self.sparse:
-            nnz = int(self.n * max(1, round(self.density * self.d)))
-            return nnz * (8 + 8) + (self.n + 1) * 8
+        if self.sparse:  # a Csr's float64 data, indices and indptr
+            nnz = self.n * max(1, round(self.density * self.d))
+            isz = np.dtype(index_dtype(self.n, self.d, nnz)).itemsize
+            return nnz * (8 + isz) + (self.n + 1) * isz
         return self.n * self.d * 8
 
 

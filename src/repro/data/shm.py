@@ -22,9 +22,10 @@ Attachment (inside a worker, via :func:`repro.api.parallel.prepare_shared`)::
 Manifests reach the fabric's forked local workers as an argument, once
 at start-up (:func:`set_active_manifests`). Dense datasets
 publish ``X``/``y``; CSR datasets publish the ``data``/``indices``/
-``indptr`` triplet plus ``y``, and attachment rebuilds the matrix around
-the mapped buffers without copying. Attached arrays are marked read-only
-— the dataset is immutable shared state.
+``indptr`` triplet plus ``y``, and attachment builds a
+:class:`~repro.data.blocks.Csr` around the mapped buffers without
+copying. Attached arrays are marked read-only — the dataset is
+immutable shared state.
 
 Lifecycle: the publisher *closes* its own mapping as soon as the copy-in
 finishes (POSIX segments persist until unlinked, so its RSS holds at
@@ -55,7 +56,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.data.blocks import issparse, scipy_sparse
+from repro.data.blocks import Csr, as_matrix
 from repro.errors import DataError
 
 __all__ = [
@@ -144,15 +145,14 @@ def publish_arrays(key: str, X, y, dspec) -> DatasetPublication | None:
 
     Returns ``None`` when shared memory is unavailable on this host
     (callers then simply skip sharing — every worker materializes its
-    own copy, exactly the pre-shm behavior).
+    own copy, exactly the pre-shm behavior). A sparse ``X`` is a
+    :class:`~repro.data.blocks.Csr` or adopted as one.
     """
-    if issparse(X):
-        X = X.tocsr()
+    X = as_matrix(X)
+    if type(X) is Csr:
         kind = "csr"
         parts = {
-            "data": np.asarray(X.data),
-            "indices": np.asarray(X.indices),
-            "indptr": np.asarray(X.indptr),
+            "data": X.data, "indices": X.indices, "indptr": X.indptr,
             "y": np.asarray(y),
         }
     else:
@@ -251,11 +251,7 @@ def attach_dataset(manifest: Mapping[str, Any]):
         ) from exc
     shape = tuple(manifest["shape"])
     if manifest["kind"] == "csr":
-        X: Any = scipy_sparse().csr_matrix(
-            (views["data"], views["indices"], views["indptr"]),
-            shape=shape,
-            copy=False,
-        )
+        X: Any = Csr(views["data"], views["indices"], views["indptr"], shape)
     else:
         X = views["X"]
     dspec = DatasetSpec(**manifest["dspec"])

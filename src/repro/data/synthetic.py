@@ -8,16 +8,11 @@ byte-for-byte.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from repro.data.blocks import scipy_sparse
+from repro.data.blocks import Csr
 from repro.errors import DataError
 from repro.utils.rng import spawn_generator
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "make_dense_regression",
@@ -64,13 +59,14 @@ def make_sparse_regression(
     noise: float = 0.01,
     seed: int = 0,
     normalize_rows: bool = True,
-) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray]:
+) -> tuple[Csr, np.ndarray, np.ndarray]:
     """Sparse least-squares instance (the rcv1-like regime).
 
     Every row gets the same number of nonzeros ``max(1, density*d)`` at
     uniform positions with N(0,1) values, then (by default) L2-normalized
     rows — rcv1's tf-idf vectors are unit-norm, which is what makes
-    constant-ish step sizes workable on it. Returns ``(X_csr, y, w_true)``.
+    constant-ish step sizes workable on it. Returns ``(X, y, w_true)``
+    with ``X`` a :class:`~repro.data.blocks.Csr`.
     """
     if not 0 < density <= 1:
         raise DataError(f"density must be in (0, 1], got {density}")
@@ -89,7 +85,7 @@ def make_sparse_regression(
         )
         norms[norms == 0] = 1.0
         vals = vals / np.repeat(norms, nnz_per_row)
-    X = scipy_sparse().csr_matrix((vals, cols, indptr), shape=(n, d))
+    X = Csr(vals, cols, indptr, (n, d))
     w_true = rng.standard_normal(d)
     y = X @ w_true + noise * rng.standard_normal(n)
     return X, y, w_true

@@ -9,10 +9,10 @@ vectorized block kernel ``grad_sum(X, y, w)`` (sum of per-sample gradients
 over a block), which is a single BLAS / sparse matvec pair per task — no
 per-row Python, per the HPC guides — and SAGA's ``grad_sum_grouped``,
 the same sum with every row at its own stored model version, one
-grouped product pair for a sparse batch. ``X`` is whatever a block holds (dense
-array, scipy CSR matrix, or a small row subset's
-:class:`~repro.data.blocks.CsrRows`); :mod:`repro.data.blocks` owns how
-each of them multiplies.
+grouped product pair for a sparse batch. ``X`` is whatever a block holds
+(a dense array or a :class:`~repro.data.blocks.Csr`; a scipy CSR training
+set is adopted as one); :mod:`repro.data.blocks` owns how each of them
+multiplies.
 
 Exact optima give the error curves ``F(w) - F*`` that every figure of
 the paper plots: normal equations for least squares; for logistic
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.api.registry import register_problem
 from repro.data.blocks import (
-    MatrixBlock, grouped_products, issparse, matvec, rmatvec,
+    Csr, MatrixBlock, as_matrix, gram, grouped_products, matvec, rmatvec,
 )
 from repro.errors import OptimError
 
@@ -42,9 +42,8 @@ __all__ = [
 
 
 def _as_dense_rowmajor(X):
-    if type(X) is not np.ndarray and issparse(X):
-        return X.tocsr()
-    return np.ascontiguousarray(X)
+    X = as_matrix(X)
+    return X if type(X) is Csr else np.ascontiguousarray(X)
 
 
 def _sum_groups(G: np.ndarray) -> np.ndarray:
@@ -179,17 +178,13 @@ class LeastSquaresProblem(Problem):
 
     def solve_optimum(self) -> np.ndarray:
         # Normal equations: ((2/n) X^T X + lam I) w = (2/n) X^T y.
-        d = self.dim
-        if issparse(self.X):
-            gram = (2.0 / self.n) * (self.X.T @ self.X).toarray()
-        else:
-            gram = (2.0 / self.n) * (self.X.T @ self.X)
-        gram = gram + (self.lam + 1e-12) * np.eye(d)
-        rhs = (2.0 / self.n) * np.asarray(self.X.T @ self.y).ravel()
+        G = (2.0 / self.n) * gram(self.X)
+        G = G + (self.lam + 1e-12) * np.eye(self.dim)
+        rhs = (2.0 / self.n) * rmatvec(self.X, self.y)
         try:
-            return np.linalg.solve(gram, rhs)
+            return np.linalg.solve(G, rhs)
         except np.linalg.LinAlgError:
-            return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+            return np.linalg.lstsq(G, rhs, rcond=None)[0]
 
 
 @register_problem("ridge")

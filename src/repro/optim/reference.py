@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.blocks import issparse
+from repro.data.blocks import Csr, MatrixBlock, matvec
 from repro.errors import OptimError
 from repro.optim.problems import Problem
 from repro.utils.rng import spawn_generator
@@ -39,14 +39,15 @@ def reference_sgd(
         raise OptimError("batch_fraction must be in (0, 1]")
     if iterations <= 0:
         raise OptimError("iterations must be positive")
-    X, y, n = problem.X, problem.y, problem.n
+    data, n = MatrixBlock(problem.X, problem.y), problem.n
     rng = spawn_generator(seed, "ref-sgd")
     w = problem.initial_point()
     batch = max(1, int(round(batch_fraction * n)))
     history = [(0, problem.error(w))]
     for t in range(1, iterations + 1):
         idx = rng.choice(n, size=batch, replace=False)
-        g = problem.grad_sum(X[idx], y[idx], w) / batch
+        sub = data.take_rows(idx)
+        g = problem.grad_sum(sub.X, sub.y, w) / batch
         if problem.lam:
             g = g + problem.lam * w
         w = w - (alpha0 / np.sqrt(t)) * g
@@ -73,8 +74,7 @@ def reference_saga(
     """
     if not 0 < batch_fraction <= 1:
         raise OptimError("batch_fraction must be in (0, 1]")
-    X, y, n = problem.X, problem.y, problem.n
-    d = problem.dim
+    data, n, d = MatrixBlock(problem.X, problem.y), problem.n, problem.dim
     rng = spawn_generator(seed, "ref-saga")
     w = problem.initial_point()
     batch = max(1, int(round(batch_fraction * n)))
@@ -83,14 +83,14 @@ def reference_saga(
     # Algorithm 3.
     table = np.empty((n, d))
     for j in range(0, n, 4096):
-        rows = slice(j, min(j + 4096, n))
-        table[rows] = _per_sample_grads(problem, X[rows], y[rows], w)
+        rows = np.arange(j, min(j + 4096, n))
+        table[rows] = _per_sample_grads(problem, data.take_rows(rows), w)
     avg = table.mean(axis=0)
 
     history = [(0, problem.error(w))]
     for t in range(1, iterations + 1):
         idx = rng.choice(n, size=batch, replace=False)
-        fresh = _per_sample_grads(problem, X[idx], y[idx], w)
+        fresh = _per_sample_grads(problem, data.take_rows(idx), w)
         old = table[idx]
         g = fresh.mean(axis=0) - old.mean(axis=0) + avg
         if problem.lam:
@@ -103,23 +103,26 @@ def reference_saga(
     return w, history
 
 
-def _per_sample_grads(problem: Problem, Xb, yb, w) -> np.ndarray:
+def _per_sample_grads(problem: Problem, block: MatrixBlock, w) -> np.ndarray:
     """Per-sample gradient rows for a block (dense output)."""
     from repro.optim.problems import (
         LeastSquaresProblem,
         LogisticRegressionProblem,
     )
 
+    Xb, yb = block.X, block.y
     if isinstance(problem, LeastSquaresProblem):
-        r = Xb @ w - yb
+        r = matvec(Xb, w) - yb
         coef = 2.0 * r
     elif isinstance(problem, LogisticRegressionProblem):
-        margins = -yb * (Xb @ w)
+        margins = -yb * matvec(Xb, w)
         coef = -yb * LogisticRegressionProblem._sigmoid(margins)
     else:  # pragma: no cover - extension point
         raise OptimError(
             f"no per-sample gradient rule for {type(problem).__name__}"
         )
-    if issparse(Xb):
-        return np.asarray(Xb.multiply(coef[:, None]).todense())
+    if type(Xb) is Csr:
+        out, rows = np.zeros(Xb.shape), Xb.row_of_nnz
+        np.add.at(out, (rows, Xb.indices), Xb.data * coef[rows])
+        return out
     return Xb * coef[:, None]

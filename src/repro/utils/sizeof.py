@@ -2,7 +2,7 @@
 
 The DES network model charges transfers by byte volume. This module
 estimates the serialized size of the payloads the engine ships around:
-numpy arrays, scipy sparse matrices, python scalars and (shallow)
+numpy arrays, CSR matrices, python scalars and (shallow)
 containers. The numbers approximate pickled sizes without paying for an
 actual pickle round-trip on the hot path.
 """
@@ -12,8 +12,6 @@ from __future__ import annotations
 from typing import Any
 
 import numpy as np
-
-from repro.data.blocks import issparse
 
 __all__ = ["sizeof_bytes"]
 
@@ -25,7 +23,7 @@ def sizeof_bytes(obj: Any) -> int:
     """Estimate the serialized size in bytes of ``obj``.
 
     Supports ``None``, bools, ints, floats, strings/bytes, numpy scalars and
-    ndarrays, scipy sparse matrices (CSR/CSC/COO), and lists/tuples/dicts of
+    ndarrays, CSR matrices (a ``Csr`` or scipy's), and lists/tuples/dicts of
     the above. Unknown objects are charged a flat overhead — good enough for
     cost modelling, where model vectors and matrix blocks dominate.
     """
@@ -56,23 +54,10 @@ def sizeof_bytes(obj: Any) -> int:
         return _OBJ_OVERHEAD + len(obj)
     if isinstance(obj, np.ndarray):
         return _OBJ_OVERHEAD + int(obj.nbytes)
-    # ``format == "csr"``: a block's array-level row subset (CsrRows)
-    # carries the same three arrays as the scipy matrix and is priced alike.
-    if getattr(obj, "format", None) == "csr" or issparse(obj):
-        csr = obj
-        if obj.format == "coo":
-            # COO: row + col + data
-            return _OBJ_OVERHEAD + int(
-                obj.data.nbytes + obj.row.nbytes + obj.col.nbytes
-            )
-        data = getattr(csr, "data", None)
-        indices = getattr(csr, "indices", None)
-        indptr = getattr(csr, "indptr", None)
-        total = _OBJ_OVERHEAD
-        for part in (data, indices, indptr):
-            if part is not None:
-                total += int(part.nbytes)
-        return total
+    if getattr(obj, "format", None) == "csr":  # its three arrays
+        return _OBJ_OVERHEAD + int(
+            obj.data.nbytes + obj.indices.nbytes + obj.indptr.nbytes
+        )
     if isinstance(obj, (list, tuple, set, frozenset)):
         return _OBJ_OVERHEAD + sum(sizeof_bytes(x) for x in obj)
     if isinstance(obj, dict):

@@ -14,6 +14,7 @@ AC.hasNext()           AC.has_next()
 =====================  ==========================================
 """
 
+import ast
 import inspect
 import os
 import subprocess
@@ -319,9 +320,9 @@ def _fresh_interpreter(code):
     assert proc.returncode == 0, proc.stderr
 
 
-#: What ``import repro`` and a dense run never load: scipy serves sparse
-#: and LIBSVM data only (``scipy.sparse``, imported by the first sparse
-#: matrix built), and no run solves anything with ``scipy.optimize``.
+#: What no part of the package loads: scipy is a test-only import, the
+#: oracle of the parity tests (sparse data is NumPy's ``Csr``, the
+#: logistic optimum a NumPy Newton–CG solve).
 _SET_UP_ONLY = ("scipy",)
 
 _LOADED = f"""
@@ -347,28 +348,61 @@ assert "concurrent.futures.process" not in sys.modules  # no pool tier
 """)
 
 
-def test_lazy_scipy_imports_fire_where_they_are_used():
-    """A dense logistic spec end to end (its reference optimum is a NumPy
-    Newton solve) loads no scipy; sparse data loads ``scipy.sparse``."""
+def test_no_run_loads_scipy(tmp_path):
+    """``import repro``, a sparse ASAGA spec end to end (its ``F*`` is a
+    least-squares solve over CSR data), a dense logistic one, the LIBSVM
+    reader and writer, and a CSR shared-memory publish and attach."""
+    path = str(tmp_path / "data.libsvm")
     _fresh_interpreter(f"""
 import sys
 {_LOADED}
+import repro
 from repro.api.runner import prepare_experiment, summarize
+from repro.data import shm
+from repro.data.libsvm import dump_libsvm, load_libsvm
+from repro.data.registry import get_dataset
 
 def run(dataset, **spec):
     prep = prepare_experiment(dict(
-        algorithm="asgd", dataset=dataset, max_updates=40, eval_every=20,
-        seed=0, **spec,
+        dataset=dataset, max_updates=40, eval_every=20, seed=0, **spec,
     ))
     summary = summarize(prep, prep.execute())  # F(w) - F*: solves F*
     assert summary["final_error"] < summary["initial_error"]
 
-run("synth_logistic", problem="logistic")
+run("rcv1_like", algorithm="asaga", params={{"mode": "history"}},
+    policy="ssp:4", num_workers=4)
+run("synth_logistic", algorithm="asgd", problem="logistic")
+X, y, _ = get_dataset("tiny_sparse", seed=0)
+dump_libsvm(X, y, {path!r})
+X2, y2 = load_libsvm({path!r}, n_features=X.shape[1])
+assert X2.nnz == X.nnz and (y2 == y).all()
+pub = shm.publish_dataset("tiny_sparse", 0)
+if pub is not None:
+    Xs, ys, _ = shm.attach_dataset(pub.manifest)
+    assert (Xs.indptr == X.indptr).all() and (Xs.data == X.data).all()
+    shm.detach_all()
+    pub.unlink()
 assert not loaded(), loaded()
-run("rcv1_like")
-assert "scipy.sparse" in sys.modules
-assert "scipy.optimize" not in sys.modules
 """)
+
+
+def test_no_module_under_src_imports_scipy():
+    """The ratchet behind ``install_requires=["numpy"]``: no ``import
+    scipy`` or ``from scipy`` anywhere in the package, at any depth
+    (function bodies and ``TYPE_CHECKING`` blocks included)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.partition(".")[0] == "scipy" for n in names):
+                offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert not offenders, offenders
 
 
 @pytest.mark.parametrize("spec", [

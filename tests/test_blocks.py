@@ -8,14 +8,22 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from repro.data.blocks import (
-    ARRAY_ROWS_MAX_NNZ,
-    CsrRows,
+    Csr,
     MatrixBlock,
+    gram,
+    grouped_products,
+    matvec,
+    rmatvec,
     split_matrix,
     stack_blocks,
 )
 from repro.errors import DataError
 from repro.utils.sizeof import sizeof_bytes
+
+
+def to_scipy(X: Csr) -> sparse.csr_matrix:
+    """The scipy twin of a ``Csr`` (same arrays): the oracle's operand."""
+    return sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
 
 
 def make_block(n=20, d=4, offset=0, seed=0):
@@ -119,10 +127,23 @@ def test_split_matrix_partitions_cover_everything():
 
 
 def test_split_matrix_sparse_stays_csr():
-    X = sparse.random(64, 16, density=0.2, format="coo", random_state=0)
+    X = sparse.random(64, 16, density=0.2, format="csr", random_state=0)
     y = np.zeros(64)
     blocks = split_matrix(X, y, 4)
-    assert all(sparse.isspmatrix_csr(b.X) for b in blocks)
+    assert all(type(b.X) is Csr for b in blocks)
+    # Views of the adopted arrays, not copies.
+    assert all(np.shares_memory(b.X.data, X.data) for b in blocks)
+
+
+@pytest.mark.parametrize("fmt", ["coo", "csc"])
+def test_other_sparse_formats_are_a_typed_error(fmt):
+    """Adoption is by duck type and never imports scipy; only CSR is
+    adopted, and the error says how to get there."""
+    X = sparse.random(8, 4, density=0.5, format=fmt, random_state=0)
+    with pytest.raises(DataError, match=r"\.tocsr\(\)"):
+        split_matrix(X, np.zeros(8), 2)
+    with pytest.raises(DataError, match=r"\.tocsr\(\)"):
+        MatrixBlock(X=X, y=np.zeros(8))
 
 
 def test_split_matrix_validation():
@@ -153,7 +174,8 @@ def test_stack_blocks_round_trips_csr_segments():
     y = np.arange(41.0)
     blocks = split_matrix(X, y, 5)
     sx, sy, bounds = stack_blocks(blocks)
-    assert sparse.isspmatrix_csr(sx) and sx.shape == X.shape
+    assert type(sx) is Csr and sx.shape == X.shape
+    assert sx.indptr.dtype == X.indptr.dtype  # narrowed, as scipy does
     # Same values in the same within-row storage order, not just equal
     # as matrices.
     assert np.array_equal(sx.data, X.data)
@@ -161,7 +183,7 @@ def test_stack_blocks_round_trips_csr_segments():
     assert np.array_equal(sx.indptr, X.indptr)
     assert np.array_equal(sy, y)
     for block, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
-        assert (sx[lo:hi] != block.X).nnz == 0
+        assert (to_scipy(sx)[lo:hi] != to_scipy(block.X)).nnz == 0
 
 
 def test_stack_blocks_validation():
@@ -219,7 +241,7 @@ def csr_block_and_idx(draw):
     return block, np.asarray(idx, dtype=np.intp)
 
 
-def assert_same_csr(rows: CsrRows, ref: sparse.csr_matrix):
+def assert_same_csr(rows: Csr, ref: sparse.csr_matrix):
     assert rows.shape == ref.shape and rows.nnz == ref.nnz
     for name in ("data", "indices", "indptr"):
         got, want = getattr(rows, name), getattr(ref, name)
@@ -232,14 +254,15 @@ def assert_same_csr(rows: CsrRows, ref: sparse.csr_matrix):
 def test_sparse_take_rows_equals_scipy_fancy_indexing(case):
     block, idx = case
     sub = block.take_rows(idx)
-    ref = MatrixBlock(X=block.X[idx], y=block.y[idx], ids=idx)
-    assert type(sub.X) is CsrRows and sub.is_sparse
-    assert_same_csr(sub.X, ref.X)
+    ref_X = to_scipy(block.X)[idx]
+    ref = MatrixBlock(X=ref_X, y=block.y[idx], ids=idx)
+    assert type(sub.X) is Csr and sub.is_sparse
+    assert_same_csr(sub.X, ref_X)
     assert np.array_equal(sub.y, ref.y) and np.array_equal(sub.ids, idx)
     assert (sub.rows, sub.dim, sub.nnz) == (ref.rows, ref.dim, ref.nnz)
     assert sub.cost_units() == ref.cost_units()
     assert sub.cost_units(3) == ref.cost_units(3)
-    assert sizeof_bytes(sub.X) == sizeof_bytes(ref.X)
+    assert sizeof_bytes(sub.X) == sizeof_bytes(ref_X)
     assert sizeof_bytes(sub) == sizeof_bytes(ref)
 
 
@@ -254,12 +277,12 @@ def test_sparse_take_rows_composes(case, data):
     ), dtype=np.intp)
     subsub = sub.take_rows(again)
     assert np.array_equal(subsub.ids, idx[again])
-    assert_same_csr(subsub.X, block.X[idx][again])
+    assert_same_csr(subsub.X, to_scipy(block.X)[idx][again])
     assert np.array_equal(subsub.y, block.y[idx][again])
 
 
 def test_sparse_take_rows_on_a_shared_memory_attachment():
-    """``data/shm.py`` hands out CSR matrices over read-only mapped buffers."""
+    """``data/shm.py`` hands out a ``Csr`` over read-only mapped buffers."""
     from repro.data import shm
 
     pub = shm.publish_dataset("tiny_sparse", 0)
@@ -270,7 +293,7 @@ def test_sparse_take_rows_on_a_shared_memory_attachment():
         block = split_matrix(X, y, 4)[2]
         idx = np.array([5, 0, 5, block.rows - 1, -2], dtype=np.intp)
         sub = block.take_rows(idx)
-        assert_same_csr(sub.X, block.X[idx])
+        assert_same_csr(sub.X, to_scipy(block.X)[idx])
         assert sub.X.data.flags.writeable  # a gather, not a view of the map
         del X, y, block
     finally:
@@ -279,47 +302,82 @@ def test_sparse_take_rows_on_a_shared_memory_attachment():
         pub.unlink()
 
 
-def test_take_rows_converts_non_csr_sparse_storage():
-    X = sparse.random(12, 5, density=0.4, format="csc", random_state=2)
-    block = MatrixBlock(X=X, y=np.arange(12.0))
-    idx = np.array([7, 7, 1])
-    assert_same_csr(block.take_rows(idx).X, X.tocsr()[idx])
-
-
-def test_large_sparse_subsets_stay_with_scipy():
-    """Above ``ARRAY_ROWS_MAX_NNZ`` gathered nonzeros scipy's compiled
-    gather and products win; the subset is ``X[idx]`` as before."""
-    X = sparse.random(400, 60, density=0.5, format="csr", random_state=0)
-    block = MatrixBlock(X=X, y=np.arange(400.0))
-    # The first ``k`` rows hold at most the limit; one more row exceeds it.
-    k = int(np.searchsorted(X.indptr, ARRAY_ROWS_MAX_NNZ, side="right")) - 1
-    assert X.indptr[k] <= ARRAY_ROWS_MAX_NNZ < X.indptr[k + 1]
-    assert type(block.take_rows(np.arange(k)).X) is CsrRows
-    big = block.take_rows(np.arange(k + 1))
-    assert sparse.isspmatrix_csr(big.X) and big.is_sparse
-    assert (big.X != X[: k + 1]).nnz == 0
-    # A subset of the scipy subset picks its form by its own size, and
-    # ``ids`` still compose.
-    again = big.take_rows(np.array([7, 3, 7]))
-    assert_same_csr(again.X, X[[7, 3, 7]])
-    assert np.array_equal(again.ids, [7, 3, 7])
-
-
 @settings(max_examples=100, deadline=None)
 @given(csr_block_and_idx(), st.integers(0, 2**32 - 1))
 def test_csr_rows_supports_the_operators_kernels_use(case, seed):
     """A map kernel or registered Problem written against scipy blocks
-    (``X @ w``, ``X.T @ r``) gets the same bits from a ``CsrRows``."""
+    (``X @ w``, ``X.T @ r``) gets scipy's bits from a ``Csr``; anything
+    but a vector is an error, never a silent broadcast."""
     block, idx = case
     rng = np.random.default_rng(seed)
     w, r = rng.standard_normal(block.dim), rng.standard_normal(len(idx))
-    rows, ref = block.take_rows(idx).X, block.X[idx]
-    assert type(rows) is CsrRows
+    rows, ref = block.take_rows(idx).X, to_scipy(block.X)[idx]
+    assert type(rows) is Csr
     assert np.array_equal(rows @ w, ref @ w)
     assert rows.T.shape == ref.T.shape
     assert np.array_equal(rows.T @ r, ref.T @ r)
-    assert_same_csr(rows, rows.tocsr())
-    W = rng.standard_normal((block.dim, 2))
-    assert np.array_equal(rows @ W, ref @ W)
-    assert np.array_equal(rows.T @ np.outer(r, [1.0, 2.0]),
-                          ref.T @ np.outer(r, [1.0, 2.0]))
+    with pytest.raises(DataError):
+        rows @ rng.standard_normal((block.dim, 2))
+    with pytest.raises(DataError):
+        rows.T @ np.outer(r, [1.0, 2.0])
+
+
+# -- one sparse form: scipy's bits on both sides of the old 4096 boundary ----
+
+def gathered_batch(nnz: int, seed: int = 0):
+    """A scipy CSR source (1-99 nonzeros per row) and an unsorted row
+    subset of it that gathers exactly ``nnz`` nonzeros."""
+    rng = np.random.default_rng(seed)
+    n, d = 1500, 1000
+    lens = rng.integers(1, 100, size=n)
+    idx = rng.permutation(n)
+    cum = np.cumsum(lens[idx])
+    k = int(np.searchsorted(cum, nnz))
+    lens[idx[k]] -= cum[k] - nnz  # the last row brings the total to nnz
+    indptr = np.concatenate([[0], np.cumsum(lens)])
+    cols = [np.sort(rng.choice(d, size=m, replace=False)) for m in lens]
+    X = sparse.csr_matrix(
+        (rng.standard_normal(indptr[-1]), np.concatenate(cols), indptr),
+        shape=(n, d),
+    )
+    return X, idx[: k + 1]
+
+
+def _logistic_coef(m, y):
+    return -y / (1.0 + np.exp(y * m))
+
+
+@pytest.mark.parametrize("case", ["64", "4096", "4097", "50000", "rcv1_like"])
+def test_csr_products_equal_scipy_across_the_old_boundary(case):
+    """``take_rows``, ``matvec``, ``rmatvec``, ``grouped_products`` and the
+    least-squares ``gram`` have scipy's bits, for a gather of 64, 4096,
+    4097 or 50,000 nonzeros (the array path used to stop at 4096) and for
+    the whole source matrix it came from."""
+    from repro.data.registry import get_dataset
+
+    if case == "rcv1_like":
+        X = to_scipy(get_dataset("rcv1_like", seed=0)[0])
+        idx = np.random.default_rng(0).permutation(X.shape[0])
+    else:
+        X, idx = gathered_batch(int(case))
+    block = MatrixBlock(X=X, y=np.zeros(X.shape[0]))
+    sub = block.take_rows(idx).X
+    assert_same_csr(sub, X[idx])
+    assert case == "rcv1_like" or sub.nnz == int(case)
+    rng = np.random.default_rng(1)
+    for C, S in ((sub, X[idx]), (block.X, X)):
+        m, d = S.shape
+        w, r = rng.standard_normal(d), rng.standard_normal(m)
+        assert np.array_equal(matvec(C, w), S @ w)
+        assert np.array_equal(rmatvec(C, r), S.T @ r)
+        assert np.array_equal(gram(C), (S.T @ S).toarray())
+        y = np.where(rng.random(m) < 0.5, -1.0, 1.0)
+        group = rng.integers(0, 3, size=m)
+        ws = [rng.standard_normal(d) for _ in range(3)]
+        for link in (np.subtract, _logistic_coef):
+            got = grouped_products(C, y, ws, group, link)
+            for g, wg in enumerate(ws):
+                rows = np.flatnonzero(group == g)
+                Sg = S[rows]
+                want = Sg.T @ link(Sg @ wg, y[rows])
+                assert np.array_equal(got[g], want)

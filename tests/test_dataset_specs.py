@@ -4,13 +4,14 @@ import json
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.api import run_experiment
+from repro.data.blocks import Csr
 from repro.data.libsvm import dump_libsvm
 from repro.data.registry import REGISTRY, get_dataset, list_datasets
 from repro.data.synthetic import make_classification
 from repro.errors import DataError
+from test_blocks import to_scipy
 
 
 @pytest.fixture
@@ -24,8 +25,8 @@ def libsvm_file(tmp_path):
 def test_libsvm_dict_spec_loads_file(libsvm_file):
     path, X, y = libsvm_file
     Xl, yl, dspec = get_dataset({"name": "libsvm", "path": path})
-    assert sparse.issparse(Xl)
-    np.testing.assert_allclose(Xl.toarray(), X, rtol=1e-12)
+    assert type(Xl) is Csr
+    np.testing.assert_allclose(to_scipy(Xl).toarray(), X, rtol=1e-12)
     np.testing.assert_allclose(yl, y)
     assert dspec.n == 96 and dspec.d == 6
     assert dspec.name == f"libsvm:{path}"

@@ -4,13 +4,11 @@
 stored model version. Its definition is the per-version loop the ASAGA
 kernel used to run: ``take_rows`` of each version's rows, ``grad_sum`` at
 that version, added into ``zeros(dim)`` in ascending version order. The
-grouped products must agree with that loop bit for bit, for dense,
-``CsrRows`` and scipy-CSR batches alike and on either side of
-``ARRAY_ROWS_MAX_NNZ``; otherwise every pinned ASAGA trajectory moves.
+grouped products must agree with that loop bit for bit, for dense and
+``Csr`` batches alike; otherwise every pinned ASAGA trajectory moves.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -85,18 +83,15 @@ def cases(draw):
     case=cases(),
     problem_name=st.sampled_from(sorted(PROBLEMS)),
     form=st.sampled_from(["dense", "sparse"]),
-    boundary=st.sampled_from([blocks.ARRAY_ROWS_MAX_NNZ, 0, 6]),
 )
-def test_grouped_gradients_equal_the_version_loop(case, problem_name, form, boundary):
+def test_grouped_gradients_equal_the_version_loop(case, problem_name, form):
     X, labels, idx, row_versions, models = case
     y = labels if problem_name == "logistic" else labels * 0.5 + 0.25
     X = X.toarray() if form == "dense" else X
     problem = PROBLEMS[problem_name](X, y)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(blocks, "ARRAY_ROWS_MAX_NNZ", boundary)
-        sub = MatrixBlock(X=problem.X, y=problem.y).take_rows(idx)
-        want = loop_reference(problem, sub, row_versions, models)
-        got = grouped(problem, sub, row_versions, models)
+    sub = MatrixBlock(X=problem.X, y=problem.y).take_rows(idx)
+    want = loop_reference(problem, sub, row_versions, models)
+    got = grouped(problem, sub, row_versions, models)
     assert got.shape == want.shape == (problem.dim,)
     assert got.tobytes() == want.tobytes()
 
@@ -127,13 +122,9 @@ def test_base_class_loop_serves_a_grad_sum_only_problem(case, form):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("boundary", [blocks.ARRAY_ROWS_MAX_NNZ, 0])
-def test_sparse_asaga_task_gathers_once_and_grads_at_most_once(
-    boundary, monkeypatch
-):
+def test_sparse_asaga_task_gathers_once_and_grads_at_most_once(monkeypatch):
     """Counted, not timed: one ``take_rows`` and at most one ``grad_sum``
     per task, however many distinct versions the batch holds."""
-    monkeypatch.setattr(blocks, "ARRAY_ROWS_MAX_NNZ", boundary)
     tasks = []
     live = {}
 

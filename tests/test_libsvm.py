@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.data.blocks import Csr
 from repro.data.libsvm import dump_libsvm, load_libsvm, loads_libsvm
 from repro.errors import DataError
+from test_blocks import to_scipy
 
 SAMPLE = """\
 1 1:0.5 3:1.25
@@ -18,12 +20,14 @@ SAMPLE = """\
 
 def test_parse_basic():
     X, y = loads_libsvm(SAMPLE)
-    assert X.shape == (3, 4)
+    assert type(X) is Csr and X.shape == (3, 4)
     assert np.array_equal(y, [1.0, -1.0, 1.0])
-    assert X[0, 0] == 0.5
-    assert X[0, 2] == 1.25
-    assert X[1, 1] == 2.0
-    assert X[2, 3] == 3.0
+    assert X.indices.dtype == X.indptr.dtype == np.int32  # as scipy's
+    dense = to_scipy(X).toarray()
+    assert dense[0, 0] == 0.5
+    assert dense[0, 2] == 1.25
+    assert dense[1, 1] == 2.0
+    assert dense[2, 3] == 3.0
 
 
 def test_parse_respects_n_features():
@@ -45,7 +49,7 @@ def test_comments_and_blank_lines_skipped():
 
 def test_zero_based_indices():
     X, _ = loads_libsvm("1 0:5.0\n", zero_based=True)
-    assert X[0, 0] == 5.0
+    assert to_scipy(X).toarray()[0, 0] == 5.0
 
 
 def test_bad_label_raises():
@@ -93,7 +97,7 @@ def test_roundtrip_sparse(tmp_path):
     dump_libsvm(X, y, path)
     X2, y2 = load_libsvm(path, n_features=15)
     assert np.array_equal(y, y2)
-    assert np.allclose(X.toarray(), X2.toarray())
+    assert np.allclose(X.toarray(), to_scipy(X2).toarray())
 
 
 def test_roundtrip_dense_matrix(tmp_path):
@@ -102,7 +106,7 @@ def test_roundtrip_dense_matrix(tmp_path):
     buf = io.StringIO()
     dump_libsvm(X, y, buf)
     X2, y2 = loads_libsvm(buf.getvalue(), n_features=3)
-    assert np.allclose(X, X2.toarray())
+    assert np.allclose(X, to_scipy(X2).toarray())
     assert np.array_equal(y, y2)
 
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from test_blocks import csr_block_and_idx
+from test_blocks import csr_block_and_idx, to_scipy
 
-from repro.data.blocks import CsrRows, MatrixBlock
+from repro.data.blocks import Csr, MatrixBlock
 from repro.data.registry import get_dataset
 from repro.data.synthetic import make_classification, make_dense_regression
 from repro.errors import OptimError
@@ -283,13 +283,13 @@ def test_reg_grad_scales_with_count(rng):
     "cls", [LeastSquaresProblem, LogisticRegressionProblem]
 )
 def test_sparse_minibatch_kernels_equal_the_scipy_operators(cls, case, seed):
-    """``CsrRows`` products accumulate in scipy's loop order: same bits."""
+    """``Csr`` products accumulate in scipy's loop order: same bits."""
     block, idx = case
     problem = cls(np.zeros((1, block.dim)), np.ones(1))
     w = np.random.default_rng(seed).standard_normal(block.dim)
     sub = block.take_rows(idx)
-    X_ref, y_ref = block.X[idx], block.y[idx]
-    assert sparse.issparse(X_ref) and type(sub.X) is CsrRows
+    X_ref, y_ref = to_scipy(block.X)[idx], block.y[idx]
+    assert sparse.issparse(X_ref) and type(sub.X) is Csr
     assert np.array_equal(
         problem.grad_sum(sub.X, sub.y, w), problem.grad_sum(X_ref, y_ref, w)
     )
@@ -299,24 +299,23 @@ def test_sparse_minibatch_kernels_equal_the_scipy_operators(cls, case, seed):
 @pytest.mark.parametrize(
     "cls", [LeastSquaresProblem, LogisticRegressionProblem]
 )
-def test_both_sparse_forms_agree_on_a_large_batch(cls, monkeypatch):
-    """rcv1-shaped batch (500 rows x ~75 nonzeros): past the size boundary
-    ``take_rows`` hands back scipy's sub-matrix; forcing the array form on
-    the same rows gives the same bits."""
+def test_both_sparse_forms_agree_on_a_large_batch(cls):
+    """rcv1-shaped batch (500 rows x ~75 nonzeros, far past the 4096
+    nonzeros where the array path used to hand over to scipy): the
+    problem's kernels on the ``Csr`` gather and on scipy's ``X[idx]`` of
+    the same rows give the same bits."""
     X = sparse.random(2000, 5000, density=0.015, format="csr", random_state=1)
     rng = np.random.default_rng(1)
     block = MatrixBlock(X=X, y=np.where(rng.random(2000) < 0.5, -1.0, 1.0))
     idx = np.sort(rng.choice(2000, 500, replace=False))
     w = rng.standard_normal(5000)
     problem = cls(np.zeros((1, 5000)), np.ones(1))
-    by_scipy = block.take_rows(idx)
-    monkeypatch.setattr("repro.data.blocks.ARRAY_ROWS_MAX_NNZ", 10**9)
-    by_arrays = block.take_rows(idx)
-    assert sparse.issparse(by_scipy.X) and type(by_arrays.X) is CsrRows
+    by_arrays, by_scipy, y = block.take_rows(idx), X[idx], block.y[idx]
+    assert type(by_arrays.X) is Csr and by_arrays.X.nnz > 4096
     assert np.array_equal(
         problem.grad_sum(by_arrays.X, by_arrays.y, w),
-        problem.grad_sum(by_scipy.X, by_scipy.y, w),
+        problem.grad_sum(by_scipy, y, w),
     )
     assert problem.loss_sum(by_arrays.X, by_arrays.y, w) == problem.loss_sum(
-        by_scipy.X, by_scipy.y, w
+        by_scipy, y, w
     )

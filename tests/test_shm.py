@@ -17,11 +17,11 @@ from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.api.parallel import _load_dataset, run_cells
 from repro.api.spec import ExperimentSpec
 from repro.data import shm
+from repro.data.blocks import Csr
 from repro.data.registry import get_dataset
 from repro.errors import DataError
 
@@ -59,14 +59,36 @@ def test_csr_round_trip_maps_buffers_without_copying():
     try:
         X, y, dspec = shm.attach_dataset(pub.manifest)
         X0, y0, dspec0 = get_dataset("tiny_sparse", seed=0)
-        assert sparse.issparse(X)
-        assert (X != X0).nnz == 0
+        assert type(X) is Csr
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(X, name), getattr(X0, name))
+            assert getattr(X, name).dtype == getattr(X0, name).dtype
         assert np.array_equal(y, y0)
         assert dspec == dspec0
         # the CSR is assembled over the mapped (read-only) buffers
         assert not X.data.flags.writeable
         assert not X.indices.flags.writeable
         assert not X.indptr.flags.writeable
+    finally:
+        pub.unlink()
+
+
+def test_publish_arrays_adopts_a_scipy_csr():
+    """A user's scipy CSR is published by its triplet (duck-typed, never
+    converted) and attaches as a ``Csr``."""
+    from scipy import sparse
+
+    X0, y0, dspec = get_dataset("tiny_sparse", seed=0)
+    S = sparse.csr_matrix((X0.data, X0.indices, X0.indptr), shape=X0.shape)
+    pub = shm.publish_arrays("scipy-csr", S, y0, dspec)
+    if pub is None:
+        pytest.skip("shared memory unavailable on this host")
+    try:
+        X, y, _ = shm.attach_dataset(pub.manifest)
+        assert type(X) is Csr and X.shape == S.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(X, name), getattr(S, name))
+        assert np.array_equal(y, y0)
     finally:
         pub.unlink()
 

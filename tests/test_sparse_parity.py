@@ -1,14 +1,15 @@
-"""Sparse optimizer trajectories pinned across the CSR mini-batch swap.
+"""Sparse optimizer trajectories pinned across the move off scipy.
 
 Every digest below was recorded at the commit *before* sparse mini-batches
 stopped being scipy matrices (``MatrixBlock.take_rows`` returning
 ``X[idx]``, gradients through scipy's ``csr_matvec``/``csc_matvec``). The
-array-level gather and the ``np.bincount`` products accumulate in the same
-order as those loops, so the swap is a host-only change and ``sha1(w)`` of
-every run must not move, on either side of the size boundary
-(``ARRAY_ROWS_MAX_NNZ``) that keeps large subsets with scipy. A scipy build that fuses the multiply-add in its
-sparse loops would break that identity on its platform; the pins are this
-(x86_64, scipy wheels) host's and CI's, not a tolerance.
+NumPy ``Csr`` gather and its ``np.bincount`` products accumulate in the
+same order as those loops, for mini-batches and whole matrices alike, so
+``sha1(w)`` of every run must not move. A scipy build that fuses the
+multiply-add in its sparse loops would break that identity on its
+platform; the pins are this (x86_64, scipy wheels) host's and CI's, not a
+tolerance. scipy itself is only this file's oracle: the last test forms
+every product with scipy's operators and lands on the same pins.
 
 Logistic runs reuse the regression analogs with sign labels, passed
 through ``prepare_experiment``'s shared-dataset hook like ``run_grid``
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.api.runner import prepare_experiment
+from repro.data.blocks import Csr
 from repro.data.registry import get_dataset
 
 BASE = {
@@ -105,10 +107,38 @@ def test_sparse_trajectory_pinned(key, datasets):
     assert run_digest(algo, dataset, problem, datasets) == PINNED[key]
 
 
+def _scipy_products(monkeypatch):
+    """Boundary 0, the parent's behaviour: every sparse product a problem
+    forms (mini-batch, grouped, whole-matrix, the least-squares gram) is
+    scipy's operator on the same triplet."""
+    from scipy import sparse
+
+    from repro.optim import problems
+
+    def sp(X):
+        if type(X) is not Csr:
+            return X
+        return sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+
+    def grouped(X, y, ws, group, link):
+        S, out = sp(X), np.empty((len(ws), X.shape[1]))
+        for g, w in enumerate(ws):
+            rows = np.flatnonzero(group == g)
+            out[g] = S[rows].T @ link(S[rows] @ w, y[rows])
+        return out
+
+    monkeypatch.setattr(problems, "matvec", lambda X, w: sp(X) @ w)
+    monkeypatch.setattr(problems, "rmatvec", lambda X, r: sp(X).T @ r)
+    monkeypatch.setattr(problems, "grouped_products", grouped)
+    monkeypatch.setattr(problems, "gram", lambda X: (sp(X).T @ sp(X)).toarray())
+
+
 @pytest.mark.parametrize("algo", ["asgd", "asaga", "saga"])
 def test_size_boundary_moves_speed_not_bits(algo, datasets, monkeypatch):
-    """Every row subset through scipy (boundary 0, the parent's behaviour)
-    lands on the same pins as every subset through the array path."""
-    monkeypatch.setattr("repro.data.blocks.ARRAY_ROWS_MAX_NNZ", 0)
+    """Every product through scipy (boundary 0, the parent's behaviour)
+    lands on the same pins as every product through ``Csr``."""
+    _scipy_products(monkeypatch)
+    key = f"{algo}/rcv1_like/least_squares"
+    assert run_digest(algo, "rcv1_like", "least_squares", datasets) == PINNED[key]
     key = f"{algo}/rcv1_like/logistic"
     assert run_digest(algo, "rcv1_like", "logistic", datasets) == PINNED[key]

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.data.blocks import Csr
 from repro.data.synthetic import (
     make_classification,
     make_dense_regression,
     make_sparse_regression,
 )
 from repro.errors import DataError
+from test_blocks import to_scipy
 
 
 def test_dense_shapes_and_determinism():
@@ -46,14 +48,14 @@ def test_dense_validates():
 
 def test_sparse_density_and_format():
     X, y, _ = make_sparse_regression(200, 100, density=0.05, seed=0)
-    assert sparse.isspmatrix_csr(X)
+    assert type(X) is Csr
     nnz_per_row = np.diff(X.indptr)
     assert np.all(nnz_per_row == 5)
 
 
 def test_sparse_rows_normalized():
     X, _, _ = make_sparse_regression(100, 50, density=0.1, seed=0)
-    norms = sparse.linalg.norm(X, axis=1)
+    norms = sparse.linalg.norm(to_scipy(X), axis=1)
     assert np.allclose(norms, 1.0)
 
 
@@ -61,14 +63,14 @@ def test_sparse_unnormalized_option():
     X, _, _ = make_sparse_regression(
         100, 50, density=0.1, seed=0, normalize_rows=False
     )
-    norms = sparse.linalg.norm(X, axis=1)
+    norms = sparse.linalg.norm(to_scipy(X), axis=1)
     assert not np.allclose(norms, 1.0)
 
 
 def test_sparse_deterministic():
     X1, y1, _ = make_sparse_regression(50, 30, density=0.1, seed=3)
     X2, y2, _ = make_sparse_regression(50, 30, density=0.1, seed=3)
-    assert (X1 != X2).nnz == 0
+    assert (to_scipy(X1) != to_scipy(X2)).nnz == 0
     assert np.array_equal(y1, y2)
 
 

@@ -9,6 +9,7 @@ grouped products must agree with that loop bit for bit, for dense and
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -122,9 +123,20 @@ def test_base_class_loop_serves_a_grad_sum_only_problem(case, form):
     assert got.tobytes() == want.tobytes()
 
 
-def test_sparse_asaga_task_gathers_once_and_grads_at_most_once(monkeypatch):
+# Sparse gathers above this many nonzeros used to switch to scipy's
+# ``X[idx]``; every gather is now one ``Csr`` path, checked on both sides.
+OLD_SWITCH_NNZ = 4096
+
+
+@pytest.mark.parametrize("side", [0, OLD_SWITCH_NNZ])
+def test_sparse_asaga_task_gathers_once_and_grads_at_most_once(
+    side, monkeypatch
+):
     """Counted, not timed: one ``take_rows`` and at most one ``grad_sum``
-    per task, however many distinct versions the batch holds."""
+    per task, however many distinct versions the batch holds. Side 0 runs
+    ``tiny_sparse``, whose every gather is below the old switch; side 4096
+    runs ``rcv1_like``, whose every gather holds at least that many
+    nonzeros."""
     tasks = []
     live = {}
 
@@ -132,11 +144,14 @@ def test_sparse_asaga_task_gathers_once_and_grads_at_most_once(monkeypatch):
         original = getattr(cls, name)
 
         def wrapper(*args, **kwargs):
+            out = original(*args, **kwargs)
             if live:
                 live[key] += 1
                 if key == "versions":
                     live["distinct"] = max(live["distinct"], len(args[3]))
-            return original(*args, **kwargs)
+                if key == "take_rows":
+                    live["nnz"] = out.nnz
+            return out
 
         monkeypatch.setattr(cls, name, wrapper)
 
@@ -146,7 +161,7 @@ def test_sparse_asaga_task_gathers_once_and_grads_at_most_once(monkeypatch):
     kernel = ASAGARule.kernel
 
     def counted_kernel(self, block, handle, seed):
-        live.update(take_rows=0, grad_sum=0, versions=0, distinct=0)
+        live.update(take_rows=0, grad_sum=0, versions=0, distinct=0, nnz=0)
         try:
             return kernel(self, block, handle, seed)
         finally:
@@ -155,7 +170,8 @@ def test_sparse_asaga_task_gathers_once_and_grads_at_most_once(monkeypatch):
 
     monkeypatch.setattr(ASAGARule, "kernel", counted_kernel)
     run_experiment({
-        "algorithm": "asaga", "dataset": "tiny_sparse", "num_workers": 4,
+        "algorithm": "asaga",
+        "dataset": "rcv1_like" if side else "tiny_sparse", "num_workers": 4,
         "num_partitions": 4, "batch_fraction": 0.5, "max_updates": 40,
         "eval_every": 20, "seed": 2,
     })
@@ -165,3 +181,4 @@ def test_sparse_asaga_task_gathers_once_and_grads_at_most_once(monkeypatch):
         assert t["take_rows"] == 1
         assert t["grad_sum"] <= 1
         assert t["versions"] == 1
+        assert (t["nnz"] >= OLD_SWITCH_NNZ) == bool(side)

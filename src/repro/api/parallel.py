@@ -24,6 +24,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.api.spec import LEGACY_FIELDS, ExperimentSpec
 from repro.errors import ApiError
+from repro.utils.rng import TRAJECTORY_EPOCH
 
 __all__ = [
     "run_key",
@@ -38,14 +39,20 @@ __all__ = [
 
 
 def run_key(spec: ExperimentSpec | Mapping[str, Any]) -> str:
-    """Canonical identity of one cell: its spec as sorted, compact JSON.
+    """Canonical identity of one cell: its spec and the trajectory epoch
+    (:data:`~repro.utils.rng.TRAJECTORY_EPOCH`) as sorted, compact JSON.
 
     This is the key for every cross-process cache and for checkpoint
     matching — unlike tuple/``id``-based keys it survives pickling,
-    process boundaries, and sessions.
+    process boundaries, and sessions. The epoch makes a line recorded
+    under another generation of trajectories match no cell, so resume
+    re-runs it instead of reusing a result the code no longer computes.
     """
     spec = ExperimentSpec.coerce(spec)
-    return json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":"))
+    return json.dumps(
+        {**spec.to_dict(), "trajectory_epoch": TRAJECTORY_EPOCH},
+        sort_keys=True, separators=(",", ":"),
+    )
 
 
 def _current_line(key: Any, wire: Any) -> tuple[Any, Any]:
@@ -55,7 +62,10 @@ def _current_line(key: Any, wire: Any) -> tuple[Any, Any]:
     inside their key and inside the result's ``"spec"``; passing both
     through the spec layer normalises it away, so those cells still
     match on resume and a restored result has the shape of a fresh one.
-    Anything else passes through untouched.
+    These spellings were retired before keys carried a trajectory epoch,
+    so such a key records none and is re-minted at today's; one that
+    records another epoch stays unmatched. Anything else passes through
+    untouched.
     """
     if not (
         isinstance(key, str)
@@ -63,11 +73,15 @@ def _current_line(key: Any, wire: Any) -> tuple[Any, Any]:
     ):
         return key, wire
     try:
-        key = run_key(json.loads(key))
+        recorded = json.loads(key)
+        epoch = recorded.pop("trajectory_epoch", TRAJECTORY_EPOCH)
+        if epoch != TRAJECTORY_EPOCH:
+            return key, wire
+        key = run_key(recorded)
         if isinstance(wire, dict) and isinstance(wire.get("spec"), dict):
             spec = ExperimentSpec.from_dict(wire["spec"])
             wire = {**wire, "spec": spec.to_dict()}
-    except (json.JSONDecodeError, ApiError):
+    except (json.JSONDecodeError, AttributeError, ApiError):
         pass
     return key, wire
 

@@ -20,7 +20,6 @@ from repro.core.policies import SchedulingPolicy, as_policy
 from repro.core.stat import StatTable
 from repro.engine.rdd import RDD
 from repro.engine.taskcontext import task_env
-from repro.utils.rng import spawn_generator
 from repro.utils.sizeof import sizeof_bytes
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -104,11 +103,12 @@ class RoundPlan:
     partitions inline: cached source block, mini-batch draw, row gather,
     cost report, kernel, fold. The steps, their order and the callables
     they go through (``RDD.iterator`` for the source block, so a lost
-    cached partition recomputes; ``spawn_generator``; ``MatrixBlock.
-    sample_indices``/``take_rows``) are those of the verb chain above,
-    which makes the two bit-identical — ``tests/test_round_plan.py``
-    pins it. ``fraction=None`` skips sampling (the kernel samples for
-    itself); ``kernel`` is called as ``kernel(block, handle, seed)``.
+    cached partition recomputes; ``MatrixBlock.sample_indices(fraction,
+    seed, "mbatch", split)``, the one stateless draw, then
+    ``take_rows``) are those of the verb chain above, which makes the
+    two bit-identical — ``tests/test_round_plan.py`` pins it.
+    ``fraction=None`` skips sampling (the kernel samples for itself);
+    ``kernel`` is called as ``kernel(block, handle, seed)``.
 
     ``submit(..., sync=True)`` runs them as a bulk-synchronous round
     (``AsyncScheduler.run_sync_round``, the engine's one partition job
@@ -154,10 +154,9 @@ class RoundPlan:
                         # holding both doubles wall time on wide blocks.
                         for block in source.iterator(split, env):
                             if fraction is not None:
-                                rng = spawn_generator(seed, "mbatch", split)
-                                idx = block.sample_indices(fraction, rng)
-                                idx.sort()  # a fresh draw: sort in place
-                                block = block.take_rows(idx)
+                                block = block.take_rows(block.sample_indices(
+                                    fraction, seed, "mbatch", split
+                                ))
                                 env.record_cost(block.cost_units())
                             elem = kernel(block, handle, seed)
                             count += 1

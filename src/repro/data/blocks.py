@@ -29,6 +29,7 @@ from typing import Union
 import numpy as np
 
 from repro.errors import DataError
+from repro.utils.rng import batch_indices
 
 __all__ = [
     "Csr",
@@ -320,24 +321,19 @@ class MatrixBlock:
         )
 
     def sample_indices(
-        self, fraction: float, rng: np.random.Generator,
-        with_replacement: bool = False,
+        self, fraction: float, seed: int, *key: object
     ) -> np.ndarray:
-        """Sample local row indices for a mini-batch.
+        """The sorted local row indices of the mini-batch ``(seed, *key)``.
 
-        Uses a fixed batch size ``max(1, round(fraction * rows))`` (the
-        paper's "sampling rate b"), sampled uniformly without replacement
-        by default.
+        A fixed batch size ``max(1, round(fraction * rows))`` (the
+        paper's "sampling rate b"), uniform without replacement, drawn by
+        :func:`~repro.utils.rng.batch_indices`: the same ``(seed, key)``
+        always selects the same rows, so a recomputed task redraws its
+        lost attempt's batch.
         """
         if not 0.0 < fraction <= 1.0:
             raise DataError(f"fraction must be in (0, 1], got {fraction}")
-        rows = self.rows
-        if rows == 0:
-            return np.empty(0, dtype=np.intp)
-        size = max(1, int(round(fraction * rows)))
-        if with_replacement:
-            return rng.integers(0, rows, size=size, dtype=np.intp)
-        return rng.choice(rows, size=min(size, rows), replace=False)
+        return batch_indices(self.rows, fraction, seed, *key)
 
     def global_ids(self, local_idx: np.ndarray) -> np.ndarray:
         return local_idx + self.offset

@@ -11,13 +11,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
-
 from repro.cluster.backend import WorkerEnv
 from repro.data.blocks import MatrixBlock, split_matrix
 from repro.engine.rdd import RDD
 from repro.errors import EngineError
-from repro.utils.rng import spawn_generator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import ClusterContext
@@ -69,25 +66,21 @@ class MatrixRDD(RDD):
 class SampledMatrixRDD(RDD):
     """Row-level mini-batch of a matrix RDD.
 
-    The sample is keyed by ``(seed, split)``: recomputation after a worker
+    Each partition's batch is ``MatrixBlock.sample_indices(fraction, seed,
+    "mbatch", split)`` — sorted, uniform without replacement, a pure
+    function of ``(seed, split)`` — so recomputation after a worker
     failure regenerates the identical batch (exactly-once update
-    semantics), and equal seeds select equal batches. Optimizers pass a
-    fresh seed per iteration.
+    semantics), equal seeds select equal batches, and a ``RoundPlan``
+    round draws exactly what this verb draws. Optimizers pass a fresh
+    seed per iteration.
     """
 
-    def __init__(
-        self,
-        parent: RDD,
-        fraction: float,
-        seed: int,
-        with_replacement: bool = False,
-    ):
+    def __init__(self, parent: RDD, fraction: float, seed: int):
         if not 0.0 < fraction <= 1.0:
             raise EngineError(f"fraction must be in (0, 1], got {fraction}")
         super().__init__(parent.ctx, deps=[parent])
         self.fraction = fraction
         self.seed = seed
-        self.with_replacement = with_replacement
         self.is_matrix_like = True
 
     def compute(self, split: int, env: WorkerEnv | None) -> list:
@@ -98,12 +91,9 @@ class SampledMatrixRDD(RDD):
                     "SampledMatrixRDD requires MatrixBlock partitions, got "
                     f"{type(block).__name__}"
                 )
-            rng = spawn_generator(self.seed, "mbatch", split)
-            idx = block.sample_indices(
-                self.fraction, rng, self.with_replacement
+            sub = block.take_rows(
+                block.sample_indices(self.fraction, self.seed, "mbatch", split)
             )
-            idx = np.sort(idx)
-            sub = block.take_rows(idx)
             # The mini-batch is the work the downstream gradient kernel
             # will do; advertise it to the cost model.
             if env is not None:

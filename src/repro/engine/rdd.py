@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.cluster.backend import WorkerEnv
 from repro.errors import EngineError
-from repro.utils.rng import spawn_generator
+from repro.utils.rng import batch_indices
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.context import ASYNCContext
@@ -94,10 +94,9 @@ class RDD:
         """Element-wise transformation."""
         return MappedRDD(self, f)
 
-    def sample(
-        self, fraction: float, seed: int = 0, with_replacement: bool = False
-    ) -> "RDD":
-        """Fixed-size uniform sampling (the paper's "sampling rate b").
+    def sample(self, fraction: float, seed: int = 0) -> "RDD":
+        """Fixed-size uniform sampling without replacement (the paper's
+        "sampling rate b").
 
         On matrix-like RDDs this subsamples rows inside each block; on
         generic RDDs it samples elements per partition.
@@ -105,8 +104,8 @@ class RDD:
         if self.is_matrix_like:
             from repro.engine.matrix import SampledMatrixRDD
 
-            return SampledMatrixRDD(self, fraction, seed, with_replacement)
-        return SampledRDD(self, fraction, seed, with_replacement)
+            return SampledMatrixRDD(self, fraction, seed)
+        return SampledRDD(self, fraction, seed)
 
     # -- actions ------------------------------------------------------------------
     def collect(self) -> list:
@@ -214,31 +213,22 @@ class MappedRDD(RDD):
 class SampledRDD(RDD):
     """Per-partition uniform sampling with a deterministic stream.
 
-    The stream is keyed by ``(seed, split)``: a sampled RDD is identical no
-    matter which worker computes it or in what order (required for correct
+    The draw is :func:`~repro.utils.rng.batch_indices` keyed by
+    ``(seed, "sample", split)``: a sampled RDD is identical no matter which
+    worker computes it or in what order (required for correct
     recomputation after worker loss), and two ``sample`` calls with the
-    same seed select the same rows. Iterative algorithms pass a fresh seed
-    per iteration.
+    same seed select the same elements, kept in partition order.
+    Iterative algorithms pass a fresh seed per iteration.
     """
 
-    def __init__(
-        self, parent: RDD, fraction: float, seed: int, with_replacement: bool
-    ):
+    def __init__(self, parent: RDD, fraction: float, seed: int):
         if not 0.0 < fraction <= 1.0:
             raise EngineError(f"fraction must be in (0, 1], got {fraction}")
         super().__init__(parent.ctx, deps=[parent])
         self.fraction = fraction
         self.seed = seed
-        self.with_replacement = with_replacement
 
     def compute(self, split: int, env: WorkerEnv | None) -> list:
         data = self.deps[0].iterator(split, env)
-        if not data:
-            return []
-        rng = spawn_generator(self.seed, "sample", split)
-        size = max(1, int(round(self.fraction * len(data))))
-        if self.with_replacement:
-            idx = rng.integers(0, len(data), size=size)
-        else:
-            idx = rng.choice(len(data), size=min(size, len(data)), replace=False)
-        return [data[int(i)] for i in idx]
+        idx = batch_indices(len(data), self.fraction, self.seed, "sample", split)
+        return [data[i] for i in idx.tolist()]

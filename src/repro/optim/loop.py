@@ -69,6 +69,7 @@ from repro.core.snapshots import (
 from repro.errors import SnapshotError
 from repro.optim.base import RunResult
 from repro.optim.trace import ConvergenceTrace
+from repro.utils.rng import TRAJECTORY_EPOCH
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.history import HistoryStore
@@ -234,7 +235,9 @@ class ServerLoop:
     loaded run snapshot (see :mod:`repro.core.snapshots`). The loop
     reinstates its server state (the bounded HIST channels), model
     iterate and update/round counters, so a SIGKILLed run continues from
-    the exact update its latest snapshot captured. Anything else raises
+    the exact update its latest snapshot captured. Anything else — and a
+    snapshot of another :data:`~repro.utils.rng.TRAJECTORY_EPOCH`, whose
+    continuation this code would not compute — raises
     :class:`~repro.errors.SnapshotError`.
 
     :meth:`run` is ``_start`` -> ``_round`` until the budget is spent ->
@@ -298,6 +301,7 @@ class ServerLoop:
         """
         return {
             "format": SNAPSHOT_FORMAT,
+            "trajectory_epoch": TRAJECTORY_EPOCH,
             "run": {
                 "algorithm": self.rule.algorithm_label(),
                 "num_workers": self.opt.ctx.num_workers,
@@ -312,6 +316,12 @@ class ServerLoop:
         }
 
     def _check_snapshot(self, snap: dict) -> None:
+        epoch = snap.get("trajectory_epoch")
+        if epoch != TRAJECTORY_EPOCH:
+            raise SnapshotError(
+                f"snapshot trajectory epoch is {epoch!r}, this code's is "
+                f"{TRAJECTORY_EPOCH} — its run cannot be continued here"
+            )
         run = snap.get("run", {})
         checks = (
             ("algorithm", run.get("algorithm"), self.rule.algorithm_label()),

@@ -39,7 +39,6 @@ from repro.engine.taskcontext import current_env, record_cost
 from repro.errors import OptimError
 from repro.optim.base import DistributedOptimizer
 from repro.optim.problems import Problem
-from repro.utils.rng import spawn_generator
 from repro.utils.sizeof import sizeof_bytes
 
 __all__ = [
@@ -207,9 +206,9 @@ def saga_partition_kernel(
         if env is not None:
             env.put(state_key, versions)
 
-    rng = spawn_generator(sample_seed, "saga-batch", block.block_id)
-    idx = block.sample_indices(batch_fraction, rng)
-    idx.sort()
+    idx = block.sample_indices(
+        batch_fraction, sample_seed, "saga-batch", block.block_id
+    )
     sub = block.take_rows(idx)
 
     w_cur = handle.current()

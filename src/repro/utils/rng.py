@@ -1,14 +1,35 @@
 """Deterministic random number management.
 
-All randomness in the library flows through :class:`RngFactory` so that a
-single integer seed makes an entire distributed experiment reproducible:
+All randomness in the library flows through this module so that a single
+integer seed makes an entire distributed experiment reproducible:
 dataset generation, mini-batch sampling on every worker, straggler delays
-and network jitter all draw from independent, collision-free streams.
+and network jitter all draw from independent, collision-free streams
+keyed by small structured tuples (e.g. ``("mbatch", split)``), with no
+shared mutable state — important because the thread backend samples
+from several streams concurrently.
 
-Streams are derived with ``numpy``'s ``SeedSequence.spawn_key`` mechanism
-keyed by small structured tuples (e.g. ``("worker", worker_id, task_seq)``),
-which guarantees independence without any shared mutable state — important
-because the thread backend samples from several streams concurrently.
+Streams come from one of two derivations:
+
+* :func:`spawn_generator` (and :class:`RngFactory`, :class:`LazyRng` on
+  top of it) mixes the seed and the key's hash through numpy's
+  ``SeedSequence`` into a full ``Generator``. Datasets, stragglers,
+  fault plans, network jitter, cost noise and the reference optimizers
+  draw this way. These streams are built once per run or per worker,
+  or per task only under the non-default models that draw per task
+  (jitter, noisy cost, per-task stragglers), so their ``SeedSequence``
+  set-up stays off the default round path.
+* :func:`batch_indices` draws the per-task mini-batch, the one stream
+  built for every task of every round. It seeds a bare ``PCG64``
+  directly with four words of a blake2b digest of ``(*key, seed)``
+  (numpy's ``ISeedSequence`` interface), skipping ``SeedSequence``'s
+  mixing, and keeps the ``b`` smallest of ``rows`` uniform 64-bit keys:
+  a uniform batch without replacement for ≈ 7 µs instead of ≈ 27 µs
+  (128 rows, a batch of 32, Python 3.11 on a 2-core x86_64 host).
+
+Both are pure functions of ``(seed, key)``, so a recomputed task redraws
+exactly what its lost attempt drew. :data:`TRAJECTORY_EPOCH` names the
+generation of seeded trajectories these derivations (and the engine
+around them) produce.
 """
 
 from __future__ import annotations
@@ -20,9 +41,16 @@ from typing import Iterable
 import numpy as np
 
 __all__ = [
-    "LazyRng", "RngFactory", "spawn_generator", "stable_hash",
-    "stable_hash_append",
+    "TRAJECTORY_EPOCH", "LazyRng", "RngFactory", "batch_indices",
+    "spawn_generator", "stable_hash", "stable_hash_append",
 ]
+
+#: The generation of seeded trajectories. Bumped by every change that
+#: moves what a given spec and seed compute (epoch 2: the hash-seeded
+#: mini-batch draw of :func:`batch_indices`). Sweep checkpoint keys and
+#: run snapshots carry it, so results of another epoch are re-run rather
+#: than resumed.
+TRAJECTORY_EPOCH = 2
 
 
 def stable_hash(parts: Iterable[object]) -> int:
@@ -34,20 +62,22 @@ def stable_hash(parts: Iterable[object]) -> int:
     return int.from_bytes(_hash_state(parts).digest(), "little") & (2**63 - 1)
 
 
-def _hash_state(parts: Iterable[object]) -> "hashlib.blake2b":
+def _hash_state(
+    parts: Iterable[object], digest_size: int = 8
+) -> "hashlib.blake2b":
     """The blake2b state after absorbing each part's ``repr`` + NUL."""
-    h = hashlib.blake2b(digest_size=8)
+    h = hashlib.blake2b(digest_size=digest_size)
     for part in parts:
         h.update(repr(part).encode("utf8"))
         h.update(b"\x00")
     return h
 
 
-@functools.lru_cache(maxsize=256, typed=True)
-def _prefix_state(*prefix: object) -> "hashlib.blake2b":
-    """The blake2b state :func:`stable_hash` reaches after ``prefix``
+@functools.lru_cache(maxsize=1024, typed=True)
+def _prefix_state(digest_size: int, *prefix: object) -> "hashlib.blake2b":
+    """The blake2b state :func:`_hash_state` reaches after ``prefix``
     (shared: copy it before updating)."""
-    return _hash_state(prefix)
+    return _hash_state(prefix, digest_size)
 
 
 def stable_hash_append(prefix: tuple, part: object) -> int:
@@ -59,23 +89,11 @@ def stable_hash_append(prefix: tuple, part: object) -> int:
     each call copies it and absorbs ``part`` alone.
     """
     try:
-        h = _prefix_state(*prefix).copy()
+        h = _prefix_state(8, *prefix).copy()
     except TypeError:  # an unhashable prefix part cannot be memoised
         return stable_hash((*prefix, part))
     h.update(repr(part).encode("utf8") + b"\x00")
     return int.from_bytes(h.digest(), "little") & (2**63 - 1)
-
-
-@functools.lru_cache(maxsize=1024, typed=True)
-def _key_hash(*key: object) -> int:
-    """Memoised :func:`stable_hash` of a stream key.
-
-    Hot keys are static — ``("mbatch", split)`` is hashed once per
-    partition per task while only the seed changes — so the blake2b +
-    ``repr`` pass is paid once per key. ``typed`` keeps ``1``, ``1.0``
-    and ``True`` (equal, but with different reprs) on separate entries.
-    """
-    return stable_hash(key)
 
 
 def spawn_generator(seed: int, *key: object) -> np.random.Generator:
@@ -84,12 +102,52 @@ def spawn_generator(seed: int, *key: object) -> np.random.Generator:
     The same ``(seed, key)`` always yields the same stream; distinct keys
     yield streams that are independent for all practical purposes.
     """
-    try:
-        hashed = _key_hash(*key)
-    except TypeError:  # an unhashable key part cannot be memoised
-        hashed = stable_hash(key)
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(hashed,))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stable_hash(key),))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+@functools.cache
+def _digest_seed_type() -> type:
+    """An ``ISeedSequence`` handing a bit generator a digest's bytes as
+    its seed words, unmixed. Built on the first draw: numpy loads
+    ``numpy.random`` lazily, and ``import repro`` leaves it unloaded."""
+
+    class DigestSeed(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("digest",)
+
+        def __init__(self, digest: bytes) -> None:
+            self.digest = digest
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return np.frombuffer(self.digest, dtype=dtype)[:n_words]
+
+    return DigestSeed
+
+
+def batch_indices(
+    rows: int, fraction: float, seed: int, *key: object
+) -> np.ndarray:
+    """The sorted mini-batch that ``(seed, *key)`` selects from ``rows``.
+
+    ``max(1, round(fraction * rows))`` distinct indices in
+    ``range(rows)``, uniform over subsets of that size: the ``b``
+    smallest of ``rows`` uniform 64-bit keys from a ``PCG64`` seeded
+    with a blake2b digest of ``(*key, int(seed))``. The key's part of
+    the digest is memoised (hot keys like ``("mbatch", split)`` are
+    static over a run), so each call hashes only the seed. ``int(seed)``
+    makes ``1`` and ``np.int64(1)`` the same batch; key parts must be
+    hashable.
+    """
+    size = max(1, int(round(fraction * rows)))
+    if size >= rows:
+        return np.arange(rows, dtype=np.intp)
+    h = _prefix_state(32, *key).copy()
+    h.update(b"%d" % seed)  # the digits of int(seed), whatever its int type
+    seed_words = _digest_seed_type()(h.digest())
+    keys = np.random.PCG64(seed_words).random_raw(rows)
+    idx = keys.argpartition(size - 1)[:size]
+    idx.sort()
+    return idx
 
 
 class LazyRng:

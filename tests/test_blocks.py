@@ -68,32 +68,58 @@ def test_global_ids_offset():
 
 def test_sample_indices_size_matches_fraction():
     b = make_block(100)
-    rng = np.random.default_rng(0)
-    idx = b.sample_indices(0.25, rng)
+    idx = b.sample_indices(0.25, 0, "mbatch", 0)
     assert len(idx) == 25
     assert len(np.unique(idx)) == 25  # without replacement
 
 
 def test_sample_indices_at_least_one():
     b = make_block(10)
-    idx = b.sample_indices(0.01, np.random.default_rng(0))
+    idx = b.sample_indices(0.01, 0, "mbatch", 0)
     assert len(idx) == 1
-
-
-def test_sample_with_replacement_can_repeat():
-    b = make_block(3)
-    idx = b.sample_indices(1.0, np.random.default_rng(3),
-                           with_replacement=True)
-    assert len(idx) == 3
-    assert idx.max() < 3
 
 
 def test_sample_fraction_validated():
     b = make_block()
     with pytest.raises(DataError):
-        b.sample_indices(0.0, np.random.default_rng(0))
+        b.sample_indices(0.0, 0, "mbatch", 0)
     with pytest.raises(DataError):
-        b.sample_indices(1.5, np.random.default_rng(0))
+        b.sample_indices(1.5, 0, "mbatch", 0)
+
+
+def test_retried_sync_partition_redraws_its_lost_attempts_batch(
+    ctx, small_data, monkeypatch
+):
+    """A worker killed mid-round loses its in-flight partitions; the
+    resent tasks draw exactly the rows the lost attempts drew, so the
+    round's update is the one an undisturbed round would apply."""
+    from repro.engine.faults import FaultInjector
+    from repro.optim import InvSqrtDecay, OptimizerConfig, build_optimizer
+    from repro.optim.problems import LeastSquaresProblem
+
+    draws: dict[tuple, list] = {}
+    sample = MatrixBlock.sample_indices
+
+    def recording(self, fraction, seed, *key):
+        idx = sample(self, fraction, seed, *key)
+        draws.setdefault((seed, *key), []).append(idx.tolist())
+        return idx
+
+    monkeypatch.setattr(MatrixBlock, "sample_indices", recording)
+    X, y, _ = small_data
+    points = ctx.matrix(X, y, 8).cache()
+    opt = build_optimizer(
+        "sgd", ctx, points, LeastSquaresProblem(X, y), InvSqrtDecay(0.5),
+        OptimizerConfig(batch_fraction=0.25, max_updates=30, seed=0),
+    )
+    FaultInjector(ctx).kill_at(20.0, 1)
+    result = opt.run()
+
+    assert result.extras["lost_tasks"] == 2
+    redrawn = {key: seen for key, seen in draws.items() if len(seen) > 1}
+    assert len(redrawn) == 2  # worker 1's two partitions, drawn twice each
+    for lost, retried in redrawn.values():
+        assert lost == retried
 
 
 def test_dense_cost_units_is_rows():

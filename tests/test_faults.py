@@ -127,7 +127,7 @@ def test_sync_round_folds_every_partition_once_under_worker_loss(
     result = opt.run()
 
     rows = sum(
-        points.block(p).sample_indices(0.25, np.random.default_rng(0)).size
+        points.block(p).sample_indices(0.25, 0, "mbatch", p).size
         for p in range(points.num_partitions)
     )
     assert result.extras["lost_tasks"] == 2  # both of worker 1's tasks

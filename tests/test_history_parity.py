@@ -27,21 +27,19 @@ from repro.optim import (
 # Captured on main @ 7de99d9 (pre-HIST), PYTHONPATH=src, numpy in CI's
 # range; full digests hash w + snapshots + times + counters, model
 # digests hash w + snapshots only (thread wall-clock is not pinned).
+# Re-recorded at TRAJECTORY_EPOCH 2 (the hash-seeded mini-batch draw),
+# the only change that moved them: every spec below samples mini-batches.
 PINNED_SIM = {
-    "saga_history": "5993738a963337c9dc2051a91798a196",
-    "saga_naive": "348ce9dd4df592afb9b3660fc75e7a57",
-    "asaga": "548603ca8321db67479eb4df515bd58c",
-    "asaga_partition": "626360377aecb1e61b722524613accb9",
-    # Re-recorded when svrg moved onto the server loop: RunResult.rounds
-    # now counts inner rounds (24), not epochs (4). w, snapshots and
-    # times did not move: the previous loop's run hashed with rounds=24
-    # gives this digest.
-    "svrg": "069c5d3b5fa054ac1921b3355e2e81d9",
-    "asvrg": "e05eee11ff930e8c04fb7f80dfc54aa3",
+    "saga_history": "20e0467d1a4faa72e779a992d7dc91db",
+    "saga_naive": "d231d5a2c3481e878c6f57b00ef89268",
+    "asaga": "d257545cd0450ab3dd7119d2c98f923b",
+    "asaga_partition": "9841e76c5b72e165025610e05369587b",
+    "svrg": "c60f01b9775d193eb131d796436e817b",
+    "asvrg": "a0f62a2159c7ab2748dbd23c8b1344f2",
 }
 PINNED_THREAD = {
-    "asaga_thread": "02d2c7b882cfc18c2d8584b6138c702e",
-    "asvrg_thread": "c16dc078303437ed41ccff7bb7740d5a",
+    "asaga_thread": "cd3ca93a6ce0fa4b7c2fdccffefcfe00",
+    "asvrg_thread": "4856ae9ae25a9956e51f5c56058086b5",
 }
 
 SIM_SPECS = {

@@ -273,6 +273,44 @@ def test_resume_accepts_parent_written_fuse_tasks_lines(tmp_path, monkeypatch):
     assert resumed == full
 
 
+def test_resume_reruns_cells_recorded_under_another_trajectory_epoch(
+    tmp_path, monkeypatch
+):
+    """``run_key`` carries ``TRAJECTORY_EPOCH``: a line keyed by the spec
+    alone (what epoch 1 wrote) or by another epoch matches no cell, so
+    resume re-runs its cell instead of reusing a stale trajectory — also
+    when the key spells a retired field, which resume otherwise
+    normalises away."""
+    from repro.api import parallel
+    from repro.utils.rng import TRAJECTORY_EPOCH
+
+    specs = GridSpec.coerce(GRID).expand()[:3]
+    ck = tmp_path / "old.ckpt.jsonl"
+    fresh = parallel.run_sweep_cells(specs, checkpoint=ck)
+    assert all(f'"trajectory_epoch":{TRAJECTORY_EPOCH}' in key
+               for _i, key, _w in SweepCheckpoint(ck).entries())
+    lines = []
+    for raw in ck.read_text().splitlines():
+        entry = json.loads(raw)
+        spec = specs[entry["index"]].to_dict()
+        if entry["index"] == 2:
+            spec.update(trajectory_epoch=TRAJECTORY_EPOCH + 1,
+                        step_time="pass")
+        entry["key"] = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+        lines.append(json.dumps(entry, separators=(",", ":")))
+    ck.write_text("\n".join(lines) + "\n")
+
+    executed = []
+    orig = parallel._summary_cell
+    monkeypatch.setattr(
+        parallel, "_summary_cell",
+        lambda spec_dict: executed.append(spec_dict) or orig(spec_dict),
+    )
+    resumed = parallel.run_sweep_cells(specs, checkpoint=ck, resume=True)
+    assert len(executed) == len(specs)
+    assert resumed == fresh
+
+
 def _rekeyed_checkpoint(ck, **retired):
     """Rewrite every line of ``ck`` as if its spec carried ``retired``
     keys, in the run key and in the recorded summary's ``spec``."""

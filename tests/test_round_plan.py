@@ -45,12 +45,13 @@ BASE_SPEC = {
     "seed": 0,
 }
 
-# Final models of BASE_SPEC under ASP and BSP (seed 0), unchanged since
-# before per-round lineage construction was replaced by the plan: sha1 of
-# ``w``'s bytes and ``F(w)``. The trajectory only; ``F(w) - F*`` would
+# Final models of BASE_SPEC under ASP and BSP (seed 0): sha1 of ``w``'s
+# bytes and ``F(w)``. Unchanged from before per-round lineage construction
+# was replaced by the plan until TRAJECTORY_EPOCH 2's mini-batch draw,
+# where they were re-recorded. The trajectory only; ``F(w) - F*`` would
 # also pin the last bits of the reference optimum's solver.
-ASP_DIGEST = ("d53ce37cc589951d3f6dbcd2d7925230e3ca421e", 0.5620960296906364)
-BSP_DIGEST = ("b5be69cf9f3382a86efbd5b17df0170ebae32037", 0.5601712137012176)
+ASP_DIGEST = ("e02205c6c4399ce706563cbe95f8ac746b78089e", 0.5602980038163021)
+BSP_DIGEST = ("85065e5619cc1cf4b646897ad325bc47557e4cfe", 0.5598939356312318)
 
 
 def verb_chain_dispatch(self, handle, seed):

@@ -466,6 +466,28 @@ def test_restore_rejects_mismatched_run(tmp_path):
                             "restore_from": str(snap_file)})
 
 
+def test_snapshot_header_carries_the_trajectory_epoch(tmp_path):
+    from repro.utils.rng import TRAJECTORY_EPOCH
+
+    state = _valid_state(tmp_path)
+    assert state["format"] == SNAPSHOT_FORMAT
+    assert state["trajectory_epoch"] == TRAJECTORY_EPOCH
+
+
+@pytest.mark.parametrize("epoch", ["missing", 1, 3])
+def test_restore_refuses_another_trajectory_epoch(tmp_path, epoch):
+    """A snapshot of another generation of trajectories cannot continue
+    here: its continuation is not what this code computes."""
+    state = _valid_state(tmp_path)
+    if epoch == "missing":
+        del state["trajectory_epoch"]
+    else:
+        state["trajectory_epoch"] = epoch
+    other = _write_state(tmp_path / "other.json", state)
+    with pytest.raises(SnapshotError, match="trajectory epoch"):
+        run_experiment({**SPEC, "restore_from": str(other)})
+
+
 def test_snapshots_written_extra_counts_files(tmp_path):
     snap_file = tmp_path / "snap.json"
     result = run_experiment({**SPEC, "snapshot_every": 20,

@@ -11,10 +11,11 @@ source builds it directly (the generators, the LIBSVM loader, shared
 memory, :func:`split_matrix`, :func:`stack_blocks`), and
 :func:`as_matrix` adopts a user's scipy CSR matrix by its triplet,
 without a copy and without importing scipy. A row subset is gathered in
-one vectorised pass over the raw arrays. Every product is an
-``np.bincount`` over the stored entries in storage order — the loop
-order of scipy's ``csr_matvec``/``csc_matvec``/``csr_matmat`` — so a
-product has scipy's bits, whatever the matrix's size.
+one vectorised pass over the raw arrays. Every product adds the stored
+entries in storage order — the loop order of scipy's
+``csr_matvec``/``csc_matvec``/``csr_matmat`` — so a product has scipy's
+bits, whatever the matrix's size: ``np.bincount`` for the vector
+products, ``np.add.at`` over bounded row chunks for :func:`gram`.
 :func:`grouped_products` multiplies each row against its own group's
 vector (SAGA's historical gradients, one group per stored model version)
 in one such pass.
@@ -177,27 +178,46 @@ def rmatvec(X: "Matrix", r: np.ndarray) -> np.ndarray:
     return X.T @ r
 
 
+#: Entry pairs :func:`gram` forms at a time on a :class:`Csr`: its
+#: transient is a few arrays of this length, whatever the matrix's size.
+_GRAM_CHUNK_PAIRS = 1 << 14
+
+
 def gram(X: "Matrix") -> np.ndarray:
     """``X.T @ X`` as a dense ``(d, d)`` array.
 
-    On :class:`Csr`: one ``np.bincount`` keyed by ``(a, b)`` over every
-    pair of entries that share a row, rows in ascending order. Each sum
-    then adds its products row by row, as scipy's ``csr_matmat`` does
-    for ``(X.T @ X).toarray()``.
+    On :class:`Csr`: every pair of entries that share a row adds its
+    product to key ``(a, b)`` of one zeroed output, rows in ascending
+    order. Each sum then adds its products row by row, as scipy's
+    ``csr_matmat`` does for ``(X.T @ X).toarray()``. The pairs are
+    formed a chunk of whole rows at a time (about
+    ``_GRAM_CHUNK_PAIRS``, a longer row alone) and added with
+    ``np.add.at``, which adds left to right: the chunks keep the storage
+    order, so the bits do not depend on the chunking.
     """
     if type(X) is not Csr:
         return X.T @ X
-    d, rows = X.shape[1], X.row_of_nnz
+    d = X.shape[1]
     indptr = X.indptr.astype(np.intp)
-    reps = np.diff(indptr)[rows]  # entry e pairs with every entry of its row
-    a = np.arange(X.nnz).repeat(reps)
-    # pair j of entry e's run of pairs is entry indptr[row] + j
-    run_start = np.cumsum(reps) - reps
-    b = np.arange(len(a)) - (run_start - indptr[rows]).repeat(reps)
-    key = X.indices[a].astype(np.intp) * d + X.indices[b]
-    return np.bincount(
-        key, weights=X.data[a] * X.data[b], minlength=d * d
-    ).reshape(d, d)
+    lens = np.diff(indptr)
+    ends = np.cumsum(lens * lens)  # pairs up to and including each row
+    out = np.zeros(d * d)
+    lo, done = 0, 0
+    while lo < len(lens):
+        hi = int(np.searchsorted(ends, done + _GRAM_CHUNK_PAIRS, "right"))
+        hi = max(hi, lo + 1)
+        span = lens[lo:hi]
+        reps = span.repeat(span)  # entry e pairs with every entry of its row
+        a = np.arange(indptr[lo], indptr[hi]).repeat(reps)
+        # pair j of entry e's run of pairs is entry indptr[row] + j
+        run_start = np.cumsum(reps) - reps
+        b = np.arange(len(a)) - (
+            run_start - indptr[lo:hi].repeat(span)
+        ).repeat(reps)
+        key = X.indices[a].astype(np.intp) * d + X.indices[b]
+        np.add.at(out, key, X.data[a] * X.data[b])
+        lo, done = hi, int(ends[hi - 1])
+    return out.reshape(d, d)
 
 
 def grouped_products(

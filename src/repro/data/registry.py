@@ -41,6 +41,9 @@ from repro.errors import DataError
 
 __all__ = ["DatasetSpec", "get_dataset", "list_datasets", "REGISTRY"]
 
+#: What a dataset's targets are: continuous, or {-1, +1} labels.
+TASKS = ("regression", "classification")
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -74,6 +77,33 @@ class DatasetSpec:
     #: LIBSVM file to load instead of synthesizing; ``generate`` then
     #: reads the file (and the seed is ignored — file data is fixed).
     path: str | None = None
+
+    def __post_init__(self) -> None:
+        """Every override is checked here, whichever way it arrives."""
+        for key in ("n", "d"):
+            value = getattr(self, key)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, np.integer))
+                or value <= 0
+            ):
+                raise DataError(
+                    f"dataset {self.name!r}: {key} must be a positive "
+                    f"integer, got {value!r}"
+                )
+        if self.task not in TASKS:
+            raise DataError(
+                f"dataset {self.name!r}: unknown task {self.task!r}; "
+                f"valid tasks: {list(TASKS)}"
+            )
+        if (
+            self.task == "classification" and self.sparse
+            and self.path is None
+        ):
+            raise DataError(
+                f"dataset {self.name!r}: synthetic classification data is "
+                "dense; set sparse=False or load a LIBSVM file"
+            )
 
     def generate(self, seed: int = 0):
         """Materialize ``(X, y)`` deterministically."""

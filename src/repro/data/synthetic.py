@@ -4,13 +4,20 @@ Each generator controls the properties that drive SGD/SAGA convergence
 behaviour — conditioning, sparsity, noise level, label structure — while
 keeping sizes laptop-friendly. Determinism: same seed, same dataset,
 byte-for-byte.
+
+Memory: each generator holds one copy of its data. Arrays are allocated
+once, in the dtype they keep (a :class:`~repro.data.blocks.Csr`'s
+indices in :func:`~repro.data.blocks.index_dtype`), and scaled or
+normalised in place, so generating a dataset peaks at about its own
+size rather than twice it. In-place arithmetic is the same IEEE
+operation as the out-of-place form, so the bits do not depend on it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.data.blocks import Csr
+from repro.data.blocks import Csr, index_dtype
 from repro.errors import DataError
 from repro.utils.rng import spawn_generator
 
@@ -45,7 +52,8 @@ def make_dense_regression(
     if n <= 0 or d <= 0:
         raise DataError("n and d must be positive")
     rng = spawn_generator(seed, "dense-reg", n, d)
-    X = rng.standard_normal((n, d)) * _column_scales(d, cond)
+    X = rng.standard_normal((n, d))
+    X *= _column_scales(d, cond)
     w_true = rng.standard_normal(d)
     y = X @ w_true + noise * rng.standard_normal(n)
     return X, y, w_true
@@ -72,8 +80,9 @@ def make_sparse_regression(
         raise DataError(f"density must be in (0, 1], got {density}")
     rng = spawn_generator(seed, "sparse-reg", n, d)
     nnz_per_row = max(1, int(round(density * d)))
-    indptr = np.arange(0, (n + 1) * nnz_per_row, nnz_per_row, dtype=np.intp)
-    cols = np.empty(n * nnz_per_row, dtype=np.intp)
+    idx = index_dtype(n, d, n * nnz_per_row)
+    indptr = np.arange(0, (n + 1) * nnz_per_row, nnz_per_row, dtype=idx)
+    cols = np.empty(n * nnz_per_row, dtype=idx)
     for i in range(n):
         cols[i * nnz_per_row : (i + 1) * nnz_per_row] = np.sort(
             rng.choice(d, size=nnz_per_row, replace=False)
@@ -84,7 +93,8 @@ def make_sparse_regression(
             np.add.reduceat(vals * vals, indptr[:-1])
         )
         norms[norms == 0] = 1.0
-        vals = vals / np.repeat(norms, nnz_per_row)
+        rows = vals.reshape(n, nnz_per_row)  # a view: divides vals
+        rows /= norms[:, None]
     X = Csr(vals, cols, indptr, (n, d))
     w_true = rng.standard_normal(d)
     y = X @ w_true + noise * rng.standard_normal(n)
@@ -108,7 +118,8 @@ def make_classification(
     if not 0 <= flip < 0.5:
         raise DataError("flip must be in [0, 0.5)")
     rng = spawn_generator(seed, "classif", n, d)
-    X = rng.standard_normal((n, d)) * _column_scales(d, cond)
+    X = rng.standard_normal((n, d))
+    X *= _column_scales(d, cond)
     w_true = rng.standard_normal(d) * margin
     logits = X @ w_true
     probs = 1.0 / (1.0 + np.exp(-logits))

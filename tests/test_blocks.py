@@ -1,5 +1,7 @@
 """MatrixBlock: slicing, sampling, cost units, id tracking."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -407,3 +409,44 @@ def test_csr_products_equal_scipy_across_the_old_boundary(case):
                 Sg = S[rows]
                 want = Sg.T @ link(Sg @ wg, y[rows])
                 assert np.array_equal(got[g], want)
+
+
+# -- gram: bounded row chunks, the one-pass bits -------------------------------
+
+@pytest.mark.parametrize("chunk", [1, 7, 100, 1 << 14])
+def test_gram_chunks_keep_scipys_bits(monkeypatch, chunk):
+    """Rows of 0-99 nonzeros, some with more pairs than a chunk holds:
+    whatever the chunk size, every key adds its products row by row."""
+    from repro.data import blocks
+
+    monkeypatch.setattr(blocks, "_GRAM_CHUNK_PAIRS", chunk)
+    rng = np.random.default_rng(chunk)
+    n, d = 300, 120
+    lens = rng.integers(0, 100, size=n)
+    lens[:3] = 0
+    indptr = np.concatenate([[0], np.cumsum(lens)])
+    cols = [np.sort(rng.choice(d, size=m, replace=False)) for m in lens]
+    S = sparse.csr_matrix(
+        (rng.standard_normal(indptr[-1]), np.concatenate(cols), indptr),
+        shape=(n, d),
+    )
+    C = MatrixBlock(X=S, y=np.zeros(n)).X
+    assert np.array_equal(gram(C), (S.T @ S).toarray())
+
+
+def test_gram_transient_is_bounded_on_rcv1_like():
+    """``rcv1_like`` (8192 rows of 5 nonzeros) has 204,800 entry pairs.
+    Forming them all at once took 8.4 MB of temporaries for a 0.5 MB
+    result; a chunk of rows at a time takes about 1 MB."""
+    from repro.data.registry import get_dataset
+
+    X = get_dataset("rcv1_like", seed=0)[0]
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        G = gram(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before - G.nbytes < 2.5e6

@@ -148,3 +148,36 @@ def test_cli_runs_partition_granular_specs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "asgd" in out
     assert "granularity: partition" in out
+
+
+# -- overrides are checked in DatasetSpec, as DataError ------------------------
+
+@pytest.mark.parametrize("spec", [
+    {"name": "synth_logistic", "n": -5},
+    {"name": "tiny_dense", "n": 2.5},
+    {"name": "tiny_sparse", "d": 0},
+])
+def test_bad_shape_override_is_a_data_error(spec):
+    """These leaked numpy's ValueError/TypeError from the generator."""
+    key = "n" if "n" in spec else "d"
+    with pytest.raises(DataError, match=f"{key} must be a positive integer"):
+        get_dataset(spec)
+
+
+def test_zero_width_override_is_rejected():
+    """This silently returned a (1024, 0) dataset."""
+    with pytest.raises(DataError, match="d must be a positive integer"):
+        get_dataset({"name": "synth_logistic", "d": 0})
+
+
+def test_unknown_task_is_rejected():
+    """A typo'd task silently became regression."""
+    with pytest.raises(DataError, match="unknown task 'classifcation'"):
+        get_dataset({"name": "tiny_dense", "task": "classifcation"})
+
+
+def test_sparse_synthetic_classification_is_rejected():
+    """This silently returned a dense array that ``size_bytes`` priced as
+    a CSR matrix."""
+    with pytest.raises(DataError, match="classification data is dense"):
+        get_dataset({"name": "tiny_sparse", "task": "classification"})

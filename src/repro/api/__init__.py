@@ -86,7 +86,6 @@ __all__ = [
     "run_grid",
     "summarize",
     "default_step",
-    "run_cells",
     "run_key",
     "SweepCheckpoint",
 ]
@@ -100,7 +99,7 @@ _RUNNER_EXPORTS = {
     "default_step",
 }
 
-_PARALLEL_EXPORTS = {"run_cells", "run_key", "SweepCheckpoint"}
+_PARALLEL_EXPORTS = {"run_key", "SweepCheckpoint"}
 
 
 def __getattr__(name: str):

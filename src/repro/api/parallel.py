@@ -3,7 +3,8 @@
 Every cell of a :class:`~repro.api.spec.GridSpec` is an independent
 deterministic simulation, so a sweep is embarrassingly parallel work.
 This module is the engine behind :func:`repro.api.runner.run_grid` (and
-the paper's claims in :mod:`repro.bench.claims`). ``run_sweep_cells``
+the paper's claims in :mod:`repro.bench.claims`): one cell function,
+:func:`run_cell`, and one record per cell. ``run_sweep_cells``
 runs the cells one of two ways — in this process, grouped by
 ``(dataset, seed, problem)`` so :func:`prepare_shared`'s one-slot cache
 builds each dataset and solves each reference optimum once per group; or
@@ -12,7 +13,7 @@ workers pulling leases of the same grouped cells — and appends each
 result to a JSONL checkpoint the moment its cell finishes, so an
 interrupted sweep keeps its partial results and ``resume=True`` re-runs
 only the unfinished cells. Both ways execute the exact same per-cell
-code, so their summaries are bit-identical.
+code, so their records are bit-identical.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
     "prepare_shared",
     "clear_shared_cache",
     "resolve_jobs",
-    "run_cells",
+    "run_cell",
     "run_sweep_cells",
     "SweepCheckpoint",
 ]
@@ -171,42 +172,18 @@ def prepare_shared(spec: ExperimentSpec | Mapping[str, Any]):
     return prep
 
 
-def _summary_cell(spec_dict: Mapping[str, Any]) -> dict:
-    """The ``run_grid`` cell body: prepare (shared), execute, summarize."""
+def run_cell(spec_dict: Mapping[str, Any]) -> dict:
+    """The one cell body: prepare (shared), execute, summarize.
+
+    Its dict (:func:`~repro.api.runner.summarize`'s record) is what
+    crosses process and host boundaries, lands in the checkpoint and
+    backs grids and claims alike. The driver and fabric workers look it
+    up on this module when they call it, so a patch here reaches both.
+    """
     from repro.api.runner import summarize
 
     prep = prepare_shared(spec_dict)
     return summarize(prep, prep.execute())
-
-
-def _bench_cell(spec_dict: Mapping[str, Any]) -> dict:
-    """The claims' cell body: an ``ExperimentResult`` in wire form.
-
-    Every cell — in-process, fabric or restored — takes this form,
-    so claim results expose scalar ``extras`` only (no ``history`` /
-    ``comm`` objects); call ``run_api_experiment`` for the rest.
-    """
-    from repro.bench.harness import run_api_experiment
-
-    return run_api_experiment(spec_dict).to_dict()
-
-
-def resolve_runner(name: str) -> Callable[[Mapping[str, Any]], dict]:
-    """Map a runner name to its cell function.
-
-    Runners are addressed by name (not passed as callables): the name
-    is what a lease carries to a worker on another host, which resolves
-    it after its own imports. Every cell function returns a JSON-safe
-    dict: the form that crosses process and host boundaries and lands
-    in the checkpoint.
-    """
-    if name == "summary":
-        return _summary_cell
-    if name == "bench":
-        return _bench_cell
-    raise ApiError(
-        f"unknown cell runner {name!r}; available: ['bench', 'summary']"
-    )
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -219,25 +196,16 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-def run_cells(
-    specs: Sequence[ExperimentSpec | Mapping[str, Any]],
-    *,
-    runner: str = "summary",
-    jobs: int = 1,
-) -> list[Any]:
-    """Execute independent experiment cells; the cell functions' dicts in
-    *input* order (:func:`run_sweep_cells` with nothing to checkpoint)."""
-    return run_sweep_cells(specs, runner=runner, jobs=jobs)
-
-
 class SweepCheckpoint:
     """Append-only JSONL record of completed sweep cells.
 
     One line per finished cell: ``{"index": ..., "key": ..., "summary":
     ...}`` where ``key`` is the cell's :func:`run_key`. Lines are written
     the moment a cell completes, so a killed sweep keeps everything it
-    finished; on resume, a line counts for every requested cell with the
-    same key (an edited cell's key changes, so its stale line is ignored).
+    finished; on resume, a line holding a whole record counts for every
+    requested cell with the same key (an edited cell's key changes, so
+    its stale line is ignored). The file itself is agnostic to what a
+    summary holds; the sweep driver judges it.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -349,32 +317,32 @@ def run_sweep_cells(
     specs: Sequence[ExperimentSpec | Mapping[str, Any]],
     progress: Callable[[int, int, Any], None] | None = None,
     *,
-    runner: str = "summary",
-    decode: Callable[[dict], Any] | None = None,
     jobs: int = 1,
     checkpoint: str | os.PathLike | None = None,
     resume: bool = False,
     fabric: Any = None,
-) -> list[Any]:
-    """Run sweep cells with JSONL checkpoint/resume; results in input order.
+) -> list[dict]:
+    """Run sweep cells with JSONL checkpoint/resume; records in input order.
 
-    The one checkpointed driver behind ``run_grid`` (``runner="summary"``,
-    results are the ``summarize()`` dicts) and the claims registry
-    (``runner="bench"``, ``decode=ExperimentResult.from_dict``). A cell
-    function returns a JSON-safe dict; that dict is what the checkpoint
-    records and ``decode`` (identity when ``None``) turns into the value
-    the caller and ``progress`` see.
+    The one checkpointed driver behind ``run_grid`` and the claims
+    registry: every cell runs :func:`run_cell`, and its record
+    (:func:`~repro.api.runner.summarize`) is what the checkpoint holds,
+    what ``progress`` sees and what is returned, so a grid checkpoint
+    and a figures checkpoint are the same file format and resume each
+    other.
 
-    ``progress(k, total, result)`` is called once per cell in completion
+    ``progress(k, total, record)`` is called once per cell in completion
     order (``k`` counts completions; resumed cells are reported first).
-    With ``checkpoint``, each result is appended to the JSONL file as it
+    With ``checkpoint``, each record is appended to the JSONL file as it
     lands — one ``{"index", "key", "summary"}`` line per cell, ``key``
     being its :func:`run_key`; without ``resume`` the file is truncated
-    first. With ``resume``, a line restores every requested cell with the
-    same canonical key instead of re-running it — whatever index or
-    batch shape it was recorded under, so an edited grid keeps its
-    unchanged cells and figure batches that re-slice the same cells
-    reuse finished work.
+    first. With ``resume``, a line holding a whole record
+    (:func:`~repro.api.runner.is_record`) restores every requested cell
+    with the same canonical key instead of re-running it — whatever
+    index or batch shape it was recorded under, so an edited grid keeps
+    its unchanged cells and figure batches that re-slice the same cells
+    reuse finished work. A line missing a record field (one an older
+    version wrote) re-runs its cell once.
 
     Pending cells run in this process when ``jobs`` is 1 (or one cell
     is left) and through the sweep fabric otherwise: ``jobs=N`` forks
@@ -384,11 +352,13 @@ def run_sweep_cells(
     cells on an endpoint for ``sweep-worker`` processes on other hosts.
     A fabric sweep with a checkpoint also keeps the
     ``<checkpoint>.status.json`` sidecar ``sweep-status`` reads.
-    Results, checkpoint lines and resume semantics are identical either
+    Records, checkpoint lines and resume semantics are identical either
     way; a failing cell raises its own exception in-process and a
     :class:`~repro.errors.FabricError` quoting it (after the fabric's
     retries) from workers, and whatever ``progress`` raises propagates.
     """
+    from repro.api.runner import is_record
+
     specs = [ExperimentSpec.coerce(s) for s in specs]
     keys = [run_key(spec) for spec in specs]
     ckpt = SweepCheckpoint(checkpoint) if checkpoint is not None else None
@@ -401,11 +371,11 @@ def run_sweep_cells(
 
     def record(index: int, wire: dict, *, fresh: bool = True) -> None:
         nonlocal completed
-        results[index] = wire if decode is None else decode(wire)
+        results[index] = wire
         if fresh and ckpt is not None:
             ckpt.append(index, keys[index], wire)
         if progress is not None:
-            progress(completed, total, results[index])
+            progress(completed, total, wire)
         completed += 1
 
     recorded: dict[str, dict] = {}
@@ -413,7 +383,7 @@ def run_sweep_cells(
         ckpt.seal()  # a crashed writer's torn tail must not eat appends
         recorded = {
             key: wire for _index, key, wire in ckpt.entries()
-            if key is not None and wire is not None
+            if key is not None and is_record(wire)
         }
         for index, key in enumerate(keys):
             if key in recorded:
@@ -424,7 +394,6 @@ def run_sweep_cells(
     pending = [i for i in range(total) if keys[i] not in recorded]
     if not pending:
         return results
-    cell = resolve_runner(runner)  # a typo fails here, not on N workers
     jobs = min(resolve_jobs(jobs), len(pending))
     if fabric is None and jobs <= 1:
         try:
@@ -432,7 +401,7 @@ def run_sweep_cells(
             # one-slot cache pays for each dataset and reference optimum
             # once per contiguous group instead of once per cell.
             for i in sorted(pending, key=lambda i: (group_key(specs[i]), i)):
-                record(i, cell(specs[i].to_dict()))
+                record(i, run_cell(specs[i].to_dict()))
         finally:
             # Don't pin the last dataset/problem in a long-lived process.
             clear_shared_cache()
@@ -442,7 +411,6 @@ def run_sweep_cells(
     sweep_fabric.run_fabric_cells(
         [(i, keys[i], specs[i].to_dict()) for i in pending],
         fabric=fabric if fabric is not None else {"local_workers": jobs},
-        runner=runner,
         on_result=lambda index, _key, wire: record(index, wire),
         status_path=(
             sweep_fabric.status_path_for(ckpt.path) if ckpt else None

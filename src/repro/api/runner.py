@@ -8,8 +8,7 @@ what the hand-wired object API produces for the same configuration.
 
 ``prepare_experiment`` exposes the intermediate
 :class:`PreparedExperiment` for callers that need to own the cluster
-context (the bench reducer reads dispatcher byte counters before the
-context closes).
+context, and :func:`summarize` turns a run into its one cell record.
 """
 
 from __future__ import annotations
@@ -51,6 +50,8 @@ __all__ = [
     "run_experiment",
     "run_grid",
     "summarize",
+    "is_record",
+    "RECORD_FIELDS",
     "default_step",
     "component_key",
 ]
@@ -286,9 +287,24 @@ def run_experiment(spec: ExperimentSpec | Mapping[str, Any]) -> RunResult:
     return prepare_experiment(spec).execute()
 
 
+#: The fields of a cell record, in :func:`summarize`'s order.
+RECORD_FIELDS = (
+    "spec", "algorithm", "final_error", "initial_error", "updates",
+    "rounds", "elapsed_ms", "avg_wait_ms", "error_series",
+    "total_task_bytes", "total_fetch_bytes", "extras",
+)
+
+
 def summarize(prep: PreparedExperiment, result: RunResult) -> dict:
-    """A JSON-safe summary of one run (what the CLI prints and saves):
-    the spec, errors, counters and the scalar ``extras``."""
+    """One run's cell record: JSON-safe, and what every consumer reads.
+
+    The CLI prints and saves it, a sweep checkpoints it, and a claim
+    reads it through :class:`~repro.bench.harness.ExperimentResult`:
+    the spec, errors, counters, the ``(time_ms, error)`` series at
+    ``eval_every``, the context's byte totals and the scalar
+    ``extras``. Series points are lists, so a record equals its own
+    JSON round trip (a fabric worker's or a restored line).
+    """
     problem = prep.problem
     return {
         "spec": prep.spec.to_dict(),
@@ -299,12 +315,27 @@ def summarize(prep: PreparedExperiment, result: RunResult) -> dict:
         "rounds": result.rounds,
         "elapsed_ms": float(result.elapsed_ms),
         "avg_wait_ms": float(average_wait_ms(result.metrics)),
-        "w_norm": float(np.linalg.norm(result.w)),
+        "error_series": [
+            [float(t), float(e)]
+            for t, e in result.trace.error_series(problem)
+        ],
+        "total_task_bytes": int(result.total_task_bytes),
+        "total_fetch_bytes": int(result.total_fetch_bytes),
         "extras": {
             k: v for k, v in result.extras.items()
             if isinstance(v, (bool, int, float, str))
         },
     }
+
+
+def is_record(value: Any) -> bool:
+    """Whether a recorded checkpoint line holds a whole cell record.
+
+    Resume reuses only such lines; anything else (a torn or foreign
+    value, a line an older version wrote without some field) re-runs
+    its cell.
+    """
+    return isinstance(value, dict) and all(f in value for f in RECORD_FIELDS)
 
 
 def _array_digest(value: Any) -> str:

@@ -506,10 +506,9 @@ def run_claims(names=None, *, jobs: int = 1, checkpoint=None) -> list[Verdict]:
             f"unknown claim(s) {unknown}; available: {sorted(CLAIMS)}")
     rows = [CLAIMS[name] for name in (names or CLAIMS)]
     specs = {run_key(spec): spec for row in rows for spec in row.cells.values()}
-    done = dict(zip(specs, run_sweep_cells(
-        list(specs.values()), runner="bench",
-        decode=ExperimentResult.from_dict, jobs=jobs, checkpoint=checkpoint,
-        resume=checkpoint is not None)))
+    done = dict(zip(specs, map(ExperimentResult.from_dict, run_sweep_cells(
+        list(specs.values()), jobs=jobs, checkpoint=checkpoint,
+        resume=checkpoint is not None))))
     verdicts = []
     for row in rows:
         results = {label: done[run_key(spec)]

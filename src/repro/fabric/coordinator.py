@@ -65,7 +65,6 @@ class SweepCoordinator:
         self,
         cells: Sequence[tuple[int, str, Mapping[str, Any]]],
         *,
-        runner: str = "summary",
         host: str = "127.0.0.1",
         port: int = 0,
         lease_ttl: float = 30.0,
@@ -85,7 +84,6 @@ class SweepCoordinator:
             table_cells.append(
                 (index, key, spec, group_key(ExperimentSpec.coerce(spec)))
             )
-        self.runner = runner
         self.table = LeaseTable(
             table_cells,
             lease_ttl=lease_ttl,
@@ -134,20 +132,22 @@ class SweepCoordinator:
         """Rebuild lease-table state from a previous incarnation.
 
         Seals the checkpoint JSONL (isolating any torn tail the killed
-        coordinator left) and marks every recorded cell DONE so it is
-        never re-leased; cumulative counters come from the status
-        sidecar if one survives. ``on_result`` does *not* fire for
-        recovered cells — they are already persisted.
+        coordinator left) and marks every cell recorded with a whole
+        record (:func:`~repro.api.runner.is_record`, the driver's resume
+        test) DONE so it is never re-leased; cumulative counters come
+        from the status sidecar if one survives. ``on_result`` does
+        *not* fire for recovered cells — they are already persisted.
         """
         from repro.api.parallel import SweepCheckpoint
+        from repro.api.runner import is_record
         from repro.fabric.status import status_path_for
 
         ckpt = SweepCheckpoint(checkpoint)
         ckpt.seal()
         for index, key, summary in ckpt.entries():
             cell = self.table.cells.get(index)
-            if cell is None or cell.key != key:
-                continue  # a different sweep's line, or driver-filtered
+            if cell is None or cell.key != key or not is_record(summary):
+                continue  # another sweep's line, driver-filtered or partial
             if self.table.mark_done(index):
                 self.results[index] = summary
                 self.recovered += 1
@@ -379,11 +379,7 @@ class SweepCoordinator:
         if mtype == "hello":
             with self._lock:
                 self.table.touch(worker, now)
-            return {
-                "type": "welcome",
-                "runner": self.runner,
-                "total": len(self.table.cells),
-            }
+            return {"type": "welcome", "total": len(self.table.cells)}
         if mtype == "heartbeat":
             with self._lock:
                 self.table.touch(worker, now)
@@ -412,7 +408,6 @@ class SweepCoordinator:
             return {
                 "type": "lease",
                 "lease": lease.lease_id,
-                "runner": self.runner,
                 "deadline_s": self.table.lease_ttl,
                 "cells": [
                     {
@@ -501,7 +496,6 @@ class SweepCoordinator:
         snap["comm"] = comm
         snap.update(
             fabric="sweep",
-            runner=self.runner,
             draining=self._draining,
             recovered=self.recovered,
             endpoint=(
@@ -642,7 +636,6 @@ def run_fabric_cells(
     cells: Sequence[tuple[int, str, Mapping[str, Any]]],
     *,
     fabric,
-    runner: str = "summary",
     on_result: Callable[[int, str, Any], None] | None = None,
     status_path: "str | os.PathLike | None" = None,
     resume_from: "str | os.PathLike | None" = None,
@@ -666,7 +659,6 @@ def run_fabric_cells(
     options = parse_fabric(fabric)
     coordinator = SweepCoordinator(
         cells,
-        runner=runner,
         host=options.host,
         port=options.port,
         lease_ttl=options.lease_ttl,

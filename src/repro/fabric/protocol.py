@@ -3,9 +3,11 @@
 Every fabric message is one JSON object with a ``"type"`` key, encoded
 as UTF-8 and prefixed with a 4-byte big-endian length. The framing is
 deliberately minimal — no versioned schemas, no compression — because
-the payloads (experiment spec dicts and summary dicts) are exactly the
+the payloads (experiment spec dicts and cell records, the one dict
+:func:`repro.api.runner.summarize` emits for every cell) are exactly the
 JSON the :class:`~repro.api.parallel.SweepCheckpoint` format already
-uses, so anything that can read a checkpoint can speak the wire.
+uses, so anything that can read a checkpoint can speak the wire. Every
+worker runs the one cell function, so no message names what to run.
 
 Message vocabulary (coordinator ⇄ worker):
 
@@ -14,7 +16,7 @@ worker →    ``hello`` (join), ``request`` (ask for a lease), ``result``
             (one finished cell: ``index``/``key``/``summary`` or
             ``error``), ``heartbeat`` (liveness; extends lease deadlines),
             ``bye`` (clean leave)
-coordinator ``welcome`` (runner name + cell total), ``lease`` (cell batch
+coordinator ``welcome`` (cell total), ``lease`` (cell batch
 →           + deadline), ``wait`` (all cells leased; retry later),
             ``done`` (sweep complete), ``abort`` (sweep failed),
             ``drain`` (coordinator stopping gracefully — SIGTERM; stop

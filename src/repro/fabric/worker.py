@@ -5,10 +5,13 @@ host; :func:`spawn_local_workers` forks them from the sweep driver. A
 worker is stateless from the fabric's point of view — it joins whenever it
 starts, leaves whenever it dies, and the coordinator's lease deadlines
 cover both cases. Cells execute through exactly the same path as the
-in-process sweep loop: :func:`repro.api.parallel.resolve_runner` for the
-cell body and :func:`~repro.api.parallel.prepare_shared`'s one-slot
-cache for dataset/optimum reuse (leases are single-group batches, so the
-cache hits on every cell after a lease's first).
+in-process sweep loop: :func:`repro.api.parallel.run_cell` for the
+cell body (looked up on its module per cell, so a driver's patch
+reaches the workers it forks) and
+:func:`~repro.api.parallel.prepare_shared`'s one-slot cache for
+dataset/optimum reuse (leases are single-group batches, so the cache
+hits on every cell after a lease's first). Every cell returns its one
+record, so a lease names only cells, never what to run on them.
 
 Liveness: while a lease is executing, a background thread heartbeats the
 coordinator over short-lived side connections (no socket sharing with
@@ -154,9 +157,9 @@ class SweepWorker:
                 return  # coordinator gone; the main loop will notice
 
     # -- cell execution ----------------------------------------------------------------
-    def _run_cell(self, runner: str, cell: dict) -> dict:
+    def _run_cell(self, cell: dict) -> dict:
         """Run one cell; returns the ``result`` message to send."""
-        from repro.api.parallel import resolve_runner
+        from repro.api import parallel
 
         base = {
             "type": "result",
@@ -165,7 +168,7 @@ class SweepWorker:
             "key": cell["key"],
         }
         try:
-            summary = resolve_runner(runner)(cell["spec"])
+            summary = parallel.run_cell(cell["spec"])
         except Exception as exc:  # noqa: BLE001 - report, don't die
             return {**base, "error": f"{type(exc).__name__}: {exc}"}
         return {**base, "summary": encode_frame(summary)}
@@ -173,7 +176,6 @@ class SweepWorker:
     def _run_lease(self, conn: socket.socket, lease: dict) -> bool:
         """Execute one lease; ``False`` when the coordinator aborted."""
         self.leases_taken += 1
-        runner = lease.get("runner", "summary")
         deadline_s = float(lease.get("deadline_s", 30.0))
         stop = threading.Event()
         beat = threading.Thread(
@@ -185,7 +187,7 @@ class SweepWorker:
         beat.start()
         try:
             for cell in lease["cells"]:
-                message = self._run_cell(runner, cell)
+                message = self._run_cell(cell)
                 sent_key = (int(cell["index"]), str(cell["key"]))
                 if sent_key in self._sent_cells:
                     message["resend"] = True
@@ -228,7 +230,7 @@ class SweepWorker:
         self._joined = True
         self.log(
             f"[{self.name}] {verb} {self.host}:{self.port} "
-            f"({reply['total']} cells, runner={reply['runner']!r})"
+            f"({reply['total']} cells)"
         )
         while True:
             reply = self._exchange(

@@ -141,6 +141,11 @@ class RunResult:
     #: Slice of the dispatcher's metrics log covering this run.
     metrics: list["TaskMetrics"] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+    #: The context's dispatcher totals when the run ended: task bytes
+    #: (in + out) and fetch bytes, set-up jobs before ``metrics``
+    #: opens included.
+    total_task_bytes: int = 0
+    total_fetch_bytes: int = 0
 
     def final_error(self, problem: Problem) -> float:
         return problem.error(self.w)

@@ -489,6 +489,7 @@ class ServerLoop:
             # survive the summary layer's scalar filter.
             extras.update(self.comm.extras())
 
+        disp = opt.ctx.dispatcher
         return RunResult(
             w=self.w,
             trace=self.trace,
@@ -496,6 +497,8 @@ class ServerLoop:
             elapsed_ms=end_ms,
             rounds=self.rounds,
             algorithm=rule.algorithm_label(),
-            metrics=opt.ctx.dispatcher.metrics_log[self.metrics_start:],
+            metrics=disp.metrics_log[self.metrics_start:],
             extras=extras,
+            total_task_bytes=disp.total_in_bytes + disp.total_out_bytes,
+            total_fetch_bytes=disp.total_fetch_bytes,
         )

@@ -186,6 +186,29 @@ def test_summarize_is_json_safe():
     assert again["updates"] == 8
     assert again["final_error"] < again["initial_error"]
     assert again["spec"]["algorithm"] == "asgd"
+    assert again == summary  # series points are lists, not tuples
+
+
+def test_record_byte_totals_cover_the_whole_context():
+    """SAGA runs a set-up job before its metrics window opens: the
+    record's byte totals are the context dispatcher's at the end of the
+    run, not a sum over the window, which misses that job."""
+    spec = {
+        "algorithm": "saga", "dataset": "tiny_dense", "num_workers": 4,
+        "max_updates": 6, "seed": 0,
+    }
+    prep = prepare_experiment(spec)
+    with prep.make_context() as ctx:
+        result = prep.run_in(ctx)
+        disp = ctx.dispatcher
+        task = disp.total_in_bytes + disp.total_out_bytes
+        fetch = disp.total_fetch_bytes
+    record = summarize(prep, result)
+    assert (record["total_task_bytes"], record["total_fetch_bytes"]) == (
+        task, fetch,
+    )
+    window = sum(m.in_bytes + m.out_bytes for m in result.metrics)
+    assert 0 < window < task
 
 
 def test_grid_sweep_shares_dataset_and_problem_across_cells():

@@ -201,13 +201,20 @@ def test_design_scoreboard_only_goes_down():
     # shared memory off for, and no pool to shut down.
     from repro.api import parallel
 
-    assert list(inspect.signature(parallel.run_cells).parameters) == [
-        "specs", "runner", "jobs",
-    ]
     assert list(inspect.signature(parallel.run_sweep_cells).parameters) == [
-        "specs", "progress", "runner", "decode", "jobs", "checkpoint",
-        "resume", "fabric",
+        "specs", "progress", "jobs", "checkpoint", "resume", "fabric",
     ]
+    # One cell function and one record: no runner names, no decoder,
+    # no second cell body or bench-only run path.
+    import repro.api
+    import repro.bench.harness
+
+    assert not hasattr(parallel, "run_cells")
+    assert not hasattr(repro.api, "run_cells")
+    for name in ("resolve_runner", "_bench_cell", "_summary_cell"):
+        assert not hasattr(parallel, name), name
+    assert not hasattr(repro.bench.harness, "run_api_experiment")
+    assert not hasattr(repro.bench.harness.ExperimentResult, "to_dict")
     # The paper's claims are one registry run by one function: no figure
     # drivers, no module-global setters, no per-claim pytest scripts.
     import repro.bench

@@ -1,13 +1,13 @@
-"""Bench-runner checkpoint/resume: ExperimentResult rows as JSONL."""
+"""Claims checkpoint/resume: cell records as JSONL, read as ExperimentResults."""
 
 import json
 
 import pytest
 
-from repro.api.parallel import run_key, run_sweep_cells
+from repro.api.parallel import run_cell, run_key, run_sweep_cells
 from repro.api.spec import ExperimentSpec
 from repro.bench.claims import PAPER_CELL
-from repro.bench.harness import ExperimentResult, run_api_experiment
+from repro.bench.harness import ExperimentResult
 from repro.errors import ReproError
 
 CELL = PAPER_CELL.with_overrides(
@@ -26,59 +26,52 @@ def executed(monkeypatch):
     from repro.api import parallel
 
     seen = []
-    real_cell = parallel._bench_cell
+    real_cell = parallel.run_cell
 
     def counting(spec_dict):
         seen.append(ExperimentSpec.coerce(spec_dict))
         return real_cell(spec_dict)
 
-    monkeypatch.setattr(parallel, "_bench_cell", counting)
+    monkeypatch.setattr(parallel, "run_cell", counting)
     return seen
 
 
 def run_bench_cells(specs, **kwargs):
     """The claims registry's call into the one checkpointed sweep driver."""
-    return run_sweep_cells(
-        specs, runner="bench", decode=ExperimentResult.from_dict, **kwargs
-    )
+    return [
+        ExperimentResult.from_dict(record)
+        for record in run_sweep_cells(specs, **kwargs)
+    ]
 
 
 # -- serialization round trip --------------------------------------------------------
 def test_experiment_result_round_trips_through_json():
-    result = run_api_experiment(CELL)
-    wire = json.loads(json.dumps(result.to_dict()))  # full JSON round trip
+    from dataclasses import fields
+
+    from repro.api.runner import RECORD_FIELDS, is_record
+
+    record = run_cell(CELL)
+    assert list(record) == list(RECORD_FIELDS) and is_record(record)
+    # The view reads every record field, and nothing else.
+    assert [f.name for f in fields(ExperimentResult)] == list(RECORD_FIELDS)
+    wire = json.loads(json.dumps(record))  # full JSON round trip
+    assert wire == record
     back = ExperimentResult.from_dict(wire)
     assert isinstance(back.spec, ExperimentSpec)
     assert back.spec == CELL
-    assert back.final_error == result.final_error
-    assert back.initial_error == result.initial_error
-    assert back.elapsed_ms == result.elapsed_ms
-    assert back.updates == result.updates
-    assert back.rounds == result.rounds
-    assert back.error_series == result.error_series
-    assert back.total_task_bytes == result.total_task_bytes
-    assert back.time_to_error(back.relative_target(0.9)) == pytest.approx(
-        result.time_to_error(result.relative_target(0.9))
-    )
+    assert back == ExperimentResult.from_dict(record)  # every field
+    assert 0 < back.time_to_error(back.relative_target(0.9)) <= back.elapsed_ms
 
 
 def test_to_dict_keeps_only_scalar_extras():
-    result = run_api_experiment(CELL)
-    result.extras["unpicklable"] = object()
-    wire = result.to_dict()
-    assert "unpicklable" not in wire["extras"]
-    assert wire["extras"]["collected"] == result.extras["collected"]
-
-
-def test_from_dict_rejects_run_grid_summary_rows():
-    """A run_grid summary shares the file format and keys but has no
-    error series — restoring one as a bench result must fail loudly."""
     from repro.api.runner import prepare_experiment, summarize
 
-    prep = prepare_experiment(_specs(1)[0])
-    summary = summarize(prep, prep.execute())
-    with pytest.raises(ReproError, match="not a bench ExperimentResult"):
-        ExperimentResult.from_dict(summary)
+    prep = prepare_experiment(CELL)
+    result = prep.execute()
+    result.extras["unpicklable"] = object()
+    wire = summarize(prep, result)
+    assert "unpicklable" not in wire["extras"]
+    assert wire["extras"]["collected"] == result.extras["collected"]
 
 
 # -- checkpoint stream ---------------------------------------------------------------
@@ -91,7 +84,7 @@ def test_bench_checkpoint_writes_one_line_per_cell(tmp_path):
     assert {entry["key"] for entry in lines} == {run_key(s) for s in specs}
     by_key = {entry["key"]: entry["summary"] for entry in lines}
     for spec, result in zip(specs, results):
-        assert by_key[run_key(spec)] == result.to_dict()
+        assert ExperimentResult.from_dict(by_key[run_key(spec)]) == result
 
 
 def test_bench_resume_restores_without_rerunning(tmp_path, executed):
@@ -103,7 +96,7 @@ def test_bench_resume_restores_without_rerunning(tmp_path, executed):
     executed.clear()
     second = run_bench_cells(specs, checkpoint=ckpt, resume=True)
     assert executed == []  # everything restored from the stream
-    assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
+    assert second == first
 
 
 def test_bench_resume_matches_by_key_across_batch_shapes(tmp_path, executed):
@@ -151,12 +144,12 @@ def test_bench_resume_decodes_rows_recorded_with_barrier_key(tmp_path, monkeypat
     from repro.api import parallel as parallel_mod
 
     monkeypatch.setattr(
-        parallel_mod, "resolve_runner",
-        lambda name: pytest.fail("a recorded cell was re-run"),
+        parallel_mod, "run_cell",
+        lambda spec_dict: pytest.fail("a recorded cell was re-run"),
     )
     second = run_bench_cells(specs, checkpoint=ckpt, resume=True)
     assert [r.spec for r in second] == specs
-    assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
+    assert second == first
 
 
 def test_bench_resume_requires_checkpoint_path():
@@ -207,3 +200,58 @@ def test_figures_checkpoint_survives_cache_clear(
     assert len(executed) == 2
     assert set(second.results) == {"asp", "bsp"}
     assert second.table == first[0].table
+
+
+# -- one record: grid and figures checkpoints resume each other ---------------------
+@pytest.fixture
+def shared_cells(monkeypatch):
+    """A two-cell ``barriers`` row and the grid that expands to its cells."""
+    from dataclasses import replace
+
+    from repro.bench import claims
+
+    row = claims.CLAIMS["barriers"]
+    base = CELL.with_overrides(delay="cds:1.0")
+    monkeypatch.setitem(claims.CLAIMS, row.name, replace(row, cells={
+        policy: base.with_overrides(policy=policy) for policy in ("asp", "bsp")
+    }))
+    grid = {"base": base.to_dict(), "grid": {"policy": ["asp", "bsp"]}}
+    return claims, row.name, grid
+
+
+def test_grid_checkpoint_resumes_claims_with_no_cell_run(
+    tmp_path, executed, shared_cells
+):
+    from repro.api import run_grid
+
+    claims, name, grid = shared_cells
+    ckpt = tmp_path / "sweep.ckpt.jsonl"
+    records = run_grid(grid, checkpoint=ckpt)
+    assert len(executed) == 2
+
+    executed.clear()
+    (verdict,) = claims.run_claims([name], checkpoint=ckpt)
+    assert executed == []
+    assert verdict.results == {
+        "asp": ExperimentResult.from_dict(records[0]),
+        "bsp": ExperimentResult.from_dict(records[1]),
+    }
+
+
+def test_claims_checkpoint_resumes_a_grid_with_no_cell_run(
+    tmp_path, executed, shared_cells
+):
+    from repro.api import run_grid
+
+    claims, name, grid = shared_cells
+    ckpt = tmp_path / "figures.ckpt.jsonl"
+    (verdict,) = claims.run_claims([name], checkpoint=ckpt)
+    assert len(executed) == 2
+
+    executed.clear()
+    records = run_grid(grid, checkpoint=ckpt, resume=True)
+    assert executed == []
+    assert [ExperimentResult.from_dict(r) for r in records] == [
+        verdict.results["asp"], verdict.results["bsp"],
+    ]
+    assert records == run_grid(grid)  # what a fresh grid returns

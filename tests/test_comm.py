@@ -646,10 +646,10 @@ def test_worker_ships_framed_summaries(monkeypatch):
 
     worker = SweepWorker("127.0.0.1:1", name="t")
     monkeypatch.setattr(
-        "repro.api.parallel.resolve_runner",
-        lambda runner: (lambda spec: {"final_error": 0.125, "spec": spec}),
+        "repro.api.parallel.run_cell",
+        lambda spec: {"final_error": 0.125, "spec": spec},
     )
-    message = worker._run_cell("summary", {
+    message = worker._run_cell({
         "index": 0, "key": "k", "spec": {"seed": 1},
     })
     assert is_frame(message["summary"])

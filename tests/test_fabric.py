@@ -290,7 +290,12 @@ def test_coordinator_keeps_sweep_alive_on_stale_failure():
         lease_size=1, max_attempts=2, clock=lambda: now[0],
     )
     dispatch = coordinator._dispatch
+    # Every worker runs the one cell function: no message names a runner.
+    assert dispatch({"type": "hello", "worker": "A"}) == {
+        "type": "welcome", "total": 1,
+    }
     lease = dispatch({"type": "request", "worker": "A"})
+    assert set(lease) == {"type", "lease", "deadline_s", "cells"}
     index = lease["cells"][0]["index"]
     now[0] = 20.0
     assert dispatch({"type": "request", "worker": "B"})["type"] == "lease"

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.api import run_experiment, run_grid
-from repro.api.parallel import SweepCheckpoint, resolve_runner, run_key
+from repro.api.parallel import SweepCheckpoint, run_cell, run_key
 from repro.api.spec import GridSpec
 from repro.cluster.threadbackend import ThreadBackend
 from repro.data.synthetic import make_dense_regression
@@ -155,7 +155,7 @@ class _RawWorker:
 def test_duplicate_results_yield_one_checkpoint_entry(tmp_path):
     serial = run_grid(GRID)
     summaries = {
-        cell[0]: resolve_runner("summary")(cell[2])
+        cell[0]: run_cell(cell[2])
         for cell in _grid_cells(GRID)
     }
     ckpt = SweepCheckpoint(tmp_path / "sweep.jsonl")
@@ -391,7 +391,7 @@ def _forked_worker_mid_cell(tmp_path, monkeypatch):
     The fork happens the way ``run_fabric_cells`` does it under
     ``graceful_sigterm``: socket bound, a Python SIGTERM handler
     installed, accept loop not yet started. Forked children inherit the
-    patched ``resolve_runner`` along with the rest of the driver.
+    patched ``run_cell`` along with the rest of the driver.
     """
     marker = tmp_path / "cell-started"
 
@@ -399,9 +399,7 @@ def _forked_worker_mid_cell(tmp_path, monkeypatch):
         marker.write_text("started")
         time.sleep(120.0)
 
-    monkeypatch.setattr(
-        "repro.api.parallel.resolve_runner", lambda name: stuck_cell
-    )
+    monkeypatch.setattr("repro.api.parallel.run_cell", stuck_cell)
     coordinator = SweepCoordinator(_grid_cells(GRID)[:1], lease_ttl=30.0)
     coordinator.bind()
     drained = []
@@ -485,7 +483,7 @@ def noisy_cell(spec_dict):
     np.log(np.zeros(1))  # RuntimeWarning: divide by zero
     return {"ok": True}
 
-parallel.resolve_runner = lambda name: noisy_cell
+parallel.run_cell = noisy_cell
 spec = {"algorithm": "asgd", "dataset": "tiny_dense", "max_updates": 1}
 out = run_fabric_cells([(0, "k", spec)], fabric={"local_workers": 1})
 print("driver:", out)

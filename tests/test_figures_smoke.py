@@ -52,13 +52,13 @@ def verdicts(tiny):
 def executed(monkeypatch):
     """Spec of every cell body that actually runs in this process."""
     seen = []
-    real_cell = parallel._bench_cell
+    real_cell = parallel.run_cell
 
     def counting(spec_dict):
         seen.append(run_key(spec_dict))
         return real_cell(spec_dict)
 
-    monkeypatch.setattr(parallel, "_bench_cell", counting)
+    monkeypatch.setattr(parallel, "run_cell", counting)
     return seen
 
 

@@ -1,12 +1,13 @@
-"""Bench reducer: token parsing, end-to-end cells."""
+"""Claim cells: token parsing, end-to-end records read as results."""
 
 import math
 
 import pytest
 
 from repro.api.registry import DELAY_MODELS, OPTIMIZERS
+from repro.api.parallel import run_cell
 from repro.bench.claims import PAPER_CELL
-from repro.bench.harness import run_api_experiment
+from repro.bench.harness import ExperimentResult
 from repro.cluster.stragglers import ControlledDelay, NoDelay, ProductionCluster
 from repro.core.policies import (
     ASP,
@@ -24,6 +25,11 @@ from repro.optim.loop import BulkSynchronous, UpdateRule
 TINY_CELL = PAPER_CELL.with_overrides(
     dataset="tiny_dense", num_workers=4, num_partitions=8,
 )
+
+
+def run_result(spec):
+    """One cell's record, read the way a claim reads it."""
+    return ExperimentResult.from_dict(run_cell(spec))
 
 
 def parse_delay(token, num_workers, seed):
@@ -69,7 +75,7 @@ def test_every_algorithm_runs(algorithm, asynchronous):
     rule = OPTIMIZERS.get(algorithm)
     assert issubclass(rule, UpdateRule)
     assert issubclass(rule, BulkSynchronous) != asynchronous
-    res = run_api_experiment(spec)
+    res = run_result(spec)
     assert res.spec == spec
     assert res.updates == 12
     assert res.final_error < res.initial_error
@@ -78,7 +84,7 @@ def test_every_algorithm_runs(algorithm, asynchronous):
 
 
 def test_result_time_to_error():
-    res = run_api_experiment(TINY_CELL.with_overrides(max_updates=30))
+    res = run_result(TINY_CELL.with_overrides(max_updates=30))
     t = res.time_to_error(res.relative_target(0.5))
     assert 0 < t <= res.elapsed_ms
     assert math.isinf(res.time_to_error(1e-300))
@@ -88,8 +94,8 @@ def test_straggler_slows_sync_run():
     base = TINY_CELL.with_overrides(max_updates=20)
     slow = base.with_overrides(delay="cds:1.0")
     assert (
-        run_api_experiment(slow).elapsed_ms
-        > run_api_experiment(base).elapsed_ms
+        run_result(slow).elapsed_ms
+        > run_result(base).elapsed_ms
     )
 
 
@@ -97,11 +103,11 @@ def test_saga_naive_mode_tracked():
     spec = TINY_CELL.with_overrides(
         algorithm="saga", max_updates=10, params={"mode": "naive"},
     )
-    res = run_api_experiment(spec)
+    res = run_result(spec)
     assert res.extras["naive_broadcast_bytes"] > 0
 
 
 def test_unknown_algorithm_rejected():
     with pytest.raises(ReproError):
-        run_api_experiment(TINY_CELL.with_overrides(algorithm="quantum"))
+        run_result(TINY_CELL.with_overrides(algorithm="quantum"))
 

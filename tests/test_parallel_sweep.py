@@ -11,12 +11,13 @@ from repro.api import run_grid
 from repro.api.parallel import (
     SweepCheckpoint,
     group_key,
-    run_cells,
     run_key,
+    run_sweep_cells,
     resolve_jobs,
 )
 from repro.api.runner import component_key
 from repro.api.spec import ExperimentSpec, GridSpec
+from repro.bench.harness import ExperimentResult
 from repro.errors import ApiError, FabricError, ReproError
 
 GRID = {
@@ -38,6 +39,14 @@ def test_parallel_summaries_identical_to_serial():
     parallel = run_grid(GRID, jobs=2)
     assert serial == parallel
     assert len(serial) == 6
+    # The record's series and byte totals cross the fabric bit for bit.
+    def series_and_bytes(records):
+        return [(r["error_series"], r["total_task_bytes"],
+                 r["total_fetch_bytes"]) for r in records]
+
+    assert series_and_bytes(parallel) == series_and_bytes(serial)
+    assert all(len(r["error_series"]) == 3 and r["total_task_bytes"] > 0
+               for r in serial)
 
 
 def test_parallel_ordering_is_grid_expansion_order():
@@ -174,7 +183,7 @@ def test_sweep_whose_forked_workers_all_die_raises(tmp_path, monkeypatch):
         os.kill(os.getpid(), signal.SIGKILL)
 
     # Forked workers inherit the patch; the driver never runs a cell.
-    monkeypatch.setattr(parallel, "_summary_cell", dying_cell)
+    monkeypatch.setattr(parallel, "run_cell", dying_cell)
     ck = tmp_path / "sweep.ckpt.jsonl"
     with _within(30), pytest.raises(
         FabricError, match=r"6 cell\(s\) unrecorded: \[0, 1, 2, 3, 4, 5\]"
@@ -184,20 +193,16 @@ def test_sweep_whose_forked_workers_all_die_raises(tmp_path, monkeypatch):
 
 
 def test_run_cells_bench_runner_returns_results_in_order():
+    """Records from forked workers decode as claim results, in order."""
     specs = GridSpec.coerce(GRID).expand()[:2]
     from repro.bench.harness import ExperimentResult
 
     results = [
         ExperimentResult.from_dict(wire)
-        for wire in run_cells(specs, runner="bench", jobs=2)
+        for wire in run_sweep_cells(specs, jobs=2)
     ]
-    assert [r.spec.policy for r in results] == ["asp", "asp"]
+    assert [r.spec for r in results] == specs
     assert all(r.final_error < r.initial_error for r in results)
-
-
-def test_unknown_runner_rejected():
-    with pytest.raises(ApiError, match="unknown cell runner"):
-        run_cells([ExperimentSpec()], runner="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +232,13 @@ def test_resume_runs_only_unfinished_cells(tmp_path, monkeypatch):
     ck.write_text("\n".join(lines[:2]) + "\n")
 
     executed = []
-    orig = parallel._summary_cell
+    orig = parallel.run_cell
 
     def counting_cell(spec_dict):
         executed.append(spec_dict["policy"])
         return orig(spec_dict)
 
-    monkeypatch.setattr(parallel, "_summary_cell", counting_cell)
+    monkeypatch.setattr(parallel, "run_cell", counting_cell)
     resumed = run_grid(GRID, checkpoint=ck, resume=True)
     assert resumed == full
     assert len(executed) == 4  # the 4 cells the "interrupt" lost
@@ -261,9 +266,9 @@ def test_resume_accepts_parent_written_fuse_tasks_lines(tmp_path, monkeypatch):
     ck.write_text("\n".join(lines) + "\n")
 
     executed = []
-    orig = parallel._summary_cell
+    orig = parallel.run_cell
     monkeypatch.setattr(
-        parallel, "_summary_cell",
+        parallel, "run_cell",
         lambda spec_dict: executed.append(spec_dict) or orig(spec_dict),
     )
     resumed = run_grid(GRID, checkpoint=ck, resume=True)
@@ -271,6 +276,69 @@ def test_resume_accepts_parent_written_fuse_tasks_lines(tmp_path, monkeypatch):
     # Restored summaries have the shape of fresh ones: the retired key is
     # normalised out of the recorded spec as it is out of the run key.
     assert resumed == full
+
+
+def _spoil_line(ck, index, partial):
+    """Rewrite line ``index`` of ``ck`` so its summary is no whole record:
+    a string, or the recorded spec alone."""
+    lines = ck.read_text().splitlines()
+    entry = json.loads(lines[index])
+    entry["summary"] = (
+        "garbage" if partial == "garbage"
+        else {"spec": entry["summary"]["spec"]}
+    )
+    lines[index] = json.dumps(entry, separators=(",", ":"))
+    ck.write_text("\n".join(lines) + "\n")
+    return entry["index"]
+
+
+@pytest.mark.parametrize("partial", ["garbage", "spec_only"])
+def test_resume_reruns_only_the_cell_with_a_partial_line(
+    tmp_path, monkeypatch, partial
+):
+    """A matching line is reused only when it holds every record field;
+    one that does not (it used to come back as the cell's result) re-runs
+    its cell, and only that one."""
+    from repro.api import parallel
+
+    specs = GridSpec.coerce(GRID).expand()[:3]
+    ck = tmp_path / "sweep.ckpt.jsonl"
+    fresh = parallel.run_sweep_cells(specs, checkpoint=ck)
+    spoiled = _spoil_line(ck, 1, partial)
+    executed = []
+    orig = parallel.run_cell
+    monkeypatch.setattr(
+        parallel, "run_cell",
+        lambda spec_dict: executed.append(spec_dict) or orig(spec_dict),
+    )
+    resumed = parallel.run_sweep_cells(specs, checkpoint=ck, resume=True)
+    assert executed == [specs[spoiled].to_dict()]
+    assert resumed == fresh
+
+
+@pytest.mark.parametrize("partial", ["garbage", "spec_only"])
+def test_fabric_resume_reruns_the_cell_with_a_partial_line(
+    tmp_path, partial
+):
+    """The driver and a relaunched coordinator's recovery apply the same
+    test: the spoiled cell is leased, re-run and recorded (not marked
+    done from its line and then missing)."""
+    from repro.api import parallel
+    from repro.fabric import read_status
+
+    specs = GridSpec.coerce(GRID).expand()[:3]
+    ck = tmp_path / "sweep.ckpt.jsonl"
+    fresh = parallel.run_sweep_cells(specs, checkpoint=ck)
+    spoiled = _spoil_line(ck, 1, partial)
+    resumed = parallel.run_sweep_cells(
+        specs, checkpoint=ck, resume=True, fabric="local:1"
+    )
+    assert resumed == fresh
+    lines = [json.loads(line) for line in ck.read_text().splitlines()]
+    assert [e["index"] for e in lines[len(specs):]] == [spoiled]
+    assert lines[-1]["summary"] == fresh[spoiled]
+    status = read_status(ck)
+    assert (status["recovered"], status["done"]) == (0, 1)
 
 
 def test_resume_reruns_cells_recorded_under_another_trajectory_epoch(
@@ -301,9 +369,9 @@ def test_resume_reruns_cells_recorded_under_another_trajectory_epoch(
     ck.write_text("\n".join(lines) + "\n")
 
     executed = []
-    orig = parallel._summary_cell
+    orig = parallel.run_cell
     monkeypatch.setattr(
-        parallel, "_summary_cell",
+        parallel, "run_cell",
         lambda spec_dict: executed.append(spec_dict) or orig(spec_dict),
     )
     resumed = parallel.run_sweep_cells(specs, checkpoint=ck, resume=True)
@@ -342,8 +410,8 @@ def test_resume_accepts_parent_written_retired_key_lines(
     fresh = parallel.run_sweep_cells(specs, checkpoint=ck)
     lines = _rekeyed_checkpoint(ck, max_time_ms=None, step_time="pass")
     monkeypatch.setattr(
-        parallel, "resolve_runner",
-        lambda name: pytest.fail("a recorded cell was re-run"),
+        parallel, "run_cell",
+        lambda spec_dict: pytest.fail("a recorded cell was re-run"),
     )
     resumed = parallel.run_sweep_cells(
         specs, checkpoint=ck, resume=True, fabric=fabric
@@ -384,20 +452,28 @@ def _parent_spec_dict(spec, spelled):
     return data
 
 
+#: How each front door of the sweep driver reads its records: ``run_grid``
+#: returns the summaries as they are, ``run_claims`` decodes each one.
+READERS = {
+    "summary": lambda record: record,
+    "bench": ExperimentResult.from_dict,
+}
+
+
 @pytest.mark.parametrize("spelled", ["barrier", "policy"])
 @pytest.mark.parametrize("runner", ["summary", "bench"])
 def test_resume_accepts_checkpoints_keyed_with_barrier(
     tmp_path, monkeypatch, runner, spelled
 ):
     """Every key minted at the parent commit contains ``"barrier":``;
-    such a stream resumes with zero cells re-run, for both runners, and
-    every reader of its keys sees today's canonical form."""
+    such a stream resumes with zero cells re-run, for both front doors,
+    and every reader of its keys sees today's canonical form."""
     from repro.api import parallel
     from repro.fabric import read_status
 
     specs = GridSpec.coerce(GRID).expand()[:4]
     ck = tmp_path / "parent.ckpt.jsonl"
-    fresh = parallel.run_sweep_cells(specs, runner=runner, checkpoint=ck)
+    fresh = parallel.run_sweep_cells(specs, checkpoint=ck)
     lines = []
     for raw in ck.read_text().splitlines():
         entry = json.loads(raw)
@@ -409,13 +485,14 @@ def test_resume_accepts_checkpoints_keyed_with_barrier(
     ck.write_text("\n".join(lines) + "\n")
 
     monkeypatch.setattr(
-        parallel, "resolve_runner",
-        lambda name: pytest.fail("a recorded cell was re-run"),
+        parallel, "run_cell",
+        lambda spec_dict: pytest.fail("a recorded cell was re-run"),
     )
-    resumed = parallel.run_sweep_cells(
-        specs, runner=runner, checkpoint=ck, resume=True
-    )
+    resumed = parallel.run_sweep_cells(specs, checkpoint=ck, resume=True)
     assert resumed == fresh  # recorded specs included: no ``barrier`` comes back
+    read = READERS[runner]
+    assert list(map(read, resumed)) == list(map(read, fresh))
+    assert [ExperimentSpec.from_dict(r["spec"]) for r in resumed] == specs
     assert ck.read_text().splitlines() == lines  # nothing re-appended
     entries = SweepCheckpoint(ck).entries()
     assert sorted(key for _i, key, _s in entries) == sorted(map(run_key, specs))
@@ -427,32 +504,33 @@ def test_resume_accepts_checkpoints_keyed_with_barrier(
 def test_relaunched_fabric_sweep_hands_the_checkpoint_to_the_coordinator(
     tmp_path, monkeypatch, runner
 ):
-    """The fabric branch passes ``resume_from`` whichever runner drives
-    it: a relaunched coordinator must seal and re-read the stream its
-    killed predecessor (and that predecessor's workers) wrote."""
+    """The fabric branch passes ``resume_from`` whichever front door
+    drives it: a relaunched coordinator must seal and re-read the stream
+    its killed predecessor (and that predecessor's workers) wrote."""
     import repro.fabric as fabric
     from repro.api import parallel
 
     specs = GridSpec.coerce(GRID).expand()[:2]
     ck = tmp_path / "sweep.ckpt.jsonl"
-    parallel.run_sweep_cells(specs[:1], runner=runner, checkpoint=ck)
+    parallel.run_sweep_cells(specs[:1], checkpoint=ck)
     seen = []
 
     def fake_fabric(cells, *, on_result, **kwargs):
         seen.append({**kwargs, "indices": [index for index, _k, _s in cells]})
         for index, key, spec_dict in cells:
-            on_result(index, key, parallel.resolve_runner(runner)(spec_dict))
+            on_result(index, key, parallel.run_cell(spec_dict))
 
     monkeypatch.setattr(fabric, "run_fabric_cells", fake_fabric)
-    parallel.run_sweep_cells(
-        specs, runner=runner, checkpoint=ck, resume=True, fabric="local:1"
+    resumed = parallel.run_sweep_cells(
+        specs, checkpoint=ck, resume=True, fabric="local:1"
     )
-    assert [(call["runner"], call["resume_from"], call["indices"])
-            for call in seen] == [(runner, ck, [1])]
-    parallel.run_sweep_cells(specs, runner=runner, checkpoint=ck,
-                             fabric="local:1")
+    assert [(call["resume_from"], call["indices"])
+            for call in seen] == [(ck, [1])]
+    fresh = parallel.run_sweep_cells(specs, checkpoint=ck, fabric="local:1")
     assert seen[-1]["resume_from"] is None  # a fresh sweep has no past
     assert seen[-1]["indices"] == [0, 1]
+    read = READERS[runner]
+    assert list(map(read, resumed)) == list(map(read, fresh))
 
 
 def test_resume_with_pool_appends_only_missing_cells(tmp_path):
@@ -492,7 +570,7 @@ def test_unwritable_checkpoint_fails_before_any_cell(tmp_path, monkeypatch):
 
     executed = []
     monkeypatch.setattr(
-        parallel, "_summary_cell",
+        parallel, "run_cell",
         lambda spec: executed.append(spec) or {},
     )
 

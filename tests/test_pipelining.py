@@ -74,14 +74,14 @@ def test_pipelined_round_reaches_deeper(ctx):
 
 
 def test_pipelining_reduces_elapsed_time():
+    from repro.api.parallel import run_cell
     from repro.bench.claims import PAPER_CELL
-    from repro.bench.harness import run_api_experiment
 
     def elapsed(depth):
-        return run_api_experiment(PAPER_CELL.with_overrides(
+        return run_cell(PAPER_CELL.with_overrides(
             dataset="tiny_dense", algorithm="asgd", num_workers=4,
             num_partitions=8, max_updates=60, delay="cds:1.0",
             pipeline_depth=depth,
-        )).elapsed_ms
+        ))["elapsed_ms"]
 
     assert elapsed(2) <= elapsed(1)

@@ -196,22 +196,22 @@ def test_policy_less_spec_json_is_unchanged_by_the_new_field():
 
 
 def test_bench_spec_fails_fast_on_mis_keyed_policy():
+    from repro.api.parallel import run_cell
     from repro.bench.claims import PAPER_CELL
-    from repro.bench.harness import run_api_experiment
 
     bad = PAPER_CELL.with_overrides(
         dataset="tiny_dense", algorithm="asgd", policy="sps:4",  # typo
     )
     with pytest.raises(ApiError, match="unknown policy"):
-        run_api_experiment(bad)
+        run_cell(bad)
 
 
 def test_bench_spec_rejects_policy_on_sync_algorithm():
+    from repro.api.parallel import run_cell
     from repro.bench.claims import PAPER_CELL
-    from repro.bench.harness import run_api_experiment
 
     sync = PAPER_CELL.with_overrides(
         dataset="tiny_dense", algorithm="svrg", policy="ssp:2",
     )
     with pytest.raises(ApiError, match="no effect on the synchronous"):
-        run_api_experiment(sync)
+        run_cell(sync)

@@ -87,13 +87,14 @@ def test_to_json_fallback_repr():
 
 def test_export_real_experiment(tmp_path):
     """End-to-end: run a tiny cell and export everything."""
+    from repro.api.parallel import run_cell
     from repro.bench.claims import PAPER_CELL
-    from repro.bench.harness import run_api_experiment
+    from repro.bench.harness import ExperimentResult
 
-    res = run_api_experiment(PAPER_CELL.with_overrides(
+    res = ExperimentResult.from_dict(run_cell(PAPER_CELL.with_overrides(
         dataset="tiny_dense", num_workers=2, num_partitions=4,
         max_updates=6,
-    ))
+    )))
     error_series_to_csv({"sgd": res.error_series}, tmp_path / "s.csv")
     to_json({"final_error": res.final_error, "spec": res.spec},
             tmp_path / "r.json")

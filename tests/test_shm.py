@@ -18,7 +18,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
-from repro.api.parallel import _load_dataset, run_cells
+from repro.api.parallel import _load_dataset, run_sweep_cells
 from repro.api.spec import ExperimentSpec
 from repro.data import shm
 from repro.data.blocks import Csr
@@ -153,9 +153,9 @@ def test_run_cells_share_data_parity(monkeypatch):
         return real_publish(dataset, seed)
 
     monkeypatch.setattr(shm, "publish_dataset", spying_publish)
-    shared = run_cells(specs, jobs=2)
+    shared = run_sweep_cells(specs, jobs=2)
     assert published == [("tiny_dense", 0)]  # once per group, not per cell
-    private = run_cells(specs, jobs=1)
+    private = run_sweep_cells(specs, jobs=1)
     assert published == [("tiny_dense", 0)]  # in-process publishes nothing
     assert json.dumps(shared, sort_keys=True) == json.dumps(
         private, sort_keys=True

@@ -262,7 +262,7 @@ def test_sweep_checkpoint_with_list_form_run_state_resumes(
     ck.write_text("".join(json.dumps(e) + "\n" for e in entries))
 
     monkeypatch.setattr(
-        parallel, "_summary_cell",
+        parallel, "run_cell",
         lambda spec: pytest.fail("a recorded cell was re-run"),
     )
     resumed = run_grid(grid, checkpoint=str(ck), resume=True)

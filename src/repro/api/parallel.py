@@ -23,7 +23,7 @@ import os
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.api.spec import LEGACY_FIELDS, ExperimentSpec
+from repro.api.spec import ExperimentSpec
 from repro.errors import ApiError
 from repro.utils.rng import TRAJECTORY_EPOCH
 
@@ -54,37 +54,6 @@ def run_key(spec: ExperimentSpec | Mapping[str, Any]) -> str:
         {**spec.to_dict(), "trajectory_epoch": TRAJECTORY_EPOCH},
         sort_keys=True, separators=(",", ":"),
     )
-
-
-def _current_line(key: Any, wire: Any) -> tuple[Any, Any]:
-    """A recorded ``(key, result)`` line in today's canonical form.
-
-    Lines written before a spec field was retired or renamed carry it
-    inside their key and inside the result's ``"spec"``; passing both
-    through the spec layer normalises it away, so those cells still
-    match on resume and a restored result has the shape of a fresh one.
-    These spellings were retired before keys carried a trajectory epoch,
-    so such a key records none and is re-minted at today's; one that
-    records another epoch stays unmatched. Anything else passes through
-    untouched.
-    """
-    if not (
-        isinstance(key, str)
-        and any(f'"{name}"' in key for name in LEGACY_FIELDS)
-    ):
-        return key, wire
-    try:
-        recorded = json.loads(key)
-        epoch = recorded.pop("trajectory_epoch", TRAJECTORY_EPOCH)
-        if epoch != TRAJECTORY_EPOCH:
-            return key, wire
-        key = run_key(recorded)
-        if isinstance(wire, dict) and isinstance(wire.get("spec"), dict):
-            spec = ExperimentSpec.from_dict(wire["spec"])
-            wire = {**wire, "spec": spec.to_dict()}
-    except (json.JSONDecodeError, AttributeError, ApiError):
-        pass
-    return key, wire
 
 
 def group_key(spec: ExperimentSpec) -> tuple:
@@ -228,8 +197,10 @@ class SweepCheckpoint:
         A final chunk with no trailing newline is a *torn* line — the
         writer (a killed worker or coordinator) died mid-``write`` — and
         is skipped, as is any malformed interior line, so resume never
-        raises on a partial checkpoint. Keys and recorded specs come
-        back in today's canonical form whatever version wrote them.
+        raises on a partial checkpoint. Lines come back as written: one
+        keyed under another trajectory epoch, or spelling a retired spec
+        field (such keys predate epoch 2), matches no cell's
+        :func:`run_key`, so resume re-runs that cell.
         """
         out: list[tuple[int, str | None, Any]] = []
         try:
@@ -250,9 +221,9 @@ class SweepCheckpoint:
             except (UnicodeDecodeError, json.JSONDecodeError):
                 continue
             if isinstance(entry, dict) and isinstance(entry.get("index"), int):
-                out.append((entry["index"], *_current_line(
-                    entry.get("key"), entry.get("summary")
-                )))
+                out.append(
+                    (entry["index"], entry.get("key"), entry.get("summary"))
+                )
         return out
 
     def seal(self) -> None:

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.cluster.backend import WorkerEnv
 from repro.core.policies import SchedulingPolicy, as_policy
 from repro.core.stat import StatTable
+from repro.data.blocks import Batch
 from repro.engine.rdd import RDD
 from repro.engine.taskcontext import task_env
 from repro.utils.sizeof import sizeof_bytes
@@ -100,14 +101,18 @@ class RoundPlan:
 
     Everything but ``(handle, seed)`` is fixed for a run, so
     :meth:`submit` only rebinds those two and each task walks its
-    partitions inline: cached source block, mini-batch draw, row gather,
-    cost report, kernel, fold. The steps, their order and the callables
-    they go through (``RDD.iterator`` for the source block, so a lost
-    cached partition recomputes; ``MatrixBlock.sample_indices(fraction,
-    seed, "mbatch", split)``, the one stateless draw, then
-    ``take_rows``) are those of the verb chain above, which makes the
-    two bit-identical — ``tests/test_round_plan.py`` pins it.
-    ``fraction=None`` skips sampling (the kernel samples for itself);
+    partitions inline: cached source block (``RDD.iterator``, so a lost
+    cached partition recomputes), mini-batch draw
+    (``MatrixBlock.sample_indices(fraction, seed, "mbatch", split)``,
+    the one stateless draw the verb chain's ``sample`` makes), cost
+    report, kernel, fold. The batch is not gathered: the kernel gets a
+    :class:`~repro.data.blocks.Batch` (source block and row indices) and
+    streams its rows through ``Problem.grad_sum``'s selection, one
+    cache-sized chunk at a time. The verb chain's ``sample`` gathers its
+    batch instead; read as a ``Batch`` of all its rows, it streams the
+    same chunks, so the two are bit-identical —
+    ``tests/test_round_plan.py`` pins it. ``fraction=None`` skips
+    sampling (the kernel samples for itself and gets the source block);
     ``kernel`` is called as ``kernel(block, handle, seed)``.
 
     ``submit(..., sync=True)`` runs them as a bulk-synchronous round
@@ -148,13 +153,9 @@ class RoundPlan:
                     acc: Any = _EMPTY
                     count = 0
                     for split in splits:
-                        # Rebinding ``block`` (source block, then its
-                        # mini-batch) frees the previous partition's
-                        # gathered rows before the next gather allocates;
-                        # holding both doubles wall time on wide blocks.
                         for block in source.iterator(split, env):
                             if fraction is not None:
-                                block = block.take_rows(block.sample_indices(
+                                block = Batch(block, block.sample_indices(
                                     fraction, seed, "mbatch", split
                                 ))
                                 env.record_cost(block.cost_units())

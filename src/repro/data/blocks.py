@@ -18,7 +18,11 @@ bits, whatever the matrix's size: ``np.bincount`` for the vector
 products, ``np.add.at`` over bounded row chunks for :func:`gram`.
 :func:`grouped_products` multiplies each row against its own group's
 vector (SAGA's historical gradients, one group per stored model version)
-in one such pass.
+in one such pass. :func:`selected_products` is the same product pair
+over a row selection (a task's mini-batch, a :class:`Batch`), which a
+dense block streams: it gathers :data:`STREAM_CHUNK_BYTES` of rows at a
+time and runs both matrix-vector products on each chunk before
+gathering the next, so no batch is ever materialised.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from repro.errors import DataError
 from repro.utils.rng import batch_indices
 
 __all__ = [
+    "Batch",
     "Csr",
     "MatrixBlock",
     "as_matrix",
@@ -41,6 +46,7 @@ __all__ = [
     "index_dtype",
     "matvec",
     "rmatvec",
+    "selected_products",
     "split_matrix",
     "stack_blocks",
 ]
@@ -256,6 +262,51 @@ def grouped_products(
     ).reshape(k, dim)
 
 
+#: Bytes of rows :func:`selected_products` gathers at a time from a dense
+#: block: 64 rows at d = 512, 341 at d = 96, a few L2-resident pages.
+#: Part of the trajectory: a selection longer than one chunk adds its
+#: chunk partials in row order, so changing this moves the bits of every
+#: such run and needs a ``TRAJECTORY_EPOCH`` bump
+#: (:mod:`repro.utils.rng`).
+STREAM_CHUNK_BYTES = 256 << 10
+
+
+def selected_products(
+    X: "Matrix", y: np.ndarray, w: np.ndarray, idx: np.ndarray, link,
+) -> np.ndarray:
+    """``X[idx].T @ link(X[idx] @ w, y[idx])`` over the row selection ``idx``.
+
+    ``idx`` indexes rows as ``X[idx]`` does (unsorted, repeated or
+    negative; out of range raises) and ``link`` is elementwise.
+
+    A dense ``X`` is streamed: rows are gathered one chunk of
+    :data:`STREAM_CHUNK_BYTES` at a time, both matrix-vector products
+    run on that chunk before the next is gathered, and the chunk
+    partials are added in row order. The transient is one chunk, not
+    the selection, and a selection that fits one chunk makes exactly
+    the calls of gathering it and multiplying (same bits). A :class:`Csr`
+    gathers the rows (:func:`_sparse_rows`) and multiplies them, the bits
+    of :meth:`MatrixBlock.take_rows` and :func:`matvec`/:func:`rmatvec`.
+    """
+    if type(X) is Csr:
+        rows = _sparse_rows(X, idx)
+        return rmatvec(rows, link(matvec(rows, w), y[idx]))
+    step = STREAM_CHUNK_BYTES // (X.shape[1] * X.itemsize or 1) or 1
+    ys = y[idx]
+    out = None
+    # ``or 1``: an empty selection still takes one (empty) chunk, whose
+    # product is zeros(d), as X[idx] gives.
+    for lo in range(0, len(idx) or 1, step):
+        rows = X[idx[lo:lo + step]]
+        part = rows.T @ link(rows @ w, ys[lo:lo + step])
+        del rows  # one chunk of rows alive at a time
+        if out is None:
+            out = part
+        else:
+            out += part
+    return out
+
+
 Matrix = Union[np.ndarray, Csr]
 
 
@@ -357,6 +408,52 @@ class MatrixBlock:
 
     def global_ids(self, local_idx: np.ndarray) -> np.ndarray:
         return local_idx + self.offset
+
+
+class Batch:
+    """Rows ``idx`` of ``block``, not gathered: one task's mini-batch.
+
+    What :class:`~repro.core.ops.RoundPlan` hands a rule's kernel when
+    its round samples. ``rows`` is the batch size. A kernel reads the
+    rows through a selection, ``problem.grad_sum(block.X, block.y, w,
+    idx)`` (:func:`selected_products`), which streams a dense block
+    instead of copying the batch out of it. ``X`` and ``y`` are the
+    gathered batch (``block.take_rows(idx)``, made on first use), for a
+    kernel written against a gathered block.
+    """
+
+    __slots__ = ("block", "idx", "rows", "_taken")
+
+    def __init__(self, block: MatrixBlock, idx: np.ndarray) -> None:
+        self.block = block
+        self.idx = idx
+        self.rows = len(idx)
+        self._taken = None
+
+    def _take(self) -> MatrixBlock:
+        if self._taken is None:
+            self._taken = self.block.take_rows(self.idx)
+        return self._taken
+
+    @property
+    def X(self) -> "Matrix":
+        return self._take().X
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._take().y
+
+    def cost_units(self) -> float:
+        """``block.take_rows(idx).cost_units()``, without the gather:
+        a sparse batch costs its own stored entries."""
+        X, m = self.block.X, self.rows
+        if type(X) is not Csr:
+            return float(m)
+        if m == 0:
+            return 0.0
+        idx = self.idx
+        nnz = int((X.indptr[1:][idx] - X.indptr[:-1][idx]).sum())
+        return m * (nnz / m) / max(X.shape[1], 1)
 
 
 def stack_blocks(

@@ -41,11 +41,13 @@ class ASGDRule(UpdateRule):
     def sample_fraction(self):
         return self.opt.config.batch_fraction
 
-    def kernel(self, block, handle, seed):
-        problem = self.opt.problem
+    def kernel(self, batch, handle, seed):
+        block = batch.block
         return (
-            problem.grad_sum(block.X, block.y, bc_value(handle)),
-            block.rows,
+            self.opt.problem.grad_sum(
+                block.X, block.y, bc_value(handle), batch.idx
+            ),
+            batch.rows,
         )
 
     reduce = staticmethod(add_pairs)

@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.api.registry import register_optimizer
 from repro.errors import OptimError
-from repro.optim.base import bc_value
+from repro.optim.asgd import ASGDRule
 from repro.optim.loop import UpdateRule
 from repro.optim.reducers import add_pairs
 
@@ -122,12 +122,7 @@ class AsyncLBFGSRule(UpdateRule):
     def sample_fraction(self):
         return self.opt.config.batch_fraction
 
-    def kernel(self, block, handle, seed):
-        problem = self.opt.problem
-        return (
-            problem.grad_sum(block.X, block.y, bc_value(handle)),
-            block.rows,
-        )
+    kernel = ASGDRule.kernel
 
     reduce = staticmethod(add_pairs)
 

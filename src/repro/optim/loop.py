@@ -19,7 +19,7 @@ hook                    role
 ======================  ========================================================
 ``publish(w)``          ship the model; returns the handle tasks will read
 ``sample_fraction()``   mini-batch rate the round draws; ``None`` = kernel samples
-``kernel(block, h, s)`` worker-side computation over one data block
+``kernel(block, h, s)`` worker-side computation over a block (sampled: a Batch)
 ``reduce(a, b)``        combine two worker-local partials
 ``apply(w, rec, a)``    server-side update; ``None`` skips (e.g. empty batch)
 ``setup(w)``            once, before the metrics window opens (e.g. SAGA init)

@@ -5,11 +5,15 @@ All objectives have the finite-sum form of the paper's Eq. (1)/(2):
     F(w) = (1/n) sum_j f_j(w)  [+ (lam/2) ||w||^2]
 
 with per-sample losses f_j. The distributed algorithms only ever call the
-vectorized block kernel ``grad_sum(X, y, w)`` (sum of per-sample gradients
-over a block), which is a single BLAS / sparse matvec pair per task — no
-per-row Python, per the HPC guides — and SAGA's ``grad_sum_grouped``,
-the same sum with every row at its own stored model version, one
-grouped product pair for a sparse batch. ``X`` is whatever a block holds
+vectorized block kernel ``grad_sum(X, y, w, idx)`` (sum of per-sample
+gradients over a block's rows ``idx``, or all of them): one
+matrix-vector product pair per chunk of rows, no per-row Python, per
+the HPC guides. A task's mini-batch is such a selection, which a dense
+block streams through
+:func:`~repro.data.blocks.selected_products` a cache-sized chunk at a
+time instead of copying it out. SAGA's ``grad_sum_grouped`` is the same
+sum with every row at its own stored model version, one grouped product
+pair for a sparse batch. ``X`` is whatever a block holds
 (a dense array or a :class:`~repro.data.blocks.Csr`; a scipy CSR training
 set is adopted as one); :mod:`repro.data.blocks` owns how each of them
 multiplies.
@@ -30,6 +34,7 @@ import numpy as np
 from repro.api.registry import register_problem
 from repro.data.blocks import (
     Csr, MatrixBlock, as_matrix, gram, grouped_products, matvec, rmatvec,
+    selected_products,
 )
 from repro.errors import OptimError
 
@@ -85,8 +90,16 @@ class Problem(ABC):
         """``sum_j f_j(w)`` over the block (without regularization)."""
 
     @abstractmethod
-    def grad_sum(self, X, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """``sum_j grad f_j(w)`` over the block (without regularization)."""
+    def grad_sum(
+        self, X, y: np.ndarray, w: np.ndarray, idx: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``sum_j grad f_j(w)`` over the block (without regularization).
+
+        With ``idx``, over the block's rows ``idx`` only:
+        ``grad_sum(X[idx], y[idx], w)``, streamed by
+        :func:`~repro.data.blocks.selected_products` (bit-equal while
+        ``idx`` fits one chunk).
+        """
 
     def grad_sum_grouped(
         self, X, y: np.ndarray, ws: "list[np.ndarray]", group: np.ndarray
@@ -169,7 +182,9 @@ class LeastSquaresProblem(Problem):
         r = matvec(X, w) - y
         return float(r @ r)
 
-    def grad_sum(self, X, y, w):
+    def grad_sum(self, X, y, w, idx=None):
+        if idx is not None:
+            return 2.0 * selected_products(X, y, w, idx, np.subtract)
         r = matvec(X, w) - y
         return 2.0 * rmatvec(X, r)
 
@@ -238,7 +253,9 @@ class LogisticRegressionProblem(Problem):
         d = 1.0 + e
         return np.where(z >= 0, 1.0 / d, e / d)
 
-    def grad_sum(self, X, y, w):
+    def grad_sum(self, X, y, w, idx=None):
+        if idx is not None:
+            return selected_products(X, y, w, idx, self._coef)
         margins = -y * matvec(X, w)
         coef = -y * self._sigmoid(margins)
         return rmatvec(X, coef)

@@ -92,17 +92,18 @@ class ASVRGRule(UpdateRule):
     def sample_fraction(self):
         return self.opt.config.batch_fraction
 
-    def kernel(self, block, handle, seed):
+    def kernel(self, batch, handle, seed):
         # Second gradient pass (at w_tilde) costs another sweep over the
         # batch.
         problem = self.opt.problem
-        record_cost(block.cost_units())
+        record_cost(batch.cost_units())
+        X, y, idx = batch.block.X, batch.block.y, batch.idx
         return (
             (
-                problem.grad_sum(block.X, block.y, bc_value(handle)),
-                problem.grad_sum(block.X, block.y, bc_value(self.wt_br)),
+                problem.grad_sum(X, y, bc_value(handle), idx),
+                problem.grad_sum(X, y, bc_value(self.wt_br), idx),
             ),
-            block.rows,
+            batch.rows,
         )
 
     reduce = staticmethod(add_vr_pairs)

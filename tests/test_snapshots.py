@@ -474,15 +474,19 @@ def test_snapshot_header_carries_the_trajectory_epoch(tmp_path):
     assert state["trajectory_epoch"] == TRAJECTORY_EPOCH
 
 
-@pytest.mark.parametrize("epoch", ["missing", 1, 3])
+@pytest.mark.parametrize("epoch", ["missing", "previous", "next"])
 def test_restore_refuses_another_trajectory_epoch(tmp_path, epoch):
     """A snapshot of another generation of trajectories cannot continue
-    here: its continuation is not what this code computes."""
+    here: its continuation is not what this code computes. The other
+    epochs are this code's neighbours, so a bump keeps them "other"."""
+    from repro.utils.rng import TRAJECTORY_EPOCH
+
     state = _valid_state(tmp_path)
     if epoch == "missing":
         del state["trajectory_epoch"]
     else:
-        state["trajectory_epoch"] = epoch
+        step = -1 if epoch == "previous" else 1
+        state["trajectory_epoch"] = TRAJECTORY_EPOCH + step
     other = _write_state(tmp_path / "other.json", state)
     with pytest.raises(SnapshotError, match="trajectory epoch"):
         run_experiment({**SPEC, "restore_from": str(other)})

@@ -41,6 +41,7 @@ def test_svrg_direction_varies_far_less_than_sgd_near_the_anchor(
     gradient at the same ``w``."""
     from types import SimpleNamespace
 
+    from repro.data.blocks import Batch
     from repro.optim.loop import ServerLoop
     from repro.optim.svrg import ASVRGRule
 
@@ -60,12 +61,10 @@ def test_svrg_direction_varies_far_less_than_sgd_near_the_anchor(
     draws = np.random.default_rng(2)
     svrg, sgd = [], []
     for _ in range(300):
-        batch = block.take_rows(
-            np.sort(draws.choice(block.rows, 32, replace=False))
-        )
-        value = rule.kernel(batch, handle, 0)
+        idx = np.sort(draws.choice(block.rows, 32, replace=False))
+        value = rule.kernel(Batch(block, idx), handle, 0)
         svrg.append(w - rule.apply(w, SimpleNamespace(value=value), 1.0))
-        sgd.append(problem.grad_sum(batch.X, batch.y, w) / batch.rows)
+        sgd.append(problem.grad_sum(block.X, block.y, w, idx) / len(idx))
 
     def spread(directions):
         d = np.array(directions)

@@ -1,19 +1,16 @@
-"""Simulated distributed platform: clocks, cost models, stragglers, backends.
+"""Simulated distributed platform: clock, cost models, stragglers, backend.
 
-This subpackage stands in for the paper's physical XSEDE Comet cluster. It
-provides two interchangeable executors:
-
-- :class:`~repro.cluster.simbackend.SimBackend`: a deterministic
-  discrete-event simulation driven by a virtual clock. Task compute times
-  come from an analytic cost model, network transfers from a
-  latency/bandwidth model, and stragglers from pluggable delay models.
-- :class:`~repro.cluster.threadbackend.ThreadBackend`: real OS threads with
-  wall-clock timing and `sleep`-based stragglers (the paper's own CDS
-  methodology), demonstrating the same programs under genuine asynchrony.
+This subpackage stands in for the paper's physical XSEDE Comet cluster.
+Its one executor, :class:`~repro.cluster.simbackend.SimBackend`, is a
+deterministic discrete-event simulation driven by a virtual clock. Task
+compute times come from an analytic cost model, network transfers from a
+latency/bandwidth model, and stragglers from pluggable delay models.
+Real concurrency lives a level up, in the sweep fabric's worker
+processes (:mod:`repro.fabric`).
 """
 
-from repro.cluster.backend import Backend, BackendTask, TaskMetrics, WorkerEnv
-from repro.cluster.clock import Clock, VirtualClock, WallClock
+from repro.cluster.backend import BackendTask, TaskMetrics, WorkerEnv
+from repro.cluster.clock import VirtualClock
 from repro.cluster.cost import AnalyticCostModel, MeasuredCostModel, TaskCostModel
 from repro.cluster.events import Event, EventQueue
 from repro.cluster.network import NetworkModel
@@ -24,16 +21,12 @@ from repro.cluster.stragglers import (
     NoDelay,
     ProductionCluster,
 )
-from repro.cluster.threadbackend import ThreadBackend
 
 __all__ = [
-    "Backend",
     "BackendTask",
     "TaskMetrics",
     "WorkerEnv",
-    "Clock",
     "VirtualClock",
-    "WallClock",
     "TaskCostModel",
     "AnalyticCostModel",
     "MeasuredCostModel",
@@ -41,7 +34,6 @@ __all__ = [
     "EventQueue",
     "NetworkModel",
     "SimBackend",
-    "ThreadBackend",
     "DelayModel",
     "NoDelay",
     "ControlledDelay",

@@ -1,33 +1,17 @@
-"""Clock abstractions.
+"""The simulation clock.
 
 All engine timestamps are milliseconds, matching the paper's plots. The
-virtual clock is advanced only by the simulation event loop; the wall clock
-wraps ``time.perf_counter`` for the thread backend.
+virtual clock is advanced only by the simulation event loop.
 """
 
 from __future__ import annotations
 
-import time
-from abc import ABC, abstractmethod
-
 from repro.errors import ClockError
 
-__all__ = ["Clock", "VirtualClock", "WallClock"]
+__all__ = ["VirtualClock"]
 
 
-class Clock(ABC):
-    """Source of the current time in milliseconds."""
-
-    @abstractmethod
-    def now(self) -> float:
-        """Current time in ms since the clock's epoch."""
-
-    @property
-    def is_virtual(self) -> bool:
-        return False
-
-
-class VirtualClock(Clock):
+class VirtualClock:
     """Simulation time. Starts at 0.0 and only moves forward."""
 
     __slots__ = ("_now",)
@@ -36,6 +20,7 @@ class VirtualClock(Clock):
         self._now = 0.0
 
     def now(self) -> float:
+        """Current time in ms since the start of the simulation."""
         return self._now
 
     def advance_to(self, t: float) -> None:
@@ -51,24 +36,5 @@ class VirtualClock(Clock):
         if t > self._now:
             self._now = t
 
-    @property
-    def is_virtual(self) -> bool:
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"VirtualClock(now={self._now:.3f}ms)"
-
-
-class WallClock(Clock):
-    """Real time in ms, rebased to the moment the clock was created."""
-
-    __slots__ = ("_epoch",)
-
-    def __init__(self) -> None:
-        self._epoch = time.perf_counter()
-
-    def now(self) -> float:
-        return (time.perf_counter() - self._epoch) * 1000.0
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"WallClock(now={self.now():.3f}ms)"

@@ -13,9 +13,7 @@ Two spellings resolve to a :class:`FaultPlan`:
       "kill:w2@500ms,revive:w2@900ms"
 
   Actions are ``kill`` and ``revive``; times accept an ``ms`` (default)
-  or ``s`` suffix and are cluster time — virtual ms on the simulation
-  backend, wall-clock ms on the thread backend, so one plan runs on
-  both.
+  or ``s`` suffix and are virtual cluster time.
 
 - **Registry names** — ``"none"``, or the seeded random-kill mode
   ``"random_kill:K"`` which compiles K kills (optionally followed by
@@ -219,9 +217,8 @@ class FaultPlanDriver:
 
     The server loop polls :meth:`poll` once per round; events whose
     time has passed are injected through
-    :class:`~repro.engine.faults.FaultInjector`. Works on both
-    backends because it compares against ``ctx.now()`` (virtual or
-    wall-clock ms).
+    :class:`~repro.engine.faults.FaultInjector`, compared against
+    ``ctx.now()`` (virtual ms).
     """
 
     def __init__(self, plan: FaultPlan, ctx: "ClusterContext") -> None:

@@ -30,7 +30,9 @@ from __future__ import annotations
 import time as _time
 from typing import Any, Callable
 
-from repro.cluster.backend import Backend, BackendTask, TaskMetrics
+from repro.cluster.backend import (
+    BackendTask, CompletionCallback, TaskMetrics, WorkerEnv,
+)
 from repro.cluster.clock import VirtualClock
 from repro.cluster.cost import AnalyticCostModel, TaskCostModel
 from repro.cluster.events import Event, EventQueue
@@ -54,8 +56,9 @@ class _SimWorker:
         self.task_seq = 0
 
 
-class SimBackend(Backend):
-    """Deterministic virtual-time executor."""
+class SimBackend:
+    """Deterministic virtual-time executor: submit tasks, advance time,
+    observe results through one completion callback."""
 
     def __init__(
         self,
@@ -66,7 +69,15 @@ class SimBackend(Backend):
         delay_model: DelayModel | None = None,
         seed: int = 0,
     ) -> None:
-        super().__init__(num_workers, VirtualClock())
+        if num_workers <= 0:
+            raise ValueError("num_workers must be positive")
+        self.num_workers = num_workers
+        self.clock = VirtualClock()
+        self.envs = [WorkerEnv(w) for w in range(num_workers)]
+        self._callback: CompletionCallback | None = None
+        #: Bumped on every kill/revive; schedulers key caches of
+        #: membership-derived structures (candidate lists) on it.
+        self.members_epoch = 0
         self.cost_model = cost_model or AnalyticCostModel()
         self.network = network or NetworkModel()
         self.delay_model = delay_model or NoDelay()
@@ -80,8 +91,23 @@ class SimBackend(Backend):
         }
         self._executed_tasks = 0
 
+    # -- configuration -------------------------------------------------------
+    def set_completion_callback(self, cb: CompletionCallback) -> None:
+        """Install the single completion sink (the engine's coordinator)."""
+        self._callback = cb
+
+    def worker_env(self, worker_id: int) -> WorkerEnv:
+        return self.envs[worker_id]
+
+    def now(self) -> float:
+        return self.clock.now()
+
+    def worker_ids(self) -> range:
+        return range(self.num_workers)
+
     # -- introspection -------------------------------------------------------
     def pending_count(self) -> int:
+        """Number of submitted tasks whose results are not yet delivered."""
         return self._pending
 
     @property
@@ -96,6 +122,7 @@ class SimBackend(Backend):
 
     # -- submission ----------------------------------------------------------
     def submit(self, task: BackendTask, worker_id: int) -> None:
+        """Queue ``task`` for execution on ``worker_id`` (non-blocking)."""
         if not 0 <= worker_id < self.num_workers:
             raise ValueError(f"worker_id {worker_id} out of range")
         self._pending += 1
@@ -204,7 +231,9 @@ class SimBackend(Backend):
     ) -> None:
         self._live[worker_id].pop(task.task_id, None)
         self._pending -= 1
-        self._deliver(task, worker_id, value, metrics, error)
+        if self._callback is None:
+            raise RuntimeError("no completion callback installed")
+        self._callback(task, worker_id, value, metrics, error)
 
     # -- event loop -----------------------------------------------------------
     def step(self) -> bool:
@@ -216,13 +245,19 @@ class SimBackend(Backend):
         ev.callback(*ev.args)
         return True
 
-    def run_until(
-        self, predicate: Callable[[], bool], *, host_timeout_s: float | None = None
-    ) -> bool:
+    def run_until(self, predicate: Callable[[], bool]) -> bool:
+        """Advance until ``predicate()`` is true or no event is left.
+
+        Returns the predicate's final value.
+        """
         while not predicate():
             if not self.step():
                 return predicate()
         return True
+
+    def drain(self) -> None:
+        """Run until all in-flight work has been delivered."""
+        self.run_until(lambda: self._pending == 0)
 
     # -- fault injection --------------------------------------------------------
     def kill_worker(self, worker_id: int) -> None:

@@ -25,7 +25,6 @@ closure wrapping, no extra float ops — so the parity suite can pin
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -54,7 +53,6 @@ class CommManager:
         self.codec = PayloadCodec(self.compressor)
         self.codec_cost = codec_cost or CodecCostModel()
         self.ledger = CommLedger(self.compressor.spec())
-        self._lock = threading.Lock()
         #: channel name -> {scope: lowest model version it may still read}.
         self._watermarks: dict[str, dict[Any, int]] = {}
         #: (channel name, worker id) -> last value that worker reconstructed.
@@ -167,35 +165,34 @@ class CommManager:
         if value is None or value.dtype.kind != "f":
             self.ledger.record("broadcast", raw, raw)
             return exact, raw
-        with self._lock:
-            key = (channel.name, env.worker_id)
-            mirror = self._mirrors.get(key)
-            if mirror is None or mirror.shape != value.shape:
-                self._mirrors[key] = value.astype(np.float64, copy=True)
-                self._mirror_paths[key] = self._intern_path(0, int(version))
-                self.ledger.record("broadcast", raw, raw)
-                return exact, raw
-            path = self._mirror_paths.get(key, 0)
-            cache_key = (channel.name, int(version), path)
-            hit = self._delta_shared.get(cache_key)
-            if hit is not None:
-                recon, wire = hit
-            else:
-                delta = value.astype(np.float64, copy=False) - mirror
-                packet = self.compressor.compress(delta)
-                recon = mirror + self.compressor.decompress(packet).astype(
-                    np.float64, copy=False
-                )
-                wire = packet.wire_bytes
-                if self._delta_shared_version.get(channel.name) != int(version):
-                    self._delta_shared = {
-                        k: v for k, v in self._delta_shared.items()
-                        if k[0] != channel.name
-                    }
-                    self._delta_shared_version[channel.name] = int(version)
-                self._delta_shared[cache_key] = (recon, wire)
-            self._mirrors[key] = recon
-            self._mirror_paths[key] = self._intern_path(path, int(version))
+        key = (channel.name, env.worker_id)
+        mirror = self._mirrors.get(key)
+        if mirror is None or mirror.shape != value.shape:
+            self._mirrors[key] = value.astype(np.float64, copy=True)
+            self._mirror_paths[key] = self._intern_path(0, int(version))
+            self.ledger.record("broadcast", raw, raw)
+            return exact, raw
+        path = self._mirror_paths.get(key, 0)
+        cache_key = (channel.name, int(version), path)
+        hit = self._delta_shared.get(cache_key)
+        if hit is not None:
+            recon, wire = hit
+        else:
+            delta = value.astype(np.float64, copy=False) - mirror
+            packet = self.compressor.compress(delta)
+            recon = mirror + self.compressor.decompress(packet).astype(
+                np.float64, copy=False
+            )
+            wire = packet.wire_bytes
+            if self._delta_shared_version.get(channel.name) != int(version):
+                self._delta_shared = {
+                    k: v for k, v in self._delta_shared.items()
+                    if k[0] != channel.name
+                }
+                self._delta_shared_version[channel.name] = int(version)
+            self._delta_shared[cache_key] = (recon, wire)
+        self._mirrors[key] = recon
+        self._mirror_paths[key] = self._intern_path(path, int(version))
         self.ledger.record("broadcast", raw, wire)
         return recon.astype(value.dtype, copy=False), wire
 
@@ -215,28 +212,24 @@ class CommManager:
         the min over registered scopes, so an unregistered reader can
         never have versions pruned out from under it.
         """
-        with self._lock:
-            self._watermarks.setdefault(channel, {}).setdefault(
-                scope, int(version)
-            )
+        self._watermarks.setdefault(channel, {}).setdefault(
+            scope, int(version)
+        )
 
     def report_watermark(self, channel: str, scope: Any, version: int) -> None:
         """A scope advanced: it will never again read below ``version``."""
-        with self._lock:
-            table = self._watermarks.setdefault(channel, {})
-            table[scope] = max(int(version), table.get(scope, 0))
+        table = self._watermarks.setdefault(channel, {})
+        table[scope] = max(int(version), table.get(scope, 0))
 
     def prune_floor(self, channel: str) -> "int | None":
         """Version every registered scope has advanced past, or ``None``."""
-        with self._lock:
-            table = self._watermarks.get(channel)
-            if not table:
-                return None
-            return min(table.values())
+        table = self._watermarks.get(channel)
+        if not table:
+            return None
+        return min(table.values())
 
     def watermark_scopes(self, channel: str) -> int:
-        with self._lock:
-            return len(self._watermarks.get(channel, {}))
+        return len(self._watermarks.get(channel, {}))
 
     # -- result surface ----------------------------------------------------------
     def extras(self) -> dict:

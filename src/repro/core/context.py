@@ -97,13 +97,9 @@ class ASYNCContext:
         no in-flight task remains (then returns False). A failed task's
         error is raised instead, ahead of any queued result.
         """
-        # Reading the two queues needs no lock: each check is one atomic
-        # deque operation, and only the server consumes from them.
         coordinator = self.coordinator
         if block and not (coordinator.results or coordinator.errors):
-            self.ctx.backend.run_until(
-                self._arrived, host_timeout_s=self.ctx.job_timeout_s
-            )
+            self.ctx.backend.run_until(self._arrived)
         if coordinator.errors:
             coordinator.raise_pending_error()
         return bool(coordinator.results)
@@ -123,8 +119,7 @@ class ASYNCContext:
                 "ASYNCcollect: no task result available"
                 + ("" if block else " (non-blocking)")
             )
-        with self.ctx.backend.state_lock:
-            return self.coordinator.pop_result()
+        return self.coordinator.pop_result()
 
     def collect(self, block: bool = True) -> Any:
         """FIFO-pop one task result value."""
@@ -139,10 +134,7 @@ class ASYNCContext:
 
     def wait_all(self) -> None:
         """Advance until no submitted task remains in flight."""
-        self.ctx.backend.run_until(
-            lambda: self.scheduler.in_flight == 0,
-            host_timeout_s=self.ctx.job_timeout_s,
-        )
+        self.ctx.backend.run_until(lambda: self.scheduler.in_flight == 0)
 
     # -- submission -------------------------------------------------------------------
     def async_reduce(
@@ -195,19 +187,18 @@ class ASYNCContext:
         that rejoined.
         """
         rejoined = []
-        with self.ctx.backend.state_lock:
-            for w in self.ctx.backend.worker_ids():
-                status = self.stat[w]
-                alive = self.ctx.backend.worker_env(w).alive
-                if alive and not status.alive:
-                    status.alive = True
-                    status.in_flight = 0
-                    status.computing_version = None
-                    status.available = True
-                    rejoined.append(w)
-                elif not alive and status.alive:
-                    status.alive = False
-                    status.available = False
+        for w in self.ctx.backend.worker_ids():
+            status = self.stat[w]
+            alive = self.ctx.backend.worker_env(w).alive
+            if alive and not status.alive:
+                status.alive = True
+                status.in_flight = 0
+                status.computing_version = None
+                status.available = True
+                rejoined.append(w)
+            elif not alive and status.alive:
+                status.alive = False
+                status.available = False
         return rejoined
 
     # -- bookkeeping totals ---------------------------------------------------------------

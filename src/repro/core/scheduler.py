@@ -93,8 +93,7 @@ class AsyncScheduler:
         stat = ac.stat
 
         satisfied = policy.ready(stat) or backend.run_until(
-            lambda: policy.ready(stat),
-            host_timeout_s=ac.ctx.job_timeout_s,
+            lambda: policy.ready(stat)
         )
         if not satisfied:
             raise SchedulerError(
@@ -103,56 +102,55 @@ class AsyncScheduler:
                 f"{self.in_flight} task(s) in flight"
             )
 
-        with backend.state_lock:
-            # Alive workers holding data, with their partitions in
-            # ascending order. Membership (kill/revive) bumps a counter,
-            # so the map is cached across rounds.
-            num_partitions = rdd.num_partitions
-            cache_key = (num_partitions, backend.members_epoch)
-            cached = self._assigned_cache
-            if cached is not None and cached[0] == cache_key:
-                assigned = cached[1]
-            else:
-                by_owner: dict[int, list[int]] = {}
-                for p in range(num_partitions):
-                    by_owner.setdefault(ac.ctx.owner_of(p), []).append(p)
-                assigned = {
-                    w: by_owner[w] for w in sorted(by_owner)
-                    if backend.worker_env(w).alive
-                }
-                self._assigned_cache = (cache_key, assigned)
+        # Alive workers holding data, with their partitions in
+        # ascending order. Membership (kill/revive) bumps a counter,
+        # so the map is cached across rounds.
+        num_partitions = rdd.num_partitions
+        cache_key = (num_partitions, backend.members_epoch)
+        cached = self._assigned_cache
+        if cached is not None and cached[0] == cache_key:
+            assigned = cached[1]
+        else:
+            by_owner: dict[int, list[int]] = {}
+            for p in range(num_partitions):
+                by_owner.setdefault(ac.ctx.owner_of(p), []).append(p)
+            assigned = {
+                w: by_owner[w] for w in sorted(by_owner)
+                if backend.worker_env(w).alive
+            }
+            self._assigned_cache = (cache_key, assigned)
 
-            version = ac.coordinator.version
-            job_id = ac.ctx.dispatcher.new_job_id()
-            targets: list[int] = []
-            dataless: list[int] = []
-            for w in policy.eligible(stat):
-                if w in targets or w in dataless:
-                    raise SchedulerError(
-                        f"policy {policy.describe()} listed worker {w} "
-                        "twice; eligible workers must be distinct"
-                    )
-                splits = assigned.get(w)
-                if splits is None:
-                    dataless.append(w)
-                    continue
-                targets.append(w)
-                if granularity == "worker":
-                    self._dispatch(w, make_fn(w, splits), version, job_id)
-                else:
-                    for p in splits:
-                        self._dispatch(
-                            w, make_fn(w, [p]), version, job_id, partition=p,
-                        )
-            if not targets and self.in_flight == 0:
-                # Nothing dispatched and nothing in flight: the driver
-                # would spin forever waiting for a result that can never
-                # arrive. Fail loudly instead.
+        version = ac.coordinator.version
+        job_id = ac.ctx.dispatcher.new_job_id()
+        targets: list[int] = []
+        dataless: list[int] = []
+        for w in policy.eligible(stat):
+            if w in targets or w in dataless:
                 raise SchedulerError(
-                    f"policy {policy.describe()} admitted no data-holding "
-                    "worker with no tasks in flight; a policy must admit "
-                    "at least one when the cluster is idle"
+                    f"policy {policy.describe()} listed worker {w} "
+                    "twice; eligible workers must be distinct"
                 )
+            splits = assigned.get(w)
+            if splits is None:
+                dataless.append(w)
+                continue
+            targets.append(w)
+            if granularity == "worker":
+                self._dispatch(w, make_fn(w, splits), version, job_id)
+            else:
+                for p in splits:
+                    self._dispatch(
+                        w, make_fn(w, [p]), version, job_id, partition=p,
+                    )
+        if not targets and self.in_flight == 0:
+            # Nothing dispatched and nothing in flight: the driver
+            # would spin forever waiting for a result that can never
+            # arrive. Fail loudly instead.
+            raise SchedulerError(
+                f"policy {policy.describe()} admitted no data-holding "
+                "worker with no tasks in flight; a policy must admit "
+                "at least one when the cluster is idle"
+            )
         return targets
 
     def run_sync_round(
@@ -248,6 +246,6 @@ class AsyncScheduler:
             partition=partition,
             out_bytes_of=out_bytes_of,
         )
-        # Recorded after submit returns: dispatch runs under
-        # ``state_lock``, which every delivery also holds.
+        # Recorded after submit returns: a task's result is delivered by
+        # a later event-loop step, never inside ``submit``.
         self._tasks[task_id] = (version, partition, comm, then)

@@ -1,6 +1,6 @@
 """ClusterContext: the engine's driver entry point (Spark's ``sc``).
 
-Wires a backend (simulated or threaded) to the dispatcher, runs
+Wires the simulation backend to the dispatcher, runs
 synchronous jobs through the engine's one partition job
 (:func:`~repro.engine.scheduler.run_partitions`), hands out broadcast
 variables and provides factory methods for RDDs. A context is also a
@@ -17,7 +17,7 @@ import itertools
 import weakref
 from typing import Any, Callable, Sequence
 
-from repro.cluster.backend import Backend, WorkerEnv
+from repro.cluster.backend import WorkerEnv
 from repro.cluster.cost import TaskCostModel
 from repro.cluster.network import NetworkModel
 from repro.cluster.simbackend import SimBackend
@@ -40,13 +40,12 @@ class ClusterContext:
         self,
         num_workers: int = 4,
         *,
-        backend: Backend | None = None,
+        backend: SimBackend | None = None,
         seed: int = 0,
         cost_model: TaskCostModel | None = None,
         network: NetworkModel | None = None,
         delay_model: DelayModel | None = None,
         default_parallelism: int | None = None,
-        job_timeout_s: float | None = 120.0,
     ) -> None:
         if backend is None:
             backend = SimBackend(
@@ -66,13 +65,11 @@ class ClusterContext:
         #: no ledger).
         self.comm: Any = None
         self.default_parallelism = default_parallelism or backend.num_workers
-        self.job_timeout_s = job_timeout_s
         self.task_descriptor_bytes = 256
         self._rdd_ids = itertools.count()
         self._rdds: "weakref.WeakValueDictionary[int, RDD]" = (
             weakref.WeakValueDictionary()
         )
-        self._stopped = False
 
     # -- plumbing used by RDD -----------------------------------------------------
     def _next_rdd_id(self) -> int:
@@ -86,7 +83,7 @@ class ClusterContext:
         return self.backend.num_workers
 
     def now(self) -> float:
-        """Current cluster time in ms (virtual or wall, per backend)."""
+        """Current virtual cluster time in ms."""
         return self.backend.now()
 
     # -- RDD factories ---------------------------------------------------------------
@@ -142,9 +139,8 @@ class ClusterContext:
 
     # -- lifecycle -------------------------------------------------------------------------
     def stop(self) -> None:
-        if not self._stopped:
-            self._stopped = True
-            self.backend.shutdown()
+        """Spark's ``sc.stop()``: the simulated cluster holds no OS
+        resources, so there is nothing to release."""
 
     def __enter__(self) -> "ClusterContext":
         return self

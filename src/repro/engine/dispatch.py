@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable
 
-from repro.cluster.backend import Backend, BackendTask, TaskMetrics
+from repro.cluster.backend import BackendTask, TaskMetrics
+from repro.cluster.simbackend import SimBackend
 from repro.utils.sizeof import sizeof_bytes
 
 __all__ = ["Dispatcher"]
@@ -25,7 +26,7 @@ Continuation = Callable[[int, int, Any, TaskMetrics, BaseException | None], None
 class Dispatcher:
     """Routes completions to per-submission continuations, logs metrics."""
 
-    def __init__(self, backend: Backend) -> None:
+    def __init__(self, backend: SimBackend) -> None:
         self.backend = backend
         self._task_ids = itertools.count()
         self._job_ids = itertools.count()

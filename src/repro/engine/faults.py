@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.cluster.simbackend import SimBackend
 from repro.errors import BackendError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,10 +49,8 @@ class FaultInjector:
         self.injected.append(("revive", worker_id, self.ctx.now()))
 
     def kill_at(self, time_ms: float, worker_id: int) -> None:
-        """Schedule a failure at a future virtual time (simulation only)."""
+        """Schedule a failure at a future virtual time."""
         backend = self.ctx.backend
-        if not isinstance(backend, SimBackend):
-            raise BackendError("kill_at requires the simulation backend")
         if time_ms < backend.now():
             raise BackendError("cannot schedule a failure in the past")
         backend.queue.push(time_ms, self.kill, worker_id)

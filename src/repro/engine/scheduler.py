@@ -79,12 +79,9 @@ def run_partitions(
 
         send(split, pick_worker(ctx, split, attempt), job_id, cont)
 
-    with ctx.backend.state_lock:
-        for split in range(num_partitions):
-            submit(split, 0)
-    ctx.backend.run_until(
-        lambda: not left or bool(fatal), host_timeout_s=ctx.job_timeout_s
-    )
+    for split in range(num_partitions):
+        submit(split, 0)
+    ctx.backend.run_until(lambda: not left or bool(fatal))
     if fatal:
         raise fatal[0]
     if left:

@@ -4,9 +4,10 @@ Closures executing inside a task (gradient kernels, samplers) sometimes
 need to talk to the worker environment — to report how much work they did
 (`record_cost`) or that they pulled bytes from the driver (`record_fetch`)
 — without threading ``env`` through every user-facing function signature.
-A context variable scoped to the task body provides that channel; it works
-identically under the single-threaded simulation and the thread backend
-(each worker thread has its own context).
+A context variable scoped to the task body provides that channel. A
+context variable rather than a module global, because the fabric's
+in-process sweep workers run several engines on threads of one process,
+and each thread has its own context.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ class SchedulerError(EngineError):
 
 
 class BackendError(ReproError):
-    """Errors raised by cluster backends (simulation or threads)."""
+    """Errors raised by the simulated cluster backend."""
 
 
 class ClockError(BackendError):

@@ -5,8 +5,8 @@ integer seed makes an entire distributed experiment reproducible:
 dataset generation, mini-batch sampling on every worker, straggler delays
 and network jitter all draw from independent, collision-free streams
 keyed by small structured tuples (e.g. ``("mbatch", split)``), with no
-shared mutable state — important because the thread backend samples
-from several streams concurrently.
+shared mutable state, so a stream's draws never depend on the order in
+which tasks run.
 
 Streams come from one of two derivations:
 

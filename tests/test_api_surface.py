@@ -393,13 +393,16 @@ assert not loaded(), loaded()
 """)
 
 
-def test_no_module_under_src_imports_scipy():
-    """The ratchet behind ``install_requires=["numpy"]``: no ``import
-    scipy`` or ``from scipy`` anywhere in the package, at any depth
-    (function bodies and ``TYPE_CHECKING`` blocks included)."""
+def _importers_of(top: str, *, skip: str = "") -> list[str]:
+    """``path:line`` of every ``import top`` / ``from top`` in the
+    package, at any depth (function bodies and ``TYPE_CHECKING`` blocks
+    included), outside the subpackage ``skip``."""
     src = Path(__file__).resolve().parents[1] / "src"
     offenders = []
     for path in sorted(src.rglob("*.py")):
+        where = path.relative_to(src).as_posix()
+        if skip and where.startswith(skip):
+            continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -407,9 +410,37 @@ def test_no_module_under_src_imports_scipy():
                 names = [node.module or ""]
             else:
                 continue
-            if any(n.partition(".")[0] == "scipy" for n in names):
-                offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+            if any(n.partition(".")[0] == top for n in names):
+                offenders.append(f"{where}:{node.lineno}")
+    return offenders
+
+
+def test_no_module_under_src_imports_scipy():
+    """The ratchet behind ``install_requires=["numpy"]``: no ``import
+    scipy`` or ``from scipy`` anywhere in the package."""
+    offenders = _importers_of("scipy")
     assert not offenders, offenders
+
+
+def test_the_engine_is_single_threaded():
+    """One backend, the simulation, on the driver's thread: only the
+    sweep fabric (worker processes, a coordinator with connection
+    threads) imports ``threading``, and no thread backend, wall clock,
+    clock interface or host timeout is left to reach for."""
+    import importlib.util
+
+    import repro.cluster
+    from repro.cluster.simbackend import SimBackend
+
+    offenders = _importers_of("threading", skip="repro/fabric/")
+    assert not offenders, offenders
+    for gone in ("ThreadBackend", "WallClock", "Clock", "Backend"):
+        assert not hasattr(repro.cluster, gone), gone
+    assert importlib.util.find_spec("repro.cluster.threadbackend") is None
+    assert list(inspect.signature(SimBackend.run_until).parameters) == [
+        "self", "predicate",
+    ]
+    assert "job_timeout_s" not in inspect.signature(ClusterContext).parameters
 
 
 @pytest.mark.parametrize("spec", [

@@ -1,11 +1,9 @@
 """ASYNCContext + AsyncScheduler: rounds, barriers, collection semantics."""
 
-import sys
-
 import numpy as np
 import pytest
+from arrival_orders import ORDERS, ScriptedOrder
 
-from repro.cluster.threadbackend import ThreadBackend
 from repro.core import ASP, BSP, SSP, ASYNCContext
 from repro.core.policies import LambdaPolicy
 from repro.engine.context import ClusterContext
@@ -210,33 +208,37 @@ def test_matrix_round_with_broadcast(ctx, small_data):
     assert total_rows == 128  # half of 256
 
 
-def test_thread_backend_collects_every_task_exactly_once():
-    """Stress: eight worker threads (more than cores), a tiny switch
-    interval, and the server collecting while workers deliver. The shared
-    per-task table and the lock-free ``has_next`` reads must lose and
-    duplicate nothing."""
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ClusterContext(8, backend=ThreadBackend(num_workers=8)) as tctx:
-            ac = ASYNCContext(tctx)
-            rdd = tctx.parallelize(range(64), 16)  # 8 elements per task
-            counts = []
-            for _ in range(40):
-                rdd.async_aggregate(
-                    0, lambda n, x: n + 1, lambda a, b: a + b, ac
-                )
-                while ac.has_next(block=False):
-                    counts.append(ac.collect(block=False))
-            while ac.has_next(block=True):
-                counts.append(ac.collect(block=True))
-            submitted = ac.scheduler.tasks_submitted
-            assert ac.in_flight == 0 and not ac.scheduler._tasks
-    finally:
-        sys.setswitchinterval(old)
-    assert submitted >= 40
-    assert len(counts) == ac.collected == submitted
-    assert sum(counts) == 8 * submitted
+@pytest.mark.parametrize("order", ORDERS)
+def test_every_task_is_collected_exactly_once(order):
+    """Eight workers under a scripted arrival order (order 0 ties every
+    arrival), with the server collecting between rounds while results
+    are still in flight: every submitted task is collected once, none
+    twice and none lost."""
+    with ClusterContext(8, seed=0, delay_model=ScriptedOrder(order)) as sc:
+        ac = ASYNCContext(sc)
+        submitted = []
+        submit = sc.dispatcher.submit
+
+        def spy_submit(*args, **kwargs):
+            submitted.append(submit(*args, **kwargs))
+            return submitted[-1]
+
+        sc.dispatcher.submit = spy_submit
+        rdd = sc.parallelize(range(64), 16)  # 8 elements per task
+        records = []
+        for _ in range(40):
+            rdd.async_aggregate(0, lambda n, x: n + 1, lambda a, b: a + b, ac)
+            while ac.has_next(block=False):
+                records.append(ac.collect_all(block=False))
+        while ac.has_next(block=True):
+            records.append(ac.collect_all(block=True))
+        assert ac.in_flight == 0 and not ac.scheduler._tasks
+        assert ac.lost_tasks == 0
+    collected = sorted(r.task_id for r in records)
+    assert len(submitted) == ac.scheduler.tasks_submitted >= 40
+    assert collected == sorted(submitted)  # no duplicate, no loss
+    assert ac.collected == len(submitted)
+    assert all(r.value == 8 for r in records)
 
 
 def test_version_property(ctx):

@@ -1,10 +1,8 @@
-"""Clock semantics: monotone virtual time, wall clock sanity."""
-
-import time
+"""Clock semantics: monotone virtual time."""
 
 import pytest
 
-from repro.cluster.clock import VirtualClock, WallClock
+from repro.cluster.clock import VirtualClock
 from repro.errors import ClockError
 
 
@@ -33,18 +31,3 @@ def test_virtual_tolerates_fp_jitter():
     c.advance_to(1.0 - 1e-12)  # within tolerance
     assert c.now() == 1.0
 
-
-def test_virtual_is_virtual():
-    assert VirtualClock().is_virtual
-    assert not WallClock().is_virtual
-
-
-def test_wall_clock_moves():
-    c = WallClock()
-    t0 = c.now()
-    time.sleep(0.01)
-    assert c.now() >= t0 + 5.0  # at least ~5ms passed
-
-
-def test_wall_clock_rebased_near_zero():
-    assert WallClock().now() < 1000.0

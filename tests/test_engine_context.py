@@ -1,8 +1,6 @@
 """ClusterContext plumbing: locality, lifecycle, configuration."""
 
-import pytest
-
-from repro.cluster.threadbackend import ThreadBackend
+from repro.cluster.simbackend import SimBackend
 from repro.engine.context import ClusterContext
 
 
@@ -31,18 +29,6 @@ def test_explicit_default_parallelism():
         assert ctx.range(20).num_partitions == 10
 
 
-def test_context_manager_stops_backend():
-    backend = ThreadBackend(num_workers=2)
-    with ClusterContext(backend=backend) as ctx:
-        assert ctx.parallelize([1, 2], 2).sum() == 3
-    # Backend shut down: further submissions rejected.
-    from repro.cluster.backend import BackendTask
-    from repro.errors import BackendError
-
-    with pytest.raises(BackendError):
-        backend.submit(BackendTask(task_id=0, fn=lambda env: None), 0)
-
-
 def test_stop_idempotent(ctx):
     ctx.stop()
     ctx.stop()
@@ -66,7 +52,7 @@ def test_rdds_registered_weakly(ctx):
 
 
 def test_backend_param_overrides_worker_count():
-    backend = ThreadBackend(num_workers=3)
+    backend = SimBackend(3)
     with ClusterContext(num_workers=99, backend=backend) as ctx:
         assert ctx.num_workers == 3
 

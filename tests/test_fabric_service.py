@@ -24,7 +24,6 @@ import pytest
 from repro.api import run_experiment, run_grid
 from repro.api.parallel import SweepCheckpoint, run_cell, run_key
 from repro.api.spec import GridSpec
-from repro.cluster.threadbackend import ThreadBackend
 from repro.data.synthetic import make_dense_regression
 from repro.engine.context import ClusterContext
 from repro.errors import FabricError
@@ -224,10 +223,10 @@ def test_saga_channels_are_process_stable_sim():
     assert np.array_equal(first.w, second.w)
 
 
-def _thread_asaga():
+def _hand_wired_asaga():
     X, y, _ = make_dense_regression(128, 6, cond=4.0, seed=3)
     problem = LeastSquaresProblem(X, y)
-    with ClusterContext(1, backend=ThreadBackend(num_workers=1), seed=0) as ctx:
+    with ClusterContext(2, seed=0) as ctx:
         points = ctx.matrix(X, y, 2).cache()
         return build_optimizer(
             "asaga", ctx, points, problem, ConstantStep(0.02),
@@ -235,10 +234,10 @@ def _thread_asaga():
         ).run()
 
 
-def test_duplicate_thread_backend_payloads_dedupe_bitwise(tmp_path):
-    """Two ThreadBackend executions of the same cell are bit-identical,
-    and the fabric keeps exactly one of them."""
-    results = [_thread_asaga() for _ in range(2)]
+def test_duplicate_payloads_dedupe_bitwise(tmp_path):
+    """Two executions of the same cell are bit-identical, and the fabric
+    keeps exactly one of them."""
+    results = [_hand_wired_asaga() for _ in range(2)]
     payloads = [
         {
             "w": np.asarray(res.w).tolist(),

@@ -10,6 +10,7 @@ exactly reproducible.
 
 import numpy as np
 import pytest
+from arrival_orders import ORDERS, ScriptedOrder
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -216,12 +217,11 @@ def test_fault_plan_on_sync_algorithm_completes_budget():
     assert res.elapsed_ms > clean.elapsed_ms
 
 
-def test_fault_plan_thread_backend():
-    """Fault injection also drives the real-thread backend's STAT
-    liveness (1 worker config would self-suppress, so use 2 and kill
-    one; the survivor finishes the budget)."""
-    from repro.cluster.faultplan import resolve_fault_plan
-    from repro.cluster.threadbackend import ThreadBackend
+@pytest.mark.parametrize("order", ORDERS)
+def test_fault_plan_drives_a_hand_wired_run_under_scripted_orders(order):
+    """A plan set on a hand-wired optimizer kills its worker in every
+    arrival order (1 worker would self-suppress, so use 2 and kill one),
+    and the survivor finishes the budget alone."""
     from repro.data.synthetic import make_dense_regression
     from repro.engine.context import ClusterContext
     from repro.optim import (
@@ -233,8 +233,7 @@ def test_fault_plan_thread_backend():
 
     X, y, _ = make_dense_regression(64, 4, cond=4.0, seed=5)
     problem = LeastSquaresProblem(X, y)
-    with ClusterContext(2, backend=ThreadBackend(num_workers=2),
-                        seed=0) as ctx:
+    with ClusterContext(2, seed=0, delay_model=ScriptedOrder(order)) as ctx:
         points = ctx.matrix(X, y, 4).cache()
         opt = build_optimizer(
             "asgd", ctx, points, problem, ConstantStep(0.02),
@@ -242,6 +241,7 @@ def test_fault_plan_thread_backend():
         )
         opt.fault_plan = resolve_fault_plan("kill:w1@1ms")
         result = opt.run()
+        assert not ctx.backend.worker_alive(1)
     assert result.updates == 40
     assert result.extras["fault_events"] == 1
     assert result.extras["fault_plan"] == "kill:w1@1ms"

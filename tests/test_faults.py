@@ -159,18 +159,18 @@ def test_sync_round_fails_a_partition_out_of_retries(
 
 
 def test_sync_round_that_stalls_raises(ctx, small_data, monkeypatch):
-    """A round whose wait times out fails loudly instead of returning with
-    tasks in flight: the backend reports one timeout, then delegates."""
+    """A round whose wait gives up fails loudly instead of returning with
+    tasks in flight: the backend reports one stall, then delegates."""
     run_until = ctx.backend.run_until
     stalls = [True]
 
-    def timing_out_once(predicate, host_timeout_s=None):
+    def stalling_once(predicate):
         if stalls:
             stalls.pop()
             return False
-        return run_until(predicate, host_timeout_s=host_timeout_s)
+        return run_until(predicate)
 
-    monkeypatch.setattr(ctx.backend, "run_until", timing_out_once)
+    monkeypatch.setattr(ctx.backend, "run_until", stalling_once)
     _, opt = _sync_sgd(ctx, small_data)
     with pytest.raises(SchedulerError, match="stalled"):
         opt.run()

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from arrival_orders import ORDERS, ScriptedOrder
 
 from repro.api import run_experiment
-from repro.cluster.threadbackend import ThreadBackend
 from repro.core import ASYNCContext
 from repro.data.synthetic import make_dense_regression
 from repro.engine.context import ClusterContext
@@ -57,44 +57,13 @@ def test_worker_default_unchanged_by_refactor():
     assert res.extras["partition_tasks"] == 0
 
 
-def _run_asgd_thread(granularity: str, workers: int = 1, parts: int = 1,
-                     updates: int = 12):
-    X, y, _ = make_dense_regression(128, 6, cond=4.0, seed=3)
-    problem = LeastSquaresProblem(X, y)
-    backend = ThreadBackend(num_workers=workers)
-    with ClusterContext(workers, backend=backend, seed=0) as ctx:
-        points = ctx.matrix(X, y, parts).cache()
-        res = build_optimizer(
-            "asgd", ctx, points, problem,
-            InvSqrtDecay(0.5).scaled_for_async(workers),
-            OptimizerConfig(batch_fraction=0.25, max_updates=updates,
-                            seed=0, granularity=granularity),
-        ).run()
-    return res
-
-
-def test_partition_parity_threadbackend():
-    """Same parity on real threads.
-
-    With one worker (and one partition per worker) the thread backend is
-    deterministic — results arrive FIFO — so the trajectory comparison is
-    exact; multi-worker thread runs interleave nondeterministically and
-    cannot be compared update for update.
-    """
-    a = _run_asgd_thread("worker")
-    b = _run_asgd_thread("partition")
-    assert np.array_equal(a.w, b.w)
-    assert np.array_equal(
-        np.asarray(a.trace.snapshots), np.asarray(b.trace.snapshots)
-    )
-    assert b.extras["partition_tasks"] > 0
-
-
-def test_partition_granularity_threadbackend_multiworker_converges():
+@pytest.mark.parametrize("order", ORDERS)
+def test_multiworker_partition_granularity_converges_under_scripted_orders(
+    order,
+):
     X, y, _ = make_dense_regression(256, 8, cond=4.0, seed=7)
     problem = LeastSquaresProblem(X, y)
-    backend = ThreadBackend(num_workers=3)
-    with ClusterContext(3, backend=backend, seed=0) as ctx:
+    with ClusterContext(3, seed=0, delay_model=ScriptedOrder(order)) as ctx:
         points = ctx.matrix(X, y, 6).cache()
         res = build_optimizer(
             "asgd", ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(3),

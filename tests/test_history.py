@@ -6,10 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.cluster.threadbackend import ThreadBackend
 from repro.core import ASYNCContext
 from repro.core.history import HistoryChannel, HistoryStore, RetentionPolicy
-from repro.engine.context import ClusterContext
 from repro.errors import BroadcastError, HistoryError
 
 
@@ -233,7 +231,7 @@ def test_restore_of_valueless_channel_snapshot_raises():
         HistoryChannel(1, "m2").restore(snap)
 
 
-# -- immutability across both backends -------------------------------------------------
+# -- immutability ----------------------------------------------------------------------
 def _frozen_read_through(ctx):
     ac = ASYNCContext(ctx)
     ch = ac.history.channel("m", keep="last:4")
@@ -261,12 +259,6 @@ def _frozen_read_through(ctx):
 
 def test_frozen_values_sim_backend(ctx):
     _frozen_read_through(ctx)
-
-
-def test_frozen_values_thread_backend():
-    backend = ThreadBackend(num_workers=2)
-    with ClusterContext(2, backend=backend, seed=0) as tctx:
-        _frozen_read_through(tctx)
 
 
 # -- the broadcaster is a view over the store ------------------------------------------

@@ -4,7 +4,7 @@ The acceptance bar for moving the three history silos (broadcast version
 cache, SAGA's ``averageHistory``, SVRG's epoch anchors) onto the shared
 HIST subsystem: **bit-identical trajectories**. The digests below were
 captured on main immediately before the refactor (same specs, same
-seeds, Sim and Thread backends) — any numerical or scheduling drift in
+seeds) — any numerical or scheduling drift in
 the refactored path changes a digest and fails loudly.
 """
 
@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.api import run_experiment
-from repro.cluster.threadbackend import ThreadBackend
 from repro.data.synthetic import make_dense_regression
 from repro.engine.context import ClusterContext
 from repro.optim import (
@@ -26,7 +25,9 @@ from repro.optim import (
 
 # Captured on main @ 7de99d9 (pre-HIST), PYTHONPATH=src, numpy in CI's
 # range; full digests hash w + snapshots + times + counters, model
-# digests hash w + snapshots only (thread wall-clock is not pinned).
+# digests hash w + snapshots only. The single-worker hand-wired pins
+# were recorded on a real-thread backend, since removed; one worker
+# delivers in FIFO order, so the simulation reproduces them bit for bit.
 # Re-recorded at TRAJECTORY_EPOCH 2 (the hash-seeded mini-batch draw),
 # the only change that moved them: every spec below samples mini-batches.
 PINNED_SIM = {
@@ -37,9 +38,9 @@ PINNED_SIM = {
     "svrg": "c60f01b9775d193eb131d796436e817b",
     "asvrg": "a0f62a2159c7ab2748dbd23c8b1344f2",
 }
-PINNED_THREAD = {
-    "asaga_thread": "cd3ca93a6ce0fa4b7c2fdccffefcfe00",
-    "asvrg_thread": "4856ae9ae25a9956e51f5c56058086b5",
+PINNED_HAND_WIRED = {
+    "asaga": "cd3ca93a6ce0fa4b7c2fdccffefcfe00",
+    "asvrg": "4856ae9ae25a9956e51f5c56058086b5",
 }
 
 SIM_SPECS = {
@@ -97,11 +98,10 @@ def test_sim_backend_trajectory_pinned(name):
     assert _full_digest(run_experiment(SIM_SPECS[name])) == PINNED_SIM[name]
 
 
-def _thread_run(algorithm, **kwargs):
+def _hand_wired_run(algorithm, **kwargs):
     X, y, _ = make_dense_regression(128, 6, cond=4.0, seed=3)
     problem = LeastSquaresProblem(X, y)
-    backend = ThreadBackend(num_workers=1)
-    with ClusterContext(1, backend=backend, seed=0) as ctx:
+    with ClusterContext(1, seed=0) as ctx:
         points = ctx.matrix(X, y, 2).cache()
         return build_optimizer(
             algorithm, ctx, points, problem, ConstantStep(0.02),
@@ -110,14 +110,14 @@ def _thread_run(algorithm, **kwargs):
         ).run()
 
 
-def test_thread_backend_asaga_pinned():
-    res = _thread_run("asaga")
-    assert _model_digest(res) == PINNED_THREAD["asaga_thread"]
+def test_single_worker_hand_wired_asaga_pinned():
+    res = _hand_wired_run("asaga")
+    assert _model_digest(res) == PINNED_HAND_WIRED["asaga"]
 
 
-def test_thread_backend_asvrg_pinned():
-    res = _thread_run("asvrg", inner_iterations=4)
-    assert _model_digest(res) == PINNED_THREAD["asvrg_thread"]
+def test_single_worker_hand_wired_asvrg_pinned():
+    res = _hand_wired_run("asvrg", inner_iterations=4)
+    assert _model_digest(res) == PINNED_HAND_WIRED["asvrg"]
 
 
 # -- HIST surface of the refactored optimizers -----------------------------------------

@@ -1,10 +1,10 @@
-"""End-to-end integration: both backends, determinism, full stack."""
+"""End-to-end integration: determinism, arrival orders, full stack."""
 
 import numpy as np
 import pytest
+from arrival_orders import ORDERS, ScriptedOrder
 
 from repro.cluster.stragglers import ControlledDelay
-from repro.cluster.threadbackend import ThreadBackend
 from repro.engine.context import ClusterContext
 from repro.metrics.wait_time import average_wait_ms
 from repro.optim import (
@@ -57,53 +57,27 @@ def test_seed_changes_trajectory(small_data):
     assert not np.array_equal(run(1), run(2))
 
 
-def test_sync_sgd_on_thread_backend(small_data):
-    """The same optimizer code runs under genuine OS-thread asynchrony."""
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("algorithm, step, fraction, updates", [
+    ("asgd", InvSqrtDecay(0.5).scaled_for_async(4), 0.25, 100),
+    ("asaga", ConstantStep(0.02 / 4), 0.2, 120),
+], ids=["asgd", "asaga"])
+def test_async_run_converges_under_scripted_orders(
+    small_data, algorithm, step, fraction, updates, order
+):
+    """Model broadcast, history broadcast and SAGA's version tables hold
+    up under any arrival order the workers' delays produce."""
     X, y, _ = small_data
     problem = LeastSquaresProblem(X, y)
-    backend = ThreadBackend(num_workers=4)
-    with ClusterContext(backend=backend) as ctx:
+    with ClusterContext(4, delay_model=ScriptedOrder(order)) as ctx:
         pts = ctx.matrix(X, y, 8).cache()
         res = build_optimizer(
-            "sgd", ctx, pts, problem, InvSqrtDecay(0.5),
-            OptimizerConfig(batch_fraction=0.25, max_updates=25, seed=0),
+            algorithm, ctx, pts, problem, step,
+            OptimizerConfig(
+                batch_fraction=fraction, max_updates=updates, seed=0
+            ),
         ).run()
-    assert res.updates == 25
-    assert problem.error(res.w) < problem.error(problem.initial_point())
-
-
-def test_async_sgd_on_thread_backend(small_data):
-    X, y, _ = small_data
-    problem = LeastSquaresProblem(X, y)
-    backend = ThreadBackend(num_workers=4)
-    with ClusterContext(backend=backend) as ctx:
-        pts = ctx.matrix(X, y, 8).cache()
-        res = build_optimizer(
-            "asgd", ctx, pts, problem,
-            InvSqrtDecay(0.5).scaled_for_async(4),
-            OptimizerConfig(batch_fraction=0.25, max_updates=100, seed=0),
-        ).run()
-    assert res.updates == 100
-    assert problem.error(res.w) < problem.error(problem.initial_point())
-
-
-def test_asaga_on_thread_backend_with_straggler(small_data):
-    """History broadcast + version tables under real threads and sleep
-    stragglers — the paper's CDS methodology end to end."""
-    X, y, _ = small_data
-    problem = LeastSquaresProblem(X, y)
-    backend = ThreadBackend(
-        num_workers=4,
-        delay_model=ControlledDelay(2.0, workers=(0,)),
-        min_task_s=0.002,
-    )
-    with ClusterContext(backend=backend) as ctx:
-        pts = ctx.matrix(X, y, 8).cache()
-        res = build_optimizer(
-            "asaga", ctx, pts, problem, ConstantStep(0.02 / 4),
-            OptimizerConfig(batch_fraction=0.2, max_updates=120, seed=0),
-        ).run()
-    assert res.updates == 120
+    assert res.updates == updates
     assert problem.error(res.w) < problem.error(problem.initial_point())
 
 

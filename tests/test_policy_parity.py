@@ -10,7 +10,6 @@ import pytest
 
 from repro.api import run_experiment
 from repro.api.registry import POLICIES
-from repro.cluster.threadbackend import ThreadBackend
 from repro.data.synthetic import make_dense_regression
 from repro.engine.context import ClusterContext
 from repro.errors import ApiError
@@ -98,31 +97,6 @@ def test_partition_granularity_parity_per_barrier(barrier):
     b = run_experiment({**spec, "granularity": "partition"})
     _assert_same_trajectory(a, b)
     assert b.extras["partition_tasks"] > 0
-
-
-@pytest.mark.parametrize("barrier", ["asp", "ssp:2", "ct:1.5"])
-def test_thread_backend_parity(barrier):
-    """Same adapter parity on real threads (single worker: deterministic)."""
-    X, y, _ = make_dense_regression(128, 6, cond=4.0, seed=3)
-    problem = LeastSquaresProblem(X, y)
-
-    def run(granularity):
-        backend = ThreadBackend(num_workers=1)
-        with ClusterContext(1, backend=backend, seed=0) as ctx:
-            points = ctx.matrix(X, y, 1).cache()
-            return build_optimizer(
-                "asgd", ctx, points, problem,
-                InvSqrtDecay(0.5).scaled_for_async(1),
-                OptimizerConfig(batch_fraction=0.25, max_updates=12, seed=0,
-                                granularity=granularity),
-                policy=POLICIES.create(barrier),
-            ).run()
-
-    a, b = run("worker"), run("partition")
-    assert np.array_equal(a.w, b.w)
-    assert np.array_equal(
-        np.asarray(a.trace.snapshots), np.asarray(b.trace.snapshots)
-    )
 
 
 # -- spec-layer validation -----------------------------------------------------------

@@ -4,7 +4,7 @@ Every optimizer round is ``points.async_barrier(policy).sample(b, seed)
 .map(kernel).async_reduce(reduce)``. ``UpdateRule.dispatch`` no longer
 builds that chain per round; it submits a :class:`~repro.core.ops.
 RoundPlan` resolved once per run. These tests pin that the two are the
-same computation (bit for bit, on both backends), that a worker task
+same computation (bit for bit), that a worker task
 holds about one chunk of rows at a time, that a kernel error still fails
 the run loudly, and that the per-update interpreter work stays under a
 ceiling.
@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.api.runner import prepare_experiment
-from repro.cluster.threadbackend import ThreadBackend
 from repro.core.policies import ASP
 from repro.core.context import ASYNCContext
 from repro.core.ops import RoundPlan
@@ -150,41 +149,6 @@ def test_plan_lands_on_the_pinned_digests():
     assert model_digest(*run_spec(dict(BASE_SPEC, policy="bsp"))) == BSP_DIGEST
 
 
-def thread_run(granularity, num_partitions):
-    """One worker thread with one task in flight at a time: wall-clock
-    timing cannot reorder anything, so the run is deterministic."""
-    X, y, _ = get_dataset("synth_logistic", seed=0)
-    problem = LogisticRegressionProblem(X, y)
-    with ClusterContext(1, backend=ThreadBackend(num_workers=1)) as ctx:
-        points = ctx.matrix(X, y, num_partitions).cache()
-        config = OptimizerConfig(
-            batch_fraction=0.1, max_updates=40, eval_every=10, seed=0,
-            granularity=granularity,
-        )
-        return build_optimizer(
-            "asgd", ctx, points, problem, InvSqrtDecay(0.5), config, policy=ASP()
-        ).run()
-
-
-@pytest.mark.parametrize(
-    "granularity, num_partitions", [("worker", 2), ("partition", 1)]
-)
-def test_plan_matches_verb_chain_thread(granularity, num_partitions, monkeypatch):
-    planned = thread_run(granularity, num_partitions)
-    monkeypatch.setattr(ASGDRule, "dispatch", verb_chain_dispatch)
-    chained = thread_run(granularity, num_partitions)
-    assert planned.updates == chained.updates == 40
-    assert np.array_equal(planned.w, chained.w)
-    assert planned.trace.updates == chained.trace.updates
-    assert all(
-        np.array_equal(a, b)
-        for a, b in zip(planned.trace.snapshots, chained.trace.snapshots)
-    )
-    assert [m.out_bytes for m in planned.metrics] == [
-        m.out_bytes for m in chained.metrics
-    ]
-
-
 # -- loud failure --------------------------------------------------------------
 
 class BrokenKernel(ASGDRule):
@@ -192,12 +156,10 @@ class BrokenKernel(ASGDRule):
         raise ZeroDivisionError("kernel exploded")
 
 
-@pytest.mark.parametrize("backend", ["sim", "thread"])
-def test_kernel_error_reaches_the_driver_as_task_error(backend):
+def test_kernel_error_reaches_the_driver_as_task_error():
     X, y, _ = get_dataset("synth_logistic", seed=0)
     problem = LogisticRegressionProblem(X, y)
-    chosen = ThreadBackend(num_workers=2) if backend == "thread" else None
-    with ClusterContext(2, backend=chosen) as ctx:
+    with ClusterContext(2) as ctx:
         points = ctx.matrix(X, y, 4).cache()
         opt = build_optimizer(
             "asgd", ctx, points, problem, InvSqrtDecay(0.5),

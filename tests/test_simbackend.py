@@ -226,6 +226,23 @@ def test_revive_of_a_live_worker_is_a_no_op():
     assert second.started_ms == first.finished_ms
 
 
+def test_env_state_persists_across_tasks():
+    b = make_backend()
+    done = collect_results(b)
+
+    def writer(env):
+        env.put("x", 41)
+
+    def reader(env):
+        return env.get("x") + 1
+
+    b.submit(BackendTask(task_id=0, fn=writer), 0)
+    b.drain()
+    b.submit(BackendTask(task_id=1, fn=reader), 0)
+    b.drain()
+    assert done[1][2] == 42
+
+
 def test_submit_out_of_range_worker():
     b = make_backend(workers=2)
     with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ import os
 import signal
 import subprocess
 import sys
-import textwrap
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -560,82 +559,3 @@ def test_sigkill_sim_backend_resumes_bit_identically(tmp_path, min_updates):
     assert resumed.extras["resumed_from_update"] == k
     assert resumed.updates == k + 45
     assert np.array_equal(resumed.w, in_process.w)
-
-
-_THREAD_SCRIPT = textwrap.dedent("""
-    import json, sys
-    from repro.cluster.threadbackend import ThreadBackend
-    from repro.core.snapshots import read_snapshot
-    from repro.data.synthetic import make_dense_regression
-    from repro.engine.context import ClusterContext
-    from repro.optim import (
-        ConstantStep,
-        LeastSquaresProblem,
-        OptimizerConfig,
-        build_optimizer,
-    )
-
-    def run(max_updates, snapshot_every, snapshot_path, restore=None):
-        X, y, _ = make_dense_regression(64, 4, cond=4.0, seed=5)
-        problem = LeastSquaresProblem(X, y)
-        backend = ThreadBackend(num_workers=1)
-        with ClusterContext(1, backend=backend, seed=0) as ctx:
-            points = ctx.matrix(X, y, 2).cache()
-            opt = build_optimizer(
-                "asgd", ctx, points, problem, ConstantStep(0.02),
-                OptimizerConfig(
-                    batch_fraction=0.25, max_updates=max_updates, seed=0,
-                    snapshot_every=snapshot_every,
-                    snapshot_path=snapshot_path,
-                ),
-            )
-            if restore is not None:
-                opt.restore_state = read_snapshot(restore)
-            return opt.run()
-
-    if __name__ == "__main__":
-        mode = sys.argv[1]
-        path = sys.argv[2]
-        if mode == "hang":       # killed from outside
-            run(50_000_000, 10, path)
-        elif mode == "ref":      # budget-K reference
-            run(int(sys.argv[3]), int(sys.argv[3]), path)
-        elif mode == "resume":   # continue from a snapshot, print w
-            res = run(int(sys.argv[3]), 0, None, restore=path)
-            print(json.dumps([res.updates, list(map(float, res.w))]))
-""")
-
-
-def test_sigkill_thread_backend_resumes_bit_identically(tmp_path):
-    """Same SIGKILL contract on the real-thread backend (1 worker, the
-    deterministic configuration)."""
-    script = tmp_path / "thread_run.py"
-    script.write_text(_THREAD_SCRIPT)
-    snap_file = tmp_path / "snap.json"
-    _kill_after_updates(
-        [sys.executable, str(script), "hang", str(snap_file)],
-        snap_file, min_updates=40,
-    )
-    k = read_snapshot(snap_file)["updates"]
-    assert k >= 40 and k % 10 == 0
-
-    ref_file = tmp_path / "ref.json"
-    subprocess.run(
-        [sys.executable, str(script), "ref", str(ref_file), str(k)],
-        env=ENV, check=True, stdout=subprocess.DEVNULL,
-    )
-    assert snap_file.read_bytes() == ref_file.read_bytes()
-
-    # Resume twice from the killed run's file: deterministic, and the
-    # continuation really continued (K + 30 applied updates).
-    outs = [
-        subprocess.run(
-            [sys.executable, str(script), "resume", str(snap_file),
-             str(k + 30)],
-            env=ENV, check=True, capture_output=True, text=True,
-        ).stdout
-        for _ in range(2)
-    ]
-    assert outs[0] == outs[1]
-    updates, w = json.loads(outs[0])
-    assert updates == k + 30 and len(w) == 4

@@ -8,22 +8,37 @@ deliberately excludes anything a
 resumed process re-derives (dataset, problem, step schedule) and
 anything that varies between an interrupted run and a shorter reference
 run of the same spec (``max_updates``, wall timestamps) — so the
-snapshot a run writes the instant update ``K`` applies is **byte
-identical** to the final snapshot of the same spec run with
+payload a run writes the instant update ``K`` applies is **byte
+identical** to the final payload of the same spec run with
 ``max_updates=K``. Tests and the recovery bench lean on that.
 
-The file is one JSON object (sorted keys, no whitespace) whose arrays
-are :func:`~repro.core.history.to_jsonable` records: the array's raw
-little-endian bytes in base64 plus an explicit dtype and shape, so the
-encode is a byte copy rather than a float-to-text conversion, every bit
-survives (NaN payloads, -0.0) and the JSON stays strict. Files from
-earlier versions, whose arrays are JSON lists, still load.
+The payload is one JSON object (sorted keys, no whitespace) whose
+arrays are :func:`~repro.core.history.to_jsonable` records: the array's
+raw little-endian bytes in base64 plus an explicit dtype and shape, so
+the encode is a byte copy rather than a float-to-text conversion, every
+bit survives (NaN payloads, -0.0) and the JSON stays strict. Payloads
+from earlier versions, whose arrays are JSON lists, still load.
 
-Writes are atomic (temp file in the same directory, ``fsync``, then
-``os.replace``): a writer SIGKILLed mid-write can never corrupt the
-previous snapshot, so "restore from the latest snapshot" is always
-well defined. :func:`read_snapshot` checks the counters and decodes
-every array before a run sees the state, so a malformed file fails as a
+The file holds two slots of ``S`` bytes each (``S`` a power of two of
+at least 4 KiB and at least twice the record, so a write to one slot
+never touches the other's pages). A slot is one ASCII header line —
+magic, sequence number, payload length, CRC-32 of the payload, ``S`` —
+followed by the payload, so ``head`` shows the snapshot. A write
+overwrites, in place, the slot that does not hold the newest intact
+record, with the next sequence number, and flushes it with
+``fdatasync``: the blocks already exist, so no metadata changes and
+the flush is data only. A writer SIGKILLed mid-write tears at most the
+slot it was writing, and :func:`read_snapshot` then returns the other
+one, the previous snapshot. Only when there is no slotted file to
+overwrite (the file is missing, bare JSON, not two slots long or
+without an intact slot, or the record outgrew ``S``) is the whole file
+rebuilt: a temp file in the same directory, ``fsync``, then
+``os.replace``. A file that does not start with the
+slot magic is read as one bare JSON payload, the form earlier versions
+wrote, so their snapshots still restore.
+
+:func:`read_snapshot` checks the counters and decodes every array
+before a run sees the state, so a malformed file fails as a
 :class:`~repro.errors.SnapshotError` naming the path, not as a numpy
 error halfway through a restore.
 """
@@ -32,8 +47,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import zlib
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -44,6 +61,7 @@ __all__ = [
     "SNAPSHOT_FORMAT",
     "is_run_snapshot",
     "write_snapshot",
+    "read_payload",
     "read_snapshot",
     "SnapshotWriter",
     "encode_value",
@@ -57,6 +75,18 @@ SNAPSHOT_FORMAT = "repro/run-snapshot@1"
 #: Integer counters every run snapshot carries beside the model ``w``.
 _COUNTERS = ("updates", "rounds", "epoch_rounds_left")
 
+#: First bytes of a slotted snapshot file and of each slot's header.
+_MAGIC = b"repro/snapshot-slot@1 "
+_HEADER = re.compile(
+    re.escape(_MAGIC)
+    + rb"seq=(\d{16}) len=(\d{10}) crc=([0-9a-f]{8}) slot=(\d{10})\n"
+)
+#: The smallest slot: one page, so the two slots never share one.
+_MIN_SLOT = 4096
+
+# A data-only flush where the platform has one.
+_datasync = getattr(os, "fdatasync", os.fsync)
+
 # One codec for all run state: the HIST JSON codec round-trips ndarrays
 # bit-exact, which is what makes resume trajectories identical.
 encode_value = to_jsonable
@@ -68,40 +98,157 @@ def is_run_snapshot(state: Any) -> bool:
     return isinstance(state, dict) and state.get("format") == SNAPSHOT_FORMAT
 
 
+def _record(seq: int, payload: bytes, slot: int) -> bytes:
+    """One slot's content: the header line, then the payload."""
+    header = _MAGIC + b"seq=%016d len=%010d crc=%08x slot=%010d\n" % (
+        seq, len(payload), zlib.crc32(payload), slot,
+    )
+    return header + payload
+
+
+_HEADER_LEN = len(_record(0, b"", 0))
+
+
+class _Slot(NamedTuple):
+    seq: int
+    offset: int
+    size: int
+    payload: bytes
+
+
+def _intact(data: bytes, offset: int) -> _Slot | None:
+    """The record at ``offset`` if its header parses, its payload lies
+    inside its slot and the payload's CRC matches; else ``None``."""
+    match = _HEADER.fullmatch(data, offset, offset + _HEADER_LEN)
+    if match is None:
+        return None
+    length, size = int(match[2]), int(match[4])
+    if size < _MIN_SLOT or _HEADER_LEN + length > size:
+        return None
+    start = offset + _HEADER_LEN
+    payload = data[start:start + length]
+    if len(payload) != length or zlib.crc32(payload) != int(match[3], 16):
+        return None
+    return _Slot(int(match[1]), offset, size, payload)
+
+
+def _newest(data: bytes) -> _Slot | None:
+    """The newest intact slot of a slotted file's bytes, or ``None``.
+
+    Slot 0 is at offset 0. Slot 1 is at offset ``S``, found as the
+    power-of-two offset whose intact header names ``S`` itself, so it is
+    found even when slot 0's header is torn.
+    """
+    found = [_intact(data, 0)]
+    offset = _MIN_SLOT
+    while offset + _HEADER_LEN <= len(data):
+        slot = _intact(data, offset)
+        if slot is not None and slot.size == offset:
+            found.append(slot)
+            break
+        offset *= 2
+    return max(
+        filter(None, found), key=lambda slot: slot.seq, default=None
+    )
+
+
+def _overwrite_slot(target: Path, payload: bytes) -> bool:
+    """Write ``payload`` in place into the slot of ``target`` that does
+    not hold the newest intact record, then flush its data. False (and
+    nothing written) when there is no slotted file the record fits."""
+    try:
+        fd = os.open(target, os.O_RDWR)
+    except FileNotFoundError:
+        return False
+    try:
+        data = os.pread(fd, os.fstat(fd).st_size, 0)
+        newest = _newest(data)
+        if newest is None:
+            return False
+        size = newest.size
+        if len(data) != 2 * size or _HEADER_LEN + len(payload) > size:
+            return False
+        record = _record(newest.seq + 1, payload, size)
+        os.pwrite(fd, record, size - newest.offset)
+        _datasync(fd)
+    finally:
+        os.close(fd)
+    return True
+
+
+def _replace_file(target: Path, payload: bytes) -> None:
+    """Build a fresh two-slot file holding ``payload`` in slot 0 and
+    atomically put it at ``target`` (temp file, ``fsync``, rename).
+
+    Both slots are written out as bytes, not sized with ``ftruncate``,
+    so every later in-place write lands on allocated blocks.
+    """
+    size = _MIN_SLOT
+    while size < 2 * (_HEADER_LEN + len(payload)):
+        size *= 2
+    record = _record(1, payload, size)
+    tmp = target.with_name(target.name + ".tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    try:
+        os.write(fd, record + bytes(2 * size - len(record)))
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    os.replace(tmp, target)
+
+
 def write_snapshot(path: str | os.PathLike, state: dict) -> None:
-    """Atomically replace ``path`` with ``state`` as sorted, compact JSON."""
+    """Durably store ``state`` as sorted, compact JSON at ``path``.
+
+    On return the record is on disk and the previous snapshot, if any,
+    is still intact in the other slot.
+    """
     target = Path(path)
     payload = json.dumps(
         state, sort_keys=True, separators=(",", ":")
     ).encode("utf-8") + b"\n"
-    tmp = target.with_name(target.name + ".tmp")
     try:
-        fd = os.open(
-            tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644
-        )
-        try:
-            os.write(fd, payload)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, target)
+        if not _overwrite_slot(target, payload):
+            _replace_file(target, payload)
     except OSError as exc:
         raise SnapshotError(
             f"cannot write snapshot {str(target)!r}: {exc}"
         ) from exc
 
 
+def read_payload(path: str | os.PathLike) -> bytes:
+    """The JSON bytes of the newest intact snapshot at ``path``: the
+    newest intact slot of a slotted file, or the whole of a bare JSON
+    file (the form earlier versions wrote)."""
+    target = Path(path)
+    try:
+        data = target.read_bytes()
+    except OSError as exc:
+        raise SnapshotError(
+            f"cannot read snapshot {str(target)!r}: {exc}"
+        ) from exc
+    if not data.startswith(_MAGIC):
+        return data
+    newest = _newest(data)
+    if newest is None:
+        raise SnapshotError(
+            f"{str(target)!r} has no intact snapshot slot: both are torn "
+            "or corrupt"
+        )
+    return newest.payload
+
+
 def read_snapshot(path: str | os.PathLike) -> dict:
     """Load and validate a run snapshot written by :func:`write_snapshot`.
 
-    Returns the state as stored (arrays still encoded, as
+    Returns the newest intact state as stored (arrays still encoded, as
     ``ServerLoop`` expects), after checking that the counters are
     integers and that ``w`` and every other array record decode.
     """
     target = Path(path)
     try:
-        text = target.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        text = read_payload(target).decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise SnapshotError(
             f"cannot read snapshot {str(target)!r}: {exc}"
         ) from exc
@@ -134,8 +281,9 @@ def read_snapshot(path: str | os.PathLike) -> dict:
 
 
 class SnapshotWriter:
-    """Cadenced snapshot writes: one atomic file replace every
-    ``every`` applied updates."""
+    """Cadenced snapshot writes: one :func:`write_snapshot` (an
+    in-place slot overwrite and a data flush) every ``every`` applied
+    updates."""
 
     def __init__(self, path: str | os.PathLike, every: int) -> None:
         every = int(every)

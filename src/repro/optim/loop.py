@@ -55,6 +55,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro.cluster.faultplan import FaultPlanDriver
 from repro.core.context import ASYNCContext
 from repro.core.ops import RoundPlan
@@ -222,6 +224,13 @@ def _sum_in_order(values: list) -> Any:
     return sum(values)
 
 
+def _require_object(field: str, value: Any) -> None:
+    if not isinstance(value, dict):
+        raise SnapshotError(
+            f"snapshot {field!r} must be an object, got {type(value).__name__}"
+        )
+
+
 class ServerLoop:
     """Owns the driver, sync or async; delegates mathematics to the rule.
 
@@ -229,15 +238,17 @@ class ServerLoop:
     ``opt.config`` (budget, pipelining, mid-run snapshot cadence and
     path), ``opt.policy``, ``opt.fault_plan``, ``opt.comm`` and
     ``opt.restore_state``. With ``config.snapshot_every`` set, the loop
-    atomically rewrites ``config.snapshot_path`` every N applied updates.
+    durably writes a run snapshot to ``config.snapshot_path`` every N
+    applied updates.
 
     ``opt.restore_state`` (set from the spec's ``restore_from``) is a
     loaded run snapshot (see :mod:`repro.core.snapshots`). The loop
     reinstates its server state (the bounded HIST channels), model
     iterate and update/round counters, so a SIGKILLed run continues from
-    the exact update its latest snapshot captured. Anything else — and a
+    the exact update its latest snapshot captured. Anything else — a
     snapshot of another :data:`~repro.utils.rng.TRAJECTORY_EPOCH`, whose
-    continuation this code would not compute — raises
+    continuation this code would not compute, or one whose sections,
+    counters or model do not fit this run — raises
     :class:`~repro.errors.SnapshotError`.
 
     :meth:`run` is ``_start`` -> ``_round`` until the budget is spent ->
@@ -316,13 +327,21 @@ class ServerLoop:
         }
 
     def _check_snapshot(self, snap: dict) -> None:
+        """Refuse a snapshot this run cannot continue, naming the field,
+        before any of it is restored."""
         epoch = snap.get("trajectory_epoch")
         if epoch != TRAJECTORY_EPOCH:
             raise SnapshotError(
                 f"snapshot trajectory epoch is {epoch!r}, this code's is "
                 f"{TRAJECTORY_EPOCH} — its run cannot be continued here"
             )
-        run = snap.get("run", {})
+        run, server = snap.get("run", {}), snap.get("server", {})
+        _require_object("run", run)
+        _require_object("server", server)
+        history = server.get("history", {})
+        _require_object("server.history", history)
+        for name, channel in history.items():
+            _require_object(f"server.history[{name!r}]", channel)
         checks = (
             ("algorithm", run.get("algorithm"), self.rule.algorithm_label()),
             ("num_workers", run.get("num_workers"), self.opt.ctx.num_workers),
@@ -335,6 +354,34 @@ class ServerLoop:
                     f"{snap_value!r}, this run has {ours!r} — resuming "
                     "would silently diverge from the original trajectory"
                 )
+        budget = self.opt.config.max_updates
+        counters = (
+            ("updates", snap.get("updates"), budget),
+            ("rounds", snap.get("rounds"), None),
+            ("version", snap.get("version", 0), None),
+        )
+        for field, value, bound in counters:
+            if type(value) is not int or value < 0 or (
+                bound is not None and value > bound
+            ):
+                limit = f"0..{bound}" if bound is not None else ">= 0"
+                raise SnapshotError(
+                    f"snapshot {field!r} is {value!r}; this run needs an "
+                    f"integer in {limit}"
+                )
+        w = decode_value(snap.get("w"))
+        if not (
+            isinstance(w, np.ndarray)
+            and w.shape == self.w.shape and w.dtype == self.w.dtype
+        ):
+            got = (
+                f"{w.dtype} of shape {w.shape}"
+                if isinstance(w, np.ndarray) else type(w).__name__
+            )
+            raise SnapshotError(
+                f"snapshot 'w' is {got}; this run's model is {self.w.dtype} "
+                f"of shape {self.w.shape}"
+            )
 
     def run(self) -> RunResult:
         self._start()

@@ -1,20 +1,23 @@
 """Crash-safe runs: mid-run snapshots and verified SIGKILL recovery.
 
 The contract under test: every ``snapshot_every`` applied updates the
-server loop atomically rewrites ``snapshot_path`` with its full run
-state, and a run restored from that file continues *bit-identically* to
-the in-process restore path (``restore_state`` handed straight to the
-optimizer). The snapshot is written at the instant update K applies and
-excludes run limits, so the file a SIGKILLed run leaves behind is
-byte-for-byte the file a ``max_updates=K`` run finishes with.
+server loop durably writes its full run state into one of the two slots
+of ``snapshot_path``, and a run restored from that file continues
+*bit-identically* to the in-process restore path (``restore_state``
+handed straight to the optimizer). The snapshot is written at the
+instant update K applies and excludes run limits, so the newest payload
+a SIGKILLed run leaves behind is byte-for-byte the payload a
+``max_updates=K`` run finishes with.
 """
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +34,7 @@ from repro.core.snapshots import (
     decode_value,
     encode_value,
     is_run_snapshot,
+    read_payload,
     read_snapshot,
     write_snapshot,
 )
@@ -126,7 +130,7 @@ def test_snapshot_file_is_strict_json(tmp_path):
     snap_file = tmp_path / "snap.json"
     run_experiment({**ASAGA_SPEC, "snapshot_every": 20,
                     "snapshot_path": str(snap_file)})
-    state = json.loads(snap_file.read_text(), parse_constant=_no_constants)
+    state = json.loads(read_payload(snap_file), parse_constant=_no_constants)
     assert isinstance(state["w"]["__ndarray__"], str)
     # The bounded HIST channel travels in the same encoding.
     channels = state["server"]["history"]
@@ -158,7 +162,7 @@ def test_list_form_snapshot_restores_like_the_new_form(tmp_path):
     run_experiment({**ASAGA_SPEC, "max_updates": 40, "snapshot_every": 40,
                     "snapshot_path": str(snap_file)})
     legacy_file = tmp_path / "legacy.json"
-    legacy = _to_list_form(json.loads(snap_file.read_text()))
+    legacy = _to_list_form(json.loads(read_payload(snap_file)))
     assert isinstance(legacy["w"]["__ndarray__"], list)
     legacy_file.write_text(
         json.dumps(legacy, sort_keys=True, separators=(",", ":")) + "\n"
@@ -177,7 +181,7 @@ def _asaga_snapshot_at_40(tmp_path):
     snap_file = tmp_path / "snap.json"
     run_experiment({**ASAGA_SPEC, "max_updates": 40, "snapshot_every": 40,
                     "snapshot_path": str(snap_file)})
-    return snap_file, json.loads(snap_file.read_text())
+    return snap_file, json.loads(read_payload(snap_file))
 
 
 def test_snapshot_with_empty_policy_and_coordinator_restores_bit_identically(
@@ -280,7 +284,7 @@ def _valid_state(tmp_path):
     snap_file = tmp_path / "snap.json"
     run_experiment({**SPEC, "max_updates": 20, "snapshot_every": 20,
                     "snapshot_path": str(snap_file)})
-    return json.loads(snap_file.read_text())
+    return json.loads(read_payload(snap_file))
 
 
 @pytest.mark.parametrize("key", ["updates", "rounds", "w"])
@@ -340,18 +344,186 @@ def test_snapshot_with_a_malformed_hist_array_is_a_snapshot_error(tmp_path):
         read_snapshot(bad)
 
 
+#: A minimal run snapshot for the file-format units.
+STATE = {"format": SNAPSHOT_FORMAT, "updates": 3, "rounds": 3,
+         "epoch_rounds_left": 0, "w": encode_value(np.arange(4.0))}
+
+
+def _payload_of(state) -> bytes:
+    return json.dumps(state, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
 def test_write_snapshot_is_atomic_and_tagged(tmp_path):
     path = tmp_path / "snap.json"
-    state = {"format": SNAPSHOT_FORMAT, "updates": 3, "rounds": 3,
-             "epoch_rounds_left": 0, "w": encode_value(np.arange(4.0))}
-    write_snapshot(path, state)
+    write_snapshot(path, STATE)
     assert read_snapshot(path)["updates"] == 3
     assert is_run_snapshot(read_snapshot(path))
     # No temp litter: the tmp file was renamed over the target.
     assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
-    # Overwrite is also atomic (same path, new contents).
-    write_snapshot(path, {**state, "updates": 4})
+    # Later writes land in the other slot of the same file.
+    write_snapshot(path, {**STATE, "updates": 4})
     assert read_snapshot(path)["updates"] == 4
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
+
+
+def test_snapshot_file_is_two_page_aligned_slots_with_ascii_headers(tmp_path):
+    """Two slots of S bytes, S a power of two >= 4 KiB and >= twice the
+    record; each slot is one header line, then the unchanged payload."""
+    path = tmp_path / "snap.json"
+    states = [STATE, {**STATE, "updates": 4}]
+    for state in states:
+        write_snapshot(path, state)
+    data = path.read_bytes()
+    size = len(data) // 2
+    assert len(data) == 2 * size and size >= 4096 and size & (size - 1) == 0
+    for offset, state in zip((0, size), states):
+        header, rest = data[offset:offset + size].split(b"\n", 1)
+        payload = _payload_of(state)
+        assert rest.startswith(payload)
+        assert size >= 2 * (len(header) + 1 + len(payload))
+        assert header.startswith(b"repro/snapshot-slot@1 ")
+        assert header.decode("ascii").split()[1:] == [
+            f"seq={offset // size + 1:016d}", f"len={len(payload):010d}",
+            f"crc={zlib.crc32(payload):08x}", f"slot={size:010d}",
+        ]
+    assert read_payload(path) == _payload_of(states[-1])
+
+
+def test_every_write_is_flushed_before_it_returns(tmp_path, monkeypatch):
+    """The first write rebuilds the file (fsync, rename); every later one
+    overwrites a slot in place and flushes its data."""
+    from repro.core import snapshots
+
+    flushed = []
+    datasync, fsync = snapshots._datasync, os.fsync
+
+    def counted(kind, sync):
+        def flush(fd):
+            flushed.append(kind)
+            sync(fd)
+        return flush
+
+    monkeypatch.setattr(snapshots, "_datasync", counted("data", datasync))
+    monkeypatch.setattr(os, "fsync", counted("full", fsync))
+    path = tmp_path / "snap.json"
+    for updates in range(4):
+        write_snapshot(path, {**STATE, "updates": updates})
+        assert read_snapshot(path)["updates"] == updates
+    assert flushed == ["full", "data", "data", "data"]
+
+
+def _slotted_file(tmp_path, writes=2):
+    """A slotted file after ``writes`` writes of updates 1, 2, ...: the
+    newest in slot 1 for an even count, in slot 0 for an odd one."""
+    path = tmp_path / "snap.json"
+    for updates in range(1, writes + 1):
+        write_snapshot(path, {**STATE, "updates": updates})
+    data = bytearray(path.read_bytes())
+    return path, data, len(data) // 2
+
+
+def _flip_payload_byte(data, offset, size):
+    data[data.index(b"\n", offset) + 10] ^= 0x01
+    return data
+
+
+def _truncate_mid_slot(data, offset, size):
+    return data[:data.index(b"\n", offset) + 10]
+
+
+def _length_past_the_slot(data, offset, size):
+    end = data.index(b"\n", offset)
+    data[offset:end] = re.sub(
+        rb"len=\d{10}", b"len=%010d" % (size + 1), bytes(data[offset:end])
+    )
+    return data
+
+
+def _tear_the_header(data, offset, size):
+    data[data.index(b"seq=", offset) + 4] = ord("x")
+    return data
+
+
+@pytest.mark.parametrize("corrupt", [
+    _flip_payload_byte, _truncate_mid_slot, _length_past_the_slot,
+], ids=["flipped-payload-byte", "truncated-mid-slot", "length-past-slot"])
+def test_a_torn_newest_slot_loads_the_previous_snapshot(tmp_path, corrupt):
+    path, data, size = _slotted_file(tmp_path)
+    path.write_bytes(corrupt(data, size, size))
+    assert read_snapshot(path)["updates"] == 1
+    # The next write goes into the torn slot and keeps the intact one.
+    write_snapshot(path, {**STATE, "updates": 3})
+    assert read_snapshot(path)["updates"] == 3
+
+
+def test_a_torn_slot_zero_header_still_finds_slot_one(tmp_path):
+    path, data, size = _slotted_file(tmp_path, writes=3)
+    path.write_bytes(_tear_the_header(data, 0, size))
+    assert read_snapshot(path)["updates"] == 2
+
+
+def test_both_slots_bad_is_a_snapshot_error(tmp_path):
+    path, data, size = _slotted_file(tmp_path)
+    for offset in (0, size):
+        _flip_payload_byte(data, offset, size)
+    path.write_bytes(data)
+    with pytest.raises(SnapshotError, match="snap.json.*no intact"):
+        read_snapshot(path)
+    # A write over a file with no intact slot rebuilds it.
+    write_snapshot(path, STATE)
+    assert read_snapshot(path)["updates"] == 3
+
+
+def test_a_record_that_outgrows_its_slot_rebuilds_the_file(tmp_path):
+    path = tmp_path / "snap.json"
+    write_snapshot(path, STATE)
+    small = path.stat().st_size
+    big = {**STATE, "w": encode_value(np.arange(4000.0))}
+    write_snapshot(path, big)
+    assert path.stat().st_size > small
+    assert read_payload(path) == _payload_of(big)
+    inode = path.stat().st_ino
+    write_snapshot(path, STATE)  # fits the larger slots: in place
+    assert path.stat().st_ino == inode
+    assert read_payload(path) == _payload_of(STATE)
+
+
+def test_a_bare_json_file_is_read_whole_and_rebuilt_on_write(tmp_path):
+    """Files from earlier versions are one bare JSON payload: they still
+    load, and the next write turns them into a slotted file."""
+    path = tmp_path / "snap.json"
+    path.write_bytes(_payload_of(STATE))
+    assert read_payload(path) == _payload_of(STATE)
+    write_snapshot(path, {**STATE, "updates": 4})
+    assert path.read_bytes().startswith(b"repro/snapshot-slot@1 ")
+    assert read_snapshot(path)["updates"] == 4
+
+
+def test_a_run_overwrites_its_snapshot_file_in_place(tmp_path, monkeypatch):
+    """After the first write, no write creates or renames a file: the
+    file keeps its inode and ``os.replace`` runs at most once."""
+    from repro.core import snapshots
+
+    snap_file = tmp_path / "snap.json"
+    inodes, replaced = [], []
+    write, os_replace = snapshots.write_snapshot, os.replace
+
+    def traced_write(path, state):
+        write(path, state)
+        inodes.append(os.stat(path).st_ino)
+
+    def counted_replace(src, dst):
+        replaced.append(dst)
+        os_replace(src, dst)
+
+    monkeypatch.setattr(snapshots, "write_snapshot", traced_write)
+    monkeypatch.setattr(os, "replace", counted_replace)
+    result = run_experiment({**SPEC, "snapshot_every": 5,
+                             "snapshot_path": str(snap_file)})
+    assert result.extras["snapshots_written"] == len(inodes) == 12
+    assert len(set(inodes)) == 1
+    assert len(replaced) <= 1
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
 
 
 def test_read_snapshot_rejects_garbage(tmp_path):
@@ -387,9 +559,9 @@ def test_config_validates_snapshot_fields(tmp_path):
 
 
 def test_sync_saga_snapshot_is_prefix_invariant_and_restores(tmp_path):
-    """Synchronous algorithms run in the same server loop: saga's file at
-    update 20 of a budget-30 run is byte-identical to a budget-20 run's
-    final file, and a restore from it finishes the budget."""
+    """Synchronous algorithms run in the same server loop: saga's payload
+    at update 20 of a budget-30 run is byte-identical to a budget-20
+    run's final payload, and a restore from it finishes the budget."""
     spec = {**ASAGA_SPEC, "algorithm": "saga", "max_updates": 30}
     long_file = tmp_path / "long.json"
     short_file = tmp_path / "short.json"
@@ -397,7 +569,7 @@ def test_sync_saga_snapshot_is_prefix_invariant_and_restores(tmp_path):
                     "snapshot_path": str(long_file)})
     run_experiment({**spec, "max_updates": 20, "snapshot_every": 20,
                     "snapshot_path": str(short_file)})
-    assert long_file.read_bytes() == short_file.read_bytes()
+    assert read_payload(long_file) == read_payload(short_file)
     snap = read_snapshot(long_file)
     assert snap["updates"] == snap["rounds"] == 20
     assert snap["run"]["algorithm"] == "saga[history]"
@@ -425,15 +597,15 @@ def test_unset_crash_fields_keep_spec_keys_stable():
 # ---------------------------------------------------------------------------
 
 def test_midrun_snapshot_equals_shorter_runs_final_file(tmp_path):
-    """Snapshots are prefix-invariant: the file a budget-60 run writes at
-    update 40 is byte-identical to a budget-40 run's final file."""
+    """Snapshots are prefix-invariant: the payload a budget-60 run writes
+    at update 40 is byte-identical to a budget-40 run's final payload."""
     long_file = tmp_path / "long.json"
     short_file = tmp_path / "short.json"
     run_experiment({**SPEC, "snapshot_every": 40,
                     "snapshot_path": str(long_file)})
     run_experiment({**SPEC, "max_updates": 40, "snapshot_every": 40,
                     "snapshot_path": str(short_file)})
-    assert long_file.read_bytes() == short_file.read_bytes()
+    assert read_payload(long_file) == read_payload(short_file)
     assert read_snapshot(long_file)["updates"] == 40
 
 
@@ -463,6 +635,37 @@ def test_restore_rejects_mismatched_run(tmp_path):
         with pytest.raises(SnapshotError, match="mismatch"):
             run_experiment({**SPEC, **wrong,
                             "restore_from": str(snap_file)})
+
+
+def _w_as(state, fn):
+    state["w"] = encode_value(fn(decode_value(state["w"])))
+
+
+@pytest.mark.parametrize("field,corrupt", [
+    ("'server' must be an object", lambda s: s.update(server=[])),
+    ("'run' must be an object", lambda s: s.update(run="asgd")),
+    ("'server.history' must be an object",
+     lambda s: s.update(server={"history": [1]})),
+    ("'updates' is -5", lambda s: s.update(updates=-5)),
+    ("'updates' is 1000000", lambda s: s.update(updates=1_000_000)),
+    ("'w' is float64 of shape", lambda s: _w_as(s, lambda w: w[:-1])),
+    ("'w' is float32 of shape",
+     lambda s: _w_as(s, lambda w: w.astype(np.float32))),
+    ("'w' is float64 of shape \\(1, ", lambda s: _w_as(s, lambda w: w[None])),
+], ids=["server-not-object", "run-not-object", "history-not-object",
+        "negative-updates", "updates-past-budget", "w-wrong-length",
+        "w-wrong-dtype", "w-wrong-ndim"])
+def test_restore_refuses_a_hostile_snapshot_naming_the_field(
+    tmp_path, field, corrupt,
+):
+    """A snapshot this run cannot continue is refused up front with a
+    ``SnapshotError`` naming the field, never a numpy or attribute error
+    later in the run."""
+    state = _valid_state(tmp_path)
+    corrupt(state)
+    bad = _write_state(tmp_path / "bad.json", state)
+    with pytest.raises(SnapshotError, match=field):
+        run_experiment({**SPEC, "restore_from": str(bad)})
 
 
 def test_snapshot_header_carries_the_trajectory_epoch(tmp_path):
@@ -536,16 +739,17 @@ def test_sigkill_sim_backend_resumes_bit_identically(tmp_path, min_updates):
          "--snapshot", str(snap_file), "--snapshot-every", "15"],
         snap_file, min_updates,
     )
-    snap = read_snapshot(snap_file)  # atomic replace => never torn
+    snap = read_snapshot(snap_file)  # a torn slot falls back, never fails
     k = snap["updates"]
     assert k >= min_updates and k % 15 == 0
 
-    # The killed run's file is byte-identical to a run budgeted to stop
-    # exactly at K — the snapshot captured a real prefix of the run.
+    # The killed run's newest payload is byte-identical to the payload of
+    # a run budgeted to stop exactly at K — the snapshot captured a real
+    # prefix of the run.
     ref_file = tmp_path / "ref.json"
     run_experiment({**SPEC, "max_updates": k, "snapshot_every": k,
                     "snapshot_path": str(ref_file)})
-    assert snap_file.read_bytes() == ref_file.read_bytes()
+    assert read_payload(snap_file) == read_payload(ref_file)
 
     # Resuming the killed run continues exactly like the in-process
     # restore path continuing the reference run.

@@ -274,7 +274,6 @@ def _cmd_sweep_worker(args: argparse.Namespace) -> int:
     worker = SweepWorker(
         args.endpoint,
         name=args.name,
-        chaos=args.chaos,
         max_connect_attempts=args.max_connect_attempts,
         log=(lambda line: None) if args.quiet else print,
     )
@@ -517,11 +516,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_worker.add_argument(
         "--quiet", action="store_true", help="suppress per-cell log lines"
-    )
-    p_worker.add_argument(
-        "--chaos", metavar="SPEC",
-        help="perturb this worker's fabric traffic with a seeded fault "
-             "model, e.g. 'drop=0.1,dup=0.05,delay=20,sever=50,seed=3'",
     )
     p_worker.add_argument(
         "--max-connect-attempts", type=int, default=12, metavar="N",

@@ -44,11 +44,6 @@ class TaskMetrics:
     out_bytes: int = 0
     fetch_bytes: int = 0
 
-    @property
-    def queue_ms(self) -> float:
-        """Time the task waited for the worker to become free."""
-        return max(self.started_ms - self.submitted_ms, 0.0)
-
 
 @dataclass
 class BackendTask:
@@ -103,9 +98,6 @@ class WorkerEnv:
 
     def put(self, key: Any, value: Any) -> None:
         self._kv[key] = value
-
-    def delete(self, key: Any) -> None:
-        self._kv.pop(key, None)
 
     def __contains__(self, key: Any) -> bool:
         return key in self._kv

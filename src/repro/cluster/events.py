@@ -20,7 +20,8 @@ __all__ = ["Event", "EventQueue"]
 
 
 class Event:
-    """A scheduled ``callback(*args)``; the cancellable handle of one entry."""
+    """A scheduled ``callback(*args)``: the handle of one entry, cancelled
+    through :meth:`EventQueue.cancel`."""
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled")
 
@@ -32,10 +33,6 @@ class Event:
         self.callback = callback
         self.args = args
         self.cancelled = False
-
-    def cancel(self) -> None:
-        """Mark the event dead; it will be skipped when popped."""
-        self.cancelled = True
 
 
 class EventQueue:
@@ -78,8 +75,9 @@ class EventQueue:
         return heap[0][0] if heap else None
 
     def cancel(self, event: Event) -> None:
+        """Mark ``event`` dead; it is skipped when popped."""
         if not event.cancelled:
-            event.cancel()
+            event.cancelled = True
             self._live -= 1
 
     def __len__(self) -> int:

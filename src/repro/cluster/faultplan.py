@@ -20,12 +20,22 @@ Two spellings resolve to a :class:`FaultPlan`:
   revives) at seeded-uniform times into the same event schedule. Like
   policies, ``num_workers`` and ``seed`` are injected from the spec.
 
-The :class:`FaultPlanDriver` applies due events between server-loop
-rounds via :class:`~repro.engine.faults.FaultInjector` and refreshes
-STAT liveness afterwards. A kill that would leave *zero* alive workers
-is suppressed (and counted) — a cluster with nobody left can make no
-progress, and the paper's fault model always keeps at least one
-survivor.
+The :class:`FaultPlanDriver` puts every event on the simulation's event
+queue, so it fires at its exact virtual time — between rounds, inside a
+policy wait or in the middle of a synchronous round alike. A kill that
+would leave *zero* alive workers is suppressed (and counted) — a cluster
+with nobody left can make no progress, and the paper's fault model
+always keeps at least one survivor.
+
+Failure semantics: killing a worker clears its block store (cached RDD
+partitions, broadcast replicas, history caches) and errors its in-flight
+tasks with :class:`~repro.errors.WorkerLostError`. The engine's one
+partition job (:func:`~repro.engine.scheduler.run_partitions`) resends
+them elsewhere; cached data is recomputed from lineage; broadcast reads
+re-fetch from the driver. These are exactly Spark's guarantees, which the
+paper's layer inherits ("preserving the in-memory and fault tolerant
+features of Spark"). A revived worker comes back with an empty block
+store, like a fresh executor.
 """
 
 from __future__ import annotations
@@ -33,13 +43,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.api.registry import FAULT_PLANS, register_fault_plan
 from repro.errors import FaultPlanError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.context import ClusterContext
+    from repro.cluster.events import Event
+    from repro.cluster.simbackend import SimBackend
 
 __all__ = [
     "FaultEvent",
@@ -128,12 +140,7 @@ def _parse_time_ms(text: str) -> float:
         raise FaultPlanError(
             f"bad fault time {text!r}; expected e.g. '500ms' or '1.5s'"
         ) from None
-    value *= scale
-    if not (math.isfinite(value) and value >= 0):
-        raise FaultPlanError(
-            f"fault time must be finite and >= 0, got {text!r}"
-        )
-    return value
+    return value * scale  # FaultEvent rejects a negative or non-finite one
 
 
 def parse_fault_plan(text: str, num_workers: int | None = None) -> FaultPlan:
@@ -147,13 +154,9 @@ def parse_fault_plan(text: str, num_workers: int | None = None) -> FaultPlan:
         token = token.strip()
         if not token:
             continue
-        head, sep, at = token.partition("@")
-        if not sep:
-            raise FaultPlanError(
-                f"bad fault event {token!r}; expected 'action:wN@time'"
-            )
-        action, sep, target = head.partition(":")
-        if not sep:
+        head, at_sign, at = token.partition("@")
+        action, colon, target = head.partition(":")
+        if not (at_sign and colon):
             raise FaultPlanError(
                 f"bad fault event {token!r}; expected 'action:wN@time'"
             )
@@ -213,82 +216,81 @@ def resolve_fault_plan(
 
 
 class FaultPlanDriver:
-    """Applies a plan's due events to a live cluster.
+    """Schedules a plan's events on a cluster's event queue.
 
-    The server loop polls :meth:`poll` once per round; events whose
-    time has passed are injected through
-    :class:`~repro.engine.faults.FaultInjector`, compared against
-    ``ctx.now()`` (virtual ms).
+    Each event fires at its ``time_ms`` of virtual time; one already
+    overdue when the driver is built fires at once. ``on_change`` runs
+    after every applied event (the server loop re-syncs STAT liveness
+    with it). :meth:`cancel` drops the events that have not fired, so a
+    reused cluster inherits none of them. ``log`` holds one row per
+    event, applied or suppressed, with the time it fired.
     """
 
-    def __init__(self, plan: FaultPlan, ctx: "ClusterContext") -> None:
-        from repro.engine.faults import FaultInjector
-
+    def __init__(
+        self,
+        plan: FaultPlan,
+        backend: "SimBackend",
+        on_change: Callable[[], object],
+    ) -> None:
         self.plan = plan
-        self.ctx = ctx
-        self.injector = FaultInjector(ctx)
-        self._next = 0
+        self.backend = backend
+        self.on_change = on_change
         self.fired = 0
         self.suppressed = 0
         self.log: list[dict] = []
+        # Queued events fire in push order (sorted by time, ties by
+        # sequence), so the oldest entry is always the next to fire.
+        self._queued: deque["Event"] = deque()
+        now = backend.now()
+        for event in plan:
+            if event.time_ms <= now:
+                self._apply(event)
+            else:
+                self._queued.append(
+                    backend.queue.push(event.time_ms, self._fire, event)
+                )
 
-    @property
-    def exhausted(self) -> bool:
-        return self._next >= len(self.plan.events)
+    def cancel(self) -> None:
+        """Drop every event that has not fired yet."""
+        while self._queued:
+            self.backend.queue.cancel(self._queued.popleft())
 
-    def poll(self, now_ms: float | None = None) -> int:
-        """Apply every event due at ``now_ms``; returns how many fired
-        (suppressed events don't count)."""
-        now = self.ctx.now() if now_ms is None else now_ms
-        fired = 0
-        while (
-            self._next < len(self.plan.events)
-            and self.plan.events[self._next].time_ms <= now
-        ):
-            event = self.plan.events[self._next]
-            self._next += 1
-            if self._apply(event, now):
-                fired += 1
-        return fired
+    def _fire(self, event: FaultEvent) -> None:
+        self._queued.popleft()
+        self._apply(event)
 
-    def _apply(self, event: FaultEvent, now: float) -> bool:
-        backend = self.ctx.backend
+    def _apply(self, event: FaultEvent) -> None:
+        backend = self.backend
         if event.worker not in backend.worker_ids():
-            return self._suppress(event, now, "unknown worker")
-        alive = set(self.injector.alive_workers())
+            return self._record(event, "suppressed (unknown worker)")
+        alive = backend.worker_alive(event.worker)
         if event.action == "kill":
-            if event.worker not in alive:
-                return self._suppress(event, now, "already dead")
-            if len(alive) <= 1:
+            if not alive:
+                return self._record(event, "suppressed (already dead)")
+            if sum(map(backend.worker_alive, backend.worker_ids())) <= 1:
                 # Never orphan the cluster: with zero alive workers the
                 # loop can neither dispatch nor collect, so the run
                 # would spin forever instead of finishing its budget.
-                return self._suppress(event, now, "last alive worker")
-            self.injector.kill(event.worker)
+                return self._record(event, "suppressed (last alive worker)")
+            backend.kill_worker(event.worker)
         else:
-            if event.worker in alive:
-                return self._suppress(event, now, "already alive")
-            self.injector.revive(event.worker)
+            if alive:
+                return self._record(event, "suppressed (already alive)")
+            backend.revive_worker(event.worker)
         self.fired += 1
-        self.log.append(
-            {
-                "event": event.describe(),
-                "applied_at_ms": float(now),
-                "status": "applied",
-            }
-        )
-        return True
+        self._record(event, "applied")
+        self.on_change()
 
-    def _suppress(self, event: FaultEvent, now: float, why: str) -> bool:
-        self.suppressed += 1
+    def _record(self, event: FaultEvent, status: str) -> None:
+        if status != "applied":
+            self.suppressed += 1
         self.log.append(
             {
                 "event": event.describe(),
-                "applied_at_ms": float(now),
-                "status": f"suppressed ({why})",
+                "applied_at_ms": float(self.backend.now()),
+                "status": status,
             }
         )
-        return False
 
 
 # -- registered plan factories ---------------------------------------------------------

@@ -45,14 +45,14 @@ __all__ = ["SimBackend"]
 
 
 class _SimWorker:
-    """Mutable simulation state for one worker slot."""
+    """Mutable simulation state for one worker slot (its liveness is its
+    :class:`WorkerEnv`'s ``alive``)."""
 
-    __slots__ = ("worker_id", "free_at", "alive", "task_seq")
+    __slots__ = ("worker_id", "free_at", "task_seq")
 
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
         self.free_at = 0.0
-        self.alive = True
         self.task_seq = 0
 
 
@@ -89,7 +89,6 @@ class SimBackend:
         self._live: dict[int, dict[int, tuple[BackendTask, Event, float]]] = {
             w: {} for w in range(num_workers)
         }
-        self._executed_tasks = 0
 
     # -- configuration -------------------------------------------------------
     def set_completion_callback(self, cb: CompletionCallback) -> None:
@@ -110,15 +109,8 @@ class SimBackend:
         """Number of submitted tasks whose results are not yet delivered."""
         return self._pending
 
-    @property
-    def executed_tasks(self) -> int:
-        return self._executed_tasks
-
-    def worker_free_at(self, worker_id: int) -> float:
-        return self._workers[worker_id].free_at
-
     def worker_alive(self, worker_id: int) -> bool:
-        return self._workers[worker_id].alive
+        return self.envs[worker_id].alive
 
     # -- submission ----------------------------------------------------------
     def submit(self, task: BackendTask, worker_id: int) -> None:
@@ -149,7 +141,7 @@ class SimBackend:
             submitted_ms=submitted,
             in_bytes=task.in_bytes,
         )
-        if not worker.alive:
+        if not env.alive:
             self._live[worker_id].pop(task.task_id, None)
             metrics.delivered_ms = now + network.latency_ms
             self.queue.push(
@@ -173,7 +165,6 @@ class SimBackend:
         measured_ms = (_time.perf_counter() - t0) * 1000.0
 
         worker.task_seq += 1
-        self._executed_tasks += 1
         seq = worker.task_seq
         cost_model = self.cost_model
         cost_rng = (
@@ -262,13 +253,12 @@ class SimBackend:
     # -- fault injection --------------------------------------------------------
     def kill_worker(self, worker_id: int) -> None:
         """Fail the worker: lose its local blocks, error its live tasks."""
-        worker = self._workers[worker_id]
-        if not worker.alive:
+        env = self.envs[worker_id]
+        if not env.alive:
             return
-        worker.alive = False
+        env.alive = False
+        env.clear()
         self.members_epoch += 1
-        self.envs[worker_id].alive = False
-        self.envs[worker_id].clear()
         now = self.clock.now()
         live = self._live[worker_id]
         doomed = list(live.items())
@@ -290,10 +280,9 @@ class SimBackend:
     def revive_worker(self, worker_id: int) -> None:
         """Bring a dead worker back with an empty slot; a no-op on a live
         one (its queued tasks keep their slot times)."""
-        worker = self._workers[worker_id]
-        if worker.alive:
+        env = self.envs[worker_id]
+        if env.alive:
             return
-        worker.alive = True
-        worker.free_at = self.clock.now()
+        env.alive = True
+        self._workers[worker_id].free_at = self.clock.now()
         self.members_epoch += 1
-        self.envs[worker_id].alive = True

@@ -220,9 +220,6 @@ class Compressor:
         """Canonical grammar spelling (round-trips via parse_compressor)."""
         return self.name
 
-    def roundtrip(self, arr: np.ndarray) -> np.ndarray:
-        return self.decompress(self.compress(arr))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.spec()!r})"
 

@@ -228,9 +228,6 @@ class CommManager:
             return None
         return min(table.values())
 
-    def watermark_scopes(self, channel: str) -> int:
-        return len(self._watermarks.get(channel, {}))
-
     # -- result surface ----------------------------------------------------------
     def extras(self) -> dict:
         out = dict(self.ledger.scalars())

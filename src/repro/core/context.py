@@ -182,9 +182,9 @@ class ASYNCContext:
         """Re-sync STAT liveness with the backend (worker elasticity).
 
         A worker the coordinator marked dead (its task was lost) may have
-        been revived by the fault injector / cluster manager; calling this
-        re-admits it to scheduling with a clean slate. Returns the workers
-        that rejoined.
+        been revived by a fault plan (which calls this after every event
+        it applies); this re-admits it to scheduling with a clean slate.
+        Returns the workers that rejoined.
         """
         rejoined = []
         for w in self.ctx.backend.worker_ids():

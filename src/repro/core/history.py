@@ -45,7 +45,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.errors import BroadcastError, HistoryError
+from repro.errors import BroadcastError, HistoryError, SnapshotError
 from repro.utils.sizeof import sizeof_bytes
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "freeze_value",
     "to_jsonable",
     "from_jsonable",
+    "require_like",
 ]
 
 
@@ -291,7 +292,11 @@ class HistoryChannel:
         snapshot captured under a *different* policy is a contract error
         (silently adopting the snapshot's would let a resumed run keep
         more — or less — history than it was configured for). Older
-        snapshots' ``timestamps_ms`` maps are ignored.
+        snapshots' ``timestamps_ms`` maps are ignored. When the channel
+        already holds an array (what the run's own setup stored), every
+        restored array must have its shape and dtype, or
+        :class:`~repro.errors.SnapshotError` names the version and the
+        channel is left unchanged.
         """
         if "values" not in snap:
             raise HistoryError(
@@ -305,10 +310,19 @@ class HistoryChannel:
                 f"{snap_keep.describe()!r} conflicts with the channel's "
                 f"{self.keep.describe()!r}"
             )
-        self._values = {
+        values = {
             int(v): freeze_value(from_jsonable(val))
             for v, val in snap["values"].items()
         }
+        ours = self.latest() if self._values else None
+        if isinstance(ours, np.ndarray):
+            for v, val in values.items():
+                require_like(
+                    val, ours,
+                    f"snapshot of channel '{self.name}': values[{v}]",
+                    "this run's setup stored",
+                )
+        self._values = values
         self._nbytes = {
             v: sizeof_bytes(val) for v, val in self._values.items()
         }
@@ -326,6 +340,23 @@ class HistoryChannel:
             f"HistoryChannel({self.name!r}, keep={self.keep.describe()}, "
             f"versions={len(self._values)}, "
             f"stored_bytes={self.total_stored_bytes})"
+        )
+
+
+def require_like(value: Any, ours: np.ndarray, what: str, whose: str) -> None:
+    """Raise :class:`~repro.errors.SnapshotError` (``"<what> is ...;
+    <whose> ..."``) unless ``value`` is an array of ``ours``' shape and
+    dtype."""
+    if not (
+        isinstance(value, np.ndarray)
+        and value.shape == ours.shape and value.dtype == ours.dtype
+    ):
+        got = (
+            f"{value.dtype} of shape {value.shape}"
+            if isinstance(value, np.ndarray) else type(value).__name__
+        )
+        raise SnapshotError(
+            f"{what} is {got}; {whose} {ours.dtype} of shape {ours.shape}"
         )
 
 

@@ -80,8 +80,8 @@ class Dispatcher:
     ) -> None:
         entry = self._continuations.pop(task.task_id, None)
         if entry is None:
-            # Worker-loss notifications arrive with a synthetic task id; they
-            # carry no continuation and are logged for the fault injector.
+            # A task submitted without a continuation: only its metrics
+            # are kept.
             self.metrics_log.append(metrics)
             return
         job_id, cont = entry

@@ -20,9 +20,13 @@ Entry points::
     python -m repro sweep-status grid.ckpt.jsonl      # live progress
 
 or in code: ``run_grid(grid, jobs=4)``.
+
+The shipped fabric injects no faults of its own. Its tests perturb the
+wire (dropped, duplicated and severed frames) by wrapping
+:meth:`SweepWorker._exchange`, the one request/reply seam of a worker
+(``tests/wire_chaos.py``).
 """
 
-from repro.fabric.chaos import ChaosConfig, ChaosLink
 from repro.fabric.coordinator import (
     FabricOptions,
     SweepCoordinator,
@@ -51,8 +55,6 @@ __all__ = [
     "parse_fabric",
     "run_fabric_cells",
     "spawn_local_workers",
-    "ChaosConfig",
-    "ChaosLink",
     "clamp_retry_s",
     "send_msg",
     "recv_msg",

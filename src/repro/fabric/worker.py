@@ -20,12 +20,14 @@ the heartbeats stop; one lease TTL later its unfinished cells are stolen.
 
 Crash tolerance: every connection attempt uses capped exponential
 backoff with jitter, and a broken session (coordinator killed, socket
-severed, chaos-injected drop) is retried from a fresh connection rather
-than abandoned — results already acked are safe under the coordinator's
+severed, a frame lost on the wire) is retried from a fresh connection
+rather than abandoned — results already acked are safe under the coordinator's
 at-most-once accounting, and a relaunched coordinator (``--resume``)
 looks to the worker like a slow reconnect. Only two things end a worker:
 the coordinator saying so (``done``/``abort``/``drain``) or the
-reconnect budget (``max_connect_attempts``) running dry.
+reconnect budget (``max_connect_attempts``) running dry. Every request
+on the session goes through :meth:`SweepWorker._exchange`, so wrapping
+that one method is how a test drops, duplicates or severs frames.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from typing import Any, Callable, Mapping
 
 from repro.comm.frames import encode_frame
 from repro.errors import FabricError, ProtocolError
-from repro.fabric.chaos import ChaosConfig, ChaosLink
 from repro.fabric.protocol import (
     clamp_retry_s,
     parse_endpoint,
@@ -69,7 +70,6 @@ class SweepWorker:
         max_connect_attempts: int = 12,
         connect_backoff_s: float = 0.2,
         connect_backoff_cap_s: float = 3.0,
-        chaos: "ChaosConfig | str | dict | None" = None,
         log: Callable[[str], None] | None = None,
     ) -> None:
         self.host, self.port = parse_endpoint(endpoint)
@@ -83,13 +83,6 @@ class SweepWorker:
         self.max_connect_attempts = int(max_connect_attempts)
         self.connect_backoff_s = float(connect_backoff_s)
         self.connect_backoff_cap_s = float(connect_backoff_cap_s)
-        chaos_cfg = ChaosConfig.coerce(chaos)
-        #: Seeded fault model on the request/reply stream, or ``None``.
-        self.chaos: ChaosLink | None = (
-            ChaosLink(chaos_cfg)
-            if chaos_cfg is not None and not chaos_cfg.quiet
-            else None
-        )
         self.log = log or (lambda line: None)
         self.cells_done = 0
         self.leases_taken = 0
@@ -132,9 +125,7 @@ class SweepWorker:
         )
 
     def _exchange(self, conn: socket.socket, message: dict) -> dict | None:
-        """One request/reply, routed through the chaos link when set."""
-        if self.chaos is not None:
-            return self.chaos.exchange(conn, message)
+        """One request/reply on the session's connection."""
         send_msg(conn, message)
         return recv_msg(conn)
 

@@ -55,10 +55,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from repro.cluster.faultplan import FaultPlanDriver
 from repro.core.context import ASYNCContext
+from repro.core.history import require_like
 from repro.core.ops import RoundPlan
 from repro.core.policies import as_policy
 from repro.core.snapshots import (
@@ -341,7 +340,25 @@ class ServerLoop:
         history = server.get("history", {})
         _require_object("server.history", history)
         for name, channel in history.items():
-            _require_object(f"server.history[{name!r}]", channel)
+            where = f"server.history[{name!r}]"
+            _require_object(where, channel)
+            if "values" not in channel:
+                continue  # a metadata-only entry; its owner rebuilds it
+            values = channel["values"]
+            _require_object(f"{where}.values", values)
+            _require_object(f"{where}.accounting", channel.get("accounting", {}))
+            for key in values:
+                if not (key.isascii() and key.isdigit()):
+                    raise SnapshotError(
+                        f"snapshot {where}.values has version key {key!r}; "
+                        "versions are integers >= 0"
+                    )
+            next_version = channel.get("next_version")
+            if type(next_version) is not int:
+                raise SnapshotError(
+                    f"snapshot {where}.next_version is {next_version!r}; "
+                    "it must be an integer"
+                )
         checks = (
             ("algorithm", run.get("algorithm"), self.rule.algorithm_label()),
             ("num_workers", run.get("num_workers"), self.opt.ctx.num_workers),
@@ -369,25 +386,23 @@ class ServerLoop:
                     f"snapshot {field!r} is {value!r}; this run needs an "
                     f"integer in {limit}"
                 )
-        w = decode_value(snap.get("w"))
-        if not (
-            isinstance(w, np.ndarray)
-            and w.shape == self.w.shape and w.dtype == self.w.dtype
-        ):
-            got = (
-                f"{w.dtype} of shape {w.shape}"
-                if isinstance(w, np.ndarray) else type(w).__name__
-            )
-            raise SnapshotError(
-                f"snapshot 'w' is {got}; this run's model is {self.w.dtype} "
-                f"of shape {self.w.shape}"
-            )
+        require_like(
+            decode_value(snap.get("w")), self.w,
+            "snapshot 'w'", "this run's model is",
+        )
 
     def run(self) -> RunResult:
         self._start()
         budget = self.opt.config.max_updates
-        while self.updates < budget:
-            self._round()
+        try:
+            while self.updates < budget:
+                self._round()
+        finally:
+            # The run is over: a fault scheduled past its end must not
+            # fire in the straggler drain or in a later run on this
+            # cluster.
+            if self.faults is not None:
+                self.faults.cancel()
         return self._finish()
 
     def _start(self) -> None:
@@ -430,16 +445,16 @@ class ServerLoop:
 
         self.faults = None
         if opt.fault_plan is not None and not opt.fault_plan.empty:
-            self.faults = FaultPlanDriver(opt.fault_plan, opt.ctx)
+            # Every event goes on the cluster's event queue and fires at
+            # its virtual time; each applied one re-syncs STAT so killed
+            # workers stop being candidates and revived ones rejoin.
+            self.faults = FaultPlanDriver(
+                opt.fault_plan, opt.ctx.backend, self.ac.refresh_workers
+            )
 
     def _round(self) -> None:
         """Publish, dispatch one round, apply everything that arrived."""
         opt, rule, ac = self.opt, self.rule, self.ac
-        if self.faults is not None and self.faults.poll() > 0:
-            # Liveness changed under the scheduler: re-sync STAT so
-            # killed workers stop being candidates and revived ones
-            # are re-admitted.
-            ac.refresh_workers()
         if rule.epoch_length is not None and self.epoch_rounds_left == 0:
             rule.begin_epoch(self.w)
             self.epoch_rounds_left = rule.epoch_length

@@ -51,9 +51,11 @@ __all__ = [
 #: is streamed through the gradient a chunk of rows at a time
 #: (:data:`repro.data.blocks.STREAM_CHUNK_BYTES`), so a batch longer than
 #: one chunk adds its chunk partials in row order; a batch within one
-#: chunk kept its bits. Sweep checkpoint keys and run snapshots carry
+#: chunk kept its bits. Epoch 4: a fault plan's kill or revive fires at
+#: its exact virtual time, not at the next round boundary; runs without
+#: a plan kept their bits. Sweep checkpoint keys and run snapshots carry
 #: it, so results of another epoch are re-run rather than resumed.
-TRAJECTORY_EPOCH = 3
+TRAJECTORY_EPOCH = 4
 
 
 def stable_hash(parts: Iterable[object]) -> int:

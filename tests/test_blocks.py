@@ -98,7 +98,7 @@ def test_retried_sync_partition_redraws_its_lost_attempts_batch(
     """A worker killed mid-round loses its in-flight partitions; the
     resent tasks draw exactly the rows the lost attempts drew, so the
     round's update is the one an undisturbed round would apply."""
-    from repro.engine.faults import FaultInjector
+    from repro.cluster.faultplan import parse_fault_plan
     from repro.optim import InvSqrtDecay, OptimizerConfig, build_optimizer
     from repro.optim.problems import LeastSquaresProblem
 
@@ -117,7 +117,7 @@ def test_retried_sync_partition_redraws_its_lost_attempts_batch(
         "sgd", ctx, points, LeastSquaresProblem(X, y), InvSqrtDecay(0.5),
         OptimizerConfig(batch_fraction=0.25, max_updates=30, seed=0),
     )
-    FaultInjector(ctx).kill_at(20.0, 1)
+    opt.fault_plan = parse_fault_plan("kill:w1@20ms")
     result = opt.run()
 
     assert result.extras["lost_tasks"] == 2

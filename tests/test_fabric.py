@@ -6,6 +6,7 @@ import json
 import socket
 
 import pytest
+from wire_chaos import WireChaos
 
 from repro.api.parallel import SweepCheckpoint, group_key, run_key
 from repro.api.spec import ExperimentSpec
@@ -464,27 +465,15 @@ def test_clamp_retry_s_bounds_hostile_values():
 
 
 # ---------------------------------------------------------------------------
-# Chaos config and worker backoff units
+# Wire chaos on a worker's exchange, and worker backoff units
 # ---------------------------------------------------------------------------
 
-def test_chaos_config_parse_spellings():
-    from repro.fabric import ChaosConfig
+def _chaotic_worker(**faults):
+    """A worker (never connected) whose exchange runs through chaos."""
+    from repro.fabric import SweepWorker
 
-    cfg = ChaosConfig.parse("drop=0.1,dup=0.05,delay=20,sever=50,seed=3")
-    assert (cfg.drop, cfg.duplicate, cfg.delay_ms, cfg.sever_every,
-            cfg.seed) == (0.1, 0.05, 20.0, 50, 3)
-    assert ChaosConfig.coerce(None) is None
-    assert ChaosConfig.coerce(cfg) is cfg
-    assert ChaosConfig.coerce({"dup": 0.2}).duplicate == 0.2
-    assert ChaosConfig.parse("").quiet
-    with pytest.raises(FabricError, match="unknown chaos term"):
-        ChaosConfig.parse("explode=1")
-    with pytest.raises(FabricError, match="name=value"):
-        ChaosConfig.parse("drop")
-    with pytest.raises(FabricError, match="probability"):
-        ChaosConfig.parse("drop=1.5")
-    with pytest.raises(FabricError, match=">= 0"):
-        ChaosConfig(delay_ms=-1)
+    worker = SweepWorker("127.0.0.1:1", name="chaotic")
+    return worker, WireChaos(**faults).attach(worker)
 
 
 def _echo_peer(sock, seen):
@@ -511,46 +500,40 @@ def _echo_peer(sock, seen):
 
 
 def test_chaos_link_sever_cadence_closes_the_connection():
-    from repro.fabric import ChaosConfig, ChaosLink
-
-    link = ChaosLink(ChaosConfig(sever_every=2))
+    worker, chaos = _chaotic_worker(sever_every=2)
     a, b = _pair()
     seen = []
     thread = _echo_peer(b, seen)
-    assert link.exchange(a, {"type": "t", "i": 1})["echo"] == 1
+    assert worker._exchange(a, {"type": "t", "i": 1})["echo"] == 1
     with pytest.raises(ProtocolError, match="severed"):
-        link.exchange(a, {"type": "t", "i": 2})
-    assert (link.frames, link.severed) == (2, 1)
+        worker._exchange(a, {"type": "t", "i": 2})
+    assert (chaos.frames, chaos.severed) == (2, 1)
     assert seen == [1]  # the severed frame was never sent
     b.close()
     thread.join(timeout=5.0)
 
 
 def test_chaos_link_duplicate_sends_twice_drains_extra_reply():
-    from repro.fabric import ChaosConfig, ChaosLink
-
-    link = ChaosLink(ChaosConfig(duplicate=1.0))
+    worker, chaos = _chaotic_worker(duplicate=1.0)
     a, b = _pair()
     seen = []
     thread = _echo_peer(b, seen)
-    assert link.exchange(a, {"type": "t", "i": 7})["echo"] == 7
-    assert link.exchange(a, {"type": "t", "i": 8})["echo"] == 8
-    assert link.duplicated == 2
+    assert worker._exchange(a, {"type": "t", "i": 7})["echo"] == 7
+    assert worker._exchange(a, {"type": "t", "i": 8})["echo"] == 8
+    assert chaos.duplicated == 2
     assert seen == [7, 7, 8, 8]  # peer saw every frame twice, in order
     a.close(), b.close()
     thread.join(timeout=5.0)
 
 
 def test_chaos_link_drop_closes_the_connection():
-    from repro.fabric import ChaosConfig, ChaosLink
-
-    link = ChaosLink(ChaosConfig(drop=1.0))
+    worker, chaos = _chaotic_worker(drop=1.0)
     a, b = _pair()
     seen = []
     thread = _echo_peer(b, seen)
     with pytest.raises(ProtocolError, match="dropped"):
-        link.exchange(a, {"type": "t", "i": 1})
-    assert (link.frames, link.dropped) == (1, 1)
+        worker._exchange(a, {"type": "t", "i": 1})
+    assert (chaos.frames, chaos.dropped) == (1, 1)
     assert seen == []
     b.close()
     thread.join(timeout=5.0)

@@ -20,6 +20,7 @@ import time
 
 import numpy as np
 import pytest
+from wire_chaos import WireChaos
 
 from repro.api import run_experiment, run_grid
 from repro.api.parallel import SweepCheckpoint, run_cell, run_key
@@ -791,19 +792,18 @@ def test_chaos_worker_completes_sweep_with_parity(tmp_path):
         worker = SweepWorker(
             coordinator.endpoint,
             name="chaotic",
-            chaos="dup=0.3,sever=6,seed=1",
             connect_backoff_s=0.05,
             connect_backoff_cap_s=0.2,
         )
+        chaos = WireChaos(duplicate=0.3, sever_every=6, seed=1).attach(worker)
         thread = threading.Thread(target=worker.run)
         thread.start()
         results = coordinator.wait(timeout=120.0)
         thread.join(timeout=30.0)
 
     # The wire was genuinely hostile...
-    assert worker.chaos is not None
-    assert worker.chaos.severed >= 1
-    assert worker.chaos.duplicated >= 1
+    assert chaos.severed >= 1
+    assert chaos.duplicated >= 1
     # ...but the sweep finished with exactly one entry per cell and
     # summaries bit-identical to the serial run.
     entries = ckpt.entries()

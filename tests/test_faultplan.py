@@ -3,9 +3,10 @@
 The plan grammar (``"kill:w2@500ms,revive:w2@900ms"``) and the
 registered plan components (``"none"``, ``"script"``, ``"random_kill"``)
 both resolve to a :class:`~repro.cluster.faultplan.FaultPlan`; the
-server loop drives a :class:`~repro.engine.faults.FaultInjector` from it
-at the scripted virtual times. Everything is seeded, so a chaos run is
-exactly reproducible.
+server loop's :class:`~repro.cluster.faultplan.FaultPlanDriver` puts its
+events on the simulation's event queue, so each fires at its scripted
+virtual time. Everything is seeded, so a chaos run is exactly
+reproducible.
 """
 
 import numpy as np
@@ -245,3 +246,88 @@ def test_fault_plan_drives_a_hand_wired_run_under_scripted_orders(order):
     assert result.updates == 40
     assert result.extras["fault_events"] == 1
     assert result.extras["fault_plan"] == "kill:w1@1ms"
+
+
+# ---------------------------------------------------------------------------
+# Timing: an event fires at its scheduled virtual time
+# ---------------------------------------------------------------------------
+
+def test_plan_events_fire_at_their_scheduled_times(monkeypatch):
+    """Each kill lands at exactly its scripted time, and no result the
+    killed worker finished computing after that time is applied."""
+    from repro.optim.asgd import ASGDRule
+
+    applied = []
+    apply = ASGDRule.apply
+
+    def recording(self, w, record, alpha):
+        applied.append(record.task_id)
+        return apply(self, w, record, alpha)
+
+    monkeypatch.setattr(ASGDRule, "apply", recording)
+    result = run_experiment({
+        "algorithm": "asgd", "dataset": "tiny_dense", "num_workers": 4,
+        "delay": "cds:1.0", "max_updates": 200, "seed": 0,
+        "fault_plan": "kill:w1@1ms,kill:w2@5ms",
+    })
+    assert [e["applied_at_ms"] for e in result.extras["faults"]] == [1.0, 5.0]
+    finished = {m.task_id: m for m in result.metrics}
+    late = [
+        finished[t].finished_ms for t in applied
+        if finished[t].worker_id == 1 and finished[t].finished_ms > 1.0
+    ]
+    assert late == []
+    assert result.updates == 200
+
+
+def test_plan_kill_inside_a_synchronous_round_is_retried():
+    """A kill at 7.5 ms lands mid-round (SAGA's rounds here span
+    6.15-9.18 ms): the round's partition job resends the lost tasks and
+    the run still spends its budget."""
+    spec = {
+        "algorithm": "saga", "dataset": "tiny_dense", "num_workers": 4,
+        "max_updates": 30, "seed": 0, "fault_plan": "kill:w1@7.5ms",
+    }
+    result = run_experiment(spec)
+    assert result.extras["faults"] == [
+        {"event": "kill:w1@7.5ms", "applied_at_ms": 7.5, "status": "applied"}
+    ]
+    assert result.extras["lost_tasks"] >= 1
+    assert result.updates == 30
+
+
+def test_unfired_events_do_not_outlive_their_run():
+    """A plan event scheduled past the end of its run is cancelled, so
+    a second run on the same cluster never sees it."""
+    from repro.data.synthetic import make_dense_regression
+    from repro.engine.context import ClusterContext
+    from repro.optim import (
+        ConstantStep,
+        LeastSquaresProblem,
+        OptimizerConfig,
+        build_optimizer,
+    )
+
+    X, y, _ = make_dense_regression(64, 4, cond=4.0, seed=5)
+    problem = LeastSquaresProblem(X, y)
+    with ClusterContext(2, seed=0) as ctx:
+        points = ctx.matrix(X, y, 4).cache()
+
+        def run(budget, plan=None):
+            opt = build_optimizer(
+                "asgd", ctx, points, problem, ConstantStep(0.02),
+                OptimizerConfig(batch_fraction=0.25, max_updates=budget),
+            )
+            opt.fault_plan = plan
+            return opt.run()
+
+        start = ctx.now()
+        run(10)
+        at = ctx.now() + 2 * (ctx.now() - start)
+        planned = run(10, parse_fault_plan(f"kill:w1@{at}ms"))
+        assert ctx.now() < at
+        assert planned.extras["faults"] == []
+        second = run(40)
+        assert ctx.now() > at  # the second run passed the kill's time...
+        assert ctx.backend.worker_alive(1)  # ...and the kill never fired
+        assert second.extras["lost_tasks"] == 0

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.engine.faults import FaultInjector
-from repro.errors import BackendError, SchedulerError, TaskError
+from repro.cluster.faultplan import FaultPlanDriver, parse_fault_plan
+from repro.errors import SchedulerError, TaskError
+
+
+def schedule(ctx, plan: str) -> FaultPlanDriver:
+    """Put a fault plan on ``ctx``'s event queue, outside any run."""
+    return FaultPlanDriver(parse_fault_plan(plan), ctx.backend, lambda: None)
 
 
 def test_cached_partition_recomputed_after_loss(ctx):
@@ -18,8 +23,7 @@ def test_cached_partition_recomputed_after_loss(ctx):
     assert rdd.collect() == [x * 2 for x in range(8)]
     n_first = len(computed)
 
-    fi = FaultInjector(ctx)
-    fi.kill(1)  # partitions 1, 5 lived here
+    ctx.backend.kill_worker(1)  # partitions 1, 5 lived here
     out = rdd.collect()
     assert out == [x * 2 for x in range(8)]
     # Only the lost partitions recomputed.
@@ -32,48 +36,58 @@ def test_broadcast_refetched_on_new_worker(ctx):
     env0 = ctx.backend.worker_env(0)
     bc.value(env0)
     env0.consume_fetch_bytes()
-    fi = FaultInjector(ctx)
-    fi.kill(0)
-    fi.revive(0)
+    ctx.backend.kill_worker(0)
+    ctx.backend.revive_worker(0)
     bc.value(env0)
     assert env0.consume_fetch_bytes() > 0  # cache was wiped -> refetch
 
 
 def test_kill_at_schedules_future_failure(ctx):
-    fi = FaultInjector(ctx)
-    fi.kill_at(20.0, 2)
+    driver = schedule(ctx, "kill:w2@20ms")
     rdd = ctx.parallelize(range(8), 4)
     # Run enough jobs to pass t=50ms.
     for _ in range(30):
         ctx.run_job(rdd, lambda s, d: sum(d))
-    assert 2 in fi.killed
-    assert not ctx.backend.worker_env(2).alive
+    assert driver.fired == 1
+    assert not ctx.backend.worker_alive(2)
 
 
 def test_kill_at_fires_at_its_scheduled_time(ctx):
-    fi = FaultInjector(ctx)
-    fi.kill_at(12.5, 3)
+    driver = schedule(ctx, "kill:w3@12.5ms")
     rdd = ctx.parallelize(range(8), 4)
-    while not fi.killed:
+    while not driver.fired:
         ctx.run_job(rdd, lambda s, d: sum(d))
-    assert fi.injected == [("kill", 3, 12.5)]
+    assert driver.log == [
+        {"event": "kill:w3@12.5ms", "applied_at_ms": 12.5, "status": "applied"}
+    ]
 
 
-def test_kill_at_past_rejected(ctx):
+def test_overdue_plan_event_fires_at_once(ctx):
     rdd = ctx.parallelize(range(8), 4)
     ctx.run_job(rdd, lambda s, d: None)  # advance time
-    fi = FaultInjector(ctx)
-    with pytest.raises(BackendError):
-        fi.kill_at(0.0, 1)
+    now = ctx.now()
+    assert now > 0.0
+    driver = schedule(ctx, "kill:w1@0ms,revive:w1@1000ms")
+    assert not ctx.backend.worker_alive(1)
+    assert driver.log == [
+        {"event": "kill:w1@0ms", "applied_at_ms": now, "status": "applied"}
+    ]
+    driver.cancel()  # the revive never fires
+    assert not ctx.backend.queue
+    assert not ctx.backend.worker_alive(1)
 
 
 def test_alive_workers_listing(ctx):
-    fi = FaultInjector(ctx)
-    assert fi.alive_workers() == [0, 1, 2, 3]
-    fi.kill(3)
-    assert fi.alive_workers() == [0, 1, 2]
-    fi.revive(3)
-    assert fi.alive_workers() == [0, 1, 2, 3]
+    backend = ctx.backend
+
+    def alive():
+        return [w for w in backend.worker_ids() if backend.worker_alive(w)]
+
+    assert alive() == [0, 1, 2, 3]
+    backend.kill_worker(3)
+    assert alive() == [0, 1, 2]
+    backend.revive_worker(3)
+    assert alive() == [0, 1, 2, 3]
 
 
 def test_end_to_end_sgd_survives_mid_run_failure(ctx, small_data):
@@ -84,12 +98,12 @@ def test_end_to_end_sgd_survives_mid_run_failure(ctx, small_data):
     X, y, _ = small_data
     problem = LeastSquaresProblem(X, y)
     points = ctx.matrix(X, y, 8).cache()
-    fi = FaultInjector(ctx)
-    fi.kill_at(20.0, 1)
-    result = build_optimizer(
+    opt = build_optimizer(
         "sgd", ctx, points, problem, InvSqrtDecay(0.5),
         OptimizerConfig(batch_fraction=0.25, max_updates=30, seed=0),
-    ).run()
+    )
+    opt.fault_plan = parse_fault_plan("kill:w1@20ms")
+    result = opt.run()
     assert result.updates == 30
     assert problem.error(result.w) < problem.error(problem.initial_point())
 
@@ -123,7 +137,7 @@ def test_sync_round_folds_every_partition_once_under_worker_loss(
 
     monkeypatch.setattr(ASGDRule, "apply", counting_apply)
     points, opt = _sync_sgd(ctx, small_data)
-    FaultInjector(ctx).kill_at(20.0, 1)
+    opt.fault_plan = parse_fault_plan("kill:w1@20ms")
     result = opt.run()
 
     rows = sum(
@@ -138,9 +152,9 @@ def test_sync_round_folds_every_partition_once_under_worker_loss(
 
 def test_sync_round_raises_when_every_worker_is_dead(ctx, small_data):
     _, opt = _sync_sgd(ctx, small_data)
-    injector = FaultInjector(ctx)
+    # A plan always keeps one survivor; raw queue events do not.
     for w in range(ctx.num_workers):
-        injector.kill_at(20.0, w)
+        ctx.backend.queue.push(20.0, ctx.backend.kill_worker, w)
     with pytest.raises(SchedulerError, match="no alive workers"):
         opt.run()
 
@@ -153,7 +167,7 @@ def test_sync_round_fails_a_partition_out_of_retries(
     # run_job's budget, shared by the loop
     monkeypatch.setattr(scheduler, "MAX_RETRIES", 0)
     _, opt = _sync_sgd(ctx, small_data)
-    FaultInjector(ctx).kill_at(20.0, 1)
+    opt.fault_plan = parse_fault_plan("kill:w1@20ms")
     with pytest.raises(TaskError, match=r"partition 1 failed after 1 attempt"):
         opt.run()
 

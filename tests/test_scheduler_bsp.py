@@ -50,23 +50,17 @@ def test_task_error_propagates_with_context(ctx):
 
 def test_retry_after_worker_loss(ctx):
     """Killing a worker mid-job: its partitions recompute elsewhere."""
-    from repro.engine.faults import FaultInjector
-
     rdd = ctx.parallelize(range(100), 8).map(lambda x: x * 2).cache()
     rdd.collect()  # warm the caches
 
-    fi = FaultInjector(ctx)
-    fi.kill(0)
+    ctx.backend.kill_worker(0)
     out = ctx.run_job(rdd, lambda s, d: sum(d))
     assert sum(out) == 2 * sum(range(100))
 
 
 def test_all_workers_dead_raises(ctx):
-    from repro.engine.faults import FaultInjector
-
-    fi = FaultInjector(ctx)
     for w in range(ctx.num_workers):
-        fi.kill(w)
+        ctx.backend.kill_worker(w)
     rdd = ctx.parallelize(range(4), 2)
     with pytest.raises(SchedulerError):
         ctx.run_job(rdd, lambda s, d: None)

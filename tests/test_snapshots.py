@@ -668,6 +668,62 @@ def test_restore_refuses_a_hostile_snapshot_naming_the_field(
         run_experiment({**SPEC, "restore_from": str(bad)})
 
 
+def _avg_hist_as(state, fn):
+    values = state["server"]["history"]["saga/avg_hist"]["values"]
+    for version, value in values.items():
+        values[version] = encode_value(fn(decode_value(value)))
+
+
+@pytest.mark.parametrize("field,corrupt", [
+    ("saga/avg_hist.*values.* must be an object",
+     lambda ch: ch.update(values=[1.0])),
+    ("saga/avg_hist.*accounting.* must be an object",
+     lambda ch: ch.update(accounting="lots")),
+    ("saga/avg_hist.*values has version key 'v41'",
+     lambda ch: ch.update(values={"v41": ch["values"]["41"]})),
+    ("saga/avg_hist.*next_version is '42'",
+     lambda ch: ch.update(next_version="42")),
+], ids=["values-not-object", "accounting-not-object", "version-key-not-int",
+        "next-version-not-int"])
+def test_restore_refuses_a_hostile_hist_channel_naming_the_field(
+    tmp_path, field, corrupt,
+):
+    """The fields inside one HIST channel are checked like the rest of
+    the snapshot: a ``SnapshotError`` naming the channel and the field."""
+    state = _valid_asaga_state(tmp_path)
+    corrupt(state["server"]["history"]["saga/avg_hist"])
+    bad = _write_state(tmp_path / "bad.json", state)
+    with pytest.raises(SnapshotError, match=field):
+        run_experiment({**ASAGA_SPEC, "restore_from": str(bad)})
+
+
+@pytest.mark.parametrize("field,fn", [
+    ("values\\[41\\] is float64 of shape \\(1,\\)", lambda v: v[:1]),
+    ("values\\[41\\] is float32 of shape", lambda v: v.astype(np.float32)),
+], ids=["one-element", "float32"])
+def test_restore_refuses_a_hist_value_unlike_the_runs_own(tmp_path, field, fn):
+    """A restored array must have the shape and dtype of what the run's
+    own setup stored on the channel; a 1-element SAGA average used to be
+    accepted and the run finished on it."""
+    state = _valid_asaga_state(tmp_path)
+    _avg_hist_as(state, fn)
+    bad = _write_state(tmp_path / "bad.json", state)
+    with pytest.raises(SnapshotError, match=f"saga/avg_hist.*{field}"):
+        run_experiment({**ASAGA_SPEC, "restore_from": str(bad)})
+
+
+def _valid_asaga_state(tmp_path):
+    snap_file = tmp_path / "asaga.json"
+    run_experiment({**ASAGA_SPEC, "max_updates": 40, "snapshot_every": 40,
+                    "snapshot_path": str(snap_file)})
+    state = json.loads(read_payload(snap_file))
+    assert list(state["server"]["history"]) == ["saga/avg_hist"]
+    assert list(state["server"]["history"]["saga/avg_hist"]["values"]) == [
+        "41"
+    ]
+    return state
+
+
 def test_snapshot_header_carries_the_trajectory_epoch(tmp_path):
     from repro.utils.rng import TRAJECTORY_EPOCH
 

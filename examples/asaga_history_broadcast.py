@@ -33,7 +33,7 @@ def build(sc, n=8192, d=64):
 def act1_broadcast_cost():
     rows = []
     for mode in ("naive", "history"):
-        with ClusterContext(8, seed=0) as sc:
+        with ClusterContext(8) as sc:
             points, problem = build(sc)
             res = build_optimizer(
                 "saga", sc, points, problem, ConstantStep(0.02),
@@ -54,14 +54,14 @@ def act1_broadcast_cost():
 
 def act2_asaga_vs_saga():
     delay = ControlledDelay(1.0, workers=(0,))
-    with ClusterContext(8, seed=0, delay_model=delay) as sc:
+    with ClusterContext(8, delay_model=delay) as sc:
         points, problem = build(sc)
         saga = build_optimizer(
             "saga", sc, points, problem, ConstantStep(0.02),
             OptimizerConfig(batch_fraction=0.05, max_updates=60, seed=0,
                             eval_every=4),
         ).run()
-    with ClusterContext(8, seed=0, delay_model=delay) as sc:
+    with ClusterContext(8, delay_model=delay) as sc:
         points, problem = build(sc)
         asaga = build_optimizer(
             "asaga", sc, points, problem, ConstantStep(0.02 / 8),
@@ -77,7 +77,7 @@ def act2_asaga_vs_saga():
 
 
 def act3_peek_at_version_cache():
-    with ClusterContext(4, seed=0) as sc:
+    with ClusterContext(4) as sc:
         points, problem = build(sc, n=1024, d=8)
         build_optimizer(
             "asaga", sc, points, problem, ConstantStep(0.02 / 4),

@@ -47,7 +47,7 @@ def main():
     print(f"L2 logistic regression, {P} workers, production stragglers")
     print(f"  optimum F* = {problem.f_star:.6f}")
     for name, step, updates, kwargs in runs:
-        with ClusterContext(P, seed=0, delay_model=delay) as sc:
+        with ClusterContext(P, delay_model=delay) as sc:
             points = sc.matrix(X, y, 32).cache()
             res = build_optimizer(
                 name, sc, points, problem, step,

@@ -26,7 +26,7 @@ DELAY = ControlledDelay(1.0, workers=(0,))  # worker 0 at half speed
 
 
 def run(algorithm, step, max_updates):
-    with ClusterContext(NUM_WORKERS, seed=0, delay_model=DELAY) as sc:
+    with ClusterContext(NUM_WORKERS, delay_model=DELAY) as sc:
         X, y, _ = make_dense_regression(8192, 32, seed=0)
         points = sc.matrix(X, y, NUM_PARTITIONS).cache()
         problem = LeastSquaresProblem(X, y)

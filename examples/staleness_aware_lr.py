@@ -28,7 +28,7 @@ def manual_staleness_aware_loop():
     X, y, _ = make_dense_regression(16384, 64, seed=0)
     problem = LeastSquaresProblem(X, y)
     with ClusterContext(
-        P, seed=0, delay_model=ProductionCluster(num_workers=P, seed=0)
+        P, delay_model=ProductionCluster(num_workers=P, seed=0)
     ) as sc:
         points = sc.matrix(X, y, 32).cache()
         AC = ASYNCContext(sc)

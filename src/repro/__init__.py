@@ -32,7 +32,7 @@ hand-wired::
     from repro.data import make_dense_regression
 
     X, y, _ = make_dense_regression(4096, 32, seed=0)
-    with ClusterContext(num_workers=8, seed=0,
+    with ClusterContext(num_workers=8,
                         delay_model=ControlledDelay(1.0, workers=(0,))) as sc:
         points = sc.matrix(X, y, 32).cache()
         problem = LeastSquaresProblem(X, y)

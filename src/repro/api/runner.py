@@ -128,7 +128,6 @@ class PreparedExperiment:
         """A fresh simulated cluster per the spec (use as context manager)."""
         return ClusterContext(
             self.spec.num_workers,
-            seed=self.spec.seed,
             cost_model=self.cost_model,
             network=self.network,
             delay_model=self.delay_model,

@@ -38,7 +38,6 @@ class TaskMetrics:
     finished_ms: float = 0.0
     delivered_ms: float = 0.0
     compute_ms: float = 0.0
-    measured_ms: float = 0.0
     delay_factor: float = 1.0
     in_bytes: int = 0
     out_bytes: int = 0
@@ -50,11 +49,10 @@ class BackendTask:
     """A unit of work bound for one worker.
 
     ``fn`` receives the worker's :class:`WorkerEnv` and returns the task's
-    value. ``cost_units`` is the advertised work volume for analytic cost
-    models; ``in_bytes`` the driver->worker payload size (task description
-    plus any broadcast value shipped alongside, per the engine's
-    accounting). ``tag`` is opaque engine context carried through to the
-    completion callback. ``partition`` identifies the single data
+    value. ``cost_units`` is the advertised work volume, used when the
+    body reports none; ``in_bytes`` the driver->worker payload size (task
+    description plus any broadcast value shipped alongside, per the
+    engine's accounting). ``partition`` identifies the single data
     partition a partition-granular task covers (``None`` for
     worker-granular tasks); backends stamp it into the task's metrics.
     """
@@ -63,7 +61,6 @@ class BackendTask:
     fn: Callable[["WorkerEnv"], Any]
     cost_units: float = 0.0
     in_bytes: int = 0
-    tag: Any = None
     partition: int | None = None
     out_bytes_of: Callable[[Any], int] = field(default=sizeof_bytes)
 

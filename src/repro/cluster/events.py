@@ -67,13 +67,6 @@ class EventQueue:
             return ev
         return None
 
-    def peek_time(self) -> float | None:
-        """Timestamp of the next live event without removing it."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
-
     def cancel(self, event: Event) -> None:
         """Mark ``event`` dead; it is skipped when popped."""
         if not event.cancelled:

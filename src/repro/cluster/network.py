@@ -1,9 +1,9 @@
 """Network cost model for the simulated cluster.
 
-Transfers are charged ``latency + bytes / bandwidth`` with optional
-multiplicative jitter. The same model prices driver->worker task payloads
-(including broadcast values), worker->driver result submissions, and
-on-demand historical-parameter fetches by the ASYNCbroadcaster.
+Transfers are charged ``latency + bytes / bandwidth``, deterministically.
+The same model prices driver->worker task payloads (including broadcast
+values), worker->driver result submissions, and on-demand
+historical-parameter fetches by the ASYNCbroadcaster.
 
 Defaults approximate a 10 GbE cluster interconnect: 0.25 ms latency,
 ~1.25 GB/s, which is the regime the paper's XSEDE Comet cluster runs in.
@@ -15,8 +15,6 @@ communication cost"), so delay factors never touch this model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["NetworkModel"]
 
@@ -31,33 +29,19 @@ class NetworkModel:
         One-way message latency.
     bandwidth_bytes_per_ms:
         Sustained throughput. 1.25e6 bytes/ms == 10 Gbit/s.
-    jitter:
-        Relative standard deviation of multiplicative lognormal-ish noise;
-        0 disables noise (fully deterministic transfers).
     """
 
     latency_ms: float = 0.25
     bandwidth_bytes_per_ms: float = 1.25e6
-    jitter: float = 0.0
 
     def __post_init__(self) -> None:
         if self.latency_ms < 0:
             raise ValueError("latency_ms must be >= 0")
         if self.bandwidth_bytes_per_ms <= 0:
             raise ValueError("bandwidth_bytes_per_ms must be > 0")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
 
-    def transfer_ms(
-        self, nbytes: int, rng: np.random.Generator | None = None
-    ) -> float:
+    def transfer_ms(self, nbytes: int) -> float:
         """Time to move ``nbytes`` across the interconnect."""
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        base = self.latency_ms + nbytes / self.bandwidth_bytes_per_ms
-        if self.jitter and rng is not None:
-            # Multiplicative noise, clipped to stay positive and finite.
-            factor = float(np.exp(rng.normal(0.0, self.jitter)))
-            factor = min(max(factor, 0.25), 4.0)
-            return base * factor
-        return base
+        return self.latency_ms + nbytes / self.bandwidth_bytes_per_ms

@@ -1,18 +1,23 @@
 """Discrete-event simulation backend.
 
 Executes task closures for real (actual numpy work, actual results) while
-tracking *when* everything happens on a virtual clock:
+tracking *when* everything happens in virtual time, one float of
+milliseconds that only the event loop advances:
 
 - driver -> worker payload transfer: ``network.transfer_ms(in_bytes)``
 - queueing: each worker runs one task at a time, FIFO by arrival
-- compute: ``cost_model.compute_ms(units) * delay.factor(worker, seq)``
+- compute: ``cost_model.compute_ms(units) * delay.factor(worker, seq)``,
+  where ``units`` is the work the task reported (else its advertised
+  ``cost_units``)
 - on-demand server fetches recorded by the closure (history-broadcast
   misses, broadcast cold reads) are charged as extra, undelayed transfer
   time
 - worker -> driver result transfer: ``network.transfer_ms(out_bytes)``
 
 Completion callbacks fire in virtual-time order with deterministic
-tie-breaking, which makes whole asynchronous optimization runs
+tie-breaking. A task's duration depends only on the task, its bytes and
+the delay model, never on the host's wall clock, so whole asynchronous
+optimization runs — results and task metrics alike — are
 bit-reproducible under a fixed seed.
 
 One task is two events — arrival at its worker, then delivery of its
@@ -20,26 +25,23 @@ result — each scheduled as a bound method plus arguments, so a hop
 allocates no closure. Arrival stays its own event rather than being
 folded into ``submit``: between a task's submit and its arrival other
 tasks can finish, workers can be killed, and HIST can be pruned, and the
-task must observe all of that. Per-task random streams (network jitter,
-cost noise) are keyed by ``(name, task_id)`` and only seeded for a model
-that draws from them; deterministic models are handed ``None``.
+task must observe all of that. The backend draws no random numbers of
+its own: the delay models (CDS, PCS) and fault plans carry their own
+seeded streams.
 """
 
 from __future__ import annotations
 
-import time as _time
 from typing import Any, Callable
 
 from repro.cluster.backend import (
     BackendTask, CompletionCallback, TaskMetrics, WorkerEnv,
 )
-from repro.cluster.clock import VirtualClock
-from repro.cluster.cost import AnalyticCostModel, TaskCostModel
+from repro.cluster.cost import AnalyticCostModel
 from repro.cluster.events import Event, EventQueue
 from repro.cluster.network import NetworkModel
 from repro.cluster.stragglers import DelayModel, NoDelay
-from repro.errors import WorkerLostError
-from repro.utils.rng import RngFactory
+from repro.errors import ClockError, WorkerLostError
 
 __all__ = ["SimBackend"]
 
@@ -64,15 +66,15 @@ class SimBackend:
         self,
         num_workers: int,
         *,
-        cost_model: TaskCostModel | None = None,
+        cost_model: AnalyticCostModel | None = None,
         network: NetworkModel | None = None,
         delay_model: DelayModel | None = None,
-        seed: int = 0,
     ) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
         self.num_workers = num_workers
-        self.clock = VirtualClock()
+        #: Virtual time in ms; only :meth:`step` moves it, never backwards.
+        self._now = 0.0
         self.envs = [WorkerEnv(w) for w in range(num_workers)]
         self._callback: CompletionCallback | None = None
         #: Bumped on every kill/revive; schedulers key caches of
@@ -81,7 +83,6 @@ class SimBackend:
         self.cost_model = cost_model or AnalyticCostModel()
         self.network = network or NetworkModel()
         self.delay_model = delay_model or NoDelay()
-        self.rngs = RngFactory(seed)
         self.queue = EventQueue()
         self._workers = [_SimWorker(w) for w in range(num_workers)]
         self._pending = 0
@@ -99,7 +100,8 @@ class SimBackend:
         return self.envs[worker_id]
 
     def now(self) -> float:
-        return self.clock.now()
+        """Current virtual time in ms since the start of the simulation."""
+        return self._now
 
     def worker_ids(self) -> range:
         return range(self.num_workers)
@@ -118,11 +120,9 @@ class SimBackend:
         if not 0 <= worker_id < self.num_workers:
             raise ValueError(f"worker_id {worker_id} out of range")
         self._pending += 1
-        submitted = self.clock.now()
-        network = self.network
-        rng = self.rngs.lazy("net-in", task.task_id) if network.jitter else None
+        submitted = self._now
         ev = self.queue.push(
-            submitted + network.transfer_ms(task.in_bytes, rng),
+            submitted + self.network.transfer_ms(task.in_bytes),
             self._on_arrival, task, worker_id, submitted,
         )
         self._live[worker_id][task.task_id] = (task, ev, submitted)
@@ -133,7 +133,7 @@ class SimBackend:
         worker = self._workers[worker_id]
         env = self.envs[worker_id]
         network = self.network
-        now = self.clock.now()
+        now = self._now
         metrics = TaskMetrics(
             task_id=task.task_id,
             worker_id=worker_id,
@@ -155,43 +155,25 @@ class SimBackend:
         metrics.started_ms = start
 
         # Execute the closure for real; the virtual duration is modeled.
-        t0 = _time.perf_counter()
         error: BaseException | None = None
         value: Any = None
         try:
             value = task.fn(env)
         except Exception as exc:  # noqa: BLE001 - forwarded to the engine
             error = exc
-        measured_ms = (_time.perf_counter() - t0) * 1000.0
 
         worker.task_seq += 1
-        seq = worker.task_seq
-        cost_model = self.cost_model
-        cost_rng = (
-            self.rngs.lazy("cost", task.task_id) if cost_model.draws_rng
-            else None
-        )
         reported_units = env.consume_cost_units()
         units = reported_units if reported_units > 0 else task.cost_units
-        base_ms = cost_model.compute_ms(
-            units, measured_ms=measured_ms, rng=cost_rng
-        )
-        factor = self.delay_model.factor(worker_id, seq)
+        base_ms = self.cost_model.compute_ms(units)
+        factor = self.delay_model.factor(worker_id, worker.task_seq)
         fetch_bytes = env.consume_fetch_bytes()
         fetch_ms = 0.0
         if fetch_bytes:
-            fetch_rng = (
-                self.rngs.lazy("net-fetch", task.task_id) if network.jitter
-                else None
-            )
             # A miss costs a round-trip: request out, payload back.
-            fetch_ms = (
-                network.transfer_ms(fetch_bytes, fetch_rng)
-                + network.latency_ms
-            )
+            fetch_ms = network.transfer_ms(fetch_bytes) + network.latency_ms
         compute_ms = base_ms * factor + fetch_ms
 
-        metrics.measured_ms = measured_ms
         metrics.compute_ms = compute_ms
         metrics.delay_factor = factor
         metrics.fetch_bytes = fetch_bytes
@@ -200,11 +182,8 @@ class SimBackend:
 
         out_bytes = 0 if error is not None else task.out_bytes_of(value)
         metrics.out_bytes = out_bytes
-        out_rng = (
-            self.rngs.lazy("net-out", task.task_id) if network.jitter else None
-        )
-        metrics.delivered_ms = metrics.finished_ms + network.transfer_ms(
-            out_bytes, out_rng
+        metrics.delivered_ms = (
+            metrics.finished_ms + network.transfer_ms(out_bytes)
         )
         ev = self.queue.push(
             metrics.delivered_ms, self._finish,
@@ -232,7 +211,15 @@ class SimBackend:
         ev = self.queue.pop()
         if ev is None:
             return False
-        self.clock.advance_to(ev.time)
+        t = ev.time
+        if t > self._now:
+            self._now = t
+        elif t < self._now - 1e-9:
+            # The queue pops in time order, so this is a scheduling bug:
+            # fail loudly rather than silently reordering.
+            raise ClockError(
+                f"virtual clock moved backwards: {self._now} -> {t}"
+            )
         ev.callback(*ev.args)
         return True
 
@@ -259,7 +246,7 @@ class SimBackend:
         env.alive = False
         env.clear()
         self.members_epoch += 1
-        now = self.clock.now()
+        now = self._now
         live = self._live[worker_id]
         doomed = list(live.items())
         live.clear()
@@ -284,5 +271,5 @@ class SimBackend:
         if env.alive:
             return
         env.alive = True
-        self._workers[worker_id].free_at = self.clock.now()
+        self._workers[worker_id].free_at = self._now
         self.members_epoch += 1

@@ -23,7 +23,7 @@ import math
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.api.registry import DELAY_MODELS, register_delay_model
 from repro.errors import ApiError
@@ -200,15 +200,3 @@ def resolve_delay_model(
             )
     return model
 
-
-def delays_from_mapping(mapping: Mapping[int, float]) -> DelayModel:
-    """Build a DelayModel from an explicit {worker: factor} mapping."""
-
-    class _MappedDelay(DelayModel):
-        def factor(self, worker_id: int, task_seq: int) -> float:
-            return float(mapping.get(worker_id, 1.0))
-
-        def describe(self) -> str:
-            return f"Mapped({dict(mapping)})"
-
-    return _MappedDelay()

@@ -183,18 +183,21 @@ class ASYNCContext:
 
         A worker the coordinator marked dead (its task was lost) may have
         been revived by a fault plan (which calls this after every event
-        it applies); this re-admits it to scheduling with a clean slate.
-        Returns the workers that rejoined.
+        it applies), possibly before the loss notices of its killed tasks
+        arrived (the scheduler calls this after each one); this re-admits
+        it to scheduling. Its in-flight count is kept: the notices still
+        on their way bring it down, so a rejoined worker is available
+        only once it holds fewer tasks than the pipeline depth. Returns
+        the workers that rejoined.
         """
         rejoined = []
+        depth = self.coordinator.pipeline_depth
         for w in self.ctx.backend.worker_ids():
             status = self.stat[w]
             alive = self.ctx.backend.worker_env(w).alive
             if alive and not status.alive:
                 status.alive = True
-                status.in_flight = 0
-                status.computing_version = None
-                status.available = True
+                status.available = status.in_flight < depth
                 rejoined.append(w)
             elif not alive and status.alive:
                 status.alive = False

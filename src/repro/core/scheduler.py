@@ -24,7 +24,7 @@ from repro.cluster.backend import TaskMetrics, WorkerEnv
 from repro.core.policies import SchedulingPolicy
 from repro.engine.dispatch import Continuation
 from repro.engine.scheduler import run_partitions
-from repro.errors import SchedulerError
+from repro.errors import SchedulerError, WorkerLostError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.context import ASYNCContext
@@ -211,6 +211,10 @@ class AsyncScheduler:
                 version=version, batch_size=0,
                 partition=partition,
             )
+            if isinstance(error, WorkerLostError):
+                # The coordinator marked the worker dead; a revive may
+                # already have landed before this notice did.
+                self.ac.refresh_workers()
         if then is not None:
             then(task_id, wid, None, metrics, error)
 

@@ -6,7 +6,7 @@ synchronous jobs through the engine's one partition job
 variables and provides factory methods for RDDs. A context is also a
 context manager::
 
-    with ClusterContext(num_workers=8, seed=0) as sc:
+    with ClusterContext(num_workers=8) as sc:
         rdd = sc.parallelize(range(100), 8)
         assert rdd.map(lambda x: x * x).sum() == 328350
 """
@@ -18,7 +18,7 @@ import weakref
 from typing import Any, Callable, Sequence
 
 from repro.cluster.backend import WorkerEnv
-from repro.cluster.cost import TaskCostModel
+from repro.cluster.cost import AnalyticCostModel
 from repro.cluster.network import NetworkModel
 from repro.cluster.simbackend import SimBackend
 from repro.cluster.stragglers import DelayModel
@@ -28,7 +28,6 @@ from repro.engine.matrix import MatrixRDD
 from repro.engine.rdd import RDD, ParallelCollectionRDD
 from repro.engine.scheduler import run_partitions
 from repro.engine.taskcontext import task_env
-from repro.utils.rng import RngFactory
 
 __all__ = ["ClusterContext"]
 
@@ -41,8 +40,7 @@ class ClusterContext:
         num_workers: int = 4,
         *,
         backend: SimBackend | None = None,
-        seed: int = 0,
-        cost_model: TaskCostModel | None = None,
+        cost_model: AnalyticCostModel | None = None,
         network: NetworkModel | None = None,
         delay_model: DelayModel | None = None,
         default_parallelism: int | None = None,
@@ -53,11 +51,8 @@ class ClusterContext:
                 cost_model=cost_model,
                 network=network,
                 delay_model=delay_model,
-                seed=seed,
             )
         self.backend = backend
-        self.seed = seed
-        self.rngs = RngFactory(seed)
         self.dispatcher = Dispatcher(backend)
         self._broadcast_ids = itertools.count()
         #: The run's :class:`~repro.comm.manager.CommManager` ledger hook
@@ -129,13 +124,6 @@ class ClusterContext:
     def owner_of(self, split: int) -> int:
         """Locality rule: partition ``i`` prefers worker ``i mod P``."""
         return split % self.num_workers
-
-    def partitions_of(self, worker_id: int, num_partitions: int) -> list[int]:
-        """Partitions resident on a worker under the locality rule."""
-        return [
-            p for p in range(num_partitions)
-            if self.owner_of(p) == worker_id
-        ]
 
     # -- lifecycle -------------------------------------------------------------------------
     def stop(self) -> None:

@@ -2,8 +2,9 @@
 
 Closures executing inside a task (gradient kernels, samplers) sometimes
 need to talk to the worker environment — to report how much work they did
-(`record_cost`) or that they pulled bytes from the driver (`record_fetch`)
-— without threading ``env`` through every user-facing function signature.
+(`record_cost`) — without threading ``env`` through every user-facing
+function signature. Code that pulls bytes from the driver holds its env
+and calls ``WorkerEnv.record_fetch``.
 A context variable scoped to the task body provides that channel. A
 context variable rather than a module global, because the fabric's
 in-process sweep workers run several engines on threads of one process,
@@ -16,7 +17,7 @@ import contextvars
 
 from repro.cluster.backend import WorkerEnv
 
-__all__ = ["task_env", "current_env", "record_cost", "record_fetch"]
+__all__ = ["task_env", "current_env", "record_cost"]
 
 _current_env: contextvars.ContextVar[WorkerEnv | None] = contextvars.ContextVar(
     "repro_task_env", default=None
@@ -53,10 +54,3 @@ def record_cost(units: float) -> None:
     env = _current_env.get()
     if env is not None:
         env.record_cost(units)
-
-
-def record_fetch(nbytes: int) -> None:
-    """Report a driver fetch from inside a task closure (no-op on driver)."""
-    env = _current_env.get()
-    if env is not None:
-        env.record_fetch(nbytes)

@@ -64,8 +64,8 @@ def figure_to_csv(figure: dict, target: PathOrFile) -> None:
 
 _METRIC_FIELDS = [
     "task_id", "job_id", "worker_id", "submitted_ms", "started_ms",
-    "finished_ms", "delivered_ms", "compute_ms", "measured_ms",
-    "delay_factor", "in_bytes", "out_bytes", "fetch_bytes",
+    "finished_ms", "delivered_ms", "compute_ms", "delay_factor",
+    "in_bytes", "out_bytes", "fetch_bytes",
 ]
 
 

@@ -2,8 +2,8 @@
 
 All randomness in the library flows through this module so that a single
 integer seed makes an entire distributed experiment reproducible:
-dataset generation, mini-batch sampling on every worker, straggler delays
-and network jitter all draw from independent, collision-free streams
+dataset generation, mini-batch sampling on every worker and straggler
+delays all draw from independent, collision-free streams
 keyed by small structured tuples (e.g. ``("mbatch", split)``), with no
 shared mutable state, so a stream's draws never depend on the order in
 which tasks run.
@@ -12,12 +12,11 @@ Streams come from one of two derivations:
 
 * :func:`spawn_generator` (and :class:`RngFactory`, :class:`LazyRng` on
   top of it) mixes the seed and the key's hash through numpy's
-  ``SeedSequence`` into a full ``Generator``. Datasets, stragglers,
-  fault plans, network jitter, cost noise and the reference optimizers
-  draw this way. These streams are built once per run or per worker,
-  or per task only under the non-default models that draw per task
-  (jitter, noisy cost, per-task stragglers), so their ``SeedSequence``
-  set-up stays off the default round path.
+  ``SeedSequence`` into a full ``Generator``. Datasets, stragglers and
+  the reference optimizers draw this way. These streams are built once
+  per run or per worker, or per task only under the PCS straggler model
+  (its per-task draws), so their ``SeedSequence`` set-up stays off the
+  default round path. The simulation backend draws nothing itself.
 * :func:`batch_indices` draws the per-task mini-batch, the one stream
   built for every task of every round. It seeds a bare ``PCG64``
   directly with four words of a blake2b digest of ``(*key, seed)``
@@ -53,9 +52,12 @@ __all__ = [
 #: one chunk adds its chunk partials in row order; a batch within one
 #: chunk kept its bits. Epoch 4: a fault plan's kill or revive fires at
 #: its exact virtual time, not at the next round boundary; runs without
-#: a plan kept their bits. Sweep checkpoint keys and run snapshots carry
-#: it, so results of another epoch are re-run rather than resumed.
-TRAJECTORY_EPOCH = 4
+#: a plan kept their bits. Epoch 5: a worker revived before the loss
+#: notices of its killed tasks arrive rejoins scheduling once they do,
+#: instead of staying retired; only runs whose revive lands inside that
+#: window moved. Sweep checkpoint keys and run snapshots carry it, so
+#: results of another epoch are re-run rather than resumed.
+TRAJECTORY_EPOCH = 5
 
 
 def stable_hash(parts: Iterable[object]) -> int:
@@ -160,11 +162,12 @@ class LazyRng:
     first use.
 
     Seeding a ``Generator`` costs tens of microseconds — far more than the
-    draw itself — and most backend streams (network jitter, cost noise) go
-    entirely unused under the deterministic default models. A ``LazyRng``
-    stands in for the Generator at zero construction cost; any attribute
-    access (``rng.normal``, ``rng.choice``, ...) builds the real stream,
-    which is bit-identical to calling :func:`spawn_generator` eagerly.
+    draw itself — so a stream that may go unused can be deferred. A
+    ``LazyRng`` stands in for the Generator at zero construction cost; any
+    attribute access (``rng.normal``, ``rng.choice``, ...) builds the real
+    stream, which is bit-identical to calling :func:`spawn_generator`
+    eagerly. No engine code defers a stream today; asyncbench's tracer
+    times :meth:`materialize` by name.
     """
 
     __slots__ = ("_seed", "_key", "_rng")

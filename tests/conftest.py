@@ -30,7 +30,6 @@ def ctx():
     """A 4-worker simulated cluster, torn down after the test."""
     c = ClusterContext(
         num_workers=4,
-        seed=0,
         cost_model=AnalyticCostModel(overhead_ms=1.0, ms_per_unit=0.01),
         network=NetworkModel(),
     )
@@ -41,7 +40,7 @@ def ctx():
 @pytest.fixture
 def ctx8():
     """An 8-worker simulated cluster."""
-    c = ClusterContext(num_workers=8, seed=0)
+    c = ClusterContext(num_workers=8)
     yield c
     c.stop()
 

@@ -22,7 +22,7 @@ from repro.optim import (
 def _legacy_run(algorithm, step, *, max_updates, batch_fraction=0.25, seed=0, **kw):
     X, y, _ = get_dataset("tiny_dense", seed=seed)
     problem = LeastSquaresProblem(X, y)
-    with ClusterContext(4, seed=seed) as ctx:
+    with ClusterContext(4) as ctx:
         points = ctx.matrix(X, y, 8).cache()
         return build_optimizer(
             algorithm, ctx, points, problem, step,
@@ -158,6 +158,18 @@ def test_wrong_typed_config_field_becomes_api_error():
     with pytest.raises(ApiError, match="bad cost/network parameters"):
         run_experiment({"algorithm": "asgd", "dataset": "tiny_dense",
                         "max_updates": 4, "network": {"latency": 1.0}})
+
+
+@pytest.mark.parametrize("field,params,key", [
+    ("cost", {"noise": 0.1}, "noise"),
+    ("network", {"jitter": 0.1}, "jitter"),
+])
+def test_cost_noise_and_network_jitter_are_not_parameters(field, params, key):
+    """Task costs and transfers are deterministic: the retired ``noise``
+    and ``jitter`` keys are bad parameters, named in the error."""
+    with pytest.raises(ApiError, match=f"bad cost/network parameters.*{key}"):
+        run_experiment({"algorithm": "asgd", "dataset": "tiny_dense",
+                        "max_updates": 4, field: params})
 
 
 def test_bad_component_values_become_api_errors():

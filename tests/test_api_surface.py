@@ -443,6 +443,25 @@ def test_the_engine_is_single_threaded():
     assert "job_timeout_s" not in inspect.signature(ClusterContext).parameters
 
 
+def test_the_cluster_reads_no_wall_clock_and_draws_nothing():
+    """A simulated run depends only on its spec: outside the sweep
+    fabric nothing imports ``time``, virtual time is a float on
+    ``SimBackend``, a task's cost depends only on the task, and neither
+    the backend nor the context takes a seed of its own."""
+    import importlib.util
+
+    import repro.cluster
+    from repro.cluster.simbackend import SimBackend
+
+    offenders = _importers_of("time", skip="repro/fabric/")
+    assert not offenders, offenders
+    for gone in ("VirtualClock", "MeasuredCostModel", "TaskCostModel"):
+        assert not hasattr(repro.cluster, gone), gone
+    assert importlib.util.find_spec("repro.cluster.clock") is None
+    assert "seed" not in inspect.signature(SimBackend).parameters
+    assert "seed" not in inspect.signature(ClusterContext).parameters
+
+
 @pytest.mark.parametrize("spec", [
     # Fused BSP rounds on dense least squares, as in asgd_bsp_wide.
     {"algorithm": "asgd", "dataset": "tiny_dense", "policy": "bsp"},

@@ -214,7 +214,7 @@ def test_every_task_is_collected_exactly_once(order):
     arrival), with the server collecting between rounds while results
     are still in flight: every submitted task is collected once, none
     twice and none lost."""
-    with ClusterContext(8, seed=0, delay_model=ScriptedOrder(order)) as sc:
+    with ClusterContext(8, delay_model=ScriptedOrder(order)) as sc:
         ac = ASYNCContext(sc)
         submitted = []
         submit = sc.dispatcher.submit

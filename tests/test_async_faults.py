@@ -27,7 +27,7 @@ def run_under(plan: str, opt):
 def test_asgd_survives_mid_run_worker_loss(small_data):
     X, y, _ = small_data
     problem = LeastSquaresProblem(X, y)
-    with ClusterContext(4, seed=0) as ctx:
+    with ClusterContext(4) as ctx:
         pts = ctx.matrix(X, y, 8).cache()
         res = run_under("kill:w3@15ms", build_optimizer(
             "asgd", ctx, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
@@ -42,7 +42,7 @@ def test_asgd_continues_on_surviving_workers(small_data):
     """After the kill, only live workers appear in the task trace."""
     X, y, _ = small_data
     problem = LeastSquaresProblem(X, y)
-    with ClusterContext(4, seed=0) as ctx:
+    with ClusterContext(4) as ctx:
         pts = ctx.matrix(X, y, 8).cache()
         res = run_under("kill:w0@10ms", build_optimizer(
             "asgd", ctx, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
@@ -59,7 +59,7 @@ def test_asaga_survives_worker_loss(small_data):
     remaining workers' history keeps the algorithm consistent."""
     X, y, _ = small_data
     problem = LeastSquaresProblem(X, y)
-    with ClusterContext(4, seed=0) as ctx:
+    with ClusterContext(4) as ctx:
         pts = ctx.matrix(X, y, 8).cache()
         res = run_under("kill:w2@40ms", build_optimizer(
             "asaga", ctx, pts, problem, ConstantStep(0.02 / 4),
@@ -72,7 +72,7 @@ def test_asaga_survives_worker_loss(small_data):
 def test_all_but_one_worker_dies(small_data):
     X, y, _ = small_data
     problem = LeastSquaresProblem(X, y)
-    with ClusterContext(4, seed=0) as ctx:
+    with ClusterContext(4) as ctx:
         pts = ctx.matrix(X, y, 8).cache()
         res = run_under("kill:w1@5ms,kill:w2@8ms,kill:w3@11ms", build_optimizer(
             "asgd", ctx, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
@@ -91,7 +91,7 @@ def test_deterministic_under_faults(small_data):
     problem = LeastSquaresProblem(X, y)
 
     def run():
-        with ClusterContext(4, seed=3) as ctx:
+        with ClusterContext(4) as ctx:
             pts = ctx.matrix(X, y, 8).cache()
             res = run_under("kill:w1@12ms", build_optimizer(
                 "asgd", ctx, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),

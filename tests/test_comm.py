@@ -314,7 +314,7 @@ def test_lossy_ef_converges_within_2x_at_5x_fewer_bytes(token, min_savings):
 def _scripted_logistic_run(compressor, order):
     X, y, _ = make_classification(128, 16, seed=5)
     problem = LogisticRegressionProblem(X, y)
-    with ClusterContext(2, seed=0, delay_model=ScriptedOrder(order)) as ctx:
+    with ClusterContext(2, delay_model=ScriptedOrder(order)) as ctx:
         points = ctx.matrix(X, y, 2).cache()
         opt = build_optimizer(
             "asgd", ctx, points, problem, ConstantStep(0.05),

@@ -9,7 +9,6 @@ from repro.engine.dispatch import Dispatcher
 from repro.engine.taskcontext import (
     current_env,
     record_cost,
-    record_fetch,
     task_env,
 )
 from repro.errors import ApiError
@@ -17,7 +16,7 @@ from repro.errors import ApiError
 
 @pytest.fixture
 def setup():
-    backend = SimBackend(2, seed=0)
+    backend = SimBackend(2)
     return backend, Dispatcher(backend)
 
 
@@ -76,8 +75,7 @@ def test_errors_forwarded_to_continuation(setup):
 
 def test_current_env_outside_task_is_none():
     assert current_env() is None
-    record_cost(5.0)   # no-op, must not raise
-    record_fetch(100)  # no-op, must not raise
+    record_cost(5.0)  # no-op, must not raise
 
 
 def test_task_env_binds_and_restores(setup):
@@ -86,7 +84,7 @@ def test_task_env_binds_and_restores(setup):
     with task_env(env):
         assert current_env() is env
         record_cost(3.0)
-        record_fetch(64)
+        env.record_fetch(64)
     assert current_env() is None
     assert env.consume_cost_units() == 3.0
     assert env.consume_fetch_bytes() == 64

@@ -9,23 +9,26 @@ def test_owner_round_robin(ctx):
 
 
 def test_partitions_of_inverse_of_owner(ctx):
-    for w in range(ctx.num_workers):
-        for p in ctx.partitions_of(w, 16):
-            assert ctx.owner_of(p) == w
-    all_parts = sorted(
-        p for w in range(ctx.num_workers) for p in ctx.partitions_of(w, 16)
-    )
-    assert all_parts == list(range(16))
+    """A partition-granular round ships each partition to the worker
+    ``owner_of`` names, every partition exactly once."""
+    from repro.core import ASYNCContext
+
+    ac = ASYNCContext(ctx)
+    ac.async_reduce(ctx.range(16, 16), lambda a, b: a + b, "partition")
+    ac.wait_all()
+    records = ac.drain()
+    assert sorted(r.partition for r in records) == list(range(16))
+    for r in records:
+        assert ctx.owner_of(r.partition) == r.worker_id
 
 
 def test_default_parallelism_follows_workers():
-    with ClusterContext(num_workers=6, seed=0) as ctx:
+    with ClusterContext(num_workers=6) as ctx:
         assert ctx.parallelize(range(12)).num_partitions == 6
 
 
 def test_explicit_default_parallelism():
-    with ClusterContext(num_workers=2, seed=0,
-                        default_parallelism=10) as ctx:
+    with ClusterContext(num_workers=2, default_parallelism=10) as ctx:
         assert ctx.range(20).num_partitions == 10
 
 

@@ -58,17 +58,8 @@ def test_double_cancel_counts_once():
     assert len(q) == 1
 
 
-def test_peek_time_skips_cancelled():
-    q = EventQueue()
-    ev = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    q.cancel(ev)
-    assert q.peek_time() == 2.0
-
-
 def test_pop_empty_returns_none():
     assert EventQueue().pop() is None
-    assert EventQueue().peek_time() is None
 
 
 def test_callbacks_receive_their_args():
@@ -106,7 +97,7 @@ def test_property_pops_in_time_then_push_order_skipping_cancelled(events):
         (time, seq) for seq, (time, cancel) in enumerate(events) if not cancel
     )
     assert fired == [seq for _, seq in expected]
-    assert q.pop() is None and q.peek_time() is None
+    assert q.pop() is None
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1,

@@ -227,7 +227,7 @@ def test_saga_channels_are_process_stable_sim():
 def _hand_wired_asaga():
     X, y, _ = make_dense_regression(128, 6, cond=4.0, seed=3)
     problem = LeastSquaresProblem(X, y)
-    with ClusterContext(2, seed=0) as ctx:
+    with ClusterContext(2) as ctx:
         points = ctx.matrix(X, y, 2).cache()
         return build_optimizer(
             "asaga", ctx, points, problem, ConstantStep(0.02),

@@ -9,6 +9,9 @@ virtual time. Everything is seeded, so a chaos run is exactly
 reproducible.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from arrival_orders import ORDERS, ScriptedOrder
@@ -234,7 +237,7 @@ def test_fault_plan_drives_a_hand_wired_run_under_scripted_orders(order):
 
     X, y, _ = make_dense_regression(64, 4, cond=4.0, seed=5)
     problem = LeastSquaresProblem(X, y)
-    with ClusterContext(2, seed=0, delay_model=ScriptedOrder(order)) as ctx:
+    with ClusterContext(2, delay_model=ScriptedOrder(order)) as ctx:
         points = ctx.matrix(X, y, 4).cache()
         opt = build_optimizer(
             "asgd", ctx, points, problem, ConstantStep(0.02),
@@ -310,7 +313,7 @@ def test_unfired_events_do_not_outlive_their_run():
 
     X, y, _ = make_dense_regression(64, 4, cond=4.0, seed=5)
     problem = LeastSquaresProblem(X, y)
-    with ClusterContext(2, seed=0) as ctx:
+    with ClusterContext(2) as ctx:
         points = ctx.matrix(X, y, 4).cache()
 
         def run(budget, plan=None):
@@ -331,3 +334,34 @@ def test_unfired_events_do_not_outlive_their_run():
         assert ctx.now() > at  # the second run passed the kill's time...
         assert ctx.backend.worker_alive(1)  # ...and the kill never fired
         assert second.extras["lost_tasks"] == 0
+
+
+@pytest.mark.parametrize("revive_ms", [5.001, 8.0])
+def test_a_revive_before_the_loss_notices_keeps_the_worker(revive_ms):
+    """A revive that lands before the killed tasks' loss notices (the
+    0.25 ms network latency) re-admits the worker once the notices
+    arrive: the late notices no longer retire it for the rest of the
+    run."""
+    result = run_experiment({
+        "algorithm": "asgd", "dataset": "tiny_dense", "num_workers": 4,
+        "max_updates": 200, "seed": 0,
+        "fault_plan": f"kill:w1@5ms,revive:w1@{revive_ms}ms",
+    })
+    late = [
+        m for m in result.metrics
+        if m.worker_id == 1 and m.submitted_ms > 9.0
+    ]
+    assert len(late) > 0
+    assert result.updates == 200
+
+
+def test_a_fault_plan_run_repeats_its_task_log_exactly():
+    """Virtual time only: two runs of the shipped chaos spec return
+    equal ``TaskMetrics`` rows, field for field."""
+    spec = json.loads(
+        (Path(__file__).parents[1] / "examples/specs/chaos_kill.json")
+        .read_text()
+    )
+    first, second = run_experiment(spec), run_experiment(spec)
+    assert first.extras["fault_events"] == 2
+    assert first.metrics == second.metrics

@@ -22,7 +22,7 @@ def _run_asgd_sim(granularity: str, parts: int, workers: int = 4,
                   updates: int = 40):
     X, y, _ = make_dense_regression(256, 8, cond=4.0, seed=7)
     problem = LeastSquaresProblem(X, y)
-    with ClusterContext(workers, seed=0) as ctx:
+    with ClusterContext(workers) as ctx:
         points = ctx.matrix(X, y, parts).cache()
         res = build_optimizer(
             "asgd", ctx, points, problem,
@@ -63,7 +63,7 @@ def test_multiworker_partition_granularity_converges_under_scripted_orders(
 ):
     X, y, _ = make_dense_regression(256, 8, cond=4.0, seed=7)
     problem = LeastSquaresProblem(X, y)
-    with ClusterContext(3, seed=0, delay_model=ScriptedOrder(order)) as ctx:
+    with ClusterContext(3, delay_model=ScriptedOrder(order)) as ctx:
         points = ctx.matrix(X, y, 6).cache()
         res = build_optimizer(
             "asgd", ctx, points, problem, InvSqrtDecay(0.5).scaled_for_async(3),
@@ -90,7 +90,7 @@ def test_partition_metrics_tagged():
     """TaskMetrics rows carry partition identity for partition tasks."""
     X, y, _ = make_dense_regression(64, 4, seed=1)
     problem = LeastSquaresProblem(X, y)
-    with ClusterContext(2, seed=0) as ctx:
+    with ClusterContext(2) as ctx:
         points = ctx.matrix(X, y, 4).cache()
         ac = ASYNCContext(ctx)
         w_br = ctx.broadcast(problem.initial_point())

@@ -101,7 +101,7 @@ def test_sim_backend_trajectory_pinned(name):
 def _hand_wired_run(algorithm, **kwargs):
     X, y, _ = make_dense_regression(128, 6, cond=4.0, seed=3)
     problem = LeastSquaresProblem(X, y)
-    with ClusterContext(1, seed=0) as ctx:
+    with ClusterContext(1) as ctx:
         points = ctx.matrix(X, y, 2).cache()
         return build_optimizer(
             algorithm, ctx, points, problem, ConstantStep(0.02),

@@ -22,8 +22,7 @@ def test_full_asgd_run_is_deterministic(small_data):
     problem = LeastSquaresProblem(X, y)
 
     def run():
-        with ClusterContext(4, seed=11,
-                            delay_model=ControlledDelay(1.0)) as ctx:
+        with ClusterContext(4, delay_model=ControlledDelay(1.0)) as ctx:
             pts = ctx.matrix(X, y, 8).cache()
             res = build_optimizer(
                 "asgd", ctx, pts, problem,
@@ -44,7 +43,7 @@ def test_seed_changes_trajectory(small_data):
     problem = LeastSquaresProblem(X, y)
 
     def run(seed):
-        with ClusterContext(4, seed=seed) as ctx:
+        with ClusterContext(4) as ctx:
             pts = ctx.matrix(X, y, 8).cache()
             res = build_optimizer(
                 "asgd", ctx, pts, problem,
@@ -89,7 +88,7 @@ def test_wait_time_shape_sync_vs_async(small_data):
 
     def wait_for(algorithm, step, intensity, updates):
         with ClusterContext(
-            4, seed=0, delay_model=ControlledDelay(intensity, workers=(0,))
+            4, delay_model=ControlledDelay(intensity, workers=(0,))
         ) as ctx:
             pts = ctx.matrix(X, y, 8).cache()
             res = build_optimizer(

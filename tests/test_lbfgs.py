@@ -170,7 +170,7 @@ def test_two_workers_under_scripted_arrival_orders(monkeypatch):
         admitted_staleness.clear()
         direction_ratios.clear()
         with ClusterContext(
-            2, seed=0, delay_model=ScriptedOrder(order)
+            2, delay_model=ScriptedOrder(order)
         ) as ctx:
             points = ctx.matrix(X, y, 2).cache()
             res = build_optimizer(

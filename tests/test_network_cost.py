@@ -1,9 +1,8 @@
 """Network and task-cost models."""
 
-import numpy as np
 import pytest
 
-from repro.cluster.cost import AnalyticCostModel, MeasuredCostModel
+from repro.cluster.cost import AnalyticCostModel
 from repro.cluster.network import NetworkModel
 
 
@@ -30,56 +29,19 @@ def test_network_validates_params():
         NetworkModel(latency_ms=-1)
     with pytest.raises(ValueError):
         NetworkModel(bandwidth_bytes_per_ms=0)
-    with pytest.raises(ValueError):
-        NetworkModel(jitter=-0.1)
-
-
-def test_jitter_deterministic_given_rng():
-    net = NetworkModel(jitter=0.2)
-    a = net.transfer_ms(1000, np.random.default_rng(5))
-    b = net.transfer_ms(1000, np.random.default_rng(5))
-    assert a == b
-
-
-def test_jitter_bounded():
-    net = NetworkModel(latency_ms=1.0, bandwidth_bytes_per_ms=1000.0,
-                       jitter=3.0)
-    base = 2.0
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        t = net.transfer_ms(1000, rng)
-        assert base * 0.25 <= t <= base * 4.0
-
-
-def test_no_rng_means_deterministic_even_with_jitter():
-    net = NetworkModel(jitter=0.5)
-    assert net.transfer_ms(1000) == net.transfer_ms(1000)
 
 
 # -- cost models --------------------------------------------------------------
 
 def test_analytic_affine():
     m = AnalyticCostModel(overhead_ms=2.0, ms_per_unit=0.5)
-    assert m.compute_ms(0, measured_ms=99.0) == 2.0
-    assert m.compute_ms(10, measured_ms=0.0) == pytest.approx(7.0)
+    assert m.compute_ms(0) == 2.0
+    assert m.compute_ms(10) == pytest.approx(7.0)
 
 
 def test_analytic_validates():
     with pytest.raises(ValueError):
         AnalyticCostModel(overhead_ms=-1)
     with pytest.raises(ValueError):
-        AnalyticCostModel(noise=-0.5)
+        AnalyticCostModel(ms_per_unit=-0.5)
 
-
-def test_analytic_noise_bounded_and_seeded():
-    m = AnalyticCostModel(overhead_ms=1.0, ms_per_unit=0.0, noise=0.5)
-    a = m.compute_ms(0, measured_ms=0, rng=np.random.default_rng(1))
-    b = m.compute_ms(0, measured_ms=0, rng=np.random.default_rng(1))
-    assert a == b
-    assert 0.25 <= a <= 4.0
-
-
-def test_measured_uses_real_time():
-    m = MeasuredCostModel(scale=2.0, floor_ms=0.1)
-    assert m.compute_ms(123, measured_ms=5.0) == 10.0
-    assert m.compute_ms(123, measured_ms=0.0) == 0.1

@@ -70,7 +70,7 @@ def test_string_spec_matches_instance(barrier):
     problem = LeastSquaresProblem(X, y)
 
     def run(pol):
-        with ClusterContext(4, seed=0) as ctx:
+        with ClusterContext(4) as ctx:
             points = ctx.matrix(X, y, 8).cache()
             return build_optimizer(
                 "asgd", ctx, points, problem,
@@ -142,7 +142,7 @@ def test_duplicate_targets_from_a_policy_are_rejected():
     problem = LeastSquaresProblem(X, y)
     from repro.errors import SchedulerError
 
-    with ClusterContext(2, seed=0) as ctx:
+    with ClusterContext(2) as ctx:
         points = ctx.matrix(X, y, 4).cache()
         with pytest.raises(SchedulerError, match="twice"):
             build_optimizer(

@@ -23,7 +23,7 @@ common_settings = settings(
 
 @pytest.fixture(scope="module")
 def mctx():
-    with ClusterContext(num_workers=3, seed=0) as ctx:
+    with ClusterContext(num_workers=3) as ctx:
         yield ctx
 
 

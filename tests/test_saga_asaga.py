@@ -114,7 +114,7 @@ def test_naive_and_history_same_math(small_data):
     problem = LeastSquaresProblem(X, y)
     errs = {}
     for mode in ("history", "naive"):
-        with ClusterContext(4, seed=0) as c:
+        with ClusterContext(4) as c:
             pts = c.matrix(X, y, 8).cache()
             res = build_optimizer(
                 "saga", c, pts, problem, ConstantStep(0.02),
@@ -167,7 +167,7 @@ def test_asaga_single_worker_matches_sync(small_data):
     problem = LeastSquaresProblem(X, y)
     errs = {}
     for algorithm in ("saga", "asaga"):
-        with ClusterContext(1, seed=0) as c:
+        with ClusterContext(1) as c:
             pts = c.matrix(X, y, 1).cache()
             res = build_optimizer(
                 algorithm, c, pts, problem, ConstantStep(0.02),

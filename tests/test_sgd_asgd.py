@@ -72,13 +72,13 @@ def test_async_faster_than_sync_with_straggler(small_data):
     problem = LeastSquaresProblem(X, y)
     delay = ControlledDelay(1.0, workers=(0,))
 
-    with ClusterContext(4, seed=0, delay_model=delay) as c1:
+    with ClusterContext(4, delay_model=delay) as c1:
         pts = c1.matrix(X, y, 8).cache()
         sync = build_optimizer(
             "sgd", c1, pts, problem, InvSqrtDecay(0.5),
             OptimizerConfig(batch_fraction=0.25, max_updates=40, seed=0),
         ).run()
-    with ClusterContext(4, seed=0, delay_model=delay) as c2:
+    with ClusterContext(4, delay_model=delay) as c2:
         pts = c2.matrix(X, y, 8).cache()
         asyn = build_optimizer(
             "asgd", c2, pts, problem, InvSqrtDecay(0.5).scaled_for_async(4),
@@ -133,7 +133,7 @@ def test_single_worker_async_equals_serial_shape(small_data):
     problem = LeastSquaresProblem(X, y)
     results = {}
     for algorithm in ("sgd", "asgd"):
-        with ClusterContext(1, seed=0) as c:
+        with ClusterContext(1) as c:
             pts = c.matrix(X, y, 1).cache()
             res = build_optimizer(
                 algorithm, c, pts, problem, InvSqrtDecay(0.5),

@@ -19,7 +19,6 @@ def make_backend(workers=2, overhead=1.0, per_unit=0.0, delay=None,
         network=NetworkModel(latency_ms=latency,
                              bandwidth_bytes_per_ms=bandwidth),
         delay_model=delay,
-        seed=0,
     )
 
 
@@ -212,7 +211,7 @@ def test_revive_worker_accepts_tasks_again():
 def test_revive_of_a_live_worker_is_a_no_op():
     """Reviving a live worker used to reset its slot to "free now", so the
     next task overlapped the one still running there."""
-    b = SimBackend(2, seed=0)  # 0.25 ms latency, 1 ms + 1 us per unit
+    b = SimBackend(2)  # 0.25 ms latency, 1 ms + 1 us per unit
     done = collect_results(b)
     b.submit(BackendTask(task_id=0, fn=lambda env: None, cost_units=5000.0), 0)
     b.step()  # the task arrives at 0.25 ms and runs to 6.25 ms

@@ -32,7 +32,6 @@ def run_workload(tasks, delay_model=None):
         network=NetworkModel(latency_ms=0.5,
                              bandwidth_bytes_per_ms=1e6),
         delay_model=delay_model or NoDelay(),
-        seed=0,
     )
     done = []
     backend.set_completion_callback(

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.backend import BackendTask
+from repro.cluster.simbackend import SimBackend
 from repro.cluster.stragglers import (
     ControlledDelay,
+    DelayModel,
     NoDelay,
     ProductionCluster,
-    delays_from_mapping,
     resolve_delay_model,
 )
 from repro.errors import ApiError
@@ -93,9 +95,23 @@ def test_pcs_validates_params():
 
 
 def test_mapping_delay():
-    m = delays_from_mapping({0: 3.0})
-    assert m.factor(0, 0) == 3.0
-    assert m.factor(1, 0) == 1.0
+    """A ``{worker: factor}`` table is a small ``DelayModel`` subclass,
+    and the backend scales that worker's compute by it."""
+
+    class Mapped(DelayModel):
+        def factor(self, worker_id, task_seq):
+            return {0: 3.0}.get(worker_id, 1.0)
+
+    backend = SimBackend(2, delay_model=Mapped())
+    done = {}
+    backend.set_completion_callback(
+        lambda task, w, value, m, error: done.setdefault(w, m)
+    )
+    for w in (0, 1):
+        backend.submit(BackendTask(task_id=w, fn=lambda env: None), w)
+    backend.drain()
+    assert done[0].delay_factor == 3.0 and done[1].delay_factor == 1.0
+    assert done[0].compute_ms == 3.0 * done[1].compute_ms
 
 
 def test_describe_strings():

@@ -22,7 +22,11 @@ Two spellings resolve to a :class:`FaultPlan`:
 
 The :class:`FaultPlanDriver` puts every event on the simulation's event
 queue, so it fires at its exact virtual time — between rounds, inside a
-policy wait or in the middle of a synchronous round alike. A kill that
+policy wait or in the middle of a synchronous round alike. An event
+only calls the backend's ``kill_worker`` / ``revive_worker``: the
+worker's :class:`~repro.cluster.backend.WorkerEnv` is the one record of
+its liveness, and the STAT table reads it, so nothing else needs to be
+told. A kill that
 would leave *zero* alive workers is suppressed (and counted) — a cluster
 with nobody left can make no progress, and the paper's fault model
 always keeps at least one survivor.
@@ -44,7 +48,7 @@ import math
 import random
 from dataclasses import dataclass
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.api.registry import FAULT_PLANS, register_fault_plan
 from repro.errors import FaultPlanError
@@ -219,22 +223,15 @@ class FaultPlanDriver:
     """Schedules a plan's events on a cluster's event queue.
 
     Each event fires at its ``time_ms`` of virtual time; one already
-    overdue when the driver is built fires at once. ``on_change`` runs
-    after every applied event (the server loop re-syncs STAT liveness
-    with it). :meth:`cancel` drops the events that have not fired, so a
-    reused cluster inherits none of them. ``log`` holds one row per
-    event, applied or suppressed, with the time it fired.
+    overdue when the driver is built fires at once. :meth:`cancel` drops
+    the events that have not fired, so a reused cluster inherits none of
+    them. ``log`` holds one row per event, applied or suppressed, with
+    the time it fired.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        backend: "SimBackend",
-        on_change: Callable[[], object],
-    ) -> None:
+    def __init__(self, plan: FaultPlan, backend: "SimBackend") -> None:
         self.plan = plan
         self.backend = backend
-        self.on_change = on_change
         self.fired = 0
         self.suppressed = 0
         self.log: list[dict] = []
@@ -263,11 +260,11 @@ class FaultPlanDriver:
         backend = self.backend
         if event.worker not in backend.worker_ids():
             return self._record(event, "suppressed (unknown worker)")
-        alive = backend.worker_alive(event.worker)
+        alive = backend.worker_env(event.worker).alive
         if event.action == "kill":
             if not alive:
                 return self._record(event, "suppressed (already dead)")
-            if sum(map(backend.worker_alive, backend.worker_ids())) <= 1:
+            if sum(env.alive for env in backend.envs) <= 1:
                 # Never orphan the cluster: with zero alive workers the
                 # loop can neither dispatch nor collect, so the run
                 # would spin forever instead of finishing its budget.
@@ -279,7 +276,6 @@ class FaultPlanDriver:
             backend.revive_worker(event.worker)
         self.fired += 1
         self._record(event, "applied")
-        self.on_change()
 
     def _record(self, event: FaultEvent, status: str) -> None:
         if status != "applied":
@@ -299,12 +295,7 @@ def no_faults() -> FaultPlan:
     return FaultPlan()
 
 
-@register_fault_plan("script")
-def scripted(plan: str = "", num_workers: int | None = None) -> FaultPlan:
-    return parse_fault_plan(plan, num_workers)
-
-
-@register_fault_plan("random_kill", aliases=("chaos_kill",))
+@register_fault_plan("random_kill")
 def random_kill(
     kills: int = 1,
     horizon_ms: float = 1000.0,

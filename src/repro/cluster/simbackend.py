@@ -111,9 +111,6 @@ class SimBackend:
         """Number of submitted tasks whose results are not yet delivered."""
         return self._pending
 
-    def worker_alive(self, worker_id: int) -> bool:
-        return self.envs[worker_id].alive
-
     # -- submission ----------------------------------------------------------
     def submit(self, task: BackendTask, worker_id: int) -> None:
         """Queue ``task`` for execution on ``worker_id`` (non-blocking)."""

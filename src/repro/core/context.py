@@ -22,6 +22,11 @@ One addition relative to the paper's listings: after applying update(s) to
 the model, the server calls ``ac.model_updated()`` so the coordinator can
 track versions and compute staleness. (On Spark, ASYNC extracts this from
 the TaskContext; a library cannot observe your ``w -= ...`` statement.)
+
+Worker membership needs no call at all: ``ac.stat`` reads each worker's
+liveness from the backend (``ctx.backend.worker_env(w).alive``), so a
+worker killed or revived through ``ctx.backend.kill_worker`` /
+``revive_worker`` or a fault plan leaves or rejoins scheduling at once.
 """
 
 from __future__ import annotations
@@ -54,8 +59,8 @@ class ASYNCContext:
         pipeline_depth: int = 1,
     ) -> None:
         self.ctx = ctx
-        self.stat = StatTable(ctx.num_workers)
-        self.coordinator = Coordinator(self.stat, pipeline_depth)
+        self.stat = StatTable(ctx.backend.envs, pipeline_depth)
+        self.coordinator = Coordinator(self.stat)
         self.scheduler = AsyncScheduler(self)
         # The broadcaster is the transport view over the coordinator's
         # HIST store: broadcast channels and server-side history share
@@ -176,33 +181,6 @@ class ASYNCContext:
     ) -> HistoryBroadcast:
         """Versioned broadcast with history access (Section 4.3)."""
         return self.broadcaster.broadcast(value, channel)
-
-    # -- cluster membership --------------------------------------------------------------
-    def refresh_workers(self) -> list[int]:
-        """Re-sync STAT liveness with the backend (worker elasticity).
-
-        A worker the coordinator marked dead (its task was lost) may have
-        been revived by a fault plan (which calls this after every event
-        it applies), possibly before the loss notices of its killed tasks
-        arrived (the scheduler calls this after each one); this re-admits
-        it to scheduling. Its in-flight count is kept: the notices still
-        on their way bring it down, so a rejoined worker is available
-        only once it holds fewer tasks than the pipeline depth. Returns
-        the workers that rejoined.
-        """
-        rejoined = []
-        depth = self.coordinator.pipeline_depth
-        for w in self.ctx.backend.worker_ids():
-            status = self.stat[w]
-            alive = self.ctx.backend.worker_env(w).alive
-            if alive and not status.alive:
-                status.alive = True
-                status.available = status.in_flight < depth
-                rejoined.append(w)
-            elif not alive and status.alive:
-                status.alive = False
-                status.available = False
-        return rejoined
 
     # -- bookkeeping totals ---------------------------------------------------------------
     @property

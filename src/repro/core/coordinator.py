@@ -2,9 +2,11 @@
 
 Collects bookkeeping structures and coordinates the other components:
 annotates every incoming task result with worker attributes (staleness,
-batch size, timings), maintains the STAT table (availability, average
-task-completion time) and queues annotated records for
-``ASYNCcollect`` / ``ASYNCcollectAll``.
+batch size, timings), maintains the STAT table (in-flight counts,
+average task-completion time) and queues annotated records for
+``ASYNCcollect`` / ``ASYNCcollectAll``. It never records liveness: STAT
+reads that from the backend, so a task lost with its worker is only
+counted here (``lost_tasks``).
 """
 
 from __future__ import annotations
@@ -24,24 +26,16 @@ __all__ = ["Coordinator"]
 class Coordinator:
     """Server-side bookkeeping hub of the ASYNC framework.
 
-    ``pipeline_depth`` controls how many tasks a worker may hold before it
-    stops counting as *available*: 1 (default) is the paper's model — a
-    worker is available iff it is idle; deeper pipelines keep workers fed
-    across the submission round-trip at the cost of extra staleness.
-
     Alongside ``STAT`` the coordinator owns ``HIST``: the
     :class:`~repro.core.history.HistoryStore` every server-side history
     consumer (broadcast channels, variance-reduction aggregates,
     curvature pairs) registers its channels with.
     """
 
-    def __init__(self, stat: StatTable, pipeline_depth: int = 1) -> None:
-        if pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
+    def __init__(self, stat: StatTable) -> None:
         self.stat = stat
         #: The HIST table (Section 4.3's second pillar).
         self.history = HistoryStore()
-        self.pipeline_depth = pipeline_depth
         self.results: deque[TaskResultRecord] = deque()
         self.lost_tasks = 0
         self.collected = 0
@@ -63,9 +57,7 @@ class Coordinator:
     # -- task lifecycle ----------------------------------------------------------
     def on_assigned(self, worker_id: int, version: int) -> None:
         """A task was dispatched to a worker computing at ``version``."""
-        w = self.stat[worker_id]
-        w.note_assigned(version)
-        w.available = w.alive and w.in_flight < self.pipeline_depth
+        self.stat[worker_id].note_assigned(version)
 
     def on_result(
         self,
@@ -82,12 +74,9 @@ class Coordinator:
         """Annotate and enqueue a completed task (or record its failure)."""
         w = self.stat[worker_id]
         w.note_done()
-        w.available = w.alive and w.in_flight < self.pipeline_depth
 
         if error is not None:
             if isinstance(error, WorkerLostError):
-                w.alive = False
-                w.available = False
                 self.lost_tasks += 1
             else:
                 self.errors.append(

@@ -4,13 +4,18 @@ For each submitted task result, the server stores the worker's id, the
 result's staleness, its mini-batch size and the result itself — plus the
 timing data our metrics layer consumes. :class:`WorkerStatus` is one row
 of the ``STAT`` table: the worker's most recent status, its availability
-and its average-task-completion time.
+and its average-task-completion time. A row stores no liveness of its
+own: ``alive`` reads the backend's :class:`~repro.cluster.backend.
+WorkerEnv`, the one place a kill or revive is recorded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.backend import WorkerEnv
 
 __all__ = ["TaskResultRecord", "WorkerStatus"]
 
@@ -47,29 +52,46 @@ class TaskResultRecord:
 class WorkerStatus:
     """One worker's row in the STAT table.
 
-    The coordinator's three ``note_*`` hooks keep, per task, the
-    in-flight count, the model version the worker has computed with
-    since it was last idle (``computing_version``, ``None`` when idle; so
-    staleness is pessimistic), the last observed staleness and the
-    average task turnaround, assignment to result submission
-    (``avg_completion_ms``, 0.0 before the first completion).
+    ``alive`` is the worker's :class:`~repro.cluster.backend.WorkerEnv`
+    flag, which only the backend sets; ``available`` is derived from it:
+    alive and holding fewer than ``pipeline_depth`` tasks. The
+    coordinator's three ``note_*`` hooks keep, per task, the in-flight
+    count, the model version the worker has computed with since it was
+    last idle (``computing_version``, ``None`` exactly while
+    ``in_flight`` is 0; so staleness is pessimistic), the last observed
+    staleness and the average task turnaround, assignment to result
+    submission (``avg_completion_ms``, 0.0 before the first completion).
     """
 
-    # In ``snapshot()`` key order.
     __slots__ = (
+        "worker_id", "env", "pipeline_depth", "in_flight",
+        "computing_version", "last_staleness", "tasks_completed",
+        "avg_completion_ms",
+    )
+
+    #: The keys of :meth:`snapshot`, in order.
+    FIELDS = (
         "worker_id", "alive", "available", "in_flight", "computing_version",
         "last_staleness", "tasks_completed", "avg_completion_ms",
     )
 
-    def __init__(self, worker_id: int) -> None:
-        self.worker_id = worker_id
-        self.alive = True
-        self.available = True
+    def __init__(self, env: "WorkerEnv", pipeline_depth: int = 1) -> None:
+        self.worker_id = env.worker_id
+        self.env = env
+        self.pipeline_depth = pipeline_depth
         self.in_flight = 0
         self.computing_version: int | None = None
         self.last_staleness = 0
         self.tasks_completed = 0
         self.avg_completion_ms = 0.0
+
+    @property
+    def alive(self) -> bool:
+        return self.env.alive
+
+    @property
+    def available(self) -> bool:
+        return self.env.alive and self.in_flight < self.pipeline_depth
 
     # -- coordinator hooks -------------------------------------------------------
     def note_assigned(self, version: int) -> None:
@@ -100,7 +122,7 @@ class WorkerStatus:
 
     def snapshot(self) -> dict:
         """A plain-dict view for user-side barrier predicates / logging."""
-        return {name: getattr(self, name) for name in self.__slots__}
+        return {name: getattr(self, name) for name in self.FIELDS}
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"WorkerStatus({self.snapshot()!r})"

@@ -24,7 +24,7 @@ from repro.cluster.backend import TaskMetrics, WorkerEnv
 from repro.core.policies import SchedulingPolicy
 from repro.engine.dispatch import Continuation
 from repro.engine.scheduler import run_partitions
-from repro.errors import SchedulerError, WorkerLostError
+from repro.errors import SchedulerError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.context import ASYNCContext
@@ -200,21 +200,12 @@ class AsyncScheduler:
             if comm is not None:
                 # Server-side decode + one "collect" ledger row.
                 payload = comm.note_collect(payload, metrics.out_bytes)
-            self.ac.coordinator.on_result(
-                task_id, wid, payload, metrics, None,
-                version=version, batch_size=count,
-                partition=partition,
-            )
         else:
-            self.ac.coordinator.on_result(
-                task_id, wid, None, metrics, error,
-                version=version, batch_size=0,
-                partition=partition,
-            )
-            if isinstance(error, WorkerLostError):
-                # The coordinator marked the worker dead; a revive may
-                # already have landed before this notice did.
-                self.ac.refresh_workers()
+            payload, count = None, 0
+        self.ac.coordinator.on_result(
+            task_id, wid, payload, metrics, error,
+            version=version, batch_size=count, partition=partition,
+        )
         if then is not None:
             then(task_id, wid, None, metrics, error)
 

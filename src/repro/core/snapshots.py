@@ -2,8 +2,9 @@
 
 A *run snapshot* is everything :class:`~repro.optim.loop.ServerLoop`
 needs to continue a killed run from the moment update ``K`` applied:
-the model iterate, the update/round counters, the model version, and
-the loop's checkpointable server state (its bounded HIST channels). It
+the model iterate, the update/round counters (the update count is
+also the model version) and the loop's checkpointable server state (its
+bounded HIST channels). It
 deliberately excludes anything a
 resumed process re-derives (dataset, problem, step schedule) and
 anything that varies between an interrupted run and a shorter reference

@@ -7,7 +7,6 @@ from repro.metrics.report import (
     metrics_to_csv,
     to_json,
 )
-from repro.metrics.tracing import bytes_summary, tasks_per_worker, timeline
 from repro.metrics.wait_time import (
     average_wait_ms,
     per_worker_waits,
@@ -20,9 +19,6 @@ __all__ = [
     "wait_summary",
     "time_to_target",
     "speedup_at_target",
-    "tasks_per_worker",
-    "bytes_summary",
-    "timeline",
     "error_series_to_csv",
     "figure_to_csv",
     "metrics_to_csv",

@@ -320,7 +320,6 @@ class ServerLoop:
             "updates": int(updates),
             "rounds": int(rounds),
             "epoch_rounds_left": int(epoch_rounds_left),
-            "version": int(self.ac.stat.current_version),
             "w": encode_value(w),
             "server": self.state_dict(),
         }
@@ -375,7 +374,6 @@ class ServerLoop:
         counters = (
             ("updates", snap.get("updates"), budget),
             ("rounds", snap.get("rounds"), None),
-            ("version", snap.get("version", 0), None),
         )
         for field, value, bound in counters:
             if type(value) is not int or value < 0 or (
@@ -435,9 +433,9 @@ class ServerLoop:
             self.updates = int(full["updates"])
             self.rounds = int(full["rounds"])
             self.epoch_rounds_left = int(full["epoch_rounds_left"])
-            self.ac.stat.current_version = int(
-                full.get("version", self.updates)
-            )
+            # The model version is the applied-update count: ``_apply``
+            # is the only caller of ``model_updated``.
+            self.ac.stat.current_version = self.updates
             self.trace.record(opt.ctx.now(), self.updates, self.w)
         # The paper's wait-time metric is per *iteration*: the window opens
         # after any setup pass (e.g. SAGA's synchronous initialization).
@@ -446,11 +444,10 @@ class ServerLoop:
         self.faults = None
         if opt.fault_plan is not None and not opt.fault_plan.empty:
             # Every event goes on the cluster's event queue and fires at
-            # its virtual time; each applied one re-syncs STAT so killed
-            # workers stop being candidates and revived ones rejoin.
-            self.faults = FaultPlanDriver(
-                opt.fault_plan, opt.ctx.backend, self.ac.refresh_workers
-            )
+            # its virtual time; STAT reads liveness from the backend, so
+            # killed workers stop being candidates and revived ones
+            # rejoin without being told.
+            self.faults = FaultPlanDriver(opt.fault_plan, opt.ctx.backend)
 
     def _round(self) -> None:
         """Publish, dispatch one round, apply everything that arrived."""

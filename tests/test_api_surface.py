@@ -149,6 +149,7 @@ def test_design_scoreboard_only_goes_down():
     }
     assert not retired & set(dir(RDD))
     assert importlib.util.find_spec("repro.engine.dag") is None
+    assert importlib.util.find_spec("repro.metrics.tracing") is None
     setup_py = Path(__file__).resolve().parents[1] / "setup.py"
     assert "networkx" not in setup_py.read_text()
     assert "networkx" not in _SET_UP_ONLY
@@ -460,6 +461,47 @@ def test_the_cluster_reads_no_wall_clock_and_draws_nothing():
     assert importlib.util.find_spec("repro.cluster.clock") is None
     assert "seed" not in inspect.signature(SimBackend).parameters
     assert "seed" not in inspect.signature(ClusterContext).parameters
+
+
+def test_worker_liveness_has_one_home():
+    """A worker's liveness is its backend ``WorkerEnv.alive``: only
+    ``repro/cluster/`` assigns an ``.alive``, STAT rows derive ``alive``
+    and ``available`` instead of storing them, and nothing that re-syncs
+    a copy is left."""
+    from repro.cluster.faultplan import FaultPlanDriver
+    from repro.cluster.simbackend import SimBackend
+    from repro.core.coordinator import Coordinator
+    from repro.core.records import WorkerStatus
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        where = path.relative_to(src).as_posix()
+        if where.startswith("repro/cluster/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Attribute) and sub.attr == "alive":
+                        offenders.append(f"{where}:{node.lineno}")
+    assert not offenders, offenders
+    for name in ("alive", "available"):
+        assert name not in WorkerStatus.__slots__, name
+        assert isinstance(
+            inspect.getattr_static(WorkerStatus, name), property
+        ), name
+    assert not hasattr(ASYNCContext, "refresh_workers")
+    assert not hasattr(SimBackend, "worker_alive")
+    assert list(inspect.signature(FaultPlanDriver).parameters) == [
+        "plan", "backend",
+    ]
+    assert list(inspect.signature(Coordinator).parameters) == ["stat"]
 
 
 @pytest.mark.parametrize("spec", [

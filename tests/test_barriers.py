@@ -11,16 +11,7 @@ from repro.core.policies import (
     MinAvailableFraction,
     as_policy,
 )
-from repro.core.stat import StatTable
-
-
-def make_stat(P=4, busy=(), versions=None, current=0):
-    stat = StatTable(P)
-    stat.current_version = current
-    for w in busy:
-        stat[w].available = False
-        stat[w].computing_version = (versions or {}).get(w, current)
-    return stat
+from stat_rows import kill, make_stat
 
 
 def test_asp_ready_with_any_available():
@@ -35,8 +26,7 @@ def test_bsp_requires_everyone():
 
 def test_bsp_counts_only_alive():
     stat = make_stat()
-    stat[3].alive = False
-    stat[3].available = False
+    kill(stat, 3)
     assert BSP().ready(stat)  # 3 alive, 3 available
 
 

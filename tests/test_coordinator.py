@@ -4,8 +4,8 @@ import pytest
 
 from repro.cluster.backend import TaskMetrics
 from repro.core.coordinator import Coordinator
-from repro.core.stat import StatTable
 from repro.errors import TaskError, WorkerLostError
+from stat_rows import kill, stat_table
 
 
 def metrics(task_id=0, worker=0, submitted=0.0, delivered=10.0):
@@ -17,7 +17,7 @@ def metrics(task_id=0, worker=0, submitted=0.0, delivered=10.0):
 
 @pytest.fixture
 def coord():
-    return Coordinator(StatTable(3))
+    return Coordinator(stat_table(3))
 
 
 def test_assignment_marks_unavailable(coord):
@@ -78,12 +78,20 @@ def test_fifo_collection_order(coord):
 
 
 def test_worker_lost_marks_dead_not_raises(coord):
+    """The backend marks a killed worker dead on its env; its loss
+    notice is only counted — not raised, not queued, and it changes no
+    liveness (STAT already reads the env)."""
     coord.on_assigned(1, version=0)
+    kill(coord.stat, 1)
+    assert not coord.stat[1].alive and not coord.stat[1].available
     coord.on_result(0, 1, None, metrics(worker=1), WorkerLostError(1),
                     version=0, batch_size=0)
     assert coord.lost_tasks == 1
-    assert not coord.stat[1].alive
-    assert not coord.results
+    assert not coord.results and not coord.errors
+    coord.raise_pending_error()  # nothing to raise
+    assert coord.stat[1].in_flight == 0
+    coord.stat[1].env.alive = True  # a revive: STAT follows the env
+    assert coord.stat[1].alive and coord.stat[1].available
 
 
 def test_task_error_raised_on_next_pop(coord):

@@ -60,7 +60,35 @@ def test_backend_param_overrides_worker_count():
         assert ctx.num_workers == 3
 
 
-def test_refresh_workers_rejoins_revived(ctx):
+def test_a_backend_kill_leaves_stat_at_once(ctx):
+    """STAT reads liveness from the backend: a worker killed through
+    ``ctx.backend`` leaves it at once, idle or busy, without waiting for
+    a loss notice or for anyone to re-sync the table."""
+    from repro.core import BSP, ASYNCContext, LambdaPolicy
+
+    ac = ASYNCContext(ctx)
+    ctx.backend.kill_worker(1)  # idle: no loss notice will ever come
+    assert ac.stat.num_alive == 3
+    assert ac.stat.available_workers() == [0, 2, 3]
+    assert not ac.stat[1].alive and not ac.stat[1].available
+
+    # Worker 3 gets the only task; then it dies holding it.
+    only_3 = LambdaPolicy(lambda stat: True, eligible_fn=lambda stat: [3])
+    rdd = ctx.parallelize(range(8), 4)
+    assert rdd.async_barrier(only_3, ac.stat).async_reduce(
+        lambda a, b: a + b, ac
+    ) == [3]
+    ctx.backend.kill_worker(3)
+    assert ac.in_flight == 1  # its loss notice has not landed yet...
+    assert ac.stat.num_alive == 2
+    assert BSP().ready(ac.stat)  # ...and BSP does not wait on it
+    ac.wait_all()
+    assert ac.lost_tasks == 1 and not ac.drain()
+
+
+def test_a_backend_revive_rejoins_the_next_round(ctx):
+    """A worker revived through ``ctx.backend`` after its loss notice
+    landed gets a task in the very next ``async_reduce`` round."""
     from repro.core import ASYNCContext
 
     ac = ASYNCContext(ctx)
@@ -68,25 +96,11 @@ def test_refresh_workers_rejoins_revived(ctx):
     rdd.async_reduce(lambda a, b: a + b, ac)
     ctx.backend.kill_worker(2)
     ac.wait_all()
-    ac.drain()
-    assert not ac.stat[2].alive
+    assert {r.worker_id for r in ac.drain()} == {0, 1, 3}
+    assert ac.lost_tasks == 1 and not ac.stat[2].alive
 
     ctx.backend.revive_worker(2)
-    rejoined = ac.refresh_workers()
-    assert rejoined == [2]
     assert ac.stat[2].alive and ac.stat[2].available
-
-    # The revived worker participates in the next round.
-    rdd.async_reduce(lambda a, b: a + b, ac)
+    assert rdd.async_reduce(lambda a, b: a + b, ac) == [0, 1, 2, 3]
     ac.wait_all()
     assert 2 in {r.worker_id for r in ac.drain()}
-
-
-def test_refresh_workers_marks_dead_too(ctx):
-    from repro.core import ASYNCContext
-
-    ac = ASYNCContext(ctx)
-    ctx.backend.kill_worker(1)  # killed while idle: coordinator never saw it
-    assert ac.stat[1].alive  # stale view
-    ac.refresh_workers()
-    assert not ac.stat[1].alive

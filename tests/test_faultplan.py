@@ -1,8 +1,7 @@
 """Spec-addressable fault injection: grammar, registry, and live kills.
 
 The plan grammar (``"kill:w2@500ms,revive:w2@900ms"``) and the
-registered plan components (``"none"``, ``"script"``, ``"random_kill"``)
-both resolve to a :class:`~repro.cluster.faultplan.FaultPlan`; the
+registered plan components (``"none"``, ``"random_kill"``) both resolve to a :class:`~repro.cluster.faultplan.FaultPlan`; the
 server loop's :class:`~repro.cluster.faultplan.FaultPlanDriver` puts its
 events on the simulation's event queue, so each fires at its scripted
 virtual time. Everything is seeded, so a chaos run is exactly
@@ -26,7 +25,7 @@ from repro.cluster.faultplan import (
     parse_fault_plan,
     resolve_fault_plan,
 )
-from repro.errors import FaultPlanError, ReproError
+from repro.errors import ApiError, FaultPlanError, ReproError
 
 SPEC = {
     "dataset": "tiny_dense", "algorithm": "asgd", "policy": "ct:1.5",
@@ -90,8 +89,7 @@ def test_script_rejects_workers_the_cluster_does_not_have():
     with pytest.raises(FaultPlanError, match="w9"):
         resolve_fault_plan("kill:w9@1ms", num_workers=4)
     with pytest.raises(FaultPlanError, match="w4"):
-        resolve_fault_plan({"name": "script", "plan": "kill:w4@1ms"},
-                           num_workers=4)
+        resolve_fault_plan("revive:w4@1ms", num_workers=4)
     assert len(resolve_fault_plan("kill:w3@1ms", num_workers=4)) == 1
     # Without a cluster size the grammar cannot know; the driver still
     # suppresses an unknown worker at run time.
@@ -122,13 +120,12 @@ def test_resolve_spellings():
     plan = parse_fault_plan("kill:w1@5ms")
     assert resolve_fault_plan(plan) is plan
     assert resolve_fault_plan("kill:w1@5ms") == plan        # grammar string
-    assert resolve_fault_plan({"name": "script",
-                               "plan": "kill:w1@5ms"}) == plan
-    assert set(FAULT_PLANS.names()) >= {"none", "script", "random_kill"}
-    # "chaos_kill" is a registered alias of "random_kill".
-    assert resolve_fault_plan(
-        "chaos_kill:1", num_workers=3, seed=1
-    ) == resolve_fault_plan("random_kill:1", num_workers=3, seed=1)
+    # One spelling per plan: the README's three. A grammar string needs
+    # no "script" component, and "random_kill" has no alias.
+    assert sorted(FAULT_PLANS.names()) == ["none", "random_kill"]
+    for gone in ({"name": "script", "plan": "kill:w1@5ms"}, "chaos_kill:1"):
+        with pytest.raises(ApiError, match="random_kill"):
+            resolve_fault_plan(gone, num_workers=3, seed=1)
 
 
 def test_random_kill_is_seeded_and_capped():
@@ -245,7 +242,7 @@ def test_fault_plan_drives_a_hand_wired_run_under_scripted_orders(order):
         )
         opt.fault_plan = resolve_fault_plan("kill:w1@1ms")
         result = opt.run()
-        assert not ctx.backend.worker_alive(1)
+        assert not ctx.backend.worker_env(1).alive
     assert result.updates == 40
     assert result.extras["fault_events"] == 1
     assert result.extras["fault_plan"] == "kill:w1@1ms"
@@ -332,7 +329,7 @@ def test_unfired_events_do_not_outlive_their_run():
         assert planned.extras["faults"] == []
         second = run(40)
         assert ctx.now() > at  # the second run passed the kill's time...
-        assert ctx.backend.worker_alive(1)  # ...and the kill never fired
+        assert ctx.backend.worker_env(1).alive  # ...and the kill never fired
         assert second.extras["lost_tasks"] == 0
 
 

@@ -9,7 +9,7 @@ from repro.errors import SchedulerError, TaskError
 
 def schedule(ctx, plan: str) -> FaultPlanDriver:
     """Put a fault plan on ``ctx``'s event queue, outside any run."""
-    return FaultPlanDriver(parse_fault_plan(plan), ctx.backend, lambda: None)
+    return FaultPlanDriver(parse_fault_plan(plan), ctx.backend)
 
 
 def test_cached_partition_recomputed_after_loss(ctx):
@@ -49,7 +49,7 @@ def test_kill_at_schedules_future_failure(ctx):
     for _ in range(30):
         ctx.run_job(rdd, lambda s, d: sum(d))
     assert driver.fired == 1
-    assert not ctx.backend.worker_alive(2)
+    assert not ctx.backend.worker_env(2).alive
 
 
 def test_kill_at_fires_at_its_scheduled_time(ctx):
@@ -68,20 +68,20 @@ def test_overdue_plan_event_fires_at_once(ctx):
     now = ctx.now()
     assert now > 0.0
     driver = schedule(ctx, "kill:w1@0ms,revive:w1@1000ms")
-    assert not ctx.backend.worker_alive(1)
+    assert not ctx.backend.worker_env(1).alive
     assert driver.log == [
         {"event": "kill:w1@0ms", "applied_at_ms": now, "status": "applied"}
     ]
     driver.cancel()  # the revive never fires
     assert not ctx.backend.queue
-    assert not ctx.backend.worker_alive(1)
+    assert not ctx.backend.worker_env(1).alive
 
 
 def test_alive_workers_listing(ctx):
     backend = ctx.backend
 
     def alive():
-        return [w for w in backend.worker_ids() if backend.worker_alive(w)]
+        return [w for w in backend.worker_ids() if backend.worker_env(w).alive]
 
     assert alive() == [0, 1, 2, 3]
     backend.kill_worker(3)

@@ -7,12 +7,6 @@ import pytest
 
 from repro.cluster.backend import TaskMetrics
 from repro.metrics.convergence import common_target, speedup_at_target
-from repro.metrics.tracing import (
-    busy_fraction,
-    bytes_summary,
-    tasks_per_worker,
-    timeline,
-)
 from repro.metrics.wait_time import average_wait_ms, per_worker_waits, wait_summary
 from repro.optim.trace import ConvergenceTrace
 
@@ -74,39 +68,6 @@ def test_synthetic_loss_records_skipped():
     log = [tm(-1, 0, job=-1, started=0.0, delivered=1.0)]
     assert per_worker_waits(log) == {}
     assert average_wait_ms(log) == 0.0
-
-
-def test_tasks_per_worker_and_bytes():
-    log = [
-        tm(0, 0, job=0, started=0, delivered=1),
-        tm(1, 0, job=1, started=2, delivered=3),
-        tm(2, 1, job=0, started=0, delivered=1, fetch=5),
-    ]
-    assert tasks_per_worker(log) == {0: 2, 1: 1}
-    b = bytes_summary(log)
-    assert b == {"in_bytes": 30, "out_bytes": 60, "fetch_bytes": 5}
-
-
-def test_busy_fraction():
-    log = [
-        tm(0, 0, job=0, started=0, delivered=1, compute=5.0),
-        tm(1, 1, job=0, started=0, delivered=1, compute=10.0),
-    ]
-    frac = busy_fraction(log, horizon_ms=10.0)
-    assert frac[0] == 0.5
-    assert frac[1] == 1.0
-    with pytest.raises(ValueError):
-        busy_fraction(log, horizon_ms=0)
-
-
-def test_timeline_sorted_and_limited():
-    log = [
-        tm(1, 0, job=0, started=5, delivered=6),
-        tm(0, 0, job=0, started=1, delivered=2),
-    ]
-    rows = timeline(log)
-    assert [r["task"] for r in rows] == [0, 1]
-    assert len(timeline(log, limit=1)) == 1
 
 
 # -- speedups ------------------------------------------------------------------

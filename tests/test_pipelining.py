@@ -4,22 +4,24 @@ import pytest
 
 from repro.core import SSP, ASYNCContext
 from repro.core.coordinator import Coordinator
-from repro.core.stat import StatTable
+from stat_rows import stat_table
 
 
-def test_depth_validated():
+def test_depth_validated(ctx):
     with pytest.raises(ValueError):
-        Coordinator(StatTable(2), pipeline_depth=0)
+        stat_table(2, pipeline_depth=0)
+    with pytest.raises(ValueError):
+        ASYNCContext(ctx, pipeline_depth=0)
 
 
 def test_depth1_worker_busy_after_one_assignment():
-    c = Coordinator(StatTable(2), pipeline_depth=1)
+    c = Coordinator(stat_table(2, pipeline_depth=1))
     c.on_assigned(0, version=0)
     assert not c.stat[0].available
 
 
 def test_depth2_worker_available_until_two_inflight():
-    c = Coordinator(StatTable(2), pipeline_depth=2)
+    c = Coordinator(stat_table(2, pipeline_depth=2))
     c.on_assigned(0, version=0)
     assert c.stat[0].available
     c.on_assigned(0, version=1)
@@ -27,7 +29,7 @@ def test_depth2_worker_available_until_two_inflight():
 
 
 def test_oldest_version_drives_staleness():
-    c = Coordinator(StatTable(1), pipeline_depth=2)
+    c = Coordinator(stat_table(1, pipeline_depth=2))
     c.on_assigned(0, version=0)
     c.on_assigned(0, version=3)
     c.model_updated(5)
@@ -38,7 +40,7 @@ def test_oldest_version_drives_staleness():
 def test_available_worker_holding_a_task_counts_for_ssp():
     """At depth 2 a worker holding one task is still available; its task
     is stale all the same, so SSP must hold the round."""
-    c = Coordinator(StatTable(1), pipeline_depth=2)
+    c = Coordinator(stat_table(1, pipeline_depth=2))
     c.on_assigned(0, version=0)
     c.model_updated(5)
     assert c.stat[0].available

@@ -18,17 +18,8 @@ from repro.core.policies import (
     policy_hooks,
     resolve_policy,
 )
-from repro.core.stat import StatTable
 from repro.errors import ApiError, ReproError, SchedulerError
-
-
-def make_stat(P=4, busy=(), versions=None, current=0):
-    stat = StatTable(P)
-    stat.current_version = current
-    for w in busy:
-        stat[w].available = False
-        stat[w].computing_version = (versions or {}).get(w, current)
-    return stat
+from stat_rows import make_stat
 
 
 # -- protocol defaults ---------------------------------------------------------------
@@ -51,7 +42,7 @@ def _dispatched(ctx, policy, granularity, busy=()):
     (8 partitions on 4 workers: worker ``w`` owns ``w`` and ``w + 4``)."""
     ac = ASYNCContext(ctx)
     for w in busy:
-        ac.stat[w].available = False
+        ac.stat[w].note_assigned(ac.version)  # a task still in flight
     sent = []
 
     def make_fn(worker, splits):

@@ -227,6 +227,24 @@ def test_snapshot_with_timestamps_and_metadata_entries_restores_bit_identically(
     assert _bits(from_older.w) == _bits(from_new.w)
 
 
+def test_snapshot_carrying_a_model_version_restores_bit_identically(
+    tmp_path,
+):
+    """Earlier snapshots also stored ``version``, which always equalled
+    ``updates``; today's carry the update count only, and a file with
+    both still resumes exactly like one without."""
+    snap_file, state = _asaga_snapshot_at_40(tmp_path)
+    assert "version" not in state
+    state["version"] = state["updates"]
+    older = _write_state(tmp_path / "older.json", state)
+    from_new = run_experiment({**ASAGA_SPEC, "restore_from": str(snap_file)})
+    from_older = run_experiment({**ASAGA_SPEC, "restore_from": str(older)})
+    assert from_older.extras["resumed_from_update"] == 40
+    assert _bits(from_older.w) == _bits(from_new.w)
+    assert from_older.metrics == from_new.metrics
+    assert from_older.trace.updates == from_new.trace.updates
+
+
 @pytest.mark.parametrize("section,value", [
     ("policy", {"rng": {"bit_generator": "PCG64"}}),
     ("coordinator", {"placement": {"3": 0}, "migrations": 1}),

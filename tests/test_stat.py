@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.cluster.backend import WorkerEnv
 from repro.core.stat import StatTable
+from stat_rows import kill, stat_table
 
 
 def test_initial_state_all_available():
-    stat = StatTable(4)
+    stat = stat_table(4)
     assert stat.num_available == 4
     assert stat.num_alive == 4
     assert stat.max_staleness == 0
@@ -19,40 +21,40 @@ def test_initial_state_all_available():
 
 def test_requires_positive_workers():
     with pytest.raises(ValueError):
-        StatTable(0)
+        StatTable([])
+    with pytest.raises(ValueError):
+        StatTable([WorkerEnv(0)], pipeline_depth=0)
 
 
 def test_busy_worker_not_available():
-    stat = StatTable(3)
-    stat[1].available = False
-    stat[1].computing_version = 0
+    stat = stat_table(3)
+    stat[1].note_assigned(0)
+    assert not stat[1].available
     assert stat.num_available == 2
     assert stat.available_workers() == [0, 2]
 
 
 def test_dead_worker_excluded_everywhere():
-    stat = StatTable(3)
-    stat[2].alive = False
-    stat[2].available = False
+    stat = stat_table(3)
+    kill(stat, 2)
+    assert not stat[2].alive and not stat[2].available
     assert stat.num_alive == 2
     assert stat.num_available == 2
     assert 2 not in stat.available_workers()
 
 
 def test_max_staleness_counts_inflight_only():
-    stat = StatTable(3)
+    stat = stat_table(3)
     stat.current_version = 10
-    stat[0].available = False
-    stat[0].computing_version = 4   # 6 stale
-    stat[1].available = False
-    stat[1].computing_version = 9   # 1 stale
+    stat[0].note_assigned(4)   # 6 stale
+    stat[1].note_assigned(9)   # 1 stale
     assert stat.max_staleness == 6
-    stat[0].available = True  # idle rows do not count
+    stat[0].note_done()  # idle rows do not count
     assert stat.max_staleness == 1
 
 
 def test_idle_worker_staleness_zero_even_with_history():
-    stat = StatTable(2)
+    stat = stat_table(2)
     stat.current_version = 5
     stat[0].last_staleness = 3
     stat[0].computing_version = 1  # stale version left on an idle row
@@ -60,7 +62,7 @@ def test_idle_worker_staleness_zero_even_with_history():
 
 
 def test_completion_time_stats():
-    stat = StatTable(2)
+    stat = stat_table(2)
     stat[0].note_completion(0, 5.0, 15.0)
     stat[1].note_completion(0, 5.0, 35.0)
     assert stat[0].avg_completion_ms == 10.0
@@ -68,13 +70,13 @@ def test_completion_time_stats():
 
 
 def test_completion_stats_ignore_fresh_workers():
-    stat = StatTable(3)
+    stat = stat_table(3)
     stat[0].note_completion(0, 0.0, 10.0)
     assert stat.median_completion_ms() == 10.0
 
 
 def test_snapshot_is_plain_data():
-    stat = StatTable(2)
+    stat = stat_table(2)
     snap = stat.snapshot()
     assert len(snap) == 2
     assert snap[0]["worker_id"] == 0
@@ -89,12 +91,11 @@ def test_snapshot_is_plain_data():
     current=st.integers(0, 120),
 )
 def test_property_max_staleness_bound(versions, current):
-    stat = StatTable(len(versions))
+    stat = stat_table(len(versions))
     stat.current_version = current
     for w, v in enumerate(versions):
         if v is not None and v <= current:
-            stat[w].available = False
-            stat[w].computing_version = v
+            stat[w].note_assigned(v)
     expected = max(
         (current - v for v in versions if v is not None and v <= current),
         default=0,
@@ -105,7 +106,7 @@ def test_property_max_staleness_bound(versions, current):
 # -- STAT aggregates match the scalar references -------------------------------------
 def test_worker_aggregates_match_statistics_module():
     rng = np.random.default_rng(5)
-    stat = StatTable(6)
+    stat = stat_table(6)
     means = []
     for w in range(6):
         values = rng.uniform(1.0, 50.0, size=int(rng.integers(1, 6)))
@@ -120,11 +121,10 @@ def test_worker_aggregates_match_statistics_module():
 
 
 def test_max_staleness_matches_row_loop():
-    stat = StatTable(5)
+    stat = stat_table(5)
     stat.current_version = 100
     busy = {1: 40, 3: 90, 4: 10}
     for w, version in busy.items():
-        stat[w].available = False
         stat[w].note_assigned(version)
     expected = 0
     for row in stat:

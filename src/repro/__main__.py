@@ -178,6 +178,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     _print_summary(summary)
     for key, value in sorted(summary["extras"].items()):
         print(f"    {key}: {value}")
+    # The fault log is a list, so the record above leaves it out.
+    for fault in result.extras.get("faults", ()):
+        print(f"    fault {fault['event']}: {fault['status']}")
     _write_out(summary, args.out)
     return 0
 

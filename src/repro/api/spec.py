@@ -106,9 +106,10 @@ class ExperimentSpec:
     #: Path to a run snapshot to resume from (``ServerLoop`` restores
     #: model iterate, counters, and server state before dispatching).
     restore_from: str | None = None
-    #: Fault-injection plan (async only): a registered name
-    #: (``"random_kill:2"``), the script grammar
-    #: (``"kill:w2@500ms,revive:w2@900ms"``), or a dict with ``name``.
+    #: Fault-injection plan (async only): the script grammar
+    #: (``"kill:w2@500ms,revive:w2@900ms"``), a registered name
+    #: (``"none"``) or a dict with ``name`` (``{"name": "random_kill",
+    #: "kills": 2, "horizon_ms": 50}``).
     fault_plan: Any = None
     #: COMM subsystem (async only): a registered compressor name
     #: (``"none"``, ``"topk:0.1"``, ``"onebit"``) or a dict

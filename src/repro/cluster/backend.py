@@ -12,12 +12,14 @@ overlap, so none of them takes a lock.
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.utils.sizeof import sizeof_bytes
 
-__all__ = ["BackendTask", "TaskMetrics", "WorkerEnv", "CompletionCallback"]
+__all__ = ["BackendTask", "TaskMetrics", "WorkerEnv", "CompletionCallback",
+           "TASK_ENV"]
 
 
 @dataclass
@@ -55,6 +57,9 @@ class BackendTask:
     engine's accounting). ``partition`` identifies the single data
     partition a partition-granular task covers (``None`` for
     worker-granular tasks); backends stamp it into the task's metrics.
+    ``job_id`` and ``on_complete`` are the submitter's: the dispatcher
+    stamps the job into the metrics row and hands the result to
+    ``on_complete`` (``None`` keeps only the metrics row).
     """
 
     task_id: int
@@ -63,32 +68,37 @@ class BackendTask:
     in_bytes: int = 0
     partition: int | None = None
     out_bytes_of: Callable[[Any], int] = field(default=sizeof_bytes)
-
-    @property
-    def metrics_partition(self) -> int:
-        """The partition id as recorded in :class:`TaskMetrics` (-1 = none)."""
-        return -1 if self.partition is None else self.partition
+    job_id: int = -1
+    on_complete: Callable[..., None] | None = None
 
 
 CompletionCallback = Callable[
     [BackendTask, int, Any, TaskMetrics, BaseException | None], None
 ]
 
+#: The env of the task body running now, which the backend binds around
+#: each body (``None`` on the driver). A context variable, not a global:
+#: an engine driven on another thread never sees this one's env.
+TASK_ENV: contextvars.ContextVar["WorkerEnv | None"] = contextvars.ContextVar(
+    "repro_task_env", default=None
+)
+
 
 class WorkerEnv:
     """Worker-local state: a key/value block store plus fetch accounting.
 
     The ASYNCbroadcaster records bytes it had to fetch from the server
-    (history misses) via :meth:`record_fetch`; the simulation backend folds
-    those bytes into the task's modeled duration.
+    (history misses) via :meth:`record_fetch`, a task body its work via
+    :meth:`record_cost`; after each body the simulation backend folds both
+    ``pending_*`` totals into the task's modeled duration and zeroes them.
     """
 
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
         self.alive = True
         self._kv: dict[Any, Any] = {}
-        self._pending_fetch_bytes = 0
-        self._pending_cost_units = 0.0
+        self.pending_fetch_bytes = 0
+        self.pending_cost_units = 0.0
 
     def get(self, key: Any, default: Any = None) -> Any:
         return self._kv.get(key, default)
@@ -105,17 +115,11 @@ class WorkerEnv:
     def clear(self) -> None:
         """Drop all local state (used when a worker is killed)."""
         self._kv.clear()
-        self._pending_fetch_bytes = 0
+        self.pending_fetch_bytes = 0
 
     def record_fetch(self, nbytes: int) -> None:
         """Account for bytes fetched on-demand from the server mid-task."""
-        self._pending_fetch_bytes += int(nbytes)
-
-    def consume_fetch_bytes(self) -> int:
-        """Return and reset the bytes fetched by the task that just ran."""
-        n = self._pending_fetch_bytes
-        self._pending_fetch_bytes = 0
-        return n
+        self.pending_fetch_bytes += int(nbytes)
 
     def record_cost(self, units: float) -> None:
         """Report the actual work volume a task processed (e.g. rows).
@@ -124,9 +128,4 @@ class WorkerEnv:
         present — closures that sample data only know their true volume
         at execution time.
         """
-        self._pending_cost_units += float(units)
-
-    def consume_cost_units(self) -> float:
-        units = self._pending_cost_units
-        self._pending_cost_units = 0.0
-        return units
+        self.pending_cost_units += float(units)

@@ -16,9 +16,10 @@ Two spellings resolve to a :class:`FaultPlan`:
   or ``s`` suffix and are virtual cluster time.
 
 - **Registry names** — ``"none"``, or the seeded random-kill mode
-  ``"random_kill:K"`` which compiles K kills (optionally followed by
-  revives) at seeded-uniform times into the same event schedule. Like
-  policies, ``num_workers`` and ``seed`` are injected from the spec.
+  ``{"name": "random_kill", "kills": K, "horizon_ms": H}`` which
+  compiles K kills (optionally followed by revives) at seeded-uniform
+  times in ``(0, H]`` into the same event schedule. Like policies,
+  ``num_workers`` and ``seed`` are injected from the spec.
 
 The :class:`FaultPlanDriver` puts every event on the simulation's event
 queue, so it fires at its exact virtual time — between rounds, inside a
@@ -198,9 +199,9 @@ def resolve_fault_plan(
     """Coerce a spec value into a :class:`FaultPlan`.
 
     ``None`` passes through; an ``@`` in a string means the script
-    grammar; anything else (``"none"``, ``"random_kill:2"``, a dict
-    with ``name``) goes through the ``FAULT_PLANS`` registry with
-    ``num_workers``/``seed`` injected like policy defaults.
+    grammar; anything else (``"none"``, a dict with ``name``) goes
+    through the ``FAULT_PLANS`` registry with ``num_workers``/``seed``
+    injected like policy defaults.
     """
     if spec is None:
         return None
@@ -225,8 +226,9 @@ class FaultPlanDriver:
     Each event fires at its ``time_ms`` of virtual time; one already
     overdue when the driver is built fires at once. :meth:`cancel` drops
     the events that have not fired, so a reused cluster inherits none of
-    them. ``log`` holds one row per event, applied or suppressed, with
-    the time it fired.
+    them. ``log`` holds one row per event, in firing order: applied or
+    suppressed, with the time it fired, or — written by :meth:`cancel` —
+    not fired, with the time the run ended and ``applied_at_ms`` None.
     """
 
     def __init__(self, plan: FaultPlan, backend: "SimBackend") -> None:
@@ -248,9 +250,13 @@ class FaultPlanDriver:
                 )
 
     def cancel(self) -> None:
-        """Drop every event that has not fired yet."""
+        """Drop every event that has not fired yet, logging each one."""
+        status = f"not fired (run ended at {self.backend.now():g} ms)"
         while self._queued:
-            self.backend.queue.cancel(self._queued.popleft())
+            queued = self._queued.popleft()
+            self.backend.queue.cancel(queued)
+            self.log.append({"event": queued.args[0].describe(),
+                             "applied_at_ms": None, "status": status})
 
     def _fire(self, event: FaultEvent) -> None:
         self._queued.popleft()
@@ -298,7 +304,7 @@ def no_faults() -> FaultPlan:
 @register_fault_plan("random_kill")
 def random_kill(
     kills: int = 1,
-    horizon_ms: float = 1000.0,
+    horizon_ms: float | None = None,
     revive_after_ms: float | None = None,
     seed: int = 0,
     num_workers: int | None = None,
@@ -306,17 +312,23 @@ def random_kill(
     """Seeded random failures: ``kills`` distinct workers die at
     uniform times in ``(0, horizon_ms]``; with ``revive_after_ms`` each
     comes back that much later. Kills are capped at ``num_workers - 1``
-    so at least one worker always survives."""
+    so at least one worker always survives. ``horizon_ms`` has no
+    default: no one window fits every run's length."""
     if num_workers is None or num_workers < 1:
         raise FaultPlanError(
             "random_kill needs num_workers (injected from the spec)"
+        )
+    if isinstance(kills, float) and not math.isfinite(kills):
+        raise FaultPlanError(f"kills must be finite, got {kills}")
+    if horizon_ms is None:
+        raise FaultPlanError(
+            "random_kill needs horizon_ms, the window (in virtual ms) its "
+            "kills are drawn in"
         )
     if not 0 < horizon_ms < math.inf:
         raise FaultPlanError(
             f"horizon_ms must be positive and finite, got {horizon_ms}"
         )
-    if isinstance(kills, float) and not math.isfinite(kills):
-        raise FaultPlanError(f"kills must be finite, got {kills}")
     kills = min(int(kills), num_workers - 1)
     rng = random.Random(f"fault-plan:{seed}")
     victims = rng.sample(range(num_workers), kills) if kills > 0 else []

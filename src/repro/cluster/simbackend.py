@@ -14,6 +14,9 @@ milliseconds that only the event loop advances:
   time
 - worker -> driver result transfer: ``network.transfer_ms(out_bytes)``
 
+The backend binds the worker's env around each task body
+(:data:`~repro.cluster.backend.TASK_ENV`, restored however the body ends).
+
 Completion callbacks fire in virtual-time order with deterministic
 tie-breaking. A task's duration depends only on the task, its bytes and
 the delay model, never on the host's wall clock, so whole asynchronous
@@ -35,7 +38,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.cluster.backend import (
-    BackendTask, CompletionCallback, TaskMetrics, WorkerEnv,
+    TASK_ENV, BackendTask, CompletionCallback, TaskMetrics, WorkerEnv,
 )
 from repro.cluster.cost import AnalyticCostModel
 from repro.cluster.events import Event, EventQueue
@@ -134,7 +137,7 @@ class SimBackend:
         metrics = TaskMetrics(
             task_id=task.task_id,
             worker_id=worker_id,
-            partition=task.metrics_partition,
+            partition=-1 if task.partition is None else task.partition,
             submitted_ms=submitted,
             in_bytes=task.in_bytes,
         )
@@ -154,17 +157,22 @@ class SimBackend:
         # Execute the closure for real; the virtual duration is modeled.
         error: BaseException | None = None
         value: Any = None
+        token = TASK_ENV.set(env)
         try:
             value = task.fn(env)
         except Exception as exc:  # noqa: BLE001 - forwarded to the engine
             error = exc
+        finally:
+            TASK_ENV.reset(token)
 
         worker.task_seq += 1
-        reported_units = env.consume_cost_units()
-        units = reported_units if reported_units > 0 else task.cost_units
-        base_ms = self.cost_model.compute_ms(units)
+        units = env.pending_cost_units
+        fetch_bytes = env.pending_fetch_bytes
+        env.pending_cost_units, env.pending_fetch_bytes = 0.0, 0
+        base_ms = self.cost_model.compute_ms(
+            units if units > 0 else task.cost_units
+        )
         factor = self.delay_model.factor(worker_id, worker.task_seq)
-        fetch_bytes = env.consume_fetch_bytes()
         fetch_ms = 0.0
         if fetch_bytes:
             # A miss costs a round-trip: request out, payload back.
@@ -252,7 +260,7 @@ class SimBackend:
             metrics = TaskMetrics(
                 task_id=task_id,
                 worker_id=worker_id,
-                partition=task.metrics_partition,
+                partition=-1 if task.partition is None else task.partition,
                 submitted_ms=submitted,
                 delivered_ms=now + self.network.latency_ms,
             )

@@ -16,12 +16,17 @@ Paper                   Here
 ``AC.ASYNCbroadcast``   ``ac.async_broadcast(value)``
 ``AC.STAT``             ``ac.stat`` (live) / ``ac.stat.snapshot()``
 ``AC.hasNext()``        ``ac.has_next()``
+(the one collect call)  ``ac.next_result(block)`` (a record, or ``None``)
 ======================  =====================================================
 
-One addition relative to the paper's listings: after applying update(s) to
-the model, the server calls ``ac.model_updated()`` so the coordinator can
-track versions and compute staleness. (On Spark, ASYNC extracts this from
-the TaskContext; a library cannot observe your ``w -= ...`` statement.)
+``collect_all``, ``collect`` and ``drain`` are built on ``next_result``,
+which the server loop calls once blocking per round, then non-blocking
+until it returns ``None`` (Algorithm 2's collect-and-drain). One more
+addition to the paper's listings: after applying update(s) to the model,
+the server calls ``ac.model_updated()``, which advances STAT's model
+version so staleness can be computed. (On Spark, ASYNC extracts this
+from the TaskContext; a library cannot observe your ``w -= ...``
+statement.)
 
 Worker membership needs no call at all: ``ac.stat`` reads each worker's
 liveness from the backend (``ctx.backend.worker_env(w).alive``), so a
@@ -84,16 +89,42 @@ class ASYNCContext:
     @property
     def version(self) -> int:
         """Model version: number of updates the server has applied."""
-        return self.coordinator.version
+        return self.stat.current_version
 
     def model_updated(self, count: int = 1) -> None:
-        """Tell the coordinator the server applied ``count`` update(s)."""
-        self.coordinator.model_updated(count)
+        """Advance the model version after the server applied ``count``
+        update(s)."""
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        self.stat.current_version += count
 
     # -- result consumption ---------------------------------------------------------
     @property
     def in_flight(self) -> int:
         return self.scheduler.in_flight
+
+    def next_result(self, block: bool = False) -> TaskResultRecord | None:
+        """FIFO-pop the next result record, or ``None`` if there is none.
+
+        With ``block=True``, first advances the cluster until a result
+        arrives or no in-flight task remains (then returns ``None``). A
+        failed task's error is raised instead, ahead of any queued result.
+        """
+        coordinator = self.coordinator
+        if block:
+            self._wait()
+        if coordinator.results or coordinator.errors:
+            return coordinator.pop_result()
+        return None
+
+    def _wait(self) -> None:
+        """Step the cluster until a result or error is queued or nothing
+        is in flight (or no event is left)."""
+        coordinator, scheduler = self.coordinator, self.scheduler
+        step = self.ctx.backend.step
+        while (not (coordinator.results or coordinator.errors)
+               and scheduler.in_flight and step()):
+            pass
 
     def has_next(self, block: bool = False) -> bool:
         """True if a task result is waiting.
@@ -103,28 +134,21 @@ class ASYNCContext:
         error is raised instead, ahead of any queued result.
         """
         coordinator = self.coordinator
-        if block and not (coordinator.results or coordinator.errors):
-            self.ctx.backend.run_until(self._arrived)
+        if block:
+            self._wait()
         if coordinator.errors:
-            coordinator.raise_pending_error()
+            raise coordinator.errors.popleft()
         return bool(coordinator.results)
-
-    def _arrived(self) -> bool:
-        """A blocking :meth:`has_next` may stop advancing the cluster."""
-        coordinator = self.coordinator
-        return bool(
-            coordinator.results or coordinator.errors
-            or self.scheduler.in_flight == 0
-        )
 
     def collect_all(self, block: bool = True) -> TaskResultRecord:
         """FIFO-pop one result with its worker attributes (Table 1)."""
-        if not self.has_next(block=block):
+        record = self.next_result(block)
+        if record is None:
             raise AsyncContextError(
                 "ASYNCcollect: no task result available"
                 + ("" if block else " (non-blocking)")
             )
-        return self.coordinator.pop_result()
+        return record
 
     def collect(self, block: bool = True) -> Any:
         """FIFO-pop one task result value."""
@@ -132,10 +156,7 @@ class ASYNCContext:
 
     def drain(self) -> list[TaskResultRecord]:
         """Pop every result currently queued (non-blocking)."""
-        out = []
-        while self.has_next(block=False):
-            out.append(self.collect_all(block=False))
-        return out
+        return list(iter(self.next_result, None))
 
     def wait_all(self) -> None:
         """Advance until no submitted task remains in flight."""

@@ -42,23 +42,7 @@ class Coordinator:
         #: Task failures not yet raised to the server, oldest first.
         self.errors: deque[TaskError] = deque()
 
-    # -- model version --------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """Server model version = number of updates applied so far."""
-        return self.stat.current_version
-
-    def model_updated(self, count: int = 1) -> None:
-        """Advance the version after the server applies update(s)."""
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        self.stat.current_version += count
-
     # -- task lifecycle ----------------------------------------------------------
-    def on_assigned(self, worker_id: int, version: int) -> None:
-        """A task was dispatched to a worker computing at ``version``."""
-        self.stat[worker_id].note_assigned(version)
-
     def on_result(
         self,
         task_id: int,
@@ -71,9 +55,15 @@ class Coordinator:
         batch_size: int,
         partition: int | None = None,
     ) -> None:
-        """Annotate and enqueue a completed task (or record its failure)."""
-        w = self.stat[worker_id]
-        w.note_done()
+        """Annotate and enqueue a completed task (or record its failure);
+        undo the row's ``note_assigned`` for it first."""
+        stat = self.stat
+        w = stat.workers[worker_id]
+        if w.in_flight > 1:
+            w.in_flight -= 1
+        else:
+            w.in_flight = 0
+            w.computing_version = None
 
         if error is not None:
             if isinstance(error, WorkerLostError):
@@ -90,7 +80,7 @@ class Coordinator:
                 )
             return
 
-        staleness = self.version - version
+        staleness = stat.current_version - version
         w.note_completion(staleness, metrics.submitted_ms, metrics.delivered_ms)
 
         self.results.append(
@@ -111,19 +101,18 @@ class Coordinator:
 
     # -- consumption ------------------------------------------------------------
     def pop_result(self) -> TaskResultRecord:
-        """FIFO pop; re-stamps staleness at collection time.
+        """FIFO pop (a pending task error is raised instead); re-stamps
+        staleness at collection time.
 
         A result may sit in the queue while the server applies other
         updates, so its effective staleness is measured when the server
         *consumes* it — that is the value staleness-aware algorithms need.
         """
-        self.raise_pending_error()
-        record = self.results.popleft()
-        record.staleness = self.version - record.version
-        self.stat[record.worker_id].last_staleness = record.staleness
-        self.collected += 1
-        return record
-
-    def raise_pending_error(self) -> None:
         if self.errors:
             raise self.errors.popleft()
+        record = self.results.popleft()
+        stat = self.stat
+        record.staleness = stat.current_version - record.version
+        stat.workers[record.worker_id].last_staleness = record.staleness
+        self.collected += 1
+        return record

@@ -20,7 +20,6 @@ from repro.core.policies import SchedulingPolicy, as_policy
 from repro.core.stat import StatTable
 from repro.data.blocks import Batch
 from repro.engine.rdd import RDD
-from repro.engine.taskcontext import task_env
 from repro.utils.sizeof import sizeof_bytes
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,14 +79,13 @@ def _worker_reduce_factory(
 ) -> Callable[[int, list[int]], Callable[[WorkerEnv], tuple[Any, int]]]:
     def make_fn(worker_id: int, splits: list[int]):
         def fn(env: WorkerEnv) -> tuple[Any, int]:
-            with task_env(env):
-                acc: Any = _EMPTY
-                count = 0
-                for split in splits:
-                    for elem in rdd.iterator(split, env):
-                        count += 1
-                        acc = elem if acc is _EMPTY else f(acc, elem)
-                return (None if acc is _EMPTY else acc, count)
+            acc: Any = _EMPTY
+            count = 0
+            for split in splits:
+                for elem in rdd.iterator(split, env):
+                    count += 1
+                    acc = elem if acc is _EMPTY else f(acc, elem)
+            return (None if acc is _EMPTY else acc, count)
 
         return fn
 
@@ -138,6 +136,7 @@ class RoundPlan:
         self.reduce = reduce
         self.ac = ac
         self.granularity = granularity
+        self.num_partitions = source.num_partitions
 
     def submit(
         self, handle: Any, seed: int, sync: bool = False
@@ -149,30 +148,29 @@ class RoundPlan:
 
         def make_fn(worker_id: int, splits: list[int]):
             def fn(env: WorkerEnv) -> tuple[Any, int]:
-                with task_env(env):
-                    acc: Any = _EMPTY
-                    count = 0
-                    for split in splits:
-                        for block in source.iterator(split, env):
-                            if fraction is not None:
-                                block = Batch(block, block.sample_indices(
-                                    fraction, seed, "mbatch", split
-                                ))
-                                env.record_cost(block.cost_units())
-                            elem = kernel(block, handle, seed)
-                            count += 1
-                            acc = elem if acc is _EMPTY else reduce(acc, elem)
-                    return (None if acc is _EMPTY else acc, count)
+                acc: Any = _EMPTY
+                count = 0
+                for split in splits:
+                    for block in source.iterator(split, env):
+                        if fraction is not None:
+                            block = Batch(block, block.sample_indices(
+                                fraction, seed, "mbatch", split
+                            ))
+                            env.record_cost(block.cost_units())
+                        elem = kernel(block, handle, seed)
+                        count += 1
+                        acc = elem if acc is _EMPTY else reduce(acc, elem)
+                return (None if acc is _EMPTY else acc, count)
 
             return fn
 
         if sync:
             return self.ac.scheduler.run_sync_round(
-                source.num_partitions, make_fn,
+                self.num_partitions, make_fn,
                 lambda value: sizeof_bytes(value[0]),
             )
         return self.ac.scheduler.submit_round(
-            source, make_fn, self.policy, self.granularity
+            self.num_partitions, make_fn, self.policy, self.granularity
         )
 
 
@@ -184,19 +182,18 @@ def _worker_aggregate_factory(
 ) -> Callable[[int, list[int]], Callable[[WorkerEnv], tuple[Any, int]]]:
     def make_fn(worker_id: int, splits: list[int]):
         def fn(env: WorkerEnv) -> tuple[Any, int]:
-            with task_env(env):
-                # Deep-copy the zero per partition (Spark semantics): seq_op
-                # may mutate its accumulator.
-                acc: Any = _EMPTY
-                count = 0
-                for split in splits:
-                    part = copy.deepcopy(zero)
-                    elems = rdd.iterator(split, env)
-                    for elem in elems:
-                        count += 1
-                        part = seq_op(part, elem)
-                    acc = part if acc is _EMPTY else comb_op(acc, part)
-                return (copy.deepcopy(zero) if acc is _EMPTY else acc, count)
+            # Deep-copy the zero per partition (Spark semantics): seq_op
+            # may mutate its accumulator.
+            acc: Any = _EMPTY
+            count = 0
+            for split in splits:
+                part = copy.deepcopy(zero)
+                elems = rdd.iterator(split, env)
+                for elem in elems:
+                    count += 1
+                    part = seq_op(part, elem)
+                acc = part if acc is _EMPTY else comb_op(acc, part)
+            return (copy.deepcopy(zero) if acc is _EMPTY else acc, count)
 
         return fn
 
@@ -219,7 +216,8 @@ def async_reduce(
     """
     policy = find_barrier(rdd) or ac.default_policy
     return ac.scheduler.submit_round(
-        rdd, _worker_reduce_factory(rdd, f), policy, granularity
+        rdd.num_partitions, _worker_reduce_factory(rdd, f), policy,
+        granularity,
     )
 
 
@@ -234,6 +232,7 @@ def async_aggregate(
     """Worker-local aggregate with a neutral zero value (Table 1)."""
     policy = find_barrier(rdd) or ac.default_policy
     return ac.scheduler.submit_round(
-        rdd, _worker_aggregate_factory(rdd, zero, seq_op, comb_op), policy,
+        rdd.num_partitions,
+        _worker_aggregate_factory(rdd, zero, seq_op, comb_op), policy,
         granularity,
     )

@@ -54,13 +54,14 @@ class WorkerStatus:
 
     ``alive`` is the worker's :class:`~repro.cluster.backend.WorkerEnv`
     flag, which only the backend sets; ``available`` is derived from it:
-    alive and holding fewer than ``pipeline_depth`` tasks. The
-    coordinator's three ``note_*`` hooks keep, per task, the in-flight
-    count, the model version the worker has computed with since it was
-    last idle (``computing_version``, ``None`` exactly while
-    ``in_flight`` is 0; so staleness is pessimistic), the last observed
-    staleness and the average task turnaround, assignment to result
-    submission (``avg_completion_ms``, 0.0 before the first completion).
+    alive and holding fewer than ``pipeline_depth`` tasks. The scheduler
+    (``note_assigned``) and the coordinator (``on_result``) keep, per
+    task, the in-flight count, the model version the worker has computed
+    with since it was last idle (``computing_version``, ``None`` exactly
+    while ``in_flight`` is 0; so staleness is pessimistic), the last
+    observed staleness and the average task turnaround, assignment to
+    result submission (``avg_completion_ms``, 0.0 before the first
+    completion).
     """
 
     __slots__ = (
@@ -93,18 +94,12 @@ class WorkerStatus:
     def available(self) -> bool:
         return self.env.alive and self.in_flight < self.pipeline_depth
 
-    # -- coordinator hooks -------------------------------------------------------
+    # -- scheduler / coordinator hooks -------------------------------------------
     def note_assigned(self, version: int) -> None:
         """A task computing at ``version`` was dispatched to this worker."""
         self.in_flight += 1
         if self.computing_version is None:
             self.computing_version = version
-
-    def note_done(self) -> None:
-        """A task of this worker finished (successfully or not)."""
-        self.in_flight = max(self.in_flight - 1, 0)
-        if self.in_flight == 0:
-            self.computing_version = None
 
     def note_completion(self, staleness: int, submitted_ms: float,
                         delivered_ms: float) -> None:

@@ -28,7 +28,6 @@ from repro.errors import SchedulerError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.context import ASYNCContext
-    from repro.engine.rdd import RDD
 
 __all__ = ["AsyncScheduler"]
 
@@ -59,14 +58,17 @@ class AsyncScheduler:
 
     def submit_round(
         self,
-        rdd: "RDD",
+        num_partitions: int,
         make_fn: TaskFactory,
         policy: SchedulingPolicy,
         granularity: str = "worker",
     ) -> list[int]:
         """Wait for the policy, then dispatch to the workers it admits.
 
-        ``granularity`` selects the submission unit:
+        ``make_fn(worker, splits)`` builds the task over ``splits``, some
+        of the ``num_partitions`` partitions of the round's RDD (partition
+        ``p`` lives on worker ``ctx.owner_of(p)``). ``granularity``
+        selects the submission unit:
 
         - ``"worker"`` (default, the paper's model): one task per worker
           covering all of its local partitions, locally reduced before
@@ -105,7 +107,6 @@ class AsyncScheduler:
         # Alive workers holding data, with their partitions in
         # ascending order. Membership (kill/revive) bumps a counter,
         # so the map is cached across rounds.
-        num_partitions = rdd.num_partitions
         cache_key = (num_partitions, backend.members_epoch)
         cached = self._assigned_cache
         if cached is not None and cached[0] == cache_key:
@@ -120,7 +121,7 @@ class AsyncScheduler:
             }
             self._assigned_cache = (cache_key, assigned)
 
-        version = ac.coordinator.version
+        version = stat.current_version
         job_id = ac.ctx.dispatcher.new_job_id()
         targets: list[int] = []
         dataless: list[int] = []
@@ -170,7 +171,7 @@ class AsyncScheduler:
         retries raises :class:`~repro.errors.TaskError`, a stalled round
         :class:`~repro.errors.SchedulerError`.
         """
-        version = self.ac.coordinator.version
+        version = self.ac.stat.current_version
 
         def send(
             split: int, worker: int, job_id: int, then: Continuation
@@ -224,7 +225,7 @@ class AsyncScheduler:
         self.tasks_submitted += 1
         if partition is not None:
             self.partition_tasks_submitted += 1
-        ac.coordinator.on_assigned(worker_id, version)
+        ac.stat.workers[worker_id].note_assigned(version)
         comm = ac.comm
         if comm is not None:
             # Worker-side encode (error-feedback compression of the

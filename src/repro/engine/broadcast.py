@@ -30,23 +30,18 @@ __all__ = ["Broadcast"]
 _MISSING = object()
 
 
-def _freeze(value: Any) -> Any:
-    """Return a read-only view for ndarrays; other values pass through."""
-    if isinstance(value, np.ndarray):
-        view = value.view()
-        view.flags.writeable = False
-        return view
-    return value
-
-
 class Broadcast:
     """Handle to an immutable value replicated on demand to workers."""
 
     def __init__(self, ctx: "ClusterContext", bc_id: int, value: Any):
         self._ctx = ctx
         self.bc_id = bc_id
-        self._value = _freeze(value)
         self.nbytes = sizeof_bytes(value)
+        if isinstance(value, np.ndarray):
+            # Workers read a read-only view; the caller's array is untouched.
+            value = value.view()
+            value.flags.writeable = False
+        self._value = value
 
     def value(self, env: WorkerEnv | None = None) -> Any:
         """Read the broadcast value.

@@ -27,7 +27,6 @@ from repro.engine.dispatch import Continuation, Dispatcher
 from repro.engine.matrix import MatrixRDD
 from repro.engine.rdd import RDD, ParallelCollectionRDD
 from repro.engine.scheduler import run_partitions
-from repro.engine.taskcontext import task_env
 
 __all__ = ["ClusterContext"]
 
@@ -111,8 +110,7 @@ class ClusterContext:
             split: int, worker: int, job_id: int, on_complete: Continuation
         ) -> None:
             def fn(env: WorkerEnv) -> Any:
-                with task_env(env):
-                    return func(split, rdd.iterator(split, env))
+                return func(split, rdd.iterator(split, env))
 
             dispatcher.submit(
                 fn, worker, on_complete=on_complete, job_id=job_id,

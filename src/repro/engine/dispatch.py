@@ -2,10 +2,11 @@
 
 The engine's partition job (``run_job``) and the ASYNCscheduler submit
 work through the dispatcher, which owns the backend's completion callback
-and routes each result to the submitter's continuation. It also keeps the
-metrics log — every task's :class:`~repro.cluster.backend.TaskMetrics`
-row, in completion order — that the wait-time analysis (Figures 4/6,
-Table 3) is computed from.
+and routes each result to the submitter's continuation (carried on the
+task itself, with its job id, so the dispatcher keeps no per-task
+table). It also keeps the metrics log — every task's
+:class:`~repro.cluster.backend.TaskMetrics` row, in completion order —
+that the wait-time analysis (Figures 4/6, Table 3) is computed from.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class Dispatcher:
         self.backend = backend
         self._task_ids = itertools.count()
         self._job_ids = itertools.count()
-        self._continuations: dict[int, tuple[int, Continuation]] = {}
         self.metrics_log: list[TaskMetrics] = []
         self.total_in_bytes = 0
         self.total_out_bytes = 0
@@ -58,15 +58,15 @@ class Dispatcher:
         metrics row, so the metrics log can be sliced per partition.
         """
         task_id = next(self._task_ids)
-        jid = self.new_job_id() if job_id is None else job_id
         task = BackendTask(
             task_id=task_id,
             fn=fn,
             in_bytes=in_bytes,
             partition=partition,
             out_bytes_of=out_bytes_of or sizeof_bytes,
+            job_id=self.new_job_id() if job_id is None else job_id,
+            on_complete=on_complete,
         )
-        self._continuations[task_id] = (jid, on_complete)
         self.backend.submit(task, worker_id)
         return task_id
 
@@ -78,19 +78,15 @@ class Dispatcher:
         metrics: TaskMetrics,
         error: BaseException | None,
     ) -> None:
-        entry = self._continuations.pop(task.task_id, None)
-        if entry is None:
+        cont = task.on_complete
+        if cont is None:
             # A task submitted without a continuation: only its metrics
             # are kept.
             self.metrics_log.append(metrics)
             return
-        job_id, cont = entry
-        metrics.job_id = job_id
+        metrics.job_id = task.job_id
         self.metrics_log.append(metrics)
         self.total_in_bytes += metrics.in_bytes
         self.total_out_bytes += metrics.out_bytes
         self.total_fetch_bytes += metrics.fetch_bytes
         cont(task.task_id, worker_id, value, metrics, error)
-
-    def outstanding(self) -> int:
-        return len(self._continuations)

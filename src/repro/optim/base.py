@@ -207,14 +207,6 @@ class DistributedOptimizer:
         ``(seed, name)`` prefix is hashed once, not every round."""
         return stable_hash_append((self.config.seed, self.name), round_idx)
 
-    def _step_index(self, updates: int) -> int:
-        """Schedule index ``t = ceil(updates / P)`` for async methods: one
-        tick per cluster-wide equivalent of a synchronous iteration, so
-        the async decay keeps the sync variant's cadence (the paper's
-        tuning rule divides the initial step by P but keeps the decay)."""
-        per_pass = max(self.ctx.num_workers, 1)
-        return max(1, -(-updates // per_pass))  # ceil division
-
     def run(self) -> RunResult:
         """Run the rule through the server loop.
 

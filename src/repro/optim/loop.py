@@ -411,6 +411,8 @@ class ServerLoop:
         self.trace = ConvergenceTrace()
         self.updates = self.rounds = self.epoch_rounds_left = 0
         self.max_staleness = self.max_partition_stale = 0
+        #: Applied updates per step-schedule tick: the worker count.
+        self.per_pass = max(opt.ctx.num_workers, 1)
 
         #: The run snapshot this run resumes from, if any.
         self.resumed = full = opt.restore_state
@@ -462,10 +464,10 @@ class ServerLoop:
 
         # Apply at least one result (advancing cluster time), then
         # drain whatever else arrived (Algorithm 2 lines 5-8).
-        if ac.has_next(block=True):
-            self._apply(ac.collect_all(block=True))
-        while ac.has_next(block=False):
-            self._apply(ac.collect_all(block=False))
+        record = ac.next_result(True)
+        while record is not None:
+            self._apply(record)
+            record = ac.next_result(False)
 
     def _apply(self, record: "TaskResultRecord") -> None:
         """One collected result -> at most one model update."""
@@ -474,8 +476,12 @@ class ServerLoop:
         if self.updates >= cfg.max_updates:
             return  # budget exhausted; drop late results
         t = self.updates + 1
+        # The async schedule index is ceil(t / P): one tick per
+        # cluster-wide equivalent of a synchronous iteration, so the
+        # async decay keeps the sync variant's cadence (the paper's
+        # tuning rule divides the initial step by P but keeps the decay).
         alpha = (
-            opt.step.alpha(opt._step_index(t), record.staleness)
+            opt.step.alpha(-(-t // self.per_pass), record.staleness)
             if rule.needs_alpha else None
         )
         w = rule.apply(self.w, record, alpha)

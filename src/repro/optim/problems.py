@@ -139,7 +139,9 @@ class Problem(ABC):
         ``lam/n`` of it) so that mini-batch estimates stay unbiased.
         """
         if not self.lam:
-            return np.zeros_like(w)
+            # ``zeros_like`` is four calls into NumPy's Python layer;
+            # this is one, with the same values.
+            return np.zeros(w.shape, w.dtype)
         return self.lam * count * w
 
     @abstractmethod

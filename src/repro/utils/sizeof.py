@@ -36,13 +36,19 @@ def sizeof_bytes(obj: Any) -> int:
         return _OBJ_OVERHEAD
     if kind is tuple:
         total = _OBJ_OVERHEAD
-        for item in obj:
-            # The same two exact-type cases, inline: no call per leaf.
+        # The same two exact-type cases, inline, and nested tuples
+        # spliced into the walk (``items += item``): no call per leaf
+        # or per level.
+        items = [*obj]
+        for item in items:
             item_kind = type(item)
             if item_kind is np.ndarray:
                 total += _OBJ_OVERHEAD + item.nbytes
             elif item_kind is int or item_kind is float:
                 total += _OBJ_OVERHEAD
+            elif item_kind is tuple:
+                total += _OBJ_OVERHEAD
+                items += item
             else:
                 total += sizeof_bytes(item)
         return total

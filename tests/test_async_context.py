@@ -241,6 +241,65 @@ def test_every_task_is_collected_exactly_once(order):
     assert all(r.value == 8 for r in records)
 
 
+# -- next_result: the one collect call ------------------------------------------
+
+def test_next_result_pops_fifo_then_none(ctx):
+    """Non-blocking, it pops the queue in arrival order (what the
+    coordinator queued) and returns ``None`` once it is empty."""
+    ac = ASYNCContext(ctx)
+    assert ac.next_result() is None
+    submit_square_round(ac, ctx.parallelize(range(8), 4))
+    assert ac.next_result() is None  # in flight, nothing queued yet
+    ac.wait_all()
+    queued = [r.task_id for r in ac.coordinator.results]
+    assert len(queued) == 4
+    got = []
+    while (rec := ac.next_result(block=False)) is not None:
+        got.append(rec.task_id)
+    assert got == queued
+    assert ac.collected == 4 and ac.next_result() is None
+
+
+def test_next_result_blocks_until_a_result_or_nothing_in_flight(ctx):
+    """Blocking, it advances cluster time until a result arrives, and
+    returns ``None`` (without stepping) once nothing is in flight."""
+    ac = ASYNCContext(ctx)
+    assert ac.next_result(block=True) is None
+    submit_square_round(ac, ctx.parallelize(range(8), 4))
+    first = ac.next_result(block=True)
+    assert first is not None and ctx.now() == first.delivered_ms
+    assert ac.in_flight == 4 - 1 - len(ac.coordinator.results)
+    rest = []
+    while (rec := ac.next_result(block=True)) is not None:
+        rest.append(rec)
+    assert len(rest) == 3 and ac.in_flight == 0
+    assert [r.delivered_ms for r in [first, *rest]] == sorted(
+        r.delivered_ms for r in [first, *rest]
+    )
+    ctx.backend.queue.push(ctx.now() + 5.0, lambda: None)  # not a task
+    assert ac.next_result(block=True) is None
+    assert len(ctx.backend.queue) == 1  # nothing in flight: no step
+
+
+def test_next_result_raises_a_task_error_ahead_of_queued_results(ctx):
+    """A failed task's error comes out first, even behind results that
+    arrived before it; the queued results follow, in order."""
+    ac = ASYNCContext(ctx)
+    submit_square_round(ac, ctx.parallelize(range(8), 4))
+    ac.wait_all()
+    queued = [r.task_id for r in ac.coordinator.results]
+
+    def bad(x):
+        raise RuntimeError("kernel failure")
+
+    ctx.parallelize(range(2), 1).map(bad).async_reduce(lambda a, b: a + b, ac)
+    ac.wait_all()
+    assert len(ac.coordinator.results) == 4 and len(ac.coordinator.errors) == 1
+    with pytest.raises(TaskError, match="kernel failure"):
+        ac.next_result(block=True)
+    assert [r.task_id for r in iter(ac.next_result, None)] == queued
+
+
 def test_version_property(ctx):
     ac = ASYNCContext(ctx)
     assert ac.version == 0

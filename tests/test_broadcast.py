@@ -13,10 +13,11 @@ def test_worker_first_read_records_fetch(ctx):
     bc = ctx.broadcast(np.zeros(1000))
     env = ctx.backend.worker_env(0)
     bc.value(env)
-    assert env.consume_fetch_bytes() >= 8000
+    assert env.pending_fetch_bytes >= 8000
     # Second read: cache hit, no fetch.
+    fetched = env.pending_fetch_bytes
     bc.value(env)
-    assert env.consume_fetch_bytes() == 0
+    assert env.pending_fetch_bytes == fetched
 
 
 def test_each_worker_fetches_once(ctx):
@@ -24,7 +25,7 @@ def test_each_worker_fetches_once(ctx):
     for w in range(ctx.num_workers):
         env = ctx.backend.worker_env(w)
         bc.value(env)
-        assert env.consume_fetch_bytes() > 0
+        assert env.pending_fetch_bytes > 0
 
 
 def test_broadcast_value_readonly_ndarray(ctx):

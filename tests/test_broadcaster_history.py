@@ -36,9 +36,10 @@ def test_worker_first_read_fetches_then_caches(ctx, bcaster):
     h = bcaster.broadcast(np.zeros(1000))
     env = ctx.backend.worker_env(0)
     h.value(env)
-    assert env.consume_fetch_bytes() >= 8000
+    fetched = env.pending_fetch_bytes
+    assert fetched >= 8000
     h.value(env)
-    assert env.consume_fetch_bytes() == 0  # cached
+    assert env.pending_fetch_bytes == fetched  # cached
 
 
 def test_history_read_free_if_seen_before(ctx, bcaster):
@@ -47,14 +48,13 @@ def test_history_read_free_if_seen_before(ctx, bcaster):
     env = ctx.backend.worker_env(0)
     h0 = bcaster.broadcast(np.zeros(500))
     h0.value(env)
-    env.consume_fetch_bytes()
     h1 = bcaster.broadcast(np.ones(500))
     h1.value(env)
-    env.consume_fetch_bytes()
+    fetched = env.pending_fetch_bytes
     # Re-reading version 0 through the new handle: cache hit, zero bytes.
     old = h1.value_at(0, env)
     assert np.array_equal(old, np.zeros(500))
-    assert env.consume_fetch_bytes() == 0
+    assert env.pending_fetch_bytes == fetched
 
 
 def test_history_miss_fetches_from_server(ctx, bcaster):
@@ -63,16 +63,16 @@ def test_history_miss_fetches_from_server(ctx, bcaster):
     h1 = bcaster.broadcast(np.ones(500))
     # Worker never saw version 0; reading it is a charged miss.
     h1.value_at(0, env)
-    assert env.consume_fetch_bytes() >= 4000
+    assert env.pending_fetch_bytes >= 4000
 
 
 def test_caches_are_per_worker(ctx, bcaster):
     h = bcaster.broadcast(np.zeros(100))
     e0, e1 = ctx.backend.worker_env(0), ctx.backend.worker_env(1)
     h.value(e0)
-    assert e0.consume_fetch_bytes() > 0
+    assert e0.pending_fetch_bytes > 0
     h.value(e1)
-    assert e1.consume_fetch_bytes() > 0  # each worker pays once
+    assert e1.pending_fetch_bytes > 0  # each worker pays once
 
 
 def test_values_are_frozen_ndarrays(ctx, bcaster):
@@ -123,9 +123,9 @@ def test_worker_loss_invalidates_cache_but_server_recovers(ctx, bcaster):
     env = ctx.backend.worker_env(0)
     h = bcaster.broadcast(np.arange(8.0))
     h.value(env)
-    env.consume_fetch_bytes()
-    ctx.backend.kill_worker(0)
+    ctx.backend.kill_worker(0)  # drops the cache and the pending fetch
     ctx.backend.revive_worker(0)
+    assert env.pending_fetch_bytes == 0
     got = h.value(env)  # refetch from server store
     assert np.array_equal(got, np.arange(8.0))
-    assert env.consume_fetch_bytes() > 0
+    assert env.pending_fetch_bytes > 0

@@ -75,10 +75,10 @@ def test_coordinator_invariants_hold(seq, depth):
 
     for kind, arg in seq:
         if kind == "assign" and arg not in dead:
-            coord.on_assigned(arg, coord.version)
-            inflight.append((next_task, arg, coord.version, False))
+            stat[arg].note_assigned(stat.current_version)
+            inflight.append((next_task, arg, stat.current_version, False))
             if busy_since[arg] is None:
-                busy_since[arg] = coord.version
+                busy_since[arg] = stat.current_version
             next_task += 1
         elif kind == "complete" and inflight:
             task_id, worker, version, doomed = inflight.pop(
@@ -102,7 +102,7 @@ def test_coordinator_invariants_hold(seq, depth):
             stat[arg].env.alive = True
             dead.discard(arg)
         elif kind == "update":
-            coord.model_updated()
+            stat.current_version += 1
 
         # --- invariants ---
         # A loss is counted, never raised or queued as a result.
@@ -156,13 +156,13 @@ def test_staleness_always_consumption_time(versions, updates):
     """Staleness of a popped record reflects the version gap at *pop*."""
     stat = stat_table(1)
     coord = Coordinator(stat)
-    coord.model_updated(max(versions))
-    base = coord.version
+    stat.current_version += max(versions)
+    base = stat.current_version
     for i, v in enumerate(versions):
-        coord.on_assigned(0, base)
+        stat[0].note_assigned(base)
         coord.on_result(i, 0, "x", _metrics(i, 0), None,
                         version=base, batch_size=1)
-    coord.model_updated(updates)
+    stat.current_version += updates
     for _ in versions:
         rec = coord.pop_result()
         assert rec.staleness == updates

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from repro.api.runner import run_experiment
+from repro.cluster.backend import TASK_ENV
 from repro.cluster.simbackend import SimBackend
 from repro.engine.dispatch import Dispatcher
-from repro.engine.taskcontext import (
-    current_env,
-    record_cost,
-    task_env,
-)
+from repro.engine.taskcontext import current_env, record_cost
 from repro.errors import ApiError
 
 
@@ -33,7 +30,6 @@ def test_continuations_routed_per_task(setup):
     disp.submit(lambda env: "b", 1, on_complete=make_cont("B"))
     backend.drain()
     assert got == {"A": ("a", None), "B": ("b", None)}
-    assert disp.outstanding() == 0
 
 
 def test_job_ids_assigned_and_logged(setup):
@@ -79,32 +75,67 @@ def test_current_env_outside_task_is_none():
 
 
 def test_task_env_binds_and_restores(setup):
-    backend, _ = setup
+    """The backend binds a task body's own env: ``current_env()`` and
+    ``record_cost`` reach it, and what the body reported lands in its
+    metrics row and is zeroed for the worker's next task."""
+    backend, disp = setup
     env = backend.worker_env(0)
-    with task_env(env):
-        assert current_env() is env
+    seen = []
+
+    def body(e):
+        seen.append(current_env() is e is env)
         record_cost(3.0)
-        env.record_fetch(64)
+        e.record_fetch(64)
+
+    disp.submit(body, 0, on_complete=lambda *a: None)
+    backend.drain()
+    assert seen == [True]
     assert current_env() is None
-    assert env.consume_cost_units() == 3.0
-    assert env.consume_fetch_bytes() == 64
+    (row,) = disp.metrics_log
+    net = backend.network
+    assert row.fetch_bytes == 64
+    assert row.compute_ms == (
+        backend.cost_model.compute_ms(3.0)
+        + net.transfer_ms(64) + net.latency_ms
+    )
+    assert env.pending_cost_units == 0.0 and env.pending_fetch_bytes == 0
 
 
 def test_task_env_nesting(setup):
-    backend, _ = setup
+    """A body sees its own worker's env, whatever is bound around the
+    event loop, and the outer binding is back once the body returns."""
+    backend, disp = setup
     e0, e1 = backend.worker_env(0), backend.worker_env(1)
-    with task_env(e0):
-        with task_env(e1):
-            assert current_env() is e1
+    seen = []
+    token = TASK_ENV.set(e0)
+    try:
+        disp.submit(lambda e: seen.append(current_env()), 1,
+                    on_complete=lambda *a: None)
+        backend.drain()
+        assert seen == [e1]
         assert current_env() is e0
+    finally:
+        TASK_ENV.reset(token)
+    assert current_env() is None
 
 
 def test_task_env_restored_on_exception(setup):
-    backend, _ = setup
-    env = backend.worker_env(0)
-    with pytest.raises(RuntimeError):
-        with task_env(env):
-            raise RuntimeError("boom")
+    backend, disp = setup
+    outer = backend.worker_env(1)
+    errors = []
+
+    def boom(env):
+        assert current_env() is env
+        raise RuntimeError("boom")
+
+    token = TASK_ENV.set(outer)
+    try:
+        disp.submit(boom, 0, on_complete=lambda *a: errors.append(a[4]))
+        backend.drain()
+        assert current_env() is outer
+    finally:
+        TASK_ENV.reset(token)
+    assert [type(e) for e in errors] == [RuntimeError]
     assert current_env() is None
 
 

@@ -128,17 +128,34 @@ def test_resolve_spellings():
             resolve_fault_plan(gone, num_workers=3, seed=1)
 
 
+def _random_kill(kills, **kw):
+    return {"name": "random_kill", "kills": kills, "horizon_ms": 1000.0, **kw}
+
+
 def test_random_kill_is_seeded_and_capped():
-    a = resolve_fault_plan("random_kill:2", num_workers=4, seed=3)
-    b = resolve_fault_plan("random_kill:2", num_workers=4, seed=3)
+    a = resolve_fault_plan(_random_kill(2), num_workers=4, seed=3)
+    b = resolve_fault_plan(_random_kill(2), num_workers=4, seed=3)
     assert a == b and len(a) == 2                           # deterministic
-    c = resolve_fault_plan("random_kill:2", num_workers=4, seed=4)
+    assert all(0 < e.time_ms <= 1000.0 for e in a)
+    c = resolve_fault_plan(_random_kill(2), num_workers=4, seed=4)
     assert c != a                                           # seed matters
     # Never kills the whole cluster: kills are capped at P - 1.
-    capped = resolve_fault_plan("random_kill:9", num_workers=2, seed=0)
+    capped = resolve_fault_plan(_random_kill(9), num_workers=2, seed=0)
     assert len(capped) == 1
     with pytest.raises(FaultPlanError, match="num_workers"):
-        resolve_fault_plan("random_kill:1")
+        resolve_fault_plan(_random_kill(1))
+
+
+@pytest.mark.parametrize("spec", [
+    "random_kill:2", {"name": "random_kill", "kills": 2},
+])
+def test_random_kill_needs_an_explicit_horizon(spec):
+    """No default window: one that outlasts the run draws kills that
+    never fire, so a missing ``horizon_ms`` is an error naming it."""
+    with pytest.raises(FaultPlanError, match="horizon_ms"):
+        resolve_fault_plan(spec, num_workers=4, seed=0)
+    with pytest.raises(FaultPlanError, match="horizon_ms"):
+        run_experiment({**SPEC, "fault_plan": spec})
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +343,46 @@ def test_unfired_events_do_not_outlive_their_run():
         at = ctx.now() + 2 * (ctx.now() - start)
         planned = run(10, parse_fault_plan(f"kill:w1@{at}ms"))
         assert ctx.now() < at
-        assert planned.extras["faults"] == []
+        assert planned.extras["fault_events"] == 0
+        assert [row["status"] for row in planned.extras["faults"]] == [
+            f"not fired (run ended at {planned.elapsed_ms:g} ms)"
+        ]
         second = run(40)
         assert ctx.now() > at  # the second run passed the kill's time...
         assert ctx.backend.worker_env(1).alive  # ...and the kill never fired
         assert second.extras["lost_tasks"] == 0
+
+
+def test_every_unfired_event_is_logged_with_the_run_end(tmp_path, capsys):
+    """A plan whose events all fall after the run's end injects nothing
+    and says so: one log row per event, none counted as fired or
+    suppressed, and the CLI prints each row."""
+    from repro.__main__ import main
+
+    spec = {**SPEC, "max_updates": 20,
+            "fault_plan": _random_kill(2, horizon_ms=1e6)}
+    result = run_experiment(spec)
+    assert result.extras["fault_events"] == 0
+    assert result.extras["fault_events_suppressed"] == 0
+    plan = resolve_fault_plan(spec["fault_plan"], num_workers=4, seed=3)
+    status = f"not fired (run ended at {result.elapsed_ms:g} ms)"
+    assert result.extras["faults"] == [
+        {"event": e.describe(), "applied_at_ms": None, "status": status}
+        for e in plan
+    ]
+    # A partly fired plan logs the fired event, then the unfired one.
+    mixed = run_experiment({**spec, "fault_plan": "kill:w1@2ms,kill:w2@1e6ms"})
+    assert [row["status"] for row in mixed.extras["faults"]] == [
+        "applied", f"not fired (run ended at {mixed.elapsed_ms:g} ms)"
+    ]
+    assert mixed.extras["fault_events"] == 1
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path)]) == 0
+    printed = capsys.readouterr().out
+    for e in plan:
+        assert f"fault {e.describe()}: {status}" in printed
 
 
 @pytest.mark.parametrize("revive_ms", [5.001, 8.0])

@@ -35,11 +35,11 @@ def test_broadcast_refetched_on_new_worker(ctx):
     bc = ctx.broadcast(np.arange(5.0))
     env0 = ctx.backend.worker_env(0)
     bc.value(env0)
-    env0.consume_fetch_bytes()
-    ctx.backend.kill_worker(0)
+    ctx.backend.kill_worker(0)  # drops the cache and the pending fetch
     ctx.backend.revive_worker(0)
+    assert env0.pending_fetch_bytes == 0
     bc.value(env0)
-    assert env0.consume_fetch_bytes() > 0  # cache was wiped -> refetch
+    assert env0.pending_fetch_bytes > 0  # cache was wiped -> refetch
 
 
 def test_kill_at_schedules_future_failure(ctx):

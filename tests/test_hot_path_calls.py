@@ -1,0 +1,59 @@
+"""A ratchet on the interpreter work of one asynchronous update.
+
+Under ASP every applied update is one task's round trip (publish,
+dispatch, arrival, task body, delivery, collect, apply), so the engine's
+per-task plumbing is the method's per-update overhead. This counts the
+Python calls a small ASGD run makes per applied update, only in code
+under ``src/repro`` (no builtin or NumPy frames) and not counting list,
+dict and set comprehensions (Python 3.12 runs them inline, 3.11 as
+calls), so the count is the same on every supported Python and NumPy.
+"""
+
+import cProfile
+import types
+from pathlib import Path
+
+import repro
+from repro.api.runner import prepare_experiment
+
+SPEC = {
+    "algorithm": "asgd", "dataset": "synth_logistic", "problem": "logistic",
+    "num_workers": 8, "num_partitions": 8, "policy": "asp",
+    "max_updates": 300, "eval_every": 300, "seed": 0,
+}
+
+#: Calls into ``src/repro`` per applied update. It may only go down: a
+#: change that needs more is a measured regression on the per-update
+#: path, not a new ceiling. (A reused gather buffer once cost 20 more.)
+CEILING = 73.66
+
+PACKAGE = str(Path(repro.__file__).resolve().parent)
+INLINED = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+
+
+def repro_calls_per_update(spec: dict) -> float:
+    prep = prepare_experiment(spec)
+    with prep.make_context() as ctx:
+        prep.run_in(ctx)  # warm one-time caches (batch-key hash states)
+    with prep.make_context() as ctx:
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            result = prep.run_in(ctx)
+        finally:
+            profiler.disable()
+    calls = sum(
+        entry.callcount for entry in profiler.getstats()
+        if isinstance(entry.code, types.CodeType)
+        and entry.code.co_name not in INLINED
+        and str(Path(entry.code.co_filename).resolve()).startswith(PACKAGE)
+    )
+    assert result.updates == spec["max_updates"]
+    return calls / result.updates
+
+
+def test_calls_per_update_stay_under_the_ceiling():
+    per_update = repro_calls_per_update(SPEC)
+    assert per_update <= CEILING, (
+        f"{per_update:.2f} calls into src/repro per update > {CEILING}"
+    )

@@ -16,23 +16,23 @@ def test_depth_validated(ctx):
 
 def test_depth1_worker_busy_after_one_assignment():
     c = Coordinator(stat_table(2, pipeline_depth=1))
-    c.on_assigned(0, version=0)
+    c.stat[0].note_assigned(0)
     assert not c.stat[0].available
 
 
 def test_depth2_worker_available_until_two_inflight():
     c = Coordinator(stat_table(2, pipeline_depth=2))
-    c.on_assigned(0, version=0)
+    c.stat[0].note_assigned(0)
     assert c.stat[0].available
-    c.on_assigned(0, version=1)
+    c.stat[0].note_assigned(1)
     assert not c.stat[0].available
 
 
 def test_oldest_version_drives_staleness():
     c = Coordinator(stat_table(1, pipeline_depth=2))
-    c.on_assigned(0, version=0)
-    c.on_assigned(0, version=3)
-    c.model_updated(5)
+    c.stat[0].note_assigned(0)
+    c.stat[0].note_assigned(3)
+    c.stat.current_version += 5
     # Pessimistic: staleness measured against the oldest in-flight task.
     assert c.stat.max_staleness == 5
 
@@ -41,8 +41,8 @@ def test_available_worker_holding_a_task_counts_for_ssp():
     """At depth 2 a worker holding one task is still available; its task
     is stale all the same, so SSP must hold the round."""
     c = Coordinator(stat_table(1, pipeline_depth=2))
-    c.on_assigned(0, version=0)
-    c.model_updated(5)
+    c.stat[0].note_assigned(0)
+    c.stat.current_version += 5
     assert c.stat[0].available
     assert c.stat.max_staleness == 5
     assert not SSP(1).ready(c.stat)

@@ -19,7 +19,7 @@ from repro.core.policies import (
     resolve_policy,
 )
 from repro.errors import ApiError, ReproError, SchedulerError
-from stat_rows import make_stat
+from stat_rows import complete, make_stat
 
 
 # -- protocol defaults ---------------------------------------------------------------
@@ -49,9 +49,7 @@ def _dispatched(ctx, policy, granularity, busy=()):
         sent.append((worker, list(splits)))
         return lambda env: (None, 0)
 
-    ac.scheduler.submit_round(
-        ctx.parallelize(range(8), 8), make_fn, policy, granularity
-    )
+    ac.scheduler.submit_round(8, make_fn, policy, granularity)
     return sent
 
 
@@ -96,11 +94,9 @@ def test_dispatch_to_nobody_on_an_idle_cluster_stalls_loudly(ctx):
 
 
 def _completion_history(stat, worker, times):
-    row = stat[worker]
     for ms in times:
-        row.note_assigned(stat.current_version)
-        row.note_done()
-        row.note_completion(0, 0.0, ms)
+        stat[worker].note_assigned(stat.current_version)
+        complete(stat, worker, ms)
 
 
 # -- grammar / coercion -------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.cluster.backend import WorkerEnv
 from repro.core.stat import StatTable
-from stat_rows import kill, stat_table
+from stat_rows import complete, kill, stat_table
 
 
 def test_initial_state_all_available():
@@ -49,7 +49,7 @@ def test_max_staleness_counts_inflight_only():
     stat[0].note_assigned(4)   # 6 stale
     stat[1].note_assigned(9)   # 1 stale
     assert stat.max_staleness == 6
-    stat[0].note_done()  # idle rows do not count
+    complete(stat, 0)  # idle rows do not count
     assert stat.max_staleness == 1
 
 

@@ -82,7 +82,6 @@ from repro.optim.problems import (
 from repro.optim.stepsize import (
     ConstantStep,
     InvSqrtDecay,
-    PolyDecay,
     StalenessScaled,
 )
 from repro.optim.loop import BulkSynchronous, ServerLoop, UpdateRule
@@ -119,7 +118,6 @@ __all__ = [
     "LogisticRegressionProblem",
     "ConstantStep",
     "InvSqrtDecay",
-    "PolyDecay",
     "StalenessScaled",
     "OptimizerConfig",
     "RunResult",

@@ -86,45 +86,6 @@ def _print_summary(summary: dict, prefix: str = "") -> None:
     )
 
 
-def _write_profile_json(stats, path: str, top_n: int = 25) -> None:
-    """Dump the profile's top functions as machine-readable JSON.
-
-    Two rankings — cumulative time (where a run's time goes, including
-    callees) and total time (which bodies are hot themselves) — each as
-    ``{file, line, function, calls, tottime_s, cumtime_s}`` rows, so a
-    regression in the engine's hot path diffs as JSON instead of a
-    pstats text dump.
-    """
-    import json
-
-    def rows(sort_key):
-        entries = sorted(
-            stats.stats.items(),
-            key=lambda item: sort_key(item[1]),
-            reverse=True,
-        )[:top_n]
-        return [
-            {
-                "file": func[0],
-                "line": func[1],
-                "function": func[2],
-                "calls": nc,
-                "tottime_s": tt,
-                "cumtime_s": ct,
-            }
-            for func, (cc, nc, tt, ct, callers) in entries
-        ]
-
-    record = {
-        "total_calls": stats.total_calls,
-        "total_time_s": stats.total_tt,
-        "top_cumulative": rows(lambda row: row[3]),
-        "top_tottime": rows(lambda row: row[2]),
-    }
-    with open(path, "w") as f:
-        json.dump(record, f, indent=2)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api.runner import prepare_experiment, summarize
 
@@ -152,28 +113,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"snapshotting to {spec.snapshot_path} every "
             f"{spec.snapshot_every} update(s)"
         )
-    if args.profile is not None or args.profile_json is not None:
-        # Profile only the engine (prepare/summarize stay outside): the
-        # stats then answer "where does a run spend its time".
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            result = prep.execute()
-        finally:
-            profiler.disable()
-        stats = pstats.Stats(profiler)
-        stats.sort_stats("cumulative").print_stats(25)
-        if args.profile:
-            stats.dump_stats(args.profile)
-            print(f"profile stats written to {args.profile}")
-        if args.profile_json is not None:
-            _write_profile_json(stats, args.profile_json)
-            print(f"profile summary written to {args.profile_json}")
-    else:
-        result = prep.execute()
+    result = prep.execute()
     summary = summarize(prep, result)
     _print_summary(summary)
     for key, value in sorted(summary["extras"].items()):
@@ -442,8 +382,9 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", help="write the JSON summary here")
     p_run.add_argument(
         "--snapshot", metavar="PATH",
-        help="atomically rewrite this file with the full run state every "
-             "--snapshot-every updates",
+        help="write the full run state here every --snapshot-every "
+             "updates: two CRC-checked slots, the older one overwritten "
+             "in place and fdatasync'd",
     )
     p_run.add_argument(
         "--snapshot-every", type=int, default=None, metavar="N",
@@ -454,18 +395,6 @@ def main(argv: list[str] | None = None) -> int:
         "--restore", metavar="PATH",
         help="resume from a run snapshot: the continued trajectory is "
              "bit-identical to the uninterrupted run",
-    )
-    p_run.add_argument(
-        "--profile", nargs="?", const="", default=None, metavar="PATH",
-        help="run under cProfile and print the top functions by "
-             "cumulative time; with PATH, also dump the raw stats there "
-             "for pstats/snakeviz",
-    )
-    p_run.add_argument(
-        "--profile-json", default=None, metavar="PATH",
-        help="profile the run and write the top functions by cumulative "
-             "and total time as JSON (implies profiling even without "
-             "--profile)",
     )
     p_run.set_defaults(fn=_cmd_run)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Mapping
 
@@ -49,6 +50,11 @@ RETIRED_DEFAULTS = {
 #: ``barrier`` was the first spelling of ``policy``; its value moves to
 #: that field.
 LEGACY_FIELDS = frozenset({"fuse" "_tasks", "barrier", *RETIRED_DEFAULTS})
+
+#: Count fields: each must be an integer (``bool`` is not one), checked
+#: once when the spec is built; ``num_partitions`` may also be ``None``.
+INTEGER_FIELDS = ("num_workers", "num_partitions", "max_updates",
+                  "eval_every", "seed", "pipeline_depth", "snapshot_every")
 
 
 @dataclass(frozen=True)
@@ -98,9 +104,10 @@ class ExperimentSpec:
     cost: dict | None = None
     #: ``NetworkModel`` kwargs, or ``None`` for the backend default.
     network: dict | None = None
-    #: Mid-run crash-recovery snapshots (async only): every N applied
-    #: updates the server loop atomically rewrites ``snapshot_path``
-    #: with its full run snapshot. 0 disables; set both together.
+    #: Mid-run crash-recovery snapshots: every N applied updates the
+    #: server loop writes its full run snapshot to ``snapshot_path``, one
+    #: of two CRC-checked slots overwritten in place and ``fdatasync``'d
+    #: (:mod:`repro.core.snapshots`). 0 disables; set both together.
     snapshot_every: int = 0
     snapshot_path: str | None = None
     #: Path to a run snapshot to resume from (``ServerLoop`` restores
@@ -117,6 +124,26 @@ class ExperimentSpec:
     #: ``delta`` key turns on delta broadcasting against HIST
     #: watermarks). ``None`` -> no comm subsystem (pre-COMM byte paths).
     compressor: Any = None
+
+    def __post_init__(self) -> None:
+        for name in INTEGER_FIELDS:
+            value = self.__dict__[name]
+            # A plain int passes without a call: a sweep builds specs per
+            # cell, inside what the benchmark counts.
+            if value.__class__ is int or (
+                value is None and name == "num_partitions"
+            ):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ApiError(
+                    f"bad run parameters: ExperimentSpec field {name!r} "
+                    f"must be an integer, got {value!r}"
+                )
+        if self.num_partitions is not None and self.num_partitions < 1:
+            raise ApiError(
+                "bad run parameters: ExperimentSpec field 'num_partitions' "
+                f"must be None or >= 1, got {self.num_partitions!r}"
+            )
 
     # -- serialization -----------------------------------------------------------------
     def to_dict(self) -> dict:

@@ -109,11 +109,6 @@ class SimBackend:
     def worker_ids(self) -> range:
         return range(self.num_workers)
 
-    # -- introspection -------------------------------------------------------
-    def pending_count(self) -> int:
-        """Number of submitted tasks whose results are not yet delivered."""
-        return self._pending
-
     # -- submission ----------------------------------------------------------
     def submit(self, task: BackendTask, worker_id: int) -> None:
         """Queue ``task`` for execution on ``worker_id`` (non-blocking)."""

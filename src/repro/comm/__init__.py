@@ -23,7 +23,7 @@ from repro.comm.compressors import (
     TopKCompressor,
     parse_compressor,
 )
-from repro.comm.frames import decode_frame, encode_frame, frame_bytes, is_frame
+from repro.comm.frames import decode_frame, encode_frame, frame_bytes
 from repro.comm.ledger import CommLedger
 from repro.comm.manager import CommManager
 
@@ -41,5 +41,4 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "frame_bytes",
-    "is_frame",
 ]

@@ -53,10 +53,6 @@ class EncodedPayload:
         self.raw_bytes = int(raw_bytes)
         self.wire_bytes = int(wire_bytes)
 
-    @property
-    def ratio(self) -> float:
-        return self.raw_bytes / max(self.wire_bytes, 1)
-
 
 class _Encoding:
     """One encode's running state: leaf numbering and both byte sums.

@@ -21,7 +21,7 @@ from typing import Any
 from repro.errors import ProtocolError
 
 __all__ = ["FRAME_KEY", "MAX_MESSAGE_BYTES", "encode_frame", "decode_frame",
-           "is_frame", "frame_bytes"]
+           "frame_bytes"]
 
 FRAME_KEY = "__comm_frame__"
 _ENCODING = "zjson"
@@ -43,10 +43,6 @@ def encode_frame(payload: Any, *, level: int = 6) -> dict:
         "raw_bytes": len(raw),
         "wire_bytes": len(wire),
     }
-
-
-def is_frame(obj: Any) -> bool:
-    return isinstance(obj, dict) and obj.get(FRAME_KEY) == _ENCODING
 
 
 def _checked_frame(obj: Any) -> dict | None:

@@ -13,9 +13,10 @@ exactly mirroring Section 4 of the paper:
   assigns tasks to available workers under a barrier-control policy.
 
 :class:`~repro.core.context.ASYNCContext` ("AC") is the entry point tying
-them together, with the API of Table 1: ``async_reduce``,
-``async_aggregate``, ``async_barrier``, ``collect``, ``collect_all``,
-``has_next``, ``async_broadcast`` and ``STAT``.
+them together. The API of Table 1 is the RDD verbs ``rdd.async_reduce``,
+``rdd.async_aggregate`` and ``rdd.async_barrier`` plus the context's
+``collect``, ``collect_all``, ``has_next``, ``async_broadcast`` and
+``stat``.
 """
 
 from repro.core.broadcaster import AsyncBroadcaster, HistoryBroadcast

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro.cluster.backend import WorkerEnv
 from repro.core.history import HistoryChannel, HistoryStore, RetentionPolicy
-from repro.errors import BroadcastError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import ClusterContext
@@ -50,10 +49,6 @@ class HistoryBroadcast:
         #: The run's :class:`~repro.comm.manager.CommManager`; ``None``
         #: keeps the original full-value fetch path untouched.
         self.comm = comm
-
-    @property
-    def nbytes(self) -> int:
-        return self.channel.nbytes(self.version)
 
     def _resolve(self, version: int, env: WorkerEnv | None) -> Any:
         if env is None:
@@ -137,13 +132,4 @@ class AsyncBroadcaster:
             floor = self.comm.prune_floor(ch.name)
             if floor is not None:
                 ch.prune_below(floor)
-        return HistoryBroadcast(ch, version, comm=self.comm)
-
-    def handle(self, channel: str, version: int) -> HistoryBroadcast:
-        """Re-materialize a handle for an existing version."""
-        ch = self.channel(channel)
-        if version not in ch:
-            raise BroadcastError(
-                f"channel '{channel}' has no version {version}"
-            )
         return HistoryBroadcast(ch, version, comm=self.comm)

@@ -8,7 +8,7 @@ paper's API (Table 1):
 Paper                   Here
 ======================  =====================================================
 ``new ASYNCcontext``    ``ac = ASYNCContext(sc)``
-``ASYNCreduce(f, AC)``  ``rdd.async_reduce(f, ac)`` / ``ac.async_reduce(rdd, f, granularity=...)``
+``ASYNCreduce(f, AC)``  ``rdd.async_reduce(f, ac)``
 ``ASYNCaggregate``      ``rdd.async_aggregate(zero, seq_op, comb_op, ac)``
 ``ASYNCbarrier(f, S)``  ``rdd.async_barrier(policy_or_predicate, ac.stat)``
 ``AC.ASYNCcollect()``   ``ac.collect()``
@@ -36,7 +36,7 @@ worker killed or revived through ``ctx.backend.kill_worker`` /
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.core.broadcaster import AsyncBroadcaster, HistoryBroadcast
 from repro.core.coordinator import Coordinator
@@ -47,9 +47,6 @@ from repro.core.scheduler import AsyncScheduler
 from repro.core.stat import StatTable
 from repro.engine.context import ClusterContext
 from repro.errors import AsyncContextError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.rdd import RDD
 
 __all__ = ["ASYNCContext"]
 
@@ -161,40 +158,6 @@ class ASYNCContext:
     def wait_all(self) -> None:
         """Advance until no submitted task remains in flight."""
         self.ctx.backend.run_until(lambda: self.scheduler.in_flight == 0)
-
-    # -- submission -------------------------------------------------------------------
-    def async_reduce(
-        self,
-        rdd: "RDD",
-        f: Callable[[Any, Any], Any],
-        granularity: str = "worker",
-    ) -> list[int]:
-        """Submit one asynchronous reduction round over ``rdd``.
-
-        The context-first spelling of ``rdd.async_reduce(f, ac)``.
-        ``granularity="worker"`` (default, the paper's model) locally
-        reduces each worker's partitions into a single result;
-        ``granularity="partition"`` submits one task per partition —
-        every result record carries its partition id
-        (``record.partition``); STAT stays one row per worker. Returns
-        the workers that received tasks.
-        """
-        from repro.core.ops import async_reduce
-
-        return async_reduce(rdd, f, self, granularity)
-
-    def async_aggregate(
-        self,
-        rdd: "RDD",
-        zero: Any,
-        seq_op: Callable[[Any, Any], Any],
-        comb_op: Callable[[Any, Any], Any],
-        granularity: str = "worker",
-    ) -> list[int]:
-        """Submit one asynchronous aggregation round over ``rdd``."""
-        from repro.core.ops import async_aggregate
-
-        return async_aggregate(rdd, zero, seq_op, comb_op, self, granularity)
 
     # -- broadcast --------------------------------------------------------------------
     def async_broadcast(

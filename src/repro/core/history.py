@@ -495,9 +495,6 @@ class HistoryStore:
     def __len__(self) -> int:
         return len(self._channels)
 
-    def names(self) -> list[str]:
-        return list(self._channels)
-
     @property
     def total_stored_bytes(self) -> int:
         return sum(ch.total_stored_bytes for ch in self._channels.values())
@@ -541,6 +538,6 @@ class HistoryStore:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"HistoryStore(channels={self.names()}, "
+            f"HistoryStore(channels={list(self._channels)}, "
             f"stored_bytes={self.total_stored_bytes})"
         )

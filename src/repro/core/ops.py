@@ -74,24 +74,6 @@ def find_barrier(rdd: RDD) -> SchedulingPolicy | None:
     return None
 
 
-def _worker_reduce_factory(
-    rdd: RDD, f: Callable[[Any, Any], Any]
-) -> Callable[[int, list[int]], Callable[[WorkerEnv], tuple[Any, int]]]:
-    def make_fn(worker_id: int, splits: list[int]):
-        def fn(env: WorkerEnv) -> tuple[Any, int]:
-            acc: Any = _EMPTY
-            count = 0
-            for split in splits:
-                for elem in rdd.iterator(split, env):
-                    count += 1
-                    acc = elem if acc is _EMPTY else f(acc, elem)
-            return (None if acc is _EMPTY else acc, count)
-
-        return fn
-
-    return make_fn
-
-
 class RoundPlan:
     """One optimizer round — ``source.async_barrier(policy)
     .sample(fraction, seed).map(kernel).async_reduce(reduce)`` — resolved
@@ -212,13 +194,15 @@ def async_reduce(
     of workers that received tasks; results arrive via ``ac.collect()``.
     ``granularity="partition"`` makes each partition its own task: no
     worker-local combine, one result per partition, each tagged with its
-    partition id.
+    partition id. The round is a :class:`RoundPlan` with no sampling and
+    an identity kernel, so the verb and the optimizers share one task
+    body.
     """
     policy = find_barrier(rdd) or ac.default_policy
-    return ac.scheduler.submit_round(
-        rdd.num_partitions, _worker_reduce_factory(rdd, f), policy,
+    return RoundPlan(
+        rdd, policy, None, lambda block, handle, seed: block, f, ac,
         granularity,
-    )
+    ).submit(None, 0)
 
 
 def async_aggregate(

@@ -406,9 +406,6 @@ class MatrixBlock:
             raise DataError(f"fraction must be in (0, 1], got {fraction}")
         return batch_indices(self.rows, fraction, seed, *key)
 
-    def global_ids(self, local_idx: np.ndarray) -> np.ndarray:
-        return local_idx + self.offset
-
 
 class Batch:
     """Rows ``idx`` of ``block``, not gathered: one task's mini-batch.
@@ -417,31 +414,15 @@ class Batch:
     its round samples. ``rows`` is the batch size. A kernel reads the
     rows through a selection, ``problem.grad_sum(block.X, block.y, w,
     idx)`` (:func:`selected_products`), which streams a dense block
-    instead of copying the batch out of it. ``X`` and ``y`` are the
-    gathered batch (``block.take_rows(idx)``, made on first use), for a
-    kernel written against a gathered block.
+    instead of copying the batch out of it.
     """
 
-    __slots__ = ("block", "idx", "rows", "_taken")
+    __slots__ = ("block", "idx", "rows")
 
     def __init__(self, block: MatrixBlock, idx: np.ndarray) -> None:
         self.block = block
         self.idx = idx
         self.rows = len(idx)
-        self._taken = None
-
-    def _take(self) -> MatrixBlock:
-        if self._taken is None:
-            self._taken = self.block.take_rows(self.idx)
-        return self._taken
-
-    @property
-    def X(self) -> "Matrix":
-        return self._take().X
-
-    @property
-    def y(self) -> np.ndarray:
-        return self._take().y
 
     def cost_units(self) -> float:
         """``block.take_rows(idx).cost_units()``, without the gather:

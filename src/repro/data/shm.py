@@ -99,10 +99,6 @@ class DatasetPublication:
         self._segments = segments
         self._unlinked = False
 
-    @property
-    def key(self) -> str:
-        return self.manifest["key"]
-
     def unlink(self) -> None:
         """Remove the segments by name (idempotent).
 

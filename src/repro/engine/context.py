@@ -8,7 +8,7 @@ context manager::
 
     with ClusterContext(num_workers=8) as sc:
         rdd = sc.parallelize(range(100), 8)
-        assert rdd.map(lambda x: x * x).sum() == 328350
+        assert sum(rdd.map(lambda x: x * x).collect()) == 328350
 """
 
 from __future__ import annotations
@@ -85,16 +85,15 @@ class ClusterContext:
         self, data: Sequence, num_partitions: int | None = None
     ) -> RDD:
         """Distribute a driver-side collection."""
-        n = num_partitions or self.default_parallelism
-        return ParallelCollectionRDD(self, data, n)
-
-    def range(self, n: int, num_partitions: int | None = None) -> RDD:
-        return self.parallelize(range(n), num_partitions)
+        if num_partitions is None:
+            num_partitions = self.default_parallelism
+        return ParallelCollectionRDD(self, data, num_partitions)
 
     def matrix(self, X, y, num_partitions: int | None = None) -> MatrixRDD:
         """Partition a labelled matrix row-wise into a MatrixRDD."""
-        n = num_partitions or self.default_parallelism
-        return MatrixRDD.from_arrays(self, X, y, n)
+        if num_partitions is None:
+            num_partitions = self.default_parallelism
+        return MatrixRDD.from_arrays(self, X, y, num_partitions)
 
     # -- cluster services ---------------------------------------------------------------
     def broadcast(self, value: Any) -> Broadcast:

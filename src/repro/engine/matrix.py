@@ -1,7 +1,7 @@
 """Matrix-block RDDs: the ML-facing data representation.
 
 A :class:`MatrixRDD` has exactly one :class:`~repro.data.blocks.MatrixBlock`
-per partition, so ``map``/``map_blocks`` closures receive whole blocks and
+per partition, so ``map`` closures receive whole blocks and
 run vectorized kernels. ``sample`` on a matrix RDD subsamples *rows inside
 each block* (what ``points.sample(b)`` means in the paper's algorithms)
 rather than sampling block objects.
@@ -9,7 +9,7 @@ rather than sampling block objects.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 from repro.cluster.backend import WorkerEnv
 from repro.data.blocks import MatrixBlock, split_matrix
@@ -56,11 +56,6 @@ class MatrixRDD(RDD):
 
     def compute(self, split: int, env: WorkerEnv | None) -> list:
         return [self._blocks[split]]
-
-    # -- ML verbs -------------------------------------------------------------
-    def map_blocks(self, f: Callable[[MatrixBlock], Any]) -> RDD:
-        """Apply a block-level kernel; alias of ``map`` for matrix RDDs."""
-        return self.map(f)
 
 
 class SampledMatrixRDD(RDD):

@@ -9,8 +9,8 @@ partition is recomputed by re-running its lineage on another worker.
 
 The surface is what the optimizers and the paper's Table 1 reach: ``map``
 and ``sample`` (plus ``cache``) as transformations, the three ASYNC verbs,
-and ``collect``/``count``/``sum``/``aggregate`` — the bulk-synchronous
-actions through which lineage recompute is exercised.
+and ``collect`` — the bulk-synchronous action through which lineage
+recompute is exercised.
 
 Caching stores computed partitions in the owning worker's block store
 (:class:`~repro.cluster.backend.WorkerEnv`); a cache miss after worker loss
@@ -20,7 +20,6 @@ tolerance story (exercised in ``tests/test_faults.py``).
 
 from __future__ import annotations
 
-import functools
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.cluster.backend import WorkerEnv
@@ -115,25 +114,6 @@ class RDD:
         for p in parts:
             out.extend(p)
         return out
-
-    def aggregate(
-        self,
-        zero: Any,
-        seq_op: Callable[[Any, Any], Any],
-        comb_op: Callable[[Any, Any], Any],
-    ) -> Any:
-        """Aggregate with distinct element/partial types, like Spark."""
-        parts = self.ctx.run_job(
-            self, lambda split, data: functools.reduce(seq_op, data, zero)
-        )
-        return functools.reduce(comb_op, parts, zero)
-
-    def count(self) -> int:
-        return sum(self.ctx.run_job(self, lambda split, data: len(data)))
-
-    def sum(self) -> Any:
-        parts = self.ctx.run_job(self, lambda split, data: sum(data))
-        return sum(parts)
 
     # -- ASYNC verbs (Table 1 of the paper) ------------------------------------------
     def async_barrier(

@@ -18,14 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.optim.problems import Problem
     from repro.optim.trace import ConvergenceTrace
 
-__all__ = ["time_to_target", "speedup_at_target", "common_target"]
-
-
-def time_to_target(
-    trace: "ConvergenceTrace", problem: "Problem", target: float
-) -> float:
-    """First cluster time (ms) the trace reaches ``target`` error."""
-    return trace.time_to_error(problem, target)
+__all__ = ["speedup_at_target", "common_target"]
 
 
 def common_target(

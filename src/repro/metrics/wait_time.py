@@ -19,7 +19,7 @@ from typing import Iterable
 
 from repro.cluster.backend import TaskMetrics
 
-__all__ = ["per_worker_waits", "average_wait_ms", "wait_summary"]
+__all__ = ["per_worker_waits", "average_wait_ms"]
 
 
 def _job_spans(
@@ -71,10 +71,3 @@ def average_wait_ms(metrics: Iterable[TaskMetrics]) -> float:
     all_gaps = [g for gaps in waits.values() for g in gaps]
     return fmean(all_gaps) if all_gaps else 0.0
 
-
-def wait_summary(metrics: Iterable[TaskMetrics]) -> dict[int, float]:
-    """Per-worker mean wait (one bar of Figure 4/6 per worker)."""
-    return {
-        worker: (fmean(gaps) if gaps else 0.0)
-        for worker, gaps in sorted(per_worker_waits(metrics).items())
-    }

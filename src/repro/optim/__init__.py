@@ -42,7 +42,6 @@ from repro.optim.sgd import SGDRule
 from repro.optim.stepsize import (
     ConstantStep,
     InvSqrtDecay,
-    PolyDecay,
     StalenessScaled,
     StepSchedule,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "StepSchedule",
     "ConstantStep",
     "InvSqrtDecay",
-    "PolyDecay",
     "StalenessScaled",
     "OptimizerConfig",
     "RunResult",

@@ -83,10 +83,10 @@ class OptimizerConfig:
     #: Synchronous rules always dispatch per partition.
     granularity: str = "worker"
     #: Mid-run crash-recovery snapshots: every ``snapshot_every`` applied
-    #: updates the server loop atomically replaces
-    #: ``snapshot_path`` with its full run snapshot (model iterate,
-    #: counters, bounded HIST channels). 0 disables; both fields
-    #: must be set together.
+    #: updates the server loop writes its full run snapshot (model
+    #: iterate, counters, bounded HIST channels) to ``snapshot_path``,
+    #: one of two CRC-checked slots overwritten in place and
+    #: ``fdatasync``'d. 0 disables; both fields must be set together.
     snapshot_every: int = 0
     snapshot_path: str | None = None
 

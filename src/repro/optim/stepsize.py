@@ -20,7 +20,6 @@ __all__ = [
     "StepSchedule",
     "ConstantStep",
     "InvSqrtDecay",
-    "PolyDecay",
     "StalenessScaled",
 ]
 
@@ -80,27 +79,6 @@ class InvSqrtDecay(StepSchedule):
         return f"InvSqrt(a={self.a})"
 
 
-@register_step("poly")
-class PolyDecay(StepSchedule):
-    """``a / (b + c t)`` — the classical Robbins-Monro family (Section 2)."""
-
-    def __init__(self, a: float, b: float = 1.0, c: float = 1.0) -> None:
-        if (
-            not (0 < a < math.inf and 0 <= b < math.inf and 0 <= c < math.inf)
-            or (b == 0 and c == 0)
-        ):
-            raise OptimError("invalid PolyDecay parameters")
-        self.a, self.b, self.c = a, b, c
-
-    def alpha(self, t: int, staleness: int = 0) -> float:
-        if t < 1:
-            raise OptimError("update index t must be >= 1")
-        return self.a / (self.b + self.c * t)
-
-    def describe(self) -> str:
-        return f"Poly(a={self.a}, b={self.b}, c={self.c})"
-
-
 class StalenessScaled(StepSchedule):
     """Listing 1: weight each update by ``1 / max(1, staleness)``.
 
@@ -136,7 +114,7 @@ class _Scaled(StepSchedule):
 
 # -- spec-layer wrapper factories --------------------------------------------------
 # Wrapper schedules compose: their ``inner`` parameter is itself a step
-# spec ("inv_sqrt:0.5", {"name": "poly", "a": 1.0}, or an instance), so
+# spec ("inv_sqrt:0.5", {"name": "inv_sqrt", "a": 1.0}, or an instance), so
 # JSON specs can nest modulations the way code chains methods. Every
 # wrapper accepts ``num_workers`` so the registry's context injection
 # reaches nested specs (an inner "scaled_for_async" needs it even when

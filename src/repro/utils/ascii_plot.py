@@ -10,31 +10,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-__all__ = ["ascii_lineplot", "sparkline"]
-
-_SPARK_CHARS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float], log: bool = False) -> str:
-    """One-line mini-chart of a series (log scale optional).
-
-    >>> sparkline([1, 2, 4, 8])
-    '▁▃▅█'
-    """
-    vals = [float(v) for v in values]
-    if not vals:
-        return ""
-    if log:
-        floor = min((v for v in vals if v > 0), default=1e-12)
-        vals = [math.log10(max(v, floor)) for v in vals]
-    lo, hi = min(vals), max(vals)
-    if hi - lo < 1e-12:
-        return _SPARK_CHARS[0] * len(vals)
-    out = []
-    for v in vals:
-        idx = int((v - lo) / (hi - lo) * (len(_SPARK_CHARS) - 1))
-        out.append(_SPARK_CHARS[idx])
-    return "".join(out)
+__all__ = ["ascii_lineplot"]
 
 
 def ascii_lineplot(

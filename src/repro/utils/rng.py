@@ -215,9 +215,5 @@ class RngFactory:
         from — same values when used, free when not."""
         return LazyRng(self.seed, key)
 
-    def child(self, *key: object) -> "RngFactory":
-        """Derive a sub-factory whose streams are independent of this one."""
-        return RngFactory(stable_hash((self.seed, *key)))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngFactory(seed={self.seed})"

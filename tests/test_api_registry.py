@@ -29,7 +29,7 @@ def test_builtin_components_registered():
     assert {"sgd", "asgd", "saga", "asaga", "svrg", "asvrg",
             "async_lbfgs"} <= set(OPTIMIZERS.names())
     assert {"asp", "bsp", "ssp", "frac", "ct"} <= set(POLICIES.names())
-    assert {"constant", "inv_sqrt", "poly"} <= set(STEPS.names())
+    assert {"constant", "inv_sqrt"} <= set(STEPS.names())
     assert {"none", "cds", "pcs"} <= set(DELAY_MODELS.names())
     assert {"least_squares", "ridge", "logistic"} <= set(PROBLEMS.names())
 

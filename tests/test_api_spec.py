@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,29 @@ def test_spec_dict_round_trip():
 def test_spec_rejects_unknown_fields():
     with pytest.raises(ApiError, match="unknown ExperimentSpec field"):
         ExperimentSpec.from_dict({"algorithm": "asgd", "warp_speed": 9})
+
+
+#: Count fields holding a value that is not a count. Through
+#: ``run_experiment`` these used to run as something else (a float
+#: budget, ``True`` workers, ``0`` read as the default partitioning) or
+#: fail as a bare ``TypeError`` deep in the run.
+_NOT_COUNTS = [
+    ("max_updates", 2.5), ("pipeline_depth", 2.5), ("eval_every", 2.5),
+    ("num_partitions", 0), ("num_partitions", -2), ("num_workers", True),
+    ("num_workers", 2.5), ("num_partitions", "3"), ("seed", 2.5),
+    ("seed", None), ("snapshot_every", 1.0), ("snapshot_every", False),
+]
+
+
+@pytest.mark.parametrize("key,value", _NOT_COUNTS)
+def test_spec_count_fields_are_integers(key, value):
+    from repro.api import run_experiment
+
+    with pytest.raises(ApiError, match=repr(key)):
+        ExperimentSpec.from_dict({key: value})
+    with pytest.raises(ApiError, match=repr(key)):
+        run_experiment({"dataset": "tiny_dense", "max_updates": 4, key: value})
+    ExperimentSpec.from_dict({key: np.int64(3)})  # any integer type
 
 
 def test_spec_drops_legacy_fuse_tasks_key():

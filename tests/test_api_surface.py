@@ -16,6 +16,7 @@ AC.hasNext()           AC.has_next()
 
 import ast
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -41,7 +42,6 @@ from repro import (
     LogisticRegressionProblem,
     MinAvailableFraction,
     OptimizerConfig,
-    PolyDecay,
     RidgeProblem,
     StalenessScaled,
     UpdateRule,
@@ -93,7 +93,7 @@ def test_top_level_exports_constructible(ctx):
     for P in (LeastSquaresProblem, RidgeProblem):
         P(X, y) if P is LeastSquaresProblem else P(X, y, lam=0.1)
     LogisticRegressionProblem(X, np.where(y > 0, 1.0, -1.0))
-    for s in (ConstantStep(0.1), InvSqrtDecay(0.1), PolyDecay(0.1),
+    for s in (ConstantStep(0.1), InvSqrtDecay(0.1),
               StalenessScaled(ConstantStep(0.1))):
         assert s.alpha(1, 0) > 0
     for b in (ASP(), BSP(), SSP(2), MinAvailableFraction(0.5)):
@@ -262,56 +262,265 @@ def test_design_scoreboard_only_goes_down():
     assert not hasattr(AsyncScheduler, "_dispatch_partition")
 
 
-#: Registered components still waiting for a claim row of their own.
-#: This set may only shrink: a name leaves it when a ``CLAIMS`` cell
-#: names it, or when the component is deleted.
-PENDING_ROW = {"svrg", "asvrg", "ct"}
+#: Registered components nothing uses yet, each with why it stays. An
+#: optimizer, policy or compressor is used when a ``CLAIMS`` cell names
+#: it; any other component when a ``CLAIMS`` cell, a shipped spec
+#: (``examples/specs/*.json``), an example script or a default does.
+#: This dict may only shrink: a name leaves it when something starts
+#: using it, or when the component is deleted.
+PENDING_ROW = {
+    "svrg": "SVRG's claim row: a speedup over SGD, or its deletion",
+    "asvrg": "the asynchronous half of SVRG's pending claim row",
+    "ct": "the completion-time barrier's pending claim row",
+    "ridge": "the regularized objective SVRG's pending claim row runs on",
+    "random_kill": "the seeded kills SAGA's worker-loss claim row runs on",
+    "tiny_sparse": "the sparse test fixture, resolved by name in test "
+                   "workers started with exec rather than fork",
+}
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: Spec fields (at any depth: a grid's base and axes included) that name
+#: a registered component; ``barrier`` is ``policy``'s old spelling.
+_COMPONENT_FIELDS = {
+    "algorithm": "optimizer", "policy": "policy", "barrier": "policy",
+    "compressor": "compressor", "problem": "problem",
+    "step": "step schedule", "delay": "delay model",
+    "fault_plan": "fault plan", "dataset": "dataset",
+}
 
 
-def _claimed_components() -> tuple[set, set, set]:
-    """Canonical optimizer, policy term and compressor names over every
-    cell of every ``CLAIMS`` row."""
-    import re
-
+def _registries() -> dict:
+    """Registry kind -> ``(names, canonical, get)``: the seven component
+    registries and the dataset table."""
     import repro.api.runner  # noqa: F401  (populates every registry)
-    from repro.api import COMPRESSORS, OPTIMIZERS, POLICIES
+    from repro.api.registry import (
+        COMPRESSORS, DELAY_MODELS, FAULT_PLANS, OPTIMIZERS, POLICIES,
+        PROBLEMS, STEPS,
+    )
+    from repro.data.registry import REGISTRY
+
+    out = {
+        r.kind: (r.names(), r.canonical, r.get)
+        for r in (OPTIMIZERS, POLICIES, COMPRESSORS, PROBLEMS, STEPS,
+                  DELAY_MODELS, FAULT_PLANS)
+    }
+    out["dataset"] = (sorted(REGISTRY), str, REGISTRY.get)
+    return out
+
+
+def _component_names(value):
+    """Registry names a component value spells: a name or ``name:arg``
+    token, a dict with ``name`` (a wrapper step's ``inner`` too), or a
+    list of them (a grid axis)."""
+    if isinstance(value, str):
+        yield value.strip().split(":", 1)[0]
+    elif isinstance(value, dict) and isinstance(value.get("name"), str):
+        yield value["name"]
+        yield from _component_names(value.get("inner"))
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _component_names(item)
+
+
+def _spec_uses(data, used: dict) -> None:
+    """Add every component a spec-shaped value names to ``used``."""
+    if isinstance(data, dict):
+        for key, value in data.items():
+            kind = _COMPONENT_FIELDS.get(key)
+            if kind is not None:
+                used.setdefault(kind, set()).update(_component_names(value))
+            _spec_uses(value, used)
+    elif isinstance(data, (list, tuple)):
+        for item in data:
+            _spec_uses(item, used)
+
+
+def _example_uses(used: dict, registries: dict) -> None:
+    """Components the example scripts use: spec dicts written as
+    literals, and registered classes or factories referenced by name."""
+    referenced = set()
+    for path in sorted((REPO / "examples").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Dict):
+                literal = {}
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(key, ast.Constant):
+                        try:
+                            literal[key.value] = ast.literal_eval(value)
+                        except ValueError:
+                            continue
+                _spec_uses(literal, used)
+    for kind, (names, _, get) in registries.items():
+        used.setdefault(kind, set()).update(
+            name for name in names
+            if getattr(get(name), "__name__", None) in referenced
+        )
+
+
+def _default_uses(used: dict) -> None:
+    """What a default builds: ``ExperimentSpec()``'s component fields,
+    the null fault plan an unset ``fault_plan`` stands for, and every
+    step schedule ``default_step`` builds for a registered optimizer."""
+    from repro.api import OPTIMIZERS
+    from repro.api.runner import default_step
+    from repro.api.spec import ExperimentSpec
+    from repro.optim.stepsize import (
+        ConstantStep, InvSqrtDecay, StalenessScaled, _Scaled,
+    )
+
+    _spec_uses(ExperimentSpec().to_dict(), used)
+    used.setdefault("fault plan", set()).add("none")
+    # A built schedule counts for every registered name that builds its
+    # class: ``scaled`` and ``scaled_for_async`` both make a ``_Scaled``.
+    by_class = {
+        ConstantStep: {"constant"}, InvSqrtDecay: {"inv_sqrt"},
+        StalenessScaled: {"staleness_scaled"},
+        _Scaled: {"scaled", "scaled_for_async"},
+    }
+    steps = used.setdefault("step schedule", set())
+    for algorithm in OPTIMIZERS.names():
+        for adaptive in (False, True):
+            step = default_step(algorithm, 0.1, 4, adaptive)
+            while step is not None:
+                steps.update(by_class[type(step)])
+                step = getattr(step, "inner", None)
+
+
+def _used_components(registries: dict) -> tuple[dict, dict]:
+    """``(claimed, used)``: canonical names per registry kind over every
+    ``CLAIMS`` cell, and over every use the rule above counts."""
+    from repro.api.spec import GridSpec
     from repro.bench.claims import CLAIMS
 
-    def name(spelling) -> str:
-        if isinstance(spelling, dict):
-            return spelling["name"]
-        return str(spelling).strip().split(":", 1)[0]
-
-    algorithms, policies, compressors = set(), set(), set()
+    claimed: dict = {}
     for claim in CLAIMS.values():
         for cell in claim.cells.values():
-            algorithms.add(OPTIMIZERS.canonical(cell.algorithm))
-            if isinstance(cell.policy, str):
-                terms = re.split(r"[&|]", cell.policy)
-            else:
-                terms = [] if cell.policy is None else [cell.policy]
-            policies.update(POLICIES.canonical(name(t)) for t in terms)
-            if cell.compressor is not None:
-                compressors.add(COMPRESSORS.canonical(name(cell.compressor)))
-    return algorithms, policies, compressors
+            _spec_uses(cell.to_dict(), claimed)
+    used = {kind: set(names) for kind, names in claimed.items()}
+    for path in sorted((REPO / "examples" / "specs").glob("*.json")):
+        data = json.loads(path.read_text())
+        GridSpec.coerce(data)  # a shipped spec loads
+        _spec_uses(data, used)
+    _example_uses(used, registries)
+    _default_uses(used)
+    return tuple(
+        {kind: {registries[kind][1](n) for n in names}
+         for kind, names in found.items()}
+        for found in (claimed, used)
+    )
 
 
 def test_every_component_has_a_claim_or_is_pending():
-    """No claim, no registration: every registered optimizer, policy and
-    compressor appears in some ``CLAIMS`` cell, or is pending a row."""
-    from repro.api import COMPRESSORS, OPTIMIZERS, POLICIES
+    """No use, no registration: a registered optimizer, policy or
+    compressor appears in some ``CLAIMS`` cell, and any other component
+    in a claim cell, a shipped spec, an example or a default, or the
+    name is pending with a reason."""
+    registries = _registries()
+    claimed, used = _used_components(registries)
+    claims_only = {"optimizer", "policy", "compressor"}
+    unused = set()
+    for kind, (names, _, get) in registries.items():
+        # Built-in components only: a test module may register its own.
+        builtin = {
+            name for name in names
+            if kind == "dataset" or get(name).__module__.startswith("repro.")
+        }
+        reached = (claimed if kind in claims_only else used).get(kind, set())
+        unused |= builtin - reached
+    assert unused <= set(PENDING_ROW), sorted(unused - set(PENDING_ROW))
+    # A pending name that gained a use (or was deleted) leaves the dict.
+    assert set(PENDING_ROW) <= unused, sorted(set(PENDING_ROW) - unused)
+    assert all(reason.strip() for reason in PENDING_ROW.values())
 
-    claimed = set().union(*_claimed_components())
-    # Built-in components only: a test module may register its own.
+
+#: Exports kept for users outside the repository's own code, each with
+#: why. Everything else in an ``__all__`` is referenced from ``src/``,
+#: ``examples/`` or ``benchmarks/``, or is a registered component.
+PUBLIC_API = (
+    ("ASYNCContext", "Table 1: the AC the verbs and collect calls go through"),
+    ("async_reduce", "Table 1: ASYNCreduce"),
+    ("async_aggregate", "Table 1: ASYNCaggregate"),
+    ("async_barrier", "Table 1: ASYNCbarrier"),
+    ("run_experiment", "the library's one call: a spec in, a RunResult out"),
+    ("read_snapshot", "restore: reads the run snapshot a restore resumes"),
+    ("load_libsvm", "the route to the paper's real datasets (LIBSVM text)"),
+    ("dump_libsvm", "writes the LIBSVM text the loader reads"),
+    ("reference_saga", "test oracle: the sequential SAGA runs agree with"),
+    ("metrics_to_csv", "the task log export CI compares byte for byte"),
+)
+
+
+def _exports() -> dict:
+    """``__all__`` name -> the modules under ``src/repro`` listing it."""
+    exports: dict = {}
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(REPO / "src").with_suffix("").parts)
+        module = module.removesuffix(".__init__")
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets
+            ):
+                for name in ast.literal_eval(node.value):
+                    exports.setdefault(name, []).append(module)
+    return exports
+
+
+def _referenced_names() -> set:
+    """Every name and attribute read in ``src/``, ``examples/`` and
+    ``benchmarks/``, outside ``__all__`` lists and import statements."""
+    found = set()
+    for top in ("src", "examples", "benchmarks"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            skip = set()
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets
+                    )
+                ):
+                    skip.update(map(id, ast.walk(node)))
+            for node in ast.walk(tree):
+                if id(node) in skip:
+                    continue
+                if isinstance(node, ast.Name):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    found.add(node.attr)
+    return found
+
+
+def test_every_export_has_a_user():
+    """An AST scan, no tracing: every ``__all__`` name under
+    ``src/repro`` is used by the package, an example or the benchmark,
+    is reached through a registry, or is declared in ``PUBLIC_API``."""
+    import importlib
+
+    exports = _exports()
+    public = dict(PUBLIC_API)
+    assert len(public) == len(PUBLIC_API)
+    assert set(public) <= set(exports), sorted(set(public) - set(exports))
+    assert all(reason.strip() for reason in public.values())
     registered = {
-        name
-        for registry in (OPTIMIZERS, POLICIES, COMPRESSORS)
-        for name in registry.names()
-        if registry.get(name).__module__.startswith("repro.")
+        id(get(name))
+        for names, _, get in _registries().values() for name in names
     }
-    assert registered - claimed <= PENDING_ROW, registered - claimed
-    # A pending name that gained a row (or was deleted) leaves the set.
-    assert PENDING_ROW <= registered - claimed, PENDING_ROW & claimed
+    referenced = _referenced_names()
+    unused = sorted(
+        f"{modules[0]}.{name}" for name, modules in exports.items()
+        if name not in referenced and name not in public
+        and id(getattr(importlib.import_module(modules[0]), name))
+        not in registered
+    )
+    assert not unused, unused
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,6 @@
 """ASCII plotting helpers."""
 
-from repro.utils.ascii_plot import ascii_lineplot, sparkline
-
-
-def test_sparkline_monotone():
-    s = sparkline([1, 2, 4, 8])
-    assert len(s) == 4
-    assert s[0] < s[-1]  # block characters are ordered
-
-
-def test_sparkline_constant():
-    assert sparkline([5, 5, 5]) == "▁▁▁"
-
-
-def test_sparkline_empty():
-    assert sparkline([]) == ""
-
-
-def test_sparkline_log_handles_zero():
-    s = sparkline([0.0, 1e-3, 1.0], log=True)
-    assert len(s) == 3
+from repro.utils.ascii_plot import ascii_lineplot
 
 
 def test_lineplot_contains_markers_and_legend():

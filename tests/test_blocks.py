@@ -66,11 +66,6 @@ def test_take_rows_tracks_source_ids():
     assert np.array_equal(subsub.ids, [2, 7])
 
 
-def test_global_ids_offset():
-    b = make_block(10, offset=100)
-    assert np.array_equal(b.global_ids(np.array([0, 3])), [100, 103])
-
-
 def test_sample_indices_size_matches_fraction():
     b = make_block(100)
     idx = b.sample_indices(0.25, 0, "mbatch", 0)
@@ -568,11 +563,6 @@ def test_batch_reports_the_gathered_batch_cost_without_gathering():
         batch = Batch(block, idx)
         assert batch.rows == 5
         assert batch.cost_units() == block.take_rows(idx).cost_units()
-        assert batch._taken is None  # costed from indptr, not a gather
-        # Kernels written against a gathered block still read X and y.
-        assert np.array_equal(matvec(batch.X, np.ones(block.dim)),
-                              matvec(block.take_rows(idx).X, np.ones(block.dim)))
-        assert np.array_equal(batch.y, block.y[idx])
 
 
 #: Final ``w``'s sha1 and ``F(w)`` of STREAMED_SPEC, recorded at

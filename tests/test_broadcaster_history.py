@@ -88,24 +88,16 @@ def test_unknown_version_raises(bcaster):
         h.value_at(99)
 
 
-def test_handle_rematerialization(bcaster):
-    bcaster.broadcast(np.zeros(4))
-    h = bcaster.handle("model", 0)
-    assert h.version == 0
-    with pytest.raises(BroadcastError):
-        bcaster.handle("model", 5)
-
-
 def test_prune_below_frees_bytes(bcaster):
     ch = bcaster.channel("model")
     for i in range(5):
-        bcaster.broadcast(np.full(100, float(i)))
+        h = bcaster.broadcast(np.full(100, float(i)))
     before = ch.total_stored_bytes
     freed = ch.prune_below(3)
     assert freed > 0
     assert ch.total_stored_bytes == before - freed
     assert ch.versions() == [3, 4]
-    h = bcaster.handle("model", 4)
+    assert h.version == 4
     with pytest.raises(BroadcastError):
         h.value_at(1)
 

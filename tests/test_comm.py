@@ -36,7 +36,6 @@ from repro.comm import (
     decode_frame,
     encode_frame,
     frame_bytes,
-    is_frame,
     parse_compressor,
 )
 from repro.comm.compressors import NoneCompressor, TopKCompressor
@@ -534,7 +533,7 @@ def test_delta_broadcast_ships_fewer_model_bytes():
 def test_frame_roundtrip_and_byte_counts():
     payload = {"final_error": 0.25, "updates": 40, "spec": {"seed": [1, 2]}}
     frame = encode_frame(payload)
-    assert is_frame(frame) and not is_frame(payload)
+    assert FRAME_KEY in frame and FRAME_KEY not in payload
     assert decode_frame(frame) == payload
     assert decode_frame(payload) == payload  # plain dicts pass through
     raw, wire = frame_bytes(frame)
@@ -658,7 +657,7 @@ def test_worker_ships_framed_summaries(monkeypatch):
     message = worker._run_cell({
         "index": 0, "key": "k", "spec": {"seed": 1},
     })
-    assert is_frame(message["summary"])
+    assert FRAME_KEY in message["summary"]
     assert decode_frame(message["summary"])["final_error"] == 0.125
 
 

@@ -14,7 +14,9 @@ def test_partitions_of_inverse_of_owner(ctx):
     from repro.core import ASYNCContext
 
     ac = ASYNCContext(ctx)
-    ac.async_reduce(ctx.range(16, 16), lambda a, b: a + b, "partition")
+    ctx.parallelize(range(16), 16).async_reduce(
+        lambda a, b: a + b, ac, "partition"
+    )
     ac.wait_all()
     records = ac.drain()
     assert sorted(r.partition for r in records) == list(range(16))
@@ -29,7 +31,7 @@ def test_default_parallelism_follows_workers():
 
 def test_explicit_default_parallelism():
     with ClusterContext(num_workers=2, default_parallelism=10) as ctx:
-        assert ctx.range(20).num_partitions == 10
+        assert ctx.parallelize(range(20)).num_partitions == 10
 
 
 def test_stop_idempotent(ctx):
@@ -39,14 +41,14 @@ def test_stop_idempotent(ctx):
 
 def test_now_tracks_backend_clock(ctx):
     t0 = ctx.now()
-    ctx.parallelize(range(8), 4).sum()
+    ctx.parallelize(range(8), 4).collect()
     assert ctx.now() > t0
 
 
 def test_rdds_registered_weakly(ctx):
     import gc
 
-    rdd = ctx.range(4, 2)
+    rdd = ctx.parallelize(range(4), 2)
     rid = rdd.rdd_id
     assert rid in ctx._rdds
     del rdd

@@ -99,8 +99,8 @@ def test_partition_metrics_tagged():
                 problem.grad_sum(blk.X, blk.y, bc_value(_w)), blk.rows,
             )
         )
-        ac.async_reduce(
-            mapped, lambda a, b: (a[0] + b[0], a[1] + b[1]),
+        mapped.async_reduce(
+            lambda a, b: (a[0] + b[0], a[1] + b[1]), ac,
             granularity="partition",
         )
         ac.wait_all()

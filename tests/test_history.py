@@ -106,7 +106,7 @@ def test_store_channels_named_and_counted():
     b = store.channel("b")
     assert store.channel("a") is a  # same policy not required on re-open
     assert a.channel_id != b.channel_id
-    assert store.names() == ["a", "b"]
+    assert [ch.name for ch in store] == ["a", "b"]
     assert "a" in store and "c" not in store
     a.append(np.zeros(4))
     b.append(np.zeros(8))

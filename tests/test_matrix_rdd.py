@@ -78,7 +78,7 @@ def test_map_blocks_gradient_shape(ctx, Xy):
     X, y = Xy
     pts = ctx.matrix(X, y, 4)
     w = np.zeros(6)
-    grads = pts.map_blocks(lambda b: b.X.T @ (b.X @ w - b.y)).collect()
+    grads = pts.map(lambda b: b.X.T @ (b.X @ w - b.y)).collect()
     total = sum(grads)
     assert np.allclose(total, X.T @ (X @ w - y))
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster.backend import TaskMetrics
 from repro.metrics.convergence import common_target, speedup_at_target
-from repro.metrics.wait_time import average_wait_ms, per_worker_waits, wait_summary
+from repro.metrics.wait_time import average_wait_ms, per_worker_waits
 from repro.optim.trace import ConvergenceTrace
 
 
@@ -58,9 +58,9 @@ def test_waits_are_per_worker():
         tm(2, 0, job=1, started=6.0, delivered=8.0),
         tm(3, 1, job=1, started=6.0, delivered=8.0),
     ]
-    summary = wait_summary(log)
-    assert summary[0] == 4.0
-    assert summary[1] == 2.0
+    waits = per_worker_waits(log)
+    assert waits[0] == [4.0]
+    assert waits[1] == [2.0]
     assert average_wait_ms(log) == 3.0
 
 

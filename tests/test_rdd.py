@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import ASYNCContext
 from repro.engine.rdd import RDD
 from repro.errors import EngineError
 
@@ -38,24 +39,32 @@ def test_chained_transformations_lazy(ctx):
 
 
 def test_aggregate_with_distinct_partial_type(ctx):
+    ac = ASYNCContext(ctx)
     rdd = ctx.parallelize(range(10), 3)
     # aggregate: int elements fold into (sum, count) partials
-    total, count = rdd.aggregate(
+    rdd.async_aggregate(
         (0, 0),
         lambda acc, x: (acc[0] + x, acc[1] + 1),
         lambda a, b: (a[0] + b[0], a[1] + b[1]),
+        ac,
     )
-    assert (total, count) == (45, 10)
+    ac.wait_all()
+    partials = [record.value for record in ac.drain()]
+    assert tuple(map(sum, zip(*partials))) == (45, 10)
 
 
 def test_count_sum(ctx):
-    rdd = ctx.range(17, 4)
-    assert rdd.count() == 17
-    assert rdd.sum() == sum(range(17))
+    """``async_reduce`` counts every element once and sums them all."""
+    ac = ASYNCContext(ctx)
+    ctx.parallelize(range(17), 4).async_reduce(lambda a, b: a + b, ac)
+    ac.wait_all()
+    records = ac.drain()
+    assert sum(record.batch_size for record in records) == 17
+    assert sum(record.value for record in records) == sum(range(17))
 
 
 def test_sample_without_replacement_subset(ctx):
-    rdd = ctx.range(100, 4)
+    rdd = ctx.parallelize(range(100), 4)
     out = rdd.sample(0.5, seed=3).collect()
     # Fixed-size per partition, subject to per-partition rounding.
     assert abs(len(out) - 50) <= 4
@@ -64,7 +73,7 @@ def test_sample_without_replacement_subset(ctx):
 
 
 def test_sample_deterministic_per_seed(ctx):
-    rdd = ctx.range(60, 3)
+    rdd = ctx.parallelize(range(60), 3)
     a = rdd.sample(0.3, seed=1).collect()
     b = rdd.sample(0.3, seed=1).collect()  # same seed -> same rows
     c = rdd.sample(0.3, seed=2).collect()
@@ -74,7 +83,7 @@ def test_sample_deterministic_per_seed(ctx):
 
 def test_sample_fraction_validated(ctx):
     with pytest.raises(EngineError):
-        ctx.range(10, 2).sample(0.0)
+        ctx.parallelize(range(10), 2).sample(0.0)
 
 
 def test_cache_computes_once(ctx):
@@ -96,7 +105,7 @@ def test_root_rdd_requires_partitions(ctx):
 
 
 def test_rdd_repr_and_ids(ctx):
-    a = ctx.range(4, 2)
+    a = ctx.parallelize(range(4), 2)
     b = a.map(lambda x: x)
     assert a.rdd_id != b.rdd_id
     assert "partitions=2" in repr(a)

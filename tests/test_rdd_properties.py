@@ -9,6 +9,7 @@ across examples (the engine is stateless between jobs).
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core import ASYNCContext
 from repro.engine.context import ClusterContext
 
 ints = st.lists(st.integers(-1000, 1000), min_size=0, max_size=60)
@@ -40,16 +41,29 @@ def test_map_matches_builtin(mctx, data, parts):
     assert got == [x * 3 - 1 for x in data]
 
 
+def async_records(mctx, submit):
+    """Run one ASYNC round over ``mctx`` and return its result records."""
+    ac = ASYNCContext(mctx)
+    submit(ac)
+    ac.wait_all()
+    return ac.drain()
+
+
 @common_settings
 @given(data=ints, parts=small_parts)
 def test_sum_matches(mctx, data, parts):
-    assert mctx.parallelize(data, parts).sum() == sum(data)
+    records = async_records(mctx, lambda ac: mctx.parallelize(
+        data, parts).async_reduce(lambda a, b: a + b, ac))
+    assert sum(r.value for r in records if r.value is not None) == sum(data)
 
 
 @common_settings
 @given(data=ints, parts=small_parts)
 def test_count_matches(mctx, data, parts):
-    assert mctx.parallelize(data, parts).count() == len(data)
+    records = async_records(mctx, lambda ac: mctx.parallelize(
+        data, parts).async_reduce(lambda a, b: a + b, ac, "partition"))
+    assert sorted(r.partition for r in records) == list(range(parts))
+    assert sum(r.batch_size for r in records) == len(data)
 
 
 @common_settings
@@ -73,10 +87,13 @@ def test_sample_is_subset_with_expected_size(mctx, data, parts, fraction):
 @common_settings
 @given(data=ints, parts=small_parts)
 def test_aggregate_mean_matches(mctx, data, parts):
-    total, count = mctx.parallelize(data, parts).aggregate(
+    records = async_records(mctx, lambda ac: mctx.parallelize(
+        data, parts).async_aggregate(
         (0, 0),
         lambda acc, x: (acc[0] + x, acc[1] + 1),
         lambda a, b: (a[0] + b[0], a[1] + b[1]),
-    )
+        ac,
+    ))
+    total, count = map(sum, zip(*(r.value for r in records)))
     assert total == sum(data)
     assert count == len(data)

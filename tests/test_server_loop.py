@@ -93,11 +93,12 @@ class _SignSGDRule(UpdateRule):
     def sample_fraction(self):
         return self.opt.config.batch_fraction
 
-    def kernel(self, block, handle, seed):
+    def kernel(self, batch, handle, seed):
         problem = self.opt.problem
+        block = batch.block
         return (
-            problem.grad_sum(block.X, block.y, bc_value(handle)),
-            block.rows,
+            problem.grad_sum(block.X, block.y, bc_value(handle), batch.idx),
+            batch.rows,
         )
 
     reduce = staticmethod(add_pairs)

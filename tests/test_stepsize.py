@@ -9,7 +9,6 @@ from repro.errors import OptimError
 from repro.optim.stepsize import (
     ConstantStep,
     InvSqrtDecay,
-    PolyDecay,
     StalenessScaled,
 )
 
@@ -31,20 +30,12 @@ def test_invsqrt_rejects_t_zero():
         InvSqrtDecay(1.0).alpha(0)
 
 
-def test_poly_decay():
-    s = PolyDecay(a=2.0, b=1.0, c=1.0)
-    assert s.alpha(1) == 1.0
-    assert s.alpha(3) == 0.5
-
-
 def test_validation():
     for bad in (0.0, -1.0):
         with pytest.raises(OptimError):
             ConstantStep(bad)
         with pytest.raises(OptimError):
             InvSqrtDecay(bad)
-    with pytest.raises(OptimError):
-        PolyDecay(a=1.0, b=0.0, c=0.0)
 
 
 def test_scaled_for_async_divides_by_workers():
@@ -92,6 +83,6 @@ def test_staleness_never_increases_step(t, staleness):
 
 @given(st.integers(1, 1000))
 def test_all_schedules_positive(t):
-    for s in (ConstantStep(0.1), InvSqrtDecay(0.1), PolyDecay(0.1),
+    for s in (ConstantStep(0.1), InvSqrtDecay(0.1),
               StalenessScaled(ConstantStep(0.1))):
         assert s.alpha(t, staleness=3) > 0

@@ -45,15 +45,6 @@ def test_factory_get_is_deterministic():
     )
 
 
-def test_factory_child_independent_of_parent():
-    f = RngFactory(9)
-    child = f.child("sub")
-    assert child.seed != f.seed
-    a = f.get("k").random(8)
-    b = child.get("k").random(8)
-    assert not np.array_equal(a, b)
-
-
 def test_factory_rejects_non_int_seed():
     with pytest.raises(TypeError):
         RngFactory("nope")  # type: ignore[arg-type]

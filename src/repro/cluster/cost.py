@@ -41,10 +41,10 @@ class AnalyticCostModel:
 class CodecCostModel:
     """Compute price of compressing/decompressing payload bytes.
 
-    Compression is not free: the COMM codec reports
-    ``units(bytes_processed)`` extra cost units via
-    ``WorkerEnv.record_cost``, which the task cost model converts to
-    milliseconds alongside the kernel's own work. The default models a
+    Compression is not free: the COMM codec adds
+    ``float(bytes_processed) * units_per_byte`` cost units to the task's
+    ``WorkerEnv.pending_cost_units``, which the task cost model converts
+    to milliseconds alongside the kernel's own work. The default models a
     ~1 GB/s single-core codec against the engine's default
     ``ms_per_unit`` (1e-3): one unit per ~1 KB processed. ``none``
     payloads are never wrapped, so they pay nothing.
@@ -55,6 +55,3 @@ class CodecCostModel:
     def __post_init__(self) -> None:
         if self.units_per_byte < 0:
             raise ValueError("units_per_byte must be >= 0")
-
-    def units(self, nbytes: int) -> float:
-        return float(nbytes) * self.units_per_byte

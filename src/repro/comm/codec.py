@@ -6,7 +6,8 @@ is encoded on the worker before it crosses the wire, and decoded on the
 driver before the update rule sees it. Float ndarray leaves of the
 payload tree compress through the configured
 :class:`~repro.comm.compressors.Compressor`; everything else passes
-through untouched.
+through untouched. Both walks test exact types, as ``sizeof_bytes``
+does: only a ``tuple`` branches, only an ``ndarray`` compresses.
 
 Error feedback (the Bagua ``onebit_adam`` shape): per worker/partition,
 the residual ``x - decompress(compress(x))`` of each leaf is stored in
@@ -96,15 +97,16 @@ class PayloadCodec:
         return EncodedPayload(tree, job.raw, job.wire)
 
     def _encode(self, node: Any, job: _Encoding) -> Any:
-        if isinstance(node, tuple):
+        kind = type(node)
+        if kind is tuple:
             job.raw += 64
             job.wire += 64
-            out = []
-            for child in node:
-                out.append(self._encode(child, job))
+            out = [*node]
+            for i, child in enumerate(out):
+                out[i] = self._encode(child, job)
             return tuple(out)
         if not (
-            isinstance(node, np.ndarray)
+            kind is np.ndarray
             and node.dtype.kind == "f"
             and node.size >= _MIN_COMPRESS_SIZE
         ):
@@ -130,20 +132,12 @@ class PayloadCodec:
         return self._decode(encoded.tree)
 
     def _decode(self, node: Any) -> Any:
-        if isinstance(node, Packet):
+        kind = type(node)
+        if kind is Packet:
             return self.compressor.decompress(node)
-        if isinstance(node, tuple):
-            out = []
-            for child in node:
-                out.append(self._decode(child))
+        if kind is tuple:
+            out = [*node]
+            for i, child in enumerate(out):
+                out[i] = self._decode(child)
             return tuple(out)
         return node
-
-    @staticmethod
-    def out_bytes_of(value: Any) -> int:
-        """``BackendTask.out_bytes_of`` for encoded ``(acc, count)`` pairs."""
-        if isinstance(value, EncodedPayload):
-            return value.wire_bytes
-        if isinstance(value, tuple):
-            return 64 + sum(PayloadCodec.out_bytes_of(v) for v in value)
-        return sizeof_bytes(value)

@@ -29,6 +29,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.api.registry import COMPRESSORS, register_compressor
+from repro.comm.frames import MAX_MESSAGE_BYTES
 from repro.errors import ReproError
 
 __all__ = [
@@ -86,11 +87,11 @@ class Packet:
     values)`` for top-k). The binary layout is a fixed header — magic,
     format version, scheme, original dtype, shape, one ``(dtype, length)``
     descriptor per array — followed by the arrays' raw bytes, so
-    ``wire_bytes`` is computable without serializing and equals
-    ``len(to_bytes())`` exactly.
+    ``wire_bytes``, the exact serialized size ``len(to_bytes())``, is
+    computed once, when the packet is built.
     """
 
-    __slots__ = ("scheme", "shape", "dtype", "arrays")
+    __slots__ = ("scheme", "shape", "dtype", "arrays", "wire_bytes")
 
     def __init__(
         self,
@@ -106,21 +107,13 @@ class Packet:
         self.dtype = _dtype_name(dtype)
         # ndarrays in any layout: ``to_bytes`` writes C order, and
         # ``wire_bytes`` counts ``nbytes``, which no layout changes.
-        self.arrays = tuple(arrays)
-
-    @property
-    def header_bytes(self) -> int:
+        self.arrays = arrays = tuple(arrays)
         # magic(2) + version(1) + scheme(1) + dtype(1) + ndim(1) +
         # shape(8 each) + narrays(1) + (dtype(1) + length(4)) per array
-        return 6 + 8 * len(self.shape) + 1 + 5 * len(self.arrays)
-
-    @property
-    def wire_bytes(self) -> int:
-        """Exact serialized size: ``len(self.to_bytes())``."""
-        total = self.header_bytes
-        for a in self.arrays:
-            total += a.nbytes
-        return total
+        wire = 7 + 8 * len(self.shape) + 5 * len(arrays)
+        for a in arrays:
+            wire += a.nbytes
+        self.wire_bytes = wire
 
     def to_bytes(self) -> bytes:
         parts = [
@@ -146,8 +139,9 @@ class Packet:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "Packet":
         """Parse :meth:`to_bytes` output; any malformed blob (truncated,
-        unknown scheme or dtype code, trailing bytes) raises
-        :class:`~repro.errors.ReproError` saying what is wrong."""
+        unknown scheme or dtype code, trailing bytes, arrays that do not
+        fit the scheme and shape) raises :class:`~repro.errors.ReproError`
+        saying what is wrong, so every packet it returns decompresses."""
         if blob[:2] != _MAGIC:
             raise ReproError("not a comm packet (bad magic)")
         try:
@@ -192,7 +186,33 @@ class Packet:
             offset += nbytes
         if offset != len(blob):
             raise ReproError("trailing bytes after comm packet payload")
+        _check_layout(scheme, shape, arrays)
         return cls(scheme, shape, dtype, tuple(arrays))
+
+
+def _check_layout(scheme: str, shape: tuple, arrays: list) -> None:
+    """A parsed packet's arrays fit its scheme and shape, and its dense
+    float64 tensor stays under the message cap (as a frame's JSON does)."""
+    n = math.prod(shape)
+    if min(shape, default=0) < 0 or 8 * n > MAX_MESSAGE_BYTES:
+        raise ReproError(f"comm packet shape {shape} out of range")
+    sizes = [a.size for a in arrays]
+    if scheme == "none":
+        fits = sizes == [n]
+    elif scheme == "topk":  # strictly increasing indices inside the tensor
+        idx = arrays[0] if len(sizes) == 2 and sizes[0] == sizes[1] else None
+        fits = idx is not None and idx.dtype.kind in "iu" and (
+            not idx.size or idx[0] >= 0 and idx[-1] < n
+            and bool(np.all(idx[1:] > idx[:-1]))
+        )
+    else:  # onebit: packed sign bits and one float64 scale
+        fits = sizes == [(n + 7) // 8, 1] and (
+            arrays[0].dtype == np.uint8 and arrays[1].dtype == np.float64
+        )
+    if not fits:
+        raise ReproError(
+            f"{scheme} packet arrays {sizes} do not fit shape {shape}"
+        )
 
 
 class Compressor:
@@ -243,10 +263,6 @@ class NoneCompressor(Compressor):
         return _restore(packet, np.array(packet.arrays[0], copy=True))
 
 
-def _fraction_k(fraction: float, n: int) -> int:
-    return max(1, min(n, int(math.ceil(fraction * n))))
-
-
 @register_compressor("topk")
 class TopKCompressor(Compressor):
     """Keep the ``ceil(f*n)`` largest-magnitude entries (an index/value
@@ -261,29 +277,39 @@ class TopKCompressor(Compressor):
                 f"{self.name} fraction must be in (0, 1], got {fraction}"
             )
         self.fraction = fraction
+        #: size -> entries kept, ``ceil(fraction * size)`` clipped to [1, size].
+        self._k: dict[int, int] = {}
 
     def spec(self) -> str:
         return f"{self.name}:{self.fraction:g}"
 
     def compress(self, arr: np.ndarray) -> Packet:
-        arr = np.asarray(arr)
-        flat = arr.ravel()
-        k = _fraction_k(self.fraction, flat.size)
-        if k >= flat.size:
-            idx = np.arange(flat.size)
+        if type(arr) is not np.ndarray:
+            arr = np.asarray(arr)
+        flat = arr if arr.ndim == 1 else arr.ravel()
+        n = flat.size
+        k = self._k.get(n)
+        if k is None:
+            k = self._k[n] = max(1, min(n, int(math.ceil(self.fraction * n))))
+        if k >= n:
+            idx = np.arange(n)
         else:
-            idx = np.abs(flat).argpartition(flat.size - k)[flat.size - k:]
+            idx = np.abs(flat).argpartition(n - k)[n - k:]
         # ``idx`` is fresh: narrow it, then sort it in place.
-        idx = idx.astype(np.int64 if flat.size > 2**31 else np.int32, copy=False)
+        idx = idx.astype(np.int64 if n > 2**31 else np.int32, copy=False)
         idx.sort()
         values = flat[idx].astype(np.float64, copy=False)
         return Packet(self.name, arr.shape, arr.dtype, (idx, values))
 
     def decompress(self, packet: Packet) -> np.ndarray:
         idx, values = packet.arrays
-        flat = np.zeros(math.prod(packet.shape), dtype=np.float64)
+        dense = np.zeros(packet.shape, dtype=np.float64)
+        # A 1-D float64 packet (every model vector) is its own flat view.
+        flat = dense if dense.ndim == 1 else dense.reshape(-1)
         flat[idx] = values
-        return _restore(packet, flat)
+        if packet.dtype == "float64":
+            return dense
+        return dense.astype(packet.dtype)
 
     def residual(self, x: np.ndarray, packet: Packet) -> np.ndarray:
         # Bit-identical to the dense ``x - decompress(packet)``: entries
@@ -291,9 +317,9 @@ class TopKCompressor(Compressor):
         # inf, subnormals and every NaN arithmetic produces), kept ones
         # the same subtraction, and a packet never repeats an index.
         idx, values = packet.arrays
-        flat = x.ravel()  # a view unless x is not C-contiguous
+        flat = x if x.ndim == 1 else x.ravel()  # a view if x is C-contiguous
         flat[idx] -= values
-        return flat.reshape(x.shape)
+        return flat if x.ndim == 1 else flat.reshape(x.shape)
 
 
 @register_compressor("onebit")

@@ -12,6 +12,8 @@ traffic: the sweep coordinator counts them (``comm_stats``).
 
 from __future__ import annotations
 
+from repro.errors import ReproError
+
 __all__ = ["CommLedger", "DIRECTIONS"]
 
 DIRECTIONS = ("broadcast", "collect")
@@ -22,23 +24,24 @@ class CommLedger:
 
     def __init__(self, compressor: str = "none") -> None:
         self.compressor = compressor
-        self._rows = {
+        #: direction -> counters; hot paths add into a row in place.
+        self.rows = {
             direction: {"raw_bytes": 0, "wire_bytes": 0, "count": 0}
             for direction in DIRECTIONS
         }
 
     def record(self, direction: str, raw_bytes: int, wire_bytes: int) -> None:
-        if direction not in self._rows:
-            raise ValueError(f"unknown comm direction {direction!r}")
-        row = self._rows[direction]
+        if direction not in self.rows:
+            raise ReproError(f"unknown comm direction {direction!r}")
+        row = self.rows[direction]
         row["raw_bytes"] += int(raw_bytes)
         row["wire_bytes"] += int(wire_bytes)
         row["count"] += 1
 
     # -- views -----------------------------------------------------------------
     def totals(self) -> tuple[int, int]:
-        raw = sum(r["raw_bytes"] for r in self._rows.values())
-        wire = sum(r["wire_bytes"] for r in self._rows.values())
+        raw = sum(r["raw_bytes"] for r in self.rows.values())
+        wire = sum(r["wire_bytes"] for r in self.rows.values())
         return raw, wire
 
     @staticmethod
@@ -47,7 +50,7 @@ class CommLedger:
 
     def as_dict(self) -> dict:
         """Nested ledger for ``extras["comm"]``."""
-        rows = {d: dict(r) for d, r in self._rows.items()}
+        rows = {d: dict(r) for d, r in self.rows.items()}
         raw, wire = self.totals()
         for row in rows.values():
             row["ratio"] = self._ratio(row["raw_bytes"], row["wire_bytes"])

@@ -15,7 +15,8 @@ hands it to the scheduler (collect-path codec), the broadcasters
   broadcasting (ship ``w_v - mirror`` against the last value the worker
   reconstructed instead of the full model),
 - codec compute pricing via
-  :class:`~repro.cluster.cost.CodecCostModel` (``env.record_cost``).
+  :class:`~repro.cluster.cost.CodecCostModel` (added to the task's
+  ``env.pending_cost_units``).
 
 With ``compressor="none"`` the collect path is left untouched — no
 closure wrapping, no extra float ops — so the parity suite can pin
@@ -34,6 +35,7 @@ from repro.comm.codec import EncodedPayload, PayloadCodec
 from repro.comm.compressors import Compressor, parse_compressor
 from repro.comm.ledger import CommLedger
 from repro.errors import ReproError
+from repro.utils.sizeof import sizeof_bytes
 
 __all__ = ["CommManager"]
 
@@ -53,6 +55,7 @@ class CommManager:
         self.codec = PayloadCodec(self.compressor)
         self.codec_cost = codec_cost or CodecCostModel()
         self.ledger = CommLedger(self.compressor.spec())
+        self._collect_row = self.ledger.rows["collect"]
         #: channel name -> {scope: lowest model version it may still read}.
         self._watermarks: dict[str, dict[Any, int]] = {}
         #: (channel name, worker id) -> last value that worker reconstructed.
@@ -103,17 +106,19 @@ class CommManager:
     # -- collect path (worker -> server) ---------------------------------------
     def encode_value(self, value: Any, env, partition: "int | None") -> Any:
         """Worker-side encode of one reduced ``(acc, count)`` pair
-        (error-feedback residual update plus the codec's
-        ``env.record_cost`` pricing); see :meth:`wrap_task_fn`."""
-        if not (isinstance(value, tuple) and len(value) == 2):
+        (error-feedback residual update plus the codec's compute price,
+        added to the task's ``env.pending_cost_units``); see
+        :meth:`wrap_task_fn`."""
+        if not (type(value) is tuple and len(value) == 2):
             return value
         payload, count = value
         if payload is None:
             return value
         enc = self.codec.encode(payload, env, partition)
-        units = self.codec_cost.units(enc.raw_bytes + enc.wire_bytes)
+        nbytes = enc.raw_bytes + enc.wire_bytes
+        units = float(nbytes) * self.codec_cost.units_per_byte
         if units > 0.0:
-            env.record_cost(units)
+            env.pending_cost_units += units
         return (enc, count)
 
     def wrap_task_fn(self, fn: Callable, partition: "int | None") -> Callable:
@@ -131,14 +136,24 @@ class CommManager:
         return encoded
 
     def out_bytes_of(self, value: Any) -> int:
-        return PayloadCodec.out_bytes_of(value)
+        """``BackendTask.out_bytes_of``: an encoded ``(acc, count)`` pair
+        is priced by its payload's stored wire bytes."""
+        if type(value) is tuple and len(value) == 2:
+            enc, count = value
+            if type(enc) is EncodedPayload:
+                return 64 + enc.wire_bytes + sizeof_bytes(count)
+        return sizeof_bytes(value)
 
     def note_collect(self, payload: Any, out_bytes: int) -> Any:
         """Driver-side decode + ledger row for one collected payload."""
-        if isinstance(payload, EncodedPayload):
-            self.ledger.record("collect", payload.raw_bytes, payload.wire_bytes)
+        row = self._collect_row
+        row["count"] += 1
+        if type(payload) is EncodedPayload:
+            row["raw_bytes"] += payload.raw_bytes
+            row["wire_bytes"] += payload.wire_bytes
             return self.codec.decode(payload)
-        self.ledger.record("collect", out_bytes, out_bytes)
+        row["raw_bytes"] += out_bytes
+        row["wire_bytes"] += out_bytes
         return payload
 
     # -- broadcast path (server -> worker) -------------------------------------

@@ -175,9 +175,11 @@ def _header_len(blob: bytes) -> int:
 )
 def test_packet_from_bytes_survives_hostile_input(token, n, seed, data):
     """Truncated at every offset, any header byte (scheme, dtype, ndim,
-    array dtype and count bytes) overwritten, or with bytes appended, a
-    packet blob either raises ReproError or parses into a packet that
-    serializes back to exactly those bytes — never struct/numpy/KeyError."""
+    shape, array dtype and count bytes) overwritten, or with bytes
+    appended, a packet blob either raises ReproError or parses into a
+    packet that serializes back to exactly those bytes and decompresses
+    to its own shape — never struct/numpy/KeyError, never an IndexError
+    or a huge allocation out of ``decompress``."""
     comp = parse_compressor(token)
     packet = comp.compress(np.random.default_rng(seed).standard_normal(n))
     blob = packet.to_bytes()
@@ -197,7 +199,53 @@ def test_packet_from_bytes_survives_hostile_input(token, n, seed, data):
         mutated[at] = data.draw(st.integers(0, 255), label="value")
         mutated = bytes(mutated)
         got = _parse(mutated)
-        assert got is None or got.to_bytes() == mutated
+        if got is not None:
+            assert got.to_bytes() == mutated
+            dense = parse_compressor(got.scheme).decompress(got)
+            assert dense.shape == got.shape
+
+
+def _packet_blob(packet: Packet, at: int, value: int) -> bytes:
+    blob = bytearray(packet.to_bytes())
+    blob[at] = value
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("token,at,value,match", [
+    # Shape 8 -> 2: the indices run past the dense tensor.
+    ("topk:0.5", 6, 2, "do not fit shape"),
+    # Shape 8 -> 2**48 + 8: a 2 PiB dense tensor.
+    ("topk:0.5", 12, 1, "out of range"),
+    # A negative extent.
+    ("topk:0.5", 13, 0x80, "out of range"),
+    # Shape 8 -> 200: one-bit would pad 192 entries out of nothing.
+    ("onebit", 6, 200, "do not fit shape"),
+    ("none", 6, 9, "do not fit shape"),
+    # The int32 index array re-typed as float32 (array dtype code 1).
+    ("topk:0.5", 15, 1, "do not fit shape"),
+])
+def test_packet_arrays_must_fit_scheme_and_shape(token, at, value, match):
+    x = np.array([3.0, -1.0, 4.0, -1.5, 5.0, -9.0, 2.0, 6.0])
+    blob = _packet_blob(parse_compressor(token).compress(x), at, value)
+    with pytest.raises(ReproError, match=match):
+        Packet.from_bytes(blob)
+
+
+def test_topk_indices_must_increase_within_the_shape():
+    x = np.array([3.0, -1.0, 4.0, -1.5, 5.0, -9.0, 2.0, 6.0])
+    packet = TopKCompressor(0.5).compress(x)
+    idx, values = packet.arrays
+    for bad in (idx[::-1], np.r_[idx[:-1], idx[-2]], np.r_[-1, idx[1:]],
+                np.r_[idx[:-1], 8]):
+        blob = Packet(
+            "topk", packet.shape, "float64",
+            (np.ascontiguousarray(bad, dtype=np.int32), values),
+        ).to_bytes()
+        with pytest.raises(ReproError, match="do not fit shape"):
+            Packet.from_bytes(blob)
+    # No arrays at all, for an empty tensor.
+    with pytest.raises(ReproError, match="do not fit shape"):
+        Packet.from_bytes(b"RC\x01\x01\x00\x01" + bytes(8) + b"\x00")
 
 
 @pytest.mark.parametrize("blob,match", [
@@ -420,6 +468,16 @@ def test_delta_fetch_does_not_keep_a_mirrors_negative_zero():
 # ---------------------------------------------------------------------------
 # HIST and the ledger speak the same units
 # ---------------------------------------------------------------------------
+
+def test_ledger_rejects_an_unknown_direction():
+    from repro.comm.ledger import CommLedger
+
+    ledger = CommLedger("topk:0.1")
+    with pytest.raises(ReproError, match="unknown comm direction 'upload'"):
+        ledger.record("upload", 10, 5)
+    ledger.record("collect", 10, 5)
+    assert ledger.totals() == (10, 5)
+
 
 def test_payload_nbytes_matches_hist_units():
     """A HIST channel charges each version ``sizeof_bytes`` of the value,

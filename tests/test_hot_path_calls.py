@@ -3,7 +3,8 @@
 Under ASP every applied update is one task's round trip (publish,
 dispatch, arrival, task body, delivery, collect, apply), so the engine's
 per-task plumbing is the method's per-update overhead. This counts the
-Python calls a small ASGD run makes per applied update, only in code
+Python calls a small ASGD run makes per applied update, and a small
+ASAGA run whose results cross the wire top-k compressed, only in code
 under ``src/repro`` (no builtin or NumPy frames) and not counting list,
 dict and set comprehensions (Python 3.12 runs them inline, 3.11 as
 calls), so the count is the same on every supported Python and NumPy.
@@ -26,6 +27,18 @@ SPEC = {
 #: change that needs more is a measured regression on the per-update
 #: path, not a new ceiling. (A reused gather buffer once cost 20 more.)
 CEILING = 73.66
+
+#: ASAGA over HIST with top-k collects and delta fetches: the COMM
+#: encode/decode path on every update (185.67 before packets were
+#: priced once and the codec walked exact types).
+COMPRESSED_SPEC = {
+    "algorithm": "asaga", "params": {"mode": "history"},
+    "dataset": "rcv1_like", "policy": "ssp:4", "granularity": "partition",
+    "num_workers": 4, "num_partitions": 8, "delay": "cds:0.6",
+    "compressor": {"name": "topk", "fraction": 0.1, "delta": True},
+    "max_updates": 300, "eval_every": 300, "seed": 3,
+}
+COMPRESSED_CEILING = 166.8
 
 PACKAGE = str(Path(repro.__file__).resolve().parent)
 INLINED = {"<listcomp>", "<dictcomp>", "<setcomp>"}
@@ -56,4 +69,12 @@ def test_calls_per_update_stay_under_the_ceiling():
     per_update = repro_calls_per_update(SPEC)
     assert per_update <= CEILING, (
         f"{per_update:.2f} calls into src/repro per update > {CEILING}"
+    )
+
+
+def test_compressed_calls_per_update_stay_under_the_ceiling():
+    per_update = repro_calls_per_update(COMPRESSED_SPEC)
+    assert per_update <= COMPRESSED_CEILING, (
+        f"{per_update:.2f} calls into src/repro per update > "
+        f"{COMPRESSED_CEILING}"
     )

@@ -87,6 +87,11 @@ TASK_ENV: contextvars.ContextVar["WorkerEnv | None"] = contextvars.ContextVar(
 class WorkerEnv:
     """Worker-local state: a key/value block store plus fetch accounting.
 
+    ``get(key, default=None)`` and ``put(key, value)`` are the store's
+    own ``dict.get`` and ``dict.__setitem__``, bound in ``__init__``:
+    every cached-block, broadcast and residual read on a task's path is
+    one C call, with no Python frame around it.
+
     The ASYNCbroadcaster records bytes it had to fetch from the server
     (history misses) via :meth:`record_fetch`, a task body its work via
     :meth:`record_cost`; after each body the simulation backend folds both
@@ -97,14 +102,10 @@ class WorkerEnv:
         self.worker_id = worker_id
         self.alive = True
         self._kv: dict[Any, Any] = {}
+        self.get = self._kv.get
+        self.put = self._kv.__setitem__
         self.pending_fetch_bytes = 0
         self.pending_cost_units = 0.0
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        return self._kv.get(key, default)
-
-    def put(self, key: Any, value: Any) -> None:
-        self._kv[key] = value
 
     def __contains__(self, key: Any) -> bool:
         return key in self._kv
@@ -113,7 +114,8 @@ class WorkerEnv:
         return list(self._kv.keys())
 
     def clear(self) -> None:
-        """Drop all local state (used when a worker is killed)."""
+        """Drop all local state (used when a worker is killed); the
+        store stays the same dict, so ``get`` and ``put`` stay bound."""
         self._kv.clear()
         self.pending_fetch_bytes = 0
 

@@ -138,7 +138,8 @@ class RoundPlan:
                             block = Batch(block, block.sample_indices(
                                 fraction, seed, "mbatch", split
                             ))
-                            env.record_cost(block.cost_units())
+                            # ``env.record_cost``, without its frame.
+                            env.pending_cost_units += block.cost_units()
                         elem = kernel(block, handle, seed)
                         count += 1
                         acc = elem if acc is _EMPTY else reduce(acc, elem)

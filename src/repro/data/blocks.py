@@ -404,7 +404,7 @@ class MatrixBlock:
         """
         if not 0.0 < fraction <= 1.0:
             raise DataError(f"fraction must be in (0, 1], got {fraction}")
-        return batch_indices(self.rows, fraction, seed, *key)
+        return batch_indices(self.X.shape[0], fraction, seed, *key)
 
 
 class Batch:

@@ -14,12 +14,17 @@ job-to-job gaps count — matching the paper's per-iteration accounting.
 from __future__ import annotations
 
 from collections import defaultdict
+from operator import attrgetter
 from statistics import fmean
 from typing import Iterable
 
 from repro.cluster.backend import TaskMetrics
 
 __all__ = ["per_worker_waits", "average_wait_ms"]
+
+
+#: A worker's task records in start order, ties by task id.
+_START_ORDER = attrgetter("started_ms", "task_id")
 
 
 def _job_spans(
@@ -30,15 +35,15 @@ def _job_spans(
     current_job: int | None = None
     start = 0.0
     end = 0.0
-    for m in sorted(records, key=lambda m: (m.started_ms, m.task_id)):
+    for m in sorted(records, key=_START_ORDER):
         if current_job is None or m.job_id != current_job:
             if current_job is not None:
                 spans.append((start, end))
             current_job = m.job_id
             start = m.started_ms
             end = m.delivered_ms
-        else:
-            end = max(end, m.delivered_ms)
+        elif m.delivered_ms > end:  # max(end, ...), without the call
+            end = m.delivered_ms
     if current_job is not None:
         spans.append((start, end))
     return spans

@@ -27,10 +27,10 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.api.registry import OPTIMIZERS
+from repro.cluster.backend import TASK_ENV
 from repro.core.policies import SchedulingPolicy
 from repro.engine.context import ClusterContext
 from repro.engine.matrix import MatrixRDD
-from repro.engine.taskcontext import current_env
 from repro.errors import ApiError, OptimError
 from repro.optim.problems import Problem
 from repro.optim.stepsize import StepSchedule
@@ -53,10 +53,11 @@ __all__ = [
 def bc_value(bc: Any) -> Any:
     """Read a broadcast (plain or history) inside a task closure.
 
-    Resolves the ambient worker environment via the task context so user
-    code matches the paper's ``w_br.value`` spelling.
+    Resolves the ambient worker environment (the backend's
+    :data:`~repro.cluster.backend.TASK_ENV`, ``None`` on the driver) so
+    user code matches the paper's ``w_br.value`` spelling.
     """
-    return bc.value(current_env())
+    return bc.value(TASK_ENV.get())
 
 
 @dataclass

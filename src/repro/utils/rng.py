@@ -116,17 +116,16 @@ def spawn_generator(seed: int, *key: object) -> np.random.Generator:
 @functools.cache
 def _digest_seed_type() -> type:
     """An ``ISeedSequence`` handing a bit generator a digest's bytes as
-    its seed words, unmixed. Built on the first draw: numpy loads
-    ``numpy.random`` lazily, and ``import repro`` leaves it unloaded."""
+    its seed words, unmixed. It is the digest itself (a ``bytes``
+    subclass), so building one runs no Python ``__init__``. Built on the
+    first draw: numpy loads ``numpy.random`` lazily, and ``import
+    repro`` leaves it unloaded."""
 
-    class DigestSeed(np.random.bit_generator.ISeedSequence):
-        __slots__ = ("digest",)
-
-        def __init__(self, digest: bytes) -> None:
-            self.digest = digest
+    class DigestSeed(bytes, np.random.bit_generator.ISeedSequence):
+        __slots__ = ()
 
         def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            return np.frombuffer(self.digest, dtype=dtype)[:n_words]
+            return np.frombuffer(self, dtype)[:n_words]
 
     return DigestSeed
 
@@ -145,7 +144,7 @@ def batch_indices(
     makes ``1`` and ``np.int64(1)`` the same batch; key parts must be
     hashable.
     """
-    size = max(1, int(round(fraction * rows)))
+    size = int(round(fraction * rows)) or 1  # max(1, ...): round >= 0 here
     if size >= rows:
         return np.arange(rows, dtype=np.intp)
     h = _prefix_state(32, *key).copy()

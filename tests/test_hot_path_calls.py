@@ -3,11 +3,19 @@
 Under ASP every applied update is one task's round trip (publish,
 dispatch, arrival, task body, delivery, collect, apply), so the engine's
 per-task plumbing is the method's per-update overhead. This counts the
-Python calls a small ASGD run makes per applied update, and a small
-ASAGA run whose results cross the wire top-k compressed, only in code
-under ``src/repro`` (no builtin or NumPy frames) and not counting list,
-dict and set comprehensions (Python 3.12 runs them inline, 3.11 as
-calls), so the count is the same on every supported Python and NumPy.
+Python calls made per applied update by three runs:
+
+- ``SPEC``: a small ASGD run, one partition per task;
+- ``COMPRESSED_SPEC``: a small ASAGA run whose results cross the wire
+  top-k compressed (the COMM encode/decode path);
+- ``WORKER_SPEC``: an ASGD run at worker grain with four partitions per
+  task, so the task body's walk over a worker's local partitions (block
+  read, batch draw, cost report, kernel) is most of each update.
+
+Only code under ``src/repro`` counts (no builtin or NumPy frames), and
+not list, dict and set comprehensions (Python 3.12 runs them inline,
+3.11 as calls), so the count is the same on every supported Python and
+NumPy.
 """
 
 import cProfile
@@ -25,12 +33,14 @@ SPEC = {
 
 #: Calls into ``src/repro`` per applied update. It may only go down: a
 #: change that needs more is a measured regression on the per-update
-#: path, not a new ceiling. (A reused gather buffer once cost 20 more.)
-CEILING = 73.66
+#: path, not a new ceiling. (A reused gather buffer once cost 20 more;
+#: 73.66 before the partition walk lost its wrapper frames.)
+CEILING = 66.47
 
 #: ASAGA over HIST with top-k collects and delta fetches: the COMM
 #: encode/decode path on every update (185.67 before packets were
-#: priced once and the codec walked exact types).
+#: priced once and the codec walked exact types, 166.8 before the
+#: partition walk lost its wrapper frames).
 COMPRESSED_SPEC = {
     "algorithm": "asaga", "params": {"mode": "history"},
     "dataset": "rcv1_like", "policy": "ssp:4", "granularity": "partition",
@@ -38,7 +48,19 @@ COMPRESSED_SPEC = {
     "compressor": {"name": "topk", "fraction": 0.1, "delta": True},
     "max_updates": 300, "eval_every": 300, "seed": 3,
 }
-COMPRESSED_CEILING = 166.8
+COMPRESSED_CEILING = 153.42
+
+#: ASGD at worker grain, 8 workers over 32 partitions: every task walks
+#: four local partitions (127.52 before the block store's reads, the
+#: broadcast read, the cost report and the draw's sizing and seed lost
+#: their wrapper frames).
+WORKER_SPEC = {
+    "algorithm": "asgd", "dataset": "mnist8m_like",
+    "problem": "least_squares", "num_workers": 8, "num_partitions": 32,
+    "policy": "asp", "delay": "cds:0.6",
+    "max_updates": 300, "eval_every": 300, "seed": 0,
+}
+WORKER_CEILING = 101.83
 
 PACKAGE = str(Path(repro.__file__).resolve().parent)
 INLINED = {"<listcomp>", "<dictcomp>", "<setcomp>"}
@@ -77,4 +99,12 @@ def test_compressed_calls_per_update_stay_under_the_ceiling():
     assert per_update <= COMPRESSED_CEILING, (
         f"{per_update:.2f} calls into src/repro per update > "
         f"{COMPRESSED_CEILING}"
+    )
+
+
+def test_worker_grain_calls_per_update_stay_under_the_ceiling():
+    per_update = repro_calls_per_update(WORKER_SPEC)
+    assert per_update <= WORKER_CEILING, (
+        f"{per_update:.2f} calls into src/repro per update > "
+        f"{WORKER_CEILING}"
     )

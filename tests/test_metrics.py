@@ -72,6 +72,30 @@ def test_synthetic_loss_records_skipped():
 
 # -- speedups ------------------------------------------------------------------
 
+def test_waits_order_ties_by_task_id_and_keep_a_jobs_last_delivery():
+    """Worked by hand. Worker 0's tasks in start order, ties by task id:
+    job 0 is tasks 5, 3, 4, 6 (3 and 4 both start at 1.0), delivered
+    out of order, so its span ends at its largest delivery, 7.5; tasks 7
+    (job 2) and 8 (job 1) both start at 9.0, so job 2's span (9.0, 10.0)
+    comes first and job 1's (9.0, 12.25) second; then job 3 at 13.0.
+    Gaps: 9.0 - 7.5, 9.0 - 10.0 clamped, 13.0 - 12.25. The loss row
+    (task -1) would open a fourth job-2 span at 9.5 if it counted."""
+    log = [
+        tm(8, 0, job=1, started=9.0, delivered=12.25),
+        tm(6, 0, job=0, started=2.0, delivered=4.0),
+        tm(11, 1, job=1, started=2.5, delivered=3.0),
+        tm(4, 0, job=0, started=1.0, delivered=2.0),
+        tm(-1, 0, job=2, started=9.5, delivered=9.5),
+        tm(9, 0, job=3, started=13.0, delivered=14.0),
+        tm(3, 0, job=0, started=1.0, delivered=7.5),
+        tm(7, 0, job=2, started=9.0, delivered=10.0),
+        tm(10, 1, job=0, started=0.0, delivered=1.0),
+        tm(5, 0, job=0, started=0.0, delivered=3.0),
+    ]
+    assert per_worker_waits(log) == {0: [1.5, 0.0, 0.75], 1: [1.5]}
+    assert average_wait_ms(log) == 0.9375
+
+
 def make_trace(problem, times, points):
     tr = ConvergenceTrace()
     for t, w in zip(times, points):

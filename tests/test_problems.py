@@ -67,6 +67,91 @@ def test_ls_error_nonnegative_and_zero_at_optimum(ls_problem, rng):
     assert ls_problem.error(w) >= 0.0
 
 
+def _sparse_design(rng, n=80, d=7):
+    X = rng.standard_normal((n, d))
+    X[X < 0.3] = 0.0
+    return sparse.csr_matrix(X), rng.standard_normal(n)
+
+
+def _quadratic_cases():
+    rng = np.random.default_rng(5)
+    X, y, _ = make_dense_regression(96, 6, cond=3.0, seed=4)
+    Xs, ys = _sparse_design(rng)
+    return {
+        "dense": LeastSquaresProblem(X, y),
+        "csr": LeastSquaresProblem(Xs, ys),
+        "ridge": RidgeProblem(X, y, lam=0.3),
+    }
+
+
+@pytest.mark.parametrize("case", ["dense", "csr", "ridge"])
+def test_ls_error_is_the_objective_gap(case, rng):
+    """The quadratic form means ``F(w) - F*``, on dense, ``Csr`` and
+    ridge problems, from near the optimum out to far from it; right at
+    the optimum, where rounding in ``g*`` can tip it below zero, the
+    clamp keeps it >= 0."""
+    p = _quadratic_cases()[case]
+    if case == "csr":
+        assert type(p.X) is Csr
+    tol = 1e-9 * max(1.0, p.f_star)
+    for scale in (1e-16, 1e-12, 1e-8, 1e-3, 0.1, 1.0, 10.0):
+        for _ in range(10):
+            w = p.w_star + scale * rng.standard_normal(p.dim)
+            assert abs(p.error(w) - (p.objective(w) - p.f_star)) <= tol
+            assert p.error(w) >= 0.0
+    assert p.error(p.w_star) == 0.0
+    assert p.initial_error() == p.error(p.initial_point())
+
+
+def _exact_lstsq(X, y):
+    """``w*`` and ``F`` of ``(1/n) ||Xw - y||^2`` in exact rationals."""
+    from fractions import Fraction
+
+    n, d = X.shape
+    Xf = [[Fraction(v) for v in row] for row in X]
+    yf = [Fraction(v) for v in y]
+    A = [[sum(Xf[k][i] * Xf[k][j] for k in range(n)) for j in range(d)]
+         + [sum(Xf[k][i] * yf[k] for k in range(n))] for i in range(d)]
+    for c in range(d):  # Gauss-Jordan, exact
+        piv = next(r for r in range(c, d) if A[r][c] != 0)
+        A[c], A[piv] = A[piv], A[c]
+        A[c] = [v / A[c][c] for v in A[c]]
+        for r in range(d):
+            if r != c and A[r][c] != 0:
+                A[r] = [a - A[r][c] * b for a, b in zip(A[r], A[c])]
+    w_star = [A[i][d] for i in range(d)]
+
+    def F(w):
+        w = [Fraction(v) for v in w]
+        return sum(
+            (sum(a * b for a, b in zip(row, w)) - t) ** 2
+            for row, t in zip(Xf, yf)
+        ) / n
+
+    return w_star, F
+
+
+def test_ls_error_beats_the_direct_difference_near_the_optimum():
+    """On an 8 x 3 problem solved in exact rationals, ``||e|| ~ 1e-7``
+    away from ``w*`` the quadratic form is at least as close to the exact
+    ``F(w) - F*`` as ``objective(w) - f_star``, whose two nearly equal
+    terms cancel."""
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((8, 3))
+    y = X @ np.array([1.0, -2.0, 0.5]) + rng.standard_normal(8)
+    p = LeastSquaresProblem(X, y)
+    w_exact, F = _exact_lstsq(X, y)
+    f_exact = F(w_exact)
+    for _ in range(10):
+        step = rng.standard_normal(3)
+        w = p.w_star + 1e-7 * step / np.linalg.norm(step)
+        exact = F(w) - f_exact
+        quad = abs(p.error(w) - exact)
+        direct = abs((p.objective(w) - p.f_star) - exact)
+        assert quad <= direct
+        assert quad <= 1e-6 * exact
+
+
 def test_ls_sparse_matches_dense(rng):
     Xd = rng.standard_normal((60, 8))
     Xd[Xd < 0.5] = 0.0

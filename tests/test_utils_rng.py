@@ -1,6 +1,7 @@
 """RNG factory: determinism, independence, stable hashing; the
 mini-batch draw."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -114,6 +115,50 @@ def test_batch_is_sized_distinct_sorted_and_in_range(rows, fraction, seed, split
     assert idx.size == 0 or (idx[0] >= 0 and idx[-1] < rows)
     assert np.array_equal(batch_indices(rows, 1.0, seed, "mbatch", split),
                           np.arange(rows))
+
+
+#: ``(rows, fraction, seed, split) -> (size, sha256 of idx.tobytes())``,
+#: pinned before the draw sized its batch with ``or 1`` and seeded its
+#: bit generator with a ``bytes`` subclass: the edges of the sizing
+#: (no rows, one, two; a size that rounds to 0; ``fraction * rows``
+#: exactly 2.5 and 3.5, which round half to even; a batch of every row)
+#: and a numpy integer seed.
+DRAW_PINS = [
+    ((0, 0.5, 7, 0), 0,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ((1, 0.5, 7, 0), 1,
+     "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+    ((1, 0.001, 7, 1), 1,
+     "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+    ((2, 0.5, 7, 0), 1,
+     "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+    ((2, 0.5, 2, 0), 1,
+     "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8"),
+    ((2, 0.1, 9, 2), 1,
+     "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+    ((100, 0.004, 11, 3), 1,
+     "280263b8515b99c473d9685d1fca1b992ae0949c742ba11c9ba625d9cd984506"),
+    ((10, 0.25, 13, 4), 2,
+     "6b2e10cb2111114ce942174c38e7ea38864cc364a8fe95c66869c85888d812da"),
+    ((14, 0.25, 13, 4), 4,
+     "babd7a0494cc16f39268c4339e91ec7842a709ba8dde3f260b5efdc43817fb99"),
+    ((5, 1.0, 17, 5), 5,
+     "281b02b10f5f4997e5bf8c93343e6f2aa8bc81ffad6d6813c593181ebceda12a"),
+    ((3, 0.9, 17, 5), 3,
+     "ab25350e3e65efebe24584461683ecda68725576e825e550038b90e7b1479946"),
+    ((64, 0.25, np.int64(2**40 + 3), 1), 16,
+     "e4651dfaab723797d06df9acfdcea961e6dd4cac934e97031d68f4a7d7c9c030"),
+    ((64, 0.25, 2**40 + 3, 1), 16,
+     "e4651dfaab723797d06df9acfdcea961e6dd4cac934e97031d68f4a7d7c9c030"),
+]
+
+
+@pytest.mark.parametrize(("args", "size", "sha"), DRAW_PINS)
+def test_batch_draw_edges_are_pinned(args, size, sha):
+    rows, fraction, seed, split = args
+    idx = batch_indices(rows, fraction, seed, "mbatch", split)
+    assert idx.dtype == np.intp and idx.size == size
+    assert hashlib.sha256(idx.tobytes()).hexdigest() == sha
 
 
 _DRAW = (

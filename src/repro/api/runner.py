@@ -13,10 +13,8 @@ context, and :func:`summarize` turns a run into its one cell record.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
@@ -29,7 +27,6 @@ from repro.cluster.network import NetworkModel
 from repro.cluster.stragglers import DelayModel, resolve_delay_model
 from repro.comm.manager import CommManager
 from repro.core.policies import SchedulingPolicy, resolve_policy
-from repro.data.blocks import Csr
 from repro.data.registry import get_dataset
 from repro.engine.context import ClusterContext
 from repro.errors import ApiError
@@ -337,75 +334,17 @@ def is_record(value: Any) -> bool:
     return isinstance(value, dict) and all(f in value for f in RECORD_FIELDS)
 
 
-def _array_digest(value: Any) -> str:
-    """Content fingerprint of an array/CSR matrix (shape alone would
-    alias e.g. two same-sized problems with different labels)."""
-    digest = hashlib.sha1()
-    if hasattr(value, "tobytes"):
-        parts = [value]
-    elif hasattr(value, "indptr"):  # CSR: hash the raw triplet
-        parts = [value.data, value.indices, value.indptr]
-    else:
-        return "?"
-    for part in parts:
-        digest.update(np.ascontiguousarray(part).tobytes())
-    return digest.hexdigest()[:16]
-
-
-def _stable_value(value: Any) -> Any:
-    """A JSON-representable, process-independent stand-in for a value."""
-    if isinstance(value, (bool, int, float, str, type(None))):
-        return value
-    shape = getattr(value, "shape", None)
-    if shape is not None:
-        # A Csr keys as the scipy matrix it replaced: keys stay resumable.
-        name = "csr_matrix" if type(value) is Csr else type(value).__name__
-        return f"<{name} shape={tuple(shape)} sha1={_array_digest(value)}>"
-    if isinstance(value, (list, tuple)):
-        return [_stable_value(v) for v in value]
-    if isinstance(value, Mapping):
-        return {str(k): _stable_value(v) for k, v in value.items()}
-    return f"<{type(value).__name__}>"
-
-
 def component_key(spec: Any) -> str:
-    """A stable cache key for a component spec (str, dict, or instance).
-
-    Strings key as themselves and dicts as sorted JSON. An already-built
-    instance keys as its class path plus its sorted public state —
-    ``id()`` would be meaningless across processes and sessions, which is
-    exactly where the sweep engine and checkpoint files need the key to
-    hold. ``cached_property`` slots are excluded: they materialize lazily
-    (``w_star``/``f_star`` appear mid-sweep) and would otherwise change
-    an instance's identity after first use.
-    """
+    """A stable cache key for a component spec: a name keys as itself
+    and a dict as sorted JSON. A built instance has no key — grids and
+    ``run_key`` refuse specs that hold one before any cell is cached."""
     if isinstance(spec, str):
         return spec
     if isinstance(spec, Mapping):
         return json.dumps(spec, sort_keys=True, default=repr)
-    cls = type(spec)
-    cached = {
-        name
-        for klass in cls.__mro__
-        for name, attr in vars(klass).items()
-        if isinstance(attr, cached_property)
-    }
-    state = getattr(spec, "__dict__", None)
-    if state is None:  # __slots__-only classes
-        state = {
-            name: getattr(spec, name)
-            for klass in cls.__mro__
-            for name in getattr(klass, "__slots__", ())
-            if hasattr(spec, name)
-        }
-    public = {
-        name: _stable_value(value)
-        for name, value in state.items()
-        if not name.startswith("_") and name not in cached
-    }
-    return (
-        f"{cls.__module__}.{cls.__qualname__}"
-        f"({json.dumps(public, sort_keys=True, default=repr)})"
+    raise ApiError(
+        f"cannot key a built {type(spec).__name__}: a cached component "
+        "is a registry name or a dict"
     )
 
 

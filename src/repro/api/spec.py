@@ -121,8 +121,9 @@ class ExperimentSpec:
     #: COMM subsystem (async only): a registered compressor name
     #: (``"none"``, ``"topk:0.1"``, ``"onebit"``) or a dict
     #: (``{"name": "topk", "fraction": 0.1, "delta": true}`` — the
-    #: ``delta`` key turns on delta broadcasting against HIST
-    #: watermarks). ``None`` -> no comm subsystem (pre-COMM byte paths).
+    #: ``delta`` key turns on delta broadcasting against each worker's
+    #: mirror of the model). ``None`` -> no comm subsystem (pre-COMM
+    #: byte paths).
     compressor: Any = None
 
     def __post_init__(self) -> None:
@@ -139,6 +140,9 @@ class ExperimentSpec:
                     f"bad run parameters: ExperimentSpec field {name!r} "
                     f"must be an integer, got {value!r}"
                 )
+            # A NumPy integer is stored as the int it equals, so the
+            # spec keys and serializes like one.
+            object.__setattr__(self, name, int(value))
         if self.num_partitions is not None and self.num_partitions < 1:
             raise ApiError(
                 "bad run parameters: ExperimentSpec field 'num_partitions' "

@@ -7,8 +7,9 @@ Three pillars, all spec-addressable through the ``compressor`` field:
   exact-byte-count packets and a registry + string grammar,
 - :mod:`repro.comm.codec` + :mod:`repro.comm.manager` — worker-side
   error-feedback encoding of collect payloads, delta broadcasting
-  against HIST version-table watermarks, watermark pruning of
-  ``keep="all"`` model channels,
+  against each worker's mirror (the last model it reconstructed), and
+  HIST watermarks that set the prune floor of SAGA's ``keep="all"``
+  model channel,
 - :mod:`repro.comm.ledger` — the per-run raw/wire byte ledger surfaced
   in ``RunResult.extras["comm"]`` (plus :mod:`repro.comm.frames` for the
   sweep fabric's compressed result frames).

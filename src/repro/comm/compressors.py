@@ -1,11 +1,10 @@
 """The ``Compressor`` component family: gradient/model wire codecs.
 
-Every compressor maps a float ndarray to a :class:`Packet` — a
-self-describing binary payload with an *exact* byte count — and back.
-Exactness matters: the simulated network prices transfers by
-``Packet.wire_bytes``, and ``Packet.to_bytes()`` produces a buffer of
-precisely that many bytes, so the cost model and an actual socket agree
-to the byte.
+Every compressor maps a float ndarray to a :class:`Packet` — a scheme,
+the tensor's shape and dtype, and payload arrays — and back. The
+simulated network prices each transfer by ``Packet.wire_bytes``, the
+size of the packet laid out as a fixed binary header followed by its
+arrays' raw bytes.
 
 Spellings follow the policy/barrier grammar (registry + string tokens):
 
@@ -23,13 +22,11 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro.api.registry import COMPRESSORS, register_compressor
-from repro.comm.frames import MAX_MESSAGE_BYTES
 from repro.errors import ReproError
 
 __all__ = [
@@ -41,19 +38,8 @@ __all__ = [
     "parse_compressor",
 ]
 
-_MAGIC = b"RC"
-_FORMAT_VERSION = 1
-
-#: Wire codes; 2 and 3 are unassigned (retired schemes) and fail decode.
-_SCHEME_CODES = {"none": 0, "topk": 1, "onebit": 4}
-_SCHEME_NAMES = {code: name for name, code in _SCHEME_CODES.items()}
-
-_DTYPE_CODES = {
-    "float64": 0, "float32": 1, "float16": 2,
-    "int64": 3, "int32": 4, "int16": 5, "int8": 6,
-    "uint64": 7, "uint32": 8, "uint16": 9, "uint8": 10,
-}
-_DTYPE_NAMES = {code: name for name, code in _DTYPE_CODES.items()}
+#: Scheme names a packet may carry.
+_SCHEMES = frozenset({"none", "topk", "onebit"})
 
 
 @functools.lru_cache(maxsize=64)
@@ -61,34 +47,19 @@ def _dtype_name(dtype) -> str:
     """Canonical numpy name of ``dtype`` (a dtype, scalar type or string).
 
     Memoised: ``np.dtype.name`` is a Python-level property, and every
-    packet resolves it for the tensor and again for each payload array.
+    packet resolves it for its tensor.
     """
     return str(np.dtype(dtype).name)
-
-
-def _code_name(names: dict[int, str], code: int, what: str) -> str:
-    try:
-        return names[code]
-    except KeyError:
-        raise ReproError(f"unknown packet {what} code {code}") from None
-
-
-def _dtype_code(dtype: np.dtype) -> int:
-    name = _dtype_name(dtype)
-    if name not in _DTYPE_CODES:
-        raise ReproError(f"packet cannot carry dtype {name!r}")
-    return _DTYPE_CODES[name]
 
 
 class Packet:
     """One compressed tensor: scheme + original shape/dtype + payload arrays.
 
     ``arrays`` is a scheme-defined ordered tuple (e.g. ``(indices,
-    values)`` for top-k). The binary layout is a fixed header — magic,
-    format version, scheme, original dtype, shape, one ``(dtype, length)``
-    descriptor per array — followed by the arrays' raw bytes, so
-    ``wire_bytes``, the exact serialized size ``len(to_bytes())``, is
-    computed once, when the packet is built.
+    values)`` for top-k). ``wire_bytes`` is computed once, when the
+    packet is built: a fixed header — magic, format version, scheme,
+    original dtype, shape, one ``(dtype, length)`` descriptor per array —
+    plus the arrays' raw bytes.
     """
 
     __slots__ = ("scheme", "shape", "dtype", "arrays", "wire_bytes")
@@ -100,13 +71,12 @@ class Packet:
         dtype: str,
         arrays: tuple[np.ndarray, ...],
     ) -> None:
-        if scheme not in _SCHEME_CODES:
+        if scheme not in _SCHEMES:
             raise ReproError(f"unknown packet scheme {scheme!r}")
         self.scheme = scheme
         self.shape = tuple(shape)
         self.dtype = _dtype_name(dtype)
-        # ndarrays in any layout: ``to_bytes`` writes C order, and
-        # ``wire_bytes`` counts ``nbytes``, which no layout changes.
+        # ndarrays in any layout: ``nbytes`` counts the same in each.
         self.arrays = arrays = tuple(arrays)
         # magic(2) + version(1) + scheme(1) + dtype(1) + ndim(1) +
         # shape(8 each) + narrays(1) + (dtype(1) + length(4)) per array
@@ -114,105 +84,6 @@ class Packet:
         for a in arrays:
             wire += a.nbytes
         self.wire_bytes = wire
-
-    def to_bytes(self) -> bytes:
-        parts = [
-            _MAGIC,
-            struct.pack(
-                "<BBBB",
-                _FORMAT_VERSION,
-                _SCHEME_CODES[self.scheme],
-                _DTYPE_CODES[self.dtype],
-                len(self.shape),
-            ),
-            struct.pack(f"<{len(self.shape)}q", *self.shape),
-            struct.pack("<B", len(self.arrays)),
-        ]
-        for arr in self.arrays:
-            parts.append(struct.pack("<BI", _dtype_code(arr.dtype), arr.size))
-        for arr in self.arrays:
-            parts.append(arr.tobytes())
-        blob = b"".join(parts)
-        assert len(blob) == self.wire_bytes
-        return blob
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "Packet":
-        """Parse :meth:`to_bytes` output; any malformed blob (truncated,
-        unknown scheme or dtype code, trailing bytes, arrays that do not
-        fit the scheme and shape) raises :class:`~repro.errors.ReproError`
-        saying what is wrong, so every packet it returns decompresses."""
-        if blob[:2] != _MAGIC:
-            raise ReproError("not a comm packet (bad magic)")
-        try:
-            version, scheme_code, dtype_code, ndim = struct.unpack_from(
-                "<BBBB", blob, 2
-            )
-            if version != _FORMAT_VERSION:
-                raise ReproError(
-                    f"unsupported packet format version {version}"
-                )
-            scheme = _code_name(_SCHEME_NAMES, scheme_code, "scheme")
-            dtype = _code_name(_DTYPE_NAMES, dtype_code, "dtype")
-            offset = 6
-            shape = struct.unpack_from(f"<{ndim}q", blob, offset)
-            offset += 8 * ndim
-            (narrays,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            descriptors = []
-            for _ in range(narrays):
-                code, size = struct.unpack_from("<BI", blob, offset)
-                offset += 5
-                descriptors.append(
-                    (np.dtype(_code_name(_DTYPE_NAMES, code, "array dtype")),
-                     size)
-                )
-        except struct.error:
-            raise ReproError(
-                f"truncated comm packet header ({len(blob)} bytes)"
-            ) from None
-        arrays = []
-        for array_dtype, size in descriptors:
-            nbytes = array_dtype.itemsize * size
-            if offset + nbytes > len(blob):
-                raise ReproError(
-                    f"truncated comm packet payload: array {len(arrays)} "
-                    f"needs {nbytes} bytes at offset {offset}, the packet "
-                    f"has {len(blob)}"
-                )
-            arrays.append(
-                np.frombuffer(blob[offset:offset + nbytes], dtype=array_dtype)
-            )
-            offset += nbytes
-        if offset != len(blob):
-            raise ReproError("trailing bytes after comm packet payload")
-        _check_layout(scheme, shape, arrays)
-        return cls(scheme, shape, dtype, tuple(arrays))
-
-
-def _check_layout(scheme: str, shape: tuple, arrays: list) -> None:
-    """A parsed packet's arrays fit its scheme and shape, and its dense
-    float64 tensor stays under the message cap (as a frame's JSON does)."""
-    n = math.prod(shape)
-    if min(shape, default=0) < 0 or 8 * n > MAX_MESSAGE_BYTES:
-        raise ReproError(f"comm packet shape {shape} out of range")
-    sizes = [a.size for a in arrays]
-    if scheme == "none":
-        fits = sizes == [n]
-    elif scheme == "topk":  # strictly increasing indices inside the tensor
-        idx = arrays[0] if len(sizes) == 2 and sizes[0] == sizes[1] else None
-        fits = idx is not None and idx.dtype.kind in "iu" and (
-            not idx.size or idx[0] >= 0 and idx[-1] < n
-            and bool(np.all(idx[1:] > idx[:-1]))
-        )
-    else:  # onebit: packed sign bits and one float64 scale
-        fits = sizes == [(n + 7) // 8, 1] and (
-            arrays[0].dtype == np.uint8 and arrays[1].dtype == np.float64
-        )
-    if not fits:
-        raise ReproError(
-            f"{scheme} packet arrays {sizes} do not fit shape {shape}"
-        )
 
 
 class Compressor:

@@ -9,11 +9,12 @@ hands it to the scheduler (collect-path codec), the broadcasters
 - the configured :class:`~repro.comm.compressors.Compressor` plus the
   worker-side :class:`~repro.comm.codec.PayloadCodec` (error feedback),
 - the per-run :class:`~repro.comm.ledger.CommLedger`,
-- the HIST version-table watermark: each partition/worker scope reports
-  the lowest model version it may still read, the minimum over scopes is
-  the prune floor for ``keep="all"`` channels *and* the anchor for delta
-  broadcasting (ship ``w_v - mirror`` against the last value the worker
-  reconstructed instead of the full model),
+- delta broadcasting: a fetch ships ``w_v - mirror``, compressed,
+  against the worker's mirror (the last value it reconstructed on that
+  channel) instead of the full model,
+- the HIST watermark table: each partition scope SAGA registers reports
+  the lowest model version it may still read, and the minimum over
+  scopes is the prune floor of SAGA's ``keep="all"`` model channel,
 - codec compute pricing via
   :class:`~repro.cluster.cost.CodecCostModel` (added to the task's
   ``env.pending_cost_units``).

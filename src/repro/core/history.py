@@ -300,8 +300,7 @@ class HistoryChannel:
         """
         if "values" not in snap:
             raise HistoryError(
-                f"snapshot of channel '{snap.get('name')}' carries no "
-                "values (a metadata-only entry)"
+                f"snapshot of channel '{snap.get('name')}' carries no values"
             )
         snap_keep = RetentionPolicy.parse(snap["keep"])
         if snap_keep != self.keep:
@@ -403,16 +402,13 @@ def to_jsonable(value: Any) -> Any:
 def from_jsonable(value: Any) -> Any:
     """Decode :func:`to_jsonable` output (lists come back as tuples).
 
-    Arrays come back writable and in native byte order. The list form
-    earlier versions wrote (``"__ndarray__": [...]`` with a numpy dtype
-    name) is still read, so their snapshots and HIST channel snapshots
-    keep loading; nothing writes it. A
-    malformed array record raises :class:`~repro.errors.HistoryError`.
+    Arrays come back writable and in native byte order. A malformed
+    array record raises :class:`~repro.errors.HistoryError`.
     """
     if isinstance(value, dict) and "__ndarray__" in value:
         # KeyError: a missing "dtype"/"shape"; TypeError: an unparseable
-        # dtype or shape; ValueError: bad base64, a wrong byte count, a
-        # list-form length mismatch.
+        # dtype or shape, or data that is not a string; ValueError: bad
+        # base64, a wrong byte count.
         try:
             return _decode_array(value)
         except (KeyError, TypeError, ValueError) as exc:
@@ -426,10 +422,6 @@ def from_jsonable(value: Any) -> Any:
 
 def _decode_array(record: dict) -> np.ndarray:
     data = record["__ndarray__"]
-    if not isinstance(data, str):  # legacy list form
-        return np.array(data, dtype=record.get("dtype", "float64")).reshape(
-            record.get("shape", -1)
-        )
     dtype = np.dtype(record["dtype"])
     if dtype.kind not in _ARRAY_KINDS:
         raise ValueError(f"unsupported dtype {dtype}")
@@ -527,13 +519,8 @@ class HistoryStore:
         channel that already exists keeps its configured policy, and a
         snapshot captured under a different one raises (resuming a run
         whose bounds changed must fail loudly, not silently widen them).
-        Entries without values (the metadata-only entries older
-        snapshots wrote for unbounded channels) are skipped — their
-        owners rebuild them through their own setup path.
         """
         for name, ch_snap in snap.items():
-            if "values" not in ch_snap:
-                continue  # metadata-only capture; owner rebuilds it
             self.channel(name, keep=ch_snap.get("keep")).restore(ch_snap)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -17,8 +17,7 @@ The payload is one JSON object (sorted keys, no whitespace) whose
 arrays are :func:`~repro.core.history.to_jsonable` records: the array's
 raw little-endian bytes in base64 plus an explicit dtype and shape, so
 the encode is a byte copy rather than a float-to-text conversion, every
-bit survives (NaN payloads, -0.0) and the JSON stays strict. Payloads
-from earlier versions, whose arrays are JSON lists, still load.
+bit survives (NaN payloads, -0.0) and the JSON stays strict.
 
 The file holds two slots of ``S`` bytes each (``S`` a power of two of
 at least 4 KiB and at least twice the record, so a write to one slot
@@ -31,17 +30,16 @@ record, with the next sequence number, and flushes it with
 the flush is data only. A writer SIGKILLed mid-write tears at most the
 slot it was writing, and :func:`read_snapshot` then returns the other
 one, the previous snapshot. Only when there is no slotted file to
-overwrite (the file is missing, bare JSON, not two slots long or
+overwrite (the file is missing, not slotted, not two slots long or
 without an intact slot, or the record outgrew ``S``) is the whole file
 rebuilt: a temp file in the same directory, ``fsync``, then
-``os.replace``. A file that does not start with the
-slot magic is read as one bare JSON payload, the form earlier versions
-wrote, so their snapshots still restore.
+``os.replace``. Reading a file that does not start with the slot magic
+is a :class:`~repro.errors.SnapshotError`.
 
-:func:`read_snapshot` checks the counters and decodes every array
-before a run sees the state, so a malformed file fails as a
-:class:`~repro.errors.SnapshotError` naming the path, not as a numpy
-error halfway through a restore.
+:func:`read_snapshot` checks the trajectory epoch and the counters and
+decodes every array before a run sees the state, so a malformed file,
+or one of another epoch, fails as a :class:`~repro.errors.SnapshotError`
+naming the path, not as a numpy error halfway through a restore.
 """
 
 from __future__ import annotations
@@ -57,6 +55,7 @@ import numpy as np
 
 from repro.core.history import from_jsonable, to_jsonable
 from repro.errors import HistoryError, SnapshotError
+from repro.utils.rng import TRAJECTORY_EPOCH
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -218,9 +217,8 @@ def write_snapshot(path: str | os.PathLike, state: dict) -> None:
 
 
 def read_payload(path: str | os.PathLike) -> bytes:
-    """The JSON bytes of the newest intact snapshot at ``path``: the
-    newest intact slot of a slotted file, or the whole of a bare JSON
-    file (the form earlier versions wrote)."""
+    """The JSON bytes of the newest intact slot of the snapshot file at
+    ``path``."""
     target = Path(path)
     try:
         data = target.read_bytes()
@@ -229,7 +227,10 @@ def read_payload(path: str | os.PathLike) -> bytes:
             f"cannot read snapshot {str(target)!r}: {exc}"
         ) from exc
     if not data.startswith(_MAGIC):
-        return data
+        raise SnapshotError(
+            f"{str(target)!r} is not a slotted snapshot file: it does not "
+            f"start with {_MAGIC.decode().strip()!r}"
+        )
     newest = _newest(data)
     if newest is None:
         raise SnapshotError(
@@ -243,8 +244,9 @@ def read_snapshot(path: str | os.PathLike) -> dict:
     """Load and validate a run snapshot written by :func:`write_snapshot`.
 
     Returns the newest intact state as stored (arrays still encoded, as
-    ``ServerLoop`` expects), after checking that the counters are
-    integers and that ``w`` and every other array record decode.
+    ``ServerLoop`` expects), after checking that it is of this code's
+    trajectory epoch, that the counters are integers and that ``w`` and
+    every other array record decode.
     """
     target = Path(path)
     try:
@@ -262,6 +264,12 @@ def read_snapshot(path: str | os.PathLike) -> dict:
     if not is_run_snapshot(state):
         raise SnapshotError(
             f"{str(target)!r} is not a {SNAPSHOT_FORMAT} file"
+        )
+    epoch = state.get("trajectory_epoch")
+    if epoch != TRAJECTORY_EPOCH:
+        raise SnapshotError(
+            f"{str(target)!r}: trajectory epoch is {epoch!r}, this code's "
+            f"is {TRAJECTORY_EPOCH} — its run cannot be continued here"
         )
     for key in (*_COUNTERS, "w"):
         if key not in state:

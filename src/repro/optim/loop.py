@@ -341,9 +341,7 @@ class ServerLoop:
         for name, channel in history.items():
             where = f"server.history[{name!r}]"
             _require_object(where, channel)
-            if "values" not in channel:
-                continue  # a metadata-only entry; its owner rebuilds it
-            values = channel["values"]
+            values = channel.get("values")
             _require_object(f"{where}.values", values)
             _require_object(f"{where}.accounting", channel.get("accounting", {}))
             for key in values:

@@ -113,8 +113,26 @@ def test_any_text_is_a_compressor_or_a_typed_error(text):
 
 
 # ---------------------------------------------------------------------------
-# Packets: exact byte counts, round-trips, malformed input
+# Packets: exact byte counts and round-trips
 # ---------------------------------------------------------------------------
+
+def _header_bytes(ndim: int, narrays: int) -> int:
+    """A packet's fixed header: magic(2) + version(1) + scheme(1) +
+    dtype(1) + ndim(1) + shape(8 each) + narrays(1) + (dtype(1) +
+    length(4)) per array."""
+    return 7 + 8 * ndim + 5 * narrays
+
+
+#: Wire bytes of the packet of a 257-entry float64 vector, per scheme.
+WIRE_257 = {
+    # 257 float64 entries, whole.
+    "none": _header_bytes(1, 1) + 257 * 8,
+    # ceil(0.1 * 257) = 26 int32 indices and 26 float64 values.
+    "topk:0.1": _header_bytes(1, 2) + 26 * 4 + 26 * 8,
+    # ceil(257 / 8) = 33 bytes of packed signs and one float64 scale.
+    "onebit": _header_bytes(1, 2) + 33 + 8,
+}
+
 
 @pytest.mark.parametrize("token", ALL_TOKENS)
 def test_packet_roundtrip_exact_bytes(token):
@@ -122,12 +140,10 @@ def test_packet_roundtrip_exact_bytes(token):
     grad = rng.standard_normal(257)
     comp = parse_compressor(token)
     packet = comp.compress(grad)
-    blob = packet.to_bytes()
-    assert len(blob) == packet.wire_bytes
-    back = Packet.from_bytes(blob)
-    assert back.scheme == packet.scheme
-    assert back.shape == grad.shape
-    restored = comp.decompress(back)
+    assert packet.wire_bytes == WIRE_257[token]
+    assert packet.scheme == comp.name
+    assert packet.shape == grad.shape
+    restored = comp.decompress(packet)
     assert restored.shape == grad.shape
     assert np.all(np.isfinite(restored))
     if not comp.lossy:
@@ -141,129 +157,6 @@ def test_lossy_packets_actually_shrink():
         comp = parse_compressor(token)
         packet = comp.compress(grad)
         assert packet.wire_bytes < raw / 2, token
-
-
-def test_packet_rejects_bad_magic_and_trailing_bytes():
-    packet = NoneCompressor().compress(np.arange(4.0))
-    blob = packet.to_bytes()
-    with pytest.raises(ReproError, match="magic"):
-        Packet.from_bytes(b"XX" + blob[2:])
-    with pytest.raises(ReproError, match="trailing"):
-        Packet.from_bytes(blob + b"\x00")
-
-
-def _parse(blob):
-    """``Packet.from_bytes`` or ``None`` on ReproError (the only error a
-    malformed blob may raise)."""
-    try:
-        return Packet.from_bytes(blob)
-    except ReproError:
-        return None
-
-
-def _header_len(blob: bytes) -> int:
-    narrays_at = 6 + 8 * blob[5]
-    return narrays_at + 1 + 5 * blob[narrays_at]
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    token=st.sampled_from(ALL_TOKENS),
-    n=st.integers(1, 40),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-def test_packet_from_bytes_survives_hostile_input(token, n, seed, data):
-    """Truncated at every offset, any header byte (scheme, dtype, ndim,
-    shape, array dtype and count bytes) overwritten, or with bytes
-    appended, a packet blob either raises ReproError or parses into a
-    packet that serializes back to exactly those bytes and decompresses
-    to its own shape — never struct/numpy/KeyError, never an IndexError
-    or a huge allocation out of ``decompress``."""
-    comp = parse_compressor(token)
-    packet = comp.compress(np.random.default_rng(seed).standard_normal(n))
-    blob = packet.to_bytes()
-    back = _parse(blob)
-    assert back is not None and back.to_bytes() == blob
-    assert (back.scheme, back.shape, back.dtype) == (
-        packet.scheme, packet.shape, packet.dtype
-    )
-
-    for cut in range(len(blob)):
-        assert _parse(blob[:cut]) is None, cut
-    assert _parse(blob + data.draw(st.binary(min_size=1, max_size=16))) is None
-
-    for _ in range(8):
-        at = data.draw(st.integers(3, _header_len(blob) - 1), label="byte")
-        mutated = bytearray(blob)
-        mutated[at] = data.draw(st.integers(0, 255), label="value")
-        mutated = bytes(mutated)
-        got = _parse(mutated)
-        if got is not None:
-            assert got.to_bytes() == mutated
-            dense = parse_compressor(got.scheme).decompress(got)
-            assert dense.shape == got.shape
-
-
-def _packet_blob(packet: Packet, at: int, value: int) -> bytes:
-    blob = bytearray(packet.to_bytes())
-    blob[at] = value
-    return bytes(blob)
-
-
-@pytest.mark.parametrize("token,at,value,match", [
-    # Shape 8 -> 2: the indices run past the dense tensor.
-    ("topk:0.5", 6, 2, "do not fit shape"),
-    # Shape 8 -> 2**48 + 8: a 2 PiB dense tensor.
-    ("topk:0.5", 12, 1, "out of range"),
-    # A negative extent.
-    ("topk:0.5", 13, 0x80, "out of range"),
-    # Shape 8 -> 200: one-bit would pad 192 entries out of nothing.
-    ("onebit", 6, 200, "do not fit shape"),
-    ("none", 6, 9, "do not fit shape"),
-    # The int32 index array re-typed as float32 (array dtype code 1).
-    ("topk:0.5", 15, 1, "do not fit shape"),
-])
-def test_packet_arrays_must_fit_scheme_and_shape(token, at, value, match):
-    x = np.array([3.0, -1.0, 4.0, -1.5, 5.0, -9.0, 2.0, 6.0])
-    blob = _packet_blob(parse_compressor(token).compress(x), at, value)
-    with pytest.raises(ReproError, match=match):
-        Packet.from_bytes(blob)
-
-
-def test_topk_indices_must_increase_within_the_shape():
-    x = np.array([3.0, -1.0, 4.0, -1.5, 5.0, -9.0, 2.0, 6.0])
-    packet = TopKCompressor(0.5).compress(x)
-    idx, values = packet.arrays
-    for bad in (idx[::-1], np.r_[idx[:-1], idx[-2]], np.r_[-1, idx[1:]],
-                np.r_[idx[:-1], 8]):
-        blob = Packet(
-            "topk", packet.shape, "float64",
-            (np.ascontiguousarray(bad, dtype=np.int32), values),
-        ).to_bytes()
-        with pytest.raises(ReproError, match="do not fit shape"):
-            Packet.from_bytes(blob)
-    # No arrays at all, for an empty tensor.
-    with pytest.raises(ReproError, match="do not fit shape"):
-        Packet.from_bytes(b"RC\x01\x01\x00\x01" + bytes(8) + b"\x00")
-
-
-@pytest.mark.parametrize("blob,match", [
-    (b"RC\x01", "truncated comm packet header"),
-    (b"RC\x01\x63\x00\x00\x00", "unknown packet scheme code 99"),
-    # Codes of retired schemes stay unassigned.
-    (b"RC\x01\x02\x00\x00\x00", "unknown packet scheme code 2"),
-    (b"RC\x01\x03\x00\x00\x00", "unknown packet scheme code 3"),
-    (b"RC\x01\x09\x00\x00\x00", "unknown packet scheme code 9"),
-    (b"RC\x01\x01\x63\x00\x00", "unknown packet dtype code 99"),
-    (b"RC\x01\x01\x00\x00\x01\x0b\x01\x00\x00\x00",
-     "unknown packet array dtype code 11"),
-    (b"RC\x01\x01\x00\x00\x01\x00\x02\x00\x00\x00" + bytes(9),
-     "truncated comm packet payload"),
-])
-def test_packet_from_bytes_names_what_is_wrong(blob, match):
-    with pytest.raises(ReproError, match=match):
-        Packet.from_bytes(blob)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +407,9 @@ def _expected_wire(node) -> int:
     if isinstance(node, tuple):
         return 64 + sum(_expected_wire(child) for child in node)
     if isinstance(node, Packet):
-        return len(node.to_bytes())
+        return _header_bytes(len(node.shape), len(node.arrays)) + sum(
+            a.nbytes for a in node.arrays
+        )
     return sizeof_bytes(node)
 
 

@@ -140,11 +140,6 @@ def test_store_snapshot_restore_roundtrip():
     snap = json.loads(json.dumps(store.snapshot()))
     assert "values" in snap["pairs"]
     assert "model" not in snap  # unbounded: its owner rebuilds it
-    # Older snapshots carry a metadata-only entry per unbounded channel.
-    snap["model"] = {
-        "name": "model", "keep": "all", "next_version": 1,
-        "accounting": unbounded.accounting(),
-    }
 
     fresh = HistoryStore()
     fresh.restore(snap)
@@ -155,8 +150,12 @@ def test_store_snapshot_restore_roundtrip():
     assert np.array_equal(s, np.zeros(3)) and rho == 0.25
     # Version numbering continues where the original left off.
     assert got.append((np.ones(3), np.ones(3), 1.0)) == 2
-    # The metadata-only channel was skipped, not half-restored.
     assert "model" not in fresh
+    # A values-free entry (what snapshots before epoch 4 kept per
+    # unbounded channel) is refused, not skipped.
+    snap["model"] = {"name": "model", "keep": "all", "next_version": 1}
+    with pytest.raises(HistoryError, match="'model' carries no values"):
+        HistoryStore().restore(snap)
 
 
 def _pairs_channel_snapshot():
@@ -178,19 +177,16 @@ def test_channel_snapshot_carries_array_bits():
     assert got.accounting() == snap["accounting"]
 
 
-def test_channel_restores_list_form_snapshot():
-    """Channel snapshots written with ``tolist()`` arrays (earlier
-    versions) restore to the same values."""
-    snap, (s, y) = _pairs_channel_snapshot()
+def test_channel_refuses_list_form_snapshot():
+    """Channel snapshots with ``tolist()`` arrays (the form before epoch
+    4) are malformed array records."""
+    snap, _ = _pairs_channel_snapshot()
     for value in snap["values"].values():
         for leaf in value[:2]:
             arr = np.frombuffer(base64.b64decode(leaf["__ndarray__"]), "<f8")
             leaf.update(__ndarray__=arr.tolist(), dtype="float64")
-    got = HistoryChannel(1, "pairs", keep="last:2")
-    got.restore(snap)
-    s1, y1, rho = got.get(1)
-    assert s1.tobytes() == (s * 2).tobytes() and y1.tobytes() == y.tobytes()
-    assert rho == 0.25
+    with pytest.raises(HistoryError, match="malformed array record"):
+        HistoryChannel(1, "pairs", keep="last:2").restore(snap)
 
 
 def test_restore_rejects_conflicting_retention():
@@ -226,7 +222,7 @@ def test_restore_of_valueless_channel_snapshot_raises():
     ch = HistoryChannel(0, "m")
     ch.append(np.zeros(2))
     snap = ch.snapshot()
-    del snap["versions"], snap["values"]  # an older metadata-only entry
+    del snap["versions"], snap["values"]
     with pytest.raises(HistoryError, match="no.*values|carries no"):
         HistoryChannel(1, "m2").restore(snap)
 

@@ -39,6 +39,7 @@ from repro.core.snapshots import (
     write_snapshot,
 )
 from repro.errors import OptimError, SnapshotError
+from repro.utils.rng import TRAJECTORY_EPOCH
 
 SPEC = {
     "dataset": "tiny_dense", "algorithm": "asgd", "policy": "ct:1.5",
@@ -154,29 +155,6 @@ def _to_list_form(node):
     return node
 
 
-def test_list_form_snapshot_restores_like_the_new_form(tmp_path):
-    """``_to_list_form`` of a snapshot is, byte for byte, the file the
-    list-form writer produced for the same run; restoring it lands on
-    the same ``w`` as restoring the new form."""
-    snap_file = tmp_path / "snap.json"
-    run_experiment({**ASAGA_SPEC, "max_updates": 40, "snapshot_every": 40,
-                    "snapshot_path": str(snap_file)})
-    legacy_file = tmp_path / "legacy.json"
-    legacy = _to_list_form(json.loads(read_payload(snap_file)))
-    assert isinstance(legacy["w"]["__ndarray__"], list)
-    legacy_file.write_text(
-        json.dumps(legacy, sort_keys=True, separators=(",", ":")) + "\n"
-    )
-
-    from_new = run_experiment({**ASAGA_SPEC, "restore_from": str(snap_file)})
-    from_legacy = run_experiment(
-        {**ASAGA_SPEC, "restore_from": str(legacy_file)}
-    )
-    assert from_legacy.extras["resumed_from_update"] == 40
-    assert from_legacy.updates == 60
-    assert _bits(from_legacy.w) == _bits(from_new.w)
-
-
 def _asaga_snapshot_at_40(tmp_path):
     snap_file = tmp_path / "snap.json"
     run_experiment({**ASAGA_SPEC, "max_updates": 40, "snapshot_every": 40,
@@ -200,31 +178,32 @@ def test_snapshot_with_empty_policy_and_coordinator_restores_bit_identically(
     assert _bits(from_older.w) == _bits(from_new.w)
 
 
-def test_snapshot_with_timestamps_and_metadata_entries_restores_bit_identically(
-    tmp_path,
-):
+def test_snapshot_with_timestamps_restores_bit_identically(tmp_path):
     """Earlier snapshots stamped every bounded HIST version with its
-    cluster time and kept a values-free entry per unbounded channel
-    (ASAGA's ``saga`` broadcast history); both are ignored on restore."""
+    cluster time; the stamps are ignored on restore."""
     snap_file, state = _asaga_snapshot_at_40(tmp_path)
     channels = state["server"]["history"]
     assert set(channels) == {"saga/avg_hist"}
     for ch in channels.values():
         assert "timestamps_ms" not in ch
         ch["timestamps_ms"] = {v: 26.5 for v in ch["values"]}
-    channels["saga"] = {
-        "name": "saga", "keep": "all", "next_version": 41,
-        "accounting": {
-            "keep": "all", "versions": 41, "stored_bytes": 7872,
-            "appended_bytes": 7872, "evicted_versions": 0,
-            "evicted_bytes": 0,
-        },
-    }
     older = _write_state(tmp_path / "older.json", state)
     from_new = run_experiment({**ASAGA_SPEC, "restore_from": str(snap_file)})
     from_older = run_experiment({**ASAGA_SPEC, "restore_from": str(older)})
     assert from_older.extras["resumed_from_update"] == 40
     assert _bits(from_older.w) == _bits(from_new.w)
+
+
+def test_a_hist_entry_without_values_is_refused(tmp_path):
+    """A values-free HIST entry (what snapshots before epoch 4 kept per
+    unbounded channel) is a ``SnapshotError`` naming the field."""
+    _, state = _asaga_snapshot_at_40(tmp_path)
+    state["server"]["history"]["saga"] = {
+        "name": "saga", "keep": "all", "next_version": 41,
+    }
+    bad = _write_state(tmp_path / "bad.json", state)
+    with pytest.raises(SnapshotError, match=r"history\['saga'\]\.values"):
+        run_experiment({**ASAGA_SPEC, "restore_from": str(bad)})
 
 
 def test_snapshot_carrying_a_model_version_restores_bit_identically(
@@ -294,7 +273,7 @@ def test_sweep_checkpoint_with_list_form_run_state_resumes(
 
 
 def _write_state(path, state):
-    path.write_text(json.dumps(state))
+    write_snapshot(path, state)
     return path
 
 
@@ -324,6 +303,18 @@ def test_snapshot_list_of_the_wrong_length_is_a_snapshot_error(tmp_path):
         read_snapshot(bad)
     with pytest.raises(SnapshotError, match="malformed array"):
         run_experiment({**SPEC, "restore_from": str(bad)})
+
+
+def test_a_list_form_array_is_a_snapshot_error(tmp_path):
+    """The list form snapshots before epoch 4 wrote is no longer read,
+    even at the right length."""
+    state = _valid_state(tmp_path)
+    w = decode_value(state["w"])
+    state["w"] = {"__ndarray__": w.tolist(), "dtype": "float64",
+                  "shape": list(w.shape)}
+    bad = _write_state(tmp_path / "bad.json", state)
+    with pytest.raises(SnapshotError, match="bad.json.*malformed array"):
+        read_snapshot(bad)
 
 
 def test_snapshot_with_bad_base64_is_a_snapshot_error(tmp_path):
@@ -363,8 +354,9 @@ def test_snapshot_with_a_malformed_hist_array_is_a_snapshot_error(tmp_path):
 
 
 #: A minimal run snapshot for the file-format units.
-STATE = {"format": SNAPSHOT_FORMAT, "updates": 3, "rounds": 3,
-         "epoch_rounds_left": 0, "w": encode_value(np.arange(4.0))}
+STATE = {"format": SNAPSHOT_FORMAT, "trajectory_epoch": TRAJECTORY_EPOCH,
+         "updates": 3, "rounds": 3, "epoch_rounds_left": 0,
+         "w": encode_value(np.arange(4.0))}
 
 
 def _payload_of(state) -> bytes:
@@ -506,12 +498,13 @@ def test_a_record_that_outgrows_its_slot_rebuilds_the_file(tmp_path):
     assert read_payload(path) == _payload_of(STATE)
 
 
-def test_a_bare_json_file_is_read_whole_and_rebuilt_on_write(tmp_path):
-    """Files from earlier versions are one bare JSON payload: they still
-    load, and the next write turns them into a slotted file."""
+def test_a_bare_json_file_is_refused_and_rebuilt_on_write(tmp_path):
+    """A bare JSON payload (the form before slotted files) is not read,
+    and the next write turns the file into a slotted one."""
     path = tmp_path / "snap.json"
     path.write_bytes(_payload_of(STATE))
-    assert read_payload(path) == _payload_of(STATE)
+    with pytest.raises(SnapshotError, match="snap.json.*not a slotted"):
+        read_payload(path)
     write_snapshot(path, {**STATE, "updates": 4})
     assert path.read_bytes().startswith(b"repro/snapshot-slot@1 ")
     assert read_snapshot(path)["updates"] == 4
@@ -547,12 +540,14 @@ def test_a_run_overwrites_its_snapshot_file_in_place(tmp_path, monkeypatch):
 def test_read_snapshot_rejects_garbage(tmp_path):
     with pytest.raises(SnapshotError, match="cannot read"):
         read_snapshot(tmp_path / "missing.json")
+    from repro.core import snapshots
+
     bad = tmp_path / "bad.json"
-    bad.write_text("{torn")
+    snapshots._replace_file(bad, b"{torn")
     with pytest.raises(SnapshotError, match="not a valid snapshot"):
         read_snapshot(bad)
     untagged = tmp_path / "untagged.json"
-    untagged.write_text('{"updates": 3}')
+    write_snapshot(untagged, {"updates": 3})
     with pytest.raises(SnapshotError, match="run-snapshot"):
         read_snapshot(untagged)
     assert not is_run_snapshot({"updates": 3})
@@ -743,8 +738,6 @@ def _valid_asaga_state(tmp_path):
 
 
 def test_snapshot_header_carries_the_trajectory_epoch(tmp_path):
-    from repro.utils.rng import TRAJECTORY_EPOCH
-
     state = _valid_state(tmp_path)
     assert state["format"] == SNAPSHOT_FORMAT
     assert state["trajectory_epoch"] == TRAJECTORY_EPOCH
@@ -755,8 +748,6 @@ def test_restore_refuses_another_trajectory_epoch(tmp_path, epoch):
     """A snapshot of another generation of trajectories cannot continue
     here: its continuation is not what this code computes. The other
     epochs are this code's neighbours, so a bump keeps them "other"."""
-    from repro.utils.rng import TRAJECTORY_EPOCH
-
     state = _valid_state(tmp_path)
     if epoch == "missing":
         del state["trajectory_epoch"]
@@ -764,7 +755,7 @@ def test_restore_refuses_another_trajectory_epoch(tmp_path, epoch):
         step = -1 if epoch == "previous" else 1
         state["trajectory_epoch"] = TRAJECTORY_EPOCH + step
     other = _write_state(tmp_path / "other.json", state)
-    with pytest.raises(SnapshotError, match="trajectory epoch"):
+    with pytest.raises(SnapshotError, match="other.json.*trajectory epoch"):
         run_experiment({**SPEC, "restore_from": str(other)})
 
 

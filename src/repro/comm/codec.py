@@ -7,7 +7,8 @@ driver before the update rule sees it. Float ndarray leaves of the
 payload tree compress through the configured
 :class:`~repro.comm.compressors.Compressor`; everything else passes
 through untouched. Both walks test exact types, as ``sizeof_bytes``
-does: only a ``tuple`` branches, only an ``ndarray`` compresses.
+does: only a ``tuple`` branches (its leaves in its own frame), only an
+``ndarray`` compresses.
 
 Error feedback (the Bagua ``onebit_adam`` shape): per worker/partition,
 the residual ``x - decompress(compress(x))`` of each leaf is stored in
@@ -93,51 +94,57 @@ class PayloadCodec:
             residuals = {}
             env.put(key, residuals)
         job = _Encoding(residuals)
-        tree = self._encode(payload, job)
+        if type(payload) is tuple:
+            job.raw = job.wire = 64
+            tree = self._encode([*payload], job)
+        else:
+            tree = self._encode([payload], job)[0]
         return EncodedPayload(tree, job.raw, job.wire)
 
-    def _encode(self, node: Any, job: _Encoding) -> Any:
-        kind = type(node)
-        if kind is tuple:
-            job.raw += 64
-            job.wire += 64
-            out = [*node]
-            for i, child in enumerate(out):
-                out[i] = self._encode(child, job)
-            return tuple(out)
-        if not (
-            kind is np.ndarray
-            and node.dtype.kind == "f"
-            and node.size >= _MIN_COMPRESS_SIZE
-        ):
-            nbytes = sizeof_bytes(node)
-            job.raw += nbytes
-            job.wire += nbytes
-            return node
-        job.raw += 64 + node.nbytes
-        index = job.leaves
-        job.leaves += 1
-        x = node.astype(np.float64, copy=True)
-        residual = job.residuals.get(index)
-        if residual is not None and residual.shape == x.shape:
-            x += residual
+    def _encode(self, items: list, job: _Encoding) -> tuple:
+        # A tuple's items: leaves in this frame, in order, nested tuples by
+        # recursion (so leaves number depth-first); returns them encoded.
         compressor = self.compressor
-        packet = compressor.compress(x)
-        job.residuals[index] = compressor.residual(x, packet)
-        job.wire += packet.wire_bytes
-        return packet
+        for i, child in enumerate(items):
+            kind = type(child)
+            if kind is tuple:
+                job.raw += 64
+                job.wire += 64
+                items[i] = self._encode([*child], job)
+                continue
+            if not (
+                kind is np.ndarray
+                and child.dtype.kind == "f"
+                and child.size >= _MIN_COMPRESS_SIZE
+            ):
+                nbytes = 64 if kind is int else sizeof_bytes(child)
+                job.raw += nbytes
+                job.wire += nbytes
+                continue
+            job.raw += 64 + child.nbytes
+            index = job.leaves
+            job.leaves += 1
+            x = child.astype(np.float64, copy=True)
+            residual = job.residuals.get(index)
+            if residual is not None and residual.shape == x.shape:
+                x += residual
+            packet = items[i] = compressor.compress(x)
+            job.residuals[index] = compressor.residual(x, packet)
+            job.wire += packet.wire_bytes
+        return tuple(items)
 
     # -- driver side -----------------------------------------------------------
     def decode(self, encoded: EncodedPayload) -> Any:
-        return self._decode(encoded.tree)
+        tree = encoded.tree
+        if type(tree) is tuple:
+            return self._decode([*tree])
+        return self._decode([tree])[0]
 
-    def _decode(self, node: Any) -> Any:
-        kind = type(node)
-        if kind is Packet:
-            return self.compressor.decompress(node)
-        if kind is tuple:
-            out = [*node]
-            for i, child in enumerate(out):
-                out[i] = self._decode(child)
-            return tuple(out)
-        return node
+    def _decode(self, items: list) -> tuple:
+        for i, child in enumerate(items):
+            kind = type(child)
+            if kind is Packet:
+                items[i] = self.compressor.decompress(child)
+            elif kind is tuple:
+                items[i] = self._decode([*child])
+        return tuple(items)

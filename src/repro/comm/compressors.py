@@ -169,7 +169,9 @@ class TopKCompressor(Compressor):
         # ``idx`` is fresh: narrow it, then sort it in place.
         idx = idx.astype(np.int64 if n > 2**31 else np.int32, copy=False)
         idx.sort()
-        values = flat[idx].astype(np.float64, copy=False)
+        values = flat[idx]
+        if values.dtype != np.float64:
+            values = values.astype(np.float64)
         return Packet(self.name, arr.shape, arr.dtype, (idx, values))
 
     def decompress(self, packet: Packet) -> np.ndarray:

@@ -52,6 +52,8 @@ class CommManager:
         codec_cost: CodecCostModel | None = None,
     ) -> None:
         self.compressor = parse_compressor(compressor)
+        #: True when the collect path actually rewrites payloads.
+        self.compresses = self.compressor.lossy
         self.delta = bool(delta)
         self.codec = PayloadCodec(self.compressor)
         self.codec_cost = codec_cost or CodecCostModel()
@@ -99,11 +101,6 @@ class CommManager:
                 )
         return cls(value, delta=delta)
 
-    @property
-    def compresses(self) -> bool:
-        """True when the collect path actually rewrites payloads."""
-        return self.compressor.lossy
-
     # -- collect path (worker -> server) ---------------------------------------
     def encode_value(self, value: Any, env, partition: "int | None") -> Any:
         """Worker-side encode of one reduced ``(acc, count)`` pair
@@ -142,7 +139,8 @@ class CommManager:
         if type(value) is tuple and len(value) == 2:
             enc, count = value
             if type(enc) is EncodedPayload:
-                return 64 + enc.wire_bytes + sizeof_bytes(count)
+                counted = 64 if type(count) is int else sizeof_bytes(count)
+                return 64 + enc.wire_bytes + counted
         return sizeof_bytes(value)
 
     def note_collect(self, payload: Any, out_bytes: int) -> Any:

@@ -173,6 +173,8 @@ class HistoryChannel:
         self.name = name
         self.keep = RetentionPolicy.parse(keep)
         self._next_version = 0
+        #: The newest version (ids ascend; a prune dropping it drops all).
+        self._newest = -1
         self._values: dict[int, Any] = {}
         self._nbytes: dict[int, int] = {}
         #: Current footprint of retained versions, in bytes.
@@ -187,7 +189,7 @@ class HistoryChannel:
     # -- writes ------------------------------------------------------------------
     def append(self, value: Any) -> int:
         """Store a new version; returns its id. Retention runs after."""
-        version = self._next_version
+        version = self._newest = self._next_version
         self._next_version += 1
         self._values[version] = freeze_value(value)
         # HIST and the COMM ledger quote the same wire measure, so
@@ -201,10 +203,11 @@ class HistoryChannel:
         return version
 
     def _evict(self, newest: int) -> None:
+        # Nothing below ``newest - k`` is stored (restore checks): one expires.
         if self.keep.kind == "last":
-            floor = newest - self.keep.bound + 1
-            if floor > 0:
-                self._drop(v for v in list(self._values) if v < floor)
+            expired = newest - self.keep.bound
+            if expired in self._values:
+                self._drop((expired,))
 
     def _drop(self, versions) -> int:
         freed = 0
@@ -239,9 +242,9 @@ class HistoryChannel:
         return self._values[self.latest_version()]
 
     def latest_version(self) -> int:
-        if not self._values:
+        if self._newest not in self._values:
             raise BroadcastError(f"channel '{self.name}' is empty")
-        return max(self._values)
+        return self._newest
 
     def nbytes(self, version: int) -> int:
         return self._nbytes.get(version, 0)
@@ -291,10 +294,12 @@ class HistoryChannel:
         The channel's own retention policy is authoritative: restoring a
         snapshot captured under a *different* policy is a contract error
         (silently adopting the snapshot's would let a resumed run keep
-        more — or less — history than it was configured for). Older
-        snapshots' ``timestamps_ms`` maps are ignored. When the channel
-        already holds an array (what the run's own setup stored), every
-        restored array must have its shape and dtype, or
+        more — or less — history than it was configured for), and so is
+        a version it could not hold (at or past ``next_version``, or under
+        ``last:k`` below ``next_version - k``). Older snapshots'
+        ``timestamps_ms`` maps are ignored. When the channel already holds
+        an array (what the run's own setup stored), every restored array
+        must have its shape and dtype, or
         :class:`~repro.errors.SnapshotError` names the version and the
         channel is left unchanged.
         """
@@ -313,6 +318,13 @@ class HistoryChannel:
             int(v): freeze_value(from_jsonable(val))
             for v, val in snap["values"].items()
         }
+        next_version = int(snap["next_version"])
+        lo = next_version - (self.keep.bound or next_version)
+        if values and not lo <= min(values) <= max(values) < next_version:
+            raise HistoryError(
+                f"snapshot of channel '{self.name}' holds versions "
+                f"{sorted(values)} outside {lo}..{next_version - 1}"
+            )
         ours = self.latest() if self._values else None
         if isinstance(ours, np.ndarray):
             for v, val in values.items():
@@ -332,7 +344,8 @@ class HistoryChannel:
         )
         self.evicted_bytes = int(acct.get("evicted_bytes", 0))
         self.evicted_versions = int(acct.get("evicted_versions", 0))
-        self._next_version = int(snap["next_version"])
+        self._next_version = next_version
+        self._newest = max(values, default=-1)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -203,7 +203,8 @@ def write_snapshot(path: str | os.PathLike, state: dict) -> None:
     On return the record is on disk and the previous snapshot, if any,
     is still intact in the other slot.
     """
-    target = Path(path)
+    # Re-wrapping a ``Path`` re-parses every component of it.
+    target = path if isinstance(path, Path) else Path(path)
     payload = json.dumps(
         state, sort_keys=True, separators=(",", ":")
     ).encode("utf-8") + b"\n"

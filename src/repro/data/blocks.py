@@ -41,6 +41,7 @@ __all__ = [
     "Csr",
     "MatrixBlock",
     "as_matrix",
+    "gather_rows",
     "gram",
     "grouped_products",
     "index_dtype",
@@ -136,15 +137,18 @@ def as_matrix(X) -> "Matrix":
     return X
 
 
-def _sparse_rows(X: Csr, idx: np.ndarray) -> Csr:
-    """Rows ``idx`` of ``X``, in ``idx`` order: scipy's ``X[idx]``.
+def gather_rows(X: "Matrix", idx: np.ndarray) -> "Matrix":
+    """Rows ``idx`` of a block payload, in ``idx`` order: ``X[idx]``.
 
-    ``idx`` may be unsorted, repeated or empty. Row extents come from
-    ``indptr`` (through two shifted views, so negative indices count from
-    the end as they do for a dense block); the rows are gathered in one
-    pass over the raw arrays, the source position of every output entry
-    being ``repeat(start - out_start, len) + arange``.
+    ``idx`` may be unsorted, repeated or empty. On a :class:`Csr` (scipy's
+    ``X[idx]``) row extents come from ``indptr`` (through two shifted
+    views, so negative indices count from the end as they do for a dense
+    block); the rows are gathered in one pass over the raw arrays, the
+    source position of every output entry being ``repeat(start -
+    out_start, len) + arange``.
     """
+    if type(X) is not Csr:
+        return X[idx]
     starts = X.indptr[:-1][idx]
     lens = X.indptr[1:][idx] - starts
     m = len(idx)
@@ -285,11 +289,11 @@ def selected_products(
     partials are added in row order. The transient is one chunk, not
     the selection, and a selection that fits one chunk makes exactly
     the calls of gathering it and multiplying (same bits). A :class:`Csr`
-    gathers the rows (:func:`_sparse_rows`) and multiplies them, the bits
+    gathers the rows (:func:`gather_rows`) and multiplies them, the bits
     of :meth:`MatrixBlock.take_rows` and :func:`matvec`/:func:`rmatvec`.
     """
     if type(X) is Csr:
-        rows = _sparse_rows(X, idx)
+        rows = gather_rows(X, idx)
         return rmatvec(rows, link(matvec(rows, w), y[idx]))
     step = STREAM_CHUNK_BYTES // (X.shape[1] * X.itemsize or 1) or 1
     ys = y[idx]
@@ -384,10 +388,8 @@ class MatrixBlock:
         """
         idx = np.asarray(idx, dtype=np.intp)
         source_ids = idx if self.ids is None else self.ids[idx]
-        X = self.X
         return MatrixBlock(
-            X=_sparse_rows(X, idx) if type(X) is Csr else X[idx],
-            y=self.y[idx], offset=self.offset,
+            X=gather_rows(self.X, idx), y=self.y[idx], offset=self.offset,
             block_id=self.block_id, ids=source_ids,
         )
 

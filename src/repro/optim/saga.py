@@ -34,8 +34,8 @@ from typing import Any, Literal
 import numpy as np
 
 from repro.core.broadcaster import AsyncBroadcaster
-from repro.data.blocks import MatrixBlock
-from repro.engine.taskcontext import current_env, record_cost
+from repro.data.blocks import Batch, MatrixBlock, gather_rows
+from repro.engine.taskcontext import current_env
 from repro.errors import OptimError
 from repro.optim.base import DistributedOptimizer
 from repro.optim.problems import Problem
@@ -51,17 +51,15 @@ BroadcastMode = Literal["history", "naive"]
 
 
 class _HistoryHandle:
-    """Parameter resolver backed by the ASYNCbroadcaster (cheap)."""
+    """Parameter resolver backed by the ASYNCbroadcaster (cheap): its
+    ``current(env)``/``at(version, env)`` are the broadcast handle's own
+    ``value``/``value_at``, bound, so a read makes no frame of its own."""
 
     def __init__(self, hb) -> None:
         self._hb = hb
         self.version = hb.version
-
-    def current(self) -> np.ndarray:
-        return self._hb.value(current_env())
-
-    def at(self, version: int) -> np.ndarray:
-        return self._hb.value_at(version, current_env())
+        self.current = hb.value
+        self.at = hb.value_at
 
     def report_watermark(self, scope: Any, version: int) -> None:
         """Feed COMM's HIST watermark (no-op without a comm manager)."""
@@ -80,14 +78,11 @@ class _NaiveHandle:
         self._bc = bc
         self.version = version
 
-    def _table(self) -> dict[int, np.ndarray]:
-        return self._bc.value(current_env())
+    def current(self, env) -> np.ndarray:
+        return self._bc.value(env)[self.version]
 
-    def current(self) -> np.ndarray:
-        return self._table()[self.version]
-
-    def at(self, version: int) -> np.ndarray:
-        return self._table()[version]
+    def at(self, version: int, env) -> np.ndarray:
+        return self._bc.value(env)[int(version)]
 
     def report_watermark(self, scope: Any, version: int) -> None:
         """Naive mode ships the whole table anyway; nothing to prune."""
@@ -209,10 +204,9 @@ def saga_partition_kernel(
     idx = block.sample_indices(
         batch_fraction, sample_seed, "saga-batch", block.block_id
     )
-    sub = block.take_rows(idx)
+    X, y = gather_rows(block.X, idx), block.y[idx]
 
-    w_cur = handle.current()
-    g_new = problem.grad_sum(sub.X, sub.y, w_cur)
+    g_new = problem.grad_sum(X, y, handle.current(env))
 
     # Historical gradients: every row at its own stored version, fetched
     # in ascending version order, in one grouped pass over the batch.
@@ -220,18 +214,18 @@ def saga_partition_kernel(
     # ``np.unique``, spelled without its lazy ``numpy.ma`` import.
     ordered = np.sort(row_versions)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    ws = [handle.at(int(v)) for v in distinct]
+    ws = [handle.at(v, env) for v in distinct]
     group = distinct.searchsorted(row_versions)  # return_inverse, 2x cheaper
-    g_old = problem.grad_sum_grouped(sub.X, sub.y, ws, group)
+    g_old = problem.grad_sum_grouped(X, y, ws, group)
 
     versions[idx] = handle.version
     # This block will never again reference a version below its stored
     # minimum: report it so COMM can prune the keep="all" model channel
     # up to the floor across all blocks.
     handle.report_watermark(block.block_id, int(versions.min()))
-    # SAGA does two gradient passes over the batch (fresh + historical).
-    record_cost(2.0 * sub.cost_units())
-    return g_new, g_old, int(len(idx))
+    if env is not None:  # two passes over the batch: fresh + historical
+        env.pending_cost_units += 2.0 * Batch(block, idx).cost_units()
+    return g_new, g_old, len(idx)
 
 
 def initialize_history(
@@ -252,19 +246,16 @@ def initialize_history(
     def full_grad(split: int, data: list):
         block = data[0]
         env = current_env()
-        if env is not None:
-            env.put(
-                state.versions_key(block.block_id),
-                np.zeros(block.rows, dtype=np.int64),
-            )
+        key = state.versions_key(block.block_id)
+        env.put(key, np.zeros(block.rows, dtype=np.int64))
         if comm is not None:
             # Declare every block as a reader scope at version 0 before
             # any watermark advances: the prune floor is a min over
             # *registered* scopes, so an unregistered block could have
             # its phi-versions pruned out from under it.
             comm.register_scope(state.channel, block.block_id, 0)
-        record_cost(block.cost_units())
-        return problem.grad_sum(block.X, block.y, handle.current())
+        env.pending_cost_units += block.cost_units()
+        return problem.grad_sum(block.X, block.y, handle.current(env))
 
     parts = opt.ctx.run_job(opt.points, full_grad)
     state.avg_hist = sum(parts) / opt.n_total

@@ -22,6 +22,7 @@ from repro.data.blocks import (
     split_matrix,
     stack_blocks,
 )
+from repro.data.registry import get_dataset
 from repro.errors import DataError
 from repro.utils.sizeof import sizeof_bytes
 
@@ -553,15 +554,47 @@ def test_streaming_a_wide_batch_allocates_about_one_chunk():
 
 
 def test_batch_reports_the_gathered_batch_cost_without_gathering():
+    """``Batch.cost_units`` is bit-equal (``==``) to pricing the gathered
+    sub-block: the SAGA kernel and every sampling round report it as
+    the task's work, so ``sim_ms`` keeps its bits."""
     dense = make_block(50, 4)
     csr = MatrixBlock(
         X=sparse.random(80, 30, density=0.2, format="csr", random_state=1),
         y=np.zeros(80),
     )
-    for block in (dense, csr):
-        idx = np.array([3, 1, 1, 40, 7])
+    # Rows 0, 2, 3 and 5 store nothing.
+    holes = MatrixBlock(
+        X=sparse.csr_matrix(np.array([
+            [0.0, 0.0, 0.0], [1.0, 0.0, 2.0], [0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 0.0],
+        ])),
+        y=np.zeros(6),
+    )
+    cases = [
+        (dense, np.array([3, 1, 1, 40, 7])),
+        (csr, np.array([3, 1, 1, 40, 7])),
+        (dense, np.array([9])),
+        (csr, np.array([9])),
+        (holes, np.array([0])),
+        (holes, np.array([0, 2, 3])),
+        (holes, np.array([0, 1, 2, 4, 5])),
+        (holes, np.array([], dtype=np.intp)),
+    ]
+    # rcv1_like's SAGA batches: 256-row blocks, fraction 0.05 (and the
+    # dataset's own 0.02), each block's own draws, as the kernel samples.
+    X, y, _ = get_dataset("rcv1_like", seed=0)
+    for block in split_matrix(X, y, 32)[:8]:
+        assert block.rows == 256
+        cases += [
+            (block, block.sample_indices(
+                fraction, seed, "saga-batch", block.block_id
+            ))
+            for fraction in (0.05, 0.02)
+            for seed in range(4)
+        ]
+    for block, idx in cases:
         batch = Batch(block, idx)
-        assert batch.rows == 5
+        assert batch.rows == len(idx)
         assert batch.cost_units() == block.take_rows(idx).cost_units()
 
 

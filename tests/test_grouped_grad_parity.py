@@ -17,6 +17,7 @@ from scipy import sparse
 from repro.api import run_experiment
 from repro.data import blocks
 from repro.data.blocks import MatrixBlock
+from repro.optim import saga
 from repro.optim.asaga import ASAGARule
 from repro.optim.problems import (
     LeastSquaresProblem,
@@ -132,8 +133,9 @@ OLD_SWITCH_NNZ = 4096
 def test_sparse_asaga_task_gathers_once_and_grads_at_most_once(
     side, monkeypatch
 ):
-    """Counted, not timed: one ``take_rows`` and at most one ``grad_sum``
-    per task, however many distinct versions the batch holds. Side 0 runs
+    """Counted, not timed: one gather (``gather_rows``, and no
+    ``take_rows`` sub-block) and at most one ``grad_sum`` per task,
+    however many distinct versions the batch holds. Side 0 runs
     ``tiny_sparse``, whose every gather is below the old switch; side 4096
     runs ``rcv1_like``, whose every gather holds at least that many
     nonzeros."""
@@ -149,19 +151,22 @@ def test_sparse_asaga_task_gathers_once_and_grads_at_most_once(
                 live[key] += 1
                 if key == "versions":
                     live["distinct"] = max(live["distinct"], len(args[3]))
-                if key == "take_rows":
+                if key == "gathers":
                     live["nnz"] = out.nnz
             return out
 
         monkeypatch.setattr(cls, name, wrapper)
 
     counting(MatrixBlock, "take_rows", "take_rows")
+    counting(saga, "gather_rows", "gathers")
     counting(LeastSquaresProblem, "grad_sum", "grad_sum")
     counting(LeastSquaresProblem, "grad_sum_grouped", "versions")
     kernel = ASAGARule.kernel
 
     def counted_kernel(self, block, handle, seed):
-        live.update(take_rows=0, grad_sum=0, versions=0, distinct=0, nnz=0)
+        live.update(
+            take_rows=0, gathers=0, grad_sum=0, versions=0, distinct=0, nnz=0
+        )
         try:
             return kernel(self, block, handle, seed)
         finally:
@@ -178,7 +183,8 @@ def test_sparse_asaga_task_gathers_once_and_grads_at_most_once(
     assert tasks
     assert max(t["distinct"] for t in tasks) >= 3
     for t in tasks:
-        assert t["take_rows"] == 1
+        assert t["gathers"] == 1
+        assert t["take_rows"] == 0
         assert t["grad_sum"] <= 1
         assert t["versions"] == 1
         assert (t["nnz"] >= OLD_SWITCH_NNZ) == bool(side)

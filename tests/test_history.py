@@ -67,6 +67,68 @@ def test_last_k_evicts_oldest():
     assert ch.versions() == [4, 5, 6]
 
 
+@pytest.mark.parametrize("keep", ["all", "last:1", "last:3"])
+def test_latest_is_the_highest_stored_version(keep):
+    """The newest version is tracked, not found by a scan: after appends,
+    ``last:k`` eviction, ``prune_below`` and a restore,
+    ``latest_version()`` equals ``max(versions())`` and ``latest()``
+    reads it; an emptied channel says so."""
+
+    def agree(ch):
+        if not len(ch):
+            for read in (ch.latest_version, ch.latest):
+                with pytest.raises(BroadcastError, match="is empty"):
+                    read()
+            return
+        newest = max(ch.versions())
+        assert ch.latest_version() == newest
+        assert ch.latest() is ch.get(newest)
+
+    ch = HistoryChannel(0, "c", keep=keep)
+    agree(ch)
+    for i in range(7):
+        ch.append(np.full(2, float(i)))
+        agree(ch)
+    ch.prune_below(5)
+    agree(ch)
+    restored = HistoryChannel(1, "c", keep=keep)
+    restored.restore(json.loads(json.dumps(ch.snapshot())))
+    agree(restored)
+    for i in range(4):
+        restored.append(np.full(2, 10.0 + i))
+        agree(restored)
+    restored.prune_below(restored.latest_version() + 1)
+    agree(restored)
+    restored.append(np.zeros(2))
+    agree(restored)
+    never_written = json.loads(json.dumps(HistoryChannel(2, "c", keep).snapshot()))
+    empty = HistoryChannel(3, "c", keep=keep)
+    empty.restore(never_written)
+    agree(empty)
+
+
+def test_restore_refuses_versions_the_channel_could_not_hold():
+    """Eviction drops the one version an append expires, so a restored
+    ``last:k`` channel may hold nothing older than ``next_version - k``,
+    and no channel a version at or past ``next_version``."""
+    ch = HistoryChannel(0, "c", keep="last:2")
+    for i in range(5):
+        ch.append(np.full(2, float(i)))
+    snap = json.loads(json.dumps(ch.snapshot()))
+    assert snap["versions"] == [3, 4] and snap["next_version"] == 5
+    stale = {**snap, "values": {"0": snap["values"]["3"], **snap["values"]}}
+    ahead = {**snap, "next_version": 4}
+    for bad in (stale, ahead):
+        got = HistoryChannel(1, "c", keep="last:2")
+        got.append(np.ones(2))
+        with pytest.raises(HistoryError, match="holds versions"):
+            got.restore(bad)
+        assert got.versions() == [0]  # left unchanged
+    unbounded = HistoryChannel(2, "c", keep="all")
+    with pytest.raises(HistoryError, match="holds versions"):
+        unbounded.restore({**snap, "keep": "all", "next_version": 4})
+
+
 # -- byte accounting -------------------------------------------------------------------
 def test_byte_accounting_monotone_under_eviction():
     ch = HistoryChannel(0, "m", keep="last:2")

@@ -40,7 +40,9 @@ CEILING = 66.47
 #: ASAGA over HIST with top-k collects and delta fetches: the COMM
 #: encode/decode path on every update (185.67 before packets were
 #: priced once and the codec walked exact types, 166.8 before the
-#: partition walk lost its wrapper frames).
+#: partition walk lost its wrapper frames, 153.42 before the SAGA kernel
+#: read its env once and stopped building a sub-block, the codec walked
+#: a tuple's leaves in its own frame and HIST eviction lost its scan).
 COMPRESSED_SPEC = {
     "algorithm": "asaga", "params": {"mode": "history"},
     "dataset": "rcv1_like", "policy": "ssp:4", "granularity": "partition",
@@ -48,7 +50,7 @@ COMPRESSED_SPEC = {
     "compressor": {"name": "topk", "fraction": 0.1, "delta": True},
     "max_updates": 300, "eval_every": 300, "seed": 3,
 }
-COMPRESSED_CEILING = 153.42
+COMPRESSED_CEILING = 117.50
 
 #: ASGD at worker grain, 8 workers over 32 partitions: every task walks
 #: four local partitions (127.52 before the block store's reads, the

@@ -10,6 +10,7 @@ a SIGKILLed run leaves behind is byte-for-byte the payload a
 ``max_updates=K`` run finishes with.
 """
 
+import cProfile
 import json
 import os
 import re
@@ -361,6 +362,25 @@ STATE = {"format": SNAPSHOT_FORMAT, "trajectory_epoch": TRAJECTORY_EPOCH,
 
 def _payload_of(state) -> bytes:
     return json.dumps(state, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+
+
+def test_write_snapshot_calls_do_not_depend_on_directory_depth(tmp_path):
+    """A ``Path`` argument is used as it is: re-wrapping one re-parses
+    every component, so the same writes made more calls from a deeper
+    directory (and a counted run depended on where its checkout sat)."""
+    counts, files = [], []
+    for sub in ("a", "a/b/c/d/e"):
+        path = tmp_path / sub / "snap.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        for updates in range(20):
+            write_snapshot(path, {**STATE, "updates": updates})
+        profiler.disable()
+        counts.append(sum(e.callcount for e in profiler.getstats()))
+        files.append(path.read_bytes())
+    assert counts[0] == counts[1]
+    assert files[0] == files[1]
 
 
 def test_write_snapshot_is_atomic_and_tagged(tmp_path):

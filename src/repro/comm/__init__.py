@@ -6,10 +6,10 @@ Three pillars, all spec-addressable through the ``compressor`` field:
   (``none`` / ``topk:f`` / ``onebit``) with
   exact-byte-count packets and a registry + string grammar,
 - :mod:`repro.comm.codec` + :mod:`repro.comm.manager` — worker-side
-  error-feedback encoding of collect payloads, delta broadcasting
-  against each worker's mirror (the last model it reconstructed), and
-  HIST watermarks that set the prune floor of SAGA's ``keep="all"``
-  model channel,
+  error-feedback encoding of collect payloads and delta broadcasting
+  against each worker's mirror (the last model it reconstructed); SAGA
+  keeps its own prune floor for its ``keep="all"`` model channel
+  (:class:`~repro.optim.saga.SagaState`),
 - :mod:`repro.comm.ledger` — the per-run raw/wire byte ledger surfaced
   in ``RunResult.extras["comm"]`` (plus :mod:`repro.comm.frames` for the
   sweep fabric's compressed result frames).

@@ -3,8 +3,7 @@
 A :class:`CommManager` is resolved from the spec's ``compressor`` field
 and attached to the optimizer (``opt.comm``), from where the server loop
 hands it to the scheduler (collect-path codec), the broadcasters
-(delta/full model fetches, watermark pruning) and the result extras
-(ledger). It bundles:
+(delta/full model fetches) and the result extras (ledger). It bundles:
 
 - the configured :class:`~repro.comm.compressors.Compressor` plus the
   worker-side :class:`~repro.comm.codec.PayloadCodec` (error feedback),
@@ -12,9 +11,6 @@ hands it to the scheduler (collect-path codec), the broadcasters
 - delta broadcasting: a fetch ships ``w_v - mirror``, compressed,
   against the worker's mirror (the last value it reconstructed on that
   channel) instead of the full model,
-- the HIST watermark table: each partition scope SAGA registers reports
-  the lowest model version it may still read, and the minimum over
-  scopes is the prune floor of SAGA's ``keep="all"`` model channel,
 - codec compute pricing via
   :class:`~repro.cluster.cost.CodecCostModel` (added to the task's
   ``env.pending_cost_units``).
@@ -22,7 +18,9 @@ hands it to the scheduler (collect-path codec), the broadcasters
 With ``compressor="none"`` the collect path is left untouched — no
 closure wrapping, no extra float ops — so the parity suite can pin
 ``none`` bit-identical to a run with no comm subsystem at all; only the
-(purely observational) ledger and watermark pruning are active.
+(purely observational) ledger is active. SAGA prunes its model channel
+itself, below its own per-block floors, and only on runs that attach a
+manager.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ __all__ = ["CommManager"]
 
 
 class CommManager:
-    """Per-run communication state: codec, ledger, watermarks, mirrors."""
+    """Per-run communication state: codec, ledger, mirrors."""
 
     def __init__(
         self,
@@ -59,8 +57,6 @@ class CommManager:
         self.codec_cost = codec_cost or CodecCostModel()
         self.ledger = CommLedger(self.compressor.spec())
         self._collect_row = self.ledger.rows["collect"]
-        #: channel name -> {scope: lowest model version it may still read}.
-        self._watermarks: dict[str, dict[Any, int]] = {}
         #: (channel name, worker id) -> last value that worker reconstructed.
         self._mirrors: dict[tuple[str, int], np.ndarray] = {}
         # Delta-packet reuse: two workers whose mirrors followed the same
@@ -217,30 +213,6 @@ class CommManager:
         if got is None:
             got = self._path_ids[step] = len(self._path_ids) + 1
         return got
-
-    # -- HIST watermarks --------------------------------------------------------
-    def register_scope(self, channel: str, scope: Any, version: int = 0) -> None:
-        """Declare a reader scope (partition/worker) at ``version``.
-
-        Pruning a channel needs the *complete* reader set: the floor is
-        the min over registered scopes, so an unregistered reader can
-        never have versions pruned out from under it.
-        """
-        self._watermarks.setdefault(channel, {}).setdefault(
-            scope, int(version)
-        )
-
-    def report_watermark(self, channel: str, scope: Any, version: int) -> None:
-        """A scope advanced: it will never again read below ``version``."""
-        table = self._watermarks.setdefault(channel, {})
-        table[scope] = max(int(version), table.get(scope, 0))
-
-    def prune_floor(self, channel: str) -> "int | None":
-        """Version every registered scope has advanced past, or ``None``."""
-        table = self._watermarks.get(channel)
-        if not table:
-            return None
-        return min(table.values())
 
     # -- result surface ----------------------------------------------------------
     def extras(self) -> dict:

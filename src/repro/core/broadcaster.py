@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.cluster.backend import WorkerEnv
-from repro.core.history import HistoryChannel, HistoryStore, RetentionPolicy
+from repro.core.history import HistoryChannel, HistoryStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.context import ClusterContext
@@ -71,12 +71,6 @@ class HistoryBroadcast:
         env.put(key, value)
         return value
 
-    def report_watermark(self, scope: Any, version: int) -> None:
-        """Declare that ``scope`` will never again read below ``version``
-        on this channel (feeds COMM's prune floor; no-op without COMM)."""
-        if self.comm is not None:
-            self.comm.report_watermark(self.channel.name, scope, version)
-
     def value(self, env: WorkerEnv | None = None) -> Any:
         """This handle's own version (the paper's ``w_br.value``)."""
         return self._resolve(self.version, env)
@@ -106,30 +100,12 @@ class AsyncBroadcaster:
         #: server loop); ``None`` = plain transport, no ledger, no delta.
         self.comm: Any = None
 
-    def channel(
-        self, name: str = "model", keep: RetentionPolicy | str | None = None
-    ) -> HistoryChannel:
-        """The named HIST channel (created on first access, ``keep="all"``
-        by default — workers may re-reference any version by id)."""
-        return self.store.channel(name, keep=keep)
+    def channel(self, name: str = "model") -> HistoryChannel:
+        """The named HIST channel (created on first access, ``keep="all"``:
+        workers may re-reference any version by id)."""
+        return self.store.channel(name)
 
-    def broadcast(
-        self,
-        value: Any,
-        channel: str = "model",
-        keep: RetentionPolicy | str | None = None,
-    ) -> HistoryBroadcast:
-        """Publish a new version on ``channel`` and return its handle.
-
-        With a COMM manager attached, publishing also prunes the channel
-        below its watermark floor — the version every registered reader
-        scope has advanced past — so ``keep="all"`` model channels stop
-        growing with the run once no one can re-reference old versions.
-        """
-        ch = self.channel(channel, keep=keep)
-        version = ch.append(value)
-        if self.comm is not None:
-            floor = self.comm.prune_floor(ch.name)
-            if floor is not None:
-                ch.prune_below(floor)
-        return HistoryBroadcast(ch, version, comm=self.comm)
+    def broadcast(self, value: Any, channel: str = "model") -> HistoryBroadcast:
+        """Publish a new version on ``channel`` and return its handle."""
+        ch = self.store.channel(channel)
+        return HistoryBroadcast(ch, ch.append(value), comm=self.comm)

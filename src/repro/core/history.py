@@ -26,7 +26,7 @@ spelling        meaning
                 may re-reference any past version by id)
 ``"last:k"``    keep only the ``k`` most recent versions, ``k`` a whole
                 number >= 1 (bounded deques: L-BFGS curvature pairs,
-                SAGA's running average)
+                SVRG's epoch anchor)
 ==============  =============================================================
 
 Eviction happens on append and never removes the newest version. Reads
@@ -297,11 +297,7 @@ class HistoryChannel:
         more — or less — history than it was configured for), and so is
         a version it could not hold (at or past ``next_version``, or under
         ``last:k`` below ``next_version - k``). Older snapshots'
-        ``timestamps_ms`` maps are ignored. When the channel already holds
-        an array (what the run's own setup stored), every restored array
-        must have its shape and dtype, or
-        :class:`~repro.errors.SnapshotError` names the version and the
-        channel is left unchanged.
+        ``timestamps_ms`` maps are ignored.
         """
         if "values" not in snap:
             raise HistoryError(
@@ -325,14 +321,6 @@ class HistoryChannel:
                 f"snapshot of channel '{self.name}' holds versions "
                 f"{sorted(values)} outside {lo}..{next_version - 1}"
             )
-        ours = self.latest() if self._values else None
-        if isinstance(ours, np.ndarray):
-            for v, val in values.items():
-                require_like(
-                    val, ours,
-                    f"snapshot of channel '{self.name}': values[{v}]",
-                    "this run's setup stored",
-                )
         self._values = values
         self._nbytes = {
             v: sizeof_bytes(val) for v, val in self._values.items()
@@ -514,8 +502,8 @@ class HistoryStore:
     def snapshot(self) -> dict:
         """JSON-safe snapshot of the bounded (``last:k``) channels.
 
-        Those are the restartable server state (curvature pairs, running
-        averages, epoch anchors). An unbounded channel's payload grows
+        Those are the restartable server state (curvature pairs, epoch
+        anchors and their full gradients). An unbounded channel's payload grows
         with the run and is rebuilt by the optimizer's own setup pass,
         so it is left out.
         """

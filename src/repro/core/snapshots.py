@@ -4,9 +4,11 @@ A *run snapshot* is everything :class:`~repro.optim.loop.ServerLoop`
 needs to continue a killed run from the moment update ``K`` applied:
 the model iterate, the update/round counters (the update count is
 also the model version) and the loop's checkpointable server state (its
-bounded HIST channels). It
-deliberately excludes anything a
-resumed process re-derives (dataset, problem, step schedule) and
+bounded HIST channels). It deliberately excludes anything a resumed
+process re-derives (dataset, problem, step schedule, and whatever the
+rule's setup rebuilds at the restored iterate: a restore re-anchors
+SAGA there, so a snapshot never needs SAGA's model channel, its table
+of stored versions or its running average) and
 anything that varies between an interrupted run and a shorter reference
 run of the same spec (``max_updates``, wall timestamps) — so the
 payload a run writes the instant update ``K`` applies is **byte

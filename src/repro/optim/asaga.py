@@ -34,8 +34,9 @@ __all__ = ["ASAGARule", "SAGARule"]
 class ASAGARule(UpdateRule):
     """SAGA mathematics on the async driver: history handles + avg table.
 
-    All server state lives in the run's HIST store (the model-version
-    channel the broadcaster serves, and the ``averageHistory`` channel).
+    The server state (``averageHistory`` and the prune floors) lives in
+    :class:`~repro.optim.saga.SagaState`; HIST holds the model versions
+    workers read by id.
     """
 
     #: Historical convention: ASAGA's first sampling round used seed index 1.
@@ -48,14 +49,15 @@ class ASAGARule(UpdateRule):
     def bind(self, loop):
         super().bind(loop)
         # SAGA publishes through the run's broadcaster: its channels live
-        # in the run's HIST store (accounting and checkpoints), and COMM
-        # prices and prunes its model channel.
+        # in the run's HIST store (accounting), and COMM prices its
+        # model channel.
         self.state = SagaState(
             self.opt.ctx, self.opt.problem, self.mode, loop.ac.broadcaster
         )
 
     def setup(self, w):
-        # Synchronous initialization pass (phi_j = w_0), shared with SAGA.
+        # Synchronous initialization pass (phi_j = w), shared with SAGA;
+        # on a restored run ``w`` is the restored iterate.
         initialize_history(self.opt, self.state, w)
 
     def publish(self, w):
@@ -67,6 +69,7 @@ class ASAGARule(UpdateRule):
             block,
             handle,
             self.state.versions_key(block.block_id),
+            self.state.floors,
             self.opt.config.batch_fraction,
             seed,
         )

@@ -29,10 +29,10 @@ hook                    role
 ``extras()``            algorithm-specific entries merged into RunResult.extras
 ======================  ========================================================
 
-Rules also get ``self.history`` — the run's HIST store of named, bounded
-server-side history channels (Section 4.3's second pillar; SAGA's
-``averageHistory``, SVRG's epoch anchors and async L-BFGS's curvature
-pairs all live there).
+Rules also get ``self.history`` — the run's HIST store of named
+server-side history channels (Section 4.3's second pillar; SAGA's model
+versions, SVRG's epoch anchors and async L-BFGS's curvature pairs all
+live there).
 
 The schedulable unit of a round is selectable: a rule (or the config's
 ``granularity``) can dispatch one locally-reduced task per *worker* (the
@@ -53,6 +53,7 @@ for all of them, then applies one update — which is how ``sgd``,
 
 from __future__ import annotations
 
+import copy
 from typing import TYPE_CHECKING, Any
 
 from repro.cluster.faultplan import FaultPlanDriver
@@ -118,7 +119,9 @@ class UpdateRule:
 
     # -- once-per-run hooks ------------------------------------------------------------
     def setup(self, w) -> None:
-        """Pre-loop work, excluded from the run's metrics window."""
+        """Pre-loop work, excluded from the run's metrics window; ``w`` is
+        the initial point, or on a restored run the snapshot's iterate
+        (its HIST channels and counters are already reinstated)."""
 
     def begin_epoch(self, w) -> None:
         """Epoch-boundary work for rules with ``epoch_length`` set."""
@@ -243,11 +246,13 @@ class ServerLoop:
     ``opt.restore_state`` (set from the spec's ``restore_from``) is a
     loaded run snapshot (see :mod:`repro.core.snapshots`). The loop
     reinstates its server state (the bounded HIST channels), model
-    iterate and update/round counters, so a SIGKILLed run continues from
-    the exact update its latest snapshot captured. Anything else — a
-    snapshot of another :data:`~repro.utils.rng.TRAJECTORY_EPOCH`, whose
-    continuation this code would not compute, or one whose sections,
-    counters or model do not fit this run — raises
+    iterate and update/round counters, then runs the rule's setup at the
+    restored iterate (SAGA re-anchors there), so a SIGKILLed run
+    continues the algorithm from the update its latest snapshot
+    captured. Anything else — a snapshot of another
+    :data:`~repro.utils.rng.TRAJECTORY_EPOCH`, whose continuation this
+    code would not compute, or one whose sections, channels, counters or
+    model do not fit this run — raises
     :class:`~repro.errors.SnapshotError`.
 
     :meth:`run` is ``_start`` -> ``_round`` until the budget is spent ->
@@ -270,12 +275,13 @@ class ServerLoop:
             policy=self.policy,
             pipeline_depth=cfg.pipeline_depth,
         )
-        #: The run's COMM subsystem (``opt.comm``; spec ``compressor``):
-        #: installed on the scheduler path (collect-side codec), the
-        #: history broadcaster (delta fetches + watermark pruning) and
-        #: the engine context's plain broadcasts (ledger), so every byte
-        #: this run puts on the wire lands in one ledger.
-        self.comm = opt.comm
+        #: The run's COMM subsystem (a copy of ``opt.comm``, as configured
+        #: by the spec's ``compressor``, so no mirror, residual or ledger
+        #: row leaks between runs): installed on the scheduler path
+        #: (collect-side codec), the history broadcaster (delta fetches)
+        #: and the engine context's plain broadcasts (ledger), so every
+        #: byte this run puts on the wire lands in one ledger.
+        self.comm = None if opt.comm is None else copy.deepcopy(opt.comm)
         self.ac.comm = self.comm
         self.ac.broadcaster.comm = self.comm
         # Unconditional: a reused ClusterContext must not keep a previous
@@ -356,6 +362,13 @@ class ServerLoop:
                     f"snapshot {where}.next_version is {next_version!r}; "
                     "it must be an integer"
                 )
+            # A snapshot holds the run's bounded channels, each created
+            # at bind; an unbounded one is rebuilt by the rule's setup.
+            ours = self.ac.history
+            if name not in ours or not ours.channel(name).keep.bounded:
+                raise SnapshotError(
+                    f"snapshot {where} is not a bounded channel this run keeps"
+                )
         checks = (
             ("algorithm", run.get("algorithm"), self.rule.algorithm_label()),
             ("num_workers", run.get("num_workers"), self.opt.ctx.num_workers),
@@ -421,13 +434,11 @@ class ServerLoop:
                 f"restore state is not a {SNAPSHOT_FORMAT} run snapshot"
             )
         else:
+            # Crash-recovery resume: the snapshot's server state, model
+            # iterate and counters come first, so the rule's setup runs
+            # at the restored iterate (SAGA pins phi_j = w_K and A =
+            # grad F(w_K), an exact SAGA state, for one full pass).
             self._check_snapshot(full)
-        rule.setup(self.w)
-        if full is not None:
-            # Crash-recovery resume: overwrite the setup defaults with
-            # the snapshot's server state, model iterate and counters,
-            # so the loop continues from the exact applied update the
-            # snapshot captured.
             self._restore(full.get("server", {}))
             self.w = decode_value(full["w"])
             self.updates = int(full["updates"])
@@ -436,6 +447,8 @@ class ServerLoop:
             # The model version is the applied-update count: ``_apply``
             # is the only caller of ``model_updated``.
             self.ac.stat.current_version = self.updates
+        rule.setup(self.w)
+        if full is not None:
             self.trace.record(opt.ctx.now(), self.updates, self.w)
         # The paper's wait-time metric is per *iteration*: the window opens
         # after any setup pass (e.g. SAGA's synchronous initialization).

@@ -50,62 +50,52 @@ __all__ = [
 BroadcastMode = Literal["history", "naive"]
 
 
-class _HistoryHandle:
-    """Parameter resolver backed by the ASYNCbroadcaster (cheap): its
-    ``current(env)``/``at(version, env)`` are the broadcast handle's own
-    ``value``/``value_at``, bound, so a read makes no frame of its own."""
-
-    def __init__(self, hb) -> None:
-        self._hb = hb
-        self.version = hb.version
-        self.current = hb.value
-        self.at = hb.value_at
-
-    def report_watermark(self, scope: Any, version: int) -> None:
-        """Feed COMM's HIST watermark (no-op without a comm manager)."""
-        self._hb.report_watermark(scope, version)
-
-
 class _NaiveHandle:
     """Parameter resolver that ships the whole history table (expensive).
 
     The driver broadcasts a dict {version: w} containing *every* version
     so far; each worker's first read per iteration fetches the entire,
-    ever-growing payload — Spark's cost model for Algorithm 3.
+    ever-growing payload — Spark's cost model for Algorithm 3. It reads
+    like a :class:`~repro.core.broadcaster.HistoryBroadcast`
+    (``value``/``value_at``), so one kernel serves both modes.
     """
 
     def __init__(self, bc, version: int) -> None:
         self._bc = bc
         self.version = version
 
-    def current(self, env) -> np.ndarray:
+    def value(self, env) -> np.ndarray:
         return self._bc.value(env)[self.version]
 
-    def at(self, version: int, env) -> np.ndarray:
+    def value_at(self, version: int, env) -> np.ndarray:
         return self._bc.value(env)[int(version)]
-
-    def report_watermark(self, scope: Any, version: int) -> None:
-        """Naive mode ships the whole table anyway; nothing to prune."""
 
 
 class SagaState:
-    """Driver-side SAGA bookkeeping shared by the sync and async variants.
+    """Driver-side SAGA state, shared by the sync and async variants.
 
-    All server-side history lives in HIST channels of the run's
-    coordinator-owned :class:`~repro.core.history.HistoryStore`:
+    The server's own state lives here:
 
-    - ``saga`` — the broadcast model versions (``keep="all"``:
-      workers re-reference any ``phi_s`` version by id),
-    - ``saga/avg_hist`` — Algorithm 4 line 8's ``averageHistory``
-      (``keep="last:1"``: only the current running average matters),
-    - ``saga/table`` — naive mode's ever-growing parameter table.
+    - ``avg_hist`` — Algorithm 4 line 8's ``averageHistory`` (``A``), a
+      plain array advanced by :meth:`apply_update`,
+    - ``floors`` — per block, the lowest model version the block's rows
+      may still read (``None`` when nothing prunes: naive mode, or a run
+      without a COMM manager); :meth:`publish` prunes the model channel
+      below their minimum.
+
+    HIST keeps only what workers read by id, in the run's
+    coordinator-owned :class:`~repro.core.history.HistoryStore`: the
+    ``saga`` channel of broadcast model versions (``keep="all"``: a
+    worker re-reads any ``phi_s`` version by id) and, in naive mode,
+    ``saga/table``, the ever-growing parameter table. None of it is in a
+    run snapshot: a restore reruns the setup pass at the restored
+    iterate (:func:`initialize_history`), which is an exact SAGA state.
 
     Channel names are *process-stable*: fixed, never derived from a
-    per-process counter, so a run snapshot's HIST channels restore into a
-    fresh process — e.g. a fabric worker resuming another host's run —
-    with channels that match by name. Per-run isolation comes from each
-    run owning its store (and its backend's worker envs), not from
-    unique tags.
+    per-process counter, so runs in two processes (e.g. two fabric
+    workers) keep channels that match by name. Per-run isolation comes
+    from each run owning its store (and its backend's worker envs), not
+    from unique tags.
     """
 
     def __init__(
@@ -121,32 +111,27 @@ class SagaState:
         self.problem = problem
         self.mode = mode
         #: The run's broadcaster and the HIST store it serves; its COMM
-        #: manager prices, delta-encodes and prunes the model channel.
+        #: manager prices and delta-encodes the model channel.
         self.broadcaster = broadcaster
-        self.store = broadcaster.store
         self.channel = "saga"
-        self._avg = self.store.channel(f"{self.channel}/avg_hist", keep="last:1")
-        self._avg.append(np.zeros(problem.dim))
+        self.avg_hist = np.zeros(problem.dim)
+        prunes = mode == "history" and broadcaster.comm is not None
+        self.floors: dict[int, int] | None = {} if prunes else None
         self._naive = (
-            self.store.channel(f"{self.channel}/table", keep="all")
+            broadcaster.store.channel(f"{self.channel}/table", keep="all")
             if mode == "naive" else None
         )
         self.naive_broadcast_bytes = 0
 
-    @property
-    def avg_hist(self) -> np.ndarray:
-        """The running average of stored per-sample gradients (``A``)."""
-        return self._avg.latest()
-
-    @avg_hist.setter
-    def avg_hist(self, value: np.ndarray) -> None:
-        self._avg.append(np.asarray(value, dtype=np.float64))
-
     def publish(self, w: np.ndarray):
-        """Publish the current model; returns a resolver handle."""
+        """Publish the current model; returns the handle kernels read it
+        through (``value(env)`` / ``value_at(version, env)``)."""
         if self.mode == "history":
             hb = self.broadcaster.broadcast(np.array(w, copy=True), self.channel)
-            return _HistoryHandle(hb)
+            if self.floors:
+                # No block reads below its floor again.
+                hb.channel.prune_below(min(self.floors.values()))
+            return hb
         version = self._naive.append(np.array(w, copy=True))
         table = {v: self._naive.get(v) for v in self._naive.versions()}
         bc = self.ctx.broadcast(table)
@@ -181,6 +166,7 @@ def saga_partition_kernel(
     block: MatrixBlock,
     handle: Any,
     state_key: tuple,
+    floors: dict[int, int] | None,
     batch_fraction: float,
     sample_seed: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -190,7 +176,9 @@ def saga_partition_kernel(
     the current model and historical gradients at each row's stored
     version (one :meth:`Problem.grad_sum_grouped` call over the batch,
     whatever the number of distinct versions), then advances the rows'
-    stored versions. Returns ``(grad_new_sum, grad_old_sum, batch_size)``.
+    stored versions and, when ``floors`` is kept, raises the block's
+    prune floor to their minimum. Returns ``(grad_new_sum,
+    grad_old_sum, batch_size)``.
     """
     env = current_env()
     versions = None if env is None else env.get(state_key)
@@ -206,7 +194,7 @@ def saga_partition_kernel(
     )
     X, y = gather_rows(block.X, idx), block.y[idx]
 
-    g_new = problem.grad_sum(X, y, handle.current(env))
+    g_new = problem.grad_sum(X, y, handle.value(env))
 
     # Historical gradients: every row at its own stored version, fetched
     # in ascending version order, in one grouped pass over the batch.
@@ -214,15 +202,14 @@ def saga_partition_kernel(
     # ``np.unique``, spelled without its lazy ``numpy.ma`` import.
     ordered = np.sort(row_versions)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    ws = [handle.at(v, env) for v in distinct]
+    ws = [handle.value_at(v, env) for v in distinct]
     group = distinct.searchsorted(row_versions)  # return_inverse, 2x cheaper
     g_old = problem.grad_sum_grouped(X, y, ws, group)
 
     versions[idx] = handle.version
-    # This block will never again reference a version below its stored
-    # minimum: report it so COMM can prune the keep="all" model channel
-    # up to the floor across all blocks.
-    handle.report_watermark(block.block_id, int(versions.min()))
+    if floors is not None:
+        # This block never again reads a version below its rows' minimum.
+        floors[block.block_id] = max(floors[block.block_id], int(versions.min()))
     if env is not None:  # two passes over the batch: fresh + historical
         env.pending_cost_units += 2.0 * Batch(block, idx).cost_units()
     return g_new, g_old, len(idx)
@@ -231,31 +218,29 @@ def saga_partition_kernel(
 def initialize_history(
     opt: DistributedOptimizer, state: SagaState, w: np.ndarray
 ) -> None:
-    """Full synchronous pass pinning phi_j = w_0 and A = grad F(w_0).
+    """Full synchronous pass pinning phi_j = w and A = grad F(w).
 
     This is Algorithm 3's line 2 ("store w in table"): every sample's
     stored version becomes version 0, and the running average of stored
-    gradients is the full gradient at w_0. Shared by SAGA and ASAGA.
+    gradients is the full gradient at ``w`` — ``w_0`` on a fresh run,
+    the restored iterate on a resumed one. Shared by SAGA and ASAGA.
     """
     problem = opt.problem
-    comm = state.broadcaster.comm
-    handle = state.publish(w)
-    if handle.version != 0:
-        raise OptimError("history must start at version 0")
+    floors = state.floors
+    handle = state.publish(w)  # version 0: a restore keeps no SAGA channel
 
     def full_grad(split: int, data: list):
         block = data[0]
         env = current_env()
         key = state.versions_key(block.block_id)
         env.put(key, np.zeros(block.rows, dtype=np.int64))
-        if comm is not None:
-            # Declare every block as a reader scope at version 0 before
-            # any watermark advances: the prune floor is a min over
-            # *registered* scopes, so an unregistered block could have
-            # its phi-versions pruned out from under it.
-            comm.register_scope(state.channel, block.block_id, 0)
+        if floors is not None:
+            # Every block holds a floor before any rises: the prune floor
+            # is their minimum, so a block without one could have its
+            # phi-versions pruned out from under it.
+            floors[block.block_id] = 0
         env.pending_cost_units += block.cost_units()
-        return problem.grad_sum(block.X, block.y, handle.current(env))
+        return problem.grad_sum(block.X, block.y, handle.value(env))
 
     parts = opt.ctx.run_job(opt.points, full_grad)
     state.avg_hist = sum(parts) / opt.n_total

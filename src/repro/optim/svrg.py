@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_optimizer
+from repro.core.history import require_like
 from repro.data.blocks import MatrixBlock
 from repro.engine.taskcontext import record_cost
 from repro.errors import OptimError
@@ -73,6 +74,16 @@ class ASVRGRule(UpdateRule):
         super().bind(loop)
         self.anchor_channel = self.history.channel("svrg/anchor", keep="last:1")
         self.mu_channel = self.history.channel("svrg/mu", keep="last:1")
+
+    def setup(self, w):
+        if self.loop.epoch_rounds_left:
+            # Restored mid-epoch: the inner rounds continue around the
+            # snapshot's anchor and full gradient, each like the model.
+            for ch in (self.anchor_channel, self.mu_channel):
+                where = f"snapshot channel '{ch.name}'"
+                require_like(ch.latest(), w, where, "this run's model is")
+            self.w_tilde = self.anchor_channel.latest()
+            self.wt_br = self.opt.ctx.broadcast(self.w_tilde)
 
     def begin_epoch(self, w):
         # Epoch barrier: wait out in-flight inner tasks, then the

@@ -55,9 +55,12 @@ __all__ = [
 #: a plan kept their bits. Epoch 5: a worker revived before the loss
 #: notices of its killed tasks arrive rejoins scheduling once they do,
 #: instead of staying retired; only runs whose revive lands inside that
-#: window moved. Sweep checkpoint keys and run snapshots carry it, so
-#: results of another epoch are re-run rather than resumed.
-TRAJECTORY_EPOCH = 5
+#: window moved. Epoch 6: a restored SAGA or ASAGA run reruns SAGA's
+#: setup pass at the restored iterate instead of resuming its running
+#: average against a table reset to ``w_0``; only restored SAGA/ASAGA
+#: continuations moved. Sweep checkpoint keys and run snapshots carry
+#: it, so results of another epoch are re-run rather than resumed.
+TRAJECTORY_EPOCH = 6
 
 
 def stable_hash(parts: Iterable[object]) -> int:

@@ -1,5 +1,6 @@
 """COMM subsystem: compressor grammar, exact-byte packets, parity pins,
-error-feedback convergence, HIST watermark pruning, and fabric frames.
+error-feedback convergence, SAGA's model-channel pruning, per-run
+managers, and fabric frames.
 
 The load-bearing guarantees, in test order:
 
@@ -12,8 +13,10 @@ The load-bearing guarantees, in test order:
   collect-direction wire bytes.
 - HIST byte accounting and the comm ledger speak the same units
   (both measure with ``sizeof_bytes``).
-- The watermark table lets ASAGA's ``keep="all"`` model channel be
+- SAGA's prune floors let ASAGA's ``keep="all"`` model channel be
   pruned without changing the trajectory.
+- Each run of one prepared spec gets its own manager: two runs of one
+  ``PreparedExperiment`` agree on ``w`` and on every ledger scalar.
 - Fabric result frames round-trip and duplicate/resent results are
   counted (and priced) as retransmits by the coordinator.
 """
@@ -28,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import COMPRESSORS, run_experiment
+from repro.api.runner import prepare_experiment
 from arrival_orders import ORDERS, ScriptedOrder
 
 from repro.comm import (
@@ -463,6 +467,25 @@ def test_watermarks_prune_saga_model_channel_bit_identically():
     # round, so the keep="all" model channel actually sheds versions.
     assert _total_evictions(wired) > _total_evictions(bare)
     assert wired.extras["comm_broadcast_raw_bytes"] > 0
+
+
+@pytest.mark.parametrize("compressor", [
+    {"name": "topk", "fraction": 0.1, "delta": True}, "none",
+], ids=["topk-delta", "none"])
+def test_one_prep_run_twice_repeats_its_first_run(compressor):
+    """Delta mirrors, error-feedback residuals and ledger rows belong to
+    one run: a second ``run_in`` of the same prep starts from none."""
+    prep = prepare_experiment({**ASAGA_SPEC, "compressor": compressor})
+    runs = []
+    for _ in range(2):
+        with prep.make_context() as ctx:
+            runs.append(prep.run_in(ctx))
+    first, second = runs
+    assert np.array_equal(first.w, second.w)
+    ledger = {k: v for k, v in first.extras.items() if k.startswith("comm_")}
+    assert ledger and ledger == {
+        k: v for k, v in second.extras.items() if k.startswith("comm_")
+    }
 
 
 def test_delta_broadcast_ships_fewer_model_bytes():

@@ -219,8 +219,8 @@ def test_saga_channels_are_process_stable_sim():
     second = run_experiment(spec)
     # Two independent runs (stand-ins for two fabric worker processes)
     # derive the same channel names — no per-process counters or id()s.
-    assert sorted(first.extras["history"]) == ["saga", "saga/avg_hist"]
-    assert sorted(second.extras["history"]) == ["saga", "saga/avg_hist"]
+    assert sorted(first.extras["history"]) == ["saga"]
+    assert sorted(second.extras["history"]) == ["saga"]
     assert np.array_equal(first.w, second.w)
 
 

@@ -124,13 +124,11 @@ def test_single_worker_hand_wired_asvrg_pinned():
 def test_asaga_history_channels_in_extras():
     res = run_experiment(SIM_SPECS["asaga"])
     hist = res.extras["history"]
-    channels = sorted(hist)
-    # The model-version channel and the averageHistory channel.
-    assert any(name.endswith("/avg_hist") for name in channels)
-    assert any(not name.endswith("/avg_hist") for name in channels)
-    avg = next(hist[n] for n in channels if n.endswith("/avg_hist"))
-    assert avg["keep"] == "last:1"
-    assert avg["versions"] == 1  # bounded: only the current average
+    # The model versions workers read by id; averageHistory is server
+    # state of SagaState, not history.
+    assert sorted(hist) == ["saga"]
+    assert hist["saga"]["keep"] == "all"
+    assert hist["saga"]["versions"] >= 1
     assert res.extras["history_bytes"] == sum(
         row["stored_bytes"] for row in hist.values()
     )

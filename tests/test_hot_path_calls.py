@@ -42,7 +42,10 @@ CEILING = 66.47
 #: priced once and the codec walked exact types, 166.8 before the
 #: partition walk lost its wrapper frames, 153.42 before the SAGA kernel
 #: read its env once and stopped building a sub-block, the codec walked
-#: a tuple's leaves in its own frame and HIST eviction lost its scan).
+#: a tuple's leaves in its own frame and HIST eviction lost its scan;
+#: 117.50 before SAGA's average and prune floors left HIST and COMM and
+#: each run got its own COMM manager, where this second run used to
+#: inherit the first one's delta mirrors).
 COMPRESSED_SPEC = {
     "algorithm": "asaga", "params": {"mode": "history"},
     "dataset": "rcv1_like", "policy": "ssp:4", "granularity": "partition",
@@ -50,7 +53,7 @@ COMPRESSED_SPEC = {
     "compressor": {"name": "topk", "fraction": 0.1, "delta": True},
     "max_updates": 300, "eval_every": 300, "seed": 3,
 }
-COMPRESSED_CEILING = 117.50
+COMPRESSED_CEILING = 104.95
 
 #: ASGD at worker grain, 8 workers over 32 partitions: every task walks
 #: four local partitions (127.52 before the block store's reads, the

@@ -17,8 +17,18 @@ from repro.api.runner import prepare_experiment, run_grid, summarize
 from repro.core.snapshots import decode_value, read_snapshot
 from repro.errors import SnapshotError
 
-#: ASAGA keeps SAGA's ``averageHistory`` in a bounded HIST channel.
+#: ASVRG keeps its epoch anchor and full gradient in bounded HIST
+#: channels; seven inner rounds per epoch put update 30 mid-epoch.
 HIST_SPEC = {
+    "algorithm": "asvrg", "dataset": "tiny_dense", "num_workers": 4,
+    "num_partitions": 8, "delay": "cds:0.6", "policy": "ssp:4",
+    "max_updates": 30, "eval_every": 10, "seed": 1,
+    "params": {"inner_iterations": 7},
+}
+
+#: ASAGA's server state (SAGA's ``averageHistory``) is not HIST: a
+#: restore re-anchors SAGA at the restored iterate instead.
+ASAGA_SPEC = {
     "algorithm": "asaga", "dataset": "tiny_dense", "num_workers": 4,
     "num_partitions": 8, "delay": "cds:0.6", "policy": "ssp:4",
     "max_updates": 30, "eval_every": 10, "seed": 1,
@@ -68,39 +78,69 @@ def test_resume_restores_run_state_from_checkpoint(tmp_path):
     resumed = run_grid(HIST_SPEC, checkpoint=str(ckpt), resume=True)
     # Restored, not re-run — the old state rides along untouched.
     assert resumed == [entry["summary"]]
-    assert resumed[0]["run_state"]["history"]["saga/avg_hist"]["values"]
+    assert resumed[0]["run_state"]["history"]["svrg/anchor"]["values"]
 
 
 def test_run_state_is_deterministic(tmp_path):
     a = _final_snapshot(tmp_path, "a.json")["server"]
     b = _final_snapshot(tmp_path, "b.json")["server"]
-    assert set(a) == {"history"} and set(a["history"]) == {"saga/avg_hist"}
+    assert set(a) == {"history"}
+    assert set(a["history"]) == {"svrg/anchor", "svrg/mu"}
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 # -- ServerLoop restore ----------------------------------------------------------------
-def test_server_loop_restore_reinstates_history(tmp_path):
-    from repro.optim.asaga import ASAGARule
+def _bound_loop(ctx, prep, rule, snap=None):
+    """A ServerLoop of ``prep`` on ``ctx`` resuming from ``snap``."""
     from repro.optim.loop import ServerLoop
 
-    spec = {
-        "algorithm": "asaga", "dataset": "tiny_dense", "num_workers": 4,
-        "num_partitions": 8, "delay": "cds:0.6", "max_updates": 20,
-        "eval_every": 10, "seed": 3,
-    }
-    snap = _final_snapshot(tmp_path, "snap.json", spec)
-    (saved,) = snap["server"]["history"]["saga/avg_hist"]["values"].values()
+    points = ctx.matrix(prep.X, prep.y, prep.num_partitions).cache()
+    opt = prep.make_optimizer(ctx, points)
+    opt.restore_state = snap
+    return ServerLoop(opt, rule)
 
+
+def test_server_loop_restore_reinstates_history(tmp_path):
+    """ASVRG's bounded channels come back as saved, and a run restored
+    mid-epoch continues around the saved anchor."""
+    from repro.optim.svrg import ASVRGRule
+
+    spec = {**HIST_SPEC, "max_updates": 20, "seed": 3}
+    snap = _final_snapshot(tmp_path, "snap.json", spec)
+    assert snap["epoch_rounds_left"] > 0
     prep = prepare_experiment(spec)
     with prep.make_context() as ctx:
-        points = ctx.matrix(prep.X, prep.y, prep.num_partitions).cache()
-        opt = prep.make_optimizer(ctx, points)
-        opt.restore_state = snap
-        loop = ServerLoop(opt, ASAGARule())
+        loop = _bound_loop(ctx, prep, ASVRGRule(inner_iterations=7), snap)
         loop._start()
-        got = loop.ac.history.channel("saga/avg_hist").latest()
-        assert np.array_equal(got, decode_value(saved))
+        for name in ("svrg/anchor", "svrg/mu"):
+            (saved,) = snap["server"]["history"][name]["values"].values()
+            got = loop.ac.history.channel(name).latest()
+            assert np.array_equal(got, decode_value(saved))
+        assert loop.rule.w_tilde is loop.rule.anchor_channel.latest()
         assert loop.updates == 20
+
+
+def test_server_loop_restore_reanchors_saga(tmp_path):
+    """An ASAGA restore at K reruns SAGA's setup at w_K: A is bit-equal
+    to a fresh setup's at w_K, and the model channel's version 0 is
+    w_K."""
+    from repro.optim.asaga import ASAGARule
+
+    spec = {**ASAGA_SPEC, "max_updates": 20, "seed": 3}
+    snap = _final_snapshot(tmp_path, "snap.json", spec)
+    assert snap["server"] == {"history": {}}
+    w_k = decode_value(snap["w"])
+    prep = prepare_experiment(spec)
+    with prep.make_context() as ctx:
+        loop = _bound_loop(ctx, prep, ASAGARule(), snap)
+        loop._start()
+        assert loop.updates == 20
+        assert np.array_equal(loop.ac.history.channel("saga").get(0), w_k)
+    with prep.make_context() as ctx:
+        fresh = _bound_loop(ctx, prep, ASAGARule())
+        fresh.rule.bind(fresh)
+        fresh.rule.setup(w_k)
+    assert np.array_equal(loop.rule.state.avg_hist, fresh.rule.state.avg_hist)
 
 
 def test_bare_server_state_is_refused(tmp_path):
@@ -120,13 +160,13 @@ def test_restore_accepts_empty_retired_sections(tmp_path):
     from repro.optim.loop import ServerLoop
 
     snap = _final_snapshot(
-        tmp_path, "snap.json", {**HIST_SPEC, "max_updates": 10}
+        tmp_path, "snap.json", {**ASAGA_SPEC, "max_updates": 10}
     )
     older = json.loads(json.dumps(snap))
     older["server"].update(policy={}, coordinator={})
     results = []
     for restore in (snap, older):
-        prep = prepare_experiment(HIST_SPEC)
+        prep = prepare_experiment(ASAGA_SPEC)
         with prep.make_context() as ctx:
             points = ctx.matrix(prep.X, prep.y, prep.num_partitions).cache()
             opt = prep.make_optimizer(ctx, points)

@@ -47,11 +47,20 @@ SPEC = {
     "num_workers": 4, "max_updates": 60, "seed": 3, "delay": "cds:0.6",
 }
 
-#: A run whose snapshots carry a bounded HIST channel (SAGA's average).
+#: A SAGA run: its snapshots carry no HIST, a restore re-anchors SAGA.
 ASAGA_SPEC = {
     "algorithm": "asaga", "dataset": "tiny_dense", "num_workers": 4,
     "num_partitions": 8, "delay": "cds:0.6", "max_updates": 60,
     "eval_every": 20, "seed": 3, "params": {"mode": "history"},
+}
+
+#: A run whose snapshots carry bounded HIST channels (SVRG's epoch
+#: anchor and its full gradient); seven inner rounds per epoch put
+#: update 40 mid-epoch, where a restore reads both.
+ASVRG_SPEC = {
+    "algorithm": "asvrg", "dataset": "tiny_dense", "num_workers": 4,
+    "num_partitions": 8, "delay": "cds:0.6", "max_updates": 60,
+    "eval_every": 20, "seed": 3, "params": {"inner_iterations": 7},
 }
 
 ENV = dict(
@@ -130,7 +139,7 @@ def _no_constants(name):
 
 def test_snapshot_file_is_strict_json(tmp_path):
     snap_file = tmp_path / "snap.json"
-    run_experiment({**ASAGA_SPEC, "snapshot_every": 20,
+    run_experiment({**ASVRG_SPEC, "snapshot_every": 20,
                     "snapshot_path": str(snap_file)})
     state = json.loads(read_payload(snap_file), parse_constant=_no_constants)
     assert isinstance(state["w"]["__ndarray__"], str)
@@ -163,6 +172,15 @@ def _asaga_snapshot_at_40(tmp_path):
     return snap_file, json.loads(read_payload(snap_file))
 
 
+def _asvrg_snapshot_at_40(tmp_path):
+    snap_file = tmp_path / "asvrg.json"
+    run_experiment({**ASVRG_SPEC, "max_updates": 40, "snapshot_every": 40,
+                    "snapshot_path": str(snap_file)})
+    state = json.loads(read_payload(snap_file))
+    assert state["epoch_rounds_left"] > 0
+    return snap_file, state
+
+
 def test_snapshot_with_empty_policy_and_coordinator_restores_bit_identically(
     tmp_path,
 ):
@@ -182,15 +200,15 @@ def test_snapshot_with_empty_policy_and_coordinator_restores_bit_identically(
 def test_snapshot_with_timestamps_restores_bit_identically(tmp_path):
     """Earlier snapshots stamped every bounded HIST version with its
     cluster time; the stamps are ignored on restore."""
-    snap_file, state = _asaga_snapshot_at_40(tmp_path)
+    snap_file, state = _asvrg_snapshot_at_40(tmp_path)
     channels = state["server"]["history"]
-    assert set(channels) == {"saga/avg_hist"}
+    assert set(channels) == {"svrg/anchor", "svrg/mu"}
     for ch in channels.values():
         assert "timestamps_ms" not in ch
         ch["timestamps_ms"] = {v: 26.5 for v in ch["values"]}
     older = _write_state(tmp_path / "older.json", state)
-    from_new = run_experiment({**ASAGA_SPEC, "restore_from": str(snap_file)})
-    from_older = run_experiment({**ASAGA_SPEC, "restore_from": str(older)})
+    from_new = run_experiment({**ASVRG_SPEC, "restore_from": str(snap_file)})
+    from_older = run_experiment({**ASVRG_SPEC, "restore_from": str(older)})
     assert from_older.extras["resumed_from_update"] == 40
     assert _bits(from_older.w) == _bits(from_new.w)
 
@@ -247,13 +265,13 @@ def test_sweep_checkpoint_with_list_form_run_state_resumes(
     from repro.api import parallel
     from repro.api.runner import run_grid
 
-    grid = {"base": {**ASAGA_SPEC, "max_updates": 20},
+    grid = {"base": {**ASVRG_SPEC, "max_updates": 20},
             "grid": {"seed": [1, 2]}}
     ck = tmp_path / "sweep.ckpt.jsonl"
     first = run_grid(grid, checkpoint=str(ck))
     # Earlier summaries carried the bounded HIST as a list-form
     # ``run_state``; graft one onto every recorded line.
-    _, state = _asaga_snapshot_at_40(tmp_path)
+    _, state = _asvrg_snapshot_at_40(tmp_path)
     for summary in first:
         summary["run_state"] = state["server"]
     entries = [json.loads(line) for line in ck.read_text().splitlines()]
@@ -267,8 +285,8 @@ def test_sweep_checkpoint_with_list_form_run_state_resumes(
         lambda spec: pytest.fail("a recorded cell was re-run"),
     )
     resumed = run_grid(grid, checkpoint=str(ck), resume=True)
-    (avg,) = resumed[0]["run_state"]["history"]["saga/avg_hist"]["values"].values()
-    assert isinstance(avg["__ndarray__"], list)
+    (anchor,) = resumed[0]["run_state"]["history"]["svrg/anchor"]["values"].values()
+    assert isinstance(anchor["__ndarray__"], list)
     # (via JSON: a fresh summary's HIST version keys are ints)
     assert resumed == json.loads(json.dumps(_to_list_form(first)))
 
@@ -701,21 +719,21 @@ def test_restore_refuses_a_hostile_snapshot_naming_the_field(
         run_experiment({**SPEC, "restore_from": str(bad)})
 
 
-def _avg_hist_as(state, fn):
-    values = state["server"]["history"]["saga/avg_hist"]["values"]
+def _anchor_as(state, fn):
+    values = state["server"]["history"]["svrg/anchor"]["values"]
     for version, value in values.items():
         values[version] = encode_value(fn(decode_value(value)))
 
 
 @pytest.mark.parametrize("field,corrupt", [
-    ("saga/avg_hist.*values.* must be an object",
+    ("svrg/anchor.*values.* must be an object",
      lambda ch: ch.update(values=[1.0])),
-    ("saga/avg_hist.*accounting.* must be an object",
+    ("svrg/anchor.*accounting.* must be an object",
      lambda ch: ch.update(accounting="lots")),
-    ("saga/avg_hist.*values has version key 'v41'",
-     lambda ch: ch.update(values={"v41": ch["values"]["41"]})),
-    ("saga/avg_hist.*next_version is '42'",
-     lambda ch: ch.update(next_version="42")),
+    ("svrg/anchor.*values has version key 'v5'",
+     lambda ch: ch.update(values={"v5": ch["values"]["5"]})),
+    ("svrg/anchor.*next_version is '6'",
+     lambda ch: ch.update(next_version="6")),
 ], ids=["values-not-object", "accounting-not-object", "version-key-not-int",
         "next-version-not-int"])
 def test_restore_refuses_a_hostile_hist_channel_naming_the_field(
@@ -723,37 +741,65 @@ def test_restore_refuses_a_hostile_hist_channel_naming_the_field(
 ):
     """The fields inside one HIST channel are checked like the rest of
     the snapshot: a ``SnapshotError`` naming the channel and the field."""
-    state = _valid_asaga_state(tmp_path)
-    corrupt(state["server"]["history"]["saga/avg_hist"])
+    state = _valid_asvrg_state(tmp_path)
+    corrupt(state["server"]["history"]["svrg/anchor"])
     bad = _write_state(tmp_path / "bad.json", state)
     with pytest.raises(SnapshotError, match=field):
-        run_experiment({**ASAGA_SPEC, "restore_from": str(bad)})
+        run_experiment({**ASVRG_SPEC, "restore_from": str(bad)})
 
 
 @pytest.mark.parametrize("field,fn", [
-    ("values\\[41\\] is float64 of shape \\(1,\\)", lambda v: v[:1]),
-    ("values\\[41\\] is float32 of shape", lambda v: v.astype(np.float32)),
+    ("is float64 of shape \\(1,\\)", lambda v: v[:1]),
+    ("is float32 of shape", lambda v: v.astype(np.float32)),
 ], ids=["one-element", "float32"])
 def test_restore_refuses_a_hist_value_unlike_the_runs_own(tmp_path, field, fn):
-    """A restored array must have the shape and dtype of what the run's
-    own setup stored on the channel; a 1-element SAGA average used to be
-    accepted and the run finished on it."""
-    state = _valid_asaga_state(tmp_path)
-    _avg_hist_as(state, fn)
+    """A restored array must have the shape and dtype the run reads it
+    as: a mid-epoch SVRG anchor is a model. A 1-element one would
+    broadcast against every iterate and the run would finish on it."""
+    state = _valid_asvrg_state(tmp_path)
+    _anchor_as(state, fn)
     bad = _write_state(tmp_path / "bad.json", state)
-    with pytest.raises(SnapshotError, match=f"saga/avg_hist.*{field}"):
-        run_experiment({**ASAGA_SPEC, "restore_from": str(bad)})
+    with pytest.raises(SnapshotError, match=f"svrg/anchor.*{field}"):
+        run_experiment({**ASVRG_SPEC, "restore_from": str(bad)})
 
 
-def _valid_asaga_state(tmp_path):
-    snap_file = tmp_path / "asaga.json"
-    run_experiment({**ASAGA_SPEC, "max_updates": 40, "snapshot_every": 40,
+def test_restore_refuses_a_hist_channel_the_run_does_not_keep(tmp_path):
+    """Every bounded channel a run keeps exists before its snapshot is
+    checked, so a channel it does not keep is refused, not created."""
+    state = _valid_asvrg_state(tmp_path)
+    history = state["server"]["history"]
+    history["svrg/stale"] = dict(history["svrg/mu"], name="svrg/stale")
+    bad = _write_state(tmp_path / "bad.json", state)
+    with pytest.raises(
+        SnapshotError, match=r"history\['svrg/stale'\] is not a bounded"
+    ):
+        run_experiment({**ASVRG_SPEC, "restore_from": str(bad)})
+
+
+def test_restore_refuses_an_unbounded_hist_channel(tmp_path):
+    """Naive SAGA's table is a channel the run keeps, but unbounded: its
+    setup rebuilds it, so a snapshot carrying one is refused up front,
+    not restored under the setup pass."""
+    naive = {**ASAGA_SPEC, "params": {"mode": "naive"}}
+    snap_file = tmp_path / "naive.json"
+    run_experiment({**naive, "max_updates": 20, "snapshot_every": 20,
                     "snapshot_path": str(snap_file)})
     state = json.loads(read_payload(snap_file))
-    assert list(state["server"]["history"]) == ["saga/avg_hist"]
-    assert list(state["server"]["history"]["saga/avg_hist"]["values"]) == [
-        "41"
-    ]
+    state["server"]["history"]["saga/table"] = {
+        "name": "saga/table", "keep": "all", "next_version": 3,
+        "accounting": {}, "values": {},
+    }
+    bad = _write_state(tmp_path / "bad.json", state)
+    with pytest.raises(
+        SnapshotError, match=r"history\['saga/table'\] is not a bounded"
+    ):
+        run_experiment({**naive, "restore_from": str(bad)})
+
+
+def _valid_asvrg_state(tmp_path):
+    _, state = _asvrg_snapshot_at_40(tmp_path)
+    assert list(state["server"]["history"]) == ["svrg/anchor", "svrg/mu"]
+    assert list(state["server"]["history"]["svrg/anchor"]["values"]) == ["5"]
     return state
 
 

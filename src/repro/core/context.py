@@ -66,7 +66,7 @@ class ASYNCContext:
         self.scheduler = AsyncScheduler(self)
         # The broadcaster is the transport view over the coordinator's
         # HIST store: broadcast channels and server-side history share
-        # one namespace, one accounting, one checkpoint surface.
+        # one namespace and one accounting.
         self.broadcaster = AsyncBroadcaster(ctx, store=self.history)
         #: The scheduling policy used when a round names none (ASP
         #: unless ``policy`` says otherwise).

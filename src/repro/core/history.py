@@ -13,8 +13,13 @@ structure once:
   accounting (current footprint, lifetime appended/evicted volume).
 - :class:`HistoryStore` — the coordinator-owned registry of channels
   (the ``HIST`` table, mirroring ``STAT``'s role), with per-channel
-  accounting surfaced into ``RunResult.extras`` and snapshot/restore
-  hooks for checkpointing.
+  accounting surfaced into ``RunResult.extras``.
+
+HIST lives in server memory only, as in the paper: a run snapshot
+(:mod:`repro.core.snapshots`) carries none of it. A restored run's rule
+rebuilds its channels at the restored iterate, the way Spark recomputes
+lost state instead of checkpointing it: SAGA and SVRG with one full
+pass, async L-BFGS by starting again without curvature pairs.
 
 Retention policies are spelled as data so specs and constructors share
 one vocabulary:
@@ -38,14 +43,13 @@ a HIST channel).
 
 from __future__ import annotations
 
-import base64
 import itertools
 import math
 from typing import Any, Iterator
 
 import numpy as np
 
-from repro.errors import BroadcastError, HistoryError, SnapshotError
+from repro.errors import BroadcastError, HistoryError
 from repro.utils.sizeof import sizeof_bytes
 
 __all__ = [
@@ -53,9 +57,6 @@ __all__ = [
     "HistoryChannel",
     "HistoryStore",
     "freeze_value",
-    "to_jsonable",
-    "from_jsonable",
-    "require_like",
 ]
 
 
@@ -116,11 +117,6 @@ class RetentionPolicy:
         raise HistoryError(
             f"unknown retention policy {spec!r}; expected 'all' or 'last:k'"
         )
-
-    @property
-    def bounded(self) -> bool:
-        """Whether the channel's footprint is bounded independent of T."""
-        return self.kind != "all"
 
     def describe(self) -> str:
         return "all" if self.kind == "all" else f"last:{self.bound}"
@@ -203,7 +199,8 @@ class HistoryChannel:
         return version
 
     def _evict(self, newest: int) -> None:
-        # Nothing below ``newest - k`` is stored (restore checks): one expires.
+        # Appends are the only writes, so nothing below ``newest - k``
+        # is stored: one version expires.
         if self.keep.kind == "last":
             expired = newest - self.keep.bound
             if expired in self._values:
@@ -262,7 +259,7 @@ class HistoryChannel:
         """Retained values, oldest first (the L-BFGS two-loop order)."""
         return [self._values[v] for v in self.versions()]
 
-    # -- accounting / checkpointing ------------------------------------------------
+    # -- accounting ----------------------------------------------------------------
     def accounting(self) -> dict:
         """Plain-data byte accounting (one row of ``extras['history']``)."""
         return {
@@ -274,171 +271,12 @@ class HistoryChannel:
             "evicted_bytes": self.evicted_bytes,
         }
 
-    def snapshot(self) -> dict:
-        """Checkpointable state; ``restore`` rebuilds it exactly."""
-        versions = self.versions()
-        return {
-            "name": self.name,
-            "keep": self.keep.describe(),
-            "next_version": self._next_version,
-            "accounting": self.accounting(),
-            "versions": versions,
-            "values": {
-                int(v): to_jsonable(self._values[v]) for v in versions
-            },
-        }
-
-    def restore(self, snap: dict) -> None:
-        """Reinstate a :meth:`snapshot` onto this channel.
-
-        The channel's own retention policy is authoritative: restoring a
-        snapshot captured under a *different* policy is a contract error
-        (silently adopting the snapshot's would let a resumed run keep
-        more — or less — history than it was configured for), and so is
-        a version it could not hold (at or past ``next_version``, or under
-        ``last:k`` below ``next_version - k``). Older snapshots'
-        ``timestamps_ms`` maps are ignored.
-        """
-        if "values" not in snap:
-            raise HistoryError(
-                f"snapshot of channel '{snap.get('name')}' carries no values"
-            )
-        snap_keep = RetentionPolicy.parse(snap["keep"])
-        if snap_keep != self.keep:
-            raise HistoryError(
-                f"cannot restore channel '{self.name}': snapshot retention "
-                f"{snap_keep.describe()!r} conflicts with the channel's "
-                f"{self.keep.describe()!r}"
-            )
-        values = {
-            int(v): freeze_value(from_jsonable(val))
-            for v, val in snap["values"].items()
-        }
-        next_version = int(snap["next_version"])
-        lo = next_version - (self.keep.bound or next_version)
-        if values and not lo <= min(values) <= max(values) < next_version:
-            raise HistoryError(
-                f"snapshot of channel '{self.name}' holds versions "
-                f"{sorted(values)} outside {lo}..{next_version - 1}"
-            )
-        self._values = values
-        self._nbytes = {
-            v: sizeof_bytes(val) for v, val in self._values.items()
-        }
-        self.total_stored_bytes = sum(self._nbytes.values())
-        acct = snap.get("accounting", {})
-        self.appended_bytes = int(
-            acct.get("appended_bytes", self.total_stored_bytes)
-        )
-        self.evicted_bytes = int(acct.get("evicted_bytes", 0))
-        self.evicted_versions = int(acct.get("evicted_versions", 0))
-        self._next_version = next_version
-        self._newest = max(values, default=-1)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"HistoryChannel({self.name!r}, keep={self.keep.describe()}, "
             f"versions={len(self._values)}, "
             f"stored_bytes={self.total_stored_bytes})"
         )
-
-
-def require_like(value: Any, ours: np.ndarray, what: str, whose: str) -> None:
-    """Raise :class:`~repro.errors.SnapshotError` (``"<what> is ...;
-    <whose> ..."``) unless ``value`` is an array of ``ours``' shape and
-    dtype."""
-    if not (
-        isinstance(value, np.ndarray)
-        and value.shape == ours.shape and value.dtype == ours.dtype
-    ):
-        got = (
-            f"{value.dtype} of shape {value.shape}"
-            if isinstance(value, np.ndarray) else type(value).__name__
-        )
-        raise SnapshotError(
-            f"{what} is {got}; {whose} {ours.dtype} of shape {ours.shape}"
-        )
-
-
-#: ndarray kinds the checkpoint codec carries: bool, signed/unsigned
-#: int, float, complex — everything ``src/`` stores in HIST or snapshots.
-_ARRAY_KINDS = "biufc"
-
-
-def to_jsonable(value: Any) -> Any:
-    """Encode a stored value for JSON checkpoints (arrays -> typed dicts).
-
-    An ndarray becomes ``{"__ndarray__": <base64 of its raw bytes, C
-    order, little-endian>, "dtype": <explicit little-endian dtype str,
-    e.g. "<f8">, "shape": [...]}``, so every bit survives — NaN payloads
-    and -0.0 included — and the JSON stays strict (no bare ``NaN``).
-    Arrays of any other kind (object, string, datetime, void) raise
-    :class:`~repro.errors.HistoryError`. The inverse of
-    :func:`from_jsonable`; shared with ``core.snapshots``.
-    """
-    if isinstance(value, np.ndarray):
-        dtype = value.dtype
-        if dtype.kind not in _ARRAY_KINDS:
-            raise HistoryError(
-                f"cannot checkpoint an ndarray of dtype {dtype} "
-                f"(supported kinds: {_ARRAY_KINDS})"
-            )
-        dtype = dtype.newbyteorder("<")
-        return {
-            "__ndarray__": base64.b64encode(
-                value.astype(dtype, copy=False).tobytes()
-            ).decode("ascii"),
-            "dtype": dtype.str,
-            "shape": list(value.shape),
-        }
-    if isinstance(value, (tuple, list)):
-        return [to_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
-def from_jsonable(value: Any) -> Any:
-    """Decode :func:`to_jsonable` output (lists come back as tuples).
-
-    Arrays come back writable and in native byte order. A malformed
-    array record raises :class:`~repro.errors.HistoryError`.
-    """
-    if isinstance(value, dict) and "__ndarray__" in value:
-        # KeyError: a missing "dtype"/"shape"; TypeError: an unparseable
-        # dtype or shape, or data that is not a string; ValueError: bad
-        # base64, a wrong byte count.
-        try:
-            return _decode_array(value)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise HistoryError(f"malformed array record: {exc}") from exc
-    if isinstance(value, list):
-        return tuple(from_jsonable(v) for v in value)
-    if isinstance(value, dict):
-        return {k: from_jsonable(v) for k, v in value.items()}
-    return value
-
-
-def _decode_array(record: dict) -> np.ndarray:
-    data = record["__ndarray__"]
-    dtype = np.dtype(record["dtype"])
-    if dtype.kind not in _ARRAY_KINDS:
-        raise ValueError(f"unsupported dtype {dtype}")
-    shape = tuple(int(s) for s in record["shape"])
-    if any(s < 0 for s in shape):
-        raise ValueError(f"negative shape {list(shape)}")
-    raw = base64.b64decode(data, validate=True)
-    want = math.prod(shape) * dtype.itemsize
-    if len(raw) != want:
-        raise ValueError(
-            f"{len(raw)} bytes for shape {list(shape)} of {dtype.str} "
-            f"(expected {want})"
-        )
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(
-        dtype.newbyteorder("="), copy=True
-    )
 
 
 class HistoryStore:
@@ -450,7 +288,7 @@ class HistoryStore:
     variance reduction, curvature pairs for quasi-Newton methods. One
     store exists per asynchronous run (the :class:`~repro.core.context.
     ASYNCContext` hands it to its coordinator and broadcaster), so every
-    consumer shares channel ids, accounting, and checkpointing.
+    consumer shares channel ids and accounting.
     """
 
     def __init__(self) -> None:
@@ -497,32 +335,6 @@ class HistoryStore:
         return {
             name: ch.accounting() for name, ch in self._channels.items()
         }
-
-    # -- checkpointing -------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """JSON-safe snapshot of the bounded (``last:k``) channels.
-
-        Those are the restartable server state (curvature pairs, epoch
-        anchors and their full gradients). An unbounded channel's payload grows
-        with the run and is rebuilt by the optimizer's own setup pass,
-        so it is left out.
-        """
-        return {
-            name: ch.snapshot()
-            for name, ch in self._channels.items()
-            if ch.keep.bounded
-        }
-
-    def restore(self, snap: dict) -> None:
-        """Reinstate channels from a :meth:`snapshot`.
-
-        Missing channels are created with the snapshot's retention; a
-        channel that already exists keeps its configured policy, and a
-        snapshot captured under a different one raises (resuming a run
-        whose bounds changed must fail loudly, not silently widen them).
-        """
-        for name, ch_snap in snap.items():
-            self.channel(name, keep=ch_snap.get("keep")).restore(ch_snap)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -2,24 +2,27 @@
 
 A *run snapshot* is everything :class:`~repro.optim.loop.ServerLoop`
 needs to continue a killed run from the moment update ``K`` applied:
-the model iterate, the update/round counters (the update count is
-also the model version) and the loop's checkpointable server state (its
-bounded HIST channels). It deliberately excludes anything a resumed
-process re-derives (dataset, problem, step schedule, and whatever the
-rule's setup rebuilds at the restored iterate: a restore re-anchors
-SAGA there, so a snapshot never needs SAGA's model channel, its table
-of stored versions or its running average) and
-anything that varies between an interrupted run and a shorter reference
-run of the same spec (``max_updates``, wall timestamps) — so the
-payload a run writes the instant update ``K`` applies is **byte
+the model iterate and the update/round counters (the update count is
+also the model version), with the run's identity (algorithm, worker
+count, seed). It holds no server state. HIST lives in server memory
+only, and a restored run's rule rebuilds what it needs at the restored
+iterate (:meth:`~repro.optim.loop.UpdateRule.setup`): SAGA and SVRG
+take one full pass, async L-BFGS starts without curvature pairs, and an
+epoch-structured rule begins a fresh epoch. A snapshot also excludes
+anything a resumed process re-derives (dataset, problem, step schedule)
+and anything that varies between an interrupted run and a shorter
+reference run of the same spec (``max_updates``, wall timestamps), so
+the payload a run writes the instant update ``K`` applies is **byte
 identical** to the final payload of the same spec run with
 ``max_updates=K``. Tests and the recovery bench lean on that.
 
-The payload is one JSON object (sorted keys, no whitespace) whose
-arrays are :func:`~repro.core.history.to_jsonable` records: the array's
-raw little-endian bytes in base64 plus an explicit dtype and shape, so
-the encode is a byte copy rather than a float-to-text conversion, every
-bit survives (NaN payloads, -0.0) and the JSON stays strict.
+The payload is one JSON object (sorted keys, no whitespace) of exactly
+six keys: ``format``, ``trajectory_epoch``, ``run``, ``updates``,
+``rounds`` and ``w``. The model ``w`` is an :func:`encode_value`
+record: the array's raw little-endian bytes in base64 plus an explicit
+dtype and shape, so the encode is a byte copy rather than a
+float-to-text conversion, every bit survives (NaN payloads, -0.0) and
+the JSON stays strict.
 
 The file holds two slots of ``S`` bytes each (``S`` a power of two of
 at least 4 KiB and at least twice the record, so a write to one slot
@@ -38,15 +41,21 @@ rebuilt: a temp file in the same directory, ``fsync``, then
 ``os.replace``. Reading a file that does not start with the slot magic
 is a :class:`~repro.errors.SnapshotError`.
 
-:func:`read_snapshot` checks the trajectory epoch and the counters and
-decodes every array before a run sees the state, so a malformed file,
-or one of another epoch, fails as a :class:`~repro.errors.SnapshotError`
-naming the path, not as a numpy error halfway through a restore.
+:func:`check_snapshot` checks the trajectory epoch, the key set and
+the counters and decodes ``w`` before a run sees the state, so a
+malformed file, one of another epoch or one carrying any other key
+(such as the ``server`` section of earlier epochs) fails as a
+:class:`~repro.errors.SnapshotError` naming the path and the key, not
+as a numpy error halfway through a restore. :func:`read_snapshot` runs
+it on every file it loads, and the server loop on every state it
+restores.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 import re
 import zlib
@@ -55,8 +64,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from repro.core.history import from_jsonable, to_jsonable
-from repro.errors import HistoryError, SnapshotError
+from repro.errors import SnapshotError
 from repro.utils.rng import TRAJECTORY_EPOCH
 
 __all__ = [
@@ -65,6 +73,7 @@ __all__ = [
     "write_snapshot",
     "read_payload",
     "read_snapshot",
+    "check_snapshot",
     "SnapshotWriter",
     "encode_value",
     "decode_value",
@@ -74,8 +83,12 @@ __all__ = [
 #: files without it (e.g. a sweep checkpoint passed by mistake).
 SNAPSHOT_FORMAT = "repro/run-snapshot@1"
 
-#: Integer counters every run snapshot carries beside the model ``w``.
-_COUNTERS = ("updates", "rounds", "epoch_rounds_left")
+#: The keys of a run snapshot: every one is required, no other is read.
+_KEYS = ("format", "trajectory_epoch", "run", "updates", "rounds", "w")
+
+#: ndarray kinds the array codec carries: bool, signed/unsigned int,
+#: float, complex.
+_ARRAY_KINDS = "biufc"
 
 #: First bytes of a slotted snapshot file and of each slot's header.
 _MAGIC = b"repro/snapshot-slot@1 "
@@ -89,10 +102,59 @@ _MIN_SLOT = 4096
 # A data-only flush where the platform has one.
 _datasync = getattr(os, "fdatasync", os.fsync)
 
-# One codec for all run state: the HIST JSON codec round-trips ndarrays
-# bit-exact, which is what makes resume trajectories identical.
-encode_value = to_jsonable
-decode_value = from_jsonable
+def encode_value(value: np.ndarray) -> dict:
+    """An ndarray as a JSON array record.
+
+    The record is ``{"__ndarray__": <base64 of its raw bytes, C order,
+    little-endian>, "dtype": <explicit little-endian dtype str, e.g.
+    "<f8">, "shape": [...]}``, so every bit survives (NaN payloads and
+    -0.0 included) and the JSON stays strict (no bare ``NaN``). Arrays
+    of any other kind (object, string, datetime, void) raise
+    :class:`~repro.errors.SnapshotError`. The inverse of
+    :func:`decode_value`.
+    """
+    dtype = value.dtype
+    if dtype.kind not in _ARRAY_KINDS:
+        raise SnapshotError(
+            f"cannot checkpoint an ndarray of dtype {dtype} "
+            f"(supported kinds: {_ARRAY_KINDS})"
+        )
+    dtype = dtype.newbyteorder("<")
+    return {
+        "__ndarray__": base64.b64encode(
+            value.astype(dtype, copy=False).tobytes()
+        ).decode("ascii"),
+        "dtype": dtype.str,
+        "shape": list(value.shape),
+    }
+
+
+def decode_value(record: Any) -> np.ndarray:
+    """The ndarray of an :func:`encode_value` record, writable and in
+    native byte order; anything else is a
+    :class:`~repro.errors.SnapshotError` ("malformed array record")."""
+    # KeyError: a missing key; TypeError: a record that is not a dict,
+    # an unparseable dtype or shape, or data that is not a string;
+    # ValueError: an unsupported dtype, bad base64, a wrong byte count.
+    try:
+        dtype = np.dtype(record["dtype"])
+        if dtype.kind not in _ARRAY_KINDS:
+            raise ValueError(f"unsupported dtype {dtype}")
+        shape = tuple(int(s) for s in record["shape"])
+        if any(s < 0 for s in shape):
+            raise ValueError(f"negative shape {list(shape)}")
+        raw = base64.b64decode(record["__ndarray__"], validate=True)
+        want = math.prod(shape) * dtype.itemsize
+        if len(raw) != want:
+            raise ValueError(
+                f"{len(raw)} bytes for shape {list(shape)} of {dtype.str} "
+                f"(expected {want})"
+            )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(f"malformed array record: {exc}") from exc
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(
+        dtype.newbyteorder("="), copy=True
+    )
 
 
 def is_run_snapshot(state: Any) -> bool:
@@ -244,12 +306,10 @@ def read_payload(path: str | os.PathLike) -> bytes:
 
 
 def read_snapshot(path: str | os.PathLike) -> dict:
-    """Load and validate a run snapshot written by :func:`write_snapshot`.
+    """Load a run snapshot written by :func:`write_snapshot`.
 
-    Returns the newest intact state as stored (arrays still encoded, as
-    ``ServerLoop`` expects), after checking that it is of this code's
-    trajectory epoch, that the counters are integers and that ``w`` and
-    every other array record decode.
+    Returns the newest intact state as stored (``w`` still encoded, as
+    ``ServerLoop`` expects) once :func:`check_snapshot` accepts it.
     """
     target = Path(path)
     try:
@@ -264,32 +324,42 @@ def read_snapshot(path: str | os.PathLike) -> dict:
         raise SnapshotError(
             f"{str(target)!r} is not a valid snapshot: {exc}"
         ) from exc
+    check_snapshot(state, repr(str(target)))
+    return state
+
+
+def check_snapshot(state: Any, source: str) -> np.ndarray:
+    """Refuse ``state`` unless it is a run snapshot of this code's
+    trajectory epoch holding exactly the six keys, with integer
+    counters; return its decoded ``w``. Each
+    :class:`~repro.errors.SnapshotError` names ``source`` (a file, or
+    the in-process restore state) and the key at fault."""
     if not is_run_snapshot(state):
-        raise SnapshotError(
-            f"{str(target)!r} is not a {SNAPSHOT_FORMAT} file"
-        )
+        raise SnapshotError(f"{source} is not tagged {SNAPSHOT_FORMAT}")
     epoch = state.get("trajectory_epoch")
     if epoch != TRAJECTORY_EPOCH:
         raise SnapshotError(
-            f"{str(target)!r}: trajectory epoch is {epoch!r}, this code's "
-            f"is {TRAJECTORY_EPOCH} — its run cannot be continued here"
+            f"{source}: trajectory epoch is {epoch!r}, this code's is "
+            f"{TRAJECTORY_EPOCH} — its run cannot be continued here"
         )
-    for key in (*_COUNTERS, "w"):
+    unknown = sorted(set(state) - set(_KEYS))
+    if unknown:
+        raise SnapshotError(
+            f"{source}: unknown key {unknown[0]!r}; a run snapshot holds "
+            f"only {', '.join(_KEYS)}"
+        )
+    for key in _KEYS:
         if key not in state:
-            raise SnapshotError(f"{str(target)!r}: missing {key!r}")
-    for key in _COUNTERS:
+            raise SnapshotError(f"{source}: missing {key!r}")
+    for key in ("updates", "rounds"):
         if type(state[key]) is not int:
             raise SnapshotError(
-                f"{str(target)!r}: {key!r} must be an integer, "
-                f"got {state[key]!r}"
+                f"{source}: {key!r} must be an integer, got {state[key]!r}"
             )
     try:
-        decoded = from_jsonable(state)
-    except HistoryError as exc:
-        raise SnapshotError(f"{str(target)!r}: {exc}") from exc
-    if not isinstance(decoded["w"], np.ndarray):
-        raise SnapshotError(f"{str(target)!r}: 'w' is not an array record")
-    return state
+        return decode_value(state["w"])
+    except SnapshotError as exc:
+        raise SnapshotError(f"{source}: 'w' is a {exc}") from exc
 
 
 class SnapshotWriter:

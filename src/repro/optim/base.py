@@ -84,8 +84,8 @@ class OptimizerConfig:
     #: Synchronous rules always dispatch per partition.
     granularity: str = "worker"
     #: Mid-run crash-recovery snapshots: every ``snapshot_every`` applied
-    #: updates the server loop writes its full run snapshot (model
-    #: iterate, counters, bounded HIST channels) to ``snapshot_path``,
+    #: updates the server loop writes its run snapshot (model iterate
+    #: and counters; no HIST) to ``snapshot_path``,
     #: one of two CRC-checked slots overwritten in place and
     #: ``fdatasync``'d. 0 disables; both fields must be set together.
     snapshot_every: int = 0

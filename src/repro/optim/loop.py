@@ -58,15 +58,13 @@ from typing import TYPE_CHECKING, Any
 
 from repro.cluster.faultplan import FaultPlanDriver
 from repro.core.context import ASYNCContext
-from repro.core.history import require_like
 from repro.core.ops import RoundPlan
 from repro.core.policies import as_policy
 from repro.core.snapshots import (
     SNAPSHOT_FORMAT,
     SnapshotWriter,
-    decode_value,
+    check_snapshot,
     encode_value,
-    is_run_snapshot,
 )
 from repro.errors import SnapshotError
 from repro.optim.base import RunResult
@@ -121,7 +119,9 @@ class UpdateRule:
     def setup(self, w) -> None:
         """Pre-loop work, excluded from the run's metrics window; ``w`` is
         the initial point, or on a restored run the snapshot's iterate
-        (its HIST channels and counters are already reinstated)."""
+        (the loop's counters are already restored). A snapshot carries
+        no server state, so a rule builds all of its state here or at
+        its first epoch, restored or not."""
 
     def begin_epoch(self, w) -> None:
         """Epoch-boundary work for rules with ``epoch_length`` set."""
@@ -226,13 +226,6 @@ def _sum_in_order(values: list) -> Any:
     return sum(values)
 
 
-def _require_object(field: str, value: Any) -> None:
-    if not isinstance(value, dict):
-        raise SnapshotError(
-            f"snapshot {field!r} must be an object, got {type(value).__name__}"
-        )
-
-
 class ServerLoop:
     """Owns the driver, sync or async; delegates mathematics to the rule.
 
@@ -245,15 +238,14 @@ class ServerLoop:
 
     ``opt.restore_state`` (set from the spec's ``restore_from``) is a
     loaded run snapshot (see :mod:`repro.core.snapshots`). The loop
-    reinstates its server state (the bounded HIST channels), model
-    iterate and update/round counters, then runs the rule's setup at the
-    restored iterate (SAGA re-anchors there), so a SIGKILLed run
-    continues the algorithm from the update its latest snapshot
-    captured. Anything else — a snapshot of another
+    restores the model iterate and the update/round counters, then runs
+    the rule's setup at the restored iterate, which rebuilds the rule's
+    server state there (SAGA re-anchors; an epoch rule starts a fresh
+    epoch). So a SIGKILLed run continues the algorithm from the update
+    its latest snapshot captured. Anything else — a snapshot of another
     :data:`~repro.utils.rng.TRAJECTORY_EPOCH`, whose continuation this
-    code would not compute, or one whose sections, channels, counters or
-    model do not fit this run — raises
-    :class:`~repro.errors.SnapshotError`.
+    code would not compute, or one whose keys, run, counters or model do
+    not fit this run — raises :class:`~repro.errors.SnapshotError`.
 
     :meth:`run` is ``_start`` -> ``_round`` until the budget is spent ->
     ``_finish``; every collected result goes through ``_apply``, the one
@@ -288,26 +280,7 @@ class ServerLoop:
         # run's ledger attached to its plain broadcasts.
         opt.ctx.comm = self.comm
 
-    def state_dict(self) -> dict:
-        """JSON-safe checkpoint of the run's restartable server state
-        (a run snapshot's ``server`` section): the bounded HIST channels."""
-        return {"history": self.ac.history.snapshot()}
-
-    def _restore(self, state: dict) -> None:
-        retired = sorted(
-            name for name in ("policy", "coordinator") if state.get(name)
-        )
-        if retired:
-            raise SnapshotError(
-                f"run state carries {' and '.join(retired)} state, which "
-                "no scheduling policy produces any more; it cannot be "
-                "restored"
-            )
-        self.ac.history.restore(state.get("history", {}))
-
-    def snapshot_state(
-        self, w, updates: int, rounds: int, epoch_rounds_left: int
-    ) -> dict:
+    def snapshot_state(self, w, updates: int, rounds: int) -> dict:
         """The full mid-run snapshot payload at applied update ``updates``.
 
         Deliberately excludes run *limits* (``max_updates``, wall
@@ -325,50 +298,18 @@ class ServerLoop:
             },
             "updates": int(updates),
             "rounds": int(rounds),
-            "epoch_rounds_left": int(epoch_rounds_left),
             "w": encode_value(w),
-            "server": self.state_dict(),
         }
 
-    def _check_snapshot(self, snap: dict) -> None:
+    def _check_snapshot(self, snap: dict):
         """Refuse a snapshot this run cannot continue, naming the field,
-        before any of it is restored."""
-        epoch = snap.get("trajectory_epoch")
-        if epoch != TRAJECTORY_EPOCH:
+        before any of it is restored; return its decoded ``w``."""
+        w = check_snapshot(snap, "restore state")
+        run = snap["run"]
+        if not isinstance(run, dict):
             raise SnapshotError(
-                f"snapshot trajectory epoch is {epoch!r}, this code's is "
-                f"{TRAJECTORY_EPOCH} — its run cannot be continued here"
+                f"snapshot 'run' must be an object, got {type(run).__name__}"
             )
-        run, server = snap.get("run", {}), snap.get("server", {})
-        _require_object("run", run)
-        _require_object("server", server)
-        history = server.get("history", {})
-        _require_object("server.history", history)
-        for name, channel in history.items():
-            where = f"server.history[{name!r}]"
-            _require_object(where, channel)
-            values = channel.get("values")
-            _require_object(f"{where}.values", values)
-            _require_object(f"{where}.accounting", channel.get("accounting", {}))
-            for key in values:
-                if not (key.isascii() and key.isdigit()):
-                    raise SnapshotError(
-                        f"snapshot {where}.values has version key {key!r}; "
-                        "versions are integers >= 0"
-                    )
-            next_version = channel.get("next_version")
-            if type(next_version) is not int:
-                raise SnapshotError(
-                    f"snapshot {where}.next_version is {next_version!r}; "
-                    "it must be an integer"
-                )
-            # A snapshot holds the run's bounded channels, each created
-            # at bind; an unbounded one is rebuilt by the rule's setup.
-            ours = self.ac.history
-            if name not in ours or not ours.channel(name).keep.bounded:
-                raise SnapshotError(
-                    f"snapshot {where} is not a bounded channel this run keeps"
-                )
         checks = (
             ("algorithm", run.get("algorithm"), self.rule.algorithm_label()),
             ("num_workers", run.get("num_workers"), self.opt.ctx.num_workers),
@@ -382,23 +323,21 @@ class ServerLoop:
                     "would silently diverge from the original trajectory"
                 )
         budget = self.opt.config.max_updates
-        counters = (
-            ("updates", snap.get("updates"), budget),
-            ("rounds", snap.get("rounds"), None),
-        )
-        for field, value, bound in counters:
-            if type(value) is not int or value < 0 or (
-                bound is not None and value > bound
-            ):
+        for field, bound in (("updates", budget), ("rounds", None)):
+            value = snap[field]
+            if value < 0 or (bound is not None and value > bound):
                 limit = f"0..{bound}" if bound is not None else ">= 0"
                 raise SnapshotError(
                     f"snapshot {field!r} is {value!r}; this run needs an "
                     f"integer in {limit}"
                 )
-        require_like(
-            decode_value(snap.get("w")), self.w,
-            "snapshot 'w'", "this run's model is",
-        )
+        ours = self.w
+        if w.shape != ours.shape or w.dtype != ours.dtype:
+            raise SnapshotError(
+                f"snapshot 'w' is {w.dtype} of shape {w.shape}; this run's "
+                f"model is {ours.dtype} of shape {ours.shape}"
+            )
+        return w
 
     def run(self) -> RunResult:
         self._start()
@@ -420,7 +359,7 @@ class ServerLoop:
         rule.bind(self)
         self.w = opt.problem.initial_point()
         self.trace = ConvergenceTrace()
-        self.updates = self.rounds = self.epoch_rounds_left = 0
+        self.updates = self.rounds = self.epoch_left = 0
         self.max_staleness = self.max_partition_stale = 0
         #: Applied updates per step-schedule tick: the worker count.
         self.per_pass = max(opt.ctx.num_workers, 1)
@@ -429,21 +368,15 @@ class ServerLoop:
         self.resumed = full = opt.restore_state
         if full is None:
             self.trace.record(opt.ctx.now(), 0, self.w)
-        elif not is_run_snapshot(full):
-            raise SnapshotError(
-                f"restore state is not a {SNAPSHOT_FORMAT} run snapshot"
-            )
         else:
-            # Crash-recovery resume: the snapshot's server state, model
-            # iterate and counters come first, so the rule's setup runs
-            # at the restored iterate (SAGA pins phi_j = w_K and A =
-            # grad F(w_K), an exact SAGA state, for one full pass).
-            self._check_snapshot(full)
-            self._restore(full.get("server", {}))
-            self.w = decode_value(full["w"])
-            self.updates = int(full["updates"])
-            self.rounds = int(full["rounds"])
-            self.epoch_rounds_left = int(full["epoch_rounds_left"])
+            # Crash-recovery resume: the model iterate and counters come
+            # first, so the rule's setup runs at the restored iterate
+            # (SAGA pins phi_j = w_K and A = grad F(w_K), an exact SAGA
+            # state, for one full pass) and an epoch rule's first round
+            # opens a fresh epoch there.
+            self.w = self._check_snapshot(full)
+            self.updates = full["updates"]
+            self.rounds = full["rounds"]
             # The model version is the applied-update count: ``_apply``
             # is the only caller of ``model_updated``.
             self.ac.stat.current_version = self.updates
@@ -465,13 +398,13 @@ class ServerLoop:
     def _round(self) -> None:
         """Publish, dispatch one round, apply everything that arrived."""
         opt, rule, ac = self.opt, self.rule, self.ac
-        if rule.epoch_length is not None and self.epoch_rounds_left == 0:
+        if rule.epoch_length is not None and self.epoch_left == 0:
             rule.begin_epoch(self.w)
-            self.epoch_rounds_left = rule.epoch_length
+            self.epoch_left = rule.epoch_length
         seed = opt._round_seed(self.rounds + rule.seed_offset)
         rule.dispatch(rule.publish(self.w), seed)
         self.rounds += 1
-        self.epoch_rounds_left -= 1
+        self.epoch_left -= 1
 
         # Apply at least one result (advancing cluster time), then
         # drain whatever else arrived (Algorithm 2 lines 5-8).
@@ -513,11 +446,7 @@ class ServerLoop:
             # further collect mutates rule state — which is what
             # makes a mid-run snapshot byte-identical to the final
             # snapshot of a max_updates=N run of the same spec.
-            self.snapshots.write(
-                self.snapshot_state(
-                    w, t, self.rounds, self.epoch_rounds_left
-                )
-            )
+            self.snapshots.write(self.snapshot_state(w, t, self.rounds))
 
     def _finish(self) -> RunResult:
         """Close the trace, let stragglers land, assemble the result."""

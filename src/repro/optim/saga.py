@@ -87,8 +87,8 @@ class SagaState:
     coordinator-owned :class:`~repro.core.history.HistoryStore`: the
     ``saga`` channel of broadcast model versions (``keep="all"``: a
     worker re-reads any ``phi_s`` version by id) and, in naive mode,
-    ``saga/table``, the ever-growing parameter table. None of it is in a
-    run snapshot: a restore reruns the setup pass at the restored
+    ``saga/table``, the ever-growing parameter table. No run snapshot
+    holds any HIST: a restore reruns the setup pass at the restored
     iterate (:func:`initialize_history`), which is an exact SAGA state.
 
     Channel names are *process-stable*: fixed, never derived from a

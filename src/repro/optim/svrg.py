@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_optimizer
-from repro.core.history import require_like
 from repro.data.blocks import MatrixBlock
 from repro.engine.taskcontext import record_cost
 from repro.errors import OptimError
@@ -58,7 +57,9 @@ class ASVRGRule(UpdateRule):
     The epoch anchor ``w_tilde`` and its full gradient ``mu`` live in
     bounded HIST channels (``svrg/anchor``, ``svrg/mu``; ``keep=
     "last:1"`` — only the current epoch's anchor is ever read), so epoch
-    state shares the run's history accounting and checkpoint surface.
+    state shares the run's history accounting. A snapshot carries
+    neither: a restored run begins a fresh epoch, whose full pass
+    anchors it at the restored iterate.
     """
 
     seed_offset = 1
@@ -74,16 +75,6 @@ class ASVRGRule(UpdateRule):
         super().bind(loop)
         self.anchor_channel = self.history.channel("svrg/anchor", keep="last:1")
         self.mu_channel = self.history.channel("svrg/mu", keep="last:1")
-
-    def setup(self, w):
-        if self.loop.epoch_rounds_left:
-            # Restored mid-epoch: the inner rounds continue around the
-            # snapshot's anchor and full gradient, each like the model.
-            for ch in (self.anchor_channel, self.mu_channel):
-                where = f"snapshot channel '{ch.name}'"
-                require_like(ch.latest(), w, where, "this run's model is")
-            self.w_tilde = self.anchor_channel.latest()
-            self.wt_br = self.opt.ctx.broadcast(self.w_tilde)
 
     def begin_epoch(self, w):
         # Epoch barrier: wait out in-flight inner tasks, then the

@@ -58,9 +58,13 @@ __all__ = [
 #: window moved. Epoch 6: a restored SAGA or ASAGA run reruns SAGA's
 #: setup pass at the restored iterate instead of resuming its running
 #: average against a table reset to ``w_0``; only restored SAGA/ASAGA
-#: continuations moved. Sweep checkpoint keys and run snapshots carry
-#: it, so results of another epoch are re-run rather than resumed.
-TRAJECTORY_EPOCH = 6
+#: continuations moved. Epoch 7: a run snapshot carries no HIST, so a
+#: restored SVRG or ASVRG run begins a fresh epoch at the restored
+#: iterate and a restored async L-BFGS run starts without curvature
+#: pairs; only restored svrg/asvrg/async_lbfgs continuations moved.
+#: Sweep checkpoint keys and run snapshots carry it, so results of
+#: another epoch are re-run rather than resumed.
+TRAJECTORY_EPOCH = 7
 
 
 def stable_hash(parts: Iterable[object]) -> int:

@@ -179,10 +179,13 @@ def test_design_scoreboard_only_goes_down():
     # restore state included — is read off the host optimizer.
     params = inspect.signature(ServerLoop.__init__).parameters
     assert list(params) == ["self", "opt", "rule"]
-    # HIST snapshots one way: the bounded channels, with their values.
-    assert list(inspect.signature(HistoryStore.snapshot).parameters) == [
-        "self",
-    ]
+    # HIST is never serialized: a run snapshot is the iterate and its
+    # counters, and each rule rebuilds its server state at a restore.
+    from repro.core.history import HistoryChannel
+
+    for cls in (HistoryStore, HistoryChannel, ServerLoop):
+        for gone in ("snapshot", "restore", "state_dict", "_restore"):
+            assert not hasattr(cls, gone), (cls.__name__, gone)
     # One optimizer host and one loop: every algorithm, sync or async,
     # is its registered UpdateRule, not a flag on a wrapper class or a
     # host subclass with its own run().

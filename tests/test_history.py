@@ -1,8 +1,5 @@
 """The HIST subsystem: retention, byte accounting, immutability, store."""
 
-import base64
-import json
-
 import numpy as np
 import pytest
 
@@ -19,8 +16,6 @@ def test_retention_parse_spellings():
     assert (last.kind, last.bound) == ("last", 4)
     assert RetentionPolicy.parse("last:4.0") == last
     assert RetentionPolicy.parse(last) is last  # pass-through
-    assert not RetentionPolicy.parse("all").bounded
-    assert RetentionPolicy.parse("last:1").bounded
 
 
 @pytest.mark.parametrize("bad", [
@@ -35,9 +30,8 @@ def test_retention_parse_rejects(bad):
     "last:2.5", "last:nan", "last:inf", "last:1e400", "last:-1",
 ])
 def test_last_k_needs_a_finite_whole_bound(bad):
-    """``last:2.5`` used to keep 2 versions and then refuse to restore
-    its own snapshot; ``last:nan``/``last:inf`` escaped as bare
-    ``ValueError``/``OverflowError``."""
+    """``last:2.5`` used to keep 2 versions, and ``last:nan``/``last:inf``
+    escaped as bare ``ValueError``/``OverflowError``."""
     with pytest.raises(HistoryError, match="finite whole"):
         RetentionPolicy.parse(bad)
     with pytest.raises(HistoryError, match="finite whole"):
@@ -70,9 +64,9 @@ def test_last_k_evicts_oldest():
 @pytest.mark.parametrize("keep", ["all", "last:1", "last:3"])
 def test_latest_is_the_highest_stored_version(keep):
     """The newest version is tracked, not found by a scan: after appends,
-    ``last:k`` eviction, ``prune_below`` and a restore,
-    ``latest_version()`` equals ``max(versions())`` and ``latest()``
-    reads it; an emptied channel says so."""
+    ``last:k`` eviction and ``prune_below``, ``latest_version()``
+    equals ``max(versions())`` and ``latest()`` reads it; an emptied
+    channel says so."""
 
     def agree(ch):
         if not len(ch):
@@ -91,42 +85,13 @@ def test_latest_is_the_highest_stored_version(keep):
         agree(ch)
     ch.prune_below(5)
     agree(ch)
-    restored = HistoryChannel(1, "c", keep=keep)
-    restored.restore(json.loads(json.dumps(ch.snapshot())))
-    agree(restored)
     for i in range(4):
-        restored.append(np.full(2, 10.0 + i))
-        agree(restored)
-    restored.prune_below(restored.latest_version() + 1)
-    agree(restored)
-    restored.append(np.zeros(2))
-    agree(restored)
-    never_written = json.loads(json.dumps(HistoryChannel(2, "c", keep).snapshot()))
-    empty = HistoryChannel(3, "c", keep=keep)
-    empty.restore(never_written)
-    agree(empty)
-
-
-def test_restore_refuses_versions_the_channel_could_not_hold():
-    """Eviction drops the one version an append expires, so a restored
-    ``last:k`` channel may hold nothing older than ``next_version - k``,
-    and no channel a version at or past ``next_version``."""
-    ch = HistoryChannel(0, "c", keep="last:2")
-    for i in range(5):
-        ch.append(np.full(2, float(i)))
-    snap = json.loads(json.dumps(ch.snapshot()))
-    assert snap["versions"] == [3, 4] and snap["next_version"] == 5
-    stale = {**snap, "values": {"0": snap["values"]["3"], **snap["values"]}}
-    ahead = {**snap, "next_version": 4}
-    for bad in (stale, ahead):
-        got = HistoryChannel(1, "c", keep="last:2")
-        got.append(np.ones(2))
-        with pytest.raises(HistoryError, match="holds versions"):
-            got.restore(bad)
-        assert got.versions() == [0]  # left unchanged
-    unbounded = HistoryChannel(2, "c", keep="all")
-    with pytest.raises(HistoryError, match="holds versions"):
-        unbounded.restore({**snap, "keep": "all", "next_version": 4})
+        ch.append(np.full(2, 10.0 + i))
+        agree(ch)
+    ch.prune_below(ch.latest_version() + 1)
+    agree(ch)
+    ch.append(np.zeros(2))
+    agree(ch)
 
 
 # -- byte accounting -------------------------------------------------------------------
@@ -190,86 +155,6 @@ def test_store_rejects_conflicting_retention():
     store.channel("a", keep="last:2")
 
 
-def test_store_snapshot_restore_roundtrip():
-    store = HistoryStore()
-    ch = store.channel("pairs", keep="last:2")
-    ch.append((np.arange(3.0), np.ones(3), 0.5))
-    ch.append((np.zeros(3), np.full(3, 2.0), 0.25))
-    unbounded = store.channel("model")
-    unbounded.append(np.arange(4.0))
-
-    # JSON-safe end to end (this is a run snapshot's server section).
-    snap = json.loads(json.dumps(store.snapshot()))
-    assert "values" in snap["pairs"]
-    assert "model" not in snap  # unbounded: its owner rebuilds it
-
-    fresh = HistoryStore()
-    fresh.restore(snap)
-    got = fresh.channel("pairs")
-    assert got.keep.describe() == "last:2"
-    assert got.versions() == [0, 1]
-    s, y, rho = got.get(1)
-    assert np.array_equal(s, np.zeros(3)) and rho == 0.25
-    # Version numbering continues where the original left off.
-    assert got.append((np.ones(3), np.ones(3), 1.0)) == 2
-    assert "model" not in fresh
-    # A values-free entry (what snapshots before epoch 4 kept per
-    # unbounded channel) is refused, not skipped.
-    snap["model"] = {"name": "model", "keep": "all", "next_version": 1}
-    with pytest.raises(HistoryError, match="'model' carries no values"):
-        HistoryStore().restore(snap)
-
-
-def _pairs_channel_snapshot():
-    ch = HistoryChannel(0, "pairs", keep="last:2")
-    s = np.array([-0.0, np.inf, 5e-324])
-    y = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)
-    ch.append((s, y, 0.5))
-    ch.append((s * 2, y, 0.25))
-    return json.loads(json.dumps(ch.snapshot())), (s, y)
-
-
-def test_channel_snapshot_carries_array_bits():
-    snap, (s, y) = _pairs_channel_snapshot()
-    got = HistoryChannel(1, "pairs", keep="last:2")
-    got.restore(snap)
-    s0, y0, rho = got.get(0)
-    assert s0.tobytes() == s.tobytes() and y0.tobytes() == y.tobytes()
-    assert rho == 0.5 and not s0.flags.writeable  # frozen again
-    assert got.accounting() == snap["accounting"]
-
-
-def test_channel_refuses_list_form_snapshot():
-    """Channel snapshots with ``tolist()`` arrays (the form before epoch
-    4) are malformed array records."""
-    snap, _ = _pairs_channel_snapshot()
-    for value in snap["values"].values():
-        for leaf in value[:2]:
-            arr = np.frombuffer(base64.b64decode(leaf["__ndarray__"]), "<f8")
-            leaf.update(__ndarray__=arr.tolist(), dtype="float64")
-    with pytest.raises(HistoryError, match="malformed array record"):
-        HistoryChannel(1, "pairs", keep="last:2").restore(snap)
-
-
-def test_restore_rejects_conflicting_retention():
-    """A live channel's configured policy is authoritative: restoring a
-    snapshot captured under a different bound fails loudly instead of
-    silently widening (or shrinking) the channel's history."""
-    deep = HistoryStore()
-    ch = deep.channel("pairs", keep="last:8")
-    for i in range(6):
-        ch.append(np.full(2, float(i)))
-    snap = deep.snapshot()
-
-    shallow = HistoryStore()
-    shallow.channel("pairs", keep="last:2")  # reconfigured run
-    with pytest.raises(HistoryError, match="already exists|conflicts"):
-        shallow.restore(snap)
-    # Channel-level restore enforces the same contract.
-    with pytest.raises(HistoryError, match="conflicts"):
-        HistoryChannel(0, "pairs", keep="last:2").restore(snap["pairs"])
-
-
 def test_freeze_leaves_lists_untouched():
     """The broadcaster's historical contract: list payloads round-trip
     as the same object (only ndarrays and tuples freeze)."""
@@ -278,15 +163,6 @@ def test_freeze_leaves_lists_untouched():
     payload = [1, 2, 3]
     ch.append(payload)
     assert ch.latest() is payload
-
-
-def test_restore_of_valueless_channel_snapshot_raises():
-    ch = HistoryChannel(0, "m")
-    ch.append(np.zeros(2))
-    snap = ch.snapshot()
-    del snap["versions"], snap["values"]
-    with pytest.raises(HistoryError, match="no.*values|carries no"):
-        HistoryChannel(1, "m2").restore(snap)
 
 
 # -- immutability ----------------------------------------------------------------------

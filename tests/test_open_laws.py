@@ -3,14 +3,16 @@
 Each test states a property the paper promises, on the smallest run
 that breaks it today, and names the ROADMAP item whose fix makes it
 hold. ``strict=True`` turns a silent pass into a suite failure, so the
-fixing change must flip the marker; ``raises=AssertionError`` keeps the
-test failing for the stated reason and not for any other error.
+fixing change must flip the marker; ``raises=AssertionError`` (or the
+one error a crash law names) keeps the test failing for the stated
+reason and not for any other error.
 """
 
 import pytest
 
 from repro.api import run_experiment
 from repro.api.runner import prepare_experiment
+from repro.errors import TaskError
 
 
 @pytest.mark.xfail(
@@ -56,3 +58,24 @@ def test_asaga_under_a_kill_ends_near_the_fault_free_error():
         {**spec, "fault_plan": "kill:w1@30ms,revive:w1@60ms"}
     )
     assert faulted <= 2 * clean
+
+
+@pytest.mark.xfail(
+    strict=True, raises=TaskError,
+    reason="ROADMAP item 12: a kill clears the worker's SAGA version "
+    "table, so after its revive a task reads model version 0, which the "
+    "COMM prune floor has already dropped: BroadcastError(\"channel "
+    "'saga' has no version 0\")",
+)
+@pytest.mark.parametrize("granularity", ["worker", "partition"])
+def test_compressed_asaga_survives_a_kill_and_revive(granularity):
+    """A kill and revive lose tasks, never the versions a live table
+    still reads: under top-k compression (which prunes the model
+    channel) the faulted run spends its whole budget."""
+    result = run_experiment({
+        "algorithm": "asaga", "dataset": "tiny_dense", "num_workers": 4,
+        "num_partitions": 8, "max_updates": 6000, "seed": 0,
+        "compressor": "topk:0.5", "granularity": granularity,
+        "fault_plan": "kill:w1@300ms,revive:w1@320ms",
+    })
+    assert result.updates == 6000

@@ -2,12 +2,13 @@
 
 A run snapshot is written the instant update K applies, and a run
 restored from it must finish near where the uninterrupted run does:
-restored at half budget from a prefix snapshot, the final error may be
-at most ``FACTOR`` times the uninterrupted run's. A restore that drops
-server state the algorithm needs ends far from it (a SAGA restore that
-kept its running average but reset its table to ``w_0`` ended 168x and
-6,687x off), so an optimizer whose server state lives outside the
-snapshot fails here at once.
+restored from a prefix snapshot at half budget, or at 3/7 of it (mid
+epoch for SVRG and ASVRG), the final error may be at most ``FACTOR``
+times the uninterrupted run's. A snapshot holds only the iterate and
+its counters, so each rule rebuilds its server state at the restored
+iterate; a rule whose rebuilt state does not continue the algorithm
+(a SAGA restore that kept its running average but reset its table to
+``w_0`` ended 168x and 6,687x off) fails here at once.
 """
 
 import json
@@ -18,11 +19,13 @@ import pytest
 from repro.api.registry import OPTIMIZERS
 from repro.api.runner import prepare_experiment
 
-#: Restored error over uninterrupted error. Exact restores read 1.000 to
-#: 1.002 (in-flight tasks at the cut are re-dispatched, not resumed);
-#: ``async_lbfgs`` reads 1.287, its interval accumulator and previous
-#: anchor not being snapshot state.
-FACTOR = 1.5
+#: Restored error over uninterrupted error. Seed 0 reads 0.998 to 1.008
+#: for the six variance-reduced and plain rules at both cuts (in-flight
+#: tasks at the cut are re-dispatched, not resumed; SVRG and ASVRG open
+#: a fresh epoch at the restored iterate), and ``async_lbfgs``, which
+#: starts again without curvature pairs, reads 0.943 at half budget and
+#: 0.818 at 3/7.
+FACTOR = 1.1
 
 #: Budgets of the tiny_dense cells: 4 workers, 8 partitions, ASP, seed 0.
 BUDGETS = {
@@ -56,20 +59,31 @@ def _final_error(spec: dict) -> float:
     return float(prep.execute().final_error(prep.problem))
 
 
-@pytest.mark.parametrize("name", BUILT_IN)
-def test_a_run_restored_at_half_budget_ends_near_the_uninterrupted_one(
-    name, tmp_path,
-):
+def _check_restored_at(name: str, cut: float, tmp_path) -> None:
     spec = _cell(name)
-    half = spec["max_updates"] // 2
-    snap = tmp_path / "half.json"
+    k = round(spec["max_updates"] * cut)
+    snap = tmp_path / "cut.json"
     _final_error({
-        **spec, "max_updates": half, "snapshot_every": half,
+        **spec, "max_updates": k, "snapshot_every": k,
         "snapshot_path": str(snap),
     })
     uninterrupted = _final_error(spec)
     restored = _final_error({**spec, "restore_from": str(snap)})
     assert restored <= FACTOR * uninterrupted, (
-        f"{name}: restored at {half} ends at {restored:.4g}, the "
+        f"{name}: restored at {k} ends at {restored:.4g}, the "
         f"uninterrupted run at {uninterrupted:.4g}"
     )
+
+
+@pytest.mark.parametrize("name", BUILT_IN)
+def test_a_run_restored_at_half_budget_ends_near_the_uninterrupted_one(
+    name, tmp_path,
+):
+    _check_restored_at(name, 1 / 2, tmp_path)
+
+
+@pytest.mark.parametrize("name", BUILT_IN)
+def test_a_run_restored_at_three_sevenths_ends_near_the_uninterrupted_one(
+    name, tmp_path,
+):
+    _check_restored_at(name, 3 / 7, tmp_path)

@@ -1,10 +1,10 @@
-"""Checkpointable server state: the bounded HIST channels.
+"""Run state: a run snapshot is the iterate and its counters.
 
-A run's restartable state is its bounded HIST channels; it travels in a
-run snapshot's ``server`` section and comes back through
-``opt.restore_state`` (the spec's ``restore_from``), the one way in.
-Summaries carry no state. HIST is the only run state: no scheduling
-policy and no coordinator structure has any.
+A snapshot comes back through ``opt.restore_state`` (the spec's
+``restore_from``), the one way in, and carries no server state: each
+rule rebuilds its own at the restored iterate (SAGA re-anchors, SVRG
+opens a fresh epoch). Summaries carry no state either; checkpoint lines
+written while they did still resume as written.
 """
 
 import json
@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from repro.api.runner import prepare_experiment, run_grid, summarize
-from repro.core.snapshots import decode_value, read_snapshot
+from repro.core.snapshots import decode_value, encode_value, read_snapshot
 from repro.errors import SnapshotError
 
 #: ASVRG keeps its epoch anchor and full gradient in bounded HIST
-#: channels; seven inner rounds per epoch put update 30 mid-epoch.
+#: channels, in memory only; seven inner rounds per epoch put update 30
+#: mid-epoch.
 HIST_SPEC = {
     "algorithm": "asvrg", "dataset": "tiny_dense", "num_workers": 4,
     "num_partitions": 8, "delay": "cds:0.6", "policy": "ssp:4",
@@ -70,7 +71,10 @@ def test_resume_restores_run_state_from_checkpoint(tmp_path):
     ckpt = tmp_path / "sweep.ckpt.jsonl"
     first = run_grid(HIST_SPEC, checkpoint=str(ckpt))
     assert "run_state" not in first[0]
-    run_state = _final_snapshot(tmp_path, "snap.json")["server"]
+    run_state = {"history": {"svrg/anchor": {
+        "name": "svrg/anchor", "keep": "last:1", "next_version": 5,
+        "values": {"4": encode_value(np.arange(5.0))},
+    }}}
     (entry,) = [json.loads(line) for line in ckpt.read_text().splitlines()]
     entry["summary"]["run_state"] = run_state
     ckpt.write_text(json.dumps(entry) + "\n")
@@ -82,10 +86,11 @@ def test_resume_restores_run_state_from_checkpoint(tmp_path):
 
 
 def test_run_state_is_deterministic(tmp_path):
-    a = _final_snapshot(tmp_path, "a.json")["server"]
-    b = _final_snapshot(tmp_path, "b.json")["server"]
-    assert set(a) == {"history"}
-    assert set(a["history"]) == {"svrg/anchor", "svrg/mu"}
+    """Two runs of one spec leave equal snapshots, with no server state
+    in either."""
+    a = _final_snapshot(tmp_path, "a.json")
+    b = _final_snapshot(tmp_path, "b.json")
+    assert "server" not in a
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -100,24 +105,23 @@ def _bound_loop(ctx, prep, rule, snap=None):
     return ServerLoop(opt, rule)
 
 
-def test_server_loop_restore_reinstates_history(tmp_path):
-    """ASVRG's bounded channels come back as saved, and a run restored
-    mid-epoch continues around the saved anchor."""
+def test_server_loop_restore_opens_a_fresh_svrg_epoch(tmp_path):
+    """ASVRG restored mid-epoch keeps no anchor from before the cut: its
+    first round opens a fresh epoch anchored at the restored iterate."""
     from repro.optim.svrg import ASVRGRule
 
     spec = {**HIST_SPEC, "max_updates": 20, "seed": 3}
     snap = _final_snapshot(tmp_path, "snap.json", spec)
-    assert snap["epoch_rounds_left"] > 0
+    w_k = decode_value(snap["w"])
     prep = prepare_experiment(spec)
     with prep.make_context() as ctx:
         loop = _bound_loop(ctx, prep, ASVRGRule(inner_iterations=7), snap)
         loop._start()
-        for name in ("svrg/anchor", "svrg/mu"):
-            (saved,) = snap["server"]["history"][name]["values"].values()
-            got = loop.ac.history.channel(name).latest()
-            assert np.array_equal(got, decode_value(saved))
-        assert loop.rule.w_tilde is loop.rule.anchor_channel.latest()
-        assert loop.updates == 20
+        assert loop.updates == 20 and loop.epoch_left == 0
+        assert not len(loop.rule.anchor_channel)
+        loop._round()
+        assert loop.rule.epochs == 1
+        assert np.array_equal(loop.rule.anchor_channel.latest(), w_k)
 
 
 def test_server_loop_restore_reanchors_saga(tmp_path):
@@ -128,7 +132,7 @@ def test_server_loop_restore_reanchors_saga(tmp_path):
 
     spec = {**ASAGA_SPEC, "max_updates": 20, "seed": 3}
     snap = _final_snapshot(tmp_path, "snap.json", spec)
-    assert snap["server"] == {"history": {}}
+    assert "server" not in snap
     w_k = decode_value(snap["w"])
     prep = prepare_experiment(spec)
     with prep.make_context() as ctx:
@@ -143,34 +147,22 @@ def test_server_loop_restore_reanchors_saga(tmp_path):
     assert np.array_equal(loop.rule.state.avg_hist, fresh.rule.state.avg_hist)
 
 
-def test_bare_server_state_is_refused(tmp_path):
-    """Only a run snapshot restores: a bare ``state_dict()`` would
-    reinstate HIST into a run starting from ``w0``."""
-    snap = _final_snapshot(tmp_path, "snap.json")
-    prep = replace(prepare_experiment(HIST_SPEC), restore_state=snap["server"])
+def test_bare_server_state_is_refused():
+    """Only a run snapshot restores: a bare server-state dict (what a
+    snapshot's ``server`` section held before epoch 7) would start a run
+    from ``w0``."""
+    prep = replace(
+        prepare_experiment(HIST_SPEC), restore_state={"history": {}}
+    )
     with pytest.raises(SnapshotError, match="run-snapshot"):
         prep.execute()
 
 
-def test_restore_accepts_empty_retired_sections(tmp_path):
-    """A run snapshot written before the cut carries empty ``policy``
-    and ``coordinator`` sections; in process it restores exactly like
-    HIST alone."""
-    from repro.optim.asaga import ASAGARule
-    from repro.optim.loop import ServerLoop
-
-    snap = _final_snapshot(
-        tmp_path, "snap.json", {**ASAGA_SPEC, "max_updates": 10}
-    )
-    older = json.loads(json.dumps(snap))
-    older["server"].update(policy={}, coordinator={})
-    results = []
-    for restore in (snap, older):
-        prep = prepare_experiment(ASAGA_SPEC)
-        with prep.make_context() as ctx:
-            points = ctx.matrix(prep.X, prep.y, prep.num_partitions).cache()
-            opt = prep.make_optimizer(ctx, points)
-            opt.restore_state = restore
-            results.append(ServerLoop(opt, ASAGARule()).run())
-    assert results[1].extras["resumed_from_update"] == 10
-    assert np.array_equal(results[0].w, results[1].w)
+def test_in_process_restore_refuses_a_server_section(tmp_path):
+    """A restore state handed straight to the optimizer is checked like
+    a file: a ``server`` section is refused, not ignored."""
+    snap = _final_snapshot(tmp_path, "snap.json")
+    older = {**snap, "server": {"history": {}}}
+    prep = replace(prepare_experiment(HIST_SPEC), restore_state=older)
+    with pytest.raises(SnapshotError, match="unknown key 'server'"):
+        prep.execute()

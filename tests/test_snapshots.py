@@ -27,6 +27,7 @@ import pytest
 
 from repro.api import run_experiment
 from repro.api.parallel import run_key
+from repro.api.registry import OPTIMIZERS
 from repro.api.runner import prepare_experiment
 from repro.api.spec import ExperimentSpec
 from repro.core.snapshots import (
@@ -54,9 +55,9 @@ ASAGA_SPEC = {
     "eval_every": 20, "seed": 3, "params": {"mode": "history"},
 }
 
-#: A run whose snapshots carry bounded HIST channels (SVRG's epoch
-#: anchor and its full gradient); seven inner rounds per epoch put
-#: update 40 mid-epoch, where a restore reads both.
+#: A run whose server keeps bounded HIST channels (SVRG's epoch anchor
+#: and its full gradient), which its snapshots do not carry; seven inner
+#: rounds per epoch put update 40 mid-epoch.
 ASVRG_SPEC = {
     "algorithm": "asvrg", "dataset": "tiny_dense", "num_workers": 4,
     "num_partitions": 8, "delay": "cds:0.6", "max_updates": 60,
@@ -75,15 +76,13 @@ ENV = dict(
 
 def test_codec_roundtrips_ndarrays_bit_exact():
     w = np.array([1.0, -0.25, 1e-300, 3.141592653589793, np.pi * 1e17])
-    state = {"w": w, "nested": {"deque": [w * 2, 7], "t": (1, 2)}}
-    back = decode_value(encode_value(state))
-    assert np.array_equal(back["w"], w)
-    assert back["w"].dtype == w.dtype
-    assert np.array_equal(back["nested"]["deque"][0], w * 2)
+    back = decode_value(encode_value(w))
+    assert np.array_equal(back, w)
+    assert back.dtype == w.dtype
     # ...and survives an actual JSON round-trip, which is what the
     # snapshot file does.
-    back2 = decode_value(json.loads(json.dumps(encode_value(state))))
-    assert np.array_equal(back2["w"], w)
+    back2 = decode_value(json.loads(json.dumps(encode_value(w))))
+    assert np.array_equal(back2, w)
 
 
 def _bits(a: np.ndarray) -> bytes:
@@ -125,11 +124,9 @@ def test_array_codec_keeps_nan_payloads_and_negative_zero():
 
 
 def test_array_codec_refuses_arrays_it_cannot_carry():
-    from repro.errors import HistoryError
-
     for value in (np.array(["a"]), np.array([object()]),
                   np.array(["2020-01-01"], dtype="datetime64[D]")):
-        with pytest.raises(HistoryError, match="cannot checkpoint"):
+        with pytest.raises(SnapshotError, match="cannot checkpoint"):
             encode_value(value)
 
 
@@ -143,12 +140,6 @@ def test_snapshot_file_is_strict_json(tmp_path):
                     "snapshot_path": str(snap_file)})
     state = json.loads(read_payload(snap_file), parse_constant=_no_constants)
     assert isinstance(state["w"]["__ndarray__"], str)
-    # The bounded HIST channel travels in the same encoding.
-    channels = state["server"]["history"]
-    assert any(
-        isinstance(value["__ndarray__"], str)
-        for ch in channels.values() for value in ch.get("values", {}).values()
-    )
 
 
 def _to_list_form(node):
@@ -176,71 +167,31 @@ def _asvrg_snapshot_at_40(tmp_path):
     snap_file = tmp_path / "asvrg.json"
     run_experiment({**ASVRG_SPEC, "max_updates": 40, "snapshot_every": 40,
                     "snapshot_path": str(snap_file)})
-    state = json.loads(read_payload(snap_file))
-    assert state["epoch_rounds_left"] > 0
-    return snap_file, state
+    return snap_file, json.loads(read_payload(snap_file))
 
 
-def test_snapshot_with_empty_policy_and_coordinator_restores_bit_identically(
-    tmp_path,
-):
-    """Snapshots written while policies and the coordinator had run
-    state carry both sections, empty for every kept policy; they resume
-    exactly like today's HIST-only server state."""
-    snap_file, state = _asaga_snapshot_at_40(tmp_path)
-    assert set(state["server"]) == {"history"}
-    state["server"].update(policy={}, coordinator={})
-    older = _write_state(tmp_path / "older.json", state)
-    from_new = run_experiment({**ASAGA_SPEC, "restore_from": str(snap_file)})
-    from_older = run_experiment({**ASAGA_SPEC, "restore_from": str(older)})
-    assert from_older.extras["resumed_from_update"] == 40
-    assert _bits(from_older.w) == _bits(from_new.w)
-
-
-def test_snapshot_with_timestamps_restores_bit_identically(tmp_path):
-    """Earlier snapshots stamped every bounded HIST version with its
-    cluster time; the stamps are ignored on restore."""
-    snap_file, state = _asvrg_snapshot_at_40(tmp_path)
-    channels = state["server"]["history"]
-    assert set(channels) == {"svrg/anchor", "svrg/mu"}
-    for ch in channels.values():
-        assert "timestamps_ms" not in ch
-        ch["timestamps_ms"] = {v: 26.5 for v in ch["values"]}
-    older = _write_state(tmp_path / "older.json", state)
-    from_new = run_experiment({**ASVRG_SPEC, "restore_from": str(snap_file)})
-    from_older = run_experiment({**ASVRG_SPEC, "restore_from": str(older)})
-    assert from_older.extras["resumed_from_update"] == 40
-    assert _bits(from_older.w) == _bits(from_new.w)
+def _old_svrg_history(w):
+    """The ``server.history`` an ASVRG snapshot carried before epoch 7:
+    the epoch anchor and its full gradient, version 5 of each."""
+    return {
+        name: {"name": name, "keep": "last:1", "next_version": 6,
+               "accounting": {}, "versions": [5],
+               "values": {"5": encode_value(w)}}
+        for name in ("svrg/anchor", "svrg/mu")
+    }
 
 
 def test_a_hist_entry_without_values_is_refused(tmp_path):
     """A values-free HIST entry (what snapshots before epoch 4 kept per
-    unbounded channel) is a ``SnapshotError`` naming the field."""
+    unbounded channel) is a ``SnapshotError`` naming the file and the
+    ``server`` section it sits in: no snapshot carries HIST now."""
     _, state = _asaga_snapshot_at_40(tmp_path)
-    state["server"]["history"]["saga"] = {
+    state["server"] = {"history": {"saga": {
         "name": "saga", "keep": "all", "next_version": 41,
-    }
+    }}}
     bad = _write_state(tmp_path / "bad.json", state)
-    with pytest.raises(SnapshotError, match=r"history\['saga'\]\.values"):
+    with pytest.raises(SnapshotError, match="bad.json.*unknown key 'server'"):
         run_experiment({**ASAGA_SPEC, "restore_from": str(bad)})
-
-
-def test_snapshot_carrying_a_model_version_restores_bit_identically(
-    tmp_path,
-):
-    """Earlier snapshots also stored ``version``, which always equalled
-    ``updates``; today's carry the update count only, and a file with
-    both still resumes exactly like one without."""
-    snap_file, state = _asaga_snapshot_at_40(tmp_path)
-    assert "version" not in state
-    state["version"] = state["updates"]
-    older = _write_state(tmp_path / "older.json", state)
-    from_new = run_experiment({**ASAGA_SPEC, "restore_from": str(snap_file)})
-    from_older = run_experiment({**ASAGA_SPEC, "restore_from": str(older)})
-    assert from_older.extras["resumed_from_update"] == 40
-    assert _bits(from_older.w) == _bits(from_new.w)
-    assert from_older.metrics == from_new.metrics
-    assert from_older.trace.updates == from_new.trace.updates
 
 
 @pytest.mark.parametrize("section,value", [
@@ -251,11 +202,12 @@ def test_snapshot_with_policy_or_coordinator_state_is_refused(
     tmp_path, section, value,
 ):
     """Policy RNGs and placement overlays no longer exist: a snapshot
-    carrying either is a ``SnapshotError``, not silently dropped."""
+    carrying either is a ``SnapshotError`` naming the file and the key,
+    not silently dropped."""
     _, state = _asaga_snapshot_at_40(tmp_path)
-    state["server"][section] = value
+    state[section] = value
     bad = _write_state(tmp_path / "bad.json", state)
-    with pytest.raises(SnapshotError, match=section):
+    with pytest.raises(SnapshotError, match=f"bad.json.*'{section}'"):
         run_experiment({**ASAGA_SPEC, "restore_from": str(bad)})
 
 
@@ -271,12 +223,12 @@ def test_sweep_checkpoint_with_list_form_run_state_resumes(
     first = run_grid(grid, checkpoint=str(ck))
     # Earlier summaries carried the bounded HIST as a list-form
     # ``run_state``; graft one onto every recorded line.
-    _, state = _asvrg_snapshot_at_40(tmp_path)
+    run_state = {"history": _old_svrg_history(np.arange(5.0))}
     for summary in first:
-        summary["run_state"] = state["server"]
+        summary["run_state"] = run_state
     entries = [json.loads(line) for line in ck.read_text().splitlines()]
     for entry in entries:
-        entry["summary"]["run_state"] = state["server"]
+        entry["summary"]["run_state"] = run_state
         entry["summary"] = _to_list_form(entry["summary"])
     ck.write_text("".join(json.dumps(e) + "\n" for e in entries))
 
@@ -362,20 +314,61 @@ def test_snapshot_with_an_unknown_dtype_is_a_snapshot_error(tmp_path):
 
 
 def test_snapshot_with_a_malformed_hist_array_is_a_snapshot_error(tmp_path):
+    """The ``server`` key is refused before anything under it is read,
+    so a malformed HIST array never reaches the array decoder."""
     state = _valid_state(tmp_path)
-    state["server"]["history"] = {"x/avg": {
+    state["server"] = {"history": {"x/avg": {
         "name": "x/avg", "keep": "last:1", "next_version": 1,
         "values": {"0": {"__ndarray__": "AAAA", "dtype": "<f8", "shape": [1]}},
-    }}
+    }}}
     bad = _write_state(tmp_path / "bad.json", state)
-    with pytest.raises(SnapshotError, match="bytes for shape"):
+    with pytest.raises(SnapshotError, match="bad.json.*unknown key 'server'"):
         read_snapshot(bad)
+
+
+#: The keys of every run snapshot, and the only ones a restore reads.
+SNAPSHOT_KEYS = {"format", "trajectory_epoch", "run", "updates", "rounds", "w"}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("server", {"history": {}}),
+    ("epoch_rounds_left", 3),
+    ("version", 20),
+])
+def test_read_snapshot_refuses_a_key_outside_the_six(tmp_path, key, value):
+    """A snapshot holds the iterate and its counters only: the
+    ``server`` section and ``epoch_rounds_left`` of earlier epochs, or
+    the ``version`` that equalled ``updates``, are refused, naming the
+    file and the key."""
+    state = _valid_state(tmp_path)
+    state[key] = value
+    bad = _write_state(tmp_path / "bad.json", state)
+    with pytest.raises(SnapshotError, match=f"bad.json.*unknown key '{key}'"):
+        read_snapshot(bad)
+    with pytest.raises(SnapshotError, match=f"unknown key '{key}'"):
+        run_experiment({**SPEC, "restore_from": str(bad)})
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in OPTIMIZERS.names()
+    if OPTIMIZERS.get(name).__module__.startswith("repro.")
+))
+def test_every_built_in_optimizers_snapshot_holds_exactly_the_six_keys(
+    tmp_path, name,
+):
+    snap_file = tmp_path / "snap.json"
+    run_experiment({
+        "algorithm": name, "dataset": "tiny_dense", "num_workers": 4,
+        "num_partitions": 8, "max_updates": 20, "seed": 0,
+        "snapshot_every": 20, "snapshot_path": str(snap_file),
+    })
+    assert set(read_snapshot(snap_file)) == SNAPSHOT_KEYS
 
 
 #: A minimal run snapshot for the file-format units.
 STATE = {"format": SNAPSHOT_FORMAT, "trajectory_epoch": TRAJECTORY_EPOCH,
-         "updates": 3, "rounds": 3, "epoch_rounds_left": 0,
-         "w": encode_value(np.arange(4.0))}
+         "run": {"algorithm": "asgd", "num_workers": 4, "seed": 3},
+         "updates": 3, "rounds": 3, "w": encode_value(np.arange(4.0))}
 
 
 def _payload_of(state) -> bytes:
@@ -693,10 +686,9 @@ def _w_as(state, fn):
 
 
 @pytest.mark.parametrize("field,corrupt", [
-    ("'server' must be an object", lambda s: s.update(server=[])),
+    ("unknown key 'server'", lambda s: s.update(server=[])),
     ("'run' must be an object", lambda s: s.update(run="asgd")),
-    ("'server.history' must be an object",
-     lambda s: s.update(server={"history": [1]})),
+    ("unknown key 'server'", lambda s: s.update(server={"history": [1]})),
     ("'updates' is -5", lambda s: s.update(updates=-5)),
     ("'updates' is 1000000", lambda s: s.update(updates=1_000_000)),
     ("'w' is float64 of shape", lambda s: _w_as(s, lambda w: w[:-1])),
@@ -719,88 +711,73 @@ def test_restore_refuses_a_hostile_snapshot_naming_the_field(
         run_experiment({**SPEC, "restore_from": str(bad)})
 
 
-def _anchor_as(state, fn):
-    values = state["server"]["history"]["svrg/anchor"]["values"]
-    for version, value in values.items():
-        values[version] = encode_value(fn(decode_value(value)))
+def _with_old_svrg_history(state):
+    """``state`` with the ``server`` section of an ASVRG snapshot from
+    before epoch 7."""
+    state["server"] = {"history": _old_svrg_history(decode_value(state["w"]))}
+    return state["server"]["history"]
 
 
-@pytest.mark.parametrize("field,corrupt", [
-    ("svrg/anchor.*values.* must be an object",
-     lambda ch: ch.update(values=[1.0])),
-    ("svrg/anchor.*accounting.* must be an object",
-     lambda ch: ch.update(accounting="lots")),
-    ("svrg/anchor.*values has version key 'v5'",
-     lambda ch: ch.update(values={"v5": ch["values"]["5"]})),
-    ("svrg/anchor.*next_version is '6'",
-     lambda ch: ch.update(next_version="6")),
+def _refused_for_its_server_section(tmp_path, state, spec=ASVRG_SPEC):
+    bad = _write_state(tmp_path / "bad.json", state)
+    with pytest.raises(SnapshotError, match="bad.json.*unknown key 'server'"):
+        run_experiment({**spec, "restore_from": str(bad)})
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda ch: ch.update(values=[1.0]),
+    lambda ch: ch.update(accounting="lots"),
+    lambda ch: ch.update(values={"v5": ch["values"]["5"]}),
+    lambda ch: ch.update(next_version="6"),
 ], ids=["values-not-object", "accounting-not-object", "version-key-not-int",
         "next-version-not-int"])
 def test_restore_refuses_a_hostile_hist_channel_naming_the_field(
-    tmp_path, field, corrupt,
+    tmp_path, corrupt,
 ):
-    """The fields inside one HIST channel are checked like the rest of
-    the snapshot: a ``SnapshotError`` naming the channel and the field."""
-    state = _valid_asvrg_state(tmp_path)
-    corrupt(state["server"]["history"]["svrg/anchor"])
-    bad = _write_state(tmp_path / "bad.json", state)
-    with pytest.raises(SnapshotError, match=field):
-        run_experiment({**ASVRG_SPEC, "restore_from": str(bad)})
+    """A snapshot carries no HIST: a HIST channel, however hostile its
+    fields, is refused by the ``server`` key it sits under, naming the
+    file, before any field inside it is read."""
+    _, state = _asvrg_snapshot_at_40(tmp_path)
+    corrupt(_with_old_svrg_history(state)["svrg/anchor"])
+    _refused_for_its_server_section(tmp_path, state)
 
 
-@pytest.mark.parametrize("field,fn", [
-    ("is float64 of shape \\(1,\\)", lambda v: v[:1]),
-    ("is float32 of shape", lambda v: v.astype(np.float32)),
+@pytest.mark.parametrize("fn", [
+    lambda v: v[:1], lambda v: v.astype(np.float32),
 ], ids=["one-element", "float32"])
-def test_restore_refuses_a_hist_value_unlike_the_runs_own(tmp_path, field, fn):
-    """A restored array must have the shape and dtype the run reads it
-    as: a mid-epoch SVRG anchor is a model. A 1-element one would
-    broadcast against every iterate and the run would finish on it."""
-    state = _valid_asvrg_state(tmp_path)
-    _anchor_as(state, fn)
-    bad = _write_state(tmp_path / "bad.json", state)
-    with pytest.raises(SnapshotError, match=f"svrg/anchor.*{field}"):
-        run_experiment({**ASVRG_SPEC, "restore_from": str(bad)})
+def test_restore_refuses_a_hist_value_unlike_the_runs_own(tmp_path, fn):
+    """A mid-epoch SVRG anchor unlike the model (a 1-element one would
+    broadcast against every iterate) never reaches the run: no anchor is
+    restored, and the section carrying it is refused."""
+    _, state = _asvrg_snapshot_at_40(tmp_path)
+    for channel in _with_old_svrg_history(state).values():
+        (value,) = channel["values"].values()
+        channel["values"]["5"] = encode_value(fn(decode_value(value)))
+    _refused_for_its_server_section(tmp_path, state)
 
 
 def test_restore_refuses_a_hist_channel_the_run_does_not_keep(tmp_path):
-    """Every bounded channel a run keeps exists before its snapshot is
-    checked, so a channel it does not keep is refused, not created."""
-    state = _valid_asvrg_state(tmp_path)
-    history = state["server"]["history"]
+    """The run keeps its SVRG channels in memory only; a snapshot that
+    adds one more is refused like any HIST, not created."""
+    _, state = _asvrg_snapshot_at_40(tmp_path)
+    history = _with_old_svrg_history(state)
     history["svrg/stale"] = dict(history["svrg/mu"], name="svrg/stale")
-    bad = _write_state(tmp_path / "bad.json", state)
-    with pytest.raises(
-        SnapshotError, match=r"history\['svrg/stale'\] is not a bounded"
-    ):
-        run_experiment({**ASVRG_SPEC, "restore_from": str(bad)})
+    _refused_for_its_server_section(tmp_path, state)
 
 
 def test_restore_refuses_an_unbounded_hist_channel(tmp_path):
-    """Naive SAGA's table is a channel the run keeps, but unbounded: its
-    setup rebuilds it, so a snapshot carrying one is refused up front,
-    not restored under the setup pass."""
+    """Naive SAGA's table is a channel the run keeps, but its setup
+    rebuilds it, so a snapshot carrying one is refused up front."""
     naive = {**ASAGA_SPEC, "params": {"mode": "naive"}}
     snap_file = tmp_path / "naive.json"
     run_experiment({**naive, "max_updates": 20, "snapshot_every": 20,
                     "snapshot_path": str(snap_file)})
     state = json.loads(read_payload(snap_file))
-    state["server"]["history"]["saga/table"] = {
+    state["server"] = {"history": {"saga/table": {
         "name": "saga/table", "keep": "all", "next_version": 3,
         "accounting": {}, "values": {},
-    }
-    bad = _write_state(tmp_path / "bad.json", state)
-    with pytest.raises(
-        SnapshotError, match=r"history\['saga/table'\] is not a bounded"
-    ):
-        run_experiment({**naive, "restore_from": str(bad)})
-
-
-def _valid_asvrg_state(tmp_path):
-    _, state = _asvrg_snapshot_at_40(tmp_path)
-    assert list(state["server"]["history"]) == ["svrg/anchor", "svrg/mu"]
-    assert list(state["server"]["history"]["svrg/anchor"]["values"]) == ["5"]
-    return state
+    }}}
+    _refused_for_its_server_section(tmp_path, state, naive)
 
 
 def test_snapshot_header_carries_the_trajectory_epoch(tmp_path):

@@ -382,9 +382,10 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", help="write the JSON summary here")
     p_run.add_argument(
         "--snapshot", metavar="PATH",
-        help="write the full run state here every --snapshot-every "
-             "updates: two CRC-checked slots, the older one overwritten "
-             "in place and fdatasync'd",
+        help="write a run snapshot (the model iterate and its update "
+             "and round counters) here every --snapshot-every updates: "
+             "two CRC-checked slots, the older one overwritten in place "
+             "and fdatasync'd",
     )
     p_run.add_argument(
         "--snapshot-every", type=int, default=None, metavar="N",
@@ -393,8 +394,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_run.add_argument(
         "--restore", metavar="PATH",
-        help="resume from a run snapshot: the continued trajectory is "
-             "bit-identical to the uninterrupted run",
+        help="resume from a run snapshot: the rule rebuilds its state "
+             "at the restored iterate, so the run ends near (within 1.1x "
+             "of) the uninterrupted one, not bit-identical to it",
     )
     p_run.set_defaults(fn=_cmd_run)
 

@@ -105,13 +105,14 @@ class ExperimentSpec:
     #: ``NetworkModel`` kwargs, or ``None`` for the backend default.
     network: dict | None = None
     #: Mid-run crash-recovery snapshots: every N applied updates the
-    #: server loop writes its full run snapshot to ``snapshot_path``, one
-    #: of two CRC-checked slots overwritten in place and ``fdatasync``'d
+    #: server loop writes its run snapshot (the model iterate and its
+    #: counters; no server state) to ``snapshot_path``, one of two
+    #: CRC-checked slots overwritten in place and ``fdatasync``'d
     #: (:mod:`repro.core.snapshots`). 0 disables; set both together.
     snapshot_every: int = 0
     snapshot_path: str | None = None
-    #: Path to a run snapshot to resume from (``ServerLoop`` restores
-    #: model iterate, counters, and server state before dispatching).
+    #: Path to a run snapshot to resume from (``ServerLoop`` restores the
+    #: iterate and counters; the rule rebuilds its state there).
     restore_from: str | None = None
     #: Fault-injection plan (async only): the script grammar
     #: (``"kill:w2@500ms,revive:w2@900ms"``), a registered name

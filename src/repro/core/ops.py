@@ -95,10 +95,11 @@ class RoundPlan:
     sampling (the kernel samples for itself and gets the source block);
     ``kernel`` is called as ``kernel(block, handle, seed)``.
 
-    ``submit(..., sync=True)`` runs them as a bulk-synchronous round
+    A ``sync`` plan runs every round as a bulk-synchronous one
     (``AsyncScheduler.run_sync_round``, the engine's one partition job
-    with retry that ``run_job`` also runs), each priced on the wire by
-    its kernel value alone — what ``run_job`` ships per partition.
+    with retry that ``run_job`` also runs): one task per partition, so
+    its ``granularity`` reads ``"partition"``, each priced on the wire
+    by its kernel value alone — what ``run_job`` ships per partition.
     """
 
     def __init__(
@@ -110,6 +111,7 @@ class RoundPlan:
         reduce: Callable[[Any, Any], Any],
         ac: "ASYNCContext",
         granularity: str = "worker",
+        sync: bool = False,
     ) -> None:
         self.source = source
         self.policy = policy
@@ -117,14 +119,13 @@ class RoundPlan:
         self.kernel = kernel
         self.reduce = reduce
         self.ac = ac
-        self.granularity = granularity
+        self.sync = sync
+        self.granularity = "partition" if sync else granularity
         self.num_partitions = source.num_partitions
 
-    def submit(
-        self, handle: Any, seed: int, sync: bool = False
-    ) -> list[int] | None:
+    def submit(self, handle: Any, seed: int) -> list[int] | None:
         """Submit one round; returns the workers that received tasks
-        (nothing for a ``sync`` round, which returns once it is done)."""
+        (nothing for a ``sync`` plan, whose round returns once done)."""
         source, fraction = self.source, self.fraction
         kernel, reduce = self.kernel, self.reduce
 
@@ -147,7 +148,7 @@ class RoundPlan:
 
             return fn
 
-        if sync:
+        if self.sync:
             return self.ac.scheduler.run_sync_round(
                 self.num_partitions, make_fn,
                 lambda value: sizeof_bytes(value[0]),

@@ -94,7 +94,7 @@ class AsyncLBFGSRule(UpdateRule):
     def bind(self, loop):
         super().bind(loop)
         self.pairs = (
-            self.history.channel(
+            loop.ac.history.channel(
                 "lbfgs/pairs", keep=f"last:{self.history_depth}"
             )
             if self.history_depth > 0

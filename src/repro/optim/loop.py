@@ -4,8 +4,9 @@ Every optimizer in this library, synchronous or asynchronous, runs the
 same driver:
 
 1. publish the current model (broadcast),
-2. let the scheduling policy decide when and to which workers to
-   dispatch (its ``ready``/``eligible`` hooks), submit one round,
+2. submit one round through the rule's :class:`~repro.core.ops.RoundPlan`
+   — the scheduling policy decides when and to which workers (its
+   ``ready``/``eligible`` hooks),
 3. collect at least one result (advancing cluster time), drain the rest,
 4. apply one model update per collected result — budget-gated, with a
    staleness-aware step size — and snapshot the trace,
@@ -17,28 +18,29 @@ an :class:`UpdateRule` — the mathematics that distinguishes it:
 ======================  ========================================================
 hook                    role
 ======================  ========================================================
+``bind(loop)``          once, before setup: resolve the round's ``plan``
+``setup(w)``            once, before the metrics window opens (e.g. SAGA init)
 ``publish(w)``          ship the model; returns the handle tasks will read
 ``sample_fraction()``   mini-batch rate the round draws; ``None`` = kernel samples
 ``kernel(block, h, s)`` worker-side computation over a block (sampled: a Batch)
 ``reduce(a, b)``        combine two worker-local partials
 ``apply(w, rec, a)``    server-side update; ``None`` skips (e.g. empty batch)
-``setup(w)``            once, before the metrics window opens (e.g. SAGA init)
-``begin_epoch(w)``      epoch boundary work for ``epoch_length`` rules (SVRG)
-``dispatch(h, seed)``   override the whole submission round
 ``algorithm_label()``   name reported in RunResult / snapshots
 ``extras()``            algorithm-specific entries merged into RunResult.extras
 ======================  ========================================================
 
-Rules also get ``self.history`` — the run's HIST store of named
-server-side history channels (Section 4.3's second pillar; SAGA's model
-versions, SVRG's epoch anchors and async L-BFGS's curvature pairs all
-live there).
+and one flag, ``seed_offset``. Anything else a round needs is the
+rule's own: an epoch rule (SVRG) opens its epochs in ``publish``, and
+``self.loop.ac.history`` is the run's HIST store of named server-side
+history channels (Section 4.3's second pillar; SAGA's model versions,
+SVRG's epoch anchors and async L-BFGS's curvature pairs all live
+there).
 
-The schedulable unit of a round is selectable: a rule (or the config's
-``granularity``) can dispatch one locally-reduced task per *worker* (the
-paper's model, the default) or one task per *partition* — each result
-then carries its partition identity (``record.partition``), which is how
-a synchronous round reassembles its partitions in order.
+The schedulable unit of a round is the config's ``granularity``: one
+locally-reduced task per *worker* (the paper's model, the default) or
+one task per *partition* — each result then carries its partition
+identity (``record.partition``), which is how a synchronous round
+reassembles its partitions in order.
 
 This factoring is what makes "sync -> async in a few extra lines" literal:
 a new asynchronous method is one UpdateRule registered with
@@ -66,17 +68,28 @@ from repro.core.snapshots import (
     check_snapshot,
     encode_value,
 )
-from repro.errors import SnapshotError
+from repro.errors import ApiError, SnapshotError
 from repro.optim.base import RunResult
 from repro.optim.trace import ConvergenceTrace
 from repro.utils.rng import TRAJECTORY_EPOCH
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.history import HistoryStore
     from repro.core.records import TaskResultRecord
     from repro.optim.base import DistributedOptimizer
 
 __all__ = ["UpdateRule", "BulkSynchronous", "ServerLoop"]
+
+#: Hooks an :class:`UpdateRule` once had, and where their work went. A
+#: rule that still defines one is refused when its class is created.
+_RETIRED_HOOKS = {
+    "dispatch": "the loop submits each round through rule.plan, built at bind",
+    "begin_epoch": "an epoch rule opens its epochs itself, in publish",
+    "epoch_length": "an epoch rule counts its own rounds, in publish",
+    "needs_alpha": "a sync plan's results come with no step (rule.plan.sync)",
+    "granularity": "the run's config sets it; sync plans run per partition",
+    "effective_granularity": "read rule.plan.granularity",
+    "apply_round": "BulkSynchronous.apply steps the round's sum itself",
+}
 
 
 class UpdateRule:
@@ -85,35 +98,33 @@ class UpdateRule:
     A rule is bound to its host optimizer (for the problem, step schedule,
     config and engine handles) via :meth:`bind` before the loop starts.
     Registered with ``@register_optimizer``, a rule is an algorithm of
-    its own: its constructor arguments are the spec's ``params``.
+    its own: its constructor arguments are the spec's ``params``. It is
+    the mathematics only: the loop owns the round (``publish`` ->
+    ``plan.submit`` -> collect -> ``apply``).
     """
 
     #: Offset added to the round counter when deriving the per-round seed
     #: (historical per-algorithm conventions; changing it changes sampling).
     seed_offset = 0
-    #: Rounds between epoch boundaries; ``None`` means no epoch structure.
-    epoch_length: int | None = None
-    #: Whether the loop should evaluate the step schedule per result.
-    needs_alpha = True
-    #: Submission granularity: "worker", "partition", or ``None`` to
-    #: follow the run's ``OptimizerConfig.granularity``. Rules whose
-    #: mathematics only exists at one granularity pin it here.
-    granularity: str | None = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for name in _RETIRED_HOOKS.keys() & vars(cls).keys():
+            raise ApiError(
+                f"{cls.__qualname__} defines {name!r}, which UpdateRule "
+                f"no longer has: {_RETIRED_HOOKS[name]}"
+            )
 
     def bind(self, loop: "ServerLoop") -> None:
         self.loop = loop
         self.opt = loop.opt
-        #: What :meth:`dispatch` submits each round.
+        #: What the loop submits each round: the rule's one fixed chain
+        #: of RDD verbs, bulk-synchronous for a :class:`BulkSynchronous`.
         self.plan = RoundPlan(
             self.opt.points, loop.policy, self.sample_fraction(),
-            self.kernel, self.reduce, loop.ac, self.effective_granularity(),
+            self.kernel, self.reduce, loop.ac, self.opt.config.granularity,
+            sync=isinstance(self, BulkSynchronous),
         )
-
-    @property
-    def history(self) -> "HistoryStore":
-        """The run's HIST store (``AC.HIST``) — server-side bounded
-        history channels shared with the broadcaster and coordinator."""
-        return self.loop.ac.history
 
     # -- once-per-run hooks ------------------------------------------------------------
     def setup(self, w) -> None:
@@ -123,12 +134,10 @@ class UpdateRule:
         no server state, so a rule builds all of its state here or at
         its first epoch, restored or not."""
 
-    def begin_epoch(self, w) -> None:
-        """Epoch-boundary work for rules with ``epoch_length`` set."""
-
     # -- per-round hooks ---------------------------------------------------------------
     def publish(self, w) -> Any:
-        """Broadcast the model; the return value is the kernel's handle."""
+        """Broadcast the model; the return value is the kernel's handle.
+        Called once per round, before the round is submitted."""
         raise NotImplementedError
 
     def sample_fraction(self) -> float | None:
@@ -143,22 +152,10 @@ class UpdateRule:
         """Combine two worker-local partial results."""
         raise NotImplementedError
 
-    def effective_granularity(self) -> str:
-        """The submission unit this run dispatches at."""
-        return self.granularity or self.opt.config.granularity
-
-    def dispatch(self, handle, seed: int) -> None:
-        """Submit one asynchronous round (policy -> sample -> map -> reduce).
-
-        The chain is the same every round, so it is resolved once per
-        run into a :class:`~repro.core.ops.RoundPlan`; rules that need a
-        different lineage override this and use the RDD verbs directly.
-        """
-        self.plan.submit(handle, seed)
-
     # -- per-result hooks --------------------------------------------------------------
     def apply(self, w, record: "TaskResultRecord", alpha: float | None):
-        """One server-side model update; return the new ``w``.
+        """One server-side model update at step ``alpha``; return the
+        new ``w``. A bulk-synchronous plan's results come with no step.
 
         Returning ``None`` rejects the result (empty batch); the loop then
         neither counts an update nor advances the model version.
@@ -178,25 +175,21 @@ class BulkSynchronous(UpdateRule):
     """A rule's synchronous variant: one bulk-synchronous round per update.
 
     Mixed in ahead of an asynchronous rule (``class SGDRule(
-    BulkSynchronous, ASGDRule)``). Each round sends every partition to
-    its owner and blocks until all have delivered — the Spark/MLlib
-    iteration, which costs the slowest worker's time. :meth:`apply`
-    holds results until the round is complete (returning ``None``, so
-    the loop counts one update per round), sums them in partition order
-    and hands the sum to :meth:`apply_round`. An algorithm is
+    BulkSynchronous, ASGDRule)``). Its plan (built at :meth:`bind`) sends
+    every partition to its owner each round and blocks until all have
+    delivered — the Spark/MLlib iteration, which costs the slowest
+    worker's time. :meth:`apply` holds results until the round is
+    complete (returning ``None``, so the loop counts one update per
+    round), sums them in partition order and calls the asynchronous
+    rule's ``apply`` on the sum at the undivided ``step.alpha(t)``; the
+    loop evaluates no per-result step for it. An algorithm is
     synchronous exactly when its registered rule is a subclass.
     """
-
-    granularity = "partition"
-    needs_alpha = False  # apply_round takes the undivided schedule
 
     def bind(self, loop: "ServerLoop") -> None:
         super().bind(loop)
         self.num_partitions = self.opt.points.num_partitions
         self.held: dict[int, "TaskResultRecord"] = {}
-
-    def dispatch(self, handle, seed: int) -> None:
-        self.plan.submit(handle, seed, sync=True)
 
     def apply(self, w, record: "TaskResultRecord", alpha: float | None):
         held = self.held
@@ -206,11 +199,6 @@ class BulkSynchronous(UpdateRule):
         records = [held.pop(p) for p in range(self.num_partitions)]
         record.value = _sum_in_order([r.value for r in records])
         record.batch_size = sum(r.batch_size for r in records)
-        return self.apply_round(w, record)
-
-    def apply_round(self, w, record: "TaskResultRecord"):
-        """The update for one round's summed ``record``: by default the
-        asynchronous rule's ``apply`` at the undivided ``step.alpha(t)``."""
         t = self.loop.updates + 1
         return super().apply(w, record, self.opt.step.alpha(t))
 
@@ -359,7 +347,7 @@ class ServerLoop:
         rule.bind(self)
         self.w = opt.problem.initial_point()
         self.trace = ConvergenceTrace()
-        self.updates = self.rounds = self.epoch_left = 0
+        self.updates = self.rounds = 0
         self.max_staleness = self.max_partition_stale = 0
         #: Applied updates per step-schedule tick: the worker count.
         self.per_pass = max(opt.ctx.num_workers, 1)
@@ -372,8 +360,8 @@ class ServerLoop:
             # Crash-recovery resume: the model iterate and counters come
             # first, so the rule's setup runs at the restored iterate
             # (SAGA pins phi_j = w_K and A = grad F(w_K), an exact SAGA
-            # state, for one full pass) and an epoch rule's first round
-            # opens a fresh epoch there.
+            # state, for one full pass) and an epoch rule's first
+            # publish opens a fresh epoch there.
             self.w = self._check_snapshot(full)
             self.updates = full["updates"]
             self.rounds = full["rounds"]
@@ -396,15 +384,11 @@ class ServerLoop:
             self.faults = FaultPlanDriver(opt.fault_plan, opt.ctx.backend)
 
     def _round(self) -> None:
-        """Publish, dispatch one round, apply everything that arrived."""
-        opt, rule, ac = self.opt, self.rule, self.ac
-        if rule.epoch_length is not None and self.epoch_left == 0:
-            rule.begin_epoch(self.w)
-            self.epoch_left = rule.epoch_length
-        seed = opt._round_seed(self.rounds + rule.seed_offset)
-        rule.dispatch(rule.publish(self.w), seed)
+        """Publish, submit one round, apply everything that arrived."""
+        rule, ac = self.rule, self.ac
+        seed = self.opt._round_seed(self.rounds + rule.seed_offset)
+        rule.plan.submit(rule.publish(self.w), seed)
         self.rounds += 1
-        self.epoch_left -= 1
 
         # Apply at least one result (advancing cluster time), then
         # drain whatever else arrived (Algorithm 2 lines 5-8).
@@ -424,9 +408,10 @@ class ServerLoop:
         # cluster-wide equivalent of a synchronous iteration, so the
         # async decay keeps the sync variant's cadence (the paper's
         # tuning rule divides the initial step by P but keeps the decay).
+        # A sync plan's rule takes one undivided step per round itself.
         alpha = (
-            opt.step.alpha(-(-t // self.per_pass), record.staleness)
-            if rule.needs_alpha else None
+            None if rule.plan.sync
+            else opt.step.alpha(-(-t // self.per_pass), record.staleness)
         )
         w = rule.apply(self.w, record, alpha)
         if w is None:
@@ -464,7 +449,7 @@ class ServerLoop:
             "lost_tasks": ac.lost_tasks,
             "collected": ac.collected,
             "max_staleness_seen": self.max_staleness,
-            "granularity": rule.effective_granularity(),
+            "granularity": rule.plan.granularity,
             "partition_tasks": ac.scheduler.partition_tasks_submitted,
             "policy": self.policy.describe(),
         }

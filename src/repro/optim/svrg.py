@@ -11,11 +11,12 @@ asynchronous updates happen *between* the epoch barriers, or in
 bulk-synchronous rounds (SVRGRule, ``"svrg"``: the same rule with
 :class:`~repro.optim.loop.BulkSynchronous` mixed in). This is the class
 of algorithms [29, 56, 71] the paper says ASYNC supports by mixing its
-async primitives with Spark's synchronous reductions. The rule
-demonstrates :class:`repro.optim.loop.ServerLoop`'s epoch hooks:
-``begin_epoch`` drains in-flight work and takes the synchronous pass
-(:func:`_full_gradient`). ``RunResult.rounds`` counts inner rounds;
-``extras["epochs"]`` counts epochs.
+async primitives with Spark's synchronous reductions. An epoch is the
+rule's own structure, not the loop's: ``publish`` opens one every
+``inner_iterations`` rounds, draining in-flight work, anchoring at the
+current iterate and taking the synchronous pass (:func:`_full_gradient`)
+before the round's model ships. ``RunResult.rounds`` counts inner
+rounds; ``extras["epochs"]`` counts epochs.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _full_gradient(opt: DistributedOptimizer, w: np.ndarray) -> np.ndarray:
 
 @register_optimizer("asvrg")
 class ASVRGRule(UpdateRule):
-    """SVRG's inner loop as an update rule; epochs via ``begin_epoch``.
+    """SVRG's inner loop as an update rule; ``publish`` opens the epochs.
 
     The epoch anchor ``w_tilde`` and its full gradient ``mu`` live in
     bounded HIST channels (``svrg/anchor``, ``svrg/mu``; ``keep=
@@ -68,15 +69,17 @@ class ASVRGRule(UpdateRule):
     def __init__(self, inner_iterations: int = 10) -> None:
         if inner_iterations <= 0:
             raise OptimError("inner_iterations must be positive")
-        self.epoch_length = inner_iterations
+        self.inner_iterations = inner_iterations
         self.epochs = 0
+        self.epoch_left = 0  # inner rounds left; 0 opens a fresh epoch
 
     def bind(self, loop):
         super().bind(loop)
-        self.anchor_channel = self.history.channel("svrg/anchor", keep="last:1")
-        self.mu_channel = self.history.channel("svrg/mu", keep="last:1")
+        history = loop.ac.history
+        self.anchor_channel = history.channel("svrg/anchor", keep="last:1")
+        self.mu_channel = history.channel("svrg/mu", keep="last:1")
 
-    def begin_epoch(self, w):
+    def _begin_epoch(self, w):
         # Epoch barrier: wait out in-flight inner tasks, then the
         # synchronous full-gradient reduction.
         opt, ac = self.opt, self.loop.ac
@@ -89,6 +92,10 @@ class ASVRGRule(UpdateRule):
         self.epochs += 1
 
     def publish(self, w):
+        if self.epoch_left == 0:
+            self._begin_epoch(w)
+            self.epoch_left = self.inner_iterations
+        self.epoch_left -= 1
         return self.opt.ctx.broadcast(w)
 
     def sample_fraction(self):

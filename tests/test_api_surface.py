@@ -162,8 +162,21 @@ def test_design_scoreboard_only_goes_down():
         if callable(attr) or isinstance(attr, property)
     ]
     flags = sorted(set(public) - set(methods))
-    assert len(methods) <= 13, methods
-    assert len(flags) <= 4, flags
+    assert len(methods) <= 9, methods
+    assert len(flags) <= 1, flags
+    # The round, its epochs and its step belong to the loop and the plan:
+    # the retired driver hooks stay gone, the loop keeps no epoch state
+    # and a plan's submit takes no per-call sync switch.
+    from repro.core.ops import RoundPlan
+
+    for gone in ("dispatch", "effective_granularity", "begin_epoch",
+                 "history", "epoch_length", "needs_alpha", "granularity"):
+        assert gone not in vars(UpdateRule), gone
+    assert "apply_round" not in vars(BulkSynchronous)
+    assert "epoch_left" not in inspect.getsource(ServerLoop)
+    assert list(inspect.signature(RoundPlan.submit).parameters) == [
+        "self", "handle", "seed",
+    ]
     # Two policy hooks: when a round may go, and to which workers; no
     # target selection and no composition.
     import repro.core

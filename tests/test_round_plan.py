@@ -1,13 +1,13 @@
 """The compiled round plan: parity with the RDD verbs, liveness, call budget.
 
 Every optimizer round is ``points.async_barrier(policy).sample(b, seed)
-.map(kernel).async_reduce(reduce)``. ``UpdateRule.dispatch`` no longer
-builds that chain per round; it submits a :class:`~repro.core.ops.
-RoundPlan` resolved once per run. These tests pin that the two are the
-same computation (bit for bit), that a worker task
-holds about one chunk of rows at a time, that a kernel error still fails
-the run loudly, and that the per-update interpreter work stays under a
-ceiling.
+.map(kernel).async_reduce(reduce)``. The server loop no longer builds
+that chain per round; it submits the rule's :class:`~repro.core.ops.
+RoundPlan`, resolved once per run at ``UpdateRule.bind``. These tests
+pin that the two are the same computation (bit for bit), that a worker
+task holds about one chunk of rows at a time, that a kernel error still
+fails the run loudly, and that the per-update interpreter work stays
+under a ceiling.
 """
 
 import cProfile
@@ -53,20 +53,26 @@ ASP_DIGEST = ("e02205c6c4399ce706563cbe95f8ac746b78089e", 0.5602980038163021)
 BSP_DIGEST = ("85065e5619cc1cf4b646897ad325bc47557e4cfe", 0.5598939356312318)
 
 
-def verb_chain_dispatch(self, handle, seed):
-    """``UpdateRule.dispatch`` spelled with the public RDD verbs.
+PLAN_SUBMIT = RoundPlan.submit
+
+
+def verb_chain_submit(self, handle, seed):
+    """A sampling ``RoundPlan.submit`` spelled with the public RDD verbs.
 
     ``sample`` gathers each mini-batch; the kernel reads it as a
     :class:`Batch` of all its rows, which streams the same chunks of the
-    same rows as the plan's selection of the source block."""
-    loop = self.loop
-    (
-        self.opt.points.async_barrier(loop.policy, loop.ac.stat)
-        .sample(self.sample_fraction(), seed=seed)
+    same rows as the plan's selection of the source block. The chain
+    ends in ``async_reduce``, itself a plan that does not sample, which
+    runs as it is."""
+    if self.fraction is None:
+        return PLAN_SUBMIT(self, handle, seed)
+    return (
+        self.source.async_barrier(self.policy, self.ac.stat)
+        .sample(self.fraction, seed=seed)
         .map(lambda sub: self.kernel(
             Batch(sub, np.arange(sub.rows)), handle, seed
         ))
-        .async_reduce(self.reduce, loop.ac, self.effective_granularity())
+        .async_reduce(self.reduce, self.ac, self.granularity)
     )
 
 
@@ -122,7 +128,7 @@ SIM_CASES = {
 def test_plan_matches_verb_chain_sim(case, monkeypatch):
     spec = dict(BASE_SPEC, max_updates=160, eval_every=40, **SIM_CASES[case])
     _, planned = run_spec(spec)
-    monkeypatch.setattr(ASGDRule, "dispatch", verb_chain_dispatch)
+    monkeypatch.setattr(RoundPlan, "submit", verb_chain_submit)
     _, chained = run_spec(spec)
     assert fingerprint(planned) == fingerprint(chained)
     if case == "kill-revive":

@@ -117,7 +117,7 @@ def test_server_loop_restore_opens_a_fresh_svrg_epoch(tmp_path):
     with prep.make_context() as ctx:
         loop = _bound_loop(ctx, prep, ASVRGRule(inner_iterations=7), snap)
         loop._start()
-        assert loop.updates == 20 and loop.epoch_left == 0
+        assert loop.updates == 20 and loop.rule.epoch_left == 0
         assert not len(loop.rule.anchor_channel)
         loop._round()
         assert loop.rule.epochs == 1

@@ -7,7 +7,9 @@ import pytest
 
 from repro.api import register_optimizer, run_experiment
 from repro.core.policies import BSP
+from repro.errors import ApiError
 from repro.optim import (
+    BulkSynchronous,
     ConstantStep,
     InvSqrtDecay,
     LeastSquaresProblem,
@@ -127,6 +129,19 @@ def test_custom_update_rule_runs_through_server_loop(ctx, small_data):
     assert problem.error(res.w) < start
 
 
+@pytest.mark.parametrize("hook", [
+    "dispatch", "begin_epoch", "epoch_length", "needs_alpha", "granularity",
+    "effective_granularity", "apply_round",
+])
+def test_a_rule_defining_a_retired_hook_is_refused(hook):
+    """The loop would silently ignore these, so defining one is an error
+    at class creation that names the hook (``apply_round`` was a
+    synchronous rule's per-round update)."""
+    base = BulkSynchronous if hook == "apply_round" else _SignSGDRule
+    with pytest.raises(ApiError, match=repr(hook)):
+        type("StaleRule", (base,), {hook: None})
+
+
 def test_custom_rule_is_reachable_from_a_spec():
     """Registering the rule is all a spec needs: the spec path and the
     object path build the same run."""
@@ -198,8 +213,6 @@ class _ScriptedRule(_SignSGDRule):
     """Logs every hook call; ``reject`` lists the (1-based) ``apply``
     calls that return ``None``."""
 
-    epoch_length = 3
-
     def __init__(self, reject=()):
         self.reject = set(reject)
         self.log = []
@@ -209,16 +222,9 @@ class _ScriptedRule(_SignSGDRule):
     def setup(self, w):
         self.log.append("setup")
 
-    def begin_epoch(self, w):
-        self.log.append("begin_epoch")
-
     def publish(self, w):
         self.log.append("publish")
         return super().publish(w)
-
-    def dispatch(self, handle, seed):
-        self.log.append("dispatch")
-        super().dispatch(handle, seed)
 
     def apply(self, w, record, alpha):
         self.log.append("apply")
@@ -243,16 +249,14 @@ def scripted_run(ctx, small_data, rule, policy=None, **config):
 def test_hook_order_per_round(ctx, small_data):
     rule = _ScriptedRule()
     _, res = scripted_run(ctx, small_data, rule, max_updates=20)
-    letters = {"setup": "S", "begin_epoch": "E", "publish": "P",
-               "dispatch": "D", "apply": "a"}
+    letters = {"setup": "S", "publish": "P", "apply": "a"}
     text = "".join(letters[hook] for hook in rule.log)
     assert text[0] == "S" and text.count("S") == 1
-    rounds = re.findall(r"E?PDa*", text[1:])
+    # One publish per round, then the round's applies; epoch cadence is
+    # an epoch rule's own (tests/test_svrg.py counts SVRG's epochs).
+    rounds = re.findall(r"Pa*", text[1:])
     assert "".join(rounds) == text[1:]
     assert len(rounds) == res.rounds
-    assert [r[0] == "E" for r in rounds] == [
-        i % rule.epoch_length == 0 for i in range(res.rounds)
-    ]
     # One apply per collected result: the collect counter moves by
     # exactly one between consecutive applies.
     assert [c for c, _, _ in rule.seen] == list(range(1, len(rule.seen) + 1))

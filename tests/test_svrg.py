@@ -53,7 +53,7 @@ def test_svrg_direction_varies_far_less_than_sgd_near_the_anchor(
     rule = ASVRGRule()
     ServerLoop(opt, rule)._start()
     w_tilde = problem.initial_point() + 0.5
-    rule.begin_epoch(w_tilde)
+    rule._begin_epoch(w_tilde)
     w = w_tilde + 0.05 * np.random.default_rng(1).standard_normal(w_tilde.size)
     handle = ctx.broadcast(w)
 

@@ -7,16 +7,22 @@ Three acts:
    ASYNCbroadcaster, and compare communication volume (same math, wildly
    different bytes).
 2. Run asynchronous ASAGA under a straggler and compare against SAGA.
-3. Peek at a worker's local version cache to see the mechanism.
+3. Peek at the server's table of stored versions and a worker's cache of
+   model versions to see the mechanism.
 
 Run:  python examples/asaga_history_broadcast.py
 """
+
+import copy
+
+import numpy as np
 
 from repro import (
     ClusterContext,
     ConstantStep,
     LeastSquaresProblem,
     OptimizerConfig,
+    ServerLoop,
     build_optimizer,
 )
 from repro.cluster import ControlledDelay
@@ -79,22 +85,24 @@ def act2_asaga_vs_saga():
 def act3_peek_at_version_cache():
     with ClusterContext(4) as sc:
         points, problem = build(sc, n=1024, d=8)
-        build_optimizer(
+        opt = build_optimizer(
             "asaga", sc, points, problem, ConstantStep(0.02 / 4),
             OptimizerConfig(batch_fraction=0.25, max_updates=40, seed=0),
-        ).run()
+        )
+        # opt.run() runs a copy of its rule; keep the loop to inspect it.
+        loop = ServerLoop(opt, copy.deepcopy(opt.rule))
+        loop.run()
+        versions = loop.rule.state.versions
+        print("Act 3 - SAGA's state after 40 async updates")
+        print(f"  server's version table: rows={len(versions)}, "
+              f"distinct stored versions={len(np.unique(versions))}")
+        print(f"    rows re-evaluated since setup: {np.count_nonzero(versions)}")
+        print(f"    oldest stored version: {versions.min()} (a compressed run "
+              "prunes the model channel below it)")
         env = sc.backend.worker_env(0)
-        version_keys = [k for k in env.keys()
-                        if isinstance(k, tuple) and k[0] == "saga_ver"]
         cache_keys = [k for k in env.keys()
                       if isinstance(k, tuple) and k[0] == "hbc"]
-        print("Act 3 - worker 0's local state after 40 async updates")
-        print(f"  per-partition version tables: {len(version_keys)}")
-        for k in version_keys:
-            versions = env.get(k)
-            print(f"    partition {k[2]}: rows={len(versions)}, "
-                  f"distinct stored versions={len(set(versions.tolist()))}")
-        print(f"  locally cached model versions: {len(cache_keys)} "
+        print(f"  worker 0's cached model versions: {len(cache_keys)} "
               "(fetched once each, then re-referenced by id)")
 
 

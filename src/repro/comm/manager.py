@@ -19,8 +19,8 @@ With ``compressor="none"`` the collect path is left untouched — no
 closure wrapping, no extra float ops — so the parity suite can pin
 ``none`` bit-identical to a run with no comm subsystem at all; only the
 (purely observational) ledger is active. SAGA prunes its model channel
-itself, below its own per-block floors, and only on runs that attach a
-manager.
+itself, below the minimum of its version table, and only on runs that
+attach a manager.
 """
 
 from __future__ import annotations

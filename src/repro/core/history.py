@@ -155,8 +155,8 @@ class HistoryChannel:
     Every append freezes the value, assigns the next version id and
     charges the byte accountants; retention then evicts from the oldest
     end. ``prune_below`` remains available for callers that manage
-    lifetimes themselves (e.g. SAGA once every worker's table has
-    advanced past a version).
+    lifetimes themselves (e.g. SAGA once every row of its version
+    table has advanced past a version).
     """
 
     def __init__(

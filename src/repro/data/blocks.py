@@ -331,7 +331,8 @@ class MatrixBlock:
     offset: int = 0
     block_id: int = field(default=-1)
     #: Local row indices into the originating block (set by ``take_rows``);
-    #: None for source blocks. SAGA's version bookkeeping needs these.
+    #: None for source blocks. (SAGA addresses rows by ``offset`` plus
+    #: its batch's local indices and does not read these.)
     ids: np.ndarray | None = None
 
     def __post_init__(self) -> None:

@@ -2,10 +2,10 @@
 
 Both run the machinery of :mod:`repro.optim.saga`. In ASAGA each
 available worker independently samples its local partitions, recomputes
-historical gradients from its *local* version cache (the
+historical gradients at the model versions its task names by id (the
 ASYNCbroadcaster means only ids travel), and the server applies one SAGA
-update per collected result. ``averageHistory`` is maintained server-side
-exactly as in the paper's Algorithm 4 line 8.
+update per collected result. ``averageHistory`` and the table of stored
+versions are maintained server-side, as in the paper's Algorithm 4.
 
 The driver is the shared :class:`repro.optim.loop.ServerLoop`:
 :class:`ASAGARule`, registered as ``"asaga"``, contributes SAGA's
@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api.registry import register_optimizer
+from repro.errors import OptimError
 from repro.optim.loop import BulkSynchronous, UpdateRule
 from repro.optim.reducers import add_triples
 from repro.optim.saga import (
@@ -34,9 +35,11 @@ __all__ = ["ASAGARule", "SAGARule"]
 class ASAGARule(UpdateRule):
     """SAGA mathematics on the async driver: history handles + avg table.
 
-    The server state (``averageHistory`` and the prune floors) lives in
-    :class:`~repro.optim.saga.SagaState`; HIST holds the model versions
-    workers read by id.
+    The server state (``averageHistory`` and the per-row table of stored
+    versions) lives in :class:`~repro.optim.saga.SagaState`; HIST holds
+    the model versions workers read by id. The table is addressed by
+    global row, so ``bind`` refuses blocks that do not tile the rows in
+    partition order (as :func:`~repro.data.blocks.split_matrix` does).
     """
 
     #: Historical convention: ASAGA's first sampling round used seed index 1.
@@ -48,6 +51,16 @@ class ASAGARule(UpdateRule):
 
     def bind(self, loop):
         super().bind(loop)
+        points, rows = self.opt.points, 0
+        for split in range(points.num_partitions):
+            block = points.block(split)
+            if block.offset != rows:
+                raise OptimError(
+                    f"partition {split} starts at row offset {block.offset}"
+                    f", not {rows}: SAGA's version table needs blocks that "
+                    "tile the rows in order (split_matrix builds them)"
+                )
+            rows += block.rows
         # SAGA publishes through the run's broadcaster: its channels live
         # in the run's HIST store (accounting), and COMM prices its
         # model channel.
@@ -68,8 +81,7 @@ class ASAGARule(UpdateRule):
             self.opt.problem,
             block,
             handle,
-            self.state.versions_key(block.block_id),
-            self.state.floors,
+            self.state.versions,
             self.opt.config.batch_fraction,
             seed,
         )

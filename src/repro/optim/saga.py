@@ -78,10 +78,12 @@ class SagaState:
 
     - ``avg_hist`` — Algorithm 4 line 8's ``averageHistory`` (``A``), a
       plain array advanced by :meth:`apply_update`,
-    - ``floors`` — per block, the lowest model version the block's rows
-      may still read (``None`` when nothing prunes: naive mode, or a run
-      without a COMM manager); :meth:`publish` prunes the model channel
-      below their minimum.
+    - ``versions`` — each sample's stored model version (``phi_s``'s
+      id), one int64 per global row ``block.offset + idx``. Tasks read
+      and advance their batch's ids here; no worker keeps a copy, so a
+      worker's death loses tasks, never versions. On runs that prune
+      (history mode with a COMM manager), :meth:`publish` drops every
+      model version below the table's minimum.
 
     HIST keeps only what workers read by id, in the run's
     coordinator-owned :class:`~repro.core.history.HistoryStore`: the
@@ -94,8 +96,7 @@ class SagaState:
     Channel names are *process-stable*: fixed, never derived from a
     per-process counter, so runs in two processes (e.g. two fabric
     workers) keep channels that match by name. Per-run isolation comes
-    from each run owning its store (and its backend's worker envs), not
-    from unique tags.
+    from each run owning its store, not from unique tags.
     """
 
     def __init__(
@@ -115,8 +116,8 @@ class SagaState:
         self.broadcaster = broadcaster
         self.channel = "saga"
         self.avg_hist = np.zeros(problem.dim)
-        prunes = mode == "history" and broadcaster.comm is not None
-        self.floors: dict[int, int] | None = {} if prunes else None
+        self.versions = np.zeros(0, dtype=np.int64)  # n rows at setup
+        self.prunes = mode == "history" and broadcaster.comm is not None
         self._naive = (
             broadcaster.store.channel(f"{self.channel}/table", keep="all")
             if mode == "naive" else None
@@ -128,18 +129,15 @@ class SagaState:
         through (``value(env)`` / ``value_at(version, env)``)."""
         if self.mode == "history":
             hb = self.broadcaster.broadcast(np.array(w, copy=True), self.channel)
-            if self.floors:
-                # No block reads below its floor again.
-                hb.channel.prune_below(min(self.floors.values()))
+            if self.prunes:
+                # No row reads below the table's minimum again.
+                hb.channel.prune_below(int(self.versions.min()))
             return hb
         version = self._naive.append(np.array(w, copy=True))
         table = {v: self._naive.get(v) for v in self._naive.versions()}
         bc = self.ctx.broadcast(table)
         self.naive_broadcast_bytes += sizeof_bytes(table)
         return _NaiveHandle(bc, version)
-
-    def versions_key(self, block_id: int) -> tuple:
-        return ("saga_ver", self.channel, block_id)
 
     def apply_update(
         self, w: np.ndarray, alpha: float, g_new: np.ndarray,
@@ -165,8 +163,7 @@ def saga_partition_kernel(
     problem: Problem,
     block: MatrixBlock,
     handle: Any,
-    state_key: tuple,
-    floors: dict[int, int] | None,
+    versions: np.ndarray,
     batch_fraction: float,
     sample_seed: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -176,19 +173,11 @@ def saga_partition_kernel(
     the current model and historical gradients at each row's stored
     version (one :meth:`Problem.grad_sum_grouped` call over the batch,
     whatever the number of distinct versions), then advances the rows'
-    stored versions and, when ``floors`` is kept, raises the block's
-    prune floor to their minimum. Returns ``(grad_new_sum,
-    grad_old_sum, batch_size)``.
+    ids in ``versions``, the server's table (:attr:`SagaState.versions`;
+    only ids travel). Returns ``(grad_new_sum, grad_old_sum,
+    batch_size)``.
     """
     env = current_env()
-    versions = None if env is None else env.get(state_key)
-    if versions is None:
-        # First touch (or recovery after worker loss): everything is at
-        # version 0 — the initial full pass pinned phi_j = w_0.
-        versions = np.zeros(block.rows, dtype=np.int64)
-        if env is not None:
-            env.put(state_key, versions)
-
     idx = block.sample_indices(
         batch_fraction, sample_seed, "saga-batch", block.block_id
     )
@@ -198,7 +187,8 @@ def saga_partition_kernel(
 
     # Historical gradients: every row at its own stored version, fetched
     # in ascending version order, in one grouped pass over the batch.
-    row_versions = versions[idx]
+    rows = block.offset + idx
+    row_versions = versions[rows]
     # ``np.unique``, spelled without its lazy ``numpy.ma`` import.
     ordered = np.sort(row_versions)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
@@ -206,10 +196,7 @@ def saga_partition_kernel(
     group = distinct.searchsorted(row_versions)  # return_inverse, 2x cheaper
     g_old = problem.grad_sum_grouped(X, y, ws, group)
 
-    versions[idx] = handle.version
-    if floors is not None:
-        # This block never again reads a version below its rows' minimum.
-        floors[block.block_id] = max(floors[block.block_id], int(versions.min()))
+    versions[rows] = handle.version
     if env is not None:  # two passes over the batch: fresh + historical
         env.pending_cost_units += 2.0 * Batch(block, idx).cost_units()
     return g_new, g_old, len(idx)
@@ -221,24 +208,18 @@ def initialize_history(
     """Full synchronous pass pinning phi_j = w and A = grad F(w).
 
     This is Algorithm 3's line 2 ("store w in table"): every sample's
-    stored version becomes version 0, and the running average of stored
-    gradients is the full gradient at ``w`` — ``w_0`` on a fresh run,
-    the restored iterate on a resumed one. Shared by SAGA and ASAGA.
+    stored version becomes version 0 (``state.versions`` is reset), and
+    the running average of stored gradients is the full gradient at
+    ``w`` — ``w_0`` on a fresh run, the restored iterate on a resumed
+    one. Shared by SAGA and ASAGA.
     """
     problem = opt.problem
-    floors = state.floors
+    state.versions = np.zeros(opt.n_total, dtype=np.int64)
     handle = state.publish(w)  # version 0: a restore keeps no SAGA channel
 
     def full_grad(split: int, data: list):
         block = data[0]
         env = current_env()
-        key = state.versions_key(block.block_id)
-        env.put(key, np.zeros(block.rows, dtype=np.int64))
-        if floors is not None:
-            # Every block holds a floor before any rises: the prune floor
-            # is their minimum, so a block without one could have its
-            # phi-versions pruned out from under it.
-            floors[block.block_id] = 0
         env.pending_cost_units += block.cost_units()
         return problem.grad_sum(block.X, block.y, handle.value(env))
 

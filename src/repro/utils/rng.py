@@ -62,9 +62,13 @@ __all__ = [
 #: restored SVRG or ASVRG run begins a fresh epoch at the restored
 #: iterate and a restored async L-BFGS run starts without curvature
 #: pairs; only restored svrg/asvrg/async_lbfgs continuations moved.
+#: Epoch 8: SAGA's table of stored versions is one server-side array, not
+#: a per-worker copy a kill clears, so a SAGA or ASAGA worker's death
+#: keeps its rows' versions instead of resetting them to version 0; only
+#: saga/asaga runs that lose a worker moved.
 #: Sweep checkpoint keys and run snapshots carry it, so results of
 #: another epoch are re-run rather than resumed.
-TRAJECTORY_EPOCH = 7
+TRAJECTORY_EPOCH = 8
 
 
 def stable_hash(parts: Iterable[object]) -> int:

@@ -5,14 +5,14 @@ that breaks it today, and names the ROADMAP item whose fix makes it
 hold. ``strict=True`` turns a silent pass into a suite failure, so the
 fixing change must flip the marker; ``raises=AssertionError`` (or the
 one error a crash law names) keeps the test failing for the stated
-reason and not for any other error.
+reason and not for any other error. A law whose fix has landed drops
+its marker and stays here as a regression test.
 """
 
 import pytest
 
 from repro.api import run_experiment
 from repro.api.runner import prepare_experiment
-from repro.errors import TaskError
 
 
 @pytest.mark.xfail(
@@ -41,9 +41,11 @@ def _final_error(spec: dict) -> float:
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="ROADMAP item 12: a kill clears the worker's SAGA version "
-    "table, so the faulted run ends at 8.9e-3 against 5.0e-8 without "
-    "the fault",
+    reason="ROADMAP items 12 and 20: a row's stored version advances "
+    "when its task runs, not when its result is applied, so a lost task "
+    "leaves rows ahead of SAGA's average; and a dead worker's partitions "
+    "are not re-homed. The faulted run ends at 1.75e-4 against 5.0e-8 "
+    "without the fault",
 )
 def test_asaga_under_a_kill_ends_near_the_fault_free_error():
     """A kill and revive lose tasks, not SAGA's gradient table: the
@@ -60,13 +62,6 @@ def test_asaga_under_a_kill_ends_near_the_fault_free_error():
     assert faulted <= 2 * clean
 
 
-@pytest.mark.xfail(
-    strict=True, raises=TaskError,
-    reason="ROADMAP item 12: a kill clears the worker's SAGA version "
-    "table, so after its revive a task reads model version 0, which the "
-    "COMM prune floor has already dropped: BroadcastError(\"channel "
-    "'saga' has no version 0\")",
-)
 @pytest.mark.parametrize("granularity", ["worker", "partition"])
 def test_compressed_asaga_survives_a_kill_and_revive(granularity):
     """A kill and revive lose tasks, never the versions a live table

@@ -1,5 +1,7 @@
 """SAGA (Algorithm 3) and ASAGA (Algorithm 4): math, history, modes."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -51,48 +53,56 @@ def test_sync_saga_matches_reference_trajectory(ctx, small_data):
     assert abs(np.log10(dist_err) - np.log10(ref_err)) < 0.5
 
 
+def _run_on_loop(ctx, points, problem, name, **config):
+    """Run ``name`` through a ServerLoop kept for inspection."""
+    from repro.optim.loop import ServerLoop
+
+    opt = build_optimizer(
+        name, ctx, points, problem, ConstantStep(0.02),
+        OptimizerConfig(batch_fraction=0.2, seed=0, **config),
+    )
+    loop = ServerLoop(opt, copy.deepcopy(opt.rule))
+    loop.run()
+    return loop
+
+
 def test_saga_avg_hist_matches_table_invariant(ctx, small_data):
     """After a run, avg_hist must equal the mean over stored versions of
-    the per-sample gradients — the SAGA table invariant."""
+    the per-sample gradients — the SAGA table invariant, read off the
+    server's table and the ``saga`` channel's model versions."""
     X, y, _ = small_data
     problem = LeastSquaresProblem(X, y)
     points = ctx.matrix(X, y, 4).cache()
-    opt = build_optimizer(
-        "saga", ctx, points, problem, ConstantStep(0.02),
-        OptimizerConfig(batch_fraction=0.2, max_updates=20, seed=0),
-    )
-    res = opt.run()
-    # Reconstruct the implied average from worker-side version tables.
-    from repro.optim.saga import SagaState  # noqa: F401 (doc pointer)
-
+    loop = _run_on_loop(ctx, points, problem, "saga", max_updates=20)
+    state = loop.rule.state
+    channel = loop.ac.history.channel("saga")
+    assert state.versions.shape == (problem.n,)
+    assert state.versions.max() == 20  # sampled rows moved on
     total = np.zeros(problem.dim)
-    state_norm = res.extras["avg_hist_norm"]
-    for split in range(points.num_partitions):
-        env = ctx.backend.worker_env(ctx.owner_of(split))
-        block = points.block(split)
-        key = None
-        for k in env.keys():
-            if isinstance(k, tuple) and k[0] == "saga_ver" and k[2] == split:
-                key = k
-        assert key is not None, "version table missing"
-        versions = env.get(key)
-        assert versions.shape == (block.rows,)
-        # Recompute each row's gradient at its stored version.
-        channel = None
-        for k in env.keys():
-            if isinstance(k, tuple) and k[0] == "hbc":
-                channel = k[1]
-        assert channel is not None
-        for v in np.unique(versions):
-            rows = np.where(versions == v)[0]
-            w_v = env.get(("hbc", channel, int(v)))
-            if w_v is None:
-                # Never touched by this worker: must be version 0.
-                assert v == 0
-                w_v = np.zeros(problem.dim)
-            total += problem.grad_sum(block.X[rows], block.y[rows], w_v)
-    implied = total / problem.n
-    assert np.isclose(np.linalg.norm(implied), state_norm, rtol=1e-6)
+    for v in np.unique(state.versions):
+        rows = np.flatnonzero(state.versions == v)
+        total += problem.grad_sum(X[rows], y[rows], channel.get(int(v)))
+    assert np.allclose(total / problem.n, state.avg_hist, rtol=1e-9)
+
+
+@pytest.mark.parametrize("name,granularity", [
+    ("saga", "worker"), ("asaga", "worker"), ("asaga", "partition"),
+])
+def test_no_worker_env_holds_saga_state(small_data, name, granularity):
+    """SAGA's table is the server's: after a fault-free run a worker
+    holds only its cached partitions and broadcast model versions."""
+    X, y, _ = small_data
+    problem = LeastSquaresProblem(X, y)
+    with ClusterContext(4) as c:
+        points = c.matrix(X, y, 8).cache()
+        loop = _run_on_loop(
+            c, points, problem, name, max_updates=40,
+            granularity=granularity,
+        )
+        assert loop.rule.state.versions.max() > 0
+        for w in range(c.num_workers):
+            kinds = {k[0] for k in c.backend.worker_env(w).keys()}
+            assert kinds <= {"rdd", "hbc"}, kinds
 
 
 def test_naive_mode_ships_growing_table(ctx, small_data):
@@ -176,3 +186,26 @@ def test_asaga_single_worker_matches_sync(small_data):
             errs[algorithm] = problem.error(res.w)
     a, b = errs["saga"], errs["asaga"]
     assert abs(np.log10(a) - np.log10(b)) < 0.5
+
+
+def test_blocks_that_do_not_tile_the_rows_are_refused(small_data):
+    """SAGA's version table is addressed by ``block.offset + idx``: blocks
+    built without their offsets (each left at 0) would alias each other's
+    rows, so the rule refuses them, naming the first misplaced one."""
+    from repro.data.blocks import MatrixBlock
+    from repro.engine.matrix import MatrixRDD
+    from repro.errors import OptimError
+
+    X, y, _ = small_data
+    problem = LeastSquaresProblem(X, y)
+    with ClusterContext(2) as c:
+        points = MatrixRDD(c, [
+            MatrixBlock(X[lo:lo + 64], y[lo:lo + 64], block_id=i)
+            for i, lo in enumerate(range(0, 256, 64))
+        ])
+        opt = build_optimizer(
+            "saga", c, points, problem, ConstantStep(0.02),
+            OptimizerConfig(batch_fraction=0.1, max_updates=300, seed=0),
+        )
+        with pytest.raises(OptimError, match="partition 1 starts at row offset 0, not 64"):
+            opt.run()

@@ -1,8 +1,10 @@
 """Crash-safe runs: mid-run snapshots and verified SIGKILL recovery.
 
 The contract under test: every ``snapshot_every`` applied updates the
-server loop durably writes its full run state into one of the two slots
-of ``snapshot_path``, and a run restored from that file continues
+server loop durably writes its run snapshot (the model iterate and its
+update and round counters; no HIST, since each rule rebuilds its server
+state at the restored iterate) into one of the two slots of
+``snapshot_path``, and a run restored from that file continues
 *bit-identically* to the in-process restore path (``restore_state``
 handed straight to the optimizer). The snapshot is written at the
 instant update K applies and excludes run limits, so the newest payload
